@@ -3,7 +3,7 @@ Stickelberger elements, finite-level Iwasawa algebras, Fitting ideals over
 group rings, and bounded-complex invariants.
 
 Everything is exact: rationals, cyclotomic integers over Q, and the rings
-Z/p^N with explicit precision. The package verifies, at desk scale, the
+Z/p^N as plain ints reduced mod p^N. The package verifies, at desk scale, the
 classical identities and containments these objects satisfy (integrality
 under admissibility, annihilation of class-module data, tower coherence,
 twist congruences, and the Fitting-ideal lemma calculus).
@@ -35,12 +35,11 @@ from .complexes import (
 )
 from .exact import (
     CyclotomicInt,
-    PadicInt,
     Rational,
     bernoulli_number,
     bernoulli_polynomial,
     hurwitz_zeta_nonpos,
-    padic_unit_inverse,
+    padic_from_rational,
     teichmuller,
 )
 from .fitting import (

@@ -214,6 +214,8 @@ class AbelianFieldSpec:
 
     @classmethod
     def cyclotomic(cls, m: int, label: str = "") -> "AbelianFieldSpec":
+        if m < 1:
+            raise ValueError(f"cyclotomic field needs m >= 1, got {m}")
         return cls(m, frozenset({1 % m}), label or f"Q(zeta_{m})")
 
     @classmethod
@@ -661,7 +663,7 @@ class TowerLevelData:
 
     def _classify(self, a: int) -> tuple[int, ...]:
         p, q = self.p, self.q
-        w = teichmuller(a, p, self.n + 1).residue
+        w = teichmuller(a, p, self.n + 1)
         one_unit = (a * pow(w, -1, q)) % q
         k = self._dlog1[one_unit]
         return self.base.element_of(a) + (k,)

@@ -24,7 +24,6 @@ from .lvalues import (
     verify_integrality,
 )
 from .tower import (
-    PrecisionBudgetError,
     TowerElement,
     TowerIntegralityError,
     coherence_check,
@@ -50,17 +49,17 @@ class CliError(Exception):
 def parse_spec(text: str) -> AbelianFieldSpec:
     if text == "Q":
         return AbelianFieldSpec.rationals()
-    if text.startswith("zeta"):
-        return AbelianFieldSpec.cyclotomic(int(text[4:]))
-    if text.strip().startswith("{"):
-        return AbelianFieldSpec.from_json(json.loads(text))
-    path = Path(text)
-    if not path.exists():
-        raise CliError(EXIT_IO, f"spec file not found: {text}")
     try:
+        if text.startswith("zeta"):
+            return AbelianFieldSpec.cyclotomic(int(text[4:]))
+        if text.strip().startswith("{"):
+            return AbelianFieldSpec.from_json(json.loads(text))
+        path = Path(text)
+        if not path.exists():
+            raise CliError(EXIT_IO, f"spec file not found: {text}")
         return AbelianFieldSpec.from_json(json.loads(path.read_text()))
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise CliError(EXIT_IO, f"bad spec file {text}: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError(EXIT_IO, f"bad spec {text}: {exc}") from exc
 
 
 def parse_places(text: str) -> list:
@@ -138,17 +137,18 @@ def run_tower(config: dict) -> tuple[dict, int]:
             f"up to n >= {N - 1}, got n_max = {n_max}",
         )
     replay = config.get("replay")
-    try:
-        if replay is not None:
+    if replay is not None:
+        try:
             t = TowerElement.from_json(replay)
-        else:
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CliError(EXIT_IO, f"bad tower file: {exc}") from exc
+    else:
+        try:
             t = theta_tower(spec, S, T, p, N, n_max, r, strict_hyp=strict)
-    except TowerIntegralityError as exc:
-        raise CliError(EXIT_PRECONDITION, f"tower aborted: {exc}") from exc
-    except PrecisionBudgetError as exc:
-        raise CliError(EXIT_PRECONDITION, str(exc)) from exc
-    except ValueError as exc:
-        raise CliError(EXIT_PRECONDITION, str(exc)) from exc
+        except TowerIntegralityError as exc:
+            raise CliError(EXIT_PRECONDITION, f"tower aborted: {exc}") from exc
+        except ValueError as exc:
+            raise CliError(EXIT_PRECONDITION, str(exc)) from exc
     coherent, bad_layer = coherence_check(t)
     result = {
         "tower": t.to_json(),
@@ -180,6 +180,9 @@ def run_verify(config: dict) -> tuple[dict, int]:
     p, N = int(config["p"]), int(config["N"])
     try:
         module = ClassModuleData.from_json(config["class_data"])
+    except (TypeError, AttributeError) as exc:
+        raise CliError(EXIT_IO, f"bad class data: {exc}") from exc
+    try:
         th = theta(spec, S, T, r)
         ann, acting = annihilation_check(th, module)
         fit, residual = fitting_membership_check(th, module, p, N)

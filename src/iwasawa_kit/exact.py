@@ -1,16 +1,15 @@
-"""Exact coefficient arithmetic: rationals, Bernoulli machinery, capped-precision
-p-adic integers, and cyclotomic integers over Q.
+"""Exact coefficient arithmetic: rationals, Bernoulli machinery, reduction
+into Z/p^N, and cyclotomic integers over Q.
 
-All values are immutable and every operation is pure. p-adic integers are the
-ring Z/p^N with the precision N carried on each value; mixed-precision binary
-operations truncate to min(N1, N2). Cyclotomic arithmetic stays over Q in the
+All values are immutable and every operation is pure. Z/p^N is held as plain
+ints reduced mod p^N; the caller carries p and N (see linalg.ZModPN and the
+int vectors of fitting and tower). Cyclotomic arithmetic stays over Q in the
 power basis 1, z, ..., z^(phi(n)-1) modulo the n-th cyclotomic polynomial.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -76,101 +75,19 @@ def hurwitz_zeta_nonpos(r: int, a: int, f: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Capped-precision p-adic integers: the ring Z/p^N with N carried per value.
+# The ring Z/p^N: plain ints reduced mod p^N.
 
-@dataclass(frozen=True)
-class PadicInt:
-    p: int
-    N: int
-    residue: int
-
-    def __post_init__(self) -> None:
-        if self.p < 3 or not is_prime(self.p):
-            raise ValueError(f"PadicInt needs an odd prime, got p={self.p}")
-        if self.N < 1:
-            raise ValueError(f"PadicInt needs precision N >= 1, got {self.N}")
-        object.__setattr__(self, "residue", self.residue % self.p**self.N)
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.N
-
-    def _joint(self, other: "PadicInt | int") -> tuple[int, int, int]:
-        """Common (p, N, other-residue) with truncation to min precision."""
-        if isinstance(other, int):
-            return self.p, self.N, other
-        if other.p != self.p:
-            raise ValueError(f"mixed primes {self.p} and {other.p}")
-        return self.p, min(self.N, other.N), other.residue
-
-    def __add__(self, other: "PadicInt | int") -> "PadicInt":
-        p, n, r = self._joint(other)
-        return PadicInt(p, n, self.residue + r)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "PadicInt":
-        return PadicInt(self.p, self.N, -self.residue)
-
-    def __sub__(self, other: "PadicInt | int") -> "PadicInt":
-        return self + (-other if isinstance(other, PadicInt) else -other)
-
-    def __mul__(self, other: "PadicInt | int") -> "PadicInt":
-        p, n, r = self._joint(other)
-        return PadicInt(p, n, self.residue * r)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "PadicInt":
-        if k < 0:
-            return self.unit_inverse() ** (-k)
-        return PadicInt(self.p, self.N, pow(self.residue, k, self.modulus))
-
-    def is_zero(self) -> bool:
-        return self.residue == 0
-
-    def is_unit(self) -> bool:
-        return self.residue % self.p != 0
-
-    def unit_inverse(self) -> "PadicInt":
-        """Multiplicative inverse; raises PadicDivisionError off units."""
-        if not self.is_unit():
-            raise PadicDivisionError(
-                f"{self.residue} is not a unit mod {self.p}^{self.N}"
-            )
-        return PadicInt(self.p, self.N, pow(self.residue, -1, self.modulus))
-
-    def truncate(self, N: int) -> "PadicInt":
-        if N > self.N:
-            raise ValueError(f"cannot lift precision {self.N} to {N}")
-        return PadicInt(self.p, N, self.residue)
-
-    def to_json(self) -> dict:
-        return {"p": self.p, "N": self.N, "residue": self.residue}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PadicInt":
-        return cls(int(obj["p"]), int(obj["N"]), int(obj["residue"]))
-
-
-class PadicDivisionError(ZeroDivisionError):
-    """Division by a non-unit of Z/p^N."""
-
-
-def padic_unit_inverse(x: PadicInt) -> PadicInt:
-    return x.unit_inverse()
-
-
-def padic_from_rational(x: Fraction, p: int, N: int) -> PadicInt:
-    """Reduce a p-integral rational mod p^N; raises if p divides the denominator."""
+def padic_from_rational(x: Fraction, p: int, N: int) -> int:
+    """Reduce a p-integral rational mod p^N; raises ValueError if p divides
+    the denominator."""
     x = Fraction(x)
     if x.denominator % p == 0:
-        raise PadicDivisionError(f"{x} is not {p}-integral")
+        raise ValueError(f"{x} is not {p}-integral")
     q = p**N
-    return PadicInt(p, N, x.numerator * pow(x.denominator, -1, q))
+    return x.numerator * pow(x.denominator, -1, q) % q
 
 
-def teichmuller(a: int, p: int, N: int) -> PadicInt:
+def teichmuller(a: int, p: int, N: int) -> int:
     """The Teichmuller representative w(a) mod p^N: the unique (p-1)-st root of
     unity congruent to a mod p.  Computed by iterating x -> x^p to its fixed
     point (equivalently a^(p^(N-1)) mod p^N).
@@ -184,7 +101,7 @@ def teichmuller(a: int, p: int, N: int) -> PadicInt:
     while True:
         y = pow(x, p, q)
         if y == x:
-            return PadicInt(p, N, x)
+            return x
         x = y
 
 

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .abelian import FiniteAbelianGroup
 from .groupring import GroupRingElement
-from .exact import PadicInt, padic_from_rational
+from .exact import padic_from_rational
 from .linalg import (
     ZModPN,
     howell_form,
@@ -103,12 +102,6 @@ class FiniteCommAlgebra:
                             if c:
                                 out[k] += ab * c
         return tuple(c % self.q for c in out)
-
-    def elt_pow(self, x: Vec, k: int) -> Vec:
-        out = self.one
-        for _ in range(k):
-            out = self.mul(out, x)
-        return out
 
     def sharp_of(self, x: Vec) -> Vec:
         if self.sharp_images is None:
@@ -224,17 +217,10 @@ class GroupAlgebra(FiniteCommAlgebra):
         return self.basis_element(self.index[self.group.reduce(g)])
 
     def from_group_ring(self, x: GroupRingElement) -> Vec:
+        """Reduce an element with p-integral rational coefficients mod p^N."""
         out = [0] * self.dim
         for g, c in x.coeffs.items():
-            if isinstance(c, PadicInt):
-                if c.p != self.p:
-                    raise ValueError("prime mismatch")
-                r = c.residue
-            elif isinstance(c, Fraction) or isinstance(c, int):
-                r = padic_from_rational(Fraction(c), self.p, self.N).residue
-            else:
-                raise ValueError(f"cannot reduce coefficient {c!r}")
-            out[self.index[self.group.reduce(g)]] = r % self.q
+            out[self.index[self.group.reduce(g)]] = padic_from_rational(c, self.p, self.N)
         return tuple(out)
 
 

@@ -1,9 +1,10 @@
 """Group-ring elements over a finite abelian group.
 
-Coefficients are self-contained exact values: Fraction, PadicInt, or
-CyclotomicInt. Missing keys mean 0; the stored coefficient dict never holds
-zeros, so equality is dict equality. The # involution is the coefficient-
-preserving map induced by g -> g^(-1).
+Coefficients are exact values over Q: Fraction or CyclotomicInt. Missing
+keys mean 0; the stored coefficient dict never holds zeros, so equality is
+dict equality. The # involution is the coefficient-preserving map induced by
+g -> g^(-1). Reductions mod p^N live elsewhere as int vectors (fitting's
+GroupAlgebra and the tower entries).
 """
 
 from __future__ import annotations
@@ -11,15 +12,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
 
-from .exact import CyclotomicInt, PadicInt, rat_from_str, rat_to_str
+from .exact import CyclotomicInt, rat_from_str, rat_to_str
 
 if TYPE_CHECKING:  # avoid a runtime import cycle with abelian
     from .abelian import FiniteAbelianGroup
 
 
 def coeff_is_zero(c) -> bool:
-    if isinstance(c, PadicInt):
-        return c.residue == 0
     if isinstance(c, CyclotomicInt):
         return c.is_zero()
     return c == 0
@@ -130,23 +129,16 @@ class GroupRingElement:
         for g in sorted(self.coeffs):
             c = self.coeffs[g]
             key = ",".join(str(e) for e in g)
-            if isinstance(c, PadicInt):
-                out[key] = c.residue
-            elif isinstance(c, CyclotomicInt):
+            if isinstance(c, CyclotomicInt):
                 out[key] = [rat_to_str(x) for x in c.coeffs]
             else:
                 out[key] = rat_to_str(c)
         return out
 
     @classmethod
-    def from_json(cls, group, obj: dict, p: int | None = None, N: int | None = None):
+    def from_json(cls, group, obj: dict) -> "GroupRingElement":
         coeffs = {}
         for key, val in obj.items():
             g = tuple(int(e) for e in key.split(",")) if key else ()
-            if isinstance(val, int):
-                if p is None or N is None:
-                    raise ValueError("integer coefficients need p and N context")
-                coeffs[g] = PadicInt(p, N, val)
-            else:
-                coeffs[g] = rat_from_str(val)
+            coeffs[g] = rat_from_str(val)
         return cls(group, coeffs)

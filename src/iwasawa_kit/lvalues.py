@@ -25,7 +25,6 @@ from .exact import (
     CyclotomicInt,
     bernoulli_polynomial,
     hurwitz_zeta_nonpos,
-    padic_from_rational,
     poly_eval,
 )
 from .fitting import FinPresModule, GroupAlgebra, minus_quotient
@@ -418,10 +417,5 @@ def fitting_membership_check(
         raise ValueError(f"theta is not {p}-integral")
     dual_mod, alg, proj = minus_dual_presentation(spec, M, p, N)
     fitt = dual_mod.fitting_ideal
-    sharp_vec = alg.from_group_ring(
-        theta_elem.value.sharp().map_coefficients(
-            lambda c: padic_from_rational(Q(c), p, N)
-        )
-    )
-    target = proj.apply(sharp_vec)
+    target = proj.apply(alg.from_group_ring(theta_elem.value.sharp()))
     return fitt.contains_element(target), fitt.residual(target)

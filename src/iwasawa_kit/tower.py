@@ -2,6 +2,11 @@
 (Z/p^N)[G_n] along the cyclotomic tower, aug projections, the # involution,
 cyclotomic twists, and coherent Stickelberger towers.
 
+A level-n element is a tuple of ints mod p^N indexed by
+`level.group.elements()`, the basis order of fitting.GroupAlgebra(p, N,
+level.group), so Fitting consumers take tower entries as they are. The tower
+maps act on indices and coefficients only; no structure constants are built.
+
 Lambda(G) is represented only through coherent families of finite-level
 elements: a tower is accepted exactly when adjacent aug projections match,
 and the equivariant Kummer congruence compares a twisted tower against the
@@ -11,15 +16,21 @@ untwisted one at the effective precision p^min(N, n+1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .abelian import AbelianFieldSpec, TowerLevelData, check_hyp, cm_data, conductor
-from .exact import PadicInt, padic_from_rational
-from .groupring import GroupRingElement
+from .abelian import (
+    AbelianFieldSpec,
+    FiniteAbelianGroup,
+    TowerLevelData,
+    check_hyp,
+    cm_data,
+    conductor,
+    normalize_places,
+)
+from .exact import padic_from_rational
+from .fitting import Vec
 from .lvalues import is_p_integral, theta
 from .numutil import factorize, is_prime
-from .abelian import normalize_places
 
 
 class PrecisionBudgetError(ValueError):
@@ -67,44 +78,50 @@ class FiniteLevelAlgebra:
             )
         return self.level.chi_cyc_of(self.level.group.reduce(g)) % self.p**prec
 
-    def reduce_from_rational(self, x: GroupRingElement) -> GroupRingElement:
-        return x.map_coefficients(lambda c: padic_from_rational(Fraction(c), self.p, self.N))
+
+@lru_cache(maxsize=None)
+def _index(group: FiniteAbelianGroup) -> dict:
+    """Position of each group element in the basis order of group.elements()."""
+    return {g: i for i, g in enumerate(group.elements())}
 
 
-def aug_project(
-    x: GroupRingElement, src: TowerLevelData, target: TowerLevelData
-) -> GroupRingElement:
-    """Coefficientwise pushforward along G_m -> G_n, (g, k) -> (g, k mod p^n)."""
+def aug_project(x: Vec, src: TowerLevelData, target: TowerLevelData, N: int) -> Vec:
+    """Pushforward mod p^N along G_m -> G_n, (g, k) -> (g, k mod p^n)."""
     if src.p != target.p or src.base_spec != target.base_spec:
         raise ValueError("aug projection needs levels of one tower")
     if target.n > src.n:
         raise ValueError(f"cannot project layer {src.n} up to layer {target.n}")
-    return x.pushforward(target.group, lambda g: src.project(g, target.n))
+    index = _index(target.group)
+    out = [0] * target.group.size
+    for g, c in zip(src.group.elements(), x):
+        out[index[src.project(g, target.n)]] += c
+    q = src.p**N
+    return tuple(c % q for c in out)
 
 
-def sharp(x: GroupRingElement) -> GroupRingElement:
-    return x.sharp()
+def sharp(x: Vec, group: FiniteAbelianGroup) -> Vec:
+    """The involution #: the coefficient at g moves to g^(-1)."""
+    index = _index(group)
+    out = [0] * len(x)
+    for g, c in zip(group.elements(), x):
+        out[index[group.inv(g)]] = c
+    return tuple(out)
 
 
-def twist(x: GroupRingElement, r: int, alg: FiniteLevelAlgebra) -> GroupRingElement:
+def twist(x: Vec, r: int, alg: FiniteLevelAlgebra) -> Vec:
     """t_cyc^r at finite level: g -> chi_cyc(g)^r g. Requires N <= n+1 (the
     exact range where u^(r p^n) = 1 mod p^N makes this well defined on G_n)
     and a level where chi_cyc descends (zeta_p in the base field)."""
-    p, N = alg.p, alg.N
-    if N > alg.n + 1:
+    if alg.N > alg.n + 1:
         raise PrecisionBudgetError(
-            f"twist needs N <= n+1, got N={N} at layer n={alg.n}"
+            f"twist needs N <= n+1, got N={alg.N} at layer n={alg.n}"
         )
     if r == 0:
         return x
-    out: dict = {}
-    for g, c in x.coeffs.items():
-        chi = alg.chi_of(g, N)
-        if not isinstance(c, PadicInt):
-            c = padic_from_rational(Fraction(c), p, N)
-        unit = PadicInt(p, min(N, c.N), chi)
-        out[g] = c * unit**r
-    return GroupRingElement(x.group, out)
+    q = alg.p**alg.N
+    return tuple(
+        c * pow(alg.chi_of(g), r, q) % q for g, c in zip(alg.group.elements(), x)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +137,7 @@ class TowerElement:
     S: tuple
     T: tuple
     r: int
-    entries: list[GroupRingElement]
+    entries: list[Vec]
     levels: list[TowerLevelData]
     hyp_verdicts: list[bool]
 
@@ -128,16 +145,13 @@ class TowerElement:
     def n_max(self) -> int:
         return len(self.entries) - 1
 
-    def algebra(self, n: int) -> FiniteLevelAlgebra:
-        return FiniteLevelAlgebra(self.p, self.N, self.levels[n])
-
     def to_json(self) -> dict:
         return {
             "p": self.p,
             "N": self.N,
             "levels": [
-                {"n": n, "coeffs": entry.to_json()}
-                for n, entry in enumerate(self.entries)
+                {"n": n, "coeffs": _vector_to_json(entry, level.group)}
+                for n, (entry, level) in enumerate(zip(self.entries, self.levels))
             ],
             "meta": {
                 "spec": self.spec.to_json(),
@@ -150,24 +164,50 @@ class TowerElement:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TowerElement":
+        """Parse and validate a stored tower; a malformed payload raises
+        KeyError, TypeError or ValueError."""
         p, N = int(obj["p"]), int(obj["N"])
-        spec = AbelianFieldSpec.from_json(obj["meta"]["spec"])
-        S = tuple(_parse_place(v) for v in obj["meta"]["S"])
-        T = tuple(_parse_place(v) for v in obj["meta"]["T"])
+        if p == 2 or not is_prime(p) or N < 1:
+            raise ValueError(f"a tower needs an odd prime p and N >= 1, got p={p}, N={N}")
+        meta = obj["meta"]
+        spec = AbelianFieldSpec.from_json(meta["spec"])
+        S = tuple(_parse_place(v) for v in meta["S"])
+        T = tuple(_parse_place(v) for v in meta["T"])
         entries, levels = [], []
-        for lvl in obj["levels"]:
-            n = int(lvl["n"])
+        for n, lvl in enumerate(obj["levels"]):
+            if int(lvl["n"]) != n:
+                raise ValueError(f"level {n} is labelled n = {lvl['n']!r}")
             data = tower_level(spec, p, n)
-            entries.append(GroupRingElement.from_json(data.group, lvl["coeffs"], p=p, N=N))
+            entries.append(_vector_from_json(lvl["coeffs"], data.group, p**N))
             levels.append(data)
         return cls(
-            p, N, spec, S, T, int(obj["meta"]["r"]), entries, levels,
-            [bool(b) for b in obj["meta"].get("hyp", [True] * len(entries))],
+            p, N, spec, S, T, int(meta["r"]), entries, levels,
+            [bool(b) for b in meta.get("hyp", [True] * len(entries))],
         )
 
 
 def _parse_place(v):
     return v if v in ("oo", "inf") else int(v)
+
+
+def _vector_to_json(x: Vec, group: FiniteAbelianGroup) -> dict:
+    """Wire format {"g1,g2": residue}: nonzero entries in sorted order."""
+    return {",".join(map(str, g)): c for g, c in zip(group.elements(), x) if c}
+
+
+def _vector_from_json(obj: dict, group: FiniteAbelianGroup, q: int) -> Vec:
+    if not isinstance(obj, dict):
+        raise ValueError(f"coefficients must be a JSON object, got {obj!r}")
+    index = _index(group)
+    out = [0] * group.size
+    for key, c in obj.items():
+        g = tuple(int(e) for e in key.split(","))
+        if g not in index:
+            raise ValueError(f"{key!r} is not an element of the group {group.orders}")
+        if type(c) is not int:
+            raise ValueError(f"coefficient at {key!r} must be an integer residue, got {c!r}")
+        out[index[g]] = c % q
+    return tuple(out)
 
 
 def theta_tower(
@@ -217,8 +257,10 @@ def theta_tower(
             raise TowerIntegralityError(
                 n, f"theta has a coefficient denominator divisible by {p}"
             )
-        alg = FiniteLevelAlgebra(p, N, lvl)
-        entries.append(alg.reduce_from_rational(th.value))
+        coeffs = th.value.coeffs
+        entries.append(
+            tuple(padic_from_rational(coeffs.get(g, 0), p, N) for g in lvl.group.elements())
+        )
         levels.append(lvl)
     return TowerElement(p, N, spec, tuple(S), tuple(T), r, entries, levels, hyps)
 
@@ -227,7 +269,7 @@ def coherence_check(t: TowerElement) -> tuple[bool, int | None]:
     """True iff all adjacent aug projections match exactly; on failure,
     returns the lower index of the first mismatching pair."""
     for n in range(t.n_max):
-        projected = aug_project(t.entries[n + 1], t.levels[n + 1], t.levels[n])
+        projected = aug_project(t.entries[n + 1], t.levels[n + 1], t.levels[n], t.N)
         if projected != t.entries[n]:
             return False, n
     return True, None
@@ -244,10 +286,10 @@ def twist_congruence_check(t_r: TowerElement, t_0: TowerElement) -> tuple[bool, 
         raise ValueError("towers must have the same number of levels")
     for n in range(t_r.n_max + 1):
         ne = min(t_r.N, t_0.N, n + 1)
+        q = t_r.p**ne
         alg = FiniteLevelAlgebra(t_r.p, ne, t_r.levels[n])
-        lhs = t_r.entries[n].map_coefficients(lambda c: c.truncate(ne))
-        base = t_0.entries[n].map_coefficients(lambda c: c.truncate(ne))
-        rhs = twist(base, t_r.r, alg)
+        lhs = tuple(c % q for c in t_r.entries[n])
+        rhs = twist(tuple(c % q for c in t_0.entries[n]), t_r.r, alg)
         if lhs != rhs:
             return False, n
     return True, None
@@ -259,10 +301,14 @@ def parity_projector_annihilates(t: TowerElement, n: int) -> bool:
     cm = cm_data(t.spec)
     if cm is None:
         raise ValueError("parity check needs a CM base field")
-    entry = t.entries[n]
+    x = t.entries[n]
     grp = t.levels[n].group
+    index = _index(grp)
     j_n = cm.j + (0,)
     sign = 1 if t.r % 2 == 0 else -1
-    one = GroupRingElement.scalar(grp, PadicInt(t.p, t.N, 1))
-    jj = GroupRingElement.of_element(grp, j_n, PadicInt(t.p, t.N, sign))
-    return ((one + jj) * entry).is_zero()
+    q = t.p**t.N
+    # the coefficient of (1 + sign j) x at g is x_g + sign x_{jg}
+    return all(
+        (c + sign * x[index[grp.mul(j_n, g)]]) % q == 0
+        for g, c in zip(grp.elements(), x)
+    )

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from iwasawa_kit.cli import (
     EXIT_CHECK_FAILED,
     EXIT_IO,
@@ -12,6 +14,7 @@ from iwasawa_kit.cli import (
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def run(capsys, *argv):
@@ -19,6 +22,14 @@ def run(capsys, *argv):
     captured = capsys.readouterr()
     cert = json.loads(captured.out) if captured.out.strip() else None
     return code, cert
+
+
+def run_refused(capsys, *argv):
+    """Exit code and the single JSON error object a refused command prints."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, json.loads(captured.err)
 
 
 def test_theta_certificate(capsys):
@@ -86,6 +97,44 @@ def test_tower_replay_detects_corruption(tmp_path, capsys):
     assert cert2["witness"]["failing_layer"] == 0
 
 
+TOWER_Z3 = ("tower", "--spec", "zeta3", "--S", "3,oo", "--T", "7", "--r", "0",
+            "--p", "3", "--N", "2", "--levels", "1")
+
+
+@pytest.mark.parametrize(
+    "key, coeff",
+    [("0,0", "1/2"), ("0,0", [1]), ("9,9,9,9", 1)],
+    ids=["rational-coefficient", "list-coefficient", "unknown-element"],
+)
+def test_tower_replay_rejects_malformed_entries(tmp_path, capsys, key, coeff):
+    code, cert = run(capsys, *TOWER_Z3)
+    assert code == EXIT_OK
+    tower_json = cert["result"]["tower"]
+    tower_json["levels"][0]["coeffs"][key] = coeff
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps(tower_json))
+    code2, err = run_refused(capsys, *TOWER_Z3, "--data", str(replay))
+    assert code2 == EXIT_IO
+    assert err["exit"] == EXIT_IO and "bad tower file" in err["error"]
+
+
+def test_tower_certificate_is_wire_compatible(tmp_path, capsys):
+    # a stored certificate locks the tower wire format: recheck and replay
+    # must both reproduce it
+    path = FIXTURES / "tower_zeta3_cert.json"
+    stored = json.loads(path.read_text())
+    code, report = run(capsys, "recheck", str(path))
+    assert code == EXIT_OK and report["result"]["matches"] is True
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps(stored["result"]["tower"]))
+    code2, cert = run(
+        capsys, "tower", "--spec", "zeta3", "--S", "3,oo", "--T", "7", "--r", "-1",
+        "--p", "3", "--N", "2", "--levels", "2", "--data", str(replay),
+    )
+    assert code2 == EXIT_OK
+    assert cert["result"] == stored["result"]
+
+
 def test_tower_precision_budget(capsys):
     code, _ = run(
         capsys, "tower", "--spec", "zeta5", "--S", "5,oo", "--T", "2",
@@ -149,6 +198,21 @@ def test_invalid_class_data_is_precondition(capsys, tmp_path):
         "--r", "0", "--p", "3", "--N", "2", "--data", str(bad),
     )
     assert code == EXIT_PRECONDITION
+
+
+def test_theta_spec_zeta0_is_schema_error(capsys):
+    code, err = run_refused(capsys, "theta", "--spec", "zeta0", "--S", "oo")
+    assert code == EXIT_IO and err["exit"] == EXIT_IO
+
+
+def test_verify_class_data_list_is_schema_error(capsys, tmp_path):
+    bad = tmp_path / "list.json"
+    bad.write_text(json.dumps([1, 2, 3]))
+    code, err = run_refused(
+        capsys, "verify", "--spec", "zeta3", "--S", "3,oo", "--T", "7",
+        "--r", "0", "--p", "3", "--N", "2", "--data", str(bad),
+    )
+    assert code == EXIT_IO and err["exit"] == EXIT_IO
 
 
 def test_missing_files_are_io_errors(capsys):

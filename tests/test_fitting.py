@@ -350,10 +350,7 @@ def test_tower_fitting_check_principal():
     Z5 = AbelianFieldSpec.cyclotomic(5)
     t = theta_tower(Z5, [5, "oo"], [2], 5, 2, 1, 0)
     algs = [GroupAlgebra(5, 2, lvl.group) for lvl in t.levels]
-    mods = [
-        principal_module(algs[n], algs[n].from_group_ring(t.entries[n]))
-        for n in range(2)
-    ]
+    mods = [principal_module(algs[n], t.entries[n]) for n in range(2)]
     proj = group_algebra_morphism(
         algs[1], algs[0], lambda g: t.levels[1].project(g, 0)
     )

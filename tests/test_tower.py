@@ -7,7 +7,7 @@ import pytest
 import sympy
 
 from iwasawa_kit.abelian import AbelianFieldSpec, galois_group
-from iwasawa_kit.exact import PadicInt
+from iwasawa_kit.fitting import GroupAlgebra
 from iwasawa_kit.groupring import GroupRingElement
 from iwasawa_kit.tower import (
     FiniteLevelAlgebra,
@@ -33,25 +33,41 @@ Z7 = AbelianFieldSpec.cyclotomic(7)
 Z12 = AbelianFieldSpec.cyclotomic(12)
 
 
-def pad(p, N, r):
-    return PadicInt(p, N, r)
+def vec(group, coeffs, q):
+    """The int vector mod q of {g: c} in the basis order group.elements()."""
+    return tuple(coeffs.get(g, 0) % q for g in group.elements())
+
+
+def reduce_exact(x, q):
+    """Independent reduction of a rational group-ring element mod q."""
+    return vec(
+        x.group,
+        {g: c.numerator * pow(c.denominator, -1, q) for g, c in x.coeffs.items()},
+        q,
+    )
+
+
+def random_vec(rng, group, q):
+    return tuple(rng.randrange(q) for _ in range(group.size))
 
 
 def test_aug_project_examples():
     lvl1 = tower_level(Z3, 3, 1)
     lvl0 = tower_level(Z3, 3, 0)
-    g1 = lvl1.group
-    one = GroupRingElement.scalar(g1, pad(3, 2, 1))
-    assert aug_project(one, lvl1, lvl0) == GroupRingElement.scalar(lvl0.group, pad(3, 2, 1))
+    g1, g0 = lvl1.group, lvl0.group
+    one = vec(g1, {g1.identity: 1}, 9)
+    assert aug_project(one, lvl1, lvl0, 2) == vec(g0, {g0.identity: 1}, 9)
     # gamma at level 1 maps to the identity of level 0
-    gamma = GroupRingElement.of_element(g1, (0, 1), pad(3, 2, 1))
-    assert aug_project(gamma, lvl1, lvl0) == GroupRingElement.scalar(lvl0.group, pad(3, 2, 1))
+    gamma = vec(g1, {(0, 1): 1}, 9)
+    assert aug_project(gamma, lvl1, lvl0, 2) == vec(g0, {g0.identity: 1}, 9)
     # sigma + gamma.sigma -> 2 sigma
-    x = GroupRingElement(g1, {(1, 0): pad(3, 2, 1), (1, 1): pad(3, 2, 1)})
-    expect = GroupRingElement.of_element(lvl0.group, (1, 0), pad(3, 2, 2))
-    assert aug_project(x, lvl1, lvl0) == expect
+    x = vec(g1, {(1, 0): 1, (1, 1): 1}, 9)
+    assert aug_project(x, lvl1, lvl0, 2) == vec(g0, {(1, 0): 2}, 9)
+    # the pushforward reduces mod p^N: 3 gamma^k over k = 0..2 -> 9 = 0
+    y = vec(g1, {(0, 0): 3, (0, 1): 3, (0, 2): 3}, 9)
+    assert aug_project(y, lvl1, lvl0, 2) == vec(g0, {}, 9)
     with pytest.raises(ValueError):
-        aug_project(one, lvl1, tower_level(Z3, 3, 2))
+        aug_project(one, lvl1, tower_level(Z3, 3, 2), 2)
 
 
 def test_aug_project_is_ring_homomorphism():
@@ -59,38 +75,37 @@ def test_aug_project_is_ring_homomorphism():
 
     rng = random.Random(5)
     lvl1, lvl0 = tower_level(Z5, 5, 1), tower_level(Z5, 5, 0)
+    A1, A0 = GroupAlgebra(5, 2, lvl1.group), GroupAlgebra(5, 2, lvl0.group)
     for _ in range(10):
-        x = GroupRingElement(
-            lvl1.group,
-            {g: pad(5, 2, rng.randrange(25)) for g in lvl1.group.elements()},
-        )
-        y = GroupRingElement(
-            lvl1.group,
-            {g: pad(5, 2, rng.randrange(25)) for g in lvl1.group.elements()},
-        )
-        lhs = aug_project(x * y, lvl1, lvl0)
-        rhs = aug_project(x, lvl1, lvl0) * aug_project(y, lvl1, lvl0)
+        x = random_vec(rng, lvl1.group, 25)
+        y = random_vec(rng, lvl1.group, 25)
+        lhs = aug_project(A1.mul(x, y), lvl1, lvl0, 2)
+        rhs = A0.mul(aug_project(x, lvl1, lvl0, 2), aug_project(y, lvl1, lvl0, 2))
         assert lhs == rhs
-        assert aug_project(sharp(x), lvl1, lvl0) == sharp(aug_project(x, lvl1, lvl0))
+        assert aug_project(sharp(x, lvl1.group), lvl1, lvl0, 2) == sharp(
+            aug_project(x, lvl1, lvl0, 2), lvl0.group
+        )
+        # the index map agrees with the structure-constant involution
+        assert sharp(x, lvl1.group) == A1.sharp_of(x)
 
 
 def test_sharp_examples():
     lvl = tower_level(Z3, 3, 1)
     grp = lvl.group
-    x = GroupRingElement(grp, {grp.identity: pad(3, 2, 1), (0, 1): pad(3, 2, 2)})
-    xs = sharp(x)
-    assert xs == GroupRingElement(grp, {grp.identity: pad(3, 2, 1), (0, 2): pad(3, 2, 2)})
-    assert sharp(xs) == x
+    x = vec(grp, {grp.identity: 1, (0, 1): 2}, 9)
+    xs = sharp(x, grp)
+    assert xs == vec(grp, {grp.identity: 1, (0, 2): 2}, 9)
+    assert sharp(xs, grp) == x
 
 
 def test_twist_gamma_and_identity():
     lvl = tower_level(Z3, 3, 1)
     alg = FiniteLevelAlgebra(3, 2, lvl)
     assert alg.u == 4
-    gamma = GroupRingElement.of_element(lvl.group, (0, 1), pad(3, 2, 1))
+    gamma = vec(lvl.group, {(0, 1): 1}, 9)
     assert twist(gamma, 0, alg) == gamma
     twisted = twist(gamma, 1, alg)
-    assert twisted == GroupRingElement.of_element(lvl.group, (0, 1), pad(3, 2, 4))
+    assert twisted == vec(lvl.group, {(0, 1): 4}, 9)
     # twist is inverted by the opposite exponent
     assert twist(twisted, -1, alg) == gamma
 
@@ -101,15 +116,12 @@ def test_twist_is_ring_automorphism():
     rng = random.Random(9)
     lvl = tower_level(Z5, 5, 1)
     alg = FiniteLevelAlgebra(5, 2, lvl)
+    A = GroupAlgebra(5, 2, lvl.group)
     for r in (1, -1, 2, -3):
         for _ in range(8):
-            x = GroupRingElement(
-                lvl.group, {g: pad(5, 2, rng.randrange(25)) for g in lvl.group.elements()}
-            )
-            y = GroupRingElement(
-                lvl.group, {g: pad(5, 2, rng.randrange(25)) for g in lvl.group.elements()}
-            )
-            assert twist(x * y, r, alg) == twist(x, r, alg) * twist(y, r, alg)
+            x = random_vec(rng, lvl.group, 25)
+            y = random_vec(rng, lvl.group, 25)
+            assert twist(A.mul(x, y), r, alg) == A.mul(twist(x, r, alg), twist(y, r, alg))
             assert twist(twist(x, r, alg), -r, alg) == x
 
 
@@ -118,25 +130,22 @@ def test_twist_xi_v_closed_form():
     lvl = tower_level(Z5, 5, 1)
     alg = FiniteLevelAlgebra(5, 2, lvl)
     grp = lvl.group
+    A = GroupAlgebra(5, 2, grp)
     for v in (2, 3, 7, 11):
         frob = lvl.frobenius(v)
         chi = alg.chi_of(frob)
-        xi = GroupRingElement.scalar(grp, pad(5, 2, 1)) - GroupRingElement.of_element(
-            grp, frob, pad(5, 2, chi)
-        )
+        xi = A.sub(A.one, A.scalar(chi, A.group_element_vector(frob)))
         for r in (0, -1, -2):
-            got = twist(sharp(xi), r, alg)
-            unit = pad(5, 2, chi) ** (1 - r)
-            expect = GroupRingElement.scalar(grp, pad(5, 2, 1)) - GroupRingElement.of_element(
-                grp, grp.inv(frob), unit
-            )
+            got = twist(sharp(xi, grp), r, alg)
+            unit = pow(chi, 1 - r, 25)
+            expect = A.sub(A.one, A.scalar(unit, A.group_element_vector(grp.inv(frob))))
             assert got == expect
 
 
 def test_twist_precision_budget():
     lvl = tower_level(Z3, 3, 0)
     alg = FiniteLevelAlgebra(3, 2, lvl)  # N = 2 > n+1 = 1
-    x = GroupRingElement.scalar(lvl.group, pad(3, 2, 1))
+    x = vec(lvl.group, {lvl.group.identity: 1}, 9)
     with pytest.raises(PrecisionBudgetError):
         twist(x, 1, alg)
 
@@ -144,7 +153,7 @@ def test_twist_precision_budget():
 def test_twist_needs_chi_cyc():
     lvl = tower_level(Z3, 5, 1)  # zeta_5 not in Q(zeta_3)
     alg = FiniteLevelAlgebra(5, 2, lvl)
-    x = GroupRingElement.of_element(lvl.group, (1, 0), pad(5, 2, 1))
+    x = vec(lvl.group, {(1, 0): 1}, 25)
     with pytest.raises(ValueError):
         twist(x, 1, alg)
 
@@ -170,12 +179,13 @@ def test_theta_tower_level_zero_entry_z5():
     assert len(t.entries) == 2
     lvl0 = t.levels[0]
     expect_exact = _hand_theta_z5_t2(0)
-    expect = GroupRingElement(
+    expect = vec(
         lvl0.group,
         {
-            g + (0,): PadicInt(5, 2, c.numerator * pow(c.denominator, -1, 25))
+            g + (0,): c.numerator * pow(c.denominator, -1, 25)
             for g, c in expect_exact.coeffs.items()
         },
+        25,
     )
     assert t.entries[0] == expect
     # the worked value: theta = (sigma_1 + sigma_2 - sigma_3 - sigma_4)/2
@@ -183,8 +193,8 @@ def test_theta_tower_level_zero_entry_z5():
     half = pow(2, -1, 25)
     manual = {}
     for a, s in ((1, 1), (2, 1), (3, -1), (4, -1)):
-        manual[gal.element_of(a) + (0,)] = PadicInt(5, 2, s * half)
-    assert t.entries[0] == GroupRingElement(lvl0.group, manual)
+        manual[gal.element_of(a) + (0,)] = s * half
+    assert t.entries[0] == vec(lvl0.group, manual, 25)
 
 
 def test_theta_tower_coherence_examples():
@@ -211,9 +221,7 @@ def test_theta_tower_degenerate_p_coprime():
 
     lvl = t.levels[0]
     exact = plain_theta(lvl, [3, 5, OO], [7], 0).value
-    assert t.entries[0] == exact.map_coefficients(
-        lambda c: PadicInt(5, 2, c.numerator * pow(c.denominator, -1, 25))
-    )
+    assert t.entries[0] == reduce_exact(exact, 25)
 
 
 def test_theta_tower_records_hyp_and_aborts_on_nonintegral():
@@ -244,7 +252,8 @@ def test_corrupted_tower_detected():
     t = theta_tower(Z3, [3, OO], [7], 3, 2, 1, 0)
     ok, _ = coherence_check(t)
     assert ok
-    bad = t.entries[0] + GroupRingElement.scalar(t.levels[0].group, pad(3, 2, 1))
+    grp0 = t.levels[0].group
+    bad = tuple((c + e) % 9 for c, e in zip(t.entries[0], vec(grp0, {grp0.identity: 1}, 9)))
     corrupted = TowerElement(
         t.p, t.N, t.spec, t.S, t.T, t.r, [bad, t.entries[1]], t.levels, t.hyp_verdicts
     )
@@ -287,17 +296,9 @@ def test_aug_commutes_with_twist_at_effective_precision():
     alg0 = FiniteLevelAlgebra(5, 1, lvl0)  # effective precision at level 0
     for r in (1, -1, -2):
         for _ in range(6):
-            x = GroupRingElement(
-                lvl1.group, {g: pad(5, 2, rng.randrange(25)) for g in lvl1.group.elements()}
-            )
-            lhs = aug_project(twist(x, r, alg1), lvl1, lvl0).map_coefficients(
-                lambda c: c.truncate(1)
-            )
-            rhs = twist(
-                aug_project(x, lvl1, lvl0).map_coefficients(lambda c: c.truncate(1)),
-                r,
-                alg0,
-            )
+            x = random_vec(rng, lvl1.group, 25)
+            lhs = aug_project(twist(x, r, alg1), lvl1, lvl0, 1)
+            rhs = twist(aug_project(x, lvl1, lvl0, 1), r, alg0)
             assert lhs == rhs
 
 
@@ -309,10 +310,8 @@ def test_delta_distributivity_levelwise():
     t_with = theta_tower(Z3, [3, 5, OO], [7], 5, 2, 1, 0)
     for n in (0, 1):
         lvl = t_plain.levels[n]
-        d = delta_t(lvl, [7], 0).map_coefficients(
-            lambda c: PadicInt(5, 2, c.numerator * pow(c.denominator, -1, 25))
-        )
-        assert d * t_plain.entries[n] == t_with.entries[n]
+        d = reduce_exact(delta_t(lvl, [7], 0), 25)
+        assert GroupAlgebra(5, 2, lvl.group).mul(d, t_plain.entries[n]) == t_with.entries[n]
 
 
 def test_parity_projector_annihilates_entries():
@@ -321,6 +320,12 @@ def test_parity_projector_annihilates_entries():
             t = theta_tower(spec, S, T, p, 2, 1, r)
             for n in range(t.n_max + 1):
                 assert parity_projector_annihilates(t, n)
+    # a unit added at the identity breaks the parity of the level-0 entry
+    bumped = (t.entries[0][0] + 1,) + t.entries[0][1:]
+    broken = TowerElement(
+        t.p, t.N, t.spec, t.S, t.T, t.r, [bumped, *t.entries[1:]], t.levels, t.hyp_verdicts
+    )
+    assert not parity_projector_annihilates(broken, 0)
 
 
 def test_tower_level_theta_cross_validated_by_characters():
