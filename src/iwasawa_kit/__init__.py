@@ -3,10 +3,12 @@ Stickelberger elements, finite-level Iwasawa algebras, Fitting ideals over
 group rings, and bounded-complex invariants.
 
 Everything is exact: rationals, cyclotomic integers over Q, and the rings
-Z/p^N as plain ints reduced mod p^N. The package verifies, at desk scale, the
-classical identities and containments these objects satisfy (integrality
-under admissibility, annihilation of class-module data, tower coherence,
-twist congruences, and the Fitting-ideal lemma calculus).
+Z/p^N as plain ints reduced mod p^N. An element of a group ring over any of
+them is a tuple of coefficients in the basis order of `groupring`. The
+package verifies, at desk scale, the classical identities and containments
+these objects satisfy (integrality under admissibility, annihilation of
+class-module data, tower coherence, twist congruences, and the Fitting-ideal
+lemma calculus).
 """
 
 from .abelian import (
@@ -58,7 +60,7 @@ from .fitting import (
     pontryagin_dual,
     tower_fitting_check,
 )
-from .groupring import GroupRingElement
+from .groupring import basis_index, pushforward, sharp, translate
 from .lvalues import (
     ClassModuleData,
     StickelbergerElement,
@@ -76,7 +78,6 @@ from .tower import (
     TowerElement,
     aug_project,
     coherence_check,
-    sharp,
     theta_tower,
     twist,
     twist_congruence_check,

@@ -5,7 +5,9 @@ the fixed field of H inside Q(zeta_m), so Gal(L/Q) = (Z/m)^x / H. This module
 computes the Galois group in invariant-factor form with its Frobenius map, the
 conductor, CM structure (complex conjugation j and the idempotents e_r), roots
 of unity, cyclotomic-tower layers, the Hyp(S,T) admissibility test, and the
-character table with exact decomposition/reconstruction.
+character table with exact decomposition/reconstruction. Group-ring elements
+(the idempotents, the inputs and outputs of the character table) are
+coefficient tuples in the basis order of groupring.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import CyclotomicInt, teichmuller
-from .groupring import GroupRingElement
+from .groupring import translate
 from .numutil import (
     crt,
     divisors,
@@ -366,10 +368,10 @@ def galois_group(spec: AbelianFieldSpec) -> GaloisData:
 class CMStructure:
     group: FiniteAbelianGroup
     j: tuple[int, ...]
-    e_plus: GroupRingElement = field(compare=False)
-    e_minus: GroupRingElement = field(compare=False)
+    e_plus: tuple = field(compare=False)
+    e_minus: tuple = field(compare=False)
 
-    def e_r(self, r: int) -> GroupRingElement:
+    def e_r(self, r: int) -> tuple:
         """The idempotent (1 - (-1)^r j)/2: e_minus for even r, e_plus for odd."""
         return self.e_minus if r % 2 == 0 else self.e_plus
 
@@ -382,11 +384,10 @@ def cm_data(spec: AbelianFieldSpec) -> CMStructure | None:
     gal = galois_group(spec)
     j = gal.element_of(-1 % m)
     grp = gal.group
-    half = Fraction(1, 2)
-    one = GroupRingElement.scalar(grp, Fraction(1))
-    jj = GroupRingElement.of_element(grp, j)
-    e_plus = (one + jj).scale(half)
-    e_minus = (one - jj).scale(half)
+    one = tuple(Fraction(int(g == grp.identity)) for g in grp.elements())
+    jj = translate(one, grp, j)
+    e_plus = tuple((a + b) / 2 for a, b in zip(one, jj))
+    e_minus = tuple((a - b) / 2 for a, b in zip(one, jj))
     return CMStructure(grp, j, e_plus, e_minus)
 
 
@@ -508,11 +509,11 @@ class CharacterTable:
     def value(self, label, g) -> CyclotomicInt:
         return CyclotomicInt.zeta(self.e, self.log(label, g))
 
-    def component(self, x: GroupRingElement, label) -> CyclotomicInt:
+    def component(self, x: tuple, label) -> CyclotomicInt:
         """component_chi(x) = sum_g coeff_g(x) chi(g)."""
         powers: dict[int, Fraction] = {}
         general = None
-        for g, c in x.coeffs.items():
+        for g, c in zip(self.group.elements(), x):
             t = self.log(label, g)
             if isinstance(c, CyclotomicInt):
                 term = c.embed(self.e) if c.n != self.e else c
@@ -523,40 +524,36 @@ class CharacterTable:
         out = CyclotomicInt.from_powers(self.e, powers)
         return out if general is None else out + general
 
-    def decompose(self, x: GroupRingElement) -> dict:
+    def decompose(self, x: tuple) -> dict:
         return {label: self.component(x, label) for label in self.labels}
 
-    def idempotent(self, label) -> GroupRingElement:
+    def idempotent(self, label) -> tuple:
         """e(chi) = (1/|G|) sum_g chi(g^(-1)) g."""
-        grp = self.group
-        inv_size = Fraction(1, grp.size)
-        coeffs = {
-            g: CyclotomicInt.zeta(self.e, -self.log(label, g)) * inv_size
-            for g in grp.elements()
-        }
-        return GroupRingElement(grp, coeffs)
+        inv_size = Fraction(1, self.group.size)
+        return tuple(
+            CyclotomicInt.zeta(self.e, -self.log(label, g)) * inv_size
+            for g in self.group.elements()
+        )
 
-    def reconstruct(self, components: dict) -> GroupRingElement:
+    def reconstruct(self, components: dict) -> tuple:
         """sum_chi component_chi e(chi); exact inverse of decompose."""
-        grp = self.group
-        inv_size = Fraction(1, grp.size)
-        out: dict = {}
-        for g in grp.elements():
+        inv_size = Fraction(1, self.group.size)
+        out = []
+        for g in self.group.elements():
             acc = CyclotomicInt.from_rational(self.e, Fraction(0))
             for label, comp in components.items():
                 if isinstance(comp, (int, Fraction)):
                     comp = CyclotomicInt.from_rational(self.e, Fraction(comp))
                 acc = acc + comp * CyclotomicInt.zeta(self.e, -self.log(label, g))
-            if not acc.is_zero():
-                out[g] = acc * inv_size
-        return GroupRingElement(grp, out)
+            out.append(acc * inv_size)
+        return tuple(out)
 
-    def demote_rational(self, x: GroupRingElement) -> GroupRingElement:
+    def demote_rational(self, x: tuple) -> tuple:
         """Replace rational-valued CyclotomicInt coefficients by Fractions."""
-        def demote(c):
-            return c.as_rational() if isinstance(c, CyclotomicInt) and c.is_rational() else c
-
-        return x.map_coefficients(demote)
+        return tuple(
+            c.as_rational() if isinstance(c, CyclotomicInt) and c.is_rational() else c
+            for c in x
+        )
 
 
 @dataclass(frozen=True)

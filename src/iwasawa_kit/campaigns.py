@@ -28,7 +28,13 @@ from .abelian import (
     layer,
     ramified_primes,
 )
-from .exact import bernoulli_number, bernoulli_polynomial, poly_eval, teichmuller
+from .exact import (
+    bernoulli_number,
+    bernoulli_polynomial,
+    padic_from_rational,
+    poly_eval,
+    teichmuller,
+)
 from .fitting import (
     AlgebraMorphism,
     FinPresModule,
@@ -47,7 +53,7 @@ from .fitting import (
     subquotient_presentation,
     zmod_algebra,
 )
-from .groupring import GroupRingElement
+from .groupring import mul, sharp, translate
 from .linalg import ZModPN, howell_form, span_size
 from .lvalues import (
     ClassModuleData,
@@ -233,10 +239,7 @@ def fields_campaign(seed: int = 0) -> CampaignResult:
         grp = FiniteAbelianGroup(orders)
         tab = CharacterTable(grp)
         for _ in range(4):
-            x = GroupRingElement(
-                grp,
-                {g: Q(rng.randint(-6, 6), rng.randint(1, 5)) for g in grp.elements()},
-            )
+            x = tuple(Q(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(grp.size))
             back = tab.demote_rational(tab.reconstruct(tab.decompose(x)))
             res.record(back == x, f"roundtrip fails on {orders}")
     for m, p in ((5, 5), (12, 3), (1, 3), (7, 7)):
@@ -248,14 +251,19 @@ def fields_campaign(seed: int = 0) -> CampaignResult:
     for spec in corpus_cm_specs(12):
         cm = cm_data(spec)
         grp = galois_group(spec).group
-        one = GroupRingElement.scalar(grp, Q(1))
-        jj = GroupRingElement.of_element(grp, cm.j)
-        res.record(cm.e_plus + cm.e_minus == one, "e_+ + e_- != 1")
+        one = tuple(Q(int(g == grp.identity)) for g in grp.elements())
+        jj = translate(one, grp, cm.j)
+        res.record(
+            tuple(a + b for a, b in zip(cm.e_plus, cm.e_minus)) == one, "e_+ + e_- != 1"
+        )
         for r in (0, 1):
             er = cm.e_r(r)
             sign = 1 if r % 2 == 0 else -1
-            res.record(er * er == er, "e_r not idempotent")
-            res.record(er * (one - jj.scale(sign)) == er.scale(2), "e_r (1-(-1)^r j) != 2 e_r")
+            res.record(mul(er, er, grp) == er, "e_r not idempotent")
+            factor = tuple(a - sign * b for a, b in zip(one, jj))
+            res.record(
+                mul(er, factor, grp) == tuple(2 * c for c in er), "e_r (1-(-1)^r j) != 2 e_r"
+            )
     return res
 
 
@@ -826,17 +834,19 @@ def annihilation_campaign(data_dir: Path) -> CampaignResult:
 
     res = CampaignResult("annihilation / fitting membership vs oracles")
     for entry in load_manifest(data_dir):
-        M, spec = entry["module"], entry["spec"]
+        M, spec, p, N = entry["module"], entry["spec"], entry["p"], entry["N"]
         th = theta(spec, entry["S"], entry["T"], entry["r"])
         ok_ann, witness = annihilation_check(th, M)
         if M.size <= 3**6:
-            oracle = annihilation_oracle(M.theta_matrix(th.value), M.orders)
+            oracle = annihilation_oracle(M.theta_matrix(th.value, th.group), M.orders)
             res.record(ok_ann == oracle, f"annihilation oracle mismatch: {entry['name']}")
-        ok_fit, residual = fitting_membership_check(th, M, entry["p"], entry["N"])
-        dual_mod, alg, proj = minus_dual_presentation(spec, M, entry["p"], entry["N"])
+        ok_fit, residual = fitting_membership_check(th, M, p, N)
+        dual_mod, alg, proj = minus_dual_presentation(spec, M, p, N)
         quo = dual_mod.algebra
         if quo.q**quo.dim <= ORACLE_RING_LIMIT:
-            target = proj.apply(alg.from_group_ring(th.value.sharp()))
+            target = proj.apply(
+                tuple(padic_from_rational(c, p, N) for c in sharp(th.value, th.group))
+            )
             oracle_fit = ideal_member_oracle(target, dual_mod.fitting_ideal)
             res.record(ok_fit == oracle_fit, f"fitting oracle mismatch: {entry['name']}")
         # table-derived entries are honest class groups: the proven theorems

@@ -106,7 +106,7 @@ def run_theta(config: dict) -> tuple[dict, int]:
         raise CliError(EXIT_PRECONDITION, str(exc)) from exc
     integral = verify_integrality(th)
     result = {
-        "coefficients": th.value.to_json(),
+        "coefficients": th.to_json()["coefficients"],
         "hyp": hyp,
         "hyp_reason": reason,
         "integral": integral,
@@ -142,6 +142,19 @@ def run_tower(config: dict) -> tuple[dict, int]:
             t = TowerElement.from_json(replay)
         except (KeyError, TypeError, ValueError) as exc:
             raise CliError(EXIT_IO, f"bad tower file: {exc}") from exc
+
+        def place_set(places):
+            return set(parse_places(",".join(map(str, places))))
+
+        stored = {"p": t.p, "N": t.N, "spec": t.spec, "S": place_set(t.S),
+                  "T": place_set(t.T), "r": t.r, "levels": t.n_max}
+        wanted = {"p": p, "N": N, "spec": spec, "S": set(S), "T": set(T),
+                  "r": r, "levels": n_max}
+        differ = [k for k in stored if stored[k] != wanted[k]]
+        if differ:
+            raise CliError(
+                EXIT_IO, f"tower file does not match the command line in {', '.join(differ)}"
+            )
     else:
         try:
             t = theta_tower(spec, S, T, p, N, n_max, r, strict_hyp=strict)
@@ -191,7 +204,7 @@ def run_verify(config: dict) -> tuple[dict, int]:
     result = {
         "annihilation": ann,
         "fitting_membership": fit,
-        "theta": th.value.to_json(),
+        "theta": th.to_json()["coefficients"],
     }
     witness = {"acting_matrix": acting, "fitting_residual": list(residual)}
     cert = {

@@ -166,10 +166,6 @@ class EulerFittingInvariant:
         )
 
 
-def single_module_complex(M: FinPresModule, degree: int) -> BoundedComplex:
-    return BoundedComplex(M.algebra, degree, [M], [])
-
-
 @dataclass
 class ChainMap:
     """Levelwise maps src^i -> dst^i commuting with the differentials."""

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .abelian import FiniteAbelianGroup
-from .groupring import GroupRingElement
-from .exact import padic_from_rational
+from .groupring import basis_index
 from .linalg import (
     ZModPN,
     howell_form,
@@ -194,12 +193,13 @@ def zmod_algebra(p: int, N: int) -> FiniteCommAlgebra:
 
 
 class GroupAlgebra(FiniteCommAlgebra):
-    """(Z/p^N)[A] for a finite abelian group A; basis = group elements."""
+    """(Z/p^N)[A] for a finite abelian group A; basis = the group elements in
+    the order of groupring.basis_index."""
 
     def __init__(self, p: int, N: int, group: FiniteAbelianGroup):
         self.group = group
-        elems = list(group.elements())
-        index = {g: i for i, g in enumerate(elems)}
+        index = basis_index(group)
+        elems = list(index)
         dim = len(elems)
 
         def unit_vec(i: int) -> Vec:
@@ -215,13 +215,6 @@ class GroupAlgebra(FiniteCommAlgebra):
 
     def group_element_vector(self, g) -> Vec:
         return self.basis_element(self.index[self.group.reduce(g)])
-
-    def from_group_ring(self, x: GroupRingElement) -> Vec:
-        """Reduce an element with p-integral rational coefficients mod p^N."""
-        out = [0] * self.dim
-        for g, c in x.coeffs.items():
-            out[self.index[self.group.reduce(g)]] = padic_from_rational(c, self.p, self.N)
-        return tuple(out)
 
 
 class AlgebraMorphism:

@@ -165,10 +165,6 @@ def span_size(howell: list[list[int]], R: ZModPN) -> int:
     return size
 
 
-def spans_equal(rows_a: list[list[int]], rows_b: list[list[int]], width: int, R: ZModPN) -> bool:
-    return howell_form(rows_a, width, R) == howell_form(rows_b, width, R)
-
-
 def matrix_inverse(M: list[list[int]], R: ZModPN) -> list[list[int]]:
     """Inverse of a unimodular matrix over Z/p^N (Gauss-Jordan; unit pivots
     exist at every step because M is invertible mod p)."""

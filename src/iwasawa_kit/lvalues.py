@@ -2,7 +2,9 @@
 annihilation / Fitting-membership checks against class-module data.
 
 The group-ring route is primary: theta_{S,T}(r) = delta_T(r) . sum_sigma
-zeta_S(r, sigma) sigma^(-1) with exact rational coefficients. The character
+zeta_S(r, sigma) sigma^(-1) with exact rational coefficients, a tuple in the
+basis order of groupring. Each Euler or T-factor (1 - c sigma) is applied as
+x - c . translate(x, sigma), never as a full group-ring product. The character
 route (S-truncated Dirichlet L-values at non-positive integers through
 generalized Bernoulli numbers) is an independent cross-check.
 """
@@ -12,10 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import groupring
 from .abelian import (
     AbelianFieldSpec,
     CharacterTable,
     DirichletCharacter,
+    FiniteAbelianGroup,
     GaloisData,
     cm_data,
     galois_group,
@@ -25,10 +29,11 @@ from .exact import (
     CyclotomicInt,
     bernoulli_polynomial,
     hurwitz_zeta_nonpos,
+    padic_from_rational,
     poly_eval,
+    rat_to_str,
 )
 from .fitting import FinPresModule, GroupAlgebra, minus_quotient
-from .groupring import GroupRingElement
 from .numutil import factorize, is_prime, unit_residues
 
 Q = Fraction
@@ -43,8 +48,8 @@ def _presentation(spec_or_pres):
 # ---------------------------------------------------------------------------
 # Partial zeta values and Stickelberger elements.
 
-def partial_zeta_vector(spec_or_pres, S, r: int) -> dict:
-    """sigma -> zeta_S(r, sigma), exact rationals.
+def partial_zeta_vector(spec_or_pres, S, r: int) -> tuple:
+    """sigma -> zeta_S(r, sigma), exact rationals in the basis order.
 
     Base case S = S_ram + S_oo over the conductor f:
     zeta(r, sigma_a) = sum_{b = a mod f} f^(-r) zeta(r, b/f); each extra
@@ -62,52 +67,60 @@ def partial_zeta_vector(spec_or_pres, S, r: int) -> dict:
     if not ram <= s_fin:
         raise ValueError(f"S misses ramified primes {sorted(ram - s_fin)}")
     grp = pres.group
-    vec = {g: Q(0) for g in grp.elements()}
+    index = groupring.basis_index(grp)
+    vec = [Q(0)] * grp.size
     scale = Q(f) ** (-r)
     if f == 1:
-        vec[grp.identity] += hurwitz_zeta_nonpos(r, 1, 1)
+        vec[index[grp.identity]] += hurwitz_zeta_nonpos(r, 1, 1)
     else:
         for b in unit_residues(f):
-            vec[pres.element_of(b)] += scale * hurwitz_zeta_nonpos(r, b, f)
+            vec[index[pres.element_of(b)]] += scale * hurwitz_zeta_nonpos(r, b, f)
+    x = tuple(vec)
     for v in sorted(s_fin - ram):
-        frob_inv = grp.inv(pres.frobenius(v))
-        nv = Q(v) ** (-r)
-        vec = {
-            g: vec[g] - nv * vec[grp.mul(g, frob_inv)] for g in vec
-        }
-    return {g: c for g, c in vec.items()}
+        x = _times_one_minus(x, grp, pres.frobenius(v), Q(v) ** (-r))
+    return x
 
 
-def euler_enlarge(x: GroupRingElement, spec_or_pres, v: int, r: int) -> GroupRingElement:
-    """Multiply by the removed Euler factor (1 - Nv^(-r) sigma_v^(-1))."""
-    pres = _presentation(spec_or_pres)
-    grp = pres.group
-    frob_inv = grp.inv(pres.frobenius(v))
-    one = GroupRingElement.scalar(grp, Q(1))
-    factor = one - GroupRingElement.of_element(grp, frob_inv, Q(v) ** (-r))
-    return factor * x
+def _times_one_minus(x: tuple, group, sigma, c) -> tuple:
+    """(1 - c sigma) x."""
+    return tuple(a - c * b for a, b in zip(x, groupring.translate(x, group, sigma)))
 
 
-def delta_t(spec_or_pres, T, r: int) -> GroupRingElement:
-    """delta_T(r) = prod_{v in T} (1 - v^(1-r) sigma_v^(-1)) in Q[G]."""
-    pres = _presentation(spec_or_pres)
-    grp = pres.group
-    out = GroupRingElement.scalar(grp, Q(1))
+def _t_factors(pres, T, r: int) -> list:
+    """(sigma_v^(-1), v^(1-r)) for each v in T: the factors of delta_T(r)."""
     t_fin, t_inf = normalize_places(T)
     if t_inf:
         raise ValueError("T must consist of finite places")
+    out = []
     for v in sorted(t_fin):
         if not is_prime(v):
             raise ValueError(f"T entries must be primes, got {v}")
-        frob_inv = grp.inv(pres.frobenius(v))  # raises for ramified v
-        one = GroupRingElement.scalar(grp, Q(1))
-        out = out * (one - GroupRingElement.of_element(grp, frob_inv, Q(v) ** (1 - r)))
+        frob_inv = pres.group.inv(pres.frobenius(v))  # raises for ramified v
+        out.append((frob_inv, Q(v) ** (1 - r)))
+    return out
+
+
+def euler_enlarge(x: tuple, spec_or_pres, v: int, r: int) -> tuple:
+    """Multiply by the removed Euler factor (1 - Nv^(-r) sigma_v^(-1))."""
+    pres = _presentation(spec_or_pres)
+    grp = pres.group
+    return _times_one_minus(x, grp, grp.inv(pres.frobenius(v)), Q(v) ** (-r))
+
+
+def delta_t(spec_or_pres, T, r: int) -> tuple:
+    """delta_T(r) = prod_{v in T} (1 - v^(1-r) sigma_v^(-1)) in Q[G]."""
+    pres = _presentation(spec_or_pres)
+    grp = pres.group
+    out = tuple(Q(int(g == grp.identity)) for g in grp.elements())
+    for sigma, c in _t_factors(pres, T, r):
+        out = _times_one_minus(out, grp, sigma, c)
     return out
 
 
 @dataclass
 class StickelbergerElement:
-    value: GroupRingElement
+    value: tuple
+    group: FiniteAbelianGroup
     spec: AbelianFieldSpec | None
     S: tuple
     T: tuple
@@ -115,7 +128,7 @@ class StickelbergerElement:
 
     def to_json(self) -> dict:
         return {
-            "coefficients": self.value.to_json(),
+            "coefficients": groupring.to_json(self.value, self.group, rat_to_str),
             "S": [str(v) for v in self.S],
             "T": [str(v) for v in self.T],
             "r": self.r,
@@ -131,21 +144,21 @@ def theta(spec_or_pres, S, T, r: int) -> StickelbergerElement:
     if s_fin & t_fin:
         raise ValueError(f"S and T must be disjoint, both contain {sorted(s_fin & t_fin)}")
     grp = pres.group
-    vec = partial_zeta_vector(pres, S, r)
-    base = GroupRingElement(grp, {grp.inv(g): c for g, c in vec.items()})
-    value = delta_t(pres, T, r) * base
+    value = groupring.sharp(partial_zeta_vector(pres, S, r), grp)
+    for sigma, c in _t_factors(pres, T, r):
+        value = _times_one_minus(value, grp, sigma, c)
     spec = pres.spec if isinstance(pres, GaloisData) else getattr(pres, "spec", None)
-    return StickelbergerElement(value, spec, tuple(S), tuple(T), r)
+    return StickelbergerElement(value, grp, spec, tuple(S), tuple(T), r)
 
 
-def verify_integrality(theta_elem: StickelbergerElement | GroupRingElement) -> bool:
+def verify_integrality(theta_elem: StickelbergerElement | tuple) -> bool:
     x = theta_elem.value if isinstance(theta_elem, StickelbergerElement) else theta_elem
-    return all(Q(c).denominator == 1 for c in x.coeffs.values())
+    return all(Q(c).denominator == 1 for c in x)
 
 
-def is_p_integral(theta_elem: StickelbergerElement | GroupRingElement, p: int) -> bool:
+def is_p_integral(theta_elem: StickelbergerElement | tuple, p: int) -> bool:
     x = theta_elem.value if isinstance(theta_elem, StickelbergerElement) else theta_elem
-    return all(Q(c).denominator % p != 0 for c in x.coeffs.values())
+    return all(Q(c).denominator % p != 0 for c in x)
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +294,16 @@ class ClassModuleData:
                 out = _mat_mul(out, A, k)
         return out
 
-    def theta_matrix(self, x: GroupRingElement) -> list[list[int]]:
+    def theta_matrix(self, x: tuple, group: FiniteAbelianGroup) -> list[list[int]]:
         """sum_g coeff_g(x) . action(g), exact integer matrix."""
         k = len(self.orders)
         out = [[0] * k for _ in range(k)]
-        for g, c in x.coeffs.items():
+        for g, c in zip(group.elements(), x):
             c = Q(c)
             if c.denominator != 1:
                 raise ValueError("annihilation needs integral coefficients")
+            if not c:
+                continue
             A = self.action_of(g)
             for i in range(k):
                 for j in range(k):
@@ -305,16 +320,26 @@ class ClassModuleData:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ClassModuleData":
-        action = {
-            int(key.lstrip("g")): [[int(c) for c in row] for row in mat]
-            for key, mat in obj["action"].items()
-        }
+        """Parse class data; an entry that is not a JSON integer or a key
+        other than g<index> raises TypeError (a schema error), an ill-defined
+        action ValueError."""
+        action = {}
+        for key, mat in obj["action"].items():
+            if not (key[:1] == "g" and key[1:].isdigit()):
+                raise TypeError(f"action keys must be g<index>, got {key!r}")
+            action[int(key[1:])] = [[_json_int(c) for c in row] for row in mat]
         return cls(
-            tuple(int(d) for d in obj["orders"]),
-            tuple(int(d) for d in obj["group_orders"]),
+            tuple(_json_int(d) for d in obj["orders"]),
+            tuple(_json_int(d) for d in obj["group_orders"]),
             action,
             str(obj.get("provenance", "")),
         )
+
+
+def _json_int(c) -> int:
+    if type(c) is not int:
+        raise TypeError(f"class data entries must be integers, got {c!r}")
+    return c
 
 
 def annihilation_check(
@@ -324,12 +349,12 @@ def annihilation_check(
     the acting matrix (reduced mod the orders) as witness."""
     if not verify_integrality(theta_elem):
         raise ValueError("theta must have integer coefficients")
-    grp = theta_elem.value.group
+    grp = theta_elem.group
     if grp.orders != M.group_orders:
         raise ValueError(
             f"group mismatch: theta over {grp.orders}, module over {M.group_orders}"
         )
-    mat = M.theta_matrix(theta_elem.value)
+    mat = M.theta_matrix(theta_elem.value, grp)
     reduced = _mat_reduce(mat, M.orders)
     ok = all(all(c == 0 for c in row) for row in reduced)
     return ok, reduced
@@ -417,5 +442,6 @@ def fitting_membership_check(
         raise ValueError(f"theta is not {p}-integral")
     dual_mod, alg, proj = minus_dual_presentation(spec, M, p, N)
     fitt = dual_mod.fitting_ideal
-    target = proj.apply(alg.from_group_ring(theta_elem.value.sharp()))
+    theta_sharp = groupring.sharp(theta_elem.value, theta_elem.group)
+    target = proj.apply(tuple(padic_from_rational(c, p, N) for c in theta_sharp))
     return fitt.contains_element(target), fitt.residual(target)

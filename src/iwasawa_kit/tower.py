@@ -2,10 +2,11 @@
 (Z/p^N)[G_n] along the cyclotomic tower, aug projections, the # involution,
 cyclotomic twists, and coherent Stickelberger towers.
 
-A level-n element is a tuple of ints mod p^N indexed by
-`level.group.elements()`, the basis order of fitting.GroupAlgebra(p, N,
-level.group), so Fitting consumers take tower entries as they are. The tower
-maps act on indices and coefficients only; no structure constants are built.
+A level-n element is a tuple of ints mod p^N in the basis order of
+groupring (`level.group.elements()`), which fitting.GroupAlgebra(p, N,
+level.group) shares, so Fitting consumers take tower entries as they are. The
+aug projections, # and the parity check use the groupring index maps and
+reduce mod p^N; no structure constants are built.
 
 Lambda(G) is represented only through coherent families of finite-level
 elements: a tower is accepted exactly when adjacent aug projections match,
@@ -18,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import groupring
 from .abelian import (
     AbelianFieldSpec,
-    FiniteAbelianGroup,
     TowerLevelData,
     check_hyp,
     cm_data,
@@ -79,33 +80,17 @@ class FiniteLevelAlgebra:
         return self.level.chi_cyc_of(self.level.group.reduce(g)) % self.p**prec
 
 
-@lru_cache(maxsize=None)
-def _index(group: FiniteAbelianGroup) -> dict:
-    """Position of each group element in the basis order of group.elements()."""
-    return {g: i for i, g in enumerate(group.elements())}
-
-
 def aug_project(x: Vec, src: TowerLevelData, target: TowerLevelData, N: int) -> Vec:
     """Pushforward mod p^N along G_m -> G_n, (g, k) -> (g, k mod p^n)."""
     if src.p != target.p or src.base_spec != target.base_spec:
         raise ValueError("aug projection needs levels of one tower")
     if target.n > src.n:
         raise ValueError(f"cannot project layer {src.n} up to layer {target.n}")
-    index = _index(target.group)
-    out = [0] * target.group.size
-    for g, c in zip(src.group.elements(), x):
-        out[index[src.project(g, target.n)]] += c
+    pushed = groupring.pushforward(
+        x, src.group, target.group, lambda g: src.project(g, target.n)
+    )
     q = src.p**N
-    return tuple(c % q for c in out)
-
-
-def sharp(x: Vec, group: FiniteAbelianGroup) -> Vec:
-    """The involution #: the coefficient at g moves to g^(-1)."""
-    index = _index(group)
-    out = [0] * len(x)
-    for g, c in zip(group.elements(), x):
-        out[index[group.inv(g)]] = c
-    return tuple(out)
+    return tuple(c % q for c in pushed)
 
 
 def twist(x: Vec, r: int, alg: FiniteLevelAlgebra) -> Vec:
@@ -150,7 +135,7 @@ class TowerElement:
             "p": self.p,
             "N": self.N,
             "levels": [
-                {"n": n, "coeffs": _vector_to_json(entry, level.group)}
+                {"n": n, "coeffs": groupring.to_json(entry, level.group, int)}
                 for n, (entry, level) in enumerate(zip(self.entries, self.levels))
             ],
             "meta": {
@@ -178,7 +163,8 @@ class TowerElement:
             if int(lvl["n"]) != n:
                 raise ValueError(f"level {n} is labelled n = {lvl['n']!r}")
             data = tower_level(spec, p, n)
-            entries.append(_vector_from_json(lvl["coeffs"], data.group, p**N))
+            entry = groupring.from_json(lvl["coeffs"], data.group, _residue)
+            entries.append(tuple(c % p**N for c in entry))
             levels.append(data)
         return cls(
             p, N, spec, S, T, int(meta["r"]), entries, levels,
@@ -190,24 +176,10 @@ def _parse_place(v):
     return v if v in ("oo", "inf") else int(v)
 
 
-def _vector_to_json(x: Vec, group: FiniteAbelianGroup) -> dict:
-    """Wire format {"g1,g2": residue}: nonzero entries in sorted order."""
-    return {",".join(map(str, g)): c for g, c in zip(group.elements(), x) if c}
-
-
-def _vector_from_json(obj: dict, group: FiniteAbelianGroup, q: int) -> Vec:
-    if not isinstance(obj, dict):
-        raise ValueError(f"coefficients must be a JSON object, got {obj!r}")
-    index = _index(group)
-    out = [0] * group.size
-    for key, c in obj.items():
-        g = tuple(int(e) for e in key.split(","))
-        if g not in index:
-            raise ValueError(f"{key!r} is not an element of the group {group.orders}")
-        if type(c) is not int:
-            raise ValueError(f"coefficient at {key!r} must be an integer residue, got {c!r}")
-        out[index[g]] = c % q
-    return tuple(out)
+def _residue(c) -> int:
+    if type(c) is not int:
+        raise ValueError(f"coefficients must be integer residues, got {c!r}")
+    return c
 
 
 def theta_tower(
@@ -257,10 +229,7 @@ def theta_tower(
             raise TowerIntegralityError(
                 n, f"theta has a coefficient denominator divisible by {p}"
             )
-        coeffs = th.value.coeffs
-        entries.append(
-            tuple(padic_from_rational(coeffs.get(g, 0), p, N) for g in lvl.group.elements())
-        )
+        entries.append(tuple(padic_from_rational(c, p, N) for c in th.value))
         levels.append(lvl)
     return TowerElement(p, N, spec, tuple(S), tuple(T), r, entries, levels, hyps)
 
@@ -302,13 +271,7 @@ def parity_projector_annihilates(t: TowerElement, n: int) -> bool:
     if cm is None:
         raise ValueError("parity check needs a CM base field")
     x = t.entries[n]
-    grp = t.levels[n].group
-    index = _index(grp)
-    j_n = cm.j + (0,)
+    jx = groupring.translate(x, t.levels[n].group, cm.j + (0,))
     sign = 1 if t.r % 2 == 0 else -1
     q = t.p**t.N
-    # the coefficient of (1 + sign j) x at g is x_g + sign x_{jg}
-    return all(
-        (c + sign * x[index[grp.mul(j_n, g)]]) % q == 0
-        for g, c in zip(grp.elements(), x)
-    )
+    return all((a + sign * b) % q == 0 for a, b in zip(x, jx))

@@ -21,9 +21,22 @@ from iwasawa_kit.abelian import (
     roots_of_unity_order,
     smith_normal_form,
 )
-from iwasawa_kit.groupring import GroupRingElement
+from iwasawa_kit.groupring import mul, translate
 
 Q = Fraction
+
+
+def element(group, coeffs):
+    """The group-ring tuple of {g: c}, zero elsewhere."""
+    return tuple(Q(coeffs.get(g, 0)) for g in group.elements())
+
+
+def scaled(x, c):
+    return tuple(c * a for a in x)
+
+
+def added(x, y):
+    return tuple(a + b for a, b in zip(x, y))
 
 
 def test_smith_normal_form_matches_sympy_invariants():
@@ -117,17 +130,19 @@ def test_cm_data_examples():
     g = galois_group(AbelianFieldSpec.cyclotomic(5))
     assert cm.j == g.element_of(4)
     # idempotents: e_r^2 = e_r, e_+ + e_- = 1, e_r (1 - (-1)^r j) = 2 e_r
+    grp = cm.group
     for r in (0, 1):
         er = cm.e_r(r)
-        assert er * er == er
-    one = GroupRingElement.scalar(cm.group, Q(1))
-    assert cm.e_plus + cm.e_minus == one
-    jj = GroupRingElement.of_element(cm.group, cm.j)
+        assert mul(er, er, grp) == er
+    one = element(grp, {grp.identity: 1})
+    assert added(cm.e_plus, cm.e_minus) == one
+    jj = translate(one, grp, cm.j)
+    assert jj == element(grp, {cm.j: 1})
     for r in (0, 1, 2, -1):
         er = cm.e_r(r)
         sign = 1 if r % 2 == 0 else -1  # (-1)^r
-        assert er * (one - jj.scale(sign)) == er.scale(2)
-        assert er * (one + jj.scale(sign)) == GroupRingElement.zero(cm.group)
+        assert mul(er, added(one, scaled(jj, -sign)), grp) == scaled(er, 2)
+        assert not any(mul(er, added(one, scaled(jj, sign)), grp))
 
 
 def test_roots_of_unity_order():
@@ -204,13 +219,13 @@ def test_character_table_orthogonality():
 def test_character_idempotents_sum_to_one():
     grp = FiniteAbelianGroup((2, 3))
     tab = CharacterTable(grp)
-    total = GroupRingElement.zero(grp)
+    total = element(grp, {})
     for label in tab.labels:
         e = tab.idempotent(label)
-        assert e * e == e
-        total = total + e
+        assert mul(e, e, grp) == e
+        total = added(total, e)
     demoted = tab.demote_rational(total)
-    assert demoted == GroupRingElement.scalar(grp, Q(1))
+    assert demoted == element(grp, {grp.identity: 1})
 
 
 def test_decompose_reconstruct_roundtrip():
@@ -220,10 +235,7 @@ def test_decompose_reconstruct_roundtrip():
     for orders in [(2,), (4,), (2, 2), (6,), (2, 4), (12,), (2, 12)]:
         grp = FiniteAbelianGroup(orders)
         tab = CharacterTable(grp)
-        x = GroupRingElement(
-            grp,
-            {g: Q(rng.randint(-5, 5), rng.randint(1, 4)) for g in grp.elements()},
-        )
+        x = tuple(Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(grp.size))
         comps = tab.decompose(x)
         back = tab.demote_rational(tab.reconstruct(comps))
         assert back == x
@@ -236,11 +248,11 @@ def test_c2_decompose_examples():
     grp = FiniteAbelianGroup((2,))
     tab = CharacterTable(grp)
     a, b = Q(3), Q(5)
-    x = GroupRingElement(grp, {(0,): a, (1,): b})
+    x = (a, b)
     comps = tab.decompose(x)
     assert comps[(0,)] == a + b
     assert comps[(1,)] == a - b
-    theta = GroupRingElement(grp, {(0,): Q(1, 6), (1,): Q(-1, 6)})
+    theta = (Q(1, 6), Q(-1, 6))
     comps = tab.decompose(theta)
     assert comps[(0,)] == 0
     assert comps[(1,)] == Q(1, 3)

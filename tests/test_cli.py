@@ -118,6 +118,25 @@ def test_tower_replay_rejects_malformed_entries(tmp_path, capsys, key, coeff):
     assert err["exit"] == EXIT_IO and "bad tower file" in err["error"]
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--p", "5"), ("--N", "1"), ("--spec", "zeta5"), ("--S", "3,7,oo"), ("--T", "5"),
+     ("--r", "-1"), ("--levels", "0")],
+)
+def test_tower_replay_rejects_other_configuration(tmp_path, capsys, flag, value):
+    # the replayed tower must be the one the command line describes, or the
+    # certificate's input would disagree with its result
+    code, cert = run(capsys, *TOWER_Z3)
+    assert code == EXIT_OK
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps(cert["result"]["tower"]))
+    argv = list(TOWER_Z3)
+    argv[argv.index(flag) + 1] = value
+    code2, err = run_refused(capsys, *argv, "--data", str(replay))
+    assert code2 == EXIT_IO
+    assert err["exit"] == EXIT_IO and "does not match" in err["error"]
+
+
 def test_tower_certificate_is_wire_compatible(tmp_path, capsys):
     # a stored certificate locks the tower wire format: recheck and replay
     # must both reproduce it
@@ -133,6 +152,42 @@ def test_tower_certificate_is_wire_compatible(tmp_path, capsys):
     )
     assert code2 == EXIT_OK
     assert cert["result"] == stored["result"]
+
+
+@pytest.mark.parametrize("name", ["theta_zeta12_cert.json", "verify_z23_cert.json"])
+def test_theta_certificate_is_wire_compatible(capsys, name):
+    # stored certificates lock the theta wire format ("g1,g2" keys over
+    # C2 x C2, single-coordinate keys over C22): recheck and a fresh run
+    # must both reproduce them
+    path = FIXTURES / name
+    stored = json.loads(path.read_text())
+    code, report = run(capsys, "recheck", str(path))
+    assert code == EXIT_OK and report["result"]["matches"] is True
+    cfg = stored["input"]
+    argv = [
+        stored["command"], "--spec", json.dumps(cfg["spec"]), "--S", ",".join(cfg["S"]),
+        "--T", ",".join(cfg["T"]), "--r", str(cfg["r"]),
+    ]
+    if stored["command"] == "verify":
+        argv += ["--p", str(cfg["p"]), "--N", str(cfg["N"]),
+                 "--data", str(DATA / "table_z23_minus.json")]
+    code2, cert = run(capsys, *argv)
+    assert code2 == EXIT_OK
+    assert cert["result"] == stored["result"]
+
+
+def test_recheck_detects_flipped_verdict(tmp_path, capsys):
+    out = tmp_path / "theta.json"
+    code, cert = run(
+        capsys, "theta", "--spec", "zeta3", "--S", "3,oo", "--T", "7", "--r", "0",
+        "--out", str(out),
+    )
+    assert code == EXIT_OK
+    cert["result"]["integral"] = not cert["result"]["integral"]
+    out.write_text(json.dumps(cert))
+    code2, report = run(capsys, "recheck", str(out))
+    assert code2 == EXIT_CHECK_FAILED
+    assert report["result"]["matches"] is False
 
 
 def test_tower_precision_budget(capsys):
@@ -208,6 +263,19 @@ def test_theta_spec_zeta0_is_schema_error(capsys):
 def test_verify_class_data_list_is_schema_error(capsys, tmp_path):
     bad = tmp_path / "list.json"
     bad.write_text(json.dumps([1, 2, 3]))
+    code, err = run_refused(
+        capsys, "verify", "--spec", "zeta3", "--S", "3,oo", "--T", "7",
+        "--r", "0", "--p", "3", "--N", "2", "--data", str(bad),
+    )
+    assert code == EXIT_IO and err["exit"] == EXIT_IO
+
+
+@pytest.mark.parametrize(
+    "action", [{"g0": [["x"]]}, {"gx": [[2]]}], ids=["entry", "key"],
+)
+def test_verify_malformed_action_is_schema_error(capsys, tmp_path, action):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"orders": [3], "group_orders": [2], "action": action}))
     code, err = run_refused(
         capsys, "verify", "--spec", "zeta3", "--S", "3,oo", "--T", "7",
         "--r", "0", "--p", "3", "--N", "2", "--data", str(bad),

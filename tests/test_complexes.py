@@ -14,7 +14,6 @@ from iwasawa_kit.complexes import (
     cone,
     euler_fitting_additivity_check,
     quasi_iso_check,
-    single_module_complex,
 )
 from iwasawa_kit.fitting import (
     FinPresModule,
@@ -66,7 +65,7 @@ def test_single_module_concentration():
     a = alg.add(alg.one, alg.scalar(2, alg.group_element_vector((1,))))
     M = principal_module(alg, a)
     for k in (-1, 0, 1, 2):
-        C = single_module_complex(M, k)
+        C = BoundedComplex(M.algebra, k, [M], [])
         for i in (k - 1, k, k + 1):
             expect = M.size() if i == k else 1
             assert C.cohomology_size(i) == expect
@@ -87,9 +86,9 @@ def test_euler_fitting_examples():
     # concentrated module with Fitt (a)
     a = alg.scalar(3, alg.one)
     M = principal_module(alg, a)
-    inv0 = single_module_complex(M, 0).euler_fitting()
+    inv0 = BoundedComplex(M.algebra, 0, [M], []).euler_fitting()
     assert inv0 == EulerFittingInvariant(IdealHandle(alg, [a]), unit_ideal(alg))
-    inv1 = single_module_complex(M, 1).euler_fitting()
+    inv1 = BoundedComplex(M.algebra, 1, [M], []).euler_fitting()
     assert inv1 == inv0.inverse()
 
 
