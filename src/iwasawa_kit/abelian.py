@@ -20,8 +20,9 @@ from functools import lru_cache
 
 from .exact import CyclotomicInt, teichmuller
 from .groupring import translate
+from .linalg import smith_normal_form
 from .numutil import (
-    crt,
+    crt_lift,
     divisors,
     euler_phi,
     factorize,
@@ -95,96 +96,6 @@ class FiniteAbelianGroup:
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteAbelianGroup":
         return cls(tuple(int(d) for d in obj["orders"]))
-
-
-# ---------------------------------------------------------------------------
-# Integer Smith normal form (small matrices; right transform tracked).
-
-def smith_normal_form(rows: list[list[int]], ncols: int) -> tuple[list[int], list[list[int]]]:
-    """Diagonalize the row lattice: returns (diag, V) with V unimodular and
-    rowspan(A.V) = rowspan(diag). diag entries are >= 0 with the divisibility
-    chain d_1 | d_2 | ... among the nonzero ones.
-    """
-    A = [list(r) + [0] * (ncols - len(r)) for r in rows]
-    nr = len(A)
-    V = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
-
-    def col_op(j: int, k: int, q: int) -> None:  # col_j -= q * col_k
-        for i in range(nr):
-            A[i][j] -= q * A[i][k]
-        for i in range(ncols):
-            V[i][j] -= q * V[i][k]
-
-    def col_swap(j: int, k: int) -> None:
-        for i in range(nr):
-            A[i][j], A[i][k] = A[i][k], A[i][j]
-        for i in range(ncols):
-            V[i][j], V[i][k] = V[i][k], V[i][j]
-
-    def col_negate(j: int) -> None:
-        for i in range(nr):
-            A[i][j] = -A[i][j]
-        for i in range(ncols):
-            V[i][j] = -V[i][j]
-
-    def eliminate() -> int:
-        t = 0
-        while t < nr and t < ncols:
-            best = None
-            for i in range(t, nr):
-                for j in range(t, ncols):
-                    v = abs(A[i][j])
-                    if v and (best is None or v < best[0]):
-                        best = (v, i, j)
-            if best is None:
-                break
-            _, bi, bj = best
-            if bi != t:
-                A[bi], A[t] = A[t], A[bi]
-            if bj != t:
-                col_swap(bj, t)
-            while True:
-                clean = True
-                for i in range(nr):
-                    if i == t or A[i][t] == 0:
-                        continue
-                    q = A[i][t] // A[t][t]
-                    if q:
-                        for j in range(ncols):
-                            A[i][j] -= q * A[t][j]
-                    if A[i][t]:
-                        A[i], A[t] = A[t], A[i]
-                        clean = False
-                for j in range(ncols):
-                    if j == t or A[t][j] == 0:
-                        continue
-                    q = A[t][j] // A[t][t]
-                    if q:
-                        col_op(j, t, q)
-                    if A[t][j]:
-                        col_swap(j, t)
-                        clean = False
-                if clean:
-                    break
-            if A[t][t] < 0:
-                col_negate(t)
-            t += 1
-        return t
-
-    rank = eliminate()
-    # Enforce the divisibility chain, re-eliminating after each fix-up.
-    while True:
-        bad = None
-        for i in range(rank - 1):
-            if A[i][i] and A[i + 1][i + 1] % A[i][i] != 0:
-                bad = i
-                break
-        if bad is None:
-            break
-        col_op(bad, bad + 1, -1)  # col_bad += col_{bad+1}
-        rank = eliminate()
-    diag = [A[i][i] if i < nr else 0 for i in range(ncols)]
-    return diag, V
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +240,7 @@ class GaloisData:
         if r in self._elt:
             return self._elt[r]
         # a shares a factor with m but not with f: lift off the extra primes.
-        res, mods = [], []
-        for p, e in factorize(m).items():
-            q = p**e
-            res.append(a % q if f % p == 0 else 1)
-            mods.append(q)
-        return self._elt[crt(res, mods) % m]
+        return self._elt[crt_lift(a, f, m)]
 
     def frobenius(self, ell: int) -> tuple[int, ...]:
         if not is_prime(ell):
@@ -604,14 +510,7 @@ def dirichlet_character(gal: GaloisData, table: CharacterTable, label) -> Dirich
             break
     if fchi == 1:
         return DirichletCharacter(1, table.e, {})
-    logs = {}
-    for b in unit_residues(fchi):
-        res, mods = [], []
-        for p, e in factorize(f).items():
-            q = p**e
-            res.append(b % q if fchi % p == 0 else 1)
-            mods.append(q)
-        logs[b] = log_f[crt(res, mods) % f]
+    logs = {b: log_f[crt_lift(b, fchi, f)] for b in unit_residues(fchi)}
     return DirichletCharacter(fchi, table.e, logs)
 
 
@@ -673,12 +572,7 @@ class TowerLevelData:
         r = a % m
         if r in self._elt:
             return self._elt[r]
-        res, mods = [], []
-        for pp, e in factorize(m).items():
-            qq = pp**e
-            res.append(a % qq if f % pp == 0 else 1)
-            mods.append(qq)
-        return self._elt[crt(res, mods) % m]
+        return self._elt[crt_lift(a, f, m)]
 
     def frobenius(self, ell: int) -> tuple[int, ...]:
         if not is_prime(ell):

@@ -66,8 +66,8 @@ from .lvalues import (
 from .numutil import unit_residues
 from .oracles import (
     annihilation_oracle,
-    enumerate_ideal,
     enumerate_span,
+    ideal_equal_oracle,
     ideal_member_oracle,
 )
 from .tower import (
@@ -354,9 +354,7 @@ def fitting_multiplicativity_campaign(seed: int = 0, trials: int = 200) -> Campa
         rhs = M1.fitting_ideal.product(M2.fitting_ideal)
         ok = lhs == rhs
         if alg.q**alg.dim <= ORACLE_RING_LIMIT:
-            ok = ok and enumerate_ideal(alg, lhs.generators) == enumerate_ideal(
-                alg, rhs.generators
-            )
+            ok = ok and ideal_equal_oracle(lhs, rhs)
         res.record(ok, f"multiplicativity fails over {alg.name}")
     return res
 
@@ -390,17 +388,9 @@ def fitting_base_change_campaign(seed: int = 0, trials: int = 200) -> CampaignRe
             pushed = FinPresModule(
                 phi.dst, M.ngens, [[phi.apply(e) for e in row] for row in M.relations]
             )
-            ok = ideal_equal_oracle_pair(
-                pushed.fitting_ideal, M.fitting_ideal.map_through(phi)
-            )
+            ok = ideal_equal_oracle(pushed.fitting_ideal, M.fitting_ideal.map_through(phi))
         res.record(ok, f"base change fails over {alg.name}")
     return res
-
-
-def ideal_equal_oracle_pair(I: IdealHandle, J: IdealHandle) -> bool:
-    return enumerate_ideal(I.algebra, I.generators) == enumerate_ideal(
-        J.algebra, J.generators
-    )
 
 
 @_timed
@@ -423,7 +413,7 @@ def fitting_e1_sharp_campaign(seed: int = 0, trials: int = 200) -> CampaignResul
             M = _random_square(alg, rng)
             ok = e1_sharp_check(M)
         if ok and alg.q**alg.dim <= ORACLE_RING_LIMIT:
-            ok = ideal_equal_oracle_pair(
+            ok = ideal_equal_oracle(
                 dual_presentation(M).fitting_ideal, M.fitting_ideal.sharp()
             )
         res.record(ok, f"E^1-sharp fails over {alg.name}")

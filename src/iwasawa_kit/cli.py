@@ -84,6 +84,32 @@ def places_json(places) -> list[str]:
     return [str(v) for v in places]
 
 
+# ---------------------------------------------------------------------------
+# Reading a configuration: main builds it from argv, recheck reads it from a
+# certificate, so every field's JSON type is checked (exit 4 otherwise).
+
+def config_int(config: dict, key: str) -> int:
+    value = config[key]
+    if type(value) is not int:
+        raise CliError(EXIT_IO, f"configuration field {key} must be an integer, got {value!r}")
+    return value
+
+
+def field_config(config: dict) -> tuple[AbelianFieldSpec, list, list, int]:
+    """The spec, S, T and r shared by theta, tower and verify."""
+    try:
+        spec = AbelianFieldSpec.from_json(config["spec"])
+    except (TypeError, ValueError) as exc:
+        raise CliError(EXIT_IO, f"bad spec in configuration: {exc}") from exc
+    places = []
+    for key in ("S", "T"):
+        value = config[key]
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise CliError(EXIT_IO, f"configuration field {key} must be a list of strings")
+        places.append(parse_places(",".join(value)))
+    return spec, places[0], places[1], config_int(config, "r")
+
+
 def emit(cert: dict, out: str | None) -> None:
     text = json.dumps(cert, indent=2, sort_keys=True)
     if out:
@@ -95,10 +121,7 @@ def emit(cert: dict, out: str | None) -> None:
 # Runners: each returns (certificate dict, exit code).
 
 def run_theta(config: dict) -> tuple[dict, int]:
-    spec = AbelianFieldSpec.from_json(config["spec"])
-    S = parse_places(",".join(config["S"]))
-    T = parse_places(",".join(config["T"]))
-    r = int(config["r"])
+    spec, S, T, r = field_config(config)
     hyp, reason = check_hyp(spec, S, T)
     try:
         th = theta(spec, S, T, r)
@@ -124,11 +147,8 @@ def run_theta(config: dict) -> tuple[dict, int]:
 
 
 def run_tower(config: dict) -> tuple[dict, int]:
-    spec = AbelianFieldSpec.from_json(config["spec"])
-    S = parse_places(",".join(config["S"]))
-    T = parse_places(",".join(config["T"]))
-    r = int(config["r"])
-    p, N, n_max = int(config["p"]), int(config["N"]), int(config["levels"])
+    spec, S, T, r = field_config(config)
+    p, N, n_max = (config_int(config, k) for k in ("p", "N", "levels"))
     strict = bool(config.get("strict_hyp", False))
     if r != 0 and N > n_max + 1:
         raise CliError(
@@ -186,11 +206,8 @@ def run_tower(config: dict) -> tuple[dict, int]:
 
 
 def run_verify(config: dict) -> tuple[dict, int]:
-    spec = AbelianFieldSpec.from_json(config["spec"])
-    S = parse_places(",".join(config["S"]))
-    T = parse_places(",".join(config["T"]))
-    r = int(config["r"])
-    p, N = int(config["p"]), int(config["N"])
+    spec, S, T, r = field_config(config)
+    p, N = config_int(config, "p"), config_int(config, "N")
     try:
         module = ClassModuleData.from_json(config["class_data"])
     except (TypeError, AttributeError) as exc:
@@ -218,7 +235,7 @@ def run_verify(config: dict) -> tuple[dict, int]:
 
 
 def run_fitting(config: dict) -> tuple[dict, int]:
-    results = fitting_campaigns(int(config["seed"]), int(config["trials"]))
+    results = fitting_campaigns(config_int(config, "seed"), config_int(config, "trials"))
     payload = [r.to_json() for r in results]
     cert = {
         "command": "fitting",
@@ -233,7 +250,7 @@ def run_fitting(config: dict) -> tuple[dict, int]:
 def run_complex(config: dict) -> tuple[dict, int]:
     if config.get("complex_data") is not None:
         return _run_complex_file(config)
-    results = complex_campaigns(int(config["seed"]), int(config["trials"]))
+    results = complex_campaigns(config_int(config, "seed"), config_int(config, "trials"))
     payload = [r.to_json() for r in results]
     cert = {
         "command": "complex",
@@ -289,11 +306,13 @@ def _run_complex_file(config: dict) -> tuple[dict, int]:
 
 def run_selftest(config: dict) -> tuple[dict, int]:
     data_dir = config.get("data_dir")
+    if data_dir is not None and not isinstance(data_dir, str):
+        raise CliError(EXIT_IO, f"configuration field data_dir must be a path, got {data_dir!r}")
     results = run_all(
-        seed=int(config["seed"]),
-        max_conductor=int(config["max_conductor"]),
-        trials=int(config["trials"]),
-        complex_trials=int(config["complex_trials"]),
+        seed=config_int(config, "seed"),
+        max_conductor=config_int(config, "max_conductor"),
+        trials=config_int(config, "trials"),
+        complex_trials=config_int(config, "complex_trials"),
         data_dir=Path(data_dir) if data_dir else None,
     )
     payload = [r.to_json() for r in results]
@@ -323,10 +342,12 @@ def run_recheck(path: str) -> tuple[dict, int]:
         command = cert["command"]
         config = cert["input"]
         old_result = {"result": cert["result"], "witness": cert.get("witness")}
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise CliError(EXIT_IO, f"bad certificate {path}: {exc}") from exc
-    if command not in RUNNERS:
+    if not isinstance(command, str) or command not in RUNNERS:
         raise CliError(EXIT_IO, f"unknown command {command!r} in certificate")
+    if not isinstance(config, dict):
+        raise CliError(EXIT_IO, f"certificate input must be a JSON object, got {config!r}")
     new_cert, _ = RUNNERS[command](config)
 
     def verdicts(result) -> dict:

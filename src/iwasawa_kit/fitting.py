@@ -26,7 +26,7 @@ from .linalg import (
     matrix_inverse,
     preimage_span,
     reduce_mod_span,
-    smith_over_chain,
+    smith_normal_form,
     span_size,
 )
 
@@ -698,26 +698,62 @@ def dual_presentation(M: FinPresModule) -> FinPresModule:
     return FinPresModule(alg, n, rels)
 
 
+def contragredient_presentation(
+    alg: FiniteCommAlgebra, vals: list[int], actions
+) -> FinPresModule:
+    """Present the Pontryagin dual of sum_a Z/p^vals[a] over alg.
+
+    `actions` yields pairs (b, X), X the integer matrix of b^# on the module in
+    row convention (b^# e_t = sum_a X[t][a] e_a), for b running through
+    algebra generators. On the dual generators f_a (f_a(e_t) = delta_at /
+    p^vals[a]) the contragredient action (b.f)(m) = f(b^# m) reads
+    b.f_a = sum_t X[t][a] p^(vals[t] - vals[a]) f_t, integral when the action
+    is well defined. Coordinates with vals[a] = 0 vanish; `actions` is not
+    consumed when every coordinate does.
+    """
+    p = alg.p
+    keep = [a for a, v in enumerate(vals) if v > 0]
+    k = len(keep)
+    if not k:
+        return FinPresModule(alg, 0, [])
+    relations: list[list[Vec]] = []
+    for idx, a in enumerate(keep):
+        row = [alg.zero()] * k
+        row[idx] = alg.scalar(p ** vals[a], alg.unit())
+        relations.append(row)
+    for b, X in actions:
+        for idx, a in enumerate(keep):
+            row = []
+            for t in keep:
+                num, den = X[t][a] * p ** vals[t], p ** vals[a]
+                if num % den:
+                    raise AssertionError("dual action is not integral")
+                row.append(alg.scalar(-(num // den), alg.unit()))
+            row[idx] = alg.add(row[idx], b)
+            relations.append(row)
+    return FinPresModule(alg, k, relations)
+
+
 def pontryagin_dual(M: FinPresModule) -> FinPresModule:
     """Pontryagin dual of an arbitrary finitely presented module, with the
     contragredient action (a.f)(m) = f(a^# m).
 
-    Route: diagonalize the realization to sum_t Z/p^(v_t), transport the
-    action, dualize orders and matrices, re-present over the algebra.
+    Route: the Smith form of the relation span with p^N.I appended
+    diagonalizes the realization to sum_t Z/p^(v_t) in the y = x.V
+    coordinates; the action of each basis element's # is transported there and
+    handed to contragredient_presentation.
     """
     alg = M.algebra
     if alg.sharp_images is None:
         raise ValueError("pontryagin dual needs the # involution")
-    R = alg.R
+    R, q = alg.R, alg.q
     w = M.rwidth
-    rel_rows = [list(r) for r in M.relation_span]
-    vals, V = smith_over_chain(rel_rows, w, R)
+    lattice = [list(r) for r in M.relation_span]
+    lattice += [[q * int(i == j) for j in range(w)] for i in range(w)]
+    diag, V = smith_normal_form(lattice, w)
+    vals = [R.val(d) for d in diag]  # each d divides p^N, so d = p^val
+    V = [[c % q for c in r] for r in V]
     Vinv = matrix_inverse(V, R)
-    # In the y = x.V coordinates the quotient coordinate t is
-    # (Z/p^N)/(p^vals[t]) = Z/p^vals[t]; coordinates with vals[t] = 0 vanish.
-    keep = [t for t in range(w) if vals[t] > 0]
-    if not keep:
-        return FinPresModule(alg, 0, [])
 
     def transported_action(bvec: Vec) -> list[list[int]]:
         """Matrix of multiplication by bvec in y-coordinates: e_t -> row T[t]."""
@@ -729,41 +765,14 @@ def pontryagin_dual(M: FinPresModule) -> FinPresModule:
                 entry = tuple(x[c * alg.dim : (c + 1) * alg.dim])
                 prod = alg.mul(bvec, entry)
                 out[c * alg.dim : (c + 1) * alg.dim] = list(prod)
-            rows.append([sum(out[i] * V[i][j] for i in range(w)) % alg.q for j in range(w)])
+            rows.append([sum(out[i] * V[i][j] for i in range(w)) % q for j in range(w)])
         return rows
 
-    # Contragredient action on dual generators f_a (f_a(e_t) = delta_at/p^vals[a]):
-    # basis_b . f_a = sum_t kappa[t][a] f_t with kappa[t][a] = T[t][a] p^(v_t - v_a)
-    # for T the transported action of basis_b^#. Integrality of kappa follows
-    # from stability of the relation span.
-    p = alg.p
-    kappas: list[list[list[int]]] = []
-    for bi in range(alg.dim):
-        T = transported_action(alg.sharp_of(alg.basis_element(bi)))
-        K = [[0] * len(keep) for _ in range(len(keep))]
-        for t_idx, t in enumerate(keep):
-            for a_idx, a in enumerate(keep):
-                num = T[t][a] * p ** vals[t]
-                den = p ** vals[a]
-                if num % den:
-                    raise AssertionError("dual action is not integral")
-                K[t_idx][a_idx] = (num // den) % alg.q
-        kappas.append(K)
-
-    k = len(keep)
-    relations: list[list[Vec]] = []
-    for idx, a in enumerate(keep):
-        row = [alg.zero()] * k
-        row[idx] = alg.scalar(p ** vals[a], alg.unit())
-        relations.append(row)
-    for bi in range(alg.dim):
-        K = kappas[bi]
-        bvec = alg.basis_element(bi)
-        for a_idx in range(k):
-            row = [alg.neg(alg.scalar(K[t_idx][a_idx], alg.unit())) for t_idx in range(k)]
-            row[a_idx] = alg.add(row[a_idx], bvec)
-            relations.append(row)
-    return FinPresModule(alg, k, relations)
+    actions = (
+        (b, transported_action(alg.sharp_of(b)))
+        for b in map(alg.basis_element, range(alg.dim))
+    )
+    return contragredient_presentation(alg, vals, actions)
 
 
 # ---------------------------------------------------------------------------

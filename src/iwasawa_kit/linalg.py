@@ -1,9 +1,12 @@
-"""Exact linear algebra over the chain ring Z/p^N.
+"""Exact linear algebra over the chain ring Z/p^N: the Howell normal form, and
+the one Smith form.
 
-Everything reduces to the Howell normal form: a canonical echelon form whose
-row span is saturated (closed under the hidden p^(N-v) multiples), so that
-span membership, span equality, kernels and canonical coset representatives
-are all exact. Vectors are plain int lists; the ring context is a ZModPN.
+Span questions reduce to the Howell form: a canonical echelon form whose row
+span is saturated (closed under the hidden p^(N-v) multiples), so that span
+membership, span equality, kernels and canonical coset representatives are all
+exact. Vectors are plain int lists; the ring context is a ZModPN. The Smith
+form works over Z (Galois groups); a span over Z/p^N enters it as the lattice
+of its rows with p^N.I appended, whose diagonal entries are powers of p.
 """
 
 from __future__ import annotations
@@ -136,15 +139,6 @@ def solve_in_span(
     return [(-c) % q for c in y[width:]]
 
 
-def left_kernel(rows: list[list[int]], width: int, R: ZModPN) -> list[list[int]]:
-    """Howell generators of {y : sum y_i rows[i] = 0} in (Z/p^N)^len(rows)."""
-    n = len(rows)
-    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
-    H = howell_form(aug, width + n, R)
-    ker = [r[width:] for r in H if not any(r[:width])]
-    return howell_form(ker, n, R)
-
-
 def preimage_span(
     rows: list[list[int]], target: list[list[int]], width: int, R: ZModPN
 ) -> list[list[int]]:
@@ -185,52 +179,88 @@ def matrix_inverse(M: list[list[int]], R: ZModPN) -> list[list[int]]:
     return [r[n:] for r in A]
 
 
-def smith_over_chain(
-    rows: list[list[int]], width: int, R: ZModPN
-) -> tuple[list[int], list[list[int]]]:
-    """Diagonalize the row span over Z/p^N: returns (vals, V) with V
-    unimodular such that span(rows . V) = span(diag(p^vals)).
-
-    vals[t] is the valuation of the t-th diagonal relation (N for coordinates
-    carrying no relation), so the quotient (Z/p^N)^width / span has cyclic
-    decomposition  sum_t Z/p^vals[t]  in the y = x.V coordinates.
+def smith_normal_form(rows: list[list[int]], ncols: int) -> tuple[list[int], list[list[int]]]:
+    """Diagonalize the integer row lattice: returns (diag, V) with V
+    unimodular and rowspan(A.V) = rowspan(diag). diag entries are >= 0 with the divisibility
+    chain d_1 | d_2 | ... among the nonzero ones.
     """
-    p, q, N = R.p, R.q, R.N
-    A = [[c % q for c in r] for r in rows]
+    A = [list(r) + [0] * (ncols - len(r)) for r in rows]
     nr = len(A)
-    V = [[int(i == j) for j in range(width)] for i in range(width)]
-    rank = 0
-    for t in range(min(nr, width)):
-        best = None
-        for i in range(t, nr):
-            for j in range(t, width):
-                if A[i][j]:
-                    v = R.val(A[i][j])
-                    if best is None or v < best[0]:
-                        best = (v, i, j)
-        if best is None:
-            break
-        v, bi, bj = best
-        A[bi], A[t] = A[t], A[bi]
-        if bj != t:
-            for i in range(nr):
-                A[i][bj], A[i][t] = A[i][t], A[i][bj]
-            for i in range(width):
-                V[i][bj], V[i][t] = V[i][t], V[i][bj]
-        pv = p**v
-        u_inv = R.unit_inverse(A[t][t] // pv)
-        A[t] = [(c * u_inv) % q for c in A[t]]
+    V = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+
+    def col_op(j: int, k: int, q: int) -> None:  # col_j -= q * col_k
         for i in range(nr):
-            if i != t and A[i][t]:
-                f = A[i][t] // pv  # exact: pivot has globally minimal valuation
-                A[i] = [(a - f * b) % q for a, b in zip(A[i], A[t])]
-        for j in range(width):
-            if j != t and A[t][j]:
-                f = A[t][j] // pv
+            A[i][j] -= q * A[i][k]
+        for i in range(ncols):
+            V[i][j] -= q * V[i][k]
+
+    def col_swap(j: int, k: int) -> None:
+        for i in range(nr):
+            A[i][j], A[i][k] = A[i][k], A[i][j]
+        for i in range(ncols):
+            V[i][j], V[i][k] = V[i][k], V[i][j]
+
+    def col_negate(j: int) -> None:
+        for i in range(nr):
+            A[i][j] = -A[i][j]
+        for i in range(ncols):
+            V[i][j] = -V[i][j]
+
+    def eliminate() -> int:
+        t = 0
+        while t < nr and t < ncols:
+            best = None
+            for i in range(t, nr):
+                for j in range(t, ncols):
+                    v = abs(A[i][j])
+                    if v and (best is None or v < best[0]):
+                        best = (v, i, j)
+            if best is None:
+                break
+            _, bi, bj = best
+            if bi != t:
+                A[bi], A[t] = A[t], A[bi]
+            if bj != t:
+                col_swap(bj, t)
+            while True:
+                clean = True
                 for i in range(nr):
-                    A[i][j] = (A[i][j] - f * A[i][t]) % q
-                for i in range(width):
-                    V[i][j] = (V[i][j] - f * V[i][t]) % q
-        rank = t + 1
-    vals = [R.val(A[t][t]) if t < rank else N for t in range(width)]
-    return vals, V
+                    if i == t or A[i][t] == 0:
+                        continue
+                    q = A[i][t] // A[t][t]
+                    if q:
+                        for j in range(ncols):
+                            A[i][j] -= q * A[t][j]
+                    if A[i][t]:
+                        A[i], A[t] = A[t], A[i]
+                        clean = False
+                for j in range(ncols):
+                    if j == t or A[t][j] == 0:
+                        continue
+                    q = A[t][j] // A[t][t]
+                    if q:
+                        col_op(j, t, q)
+                    if A[t][j]:
+                        col_swap(j, t)
+                        clean = False
+                if clean:
+                    break
+            if A[t][t] < 0:
+                col_negate(t)
+            t += 1
+        return t
+
+    rank = eliminate()
+    # Enforce the divisibility chain, re-eliminating after each fix-up.
+    while True:
+        bad = None
+        for i in range(rank - 1):
+            if A[i][i] and A[i + 1][i + 1] % A[i][i] != 0:
+                bad = i
+                break
+        if bad is None:
+            break
+        col_op(bad, bad + 1, -1)  # col_bad += col_{bad+1}
+        rank = eliminate()
+    diag = [A[i][i] if i < nr else 0 for i in range(ncols)]
+    return diag, V

@@ -33,7 +33,12 @@ from .exact import (
     poly_eval,
     rat_to_str,
 )
-from .fitting import FinPresModule, GroupAlgebra, minus_quotient
+from .fitting import (
+    FinPresModule,
+    GroupAlgebra,
+    contragredient_presentation,
+    minus_quotient,
+)
 from .numutil import factorize, is_prime, unit_residues
 
 Q = Fraction
@@ -367,9 +372,9 @@ def minus_dual_presentation(
     (Z/p^N)[G]/(1+j).
 
     The p-part keeps the coordinates with p | order (same matrices, reduced);
-    the dual of sum_i Z/p^(v_i) has the same orders with contragredient
-    matrices B = D A(g^(-1))^T D^(-1), D = diag(p^(v_i)) (integral by
-    well-definedness). Returns (module, group algebra, projection morphism).
+    each group generator g acts on the dual through g^# = g^(-1), whose matrix
+    in row convention is A(g^(-1)) transposed. Returns (module, group algebra,
+    projection morphism).
     """
     cm = cm_data(spec)
     if cm is None:
@@ -388,45 +393,21 @@ def minus_dual_presentation(
             d //= p
             v += 1
         vals.append(v)
-    keep = [i for i in range(k) if vals[i] > 0]
 
     alg = GroupAlgebra(p, N, grp)
     quo, proj = minus_quotient(alg, cm.j)
 
-    if not keep:
-        return FinPresModule(quo, 0, []), alg, proj
-
-    def dual_matrix(gen_idx: int) -> list[list[int]]:
-        d = grp.orders[gen_idx]
-        A = M.action[gen_idx]
+    def inverse_transposed(t: int) -> list[list[int]]:
         Ainv = _mat_identity(k)
-        for _ in range((d - 1) % d if d > 1 else 0):
-            Ainv = _mat_mul(Ainv, A, k)
-        B = [[0] * len(keep) for _ in range(len(keep))]
-        for a_idx, a in enumerate(keep):
-            for b_idx, b in enumerate(keep):
-                num = Ainv[b][a] * p ** vals[a]
-                den = p ** vals[b]
-                if num % den:
-                    raise AssertionError("dual action is not integral")
-                B[a_idx][b_idx] = num // den
-        return B
+        for _ in range(grp.orders[t] - 1):
+            Ainv = _mat_mul(Ainv, M.action[t], k)
+        return [list(col) for col in zip(*Ainv)]
 
-    kk = len(keep)
-    relations: list[list] = []
-    for idx, i in enumerate(keep):
-        row = [quo.zero()] * kk
-        row[idx] = quo.scalar(p ** vals[i], quo.unit())
-        relations.append(row)
-    for t in range(len(grp.orders)):
-        B = dual_matrix(t)
-        gvec = proj.apply(alg.group_element_vector(grp.generators()[t]))
-        for j in range(kk):
-            # g . f_j = sum_a B[a][j] f_a in the dual (column convention)
-            row = [quo.neg(quo.scalar(B[a][j], quo.unit())) for a in range(kk)]
-            row[j] = quo.add(row[j], gvec)
-            relations.append(row)
-    return FinPresModule(quo, kk, relations), alg, proj
+    actions = (
+        (proj.apply(alg.group_element_vector(g)), inverse_transposed(t))
+        for t, g in enumerate(grp.generators())
+    )
+    return contragredient_presentation(quo, vals, actions), alg, proj
 
 
 def fitting_membership_check(
@@ -438,9 +419,10 @@ def fitting_membership_check(
     spec = theta_elem.spec
     if spec is None:
         raise ValueError("theta carries no field spec")
+    # first, so that p is known to be an odd prime before is_p_integral divides by it
+    dual_mod, alg, proj = minus_dual_presentation(spec, M, p, N)
     if not is_p_integral(theta_elem, p):
         raise ValueError(f"theta is not {p}-integral")
-    dual_mod, alg, proj = minus_dual_presentation(spec, M, p, N)
     fitt = dual_mod.fitting_ideal
     theta_sharp = groupring.sharp(theta_elem.value, theta_elem.group)
     target = proj.apply(tuple(padic_from_rational(c, p, N) for c in theta_sharp))

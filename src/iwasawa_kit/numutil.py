@@ -65,6 +65,19 @@ def crt(residues: list[int], moduli: list[int]) -> int:
     return x % m
 
 
+def crt_lift(a: int, f: int, m: int) -> int:
+    """x mod m with x = a at the primes of m dividing f and x = 1 at the others.
+
+    For f | m and a coprime to f this is a unit mod m congruent to a mod f.
+    """
+    res, mods = [], []
+    for p, e in factorize(m).items():
+        q = p**e
+        res.append(a % q if f % p == 0 else 1)
+        mods.append(q)
+    return crt(res, mods)
+
+
 def multiplicative_order(a: int, m: int) -> int:
     if m == 1:
         return 1

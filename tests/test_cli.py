@@ -190,6 +190,27 @@ def test_recheck_detects_flipped_verdict(tmp_path, capsys):
     assert report["result"]["matches"] is False
 
 
+@pytest.mark.parametrize(
+    "name, mutate",
+    [
+        ("theta_zeta12_cert.json", lambda c: []),
+        ("theta_zeta12_cert.json", lambda c: {**c, "input": []}),
+        ("theta_zeta12_cert.json", lambda c: {**c, "input": {**c["input"], "spec": "zeta5"}}),
+        ("theta_zeta12_cert.json", lambda c: {**c, "input": {**c["input"], "S": [5, "oo"]}}),
+        ("theta_zeta12_cert.json", lambda c: {**c, "command": []}),
+        ("verify_z23_cert.json", lambda c: {**c, "input": {**c["input"], "p": [3]}}),
+        ("theta_zeta12_cert.json", lambda c: {**c, "command": "selftest", "input": {
+            "seed": 0, "max_conductor": 3, "trials": 1, "complex_trials": 1, "data_dir": []}}),
+    ],
+    ids=["list", "input-list", "spec-string", "S-int", "command-list", "p-list", "data-dir-list"],
+)
+def test_recheck_rejects_malformed_certificate(tmp_path, capsys, name, mutate):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(mutate(json.loads((FIXTURES / name).read_text()))))
+    code, err = run_refused(capsys, "recheck", str(bad))
+    assert code == EXIT_IO and err["exit"] == EXIT_IO
+
+
 def test_tower_precision_budget(capsys):
     code, _ = run(
         capsys, "tower", "--spec", "zeta5", "--S", "5,oo", "--T", "2",
@@ -281,6 +302,15 @@ def test_verify_malformed_action_is_schema_error(capsys, tmp_path, action):
         "--r", "0", "--p", "3", "--N", "2", "--data", str(bad),
     )
     assert code == EXIT_IO and err["exit"] == EXIT_IO
+
+
+@pytest.mark.parametrize("p", ["0", "4"])
+def test_verify_non_odd_prime_is_precondition(capsys, p):
+    code, err = run_refused(
+        capsys, "verify", "--spec", "zeta23", "--S", "23,oo", "--T", "5", "--r", "0",
+        "--p", p, "--N", "2", "--data", str(DATA / "table_z23_minus.json"),
+    )
+    assert code == EXIT_PRECONDITION and err["exit"] == EXIT_PRECONDITION
 
 
 def test_missing_files_are_io_errors(capsys):

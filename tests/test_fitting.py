@@ -232,6 +232,22 @@ def test_pontryagin_dual_matches_dual_presentation_fitting():
         assert pontryagin_dual(M).size() == M.size()
 
 
+def test_pontryagin_double_dual_recovers_fitting_ideal():
+    # one generator and 0-2 relations, so most presentations are not square
+    rng = random.Random(37)
+    for alg in (A_z8c2(), A_z9c3()):
+        for _ in range(20):
+            rels = [
+                [tuple(rng.randrange(alg.q) for _ in range(alg.dim))]
+                for _ in range(rng.randint(0, 2))
+            ]
+            M = FinPresModule(alg, 1, rels)
+            DD = pontryagin_dual(pontryagin_dual(M))
+            assert pontryagin_dual(M).size() == DD.size() == M.size()
+            assert DD.fitting_ideal == M.fitting_ideal
+            assert ideal_equal_oracle(DD.fitting_ideal, M.fitting_ideal)
+
+
 def test_base_change_examples():
     alg = A_z9c2()
     sig = alg.group_element_vector((1,))

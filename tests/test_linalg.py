@@ -3,6 +3,7 @@
 import random
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,11 +11,10 @@ from iwasawa_kit.linalg import (
     ZModPN,
     howell_form,
     in_span,
-    left_kernel,
     matrix_inverse,
     preimage_span,
     reduce_mod_span,
-    smith_over_chain,
+    smith_normal_form,
     solve_in_span,
     span_size,
 )
@@ -95,7 +95,7 @@ def test_left_kernel_exactness():
         for _ in range(30):
             nrows, width = rng.randint(1, 3), rng.randint(1, 3)
             rows = random_rows(rng, R, nrows, width)
-            K = left_kernel(rows, width, R)
+            K = preimage_span(rows, [], width, R)
             # every kernel generator kills the rows
             for y in K:
                 combo = [
@@ -146,25 +146,41 @@ def test_matrix_inverse():
         matrix_inverse([[3, 0], [0, 1]], R)
 
 
-def test_smith_over_chain():
+def test_smith_normal_form_matches_sympy_invariants():
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rng = random.Random(7)
+    for _ in range(40):
+        nr, nc = rng.randint(1, 4), rng.randint(1, 4)
+        rows = [[rng.randint(-6, 6) for _ in range(nc)] for _ in range(nr)]
+        diag, V = smith_normal_form(rows, nc)
+        # V unimodular
+        det = int(sympy.Matrix(V).det())
+        assert det in (1, -1)
+        theirs = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
+        tdiag = [abs(int(theirs[i, i])) for i in range(min(theirs.rows, theirs.cols))]
+        ours = [d for d in diag[: min(nr, nc)]]
+        # sympy pads differently; compare nonzero invariant factors
+        assert [d for d in ours if d] == [d for d in tdiag if d]
+    # Spans over Z/p^N: the lattice of the rows together with p^N.I.
     rng = random.Random(13)
     for R in RINGS:
         for _ in range(40):
             width = rng.randint(1, 3)
             rows = random_rows(rng, R, rng.randint(1, 3), width)
-            vals, V = smith_over_chain(rows, width, R)
-            # V invertible
-            matrix_inverse(V, R)
-            # span(rows . V) = span(diag(p^vals))
+            lattice = rows + [[R.q * int(i == j) for j in range(width)] for i in range(width)]
+            diag, V = smith_normal_form(lattice, width)
+            vals = [R.val(d) for d in diag]
+            assert diag == [R.p**v for v in vals]
+            V = [[c % R.q for c in r] for r in V]
+            matrix_inverse(V, R)  # V mod p^N is invertible
+            # span(rows . V) = span(diag) over Z/p^N
             rowsV = [
                 [sum(r[i] * V[i][j] for i in range(width)) % R.q for j in range(width)]
                 for r in rows
             ]
-            diag = [
-                [R.p ** vals[t] % R.q if j == t else 0 for j in range(width)]
-                for t in range(width)
-            ]
-            assert howell_form(rowsV, width, R) == howell_form(diag, width, R)
+            diag_rows = [[d * int(j == t) for j in range(width)] for t, d in enumerate(diag)]
+            assert howell_form(rowsV, width, R) == howell_form(diag_rows, width, R)
 
 
 @given(st.integers(0, 80), st.integers(0, 80), st.integers(0, 80))
