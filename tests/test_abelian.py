@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from iwasawa_kit.abelian import (
     INFINITE_PLACE as OO,
@@ -20,6 +21,7 @@ from iwasawa_kit.abelian import (
     roots_of_unity_order,
 )
 from iwasawa_kit.groupring import mul, translate
+from iwasawa_kit.linalg import smith_normal_form
 
 Q = Fraction
 
@@ -35,6 +37,26 @@ def scaled(x, c):
 
 def added(x, y):
     return tuple(a + b for a, b in zip(x, y))
+
+
+def test_smith_normal_form_matches_sympy_invariants():
+    import random
+
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rng = random.Random(7)
+    for _ in range(40):
+        nr, nc = rng.randint(1, 4), rng.randint(1, 4)
+        rows = [[rng.randint(-6, 6) for _ in range(nc)] for _ in range(nr)]
+        diag, V = smith_normal_form(rows, nc)
+        # V unimodular
+        det = int(sympy.Matrix(V).det())
+        assert det in (1, -1)
+        theirs = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
+        tdiag = [abs(int(theirs[i, i])) for i in range(min(theirs.rows, theirs.cols))]
+        ours = [d for d in diag[: min(nr, nc)]]
+        # sympy pads differently; compare nonzero invariant factors
+        assert [d for d in ours if d] == [d for d in tdiag if d]
 
 
 def test_galois_group_examples():

@@ -3,7 +3,6 @@
 import random
 
 import pytest
-import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -146,23 +145,8 @@ def test_matrix_inverse():
         matrix_inverse([[3, 0], [0, 1]], R)
 
 
-def test_smith_normal_form_matches_sympy_invariants():
-    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
-
-    rng = random.Random(7)
-    for _ in range(40):
-        nr, nc = rng.randint(1, 4), rng.randint(1, 4)
-        rows = [[rng.randint(-6, 6) for _ in range(nc)] for _ in range(nr)]
-        diag, V = smith_normal_form(rows, nc)
-        # V unimodular
-        det = int(sympy.Matrix(V).det())
-        assert det in (1, -1)
-        theirs = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
-        tdiag = [abs(int(theirs[i, i])) for i in range(min(theirs.rows, theirs.cols))]
-        ours = [d for d in diag[: min(nr, nc)]]
-        # sympy pads differently; compare nonzero invariant factors
-        assert [d for d in ours if d] == [d for d in tdiag if d]
-    # Spans over Z/p^N: the lattice of the rows together with p^N.I.
+def test_smith_over_chain():
+    # Spans over Z/p^N: the Smith form of the rows together with p^N.I.
     rng = random.Random(13)
     for R in RINGS:
         for _ in range(40):
