@@ -462,18 +462,31 @@ class CharacterTable:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirichletCharacter:
     """A character of Gal(L/Q) as a primitive Dirichlet character.
 
     Values are zeta_order^logs[a] on residues a coprime to the conductor and 0
     elsewhere; `order` is the exponent of the ambient character table so that
-    values from different characters of one group compare directly.
+    values from different characters of one group compare directly. Two
+    characters are equal when their keys are.
     """
 
     conductor: int
     order: int
-    logs: dict[int, int] = field(compare=False)
+    logs: dict[int, int]
+
+    def key(self) -> tuple:
+        """(conductor, order, sorted logs): every value of chi, spelled out."""
+        return self.conductor, self.order, tuple(sorted(self.logs.items()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DirichletCharacter):
+            return NotImplemented
+        return self.key() == other.key()
+
+    def __hash__(self) -> int:
+        return hash(self.key())
 
     def log_of(self, a: int) -> int | None:
         f = self.conductor

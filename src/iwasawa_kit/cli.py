@@ -58,7 +58,7 @@ def parse_spec(text: str) -> AbelianFieldSpec:
         if not path.exists():
             raise CliError(EXIT_IO, f"spec file not found: {text}")
         return AbelianFieldSpec.from_json(json.loads(path.read_text()))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OSError, TypeError, ValueError) as exc:
         raise CliError(EXIT_IO, f"bad spec {text}: {exc}") from exc
 
 
@@ -377,8 +377,16 @@ def run_recheck(path: str) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 # Entry point.
 
+class ArgumentParser(argparse.ArgumentParser):
+    """A usage error is a precondition violation with one JSON error, like
+    every other refusal; subcommand parsers inherit this class."""
+
+    def error(self, message):
+        raise CliError(EXIT_PRECONDITION, f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = ArgumentParser(
         prog="iwasawa-kit",
         description="Exact Stickelberger / Iwasawa-tower / Fitting-ideal checks",
     )
@@ -433,8 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "recheck":
             cert, code = run_recheck(args.certificate)
         elif args.command in ("theta", "tower", "verify"):

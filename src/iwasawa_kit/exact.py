@@ -31,26 +31,30 @@ def rat_from_str(s: str) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Bernoulli polynomials B_k(x), exact and memoized per k.
+# Bernoulli numbers and polynomials B_k(x), exact and memoized.
+
+_BERNOULLI_NUMBERS = [Fraction(1)]
+
+
+def bernoulli_number(k: int) -> Fraction:
+    """B_k with B_1 = -1/2, from sum_{j=0}^{m} C(m+1, j) B_j = 0 (m >= 1)."""
+    if k < 0:
+        raise ValueError(f"bernoulli_number expects k >= 0, got {k}")
+    nums = _BERNOULLI_NUMBERS
+    while len(nums) <= k:
+        m = len(nums)
+        acc = sum(math.comb(m + 1, j) * b for j, b in enumerate(nums) if b)
+        nums.append(-acc / (m + 1))
+    return nums[k]
+
 
 @lru_cache(maxsize=None)
 def bernoulli_polynomial(k: int) -> tuple[Fraction, ...]:
-    """Coefficients (c_0, ..., c_k) of B_k(x), lowest degree first.
-
-    Defining recurrence: sum_{j=0}^{k} C(k+1, j) B_j(x) = (k+1) x^k.
-    """
+    """Coefficients (c_0, ..., c_k) of B_k(x), lowest degree first:
+    B_k(x) = sum_j C(k, j) B_j x^(k-j), so c_i = C(k, i) B_(k-i)."""
     if k < 0:
         raise ValueError(f"bernoulli_polynomial expects k >= 0, got {k}")
-    if k == 0:
-        return (Fraction(1),)
-    acc = [Fraction(0)] * (k + 1)
-    acc[k] = Fraction(k + 1)
-    for j in range(k):
-        cjk = math.comb(k + 1, j)
-        for i, cf in enumerate(bernoulli_polynomial(j)):
-            acc[i] -= cjk * cf
-    inv = Fraction(1, k + 1)
-    return tuple(cf * inv for cf in acc)
+    return tuple(math.comb(k, i) * bernoulli_number(k - i) for i in range(k + 1))
 
 
 def poly_eval(coeffs: tuple[Fraction, ...], x: Fraction) -> Fraction:
@@ -58,10 +62,6 @@ def poly_eval(coeffs: tuple[Fraction, ...], x: Fraction) -> Fraction:
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
-
-
-def bernoulli_number(k: int) -> Fraction:
-    return bernoulli_polynomial(k)[0]
 
 
 def hurwitz_zeta_nonpos(r: int, a: int, f: int) -> Fraction:

@@ -6,13 +6,20 @@ zeta_S(r, sigma) sigma^(-1) with exact rational coefficients, a tuple in the
 basis order of groupring. Each Euler or T-factor (1 - c sigma) is applied as
 x - c . translate(x, sigma), never as a full group-ring product. The character
 route (S-truncated Dirichlet L-values at non-positive integers through
-generalized Bernoulli numbers) is an independent cross-check.
+generalized Bernoulli numbers) is an independent cross-check. It holds each
+value of Q(zeta_e) as an integer vector indexed by the exponent mod e over
+one positive denominator, memoizes B_{n,chi} per character and n, applies
+each Euler or delta_T factor (1 - c zeta_e^s) as shift-and-subtract, and
+reduces mod Phi_e once per character, into the CyclotomicInt it returns. It
+shares no helper or cache with the group-ring route.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import groupring
 from .abelian import (
@@ -22,15 +29,16 @@ from .abelian import (
     FiniteAbelianGroup,
     GaloisData,
     cm_data,
+    dirichlet_character,
     galois_group,
     normalize_places,
 )
 from .exact import (
     CyclotomicInt,
     bernoulli_polynomial,
+    cyclotomic_polynomial,
     hurwitz_zeta_nonpos,
     padic_from_rational,
-    poly_eval,
     rat_to_str,
 )
 from .fitting import (
@@ -168,60 +176,124 @@ def is_p_integral(theta_elem: StickelbergerElement | tuple, p: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # The character route: S-truncated Dirichlet L-values at r <= 0.
+#
+# A value in Q(zeta_e) is held as (vec, den): vec[t] is the integer
+# coefficient of zeta_e^t for t mod e, den a common positive denominator.
+# An Euler or delta_T factor (1 - c zeta_e^s) is a shift-and-subtract on vec;
+# Phi_e is divided out once per value, by _to_cyclotomic. Nothing here is
+# shared with the group-ring route above.
+
+@lru_cache(maxsize=None)
+def _bernoulli_cleared(n: int) -> tuple[int, tuple[int, ...]]:
+    """(D, (D c_0, ..., D c_n)): B_n(x) = sum_k c_k x^k over its least common
+    denominator D, so f^n D B_n(a/f) = sum_k D c_k a^k f^(n-k) is an integer."""
+    coeffs = bernoulli_polynomial(n)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return den, tuple(c.numerator * (den // c.denominator) for c in coeffs)
+
+
+@lru_cache(maxsize=None)
+def _bernoulli_vector(key: tuple, n: int) -> tuple[tuple[int, ...], int]:
+    """B_{n,chi} = f^(n-1) sum_{a=1}^{f} chi(a) B_n(a/f) as (vec, den), for
+    the character with chi.key() = key (Washington, GTM 83, section 4.1)."""
+    f, e, items = key
+    logs = dict(items)
+    den, cleared = _bernoulli_cleared(n)
+    f_pow = [f**j for j in range(n + 1)]
+    vec = [0] * e
+    for a in range(1, f + 1):
+        if f == 1:
+            t = 0
+        elif math.gcd(a, f) == 1:
+            t = logs[a % f]
+        else:
+            continue
+        acc = 0
+        for j, c in enumerate(reversed(cleared)):  # Horner in a, c_k paired with f^(n-k)
+            acc = acc * a + c * f_pow[j]
+        vec[t] += acc
+    return tuple(vec), f * den
+
+
+def _one_minus(vec: list[int], s: int, c: int) -> list[int]:
+    """(1 - c zeta_e^s) . sum_t vec[t] zeta_e^t."""
+    e = len(vec)
+    return [vec[i] - c * vec[(i - s) % e] for i in range(e)]
+
+
+def _to_cyclotomic(vec, den: int) -> CyclotomicInt:
+    """sum_t vec[t] zeta_e^t / den, reduced mod Phi_e in the integers."""
+    e = len(vec)
+    phi = cyclotomic_polynomial(e)
+    deg = len(phi) - 1
+    work = list(vec)
+    for i in range(e - 1, deg - 1, -1):
+        c = work[i]
+        if c:
+            for j, pj in enumerate(phi):
+                work[i - deg + j] -= c * pj
+    return CyclotomicInt(e, tuple(Q(c, den) for c in work[:deg]))
+
+
+def _l_vector(chi: DirichletCharacter, s_fin, r: int) -> tuple[list[int], int]:
+    """L_S(r, chi) = -B_{n,chi}/n . prod_v (1 - chi(v) v^(-r)) as (vec, den)."""
+    n = 1 - r
+    vec, den = _bernoulli_vector(chi.key(), n)
+    vec = [-c for c in vec]
+    for v in sorted(s_fin):
+        if chi.conductor % v != 0 or chi.conductor == 1:
+            vec = _one_minus(vec, chi.log_of(v), v ** (-r))
+    return vec, den * n
+
 
 def generalized_bernoulli(chi: DirichletCharacter, n: int) -> CyclotomicInt:
     """B_{n,chi} = f^(n-1) sum_{a=1}^{f} chi(a) B_n(a/f), f the conductor."""
     if n < 1:
         raise ValueError(f"generalized Bernoulli number needs n >= 1, got {n}")
-    f = chi.conductor
-    coeffs = bernoulli_polynomial(n)
-    powers: dict[int, Fraction] = {}
-    for a in range(1, f + 1):
-        t = chi.log_of(a)
-        if t is None:
-            continue
-        powers[t] = powers.get(t, Q(0)) + poly_eval(coeffs, Q(a, f))
-    return CyclotomicInt.from_powers(chi.order, powers) * Q(f) ** (n - 1)
+    return _to_cyclotomic(*_bernoulli_vector(chi.key(), n))
+
+
+def _s_finite(S, r: int) -> set[int]:
+    """The finite places of S, once r <= 0 and oo in S are checked."""
+    if r > 0:
+        raise ValueError(f"dirichlet_l_nonpos needs r <= 0, got {r}")
+    s_fin, s_inf = normalize_places(S)
+    if not s_inf:
+        raise ValueError("S must contain the infinite place")
+    return s_fin
 
 
 def dirichlet_l_nonpos(chi: DirichletCharacter, S, r: int) -> CyclotomicInt:
     """L_S(r, chi) for r <= 0: L(1-n, chi) = -B_{n,chi}/n with n = 1-r, times
     the Euler factors (1 - chi(v) v^(-r)) for finite v in S prime to the
     conductor of chi."""
-    if r > 0:
-        raise ValueError(f"dirichlet_l_nonpos needs r <= 0, got {r}")
-    n = 1 - r
-    value = generalized_bernoulli(chi, n) * Q(-1, n)
-    s_fin, s_inf = normalize_places(S)
-    if not s_inf:
-        raise ValueError("S must contain the infinite place")
-    for v in sorted(s_fin):
-        if chi.conductor % v != 0 or chi.conductor == 1:
-            one = CyclotomicInt.from_rational(chi.order, Q(1))
-            value = value * (one - chi.value(v) * Q(v) ** (-r))
-    return value
+    return _to_cyclotomic(*_l_vector(chi, _s_finite(S, r), r))
+
+
+@lru_cache(maxsize=None)
+def _characters(spec: AbelianFieldSpec) -> tuple:
+    """(label, chi, contragredient of chi) for each character of Gal(L/Q)."""
+    gal = galois_group(spec)
+    table = CharacterTable(gal.group)
+    chars = (dirichlet_character(gal, table, label) for label in table.labels)
+    return tuple((label, chi, chi.contragredient()) for label, chi in zip(table.labels, chars))
 
 
 def theta_character_side(spec: AbelianFieldSpec, S, T, r: int) -> dict:
     """chi-components of Theta_{S,T}(r) computed purely through L-values:
     component_chi = delta_T(r, chi) . L_S(r, contragredient chi)."""
-    from .abelian import dirichlet_character
-
-    gal = galois_group(spec)
-    table = CharacterTable(gal.group)
+    s_fin = _s_finite(S, r)
     t_fin, _ = normalize_places(T)
     out = {}
-    for label in table.labels:
-        chi = dirichlet_character(gal, table, label)
-        lval = dirichlet_l_nonpos(chi.contragredient(), S, r)
+    for label, chi, chi_bar in _characters(spec):
+        vec, den = _l_vector(chi_bar, s_fin, r)
         for v in sorted(t_fin):
             # det(1 - Nv^(1-r) sigma_v^(-1) | V_chi): chi(sigma_v^(-1)) = chi(v)^(-1)
             t = chi.log_of(v)
             if t is None:
                 raise ValueError(f"T-prime {v} ramifies for a character of the field")
-            one = CyclotomicInt.from_rational(chi.order, Q(1))
-            lval = lval * (one - CyclotomicInt.zeta(chi.order, -t) * Q(v) ** (1 - r))
-        out[label] = lval
+            vec = _one_minus(vec, -t, v ** (1 - r))
+        out[label] = _to_cyclotomic(vec, den)
     return out
 
 

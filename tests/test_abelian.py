@@ -9,6 +9,7 @@ from iwasawa_kit.abelian import (
     INFINITE_PLACE as OO,
     AbelianFieldSpec,
     CharacterTable,
+    DirichletCharacter,
     FiniteAbelianGroup,
     TowerLevelData,
     check_hyp,
@@ -279,6 +280,18 @@ def test_dirichlet_character_primitivization():
     assert chi.is_odd()
     assert chi.value(2) == -1
     assert chi.value(3).is_zero()
+
+
+def test_dirichlet_character_equality_sees_every_value():
+    # the two odd characters of conductor 5 differ at 2: chi(2) = i or -i
+    chi = DirichletCharacter(5, 4, {1: 0, 2: 1, 3: 3, 4: 2})
+    conj = DirichletCharacter(5, 4, {1: 0, 2: 3, 3: 1, 4: 2})
+    assert chi != conj and chi.value(2) != conj.value(2)
+    assert len({chi, conj}) == 2
+    assert chi.contragredient() == conj
+    same = DirichletCharacter(5, 4, {4: 2, 3: 3, 2: 1, 1: 0})  # insertion order
+    assert same == chi and hash(same) == hash(chi)
+    assert chi != DirichletCharacter(5, 8, {1: 0, 2: 1, 3: 3, 4: 2})
 
 
 def test_tower_level_data_structure():

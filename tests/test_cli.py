@@ -1,9 +1,13 @@
 """CLI tests: exit codes, certificate emission, replay, and round trips."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iwasawa_kit.cli import (
     EXIT_CHECK_FAILED,
@@ -386,3 +390,40 @@ def test_selftest_small_bounds(tmp_path, capsys):
         {k: v for k, v in s.items() if k != "seconds"} for s in c["result"]["suites"]
     ]
     assert strip(cert) == strip(cert2)
+
+
+SPECS = st.one_of(
+    st.integers(0, 30).map(lambda n: f"zeta{n}"),
+    st.sampled_from(["", ".", "Q", "zeta", "zetax", "zeta-3", "zeta 5", "-x", "--", "oo",
+                     "{", "{}", '{"modulus": 5}', '{"modulus": 4, "fixing": [3]}',
+                     "missing.json"]),
+)
+PLACES = st.lists(
+    st.sampled_from(["oo", "inf", "x", "4", "", "1", "2", "3", "5", "7", "11", "13", "-2"]),
+    max_size=5,
+).map(",".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=SPECS, S=PLACES, T=PLACES, r=st.integers(-8, 1))
+def test_theta_argv_fuzz(spec, S, T, r):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["theta", "--spec", spec, "--S", S, "--T", T, "--r", str(r)])
+    assert code in (EXIT_OK, EXIT_PRECONDITION, EXIT_CHECK_FAILED, EXIT_IO)
+    assert "Traceback" not in err.getvalue()
+    if code != EXIT_OK:
+        assert out.getvalue() == ""
+        error = json.loads(err.getvalue())
+        assert isinstance(error, dict) and error["exit"] == code
+
+
+@pytest.mark.parametrize("spec", ["", "."], ids=["empty", "directory"])
+def test_theta_spec_directory_is_io_error(capsys, spec):
+    code, err = run_refused(capsys, "theta", "--spec", spec, "--S", "oo")
+    assert code == EXIT_IO and err["exit"] == EXIT_IO
+
+
+def test_usage_error_is_one_json_error(capsys):
+    code, err = run_refused(capsys, "theta", "--spec", "-x")
+    assert code == EXIT_PRECONDITION and "--spec" in err["error"]

@@ -31,10 +31,19 @@ def test_bernoulli_polynomial_base_cases():
 
 def test_bernoulli_polynomial_against_sympy():
     x = sympy.symbols("x")
-    for k in range(0, 16):
+    for k in range(0, 41):
         ours = bernoulli_polynomial(k)
         theirs = sympy.Poly(sympy.bernoulli(k, x), x).all_coeffs()[::-1]
         assert [sympy.Rational(c.numerator, c.denominator) for c in ours] == list(theirs)
+
+
+def test_bernoulli_numbers_of_high_index_against_sympy():
+    # B_1 = -1/2 here; sympy's sign convention for B_1 differs, so k >= 2.
+    for k in (2, 3, 50, 101, 200):
+        b = bernoulli_number(k)
+        assert sympy.Rational(b.numerator, b.denominator) == sympy.bernoulli(k)
+    assert bernoulli_polynomial(200)[0] == bernoulli_number(200)
+    assert bernoulli_polynomial(200)[198] == 200 * 199 // 2 * bernoulli_number(2)
 
 
 def test_bernoulli_telescoping_identity():

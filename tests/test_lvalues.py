@@ -11,9 +11,17 @@ from iwasawa_kit.abelian import (
     AbelianFieldSpec,
     CharacterTable,
     check_hyp,
+    dirichlet_character,
     galois_group,
+    normalize_places,
 )
-from iwasawa_kit.exact import padic_from_rational
+from iwasawa_kit.campaigns import corpus_cm_specs, corpus_st_choices
+from iwasawa_kit.exact import (
+    CyclotomicInt,
+    bernoulli_polynomial,
+    padic_from_rational,
+    poly_eval,
+)
 from iwasawa_kit.groupring import basis_index, from_json, mul, pushforward, sharp
 from iwasawa_kit.lvalues import (
     ClassModuleData,
@@ -22,6 +30,7 @@ from iwasawa_kit.lvalues import (
     delta_t,
     dirichlet_l_nonpos,
     euler_enlarge,
+    generalized_bernoulli,
     fitting_membership_check,
     is_p_integral,
     partial_zeta_vector,
@@ -223,6 +232,88 @@ def test_character_cross_validation_small():
             lhs = tab.decompose(th)
             rhs = theta_character_side(spec, S, T, r)
             assert lhs == rhs, (spec.label, S, T, r)
+
+
+# The CyclotomicInt form of the character route, kept as the test oracle of
+# the integer-vector form in lvalues: every value is a CyclotomicInt and
+# every product is reduced mod Phi_e again.
+
+def oracle_generalized_bernoulli(chi, n):
+    f = chi.conductor
+    coeffs = bernoulli_polynomial(n)
+    powers = {}
+    for a in range(1, f + 1):
+        t = chi.log_of(a)
+        if t is not None:
+            powers[t] = powers.get(t, Q(0)) + poly_eval(coeffs, Q(a, f))
+    return CyclotomicInt.from_powers(chi.order, powers) * Q(f) ** (n - 1)
+
+
+def oracle_dirichlet_l_nonpos(chi, S, r):
+    n = 1 - r
+    value = oracle_generalized_bernoulli(chi, n) * Q(-1, n)
+    s_fin, _ = normalize_places(S)
+    for v in sorted(s_fin):
+        if chi.conductor % v != 0 or chi.conductor == 1:
+            one = CyclotomicInt.from_rational(chi.order, Q(1))
+            value = value * (one - chi.value(v) * Q(v) ** (-r))
+    return value
+
+
+def oracle_theta_character_side(spec, S, T, r):
+    gal = galois_group(spec)
+    table = CharacterTable(gal.group)
+    t_fin, _ = normalize_places(T)
+    out = {}
+    for label in table.labels:
+        chi = dirichlet_character(gal, table, label)
+        lval = oracle_dirichlet_l_nonpos(chi.contragredient(), S, r)
+        for v in sorted(t_fin):
+            one = CyclotomicInt.from_rational(chi.order, Q(1))
+            lval = lval * (one - CyclotomicInt.zeta(chi.order, -chi.log_of(v)) * Q(v) ** (1 - r))
+        out[label] = lval
+    return out
+
+
+def corpus_characters():
+    """(spec, characters, (S, T)) per CM spec of conductor <= 24; (S, T) is
+    the corpus choice with the most places, so Euler and T-factors both act."""
+    for spec in corpus_cm_specs(24):
+        gal = galois_group(spec)
+        table = CharacterTable(gal.group)
+        chars = [dirichlet_character(gal, table, label) for label in table.labels]
+        S, T = max(corpus_st_choices(spec), key=lambda st: len(st[0]) + len(st[1]))
+        yield spec, chars, (S, T)
+
+
+def test_character_route_matches_cyclotomic_oracle():
+    # r = -3 is outside the acceptance campaign; B_{n,chi} also at n = 1..4.
+    for spec, chars, (S, T) in corpus_characters():
+        for r in (0, -3):
+            got = theta_character_side(spec, S, T, r)
+            assert got == oracle_theta_character_side(spec, S, T, r), (spec.label, S, T, r)
+            for chi in chars:
+                assert dirichlet_l_nonpos(chi, S, r) == oracle_dirichlet_l_nonpos(chi, S, r)
+        for chi in chars:
+            for n in (1, 2, 3, 4):
+                assert generalized_bernoulli(chi, n) == oracle_generalized_bernoulli(chi, n)
+
+
+def test_generalized_bernoulli_parity_vanishing():
+    # B_{n,chi} = 0 whenever chi(-1) != (-1)^n and chi is nontrivial.
+    seen = 0
+    for _, chars, _ in corpus_characters():
+        for chi in chars:
+            if chi.conductor == 1:
+                continue
+            for n in range(1, 7):
+                b = generalized_bernoulli(chi, n)
+                if chi.is_odd() == (n % 2 == 0):
+                    assert b.is_zero(), (chi, n)
+                    seen += 1
+                else:
+                    assert not b.is_zero(), (chi, n)
+    assert seen > 100
 
 
 def test_inflation_coherence():
