@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .abelian import AbelianFieldSpec, check_hyp
 from .campaigns import complex_campaigns, fitting_campaigns, run_all
-from .fitting import FiniteCommAlgebra, FinPresModule, ModuleMap
+from .fitting import DualActionError, FiniteCommAlgebra, FinPresModule, ModuleMap
 from .lvalues import (
     ClassModuleData,
     annihilation_check,
@@ -502,6 +502,10 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(json.dumps({"error": str(exc), "exit": exc.code}), file=sys.stderr)
         return exc.code
+    except DualActionError as exc:
+        report = {"error": str(exc), "exit": EXIT_CHECK_FAILED, "witness": list(exc.witness)}
+        print(json.dumps(report), file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except KeyError as exc:
         print(json.dumps({"error": f"missing field {exc}", "exit": EXIT_IO}), file=sys.stderr)
         return EXIT_IO

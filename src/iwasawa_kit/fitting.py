@@ -37,7 +37,9 @@ class FiniteCommAlgebra:
     """Commutative Z/p^N-algebra with a distinguished basis.
 
     `mult[i][j]` is the coefficient vector of basis_i * basis_j; `sharp`
-    (optional) is the involution as a list of basis-image vectors.
+    (optional) is the involution as a list of basis-image vectors. `terms[i][j]`
+    lists the nonzero (k, c) of basis_i * basis_j once; products loop over them,
+    O(dim^2) for a group algebra (one term per pair). `q` = p^N is an attribute.
     """
 
     def __init__(
@@ -52,18 +54,17 @@ class FiniteCommAlgebra:
     ):
         self.R = ZModPN(p, N)
         self.p, self.N = p, N
-        self.dim = len(basis)
+        self.q = q = p**N
+        self.dim = dim = len(basis)
         self.basis = list(basis)
-        self.mult = [[tuple(c % self.q for c in v) for v in row] for row in mult]
-        self.one = tuple(c % self.q for c in one)
+        self.mult = [[tuple(c % q for c in v) for v in row] for row in mult]
+        self.terms = [[[(k, c) for k, c in enumerate(v) if c] for v in row] for row in self.mult]
+        self.one = tuple(c % q for c in one)
         self.sharp_images = (
-            [tuple(c % self.q for c in v) for v in sharp] if sharp is not None else None
+            [tuple(c % q for c in v) for v in sharp] if sharp is not None else None
         )
         self.name = name or f"(Z/{p}^{N})[dim {self.dim}]"
-
-    @property
-    def q(self) -> int:
-        return self.p**self.N
+        self._basis_vectors = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
 
     # -- element arithmetic (elements are int tuples of length dim) --------
 
@@ -74,7 +75,7 @@ class FiniteCommAlgebra:
         return self.one
 
     def basis_element(self, i: int) -> Vec:
-        return tuple(int(j == i) for j in range(self.dim))
+        return self._basis_vectors[i]
 
     def add(self, x: Vec, y: Vec) -> Vec:
         return tuple((a + b) % self.q for a, b in zip(x, y))
@@ -90,16 +91,14 @@ class FiniteCommAlgebra:
 
     def mul(self, x: Vec, y: Vec) -> Vec:
         out = [0] * self.dim
+        ys = [(j, b) for j, b in enumerate(y) if b]
         for i, a in enumerate(x):
             if a:
-                row = self.mult[i]
-                for j, b in enumerate(y):
-                    if b:
-                        ab = a * b
-                        v = row[j]
-                        for k, c in enumerate(v):
-                            if c:
-                                out[k] += ab * c
+                row = self.terms[i]
+                for j, b in ys:
+                    ab = a * b
+                    for k, c in row[j]:
+                        out[k] += ab * c
         return tuple(c % self.q for c in out)
 
     def sharp_of(self, x: Vec) -> Vec:
@@ -114,7 +113,16 @@ class FiniteCommAlgebra:
 
     def regular_rows(self, x: Vec) -> list[list[int]]:
         """Rows of multiplication-by-x: row j = x * basis_j."""
-        return [list(self.mul(x, self.basis_element(j))) for j in range(self.dim)]
+        q, dim = self.q, self.dim
+        xs = [(i, a) for i, a in enumerate(x) if a]
+        rows = []
+        for j in range(dim):
+            out = [0] * dim
+            for i, a in xs:
+                for k, c in self.terms[i][j]:
+                    out[k] += a * c
+            rows.append([c % q for c in out])
+        return rows
 
     def is_regular(self, x: Vec) -> bool:
         """x is a nonzerodivisor iff multiplication by x is injective."""
@@ -609,7 +617,6 @@ class ModuleMap:
         return span_size(self.image_span, self.dst.algebra.R) == self.dst.algebra.q ** self.dst.rwidth
 
     def compose(self, then: "ModuleMap") -> "ModuleMap":
-        alg = self.src.algebra
         matrix = []
         for c in range(self.src.ngens):
             matrix.append(then.apply_row(self.matrix[c]))
@@ -698,6 +705,15 @@ def dual_presentation(M: FinPresModule) -> FinPresModule:
     return FinPresModule(alg, n, rels)
 
 
+class DualActionError(ArithmeticError):
+    """The action handed to contragredient_presentation is not well defined:
+    its dual is not integral at the witness (a, t, X[t][a])."""
+
+    def __init__(self, a: int, t: int, entry: int):
+        super().__init__(f"dual action is not integral: X[{t}][{a}] = {entry}")
+        self.witness = (a, t, entry)
+
+
 def contragredient_presentation(
     alg: FiniteCommAlgebra, vals: list[int], actions
 ) -> FinPresModule:
@@ -708,8 +724,9 @@ def contragredient_presentation(
     algebra generators. On the dual generators f_a (f_a(e_t) = delta_at /
     p^vals[a]) the contragredient action (b.f)(m) = f(b^# m) reads
     b.f_a = sum_t X[t][a] p^(vals[t] - vals[a]) f_t, integral when the action
-    is well defined. Coordinates with vals[a] = 0 vanish; `actions` is not
-    consumed when every coordinate does.
+    is well defined, and DualActionError is raised where it is not.
+    Coordinates with vals[a] = 0 vanish; `actions` is not consumed when every
+    coordinate does.
     """
     p = alg.p
     keep = [a for a, v in enumerate(vals) if v > 0]
@@ -727,7 +744,7 @@ def contragredient_presentation(
             for t in keep:
                 num, den = X[t][a] * p ** vals[t], p ** vals[a]
                 if num % den:
-                    raise AssertionError("dual action is not integral")
+                    raise DualActionError(a, t, X[t][a])
                 row.append(alg.scalar(-(num // den), alg.unit()))
             row[idx] = alg.add(row[idx], b)
             relations.append(row)

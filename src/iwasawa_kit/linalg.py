@@ -52,23 +52,24 @@ def howell_form(rows: list[list[int]], width: int, R: ZModPN) -> list[list[int]]
     Pivots are p^v with the unit part normalized away; every entry above a
     pivot is reduced mod the pivot; the span is saturated by processing the
     p^(N-v) shadow of each pivot row. Two row sets span the same submodule
-    iff their Howell forms are identical.
+    iff their Howell forms are identical (Storjohann-Mulders, ESA 1998).
+    Rows wait in one bucket per leading column; the rows that column col
+    reduces, and its shadow, lead after col, so their search starts at col + 1.
     """
     p, q, N = R.p, R.q, R.N
-    pool = []
+    buckets: list[list[list[int]]] = [[] for _ in range(width)]
+
+    def file(r: list[int], start: int) -> None:
+        for j in range(start, min(len(r), width)):
+            if r[j]:
+                buckets[j].append(r)
+                return
+
     for r in rows:
-        rr = [c % q for c in r]
-        if any(rr):
-            pool.append(rr)
-    pivots: list[tuple[int, list[int]]] = []
+        file([c % q for c in r], 0)
+    pivots: list[tuple[int, int, list[int]]] = []
     for col in range(width):
-        cand, rest = [], []
-        for r in pool:
-            lead = next((j for j, c in enumerate(r) if c), None)
-            if lead is None:
-                continue
-            (cand if lead == col else rest).append(r)
-        pool = rest
+        cand = buckets[col]
         if not cand:
             continue
         piv = min(cand, key=lambda r: R.val(r[col]))
@@ -79,17 +80,12 @@ def howell_form(rows: list[list[int]], width: int, R: ZModPN) -> list[list[int]]
         piv = [(c * u_inv) % q for c in piv]
         for r in cand:
             f = r[col] // pv  # exact: val(r[col]) >= v by pivot choice
-            rr = [(a - f * b) % q for a, b in zip(r, piv)]
-            if any(rr):
-                pool.append(rr)
-        pivots.append((col, piv))
+            file([(a - f * b) % q for a, b in zip(r, piv)], col + 1)
+        pivots.append((col, pv, piv))
         if v > 0:
-            shadow = [(p ** (N - v) * c) % q for c in piv]
-            if any(shadow):
-                pool.append(shadow)
-    out = [r for _, r in pivots]
-    for i, (col, piv) in enumerate(pivots):
-        pv = p ** R.val(piv[col])
+            file([(p ** (N - v) * c) % q for c in piv], col + 1)
+    out = [piv for _, _, piv in pivots]
+    for i, (col, pv, piv) in enumerate(pivots):
         for j in range(i):
             f = out[j][col] // pv
             if f:
@@ -112,31 +108,6 @@ def reduce_mod_span(x: list[int], howell: list[list[int]], R: ZModPN) -> list[in
 
 def in_span(x: list[int], howell: list[list[int]], R: ZModPN) -> bool:
     return not any(reduce_mod_span(x, howell, R))
-
-
-def solve_in_span(
-    x: list[int], rows: list[list[int]], R: ZModPN
-) -> list[int] | None:
-    """Coefficients c with x = sum c_i rows[i] mod p^N, or None."""
-    n = len(rows)
-    width = len(x)
-    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
-    H = howell_form(aug, width + n, R)
-    p, q = R.p, R.q
-    y = [c % q for c in x] + [0] * n
-    for r in H:
-        col = next(j for j, c in enumerate(r) if c)
-        if col >= width:
-            break
-        pv = p ** R.val(r[col])
-        if y[col] % pv:
-            return None
-        f = y[col] // pv
-        if f:
-            y = [(a - f * b) % q for a, b in zip(y, r)]
-    if any(y[:width]):
-        return None
-    return [(-c) % q for c in y[width:]]
 
 
 def preimage_span(

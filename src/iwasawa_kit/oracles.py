@@ -2,28 +2,36 @@
 
 Everything here is deliberately independent of the Howell/minor machinery:
 spans are closed by exhaustive addition, annihilation is checked element by
-element. Used by the test suite and the selftest campaigns to cross-check the
-fast paths on small instances.
+element; a row adds the cosets x + k.row of the span until a multiple of it
+falls back in (none when the row already lies in it). Used by the test suite
+and the selftest campaigns to cross-check the fast paths on small instances.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .fitting import FiniteCommAlgebra, FinPresModule, IdealHandle
+from .fitting import FiniteCommAlgebra, IdealHandle
 from .linalg import ZModPN
 
 
 def enumerate_span(rows: list[list[int]], width: int, R: ZModPN) -> set[tuple[int, ...]]:
-    """All Z/p^N-combinations of the rows, by exhaustive closure."""
+    """All Z/p^N-combinations of the rows, by exhaustive closure over cosets."""
     q = R.q
-    out = {(0,) * width}
+    span = {(0,) * width}
     for r in rows:
         r = tuple(c % q for c in r)
-        out = {
-            tuple((a + k * b) % q for a, b in zip(x, r)) for x in out for k in range(q)
-        }
-    return out
+        if len(r) != width:
+            raise ValueError(f"row of length {len(r)} in a span of width {width}")
+        if r in span:
+            continue
+        grown = set(span)
+        shift = r
+        while shift not in span:
+            grown.update(tuple((a + b) % q for a, b in zip(x, shift)) for x in span)
+            shift = tuple((a + b) % q for a, b in zip(shift, r))
+        span = grown
+    return span
 
 
 def enumerate_ideal(algebra: FiniteCommAlgebra, generators) -> set[tuple[int, ...]]:
@@ -56,13 +64,3 @@ def annihilation_oracle(matrix: list[list[int]], orders: tuple[int, ...]) -> boo
             if sum(matrix[i][j] * x[j] for j in range(k)) % orders[i]:
                 return False
     return True
-
-
-def module_size(M: FinPresModule) -> int:
-    """|M| by exhaustive span enumeration of the relation realization."""
-    rows = []
-    for row in M.relations:
-        for i in range(M.algebra.dim):
-            rows.append(M._vec_to_flat(M.scale_row(M.algebra.basis_element(i), row)))
-    span = enumerate_span(rows, M.rwidth, M.algebra.R)
-    return M.algebra.q**M.rwidth // len(span)

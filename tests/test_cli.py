@@ -317,6 +317,24 @@ def test_verify_non_odd_prime_is_precondition(capsys, p):
     assert code == EXIT_PRECONDITION and err["exit"] == EXIT_PRECONDITION
 
 
+def test_non_integral_dual_action_is_check_failure(capsys, monkeypatch):
+    """A DualActionError from the dual presenter ends in exit 3 and one JSON
+    error carrying the witness, not a traceback."""
+    from iwasawa_kit import lvalues
+    from iwasawa_kit.fitting import DualActionError
+
+    def presenter(alg, vals, actions):
+        raise DualActionError(1, 0, 1)
+
+    monkeypatch.setattr(lvalues, "contragredient_presentation", presenter)
+    code, err = run_refused(
+        capsys, "verify", "--spec", "zeta23", "--S", "23,oo", "--T", "5", "--r", "0",
+        "--p", "3", "--N", "2", "--data", str(DATA / "table_z23_minus.json"),
+    )
+    assert code == EXIT_CHECK_FAILED and err["exit"] == EXIT_CHECK_FAILED
+    assert err["witness"] == [1, 0, 1] and "not integral" in err["error"]
+
+
 def test_missing_files_are_io_errors(capsys):
     code, _ = run(capsys, "theta", "--spec", "nosuch.json", "--S", "oo")
     assert code == EXIT_IO

@@ -8,11 +8,13 @@ import pytest
 from iwasawa_kit.abelian import FiniteAbelianGroup
 from iwasawa_kit.fitting import (
     AlgebraMorphism,
+    DualActionError,
     FinPresModule,
     GroupAlgebra,
     IdealHandle,
     ModuleMap,
     base_change_fitting,
+    contragredient_presentation,
     dual_presentation,
     e1_sharp_check,
     four_term_check,
@@ -29,11 +31,7 @@ from iwasawa_kit.fitting import (
     zero_ideal,
     zmod_algebra,
 )
-from iwasawa_kit.oracles import (
-    ideal_equal_oracle,
-    ideal_member_oracle,
-    module_size,
-)
+from iwasawa_kit.oracles import enumerate_span, ideal_equal_oracle, ideal_member_oracle
 
 C2 = FiniteAbelianGroup((2,))
 C3 = FiniteAbelianGroup((3,))
@@ -143,6 +141,16 @@ def test_fitting_contained_in_annihilator():
                 assert M.annihilator_check(gen)
 
 
+def module_size(M: FinPresModule) -> int:
+    """|M| by exhaustive span enumeration of the relation realization."""
+    rows = []
+    for row in M.relations:
+        for i in range(M.algebra.dim):
+            rows.append(M._vec_to_flat(M.scale_row(M.algebra.basis_element(i), row)))
+    span = enumerate_span(rows, M.rwidth, M.algebra.R)
+    return M.algebra.q**M.rwidth // len(span)
+
+
 def test_module_size_and_realization():
     alg = A_z9c2()
     three = alg.scalar(3, alg.one)
@@ -212,6 +220,19 @@ def test_pontryagin_dual_basics():
     annM = {x for x in alg.elements() if M.annihilator_check(x)}
     annD = {x for x in alg.elements() if D.annihilator_check(x)}
     assert annM == {alg.sharp_of(x) for x in annD}
+
+
+def test_contragredient_presentation_refuses_a_non_integral_action():
+    # sigma sends e_0 (order 3) to e_1 (order 9) on Z/3 + Z/9 over (Z/9)[C2]:
+    # not well defined, and the dual action would need X[0][1] * 3 / 9.
+    alg = A_z9c2()
+    sigma = alg.group_element_vector((1,))
+    X = [[0, 1], [1, 0]]
+    with pytest.raises(DualActionError) as exc:
+        contragredient_presentation(alg, [1, 2], [(sigma, X)])
+    assert exc.value.witness == (1, 0, 1)
+    D = contragredient_presentation(alg, [2, 2], [(sigma, X)])
+    assert D.size() == 81
 
 
 def test_pontryagin_dual_matches_dual_presentation_fitting():

