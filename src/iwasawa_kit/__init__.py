@@ -67,7 +67,6 @@ from .lvalues import (
     annihilation_check,
     delta_t,
     dirichlet_l_nonpos,
-    euler_enlarge,
     fitting_membership_check,
     partial_zeta_vector,
     theta,

@@ -262,14 +262,51 @@ def run_complex(config: dict) -> tuple[dict, int]:
     return cert, EXIT_OK if cert["result"]["ok"] else EXIT_CHECK_FAILED
 
 
+def complex_vector(value, dim: int, what: str) -> tuple:
+    """An algebra element of a complex file: a list of dim JSON integers."""
+    if not isinstance(value, list) or len(value) != dim or any(type(c) is not int for c in value):
+        raise CliError(EXIT_IO, f"bad complex file: {what} must be {dim} integers, got {value!r}")
+    return tuple(value)
+
+
+def complex_row(value, dim: int, what: str, length: int | None = None) -> list[tuple]:
+    """A list of algebra elements, of the given length when one is given."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        raise CliError(EXIT_IO, f"bad complex file: {what} must be a list of vectors, got {value!r}")
+    return [complex_vector(e, dim, what) for e in value]
+
+
+def complex_matrix(value, dim: int, what: str) -> list[list[tuple]]:
+    if not isinstance(value, list):
+        raise CliError(EXIT_IO, f"bad complex file: {what} must be a list of rows")
+    return [complex_row(row, dim, what) for row in value]
+
+
+def complex_algebra(obj: dict) -> FiniteCommAlgebra:
+    """The algebra of a complex file, every vector checked before it is built."""
+    basis = obj["basis"]
+    if not isinstance(basis, list):
+        raise CliError(EXIT_IO, "bad complex file: algebra basis must be a list")
+    dim = len(basis)
+    complex_vector(obj["one"], dim, "one")
+    mult = obj["mult"]
+    if not isinstance(mult, list) or len(mult) != dim:
+        raise CliError(EXIT_IO, f"bad complex file: mult must have {dim} rows")
+    for row in mult:
+        complex_row(row, dim, "mult", dim)
+    if obj.get("sharp") is not None:
+        complex_row(obj["sharp"], dim, "sharp", dim)
+    return FiniteCommAlgebra.from_json(obj)
+
+
 def _run_complex_file(config: dict) -> tuple[dict, int]:
     obj = config["complex_data"]
     try:
-        alg = FiniteCommAlgebra.from_json(obj["algebra"])
+        alg = complex_algebra(obj["algebra"])
         alg.validate()
         lo = int(obj["degrees"][0])
         modules = [
-            FinPresModule(alg, int(m["ngens"]), [[tuple(e) for e in row] for row in m["relations"]])
+            FinPresModule(alg, int(m["ngens"]), complex_matrix(m["relations"], alg.dim, "relation"))
             for m in obj["modules"]
         ]
         from .complexes import BoundedComplex
@@ -277,7 +314,7 @@ def _run_complex_file(config: dict) -> tuple[dict, int]:
         diffs = []
         for i, mat in enumerate(obj["differentials"]):
             diffs.append(
-                ModuleMap(modules[i], modules[i + 1], [[tuple(e) for e in row] for row in mat])
+                ModuleMap(modules[i], modules[i + 1], complex_matrix(mat, alg.dim, "differential"))
             )
         cx = BoundedComplex(alg, lo, modules, diffs)
     except (KeyError, IndexError, TypeError) as exc:

@@ -15,7 +15,7 @@ from .fitting import (
     subquotient_presentation,
     unit_ideal,
 )
-from .linalg import howell_form, preimage_span, span_size
+from .linalg import combine, howell_form, preimage_span, span_size
 
 
 class BoundedComplex:
@@ -214,7 +214,7 @@ def quasi_iso_check(f: ChainMap) -> bool:
     """
     f.validate()
     src, dst = f.src, f.dst
-    R = src.algebra.R
+    R, q = src.algebra.R, src.algebra.q
     for i in range(min(src.lo, dst.lo), max(src.hi, dst.hi) + 1):
         Ms, Md = src.module_at(i), dst.module_at(i)
         if Ms is None or Md is None:
@@ -229,24 +229,11 @@ def quasi_iso_check(f: ChainMap) -> bool:
         Zs, Bs = src._cocycle_span(i), src._coboundary_span(i)
         Zd, Bd = dst._cocycle_span(i), dst._coboundary_span(i)
         # map the source cocycle generators through the realization
-        mapped = []
-        for z in Zs:
-            img = [0] * Md.rwidth
-            for idx, c in enumerate(z):
-                if c:
-                    row = level.realization_rows[idx]
-                    img = [(a + c * b) % src.algebra.q for a, b in zip(img, row)]
-            mapped.append(img)
+        mapped = [combine(z, level.realization_rows, Md.rwidth, q) for z in Zs]
         # injectivity on cohomology
         pre_b = preimage_span(mapped, Bd, Md.rwidth, R)
         # pre_b lives in coefficients of Zs rows: convert to ambient span
-        amb = []
-        for y in pre_b:
-            vec = [0] * Ms.rwidth
-            for idx, c in enumerate(y):
-                if c:
-                    vec = [(a + c * b) % src.algebra.q for a, b in zip(vec, Zs[idx])]
-            amb.append(vec)
+        amb = [combine(y, Zs, Ms.rwidth, q) for y in pre_b]
         ker_coh = howell_form(amb + [list(r) for r in Bs], Ms.rwidth, R)
         if ker_coh != howell_form([list(r) for r in Bs], Ms.rwidth, R):
             return False

@@ -8,7 +8,11 @@ representation. Ideal handles canonicalize through that form, so ideal
 equality and membership are exact.
 
 Vector layout for the realization of A^n: component-major, index(c, i) =
-c*dim + i for component c and algebra-basis index i.
+c*dim + i for component c and algebra-basis index i. `FiniteCommAlgebra.realize`
+(the dim rows basis_i * row of a row of A^n) and `FiniteCommAlgebra.split`
+(a flattened row back to its n components) are the only code that knows it;
+`flatten` is plain concatenation, and every map on A^n is a
+`linalg.combine` of realized rows.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .abelian import FiniteAbelianGroup
 from .groupring import basis_index
 from .linalg import (
     ZModPN,
+    combine,
     howell_form,
     in_span,
     matrix_inverse,
@@ -71,9 +76,6 @@ class FiniteCommAlgebra:
     def zero(self) -> Vec:
         return (0,) * self.dim
 
-    def unit(self) -> Vec:
-        return self.one
-
     def basis_element(self, i: int) -> Vec:
         return self._basis_vectors[i]
 
@@ -104,12 +106,7 @@ class FiniteCommAlgebra:
     def sharp_of(self, x: Vec) -> Vec:
         if self.sharp_images is None:
             raise ValueError(f"{self.name} carries no # involution")
-        out = [0] * self.dim
-        for i, a in enumerate(x):
-            if a:
-                for k, c in enumerate(self.sharp_images[i]):
-                    out[k] += a * c
-        return tuple(c % self.q for c in out)
+        return tuple(combine(x, self.sharp_images, self.dim, self.q))
 
     def regular_rows(self, x: Vec) -> list[list[int]]:
         """Rows of multiplication-by-x: row j = x * basis_j."""
@@ -124,10 +121,25 @@ class FiniteCommAlgebra:
             rows.append([c % q for c in out])
         return rows
 
-    def is_regular(self, x: Vec) -> bool:
-        """x is a nonzerodivisor iff multiplication by x is injective."""
-        H = howell_form(self.regular_rows(x), self.dim, self.R)
-        return span_size(H, self.R) == self.q**self.dim
+    # -- the realization of A^n (component-major flattened rows) -----------
+
+    def realize(self, row: list[Vec]) -> list[list[int]]:
+        """The dim rows basis_i * row of A^n, flattened: the realization of
+        the A-submodule that row generates."""
+        rows: list[list[int]] = [[] for _ in range(self.dim)]
+        for entry in row:
+            for out, block in zip(rows, self.regular_rows(entry)):
+                out.extend(block)
+        return rows
+
+    def split(self, flat: list[int]) -> list[Vec]:
+        """The components of a flattened row of A^n; inverse of flatten."""
+        d = self.dim
+        return [tuple(flat[k : k + d]) for k in range(0, len(flat), d)]
+
+    @staticmethod
+    def flatten(row: list[Vec]) -> list[int]:
+        return [c for entry in row for c in entry]
 
     def is_unit(self, x: Vec) -> bool:
         return in_span(list(self.one), howell_form(self.regular_rows(x), self.dim, self.R), self.R)
@@ -235,12 +247,7 @@ class AlgebraMorphism:
         self.images = [tuple(c % dst.q for c in v) for v in images]
 
     def apply(self, x: Vec) -> Vec:
-        out = [0] * self.dst.dim
-        for i, a in enumerate(x):
-            if a:
-                for k, c in enumerate(self.images[i]):
-                    out[k] += a * c
-        return tuple(c % self.dst.q for c in out)
+        return tuple(combine(x, self.images, self.dst.dim, self.dst.q))
 
     def check_homomorphism(self) -> None:
         if self.apply(self.src.one) != self.dst.one:
@@ -298,10 +305,8 @@ def nilpotent_extension(alg: FiniteCommAlgebra, M: int) -> FiniteCommAlgebra:
     dim = alg.dim * M
     basis = [(b, k) for k in range(M) for b in alg.basis]
 
-    def embed(v: Vec, k: int) -> Vec:
-        out = [0] * dim
-        out[k * alg.dim : (k + 1) * alg.dim] = list(v)
-        return tuple(out)
+    def embed(v: Vec, k: int) -> Vec:  # v T^k, a row of alg^M
+        return tuple(alg.flatten([v if j == k else alg.zero() for j in range(M)]))
 
     mult = []
     for k1 in range(M):
@@ -385,9 +390,6 @@ class IdealHandle:
     def is_zero(self) -> bool:
         return not self.howell
 
-    def is_unit_ideal(self) -> bool:
-        return self.contains_element(self.algebra.one)
-
     def size(self) -> int:
         return span_size(self.howell, self.algebra.R)
 
@@ -421,37 +423,17 @@ class FinPresModule:
     def rwidth(self) -> int:
         return self.algebra.dim * self.ngens
 
-    def _vec_to_flat(self, row: list[Vec]) -> list[int]:
-        out: list[int] = []
-        for entry in row:
-            out.extend(entry)
-        return out
-
-    def _flat_to_vec(self, flat: list[int]) -> list[Vec]:
-        d = self.algebra.dim
-        return [tuple(flat[c * d : (c + 1) * d]) for c in range(self.ngens)]
-
-    def scale_row(self, b: Vec, row: list[Vec]) -> list[Vec]:
-        return [self.algebra.mul(b, entry) for entry in row]
-
     @cached_property
     def relation_span(self) -> list[list[int]]:
-        rows = []
-        for row in self.relations:
-            for i in range(self.algebra.dim):
-                rows.append(self._vec_to_flat(self.scale_row(self.algebra.basis_element(i), row)))
+        rows = [r for row in self.relations for r in self.algebra.realize(row)]
         return howell_form(rows, self.rwidth, self.algebra.R)
 
     def size(self) -> int:
         total = self.algebra.q**self.rwidth
         return total // span_size(self.relation_span, self.algebra.R)
 
-    def element_nf(self, row: list[Vec]) -> list[Vec]:
-        flat = reduce_mod_span(self._vec_to_flat(row), self.relation_span, self.algebra.R)
-        return self._flat_to_vec(flat)
-
     def is_zero_element(self, row: list[Vec]) -> bool:
-        return in_span(self._vec_to_flat(row), self.relation_span, self.algebra.R)
+        return in_span(self.algebra.flatten(row), self.relation_span, self.algebra.R)
 
     @cached_property
     def fitting_ideal(self) -> IdealHandle:
@@ -501,7 +483,7 @@ class FinPresModule:
 def _det(algebra: FiniteCommAlgebra, rows: list[list[Vec]]) -> Vec:
     n = len(rows)
     if n == 0:
-        return algebra.unit()
+        return algebra.one
     if n == 1:
         return rows[0][0]
     out = algebra.zero()
@@ -536,22 +518,9 @@ def quadratic_presentation_certificate(
         raise ValueError("certificate needs the same algebra at precision N+1")
     R = alg_lifted.R
     width = alg_lifted.dim * n
-    rows = []
-    for row in h:
-        for i in range(alg_lifted.dim):
-            flat: list[int] = []
-            for entry in row:
-                flat.extend(alg_lifted.mul(alg_lifted.basis_element(i), tuple(entry)))
-            rows.append(flat)
-    H = howell_form(rows, width, R)
+    H = howell_form([r for row in h for r in alg_lifted.realize(row)], width, R)
     pN = alg.p**alg.N
-    for c in range(n):
-        for i in range(alg.dim):
-            vec = [0] * width
-            vec[c * alg.dim + i] = pN
-            if not in_span(vec, H, R):
-                return False
-    return True
+    return all(in_span([pN * (k == j) for k in range(width)], H, R) for j in range(width))
 
 
 # ---------------------------------------------------------------------------
@@ -568,24 +537,14 @@ class ModuleMap:
 
     def apply_row(self, row: list[Vec]) -> list[Vec]:
         alg = self.src.algebra
-        out = [alg.zero() for _ in range(self.dst.ngens)]
-        for c, entry in enumerate(row):
-            if any(entry):
-                for d in range(self.dst.ngens):
-                    out[d] = alg.add(out[d], alg.mul(entry, self.matrix[c][d]))
-        return out
+        flat = combine(alg.flatten(row), self.realization_rows, self.dst.rwidth, alg.q)
+        return alg.split(flat)
 
     @cached_property
     def realization_rows(self) -> list[list[int]]:
-        """Rows indexed by (component c, basis i) of the source realization."""
-        alg = self.src.algebra
-        rows = []
-        for c in range(self.src.ngens):
-            for i in range(alg.dim):
-                row = [alg.zero() for _ in range(self.src.ngens)]
-                row[c] = alg.basis_element(i)
-                rows.append(self.dst._vec_to_flat(self.apply_row(row)))
-        return rows
+        """Rows indexed by (component c, basis i) of the source realization:
+        the image of basis_i at generator c."""
+        return [r for row in self.matrix for r in self.src.algebra.realize(row)]
 
     def is_well_defined(self) -> bool:
         return all(self.dst.is_zero_element(self.apply_row(r)) for r in self.src.relations)
@@ -626,7 +585,7 @@ class ModuleMap:
 def identity_map(M: FinPresModule) -> ModuleMap:
     alg = M.algebra
     mat = [
-        [alg.unit() if d == c else alg.zero() for d in range(M.ngens)]
+        [alg.one if d == c else alg.zero() for d in range(M.ngens)]
         for c in range(M.ngens)
     ]
     return ModuleMap(M, M, mat)
@@ -665,27 +624,13 @@ def subquotient_presentation(
     gens = [r for r in Zh]
     t = len(gens)
 
-    def chunk(flat: list[int]) -> list[Vec]:
-        return [tuple(flat[c * algebra.dim : (c + 1) * algebra.dim]) for c in range(ncomp)]
-
-    def act(b: Vec, flat: list[int]) -> list[int]:
-        out: list[int] = []
-        for entry in chunk(flat):
-            out.extend(algebra.mul(b, entry))
-        return out
+    gens_ambient = [algebra.split(g) for g in gens]
 
     # Relations: {u in A^t : sum_k u_k z_k in B}, computed on realizations.
-    act_rows = []
-    for g in gens:
-        for i in range(algebra.dim):
-            act_rows.append(act(algebra.basis_element(i), g))
+    act_rows = [r for g in gens_ambient for r in algebra.realize(g)]
     rel_flat = preimage_span(act_rows, Bh, width, R) if t else []
-    relations = []
-    for w in rel_flat:
-        row = [tuple(w[k * algebra.dim : (k + 1) * algebra.dim]) for k in range(t)]
-        relations.append(row)
-    module = FinPresModule(algebra, t, relations)
-    return SubquotientData(module, [chunk(g) for g in gens])
+    module = FinPresModule(algebra, t, [algebra.split(w) for w in rel_flat])
+    return SubquotientData(module, gens_ambient)
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +681,7 @@ def contragredient_presentation(
     relations: list[list[Vec]] = []
     for idx, a in enumerate(keep):
         row = [alg.zero()] * k
-        row[idx] = alg.scalar(p ** vals[a], alg.unit())
+        row[idx] = alg.scalar(p ** vals[a], alg.one)
         relations.append(row)
     for b, X in actions:
         for idx, a in enumerate(keep):
@@ -745,7 +690,7 @@ def contragredient_presentation(
                 num, den = X[t][a] * p ** vals[t], p ** vals[a]
                 if num % den:
                     raise DualActionError(a, t, X[t][a])
-                row.append(alg.scalar(-(num // den), alg.unit()))
+                row.append(alg.scalar(-(num // den), alg.one))
             row[idx] = alg.add(row[idx], b)
             relations.append(row)
     return FinPresModule(alg, k, relations)
@@ -773,17 +718,15 @@ def pontryagin_dual(M: FinPresModule) -> FinPresModule:
     Vinv = matrix_inverse(V, R)
 
     def transported_action(bvec: Vec) -> list[list[int]]:
-        """Matrix of multiplication by bvec in y-coordinates: e_t -> row T[t]."""
-        rows = []
-        for t in range(w):
-            x = Vinv[t]  # x-coordinates of the t-th y-basis vector
-            out = [0] * w
-            for c in range(M.ngens):
-                entry = tuple(x[c * alg.dim : (c + 1) * alg.dim])
-                prod = alg.mul(bvec, entry)
-                out[c * alg.dim : (c + 1) * alg.dim] = list(prod)
-            rows.append([sum(out[i] * V[i][j] for i in range(w)) % q for j in range(w)])
-        return rows
+        """Matrix of multiplication by bvec in y-coordinates: e_t -> row T[t].
+        Row t of Vinv holds the x-coordinates of the t-th y-basis vector."""
+        zero = alg.zero()
+        scaled = [  # bvec * (basis_i at generator c), taken to y-coordinates
+            combine(r, V, w, q)
+            for c in range(M.ngens)
+            for r in alg.realize([bvec if d == c else zero for d in range(M.ngens)])
+        ]
+        return [combine(x, scaled, w, q) for x in Vinv]
 
     actions = (
         (b, transported_action(alg.sharp_of(b)))

@@ -122,6 +122,15 @@ def preimage_span(
     return howell_form(ker, n, R)
 
 
+def combine(x: list[int], rows: list[list[int]], width: int, q: int) -> list[int]:
+    """sum_i x_i rows_i mod q, skipping the zero coefficients."""
+    out = [0] * width
+    for c, r in zip(x, rows):
+        if c:
+            out = [a + c * b for a, b in zip(out, r)]
+    return [a % q for a in out]
+
+
 def span_size(howell: list[list[int]], R: ZModPN) -> int:
     size = 1
     for r in howell:

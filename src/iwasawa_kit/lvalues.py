@@ -113,13 +113,6 @@ def _t_factors(pres, T, r: int) -> list:
     return out
 
 
-def euler_enlarge(x: tuple, spec_or_pres, v: int, r: int) -> tuple:
-    """Multiply by the removed Euler factor (1 - Nv^(-r) sigma_v^(-1))."""
-    pres = _presentation(spec_or_pres)
-    grp = pres.group
-    return _times_one_minus(x, grp, grp.inv(pres.frobenius(v)), Q(v) ** (-r))
-
-
 def delta_t(spec_or_pres, T, r: int) -> tuple:
     """delta_T(r) = prod_{v in T} (1 - v^(1-r) sigma_v^(-1)) in Q[G]."""
     pres = _presentation(spec_or_pres)

@@ -360,25 +360,45 @@ def test_complex_command_campaign(capsys):
     assert cert["result"]["ok"] is True
 
 
-def test_complex_command_ingestion(tmp_path, capsys):
+def complex_payload(differential=(3,), one=(1,)):
+    """The one-term complex Z/9 --3--> Z/9 of the ingestion test, with its
+    differential entry and unit vector replaceable."""
     from iwasawa_kit.fitting import zmod_algebra
 
-    alg = zmod_algebra(3, 2)
-    payload = {
-        "algebra": alg.to_json(),
+    alg = zmod_algebra(3, 2).to_json()
+    alg["one"] = list(one)
+    return {
+        "algebra": alg,
         "degrees": [0, 1],
-        "modules": [
-            {"ngens": 1, "relations": []},
-            {"ngens": 1, "relations": []},
-        ],
-        "differentials": [[[[3]]]],
+        "modules": [{"ngens": 1, "relations": []}, {"ngens": 1, "relations": []}],
+        "differentials": [[[list(differential)]]],
     }
+
+
+def test_complex_command_ingestion(tmp_path, capsys):
     path = tmp_path / "complex.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(json.dumps(complex_payload()))
     code, cert = run(capsys, "complex", "--data", str(path))
     assert code == EXIT_OK
     assert cert["result"]["cohomology_sizes"] == {"0": 3, "1": 3}
     assert cert["result"]["acyclic"] is False
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        complex_payload(differential=(3, 4)),
+        complex_payload(differential=(3.0,)),
+        complex_payload(differential=()),
+        complex_payload(one=(1, 0)),
+    ],
+    ids=["long-entry", "float-entry", "empty-entry", "long-one"],
+)
+def test_complex_data_refuses_malformed_vectors(tmp_path, capsys, payload):
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(payload))
+    code, err = run_refused(capsys, "complex", "--data", str(path))
+    assert code == EXIT_IO and err["exit"] == EXIT_IO
 
 
 def test_selftest_small_bounds(tmp_path, capsys):

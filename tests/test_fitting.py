@@ -143,11 +143,12 @@ def test_fitting_contained_in_annihilator():
 
 def module_size(M: FinPresModule) -> int:
     """|M| by exhaustive span enumeration of the relation realization."""
+    alg = M.algebra
     rows = []
     for row in M.relations:
-        for i in range(M.algebra.dim):
-            rows.append(M._vec_to_flat(M.scale_row(M.algebra.basis_element(i), row)))
-    span = enumerate_span(rows, M.rwidth, M.algebra.R)
+        for i in range(alg.dim):
+            rows.append([c for entry in row for c in alg.mul(alg.basis_element(i), entry)])
+    span = enumerate_span(rows, M.rwidth, alg.R)
     return M.algebra.q**M.rwidth // len(span)
 
 

@@ -211,4 +211,11 @@ def test_sparse_mul_matches_dense_reference(alg):
         assert rows == [list(mul_reference(alg, x, b)) for b in basis]
         for y in elements[-8:]:
             assert alg.mul(x, y) == mul_reference(alg, x, y)
+    for n in (1, 2, 3):
+        row = [rng.choice(elements) for _ in range(n)]
+        flat = [c for entry in row for c in entry]
+        assert alg.split(flat) == row
+        assert alg.realize(row) == [
+            [c for entry in row for c in mul_reference(alg, b, entry)] for b in basis
+        ]
     assert alg.q == alg.p**alg.N

