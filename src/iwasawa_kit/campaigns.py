@@ -606,28 +606,14 @@ def complex_invariant_campaign(seed: int = 0, trials: int = 100) -> CampaignResu
         # direct sum with the acyclic identity complex, inclusion quasi-iso
         acy = _two_term(alg, alg.one)
         lo = C.lo
-        mods = []
-        for i in range(C.lo, C.hi + 1):
-            Mc = C.module_at(i)
-            Ma = acy.module_at(i - lo)
-            mods.append(Mc.direct_sum(Ma) if Ma is not None else Mc)
+        mods = [C.module_at(i).direct_sum(acy.module_at(i - lo)) for i in C.degrees()]
         diffs = []
         for i in range(C.lo, C.hi):
-            dc = C.differential_at(i).matrix
-            na = acy.module_at(i - lo).ngens if acy.module_at(i - lo) else 0
-            na2 = acy.module_at(i - lo + 1).ngens if acy.module_at(i - lo + 1) else 0
-            nc, nc2 = C.module_at(i).ngens, C.module_at(i + 1).ngens
-            mat = [[alg.zero()] * (nc2 + na2) for _ in range(nc + na)]
-            for a_ in range(nc):
-                for b_ in range(nc2):
-                    mat[a_][b_] = dc[a_][b_]
-            da = acy.differential_at(i - lo)
-            if da is not None:
-                for a_ in range(na):
-                    for b_ in range(na2):
-                        mat[nc + a_][nc2 + b_] = da.matrix[a_][b_]
-            diffs.append(ModuleMap(mods[i - C.lo], mods[i - C.lo + 1], mat))
-        D = BoundedComplex(alg, C.lo, mods, diffs)
+            dc, da = C.differential_at(i), acy.differential_at(i - lo)
+            mat = [row + [alg.zero()] * da.dst.ngens for row in dc.matrix]
+            mat += [[alg.zero()] * dc.dst.ngens + row for row in da.matrix]
+            diffs.append(ModuleMap(mods[i - lo], mods[i - lo + 1], mat))
+        D = BoundedComplex(alg, lo, mods, diffs)
         maps = {}
         for i in range(C.lo, C.hi + 1):
             Mc, Md = C.module_at(i), D.module_at(i)

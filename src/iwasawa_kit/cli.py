@@ -283,7 +283,10 @@ def complex_matrix(value, dim: int, what: str) -> list[list[tuple]]:
 
 
 def complex_algebra(obj: dict) -> FiniteCommAlgebra:
-    """The algebra of a complex file, every vector checked before it is built."""
+    """The algebra of a complex file, every scalar and vector checked before
+    it is built."""
+    config_int(obj, "p")
+    config_int(obj, "N")
     basis = obj["basis"]
     if not isinstance(basis, list):
         raise CliError(EXIT_IO, "bad complex file: algebra basis must be a list")
@@ -304,11 +307,17 @@ def _run_complex_file(config: dict) -> tuple[dict, int]:
     try:
         alg = complex_algebra(obj["algebra"])
         alg.validate()
-        lo = int(obj["degrees"][0])
-        modules = [
-            FinPresModule(alg, int(m["ngens"]), complex_matrix(m["relations"], alg.dim, "relation"))
-            for m in obj["modules"]
-        ]
+        modules = []
+        for m in obj["modules"]:
+            ngens = config_int(m, "ngens")
+            if ngens < 0:
+                raise CliError(EXIT_IO, f"bad complex file: ngens must be non-negative, got {ngens}")
+            relations = complex_matrix(m["relations"], alg.dim, "relation")
+            modules.append(FinPresModule(alg, ngens, relations))
+        degrees, last = obj["degrees"], len(modules) - 1
+        types = [type(d) for d in degrees] if isinstance(degrees, list) else None
+        if types != [int, int] or degrees[1] != degrees[0] + last:
+            raise CliError(EXIT_IO, f"bad complex file: degrees must be integers [lo, lo + {last}], got {degrees!r}")
         from .complexes import BoundedComplex
 
         diffs = []
@@ -316,7 +325,7 @@ def _run_complex_file(config: dict) -> tuple[dict, int]:
             diffs.append(
                 ModuleMap(modules[i], modules[i + 1], complex_matrix(mat, alg.dim, "differential"))
             )
-        cx = BoundedComplex(alg, lo, modules, diffs)
+        cx = BoundedComplex(alg, degrees[0], modules, diffs)
     except (KeyError, IndexError, TypeError) as exc:
         raise CliError(EXIT_IO, f"bad complex file: {exc}") from exc
     except ValueError as exc:

@@ -2,6 +2,12 @@
 algebra: cohomology, shift, cone, quasi-isomorphism detection, and the
 Euler-Fitting invariant (the alternating product of Fitting ideals of
 cohomology, as an ideal pair to avoid division in non-domains).
+
+A complex is zero outside its degrees lo..hi: `module_at` is the zero module
+and `differential_at` the zero map there, so cohomology, chain maps, cones and
+exact sequences run one path in every degree. A chain map's level i is the
+given map, else the zero map when src^i or dst^i has no generators; a level
+missing between two modules with generators raises ValueError.
 """
 
 from __future__ import annotations
@@ -14,12 +20,15 @@ from .fitting import (
     ModuleMap,
     subquotient_presentation,
     unit_ideal,
+    zero_map,
 )
 from .linalg import combine, howell_form, preimage_span, span_size
 
 
 class BoundedComplex:
-    """Cochain complex with degrees lo..hi; differentials[i]: C^i -> C^(i+1).
+    """Cochain complex with degrees lo..hi; differentials[i]: C^(lo+i) ->
+    C^(lo+i+1), and zero outside lo..hi: `module_at(i)` is the zero module and
+    `differential_at(i)` the zero map there.
 
     d(i+1) o d(i) = 0 and well-definedness of each differential are verified
     on construction.
@@ -64,51 +73,30 @@ class BoundedComplex:
     def degrees(self) -> range:
         return range(self.lo, self.hi + 1)
 
-    def module_at(self, i: int) -> FinPresModule | None:
+    def module_at(self, i: int) -> FinPresModule:
         if self.lo <= i <= self.hi:
             return self.modules[i - self.lo]
-        return None
+        return FinPresModule(self.algebra, 0, [])
 
-    def differential_at(self, i: int) -> ModuleMap | None:
+    def differential_at(self, i: int) -> ModuleMap:
         if self.lo <= i < self.hi:
             return self.differentials[i - self.lo]
-        return None
+        return zero_map(self.module_at(i), self.module_at(i + 1))
 
     # -- cohomology --------------------------------------------------------
-
-    def _cocycle_span(self, i: int):
-        M = self.module_at(i)
-        d = self.differential_at(i)
-        if d is None:
-            full = [
-                [int(r == c) for c in range(M.rwidth)] for r in range(M.rwidth)
-            ]
-            return howell_form(full, M.rwidth, self.algebra.R)
-        return d.kernel_span
-
-    def _coboundary_span(self, i: int):
-        M = self.module_at(i)
-        dprev = self.differential_at(i - 1)
-        if dprev is None:
-            return M.relation_span
-        return dprev.image_span
 
     def cohomology(self, i: int) -> FinPresModule:
         """H^i = ker(d^i)/im(d^(i-1)) with a derived presentation over the
         algebra (Howell kernels and spans over Z/p^N)."""
-        M = self.module_at(i)
-        if M is None:
-            return FinPresModule(self.algebra, 0, [])
-        Z = self._cocycle_span(i)
-        B = self._coboundary_span(i)
-        return subquotient_presentation(self.algebra, M.ngens, Z, B).module
+        Z = self.differential_at(i).kernel_span
+        B = self.differential_at(i - 1).image_span
+        return subquotient_presentation(self.algebra, self.module_at(i).ngens, Z, B).module
 
     def cohomology_size(self, i: int) -> int:
-        M = self.module_at(i)
-        if M is None:
-            return 1
         R = self.algebra.R
-        return span_size(self._cocycle_span(i), R) // span_size(self._coboundary_span(i), R)
+        Z = self.differential_at(i).kernel_span
+        B = self.differential_at(i - 1).image_span
+        return span_size(Z, R) // span_size(B, R)
 
     def is_acyclic(self) -> bool:
         return all(self.cohomology_size(i) == 1 for i in self.degrees())
@@ -174,33 +162,27 @@ class ChainMap:
     dst: BoundedComplex
     maps: dict[int, ModuleMap]
 
+    def at(self, i: int) -> ModuleMap:
+        """Level i: the given map, else the zero map when src^i or dst^i has
+        no generators; a missing level between generators raises."""
+        if i in self.maps:
+            return self.maps[i]
+        M, N = self.src.module_at(i), self.dst.module_at(i)
+        if M.ngens and N.ngens:
+            raise ValueError(f"chain map misses level {i}")
+        return zero_map(M, N)
+
     def validate(self) -> None:
         for i, f in self.maps.items():
             if not f.is_well_defined():
                 raise ValueError(f"chain map level {i} is not well defined")
+        alg = self.src.algebra
         for i in self.src.degrees():
-            if self.src.module_at(i) is None:
-                continue
-            f_i = self.maps.get(i)
-            d_src = self.src.differential_at(i)
-            d_dst = self.dst.differential_at(i)
-            lhs = None
-            if f_i is not None and d_dst is not None:
-                lhs = f_i.compose(d_dst)
-            rhs = None
-            if d_src is not None and self.maps.get(i + 1) is not None:
-                rhs = d_src.compose(self.maps[i + 1])
-            if lhs is None and rhs is None:
-                continue
+            lhs = self.at(i).compose(self.dst.differential_at(i))
+            rhs = self.src.differential_at(i).compose(self.at(i + 1))
             target = self.dst.module_at(i + 1)
-            if target is None:
-                continue
-            nsrc = self.src.module_at(i).ngens
-            zero_mat = [[target.algebra.zero()] * target.ngens for _ in range(nsrc)]
-            lmat = lhs.matrix if lhs else zero_mat
-            rmat = rhs.matrix if rhs else zero_mat
-            for row_l, row_r in zip(lmat, rmat):
-                diff = [target.algebra.sub(a, b) for a, b in zip(row_l, row_r)]
+            for row_l, row_r in zip(lhs.matrix, rhs.matrix):
+                diff = [alg.sub(a, b) for a, b in zip(row_l, row_r)]
                 if not target.is_zero_element(diff):
                     raise ValueError(f"chain map does not commute with d at degree {i}")
 
@@ -216,81 +198,38 @@ def quasi_iso_check(f: ChainMap) -> bool:
     src, dst = f.src, f.dst
     R, q = src.algebra.R, src.algebra.q
     for i in range(min(src.lo, dst.lo), max(src.hi, dst.hi) + 1):
-        Ms, Md = src.module_at(i), dst.module_at(i)
-        if Ms is None or Md is None:
-            hs = src.cohomology_size(i) if Ms is not None else 1
-            hd = dst.cohomology_size(i) if Md is not None else 1
-            if hs != hd or hs != 1:
-                return False
-            continue
-        level = f.maps.get(i)
-        if level is None:
-            raise ValueError(f"chain map misses level {i}")
-        Zs, Bs = src._cocycle_span(i), src._coboundary_span(i)
-        Zd, Bd = dst._cocycle_span(i), dst._coboundary_span(i)
+        ws, wd = src.module_at(i).rwidth, dst.module_at(i).rwidth
+        Zs, Bs = src.differential_at(i).kernel_span, src.differential_at(i - 1).image_span
+        Zd, Bd = dst.differential_at(i).kernel_span, dst.differential_at(i - 1).image_span
         # map the source cocycle generators through the realization
-        mapped = [combine(z, level.realization_rows, Md.rwidth, q) for z in Zs]
+        mapped = [combine(z, f.at(i).realization_rows, wd, q) for z in Zs]
         # injectivity on cohomology
-        pre_b = preimage_span(mapped, Bd, Md.rwidth, R)
+        pre_b = preimage_span(mapped, Bd, wd, R)
         # pre_b lives in coefficients of Zs rows: convert to ambient span
-        amb = [combine(y, Zs, Ms.rwidth, q) for y in pre_b]
-        ker_coh = howell_form(amb + [list(r) for r in Bs], Ms.rwidth, R)
-        if ker_coh != howell_form([list(r) for r in Bs], Ms.rwidth, R):
+        amb = [combine(y, Zs, ws, q) for y in pre_b]
+        if howell_form(amb + Bs, ws, R) != howell_form(Bs, ws, R):
             return False
         # surjectivity on cohomology
-        image_plus_b = howell_form(mapped + [list(r) for r in Bd], Md.rwidth, R)
-        if image_plus_b != Zd:
+        if howell_form(mapped + Bd, wd, R) != Zd:
             return False
     return True
 
 
 def cone(f: ChainMap) -> BoundedComplex:
     """Mapping cone: cone(f)^i = src^(i+1) (+) dst^i with differential
-    (x, y) -> (-d x, f(x) + d y)."""
+    (x, y) -> (-d x, f(x) + d y), the block matrix [[-d_src, f], [0, d_dst]]."""
     f.validate()
     src, dst = f.src, f.dst
     alg = src.algebra
     lo = min(src.lo - 1, dst.lo)
     hi = max(src.hi - 1, dst.hi)
-    modules = []
-    for i in range(lo, hi + 1):
-        Ms = src.module_at(i + 1)
-        Md = dst.module_at(i)
-        parts = []
-        if Ms is not None:
-            parts.append(Ms)
-        if Md is not None:
-            parts.append(Md)
-        if not parts:
-            modules.append(FinPresModule(alg, 0, []))
-        elif len(parts) == 1:
-            modules.append(parts[0])
-        else:
-            modules.append(parts[0].direct_sum(parts[1]))
+    modules = [src.module_at(i + 1).direct_sum(dst.module_at(i)) for i in range(lo, hi + 1)]
     diffs = []
     for i in range(lo, hi):
-        M_here, M_next = modules[i - lo], modules[i - lo + 1]
-        ns = src.module_at(i + 1).ngens if src.module_at(i + 1) else 0
-        nd = dst.module_at(i).ngens if dst.module_at(i) else 0
-        ns2 = src.module_at(i + 2).ngens if src.module_at(i + 2) else 0
-        nd2 = dst.module_at(i + 1).ngens if dst.module_at(i + 1) else 0
-        mat = [[alg.zero()] * (ns2 + nd2) for _ in range(ns + nd)]
-        d_src = src.differential_at(i + 1)
-        if d_src is not None:
-            for a in range(ns):
-                for b in range(ns2):
-                    mat[a][b] = alg.neg(d_src.matrix[a][b])
-        level = f.maps.get(i + 1)
-        if level is not None and ns and nd2:
-            for a in range(ns):
-                for b in range(nd2):
-                    mat[a][ns2 + b] = level.matrix[a][b]
-        d_dst = dst.differential_at(i)
-        if d_dst is not None:
-            for a in range(nd):
-                for b in range(nd2):
-                    mat[ns + a][ns2 + b] = d_dst.matrix[a][b]
-        diffs.append(ModuleMap(M_here, M_next, mat))
+        d_src, level, d_dst = src.differential_at(i + 1), f.at(i + 1), dst.differential_at(i)
+        mat = [[alg.neg(e) for e in a] + b for a, b in zip(d_src.matrix, level.matrix)]
+        mat += [[alg.zero()] * d_src.dst.ngens + row for row in d_dst.matrix]
+        diffs.append(ModuleMap(modules[i - lo], modules[i - lo + 1], mat))
     return BoundedComplex(alg, lo, modules, diffs)
 
 
@@ -310,26 +249,18 @@ class ComplexSES:
     def verify_exact(self) -> None:
         self.inc.validate()
         self.quo.validate()
-        lo = min(self.c1.lo, self.c2.lo, self.c3.lo)
-        hi = max(self.c1.hi, self.c2.hi, self.c3.hi)
-        for i in range(lo, hi + 1):
-            M1, M2, M3 = (c.module_at(i) for c in (self.c1, self.c2, self.c3))
-            sz = lambda M: 1 if M is None else M.size()
-            if sz(M2) != sz(M1) * sz(M3):
+        cs = (self.c1, self.c2, self.c3)
+        for i in range(min(c.lo for c in cs), max(c.hi for c in cs) + 1):
+            M1, M2, M3 = (c.module_at(i) for c in cs)
+            if M2.size() != M1.size() * M3.size():
                 raise ValueError(f"sizes are not multiplicative at degree {i}")
-            if M2 is None:
-                continue
-            f = self.inc.maps.get(i) if M1 is not None else None
-            g = self.quo.maps.get(i) if M3 is not None else None
-            if M1 is not None:
-                if f is None or not f.is_injective():
-                    raise ValueError(f"inclusion not injective at degree {i}")
-            if M3 is not None:
-                if g is None or not g.is_surjective():
-                    raise ValueError(f"quotient not surjective at degree {i}")
-            if M1 is not None and M3 is not None:
-                if f.image_span != g.kernel_span:
-                    raise ValueError(f"not exact in the middle at degree {i}")
+            f, g = self.inc.at(i), self.quo.at(i)
+            if not f.is_injective():
+                raise ValueError(f"inclusion not injective at degree {i}")
+            if not g.is_surjective():
+                raise ValueError(f"quotient not surjective at degree {i}")
+            if f.image_span != g.kernel_span:
+                raise ValueError(f"not exact in the middle at degree {i}")
 
 
 def euler_fitting_additivity_check(ses: ComplexSES) -> bool:

@@ -127,8 +127,10 @@ class FiniteCommAlgebra:
         """The dim rows basis_i * row of A^n, flattened: the realization of
         the A-submodule that row generates."""
         rows: list[list[int]] = [[] for _ in range(self.dim)]
+        zero = [0] * self.dim
         for entry in row:
-            for out, block in zip(rows, self.regular_rows(entry)):
+            blocks = self.regular_rows(entry) if any(entry) else [zero] * self.dim
+            for out, block in zip(rows, blocks):
                 out.extend(block)
         return rows
 
@@ -589,6 +591,10 @@ def identity_map(M: FinPresModule) -> ModuleMap:
         for c in range(M.ngens)
     ]
     return ModuleMap(M, M, mat)
+
+
+def zero_map(src: FinPresModule, dst: FinPresModule) -> ModuleMap:
+    return ModuleMap(src, dst, [[src.algebra.zero()] * dst.ngens for _ in range(src.ngens)])
 
 
 def multiplication_map(M: FinPresModule, a: Vec) -> ModuleMap:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -399,6 +400,72 @@ def test_complex_data_refuses_malformed_vectors(tmp_path, capsys, payload):
     path.write_text(json.dumps(payload))
     code, err = run_refused(capsys, "complex", "--data", str(path))
     assert code == EXIT_IO and err["exit"] == EXIT_IO
+
+
+def with_field(payload, path, value):
+    """The payload with the leaf or sub-object at path (keys and indices)
+    replaced by value."""
+    out = json.loads(json.dumps(payload))
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("algebra", "p"), 3.7),
+        (("algebra", "p"), True),
+        (("algebra", "N"), "2"),
+        (("modules", 0, "ngens"), 1.9),
+        (("modules", 0, "ngens"), -1),
+        (("degrees",), [0.5, "x"]),
+        (("degrees",), [True, 1]),
+        (("degrees",), [0, 5]),
+        (("degrees",), [0]),
+        (("degrees",), {}),
+    ],
+    ids=["float-p", "bool-p", "string-N", "float-ngens", "negative-ngens", "float-degrees",
+         "bool-degrees", "degrees-past-modules", "one-degree", "object-degrees"],
+)
+def test_complex_data_refuses_malformed_scalars(tmp_path, capsys, path, value):
+    file = tmp_path / "complex.json"
+    file.write_text(json.dumps(with_field(complex_payload(), path, value)))
+    code, err = run_refused(capsys, "complex", "--data", str(file))
+    assert code == EXIT_IO and err["exit"] == EXIT_IO
+
+
+def payload_paths(node, prefix=()):
+    """Every key/index path below the root of a JSON value."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from payload_paths(child, prefix + (key,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    path=st.sampled_from(list(payload_paths(complex_payload()))),
+    value=st.sampled_from([-1, 0, 1, 2, 1.5, True, None, "x", [], {}]),
+)
+def test_complex_data_fuzz(path, value):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        file = Path(tmp) / "complex.json"
+        file.write_text(json.dumps(with_field(complex_payload(), path, value)))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["complex", "--data", str(file)])
+    assert code in (EXIT_OK, EXIT_PRECONDITION, EXIT_CHECK_FAILED, EXIT_IO)
+    assert "Traceback" not in err.getvalue()
+    if code != EXIT_OK:
+        assert out.getvalue() == ""
+        error = json.loads(err.getvalue())
+        assert isinstance(error, dict) and error["exit"] == code
 
 
 def test_selftest_small_bounds(tmp_path, capsys):

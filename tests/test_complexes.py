@@ -6,6 +6,7 @@ import random
 import pytest
 
 from iwasawa_kit.abelian import FiniteAbelianGroup
+from iwasawa_kit.campaigns import _random_element, _random_three_term, _two_term
 from iwasawa_kit.complexes import (
     BoundedComplex,
     ChainMap,
@@ -21,8 +22,10 @@ from iwasawa_kit.fitting import (
     IdealHandle,
     ModuleMap,
     identity_map,
+    multiplication_map,
     principal_module,
     unit_ideal,
+    zero_map,
     zmod_algebra,
 )
 
@@ -429,3 +432,120 @@ def test_d_squared_enforced():
             F,
             [ModuleMap(F[0], F[1], [[one]]), ModuleMap(F[1], F[2], [[one]])],
         )
+
+
+def test_complex_is_zero_outside_its_degrees():
+    alg = GroupAlgebra(3, 2, C2)
+    C = two_term(alg, alg.scalar(3, alg.one))
+    for i in (-2, -1, 2, 3):
+        assert C.module_at(i).ngens == 0
+        assert C.cohomology_size(i) == 1
+        assert C.cohomology(i).ngens == 0
+    for i in (-2, -1, 1, 2):
+        d = C.differential_at(i)
+        assert (d.src.ngens, d.dst.ngens) == (C.module_at(i).ngens, C.module_at(i + 1).ngens)
+        assert not any(any(e) for row in d.matrix for e in row)
+
+
+def test_chain_map_level_missing_between_generators_raises():
+    alg = GroupAlgebra(3, 2, C2)
+    C = two_term(alg, alg.scalar(3, alg.one))
+    f = ChainMap(C, C, {0: identity_map(C.modules[0])})
+    for check in (ChainMap.validate, quasi_iso_check, cone):
+        with pytest.raises(ValueError, match="chain map misses level 1"):
+            check(f)
+    # a level whose source or target has no generators is the zero map
+    zero_cx = BoundedComplex(alg, 0, [FinPresModule(alg, 0, [])], [])
+    to_zero = ChainMap(two_term(alg, alg.one), zero_cx, {})
+    assert to_zero.at(0).matrix == [[]] and to_zero.at(1).matrix == [[]]
+    assert quasi_iso_check(to_zero)
+    assert not quasi_iso_check(ChainMap(C, zero_cx, {}))
+
+
+def cone_reference(f):
+    """The mapping cone by index bookkeeping over lookups that are None
+    outside lo..hi: the construction cone replaced, kept as its oracle."""
+
+    def module_at(C, i):
+        return C.modules[i - C.lo] if C.lo <= i <= C.hi else None
+
+    def differential_at(C, i):
+        return C.differentials[i - C.lo] if C.lo <= i < C.hi else None
+
+    src, dst = f.src, f.dst
+    alg = src.algebra
+    lo = min(src.lo - 1, dst.lo)
+    hi = max(src.hi - 1, dst.hi)
+    modules = []
+    for i in range(lo, hi + 1):
+        Ms = module_at(src, i + 1)
+        Md = module_at(dst, i)
+        parts = []
+        if Ms is not None:
+            parts.append(Ms)
+        if Md is not None:
+            parts.append(Md)
+        if not parts:
+            modules.append(FinPresModule(alg, 0, []))
+        elif len(parts) == 1:
+            modules.append(parts[0])
+        else:
+            modules.append(parts[0].direct_sum(parts[1]))
+    diffs = []
+    for i in range(lo, hi):
+        M_here, M_next = modules[i - lo], modules[i - lo + 1]
+        ns = module_at(src, i + 1).ngens if module_at(src, i + 1) else 0
+        nd = module_at(dst, i).ngens if module_at(dst, i) else 0
+        ns2 = module_at(src, i + 2).ngens if module_at(src, i + 2) else 0
+        nd2 = module_at(dst, i + 1).ngens if module_at(dst, i + 1) else 0
+        mat = [[alg.zero()] * (ns2 + nd2) for _ in range(ns + nd)]
+        d_src = differential_at(src, i + 1)
+        if d_src is not None:
+            for a in range(ns):
+                for b in range(ns2):
+                    mat[a][b] = alg.neg(d_src.matrix[a][b])
+        level = f.maps.get(i + 1)
+        if level is not None and ns and nd2:
+            for a in range(ns):
+                for b in range(nd2):
+                    mat[a][ns2 + b] = level.matrix[a][b]
+        d_dst = differential_at(dst, i)
+        if d_dst is not None:
+            for a in range(nd):
+                for b in range(nd2):
+                    mat[ns + a][ns2 + b] = d_dst.matrix[a][b]
+        diffs.append(ModuleMap(M_here, M_next, mat))
+    return BoundedComplex(alg, lo, modules, diffs)
+
+
+def _campaign_complex(alg, rng):
+    """A two-term complex shifted to lo in {-1, 0, 1}, or a three-term one."""
+    if rng.random() < 0.5:
+        return _random_three_term(alg, rng)
+    return _two_term(alg, _random_element(alg, rng)).shift(rng.choice((-1, 0, 1)))
+
+
+def _random_chain_maps(alg, rng):
+    """Zero maps between complexes of any ranges, multiplications, and maps
+    into and out of a one-term complex in the top degree of C."""
+    C, D = _campaign_complex(alg, rng), _campaign_complex(alg, rng)
+    yield ChainMap(C, D, {i: zero_map(C.module_at(i), D.module_at(i)) for i in C.degrees()})
+    z = _random_element(alg, rng)
+    yield ChainMap(C, C, {i: multiplication_map(C.module_at(i), z) for i in C.degrees()})
+    top = C.module_at(C.hi)
+    E = BoundedComplex(alg, C.hi, [free_module(alg, 1)], [])
+    yield ChainMap(E, C, {C.hi: ModuleMap(E.modules[0], top, [[z]])})
+    Q = BoundedComplex(alg, C.hi, [principal_module(alg, C.differentials[-1].matrix[0][0])], [])
+    yield ChainMap(C, Q, {C.hi: ModuleMap(top, Q.modules[0], [[alg.one]])})
+
+
+def test_cone_matches_reference():
+    rng = random.Random(2024)
+    for alg in (GroupAlgebra(3, 2, C2), GroupAlgebra(2, 3, C2)):
+        for _ in range(6):
+            for f in _random_chain_maps(alg, rng):
+                K, L = cone(f), cone_reference(f)
+                assert (K.lo, K.hi) == (L.lo, L.hi)
+                assert [M.ngens for M in K.modules] == [M.ngens for M in L.modules]
+                assert [M.relations for M in K.modules] == [M.relations for M in L.modules]
+                assert [d.matrix for d in K.differentials] == [d.matrix for d in L.differentials]

@@ -211,8 +211,10 @@ def test_sparse_mul_matches_dense_reference(alg):
         assert rows == [list(mul_reference(alg, x, b)) for b in basis]
         for y in elements[-8:]:
             assert alg.mul(x, y) == mul_reference(alg, x, y)
-    for n in (1, 2, 3):
-        row = [rng.choice(elements) for _ in range(n)]
+    zero = alg.zero()
+    rows = [[rng.choice(elements) for _ in range(n)] for n in (1, 2, 3)]
+    rows += [[zero], [rng.choice(elements), zero], [zero, rng.choice(elements), zero]]
+    for row in rows:
         flat = [c for entry in row for c in entry]
         assert alg.split(flat) == row
         assert alg.realize(row) == [
