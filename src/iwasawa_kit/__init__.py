@@ -37,7 +37,6 @@ from .complexes import (
 )
 from .exact import (
     CyclotomicInt,
-    Rational,
     bernoulli_number,
     bernoulli_polynomial,
     hurwitz_zeta_nonpos,

@@ -416,19 +416,25 @@ class CharacterTable:
         return CyclotomicInt.zeta(self.e, self.log(label, g))
 
     def component(self, x: tuple, label) -> CyclotomicInt:
-        """component_chi(x) = sum_g coeff_g(x) chi(g)."""
-        powers: dict[int, Fraction] = {}
-        general = None
+        """component_chi(x) = sum_g coeff_g(x) chi(g): denominators cleared
+        once, numerators bucketed by the exponent of zeta_e, one reduction."""
+        e = self.e
+        terms = []  # (log of chi(g), exponent step into zeta_e, numerators, denominator)
         for g, c in zip(self.group.elements(), x):
-            t = self.log(label, g)
             if isinstance(c, CyclotomicInt):
-                term = c.embed(self.e) if c.n != self.e else c
-                term = term * CyclotomicInt.zeta(self.e, t)
-                general = term if general is None else general + term
-            else:
-                powers[t] = powers.get(t, Fraction(0)) + Fraction(c)
-        out = CyclotomicInt.from_powers(self.e, powers)
-        return out if general is None else out + general
+                if e % c.n:
+                    raise ValueError(f"no canonical embedding of order {c.n} into {e}")
+                terms.append((self.log(label, g), e // c.n, c.nums, c.den))
+            else:  # an int or a Fraction
+                terms.append((self.log(label, g), 0, (c.numerator,), c.denominator))
+        den = math.lcm(*(d for *_, d in terms))
+        vec = [0] * e
+        for t, step, nums, d in terms:
+            scale = den // d
+            for i, a in enumerate(nums):
+                if a:
+                    vec[(t + i * step) % e] += a * scale
+        return CyclotomicInt(e, vec, den)
 
     def decompose(self, x: tuple) -> dict:
         return {label: self.component(x, label) for label in self.labels}
@@ -448,8 +454,6 @@ class CharacterTable:
         for g in self.group.elements():
             acc = CyclotomicInt.from_rational(self.e, Fraction(0))
             for label, comp in components.items():
-                if isinstance(comp, (int, Fraction)):
-                    comp = CyclotomicInt.from_rational(self.e, Fraction(comp))
                 acc = acc + comp * CyclotomicInt.zeta(self.e, -self.log(label, g))
             out.append(acc * inv_size)
         return tuple(out)

@@ -307,6 +307,8 @@ def _run_complex_file(config: dict) -> tuple[dict, int]:
     try:
         alg = complex_algebra(obj["algebra"])
         alg.validate()
+        if not (isinstance(obj["modules"], list) and isinstance(obj["differentials"], list)):
+            raise CliError(EXIT_IO, "bad complex file: modules and differentials must be lists")
         modules = []
         for m in obj["modules"]:
             ngens = config_int(m, "ngens")

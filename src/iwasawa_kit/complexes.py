@@ -65,6 +65,9 @@ class BoundedComplex:
             )
             if not zero_rows:
                 raise ValueError(f"d o d != 0 at degree {lo + i}")
+        # the boundary zero maps are built once: cohomology reuses their cached spans
+        below, above = (zero_map(self.module_at(i), self.module_at(i + 1)) for i in (lo - 1, self.hi))
+        self._maps = [below, *differentials, above]
 
     @property
     def hi(self) -> int:
@@ -79,8 +82,8 @@ class BoundedComplex:
         return FinPresModule(self.algebra, 0, [])
 
     def differential_at(self, i: int) -> ModuleMap:
-        if self.lo <= i < self.hi:
-            return self.differentials[i - self.lo]
+        if self.lo - 1 <= i <= self.hi:
+            return self._maps[i - self.lo + 1]
         return zero_map(self.module_at(i), self.module_at(i + 1))
 
     # -- cohomology --------------------------------------------------------

@@ -3,8 +3,12 @@ into Z/p^N, and cyclotomic integers over Q.
 
 All values are immutable and every operation is pure. Z/p^N is held as plain
 ints reduced mod p^N; the caller carries p and N (see linalg.ZModPN and the
-int vectors of fitting and tower). Cyclotomic arithmetic stays over Q in the
-power basis 1, z, ..., z^(phi(n)-1) modulo the n-th cyclotomic polynomial.
+int vectors of fitting and tower). Q(zeta_n) has one model, CyclotomicInt:
+integer numerators in the power basis 1, z, ..., z^(phi(n)-1) over one
+positive denominator, in lowest terms, reduced mod the n-th cyclotomic
+polynomial in the integers. Both character routes (abelian.CharacterTable and
+the L-values of lvalues) build it directly from an integer vector and a
+denominator.
 """
 
 from __future__ import annotations
@@ -13,9 +17,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .numutil import euler_phi, is_prime
-
-Rational = Fraction
+from .numutil import is_prime
 
 
 # ---------------------------------------------------------------------------
@@ -24,10 +26,6 @@ Rational = Fraction
 def rat_to_str(x: Fraction) -> str:
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def rat_from_str(s: str) -> Fraction:
-    return Fraction(s)
 
 
 # ---------------------------------------------------------------------------
@@ -135,47 +133,54 @@ def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-def _reduce_mod_cyclotomic(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
-    """Remainder of a low-first Fraction polynomial modulo Phi_n, padded to phi(n)."""
-    phi = list(cyclotomic_polynomial(n))
+def _reduce_mod_cyclotomic(vec, n: int) -> list[int]:
+    """Remainder of a low-first integer polynomial modulo Phi_n, padded to phi(n)."""
+    phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
-    work = list(coeffs)
+    work = list(vec)
     for i in range(len(work) - 1, deg - 1, -1):
         c = work[i]
         if c:
             for j, pj in enumerate(phi):
                 work[i - deg + j] -= c * pj
-    work = work[:deg]
-    work += [Fraction(0)] * (deg - len(work))
-    return tuple(Fraction(c) for c in work)
+    return work[:deg] + [0] * (deg - len(work))
 
 
 class CyclotomicInt:
-    """Element of Q(zeta_n), coefficients in the basis 1, z, ..., z^(phi(n)-1)."""
+    """Element of Q(zeta_n): integer numerators `nums` of 1, z, ...,
+    z^(phi(n)-1) over one positive denominator `den`, in lowest terms (zero
+    has den 1). The constructor takes integer coefficients of 1, z, z^2, ...
+    of any length and reduces them mod Phi_n."""
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "nums", "den")
 
-    def __init__(self, n: int, coeffs: tuple[Fraction, ...]):
-        if len(coeffs) != euler_phi(n):
-            raise ValueError(f"need phi({n}) = {euler_phi(n)} coefficients")
+    def __init__(self, n: int, vec, den: int = 1):
+        if den == 0:
+            raise ZeroDivisionError("cyclotomic denominator 0")
+        nums = _reduce_mod_cyclotomic(vec, n)
+        g = math.gcd(den, *nums) * (-1 if den < 0 else 1)
         self.n = n
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.nums = tuple(c // g for c in nums)
+        self.den = den // g
 
     @classmethod
     def from_powers(cls, n: int, powers: dict[int, Fraction]) -> "CyclotomicInt":
-        """sum_k c_k zeta_n^k, exponents taken mod n, reduced once."""
-        raw = [Fraction(0)] * n
+        """sum_k c_k zeta_n^k for rational c_k, exponents taken mod n."""
+        powers = {k: Fraction(c) for k, c in powers.items()}
+        den = math.lcm(*(c.denominator for c in powers.values()))
+        vec = [0] * n
         for k, c in powers.items():
-            raw[k % n] += c
-        return cls(n, _reduce_mod_cyclotomic(raw, n))
+            vec[k % n] += c.numerator * (den // c.denominator)
+        return cls(n, vec, den)
 
     @classmethod
     def zeta(cls, n: int, k: int = 1) -> "CyclotomicInt":
-        return cls.from_powers(n, {k: Fraction(1)})
+        return cls(n, [0] * (k % n) + [1])
 
     @classmethod
     def from_rational(cls, n: int, q: Fraction) -> "CyclotomicInt":
-        return cls.from_powers(n, {0: Fraction(q)})
+        q = Fraction(q)
+        return cls(n, [q.numerator], q.denominator)
 
     def _coerce(self, other) -> "CyclotomicInt":
         if isinstance(other, CyclotomicInt):
@@ -186,12 +191,13 @@ class CyclotomicInt:
 
     def __add__(self, other) -> "CyclotomicInt":
         o = self._coerce(other)
-        return CyclotomicInt(self.n, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        a, b = o.den, self.den
+        return CyclotomicInt(self.n, [a * x + b * y for x, y in zip(self.nums, o.nums)], a * b)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CyclotomicInt":
-        return CyclotomicInt(self.n, tuple(-a for a in self.coeffs))
+        return CyclotomicInt(self.n, [-x for x in self.nums], self.den)
 
     def __sub__(self, other) -> "CyclotomicInt":
         return self + (-self._coerce(other))
@@ -202,51 +208,54 @@ class CyclotomicInt:
     def __mul__(self, other) -> "CyclotomicInt":
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
-            return CyclotomicInt(self.n, tuple(q * a for a in self.coeffs))
+            return CyclotomicInt(self.n, [q.numerator * x for x in self.nums], q.denominator * self.den)
         o = self._coerce(other)
-        prod = [Fraction(0)] * (2 * len(self.coeffs))
-        for i, a in enumerate(self.coeffs):
+        prod = [0] * (2 * len(self.nums))
+        for i, a in enumerate(self.nums):
             if a:
-                for j, b in enumerate(o.coeffs):
+                for j, b in enumerate(o.nums):
                     if b:
                         prod[i + j] += a * b
-        return CyclotomicInt(self.n, _reduce_mod_cyclotomic(prod, self.n))
+        return CyclotomicInt(self.n, prod, self.den * o.den)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = CyclotomicInt.from_rational(self.n, Fraction(other))
-        return (
-            isinstance(other, CyclotomicInt)
-            and self.n == other.n
-            and self.coeffs == other.coeffs
+        return isinstance(other, CyclotomicInt) and (
+            (self.n, self.den, self.nums) == (other.n, other.den, other.nums)
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.coeffs))
+        return hash((self.n, self.nums, self.den))
 
     def __repr__(self) -> str:
-        return f"CyclotomicInt({self.n}, {self.coeffs})"
+        return f"CyclotomicInt({self.n}, {self.nums}, {self.den})"
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
+
+    def _spread(self, m: int, step: int) -> "CyclotomicInt":
+        """sum_i nums[i] zeta_m^(i step) / den."""
+        vec = [0] * m
+        for i, c in enumerate(self.nums):
+            vec[i * step % m] += c
+        return CyclotomicInt(m, vec, self.den)
 
     def galois(self, t: int) -> "CyclotomicInt":
         """Galois action zeta -> zeta^t (t coprime to n)."""
         if math.gcd(t, self.n) != 1:
             raise ValueError(f"galois exponent {t} not coprime to {self.n}")
-        return CyclotomicInt.from_powers(
-            self.n, {i * t: c for i, c in enumerate(self.coeffs) if c}
-        )
+        return self._spread(self.n, t)
 
     def conjugate(self) -> "CyclotomicInt":
         return self.galois(-1 % self.n) if self.n > 2 else self
@@ -255,7 +264,4 @@ class CyclotomicInt:
         """Image under Q(zeta_n) -> Q(zeta_m), zeta_n -> zeta_m^(m/n); needs n | m."""
         if m % self.n != 0:
             raise ValueError(f"no canonical embedding of order {self.n} into {m}")
-        step = m // self.n
-        return CyclotomicInt.from_powers(
-            m, {i * step: c for i, c in enumerate(self.coeffs) if c}
-        )
+        return self._spread(m, m // self.n)

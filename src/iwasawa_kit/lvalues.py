@@ -6,12 +6,13 @@ zeta_S(r, sigma) sigma^(-1) with exact rational coefficients, a tuple in the
 basis order of groupring. Each Euler or T-factor (1 - c sigma) is applied as
 x - c . translate(x, sigma), never as a full group-ring product. The character
 route (S-truncated Dirichlet L-values at non-positive integers through
-generalized Bernoulli numbers) is an independent cross-check. It holds each
+generalized Bernoulli numbers) is an independent cross-check. It builds each
 value of Q(zeta_e) as an integer vector indexed by the exponent mod e over
 one positive denominator, memoizes B_{n,chi} per character and n, applies
 each Euler or delta_T factor (1 - c zeta_e^s) as shift-and-subtract, and
-reduces mod Phi_e once per character, into the CyclotomicInt it returns. It
-shares no helper or cache with the group-ring route.
+passes the vector and denominator to CyclotomicInt, which reduces mod Phi_e
+once per character. The two routes share that value type and its normal
+form, and no helper or cache.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .abelian import (
 from .exact import (
     CyclotomicInt,
     bernoulli_polynomial,
-    cyclotomic_polynomial,
     hurwitz_zeta_nonpos,
     padic_from_rational,
     rat_to_str,
@@ -170,11 +170,11 @@ def is_p_integral(theta_elem: StickelbergerElement | tuple, p: int) -> bool:
 # ---------------------------------------------------------------------------
 # The character route: S-truncated Dirichlet L-values at r <= 0.
 #
-# A value in Q(zeta_e) is held as (vec, den): vec[t] is the integer
+# A value in Q(zeta_e) is built as (vec, den): vec[t] is the integer
 # coefficient of zeta_e^t for t mod e, den a common positive denominator.
 # An Euler or delta_T factor (1 - c zeta_e^s) is a shift-and-subtract on vec;
-# Phi_e is divided out once per value, by _to_cyclotomic. Nothing here is
-# shared with the group-ring route above.
+# CyclotomicInt(e, vec, den) divides out Phi_e once per value. Nothing here
+# but that value type is shared with the group-ring route above.
 
 @lru_cache(maxsize=None)
 def _bernoulli_cleared(n: int) -> tuple[int, tuple[int, ...]]:
@@ -214,20 +214,6 @@ def _one_minus(vec: list[int], s: int, c: int) -> list[int]:
     return [vec[i] - c * vec[(i - s) % e] for i in range(e)]
 
 
-def _to_cyclotomic(vec, den: int) -> CyclotomicInt:
-    """sum_t vec[t] zeta_e^t / den, reduced mod Phi_e in the integers."""
-    e = len(vec)
-    phi = cyclotomic_polynomial(e)
-    deg = len(phi) - 1
-    work = list(vec)
-    for i in range(e - 1, deg - 1, -1):
-        c = work[i]
-        if c:
-            for j, pj in enumerate(phi):
-                work[i - deg + j] -= c * pj
-    return CyclotomicInt(e, tuple(Q(c, den) for c in work[:deg]))
-
-
 def _l_vector(chi: DirichletCharacter, s_fin, r: int) -> tuple[list[int], int]:
     """L_S(r, chi) = -B_{n,chi}/n . prod_v (1 - chi(v) v^(-r)) as (vec, den)."""
     n = 1 - r
@@ -243,7 +229,7 @@ def generalized_bernoulli(chi: DirichletCharacter, n: int) -> CyclotomicInt:
     """B_{n,chi} = f^(n-1) sum_{a=1}^{f} chi(a) B_n(a/f), f the conductor."""
     if n < 1:
         raise ValueError(f"generalized Bernoulli number needs n >= 1, got {n}")
-    return _to_cyclotomic(*_bernoulli_vector(chi.key(), n))
+    return CyclotomicInt(chi.order, *_bernoulli_vector(chi.key(), n))
 
 
 def _s_finite(S, r: int) -> set[int]:
@@ -260,7 +246,7 @@ def dirichlet_l_nonpos(chi: DirichletCharacter, S, r: int) -> CyclotomicInt:
     """L_S(r, chi) for r <= 0: L(1-n, chi) = -B_{n,chi}/n with n = 1-r, times
     the Euler factors (1 - chi(v) v^(-r)) for finite v in S prime to the
     conductor of chi."""
-    return _to_cyclotomic(*_l_vector(chi, _s_finite(S, r), r))
+    return CyclotomicInt(chi.order, *_l_vector(chi, _s_finite(S, r), r))
 
 
 @lru_cache(maxsize=None)
@@ -286,7 +272,7 @@ def theta_character_side(spec: AbelianFieldSpec, S, T, r: int) -> dict:
             if t is None:
                 raise ValueError(f"T-prime {v} ramifies for a character of the field")
             vec = _one_minus(vec, -t, v ** (1 - r))
-        out[label] = _to_cyclotomic(vec, den)
+        out[label] = CyclotomicInt(chi.order, vec, den)
     return out
 
 

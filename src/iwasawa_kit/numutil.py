@@ -78,19 +78,6 @@ def crt_lift(a: int, f: int, m: int) -> int:
     return crt(res, mods)
 
 
-def multiplicative_order(a: int, m: int) -> int:
-    if m == 1:
-        return 1
-    if math.gcd(a, m) != 1:
-        raise ValueError(f"{a} is not a unit mod {m}")
-    order = 1
-    x = a % m
-    while x != 1:
-        x = (x * a) % m
-        order += 1
-    return order
-
-
 def primitive_root(q: int) -> int:
     """Smallest primitive root modulo q = p^e (p odd prime) or q in {1, 2, 4}."""
     if q in (1, 2):

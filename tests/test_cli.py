@@ -392,8 +392,13 @@ def test_complex_command_ingestion(tmp_path, capsys):
         complex_payload(differential=(3.0,)),
         complex_payload(differential=()),
         complex_payload(one=(1, 0)),
+        {**complex_payload(), "differentials": {}},
+        {**complex_payload(), "degrees": [0, 0], "modules": [{"ngens": 1, "relations": []}],
+         "differentials": {}},
+        {**complex_payload(), "modules": {}},
     ],
-    ids=["long-entry", "float-entry", "empty-entry", "long-one"],
+    ids=["long-entry", "float-entry", "empty-entry", "long-one", "object-differentials",
+         "one-module-object-differentials", "object-modules"],
 )
 def test_complex_data_refuses_malformed_vectors(tmp_path, capsys, payload):
     path = tmp_path / "complex.json"

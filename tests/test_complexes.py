@@ -447,6 +447,20 @@ def test_complex_is_zero_outside_its_degrees():
         assert not any(any(e) for row in d.matrix for e in row)
 
 
+def test_boundary_zero_maps_are_built_once():
+    alg = zmod_algebra(3, 2)  # Z/9
+    C = two_term(alg, alg.scalar(3, alg.one))
+    before = [C.cohomology_size(i) for i in C.degrees()]
+    for i in (C.lo - 1, C.hi):
+        d = C.differential_at(i)
+        assert C.differential_at(i) is d
+        assert d.kernel_span is C.differential_at(i).kernel_span
+        assert d.image_span is C.differential_at(i).image_span
+    assert [C.cohomology_size(i) for i in C.degrees()] == before == [3, 3]
+    assert C.cohomology(1).fitting_ideal == IdealHandle(alg, [alg.scalar(3, alg.one)])
+    assert not C.is_acyclic()
+
+
 def test_chain_map_level_missing_between_generators_raises():
     alg = GroupAlgebra(3, 2, C2)
     C = two_term(alg, alg.scalar(3, alg.one))
