@@ -55,7 +55,6 @@ from .fitting import (
     e1_sharp_check,
     four_term_check,
     minus_quotient,
-    nilpotent_extension,
     pontryagin_dual,
     tower_fitting_check,
 )

@@ -1,9 +1,9 @@
 """Finitely presented modules over finite commutative algebras and their
 Fitting ideals.
 
-A FiniteCommAlgebra is a free Z/p^N-module of rank dim with structure
-constants; elements are int tuples in the basis. Every module/ideal question
-reduces to Howell-form linear algebra over Z/p^N through the regular
+A FiniteCommAlgebra is a free Z/p^N-module of rank dim with sparse structure
+constants `terms`; elements are int tuples in the basis. Every module/ideal
+question reduces to Howell-form linear algebra over Z/p^N through the regular
 representation. Ideal handles canonicalize through that form, so ideal
 equality and membership are exact.
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .abelian import FiniteAbelianGroup
-from .groupring import basis_index
+from .groupring import basis_index, mul_table
 from .linalg import (
     ZModPN,
     combine,
@@ -41,10 +41,12 @@ Vec = tuple[int, ...]
 class FiniteCommAlgebra:
     """Commutative Z/p^N-algebra with a distinguished basis.
 
-    `mult[i][j]` is the coefficient vector of basis_i * basis_j; `sharp`
-    (optional) is the involution as a list of basis-image vectors. `terms[i][j]`
-    lists the nonzero (k, c) of basis_i * basis_j once; products loop over them,
-    O(dim^2) for a group algebra (one term per pair). `q` = p^N is an attribute.
+    `terms[i][j]` lists the nonzero (k, c) of basis_i * basis_j, k ascending
+    and 0 < c < q, and is the only structure-constant table: products loop
+    over it, O(dim^2) for a group algebra (one term per pair). `sharp`
+    (optional) is the involution as a list of basis-image vectors. `q` = p^N
+    is an attribute. The dense table (basis_i * basis_j as a coefficient
+    vector) exists only in the JSON form.
     """
 
     def __init__(
@@ -52,7 +54,7 @@ class FiniteCommAlgebra:
         p: int,
         N: int,
         basis: list,
-        mult: list[list[Vec]],
+        terms: list[list[list[tuple[int, int]]]],
         one: Vec,
         sharp: list[Vec] | None = None,
         name: str = "",
@@ -62,8 +64,7 @@ class FiniteCommAlgebra:
         self.q = q = p**N
         self.dim = dim = len(basis)
         self.basis = list(basis)
-        self.mult = [[tuple(c % q for c in v) for v in row] for row in mult]
-        self.terms = [[[(k, c) for k, c in enumerate(v) if c] for v in row] for row in self.mult]
+        self.terms = terms
         self.one = tuple(c % q for c in one)
         self.sharp_images = (
             [tuple(c % q for c in v) for v in sharp] if sharp is not None else None
@@ -177,11 +178,15 @@ class FiniteCommAlgebra:
                         raise ValueError("# is not multiplicative")
 
     def to_json(self) -> dict:
+        """The wire form: `mult[i][j]` is the dense vector of basis_i * basis_j."""
+        dim = self.dim
         return {
             "p": self.p,
             "N": self.N,
             "basis": [str(b) for b in self.basis],
-            "mult": [[list(v) for v in row] for row in self.mult],
+            "mult": [
+                [[t.get(k, 0) for k in range(dim)] for t in map(dict, row)] for row in self.terms
+            ],
             "one": list(self.one),
             "sharp": [list(v) for v in self.sharp_images] if self.sharp_images else None,
             "name": self.name,
@@ -189,11 +194,13 @@ class FiniteCommAlgebra:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteCommAlgebra":
+        p, N = int(obj["p"]), int(obj["N"])
+        q = ZModPN(p, N).q  # refuses a bad p or N before any reduction
         return cls(
-            int(obj["p"]),
-            int(obj["N"]),
+            p,
+            N,
             list(obj["basis"]),
-            [[tuple(v) for v in row] for row in obj["mult"]],
+            [[[(k, c % q) for k, c in enumerate(v) if c % q] for v in row] for row in obj["mult"]],
             tuple(obj["one"]),
             [tuple(v) for v in obj["sharp"]] if obj.get("sharp") else None,
             str(obj.get("name", "")),
@@ -206,17 +213,18 @@ class FiniteCommAlgebra:
 def same_algebra(a: FiniteCommAlgebra, b: FiniteCommAlgebra) -> bool:
     """Structural identity: same prime power and the same structure constants."""
     return a is b or (
-        (a.p, a.N, a.dim) == (b.p, b.N, b.dim) and a.one == b.one and a.mult == b.mult
+        (a.p, a.N, a.dim) == (b.p, b.N, b.dim) and a.one == b.one and a.terms == b.terms
     )
 
 
 def zmod_algebra(p: int, N: int) -> FiniteCommAlgebra:
-    return FiniteCommAlgebra(p, N, ["1"], [[(1,)]], (1,), [(1,)], name=f"Z/{p}^{N}")
+    return FiniteCommAlgebra(p, N, ["1"], [[[(0, 1)]]], (1,), [(1,)], name=f"Z/{p}^{N}")
 
 
 class GroupAlgebra(FiniteCommAlgebra):
     """(Z/p^N)[A] for a finite abelian group A; basis = the group elements in
-    the order of groupring.basis_index."""
+    the order of groupring.basis_index, and basis_i * basis_j is the one term
+    (index of g_i g_j, 1) of groupring.mul_table."""
 
     def __init__(self, p: int, N: int, group: FiniteAbelianGroup):
         self.group = group
@@ -227,12 +235,10 @@ class GroupAlgebra(FiniteCommAlgebra):
         def unit_vec(i: int) -> Vec:
             return tuple(int(j == i) for j in range(dim))
 
-        mult = [
-            [unit_vec(index[group.mul(g, h)]) for h in elems] for g in elems
-        ]
+        terms = [[[(k, 1)] for k in row] for row in mul_table(group)]
         one = unit_vec(index[group.identity])
         sharp = [unit_vec(index[group.inv(g)]) for g in elems]
-        super().__init__(p, N, elems, mult, one, sharp, name=f"(Z/{p}^{N}){group.orders}")
+        super().__init__(p, N, elems, terms, one, sharp, name=f"(Z/{p}^{N}){group.orders}")
         self.index = index
 
     def group_element_vector(self, g) -> Vec:
@@ -267,66 +273,39 @@ class AlgebraMorphism:
 
 def minus_quotient(alg: GroupAlgebra, j) -> tuple[FiniteCommAlgebra, AlgebraMorphism]:
     """(Z/p^N)[A]/(1+j): basis = one representative per {g, jg} pair, with
-    jg = -g in the quotient. Returns the quotient and the projection map.
+    jg = -g in the quotient, so basis_a * basis_b is the one term
+    (representative of g_a g_b, +-1 mod q). Returns the quotient and the
+    projection map.
     """
     group = alg.group
     j = group.reduce(j)
     if j == group.identity or group.mul(j, j) != group.identity:
         raise ValueError("complex conjugation must have exact order 2")
-    reps: list = []
-    partner: dict = {}
-    for g in group.elements():
-        gj = group.mul(g, j)
-        if g not in partner:
-            if g == gj:
+    index, q = alg.index, alg.q
+    reps: list[int] = []  # basis indices of the representatives
+    partner: dict[int, tuple[int, int]] = {}  # basis index -> (rep, +-1 mod q)
+    for i, g in enumerate(index):
+        ij = index[group.mul(g, j)]
+        if i not in partner:
+            if i == ij:
                 raise ValueError("j fixes a group element; |A| must be even")
-            reps.append(g)
-            partner[g] = (len(reps) - 1, 1)
-            partner[gj] = (len(reps) - 1, -1)
+            partner[i] = (len(reps), 1)
+            partner[ij] = (len(reps), q - 1)
+            reps.append(i)
     dim = len(reps)
-    q = alg.q
 
-    def project_group(g) -> Vec:
-        i, s = partner[group.reduce(g)]
-        return tuple((s if k == i else 0) % q for k in range(dim))
+    def project(k: int) -> Vec:
+        r, s = partner[k]
+        return tuple(s if t == r else 0 for t in range(dim))
 
-    mult = [[project_group(group.mul(g, h)) for h in reps] for g in reps]
-    one = project_group(group.identity)
-    sharp = [project_group(group.inv(g)) for g in reps]
-    quo = FiniteCommAlgebra(
-        alg.p, alg.N, reps, mult, one, sharp, name=f"{alg.name}-minus"
-    )
-    proj = AlgebraMorphism(alg, quo, [project_group(g) for g in alg.basis])
+    table = mul_table(group)
+    terms = [[[partner[table[a][b]]] for b in reps] for a in reps]
+    one = project(index[group.identity])
+    sharp = [project(index[group.inv(alg.basis[a])]) for a in reps]
+    basis = [alg.basis[a] for a in reps]
+    quo = FiniteCommAlgebra(alg.p, alg.N, basis, terms, one, sharp, name=f"{alg.name}-minus")
+    proj = AlgebraMorphism(alg, quo, [project(k) for k in range(alg.dim)])
     return quo, proj
-
-
-def nilpotent_extension(alg: FiniteCommAlgebra, M: int) -> FiniteCommAlgebra:
-    """alg[T]/(T^M): basis (b_i, T^k) for k < M, component-major in k."""
-    if M < 1:
-        raise ValueError("need M >= 1")
-    dim = alg.dim * M
-    basis = [(b, k) for k in range(M) for b in alg.basis]
-
-    def embed(v: Vec, k: int) -> Vec:  # v T^k, a row of alg^M
-        return tuple(alg.flatten([v if j == k else alg.zero() for j in range(M)]))
-
-    mult = []
-    for k1 in range(M):
-        for i in range(alg.dim):
-            row = []
-            for k2 in range(M):
-                for j in range(alg.dim):
-                    if k1 + k2 >= M:
-                        row.append((0,) * dim)
-                    else:
-                        prod = alg.mul(alg.basis_element(i), alg.basis_element(j))
-                        row.append(embed(prod, k1 + k2))
-            mult.append(row)
-    one = embed(alg.one, 0)
-    sharp = None
-    if alg.sharp_images is not None:
-        sharp = [embed(alg.sharp_images[i], k) for k in range(M) for i in range(alg.dim)]
-    return FiniteCommAlgebra(alg.p, alg.N, basis, mult, one, sharp, name=f"{alg.name}[T]/(T^{M})")
 
 
 def group_algebra_morphism(

@@ -4,10 +4,11 @@ An element of R[G] is a tuple of coefficients in the order of
 `group.elements()`, whatever the coefficient ring: Fraction or CyclotomicInt
 for Q[G] and Q(zeta)[G] (Stickelberger elements, CM idempotents, character
 idempotents), ints mod p^N for (Z/p^N)[G] (fitting.GroupAlgebra, tower
-entries). This module owns that basis: the index map, translation by a group
-element, the # involution (g -> g^(-1)), pushforward along a group
-homomorphism, the convolution product and the "g1,g2" JSON keys. The maps
-only move and add coefficients; reducing mod p^N is the caller's step.
+entries). This module owns that basis: the index map, the product table of
+basis indices, translation by a group element, the # involution
+(g -> g^(-1)), pushforward along a group homomorphism, the convolution
+product and the "g1,g2" JSON keys. The maps only move and add coefficients;
+reducing mod p^N is the caller's step.
 """
 
 from __future__ import annotations
@@ -23,6 +24,18 @@ if TYPE_CHECKING:  # avoid a runtime import cycle with abelian
 def basis_index(group: "FiniteAbelianGroup") -> dict:
     """Position of each group element in the basis order of group.elements()."""
     return {g: i for i, g in enumerate(group.elements())}
+
+
+def mul_table(group: "FiniteAbelianGroup") -> list[list[int]]:
+    """table[i][j] = basis index of g_i g_j. The basis order is mixed radix
+    (the last coordinate runs fastest), so the table of C_o x H is built from
+    the table of H one cyclic factor at a time, with no group element formed."""
+    table, size = [[0]], 1
+    for o in reversed(group.orders):
+        table = [[(a + b) % o * size + k for b in range(o) for k in row]
+                 for a in range(o) for row in table]
+        size *= o
+    return table
 
 
 def _permute(x: tuple, group: "FiniteAbelianGroup", move: Callable) -> tuple:

@@ -56,6 +56,8 @@ def howell_form(rows: list[list[int]], width: int, R: ZModPN) -> list[list[int]]
     Rows wait in one bucket per leading column; the rows that column col
     reduces, and its shadow, lead after col, so their search starts at col + 1.
     """
+    if not rows:
+        return []
     p, q, N = R.p, R.q, R.N
     buckets: list[list[list[int]]] = [[] for _ in range(width)]
 

@@ -1,0 +1,43 @@
+"""Algebras that only the tests build."""
+
+from iwasawa_kit.fitting import FiniteCommAlgebra
+
+
+def nilpotent_extension_json(obj: dict, M: int) -> dict:
+    """alg[T]/(T^M) in the dense JSON form of FiniteCommAlgebra.to_json, built
+    from alg's dense JSON form alone: basis (b_i, T^k) for k < M, component-major
+    in k."""
+    if M < 1:
+        raise ValueError("need M >= 1")
+    d = len(obj["basis"])
+    dim = d * M
+
+    def embed(v: list, k: int) -> list:  # v T^k, a row of alg^M
+        out = [0] * dim
+        out[k * d : (k + 1) * d] = v
+        return out
+
+    mult = [
+        [
+            embed(obj["mult"][i][j], k1 + k2) if k1 + k2 < M else [0] * dim
+            for k2 in range(M)
+            for j in range(d)
+        ]
+        for k1 in range(M)
+        for i in range(d)
+    ]
+    sharp = obj["sharp"]
+    return {
+        "p": obj["p"],
+        "N": obj["N"],
+        "basis": [f"{b}*T^{k}" for k in range(M) for b in obj["basis"]],
+        "mult": mult,
+        "one": embed(obj["one"], 0),
+        "sharp": [embed(v, k) for k in range(M) for v in sharp] if sharp else None,
+        "name": f"{obj['name']}[T]/(T^{M})",
+    }
+
+
+def nilpotent_extension(alg: FiniteCommAlgebra, M: int) -> FiniteCommAlgebra:
+    """alg[T]/(T^M), a finite commutative algebra that is not a group algebra."""
+    return FiniteCommAlgebra.from_json(nilpotent_extension_json(alg.to_json(), M))

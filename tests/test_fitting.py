@@ -4,6 +4,7 @@ modules, Fitting ideals, duals, and the executable lemmas."""
 import random
 
 import pytest
+from algebra_helpers import nilpotent_extension
 
 from iwasawa_kit.abelian import FiniteAbelianGroup
 from iwasawa_kit.fitting import (
@@ -22,7 +23,6 @@ from iwasawa_kit.fitting import (
     identity_map,
     minus_quotient,
     multiplication_map,
-    nilpotent_extension,
     pontryagin_dual,
     principal_module,
     subquotient_presentation,

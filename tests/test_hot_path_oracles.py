@@ -1,10 +1,13 @@
-"""The former forms of the three Fitting hot paths, kept as oracles of the
-fast ones: the q-pass span closure, the Howell form that rescans every row
-for its leading index, and the dense dim^3 structure-constant product."""
+"""The former forms of the Fitting hot paths, kept as oracles of the fast
+ones: the q-pass span closure, the Howell form that rescans every row for its
+leading index, the dense dim^3 structure-constant product, and the dense
+structure-constant tables of group algebras and their minus quotients."""
 
+import json
 import random
 
 import pytest
+from algebra_helpers import nilpotent_extension_json
 
 from iwasawa_kit import oracles
 from iwasawa_kit.abelian import FiniteAbelianGroup
@@ -13,7 +16,7 @@ from iwasawa_kit.fitting import (
     FiniteCommAlgebra,
     GroupAlgebra,
     minus_quotient,
-    nilpotent_extension,
+    same_algebra,
     zmod_algebra,
 )
 from iwasawa_kit.linalg import ZModPN, howell_form
@@ -77,17 +80,108 @@ def howell_form_reference(rows, width, R):
     return out
 
 
-def mul_reference(alg, x, y):
-    """Product through the dense structure constants alg.mult."""
-    out = [0] * alg.dim
+def mul_reference(mult, q, x, y):
+    """Product through a dense structure-constant table: mult[i][j] is the
+    coefficient vector of basis_i * basis_j."""
+    out = [0] * len(mult)
     for i, a in enumerate(x):
         if a:
             for j, b in enumerate(y):
                 if b:
-                    for k, c in enumerate(alg.mult[i][j]):
+                    for k, c in enumerate(mult[i][j]):
                         if c:
                             out[k] += a * b * c
-    return tuple(c % alg.q for c in out)
+    return tuple(c % q for c in out)
+
+
+def group_algebra_reference(p, N, group):
+    """The former GroupAlgebra construction, as the JSON it wrote: the dense
+    dim x dim table of unit vectors of g * h, through group.mul."""
+    elems = list(group.elements())
+    index = {g: i for i, g in enumerate(elems)}
+    dim = len(elems)
+
+    def unit_vec(i):
+        return [int(j == i) for j in range(dim)]
+
+    return {
+        "p": p,
+        "N": N,
+        "basis": [str(g) for g in elems],
+        "mult": [[unit_vec(index[group.mul(g, h)]) for h in elems] for g in elems],
+        "one": unit_vec(index[group.identity]),
+        "sharp": [unit_vec(index[group.inv(g)]) for g in elems],
+        "name": f"(Z/{p}^{N}){group.orders}",
+    }
+
+
+def minus_quotient_reference(p, N, group, j):
+    """The former minus_quotient construction of (Z/p^N)[A]/(1 + j), as the
+    JSON it wrote, and the images of the projection on the group elements."""
+    q = p**N
+    reps, partner = [], {}
+    for g in group.elements():
+        gj = group.mul(g, j)
+        if g not in partner:
+            reps.append(g)
+            partner[g] = (len(reps) - 1, 1)
+            partner[gj] = (len(reps) - 1, -1)
+    dim = len(reps)
+
+    def project(g):
+        i, s = partner[group.reduce(g)]
+        return [(s if k == i else 0) % q for k in range(dim)]
+
+    quotient = {
+        "p": p,
+        "N": N,
+        "basis": [str(g) for g in reps],
+        "mult": [[project(group.mul(g, h)) for h in reps] for g in reps],
+        "one": project(group.identity),
+        "sharp": [project(group.inv(g)) for g in reps],
+        "name": f"(Z/{p}^{N}){group.orders}-minus",
+    }
+    return quotient, [project(g) for g in group.elements()]
+
+
+def zmod_reference(p, N):
+    return {"p": p, "N": N, "basis": ["1"], "mult": [[[1]]], "one": [1], "sharp": [[1]],
+            "name": f"Z/{p}^{N}"}
+
+
+def check_against_reference(alg, ref):
+    """alg has the reference's structure constants, unit and #, and writes
+    the reference's JSON byte for byte."""
+    q = alg.q
+    assert alg.terms == [
+        [[(k, c % q) for k, c in enumerate(v) if c % q] for v in row] for row in ref["mult"]
+    ]
+    assert list(alg.one) == ref["one"]
+    assert [list(v) for v in alg.sharp_images] == ref["sharp"]
+    assert json.dumps(alg.to_json()) == json.dumps(ref)
+    assert same_algebra(alg, FiniteCommAlgebra.from_json(alg.to_json()))
+
+
+REFERENCE_ORDERS = [(), (2,), (3,), (2, 2), (2, 9), (2, 27), (4, 4), (3, 3, 3)]
+
+
+@pytest.mark.parametrize("orders", REFERENCE_ORDERS, ids=str)
+def test_group_algebras_match_the_dense_construction(orders):
+    group = FiniteAbelianGroup(orders)
+    involutions = [
+        j for j in group.elements() if j != group.identity and group.mul(j, j) == group.identity
+    ]
+    assert bool(involutions) == (group.size % 2 == 0)
+    for p, N in ((2, 3), (3, 2)):
+        alg = GroupAlgebra(p, N, group)
+        check_against_reference(alg, group_algebra_reference(p, N, group))
+        for j in involutions:
+            quotient, proj = minus_quotient(alg, j)
+            ref, images = minus_quotient_reference(p, N, group, j)
+            check_against_reference(quotient, ref)
+            assert [list(v) for v in proj.images] == images
+    for p, N in ((2, 3), (5, 2)):
+        check_against_reference(zmod_algebra(p, N), zmod_reference(p, N))
 
 
 SPAN_RINGS = [ZModPN(2, 2), ZModPN(2, 3), ZModPN(3, 1), ZModPN(3, 2), ZModPN(5, 1)]
@@ -168,49 +262,60 @@ def test_howell_form_matches_reference():
             assert howell_form(rows, width, R) == howell_form_reference(rows, width, R)
 
 
-def monogenic_algebra(p, N, f):
-    """(Z/p^N)[x]/(x^d - f[0] - f[1] x - ... - f[d-1] x^(d-1)) on 1, x, ..., x^(d-1):
-    its products of basis elements have several terms."""
+def monogenic_algebra_json(p, N, f):
+    """(Z/p^N)[x]/(x^d - f[0] - f[1] x - ... - f[d-1] x^(d-1)) on 1, x, ..., x^(d-1),
+    in the dense JSON form: its products of basis elements have several terms."""
     d = len(f)
-    powers = [tuple(int(k == i) for k in range(d)) for i in range(d)]
+    powers = [[int(k == i) for k in range(d)] for i in range(d)]
     for _ in range(d - 1):  # x^(e+1) = x * x^e, with x^d = f
         top = powers[-1]
-        powers.append(tuple(top[k - 1] * (k > 0) + top[-1] * f[k] for k in range(d)))
+        powers.append([top[k - 1] * (k > 0) + top[-1] * f[k] for k in range(d)])
     mult = [[powers[i + j] for j in range(d)] for i in range(d)]
-    return FiniteCommAlgebra(p, N, [f"x^{i}" for i in range(d)], mult, powers[0], name=f"x^{d}={f}")
+    return {"p": p, "N": N, "basis": [f"x^{i}" for i in range(d)], "mult": mult,
+            "one": powers[0], "sharp": None, "name": f"x^{d}={f}"}
 
 
 def _algebras():
+    """(algebra, its dense table) pairs; every table comes from a reference
+    construction or a dense JSON input, never from the algebra itself."""
     c2 = FiniteAbelianGroup((2,))
     c2c2 = FiniteAbelianGroup((2, 2))
-    groups = [GroupAlgebra(2, 3, c2), GroupAlgebra(3, 2, FiniteAbelianGroup((3,))),
-              GroupAlgebra(3, 2, c2c2), GroupAlgebra(3, 2, FiniteAbelianGroup((2, 9)))]
-    quotient, _ = minus_quotient(GroupAlgebra(3, 2, c2c2), (1, 0))
-    return groups + [
-        quotient,
-        nilpotent_extension(zmod_algebra(3, 2), 3),
-        nilpotent_extension(GroupAlgebra(2, 2, c2), 2),
-        zmod_algebra(5, 2),
-        monogenic_algebra(3, 2, (2, 3)),
-        monogenic_algebra(2, 3, (1, 1, 6)),
+    pairs = [
+        (GroupAlgebra(p, N, group), group_algebra_reference(p, N, group))
+        for p, N, group in ((2, 3, c2), (3, 2, FiniteAbelianGroup((3,))), (3, 2, c2c2),
+                            (3, 2, FiniteAbelianGroup((2, 9))))
     ]
+    pairs.append((minus_quotient(GroupAlgebra(3, 2, c2c2), (1, 0))[0],
+                  minus_quotient_reference(3, 2, c2c2, (1, 0))[0]))
+    dense = [
+        nilpotent_extension_json(zmod_reference(3, 2), 3),
+        nilpotent_extension_json(group_algebra_reference(2, 2, c2), 2),
+        monogenic_algebra_json(3, 2, (2, 3)),
+        monogenic_algebra_json(2, 3, (1, 1, 6)),
+    ]
+    pairs += [(FiniteCommAlgebra.from_json(obj), obj) for obj in dense]
+    pairs.append((zmod_algebra(5, 2), zmod_reference(5, 2)))
+    return [pytest.param(alg, ref["mult"], id=alg.name) for alg, ref in pairs]
 
 
-@pytest.mark.parametrize("alg", _algebras(), ids=lambda a: a.name)
-def test_sparse_mul_matches_dense_reference(alg):
+@pytest.mark.parametrize("alg, mult", _algebras())
+def test_sparse_mul_matches_dense_reference(alg, mult):
+    def mul_ref(x, y):
+        return mul_reference(mult, alg.q, x, y)
+
     rng = random.Random(alg.dim)
     basis = [alg.basis_element(i) for i in range(alg.dim)]
     for bi in basis:
         for bj in basis:
-            assert alg.mul(bi, bj) == mul_reference(alg, bi, bj)
+            assert alg.mul(bi, bj) == mul_ref(bi, bj)
     elements = basis + [
         tuple(rng.randrange(-alg.q, 2 * alg.q) for _ in range(alg.dim)) for _ in range(8)
     ]
     for x in elements:
         rows = alg.regular_rows(x)
-        assert rows == [list(mul_reference(alg, x, b)) for b in basis]
+        assert rows == [list(mul_ref(x, b)) for b in basis]
         for y in elements[-8:]:
-            assert alg.mul(x, y) == mul_reference(alg, x, y)
+            assert alg.mul(x, y) == mul_ref(x, y)
     zero = alg.zero()
     rows = [[rng.choice(elements) for _ in range(n)] for n in (1, 2, 3)]
     rows += [[zero], [rng.choice(elements), zero], [zero, rng.choice(elements), zero]]
@@ -218,6 +323,6 @@ def test_sparse_mul_matches_dense_reference(alg):
         flat = [c for entry in row for c in entry]
         assert alg.split(flat) == row
         assert alg.realize(row) == [
-            [c for entry in row for c in mul_reference(alg, b, entry)] for b in basis
+            [c for entry in row for c in mul_ref(b, entry)] for b in basis
         ]
     assert alg.q == alg.p**alg.N

@@ -33,6 +33,12 @@ def test_howell_examples():
     assert howell_form([[0, 0]], 2, R) == []
 
 
+@pytest.mark.parametrize("width", [0, 1, 54])
+def test_howell_form_of_no_rows_is_empty(width):
+    for R in RINGS:
+        assert howell_form([], width, R) == []
+
+
 def test_howell_is_canonical_and_matches_bruteforce():
     rng = random.Random(42)
     for R in RINGS:

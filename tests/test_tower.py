@@ -7,7 +7,12 @@ import pytest
 import sympy
 
 from iwasawa_kit.abelian import AbelianFieldSpec, galois_group
-from iwasawa_kit.fitting import GroupAlgebra
+from iwasawa_kit.fitting import (
+    GroupAlgebra,
+    group_algebra_morphism,
+    principal_module,
+    tower_fitting_check,
+)
 from iwasawa_kit.groupring import sharp
 from iwasawa_kit.tower import (
     FiniteLevelAlgebra,
@@ -347,3 +352,24 @@ def test_tower_json_roundtrip():
     assert again.r == t.r
     ok, _ = coherence_check(again)
     assert ok
+
+
+@pytest.mark.parametrize("r", [0, -1])
+def test_fitting_ideals_at_the_widest_tower_level(r):
+    """Over Q(zeta3) at p = 3, N = 2, n_max = 3 the top level is
+    (Z/9)[C2 x C27], dim 54. The Fitting ideals of the principal Stickelberger
+    modules descend the tower (contained, and equal: the entries are coherent),
+    and at the top Fitt(L/theta + L/theta#) = Fitt(L/theta) Fitt(L/theta#)."""
+    t = theta_tower(Z3, [3, OO], [7], 3, 2, 3, r)
+    algs = [GroupAlgebra(3, 2, level.group) for level in t.levels]
+    assert [alg.dim for alg in algs] == [2, 6, 18, 54]
+    mods = [principal_module(alg, entry) for alg, entry in zip(algs, t.entries)]
+    projections = [
+        group_algebra_morphism(algs[n + 1], algs[n], lambda g, n=n: t.levels[n + 1].project(g, n))
+        for n in range(3)
+    ]
+    report = tower_fitting_check(mods, projections)
+    assert report["ok"] and all(report["equal"])
+    top, x = algs[-1], t.entries[-1]
+    M1, M2 = principal_module(top, x), principal_module(top, top.sharp_of(x))
+    assert M1.direct_sum(M2).fitting_ideal == M1.fitting_ideal.product(M2.fitting_ideal)
