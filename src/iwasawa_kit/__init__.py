@@ -3,12 +3,12 @@ Stickelberger elements, finite-level Iwasawa algebras, Fitting ideals over
 group rings, and bounded-complex invariants.
 
 Everything is exact: rationals, cyclotomic integers over Q, and the rings
-Z/p^N as plain ints reduced mod p^N. An element of a group ring over any of
-them is a tuple of coefficients in the basis order of `groupring`. The
-package verifies, at desk scale, the classical identities and containments
-these objects satisfy (integrality under admissibility, annihilation of
-class-module data, tower coherence, twist congruences, and the Fitting-ideal
-lemma calculus).
+Z/p^N as plain ints reduced mod p^N. An element of a group ring is a tuple of
+coefficients in the basis order of `groupring`; over Q it is the pair (nums,
+den) of integer numerators over one denominator. The package verifies, at
+desk scale, the classical identities and containments these objects satisfy
+(integrality under admissibility, annihilation of class-module data, tower
+coherence, twist congruences, and the Fitting-ideal lemma calculus).
 """
 
 from .abelian import (
@@ -39,7 +39,6 @@ from .exact import (
     CyclotomicInt,
     bernoulli_number,
     bernoulli_polynomial,
-    hurwitz_zeta_nonpos,
     padic_from_rational,
     teichmuller,
 )

@@ -5,9 +5,10 @@ the fixed field of H inside Q(zeta_m), so Gal(L/Q) = (Z/m)^x / H. This module
 computes the Galois group in invariant-factor form with its Frobenius map, the
 conductor, CM structure (complex conjugation j and the idempotents e_r), roots
 of unity, cyclotomic-tower layers, the Hyp(S,T) admissibility test, and the
-character table with exact decomposition/reconstruction. Group-ring elements
-(the idempotents, the inputs and outputs of the character table) are
-coefficient tuples in the basis order of groupring.
+character table with exact decomposition/reconstruction. The elements of Q[G]
+(the CM idempotents, the input of decompose and the output of reconstruct)
+are pairs (nums, den) of integer numerators in the basis order of groupring
+over one positive denominator, in lowest terms.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
-from .exact import CyclotomicInt, teichmuller
-from .groupring import translate
+from .exact import CyclotomicInt, lowest_terms, teichmuller
+from .groupring import basis_index, linear_form, translate
 from .linalg import smith_normal_form
 from .numutil import (
     crt_lift,
@@ -75,20 +75,12 @@ class FiniteAbelianGroup:
     def power(self, g, k: int) -> tuple[int, ...]:
         return tuple((a * k) % d for a, d in zip(g, self.orders))
 
-    def element_order(self, g) -> int:
-        return math.lcm(*(d // math.gcd(a, d) for a, d in zip(g, self.orders))) if self.orders else 1
-
     def elements(self):
         return itertools.product(*(range(d) for d in self.orders))
 
     def generators(self) -> list[tuple[int, ...]]:
         n = len(self.orders)
         return [tuple(int(i == j) for j in range(n)) for i in range(n)]
-
-    def is_invariant_factor_form(self) -> bool:
-        return all(
-            self.orders[i + 1] % self.orders[i] == 0 for i in range(len(self.orders) - 1)
-        )
 
     def to_json(self) -> dict:
         return {"orders": list(self.orders)}
@@ -251,16 +243,6 @@ class GaloisData:
             )
         return self.element_of(ell)
 
-    def projection_to(self, sub: "GaloisData"):
-        """Quotient map Gal(L/Q) -> Gal(L'/Q) for L' a subfield of L.
-
-        Needs conductor(L') | modulus(L); acts on representatives.
-        """
-        def phi(g: tuple[int, ...]) -> tuple[int, ...]:
-            return sub.element_of(self.representatives[g])
-
-        return phi
-
 
 @lru_cache(maxsize=None)
 def galois_group(spec: AbelianFieldSpec) -> GaloisData:
@@ -290,10 +272,10 @@ def cm_data(spec: AbelianFieldSpec) -> CMStructure | None:
     gal = galois_group(spec)
     j = gal.element_of(-1 % m)
     grp = gal.group
-    one = tuple(Fraction(int(g == grp.identity)) for g in grp.elements())
+    one = tuple(int(g == grp.identity) for g in grp.elements())
     jj = translate(one, grp, j)
-    e_plus = tuple((a + b) / 2 for a, b in zip(one, jj))
-    e_minus = tuple((a - b) / 2 for a, b in zip(one, jj))
+    e_plus = lowest_terms([a + b for a, b in zip(one, jj)], 2)
+    e_minus = lowest_terms([a - b for a, b in zip(one, jj)], 2)
     return CMStructure(grp, j, e_plus, e_minus)
 
 
@@ -398,72 +380,57 @@ class CharacterTable:
     """All characters of a finite abelian group, stored as logs base zeta_e.
 
     Characters are labelled by exponent vectors c: chi_c(g) = zeta_e^log with
-    log = sum_i c_i g_i (e / d_i) mod e, e the exponent of the group.
+    log = sum_i c_i g_i (e / d_i) mod e, e the exponent of the group. Each
+    label keeps one list of logs in the basis order of groupring.
     """
 
     def __init__(self, group: FiniteAbelianGroup):
         self.group = group
         self.e = group.exponent
         self.labels = list(group.elements())
+        self._logs = {
+            c: linear_form(group, [ci * (self.e // d) for ci, d in zip(c, group.orders)], self.e)
+            for c in self.labels
+        }
 
     def log(self, label, g) -> int:
-        e = self.e
-        return sum(
-            c * x * (e // d) for c, x, d in zip(label, g, self.group.orders)
-        ) % e if self.group.orders else 0
+        return self._logs[label][basis_index(self.group)[g]]
 
     def value(self, label, g) -> CyclotomicInt:
         return CyclotomicInt.zeta(self.e, self.log(label, g))
 
     def component(self, x: tuple, label) -> CyclotomicInt:
-        """component_chi(x) = sum_g coeff_g(x) chi(g): denominators cleared
-        once, numerators bucketed by the exponent of zeta_e, one reduction."""
-        e = self.e
-        terms = []  # (log of chi(g), exponent step into zeta_e, numerators, denominator)
-        for g, c in zip(self.group.elements(), x):
-            if isinstance(c, CyclotomicInt):
-                if e % c.n:
-                    raise ValueError(f"no canonical embedding of order {c.n} into {e}")
-                terms.append((self.log(label, g), e // c.n, c.nums, c.den))
-            else:  # an int or a Fraction
-                terms.append((self.log(label, g), 0, (c.numerator,), c.denominator))
-        den = math.lcm(*(d for *_, d in terms))
-        vec = [0] * e
-        for t, step, nums, d in terms:
-            scale = den // d
-            for i, a in enumerate(nums):
-                if a:
-                    vec[(t + i * step) % e] += a * scale
-        return CyclotomicInt(e, vec, den)
+        """component_chi(x) = sum_g x_g chi(g) for x = (nums, den) in Q[G]:
+        numerators bucketed by the exponent of zeta_e, one reduction."""
+        nums, den = x
+        vec = [0] * self.e
+        for t, c in zip(self._logs[label], nums):
+            vec[t] += c
+        return CyclotomicInt(self.e, vec, den)
 
     def decompose(self, x: tuple) -> dict:
         return {label: self.component(x, label) for label in self.labels}
 
-    def idempotent(self, label) -> tuple:
-        """e(chi) = (1/|G|) sum_g chi(g^(-1)) g."""
-        inv_size = Fraction(1, self.group.size)
-        return tuple(
-            CyclotomicInt.zeta(self.e, -self.log(label, g)) * inv_size
-            for g in self.group.elements()
-        )
-
-    def reconstruct(self, components: dict) -> tuple:
-        """sum_chi component_chi e(chi); exact inverse of decompose."""
-        inv_size = Fraction(1, self.group.size)
-        out = []
-        for g in self.group.elements():
-            acc = CyclotomicInt.from_rational(self.e, Fraction(0))
+    def reconstruct(self, components: dict) -> tuple[tuple[int, ...], int]:
+        """sum_chi component_chi e(chi) as (nums, den), with e(chi) =
+        |G|^(-1) sum_g chi(g^(-1)) g: the exact inverse of decompose. Raises
+        ValueError when a coefficient is not rational."""
+        e = self.e
+        den = math.lcm(*(c.den for c in components.values()))
+        nums = []
+        for i in range(self.group.size):
+            vec = [0] * e
             for label, comp in components.items():
-                acc = acc + comp * CyclotomicInt.zeta(self.e, -self.log(label, g))
-            out.append(acc * inv_size)
-        return tuple(out)
-
-    def demote_rational(self, x: tuple) -> tuple:
-        """Replace rational-valued CyclotomicInt coefficients by Fractions."""
-        return tuple(
-            c.as_rational() if isinstance(c, CyclotomicInt) and c.is_rational() else c
-            for c in x
-        )
+                if comp.n != e:
+                    raise ValueError(f"component of order {comp.n}, table exponent {e}")
+                t, scale = self._logs[label][i], den // comp.den
+                for k, a in enumerate(comp.nums):
+                    vec[(k - t) % e] += a * scale
+            c = CyclotomicInt(e, vec)
+            if not c.is_rational():
+                raise ValueError(f"coefficient {i} is not rational: {c!r}")
+            nums.append(c.nums[0])
+        return lowest_terms(nums, den * self.group.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -503,12 +470,8 @@ class DirichletCharacter:
     def value(self, a: int) -> CyclotomicInt:
         t = self.log_of(a)
         if t is None:
-            return CyclotomicInt.from_rational(self.order, Fraction(0))
+            return CyclotomicInt(self.order, [0])
         return CyclotomicInt.zeta(self.order, t)
-
-    def is_odd(self) -> bool:
-        t = self.log_of(-1)
-        return t is not None and t != 0
 
     def contragredient(self) -> "DirichletCharacter":
         return DirichletCharacter(

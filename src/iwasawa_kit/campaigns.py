@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -31,6 +32,7 @@ from .abelian import (
 from .exact import (
     bernoulli_number,
     bernoulli_polynomial,
+    lowest_terms,
     padic_from_rational,
     poly_eval,
     teichmuller,
@@ -239,8 +241,10 @@ def fields_campaign(seed: int = 0) -> CampaignResult:
         grp = FiniteAbelianGroup(orders)
         tab = CharacterTable(grp)
         for _ in range(4):
-            x = tuple(Q(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(grp.size))
-            back = tab.demote_rational(tab.reconstruct(tab.decompose(x)))
+            fracs = [(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(grp.size)]
+            den = math.lcm(*(d for _, d in fracs))
+            x = lowest_terms([a * (den // d) for a, d in fracs], den)
+            back = tab.reconstruct(tab.decompose(x))
             res.record(back == x, f"roundtrip fails on {orders}")
     for m, p in ((5, 5), (12, 3), (1, 3), (7, 7)):
         spec = AbelianFieldSpec.cyclotomic(m) if m > 1 else AbelianFieldSpec.rationals()
@@ -251,15 +255,15 @@ def fields_campaign(seed: int = 0) -> CampaignResult:
     for spec in corpus_cm_specs(12):
         cm = cm_data(spec)
         grp = galois_group(spec).group
-        one = tuple(Q(int(g == grp.identity)) for g in grp.elements())
+        one = tuple(int(g == grp.identity) for g in grp.elements())
         jj = translate(one, grp, cm.j)
-        res.record(
-            tuple(a + b for a, b in zip(cm.e_plus, cm.e_minus)) == one, "e_+ + e_- != 1"
-        )
+        (plus, d_plus), (minus, d_minus) = cm.e_plus, cm.e_minus
+        total = [a * d_minus + b * d_plus for a, b in zip(plus, minus)]
+        res.record(lowest_terms(total, d_plus * d_minus) == (one, 1), "e_+ + e_- != 1")
         for r in (0, 1):
-            er = cm.e_r(r)
+            er, d = cm.e_r(r)
             sign = 1 if r % 2 == 0 else -1
-            res.record(mul(er, er, grp) == er, "e_r not idempotent")
+            res.record(lowest_terms(mul(er, er, grp), d * d) == (er, d), "e_r not idempotent")
             factor = tuple(a - sign * b for a, b in zip(one, jj))
             res.record(
                 mul(er, factor, grp) == tuple(2 * c for c in er), "e_r (1-(-1)^r j) != 2 e_r"
@@ -820,9 +824,7 @@ def annihilation_campaign(data_dir: Path) -> CampaignResult:
         dual_mod, alg, proj = minus_dual_presentation(spec, M, p, N)
         quo = dual_mod.algebra
         if quo.q**quo.dim <= ORACLE_RING_LIMIT:
-            target = proj.apply(
-                tuple(padic_from_rational(c, p, N) for c in sharp(th.value, th.group))
-            )
+            target = proj.apply(sharp(padic_from_rational(th.value, p, N), th.group))
             oracle_fit = ideal_member_oracle(target, dual_mod.fitting_ideal)
             res.record(ok_fit == oracle_fit, f"fitting oracle mismatch: {entry['name']}")
         # table-derived entries are honest class groups: the proven theorems

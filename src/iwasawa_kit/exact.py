@@ -3,12 +3,14 @@ into Z/p^N, and cyclotomic integers over Q.
 
 All values are immutable and every operation is pure. Z/p^N is held as plain
 ints reduced mod p^N; the caller carries p and N (see linalg.ZModPN and the
-int vectors of fitting and tower). Q(zeta_n) has one model, CyclotomicInt:
-integer numerators in the power basis 1, z, ..., z^(phi(n)-1) over one
-positive denominator, in lowest terms, reduced mod the n-th cyclotomic
-polynomial in the integers. Both character routes (abelian.CharacterTable and
-the L-values of lvalues) build it directly from an integer vector and a
-denominator.
+int vectors of fitting and tower). Q[G] and Q(zeta_n) share one shape:
+integer numerators over one positive denominator, in lowest terms
+(`lowest_terms`). An element of Q[G] is the pair (nums, den) with nums in the
+basis order of groupring; padic_from_rational reduces such a pair mod p^N
+with one inverse of den. Q(zeta_n) is CyclotomicInt: numerators in the power
+basis 1, z, ..., z^(phi(n)-1), reduced mod the n-th cyclotomic polynomial in
+the integers. Both character routes (abelian.CharacterTable and the L-values
+of lvalues) build it directly from an integer vector and a denominator.
 """
 
 from __future__ import annotations
@@ -23,9 +25,19 @@ from .numutil import is_prime
 # ---------------------------------------------------------------------------
 # Rational wire format: "num/den", den omitted when 1.
 
-def rat_to_str(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def rat_to_str(num: int, den: int = 1) -> str:
+    """num/den in lowest terms; the denominator is omitted when it is 1."""
+    (num,), den = lowest_terms((num,), den)
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def lowest_terms(nums, den: int) -> tuple[tuple[int, ...], int]:
+    """Integer numerators over one denominator, divided by their gcd with
+    den > 0 (zero has den 1)."""
+    if den == 0:
+        raise ZeroDivisionError("denominator 0")
+    g = math.gcd(den, *nums) * (-1 if den < 0 else 1)
+    return tuple(c // g for c in nums), den // g
 
 
 # ---------------------------------------------------------------------------
@@ -62,27 +74,18 @@ def poly_eval(coeffs: tuple[Fraction, ...], x: Fraction) -> Fraction:
     return acc
 
 
-def hurwitz_zeta_nonpos(r: int, a: int, f: int) -> Fraction:
-    """zeta(r, a/f) for r <= 0, via zeta(1-k, x) = -B_k(x)/k with k = 1-r."""
-    if r > 0:
-        raise ValueError(f"hurwitz_zeta_nonpos expects r <= 0, got {r}")
-    if not (1 <= a <= f):
-        raise ValueError(f"need 1 <= a <= f, got a={a}, f={f}")
-    k = 1 - r
-    return -poly_eval(bernoulli_polynomial(k), Fraction(a, f)) / k
-
-
 # ---------------------------------------------------------------------------
 # The ring Z/p^N: plain ints reduced mod p^N.
 
-def padic_from_rational(x: Fraction, p: int, N: int) -> int:
-    """Reduce a p-integral rational mod p^N; raises ValueError if p divides
-    the denominator."""
-    x = Fraction(x)
-    if x.denominator % p == 0:
-        raise ValueError(f"{x} is not {p}-integral")
+def padic_from_rational(x: tuple[tuple[int, ...], int], p: int, N: int) -> tuple[int, ...]:
+    """Reduce a p-integral element (nums, den) of Q[G], in lowest terms, mod
+    p^N with one inverse of den; raises ValueError if p divides den."""
+    nums, den = x
+    if den % p == 0:
+        raise ValueError(f"denominator {den} is not prime to {p}")
     q = p**N
-    return x.numerator * pow(x.denominator, -1, q) % q
+    inv = pow(den, -1, q)
+    return tuple(c * inv % q for c in nums)
 
 
 def teichmuller(a: int, p: int, N: int) -> int:
@@ -155,23 +158,8 @@ class CyclotomicInt:
     __slots__ = ("n", "nums", "den")
 
     def __init__(self, n: int, vec, den: int = 1):
-        if den == 0:
-            raise ZeroDivisionError("cyclotomic denominator 0")
-        nums = _reduce_mod_cyclotomic(vec, n)
-        g = math.gcd(den, *nums) * (-1 if den < 0 else 1)
         self.n = n
-        self.nums = tuple(c // g for c in nums)
-        self.den = den // g
-
-    @classmethod
-    def from_powers(cls, n: int, powers: dict[int, Fraction]) -> "CyclotomicInt":
-        """sum_k c_k zeta_n^k for rational c_k, exponents taken mod n."""
-        powers = {k: Fraction(c) for k, c in powers.items()}
-        den = math.lcm(*(c.denominator for c in powers.values()))
-        vec = [0] * n
-        for k, c in powers.items():
-            vec[k % n] += c.numerator * (den // c.denominator)
-        return cls(n, vec, den)
+        self.nums, self.den = lowest_terms(_reduce_mod_cyclotomic(vec, n), den)
 
     @classmethod
     def zeta(cls, n: int, k: int = 1) -> "CyclotomicInt":
@@ -256,9 +244,6 @@ class CyclotomicInt:
         if math.gcd(t, self.n) != 1:
             raise ValueError(f"galois exponent {t} not coprime to {self.n}")
         return self._spread(self.n, t)
-
-    def conjugate(self) -> "CyclotomicInt":
-        return self.galois(-1 % self.n) if self.n > 2 else self
 
     def embed(self, m: int) -> "CyclotomicInt":
         """Image under Q(zeta_n) -> Q(zeta_m), zeta_n -> zeta_m^(m/n); needs n | m."""

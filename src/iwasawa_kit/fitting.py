@@ -368,9 +368,6 @@ class IdealHandle:
     def map_through(self, phi: AlgebraMorphism) -> "IdealHandle":
         return IdealHandle(phi.dst, [phi.apply(g) for g in self.generators])
 
-    def is_zero(self) -> bool:
-        return not self.howell
-
     def size(self) -> int:
         return span_size(self.howell, self.algebra.R)
 

@@ -1,14 +1,16 @@
 """The group ring R[G] of a finite abelian group G.
 
 An element of R[G] is a tuple of coefficients in the order of
-`group.elements()`, whatever the coefficient ring: Fraction or CyclotomicInt
-for Q[G] and Q(zeta)[G] (Stickelberger elements, CM idempotents, character
-idempotents), ints mod p^N for (Z/p^N)[G] (fitting.GroupAlgebra, tower
-entries). This module owns that basis: the index map, the product table of
-basis indices, translation by a group element, the # involution
+`group.elements()`: ints mod p^N for (Z/p^N)[G] (fitting.GroupAlgebra, tower
+entries), CyclotomicInt for Q(zeta)[G]. An element of Q[G] (Stickelberger
+elements, CM idempotents, the input of the character table) is the pair
+(nums, den): integer numerators in that order over one positive denominator,
+in lowest terms (exact.lowest_terms); the maps below act on nums. This module
+owns that basis: the index map, linear forms over the basis, the product
+table of basis indices, translation by a group element, the # involution
 (g -> g^(-1)), pushforward along a group homomorphism, the convolution
-product and the "g1,g2" JSON keys. The maps only move and add coefficients;
-reducing mod p^N is the caller's step.
+product and the "g1,g2" JSON keys. The maps only move and add coefficients; reducing mod p^N is the
+caller's step.
 """
 
 from __future__ import annotations
@@ -24,6 +26,16 @@ if TYPE_CHECKING:  # avoid a runtime import cycle with abelian
 def basis_index(group: "FiniteAbelianGroup") -> dict:
     """Position of each group element in the basis order of group.elements()."""
     return {g: i for i, g in enumerate(group.elements())}
+
+
+def linear_form(group: "FiniteAbelianGroup", weights, modulus: int) -> list[int]:
+    """sum_i weights_i g_i mod modulus for g in the basis order, built in
+    mixed radix (the last coordinate runs fastest) with no group element
+    formed."""
+    values = [0]
+    for w, o in zip(weights, group.orders):
+        values = [(a + x * w) % modulus for a in values for x in range(o)]
+    return values
 
 
 def mul_table(group: "FiniteAbelianGroup") -> list[list[int]]:

@@ -2,9 +2,12 @@
 annihilation / Fitting-membership checks against class-module data.
 
 The group-ring route is primary: theta_{S,T}(r) = delta_T(r) . sum_sigma
-zeta_S(r, sigma) sigma^(-1) with exact rational coefficients, a tuple in the
-basis order of groupring. Each Euler or T-factor (1 - c sigma) is applied as
-x - c . translate(x, sigma), never as a full group-ring product. The character
+zeta_S(r, sigma) sigma^(-1) as the pair (nums, den) of Q[G], integer
+numerators in the basis order of groupring over one positive denominator in
+lowest terms. The partial zeta values come from an integer Horner of the
+cleared B_k(x), and each Euler or T-factor (1 - c sigma), c an integer, is
+applied to the numerators as x - c . translate(x, sigma), never as a full
+group-ring product. The character
 route (S-truncated Dirichlet L-values at non-positive integers through
 generalized Bernoulli numbers) is an independent cross-check. It builds each
 value of Q(zeta_e) as an integer vector indexed by the exponent mod e over
@@ -19,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from . import groupring
@@ -37,7 +39,7 @@ from .abelian import (
 from .exact import (
     CyclotomicInt,
     bernoulli_polynomial,
-    hurwitz_zeta_nonpos,
+    lowest_terms,
     padic_from_rational,
     rat_to_str,
 )
@@ -49,8 +51,6 @@ from .fitting import (
 )
 from .numutil import factorize, is_prime, unit_residues
 
-Q = Fraction
-
 
 def _presentation(spec_or_pres):
     if isinstance(spec_or_pres, AbelianFieldSpec):
@@ -61,11 +61,14 @@ def _presentation(spec_or_pres):
 # ---------------------------------------------------------------------------
 # Partial zeta values and Stickelberger elements.
 
-def partial_zeta_vector(spec_or_pres, S, r: int) -> tuple:
-    """sigma -> zeta_S(r, sigma), exact rationals in the basis order.
+def partial_zeta_vector(spec_or_pres, S, r: int) -> tuple[tuple[int, ...], int]:
+    """sigma -> zeta_S(r, sigma) as (nums, den) in the basis order.
 
     Base case S = S_ram + S_oo over the conductor f:
-    zeta(r, sigma_a) = sum_{b = a mod f} f^(-r) zeta(r, b/f); each extra
+    zeta(r, sigma_a) = sum_{b = a mod f} f^(-r) zeta(r, b/f) with
+    zeta(r, x) = -B_k(x)/k, k = 1 - r. Over the least common denominator D of
+    B_k(x) = sum_i c_i x^i, each term is -sum_i D c_i b^i f^(k-i) over f D k,
+    so every value is an integer over that one denominator. Each extra
     unramified prime v in S applies zeta_{S+v}(s) = zeta_S(s) - Nv^(-s)
     zeta_S(s sigma_v^(-1)).
     """
@@ -81,21 +84,25 @@ def partial_zeta_vector(spec_or_pres, S, r: int) -> tuple:
         raise ValueError(f"S misses ramified primes {sorted(ram - s_fin)}")
     grp = pres.group
     index = groupring.basis_index(grp)
-    vec = [Q(0)] * grp.size
-    scale = Q(f) ** (-r)
-    if f == 1:
-        vec[index[grp.identity]] += hurwitz_zeta_nonpos(r, 1, 1)
-    else:
-        for b in unit_residues(f):
-            vec[index[pres.element_of(b)]] += scale * hurwitz_zeta_nonpos(r, b, f)
-    x = tuple(vec)
+    k = 1 - r
+    coeffs = bernoulli_polynomial(k)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    cleared = [c.numerator * (den // c.denominator) for c in reversed(coeffs)]
+    f_pow = [f**j for j in range(k + 1)]
+    nums = [0] * grp.size
+    for b in (unit_residues(f) if f > 1 else (1,)):
+        acc = 0
+        for j, c in enumerate(cleared):  # Horner in b: D c_i pairs with f^(k-i)
+            acc = acc * b + c * f_pow[j]
+        nums[index[pres.element_of(b) if f > 1 else grp.identity]] -= acc
+    x = tuple(nums)
     for v in sorted(s_fin - ram):
-        x = _times_one_minus(x, grp, pres.frobenius(v), Q(v) ** (-r))
-    return x
+        x = _times_one_minus(x, grp, pres.frobenius(v), v ** (-r))
+    return lowest_terms(x, f * den * k)
 
 
-def _times_one_minus(x: tuple, group, sigma, c) -> tuple:
-    """(1 - c sigma) x."""
+def _times_one_minus(x: tuple, group, sigma, c: int) -> tuple:
+    """(1 - c sigma) x on integer numerators."""
     return tuple(a - c * b for a, b in zip(x, groupring.translate(x, group, sigma)))
 
 
@@ -109,23 +116,25 @@ def _t_factors(pres, T, r: int) -> list:
         if not is_prime(v):
             raise ValueError(f"T entries must be primes, got {v}")
         frob_inv = pres.group.inv(pres.frobenius(v))  # raises for ramified v
-        out.append((frob_inv, Q(v) ** (1 - r)))
+        out.append((frob_inv, v ** (1 - r)))
     return out
 
 
-def delta_t(spec_or_pres, T, r: int) -> tuple:
-    """delta_T(r) = prod_{v in T} (1 - v^(1-r) sigma_v^(-1)) in Q[G]."""
+def delta_t(spec_or_pres, T, r: int) -> tuple[tuple[int, ...], int]:
+    """delta_T(r) = prod_{v in T} (1 - v^(1-r) sigma_v^(-1)) in Z[G], as (nums, 1)."""
     pres = _presentation(spec_or_pres)
     grp = pres.group
-    out = tuple(Q(int(g == grp.identity)) for g in grp.elements())
+    out = tuple(int(g == grp.identity) for g in grp.elements())
     for sigma, c in _t_factors(pres, T, r):
         out = _times_one_minus(out, grp, sigma, c)
-    return out
+    return out, 1
 
 
 @dataclass
 class StickelbergerElement:
-    value: tuple
+    """value is the pair (nums, den) of Q[G] in lowest terms."""
+
+    value: tuple[tuple[int, ...], int]
     group: FiniteAbelianGroup
     spec: AbelianFieldSpec | None
     S: tuple
@@ -133,8 +142,9 @@ class StickelbergerElement:
     r: int
 
     def to_json(self) -> dict:
+        nums, den = self.value
         return {
-            "coefficients": groupring.to_json(self.value, self.group, rat_to_str),
+            "coefficients": groupring.to_json(nums, self.group, lambda c: rat_to_str(c, den)),
             "S": [str(v) for v in self.S],
             "T": [str(v) for v in self.T],
             "r": self.r,
@@ -150,21 +160,24 @@ def theta(spec_or_pres, S, T, r: int) -> StickelbergerElement:
     if s_fin & t_fin:
         raise ValueError(f"S and T must be disjoint, both contain {sorted(s_fin & t_fin)}")
     grp = pres.group
-    value = groupring.sharp(partial_zeta_vector(pres, S, r), grp)
+    nums, den = partial_zeta_vector(pres, S, r)
+    nums = groupring.sharp(nums, grp)
     for sigma, c in _t_factors(pres, T, r):
-        value = _times_one_minus(value, grp, sigma, c)
+        nums = _times_one_minus(nums, grp, sigma, c)
     spec = pres.spec if isinstance(pres, GaloisData) else getattr(pres, "spec", None)
-    return StickelbergerElement(value, grp, spec, tuple(S), tuple(T), r)
+    return StickelbergerElement(lowest_terms(nums, den), grp, spec, tuple(S), tuple(T), r)
+
+
+def _denominator(theta_elem: StickelbergerElement | tuple) -> int:
+    return (theta_elem.value if isinstance(theta_elem, StickelbergerElement) else theta_elem)[1]
 
 
 def verify_integrality(theta_elem: StickelbergerElement | tuple) -> bool:
-    x = theta_elem.value if isinstance(theta_elem, StickelbergerElement) else theta_elem
-    return all(Q(c).denominator == 1 for c in x)
+    return _denominator(theta_elem) == 1
 
 
 def is_p_integral(theta_elem: StickelbergerElement | tuple, p: int) -> bool:
-    x = theta_elem.value if isinstance(theta_elem, StickelbergerElement) else theta_elem
-    return all(Q(c).denominator % p != 0 for c in x)
+    return _denominator(theta_elem) % p != 0
 
 
 # ---------------------------------------------------------------------------
@@ -351,19 +364,19 @@ class ClassModuleData:
         return out
 
     def theta_matrix(self, x: tuple, group: FiniteAbelianGroup) -> list[list[int]]:
-        """sum_g coeff_g(x) . action(g), exact integer matrix."""
+        """sum_g x_g . action(g) for x = (nums, 1) in Z[G], exact integer matrix."""
+        nums, den = x
+        if den != 1:
+            raise ValueError("annihilation needs integral coefficients")
         k = len(self.orders)
         out = [[0] * k for _ in range(k)]
-        for g, c in zip(group.elements(), x):
-            c = Q(c)
-            if c.denominator != 1:
-                raise ValueError("annihilation needs integral coefficients")
+        for g, c in zip(group.elements(), nums):
             if not c:
                 continue
             A = self.action_of(g)
             for i in range(k):
                 for j in range(k):
-                    out[i][j] += int(c) * A[i][j]
+                    out[i][j] += c * A[i][j]
         return out
 
     def to_json(self) -> dict:
@@ -475,6 +488,6 @@ def fitting_membership_check(
     if not is_p_integral(theta_elem, p):
         raise ValueError(f"theta is not {p}-integral")
     fitt = dual_mod.fitting_ideal
-    theta_sharp = groupring.sharp(theta_elem.value, theta_elem.group)
-    target = proj.apply(tuple(padic_from_rational(c, p, N) for c in theta_sharp))
+    reduced = padic_from_rational(theta_elem.value, p, N)
+    target = proj.apply(groupring.sharp(reduced, theta_elem.group))
     return fitt.contains_element(target), fitt.residual(target)

@@ -8,6 +8,10 @@ level.group) shares, so Fitting consumers take tower entries as they are. The
 aug projections, # and the parity check use the groupring index maps and
 reduce mod p^N; no structure constants are built.
 
+A level's theta is computed once as the pair (nums, den) of Q[G_n] and
+reduced mod p^N with one inverse of den (exact.padic_from_rational), after
+the check that p does not divide den.
+
 Lambda(G) is represented only through coherent families of finite-level
 elements: a tower is accepted exactly when adjacent aug projections match,
 and the equivariant Kummer congruence compares a twisted tower against the
@@ -150,8 +154,9 @@ class TowerElement:
     @classmethod
     def from_json(cls, obj: dict) -> "TowerElement":
         """Parse and validate a stored tower; a malformed payload raises
-        KeyError, TypeError or ValueError."""
-        p, N = int(obj["p"]), int(obj["N"])
+        KeyError, TypeError or ValueError. The scalars p, N, each level's n and
+        meta.r must be JSON integers, the hyp verdicts JSON booleans."""
+        p, N = _json_scalar(obj["p"], int), _json_scalar(obj["N"], int)
         if p == 2 or not is_prime(p) or N < 1:
             raise ValueError(f"a tower needs an odd prime p and N >= 1, got p={p}, N={N}")
         meta = obj["meta"]
@@ -160,15 +165,15 @@ class TowerElement:
         T = tuple(_parse_place(v) for v in meta["T"])
         entries, levels = [], []
         for n, lvl in enumerate(obj["levels"]):
-            if int(lvl["n"]) != n:
+            if _json_scalar(lvl["n"], int) != n:
                 raise ValueError(f"level {n} is labelled n = {lvl['n']!r}")
             data = tower_level(spec, p, n)
-            entry = groupring.from_json(lvl["coeffs"], data.group, _residue)
+            entry = groupring.from_json(lvl["coeffs"], data.group, lambda c: _json_scalar(c, int))
             entries.append(tuple(c % p**N for c in entry))
             levels.append(data)
         return cls(
-            p, N, spec, S, T, int(meta["r"]), entries, levels,
-            [bool(b) for b in meta.get("hyp", [True] * len(entries))],
+            p, N, spec, S, T, _json_scalar(meta["r"], int), entries, levels,
+            [_json_scalar(b, bool) for b in meta.get("hyp", [True] * len(entries))],
         )
 
 
@@ -176,10 +181,11 @@ def _parse_place(v):
     return v if v in ("oo", "inf") else int(v)
 
 
-def _residue(c) -> int:
-    if type(c) is not int:
-        raise ValueError(f"coefficients must be integer residues, got {c!r}")
-    return c
+def _json_scalar(value, kind: type):
+    """value if it is a JSON value of exactly this kind (a bool is no int)."""
+    if type(value) is not kind:
+        raise TypeError(f"expected a JSON {kind.__name__}, got {value!r}")
+    return value
 
 
 def theta_tower(
@@ -229,7 +235,7 @@ def theta_tower(
             raise TowerIntegralityError(
                 n, f"theta has a coefficient denominator divisible by {p}"
             )
-        entries.append(tuple(padic_from_rational(c, p, N) for c in th.value))
+        entries.append(padic_from_rational(th.value, p, N))
         levels.append(lvl)
     return TowerElement(p, N, spec, tuple(S), tuple(T), r, entries, levels, hyps)
 

@@ -1,9 +1,11 @@
 """Tests for abelian field specs, Galois groups, CM data, layers, Hyp, characters."""
 
+import math
 from fractions import Fraction
 
 import pytest
 import sympy
+from fraction_route import as_fractions, as_pair
 
 from iwasawa_kit.abelian import (
     INFINITE_PLACE as OO,
@@ -21,7 +23,8 @@ from iwasawa_kit.abelian import (
     ramified_primes,
     roots_of_unity_order,
 )
-from iwasawa_kit.groupring import mul, translate
+from iwasawa_kit.exact import CyclotomicInt
+from iwasawa_kit.groupring import linear_form, mul, mul_table, translate
 from iwasawa_kit.linalg import smith_normal_form
 
 Q = Fraction
@@ -38,6 +41,18 @@ def scaled(x, c):
 
 def added(x, y):
     return tuple(a + b for a, b in zip(x, y))
+
+
+def element_order(group, g):
+    return math.lcm(*(d // math.gcd(a, d) for a, d in zip(g, group.orders)))
+
+
+def idempotent(tab, label):
+    """e(chi) = (1/|G|) sum_g chi(g^(-1)) g, CyclotomicInt coefficients."""
+    inv_size = Q(1, tab.group.size)
+    return tuple(
+        CyclotomicInt.zeta(tab.e, -tab.log(label, g)) * inv_size for g in tab.group.elements()
+    )
 
 
 def test_smith_normal_form_matches_sympy_invariants():
@@ -64,7 +79,7 @@ def test_galois_group_examples():
     g5 = galois_group(AbelianFieldSpec.cyclotomic(5))
     assert g5.group.orders == (4,)
     frob2 = g5.frobenius(2)
-    assert g5.group.element_order(frob2) == 4  # 2 generates (Z/5)^x
+    assert element_order(g5.group, frob2) == 4  # 2 generates (Z/5)^x
 
     g3 = galois_group(AbelianFieldSpec.cyclotomic(3))
     assert g3.group.orders == (2,)
@@ -80,7 +95,8 @@ def test_galois_group_quotient_and_invariant_factors():
     spec = AbelianFieldSpec.cyclotomic(24)
     g = galois_group(spec)
     assert sorted(g.group.orders) == [2, 2, 2]
-    assert g.group.is_invariant_factor_form()
+    orders = g.group.orders
+    assert all(b % a == 0 for a, b in zip(orders, orders[1:]))  # invariant-factor form
     sub = AbelianFieldSpec(24, frozenset({1, 5, 7, 11}))  # index-2 subgroup
     gs = galois_group(sub)
     assert gs.group.orders == (2,)
@@ -132,15 +148,16 @@ def test_cm_data_examples():
     assert cm.j == g.element_of(4)
     # idempotents: e_r^2 = e_r, e_+ + e_- = 1, e_r (1 - (-1)^r j) = 2 e_r
     grp = cm.group
+    assert cm.e_minus == as_pair(element(grp, {grp.identity: Q(1, 2), cm.j: Q(-1, 2)}))
     for r in (0, 1):
-        er = cm.e_r(r)
+        er = as_fractions(cm.e_r(r))
         assert mul(er, er, grp) == er
     one = element(grp, {grp.identity: 1})
-    assert added(cm.e_plus, cm.e_minus) == one
+    assert added(as_fractions(cm.e_plus), as_fractions(cm.e_minus)) == one
     jj = translate(one, grp, cm.j)
     assert jj == element(grp, {cm.j: 1})
     for r in (0, 1, 2, -1):
-        er = cm.e_r(r)
+        er = as_fractions(cm.e_r(r))
         sign = 1 if r % 2 == 0 else -1  # (-1)^r
         assert mul(er, added(one, scaled(jj, -sign)), grp) == scaled(er, 2)
         assert not any(mul(er, added(one, scaled(jj, sign)), grp))
@@ -222,11 +239,10 @@ def test_character_idempotents_sum_to_one():
     tab = CharacterTable(grp)
     total = element(grp, {})
     for label in tab.labels:
-        e = tab.idempotent(label)
+        e = idempotent(tab, label)
         assert mul(e, e, grp) == e
         total = added(total, e)
-    demoted = tab.demote_rational(total)
-    assert demoted == element(grp, {grp.identity: 1})
+    assert total == element(grp, {grp.identity: 1})
 
 
 def test_decompose_reconstruct_roundtrip():
@@ -236,24 +252,51 @@ def test_decompose_reconstruct_roundtrip():
     for orders in [(2,), (4,), (2, 2), (6,), (2, 4), (12,), (2, 12)]:
         grp = FiniteAbelianGroup(orders)
         tab = CharacterTable(grp)
-        x = tuple(Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(grp.size))
+        x = as_pair(Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(grp.size))
         comps = tab.decompose(x)
-        back = tab.demote_rational(tab.reconstruct(comps))
-        assert back == x
-        # and the other composition on a cyclotomic-coefficient element
-        y = tab.reconstruct(comps)
-        assert tab.decompose(y) == comps
+        assert tab.reconstruct(comps) == x
+        # components that no element of Q[G] has are refused
+        if tab.e > 2:
+            triv = tab.labels[0]
+            with pytest.raises(ValueError):
+                tab.reconstruct({**comps, triv: comps[triv] + CyclotomicInt.zeta(tab.e)})
+        # so are components of another cyclotomic order, even when their
+        # numerators read as powers of zeta_e would give back x
+        if tab.e == 6:
+            label = next(c for c in tab.labels if not comps[c].is_rational())
+            misread = CyclotomicInt(3, comps[label].nums, comps[label].den)
+            with pytest.raises(ValueError):
+                tab.reconstruct({**comps, label: misread})
+
+
+def test_basis_order_of_logs_and_products():
+    # linear_form (the character logs) and mul_table (the group algebras)
+    # spell the mixed-radix basis order out; both must follow group.elements()
+    for orders in [(2, 4, 3), (3, 2), (4, 2, 2), (5,)]:
+        grp = FiniteAbelianGroup(orders)
+        elems = list(grp.elements())
+        weights = [2 * i + 1 for i in range(len(orders))]
+        assert linear_form(grp, weights, 7) == [
+            sum(w * x for w, x in zip(weights, g)) % 7 for g in elems
+        ]
+        tab = CharacterTable(grp)
+        for label in tab.labels:
+            assert tab._logs[label] == [
+                sum(c * x * (tab.e // d) for c, x, d in zip(label, g, orders)) % tab.e
+                for g in elems
+            ]
+        index = {g: i for i, g in enumerate(elems)}
+        assert mul_table(grp) == [[index[grp.mul(g, h)] for h in elems] for g in elems]
 
 
 def test_c2_decompose_examples():
     grp = FiniteAbelianGroup((2,))
     tab = CharacterTable(grp)
-    a, b = Q(3), Q(5)
-    x = (a, b)
-    comps = tab.decompose(x)
+    a, b = 3, 5
+    comps = tab.decompose(((a, b), 1))
     assert comps[(0,)] == a + b
     assert comps[(1,)] == a - b
-    theta = (Q(1, 6), Q(-1, 6))
+    theta = ((1, -1), 6)
     comps = tab.decompose(theta)
     assert comps[(0,)] == 0
     assert comps[(1,)] == Q(1, 3)
@@ -263,7 +306,8 @@ def test_trivial_idempotent_components():
     grp = FiniteAbelianGroup((2, 2))
     tab = CharacterTable(grp)
     triv = tab.labels[0]
-    e0 = tab.idempotent(triv)
+    e0 = ((1,) * grp.size, grp.size)  # (1/|G|) sum_g g
+    assert e0 == as_pair(c.as_rational() for c in idempotent(tab, triv))
     comps = tab.decompose(e0)
     for label, val in comps.items():
         assert val == (1 if label == triv else 0)
@@ -277,7 +321,7 @@ def test_dirichlet_character_primitivization():
     nontriv = [c for c in tab.labels if c != tab.labels[0]]
     chi = dirichlet_character(gal, tab, nontriv[0])
     assert chi.conductor == 3
-    assert chi.is_odd()
+    assert chi.log_of(-1) != 0  # odd
     assert chi.value(2) == -1
     assert chi.value(3).is_zero()
 

@@ -142,6 +142,32 @@ def test_tower_replay_rejects_other_configuration(tmp_path, capsys, flag, value)
     assert err["exit"] == EXIT_IO and "does not match" in err["error"]
 
 
+@pytest.mark.parametrize(
+    "path, value, N",
+    [(("p",), 5.9, 2), (("N",), "2", 2), (("levels", 1, "n"), "1", 2), (("meta", "r"), 0.7, 2),
+     (("N",), True, 1), (("meta", "hyp", 0), 0, 2)],
+    ids=["float-p", "string-N", "string-level-n", "float-r", "bool-N", "int-hyp"],
+)
+def test_tower_replay_rejects_non_json_integer_scalars(tmp_path, capsys, path, value, N):
+    # p, N, each level's n and meta.r are JSON integers and hyp holds JSON
+    # booleans; int() or bool() would read each of these as a valid tower
+    argv = ("tower", "--spec", "zeta5", "--S", "5,oo", "--T", "2", "--r", "0",
+            "--p", "5", "--N", str(N), "--levels", "1")
+    code, cert = run(capsys, *argv)
+    assert code == EXIT_OK
+    tower_json = cert["result"]["tower"]
+    *parents, last = path
+    target = tower_json
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps(tower_json))
+    code2, err = run_refused(capsys, *argv, "--data", str(replay))
+    assert code2 == EXIT_IO
+    assert err["exit"] == EXIT_IO and "bad tower file" in err["error"]
+
+
 def test_tower_certificate_is_wire_compatible(tmp_path, capsys):
     # a stored certificate locks the tower wire format: recheck and replay
     # must both reproduce it

@@ -1,0 +1,61 @@
+"""The integer route of Q[G] in lvalues against the Fraction route of
+fraction_route.py: partial zeta vectors, delta_T and theta are equal as
+rationals, the integrality verdicts agree, and every theta_tower entry is the
+Fraction theta of its level reduced one coefficient at a time."""
+
+import fraction_route
+import pytest
+from fraction_route import as_pair, reduce_mod
+
+from iwasawa_kit.campaigns import TOWER_CORPUS, corpus_cm_specs, corpus_st_choices
+from iwasawa_kit.lvalues import (
+    delta_t,
+    is_p_integral,
+    partial_zeta_vector,
+    theta,
+    verify_integrality,
+)
+from iwasawa_kit.tower import theta_tower
+
+PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def corpus_items():
+    """(spec, S, T) per CM spec of conductor <= 24: the corpus choice with the
+    most places, so Euler and T-factors both act, and the same S with T empty,
+    whose theta has denominators."""
+    for spec in corpus_cm_specs(24):
+        S, T = max(corpus_st_choices(spec), key=lambda st: len(st[0]) + len(st[1]))
+        yield spec, S, T
+        yield spec, S, []
+
+
+def test_integer_route_matches_fraction_route_on_the_corpus():
+    verdicts = set()
+    for spec, S, T in corpus_items():
+        for r in (0, -3):
+            where = (spec.label, S, T, r)
+            assert partial_zeta_vector(spec, S, r) == as_pair(
+                fraction_route.partial_zeta_vector(spec, S, r)
+            ), where
+            assert delta_t(spec, T, r) == as_pair(fraction_route.delta_t(spec, T, r)), where
+            th = theta(spec, S, T, r)
+            ref = fraction_route.theta(spec, S, T, r)
+            assert th.value == as_pair(ref), where
+            integral = all(c.denominator == 1 for c in ref)
+            assert verify_integrality(th) == integral, where
+            verdicts.add(integral)
+            for p in PRIMES:
+                assert is_p_integral(th, p) == all(c.denominator % p for c in ref), (where, p)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize(
+    "spec, p, S, T", TOWER_CORPUS, ids=[f"{s.label}-p{p}-T{T}" for s, p, _, T in TOWER_CORPUS]
+)
+def test_theta_tower_matches_fraction_route(spec, p, S, T):
+    N, n_max = 3, 2  # the precision and depth of the AC3/AC4 campaigns
+    for r in (0, -1, -2, -3):
+        t = theta_tower(spec, S, T, p, N, n_max, r)
+        for lvl, entry in zip(t.levels, t.entries):
+            assert entry == reduce_mod(fraction_route.theta(lvl, S, T, r), p, N), (lvl.n, r)

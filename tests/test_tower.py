@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from fraction_route import as_fractions
 
 from iwasawa_kit.abelian import AbelianFieldSpec, galois_group
 from iwasawa_kit.fitting import (
@@ -43,8 +44,9 @@ def vec(group, coeffs, q):
 
 
 def reduce_exact(x, q):
-    """Independent reduction of a rational group-ring element mod q."""
-    return tuple(c.numerator * pow(c.denominator, -1, q) % q for c in x)
+    """Independent reduction of an element (nums, den) of Q[G] mod q, one
+    Fraction coefficient at a time."""
+    return tuple(c.numerator * pow(c.denominator, -1, q) % q for c in as_fractions(x))
 
 
 def random_vec(rng, group, q):
