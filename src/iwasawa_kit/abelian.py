@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from . import wire
 from .exact import CyclotomicInt, lowest_terms, teichmuller
 from .groupring import basis_index, linear_form, translate
 from .linalg import smith_normal_form
@@ -82,13 +83,6 @@ class FiniteAbelianGroup:
         n = len(self.orders)
         return [tuple(int(i == j) for j in range(n)) for i in range(n)]
 
-    def to_json(self) -> dict:
-        return {"orders": list(self.orders)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "FiniteAbelianGroup":
-        return cls(tuple(int(d) for d in obj["orders"]))
-
 
 # ---------------------------------------------------------------------------
 # Field specifications.
@@ -139,11 +133,14 @@ class AbelianFieldSpec:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "AbelianFieldSpec":
+    def from_json(cls, obj) -> "AbelianFieldSpec":
+        """The inverse of to_json under the wire rule (wire.SchemaError); a
+        fixing set that is not a subgroup raises ValueError."""
+        spec = wire.node(obj, "spec")
         return cls(
-            int(obj["modulus"]),
-            frozenset(int(a) for a in obj["fixing"]),
-            str(obj.get("label", "")),
+            spec["modulus"].int(),
+            frozenset(spec["fixing"].ints()),
+            spec.get("label", "").str(),
         )
 
 

@@ -10,7 +10,6 @@ sequentially here for determinism).
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import random
 import time
@@ -18,6 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
+from . import wire
 from .abelian import (
     AbelianFieldSpec,
     CharacterTable,
@@ -786,34 +786,35 @@ def kummer_congruence_campaign(n_max: int = 2, N: int = 3) -> CampaignResult:
 # Annihilation / Fitting membership against ingested data (criterion 7).
 
 def load_manifest(data_dir: Path) -> list[dict]:
-    manifest = json.loads((data_dir / "manifest.json").read_text())
+    """The entries of data_dir/manifest.json and their class data, read under
+    the wire rule; a spec or class module off its precondition is ValueError."""
     out = []
-    for entry in manifest["entries"]:
-        payload = json.loads((data_dir / entry["data"]).read_text())
+    for entry in wire.load(data_dir / "manifest.json", "manifest")["entries"].list():
+        name = entry["data"].str()
         out.append(
             {
-                "name": entry["data"],
-                "module": ClassModuleData.from_json(payload),
+                "name": name,
+                "module": ClassModuleData.from_json(wire.load(data_dir / name, f"data file {name}")),
                 "spec": AbelianFieldSpec.from_json(entry["spec"]),
-                "S": [v if v == OO else int(v) for v in entry["S"]],
-                "T": [int(v) for v in entry["T"]],
-                "r": int(entry["r"]),
-                "p": int(entry["p"]),
-                "N": int(entry["N"]),
+                "S": [v.place() for v in entry["S"].list()],
+                "T": [v.place() for v in entry["T"].list()],
+                "r": entry["r"].int(),
+                "p": entry["p"].int(),
+                "N": entry["N"].int(),
             }
         )
     return out
 
 
 @_timed
-def annihilation_campaign(data_dir: Path) -> CampaignResult:
-    """Checker verdicts match the exhaustive-action oracle on every ingested
-    module of cardinality <= 3^6; Fitting membership is cross-checked by
-    ideal enumeration whenever the minus algebra is small enough."""
+def annihilation_campaign(entries: list[dict]) -> CampaignResult:
+    """Checker verdicts match the exhaustive-action oracle on every module of
+    the load_manifest entries of cardinality <= 3^6; Fitting membership is
+    cross-checked by ideal enumeration whenever the minus algebra is small."""
     from .lvalues import minus_dual_presentation
 
     res = CampaignResult("annihilation / fitting membership vs oracles")
-    for entry in load_manifest(data_dir):
+    for entry in entries:
         M, spec, p, N = entry["module"], entry["spec"], entry["p"], entry["N"]
         th = theta(spec, entry["S"], entry["T"], entry["r"])
         ok_ann, witness = annihilation_check(th, M)
@@ -845,6 +846,10 @@ def run_all(
     complex_trials: int = 100,
     data_dir: Path | None = None,
 ) -> list[CampaignResult]:
+    # the data is read and checked before the first campaign runs
+    entries = None
+    if data_dir is not None and (Path(data_dir) / "manifest.json").exists():
+        entries = load_manifest(Path(data_dir))
     results = [
         exact_arith_campaign(seed),
         fields_campaign(seed),
@@ -856,6 +861,6 @@ def run_all(
     ]
     results.extend(fitting_campaigns(seed, trials))
     results.extend(complex_campaigns(seed, complex_trials))
-    if data_dir is not None and (Path(data_dir) / "manifest.json").exists():
-        results.append(annihilation_campaign(Path(data_dir)))
+    if entries is not None:
+        results.append(annihilation_campaign(entries))
     return results

@@ -13,6 +13,7 @@ import json
 import sys
 from pathlib import Path
 
+from . import wire
 from .abelian import AbelianFieldSpec, check_hyp
 from .campaigns import complex_campaigns, fitting_campaigns, run_all
 from .fitting import DualActionError, FiniteCommAlgebra, FinPresModule, ModuleMap
@@ -53,61 +54,30 @@ def parse_spec(text: str) -> AbelianFieldSpec:
         if text.startswith("zeta"):
             return AbelianFieldSpec.cyclotomic(int(text[4:]))
         if text.strip().startswith("{"):
-            return AbelianFieldSpec.from_json(json.loads(text))
-        path = Path(text)
-        if not path.exists():
-            raise CliError(EXIT_IO, f"spec file not found: {text}")
-        return AbelianFieldSpec.from_json(json.loads(path.read_text()))
-    except (KeyError, OSError, TypeError, ValueError) as exc:
+            return AbelianFieldSpec.from_json(wire.parse(text, "spec"))
+        return AbelianFieldSpec.from_json(wire.load(text, f"spec file {text}"))
+    except ValueError as exc:
         raise CliError(EXIT_IO, f"bad spec {text}: {exc}") from exc
 
 
-def parse_places(text: str) -> list:
-    if not text:
-        return []
-    out = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if token in ("oo", "inf"):
-            out.append("oo")
-        else:
-            try:
-                out.append(int(token))
-            except ValueError as exc:
-                raise CliError(EXIT_IO, f"bad place {token!r}") from exc
-    return out
-
-
-def places_json(places) -> list[str]:
-    return [str(v) for v in places]
+def parse_places(text: str) -> list[str]:
+    """The wire form of a comma list of places; empty tokens are skipped."""
+    tokens = (token.strip() for token in text.split(","))
+    return [str(wire.Node(token, "place").place()) for token in tokens if token]
 
 
 # ---------------------------------------------------------------------------
 # Reading a configuration: main builds it from argv, recheck reads it from a
-# certificate, so every field's JSON type is checked (exit 4 otherwise).
+# certificate; runners read every field through wire (exit 4 off the rule).
 
-def config_int(config: dict, key: str) -> int:
-    value = config[key]
-    if type(value) is not int:
-        raise CliError(EXIT_IO, f"configuration field {key} must be an integer, got {value!r}")
-    return value
-
-
-def field_config(config: dict) -> tuple[AbelianFieldSpec, list, list, int]:
+def field_config(config: wire.Node) -> tuple[AbelianFieldSpec, list, list, int]:
     """The spec, S, T and r shared by theta, tower and verify."""
     try:
         spec = AbelianFieldSpec.from_json(config["spec"])
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(EXIT_IO, f"bad spec in configuration: {exc}") from exc
-    places = []
-    for key in ("S", "T"):
-        value = config[key]
-        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-            raise CliError(EXIT_IO, f"configuration field {key} must be a list of strings")
-        places.append(parse_places(",".join(value)))
-    return spec, places[0], places[1], config_int(config, "r")
+    S, T = ([v.place() for v in config[key].list()] for key in ("S", "T"))
+    return spec, S, T, config["r"].int()
 
 
 def emit(cert: dict, out: str | None) -> None:
@@ -120,7 +90,7 @@ def emit(cert: dict, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 # Runners: each returns (certificate dict, exit code).
 
-def run_theta(config: dict) -> tuple[dict, int]:
+def run_theta(config: wire.Node) -> tuple[dict, int]:
     spec, S, T, r = field_config(config)
     hyp, reason = check_hyp(spec, S, T)
     try:
@@ -137,7 +107,7 @@ def run_theta(config: dict) -> tuple[dict, int]:
     }
     cert = {
         "command": "theta",
-        "input": config,
+        "input": config.value,
         "check": "theta_S^T(r)",
         "result": result,
         "witness": None,
@@ -146,28 +116,24 @@ def run_theta(config: dict) -> tuple[dict, int]:
     return cert, code
 
 
-def run_tower(config: dict) -> tuple[dict, int]:
+def run_tower(config: wire.Node) -> tuple[dict, int]:
     spec, S, T, r = field_config(config)
-    p, N, n_max = (config_int(config, k) for k in ("p", "N", "levels"))
-    strict = bool(config.get("strict_hyp", False))
+    p, N, n_max = (config[k].int() for k in ("p", "N", "levels"))
+    strict = config.get("strict_hyp", False).bool()
     if r != 0 and N > n_max + 1:
         raise CliError(
             EXIT_PRECONDITION,
             f"precision budget: the congruence at modulus p^{N} needs levels "
             f"up to n >= {N - 1}, got n_max = {n_max}",
         )
-    replay = config.get("replay")
+    replay = config.get("replay").value
     if replay is not None:
         try:
-            t = TowerElement.from_json(replay)
-        except (KeyError, TypeError, ValueError) as exc:
+            t = TowerElement.from_json(wire.Node(replay, "tower file"))
+        except ValueError as exc:
             raise CliError(EXIT_IO, f"bad tower file: {exc}") from exc
-
-        def place_set(places):
-            return set(parse_places(",".join(map(str, places))))
-
-        stored = {"p": t.p, "N": t.N, "spec": t.spec, "S": place_set(t.S),
-                  "T": place_set(t.T), "r": t.r, "levels": t.n_max}
+        stored = {"p": t.p, "N": t.N, "spec": t.spec, "S": set(t.S),
+                  "T": set(t.T), "r": t.r, "levels": t.n_max}
         wanted = {"p": p, "N": N, "spec": spec, "S": set(S), "T": set(T),
                   "r": r, "levels": n_max}
         differ = [k for k in stored if stored[k] != wanted[k]]
@@ -196,7 +162,7 @@ def run_tower(config: dict) -> tuple[dict, int]:
         witness["twist_failing_layer"] = bad
     cert = {
         "command": "tower",
-        "input": {k: v for k, v in config.items() if k != "replay"},
+        "input": {k: v for k, v in config.value.items() if k != "replay"},
         "check": "tower coherence and Kummer congruence",
         "result": result,
         "witness": witness,
@@ -205,13 +171,10 @@ def run_tower(config: dict) -> tuple[dict, int]:
     return cert, EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def run_verify(config: dict) -> tuple[dict, int]:
+def run_verify(config: wire.Node) -> tuple[dict, int]:
     spec, S, T, r = field_config(config)
-    p, N = config_int(config, "p"), config_int(config, "N")
-    try:
-        module = ClassModuleData.from_json(config["class_data"])
-    except (TypeError, AttributeError) as exc:
-        raise CliError(EXIT_IO, f"bad class data: {exc}") from exc
+    p, N = config["p"].int(), config["N"].int()
+    module = ClassModuleData.from_json(wire.Node(config["class_data"].value, "class data"))
     try:
         th = theta(spec, S, T, r)
         ann, acting = annihilation_check(th, module)
@@ -226,7 +189,7 @@ def run_verify(config: dict) -> tuple[dict, int]:
     witness = {"acting_matrix": acting, "fitting_residual": list(residual)}
     cert = {
         "command": "verify",
-        "input": config,
+        "input": config.value,
         "check": "annihilation and minus-Fitting membership",
         "result": result,
         "witness": witness,
@@ -234,12 +197,12 @@ def run_verify(config: dict) -> tuple[dict, int]:
     return cert, EXIT_OK if (ann and fit) else EXIT_CHECK_FAILED
 
 
-def run_fitting(config: dict) -> tuple[dict, int]:
-    results = fitting_campaigns(config_int(config, "seed"), config_int(config, "trials"))
+def run_fitting(config: wire.Node) -> tuple[dict, int]:
+    results = fitting_campaigns(config["seed"].int(), config["trials"].int())
     payload = [r.to_json() for r in results]
     cert = {
         "command": "fitting",
-        "input": config,
+        "input": config.value,
         "check": "fitting lemma property campaigns",
         "result": {"suites": payload, "ok": all(r["ok"] for r in payload)},
         "witness": None,
@@ -247,14 +210,14 @@ def run_fitting(config: dict) -> tuple[dict, int]:
     return cert, EXIT_OK if cert["result"]["ok"] else EXIT_CHECK_FAILED
 
 
-def run_complex(config: dict) -> tuple[dict, int]:
-    if config.get("complex_data") is not None:
+def run_complex(config: wire.Node) -> tuple[dict, int]:
+    if config.get("complex_data").value is not None:
         return _run_complex_file(config)
-    results = complex_campaigns(config_int(config, "seed"), config_int(config, "trials"))
+    results = complex_campaigns(config["seed"].int(), config["trials"].int())
     payload = [r.to_json() for r in results]
     cert = {
         "command": "complex",
-        "input": config,
+        "input": config.value,
         "check": "complex-calculus property campaigns",
         "result": {"suites": payload, "ok": all(r["ok"] for r in payload)},
         "witness": None,
@@ -262,74 +225,33 @@ def run_complex(config: dict) -> tuple[dict, int]:
     return cert, EXIT_OK if cert["result"]["ok"] else EXIT_CHECK_FAILED
 
 
-def complex_vector(value, dim: int, what: str) -> tuple:
-    """An algebra element of a complex file: a list of dim JSON integers."""
-    if not isinstance(value, list) or len(value) != dim or any(type(c) is not int for c in value):
-        raise CliError(EXIT_IO, f"bad complex file: {what} must be {dim} integers, got {value!r}")
-    return tuple(value)
-
-
-def complex_row(value, dim: int, what: str, length: int | None = None) -> list[tuple]:
-    """A list of algebra elements, of the given length when one is given."""
-    if not isinstance(value, list) or length not in (None, len(value)):
-        raise CliError(EXIT_IO, f"bad complex file: {what} must be a list of vectors, got {value!r}")
-    return [complex_vector(e, dim, what) for e in value]
-
-
-def complex_matrix(value, dim: int, what: str) -> list[list[tuple]]:
-    if not isinstance(value, list):
-        raise CliError(EXIT_IO, f"bad complex file: {what} must be a list of rows")
-    return [complex_row(row, dim, what) for row in value]
-
-
-def complex_algebra(obj: dict) -> FiniteCommAlgebra:
-    """The algebra of a complex file, every scalar and vector checked before
-    it is built."""
-    config_int(obj, "p")
-    config_int(obj, "N")
-    basis = obj["basis"]
-    if not isinstance(basis, list):
-        raise CliError(EXIT_IO, "bad complex file: algebra basis must be a list")
-    dim = len(basis)
-    complex_vector(obj["one"], dim, "one")
-    mult = obj["mult"]
-    if not isinstance(mult, list) or len(mult) != dim:
-        raise CliError(EXIT_IO, f"bad complex file: mult must have {dim} rows")
-    for row in mult:
-        complex_row(row, dim, "mult", dim)
-    if obj.get("sharp") is not None:
-        complex_row(obj["sharp"], dim, "sharp", dim)
-    return FiniteCommAlgebra.from_json(obj)
-
-
-def _run_complex_file(config: dict) -> tuple[dict, int]:
-    obj = config["complex_data"]
+def _run_complex_file(config: wire.Node) -> tuple[dict, int]:
+    obj = wire.Node(config["complex_data"].value, "complex file")
     try:
-        alg = complex_algebra(obj["algebra"])
+        alg = FiniteCommAlgebra.from_json(obj["algebra"])
         alg.validate()
-        if not (isinstance(obj["modules"], list) and isinstance(obj["differentials"], list)):
-            raise CliError(EXIT_IO, "bad complex file: modules and differentials must be lists")
+        module_nodes, differential_nodes = obj["modules"].list(), obj["differentials"].list()
+
+        def matrix(node):
+            return [[e.ints(alg.dim) for e in row.list()] for row in node.list()]
+
         modules = []
-        for m in obj["modules"]:
-            ngens = config_int(m, "ngens")
+        for m in module_nodes:
+            ngens = m["ngens"].int()
             if ngens < 0:
-                raise CliError(EXIT_IO, f"bad complex file: ngens must be non-negative, got {ngens}")
-            relations = complex_matrix(m["relations"], alg.dim, "relation")
-            modules.append(FinPresModule(alg, ngens, relations))
-        degrees, last = obj["degrees"], len(modules) - 1
-        types = [type(d) for d in degrees] if isinstance(degrees, list) else None
-        if types != [int, int] or degrees[1] != degrees[0] + last:
-            raise CliError(EXIT_IO, f"bad complex file: degrees must be integers [lo, lo + {last}], got {degrees!r}")
+                raise m["ngens"].expected("a non-negative integer")
+            modules.append(FinPresModule(alg, ngens, matrix(m["relations"])))
+        lo, hi = (d.int() for d in obj["degrees"].list(2))
+        if hi != lo + len(modules) - 1:
+            raise obj["degrees"].expected(f"[lo, lo + {len(modules) - 1}]")
         from .complexes import BoundedComplex
 
         diffs = []
-        for i, mat in enumerate(obj["differentials"]):
-            diffs.append(
-                ModuleMap(modules[i], modules[i + 1], complex_matrix(mat, alg.dim, "differential"))
-            )
-        cx = BoundedComplex(alg, degrees[0], modules, diffs)
-    except (KeyError, IndexError, TypeError) as exc:
-        raise CliError(EXIT_IO, f"bad complex file: {exc}") from exc
+        for i, mat in enumerate(differential_nodes):
+            if i + 1 >= len(modules):
+                raise obj["differentials"].expected("one matrix per adjacent pair of modules")
+            diffs.append(ModuleMap(modules[i], modules[i + 1], matrix(mat)))
+        cx = BoundedComplex(alg, lo, modules, diffs)
     except ValueError as exc:
         raise CliError(EXIT_PRECONDITION, f"invalid complex: {exc}") from exc
     inv = cx.euler_fitting()
@@ -344,7 +266,7 @@ def _run_complex_file(config: dict) -> tuple[dict, int]:
     }
     cert = {
         "command": "complex",
-        "input": {k: v for k, v in config.items() if k != "complex_data"},
+        "input": {k: v for k, v in config.value.items() if k != "complex_data"},
         "check": "complex ingestion and Euler-Fitting invariant",
         "result": result,
         "witness": None,
@@ -352,21 +274,20 @@ def _run_complex_file(config: dict) -> tuple[dict, int]:
     return cert, EXIT_OK
 
 
-def run_selftest(config: dict) -> tuple[dict, int]:
+def run_selftest(config: wire.Node) -> tuple[dict, int]:
     data_dir = config.get("data_dir")
-    if data_dir is not None and not isinstance(data_dir, str):
-        raise CliError(EXIT_IO, f"configuration field data_dir must be a path, got {data_dir!r}")
+    data_dir = None if data_dir.value is None else data_dir.str()
     results = run_all(
-        seed=config_int(config, "seed"),
-        max_conductor=config_int(config, "max_conductor"),
-        trials=config_int(config, "trials"),
-        complex_trials=config_int(config, "complex_trials"),
+        seed=config["seed"].int(),
+        max_conductor=config["max_conductor"].int(),
+        trials=config["trials"].int(),
+        complex_trials=config["complex_trials"].int(),
         data_dir=Path(data_dir) if data_dir else None,
     )
     payload = [r.to_json() for r in results]
     cert = {
         "command": "selftest",
-        "input": config,
+        "input": config.value,
         "check": "all module property suites",
         "result": {"suites": payload, "ok": all(r["ok"] for r in payload)},
         "witness": None,
@@ -385,18 +306,12 @@ RUNNERS = {
 
 
 def run_recheck(path: str) -> tuple[dict, int]:
-    try:
-        cert = json.loads(Path(path).read_text())
-        command = cert["command"]
-        config = cert["input"]
-        old_result = {"result": cert["result"], "witness": cert.get("witness")}
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise CliError(EXIT_IO, f"bad certificate {path}: {exc}") from exc
-    if not isinstance(command, str) or command not in RUNNERS:
+    cert = wire.load(path, f"certificate {path}")
+    command = cert["command"].str()
+    old_result = {"result": cert["result"].value, "witness": cert.get("witness").value}
+    if command not in RUNNERS:
         raise CliError(EXIT_IO, f"unknown command {command!r} in certificate")
-    if not isinstance(config, dict):
-        raise CliError(EXIT_IO, f"certificate input must be a JSON object, got {config!r}")
-    new_cert, _ = RUNNERS[command](config)
+    new_cert, _ = RUNNERS[command](cert["input"])
 
     def verdicts(result) -> dict:
         drop = {"seconds"}
@@ -488,75 +403,53 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def configuration(args) -> dict:
+    """The configuration a command's argv describes, with the JSON files it
+    names read in; a certificate embeds it as its input."""
+    if args.command in ("theta", "tower", "verify"):
+        config = {
+            "spec": parse_spec(args.spec).to_json(),
+            "S": parse_places(args.S),
+            "T": parse_places(args.T),
+            "r": args.r,
+        }
+        if args.command == "tower":
+            config.update(p=args.p, N=args.N, levels=args.levels, strict_hyp=args.strict_hyp)
+            if args.data:
+                config["replay"] = wire.load(args.data, "tower file").value
+        elif args.command == "verify":
+            config.update(p=args.p, N=args.N)
+            config["class_data"] = wire.load(args.data, "class data file").value
+        return config
+    if args.command == "selftest":
+        return {
+            "seed": args.seed,
+            "max_conductor": args.max_conductor,
+            "trials": args.trials,
+            "complex_trials": args.complex_trials,
+            "data_dir": args.data_dir,
+        }
+    config = {"seed": args.seed, "trials": args.trials}
+    if args.command == "complex" and args.data:
+        config["complex_data"] = wire.load(args.data, "complex file").value
+    return config
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         if args.command == "recheck":
             cert, code = run_recheck(args.certificate)
-        elif args.command in ("theta", "tower", "verify"):
-            spec = parse_spec(args.spec)
-            config = {
-                "spec": spec.to_json(),
-                "S": places_json(parse_places(args.S)),
-                "T": places_json(parse_places(args.T)),
-                "r": args.r,
-            }
-            if args.command == "theta":
-                cert, code = run_theta(config)
-            elif args.command == "tower":
-                config.update(
-                    {
-                        "p": args.p,
-                        "N": args.N,
-                        "levels": args.levels,
-                        "strict_hyp": args.strict_hyp,
-                    }
-                )
-                if args.data:
-                    try:
-                        config["replay"] = json.loads(Path(args.data).read_text())
-                    except (OSError, json.JSONDecodeError) as exc:
-                        raise CliError(EXIT_IO, f"bad tower file: {exc}") from exc
-                cert, code = run_tower(config)
-            else:
-                config.update({"p": args.p, "N": args.N})
-                try:
-                    config["class_data"] = json.loads(Path(args.data).read_text())
-                except (OSError, json.JSONDecodeError) as exc:
-                    raise CliError(EXIT_IO, f"bad class data file: {exc}") from exc
-                cert, code = run_verify(config)
-        elif args.command == "fitting":
-            cert, code = run_fitting({"seed": args.seed, "trials": args.trials})
-        elif args.command == "complex":
-            config = {"seed": args.seed, "trials": args.trials}
-            if args.data:
-                try:
-                    config["complex_data"] = json.loads(Path(args.data).read_text())
-                except (OSError, json.JSONDecodeError) as exc:
-                    raise CliError(EXIT_IO, f"bad complex file: {exc}") from exc
-            cert, code = run_complex(config)
-        elif args.command == "selftest":
-            cert, code = run_selftest(
-                {
-                    "seed": args.seed,
-                    "max_conductor": args.max_conductor,
-                    "trials": args.trials,
-                    "complex_trials": args.complex_trials,
-                    "data_dir": args.data_dir,
-                }
-            )
-        else:  # pragma: no cover
-            raise CliError(EXIT_IO, f"unknown command {args.command}")
-    except CliError as exc:
-        print(json.dumps({"error": str(exc), "exit": exc.code}), file=sys.stderr)
-        return exc.code
+        else:
+            cert, code = RUNNERS[args.command](wire.Node(configuration(args), "configuration"))
+    except (CliError, wire.SchemaError) as exc:
+        code = exc.code if isinstance(exc, CliError) else EXIT_IO
+        print(json.dumps({"error": str(exc), "exit": code}), file=sys.stderr)
+        return code
     except DualActionError as exc:
         report = {"error": str(exc), "exit": EXIT_CHECK_FAILED, "witness": list(exc.witness)}
         print(json.dumps(report), file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except KeyError as exc:
-        print(json.dumps({"error": f"missing field {exc}", "exit": EXIT_IO}), file=sys.stderr)
-        return EXIT_IO
     except ValueError as exc:
         print(json.dumps({"error": str(exc), "exit": EXIT_PRECONDITION}), file=sys.stderr)
         return EXIT_PRECONDITION

@@ -21,6 +21,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
+from . import wire
 from .abelian import FiniteAbelianGroup
 from .groupring import basis_index, mul_table
 from .linalg import (
@@ -193,18 +194,21 @@ class FiniteCommAlgebra:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "FiniteCommAlgebra":
-        p, N = int(obj["p"]), int(obj["N"])
+    def from_json(cls, obj) -> "FiniteCommAlgebra":
+        """The inverse of to_json under the wire rule: every vector is dim JSON
+        integers, `sharp` may be null. A bad p or N raises ValueError."""
+        alg = wire.node(obj, "algebra")
+        p, N = alg["p"].int(), alg["N"].int()
+        basis = [b.str() for b in alg["basis"].list()]
+        dim = len(basis)
+        one = alg["one"].ints(dim)
+        mult = [[v.ints(dim) for v in row.list(dim)] for row in alg["mult"].list(dim)]
+        sharp = alg.get("sharp")
+        sharp = None if sharp.value is None else [v.ints(dim) for v in sharp.list(dim)]
+        name = alg.get("name", "").str()
         q = ZModPN(p, N).q  # refuses a bad p or N before any reduction
-        return cls(
-            p,
-            N,
-            list(obj["basis"]),
-            [[[(k, c % q) for k, c in enumerate(v) if c % q] for v in row] for row in obj["mult"]],
-            tuple(obj["one"]),
-            [tuple(v) for v in obj["sharp"]] if obj.get("sharp") else None,
-            str(obj.get("name", "")),
-        )
+        terms = [[[(k, c % q) for k, c in enumerate(v) if c % q] for v in row] for row in mult]
+        return cls(p, N, basis, terms, one, sharp, name)
 
 
 # ---------------------------------------------------------------------------

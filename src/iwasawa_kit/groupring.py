@@ -97,16 +97,14 @@ def to_json(x: tuple, group: "FiniteAbelianGroup", encode: Callable) -> dict:
     return {",".join(map(str, g)): encode(c) for g, c in zip(basis_index(group), x) if c}
 
 
-def from_json(obj: dict, group: "FiniteAbelianGroup", decode: Callable) -> tuple:
-    """Inverse of to_json; raises ValueError on a key that is not an element
-    of the group (decode raises on a bad coefficient)."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"coefficients must be a JSON object, got {obj!r}")
-    index = basis_index(group)
+def from_json(obj, group: "FiniteAbelianGroup", decode: Callable) -> tuple:
+    """Inverse of to_json: obj.items() are the (key, coefficient) pairs of a
+    dict or a wire.Node; raises ValueError on a key that is not the to_json
+    key of an element (decode raises on a bad coefficient)."""
+    keys = {",".join(map(str, g)): i for g, i in basis_index(group).items()}
     out = [0] * group.size
     for key, c in obj.items():
-        g = tuple(int(e) for e in key.split(",")) if key else ()
-        if g not in index:
+        if key not in keys:
             raise ValueError(f"{key!r} is not an element of the group {group.orders}")
-        out[index[g]] = decode(c)
+        out[keys[key]] = decode(c)
     return tuple(out)

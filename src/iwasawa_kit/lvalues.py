@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import groupring
+from . import groupring, wire
 from .abelian import (
     AbelianFieldSpec,
     CharacterTable,
@@ -388,27 +388,22 @@ class ClassModuleData:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ClassModuleData":
-        """Parse class data; an entry that is not a JSON integer or a key
-        other than g<index> raises TypeError (a schema error), an ill-defined
-        action ValueError."""
+    def from_json(cls, obj) -> "ClassModuleData":
+        """Parse class data under the wire rule; an action key other than
+        g<index> is a wire.SchemaError too, an ill-defined action (a wrong
+        matrix size included) ValueError."""
+        data = wire.node(obj, "class data")
         action = {}
-        for key, mat in obj["action"].items():
+        for key, mat in data["action"].items():
             if not (key[:1] == "g" and key[1:].isdigit()):
-                raise TypeError(f"action keys must be g<index>, got {key!r}")
-            action[int(key[1:])] = [[_json_int(c) for c in row] for row in mat]
-        return cls(
-            tuple(_json_int(d) for d in obj["orders"]),
-            tuple(_json_int(d) for d in obj["group_orders"]),
-            action,
-            str(obj.get("provenance", "")),
-        )
-
-
-def _json_int(c) -> int:
-    if type(c) is not int:
-        raise TypeError(f"class data entries must be integers, got {c!r}")
-    return c
+                raise mat.fail(f"action keys must be g<index>, got {key!r}")
+            action[key] = [list(row.ints()) for row in mat.list()]
+        orders, group_orders = data["orders"].ints(), data["group_orders"].ints()
+        provenance = data.get("provenance", "").str()
+        generators = {f"g{t}": t for t in range(len(group_orders))}
+        if not action.keys() <= generators.keys():
+            raise ValueError("need one action matrix per group generator")
+        return cls(orders, group_orders, {generators[k]: A for k, A in action.items()}, provenance)
 
 
 def annihilation_check(

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import groupring
+from . import groupring, wire
 from .abelian import (
     AbelianFieldSpec,
     TowerLevelData,
@@ -152,40 +152,29 @@ class TowerElement:
         }
 
     @classmethod
-    def from_json(cls, obj: dict) -> "TowerElement":
-        """Parse and validate a stored tower; a malformed payload raises
-        KeyError, TypeError or ValueError. The scalars p, N, each level's n and
-        meta.r must be JSON integers, the hyp verdicts JSON booleans."""
-        p, N = _json_scalar(obj["p"], int), _json_scalar(obj["N"], int)
+    def from_json(cls, obj) -> "TowerElement":
+        """Parse a stored tower under the wire rule; meta.hyp, when present,
+        holds one boolean per level. A p that is not an odd prime, N < 1, a
+        level out of order or a key that is no group element raise ValueError."""
+        tower = wire.node(obj, "tower")
+        p, N = tower["p"].int(), tower["N"].int()
         if p == 2 or not is_prime(p) or N < 1:
             raise ValueError(f"a tower needs an odd prime p and N >= 1, got p={p}, N={N}")
-        meta = obj["meta"]
+        meta = tower["meta"]
         spec = AbelianFieldSpec.from_json(meta["spec"])
-        S = tuple(_parse_place(v) for v in meta["S"])
-        T = tuple(_parse_place(v) for v in meta["T"])
+        S, T = (tuple(v.place() for v in meta[k].list()) for k in ("S", "T"))
         entries, levels = [], []
-        for n, lvl in enumerate(obj["levels"]):
-            if _json_scalar(lvl["n"], int) != n:
-                raise ValueError(f"level {n} is labelled n = {lvl['n']!r}")
+        for n, lvl in enumerate(tower["levels"].list()):
+            if (label := lvl["n"].int()) != n:
+                raise ValueError(f"level {n} is labelled n = {label}")
             data = tower_level(spec, p, n)
-            entry = groupring.from_json(lvl["coeffs"], data.group, lambda c: _json_scalar(c, int))
+            entry = groupring.from_json(lvl["coeffs"], data.group, wire.Node.int)
             entries.append(tuple(c % p**N for c in entry))
             levels.append(data)
+        hyp = meta.get("hyp", [True] * len(entries)).list(len(entries))
         return cls(
-            p, N, spec, S, T, _json_scalar(meta["r"], int), entries, levels,
-            [_json_scalar(b, bool) for b in meta.get("hyp", [True] * len(entries))],
+            p, N, spec, S, T, meta["r"].int(), entries, levels, [b.bool() for b in hyp]
         )
-
-
-def _parse_place(v):
-    return v if v in ("oo", "inf") else int(v)
-
-
-def _json_scalar(value, kind: type):
-    """value if it is a JSON value of exactly this kind (a bool is no int)."""
-    if type(value) is not kind:
-        raise TypeError(f"expected a JSON {kind.__name__}, got {value!r}")
-    return value
 
 
 def theta_tower(

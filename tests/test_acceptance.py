@@ -18,6 +18,7 @@ from iwasawa_kit.campaigns import (
     fitting_campaigns,
     integrality_campaign,
     kummer_congruence_campaign,
+    load_manifest,
     tower_coherence_campaign,
 )
 
@@ -108,7 +109,7 @@ def test_ac7_annihilation_on_ingested_data():
     """Checker verdicts match exhaustive-action oracles on every ingested
     class module of cardinality <= 3^6 (synthetic + table-derived); the
     proven theorems hold on the table-derived entries."""
-    result = annihilation_campaign(DATA_DIR)
+    result = annihilation_campaign(load_manifest(DATA_DIR))
     _run("AC7", 60.0, result)
 
 

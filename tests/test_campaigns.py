@@ -12,6 +12,7 @@ from iwasawa_kit.campaigns import (
     fitting_multiplicativity_campaign,
     howell_campaign,
     integrality_campaign,
+    load_manifest,
 )
 from iwasawa_kit.abelian import AbelianFieldSpec, check_hyp
 
@@ -59,4 +60,4 @@ def test_small_campaigns_pass():
     assert fields_campaign(0).ok
     assert howell_campaign(0, trials=40).ok
     assert integrality_campaign(8).ok
-    assert annihilation_campaign(DATA).ok
+    assert annihilation_campaign(load_manifest(DATA)).ok

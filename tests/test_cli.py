@@ -145,12 +145,16 @@ def test_tower_replay_rejects_other_configuration(tmp_path, capsys, flag, value)
 @pytest.mark.parametrize(
     "path, value, N",
     [(("p",), 5.9, 2), (("N",), "2", 2), (("levels", 1, "n"), "1", 2), (("meta", "r"), 0.7, 2),
-     (("N",), True, 1), (("meta", "hyp", 0), 0, 2)],
-    ids=["float-p", "string-N", "string-level-n", "float-r", "bool-N", "int-hyp"],
+     (("N",), True, 1), (("meta", "hyp", 0), 0, 2), (("meta", "S", 0), 5.9, 2),
+     (("meta", "S", 0), 5, 2), (("meta", "T", 0), 2.5, 2), (("meta", "spec", "modulus"), 5.0, 2),
+     (("meta", "hyp"), [False], 2)],
+    ids=["float-p", "string-N", "string-level-n", "float-r", "bool-N", "int-hyp", "float-S",
+         "int-S", "float-T", "float-modulus", "short-hyp"],
 )
 def test_tower_replay_rejects_non_json_integer_scalars(tmp_path, capsys, path, value, N):
-    # p, N, each level's n and meta.r are JSON integers and hyp holds JSON
-    # booleans; int() or bool() would read each of these as a valid tower
+    # p, N, each level's n, meta.r and the spec's modulus are JSON integers,
+    # meta.S and meta.T places stored as strings, and hyp one JSON boolean per
+    # level; int() or bool() would read each of these as a valid tower
     argv = ("tower", "--spec", "zeta5", "--S", "5,oo", "--T", "2", "--r", "0",
             "--p", "5", "--N", str(N), "--levels", "1")
     code, cert = run(capsys, *argv)
@@ -232,8 +236,13 @@ def test_recheck_detects_flipped_verdict(tmp_path, capsys):
         ("verify_z23_cert.json", lambda c: {**c, "input": {**c["input"], "p": [3]}}),
         ("theta_zeta12_cert.json", lambda c: {**c, "command": "selftest", "input": {
             "seed": 0, "max_conductor": 3, "trials": 1, "complex_trials": 1, "data_dir": []}}),
+        ("theta_zeta12_cert.json", lambda c: with_field(c, ("input", "spec", "modulus"), 12.0)),
+        ("theta_zeta12_cert.json", lambda c: with_field(c, ("input", "spec", "label"), 1)),
+        ("verify_z23_cert.json", lambda c: with_field(c, ("input", "class_data", "provenance"), 1)),
+        ("tower_zeta3_cert.json", lambda c: with_field(c, ("input", "strict_hyp"), "no")),
     ],
-    ids=["list", "input-list", "spec-string", "S-int", "command-list", "p-list", "data-dir-list"],
+    ids=["list", "input-list", "spec-string", "S-int", "command-list", "p-list", "data-dir-list",
+         "float-modulus", "int-label", "int-provenance", "string-strict-hyp"],
 )
 def test_recheck_rejects_malformed_certificate(tmp_path, capsys, name, mutate):
     bad = tmp_path / "bad.json"
@@ -479,24 +488,53 @@ def payload_paths(node, prefix=()):
         yield from payload_paths(child, prefix + (key,))
 
 
-@settings(max_examples=200, deadline=None)
+def value_at(payload, path):
+    for key in path:
+        payload = payload[key]
+    return payload
+
+
+TOWER_CERT = json.loads((FIXTURES / "tower_zeta3_cert.json").read_text())
+# (payload, the command that reads it from the file appended to argv, and
+# whether a value replaced by one of another JSON type must be refused)
+FUZZED_PAYLOADS = [
+    (complex_payload(), ["complex", "--data"], False),
+    (json.loads((DATA / "table_z23_minus.json").read_text()),
+     ["verify", "--spec", "zeta23", "--S", "23,oo", "--T", "5", "--r", "0", "--p", "3", "--N", "2",
+      "--data"], True),
+    (TOWER_CERT["result"]["tower"],
+     ["tower", "--spec", "zeta3", "--S", "3,oo", "--T", "7", "--r", "-1", "--p", "3", "--N", "2",
+      "--levels", "2", "--data"], True),
+    (json.loads((FIXTURES / "theta_zeta12_cert.json").read_text()), ["recheck"], False),
+]
+
+
+@settings(max_examples=400, deadline=None)
 @given(
-    path=st.sampled_from(list(payload_paths(complex_payload()))),
+    target=st.sampled_from([
+        (i, path) for i, (payload, _, _) in enumerate(FUZZED_PAYLOADS)
+        for path in payload_paths(payload)
+    ]),
     value=st.sampled_from([-1, 0, 1, 2, 1.5, True, None, "x", [], {}]),
 )
-def test_complex_data_fuzz(path, value):
+def test_payload_fuzz(target, value):
+    index, path = target
+    payload, argv, strict = FUZZED_PAYLOADS[index]
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        file = Path(tmp) / "complex.json"
-        file.write_text(json.dumps(with_field(complex_payload(), path, value)))
+        file = Path(tmp) / "payload.json"
+        file.write_text(json.dumps(with_field(payload, path, value)))
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["complex", "--data", str(file)])
+            code = main([*argv, str(file)])
     assert code in (EXIT_OK, EXIT_PRECONDITION, EXIT_CHECK_FAILED, EXIT_IO)
     assert "Traceback" not in err.getvalue()
-    if code != EXIT_OK:
-        assert out.getvalue() == ""
+    if out.getvalue():  # a certificate: success or a failed check
+        assert code in (EXIT_OK, EXIT_CHECK_FAILED)
+    else:  # a refusal: one JSON error
         error = json.loads(err.getvalue())
-        assert isinstance(error, dict) and error["exit"] == code
+        assert isinstance(error, dict) and error["exit"] == code != EXIT_OK
+    if strict and type(value) is not type(value_at(payload, path)):
+        assert code != EXIT_OK, (path, value)
 
 
 def test_selftest_small_bounds(tmp_path, capsys):
@@ -528,6 +566,35 @@ def test_selftest_small_bounds(tmp_path, capsys):
     assert strip(cert) == strip(cert2)
 
 
+MANIFEST = json.loads((DATA / "manifest.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    ["[]", json.dumps(with_field(MANIFEST, ("entries", 0, "data"), "nosuch.json")), "{",
+     json.dumps(with_field(MANIFEST, ("entries", 0, "p"), 3.0)),
+     json.dumps(with_field(MANIFEST, ("entries", 1, "S"), [3, "oo"]))],
+    ids=["list", "missing-data-file", "not-json", "float-p", "int-S"],
+)
+def test_selftest_refuses_bad_data_dir(tmp_path, capsys, monkeypatch, manifest):
+    # the manifest and every data file it names are read and checked before
+    # the first campaign runs
+    from iwasawa_kit import campaigns
+
+    def campaign(seed):
+        pytest.fail("a campaign ran before the data directory was checked")
+
+    monkeypatch.setattr(campaigns, "exact_arith_campaign", campaign)
+    for entry in MANIFEST["entries"]:
+        (tmp_path / entry["data"]).write_text((DATA / entry["data"]).read_text())
+    (tmp_path / "manifest.json").write_text(manifest)
+    code, err = run_refused(
+        capsys, "selftest", "--max-conductor", "3", "--trials", "1", "--complex-trials", "1",
+        "--data-dir", str(tmp_path),
+    )
+    assert code == EXIT_IO and err["exit"] == EXIT_IO
+
+
 SPECS = st.one_of(
     st.integers(0, 30).map(lambda n: f"zeta{n}"),
     st.sampled_from(["", ".", "Q", "zeta", "zetax", "zeta-3", "zeta 5", "-x", "--", "oo",
@@ -554,7 +621,14 @@ def test_theta_argv_fuzz(spec, S, T, r):
         assert isinstance(error, dict) and error["exit"] == code
 
 
-@pytest.mark.parametrize("spec", ["", "."], ids=["empty", "directory"])
+@pytest.mark.parametrize(
+    "spec",
+    ["", ".", '{"modulus": 7.9, "fixing": [1]}', '{"modulus": "7", "fixing": [1]}',
+     '{"modulus": true, "fixing": [1]}', '{"modulus": 7, "fixing": [1.5]}',
+     '{"modulus": 7, "fixing": {"1": 0}}'],
+    ids=["empty", "directory", "float-modulus", "string-modulus", "bool-modulus",
+         "float-fixing", "object-fixing"],
+)
 def test_theta_spec_directory_is_io_error(capsys, spec):
     code, err = run_refused(capsys, "theta", "--spec", spec, "--S", "oo")
     assert code == EXIT_IO and err["exit"] == EXIT_IO
