@@ -325,18 +325,49 @@ def group_algebra_morphism(
 
 class IdealHandle:
     """Finitely generated ideal, canonicalized as the Howell form of its
-    Z/p^N-span inside the regular representation."""
+    Z/p^N-span inside the regular representation.
+
+    `generators` are literal: the list given, or for a product I*J the
+    pairwise products x*y (x over I's generators, y over J's, in that order),
+    built only when something reads them, so the brute-force oracles get an
+    input that no Howell form has touched. A product's span comes from its
+    factors: I*J is the Z/p^N-span of {x*y} where x runs over any
+    Z/p^N-spanning set of I and y over ideal generators of J (a in I and
+    b = sum c_k y_k give a*b = sum (a*c_k)*y_k with a*c_k in I). So a factor
+    with more generators than dim contributes its Howell rows (at most dim),
+    and the products need no regular representation; when neither factor has
+    more than dim generators, the pairwise products are realized as for any
+    ideal."""
 
     def __init__(self, algebra: FiniteCommAlgebra, generators: list[Vec]):
         self.algebra = algebra
         self.generators = [tuple(c % algebra.q for c in g) for g in generators]
+        self.ngens = len(self.generators)
+        self.factors: tuple[IdealHandle, IdealHandle] | None = None
+
+    @cached_property
+    def generators(self) -> list[Vec]:
+        """A product's pairwise generator products (an instance attribute
+        otherwise)."""
+        I, J = self.factors
+        mul = self.algebra.mul
+        return [mul(a, b) for a in I.generators for b in J.generators]
 
     @cached_property
     def howell(self) -> list[list[int]]:
+        alg = self.algebra
+        if self.factors is not None:
+            I, J = self.factors
+            if J.ngens > alg.dim and I.ngens <= alg.dim:
+                I, J = J, I
+            if I.ngens > alg.dim:
+                ys = J.howell if J.ngens > alg.dim else J.generators
+                rows = [alg.mul(x, y) for x in I.howell for y in ys]
+                return howell_form(rows, alg.dim, alg.R)
         rows = []
         for g in self.generators:
-            rows.extend(self.algebra.regular_rows(g))
-        return howell_form(rows, self.algebra.dim, self.algebra.R)
+            rows.extend(alg.regular_rows(g))
+        return howell_form(rows, alg.dim, alg.R)
 
     def contains_element(self, x: Vec) -> bool:
         return in_span(list(x), self.howell, self.algebra.R)
@@ -358,10 +389,10 @@ class IdealHandle:
         return hash(tuple(tuple(r) for r in self.howell))
 
     def product(self, other: "IdealHandle") -> "IdealHandle":
-        gens = [
-            self.algebra.mul(a, b) for a in self.generators for b in other.generators
-        ]
-        return IdealHandle(self.algebra, gens)
+        out = IdealHandle.__new__(IdealHandle)
+        out.algebra, out.factors = self.algebra, (self, other)
+        out.ngens = self.ngens * other.ngens
+        return out
 
     def add(self, other: "IdealHandle") -> "IdealHandle":
         return IdealHandle(self.algebra, self.generators + other.generators)

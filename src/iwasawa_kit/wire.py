@@ -5,7 +5,8 @@ of each value as it is read: an integer is a JSON integer (`type(v) is int`,
 so not 3.0, "3" or true), a boolean a JSON boolean, a string a JSON string, a
 list a JSON array (of a given length where the caller knows it), and a place
 "oo" or "inf" (both read as "oo") or a string that int() reads. A file that
-cannot be read, or is not JSON, is a schema error too.
+cannot be read, is not JSON, or nests arrays and objects deeper than
+MAX_DEPTH is a schema error too.
 
 Anything else raises SchemaError, whose message names the payload and the
 field (``bad tower file: meta.S[0]: expected a place ...``); the command line
@@ -20,6 +21,9 @@ import json
 from pathlib import Path
 
 PLACE = 'a place ("oo", "inf" or an integer string)'
+# arrays and objects nested inside one another; the deepest kit payload (a
+# tower or verify certificate) has 6
+MAX_DEPTH = 64
 _MISSING = object()
 
 
@@ -101,11 +105,31 @@ def node(obj, payload: str) -> Node:
     return obj if isinstance(obj, Node) else Node(obj, payload)
 
 
+def depth(value) -> int:
+    """How many arrays and objects nest at the deepest point of a JSON value,
+    walked without recursion and cut off past MAX_DEPTH."""
+    deepest, stack = 0, [(value, 1)]
+    while stack:
+        value, level = stack.pop()
+        if type(value) is dict:
+            value = value.values()
+        elif type(value) is not list:
+            continue
+        deepest = max(deepest, level)
+        if level > MAX_DEPTH:
+            break
+        stack.extend((child, level + 1) for child in value)
+    return deepest
+
+
 def parse(text: str, payload: str) -> Node:
     try:
-        return Node(json.loads(text), payload)
+        value = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise SchemaError(f"bad {payload}: {exc}") from exc
+    if depth(value) > MAX_DEPTH:
+        raise SchemaError(f"bad {payload}: nested deeper than {MAX_DEPTH} arrays and objects")
+    return Node(value, payload)
 
 
 def load(path, payload: str) -> Node:

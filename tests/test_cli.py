@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iwasawa_kit import wire
 from iwasawa_kit.cli import (
     EXIT_CHECK_FAILED,
     EXIT_IO,
@@ -249,6 +250,33 @@ def test_recheck_rejects_malformed_certificate(tmp_path, capsys, name, mutate):
     bad.write_text(json.dumps(mutate(json.loads((FIXTURES / name).read_text()))))
     code, err = run_refused(capsys, "recheck", str(bad))
     assert code == EXIT_IO and err["exit"] == EXIT_IO
+
+
+def nested_witness_certificate(levels):
+    """The theta fixture with its witness replaced by `levels` nested lists,
+    spliced in as text (json.dumps itself recurses once per level)."""
+    cert = json.loads((FIXTURES / "theta_zeta12_cert.json").read_text())
+    text = json.dumps({**cert, "witness": "WITNESS"})
+    return text.replace('"WITNESS"', "[" * levels + "0" + "]" * levels)
+
+
+@pytest.mark.parametrize("levels", [900, 990])
+def test_recheck_refuses_a_deeply_nested_certificate(tmp_path, capsys, levels):
+    bad = tmp_path / "deep.json"
+    bad.write_text(nested_witness_certificate(levels))
+    code, err = run_refused(capsys, "recheck", str(bad))
+    assert code == EXIT_IO and err["exit"] == EXIT_IO
+    assert str(bad) in err["error"]
+
+
+def test_wire_depth_bound():
+    cert = json.loads((FIXTURES / "tower_zeta3_cert.json").read_text())
+    assert wire.depth(cert) < wire.MAX_DEPTH
+    # the fixture's object holds the witness: one level for it
+    fits = nested_witness_certificate(wire.MAX_DEPTH - 1)
+    assert wire.depth(wire.parse(fits, "certificate").value) == wire.MAX_DEPTH
+    with pytest.raises(wire.SchemaError, match="bad certificate: nested deeper than 64"):
+        wire.parse(nested_witness_certificate(wire.MAX_DEPTH), "certificate")
 
 
 def test_tower_precision_budget(capsys):

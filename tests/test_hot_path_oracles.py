@@ -1,7 +1,8 @@
 """The former forms of the Fitting hot paths, kept as oracles of the fast
 ones: the q-pass span closure, the Howell form that rescans every row for its
-leading index, the dense dim^3 structure-constant product, and the dense
-structure-constant tables of group algebras and their minus quotients."""
+leading index, the dense dim^3 structure-constant product, the dense
+structure-constant tables of group algebras and their minus quotients, and the
+ideal product realized from every pairwise generator product."""
 
 import json
 import random
@@ -9,14 +10,17 @@ import random
 import pytest
 from algebra_helpers import nilpotent_extension_json
 
-from iwasawa_kit import oracles
+from iwasawa_kit import fitting, linalg, oracles
 from iwasawa_kit.abelian import FiniteAbelianGroup
-from iwasawa_kit.campaigns import fitting_campaigns
+from iwasawa_kit.campaigns import complex_campaigns, fitting_campaigns
 from iwasawa_kit.fitting import (
     FiniteCommAlgebra,
     GroupAlgebra,
+    IdealHandle,
     minus_quotient,
     same_algebra,
+    unit_ideal,
+    zero_ideal,
     zmod_algebra,
 )
 from iwasawa_kit.linalg import ZModPN, howell_form
@@ -326,3 +330,130 @@ def test_sparse_mul_matches_dense_reference(alg, mult):
             [c for entry in row for c in mul_ref(b, entry)] for b in basis
         ]
     assert alg.q == alg.p**alg.N
+
+
+def ideal_product_reference(I, J):
+    """The Howell form of I*J with every pairwise generator product realized
+    in the regular representation."""
+    alg = I.algebra
+    rows = []
+    for a in I.generators:
+        for b in J.generators:
+            rows.extend(alg.regular_rows(alg.mul(a, b)))
+    return howell_form(rows, alg.dim, alg.R)
+
+
+PRODUCT_ALGEBRAS = [
+    GroupAlgebra(p, N, FiniteAbelianGroup(orders))
+    for p, N, orders in ((2, 3, (2,)), (3, 2, (3,)), (3, 2, (2, 2)), (3, 2, (2, 9)))
+]
+
+
+def random_ideal(rng, alg, n):
+    """An ideal on n generators: random elements, p-power multiples, elements
+    of the augmentation ideal, zeros and repeats, so that spans are proper."""
+    gens = []
+    for _ in range(n):
+        x = tuple(rng.randrange(alg.q) for _ in range(alg.dim))
+        kind = rng.randrange(5)
+        if kind == 1:
+            x = alg.scalar(alg.p ** rng.randint(1, alg.N), x)
+        elif kind == 2:
+            g = alg.basis_element(rng.randrange(alg.dim))
+            x = alg.mul(alg.sub(g, alg.one), x)
+        elif kind == 3:
+            x = alg.zero()
+        elif kind == 4 and gens:
+            x = rng.choice(gens)
+        gens.append(x)
+    return IdealHandle(alg, gens)
+
+
+@pytest.mark.parametrize("alg", PRODUCT_ALGEBRAS, ids=lambda a: a.name)
+def test_ideal_product_matches_reference_on_random_ideals(alg):
+    rng = random.Random(alg.dim * alg.q)
+    dim = alg.dim
+    # the reference realizes up to (dim + 2)^2 products as dim rows each
+    ideals = [random_ideal(rng, alg, rng.randint(0, dim + 2)) for _ in range(8 if dim <= 4 else 3)]
+    ideals += [random_ideal(rng, alg, dim + 1), random_ideal(rng, alg, dim + 2)]
+    ideals += [zero_ideal(alg), unit_ideal(alg)]
+    routes = set()
+    for I in ideals:
+        for J in ideals:
+            assert I.product(J).howell == ideal_product_reference(I, J)
+            routes.add((I.ngens > dim, J.ngens > dim))
+    assert routes == {(False, False), (False, True), (True, False), (True, True)}
+    # chains of three products: a product factor with more than dim generators
+    # contributes its own Howell rows
+    for _ in range(6):
+        I, J, K = (random_ideal(rng, alg, rng.randint(0, min(dim + 2, 6))) for _ in range(3))
+        for chain, left, right in (
+            (I.product(J).product(K), I.product(J), K),
+            (I.product(J.product(K)), I, J.product(K)),
+        ):
+            assert chain.howell == ideal_product_reference(left, right)
+            assert chain == IdealHandle(alg, left.generators).product(right)
+    big = random_ideal(rng, alg, dim + 2)
+    third = big if dim <= 4 else random_ideal(rng, alg, 2)
+    assert big.product(big).product(third).howell == ideal_product_reference(
+        big.product(big), third
+    )
+
+
+def test_ideal_product_matches_reference_on_the_campaigns(monkeypatch):
+    """Every Fitting product and every Euler-Fitting numerator, denominator
+    and cross-multiplication that the AC5/AC6 campaign slices form."""
+    formed = []
+    product = IdealHandle.product
+
+    def recorded(I, J):
+        out = product(I, J)
+        formed.append((I, J, out))
+        return out
+
+    monkeypatch.setattr(IdealHandle, "product", recorded)
+    results = complex_campaigns(seed=2026, trials=100) + fitting_campaigns(seed=2026, trials=200)
+    assert all(r.ok for r in results)
+    monkeypatch.undo()
+    assert len(formed) > 3000
+    # most of them take the route through a factor's Howell rows
+    assert sum(max(I.ngens, J.ngens) > I.algebra.dim for I, J, _ in formed) > len(formed) // 2
+    for I, J, out in formed:
+        assert out.howell == ideal_product_reference(I, J)
+
+
+def test_product_generators_are_literal_and_span_free(monkeypatch):
+    alg = PRODUCT_ALGEBRAS[1]
+    rng = random.Random(9)
+    I, J, K = (random_ideal(rng, alg, n) for n in (alg.dim + 2, 2, alg.dim + 1))
+    IJ, IJK = I.product(J), I.product(J).product(K)
+
+    def refused(*args):
+        raise AssertionError("reading generators must not take a Howell form")
+
+    monkeypatch.setattr(fitting, "howell_form", refused)
+    monkeypatch.setattr(linalg, "howell_form", refused)
+    assert IJ.generators == [alg.mul(x, y) for x in I.generators for y in J.generators]
+    assert IJK.generators == [
+        alg.mul(alg.mul(x, y), z) for x in I.generators for y in J.generators for z in K.generators
+    ]
+    assert I.product(zero_ideal(alg)).generators == []
+    monkeypatch.undo()
+    assert IJ.ngens == len(IJ.generators) and IJK.ngens == len(IJK.generators)
+
+
+def test_ideal_equal_oracle_agrees_on_products():
+    alg = PRODUCT_ALGEBRAS[1]
+    assert alg.q**alg.dim <= 729
+    rng = random.Random(33)
+    ideals = [random_ideal(rng, alg, rng.randint(0, alg.dim + 2)) for _ in range(6)]
+    ideals += [zero_ideal(alg), unit_ideal(alg)]
+    products = [I.product(J) for I in ideals for J in ideals[::2]]
+    products += [ideals[0].product(ideals[1]).product(ideals[2])]
+    seen = set()
+    for X in products:
+        for Y in products[::3] + ideals:
+            equal = X == Y
+            assert oracles.ideal_equal_oracle(X, Y) == equal
+            seen.add(equal)
+    assert seen == {True, False}
