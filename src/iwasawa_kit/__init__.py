@@ -62,7 +62,6 @@ from .lvalues import (
     ClassModuleData,
     StickelbergerElement,
     annihilation_check,
-    delta_t,
     dirichlet_l_nonpos,
     fitting_membership_check,
     partial_zeta_vector,

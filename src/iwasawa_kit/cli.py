@@ -80,6 +80,15 @@ def field_config(config: wire.Node) -> tuple[AbelianFieldSpec, list, list, int]:
     return spec, S, T, config["r"].int()
 
 
+def count(node: wire.Node) -> int:
+    """A trial count or conductor bound: a JSON integer (exit 4 otherwise)
+    that is not negative (exit 2 otherwise)."""
+    value = node.int()
+    if value < 0:
+        raise CliError(EXIT_PRECONDITION, str(node.expected("a non-negative integer")))
+    return value
+
+
 def emit(cert: dict, out: str | None) -> None:
     text = json.dumps(cert, indent=2, sort_keys=True)
     if out:
@@ -198,7 +207,7 @@ def run_verify(config: wire.Node) -> tuple[dict, int]:
 
 
 def run_fitting(config: wire.Node) -> tuple[dict, int]:
-    results = fitting_campaigns(config["seed"].int(), config["trials"].int())
+    results = fitting_campaigns(config["seed"].int(), count(config["trials"]))
     payload = [r.to_json() for r in results]
     cert = {
         "command": "fitting",
@@ -211,9 +220,10 @@ def run_fitting(config: wire.Node) -> tuple[dict, int]:
 
 
 def run_complex(config: wire.Node) -> tuple[dict, int]:
+    trials = count(config["trials"])
     if config.get("complex_data").value is not None:
         return _run_complex_file(config)
-    results = complex_campaigns(config["seed"].int(), config["trials"].int())
+    results = complex_campaigns(config["seed"].int(), trials)
     payload = [r.to_json() for r in results]
     cert = {
         "command": "complex",
@@ -279,9 +289,9 @@ def run_selftest(config: wire.Node) -> tuple[dict, int]:
     data_dir = None if data_dir.value is None else data_dir.str()
     results = run_all(
         seed=config["seed"].int(),
-        max_conductor=config["max_conductor"].int(),
-        trials=config["trials"].int(),
-        complex_trials=config["complex_trials"].int(),
+        max_conductor=count(config["max_conductor"]),
+        trials=count(config["trials"]),
+        complex_trials=count(config["complex_trials"]),
         data_dir=Path(data_dir) if data_dir else None,
     )
     payload = [r.to_json() for r in results]

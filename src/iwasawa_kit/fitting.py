@@ -7,6 +7,15 @@ question reduces to Howell-form linear algebra over Z/p^N through the regular
 representation. Ideal handles canonicalize through that form, so ideal
 equality and membership are exact.
 
+A group algebra (Z/p^N)[G] with p odd, G = P x Delta (P the p-part) and
+Delta nontrivial of exponent dividing p - 1 splits by the idempotents of
+Delta: (Z/p^N)[G] = prod_psi (Z/p^N)[P] over the characters psi of Delta,
+valued in the Teichmuller lifts mod p^N (PrimeToPSplit). Its ideals are held
+and compared one part per character, each canonicalized by a Howell form of
+width |P| instead of |G|. An algebra without that split (p = 2, a p-group,
+exp(Delta) not dividing p - 1, a minus quotient, Z/p^N, a from_json
+algebra) keeps one Howell form of width dim per ideal.
+
 Vector layout for the realization of A^n: component-major, index(c, i) =
 c*dim + i for component c and algebra-basis index i. `FiniteCommAlgebra.realize`
 (the dim rows basis_i * row of a row of A^n) and `FiniteCommAlgebra.split`
@@ -18,12 +27,15 @@ c*dim + i for component c and algebra-basis index i. `FiniteCommAlgebra.realize`
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from . import wire
 from .abelian import FiniteAbelianGroup
-from .groupring import basis_index, mul_table
+from .exact import teichmuller
+from .groupring import basis_index, linear_form, mul_table
 from .linalg import (
     ZModPN,
     combine,
@@ -35,6 +47,7 @@ from .linalg import (
     smith_normal_form,
     span_size,
 )
+from .numutil import primitive_root
 
 Vec = tuple[int, ...]
 
@@ -47,8 +60,11 @@ class FiniteCommAlgebra:
     over it, O(dim^2) for a group algebra (one term per pair). `sharp`
     (optional) is the involution as a list of basis-image vectors. `q` = p^N
     is an attribute. The dense table (basis_i * basis_j as a coefficient
-    vector) exists only in the JSON form.
+    vector) exists only in the JSON form. `prime_to_p` is the algebra's
+    PrimeToPSplit; only a GroupAlgebra can have one.
     """
+
+    prime_to_p: PrimeToPSplit | None = None
 
     def __init__(
         self,
@@ -228,7 +244,9 @@ def zmod_algebra(p: int, N: int) -> FiniteCommAlgebra:
 class GroupAlgebra(FiniteCommAlgebra):
     """(Z/p^N)[A] for a finite abelian group A; basis = the group elements in
     the order of groupring.basis_index, and basis_i * basis_j is the one term
-    (index of g_i g_j, 1) of groupring.mul_table."""
+    (index of g_i g_j, 1) of groupring.mul_table. A row of the regular
+    representation is a permutation of coefficients. `prime_to_p` is the
+    algebra's PrimeToPSplit or None, built once per (p, N, A) and shared."""
 
     def __init__(self, p: int, N: int, group: FiniteAbelianGroup):
         self.group = group
@@ -245,8 +263,96 @@ class GroupAlgebra(FiniteCommAlgebra):
         super().__init__(p, N, elems, terms, one, sharp, name=f"(Z/{p}^{N}){group.orders}")
         self.index = index
 
+    @cached_property
+    def _translates(self) -> list[list[int]]:
+        """Row j lists the basis index of g_k g_j^-1 for each k."""
+        inv = [self.index[self.group.inv(g)] for g in self.basis]
+        terms, dim = self.terms, self.dim
+        return [[terms[k][inv[j]][0][0] for k in range(dim)] for j in range(dim)]
+
+    def regular_rows(self, x: Vec) -> list[list[int]]:
+        """Rows of multiplication-by-x: row j = x * g_j, the coefficients of
+        x permuted (the coefficient at g_k is x's at g_k g_j^-1)."""
+        q = self.q
+        return [[x[i] % q for i in row] for row in self._translates]
+
+    @cached_property
+    def prime_to_p(self) -> PrimeToPSplit | None:
+        return prime_to_p_split(self.p, self.N, self.group)
+
     def group_element_vector(self, g) -> Vec:
         return self.basis_element(self.index[self.group.reduce(g)])
+
+
+class PrimeToPSplit:
+    """(Z/p^N)[G] = prod_psi (Z/p^N)[P] for G = P x Delta, P the p-part of G
+    and psi over the characters of Delta, valued in the Teichmuller lifts of
+    mu_(p-1) mod p^N.
+
+    Each cyclic factor C_o, o = p^a m, splits by CRT as e -> (e mod p^a,
+    e mod m), so g = g_P g_Delta. The ring maps pi_psi: g -> psi(g_Delta) g_P
+    together are an isomorphism (|Delta| is a unit), whose inverse sends y at
+    psi to e_psi y with e_psi = |Delta|^-1 sum_d psi(d)^-1 d. `cosets[i]`
+    lists the basis indices of the g with g_P the i-th basis element of
+    `part`, in the basis order of Delta; `characters[c][d]` = psi_c(d) and
+    `lifts[c][d]` = |Delta|^-1 psi_c(d)^-1 mod q for the d-th element of Delta.
+    """
+
+    def __init__(self, p: int, N: int, group: FiniteAbelianGroup, ppart: list[int],
+                 mpart: list[int]):
+        q = p**N
+        P = FiniteAbelianGroup(tuple(pa for pa in ppart if pa > 1))
+        delta = FiniteAbelianGroup(tuple(m for m in mpart if m > 1))
+        self.part, self.dim = GroupAlgebra(p, N, P), group.size
+        pindex, dindex = basis_index(P), basis_index(delta)
+        self.cosets = [[0] * delta.size for _ in range(P.size)]
+        for k, g in enumerate(group.elements()):
+            gp = tuple(e % pa for e, pa in zip(g, ppart) if pa > 1)
+            gd = tuple(e % m for e, m in zip(g, mpart) if m > 1)
+            self.cosets[pindex[gp]][dindex[gd]] = k
+        omega = teichmuller(primitive_root(p), p, N)
+        powers = [pow(omega, e, q) for e in range(p - 1)]
+        inv_size = pow(delta.size, -1, q)
+        self.characters, self.lifts = [], []
+        for psi in delta.elements():
+            weights = [t * ((p - 1) // m) for t, m in zip(psi, delta.orders)]
+            logs = linear_form(delta, weights, p - 1)
+            self.characters.append([powers[e] for e in logs])
+            self.lifts.append([inv_size * powers[-e] % q for e in logs])
+
+    def project(self, xs: list[Vec]) -> list[list[Vec]]:
+        """The images pi_psi(x) of the xs, one list per character psi."""
+        q, mul = self.part.q, operator.mul
+        blocks = [[[x[k] for k in coset] for coset in self.cosets] for x in xs]
+        return [
+            [tuple([sum(map(mul, b, chi)) % q for b in bs]) for bs in blocks]
+            for chi in self.characters
+        ]
+
+    def lift(self, spans: list[list[list[int]]]) -> list[list[int]]:
+        """The rows e_psi r of G, for the rows r of each character's span."""
+        q = self.part.q
+        out = []
+        for lift, rows in zip(self.lifts, spans):
+            for r in rows:
+                row = [0] * self.dim
+                for c, coset in zip(r, self.cosets):
+                    for k, w in zip(coset, lift):
+                        row[k] = c * w % q
+                out.append(row)
+        return out
+
+
+@lru_cache(maxsize=None)
+def prime_to_p_split(p: int, N: int, group: FiniteAbelianGroup) -> PrimeToPSplit | None:
+    """The split of (Z/p^N)[group] when p is odd, the prime-to-p part Delta
+    is nontrivial and exp(Delta) divides p - 1; None otherwise."""
+    # the p-part p^a of each order o: p^a divides o < 2^bits <= p^bits
+    ppart = [math.gcd(o, p ** o.bit_length()) for o in group.orders]
+    mpart = [o // pa for o, pa in zip(group.orders, ppart)]
+    if p == 2 or math.prod(mpart) == 1 or (p - 1) % math.lcm(*mpart):
+        return None
+    return PrimeToPSplit(p, N, group, ppart, mpart)
 
 
 class AlgebraMorphism:
@@ -327,12 +433,22 @@ class IdealHandle:
     """Finitely generated ideal, canonicalized as the Howell form of its
     Z/p^N-span inside the regular representation.
 
+    Over a group algebra with a PrimeToPSplit (p odd, the prime-to-p part
+    Delta of G nontrivial, exp(Delta) dividing p - 1) the ideal is held as
+    its `parts`, one ideal of (Z/p^N)[P] per character psi of Delta, built
+    from the images pi_psi of the generators; I = I' iff every part agrees,
+    and each part has its own Howell form, of width |P| rather than |G|.
+    Over any other algebra (a p-group algebra, Z/p^N, a minus quotient, a
+    from_json algebra) the ideal is its own one part. `howell` is the form in
+    the algebra's own basis either way; a split ideal derives it from its
+    parts when it is read.
+
     `generators` are literal: the list given, or for a product I*J the
     pairwise products x*y (x over I's generators, y over J's, in that order),
     built only when something reads them, so the brute-force oracles get an
     input that no Howell form has touched. A product's span comes from its
-    factors: I*J is the Z/p^N-span of {x*y} where x runs over any
-    Z/p^N-spanning set of I and y over ideal generators of J (a in I and
+    factors, part by part: I*J is the Z/p^N-span of {x*y} where x runs over
+    any Z/p^N-spanning set of I and y over ideal generators of J (a in I and
     b = sum c_k y_k give a*b = sum (a*c_k)*y_k with a*c_k in I). So a factor
     with more generators than dim contributes its Howell rows (at most dim),
     and the products need no regular representation; when neither factor has
@@ -341,7 +457,8 @@ class IdealHandle:
 
     def __init__(self, algebra: FiniteCommAlgebra, generators: list[Vec]):
         self.algebra = algebra
-        self.generators = [tuple(c % algebra.q for c in g) for g in generators]
+        q = algebra.q
+        self.generators = [tuple([c % q for c in g]) for g in generators]
         self.ngens = len(self.generators)
         self.factors: tuple[IdealHandle, IdealHandle] | None = None
 
@@ -353,9 +470,26 @@ class IdealHandle:
         mul = self.algebra.mul
         return [mul(a, b) for a in I.generators for b in J.generators]
 
+    @property
+    def parts(self) -> list[IdealHandle]:
+        """One ideal of the part algebra per character; [self] unsplit (not
+        cached, so that an ideal holds no reference to itself)."""
+        return [self] if self.algebra.prime_to_p is None else self._split_parts
+
+    @cached_property
+    def _split_parts(self) -> list[IdealHandle]:
+        split = self.algebra.prime_to_p
+        if self.factors is not None:
+            I, J = self.factors
+            return [a.product(b) for a, b in zip(I.parts, J.parts)]
+        return [IdealHandle(split.part, images) for images in split.project(self.generators)]
+
     @cached_property
     def howell(self) -> list[list[int]]:
         alg = self.algebra
+        if alg.prime_to_p is not None:
+            rows = alg.prime_to_p.lift([part.howell for part in self.parts])
+            return howell_form(rows, alg.dim, alg.R)
         if self.factors is not None:
             I, J = self.factors
             if J.ngens > alg.dim and I.ngens <= alg.dim:
@@ -369,24 +503,36 @@ class IdealHandle:
             rows.extend(alg.regular_rows(g))
         return howell_form(rows, alg.dim, alg.R)
 
+    def _spans_with(self, other: "IdealHandle") -> list[tuple[list, list]]:
+        """(this span, the other's span) part by part. An ideal over a group
+        algebra and one over an unsplit copy of it (from_json) meet in the
+        algebra's own basis."""
+        if self.algebra.prime_to_p is other.algebra.prime_to_p:
+            return [(a.howell, b.howell) for a, b in zip(self.parts, other.parts)]
+        return [(self.howell, other.howell)]
+
     def contains_element(self, x: Vec) -> bool:
-        return in_span(list(x), self.howell, self.algebra.R)
+        split, R = self.algebra.prime_to_p, self.algebra.R
+        images = [[x]] if split is None else split.project([x])
+        return all(in_span(list(y), part.howell, R) for [y], part in zip(images, self.parts))
 
     def residual(self, x: Vec) -> Vec:
         return tuple(reduce_mod_span(list(x), self.howell, self.algebra.R))
 
     def contains(self, other: "IdealHandle") -> bool:
-        return all(in_span(r, self.howell, self.algebra.R) for r in other.howell)
+        R = self.algebra.R
+        return all(in_span(r, h, R) for h, k in self._spans_with(other) for r in k)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, IdealHandle)
             and same_algebra(self.algebra, other.algebra)
-            and self.howell == other.howell
+            and all(h == k for h, k in self._spans_with(other))
         )
 
     def __hash__(self) -> int:
-        return hash(tuple(tuple(r) for r in self.howell))
+        # equal ideals have equal sizes, whichever parts they are held in
+        return hash(self.size())
 
     def product(self, other: "IdealHandle") -> "IdealHandle":
         out = IdealHandle.__new__(IdealHandle)
@@ -404,7 +550,7 @@ class IdealHandle:
         return IdealHandle(phi.dst, [phi.apply(g) for g in self.generators])
 
     def size(self) -> int:
-        return span_size(self.howell, self.algebra.R)
+        return math.prod(span_size(part.howell, self.algebra.R) for part in self.parts)
 
 
 def unit_ideal(algebra: FiniteCommAlgebra) -> IdealHandle:

@@ -11,25 +11,26 @@ of its rows with p^N.I appended, whose diagonal entries are powers of p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .numutil import is_prime
 
 
 @dataclass(frozen=True)
 class ZModPN:
+    """Z/p^N; equality and hashing are on (p, N), and q = p^N is computed
+    once."""
+
     p: int
     N: int
+    q: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not is_prime(self.p):
             raise ValueError(f"ZModPN needs a prime, got {self.p}")
         if self.N < 1:
             raise ValueError(f"ZModPN needs N >= 1, got {self.N}")
-
-    @property
-    def q(self) -> int:
-        return self.p**self.N
+        object.__setattr__(self, "q", self.p**self.N)
 
     def val(self, x: int) -> int:
         """p-adic valuation of the representative x mod q (val(0) = N)."""

@@ -120,16 +120,6 @@ def _t_factors(pres, T, r: int) -> list:
     return out
 
 
-def delta_t(spec_or_pres, T, r: int) -> tuple[tuple[int, ...], int]:
-    """delta_T(r) = prod_{v in T} (1 - v^(1-r) sigma_v^(-1)) in Z[G], as (nums, 1)."""
-    pres = _presentation(spec_or_pres)
-    grp = pres.group
-    out = tuple(int(g == grp.identity) for g in grp.elements())
-    for sigma, c in _t_factors(pres, T, r):
-        out = _times_one_minus(out, grp, sigma, c)
-    return out, 1
-
-
 @dataclass
 class StickelbergerElement:
     """value is the pair (nums, den) of Q[G] in lowest terms."""

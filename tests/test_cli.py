@@ -418,6 +418,53 @@ def test_fitting_command(tmp_path, capsys):
     assert code2 == EXIT_OK and report["result"]["matches"] is True
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["fitting", "--trials", "-3"], "trials"),
+        (["complex", "--trials", "-1"], "trials"),
+        (["complex", "--trials", "-1", "--data", "{complex}"], "trials"),
+        (["selftest", "--trials", "-1"], "trials"),
+        (["selftest", "--complex-trials", "-1"], "complex_trials"),
+        (["selftest", "--max-conductor", "-5"], "max_conductor"),
+    ],
+    ids=["fitting-trials", "complex-trials", "complex-data-trials", "selftest-trials",
+         "selftest-complex-trials", "selftest-max-conductor"],
+)
+def test_negative_counts_are_refused(tmp_path, capsys, monkeypatch, argv, field):
+    from iwasawa_kit import cli
+
+    def campaign(*args, **kwargs):
+        pytest.fail("a campaign ran with a negative count")
+
+    for name in ("fitting_campaigns", "complex_campaigns", "run_all", "_run_complex_file"):
+        monkeypatch.setattr(cli, name, campaign)
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(complex_payload()))
+    code, err = run_refused(capsys, *(a.format(complex=path) for a in argv))
+    assert code == EXIT_PRECONDITION and err["exit"] == EXIT_PRECONDITION
+    assert f"{field}: expected a non-negative integer" in err["error"]
+
+
+def test_recheck_refuses_a_negative_count(tmp_path, capsys):
+    out = tmp_path / "fitting.json"
+    code, _ = run(capsys, "fitting", "--seed", "1", "--trials", "1", "--out", str(out))
+    assert code == EXIT_OK
+    cert = json.loads(out.read_text())
+    cert["input"]["trials"] = -1
+    out.write_text(json.dumps(cert))
+    code, err = run_refused(capsys, "recheck", str(out))
+    assert code == EXIT_PRECONDITION and err["exit"] == EXIT_PRECONDITION
+    assert "input.trials: expected a non-negative integer, got -1" in err["error"]
+
+
+def test_zero_trials_run_the_campaigns(capsys):
+    # zero trials are a count: the campaigns run, and the suites that need
+    # trials report no checks
+    code, cert = run(capsys, "fitting", "--seed", "1", "--trials", "0")
+    assert code != EXIT_PRECONDITION and cert["input"]["trials"] == 0
+
+
 def test_complex_command_campaign(capsys):
     code, cert = run(capsys, "complex", "--seed", "1", "--trials", "6")
     assert code == EXIT_OK

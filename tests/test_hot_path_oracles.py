@@ -1,8 +1,9 @@
 """The former forms of the Fitting hot paths, kept as oracles of the fast
 ones: the q-pass span closure, the Howell form that rescans every row for its
 leading index, the dense dim^3 structure-constant product, the dense
-structure-constant tables of group algebras and their minus quotients, and the
-ideal product realized from every pairwise generator product."""
+structure-constant tables of group algebras and their minus quotients, the
+ideal product realized from every pairwise generator product, and the one
+full-width Howell form of an ideal that the prime-to-p split replaced."""
 
 import json
 import random
@@ -11,20 +12,23 @@ import pytest
 from algebra_helpers import nilpotent_extension_json
 
 from iwasawa_kit import fitting, linalg, oracles
-from iwasawa_kit.abelian import FiniteAbelianGroup
+from iwasawa_kit.abelian import AbelianFieldSpec, FiniteAbelianGroup
 from iwasawa_kit.campaigns import complex_campaigns, fitting_campaigns
 from iwasawa_kit.fitting import (
     FiniteCommAlgebra,
     GroupAlgebra,
     IdealHandle,
+    group_algebra_morphism,
     minus_quotient,
+    principal_module,
     same_algebra,
     unit_ideal,
     zero_ideal,
     zmod_algebra,
 )
-from iwasawa_kit.linalg import ZModPN, howell_form
+from iwasawa_kit.linalg import ZModPN, howell_form, in_span, span_size
 from iwasawa_kit.oracles import enumerate_span
+from iwasawa_kit.tower import theta_tower
 
 
 def enumerate_span_reference(rows, width, R):
@@ -400,21 +404,41 @@ def test_ideal_product_matches_reference_on_random_ideals(alg):
     )
 
 
-def test_ideal_product_matches_reference_on_the_campaigns(monkeypatch):
-    """Every Fitting product and every Euler-Fitting numerator, denominator
-    and cross-multiplication that the AC5/AC6 campaign slices form."""
-    formed = []
-    product = IdealHandle.product
+@pytest.fixture(scope="module")
+def campaign_ideals():
+    """Every ideal product and every ideal comparison (==, contains) that the
+    AC5/AC6 campaign slices form, with the verdicts the fast path gave."""
+    formed, compared = [], []
+    product, eq, contains = IdealHandle.product, IdealHandle.__eq__, IdealHandle.contains
 
-    def recorded(I, J):
+    def recorded_product(I, J):
         out = product(I, J)
         formed.append((I, J, out))
         return out
 
-    monkeypatch.setattr(IdealHandle, "product", recorded)
-    results = complex_campaigns(seed=2026, trials=100) + fitting_campaigns(seed=2026, trials=200)
+    def recorded_eq(I, J):
+        verdict = eq(I, J)
+        compared.append(("==", I, J, verdict))
+        return verdict
+
+    def recorded_contains(I, J):
+        verdict = contains(I, J)
+        compared.append(("contains", I, J, verdict))
+        return verdict
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(IdealHandle, "product", recorded_product)
+        mp.setattr(IdealHandle, "__eq__", recorded_eq)
+        mp.setattr(IdealHandle, "contains", recorded_contains)
+        results = complex_campaigns(seed=2026, trials=100) + fitting_campaigns(seed=2026, trials=200)
     assert all(r.ok for r in results)
-    monkeypatch.undo()
+    return formed, compared
+
+
+def test_ideal_product_matches_reference_on_the_campaigns(campaign_ideals):
+    """Every Fitting product and every Euler-Fitting numerator, denominator
+    and cross-multiplication that the AC5/AC6 campaign slices form."""
+    formed, _ = campaign_ideals
     assert len(formed) > 3000
     # most of them take the route through a factor's Howell rows
     assert sum(max(I.ngens, J.ngens) > I.algebra.dim for I, J, _ in formed) > len(formed) // 2
@@ -457,3 +481,188 @@ def test_ideal_equal_oracle_agrees_on_products():
             assert oracles.ideal_equal_oracle(X, Y) == equal
             seen.add(equal)
     assert seen == {True, False}
+
+
+def ideal_howell_reference(I, cache=None):
+    """The former canonical form of every ideal: one Howell form of width dim
+    in the algebra's own basis, from the regular rows that the structure
+    constants give, a product's taken from its factors' full-width forms (a
+    factor with more generators than dim contributes its rows). `cache` maps
+    id(ideal) to (ideal, form) across calls."""
+    cache = {} if cache is None else cache
+    if id(I) in cache:
+        return cache[id(I)][1]
+    alg, dim = I.algebra, I.algebra.dim
+    out = None
+    if I.factors is not None:
+        J, K = I.factors
+        if K.ngens > dim and J.ngens <= dim:
+            J, K = K, J
+        if J.ngens > dim:
+            ys = ideal_howell_reference(K, cache) if K.ngens > dim else K.generators
+            rows = [alg.mul(x, y) for x in ideal_howell_reference(J, cache) for y in ys]
+            out = howell_form(rows, dim, alg.R)
+    if out is None:
+        rows = [r for g in I.generators for r in FiniteCommAlgebra.regular_rows(alg, g)]
+        out = howell_form(rows, dim, alg.R)
+    cache[id(I)] = (I, out)
+    return out
+
+
+def check_ideals_against_reference(ideals, elements, pairs=None):
+    """howell, size and contains_element of each ideal, and == and contains
+    of each pair (all pairs by default), agree with the reference forms."""
+    cache = {}
+    R = ideals[0].algebra.R
+    for I in ideals:
+        ref = ideal_howell_reference(I, cache)
+        assert I.howell == ref
+        assert I.size() == span_size(ref, R)
+        for x in elements + I.generators[:3]:
+            assert I.contains_element(x) == in_span(list(x), ref, R)
+    verdicts = set()
+    for I, J in pairs if pairs is not None else [(I, J) for I in ideals for J in ideals]:
+        refI, refJ = ideal_howell_reference(I, cache), ideal_howell_reference(J, cache)
+        assert (I == J) == (refI == refJ)
+        contained = all(in_span(r, refI, R) for r in refJ)
+        assert I.contains(J) == contained
+        verdicts.add((refI == refJ, contained))
+    return verdicts
+
+
+def component_ideal(rng, alg, n):
+    """An ideal on n generators a*x with a one or two factors g - 1 or
+    1 + g + ... + g^(o-1), g a random group element other than 1, and x
+    random: each factor kills some characters of the group, so the parts of
+    the ideal differ."""
+
+    def factor():
+        g = alg.basis_element(rng.randrange(1, alg.dim))  # basis 0 is the identity
+        if rng.randrange(2):
+            return alg.sub(g, alg.one)
+        norm, power = alg.one, g
+        while power != alg.one:
+            norm, power = alg.add(norm, power), alg.mul(power, g)
+        return norm
+
+    gens = []
+    for _ in range(n):
+        a = factor() if rng.randrange(2) else alg.mul(factor(), factor())
+        gens.append(alg.mul(a, tuple(rng.randrange(alg.q) for _ in range(alg.dim))))
+    return IdealHandle(alg, gens)
+
+
+SPLIT_ALGEBRAS = [
+    GroupAlgebra(p, N, FiniteAbelianGroup(orders))
+    for p, N, orders in ((3, 2, (2,)), (3, 2, (2, 2)), (3, 2, (2, 9)), (3, 3, (18,)),
+                         (5, 2, (20,)), (7, 2, (42,)))
+]
+
+
+@pytest.mark.parametrize("alg", SPLIT_ALGEBRAS, ids=lambda a: a.name)
+def test_split_ideals_match_the_full_width_reference(alg):
+    split = alg.prime_to_p
+    part_dim = split.part.dim
+    assert part_dim * len(split.characters) == alg.dim and part_dim in (1, 9, 5, 7)
+    rng = random.Random(alg.dim * alg.q)
+    small = alg.dim <= 4
+    # up to dim + 2 generators on the small algebras; on the wide ones a few,
+    # and one with more than |P| so that part products take Howell rows
+    ideals = [
+        random_ideal(rng, alg, rng.randint(0, alg.dim + 2 if small else 3))
+        for _ in range(6 if small else 3)
+    ]
+    ideals += [random_ideal(rng, alg, part_dim + 1), zero_ideal(alg), unit_ideal(alg)]
+    ideals += [component_ideal(rng, alg, n) for n in (1, 1, 2, part_dim + 1)]
+    ideals += [ideals[-1].add(ideals[-2]), ideals[-3].sharp()]
+    left, right = (ideals[:4] + ideals[-6:-3], ideals[-6:-1]) if small else (
+        ideals[2:4] + ideals[-6:-4], ideals[-5:-2])
+    products = [I.product(J) for I in left for J in right]
+    products += [ideals[0].product(ideals[1]).product(ideals[2]),
+                 ideals[3].product(ideals[0].product(ideals[3]))]
+    elements = [alg.zero(), alg.one] + [
+        tuple(rng.randrange(alg.q) for _ in range(alg.dim)) for _ in range(3)
+    ]
+    elements += [alg.mul(g, elements[-1]) for g in ideals[0].generators[:2] + ideals[-6].generators]
+    everything = ideals + products
+    pairs = [(I, J) for I in everything for J in everything] if small else [
+        (I, J) for I in everything for J in everything[::3]
+    ]
+    verdicts = check_ideals_against_reference(everything, elements, pairs)
+    assert {(True, True), (False, True), (False, False)} <= verdicts
+
+
+def test_split_ideals_match_the_reference_on_a_dim_54_tower_level():
+    """The top level of the Q(zeta3) tower at p = 3, N = 2: (Z/9)[C2 x C27]
+    = (Z/9)[C27]^2. The Fitting ideals of the principal Stickelberger modules,
+    the images of the level above, a direct sum's and a product's."""
+    t = theta_tower(AbelianFieldSpec.cyclotomic(3), [3, "oo"], [7], 3, 2, 3, -1)
+    algs = [GroupAlgebra(3, 2, level.group) for level in t.levels[2:]]
+    top = algs[-1]
+    assert top.dim == 54 and top.prime_to_p.part.dim == 27
+    x = t.entries[-1]
+    M1, M2 = principal_module(top, x), principal_module(top, top.sharp_of(x))
+    down = group_algebra_morphism(top, algs[0], lambda g: t.levels[3].project(g, 2))
+    ideals = [M1.fitting_ideal, M2.fitting_ideal, M1.direct_sum(M2).fitting_ideal,
+              M1.fitting_ideal.product(M2.fitting_ideal), unit_ideal(top)]
+    elements = [x, top.sharp_of(x), top.mul(x, top.sharp_of(x)), top.one]
+    verdicts = check_ideals_against_reference(ideals, elements)
+    assert (True, True) in verdicts and (False, False) in verdicts
+    lower = [principal_module(algs[0], t.entries[2]).fitting_ideal,
+             M1.fitting_ideal.map_through(down)]
+    assert check_ideals_against_reference(lower, [t.entries[2]]) == {(True, True)}
+
+
+def test_split_ideals_match_the_reference_on_the_campaigns(campaign_ideals):
+    formed, compared = campaign_ideals
+    cache = {}
+    split = [c for c in compared if c[1].algebra.prime_to_p is not None]
+    assert len(split) > 300 and {c[0] for c in split} == {"==", "contains"}
+    assert {c[1].algebra.group.orders for c in split} >= {(2,), (2, 2), (4, 1)}
+    for kind, I, J, verdict in compared:
+        refI, refJ = ideal_howell_reference(I, cache), ideal_howell_reference(J, cache)
+        if kind == "==":
+            assert verdict == (refI == refJ)
+        else:
+            assert verdict == all(in_span(r, refI, I.algebra.R) for r in refJ)
+        assert I.howell == refI and I.size() == span_size(refI, I.algebra.R)
+    for I, J, out in formed:
+        assert out.howell == ideal_howell_reference(out, cache)
+
+
+def test_one_part_algebras_keep_the_full_width_form():
+    """p = 2, a p-group, exp(Delta) not dividing p - 1, a minus quotient and a
+    from_json algebra have no split: each ideal is its own one part."""
+    c2c2 = GroupAlgebra(3, 2, FiniteAbelianGroup((2, 2)))
+    algebras = [
+        GroupAlgebra(2, 3, FiniteAbelianGroup((2,))),
+        GroupAlgebra(3, 2, FiniteAbelianGroup((3,))),
+        GroupAlgebra(3, 2, FiniteAbelianGroup((5,))),
+        minus_quotient(c2c2, (1, 0))[0],
+        FiniteCommAlgebra.from_json(GroupAlgebra(3, 2, FiniteAbelianGroup((2,))).to_json()),
+    ]
+    for alg in algebras:
+        assert alg.prime_to_p is None
+        rng = random.Random(alg.dim)
+        ideals = [random_ideal(rng, alg, rng.randint(0, alg.dim + 2)) for _ in range(4)]
+        ideals += [zero_ideal(alg), unit_ideal(alg), ideals[0].product(ideals[1])]
+        assert all(I.parts == [I] for I in ideals)
+        elements = [tuple(rng.randrange(alg.q) for _ in range(alg.dim)) for _ in range(3)]
+        check_ideals_against_reference(ideals, elements)
+
+
+def test_split_and_unsplit_copies_of_an_algebra_compare_ideals():
+    alg = GroupAlgebra(3, 2, FiniteAbelianGroup((2, 2)))
+    copy = FiniteCommAlgebra.from_json(alg.to_json())
+    assert same_algebra(alg, copy) and copy.prime_to_p is None
+    rng = random.Random(5)
+    for _ in range(8):
+        I = random_ideal(rng, alg, rng.randint(1, 3))
+        J = random_ideal(rng, alg, rng.randint(1, 3)).product(I)
+        for X, Y in ((I, J), (J, I), (I, I)):
+            Yc = IdealHandle(copy, Y.generators)
+            equal = ideal_howell_reference(X) == ideal_howell_reference(Yc)
+            assert (X == Yc) == (Yc == X) == equal
+            assert X.contains(Yc) == Yc.contains(X) == X.contains(Y) if equal else True
+            assert X.contains(Yc) == X.contains(Y) and Yc.contains(X) == Y.contains(X)
+            assert hash(X) == hash(Yc) if equal else True

@@ -1,15 +1,19 @@
 """The integer route of Q[G] in lvalues against the Fraction route of
 fraction_route.py: partial zeta vectors, delta_T and theta are equal as
 rationals, the integrality verdicts agree, and every theta_tower entry is the
-Fraction theta of its level reduced one coefficient at a time."""
+Fraction theta of its level reduced one coefficient at a time. delta_T on its
+own is computed here, from the T factors that theta applies."""
 
 import fraction_route
 import pytest
 from fraction_route import as_pair, reduce_mod
 
+from iwasawa_kit.abelian import AbelianFieldSpec, galois_group
 from iwasawa_kit.campaigns import TOWER_CORPUS, corpus_cm_specs, corpus_st_choices
 from iwasawa_kit.lvalues import (
-    delta_t,
+    _presentation,
+    _t_factors,
+    _times_one_minus,
     is_p_integral,
     partial_zeta_vector,
     theta,
@@ -18,6 +22,33 @@ from iwasawa_kit.lvalues import (
 from iwasawa_kit.tower import theta_tower
 
 PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def delta_t(spec_or_pres, T, r: int) -> tuple[tuple[int, ...], int]:
+    """delta_T(r) = prod_{v in T} (1 - v^(1-r) sigma_v^(-1)) in Z[G], as (nums, 1),
+    through the T factors and the shift-and-subtract of lvalues."""
+    pres = _presentation(spec_or_pres)
+    grp = pres.group
+    out = tuple(int(g == grp.identity) for g in grp.elements())
+    for sigma, c in _t_factors(pres, T, r):
+        out = _times_one_minus(out, grp, sigma, c)
+    return out, 1
+
+
+def test_delta_t_examples():
+    Z3, Z5 = AbelianFieldSpec.cyclotomic(3), AbelianFieldSpec.cyclotomic(5)
+    grp3 = galois_group(Z3).group
+    one3 = tuple(int(g == grp3.identity) for g in grp3.elements())
+    assert delta_t(Z3, [], 0) == (one3, 1)
+    assert delta_t(Z3, [7], 0) == (tuple(-6 * c for c in one3), 1)
+    gal5 = galois_group(Z5)
+    sigma3 = gal5.element_of(3)
+    expect = tuple(
+        int(g == gal5.group.identity) - 2 * int(g == sigma3) for g in gal5.group.elements()
+    )
+    assert delta_t(Z5, [2], 0) == (expect, 1)
+    with pytest.raises(ValueError):
+        delta_t(Z3, [3], 0)  # ramified
 
 
 def corpus_items():

@@ -28,7 +28,6 @@ from iwasawa_kit.lvalues import (
     ClassModuleData,
     StickelbergerElement,
     annihilation_check,
-    delta_t,
     dirichlet_l_nonpos,
     generalized_bernoulli,
     fitting_membership_check,
@@ -125,17 +124,6 @@ def test_euler_enlarge_matches_extended_s():
         via_factor = euler_enlarge(as_fractions(theta(Z3, [3, OO], [], r).value), Z3, 5, r)
         direct = as_fractions(theta(Z3, [3, 5, OO], [], r).value)
         assert via_factor == direct
-
-
-def test_delta_t_examples():
-    grp3 = galois_group(Z3).group
-    assert delta_t(Z3, [], 0) == pair(grp3, {grp3.identity: 1})
-    assert delta_t(Z3, [7], 0) == pair(grp3, {grp3.identity: -6})
-    grp5 = galois_group(Z5).group
-    expect = pair(grp5, {grp5.identity: 1, sigma(Z5, 3): -2})
-    assert delta_t(Z5, [2], 0) == expect
-    with pytest.raises(ValueError):
-        delta_t(Z3, [3], 0)  # ramified
 
 
 def test_theta_z3_examples():
