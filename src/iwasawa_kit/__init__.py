@@ -69,7 +69,6 @@ from .lvalues import (
     verify_integrality,
 )
 from .tower import (
-    FiniteLevelAlgebra,
     TowerElement,
     aug_project,
     coherence_check,

@@ -1,9 +1,11 @@
 """Abelian fields over Q as class-field data.
 
 A field L/Q is pinned by a modulus m and a fixing subgroup H of (Z/m)^x: L is
-the fixed field of H inside Q(zeta_m), so Gal(L/Q) = (Z/m)^x / H. This module
-computes the Galois group in invariant-factor form with its Frobenius map, the
-conductor, CM structure (complex conjugation j and the idempotents e_r), roots
+the fixed field of H inside Q(zeta_m), so Gal(L/Q) = (Z/m)^x / H, presented
+once by GaloisData: a FiniteAbelianGroup, the class of each unit residue,
+Frobenius and the conductor; galois_group uses invariant-factor coordinates,
+TowerLevelData the product G x Z/p^n of a tower layer. This module also
+computes CM structure (complex conjugation j and the idempotents e_r), roots
 of unity, cyclotomic-tower layers, the Hyp(S,T) admissibility test, and the
 character table with exact decomposition/reconstruction. The elements of Q[G]
 (the CM idempotents, the input of decompose and the output of reconstruct)
@@ -72,9 +74,6 @@ class FiniteAbelianGroup:
 
     def inv(self, g) -> tuple[int, ...]:
         return tuple((-a) % d for a, d in zip(g, self.orders))
-
-    def power(self, g, k: int) -> tuple[int, ...]:
-        return tuple((a * k) % d for a, d in zip(g, self.orders))
 
     def elements(self):
         return itertools.product(*(range(d) for d in self.orders))
@@ -164,67 +163,36 @@ def ramified_primes(spec: AbelianFieldSpec) -> set[int]:
 # The Galois group with its Frobenius map.
 
 class GaloisData:
-    """Gal(L/Q) = (Z/m)^x / H in invariant-factor coordinates.
+    """Gal(L/Q) = (Z/m)^x / H presented by a FiniteAbelianGroup and a map
+    classifying each unit residue mod m into it.
 
     element_of(a) is defined for every integer a coprime to the conductor
     (residues coprime to m directly; others through the CRT lift, well defined
     by the conductor property). frobenius rejects ramified primes.
     """
 
-    def __init__(self, spec: AbelianFieldSpec):
-        self.spec = spec
-        m = spec.modulus
-        self.conductor, self.fixing_at_conductor = conductor(spec)
-        gens = unit_group_generators(m)
-        dlog = self._dlog_table(m, gens)
-        rows = [[gens[i][1] if j == i else 0 for j in range(len(gens))] for i in range(len(gens))]
-        rows += [list(dlog[h]) for h in sorted(spec.fixing)]
-        diag, V = smith_normal_form(rows, len(gens))
-        keep = [j for j, d in enumerate(diag) if d != 1]
-        if any(diag[j] == 0 for j in keep):
-            raise AssertionError("quotient of a finite group cannot be infinite")
-        self.group = FiniteAbelianGroup(tuple(diag[j] for j in keep))
-        self._V = V
-        self._keep = keep
-        self._diag = diag
-        self._elt: dict[int, tuple[int, ...]] = {}
-        self.representatives: dict[tuple[int, ...], int] = {}
-        for a in unit_residues(m):
-            x = dlog[a]
-            y = tuple(
-                sum(x[i] * V[i][j] for i in range(len(x))) % diag[j] for j in keep
-            )
-            self._elt[a] = y
-            self.representatives.setdefault(y, a if m > 1 else 1)
-        if len(self.representatives) != self.group.size:
-            raise AssertionError("element map is not onto the quotient group")
+    # how the refusals of element_of and frobenius name f and the field
+    conductor_name = "conductor"
+    field_name = "the field of conductor {conductor}"
 
-    @staticmethod
-    def _dlog_table(m: int, gens) -> dict[int, tuple[int, ...]]:
-        one = 1 % m
-        table = {one: (0,) * len(gens)}
-        frontier = [one]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                x = table[a]
-                for i, (g, d) in enumerate(gens):
-                    b = (a * g) % m
-                    if b not in table:
-                        table[b] = tuple(
-                            (e + 1) % d if j == i else e for j, e in enumerate(x)
-                        )
-                        nxt.append(b)
-            frontier = nxt
-        assert len(table) == len(unit_residues(m))
-        return table
+    def __init__(self, spec: AbelianFieldSpec, group: FiniteAbelianGroup, classify):
+        self.spec = spec
+        self.group = group
+        self.conductor, _ = conductor(spec)
+        m = spec.modulus
+        self._elt = {a: classify(a) for a in unit_residues(m)}
+        self.representatives: dict[tuple[int, ...], int] = {}
+        for a, g in self._elt.items():
+            self.representatives.setdefault(g, a if m > 1 else 1)
+        if len(self.representatives) != group.size:
+            raise AssertionError("element map is not onto the group")
 
     def element_of(self, a: int) -> tuple[int, ...]:
         """Class of a in Gal(L/Q); a must be coprime to the conductor."""
         m = self.spec.modulus
         f = self.conductor
         if math.gcd(a, f) != 1 and f > 1:
-            raise ValueError(f"{a} is not coprime to the conductor {f}")
+            raise ValueError(f"{a} is not coprime to the {self.conductor_name} {f}")
         r = a % m if m > 1 else 0
         if r in self._elt:
             return self._elt[r]
@@ -235,15 +203,49 @@ class GaloisData:
         if not is_prime(ell):
             raise ValueError(f"frobenius expects a prime, got {ell}")
         if self.conductor % ell == 0 and self.conductor > 1:
-            raise ValueError(
-                f"{ell} ramifies in the field of conductor {self.conductor}"
-            )
+            raise ValueError(f"{ell} ramifies in {self.field_name.format_map(vars(self))}")
         return self.element_of(ell)
+
+
+def _dlog_table(m: int, gens) -> dict[int, tuple[int, ...]]:
+    one = 1 % m
+    table = {one: (0,) * len(gens)}
+    frontier = [one]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            x = table[a]
+            for i, (g, d) in enumerate(gens):
+                b = (a * g) % m
+                if b not in table:
+                    table[b] = tuple(
+                        (e + 1) % d if j == i else e for j, e in enumerate(x)
+                    )
+                    nxt.append(b)
+        frontier = nxt
+    assert len(table) == len(unit_residues(m))
+    return table
 
 
 @lru_cache(maxsize=None)
 def galois_group(spec: AbelianFieldSpec) -> GaloisData:
-    return GaloisData(spec)
+    """Gal(L/Q) in invariant-factor coordinates: the Smith form of the
+    relations of H on the generators of (Z/m)^x."""
+    m = spec.modulus
+    gens = unit_group_generators(m)
+    dlog = _dlog_table(m, gens)
+    rows = [[gens[i][1] if j == i else 0 for j in range(len(gens))] for i in range(len(gens))]
+    rows += [list(dlog[h]) for h in sorted(spec.fixing)]
+    diag, V = smith_normal_form(rows, len(gens))
+    keep = [j for j, d in enumerate(diag) if d != 1]
+    if any(diag[j] == 0 for j in keep):
+        raise AssertionError("quotient of a finite group cannot be infinite")
+
+    def classify(a: int) -> tuple[int, ...]:
+        x = dlog[a]
+        return tuple(sum(x[i] * V[i][j] for i in range(len(x))) % diag[j] for j in keep)
+
+    return GaloisData(spec, FiniteAbelianGroup(tuple(diag[j] for j in keep)), classify)
 
 
 # ---------------------------------------------------------------------------
@@ -494,69 +496,37 @@ def dirichlet_character(gal: GaloisData, table: CharacterTable, label) -> Dirich
 # ---------------------------------------------------------------------------
 # Tower presentation: Gal(L_n/Q) = G x Z/p^n with the gamma coordinate split off.
 
-class TowerLevelData:
-    """Level-n Galois data in product coordinates (g, k): g in Gal(L/Q),
-    k the cyclotomic coordinate (gamma^k, gamma the fixed generator with
-    cyclotomic character 1+p).
+class TowerLevelData(GaloisData):
+    """Gal(L_n/Q), L_n = layer(spec, p, n), in product coordinates (g, k): g
+    in Gal(L/Q), k the cyclotomic coordinate (gamma^k, gamma the fixed
+    generator with cyclotomic character 1+p), the log base 1+p of the 1-unit
+    part of a mod p^(n+1).
 
     Also records, when zeta_p lies in L, the finite-level cyclotomic character
     chi_cyc: G_n -> (Z/p^(n+1))^x.
     """
 
+    conductor_name = "layer conductor"
+    field_name = "layer {n}"
+
     def __init__(self, spec: AbelianFieldSpec, p: int, n: int):
         self.base_spec = spec
         self.p = p
         self.n = n
-        self.spec = layer(spec, p, n)
-        self.base = galois_group(spec)
-        self.conductor, _ = conductor(self.spec)
+        base = galois_group(spec)
         q = p ** (n + 1)
-        self.q = q
-        base_orders = self.base.group.orders
-        self.group = FiniteAbelianGroup(base_orders + (p**n,))
-        # Discrete logs of 1-units mod p^(n+1) base (1+p).
-        self._dlog1: dict[int, int] = {}
-        x = 1
-        for k in range(p**n):
-            self._dlog1[x] = k
-            x = (x * (1 + p)) % q
-        self._elt: dict[int, tuple[int, ...]] = {}
-        self.representatives: dict[tuple[int, ...], int] = {}
-        fixing = self.spec.fixing
-        for a in unit_residues(self.spec.modulus):
-            g = self._classify(a)
-            self._elt[a] = g
-            self.representatives.setdefault(g, a)
-        if len(self.representatives) != self.group.size:
-            raise AssertionError("tower product coordinates are not bijective")
-        self.has_chi_cyc = all((h - 1) % q == 0 for h in fixing) or self.spec.modulus <= 2
+        dlog1 = {pow(1 + p, k, q): k for k in range(p**n)}
+
+        def classify(a: int) -> tuple[int, ...]:
+            one_unit = (a * pow(teichmuller(a, p, n + 1), -1, q)) % q
+            return base.element_of(a) + (dlog1[one_unit],)
+
+        group = FiniteAbelianGroup(base.group.orders + (p**n,))
+        super().__init__(layer(spec, p, n), group, classify)
+        self.has_chi_cyc = all((h - 1) % q == 0 for h in self.spec.fixing)
         self.chi_cyc: dict[tuple[int, ...], int] | None = None
         if self.has_chi_cyc:
             self.chi_cyc = {g: a % q for g, a in self.representatives.items()}
-
-    def _classify(self, a: int) -> tuple[int, ...]:
-        p, q = self.p, self.q
-        w = teichmuller(a, p, self.n + 1)
-        one_unit = (a * pow(w, -1, q)) % q
-        k = self._dlog1[one_unit]
-        return self.base.element_of(a) + (k,)
-
-    def element_of(self, a: int) -> tuple[int, ...]:
-        f = self.conductor
-        if f > 1 and math.gcd(a, f) != 1:
-            raise ValueError(f"{a} is not coprime to the layer conductor {f}")
-        m = self.spec.modulus
-        r = a % m
-        if r in self._elt:
-            return self._elt[r]
-        return self._elt[crt_lift(a, f, m)]
-
-    def frobenius(self, ell: int) -> tuple[int, ...]:
-        if not is_prime(ell):
-            raise ValueError(f"frobenius expects a prime, got {ell}")
-        if self.conductor > 1 and self.conductor % ell == 0:
-            raise ValueError(f"{ell} ramifies in layer {self.n}")
-        return self.element_of(ell)
 
     def chi_cyc_of(self, g: tuple[int, ...]) -> int:
         """chi_cyc(g) mod p^(n+1); defined only when zeta_p is in L."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -93,7 +94,21 @@ def emit(cert: dict, out: str | None) -> None:
     text = json.dumps(cert, indent=2, sort_keys=True)
     if out:
         Path(out).write_text(text + "\n")
-    print(text)
+    print(text, flush=True)  # a closed stdout fails here, inside main
+
+
+def suites_certificate(command: str, config: wire.Node, check: str, results) -> tuple[dict, int]:
+    """The certificate of a campaign command: every suite and whether all passed."""
+    payload = [r.to_json() for r in results]
+    ok = all(r["ok"] for r in payload)
+    cert = {
+        "command": command,
+        "input": config.value,
+        "check": check,
+        "result": {"suites": payload, "ok": ok},
+        "witness": None,
+    }
+    return cert, EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -208,15 +223,7 @@ def run_verify(config: wire.Node) -> tuple[dict, int]:
 
 def run_fitting(config: wire.Node) -> tuple[dict, int]:
     results = fitting_campaigns(config["seed"].int(), count(config["trials"]))
-    payload = [r.to_json() for r in results]
-    cert = {
-        "command": "fitting",
-        "input": config.value,
-        "check": "fitting lemma property campaigns",
-        "result": {"suites": payload, "ok": all(r["ok"] for r in payload)},
-        "witness": None,
-    }
-    return cert, EXIT_OK if cert["result"]["ok"] else EXIT_CHECK_FAILED
+    return suites_certificate("fitting", config, "fitting lemma property campaigns", results)
 
 
 def run_complex(config: wire.Node) -> tuple[dict, int]:
@@ -224,15 +231,7 @@ def run_complex(config: wire.Node) -> tuple[dict, int]:
     if config.get("complex_data").value is not None:
         return _run_complex_file(config)
     results = complex_campaigns(config["seed"].int(), trials)
-    payload = [r.to_json() for r in results]
-    cert = {
-        "command": "complex",
-        "input": config.value,
-        "check": "complex-calculus property campaigns",
-        "result": {"suites": payload, "ok": all(r["ok"] for r in payload)},
-        "witness": None,
-    }
-    return cert, EXIT_OK if cert["result"]["ok"] else EXIT_CHECK_FAILED
+    return suites_certificate("complex", config, "complex-calculus property campaigns", results)
 
 
 def _run_complex_file(config: wire.Node) -> tuple[dict, int]:
@@ -294,15 +293,7 @@ def run_selftest(config: wire.Node) -> tuple[dict, int]:
         complex_trials=count(config["complex_trials"]),
         data_dir=Path(data_dir) if data_dir else None,
     )
-    payload = [r.to_json() for r in results]
-    cert = {
-        "command": "selftest",
-        "input": config.value,
-        "check": "all module property suites",
-        "result": {"suites": payload, "ok": all(r["ok"] for r in payload)},
-        "witness": None,
-    }
-    return cert, EXIT_OK if cert["result"]["ok"] else EXIT_CHECK_FAILED
+    return suites_certificate("selftest", config, "all module property suites", results)
 
 
 RUNNERS = {
@@ -463,7 +454,15 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(json.dumps({"error": str(exc), "exit": EXIT_PRECONDITION}), file=sys.stderr)
         return EXIT_PRECONDITION
-    emit(cert, getattr(args, "out", None))
+    try:
+        emit(cert, getattr(args, "out", None))
+    except BrokenPipeError:
+        # The reader is gone: send what is left to devnull, so that the
+        # interpreter's final flush of stdout cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        error = {"error": "stdout was closed before the certificate was written", "exit": EXIT_IO}
+        print(json.dumps(error), file=sys.stderr)
+        return EXIT_IO
     if args.command == "selftest":
         for suite in cert["result"]["suites"]:
             status = "PASS" if suite["ok"] else "FAIL"

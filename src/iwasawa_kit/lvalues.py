@@ -30,7 +30,6 @@ from .abelian import (
     CharacterTable,
     DirichletCharacter,
     FiniteAbelianGroup,
-    GaloisData,
     cm_data,
     dirichlet_character,
     galois_group,
@@ -154,8 +153,7 @@ def theta(spec_or_pres, S, T, r: int) -> StickelbergerElement:
     nums = groupring.sharp(nums, grp)
     for sigma, c in _t_factors(pres, T, r):
         nums = _times_one_minus(nums, grp, sigma, c)
-    spec = pres.spec if isinstance(pres, GaloisData) else getattr(pres, "spec", None)
-    return StickelbergerElement(lowest_terms(nums, den), grp, spec, tuple(S), tuple(T), r)
+    return StickelbergerElement(lowest_terms(nums, den), grp, pres.spec, tuple(S), tuple(T), r)
 
 
 def _denominator(theta_elem: StickelbergerElement | tuple) -> int:
@@ -290,6 +288,14 @@ def _mat_identity(k):
     return [[int(i == j) for j in range(k)] for i in range(k)]
 
 
+def _mat_power(A, e: int, k: int):
+    """A^e for e >= 0, in exact integers."""
+    out = _mat_identity(k)
+    for _ in range(e):
+        out = _mat_mul(out, A, k)
+    return out
+
+
 def _mat_reduce(A, orders):
     return [[A[i][j] % orders[i] for j in range(len(orders))] for i in range(len(orders))]
 
@@ -325,9 +331,7 @@ class ClassModuleData:
                         )
         # relations of G and commutativity, mod the orders
         for t, A in self.action.items():
-            power = _mat_identity(k)
-            for _ in range(self.group_orders[t]):
-                power = _mat_mul(power, A, k)
+            power = _mat_power(A, self.group_orders[t], k)
             if _mat_reduce(power, self.orders) != _mat_reduce(_mat_identity(k), self.orders):
                 raise ValueError(f"action matrix g{t} violates the generator order")
         for t1 in self.action:
@@ -348,9 +352,7 @@ class ClassModuleData:
         k = len(self.orders)
         out = _mat_identity(k)
         for t, e in enumerate(g):
-            A = self.action[t]
-            for _ in range(e % self.group_orders[t]):
-                out = _mat_mul(out, A, k)
+            out = _mat_mul(out, _mat_power(self.action[t], e % self.group_orders[t], k), k)
         return out
 
     def theta_matrix(self, x: tuple, group: FiniteAbelianGroup) -> list[list[int]]:
@@ -447,10 +449,7 @@ def minus_dual_presentation(
     quo, proj = minus_quotient(alg, cm.j)
 
     def inverse_transposed(t: int) -> list[list[int]]:
-        Ainv = _mat_identity(k)
-        for _ in range(grp.orders[t] - 1):
-            Ainv = _mat_mul(Ainv, M.action[t], k)
-        return [list(col) for col in zip(*Ainv)]
+        return [list(col) for col in zip(*_mat_power(M.action[t], grp.orders[t] - 1, k))]
 
     actions = (
         (proj.apply(alg.group_element_vector(g)), inverse_transposed(t))

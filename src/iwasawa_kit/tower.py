@@ -2,9 +2,11 @@
 (Z/p^N)[G_n] along the cyclotomic tower, aug projections, the # involution,
 cyclotomic twists, and coherent Stickelberger towers.
 
-A level-n element is a tuple of ints mod p^N in the basis order of
-groupring (`level.group.elements()`), which fitting.GroupAlgebra(p, N,
-level.group) shares, so Fitting consumers take tower entries as they are. The
+A level is the abelian.TowerLevelData of the layer L_n: its Galois
+presentation in product coordinates (g, k), with chi_cyc when zeta_p is in L.
+A level-n element is a tuple of ints mod p^N in the basis order of groupring
+(`level.group.elements()`), which fitting.GroupAlgebra(p, N, level.group)
+shares, so Fitting consumers take tower entries as they are. The
 aug projections, # and the parity check use the groupring index maps and
 reduce mod p^N; no structure constants are built.
 
@@ -15,7 +17,8 @@ the check that p does not divide den.
 Lambda(G) is represented only through coherent families of finite-level
 elements: a tower is accepted exactly when adjacent aug projections match,
 and the equivariant Kummer congruence compares a twisted tower against the
-untwisted one at the effective precision p^min(N, n+1).
+untwisted one at the effective precision p^min(N, n+1), the range where
+twist(x, r, level, N) is defined.
 """
 
 from __future__ import annotations
@@ -29,13 +32,13 @@ from .abelian import (
     TowerLevelData,
     check_hyp,
     cm_data,
-    conductor,
     normalize_places,
+    ramified_primes,
 )
 from .exact import padic_from_rational
 from .fitting import Vec
 from .lvalues import is_p_integral, theta
-from .numutil import factorize, is_prime
+from .numutil import is_prime
 
 
 class PrecisionBudgetError(ValueError):
@@ -53,37 +56,6 @@ def tower_level(spec: AbelianFieldSpec, p: int, n: int) -> TowerLevelData:
     return TowerLevelData(spec, p, n)
 
 
-@dataclass(frozen=True)
-class FiniteLevelAlgebra:
-    """(Z/p^N)[G_n] with G_n = Gal(L/Q) x Z/p^n in product coordinates and
-    the finite-level cyclotomic character data (u = chi_cyc(gamma) = 1+p)."""
-
-    p: int
-    N: int
-    level: TowerLevelData
-
-    @property
-    def n(self) -> int:
-        return self.level.n
-
-    @property
-    def group(self):
-        return self.level.group
-
-    @property
-    def u(self) -> int:
-        return (1 + self.p) % self.p**self.N
-
-    def chi_of(self, g, precision: int | None = None) -> int:
-        prec = self.N if precision is None else precision
-        if prec > self.n + 1:
-            raise PrecisionBudgetError(
-                f"chi_cyc at layer {self.n} is canonical only mod p^{self.n + 1}, "
-                f"requested p^{prec}"
-            )
-        return self.level.chi_cyc_of(self.level.group.reduce(g)) % self.p**prec
-
-
 def aug_project(x: Vec, src: TowerLevelData, target: TowerLevelData, N: int) -> Vec:
     """Pushforward mod p^N along G_m -> G_n, (g, k) -> (g, k mod p^n)."""
     if src.p != target.p or src.base_spec != target.base_spec:
@@ -97,19 +69,20 @@ def aug_project(x: Vec, src: TowerLevelData, target: TowerLevelData, N: int) -> 
     return tuple(c % q for c in pushed)
 
 
-def twist(x: Vec, r: int, alg: FiniteLevelAlgebra) -> Vec:
-    """t_cyc^r at finite level: g -> chi_cyc(g)^r g. Requires N <= n+1 (the
-    exact range where u^(r p^n) = 1 mod p^N makes this well defined on G_n)
-    and a level where chi_cyc descends (zeta_p in the base field)."""
-    if alg.N > alg.n + 1:
+def twist(x: Vec, r: int, level: TowerLevelData, N: int) -> Vec:
+    """t_cyc^r mod p^N at finite level: g -> chi_cyc(g)^r g. Requires N <= n+1
+    (the exact range where u^(r p^n) = 1 mod p^N, u = chi_cyc(gamma) = 1+p,
+    makes this well defined on G_n) and a level where chi_cyc descends
+    (zeta_p in the base field)."""
+    if N > level.n + 1:
         raise PrecisionBudgetError(
-            f"twist needs N <= n+1, got N={alg.N} at layer n={alg.n}"
+            f"twist needs N <= n+1, got N={N} at layer n={level.n}"
         )
     if r == 0:
         return x
-    q = alg.p**alg.N
+    q = level.p**N
     return tuple(
-        c * pow(alg.chi_of(g), r, q) % q for g, c in zip(alg.group.elements(), x)
+        c * pow(level.chi_cyc_of(g), r, q) % q for g, c in zip(level.group.elements(), x)
     )
 
 
@@ -205,8 +178,7 @@ def theta_tower(
         raise ValueError("S must contain the infinite place")
     if p not in s_fin:
         raise ValueError(f"S must contain p = {p} (it ramifies in the tower)")
-    f, _ = conductor(spec)
-    ram = set(factorize(f)) if f > 1 else set()
+    ram = ramified_primes(spec)
     if not ram - {p} <= s_fin:
         raise ValueError(f"S misses base ramified primes {sorted(ram - s_fin)}")
     if s_fin & t_fin:
@@ -251,9 +223,8 @@ def twist_congruence_check(t_r: TowerElement, t_0: TowerElement) -> tuple[bool, 
     for n in range(t_r.n_max + 1):
         ne = min(t_r.N, t_0.N, n + 1)
         q = t_r.p**ne
-        alg = FiniteLevelAlgebra(t_r.p, ne, t_r.levels[n])
         lhs = tuple(c % q for c in t_r.entries[n])
-        rhs = twist(tuple(c % q for c in t_0.entries[n]), t_r.r, alg)
+        rhs = twist(tuple(c % q for c in t_0.entries[n]), t_r.r, t_r.levels[n], ne)
         if lhs != rhs:
             return False, n
     return True, None

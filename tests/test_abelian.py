@@ -373,3 +373,36 @@ def test_tower_frobenius_consistency():
         assert fr[:-1] == base.frobenius(ell)
         # gamma-coordinate is the 1-unit discrete log of ell mod 27
         assert lvl.chi_cyc_of(fr) == ell % 27
+
+
+@pytest.mark.parametrize(
+    "m, p, n", [(3, 3, 0), (3, 3, 1), (3, 3, 2), (5, 5, 0), (5, 5, 1), (12, 3, 0), (12, 3, 1)]
+)
+def test_product_and_invariant_factor_coordinates_present_one_group(m, p, n):
+    # g -> the invariant-factor class of a representative of g is an
+    # isomorphism from the product coordinates of the level onto
+    # galois_group(layer), and it carries Frobenius to Frobenius.
+    lvl = TowerLevelData(AbelianFieldSpec.cyclotomic(m), p, n)
+    gal = galois_group(layer(AbelianFieldSpec.cyclotomic(m), p, n))
+    phi = {g: gal.element_of(lvl.representatives[g]) for g in lvl.group.elements()}
+    assert sorted(phi.values()) == sorted(gal.group.elements())
+    for g in lvl.group.elements():
+        for h in lvl.group.elements():
+            assert phi[lvl.group.mul(g, h)] == gal.group.mul(phi[g], phi[h])
+    f = lvl.conductor
+    assert f == gal.conductor
+    for ell in sympy.primerange(2, 14):
+        if f % ell:
+            assert phi[lvl.frobenius(ell)] == gal.frobenius(ell)
+    # both refuse a ramified prime and a non-prime, each in its own words
+    with pytest.raises(ValueError, match=f"^{p} ramifies in layer {n}$"):
+        lvl.frobenius(p)
+    with pytest.raises(ValueError, match=f"^{p} ramifies in the field of conductor {f}$"):
+        gal.frobenius(p)
+    for pres in (lvl, gal):
+        with pytest.raises(ValueError, match="^frobenius expects a prime, got 9$"):
+            pres.frobenius(9)
+    with pytest.raises(ValueError, match=f"^{p} is not coprime to the layer conductor {f}$"):
+        lvl.element_of(p)
+    with pytest.raises(ValueError, match=f"^{p} is not coprime to the conductor {f}$"):
+        gal.element_of(p)

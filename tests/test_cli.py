@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import iwasawa_kit
 from iwasawa_kit import wire
 from iwasawa_kit.cli import (
     EXIT_CHECK_FAILED,
@@ -456,6 +460,25 @@ def test_recheck_refuses_a_negative_count(tmp_path, capsys):
     code, err = run_refused(capsys, "recheck", str(out))
     assert code == EXIT_PRECONDITION and err["exit"] == EXIT_PRECONDITION
     assert "input.trials: expected a non-negative integer, got -1" in err["error"]
+
+
+def test_closed_stdout_exits_4_without_a_traceback():
+    # the read end of stdout is closed before the child writes its certificate
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    paths = [str(Path(iwasawa_kit.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "iwasawa_kit.cli", "fitting", "--trials", "0"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_IO, proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert json.loads(line)["exit"] == EXIT_IO
 
 
 def test_zero_trials_run_the_campaigns(capsys):

@@ -17,7 +17,6 @@ from iwasawa_kit.fitting import (
 )
 from iwasawa_kit.groupring import sharp
 from iwasawa_kit.tower import (
-    FiniteLevelAlgebra,
     PrecisionBudgetError,
     TowerElement,
     TowerIntegralityError,
@@ -103,14 +102,13 @@ def test_sharp_examples():
 
 def test_twist_gamma_and_identity():
     lvl = tower_level(Z3, 3, 1)
-    alg = FiniteLevelAlgebra(3, 2, lvl)
-    assert alg.u == 4
+    assert lvl.chi_cyc_of((0, 1)) == 4  # u = chi_cyc(gamma) = 1 + p
     gamma = vec(lvl.group, {(0, 1): 1}, 9)
-    assert twist(gamma, 0, alg) == gamma
-    twisted = twist(gamma, 1, alg)
+    assert twist(gamma, 0, lvl, 2) == gamma
+    twisted = twist(gamma, 1, lvl, 2)
     assert twisted == vec(lvl.group, {(0, 1): 4}, 9)
     # twist is inverted by the opposite exponent
-    assert twist(twisted, -1, alg) == gamma
+    assert twist(twisted, -1, lvl, 2) == gamma
 
 
 def test_twist_is_ring_automorphism():
@@ -118,28 +116,26 @@ def test_twist_is_ring_automorphism():
 
     rng = random.Random(9)
     lvl = tower_level(Z5, 5, 1)
-    alg = FiniteLevelAlgebra(5, 2, lvl)
     A = GroupAlgebra(5, 2, lvl.group)
     for r in (1, -1, 2, -3):
         for _ in range(8):
             x = random_vec(rng, lvl.group, 25)
             y = random_vec(rng, lvl.group, 25)
-            assert twist(A.mul(x, y), r, alg) == A.mul(twist(x, r, alg), twist(y, r, alg))
-            assert twist(twist(x, r, alg), -r, alg) == x
+            assert twist(A.mul(x, y), r, lvl, 2) == A.mul(twist(x, r, lvl, 2), twist(y, r, lvl, 2))
+            assert twist(twist(x, r, lvl, 2), -r, lvl, 2) == x
 
 
 def test_twist_xi_v_closed_form():
     # twist(sharp(xi_v), r) = 1 - chi_cyc(sigma_v)^(1-r) sigma_v^(-1)
     lvl = tower_level(Z5, 5, 1)
-    alg = FiniteLevelAlgebra(5, 2, lvl)
     grp = lvl.group
     A = GroupAlgebra(5, 2, grp)
     for v in (2, 3, 7, 11):
         frob = lvl.frobenius(v)
-        chi = alg.chi_of(frob)
+        chi = lvl.chi_cyc_of(frob)
         xi = A.sub(A.one, A.scalar(chi, A.group_element_vector(frob)))
         for r in (0, -1, -2):
-            got = twist(sharp(xi, grp), r, alg)
+            got = twist(sharp(xi, grp), r, lvl, 2)
             unit = pow(chi, 1 - r, 25)
             expect = A.sub(A.one, A.scalar(unit, A.group_element_vector(grp.inv(frob))))
             assert got == expect
@@ -147,18 +143,16 @@ def test_twist_xi_v_closed_form():
 
 def test_twist_precision_budget():
     lvl = tower_level(Z3, 3, 0)
-    alg = FiniteLevelAlgebra(3, 2, lvl)  # N = 2 > n+1 = 1
     x = vec(lvl.group, {lvl.group.identity: 1}, 9)
     with pytest.raises(PrecisionBudgetError):
-        twist(x, 1, alg)
+        twist(x, 1, lvl, 2)  # N = 2 > n+1 = 1
 
 
 def test_twist_needs_chi_cyc():
     lvl = tower_level(Z3, 5, 1)  # zeta_5 not in Q(zeta_3)
-    alg = FiniteLevelAlgebra(5, 2, lvl)
     x = vec(lvl.group, {(1, 0): 1}, 25)
     with pytest.raises(ValueError):
-        twist(x, 1, alg)
+        twist(x, 1, lvl, 2)
 
 
 def _hand_theta_z5_t2(r):
@@ -296,13 +290,11 @@ def test_aug_commutes_with_twist_at_effective_precision():
 
     rng = random.Random(21)
     lvl1, lvl0 = tower_level(Z5, 5, 1), tower_level(Z5, 5, 0)
-    alg1 = FiniteLevelAlgebra(5, 2, lvl1)
-    alg0 = FiniteLevelAlgebra(5, 1, lvl0)  # effective precision at level 0
     for r in (1, -1, -2):
         for _ in range(6):
             x = random_vec(rng, lvl1.group, 25)
-            lhs = aug_project(twist(x, r, alg1), lvl1, lvl0, 1)
-            rhs = twist(aug_project(x, lvl1, lvl0, 1), r, alg0)
+            lhs = aug_project(twist(x, r, lvl1, 2), lvl1, lvl0, 1)
+            rhs = twist(aug_project(x, lvl1, lvl0, 1), r, lvl0, 1)  # effective precision
             assert lhs == rhs
 
 
