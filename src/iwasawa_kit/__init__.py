@@ -33,6 +33,7 @@ from .complexes import (
     EulerFittingInvariant,
     cone,
     euler_fitting_additivity_check,
+    extension,
     quasi_iso_check,
 )
 from .exact import (

@@ -97,17 +97,18 @@ def emit(cert: dict, out: str | None) -> None:
     print(text, flush=True)  # a closed stdout fails here, inside main
 
 
+def certificate(command: str, input: dict, check: str, result: dict, witness=None) -> dict:
+    """A certificate: the command, the configuration it ran (its input), what
+    it checked, the result and a witness (None when there is none)."""
+    return {"command": command, "input": input, "check": check, "result": result,
+            "witness": witness}
+
+
 def suites_certificate(command: str, config: wire.Node, check: str, results) -> tuple[dict, int]:
     """The certificate of a campaign command: every suite and whether all passed."""
     payload = [r.to_json() for r in results]
     ok = all(r["ok"] for r in payload)
-    cert = {
-        "command": command,
-        "input": config.value,
-        "check": check,
-        "result": {"suites": payload, "ok": ok},
-        "witness": None,
-    }
+    cert = certificate(command, config.value, check, {"suites": payload, "ok": ok})
     return cert, EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -129,13 +130,7 @@ def run_theta(config: wire.Node) -> tuple[dict, int]:
         "integral": integral,
         "integrality_asserted": bool(T) and hyp,
     }
-    cert = {
-        "command": "theta",
-        "input": config.value,
-        "check": "theta_S^T(r)",
-        "result": result,
-        "witness": None,
-    }
+    cert = certificate("theta", config.value, "theta_S^T(r)", result)
     code = EXIT_CHECK_FAILED if (hyp and T and not integral) else EXIT_OK
     return cert, code
 
@@ -184,13 +179,8 @@ def run_tower(config: wire.Node) -> tuple[dict, int]:
         congruent, bad = twist_congruence_check(t, t0)
         result["twist_congruent"] = congruent
         witness["twist_failing_layer"] = bad
-    cert = {
-        "command": "tower",
-        "input": {k: v for k, v in config.value.items() if k != "replay"},
-        "check": "tower coherence and Kummer congruence",
-        "result": result,
-        "witness": witness,
-    }
+    inputs = {k: v for k, v in config.value.items() if k != "replay"}
+    cert = certificate("tower", inputs, "tower coherence and Kummer congruence", result, witness)
     ok = coherent and result.get("twist_congruent", True)
     return cert, EXIT_OK if ok else EXIT_CHECK_FAILED
 
@@ -211,13 +201,8 @@ def run_verify(config: wire.Node) -> tuple[dict, int]:
         "theta": th.to_json()["coefficients"],
     }
     witness = {"acting_matrix": acting, "fitting_residual": list(residual)}
-    cert = {
-        "command": "verify",
-        "input": config.value,
-        "check": "annihilation and minus-Fitting membership",
-        "result": result,
-        "witness": witness,
-    }
+    check = "annihilation and minus-Fitting membership"
+    cert = certificate("verify", config.value, check, result, witness)
     return cert, EXIT_OK if (ann and fit) else EXIT_CHECK_FAILED
 
 
@@ -273,14 +258,9 @@ def _run_complex_file(config: wire.Node) -> tuple[dict, int]:
             "denominator": [list(r) for r in inv.denominator.howell],
         },
     }
-    cert = {
-        "command": "complex",
-        "input": {k: v for k, v in config.value.items() if k != "complex_data"},
-        "check": "complex ingestion and Euler-Fitting invariant",
-        "result": result,
-        "witness": None,
-    }
-    return cert, EXIT_OK
+    # the input keeps the complex, so that recheck re-runs this complex
+    check = "complex ingestion and Euler-Fitting invariant"
+    return certificate("complex", config.value, check, result), EXIT_OK
 
 
 def run_selftest(config: wire.Node) -> tuple[dict, int]:
@@ -328,13 +308,8 @@ def run_recheck(path: str) -> tuple[dict, int]:
 
     new_result = {"result": new_cert["result"], "witness": new_cert.get("witness")}
     same = verdicts(old_result) == verdicts(new_result)
-    report = {
-        "command": "recheck",
-        "input": {"certificate": path},
-        "check": "certificate round trip",
-        "result": {"matches": same},
-        "witness": None,
-    }
+    inputs, result = {"certificate": path}, {"matches": same}
+    report = certificate("recheck", inputs, "certificate round trip", result)
     return report, EXIT_OK if same else EXIT_CHECK_FAILED
 
 

@@ -3,6 +3,11 @@ algebra: cohomology, shift, cone, quasi-isomorphism detection, and the
 Euler-Fitting invariant (the alternating product of Fitting ideals of
 cohomology, as an ideal pair to avoid division in non-domains).
 
+One builder, `extension`, makes the degreewise split extension
+0 -> sub -> E -> quo -> 0, E^i = quo^i (+) sub^i, with differential
+[[d_quo, t], [0, d_sub]]. A direct sum is t = 0, and the cone of f is
+src[1] extended by dst along t = f.
+
 A complex is zero outside its degrees lo..hi: `module_at` is the zero module
 and `differential_at` the zero map there, so cohomology, chain maps, cones and
 exact sequences run one path in every degree. A chain map's level i is the
@@ -18,6 +23,7 @@ from .fitting import (
     FinPresModule,
     IdealHandle,
     ModuleMap,
+    identity_map,
     subquotient_presentation,
     unit_ideal,
     zero_map,
@@ -220,20 +226,9 @@ def quasi_iso_check(f: ChainMap) -> bool:
 
 def cone(f: ChainMap) -> BoundedComplex:
     """Mapping cone: cone(f)^i = src^(i+1) (+) dst^i with differential
-    (x, y) -> (-d x, f(x) + d y), the block matrix [[-d_src, f], [0, d_dst]]."""
+    (x, y) -> (-d x, f(x) + d y), the extension of src[1] by dst along f."""
     f.validate()
-    src, dst = f.src, f.dst
-    alg = src.algebra
-    lo = min(src.lo - 1, dst.lo)
-    hi = max(src.hi - 1, dst.hi)
-    modules = [src.module_at(i + 1).direct_sum(dst.module_at(i)) for i in range(lo, hi + 1)]
-    diffs = []
-    for i in range(lo, hi):
-        d_src, level, d_dst = src.differential_at(i + 1), f.at(i + 1), dst.differential_at(i)
-        mat = [[alg.neg(e) for e in a] + b for a, b in zip(d_src.matrix, level.matrix)]
-        mat += [[alg.zero()] * d_src.dst.ngens + row for row in d_dst.matrix]
-        diffs.append(ModuleMap(modules[i - lo], modules[i - lo + 1], mat))
-    return BoundedComplex(alg, lo, modules, diffs)
+    return extension(f.src.shift(1), f.dst, lambda i: f.at(i + 1).matrix).c2
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +259,32 @@ class ComplexSES:
                 raise ValueError(f"quotient not surjective at degree {i}")
             if f.image_span != g.kernel_span:
                 raise ValueError(f"not exact in the middle at degree {i}")
+
+
+def extension(quo: BoundedComplex, sub: BoundedComplex, twist=None) -> ComplexSES:
+    """The degreewise split extension 0 -> sub -> E -> quo -> 0 with
+    E^i = quo^i (+) sub^i over both degree ranges and differential
+    [[d_quo, twist(i)], [0, d_sub]]; twist(i) is a matrix quo^i -> sub^(i+1),
+    and None gives the direct sum. A twist of the wrong shape, or one that
+    breaks d o d = 0, raises ValueError."""
+    alg = quo.algebra
+    lo, hi = min(quo.lo, sub.lo), max(quo.hi, sub.hi)
+    pairs = [(quo.module_at(i), sub.module_at(i)) for i in range(lo, hi + 1)]
+    mods = [Q.direct_sum(S) for Q, S in pairs]
+    diffs = []
+    for i in range(lo, hi):
+        dq, ds = quo.differential_at(i), sub.differential_at(i)
+        t = twist(i) if twist else zero_map(dq.src, ds.dst).matrix
+        mat = [a + b for a, b in zip(dq.matrix, t, strict=True)]
+        mat += [[alg.zero()] * dq.dst.ngens + row for row in ds.matrix]
+        diffs.append(ModuleMap(mods[i - lo], mods[i - lo + 1], mat))
+    E = BoundedComplex(alg, lo, mods, diffs)
+    inc, proj = {}, {}
+    for i, (Q, S), M in zip(E.degrees(), pairs, mods):
+        zero_q = zero_map(S, Q).matrix
+        inc[i] = ModuleMap(S, M, [z + row for z, row in zip(zero_q, identity_map(S).matrix)])
+        proj[i] = ModuleMap(M, Q, identity_map(Q).matrix + zero_q)
+    return ComplexSES(sub, E, quo, ChainMap(sub, E, inc), ChainMap(E, quo, proj))
 
 
 def euler_fitting_additivity_check(ses: ComplexSES) -> bool:

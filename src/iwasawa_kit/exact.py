@@ -221,16 +221,8 @@ class CyclotomicInt:
     def __repr__(self) -> str:
         return f"CyclotomicInt({self.n}, {self.nums}, {self.den})"
 
-    def is_zero(self) -> bool:
-        return not any(self.nums)
-
     def is_rational(self) -> bool:
         return not any(self.nums[1:])
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not rational")
-        return Fraction(self.nums[0], self.den)
 
     def _spread(self, m: int, step: int) -> "CyclotomicInt":
         """sum_i nums[i] zeta_m^(i step) / den."""

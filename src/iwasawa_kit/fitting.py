@@ -742,12 +742,7 @@ class ModuleMap:
 
 
 def identity_map(M: FinPresModule) -> ModuleMap:
-    alg = M.algebra
-    mat = [
-        [alg.one if d == c else alg.zero() for d in range(M.ngens)]
-        for c in range(M.ngens)
-    ]
-    return ModuleMap(M, M, mat)
+    return multiplication_map(M, M.algebra.one)
 
 
 def zero_map(src: FinPresModule, dst: FinPresModule) -> ModuleMap:

@@ -108,6 +108,12 @@ def as_fractions(pair) -> tuple:
     return tuple(Q(c, den) for c in nums)
 
 
+def rational_value(x: CyclotomicInt) -> Fraction:
+    """The rational number x, which must lie in Q."""
+    assert not any(x.nums[1:]), f"{x!r} is not rational"
+    return Q(x.nums[0], x.den)
+
+
 def cyclotomic_from_powers(n: int, powers: dict) -> CyclotomicInt:
     """sum_k c_k zeta_n^k for rational c_k, exponents taken mod n."""
     powers = {k: Q(c) for k, c in powers.items()}

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from fraction_route import as_fractions, as_pair
+from fraction_route import as_fractions, as_pair, rational_value
 
 from iwasawa_kit.abelian import (
     INFINITE_PLACE as OO,
@@ -307,7 +307,7 @@ def test_trivial_idempotent_components():
     tab = CharacterTable(grp)
     triv = tab.labels[0]
     e0 = ((1,) * grp.size, grp.size)  # (1/|G|) sum_g g
-    assert e0 == as_pair(c.as_rational() for c in idempotent(tab, triv))
+    assert e0 == as_pair(rational_value(c) for c in idempotent(tab, triv))
     comps = tab.decompose(e0)
     for label, val in comps.items():
         assert val == (1 if label == triv else 0)
@@ -323,7 +323,7 @@ def test_dirichlet_character_primitivization():
     assert chi.conductor == 3
     assert chi.log_of(-1) != 0  # odd
     assert chi.value(2) == -1
-    assert chi.value(3).is_zero()
+    assert chi.value(3) == 0
 
 
 def test_dirichlet_character_equality_sees_every_value():

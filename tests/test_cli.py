@@ -518,6 +518,19 @@ def test_complex_command_ingestion(tmp_path, capsys):
     assert cert["result"]["acyclic"] is False
 
 
+def test_complex_data_certificate_rechecks(tmp_path, capsys):
+    # the certificate's input carries the complex, so recheck re-runs it
+    # rather than the seed-0 campaigns
+    fixture = FIXTURES / "complex_z9.json"
+    assert json.loads(fixture.read_text()) == complex_payload()
+    out = tmp_path / "complex_cert.json"
+    code, cert = run(capsys, "complex", "--data", str(fixture), "--out", str(out))
+    assert code == EXIT_OK
+    assert cert["input"]["complex_data"] == complex_payload()
+    code, report = run(capsys, "recheck", str(out))
+    assert code == EXIT_OK and report["result"]["matches"] is True
+
+
 @pytest.mark.parametrize(
     "payload",
     [

@@ -14,6 +14,7 @@ from iwasawa_kit.complexes import (
     EulerFittingInvariant,
     cone,
     euler_fitting_additivity_check,
+    extension,
     quasi_iso_check,
 )
 from iwasawa_kit.fitting import (
@@ -168,24 +169,9 @@ def test_quasi_iso_invariance_of_euler_fitting():
     alg = GroupAlgebra(3, 2, C2)
     sig = alg.group_element_vector((1,))
     C = two_term(alg, alg.add(alg.scalar(3, alg.one), sig))
-    acyclic = two_term(alg, alg.one)
-    sum0 = C.modules[0].direct_sum(acyclic.modules[0])
-    sum1 = C.modules[1].direct_sum(acyclic.modules[1])
-    dmat = [
-        [C.differentials[0].matrix[0][0], alg.zero()],
-        [alg.zero(), alg.one],
-    ]
-    D = BoundedComplex(alg, 0, [sum0, sum1], [ModuleMap(sum0, sum1, dmat)])
-    inc = ChainMap(
-        C,
-        D,
-        {
-            0: ModuleMap(C.modules[0], sum0, [[alg.one, alg.zero()]]),
-            1: ModuleMap(C.modules[1], sum1, [[alg.one, alg.zero()]]),
-        },
-    )
-    assert quasi_iso_check(inc)
-    assert C.euler_fitting() == D.euler_fitting()
+    seq = extension(two_term(alg, alg.one), C)
+    assert quasi_iso_check(seq.inc)
+    assert C.euler_fitting() == seq.c2.euler_fitting()
 
 
 def test_quasi_iso_projection_direction():
@@ -195,19 +181,7 @@ def test_quasi_iso_projection_direction():
     sig = alg.group_element_vector((1,))
     a = alg.add(alg.one, alg.scalar(2, sig))
     C = two_term(alg, a)
-    acy = two_term(alg, alg.one)
-    sum0 = C.modules[0].direct_sum(acy.modules[0])
-    sum1 = C.modules[1].direct_sum(acy.modules[1])
-    D = BoundedComplex(
-        alg, 0, [sum0, sum1],
-        [ModuleMap(sum0, sum1, [[a, alg.zero()], [alg.zero(), alg.one]])],
-    )
-    proj = ChainMap(
-        D, C,
-        {0: ModuleMap(sum0, C.modules[0], [[alg.one], [alg.zero()]]),
-         1: ModuleMap(sum1, C.modules[1], [[alg.one], [alg.zero()]])},
-    )
-    assert quasi_iso_check(proj)
+    assert quasi_iso_check(extension(C, two_term(alg, alg.one)).quo)
     times3 = ChainMap(
         C, C,
         {0: ModuleMap(C.modules[0], C.modules[0], [[alg.scalar(3, alg.one)]]),
@@ -348,35 +322,14 @@ def test_cone_of_quasi_iso_is_acyclic():
     sig = alg.group_element_vector((1,))
     C = two_term(alg, alg.add(alg.one, alg.scalar(2, sig)))
     assert not C.is_acyclic()
-    acyclic = two_term(alg, alg.one)
-    sum0 = C.modules[0].direct_sum(acyclic.modules[0])
-    sum1 = C.modules[1].direct_sum(acyclic.modules[1])
-    dmat = [
-        [C.differentials[0].matrix[0][0], alg.zero()],
-        [alg.zero(), alg.one],
-    ]
-    D = BoundedComplex(alg, 0, [sum0, sum1], [ModuleMap(sum0, sum1, dmat)])
-    inc = ChainMap(
-        C,
-        D,
-        {
-            0: ModuleMap(C.modules[0], sum0, [[alg.one, alg.zero()]]),
-            1: ModuleMap(C.modules[1], sum1, [[alg.one, alg.zero()]]),
-        },
-    )
+    inc = extension(two_term(alg, alg.one), C).inc
     assert quasi_iso_check(inc)
     assert cone(inc).is_acyclic()
     # and a non-quasi-iso has a non-acyclic cone
-    zero_map = ChainMap(
-        C,
-        D,
-        {
-            0: ModuleMap(C.modules[0], sum0, [[alg.zero(), alg.zero()]]),
-            1: ModuleMap(C.modules[1], sum1, [[alg.zero(), alg.zero()]]),
-        },
-    )
-    assert not quasi_iso_check(zero_map)
-    assert not cone(zero_map).is_acyclic()
+    D = inc.dst
+    zero = ChainMap(C, D, {i: zero_map(C.module_at(i), D.module_at(i)) for i in C.degrees()})
+    assert not quasi_iso_check(zero)
+    assert not cone(zero).is_acyclic()
 
 
 def test_additivity_split_and_twisted():
@@ -563,3 +516,45 @@ def test_cone_matches_reference():
                 assert [M.ngens for M in K.modules] == [M.ngens for M in L.modules]
                 assert [M.relations for M in K.modules] == [M.relations for M in L.modules]
                 assert [d.matrix for d in K.differentials] == [d.matrix for d in L.differentials]
+
+
+def test_extension_terms_exactness_and_invariant():
+    # direct sums, and the twisted extensions that cones of chain maps are,
+    # over complexes with different degree ranges
+    rng = random.Random(31)
+    for alg in (GroupAlgebra(3, 2, C2), GroupAlgebra(2, 3, C2)):
+        for _ in range(4):
+            pairs = [(_campaign_complex(alg, rng), _campaign_complex(alg, rng), None)]
+            pairs += [(f.src.shift(1), f.dst, lambda i, f=f: f.at(i + 1).matrix)
+                      for f in _random_chain_maps(alg, rng)]
+            for quo, sub, twist in pairs:
+                seq = extension(quo, sub, twist)
+                assert (seq.c1, seq.c3) == (sub, quo)
+                E = seq.c2
+                assert (E.lo, E.hi) == (min(quo.lo, sub.lo), max(quo.hi, sub.hi))
+                for i in E.degrees():
+                    expect = quo.module_at(i).direct_sum(sub.module_at(i))
+                    assert (E.module_at(i).ngens, E.module_at(i).relations) == (
+                        expect.ngens, expect.relations)
+                seq.verify_exact()
+                assert E.euler_fitting() == sub.euler_fitting().product(quo.euler_fitting())
+
+
+def test_extension_refuses_a_twist_breaking_d_squared():
+    # on Z/9 --3--> Z/9 --3--> Z/9 twisted into itself, d o d = 0 holds on the
+    # extension iff 3 t(1) + 3 t(0) = 0
+    alg = zmod_algebra(3, 2)
+    F = [free_module(alg, 1) for _ in range(3)]
+    three = alg.scalar(3, alg.one)
+    C = BoundedComplex(alg, 0, F, [ModuleMap(F[0], F[1], [[three]]),
+                                   ModuleMap(F[1], F[2], [[three]])])
+    signs = {0: alg.one, 1: alg.neg(alg.one)}
+    seq = extension(C, C, lambda i: [[signs[i]]])
+    seq.verify_exact()
+    for twist in ({0: alg.one, 1: alg.one}, {0: alg.one, 1: alg.zero()}):
+        with pytest.raises(ValueError, match="d o d != 0"):
+            extension(C, C, lambda i, twist=twist: [[twist[i]]])
+    # a twist with a column or a row too many
+    for twist in ([[alg.one, alg.one]], [[alg.one], [alg.one]]):
+        with pytest.raises(ValueError):
+            extension(C, C, lambda i, twist=twist: twist)

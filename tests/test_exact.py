@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from fraction_route import cyclotomic_from_powers, hurwitz_zeta_nonpos
+from fraction_route import cyclotomic_from_powers, hurwitz_zeta_nonpos, rational_value
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -191,7 +191,7 @@ def test_cyclotomic_basic_identities():
     # 1 + z + z^2 + z^3 + z^4 = 0
     total = sum((CyclotomicInt.zeta(5, k) for k in range(1, 5)),
                 CyclotomicInt.from_rational(5, Q(1)))
-    assert total.is_zero()
+    assert total == 0
 
 
 def test_cyclotomic_galois_and_conjugate():
@@ -208,14 +208,14 @@ def test_cyclotomic_embedding():
     z6 = z3.embed(6)
     assert z6 == CyclotomicInt.zeta(6, 2)
     x = cyclotomic_from_powers(3, {0: Q(1, 2), 1: Q(5)})
-    assert x.embed(12).is_zero() is False
+    assert x.embed(12) != 0
 
 
 def test_cyclotomic_small_orders():
     one = CyclotomicInt.zeta(1)
     assert one == 1 and one.is_rational()
     m1 = CyclotomicInt.zeta(2)
-    assert m1.as_rational() == -1
+    assert rational_value(m1) == -1
 
 
 @given(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4))
