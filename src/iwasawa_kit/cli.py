@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from . import wire
@@ -324,7 +325,9 @@ class ArgumentParser(argparse.ArgumentParser):
         raise CliError(EXIT_PRECONDITION, f"{self.prog}: {message}")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parse_args keeps no state between calls."""
     ap = ArgumentParser(
         prog="iwasawa-kit",
         description="Exact Stickelberger / Iwasawa-tower / Fitting-ideal checks",
@@ -411,6 +414,12 @@ def configuration(args) -> dict:
     return config
 
 
+def refuse(code: int, message: str, **extra) -> int:
+    """Print the one JSON error of a refused command and return its exit code."""
+    print(json.dumps({"error": message, "exit": code, **extra}), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -419,25 +428,20 @@ def main(argv=None) -> int:
         else:
             cert, code = RUNNERS[args.command](wire.Node(configuration(args), "configuration"))
     except (CliError, wire.SchemaError) as exc:
-        code = exc.code if isinstance(exc, CliError) else EXIT_IO
-        print(json.dumps({"error": str(exc), "exit": code}), file=sys.stderr)
-        return code
+        return refuse(exc.code if isinstance(exc, CliError) else EXIT_IO, str(exc))
     except DualActionError as exc:
-        report = {"error": str(exc), "exit": EXIT_CHECK_FAILED, "witness": list(exc.witness)}
-        print(json.dumps(report), file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        return refuse(EXIT_CHECK_FAILED, str(exc), witness=list(exc.witness))
     except ValueError as exc:
-        print(json.dumps({"error": str(exc), "exit": EXIT_PRECONDITION}), file=sys.stderr)
-        return EXIT_PRECONDITION
+        return refuse(EXIT_PRECONDITION, str(exc))
     try:
         emit(cert, getattr(args, "out", None))
     except BrokenPipeError:
         # The reader is gone: send what is left to devnull, so that the
         # interpreter's final flush of stdout cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        error = {"error": "stdout was closed before the certificate was written", "exit": EXIT_IO}
-        print(json.dumps(error), file=sys.stderr)
-        return EXIT_IO
+        return refuse(EXIT_IO, "stdout was closed before the certificate was written")
+    except OSError as exc:  # --out names no writable file
+        return refuse(EXIT_IO, f"cannot write the certificate: {exc}")
     if args.command == "selftest":
         for suite in cert["result"]["suites"]:
             status = "PASS" if suite["ok"] else "FAIL"

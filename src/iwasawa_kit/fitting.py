@@ -35,7 +35,7 @@ from functools import cached_property, lru_cache
 from . import wire
 from .abelian import FiniteAbelianGroup
 from .exact import teichmuller
-from .groupring import basis_index, linear_form, mul_table
+from .groupring import basis_index, inversion, linear_form, mul_table
 from .linalg import (
     ZModPN,
     combine,
@@ -253,22 +253,14 @@ class GroupAlgebra(FiniteCommAlgebra):
         index = basis_index(group)
         elems = list(index)
         dim = len(elems)
-
-        def unit_vec(i: int) -> Vec:
-            return tuple(int(j == i) for j in range(dim))
-
-        terms = [[[(k, 1)] for k in row] for row in mul_table(group)]
-        one = unit_vec(index[group.identity])
-        sharp = [unit_vec(index[group.inv(g)]) for g in elems]
+        units = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
+        table, inv = mul_table(group), inversion(group)
+        terms = [[[(k, 1)] for k in row] for row in table]
+        one = units[index[group.identity]]
+        sharp = [units[k] for k in inv]
         super().__init__(p, N, elems, terms, one, sharp, name=f"(Z/{p}^{N}){group.orders}")
         self.index = index
-
-    @cached_property
-    def _translates(self) -> list[list[int]]:
-        """Row j lists the basis index of g_k g_j^-1 for each k."""
-        inv = [self.index[self.group.inv(g)] for g in self.basis]
-        terms, dim = self.terms, self.dim
-        return [[terms[k][inv[j]][0][0] for k in range(dim)] for j in range(dim)]
+        self._translates = [table[i] for i in inv]  # row j: g_k g_j^-1 at k
 
     def regular_rows(self, x: Vec) -> list[list[int]]:
         """Rows of multiplication-by-x: row j = x * g_j, the coefficients of
@@ -391,11 +383,10 @@ def minus_quotient(alg: GroupAlgebra, j) -> tuple[FiniteCommAlgebra, AlgebraMorp
     j = group.reduce(j)
     if j == group.identity or group.mul(j, j) != group.identity:
         raise ValueError("complex conjugation must have exact order 2")
-    index, q = alg.index, alg.q
+    index, q, table = alg.index, alg.q, mul_table(group)
     reps: list[int] = []  # basis indices of the representatives
     partner: dict[int, tuple[int, int]] = {}  # basis index -> (rep, +-1 mod q)
-    for i, g in enumerate(index):
-        ij = index[group.mul(g, j)]
+    for i, ij in enumerate(table[index[j]]):
         if i not in partner:
             if i == ij:
                 raise ValueError("j fixes a group element; |A| must be even")
@@ -408,10 +399,9 @@ def minus_quotient(alg: GroupAlgebra, j) -> tuple[FiniteCommAlgebra, AlgebraMorp
         r, s = partner[k]
         return tuple(s if t == r else 0 for t in range(dim))
 
-    table = mul_table(group)
     terms = [[[partner[table[a][b]]] for b in reps] for a in reps]
     one = project(index[group.identity])
-    sharp = [project(index[group.inv(alg.basis[a])]) for a in reps]
+    sharp = [project(inversion(group)[a]) for a in reps]
     basis = [alg.basis[a] for a in reps]
     quo = FiniteCommAlgebra(alg.p, alg.N, basis, terms, one, sharp, name=f"{alg.name}-minus")
     proj = AlgebraMorphism(alg, quo, [project(k) for k in range(alg.dim)])

@@ -9,8 +9,10 @@ in lowest terms (exact.lowest_terms); the maps below act on nums. This module
 owns that basis: the index map, linear forms over the basis, the product
 table of basis indices, translation by a group element, the # involution
 (g -> g^(-1)), pushforward along a group homomorphism, the convolution
-product and the "g1,g2" JSON keys. The maps only move and add coefficients; reducing mod p^N is the
-caller's step.
+product and the "g1,g2" JSON keys. Translation and # are permutations of
+basis indices and a quotient map is a list of them, each built in mixed radix
+with no group element formed; the maps only move and add coefficients, and
+reducing mod p^N is the caller's step.
 """
 
 from __future__ import annotations
@@ -50,22 +52,51 @@ def mul_table(group: "FiniteAbelianGroup") -> list[list[int]]:
     return table
 
 
-def _permute(x: tuple, group: "FiniteAbelianGroup", move: Callable) -> tuple:
-    index = basis_index(group)
-    out = list(x)
-    for g, c in zip(index, x):
-        out[index[move(g)]] = c
-    return tuple(out)
+def _index_map(digits, radices) -> list[int]:
+    """Basis index, in the group of cyclic orders radices, of the image of
+    each basis element when coordinate x_j goes to digits[j][x_j]."""
+    values = [0]
+    for col, o in zip(digits, radices):
+        values = [v * o + d for v in values for d in col]
+    return values
+
+
+def translation(group: "FiniteAbelianGroup", h) -> list[int]:
+    """The basis index of h g_i for each i, built in O(dim) from h."""
+    digits = [[(x + a) % o for x in range(o)] for a, o in zip(h, group.orders, strict=True)]
+    return _index_map(digits, group.orders)
+
+
+@lru_cache(maxsize=None)
+def inversion(group: "FiniteAbelianGroup") -> tuple[int, ...]:
+    """The basis index of g_i^(-1) for each i."""
+    return tuple(_index_map([[-x % o for x in range(o)] for o in group.orders], group.orders))
+
+
+@lru_cache(maxsize=None)
+def reduction(src: "FiniteAbelianGroup", target: "FiniteAbelianGroup") -> tuple[int, ...]:
+    """The basis index in target of g_i mod target's orders, coordinatewise:
+    the quotient map when each order of target divides src's."""
+    digits = [[x % t for x in range(o)] for o, t in zip(src.orders, target.orders, strict=True)]
+    return tuple(_index_map(digits, target.orders))
 
 
 def translate(x: tuple, group: "FiniteAbelianGroup", h) -> tuple:
     """The product h . x: the coefficient at g moves to h g."""
-    return _permute(x, group, lambda g: group.mul(h, g))
+    return tuple(map(x.__getitem__, translation(group, [-a for a in h])))
 
 
 def sharp(x: tuple, group: "FiniteAbelianGroup") -> tuple:
     """The involution #: the coefficient at g moves to g^(-1)."""
-    return _permute(x, group, group.inv)
+    return tuple(map(x.__getitem__, inversion(group)))
+
+
+def push(x: tuple, images, size: int) -> tuple:
+    """Add the coefficient at basis index i into images[i] of a basis of size."""
+    out = [0] * size
+    for k, c in zip(images, x):
+        out[k] += c
+    return tuple(out)
 
 
 def pushforward(
@@ -73,19 +104,15 @@ def pushforward(
 ) -> tuple:
     """Coefficientwise pushforward along a group homomorphism src -> target."""
     index = basis_index(target)
-    out = [0] * target.size
-    for g, c in zip(basis_index(src), x):
-        k = index[target.reduce(element_map(g))]
-        out[k] = out[k] + c
-    return tuple(out)
+    return push(x, [index[target.reduce(element_map(g))] for g in src.elements()], target.size)
 
 
 def mul(x: tuple, y: tuple, group: "FiniteAbelianGroup") -> tuple:
     """Convolution product: (x y)_k = sum over g h = k of x_g y_h."""
     out = [0] * len(x)
-    for g, c in zip(basis_index(group), x):
-        for k, d in enumerate(translate(y, group, g)):
-            out[k] = out[k] + c * d
+    for g, c in zip(group.elements(), x):
+        for k, d in zip(translation(group, g), y):
+            out[k] += c * d
     return tuple(out)
 
 

@@ -62,11 +62,8 @@ def aug_project(x: Vec, src: TowerLevelData, target: TowerLevelData, N: int) -> 
         raise ValueError("aug projection needs levels of one tower")
     if target.n > src.n:
         raise ValueError(f"cannot project layer {src.n} up to layer {target.n}")
-    pushed = groupring.pushforward(
-        x, src.group, target.group, lambda g: src.project(g, target.n)
-    )
-    q = src.p**N
-    return tuple(c % q for c in pushed)
+    q, images = src.p**N, groupring.reduction(src.group, target.group)
+    return tuple(c % q for c in groupring.push(x, images, target.group.size))
 
 
 def twist(x: Vec, r: int, level: TowerLevelData, N: int) -> Vec:

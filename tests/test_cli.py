@@ -1,6 +1,7 @@
 """CLI tests: exit codes, certificate emission, replay, and round trips."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -10,7 +11,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import iwasawa_kit
@@ -748,3 +749,178 @@ def test_theta_spec_directory_is_io_error(capsys, spec):
 def test_usage_error_is_one_json_error(capsys):
     code, err = run_refused(capsys, "theta", "--spec", "-x")
     assert code == EXIT_PRECONDITION and "--spec" in err["error"]
+
+
+def test_unwritable_out_is_an_io_error(tmp_path, capsys):
+    for out in (tmp_path, tmp_path / "nosuch" / "cert.json"):
+        code, err = run_refused(capsys, "fitting", "--trials", "0", "--out", str(out))
+        assert code == EXIT_IO and err["exit"] == EXIT_IO
+        assert "cannot write the certificate" in err["error"]
+
+
+# ---------------------------------------------------------------------------
+# One parser per process: in-process calls share it, and nothing of one call
+# reaches the next.
+
+def call(argv):
+    """Exit code, stdout and stderr of one in-process call (a help request
+    exits through SystemExit, as argparse does)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+TOWER_ARGV = ["tower", "--spec", "zeta3", "--S", "3,oo", "--T", "7", "--r", "-1",
+              "--p", "3", "--N", "2", "--levels", "2"]
+VERIFY_ARGV = ["verify", "--spec", "zeta23", "--S", "23,oo", "--T", "5", "--r", "0",
+               "--p", "3", "--N", "2", "--data"]
+
+
+def interleaved_calls(tmp_path):
+    """A replayed tower, a fresh tower, verify, a usage error, a missing file
+    and recheck, with their exit codes."""
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps(TOWER_CERT["result"]["tower"]))
+    return [
+        ([*TOWER_ARGV, "--data", str(replay)], EXIT_OK),
+        (TOWER_ARGV, EXIT_OK),
+        ([*VERIFY_ARGV, str(DATA / "table_z23_minus.json")], EXIT_OK),
+        (["tower", "--spec", "zeta3", "--levels", "x"], EXIT_PRECONDITION),
+        ([*VERIFY_ARGV, str(tmp_path / "nosuch.json")], EXIT_IO),
+        (["recheck", str(FIXTURES / "tower_zeta3_cert.json")], EXIT_OK),
+    ]
+
+
+def test_one_parser_serves_interleaved_calls(tmp_path, monkeypatch):
+    from iwasawa_kit import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    for argv, code in interleaved_calls(tmp_path):
+        shared = call(argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+            fresh = call(argv)
+        assert shared == fresh and shared[0] == code, argv
+
+
+def test_calls_leave_no_argparse_garbage(tmp_path):
+    calls = [argv for argv, _ in interleaved_calls(tmp_path)]
+    call(calls[0])  # the parser of the process exists before the count starts
+    gc.collect()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for k in range(20):
+            call(calls[k % len(calls)])
+        gc.collect()
+        leaked = [type(o).__name__ for o in gc.garbage if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert leaked == []
+
+
+# Argv fuzz over every command but theta (test_theta_argv_fuzz), in this one
+# process, so that the shared parser meets every kind of call in turn. Each
+# value is drawn from well-formed choices, or in a wild example also from
+# malformed ones; trial counts and conductor bounds are always given, and
+# small.
+
+def choice(valid, invalid=()):
+    """(well-formed values, any value) as two strategies."""
+    return st.sampled_from(valid), st.sampled_from([*valid, *invalid])
+
+
+COUNT = choice(["0", "1", "2"], ["-1", "x", "1.5", "", "0x1"])
+SEED = choice(["0", "1", "7", "-4", "99999999999999999999"], ["x", "2.0", ""])
+SPEC = choice(["zeta3", "zeta4", "zeta5", "zeta7", "zeta12", "zeta23", "Q"],
+              ["zeta0", "zetax", "{", '{"modulus": 5}', "missing.json"])
+PRIME = choice(["3", "5", "7"], ["2", "4", "1", "0", "-3", "x"])
+PRECISION = choice(["1", "2", "3"], ["0", "-2", "x"])
+LEVELS = choice(["0", "1", "2"], ["-1", "x"])
+R = choice(["0", "-1", "-2", "1"], ["x", "1.5"])
+S_PLACES = choice(["oo", "3,oo", "5,oo", "7,oo", "2,3,oo", "3,23,oo", "2,3,5,7,oo"],
+                  ["", "3", "x,oo", "oo,oo", "-3,oo", "4,oo"])
+T_PLACES = choice(["", "2", "5", "7", "11", "11,13"], ["oo", "3,x", "1", "-2", ","])
+FLAG = (st.just(None), st.just(None))  # a flag that takes no value
+JUNK = st.lists(st.sampled_from(["--bogus", "-x", "--", "-h", "extra", "--seed", "--out="]),
+                max_size=2)
+
+
+@pytest.fixture(scope="module")
+def fuzz_commands(tmp_path_factory):
+    """Per command: its positional argument, its required flags and its
+    optional flags, each with its (well-formed, any) value strategies; files
+    are data files, certificates, a complex, a tower replay, directories, a
+    missing file, non-JSON and an empty name."""
+    tmp = tmp_path_factory.mktemp("argv_fuzz")
+    (tmp / "replay.json").write_text(json.dumps(TOWER_CERT["result"]["tower"]))
+    (tmp / "garbage.json").write_text("{not json")
+    bad = [str(f) for f in (tmp / "garbage.json", tmp / "missing.json", tmp, "")]
+
+    def files(*good):
+        return choice([str(f) for f in good], bad + [str(DATA / "trivial_z3.json")])
+
+    out = choice([str(tmp / "out.json")], [str(tmp), str(tmp / "nosuch" / "out.json"), ""])
+    field = {"--spec": SPEC, "--p": PRIME, "--N": PRECISION, "--S": S_PLACES}
+    field_options = {"--T": T_PLACES, "--r": R, "--out": out}
+    class_data = files(DATA / "table_z23_minus.json", DATA / "trivial_z3.json")
+    return {
+        "verify": (None, {**field, "--data": class_data}, field_options),
+        "tower": (None, {**field, "--levels": LEVELS},
+                  {**field_options, "--data": files(tmp / "replay.json"), "--strict-hyp": FLAG}),
+        "fitting": (None, {"--trials": COUNT}, {"--seed": SEED, "--out": out}),
+        "complex": (None, {"--trials": COUNT},
+                    {"--seed": SEED, "--data": files(FIXTURES / "complex_z9.json"), "--out": out}),
+        "selftest": (None, {"--trials": COUNT, "--complex-trials": COUNT, "--max-conductor": COUNT},
+                     {"--seed": SEED, "--data-dir": files(DATA), "--out": out}),
+        "recheck": (files(*(FIXTURES / n for n in ("tower_zeta3_cert.json",
+                                                  "theta_zeta12_cert.json",
+                                                  "verify_z23_cert.json")), tmp / "out.json"),
+                    {}, {"--out": out}),
+    }
+
+
+COUNT_FLAGS = {"--trials", "--complex-trials", "--max-conductor"}
+
+
+def fuzz_argv(data, commands):
+    """One argv: a command, its flags in a drawn order and, in a wild example,
+    malformed values, left-out required flags (never a count) and junk."""
+    # a selftest that parses runs every suite (0.1-0.2 s): one draw in 31
+    others = sorted(set(commands) - {"selftest"})
+    command = data.draw(st.sampled_from(["selftest"] + others * 6))
+    positional, required, optional = commands[command]
+    wild = data.draw(st.integers(0, 3)) == 0
+    kept = [f for f in required if f in COUNT_FLAGS or not wild or data.draw(st.integers(0, 5))]
+    kept += [f for f in optional if data.draw(st.booleans())]
+    argv = [command]
+    if positional and (not wild or data.draw(st.integers(0, 5))):
+        argv.append(data.draw(positional[wild]))
+    for flag in data.draw(st.permutations(kept)):
+        value = data.draw({**required, **optional}[flag][wild])
+        argv += [flag] if value is None else [flag, value]
+    return argv + (data.draw(JUNK) if wild else [])
+
+
+# derandomized: the same examples on every run, so that the test's time
+# (most of it in the few examples that run a selftest) is the same too
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_argv_fuzz(fuzz_commands, data):
+    argv = fuzz_argv(data, fuzz_commands)
+    code, out, err = call(argv)
+    event(f"{argv[0]} exit {code}")
+    assert code in (EXIT_OK, EXIT_PRECONDITION, EXIT_CHECK_FAILED, EXIT_IO), argv
+    assert "Traceback" not in err, argv
+    if out:  # a certificate (success or a failed check), or the help text
+        assert code in (EXIT_OK, EXIT_CHECK_FAILED), argv
+        if not out.startswith("usage:"):
+            assert isinstance(json.loads(out), dict)
+    else:  # a refusal: one JSON error
+        error = json.loads(err)
+        assert isinstance(error, dict) and error["exit"] == code != EXIT_OK, argv

@@ -2,8 +2,9 @@
 ones: the q-pass span closure, the Howell form that rescans every row for its
 leading index, the dense dim^3 structure-constant product, the dense
 structure-constant tables of group algebras and their minus quotients, the
-ideal product realized from every pairwise generator product, and the one
-full-width Howell form of an ideal that the prime-to-p split replaced."""
+ideal product realized from every pairwise generator product, the one
+full-width Howell form of an ideal that the prime-to-p split replaced, and
+the group-ring maps that formed one group element per coefficient."""
 
 import json
 import random
@@ -11,9 +12,9 @@ import random
 import pytest
 from algebra_helpers import nilpotent_extension_json
 
-from iwasawa_kit import fitting, linalg, oracles
-from iwasawa_kit.abelian import AbelianFieldSpec, FiniteAbelianGroup
-from iwasawa_kit.campaigns import complex_campaigns, fitting_campaigns
+from iwasawa_kit import fitting, groupring, linalg, oracles
+from iwasawa_kit.abelian import AbelianFieldSpec, FiniteAbelianGroup, galois_group
+from iwasawa_kit.campaigns import complex_campaigns, corpus_cm_specs, fitting_campaigns
 from iwasawa_kit.fitting import (
     FiniteCommAlgebra,
     GroupAlgebra,
@@ -28,7 +29,7 @@ from iwasawa_kit.fitting import (
 )
 from iwasawa_kit.linalg import ZModPN, howell_form, in_span, span_size
 from iwasawa_kit.oracles import enumerate_span
-from iwasawa_kit.tower import theta_tower
+from iwasawa_kit.tower import aug_project, theta_tower, tower_level
 
 
 def enumerate_span_reference(rows, width, R):
@@ -666,3 +667,117 @@ def test_split_and_unsplit_copies_of_an_algebra_compare_ideals():
             assert X.contains(Yc) == Yc.contains(X) == X.contains(Y) if equal else True
             assert X.contains(Yc) == X.contains(Y) and Yc.contains(X) == Y.contains(X)
             assert hash(X) == hash(Yc) if equal else True
+
+
+# ---------------------------------------------------------------------------
+# Group-ring maps: the element-wise forms, one group element per coefficient
+# looked up in a basis index of their own.
+
+def _element_index(group):
+    return {g: i for i, g in enumerate(group.elements())}
+
+
+def translate_reference(x, group, h):
+    """h . x through group.mul: the coefficient at g moves to h g."""
+    index = _element_index(group)
+    out = list(x)
+    for g, c in zip(index, x):
+        out[index[group.mul(h, g)]] = c
+    return tuple(out)
+
+
+def sharp_reference(x, group):
+    """x^# through group.inv: the coefficient at g moves to g^(-1)."""
+    index = _element_index(group)
+    out = list(x)
+    for g, c in zip(index, x):
+        out[index[group.inv(g)]] = c
+    return tuple(out)
+
+
+def pushforward_reference(x, src, target, element_map):
+    """The pushforward through target.reduce of each image."""
+    index = _element_index(target)
+    out = [0] * target.size
+    for g, c in zip(src.elements(), x):
+        out[index[target.reduce(element_map(g))]] += c
+    return tuple(out)
+
+
+def distinct_coefficients(group, rng):
+    """Distinct coefficients, so that any misplaced one shows."""
+    return tuple(rng.sample(range(-5 * group.size, 5 * group.size), group.size))
+
+
+def test_group_ring_maps_match_the_element_route_on_the_corpus():
+    rng = random.Random(17)
+    groups = {galois_group(spec).group for spec in corpus_cm_specs(24)}
+    assert len(groups) == 12 and max(g.size for g in groups) == 22
+    for group in groups:
+        x = distinct_coefficients(group, rng)
+        assert groupring.sharp(x, group) == sharp_reference(x, group)
+        for h in group.elements():
+            assert groupring.translate(x, group, h) == translate_reference(x, group, h)
+            # a group element given by unreduced or negative coordinates
+            shifted = tuple(a - 3 * o for a, o in zip(h, group.orders))
+            assert groupring.translate(x, group, shifted) == translate_reference(x, group, h)
+
+
+TOWER_LEVELS = [(3, 5), (5, 2), (7, 2)]  # (p = the conductor of the base, top level)
+
+
+@pytest.mark.parametrize("p, top", TOWER_LEVELS, ids=lambda v: str(v))
+def test_group_ring_maps_match_the_element_route_on_tower_levels(p, top):
+    """Q(zeta_p) levels up to dim 486 (p = 3), 100 (p = 5) and 294 (p = 7):
+    sampled translations, #, and every aug projection to the level below and
+    to level 0, by the index maps and by pushforward."""
+    rng = random.Random(p)
+    spec = AbelianFieldSpec.cyclotomic(p)
+    levels = [tower_level(spec, p, n) for n in range(top + 1)]
+    assert levels[-1].group.size == (p - 1) * p**top
+    for n, level in enumerate(levels):
+        group, q = level.group, p**2
+        x = distinct_coefficients(group, rng)
+        assert groupring.sharp(x, group) == sharp_reference(x, group)
+        elements = list(group.elements())
+        for h in rng.sample(elements, min(8, len(elements))):
+            assert groupring.translate(x, group, h) == translate_reference(x, group, h)
+        for target in {levels[n - 1], levels[0]} if n else ():
+            def project(g, m=target.n):
+                return level.project(g, m)
+
+            expected = pushforward_reference(x, group, target.group, project)
+            assert groupring.pushforward(x, group, target.group, project) == expected
+            assert aug_project(x, level, target, 2) == tuple(c % q for c in expected)
+
+
+def test_maps_form_no_group_element(monkeypatch):
+    """translate, sharp and aug_project make no FiniteAbelianGroup.mul, inv
+    or reduce call."""
+    spec = AbelianFieldSpec.cyclotomic(3)
+    top, below = tower_level(spec, 3, 3), tower_level(spec, 3, 2)
+    x = tuple(range(top.group.size))
+
+    def refuse(*args):
+        pytest.fail("a group element was formed")
+
+    for name in ("mul", "inv", "reduce"):
+        monkeypatch.setattr(FiniteAbelianGroup, name, refuse)
+    groupring.translate(x, top.group, (1, 5))
+    groupring.sharp(x, top.group)
+    aug_project(x, top, below, 2)
+
+
+@pytest.mark.parametrize("orders", REFERENCE_ORDERS, ids=str)
+def test_group_algebra_sharp_and_translates_match_the_element_tables(orders):
+    """Up to dim 54: the # images are the unit vectors of g^(-1), and row j of
+    the regular-representation permutation lists g_k g_j^(-1) at k."""
+    group = FiniteAbelianGroup(orders)
+    alg = GroupAlgebra(3, 2, group)
+    index, elems = _element_index(group), list(group.elements())
+    assert alg.sharp_images == [alg.basis_element(index[group.inv(g)]) for g in elems]
+    assert alg._translates == [
+        [index[group.mul(g, group.inv(h))] for g in elems] for h in elems
+    ]
+    x = distinct_coefficients(group, random.Random(group.size))
+    assert alg.regular_rows(x) == [list(alg.mul(x, b)) for b in alg._basis_vectors]
