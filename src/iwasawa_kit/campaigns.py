@@ -790,10 +790,9 @@ def run_all(
     complex_trials: int = 100,
     data_dir: Path | None = None,
 ) -> list[CampaignResult]:
-    # the data is read and checked before the first campaign runs
-    entries = None
-    if data_dir is not None and (Path(data_dir) / "manifest.json").exists():
-        entries = load_manifest(Path(data_dir))
+    # the data is read and checked before the first campaign runs; a named
+    # directory without a readable manifest is a SchemaError
+    entries = None if data_dir is None else load_manifest(Path(data_dir))
     results = [
         exact_arith_campaign(seed),
         fields_campaign(seed),

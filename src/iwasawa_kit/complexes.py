@@ -28,7 +28,7 @@ from .fitting import (
     unit_ideal,
     zero_map,
 )
-from .linalg import combine, howell_form, preimage_span, span_size
+from .linalg import combine, howell_form, span_size
 
 
 class BoundedComplex:
@@ -65,11 +65,7 @@ class BoundedComplex:
             self.differentials.append(d)
         differentials = self.differentials
         for i in range(len(differentials) - 1):
-            comp = differentials[i].compose(differentials[i + 1])
-            zero_rows = all(
-                modules[i + 2].is_zero_element(row) for row in comp.matrix
-            )
-            if not zero_rows:
+            if not differentials[i].compose(differentials[i + 1]).is_zero():
                 raise ValueError(f"d o d != 0 at degree {lo + i}")
         # the boundary zero maps are built once: cohomology reuses their cached spans
         below, above = (zero_map(self.module_at(i), self.module_at(i + 1)) for i in (lo - 1, self.hi))
@@ -189,36 +185,30 @@ class ChainMap:
         for i in self.src.degrees():
             lhs = self.at(i).compose(self.dst.differential_at(i))
             rhs = self.src.differential_at(i).compose(self.at(i + 1))
-            target = self.dst.module_at(i + 1)
-            for row_l, row_r in zip(lhs.matrix, rhs.matrix):
-                diff = [alg.sub(a, b) for a, b in zip(row_l, row_r)]
-                if not target.is_zero_element(diff):
-                    raise ValueError(f"chain map does not commute with d at degree {i}")
+            diff = [[alg.sub(a, b) for a, b in zip(row_l, row_r)]
+                    for row_l, row_r in zip(lhs.matrix, rhs.matrix)]
+            if not ModuleMap(lhs.src, lhs.dst, diff).is_zero():
+                raise ValueError(f"chain map does not commute with d at degree {i}")
 
 
 def quasi_iso_check(f: ChainMap) -> bool:
     """True iff the induced maps H^i(src) -> H^i(dst) are bijections.
 
-    Injectivity: the preimage in the src cocycles of the dst coboundaries is
-    exactly the src coboundaries; surjectivity: mapped cocycles together with
-    dst coboundaries span the dst cocycles.
+    The cohomology groups are finite, so H^i(f) is bijective iff it is onto
+    and |H^i(src)| = |H^i(dst)|. Onto: the mapped src cocycles together with
+    the dst coboundaries span the dst cocycles (the chain-map property puts
+    the mapped cocycles inside the dst cocycles).
     """
     f.validate()
     src, dst = f.src, f.dst
     R, q = src.algebra.R, src.algebra.q
     for i in range(min(src.lo, dst.lo), max(src.hi, dst.hi) + 1):
-        ws, wd = src.module_at(i).rwidth, dst.module_at(i).rwidth
-        Zs, Bs = src.differential_at(i).kernel_span, src.differential_at(i - 1).image_span
-        Zd, Bd = dst.differential_at(i).kernel_span, dst.differential_at(i - 1).image_span
-        # map the source cocycle generators through the realization
-        mapped = [combine(z, f.at(i).realization_rows, wd, q) for z in Zs]
-        # injectivity on cohomology
-        pre_b = preimage_span(mapped, Bd, wd, R)
-        # pre_b lives in coefficients of Zs rows: convert to ambient span
-        amb = [combine(y, Zs, ws, q) for y in pre_b]
-        if howell_form(amb + Bs, ws, R) != howell_form(Bs, ws, R):
+        if src.cohomology_size(i) != dst.cohomology_size(i):
             return False
-        # surjectivity on cohomology
+        wd = dst.module_at(i).rwidth
+        Zs = src.differential_at(i).kernel_span
+        Zd, Bd = dst.differential_at(i).kernel_span, dst.differential_at(i - 1).image_span
+        mapped = [combine(z, f.at(i).realization_rows, wd, q) for z in Zs]
         if howell_form(mapped + Bd, wd, R) != Zd:
             return False
     return True
@@ -245,6 +235,10 @@ class ComplexSES:
     quo: ChainMap
 
     def verify_exact(self) -> None:
+        """Levelwise exactness by counting, the modules being finite: with
+        |M2| = |M1| |M3|, f injective (|im f| = |M1|) and g onto
+        (|im g| = |M3|), |ker g| = |M2| / |M3| = |im f|, so g o f = 0
+        (im f <= ker g) forces im f = ker g."""
         self.inc.validate()
         self.quo.validate()
         cs = (self.c1, self.c2, self.c3)
@@ -253,11 +247,11 @@ class ComplexSES:
             if M2.size() != M1.size() * M3.size():
                 raise ValueError(f"sizes are not multiplicative at degree {i}")
             f, g = self.inc.at(i), self.quo.at(i)
-            if not f.is_injective():
+            if f.image_size() != M1.size():
                 raise ValueError(f"inclusion not injective at degree {i}")
-            if not g.is_surjective():
+            if g.image_size() != M3.size():
                 raise ValueError(f"quotient not surjective at degree {i}")
-            if f.image_span != g.kernel_span:
+            if not f.compose(g).is_zero():
                 raise ValueError(f"not exact in the middle at degree {i}")
 
 

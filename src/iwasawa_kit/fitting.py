@@ -620,13 +620,7 @@ class FinPresModule:
 
     def annihilator_check(self, x: Vec) -> bool:
         """Does x annihilate every generator (hence the module)?"""
-        zero = [self.algebra.zero()] * self.ngens
-        for c in range(self.ngens):
-            row = list(zero)
-            row[c] = x
-            if not self.is_zero_element(row):
-                return False
-        return True
+        return multiplication_map(self, x).is_zero()
 
 
 def _det(algebra: FiniteCommAlgebra, rows: list[list[Vec]]) -> Vec:
@@ -718,11 +712,14 @@ class ModuleMap:
         rows = [list(r) for r in ker] + [list(r) for r in self.src.relation_span]
         return howell_form(rows, self.src.rwidth, self.src.algebra.R)
 
-    def is_injective(self) -> bool:
-        return self.kernel_span == self.src.relation_span
+    def image_size(self) -> int:
+        """|im f| = |image span| / |dst relation span|."""
+        R = self.dst.algebra.R
+        return span_size(self.image_span, R) // span_size(self.dst.relation_span, R)
 
-    def is_surjective(self) -> bool:
-        return span_size(self.image_span, self.dst.algebra.R) == self.dst.algebra.q ** self.dst.rwidth
+    def is_zero(self) -> bool:
+        """Every generator maps to zero in dst."""
+        return all(self.dst.is_zero_element(row) for row in self.matrix)
 
     def compose(self, then: "ModuleMap") -> "ModuleMap":
         matrix = []
@@ -917,21 +914,24 @@ def four_term_check(
     """Fitt(M^dual)^# Fitt(C') = Fitt(C) Fitt(M') for an exact sequence
     0 -> M -> C -> C' -> M' -> 0 with C, C' of square regular presentation.
 
-    Exactness of the supplied maps is verified; non-exact input raises.
+    Exactness of the supplied maps is verified by counting, the modules being
+    finite; non-exact input raises. alpha is injective iff |im alpha| = |M|,
+    gamma onto iff |im gamma| = |M'|, and the sequence is exact at C iff
+    beta o alpha = 0 (im alpha <= ker beta) and |im alpha| |im beta| = |C|
+    (the two have one size, |ker beta| = |C| / |im beta|); likewise at C'.
     """
     for f in (alpha, beta, gamma):
         if not f.is_well_defined():
             raise ValueError("a supplied map is not well defined")
     if not (C.has_square_regular_presentation() and Cp.has_square_regular_presentation()):
         raise ValueError("C and C' need square regular presentations")
-    if not alpha.is_injective():
+    if alpha.image_size() != M.size():
         raise ValueError("sequence is not exact: M -> C not injective")
-    if not gamma.is_surjective():
+    if gamma.image_size() != Mp.size():
         raise ValueError("sequence is not exact: C' -> M' not surjective")
-    if alpha.image_span != beta.kernel_span:
-        raise ValueError("sequence is not exact at C")
-    if beta.image_span != gamma.kernel_span:
-        raise ValueError("sequence is not exact at C'")
+    for f, g, at in ((alpha, beta, "C"), (beta, gamma, "C'")):
+        if not f.compose(g).is_zero() or f.image_size() * g.image_size() != f.dst.size():
+            raise ValueError(f"sequence is not exact at {at}")
     lhs = pontryagin_dual(M).fitting_ideal.sharp().product(Cp.fitting_ideal)
     rhs = C.fitting_ideal.product(Mp.fitting_ideal)
     return lhs == rhs
@@ -954,7 +954,7 @@ def tower_fitting_check(
         raise ValueError("need one projection per adjacent pair")
     if transitions is not None:
         for t in transitions:
-            if not (t.is_well_defined() and t.is_surjective()):
+            if not (t.is_well_defined() and t.image_size() == t.dst.size()):
                 raise ValueError("transition maps must be well defined surjections")
     contained, equal = [], []
     for n in range(len(modules) - 1):

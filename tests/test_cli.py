@@ -682,15 +682,18 @@ MANIFEST = json.loads((DATA / "manifest.json").read_text())
 
 
 @pytest.mark.parametrize(
-    "manifest",
-    ["[]", json.dumps(with_field(MANIFEST, ("entries", 0, "data"), "nosuch.json")), "{",
-     json.dumps(with_field(MANIFEST, ("entries", 0, "p"), 3.0)),
-     json.dumps(with_field(MANIFEST, ("entries", 1, "S"), [3, "oo"]))],
-    ids=["list", "missing-data-file", "not-json", "float-p", "int-S"],
+    "manifest, data_dir",
+    [("[]", "."), (json.dumps(with_field(MANIFEST, ("entries", 0, "data"), "nosuch.json")), "."),
+     ("{", "."), (json.dumps(with_field(MANIFEST, ("entries", 0, "p"), 3.0)), "."),
+     (json.dumps(with_field(MANIFEST, ("entries", 1, "S"), [3, "oo"])), "."),
+     (None, "nosuch"), (None, "."), (json.dumps(MANIFEST), "manifest.json")],
+    ids=["list", "missing-data-file", "not-json", "float-p", "int-S",
+         "missing-dir", "no-manifest", "regular-file"],
 )
-def test_selftest_refuses_bad_data_dir(tmp_path, capsys, monkeypatch, manifest):
+def test_selftest_refuses_bad_data_dir(tmp_path, capsys, monkeypatch, manifest, data_dir):
     # the manifest and every data file it names are read and checked before
-    # the first campaign runs
+    # the first campaign runs; a data directory that is missing, has no
+    # manifest or is a file is refused, not skipped
     from iwasawa_kit import campaigns
 
     def campaign(seed):
@@ -699,10 +702,11 @@ def test_selftest_refuses_bad_data_dir(tmp_path, capsys, monkeypatch, manifest):
     monkeypatch.setattr(campaigns, "exact_arith_campaign", campaign)
     for entry in MANIFEST["entries"]:
         (tmp_path / entry["data"]).write_text((DATA / entry["data"]).read_text())
-    (tmp_path / "manifest.json").write_text(manifest)
+    if manifest is not None:
+        (tmp_path / "manifest.json").write_text(manifest)
     code, err = run_refused(
         capsys, "selftest", "--max-conductor", "3", "--trials", "1", "--complex-trials", "1",
-        "--data-dir", str(tmp_path),
+        "--data-dir", str(tmp_path / data_dir),
     )
     assert code == EXIT_IO and err["exit"] == EXIT_IO
 

@@ -370,7 +370,7 @@ def test_additivity_rejects_non_exact():
         0: ModuleMap(C.modules[0], D.modules[0], [[alg.one]]),
         1: ModuleMap(C.modules[1], D.modules[1], [[alg.one]]),
     }))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="chain map does not commute with d at degree 0"):
         euler_fitting_additivity_check(bogus)
 
 

@@ -376,7 +376,7 @@ def test_four_term_rejects_non_exact():
     alpha = ModuleMap(M0, C, [])
     # claim cokernel is C itself (wrong: beta is onto)
     gamma = identity_map(C)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^sequence is not exact at C'$"):
         four_term_check(M0, C, C, C, alpha, beta, gamma)
 
 

@@ -3,20 +3,24 @@ ones: the q-pass span closure, the Howell form that rescans every row for its
 leading index, the dense dim^3 structure-constant product, the dense
 structure-constant tables of group algebras and their minus quotients, the
 ideal product realized from every pairwise generator product, the one
-full-width Howell form of an ideal that the prime-to-p split replaced, and
-the group-ring maps that formed one group element per coefficient."""
+full-width Howell form of an ideal that the prime-to-p split replaced, the
+group-ring maps that formed one group element per coefficient, and the
+exactness and quasi-isomorphism tests that compared kernel spans."""
 
 import json
 import random
+import re
 
 import pytest
 from algebra_helpers import nilpotent_extension_json
+from test_complexes import _random_chain_maps
 
-from iwasawa_kit import fitting, groupring, linalg, oracles
+from iwasawa_kit import campaigns, complexes, fitting, groupring, linalg, oracles
 from iwasawa_kit.abelian import AbelianFieldSpec, FiniteAbelianGroup, galois_group
 from iwasawa_kit.campaigns import complex_campaigns, corpus_cm_specs, fitting_campaigns
 from iwasawa_kit.fitting import (
     FiniteCommAlgebra,
+    FinPresModule,
     GroupAlgebra,
     IdealHandle,
     group_algebra_morphism,
@@ -781,3 +785,249 @@ def test_group_algebra_sharp_and_translates_match_the_element_tables(orders):
     ]
     x = distinct_coefficients(group, random.Random(group.size))
     assert alg.regular_rows(x) == [list(alg.mul(x, b)) for b in alg._basis_vectors]
+
+
+# ---------------------------------------------------------------------------
+# Exactness and quasi-isomorphism by span comparison: each kernel span built
+# and compared with an image span.
+
+C2_GROUP = FiniteAbelianGroup((2,))
+
+
+def injective_reference(f):
+    return f.kernel_span == f.src.relation_span
+
+
+def surjective_reference(f):
+    return span_size(f.image_span, f.dst.algebra.R) == f.dst.algebra.q ** f.dst.rwidth
+
+
+def four_term_exactness_reference(M, C, Cp, Mp, alpha, beta, gamma):
+    """four_term_check's refusals by comparing spans, in their order."""
+    for f in (alpha, beta, gamma):
+        if not f.is_well_defined():
+            raise ValueError("a supplied map is not well defined")
+    if not (C.has_square_regular_presentation() and Cp.has_square_regular_presentation()):
+        raise ValueError("C and C' need square regular presentations")
+    if not injective_reference(alpha):
+        raise ValueError("sequence is not exact: M -> C not injective")
+    if not surjective_reference(gamma):
+        raise ValueError("sequence is not exact: C' -> M' not surjective")
+    if alpha.image_span != beta.kernel_span:
+        raise ValueError("sequence is not exact at C")
+    if beta.image_span != gamma.kernel_span:
+        raise ValueError("sequence is not exact at C'")
+
+
+def verify_exact_reference(ses):
+    """ComplexSES.verify_exact by comparing im f with ker g."""
+    ses.inc.validate()
+    ses.quo.validate()
+    cs = (ses.c1, ses.c2, ses.c3)
+    for i in range(min(c.lo for c in cs), max(c.hi for c in cs) + 1):
+        M1, M2, M3 = (c.module_at(i) for c in cs)
+        if M2.size() != M1.size() * M3.size():
+            raise ValueError(f"sizes are not multiplicative at degree {i}")
+        f, g = ses.inc.at(i), ses.quo.at(i)
+        if not injective_reference(f):
+            raise ValueError(f"inclusion not injective at degree {i}")
+        if not surjective_reference(g):
+            raise ValueError(f"quotient not surjective at degree {i}")
+        if f.image_span != g.kernel_span:
+            raise ValueError(f"not exact in the middle at degree {i}")
+
+
+def quasi_iso_reference(f):
+    """Injective on H^i: the preimage in the src cocycles of the dst
+    coboundaries is exactly the src coboundaries; onto: the mapped cocycles
+    and the dst coboundaries span the dst cocycles."""
+    f.validate()
+    src, dst = f.src, f.dst
+    R, q = src.algebra.R, src.algebra.q
+    for i in range(min(src.lo, dst.lo), max(src.hi, dst.hi) + 1):
+        ws, wd = src.module_at(i).rwidth, dst.module_at(i).rwidth
+        Zs, Bs = src.differential_at(i).kernel_span, src.differential_at(i - 1).image_span
+        Zd, Bd = dst.differential_at(i).kernel_span, dst.differential_at(i - 1).image_span
+        mapped = [linalg.combine(z, f.at(i).realization_rows, wd, q) for z in Zs]
+        pre_b = linalg.preimage_span(mapped, Bd, wd, R)
+        amb = [linalg.combine(y, Zs, ws, q) for y in pre_b]
+        if howell_form(amb + Bs, ws, R) != howell_form(Bs, ws, R):
+            return False
+        if howell_form(mapped + Bd, wd, R) != Zd:
+            return False
+    return True
+
+
+def refusal(check, *args):
+    """The message check raises, or None when it accepts."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class Exact(Exception):
+    """four_term_check has passed its exactness checks and takes the dual."""
+
+
+def test_four_term_exactness_matches_reference_on_the_campaign(monkeypatch):
+    """Every four-term instance of AC5 (seed 2026 + 3, 600 trials), and every
+    fourth one again with beta replaced by a random multiplication. The lemma
+    itself is AC5's; here four_term_check stops where it takes the dual."""
+    rng = random.Random(7)
+    corpus, perturbed = [], []
+
+    def exact(M):
+        raise Exact
+
+    def counting(*args):
+        try:
+            fitting.four_term_check(*args)
+        except Exact:
+            return None
+        except ValueError as exc:
+            return str(exc)
+        pytest.fail("four_term_check returned before taking the dual")
+
+    def compare(seen, args):
+        seen.append(refusal(four_term_exactness_reference, *args))
+        assert counting(*args) == seen[-1]
+
+    def checked(M, C, Cp, Mp, alpha, beta, gamma):
+        compare(corpus, (M, C, Cp, Mp, alpha, beta, gamma))
+        if len(corpus) % 4 == 0:
+            z = tuple(rng.randrange(C.algebra.q) for _ in range(C.algebra.dim))
+            compare(perturbed, (M, C, Cp, Mp, alpha, fitting.multiplication_map(C, z), gamma))
+        return corpus[-1] is None
+
+    monkeypatch.setattr(fitting, "pontryagin_dual", exact)
+    monkeypatch.setattr(campaigns, "four_term_check", checked)
+    result = campaigns.fitting_four_term_campaign(2026 + 3, 600)
+    assert result.trials == 600 and result.failures == 0, result.details
+    assert corpus == [None] * 600 and len(perturbed) == 150
+    assert set(perturbed) == {None, "sequence is not exact at C"}
+
+
+def test_verify_exact_matches_reference_on_the_campaign(monkeypatch):
+    """Every short exact sequence of AC6's additivity suite (seed 2026 + 1,
+    100 trials)."""
+    seen = []
+    verify_exact = complexes.ComplexSES.verify_exact
+
+    def checked(ses):
+        seen.append(refusal(verify_exact_reference, ses))
+        assert refusal(verify_exact, ses) == seen[-1]
+        verify_exact(ses)
+
+    monkeypatch.setattr(complexes.ComplexSES, "verify_exact", checked)
+    result = campaigns.complex_additivity_campaign(2026 + 1, 100)
+    assert result.trials == len(seen) == 100 and result.failures == 0, result.details
+    assert seen == [None] * 100
+
+
+def test_quasi_iso_matches_reference_on_random_chain_maps():
+    rng = random.Random(720)
+    verdicts = []
+    for alg in (GroupAlgebra(3, 2, C2_GROUP), GroupAlgebra(2, 3, C2_GROUP),
+                GroupAlgebra(3, 2, FiniteAbelianGroup((2, 2)))):
+        for _ in range(60):
+            for f in _random_chain_maps(alg, rng):
+                verdicts.append(complexes.quasi_iso_check(f))
+                assert verdicts[-1] == quasi_iso_reference(f)
+    assert len(verdicts) == 720 and True in verdicts and False in verdicts
+
+
+def _four_term_refusals():
+    """One sequence 0 -> M -> C -> C' -> M' -> 0 over (Z/9)[C2] per refusal,
+    failing there first. C = C' = A/(3) = F_3 e+ x F_3 e- with the idempotents
+    e+- = (1 +- s)/2, so 1 + s and 1 - s act on C with image and kernel one
+    part each."""
+    alg = GroupAlgebra(3, 2, C2_GROUP)
+    one, zero, s = alg.one, alg.zero(), alg.group_element_vector((1,))
+    plus, minus = alg.add(one, s), alg.sub(one, s)
+    three = alg.scalar(3, one)
+    C = principal_module(alg, three)
+    F = FinPresModule(alg, 1, [])
+    O = FinPresModule(alg, 0, [])
+    Mplus = FinPresModule(alg, 1, [[three], [minus]])  # F_3 with s = 1
+    Mminus = FinPresModule(alg, 1, [[three], [plus]])  # F_3 with s = -1
+    ident = fitting.identity_map(C)
+
+    def mult(M, N, a):
+        return fitting.ModuleMap(M, N, [[a]])
+
+    return [
+        ("sequence is not exact: M -> C not injective",
+         (F, C, C, C, mult(F, C, one), ident, ident)),
+        ("sequence is not exact: C' -> M' not surjective",
+         (O, C, C, F, fitting.ModuleMap(O, C, []), ident, mult(C, F, three))),
+        # beta = 0: ker beta = C while im alpha = 0
+        ("sequence is not exact at C",
+         (O, C, C, C, fitting.ModuleMap(O, C, []), mult(C, C, zero), ident)),
+        # |im alpha| |im beta| = 3 * 3 = |C|, but beta alpha = (1 + s)^2 != 0
+        ("sequence is not exact at C",
+         (Mplus, C, C, Mminus, mult(Mplus, C, plus), mult(C, C, plus), mult(C, Mminus, one))),
+        # exact at C; im beta = C while ker gamma = 0
+        ("sequence is not exact at C'",
+         (O, C, C, C, fitting.ModuleMap(O, C, []), ident, ident)),
+        # exact at C; |im beta| |im gamma| = 3 * 3 = |C'|, but gamma beta = 1 - s != 0
+        ("sequence is not exact at C'",
+         (Mplus, C, C, Mminus, mult(Mplus, C, plus), mult(C, C, minus), mult(C, Mminus, one))),
+    ]
+
+
+@pytest.mark.parametrize("message, args", _four_term_refusals())
+def test_four_term_refusals_match_the_reference(message, args):
+    assert refusal(four_term_exactness_reference, *args) == message
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fitting.four_term_check(*args)
+
+
+def _verify_exact_refusals():
+    """One-degree sequences C1 -> C2 -> C3 over (Z/9)[C2] with C = A/(3), one
+    per refusal, failing there first."""
+    alg = GroupAlgebra(3, 2, C2_GROUP)
+    one, zero = alg.one, alg.zero()
+    C = principal_module(alg, alg.scalar(3, one))
+    CC = C.direct_sum(C)
+
+    def ses(M1, M2, M3, f, g):
+        c1, c2, c3 = (complexes.BoundedComplex(alg, 0, [M], []) for M in (M1, M2, M3))
+        return complexes.ComplexSES(
+            c1, c2, c3,
+            complexes.ChainMap(c1, c2, {0: fitting.ModuleMap(M1, M2, f)}),
+            complexes.ChainMap(c2, c3, {0: fitting.ModuleMap(M2, M3, g)}),
+        )
+
+    first, second = [[one, zero]], [[zero, one]]
+    project = [[one], [zero]]
+    return [
+        ("sizes are not multiplicative at degree 0", ses(C, C, C, [[one]], [[one]])),
+        ("inclusion not injective at degree 0", ses(C, CC, C, [[zero, zero]], project)),
+        ("quotient not surjective at degree 0", ses(C, CC, C, first, [[zero], [zero]])),
+        ("not exact in the middle at degree 0", ses(C, CC, C, first, project)),
+        (None, ses(C, CC, C, second, project)),
+    ]
+
+
+@pytest.mark.parametrize("message, seq", _verify_exact_refusals())
+def test_verify_exact_refusals_match_the_reference(message, seq):
+    assert refusal(verify_exact_reference, seq) == message
+    if message is None:
+        seq.verify_exact()
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            seq.verify_exact()
+
+
+def test_exactness_checks_compute_no_kernel_span(monkeypatch):
+    """The counting routes decide exactness from image sizes and zero maps."""
+    sequences = [args for _, args in _four_term_refusals()]
+    additivity = [seq for _, seq in _verify_exact_refusals()]
+    monkeypatch.setattr(linalg, "preimage_span", lambda *a: pytest.fail("a kernel span was built"))
+    monkeypatch.setattr(fitting, "preimage_span", lambda *a: pytest.fail("a kernel span was built"))
+    for args in sequences:
+        refusal(fitting.four_term_check, *args)
+    for seq in additivity:
+        refusal(seq.verify_exact)
