@@ -266,13 +266,14 @@ def _run_complex_file(config: wire.Node) -> tuple[dict, int]:
 
 def run_selftest(config: wire.Node) -> tuple[dict, int]:
     data_dir = config.get("data_dir")
-    data_dir = None if data_dir.value is None else data_dir.str()
+    if data_dir.value is not None and not data_dir.str():
+        raise data_dir.expected("a directory name")  # "" would silently mean no data
     results = run_all(
         seed=config["seed"].int(),
         max_conductor=count(config["max_conductor"]),
         trials=count(config["trials"]),
         complex_trials=count(config["complex_trials"]),
-        data_dir=Path(data_dir) if data_dir else None,
+        data_dir=None if data_dir.value is None else Path(data_dir.value),
     )
     return suites_certificate("selftest", config, "all module property suites", results)
 

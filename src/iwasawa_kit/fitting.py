@@ -2,10 +2,12 @@
 Fitting ideals.
 
 A FiniteCommAlgebra is a free Z/p^N-module of rank dim with sparse structure
-constants `terms`; elements are int tuples in the basis. Every module/ideal
-question reduces to Howell-form linear algebra over Z/p^N through the regular
-representation. Ideal handles canonicalize through that form, so ideal
-equality and membership are exact.
+constants `terms`; elements are int tuples in the basis. A GroupAlgebra keeps
+only the group law (groupring.mul_table and inversion, shared by every
+algebra over the group) and multiplies along it; its `terms` are built only
+when read. Every module/ideal question reduces to Howell-form linear algebra
+over Z/p^N through the regular representation. Ideal handles canonicalize
+through that form, so ideal equality and membership are exact.
 
 A group algebra (Z/p^N)[G] with p odd, G = P x Delta (P the p-part) and
 Delta nontrivial of exponent dividing p - 1 splits by the idempotents of
@@ -56,12 +58,13 @@ class FiniteCommAlgebra:
     """Commutative Z/p^N-algebra with a distinguished basis.
 
     `terms[i][j]` lists the nonzero (k, c) of basis_i * basis_j, k ascending
-    and 0 < c < q, and is the only structure-constant table: products loop
-    over it, O(dim^2) for a group algebra (one term per pair). `sharp`
-    (optional) is the involution as a list of basis-image vectors. `q` = p^N
-    is an attribute. The dense table (basis_i * basis_j as a coefficient
-    vector) exists only in the JSON form. `prime_to_p` is the algebra's
-    PrimeToPSplit; only a GroupAlgebra can have one.
+    and 0 < c < q; products loop over it. `sharp` (optional) is the
+    involution as a list of basis-image vectors, kept as `sharp_images`.
+    `q` = p^N is an attribute. The dense table (basis_i * basis_j as a
+    coefficient vector) exists only in the JSON form. A GroupAlgebra reads
+    the group law instead and builds `terms` and `sharp_images` only when
+    they are read. `prime_to_p` is the algebra's PrimeToPSplit; only a
+    GroupAlgebra can have one.
     """
 
     prime_to_p: PrimeToPSplit | None = None
@@ -76,18 +79,20 @@ class FiniteCommAlgebra:
         sharp: list[Vec] | None = None,
         name: str = "",
     ):
+        self._ring(p, N, basis, one, name)
+        self.terms = terms
+        self.sharp_images = (
+            [tuple(c % self.q for c in v) for v in sharp] if sharp is not None else None
+        )
+
+    def _ring(self, p: int, N: int, basis, one: Vec, name: str) -> None:
         self.R = ZModPN(p, N)
         self.p, self.N = p, N
         self.q = q = p**N
-        self.dim = dim = len(basis)
+        self.dim = len(basis)
         self.basis = list(basis)
-        self.terms = terms
         self.one = tuple(c % q for c in one)
-        self.sharp_images = (
-            [tuple(c % q for c in v) for v in sharp] if sharp is not None else None
-        )
         self.name = name or f"(Z/{p}^{N})[dim {self.dim}]"
-        self._basis_vectors = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
 
     # -- element arithmetic (elements are int tuples of length dim) --------
 
@@ -95,7 +100,7 @@ class FiniteCommAlgebra:
         return (0,) * self.dim
 
     def basis_element(self, i: int) -> Vec:
-        return self._basis_vectors[i]
+        return (0,) * i + (1,) + (0,) * (self.dim - 1 - i)
 
     def add(self, x: Vec, y: Vec) -> Vec:
         return tuple((a + b) % self.q for a, b in zip(x, y))
@@ -231,10 +236,15 @@ class FiniteCommAlgebra:
 # Constructors.
 
 def same_algebra(a: FiniteCommAlgebra, b: FiniteCommAlgebra) -> bool:
-    """Structural identity: same prime power and the same structure constants."""
-    return a is b or (
-        (a.p, a.N, a.dim) == (b.p, b.N, b.dim) and a.one == b.one and a.terms == b.terms
-    )
+    """Structural identity: same prime power and the same structure constants.
+    Two group algebras have them when their product tables agree (the unit
+    is g_0 in both), and builds over one group share one cached table, so no
+    `terms` are read."""
+    if a is b:
+        return True
+    if isinstance(a, GroupAlgebra) and isinstance(b, GroupAlgebra):
+        return (a.p, a.N) == (b.p, b.N) and a.table == b.table
+    return (a.p, a.N, a.dim) == (b.p, b.N, b.dim) and a.one == b.one and a.terms == b.terms
 
 
 def zmod_algebra(p: int, N: int) -> FiniteCommAlgebra:
@@ -243,24 +253,46 @@ def zmod_algebra(p: int, N: int) -> FiniteCommAlgebra:
 
 class GroupAlgebra(FiniteCommAlgebra):
     """(Z/p^N)[A] for a finite abelian group A; basis = the group elements in
-    the order of groupring.basis_index, and basis_i * basis_j is the one term
-    (index of g_i g_j, 1) of groupring.mul_table. A row of the regular
-    representation is a permutation of coefficients. `prime_to_p` is the
-    algebra's PrimeToPSplit or None, built once per (p, N, A) and shared."""
+    the order of groupring.basis_index. The algebra keeps the group law: the
+    cached `table` = groupring.mul_table (g_i g_j at [i][j]) and `inversion`
+    (g_i^-1 at i), shared by every algebra over A, so a build is O(dim) once
+    the group's table exists. `mul` convolves along the table, `sharp_of`
+    and the rows of the regular representation permute coefficients, and
+    `terms` (the one term (index of g_i g_j, 1) per pair) and `sharp_images`
+    are built only when read (to_json, validate, same_algebra against an
+    algebra that is not a group algebra). `prime_to_p` is the algebra's
+    PrimeToPSplit or None, built once per (p, N, A) and shared."""
 
     def __init__(self, p: int, N: int, group: FiniteAbelianGroup):
         self.group = group
-        index = basis_index(group)
-        elems = list(index)
-        dim = len(elems)
-        units = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
-        table, inv = mul_table(group), inversion(group)
-        terms = [[[(k, 1)] for k in row] for row in table]
-        one = units[index[group.identity]]
-        sharp = [units[k] for k in inv]
-        super().__init__(p, N, elems, terms, one, sharp, name=f"(Z/{p}^{N}){group.orders}")
-        self.index = index
-        self._translates = [table[i] for i in inv]  # row j: g_k g_j^-1 at k
+        self.index = index = basis_index(group)
+        self.table, self.inversion = mul_table(group), inversion(group)
+        one = (1,) + (0,) * (len(index) - 1)  # the identity is g_0
+        self._ring(p, N, index, one, f"(Z/{p}^{N}){group.orders}")
+        self._translates = [self.table[i] for i in self.inversion]  # row j: g_k g_j^-1 at k
+
+    @cached_property
+    def terms(self) -> list[list[list[tuple[int, int]]]]:
+        return [[[(k, 1)] for k in row] for row in self.table]
+
+    @cached_property
+    def sharp_images(self) -> list[Vec]:
+        return [self.basis_element(k) for k in self.inversion]
+
+    def mul(self, x: Vec, y: Vec) -> Vec:
+        """The convolution: x_i y_j goes to the index of g_i g_j."""
+        out = [0] * self.dim
+        ys = [(j, b) for j, b in enumerate(y) if b]
+        for a, row in zip(x, self.table):
+            if a:
+                for j, b in ys:
+                    out[row[j]] += a * b
+        return tuple([c % self.q for c in out])
+
+    def sharp_of(self, x: Vec) -> Vec:
+        """x^#: the coefficient at g moves to g^-1."""
+        q = self.q
+        return tuple([x[i] % q for i in self.inversion])
 
     def regular_rows(self, x: Vec) -> list[list[int]]:
         """Rows of multiplication-by-x: row j = x * g_j, the coefficients of
@@ -383,7 +415,7 @@ def minus_quotient(alg: GroupAlgebra, j) -> tuple[FiniteCommAlgebra, AlgebraMorp
     j = group.reduce(j)
     if j == group.identity or group.mul(j, j) != group.identity:
         raise ValueError("complex conjugation must have exact order 2")
-    index, q, table = alg.index, alg.q, mul_table(group)
+    index, q, table = alg.index, alg.q, alg.table
     reps: list[int] = []  # basis indices of the representatives
     partner: dict[int, tuple[int, int]] = {}  # basis index -> (rep, +-1 mod q)
     for i, ij in enumerate(table[index[j]]):
@@ -401,7 +433,7 @@ def minus_quotient(alg: GroupAlgebra, j) -> tuple[FiniteCommAlgebra, AlgebraMorp
 
     terms = [[[partner[table[a][b]]] for b in reps] for a in reps]
     one = project(index[group.identity])
-    sharp = [project(inversion(group)[a]) for a in reps]
+    sharp = [project(alg.inversion[a]) for a in reps]
     basis = [alg.basis[a] for a in reps]
     quo = FiniteCommAlgebra(alg.p, alg.N, basis, terms, one, sharp, name=f"{alg.name}-minus")
     proj = AlgebraMorphism(alg, quo, [project(k) for k in range(alg.dim)])

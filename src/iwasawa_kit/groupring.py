@@ -40,16 +40,19 @@ def linear_form(group: "FiniteAbelianGroup", weights, modulus: int) -> list[int]
     return values
 
 
-def mul_table(group: "FiniteAbelianGroup") -> list[list[int]]:
-    """table[i][j] = basis index of g_i g_j. The basis order is mixed radix
-    (the last coordinate runs fastest), so the table of C_o x H is built from
-    the table of H one cyclic factor at a time, with no group element formed."""
-    table, size = [[0]], 1
+@lru_cache(maxsize=None)
+def mul_table(group: "FiniteAbelianGroup") -> tuple[tuple[int, ...], ...]:
+    """table[i][j] = basis index of g_i g_j, cached per group; the rows are
+    tuples, shared by every algebra over the group. The basis order is mixed
+    radix (the last coordinate runs fastest), so the table of C_o x H is built
+    from the table of H one cyclic factor at a time, with no group element
+    formed."""
+    table, size = [(0,)], 1
     for o in reversed(group.orders):
-        table = [[(a + b) % o * size + k for b in range(o) for k in row]
+        table = [tuple([(a + b) % o * size + k for b in range(o) for k in row])
                  for a in range(o) for row in table]
         size *= o
-    return table
+    return tuple(table)
 
 
 def _index_map(digits, radices) -> list[int]:

@@ -286,7 +286,9 @@ def test_basis_order_of_logs_and_products():
                 for g in elems
             ]
         index = {g: i for i, g in enumerate(elems)}
-        assert mul_table(grp) == [[index[grp.mul(g, h)] for h in elems] for g in elems]
+        assert mul_table(grp) == tuple(
+            tuple(index[grp.mul(g, h)] for h in elems) for g in elems
+        )
 
 
 def test_c2_decompose_examples():

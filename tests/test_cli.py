@@ -463,6 +463,20 @@ def test_recheck_refuses_a_negative_count(tmp_path, capsys):
     assert "input.trials: expected a non-negative integer, got -1" in err["error"]
 
 
+def test_recheck_refuses_an_empty_data_dir(tmp_path, capsys, monkeypatch):
+    # a stored selftest input naming the empty data directory is refused
+    # before any suite runs, as on the command line
+    from iwasawa_kit import cli
+
+    monkeypatch.setattr(cli, "run_all", lambda **kw: pytest.fail("the suites ran"))
+    config = {"seed": 0, "max_conductor": 3, "trials": 1, "complex_trials": 1, "data_dir": ""}
+    out = tmp_path / "selftest.json"
+    out.write_text(json.dumps({"command": "selftest", "input": config, "result": {}}))
+    code, err = run_refused(capsys, "recheck", str(out))
+    assert code == EXIT_IO and err["exit"] == EXIT_IO
+    assert "input.data_dir: expected a directory name" in err["error"]
+
+
 def test_closed_stdout_exits_4_without_a_traceback():
     # the read end of stdout is closed before the child writes its certificate
     read_end, write_end = os.pipe()
@@ -686,14 +700,16 @@ MANIFEST = json.loads((DATA / "manifest.json").read_text())
     [("[]", "."), (json.dumps(with_field(MANIFEST, ("entries", 0, "data"), "nosuch.json")), "."),
      ("{", "."), (json.dumps(with_field(MANIFEST, ("entries", 0, "p"), 3.0)), "."),
      (json.dumps(with_field(MANIFEST, ("entries", 1, "S"), [3, "oo"])), "."),
-     (None, "nosuch"), (None, "."), (json.dumps(MANIFEST), "manifest.json")],
+     (None, "nosuch"), (None, "."), (json.dumps(MANIFEST), "manifest.json"),
+     (None, "")],
     ids=["list", "missing-data-file", "not-json", "float-p", "int-S",
-         "missing-dir", "no-manifest", "regular-file"],
+         "missing-dir", "no-manifest", "regular-file", "empty"],
 )
 def test_selftest_refuses_bad_data_dir(tmp_path, capsys, monkeypatch, manifest, data_dir):
     # the manifest and every data file it names are read and checked before
     # the first campaign runs; a data directory that is missing, has no
-    # manifest or is a file is refused, not skipped
+    # manifest, is a file or is named by the empty string is refused, not
+    # skipped
     from iwasawa_kit import campaigns
 
     def campaign(seed):
@@ -706,7 +722,7 @@ def test_selftest_refuses_bad_data_dir(tmp_path, capsys, monkeypatch, manifest, 
         (tmp_path / "manifest.json").write_text(manifest)
     code, err = run_refused(
         capsys, "selftest", "--max-conductor", "3", "--trials", "1", "--complex-trials", "1",
-        "--data-dir", str(tmp_path / data_dir),
+        "--data-dir", str(tmp_path / data_dir) if data_dir else "",
     )
     assert code == EXIT_IO and err["exit"] == EXIT_IO
 

@@ -2,10 +2,12 @@
 modules, Fitting ideals, duals, and the executable lemmas."""
 
 import random
+import tracemalloc
 
 import pytest
 from algebra_helpers import nilpotent_extension
 
+from iwasawa_kit import groupring
 from iwasawa_kit.abelian import FiniteAbelianGroup
 from iwasawa_kit.fitting import (
     AlgebraMorphism,
@@ -378,6 +380,24 @@ def test_four_term_rejects_non_exact():
     gamma = identity_map(C)
     with pytest.raises(ValueError, match="^sequence is not exact at C'$"):
         four_term_check(M0, C, C, C, alpha, beta, gamma)
+
+
+def test_a_dim_486_group_algebra_build_allocates_under_8_mb():
+    """(Z/9)[C2 x C243], built first over its group: the group's product
+    table, inversion and basis index included, the build allocates less than
+    8 MB (a dim x dim table of one-term lists took 36 MB), and it builds no
+    structure-constant table. Memory, not time: the bound holds on any
+    machine."""
+    for cached in (groupring.mul_table, groupring.inversion, groupring.basis_index):
+        cached.cache_clear()
+    tracemalloc.start()
+    try:
+        alg = GroupAlgebra(3, 2, FiniteAbelianGroup((2, 243)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert alg.dim == 486 and peak < 8_000_000
+    assert "terms" not in vars(alg) and "sharp_images" not in vars(alg)
 
 
 def test_tower_fitting_check_principal():

@@ -781,10 +781,129 @@ def test_group_algebra_sharp_and_translates_match_the_element_tables(orders):
     index, elems = _element_index(group), list(group.elements())
     assert alg.sharp_images == [alg.basis_element(index[group.inv(g)]) for g in elems]
     assert alg._translates == [
-        [index[group.mul(g, group.inv(h))] for g in elems] for h in elems
+        tuple(index[group.mul(g, group.inv(h))] for g in elems) for h in elems
     ]
     x = distinct_coefficients(group, random.Random(group.size))
-    assert alg.regular_rows(x) == [list(alg.mul(x, b)) for b in alg._basis_vectors]
+    basis = [alg.basis_element(i) for i in range(alg.dim)]
+    assert alg.regular_rows(x) == [list(alg.mul(x, b)) for b in basis]
+
+
+# ---------------------------------------------------------------------------
+# Group algebras on the group law: products, # and the regular rows read the
+# group's shared table; the dense dim x dim table of unit vectors is the
+# oracle.
+
+class LazyList:
+    """A read-only list whose entries are formed when they are read."""
+
+    def __init__(self, size, entry):
+        self.size, self.entry = size, entry
+
+    def __len__(self):
+        return self.size
+
+    def __getitem__(self, i):
+        return self.entry(i)
+
+
+def dense_unit_table(group):
+    """group_algebra_reference's `mult`, each unit vector of g_i g_j formed
+    through group.mul when it is read: the table itself has dim^3 entries
+    (1.1e8 at dim 486)."""
+    elems, index, dim = list(group.elements()), _element_index(group), group.size
+
+    def unit(i, j):
+        k = index[group.mul(elems[i], elems[j])]
+        return [int(t == k) for t in range(dim)]
+
+    return LazyList(dim, lambda i: LazyList(dim, lambda j: unit(i, j)))
+
+
+def regular_rows_reference(x, group, q):
+    """Row j of multiplication by x through group.mul: x_i at g_i g_j."""
+    elems, index = list(group.elements()), _element_index(group)
+    rows = []
+    for h in elems:
+        row = [0] * group.size
+        for g, c in zip(elems, x):
+            row[index[group.mul(g, h)]] = c % q
+        rows.append(row)
+    return rows
+
+
+Z3 = AbelianFieldSpec.cyclotomic(3)
+GROUP_LAW_GROUPS = [pytest.param(FiniteAbelianGroup(o), id=str(o)) for o in REFERENCE_ORDERS]
+GROUP_LAW_GROUPS += [pytest.param(tower_level(Z3, 3, n).group, id=f"zeta3-level-{n}")
+                     for n in range(6)]
+
+
+@pytest.mark.parametrize("group", GROUP_LAW_GROUPS)
+def test_group_algebra_on_the_group_law_matches_the_dense_construction(group):
+    """The reference orders and the Q(zeta3) levels up to dim 486: mul against
+    the dense table, the regular rows and # against the element route, and
+    to_json byte for byte where the dense JSON (dim^3 entries) is written,
+    up to dim 54. Above dim 54 the second factor of each product is sparse,
+    as the lazily formed table costs dim per basis product."""
+    p, N = 3, 2
+    alg, q, dim = GroupAlgebra(p, N, group), p**N, group.size
+    rng = random.Random(dim)
+    ref = group_algebra_reference(p, N, group) if dim <= 54 else None
+    mult = ref["mult"] if ref else dense_unit_table(group)
+    x = distinct_coefficients(group, rng)
+    for _ in range(2):
+        y = [0] * dim
+        for k in rng.sample(range(dim), dim if dim <= 54 else 4):
+            y[k] = rng.randrange(-q, 2 * q)
+        assert alg.mul(x, tuple(y)) == mul_reference(mult, q, x, y)
+    assert alg.regular_rows(x) == regular_rows_reference(x, group, q)
+    assert alg.sharp_of(x) == tuple(c % q for c in sharp_reference(x, group))
+    assert "terms" not in vars(alg) and "sharp_images" not in vars(alg)
+    if ref:
+        assert json.dumps(alg.to_json()) == json.dumps(ref)
+
+
+def test_same_algebra_reads_the_group_law():
+    """Two group algebras are the same when (p, N) and the group orders agree
+    (up to cyclic factors of order 1): the product tables give the verdict
+    that the terms of a from_json copy give, and no terms are built."""
+    c2c9 = FiniteAbelianGroup((2, 9))
+    alg = GroupAlgebra(3, 2, c2c9)
+    twin = GroupAlgebra(3, 2, FiniteAbelianGroup((2, 9)))
+    assert same_algebra(alg, twin) and "terms" not in vars(alg) and "terms" not in vars(twin)
+    copy = FiniteCommAlgebra.from_json(GroupAlgebra(3, 2, c2c9).to_json())
+    assert same_algebra(alg, copy) and same_algebra(copy, alg)
+    others = [GroupAlgebra(3, 3, c2c9), GroupAlgebra(2, 2, c2c9)]
+    others += [GroupAlgebra(3, 2, FiniteAbelianGroup(o)) for o in ((18,), (9, 2), (2, 3, 3))]
+    for other in others:
+        assert not same_algebra(alg, other) and not same_algebra(other, alg)
+        assert not same_algebra(copy, other) and not same_algebra(other, copy)
+    # a cyclic factor of order 1 changes neither the basis order nor the table
+    orders = ((2, 1), (2,), (1, 2), (4,), (2, 2))
+    algebras = [GroupAlgebra(3, 2, FiniteAbelianGroup(o)) for o in orders]
+    for a in algebras:
+        for b in algebras:
+            assert same_algebra(a, b) == same_algebra(a, FiniteCommAlgebra.from_json(b.to_json()))
+    assert same_algebra(algebras[0], algebras[1]) and same_algebra(algebras[2], algebras[1])
+    assert not same_algebra(algebras[3], algebras[4])
+
+
+@pytest.mark.parametrize("orders", [(2, 9), (9,), (2, 27)], ids=str)
+def test_group_algebra_use_builds_no_structure_table(orders):
+    """Products, regular rows, #, a Fitting ideal, its product and sharp and an
+    ideal comparison across two builds leave `terms` and `sharp_images`
+    unbuilt."""
+    alg = GroupAlgebra(3, 2, FiniteAbelianGroup(orders))
+    twin = GroupAlgebra(3, 2, FiniteAbelianGroup(orders))
+    rng = random.Random(alg.dim)
+    x, y = (tuple(rng.randrange(alg.q) for _ in range(alg.dim)) for _ in range(2))
+    alg.mul(x, y)
+    alg.regular_rows(x)
+    alg.sharp_of(x)
+    I = principal_module(alg, x).fitting_ideal
+    assert I == IdealHandle(twin, [x]) and I.size() == IdealHandle(twin, [x]).size()
+    assert I.product(I.sharp()).contains(IdealHandle(alg, [alg.mul(x, alg.sharp_of(x))]))
+    for a in (alg, twin):
+        assert "terms" not in vars(a) and "sharp_images" not in vars(a)
 
 
 # ---------------------------------------------------------------------------

@@ -366,3 +366,20 @@ def test_fitting_ideals_at_the_widest_tower_level(r):
     top, x = algs[-1], t.entries[-1]
     M1, M2 = principal_module(top, x), principal_module(top, top.sharp_of(x))
     assert M1.direct_sum(M2).fitting_ideal == M1.fitting_ideal.product(M2.fitting_ideal)
+
+
+@pytest.mark.parametrize("r", [0, -1])
+def test_fitting_ideals_descend_the_tower_to_dim_486(r):
+    """Over Q(zeta3) at p = 3, N = 2 up to n = 5 the top level is
+    (Z/9)[C2 x C243], dim 486: every level's Fitting ideal contains the
+    projection of the next level's and equals it."""
+    t = theta_tower(Z3, [3, OO], [7], 3, 2, 5, r)
+    algs = [GroupAlgebra(3, 2, level.group) for level in t.levels]
+    assert [alg.dim for alg in algs] == [2, 6, 18, 54, 162, 486]
+    mods = [principal_module(alg, entry) for alg, entry in zip(algs, t.entries)]
+    projections = [
+        group_algebra_morphism(algs[n + 1], algs[n], lambda g, n=n: t.levels[n + 1].project(g, n))
+        for n in range(5)
+    ]
+    report = tower_fitting_check(mods, projections)
+    assert report["ok"] and report["equal"] == [True] * 5
