@@ -327,13 +327,10 @@ def _random_module(alg, rng, max_gens: int = 2) -> FinPresModule:
 
 
 def _random_square(alg, rng, nmax: int = 2) -> FinPresModule:
-    from .fitting import _det
-
     while True:
         n = rng.randint(1, nmax)
-        h = [[_random_element(alg, rng) for _ in range(n)] for _ in range(n)]
-        M = FinPresModule(alg, n, h)
-        if any(_det(alg, h)):
+        M = FinPresModule(alg, n, [[_random_element(alg, rng) for _ in range(n)] for _ in range(n)])
+        if M.has_square_regular_presentation():
             return M
 
 

@@ -91,8 +91,7 @@ def count(node: wire.Node) -> int:
     return value
 
 
-def emit(cert: dict, out: str | None) -> None:
-    text = json.dumps(cert, indent=2, sort_keys=True)
+def emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text + "\n")
     print(text, flush=True)  # a closed stdout fails here, inside main
@@ -428,14 +427,18 @@ def main(argv=None) -> int:
             cert, code = run_recheck(args.certificate)
         else:
             cert, code = RUNNERS[args.command](wire.Node(configuration(args), "configuration"))
+        # inside the handlers: an int longer than sys.get_int_max_str_digits() is a ValueError
+        text = json.dumps(cert, indent=2, sort_keys=True)
     except (CliError, wire.SchemaError) as exc:
         return refuse(exc.code if isinstance(exc, CliError) else EXIT_IO, str(exc))
     except DualActionError as exc:
         return refuse(EXIT_CHECK_FAILED, str(exc), witness=list(exc.witness))
     except ValueError as exc:
         return refuse(EXIT_PRECONDITION, str(exc))
+    except MemoryError:
+        return refuse(EXIT_PRECONDITION, "out of memory: the input is too large to run")
     try:
-        emit(cert, getattr(args, "out", None))
+        emit(text, getattr(args, "out", None))
     except BrokenPipeError:
         # The reader is gone: send what is left to devnull, so that the
         # interpreter's final flush of stdout cannot fail again.

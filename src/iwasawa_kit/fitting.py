@@ -4,10 +4,12 @@ Fitting ideals.
 A FiniteCommAlgebra is a free Z/p^N-module of rank dim with sparse structure
 constants `terms`; elements are int tuples in the basis. A GroupAlgebra keeps
 only the group law (groupring.mul_table and inversion, shared by every
-algebra over the group) and multiplies along it; its `terms` are built only
-when read. Every module/ideal question reduces to Howell-form linear algebra
-over Z/p^N through the regular representation. Ideal handles canonicalize
-through that form, so ideal equality and membership are exact.
+algebra over the group) and multiplies along it. Code outside the two
+classes reads an algebra through its operations (mul, sharp_of,
+regular_rows), never through its storage. Every module/ideal question
+reduces to Howell-form linear algebra over Z/p^N through the regular
+representation. Ideal handles canonicalize through that form, so ideal
+equality and membership are exact.
 
 A group algebra (Z/p^N)[G] with p odd, G = P x Delta (P the p-part) and
 Delta nontrivial of exponent dividing p - 1 splits by the idempotents of
@@ -59,12 +61,12 @@ class FiniteCommAlgebra:
 
     `terms[i][j]` lists the nonzero (k, c) of basis_i * basis_j, k ascending
     and 0 < c < q; products loop over it. `sharp` (optional) is the
-    involution as a list of basis-image vectors, kept as `sharp_images`.
-    `q` = p^N is an attribute. The dense table (basis_i * basis_j as a
-    coefficient vector) exists only in the JSON form. A GroupAlgebra reads
-    the group law instead and builds `terms` and `sharp_images` only when
-    they are read. `prime_to_p` is the algebra's PrimeToPSplit; only a
-    GroupAlgebra can have one.
+    involution as a list of basis-image vectors, kept as `sharp_images`;
+    `has_sharp` says whether it was given. `q` = p^N is an attribute. The
+    dense table (basis_i * basis_j as a coefficient vector) exists only in
+    the JSON form. A GroupAlgebra has no `terms` or `sharp_images`: it reads
+    the group law instead. `prime_to_p` is the algebra's PrimeToPSplit; only
+    a GroupAlgebra can have one.
     """
 
     prime_to_p: PrimeToPSplit | None = None
@@ -81,9 +83,8 @@ class FiniteCommAlgebra:
     ):
         self._ring(p, N, basis, one, name)
         self.terms = terms
-        self.sharp_images = (
-            [tuple(c % self.q for c in v) for v in sharp] if sharp is not None else None
-        )
+        self.has_sharp = sharp is not None
+        self.sharp_images = [tuple(c % self.q for c in v) for v in sharp or ()]
 
     def _ring(self, p: int, N: int, basis, one: Vec, name: str) -> None:
         self.R = ZModPN(p, N)
@@ -127,7 +128,7 @@ class FiniteCommAlgebra:
         return tuple(c % self.q for c in out)
 
     def sharp_of(self, x: Vec) -> Vec:
-        if self.sharp_images is None:
+        if not self.has_sharp:
             raise ValueError(f"{self.name} carries no # involution")
         return tuple(combine(x, self.sharp_images, self.dim, self.q))
 
@@ -188,7 +189,7 @@ class FiniteCommAlgebra:
                     a, b, c = (self.basis_element(t) for t in (i, j, k))
                     if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
                         raise ValueError("multiplication is not associative")
-        if self.sharp_images is not None:
+        if self.has_sharp:
             for i in range(self.dim):
                 bi = self.basis_element(i)
                 if self.sharp_of(self.sharp_of(bi)) != bi:
@@ -201,16 +202,14 @@ class FiniteCommAlgebra:
 
     def to_json(self) -> dict:
         """The wire form: `mult[i][j]` is the dense vector of basis_i * basis_j."""
-        dim = self.dim
+        basis = [self.basis_element(i) for i in range(self.dim)]
         return {
             "p": self.p,
             "N": self.N,
             "basis": [str(b) for b in self.basis],
-            "mult": [
-                [[t.get(k, 0) for k in range(dim)] for t in map(dict, row)] for row in self.terms
-            ],
+            "mult": [[list(self.mul(x, y)) for y in basis] for x in basis],
             "one": list(self.one),
-            "sharp": [list(v) for v in self.sharp_images] if self.sharp_images else None,
+            "sharp": [list(self.sharp_of(x)) for x in basis] if self.has_sharp else None,
             "name": self.name,
         }
 
@@ -236,15 +235,17 @@ class FiniteCommAlgebra:
 # Constructors.
 
 def same_algebra(a: FiniteCommAlgebra, b: FiniteCommAlgebra) -> bool:
-    """Structural identity: same prime power and the same structure constants.
-    Two group algebras have them when their product tables agree (the unit
-    is g_0 in both), and builds over one group share one cached table, so no
-    `terms` are read."""
+    """Structural identity: same prime power, unit and products of basis
+    pairs. Two group algebras have them when their product tables agree (the
+    unit is g_0 in both), and builds over one group share one cached table."""
     if a is b:
         return True
     if isinstance(a, GroupAlgebra) and isinstance(b, GroupAlgebra):
         return (a.p, a.N) == (b.p, b.N) and a.table == b.table
-    return (a.p, a.N, a.dim) == (b.p, b.N, b.dim) and a.one == b.one and a.terms == b.terms
+    if (a.p, a.N, a.dim, a.one) != (b.p, b.N, b.dim, b.one):
+        return False
+    basis = [a.basis_element(i) for i in range(a.dim)]
+    return all(a.mul(x, y) == b.mul(x, y) for x in basis for y in basis)
 
 
 def zmod_algebra(p: int, N: int) -> FiniteCommAlgebra:
@@ -257,11 +258,12 @@ class GroupAlgebra(FiniteCommAlgebra):
     cached `table` = groupring.mul_table (g_i g_j at [i][j]) and `inversion`
     (g_i^-1 at i), shared by every algebra over A, so a build is O(dim) once
     the group's table exists. `mul` convolves along the table, `sharp_of`
-    and the rows of the regular representation permute coefficients, and
-    `terms` (the one term (index of g_i g_j, 1) per pair) and `sharp_images`
-    are built only when read (to_json, validate, same_algebra against an
-    algebra that is not a group algebra). `prime_to_p` is the algebra's
-    PrimeToPSplit or None, built once per (p, N, A) and shared."""
+    and the rows of the regular representation permute coefficients; no
+    copy of the law in the general algebra's format is kept. `prime_to_p` is
+    the algebra's PrimeToPSplit or None, built once per (p, N, A) and
+    shared."""
+
+    has_sharp = True
 
     def __init__(self, p: int, N: int, group: FiniteAbelianGroup):
         self.group = group
@@ -270,14 +272,6 @@ class GroupAlgebra(FiniteCommAlgebra):
         one = (1,) + (0,) * (len(index) - 1)  # the identity is g_0
         self._ring(p, N, index, one, f"(Z/{p}^{N}){group.orders}")
         self._translates = [self.table[i] for i in self.inversion]  # row j: g_k g_j^-1 at k
-
-    @cached_property
-    def terms(self) -> list[list[list[tuple[int, int]]]]:
-        return [[[(k, 1)] for k in row] for row in self.table]
-
-    @cached_property
-    def sharp_images(self) -> list[Vec]:
-        return [self.basis_element(k) for k in self.inversion]
 
     def mul(self, x: Vec, y: Vec) -> Vec:
         """The convolution: x_i y_j goes to the index of g_i g_j."""
@@ -883,7 +877,7 @@ def pontryagin_dual(M: FinPresModule) -> FinPresModule:
     handed to contragredient_presentation.
     """
     alg = M.algebra
-    if alg.sharp_images is None:
+    if not alg.has_sharp:
         raise ValueError("pontryagin dual needs the # involution")
     R, q = alg.R, alg.q
     w = M.rwidth

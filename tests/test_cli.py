@@ -451,6 +451,28 @@ def test_negative_counts_are_refused(tmp_path, capsys, monkeypatch, argv, field)
     assert f"{field}: expected a non-negative integer" in err["error"]
 
 
+def test_a_certificate_past_the_int_str_limit_is_refused(capsys):
+    # the tower entries mod 3^10000 have more than 4,300 digits, past
+    # sys.get_int_max_str_digits(), so json could neither write nor reread them
+    argv = ["tower", "--spec", "zeta3", "--S", "3,oo", "--T", "7", "--p", "3", "--N", "10000",
+            "--levels", "1"]
+    code, err = run_refused(capsys, *argv)
+    assert code == EXIT_PRECONDITION and err["exit"] == EXIT_PRECONDITION
+    assert f"limit ({sys.get_int_max_str_digits()} digits)" in err["error"]
+
+
+def test_a_run_out_of_memory_is_refused(capsys, monkeypatch):
+    from iwasawa_kit import cli
+
+    def exhausted(config):
+        raise MemoryError
+
+    monkeypatch.setitem(cli.RUNNERS, "fitting", exhausted)
+    code, err = run_refused(capsys, "fitting", "--trials", "1")
+    assert code == EXIT_PRECONDITION and err["exit"] == EXIT_PRECONDITION
+    assert err["error"].startswith("out of memory")
+
+
 def test_recheck_refuses_a_negative_count(tmp_path, capsys):
     out = tmp_path / "fitting.json"
     code, _ = run(capsys, "fitting", "--seed", "1", "--trials", "1", "--out", str(out))

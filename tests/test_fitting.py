@@ -397,7 +397,7 @@ def test_a_dim_486_group_algebra_build_allocates_under_8_mb():
     finally:
         tracemalloc.stop()
     assert alg.dim == 486 and peak < 8_000_000
-    assert "terms" not in vars(alg) and "sharp_images" not in vars(alg)
+    assert not hasattr(alg, "terms") and not hasattr(alg, "sharp_images")
 
 
 def test_tower_fitting_check_principal():

@@ -10,6 +10,7 @@ exactness and quasi-isomorphism tests that compared kernel spans."""
 import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 from algebra_helpers import nilpotent_extension_json
@@ -163,14 +164,12 @@ def zmod_reference(p, N):
 
 
 def check_against_reference(alg, ref):
-    """alg has the reference's structure constants, unit and #, and writes
-    the reference's JSON byte for byte."""
-    q = alg.q
-    assert alg.terms == [
-        [[(k, c % q) for k, c in enumerate(v) if c % q] for v in row] for row in ref["mult"]
-    ]
+    """alg has the reference's products of basis pairs, unit and #, and
+    writes the reference's JSON byte for byte."""
+    basis = [alg.basis_element(i) for i in range(alg.dim)]
+    assert [[list(alg.mul(x, y)) for y in basis] for x in basis] == ref["mult"]
     assert list(alg.one) == ref["one"]
-    assert [list(v) for v in alg.sharp_images] == ref["sharp"]
+    assert [list(alg.sharp_of(x)) for x in basis] == ref["sharp"]
     assert json.dumps(alg.to_json()) == json.dumps(ref)
     assert same_algebra(alg, FiniteCommAlgebra.from_json(alg.to_json()))
 
@@ -491,9 +490,10 @@ def test_ideal_equal_oracle_agrees_on_products():
 def ideal_howell_reference(I, cache=None):
     """The former canonical form of every ideal: one Howell form of width dim
     in the algebra's own basis, from the regular rows that the structure
-    constants give, a product's taken from its factors' full-width forms (a
-    factor with more generators than dim contributes its rows). `cache` maps
-    id(ideal) to (ideal, form) across calls."""
+    constants give (over a group algebra, the rows that group.mul gives), a
+    product's taken from its factors' full-width forms (a factor with more
+    generators than dim contributes its rows). `cache` maps id(ideal) to
+    (ideal, form) across calls."""
     cache = {} if cache is None else cache
     if id(I) in cache:
         return cache[id(I)][1]
@@ -508,7 +508,10 @@ def ideal_howell_reference(I, cache=None):
             rows = [alg.mul(x, y) for x in ideal_howell_reference(J, cache) for y in ys]
             out = howell_form(rows, dim, alg.R)
     if out is None:
-        rows = [r for g in I.generators for r in FiniteCommAlgebra.regular_rows(alg, g)]
+        if isinstance(alg, GroupAlgebra):
+            rows = [r for g in I.generators for r in regular_rows_reference(g, alg.group, alg.q)]
+        else:
+            rows = [r for g in I.generators for r in FiniteCommAlgebra.regular_rows(alg, g)]
         out = howell_form(rows, dim, alg.R)
     cache[id(I)] = (I, out)
     return out
@@ -779,12 +782,12 @@ def test_group_algebra_sharp_and_translates_match_the_element_tables(orders):
     group = FiniteAbelianGroup(orders)
     alg = GroupAlgebra(3, 2, group)
     index, elems = _element_index(group), list(group.elements())
-    assert alg.sharp_images == [alg.basis_element(index[group.inv(g)]) for g in elems]
+    basis = [alg.basis_element(i) for i in range(alg.dim)]
+    assert [alg.sharp_of(b) for b in basis] == [basis[index[group.inv(g)]] for g in elems]
     assert alg._translates == [
         tuple(index[group.mul(g, group.inv(h))] for g in elems) for h in elems
     ]
     x = distinct_coefficients(group, random.Random(group.size))
-    basis = [alg.basis_element(i) for i in range(alg.dim)]
     assert alg.regular_rows(x) == [list(alg.mul(x, b)) for b in basis]
 
 
@@ -857,7 +860,7 @@ def test_group_algebra_on_the_group_law_matches_the_dense_construction(group):
         assert alg.mul(x, tuple(y)) == mul_reference(mult, q, x, y)
     assert alg.regular_rows(x) == regular_rows_reference(x, group, q)
     assert alg.sharp_of(x) == tuple(c % q for c in sharp_reference(x, group))
-    assert "terms" not in vars(alg) and "sharp_images" not in vars(alg)
+    assert not hasattr(alg, "terms") and not hasattr(alg, "sharp_images")
     if ref:
         assert json.dumps(alg.to_json()) == json.dumps(ref)
 
@@ -865,11 +868,12 @@ def test_group_algebra_on_the_group_law_matches_the_dense_construction(group):
 def test_same_algebra_reads_the_group_law():
     """Two group algebras are the same when (p, N) and the group orders agree
     (up to cyclic factors of order 1): the product tables give the verdict
-    that the terms of a from_json copy give, and no terms are built."""
+    that the products of a from_json copy give, and neither has `terms`."""
     c2c9 = FiniteAbelianGroup((2, 9))
     alg = GroupAlgebra(3, 2, c2c9)
     twin = GroupAlgebra(3, 2, FiniteAbelianGroup((2, 9)))
-    assert same_algebra(alg, twin) and "terms" not in vars(alg) and "terms" not in vars(twin)
+    assert same_algebra(alg, twin)
+    assert not hasattr(alg, "terms") and not hasattr(twin, "terms")
     copy = FiniteCommAlgebra.from_json(GroupAlgebra(3, 2, c2c9).to_json())
     assert same_algebra(alg, copy) and same_algebra(copy, alg)
     others = [GroupAlgebra(3, 3, c2c9), GroupAlgebra(2, 2, c2c9)]
@@ -887,11 +891,40 @@ def test_same_algebra_reads_the_group_law():
     assert not same_algebra(algebras[3], algebras[4])
 
 
+def _round_trip_algebras():
+    c6 = GroupAlgebra(3, 2, FiniteAbelianGroup((6,)))
+    fixture = json.loads((Path(__file__).parent / "fixtures" / "complex_z9.json").read_text())
+    algebras = [
+        c6,
+        FiniteCommAlgebra.from_json(c6.to_json()),
+        minus_quotient(GroupAlgebra(3, 2, FiniteAbelianGroup((2, 2))), (1, 0))[0],
+        zmod_algebra(2, 3),
+        FiniteCommAlgebra.from_json(fixture["algebra"]),
+        FiniteCommAlgebra.from_json(monogenic_algebra_json(3, 2, (2, 3))),
+    ]
+    return [pytest.param(alg, id=f"{type(alg).__name__}-{alg.name}") for alg in algebras]
+
+
+@pytest.mark.parametrize("alg", _round_trip_algebras())
+def test_algebras_round_trip_through_json_by_their_operations(alg):
+    """to_json reads mul and sharp_of: the copy it writes is the same algebra
+    both ways round, both pass validate, and an algebra without # has no
+    Pontryagin dual."""
+    copy = FiniteCommAlgebra.from_json(alg.to_json())
+    assert same_algebra(copy, alg) and same_algebra(alg, copy)
+    assert copy.has_sharp == alg.has_sharp
+    alg.validate()
+    copy.validate()
+    if not alg.has_sharp:
+        with pytest.raises(ValueError, match="pontryagin dual needs the # involution"):
+            fitting.pontryagin_dual(FinPresModule(alg, 1, []))
+
+
 @pytest.mark.parametrize("orders", [(2, 9), (9,), (2, 27)], ids=str)
 def test_group_algebra_use_builds_no_structure_table(orders):
     """Products, regular rows, #, a Fitting ideal, its product and sharp and an
-    ideal comparison across two builds leave `terms` and `sharp_images`
-    unbuilt."""
+    ideal comparison across two builds give neither algebra `terms` or
+    `sharp_images`."""
     alg = GroupAlgebra(3, 2, FiniteAbelianGroup(orders))
     twin = GroupAlgebra(3, 2, FiniteAbelianGroup(orders))
     rng = random.Random(alg.dim)
@@ -903,7 +936,7 @@ def test_group_algebra_use_builds_no_structure_table(orders):
     assert I == IdealHandle(twin, [x]) and I.size() == IdealHandle(twin, [x]).size()
     assert I.product(I.sharp()).contains(IdealHandle(alg, [alg.mul(x, alg.sharp_of(x))]))
     for a in (alg, twin):
-        assert "terms" not in vars(a) and "sharp_images" not in vars(a)
+        assert not hasattr(a, "terms") and not hasattr(a, "sharp_images")
 
 
 # ---------------------------------------------------------------------------
