@@ -47,12 +47,15 @@ from .fitting import (
     dual_presentation,
     e1_sharp_check,
     four_term_check,
+    group_algebra_morphism,
     identity_map,
     minus_quotient,
     multiplication_map,
     pontryagin_dual,
+    principal_module,
     quadratic_presentation_certificate,
     subquotient_presentation,
+    tower_fitting_check,
     zmod_algebra,
 )
 from .groupring import mul, sharp, translate
@@ -377,10 +380,7 @@ def fitting_base_change_campaign(seed: int = 0, trials: int = 200) -> CampaignRe
             morphisms.append((alg, proj))
         else:
             # C_3 has no conjugation; use the inversion automorphism instead
-            inv_images = [
-                alg.group_element_vector(alg.group.inv(g)) for g in alg.basis
-            ]
-            morphisms.append((alg, AlgebraMorphism(alg, alg, inv_images)))
+            morphisms.append((alg, group_algebra_morphism(alg, alg, alg.group.inv)))
     for t in range(trials):
         alg, phi = morphisms[t % len(morphisms)]
         M = _random_module(alg, rng)
@@ -505,8 +505,6 @@ def tower_fitting_campaign() -> CampaignResult:
     """Finite-level Fitting-ideal consistency of coherent Stickelberger
     towers: projecting Fitt(Lambda_{n+1}/(theta_{n+1})) must land exactly on
     Fitt(Lambda_n/(theta_n)) (principal case: containment and equality)."""
-    from .fitting import group_algebra_morphism, principal_module, tower_fitting_check
-
     res = CampaignResult("tower fitting consistency")
     corpus = [
         (AbelianFieldSpec.cyclotomic(3), 3, [3, OO], [7]),
@@ -517,9 +515,7 @@ def tower_fitting_campaign() -> CampaignResult:
         algs = [GroupAlgebra(p, 2, lvl.group) for lvl in t.levels]
         mods = [principal_module(alg, entry) for alg, entry in zip(algs, t.entries)]
         projections = [
-            group_algebra_morphism(
-                algs[n + 1], algs[n], lambda g, n=n: t.levels[n + 1].project(g, n)
-            )
+            group_algebra_morphism(algs[n + 1], algs[n], lambda g, n=n: t.levels[n + 1].project(g, n))
             for n in range(len(algs) - 1)
         ]
         report = tower_fitting_check(mods, projections)

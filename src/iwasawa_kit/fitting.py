@@ -39,7 +39,7 @@ from functools import cached_property, lru_cache
 from . import wire
 from .abelian import FiniteAbelianGroup
 from .exact import teichmuller
-from .groupring import basis_index, inversion, linear_form, mul_table
+from .groupring import basis_index, inversion, linear_form, mul_table, push
 from .linalg import (
     ZModPN,
     combine,
@@ -65,11 +65,12 @@ class FiniteCommAlgebra:
     `has_sharp` says whether it was given. `q` = p^N is an attribute. The
     dense table (basis_i * basis_j as a coefficient vector) exists only in
     the JSON form. A GroupAlgebra has no `terms` or `sharp_images`: it reads
-    the group law instead. `prime_to_p` is the algebra's PrimeToPSplit; only
-    a GroupAlgebra can have one.
+    the group law instead. Only a GroupAlgebra can have a `prime_to_p` (its
+    PrimeToPSplit) or be `local` (known to be a local ring).
     """
 
     prime_to_p: PrimeToPSplit | None = None
+    local = False
 
     def __init__(
         self,
@@ -261,7 +262,7 @@ class GroupAlgebra(FiniteCommAlgebra):
     and the rows of the regular representation permute coefficients; no
     copy of the law in the general algebra's format is kept. `prime_to_p` is
     the algebra's PrimeToPSplit or None, built once per (p, N, A) and
-    shared."""
+    shared. `local`: A is a p-group, so the algebra is local (residue F_p)."""
 
     has_sharp = True
 
@@ -271,6 +272,7 @@ class GroupAlgebra(FiniteCommAlgebra):
         self.table, self.inversion = mul_table(group), inversion(group)
         one = (1,) + (0,) * (len(index) - 1)  # the identity is g_0
         self._ring(p, N, index, one, f"(Z/{p}^{N}){group.orders}")
+        self.local = p ** self.dim.bit_length() % self.dim == 0  # dim < 2^bits <= p^bits
         self._translates = [self.table[i] for i in self.inversion]  # row j: g_k g_j^-1 at k
 
     def mul(self, x: Vec, y: Vec) -> Vec:
@@ -293,6 +295,14 @@ class GroupAlgebra(FiniteCommAlgebra):
         x permuted (the coefficient at g_k is x's at g_k g_j^-1)."""
         q = self.q
         return [[x[i] % q for i in row] for row in self._translates]
+
+    def is_unit(self, x: Vec) -> bool:
+        """A unit mod the residue field (p-group) or in every part (split)."""
+        if self.local:
+            return sum(x) % self.p != 0
+        if self.prime_to_p is None:
+            return super().is_unit(x)
+        return all(self.prime_to_p.part.is_unit(y) for [y] in self.prime_to_p.project([x]))
 
     @cached_property
     def prime_to_p(self) -> PrimeToPSplit | None:
@@ -434,12 +444,26 @@ def minus_quotient(alg: GroupAlgebra, j) -> tuple[FiniteCommAlgebra, AlgebraMorp
     return quo, proj
 
 
-def group_algebra_morphism(
-    src: GroupAlgebra, dst: GroupAlgebra, element_map
-) -> AlgebraMorphism:
-    """Pushforward along a group homomorphism (e.g. aug projections)."""
-    images = [dst.group_element_vector(element_map(g)) for g in src.basis]
-    return AlgebraMorphism(src, dst, images)
+class GroupAlgebraMorphism(AlgebraMorphism):
+    """Pushforward along a group homomorphism: `apply` pushes basis_i to dst's
+    index `targets[i]` (groupring.push); unit-vector `images` form on reading."""
+
+    def __init__(self, src: GroupAlgebra, dst: GroupAlgebra, targets: list[int]):
+        self.src, self.dst, self.targets = src, dst, targets
+
+    @cached_property
+    def images(self) -> list[Vec]:
+        return [self.dst.basis_element(k) for k in self.targets]
+
+    def apply(self, x: Vec) -> Vec:
+        return tuple([c % self.dst.q for c in push(x, self.targets, self.dst.dim)])
+
+
+def group_algebra_morphism(src: GroupAlgebra, dst: GroupAlgebra, element_map) -> AlgebraMorphism:
+    """Pushforward along a group homomorphism (e.g. aug projections), held
+    as one target basis index per source basis element."""
+    index, reduce = dst.index, dst.group.reduce
+    return GroupAlgebraMorphism(src, dst, [index[reduce(element_map(g))] for g in src.basis])
 
 
 # ---------------------------------------------------------------------------
@@ -449,15 +473,16 @@ class IdealHandle:
     """Finitely generated ideal, canonicalized as the Howell form of its
     Z/p^N-span inside the regular representation.
 
-    Over a group algebra with a PrimeToPSplit (p odd, the prime-to-p part
-    Delta of G nontrivial, exp(Delta) dividing p - 1) the ideal is held as
-    its `parts`, one ideal of (Z/p^N)[P] per character psi of Delta, built
-    from the images pi_psi of the generators; I = I' iff every part agrees,
-    and each part has its own Howell form, of width |P| rather than |G|.
-    Over any other algebra (a p-group algebra, Z/p^N, a minus quotient, a
-    from_json algebra) the ideal is its own one part. `howell` is the form in
-    the algebra's own basis either way; a split ideal derives it from its
-    parts when it is read.
+    Over a group algebra with a PrimeToPSplit the ideal is held as its
+    `parts`, one ideal of (Z/p^N)[P] per character psi of Delta, built from
+    the images pi_psi of the generators; I = I' iff every part agrees, and
+    each part has its own Howell form, of width |P| rather than |G|. Over any
+    other algebra the ideal is its own one part. `howell` is the form in the
+    algebra's own basis either way; a split ideal derives it from its parts.
+    Two parts over one algebra with equal lists of at most dim generators are
+    equal with no form read. Over a local algebra (each part of a split one)
+    an ideal is whole iff a generator is a unit, and I*J iff I and J are; a
+    whole ideal's `howell` is the identity rows, with no elimination.
 
     `generators` are literal: the list given, or for a product I*J the
     pairwise products x*y (x over I's generators, y over J's, in that order),
@@ -501,8 +526,17 @@ class IdealHandle:
         return [IdealHandle(split.part, images) for images in split.project(self.generators)]
 
     @cached_property
+    def _whole(self) -> bool:
+        """Known to be the ring (over a local algebra only)."""
+        if self.factors is not None:
+            return all(f._whole for f in self.factors)
+        return self.algebra.local and any(map(self.algebra.is_unit, self.generators))
+
+    @cached_property
     def howell(self) -> list[list[int]]:
         alg = self.algebra
+        if self._whole:
+            return [list(alg.basis_element(i)) for i in range(alg.dim)]
         if alg.prime_to_p is not None:
             rows = alg.prime_to_p.lift([part.howell for part in self.parts])
             return howell_form(rows, alg.dim, alg.R)
@@ -520,12 +554,16 @@ class IdealHandle:
         return howell_form(rows, alg.dim, alg.R)
 
     def _spans_with(self, other: "IdealHandle") -> list[tuple[list, list]]:
-        """(this span, the other's span) part by part. An ideal over a group
-        algebra and one over an unsplit copy of it (from_json) meet in the
-        algebra's own basis."""
-        if self.algebra.prime_to_p is other.algebra.prime_to_p:
-            return [(a.howell, b.howell) for a, b in zip(self.parts, other.parts)]
-        return [(self.howell, other.howell)]
+        """(this span, the other's span) part by part, ([], []) for two parts
+        with equal generators. An ideal over a group algebra and one over an
+        unsplit copy of it (from_json) meet in the algebra's own basis."""
+        if self.algebra.prime_to_p is not other.algebra.prime_to_p:
+            return [(self.howell, other.howell)]
+        return [
+            ([], []) if a.algebra is b.algebra and a.ngens == b.ngens <= a.algebra.dim
+            and a.generators == b.generators else (a.howell, b.howell)
+            for a, b in zip(self.parts, other.parts)
+        ]
 
     def contains_element(self, x: Vec) -> bool:
         split, R = self.algebra.prime_to_p, self.algebra.R
@@ -536,6 +574,8 @@ class IdealHandle:
         return tuple(reduce_mod_span(list(x), self.howell, self.algebra.R))
 
     def contains(self, other: "IdealHandle") -> bool:
+        if not same_algebra(self.algebra, other.algebra):
+            raise ValueError(f"ideals over {self.algebra.name} and {other.algebra.name} do not compare")
         R = self.algebra.R
         return all(in_span(r, h, R) for h, k in self._spans_with(other) for r in k)
 
@@ -978,6 +1018,10 @@ def tower_fitting_check(
     """
     if len(projections) != len(modules) - 1:
         raise ValueError("need one projection per adjacent pair")
+    for n, phi in enumerate(projections):
+        if not (same_algebra(phi.src, modules[n + 1].algebra)
+                and same_algebra(phi.dst, modules[n].algebra)):
+            raise ValueError(f"projections[{n}] must map level {n + 1}'s algebra to level {n}'s")
     if transitions is not None:
         for t in transitions:
             if not (t.is_well_defined() and t.image_size() == t.dst.size()):

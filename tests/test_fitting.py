@@ -2,6 +2,7 @@
 modules, Fitting ideals, duals, and the executable lemmas."""
 
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -12,6 +13,7 @@ from iwasawa_kit.abelian import FiniteAbelianGroup
 from iwasawa_kit.fitting import (
     AlgebraMorphism,
     DualActionError,
+    FiniteCommAlgebra,
     FinPresModule,
     GroupAlgebra,
     IdealHandle,
@@ -436,6 +438,49 @@ def test_tower_fitting_rejects_bad_transitions():
     bad = ModuleMap(M, M, [[alg.scalar(3, alg.one)]])  # not surjective
     with pytest.raises(ValueError):
         tower_fitting_check([M, M], [ident], [bad])
+
+
+def test_contains_refuses_ideals_over_different_algebras():
+    """Containment across algebras is refused by name, whatever the widths:
+    Z/9 against (Z/9)[C3], and (Z/9)[C3] against (Z/27)[C3]; a structural
+    copy of the algebra still compares."""
+    c3 = A_z9c3()
+    cases = [
+        (IdealHandle(zmod_algebra(3, 2), [(1,)]), IdealHandle(c3, [(0, 1, 2)])),
+        (unit_ideal(c3), unit_ideal(GroupAlgebra(3, 3, C3))),
+    ]
+    for I, J in cases:
+        for a, b in ((I, J), (J, I)):
+            with pytest.raises(ValueError, match=re.escape(f"{a.algebra.name} and {b.algebra.name}")):
+                a.contains(b)
+            assert a != b
+    copy = FiniteCommAlgebra.from_json(c3.to_json())
+    assert unit_ideal(c3).contains(IdealHandle(copy, [(0, 1, 2)]))
+    assert not IdealHandle(copy, [(0, 1, 2)]).contains(unit_ideal(c3))
+
+
+def _two_levels():
+    """(Z/9)[C3] below (Z/9)[C9], the projection reducing mod 3, and the
+    principal modules of 3 and of 3 + (g - 1)."""
+    low, high = A_z9c3(), GroupAlgebra(3, 2, FiniteAbelianGroup((9,)))
+    proj = group_algebra_morphism(high, low, lambda g: g)
+    g = high.basis_element(1)
+    x = high.add(high.scalar(3, high.one), high.sub(g, high.one))
+    return principal_module(low, proj.apply(x)), principal_module(high, x), proj
+
+
+def test_tower_fitting_check_refuses_a_projection_from_another_algebra():
+    low, high, proj = _two_levels()
+    report = tower_fitting_check([low, high], [proj])
+    assert report["ok"] and all(report["equal"])
+    with pytest.raises(ValueError, match=r"projections\[0\] must map level 1's algebra"):
+        tower_fitting_check([low, low], [proj])
+
+
+def test_tower_fitting_check_refuses_a_projection_to_another_algebra():
+    low, high, proj = _two_levels()
+    with pytest.raises(ValueError, match=r"projections\[0\] must map level 1's algebra"):
+        tower_fitting_check([high, high], [proj])
 
 
 def test_lemma_6_4_integral_extension_cancellation():

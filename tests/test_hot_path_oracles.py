@@ -4,8 +4,10 @@ leading index, the dense dim^3 structure-constant product, the dense
 structure-constant tables of group algebras and their minus quotients, the
 ideal product realized from every pairwise generator product, the one
 full-width Howell form of an ideal that the prime-to-p split replaced, the
-group-ring maps that formed one group element per coefficient, and the
-exactness and quasi-isomorphism tests that compared kernel spans."""
+Howell route of units and of the ideals that a generator list or a unit
+settles, the unit-vector images of group-algebra morphisms, the group-ring
+maps that formed one group element per coefficient, and the exactness and
+quasi-isomorphism tests that compared kernel spans."""
 
 import json
 import random
@@ -1183,3 +1185,197 @@ def test_exactness_checks_compute_no_kernel_span(monkeypatch):
         refusal(fitting.four_term_check, *args)
     for seq in additivity:
         refusal(seq.verify_exact)
+
+
+# ---------------------------------------------------------------------------
+# Ideals settled by their generators, and units of local algebras: the Howell
+# route of FiniteCommAlgebra.is_unit and ideal_howell_reference are the
+# oracles.
+
+def group_algebra(p, N, orders):
+    return GroupAlgebra(p, N, FiniteAbelianGroup(orders))
+
+
+# (p, N, orders, kind): a p-group is local, a split algebra has a
+# PrimeToPSplit, (Z/8)[C3] is neither and keeps the Howell route
+EXHAUSTIVE_UNITS = [
+    (3, 2, (3,), "local"), (2, 3, (2,), "local"), (2, 2, (2, 2), "local"),
+    (3, 2, (2,), "split"), (3, 2, (2, 2), "split"), (3, 3, (), "local"), (2, 3, (3,), "neither"),
+]
+
+
+@pytest.mark.parametrize("p, N, orders, kind", EXHAUSTIVE_UNITS, ids=str)
+def test_is_unit_matches_the_howell_route_on_every_element(p, N, orders, kind):
+    alg = group_algebra(p, N, orders)
+    assert alg.local == (kind == "local")
+    assert (alg.prime_to_p is not None) == (kind == "split")
+    units = [x for x in alg.elements() if alg.is_unit(x)]
+    assert units == [x for x in alg.elements() if FiniteCommAlgebra.is_unit(alg, x)]
+    if alg.local:  # the units are the elements off the maximal ideal, of index p
+        assert len(units) * p == alg.q**alg.dim * (p - 1)
+
+
+@pytest.mark.parametrize("orders", [(27,), (2, 27)], ids=str)
+def test_is_unit_matches_the_howell_route_on_sampled_elements(orders):
+    """(Z/9)[C27] (local) and (Z/9)[C2 x C27] (split, two parts of width 27):
+    random elements, p-multiples and multiples of g - 1 plus a random unit
+    of Z/9, so that both verdicts occur."""
+    alg = group_algebra(3, 2, orders)
+    rng = random.Random(alg.dim)
+    samples = []
+    for _ in range(200):
+        x = tuple(rng.randrange(alg.q) for _ in range(alg.dim))
+        if rng.randrange(3) == 0:
+            g = alg.basis_element(rng.randrange(1, alg.dim))
+            x = alg.add(alg.mul(alg.sub(g, alg.one), x), alg.scalar(3 * rng.randrange(3), alg.one))
+        samples.append(x)
+    verdicts = [alg.is_unit(x) for x in samples]
+    assert verdicts == [FiniteCommAlgebra.is_unit(alg, x) for x in samples]
+    assert set(verdicts) == {True, False}
+
+
+def unit_and_non_units(rng, alg):
+    """A random unit of the algebra and three non-units: a multiple of p, a
+    multiple of g - 1 and their sum."""
+    unit = tuple(rng.randrange(alg.q) for _ in range(alg.dim))
+    while not FiniteCommAlgebra.is_unit(alg, unit):
+        unit = tuple(rng.randrange(alg.q) for _ in range(alg.dim))
+    g = alg.basis_element(rng.randrange(alg.dim))
+    a = alg.scalar(alg.p, tuple(rng.randrange(alg.q) for _ in range(alg.dim)))
+    b = alg.mul(alg.sub(g, alg.one), tuple(rng.randrange(alg.q) for _ in range(alg.dim)))
+    return unit, [a, b, alg.add(a, b)]
+
+
+SETTLED_ALGEBRAS = [
+    group_algebra(3, 2, (3,)), group_algebra(2, 3, (2,)), group_algebra(2, 2, (2, 2)),
+    group_algebra(3, 2, (9,)), group_algebra(3, 3, ()), group_algebra(3, 2, (2, 3)),
+]
+
+
+@pytest.mark.parametrize("alg", SETTLED_ALGEBRAS, ids=lambda a: a.name)
+def test_settled_ideals_match_the_reference(alg):
+    """Five local algebras and (Z/9)[C2 x C3], whose parts are local: ideals
+    mixing unit and non-unit generators, products of a whole ideal with a
+    proper one, two handles on one generator list (also one longer than
+    dim, which is not compared), a product beside a handle on its generator
+    list, and pairs with equal generator counts but different generators."""
+    rng = random.Random(alg.q * alg.dim)
+    unit, non_units = unit_and_non_units(rng, alg)
+    other_unit, more_non_units = unit_and_non_units(rng, alg)
+    mixed = IdealHandle(alg, [non_units[0], unit, non_units[1]])
+    proper = IdealHandle(alg, non_units[:2])
+    equal_count = IdealHandle(alg, more_non_units[:2])
+    long = non_units + more_non_units + [unit] * alg.dim
+    ideals = [
+        mixed, IdealHandle(alg, [non_units[0], other_unit, non_units[1]]),
+        proper, IdealHandle(alg, list(proper.generators)), equal_count,
+        IdealHandle(alg, long), IdealHandle(alg, list(long)), IdealHandle(alg, long[: alg.dim]),
+        IdealHandle(alg, [non_units[2]]), zero_ideal(alg), unit_ideal(alg),
+    ]
+    products = [
+        mixed.product(proper), proper.product(mixed), mixed.product(unit_ideal(alg)),
+        proper.product(equal_count), ideals[-3].product(IdealHandle(alg, [unit])),
+        ideals[5].product(proper), mixed.product(ideals[5]),
+    ]
+    twin = IdealHandle(alg, products[-3].generators)
+    elements = [alg.zero(), alg.one, unit] + non_units + more_non_units
+    verdicts = check_ideals_against_reference(ideals + products + [twin], elements)
+    assert {(True, True), (False, True), (False, False)} <= verdicts
+    assert mixed == unit_ideal(alg) and mixed.product(proper) == proper
+    if alg.local:
+        assert proper != unit_ideal(alg)
+
+
+def identity_rows(dim):
+    return [[int(i == j) for j in range(dim)] for i in range(dim)]
+
+
+def test_a_whole_ideal_takes_no_howell_form(monkeypatch):
+    """Over a local algebra an ideal with a unit generator, and a product of
+    two such, is the ring: its form is the identity rows. Over a split
+    algebra each part is, so its comparison with the unit ideal and its
+    size read no elimination either."""
+    local = SETTLED_ALGEBRAS[:5] + [group_algebra(3, 2, (27,))]
+    split = group_algebra(3, 2, (2, 27))
+    cases = []
+    for alg in local + [split]:
+        rng = random.Random(alg.dim)
+        unit, non_units = unit_and_non_units(rng, alg)
+        I = IdealHandle(alg, non_units + [unit])
+        cases.append((alg, I, I.product(IdealHandle(alg, [unit, non_units[0]]))))
+
+    def refused(*args):
+        pytest.fail("a whole ideal took a Howell form")
+
+    monkeypatch.setattr(fitting, "howell_form", refused)
+    for alg, I, product in cases:
+        for whole in (I, product):
+            assert whole == unit_ideal(alg) and whole.contains(unit_ideal(alg))
+            assert whole.size() == alg.q**alg.dim
+            if alg is not split:
+                assert whole.howell == identity_rows(alg.dim)
+    monkeypatch.undo()
+    for alg, I, product in cases:
+        assert ideal_howell_reference(I) == ideal_howell_reference(product) == identity_rows(alg.dim)
+
+
+def test_the_level_fitting_body_takes_no_width_27_form(monkeypatch):
+    """tower_fitting_check and multiplicativity over the Q(zeta3) tower at
+    p = 3, N = 2 up to (Z/9)[C2 x C27] (dim 54, parts of width 27), at the
+    four r of the benchmark's level-Fitting op. Each projected Fitting
+    ideal and each product of Fitting ideals has the generator list of the
+    ideal it meets, so no part of width 27 (and no form of width 54) is
+    eliminated."""
+    widths = []
+
+    def recorded(rows, width, R):
+        widths.append(width)
+        return howell_form(rows, width, R)
+
+    monkeypatch.setattr(fitting, "howell_form", recorded)
+    for r in (0, -1, -2, -3):
+        t = theta_tower(Z3, [3, "oo"], [7], 3, 2, 3, r)
+        algs = [GroupAlgebra(3, 2, level.group) for level in t.levels]
+        mods = [principal_module(alg, entry) for alg, entry in zip(algs, t.entries)]
+        projections = [
+            group_algebra_morphism(algs[n + 1], algs[n], lambda g, n=n: t.levels[n + 1].project(g, n))
+            for n in range(3)
+        ]
+        report = fitting.tower_fitting_check(mods, projections)
+        top, x = algs[-1], t.entries[-1]
+        M1, M2 = principal_module(top, x), principal_module(top, top.sharp_of(x))
+        assert top.dim == 54 and report["ok"] and all(report["equal"])
+        assert M1.direct_sum(M2).fitting_ideal == M1.fitting_ideal.product(M2.fitting_ideal)
+    assert max(widths, default=0) < 27
+
+
+# ---------------------------------------------------------------------------
+# Group-algebra morphisms on basis indices: the former route, combine over
+# the unit-vector images that group_element_vector gives, is the oracle.
+
+@pytest.mark.parametrize("p, top", TOWER_LEVELS, ids=lambda v: str(v))
+def test_group_algebra_morphisms_match_the_unit_vector_images(p, top):
+    """Every aug projection of the Q(zeta_p) levels to the level below and to
+    level 0, up to dim 486 (p = 3), 100 (p = 5) and 294 (p = 7); the images
+    are formed only when read."""
+    rng = random.Random(p + top)
+    spec = AbelianFieldSpec.cyclotomic(p)
+    levels = [tower_level(spec, p, n) for n in range(top + 1)]
+    algs = [GroupAlgebra(p, 2, level.group) for level in levels]
+    for n in range(1, top + 1):
+        src = algs[n]
+        for m in {n - 1, 0}:
+            def project(g, n=n, m=m):
+                return levels[n].project(g, m)
+
+            phi = group_algebra_morphism(src, algs[m], project)
+            images = [algs[m].group_element_vector(project(g)) for g in src.basis]
+            reference = fitting.AlgebraMorphism(src, algs[m], images)
+            xs = [distinct_coefficients(src.group, rng), src.one]
+            xs.append(tuple(rng.randrange(src.q) for _ in range(src.dim)))
+            for x in xs:
+                assert phi.apply(x) == reference.apply(x)
+            assert "images" not in vars(phi)
+            assert phi.images == reference.images
+            if src.dim <= 18:
+                phi.check_homomorphism()
