@@ -171,6 +171,11 @@ class FiniteCommAlgebra:
     def is_unit(self, x: Vec) -> bool:
         return in_span(list(self.one), howell_form(self.regular_rows(x), self.dim, self.R), self.R)
 
+    @property
+    def radical_elements(self) -> list[Vec]:
+        """Elements known to lie in the Jacobson radical: p*1, nilpotent."""
+        return [self.scalar(self.p, self.one)]
+
     def elements(self):
         for combo in itertools.product(range(self.q), repeat=self.dim):
             yield combo
@@ -303,6 +308,20 @@ class GroupAlgebra(FiniteCommAlgebra):
         if self.prime_to_p is None:
             return super().is_unit(x)
         return all(self.prime_to_p.part.is_unit(y) for [y] in self.prime_to_p.project([x]))
+
+    @cached_property
+    def radical_elements(self) -> list[Vec]:
+        """p*1 and g - 1 for a generator g of the p-part (order p^a) of each
+        cyclic factor: (g - 1)^(p^a) = g^(p^a) - 1 = 0 mod p, so g - 1 is
+        nilpotent. Over a p-group they generate the maximal ideal."""
+        out = [self.scalar(self.p, self.one)]
+        orders = self.group.orders
+        for k, o in enumerate(orders):
+            pa = math.gcd(o, self.p ** o.bit_length())  # as in prime_to_p_split
+            if pa > 1:
+                g = tuple(o // pa if i == k else 0 for i in range(len(orders)))
+                out.append(self.sub(self.group_element_vector(g), self.one))
+        return out
 
     @cached_property
     def prime_to_p(self) -> PrimeToPSplit | None:
@@ -821,26 +840,55 @@ class SubquotientData:
     gens_ambient: list[list[Vec]]
 
 
+def _nakayama_rows(
+    algebra: FiniteCommAlgebra, width: int, rows: list[list[int]], base: list[list[int]]
+) -> list[list[int]]:
+    """Rows among the Howell rows of an A-stable span Z that generate Z
+    modulo the A-stable span `base` (a Howell form, inside Z) as an A-module.
+
+    Nakayama: for J inside the Jacobson radical, rows generate Z/B once they
+    span it modulo JZ + B. So a row is kept only when it is not in the span
+    of JZ + B (J generated by `radical_elements`) and the A-spans of the rows
+    kept so far. Where J is the maximal ideal of a local algebra the kept
+    rows are a basis of Z/(JZ + B) over the residue field: a minimal set."""
+    R, mul, split = algebra.R, algebra.mul, algebra.split
+    # rows not yet in the Howell form `span`, eliminated only when a row is tested
+    pending = [
+        algebra.flatten([mul(j, e) for e in split(z)])
+        for j in algebra.radical_elements for z in rows
+    ] + base
+    span, kept = [], []
+    for z in rows:
+        if pending:
+            span, pending = howell_form(span + pending, width, R), []
+        if not in_span(z, span, R):
+            kept.append(z)
+            pending = algebra.realize(split(z))
+    return kept
+
+
 def subquotient_presentation(
     algebra: FiniteCommAlgebra,
     ncomp: int,
     z_rows: list[list[int]],
     b_rows: list[list[int]],
 ) -> SubquotientData:
-    """Present Z/B over the algebra, for A-stable spans B <= Z <= (A^ncomp)."""
+    """Present Z/B over the algebra, for A-stable spans B <= Z <= (A^ncomp),
+    on the Howell rows of Z that generate it modulo the radical, with the
+    Howell rows of their relation module that generate it modulo the
+    radical as relations (_nakayama_rows)."""
     R = algebra.R
     width = algebra.dim * ncomp
-    Zh = howell_form([list(r) for r in z_rows] + [list(r) for r in b_rows], width, R)
     Bh = howell_form([list(r) for r in b_rows], width, R)
-    gens = [r for r in Zh]
-    t = len(gens)
-
-    gens_ambient = [algebra.split(g) for g in gens]
+    Zh = howell_form([list(r) for r in z_rows] + Bh, width, R)
+    gens_ambient = [algebra.split(g) for g in _nakayama_rows(algebra, width, Zh, Bh)]
+    t = len(gens_ambient)
 
     # Relations: {u in A^t : sum_k u_k z_k in B}, computed on realizations.
     act_rows = [r for g in gens_ambient for r in algebra.realize(g)]
     rel_flat = preimage_span(act_rows, Bh, width, R) if t else []
-    module = FinPresModule(algebra, t, [algebra.split(w) for w in rel_flat])
+    relations = _nakayama_rows(algebra, algebra.dim * t, rel_flat, [])
+    module = FinPresModule(algebra, t, [algebra.split(w) for w in relations])
     return SubquotientData(module, gens_ambient)
 
 

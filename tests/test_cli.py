@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -553,6 +554,24 @@ def test_complex_command_ingestion(tmp_path, capsys):
     assert code == EXIT_OK
     assert cert["result"]["cohomology_sizes"] == {"0": 3, "1": 3}
     assert cert["result"]["acyclic"] is False
+
+
+def test_complex_data_on_a_free_module_of_rank_20_takes_under_a_second(tmp_path, capsys):
+    """One free module of rank 20 over (Z/9)[C2], no differential: H^0 is
+    free on 20 generators, not on its 40 Howell rows."""
+    from iwasawa_kit.abelian import FiniteAbelianGroup
+    from iwasawa_kit.fitting import GroupAlgebra
+
+    alg = GroupAlgebra(3, 2, FiniteAbelianGroup((2,)))
+    payload = {"algebra": alg.to_json(), "degrees": [0, 0],
+               "modules": [{"ngens": 20, "relations": []}], "differentials": []}
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps(payload))
+    start = time.perf_counter()
+    code, cert = run(capsys, "complex", "--data", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_OK
+    assert cert["result"]["cohomology_sizes"] == {"0": 81**20}
 
 
 def test_complex_data_certificate_rechecks(tmp_path, capsys):

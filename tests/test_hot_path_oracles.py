@@ -6,10 +6,13 @@ ideal product realized from every pairwise generator product, the one
 full-width Howell form of an ideal that the prime-to-p split replaced, the
 Howell route of units and of the ideals that a generator list or a unit
 settles, the unit-vector images of group-algebra morphisms, the group-ring
-maps that formed one group element per coefficient, and the exactness and
-quasi-isomorphism tests that compared kernel spans."""
+maps that formed one group element per coefficient, the exactness and
+quasi-isomorphism tests that compared kernel spans, and the subquotient
+presentation on every Howell row of Z with every preimage row as a
+relation."""
 
 import json
+import math
 import random
 import re
 from pathlib import Path
@@ -411,11 +414,14 @@ def test_ideal_product_matches_reference_on_random_ideals(alg):
 
 
 @pytest.fixture(scope="module")
-def campaign_ideals():
+def campaign_records():
     """Every ideal product and every ideal comparison (==, contains) that the
-    AC5/AC6 campaign slices form, with the verdicts the fast path gave."""
-    formed, compared = [], []
+    AC5/AC6 campaign slices form, with the verdicts the fast path gave, and
+    every subquotient they present: (algebra, ncomp, Z rows, B rows, the
+    presentation)."""
+    formed, compared, presented = [], [], []
     product, eq, contains = IdealHandle.product, IdealHandle.__eq__, IdealHandle.contains
+    subquotient = fitting.subquotient_presentation
 
     def recorded_product(I, J):
         out = product(I, J)
@@ -432,22 +438,31 @@ def campaign_ideals():
         compared.append(("contains", I, J, verdict))
         return verdict
 
+    def recorded_subquotient(algebra, ncomp, z_rows, b_rows):
+        out = subquotient(algebra, ncomp, z_rows, b_rows)
+        presented.append((algebra, ncomp, [list(r) for r in z_rows], [list(r) for r in b_rows], out))
+        return out
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(IdealHandle, "product", recorded_product)
         mp.setattr(IdealHandle, "__eq__", recorded_eq)
         mp.setattr(IdealHandle, "contains", recorded_contains)
+        mp.setattr(complexes, "subquotient_presentation", recorded_subquotient)
+        mp.setattr(campaigns, "subquotient_presentation", recorded_subquotient)
         results = complex_campaigns(seed=2026, trials=100) + fitting_campaigns(seed=2026, trials=200)
     assert all(r.ok for r in results)
-    return formed, compared
+    return formed, compared, presented
 
 
-def test_ideal_product_matches_reference_on_the_campaigns(campaign_ideals):
+def test_ideal_product_matches_reference_on_the_campaigns(campaign_records):
     """Every Fitting product and every Euler-Fitting numerator, denominator
     and cross-multiplication that the AC5/AC6 campaign slices form."""
-    formed, _ = campaign_ideals
+    formed, _, _ = campaign_records
     assert len(formed) > 3000
-    # most of them take the route through a factor's Howell rows
-    assert sum(max(I.ngens, J.ngens) > I.algebra.dim for I, J, _ in formed) > len(formed) // 2
+    # both routes occur: a factor with more than dim generators contributes
+    # its Howell rows, and two factors of at most dim realize their products
+    through_rows = sum(max(I.ngens, J.ngens) > I.algebra.dim for I, J, _ in formed)
+    assert through_rows >= 300 and len(formed) - through_rows >= 300
     for I, J, out in formed:
         assert out.howell == ideal_product_reference(I, J)
 
@@ -623,8 +638,8 @@ def test_split_ideals_match_the_reference_on_a_dim_54_tower_level():
     assert check_ideals_against_reference(lower, [t.entries[2]]) == {(True, True)}
 
 
-def test_split_ideals_match_the_reference_on_the_campaigns(campaign_ideals):
-    formed, compared = campaign_ideals
+def test_split_ideals_match_the_reference_on_the_campaigns(campaign_records):
+    formed, compared, _ = campaign_records
     cache = {}
     split = [c for c in compared if c[1].algebra.prime_to_p is not None]
     assert len(split) > 300 and {c[0] for c in split} == {"==", "contains"}
@@ -1379,3 +1394,118 @@ def test_group_algebra_morphisms_match_the_unit_vector_images(p, top):
             assert phi.images == reference.images
             if src.dim <= 18:
                 phi.check_homomorphism()
+
+
+# ---------------------------------------------------------------------------
+# Subquotient presentations: the former route, every Howell row of Z a
+# generator and every row of the preimage span a relation, is the oracle of
+# the presentation on the rows that generate Z modulo the radical.
+
+def subquotient_presentation_reference(algebra, ncomp, z_rows, b_rows):
+    """Z/B presented on every Howell row of Z, with every Howell row of the
+    preimage span of those generators as a relation."""
+    R = algebra.R
+    width = algebra.dim * ncomp
+    Zh = howell_form([list(r) for r in z_rows] + [list(r) for r in b_rows], width, R)
+    Bh = howell_form([list(r) for r in b_rows], width, R)
+    gens_ambient = [algebra.split(g) for g in Zh]
+    act_rows = [r for g in gens_ambient for r in algebra.realize(g)]
+    rel_flat = linalg.preimage_span(act_rows, Bh, width, R) if Zh else []
+    module = FinPresModule(algebra, len(Zh), [algebra.split(w) for w in rel_flat])
+    return fitting.SubquotientData(module, gens_ambient)
+
+
+def residue_index(alg, width, Zh, Bh):
+    """|Z/(mZ + B)| for m = (p, g - 1 for every group element g): the
+    maximal ideal of a p-group algebra."""
+    R = alg.R
+    m = [alg.scalar(alg.p, alg.one)] + [alg.sub(alg.basis_element(i), alg.one) for i in range(1, alg.dim)]
+    mz = [alg.flatten([alg.mul(x, e) for e in alg.split(z)]) for x in m for z in Zh]
+    return span_size(Zh, R) // span_size(howell_form(mz + Bh, width, R), R)
+
+
+def check_subquotient(alg, ncomp, z_rows, b_rows, sub):
+    """The presentation against the reference: it presents a module of size
+    |Z|/|B| whose generators span Z modulo B over A, on no more generators
+    than the reference, with the reference's Fitting ideal where that has at
+    most 1,000 minors; over a p-group algebra its generators number
+    dim_F_p Z/(mZ + B). True when the Fitting ideals were compared."""
+    R, width = alg.R, alg.dim * ncomp
+    Zh = howell_form(z_rows + b_rows, width, R)
+    Bh = howell_form(b_rows, width, R)
+    M, ref = sub.module, subquotient_presentation_reference(alg, ncomp, z_rows, b_rows).module
+    assert M.size() == span_size(Zh, R) // span_size(Bh, R)
+    assert len(sub.gens_ambient) == M.ngens
+    realized = [r for g in sub.gens_ambient for r in alg.realize(g)]
+    assert howell_form(realized + Bh, width, R) == Zh
+    assert M.ngens <= ref.ngens
+    if alg.local:
+        assert residue_index(alg, width, Zh, Bh) == alg.p**M.ngens
+    if math.comb(len(ref.relations), ref.ngens) > 1000:
+        return False
+    assert M.fitting_ideal == ref.fitting_ideal
+    return True
+
+
+def test_subquotient_presentation_matches_reference_on_the_campaigns(campaign_records):
+    """Every cohomology module of the AC6 slice and every kernel module of
+    the AC5 four-term slice."""
+    _, _, presented = campaign_records
+    compared = [check_subquotient(*args) for args in presented]
+    assert len(compared) > 1000 and sum(compared) > len(compared) // 2
+    assert {alg.name for alg, *_ in presented} >= {"(Z/3^2)(2,)", "(Z/2^3)(2,)", "(Z/3^2)(2, 2)"}
+    assert any(sub.module.ngens < len(howell_form(z + b, alg.dim * n, alg.R))
+               for alg, n, z, b, sub in presented)
+
+
+def random_submodule_rows(rng, alg, ncomp, k):
+    """The realized rows of k random elements of A^ncomp, each entry a
+    random element, a p-power multiple, a multiple of b - 1 for a basis
+    element b, or zero, so that the spans are proper."""
+    rows = []
+    for _ in range(k):
+        row = []
+        for _ in range(ncomp):
+            x = tuple(rng.randrange(alg.q) for _ in range(alg.dim))
+            kind = rng.randrange(4)
+            if kind == 1:
+                x = alg.scalar(alg.p ** rng.randint(1, alg.N), x)
+            elif kind == 2:
+                x = alg.mul(alg.sub(alg.basis_element(rng.randrange(alg.dim)), alg.one), x)
+            elif kind == 3:
+                x = alg.zero()
+            row.append(x)
+        rows += alg.realize(row)
+    return rows
+
+
+def _subquotient_algebras():
+    c3 = group_algebra(3, 2, (3,))
+    algebras = [
+        group_algebra(2, 3, (2,)), c3, group_algebra(3, 2, (2,)), group_algebra(3, 2, (2, 2)),
+        minus_quotient(group_algebra(3, 2, (2, 2)), (1, 0))[0],
+        FiniteCommAlgebra.from_json(c3.to_json()),
+    ]
+    return [pytest.param(alg, id=f"{type(alg).__name__}-{alg.name}") for alg in algebras]
+
+
+@pytest.mark.parametrize("alg", _subquotient_algebras())
+def test_subquotient_presentation_matches_reference_on_random_subquotients(alg):
+    """(Z/8)[C2] and (Z/9)[C3] (local), (Z/9)[C2] and (Z/9)[C2 x C2]
+    (split), a minus quotient and a from_json copy of (Z/9)[C3], whose only
+    known radical element is p: random B <= Z <= A^n, with Z = B, B = 0 and
+    Z = A^n among them."""
+    rng = random.Random(alg.q * alg.dim)
+    cases = []
+    for t in range(12):
+        n = 1 + t % 2
+        b_rows = random_submodule_rows(rng, alg, n, rng.randint(0, 2))
+        z_rows = b_rows + random_submodule_rows(rng, alg, n, rng.randint(0, 2))
+        cases.append((n, z_rows, b_rows))
+    free = alg.realize([alg.one, alg.zero()]) + alg.realize([alg.zero(), alg.one])
+    cases += [(2, free, []), (2, free, free), (1, [], []), (2, random_submodule_rows(rng, alg, 2, 2), [])]
+    compared = 0
+    for n, z_rows, b_rows in cases:
+        sub = fitting.subquotient_presentation(alg, n, z_rows, b_rows)
+        compared += check_subquotient(alg, n, z_rows, b_rows, sub)
+    assert compared >= 6
