@@ -1,19 +1,20 @@
 """Seeded verification campaigns.
 
-Each campaign runs one family of checks at desk scale and reports a
-CampaignResult. The CLI selftest and the acceptance suite both drive these;
-all randomness comes from the seed, so verdicts are reproducible. Campaign
-items are independent pure computations (safe to parallelize; run
-sequentially here for determinism).
+Each campaign runs one family of checks at desk scale through run_trials and
+reports a CampaignResult. The CLI selftest and the acceptance suite both
+drive these; all randomness comes from the seed, so verdicts are
+reproducible. Campaign items are independent pure computations (safe to
+parallelize; run sequentially here for determinism).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from .abelian import (
     layer,
     ramified_primes,
 )
+from .complexes import BoundedComplex, euler_fitting_additivity_check, extension, quasi_iso_check
 from .exact import (
     bernoulli_number,
     bernoulli_polynomial,
@@ -59,11 +61,12 @@ from .fitting import (
     zmod_algebra,
 )
 from .groupring import mul, sharp, translate
-from .linalg import ZModPN, howell_form, span_size
+from .linalg import ZModPN, howell_form, in_span, reduce_mod_span, span_size
 from .lvalues import (
     ClassModuleData,
     annihilation_check,
     fitting_membership_check,
+    minus_dual_presentation,
     theta,
     theta_character_side,
     verify_integrality,
@@ -87,6 +90,10 @@ Q = Fraction
 
 ORACLE_RING_LIMIT = 2**10
 
+# Attempts a rejection draw may take before its trial fails. The campaigns'
+# draws take at most 48 (integral extension), the others at most 8.
+MAX_DRAWS = 1000
+
 
 @dataclass
 class CampaignResult:
@@ -108,25 +115,55 @@ class CampaignResult:
                 self.details.append(detail)
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "trials": self.trials,
-            "failures": self.failures,
-            "seconds": round(self.seconds, 3),
-            "ok": self.ok,
-            "details": self.details,
-        }
+        return {**asdict(self), "seconds": round(self.seconds, 3), "ok": self.ok}
+
+
+def run_trials(name: str, seed: int, n: int, trial) -> CampaignResult:
+    """Run trial(rng, t) for t = 0, ..., n - 1 on one random.Random(seed) and
+    record every (passed, detail) pair it yields. A trial that raises is one
+    recorded failure and the loop goes on; only MemoryError propagates. A
+    failure's detail names the seed and the trial. Corpus campaigns draw
+    nothing and run under seed 0."""
+    res = CampaignResult(name)
+    rng = random.Random(seed)
+    for t in range(n):
+        where = f"(seed {seed}, trial {t})"
+        try:
+            for passed, detail in trial(rng, t):
+                res.record(passed, f"{detail} {where}")
+        except MemoryError:
+            raise
+        except Exception as exc:
+            res.record(False, f"{type(exc).__name__}: {exc} {where}")
+    return res
+
+
+def _families(*families) -> tuple[int, object]:
+    """(n, trial) for run_trials over (body, items) families: trial t runs
+    body(rng, item) for the t-th item, family after family."""
+    cases = [(body, item) for body, items in families for item in items]
+    return len(cases), lambda rng, t: cases[t][0](rng, cases[t][1])
+
+
+def _draw_until(draw, accept):
+    """The first draw() that accept passes; a trial whose draws find none in
+    MAX_DRAWS attempts raises, so a fault fails the trial instead of hanging."""
+    for _ in range(MAX_DRAWS):
+        x = draw()
+        if accept(x):
+            return x
+    raise RuntimeError(f"no acceptable draw in {MAX_DRAWS} attempts")
 
 
 def _timed(fn):
+    """`seconds` of a campaign covers the whole call, set-up included."""
+    @functools.wraps(fn)
     def wrapper(*args, **kwargs) -> CampaignResult:
         t0 = time.perf_counter()
         out = fn(*args, **kwargs)
         out.seconds = time.perf_counter() - t0
         return out
 
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
     return wrapper
 
 
@@ -142,30 +179,20 @@ def corpus_cm_specs(max_conductor: int = 24) -> list[AbelianFieldSpec]:
             continue  # conductors are never 2 mod 4
         units = unit_residues(f)
         subgroups: set[frozenset[int]] = set()
-        for gens in itertools.chain(
-            itertools.combinations(units, 1),
-            itertools.combinations(units, 2),
-            itertools.combinations(units, 3),
-        ):
-            sub = {1 % f}
-            frontier = [1 % f]
-            while frontier:
-                nxt = []
-                for a in frontier:
-                    for g in gens:
-                        b = (a * g) % f
-                        if b not in sub:
-                            sub.add(b)
-                            nxt.append(b)
-                frontier = nxt
+        for gens in itertools.chain(*(itertools.combinations(units, k) for k in (1, 2, 3))):
+            sub, frontier = {1 % f}, [1 % f]
+            for a in frontier:  # the list grows while it is read: a breadth-first closure
+                for g in gens:
+                    b = (a * g) % f
+                    if b not in sub:
+                        sub.add(b)
+                        frontier.append(b)
             subgroups.add(frozenset(sub))
         for H in sorted(subgroups, key=lambda s: (len(s), sorted(s))):
-            if (-1) % f in H:
-                continue
-            spec = AbelianFieldSpec(f, H, f"f{f}#{len(H)}")
-            if conductor(spec)[0] != f:
-                continue
-            specs.append(spec)
+            if (-1) % f not in H:
+                spec = AbelianFieldSpec(f, H, f"f{f}#{len(H)}")
+                if conductor(spec)[0] == f:
+                    specs.append(spec)
     return specs
 
 
@@ -175,15 +202,11 @@ def corpus_st_choices(spec: AbelianFieldSpec, t_pool=(2, 5, 7, 11, 13)):
     ram = sorted(ramified_primes(spec))
     base = [*ram, OO]
     extra = next(p for p in (2, 3, 5, 7, 11, 13, 17) if p not in ram)
-    s_options = [base, sorted([*ram, extra]) + [OO]]
-    out = []
-    for S in s_options:
-        for k in range(len(t_pool) + 1):
-            for T in itertools.combinations(t_pool, k):
-                ok, _ = check_hyp(spec, S, list(T))
-                if ok:
-                    out.append((S, list(T)))
-    return out
+    subsets = [T for k in range(len(t_pool) + 1) for T in itertools.combinations(t_pool, k)]
+    return [
+        (S, list(T)) for S in (base, sorted([*ram, extra]) + [OO]) for T in subsets
+        if check_hyp(spec, S, list(T))[0]
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -193,31 +216,31 @@ def corpus_st_choices(spec: AbelianFieldSpec, t_pool=(2, 5, 7, 11, 13)):
 def exact_arith_campaign(seed: int = 0) -> CampaignResult:
     """Telescoping identity, Bernoulli multiplication theorem, Teichmuller
     multiplicativity: the stated invariants of the arithmetic layer."""
-    res = CampaignResult("exact-arith invariants")
-    rng = random.Random(seed)
-    for k in range(0, 21):
+
+    def telescoping(rng, k):
         coeffs = bernoulli_polynomial(k)
         x = Q(rng.randint(-8, 8), rng.randint(1, 6))
         lhs = poly_eval(coeffs, x + 1) - poly_eval(coeffs, x)
         rhs = k * x ** (k - 1) if k >= 1 else 0
-        res.record(lhs == rhs, f"telescoping fails at k={k}")
-    for k in range(0, 11):
+        yield lhs == rhs, f"telescoping fails at k={k}"
+
+    def multiplication(rng, k):
         coeffs = bernoulli_polynomial(k)
         for f in range(1, 13):
             total = sum(poly_eval(coeffs, Q(a, f)) for a in range(1, f + 1))
             expected = Q(f) ** (1 - k) * bernoulli_number(k) + (1 if k == 1 else 0)
-            res.record(total == expected, f"multiplication theorem fails k={k} f={f}")
-    for p in (3, 5, 7):
+            yield total == expected, f"multiplication theorem fails k={k} f={f}"
+
+    def multiplicative(rng, p):
         for _ in range(30):
             a, b = rng.randint(1, 60), rng.randint(1, 60)
-            if a % p == 0 or b % p == 0:
-                continue
-            lhs = teichmuller(a, p, 3) * teichmuller(b, p, 3) % p**3
-            res.record(
-                lhs == teichmuller(a * b, p, 3),
-                f"teichmuller not multiplicative p={p} a={a} b={b}",
-            )
-    return res
+            if a % p and b % p:
+                ok = teichmuller(a, p, 3) * teichmuller(b, p, 3) % p**3 == teichmuller(a * b, p, 3)
+                yield ok, f"teichmuller not multiplicative p={p} a={a} b={b}"
+
+    return run_trials("exact-arith invariants", seed, *_families(
+        (telescoping, range(21)), (multiplication, range(11)), (multiplicative, (3, 5, 7))
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -227,51 +250,53 @@ def exact_arith_campaign(seed: int = 0) -> CampaignResult:
 def fields_campaign(seed: int = 0) -> CampaignResult:
     """Frobenius multiplicativity, decompose/reconstruct round trips, layer
     projection compatibility, CM idempotent identities."""
-    res = CampaignResult("fields-characters invariants")
-    rng = random.Random(seed)
-    for spec in (AbelianFieldSpec.cyclotomic(m) for m in (5, 12, 15, 21, 24)):
+
+    def frobenius(rng, spec):
         gal = galois_group(spec)
-        f = gal.conductor
-        primes = [p for p in (2, 3, 5, 7, 11, 13) if f % p][:4]
+        primes = [p for p in (2, 3, 5, 7, 11, 13) if gal.conductor % p][:4]
         for l1 in primes:
             for l2 in primes:
-                lhs = gal.group.mul(gal.frobenius(l1), gal.frobenius(l2))
-                res.record(
-                    lhs == gal.element_of(l1 * l2),
-                    f"frobenius not multiplicative m={spec.modulus}",
-                )
-    for orders in [(2,), (4,), (2, 2), (6,), (12,), (2, 4)]:
+                ok = gal.group.mul(gal.frobenius(l1), gal.frobenius(l2)) == gal.element_of(l1 * l2)
+                yield ok, f"frobenius not multiplicative m={spec.modulus}"
+
+    def roundtrip(rng, orders):
         grp = FiniteAbelianGroup(orders)
         tab = CharacterTable(grp)
         for _ in range(4):
             fracs = [(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(grp.size)]
             den = math.lcm(*(d for _, d in fracs))
             x = lowest_terms([a * (den // d) for a, d in fracs], den)
-            back = tab.reconstruct(tab.decompose(x))
-            res.record(back == x, f"roundtrip fails on {orders}")
-    for m, p in ((5, 5), (12, 3), (1, 3), (7, 7)):
+            yield tab.reconstruct(tab.decompose(x)) == x, f"roundtrip fails on {orders}"
+
+    def projection(rng, case):
+        m, p = case
         spec = AbelianFieldSpec.cyclotomic(m) if m > 1 else AbelianFieldSpec.rationals()
         for n in (0, 1):
             lo, hi = layer(spec, p, n), layer(spec, p, n + 1)
             ok = {x % lo.modulus for x in hi.fixing} <= set(lo.fixing)
-            res.record(ok, f"layer projection fails m={m} p={p} n={n}")
-    for spec in corpus_cm_specs(12):
+            yield ok, f"layer projection fails m={m} p={p} n={n}"
+
+    def idempotents(rng, spec):
         cm = cm_data(spec)
         grp = galois_group(spec).group
         one = tuple(int(g == grp.identity) for g in grp.elements())
         jj = translate(one, grp, cm.j)
         (plus, d_plus), (minus, d_minus) = cm.e_plus, cm.e_minus
         total = [a * d_minus + b * d_plus for a, b in zip(plus, minus)]
-        res.record(lowest_terms(total, d_plus * d_minus) == (one, 1), "e_+ + e_- != 1")
+        yield lowest_terms(total, d_plus * d_minus) == (one, 1), "e_+ + e_- != 1"
         for r in (0, 1):
             er, d = cm.e_r(r)
             sign = 1 if r % 2 == 0 else -1
-            res.record(lowest_terms(mul(er, er, grp), d * d) == (er, d), "e_r not idempotent")
+            yield lowest_terms(mul(er, er, grp), d * d) == (er, d), "e_r not idempotent"
             factor = tuple(a - sign * b for a, b in zip(one, jj))
-            res.record(
-                mul(er, factor, grp) == tuple(2 * c for c in er), "e_r (1-(-1)^r j) != 2 e_r"
-            )
-    return res
+            yield mul(er, factor, grp) == tuple(2 * c for c in er), "e_r (1-(-1)^r j) != 2 e_r"
+
+    return run_trials("fields-characters invariants", seed, *_families(
+        (frobenius, [AbelianFieldSpec.cyclotomic(m) for m in (5, 12, 15, 21, 24)]),
+        (roundtrip, [(2,), (4,), (2, 2), (6,), (12,), (2, 4)]),
+        (projection, [(5, 5), (12, 3), (1, 3), (7, 7)]),
+        (idempotents, corpus_cm_specs(12)),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -283,12 +308,9 @@ def howell_campaign(seed: int = 0, trials: int = 120) -> CampaignResult:
     spans; canonical-form uniqueness on regenerated spans; greedy membership
     and coset reduction agree with the enumeration (this is where saturation
     matters)."""
-    from .linalg import in_span, reduce_mod_span
-
-    res = CampaignResult("howell vs brute force")
-    rng = random.Random(seed)
     rings = [ZModPN(2, 2), ZModPN(2, 3), ZModPN(3, 2)]
-    for _ in range(trials):
+
+    def trial(rng, t):
         R = rng.choice(rings)
         width = rng.randint(1, 2)
         rows = [[rng.randrange(R.q) for _ in range(width)] for _ in range(rng.randint(1, 3))]
@@ -303,8 +325,9 @@ def howell_campaign(seed: int = 0, trials: int = 120) -> CampaignResult:
             red = reduce_mod_span(x, H, R)
             diff = tuple((a - b) % R.q for a, b in zip(x, red))
             ok = ok and diff in brute
-        res.record(ok, f"howell mismatch over Z/{R.p}^{R.N}")
-    return res
+        yield ok, f"howell mismatch over Z/{R.p}^{R.N}"
+
+    return run_trials("howell vs brute force", seed, trials, trial)
 
 
 # ---------------------------------------------------------------------------
@@ -330,28 +353,27 @@ def _random_module(alg, rng, max_gens: int = 2) -> FinPresModule:
 
 
 def _random_square(alg, rng, nmax: int = 2) -> FinPresModule:
-    while True:
+    def draw():
         n = rng.randint(1, nmax)
-        M = FinPresModule(alg, n, [[_random_element(alg, rng) for _ in range(n)] for _ in range(n)])
-        if M.has_square_regular_presentation():
-            return M
+        return FinPresModule(alg, n, [[_random_element(alg, rng) for _ in range(n)] for _ in range(n)])
+
+    return _draw_until(draw, FinPresModule.has_square_regular_presentation)
 
 
 def _random_certified_square(alg, alg_lifted, rng, nmax: int = 2) -> FinPresModule:
-    while True:
-        M = _random_square(alg, rng, nmax)
-        if quadratic_presentation_certificate(alg, alg_lifted, M.relations):
-            return M
+    return _draw_until(
+        lambda: _random_square(alg, rng, nmax),
+        lambda M: quadratic_presentation_certificate(alg, alg_lifted, M.relations),
+    )
 
 
 @_timed
 def fitting_multiplicativity_campaign(seed: int = 0, trials: int = 200) -> CampaignResult:
     """Fitt(M1 + M2) = Fitt(M1) Fitt(M2), with exhaustive-span ideal equality
     as oracle whenever the ambient ring has at most 2^10 elements."""
-    res = CampaignResult("fitting multiplicativity (direct sums)")
-    rng = random.Random(seed)
     algs = _algebra_corpus()
-    for t in range(trials):
+
+    def trial(rng, t):
         alg = algs[t % len(algs)]
         M1, M2 = _random_module(alg, rng), _random_module(alg, rng)
         lhs = M1.direct_sum(M2).fitting_ideal
@@ -359,53 +381,48 @@ def fitting_multiplicativity_campaign(seed: int = 0, trials: int = 200) -> Campa
         ok = lhs == rhs
         if alg.q**alg.dim <= ORACLE_RING_LIMIT:
             ok = ok and ideal_equal_oracle(lhs, rhs)
-        res.record(ok, f"multiplicativity fails over {alg.name}")
-    return res
+        yield ok, f"multiplicativity fails over {alg.name}"
+
+    return run_trials("fitting multiplicativity (direct sums)", seed, trials, trial)
 
 
 @_timed
 def fitting_base_change_campaign(seed: int = 0, trials: int = 200) -> CampaignResult:
     """Fitt_S(S (x) M) = S (x) Fitt_R(M) along minus quotients and aug maps."""
-    res = CampaignResult("fitting base change")
-    rng = random.Random(seed)
-    algs = _algebra_corpus()
     morphisms = []
-    for alg in algs:
+    for alg in _algebra_corpus():
         target = zmod_algebra(alg.p, alg.N)
-        aug = AlgebraMorphism(alg, target, [target.one] * alg.dim)
-        morphisms.append((alg, aug))
+        morphisms.append((alg, AlgebraMorphism(alg, target, [target.one] * alg.dim)))  # augmentation
         j = alg.group.reduce(tuple(1 for _ in alg.group.orders))
         if alg.group.mul(j, j) == alg.group.identity and j != alg.group.identity:
-            quo, proj = minus_quotient(alg, j)
-            morphisms.append((alg, proj))
+            morphisms.append((alg, minus_quotient(alg, j)[1]))
         else:
             # C_3 has no conjugation; use the inversion automorphism instead
             morphisms.append((alg, group_algebra_morphism(alg, alg, alg.group.inv)))
-    for t in range(trials):
+
+    def trial(rng, t):
         alg, phi = morphisms[t % len(morphisms)]
         M = _random_module(alg, rng)
         ok = base_change_fitting(M, phi)
         if ok and phi.dst.q**phi.dst.dim <= ORACLE_RING_LIMIT:
-            pushed = FinPresModule(
-                phi.dst, M.ngens, [[phi.apply(e) for e in row] for row in M.relations]
-            )
+            rels = [[phi.apply(e) for e in row] for row in M.relations]
+            pushed = FinPresModule(phi.dst, M.ngens, rels)
             ok = ideal_equal_oracle(pushed.fitting_ideal, M.fitting_ideal.map_through(phi))
-        res.record(ok, f"base change fails over {alg.name}")
-    return res
+        yield ok, f"base change fails over {alg.name}"
+
+    return run_trials("fitting base change", seed, trials, trial)
 
 
 @_timed
 def fitting_e1_sharp_campaign(seed: int = 0, trials: int = 200) -> CampaignResult:
     """Fitt(E^1(M)) = Fitt(M)^# on square nonzero-determinant presentations;
     on certified quadratic presentations the generic Pontryagin dual agrees."""
-    res = CampaignResult("fitting E^1-sharp duality")
-    rng = random.Random(seed)
-    algs = _algebra_corpus()
-    lifted = [GroupAlgebra(a.p, a.N + 1, a.group) for a in algs]
-    for t in range(trials):
-        alg = algs[t % len(algs)]
+    algs = [(a, GroupAlgebra(a.p, a.N + 1, a.group)) for a in _algebra_corpus()]
+
+    def trial(rng, t):
+        alg, lifted = algs[t % len(algs)]
         if t % 3 == 0:
-            M = _random_certified_square(alg, lifted[t % len(algs)], rng)
+            M = _random_certified_square(alg, lifted, rng)
             ok = e1_sharp_check(M)
             D = pontryagin_dual(M)
             ok = ok and D.fitting_ideal == dual_presentation(M).fitting_ideal
@@ -414,11 +431,10 @@ def fitting_e1_sharp_campaign(seed: int = 0, trials: int = 200) -> CampaignResul
             M = _random_square(alg, rng)
             ok = e1_sharp_check(M)
         if ok and alg.q**alg.dim <= ORACLE_RING_LIMIT:
-            ok = ideal_equal_oracle(
-                dual_presentation(M).fitting_ideal, M.fitting_ideal.sharp()
-            )
-        res.record(ok, f"E^1-sharp fails over {alg.name}")
-    return res
+            ok = ideal_equal_oracle(dual_presentation(M).fitting_ideal, M.fitting_ideal.sharp())
+        yield ok, f"E^1-sharp fails over {alg.name}"
+
+    return run_trials("fitting E^1-sharp duality", seed, trials, trial)
 
 
 @_timed
@@ -426,13 +442,11 @@ def fitting_four_term_campaign(seed: int = 0, trials: int = 200) -> CampaignResu
     """Lemma-style four-term Fitting equality on certified exact sequences
     0 -> ker(z) -> C -z-> C -> cok(z) -> 0 with C of certified quadratic
     presentation; exactness is verified by the checker itself."""
-    res = CampaignResult("fitting four-term equality")
-    rng = random.Random(seed)
-    algs = _algebra_corpus()
-    lifted = [GroupAlgebra(a.p, a.N + 1, a.group) for a in algs]
-    for t in range(trials):
-        alg = algs[t % len(algs)]
-        C = _random_certified_square(alg, lifted[t % len(algs)], rng)
+    algs = [(a, GroupAlgebra(a.p, a.N + 1, a.group)) for a in _algebra_corpus()]
+
+    def trial(rng, t):
+        alg, lifted = algs[t % len(algs)]
+        C = _random_certified_square(alg, lifted, rng)
         z = _random_element(alg, rng)
         f = multiplication_map(C, z)
         sub = subquotient_presentation(alg, C.ngens, f.kernel_span, C.relation_span)
@@ -440,64 +454,60 @@ def fitting_four_term_campaign(seed: int = 0, trials: int = 200) -> CampaignResu
         Mcok = FinPresModule(alg, C.ngens, C.relations + f.matrix)
         alpha = ModuleMap(Mker, C, sub.gens_ambient)
         gamma = ModuleMap(C, Mcok, identity_map(C).matrix)
-        try:
-            ok = four_term_check(Mker, C, C, Mcok, alpha, f, gamma)
-        except ValueError as exc:
-            ok = False
-            res.record(False, f"four-term raised {exc} over {alg.name}")
-            continue
-        res.record(ok, f"four-term equality fails over {alg.name}")
-    return res
+        ok = four_term_check(Mker, C, C, Mcok, alpha, f, gamma)
+        yield ok, f"four-term equality fails over {alg.name}"
+
+    return run_trials("fitting four-term equality", seed, trials, trial)
 
 
 @_timed
 def fitting_annihilator_campaign(seed: int = 0, trials: int = 120) -> CampaignResult:
     """Fitt(M) <= Ann(M), and Ann(M) = Ann(M^dual)^# on square presentations."""
-    res = CampaignResult("fitting-annihilator containments")
-    rng = random.Random(seed)
     algs = _algebra_corpus()
-    for t in range(trials):
+
+    def containment(rng, t):
         alg = algs[t % len(algs)]
         M = _random_module(alg, rng)
         ok = all(M.annihilator_check(g) for g in M.fitting_ideal.generators)
-        res.record(ok, f"Fitt not inside Ann over {alg.name}")
-    # exhaustive annihilator duality on the smallest corpus algebra
-    alg = algs[0]
-    for _ in range(10):
+        yield ok, f"Fitt not inside Ann over {alg.name}"
+
+    def duality(rng, _):
+        # exhaustive annihilator duality on the smallest corpus algebra
+        alg = algs[0]
         M = _random_square(alg, rng, nmax=1)
         D = pontryagin_dual(M)
         annM = {x for x in alg.elements() if M.annihilator_check(x)}
         annD = {x for x in alg.elements() if D.annihilator_check(x)}
-        res.record(
-            annM == {alg.sharp_of(x) for x in annD},
-            "Ann(M) != Ann(M^dual)^# over (Z/8)[C2]",
-        )
-    return res
+        yield annM == {alg.sharp_of(x) for x in annD}, "Ann(M) != Ann(M^dual)^# over (Z/8)[C2]"
+
+    return run_trials("fitting-annihilator containments", seed, *_families(
+        (containment, range(trials)), (duality, range(10))
+    ))
 
 
 @_timed
 def fitting_integral_extension_campaign(seed: int = 0, trials: int = 100) -> CampaignResult:
     """Cancellation over the character-component extension: Ra <= Rb with b
     component-regular and equal component valuations forces Ra = Rb."""
-    res = CampaignResult("integral-extension cancellation")
-    rng = random.Random(seed)
     corpus = [GroupAlgebra(3, 2, FiniteAbelianGroup((2,))), GroupAlgebra(3, 2, FiniteAbelianGroup((2, 2)))]
-    attempts = 0
-    while res.trials < trials and attempts < 100 * trials:
-        attempts += 1
-        alg = corpus[attempts % 2]
-        # every character component of b and r is a unit mod p exactly when
-        # b and r are units of the algebra
-        b = _random_element(alg, rng)
-        if not alg.is_unit(b):
-            continue  # hypothesis: b regular (all component values units)
-        r = _random_element(alg, rng)
-        if not alg.is_unit(r):
-            continue  # hypothesis: Sa = Sb (equal component valuations)
-        a = alg.mul(r, b)
-        Ia, Ib = IdealHandle(alg, [a]), IdealHandle(alg, [b])
-        res.record(Ib.contains(Ia) and Ia == Ib, f"cancellation fails over {alg.name}")
-    return res
+    attempts = itertools.count(1)  # the algebra alternates with every draw, accepted or not
+
+    def trial(rng, t):
+        def draw():
+            alg = corpus[next(attempts) % 2]
+            # every character component of b and r is a unit mod p exactly
+            # when b and r are units of the algebra
+            b = _random_element(alg, rng)
+            r = _random_element(alg, rng) if alg.is_unit(b) else None
+            return alg, b, r
+
+        # hypotheses: b regular (all component values units) and Sa = Sb
+        # (equal component valuations, so r a unit)
+        alg, b, r = _draw_until(draw, lambda d: d[2] is not None and d[0].is_unit(d[2]))
+        Ia, Ib = IdealHandle(alg, [alg.mul(r, b)]), IdealHandle(alg, [b])
+        yield Ib.contains(Ia) and Ia == Ib, f"cancellation fails over {alg.name}"
+
+    return run_trials("integral-extension cancellation", seed, trials, trial)
 
 
 @_timed
@@ -505,12 +515,9 @@ def tower_fitting_campaign() -> CampaignResult:
     """Finite-level Fitting-ideal consistency of coherent Stickelberger
     towers: projecting Fitt(Lambda_{n+1}/(theta_{n+1})) must land exactly on
     Fitt(Lambda_n/(theta_n)) (principal case: containment and equality)."""
-    res = CampaignResult("tower fitting consistency")
-    corpus = [
-        (AbelianFieldSpec.cyclotomic(3), 3, [3, OO], [7]),
-        (AbelianFieldSpec.cyclotomic(5), 5, [5, OO], [2]),
-    ]
-    for spec, p, S, T in corpus:
+
+    def trial(rng, case):
+        spec, p, S, T = case
         t = theta_tower(spec, S, T, p, 2, 1, 0)
         algs = [GroupAlgebra(p, 2, lvl.group) for lvl in t.levels]
         mods = [principal_module(alg, entry) for alg, entry in zip(algs, t.entries)]
@@ -519,9 +526,11 @@ def tower_fitting_campaign() -> CampaignResult:
             for n in range(len(algs) - 1)
         ]
         report = tower_fitting_check(mods, projections)
-        res.record(report["ok"], f"containment fails for {spec.label}")
-        res.record(all(report["equal"]), f"equality fails for {spec.label}")
-    return res
+        yield report["ok"], f"containment fails for {spec.label}"
+        yield all(report["equal"]), f"equality fails for {spec.label}"
+
+    # the (Q(zeta_3), T = {7}) and (Q(zeta_5), T = {2}) rows of TOWER_CORPUS
+    return run_trials("tower fitting consistency", 0, *_families((trial, TOWER_CORPUS[0:3:2])))
 
 
 def fitting_campaigns(seed: int = 0, trials: int = 200) -> list[CampaignResult]:
@@ -539,9 +548,7 @@ def fitting_campaigns(seed: int = 0, trials: int = 200) -> list[CampaignResult]:
 # ---------------------------------------------------------------------------
 # Complex-calculus campaigns (acceptance criterion 6).
 
-def _two_term(alg, a, lo: int = 0) -> "object":
-    from .complexes import BoundedComplex
-
+def _two_term(alg, a, lo: int = 0) -> BoundedComplex:
     F0, F1 = FinPresModule(alg, 1, []), FinPresModule(alg, 1, [])
     return BoundedComplex(alg, lo, [F0, F1], [ModuleMap(F0, F1, [[a]])])
 
@@ -549,12 +556,9 @@ def _two_term(alg, a, lo: int = 0) -> "object":
 def _random_three_term(alg, rng):
     """A -> A -> A with d composing to zero: either the (1+-j) pair or the
     p-power split, twisted by units."""
-    from .complexes import BoundedComplex
-
     F = [FinPresModule(alg, 1, []) for _ in range(3)]
     j = alg.group_element_vector(tuple(1 for _ in alg.group.orders))
-    u1 = _random_unit(alg, rng)
-    u2 = _random_unit(alg, rng)
+    u1, u2 = _random_unit(alg, rng), _random_unit(alg, rng)
     if rng.random() < 0.5:
         a = alg.mul(u1, alg.add(alg.one, j))
         b = alg.mul(u2, alg.sub(alg.one, j))
@@ -562,28 +566,21 @@ def _random_three_term(alg, rng):
         i = rng.randint(1, alg.N - 1) if alg.N > 1 else 1
         a = alg.mul(u1, alg.scalar(alg.p**i, alg.one))
         b = alg.mul(u2, alg.scalar(alg.p ** (alg.N - i), alg.one))
-    d0 = ModuleMap(F[0], F[1], [[a]])
-    d1 = ModuleMap(F[1], F[2], [[b]])
-    return BoundedComplex(alg, rng.randint(-1, 1), F, [d0, d1])
+    d = [ModuleMap(F[0], F[1], [[a]]), ModuleMap(F[1], F[2], [[b]])]
+    return BoundedComplex(alg, rng.randint(-1, 1), F, d)
 
 
 def _random_unit(alg, rng):
-    while True:
-        x = _random_element(alg, rng)
-        if alg.is_unit(x):
-            return x
+    return _draw_until(lambda: _random_element(alg, rng), alg.is_unit)
 
 
 @_timed
 def complex_invariant_campaign(seed: int = 0, trials: int = 100) -> CampaignResult:
     """Shift parity, quasi-isomorphism invariance (against direct sums with
     acyclic complexes), and cone acyclicity for identity maps."""
-    from .complexes import extension, quasi_iso_check
-
-    res = CampaignResult("complex invariants (shift/quasi-iso/cone)")
-    rng = random.Random(seed)
     algs = [GroupAlgebra(3, 2, FiniteAbelianGroup((2,))), GroupAlgebra(2, 3, FiniteAbelianGroup((2,)))]
-    for t in range(trials):
+
+    def trial(rng, t):
         alg = algs[t % len(algs)]
         C = _random_three_term(alg, rng) if t % 2 else _two_term(alg, _random_element(alg, rng))
         inv = C.euler_fitting()
@@ -597,19 +594,17 @@ def complex_invariant_campaign(seed: int = 0, trials: int = 100) -> CampaignResu
         if t % 10 == 0:  # the cone of the identity of C
             ident = extension(C.shift(1), C, lambda i: identity_map(C.module_at(i + 1)).matrix)
             ok = ok and ident.c2.is_acyclic()
-        res.record(ok, f"complex invariant fails over {alg.name} at trial {t}")
-    return res
+        yield ok, f"complex invariant fails over {alg.name}"
+
+    return run_trials("complex invariants (shift/quasi-iso/cone)", seed, trials, trial)
 
 
 @_timed
 def complex_additivity_campaign(seed: int = 0, trials: int = 100) -> CampaignResult:
     """Euler-Fitting additivity over degreewise-split twisted exact sequences."""
-    from .complexes import euler_fitting_additivity_check, extension
-
-    res = CampaignResult("complex additivity over exact sequences")
-    rng = random.Random(seed)
     algs = [GroupAlgebra(3, 2, FiniteAbelianGroup((2,))), GroupAlgebra(2, 3, FiniteAbelianGroup((2,)))]
-    for t in range(trials):
+
+    def trial(rng, t):
         alg = algs[t % len(algs)]
         C1 = _two_term(alg, _random_element(alg, rng))
         C3 = _two_term(alg, _random_element(alg, rng))
@@ -618,14 +613,10 @@ def complex_additivity_campaign(seed: int = 0, trials: int = 100) -> CampaignRes
         d3 = C3.differentials[0].matrix[0][0]
         # the twist h: C3^0 -> C1^1 of a degreewise splitting phi
         h = alg.sub(alg.mul(phi0, d1), alg.mul(d3, phi1))
-        try:
-            ok = euler_fitting_additivity_check(extension(C3, C1, lambda i: [[h]]))
-        except ValueError as exc:
-            ok = False
-            res.record(False, f"additivity raised {exc}")
-            continue
-        res.record(ok, f"additivity fails over {alg.name} at trial {t}")
-    return res
+        ok = euler_fitting_additivity_check(extension(C3, C1, lambda i: [[h]]))
+        yield ok, f"additivity fails over {alg.name}"
+
+    return run_trials("complex additivity over exact sequences", seed, trials, trial)
 
 
 def complex_campaigns(seed: int = 0, trials: int = 100) -> list[CampaignResult]:
@@ -642,35 +633,34 @@ def complex_campaigns(seed: int = 0, trials: int = 100) -> list[CampaignResult]:
 def integrality_campaign(max_conductor: int = 24, rs=(0, -1, -2)) -> CampaignResult:
     """Deligne-Ribet / Cassou-Nogues integrality: theta_S^T is in Z[G] for
     every Hyp-satisfying (S, T) over the CM corpus."""
-    res = CampaignResult("stickelberger integrality under Hyp")
-    for spec in corpus_cm_specs(max_conductor):
+
+    def trial(rng, spec):
         for S, T in corpus_st_choices(spec):
             for r in rs:
-                th = theta(spec, S, T, r)
-                res.record(
-                    verify_integrality(th),
-                    f"non-integral theta: {spec.label} S={S} T={T} r={r}",
-                )
-    return res
+                ok = verify_integrality(theta(spec, S, T, r))
+                yield ok, f"non-integral theta: {spec.label} S={S} T={T} r={r}"
+
+    return run_trials(
+        "stickelberger integrality under Hyp", 0, *_families((trial, corpus_cm_specs(max_conductor)))
+    )
 
 
 @_timed
 def character_campaign(max_conductor: int = 24, rs=(0, -1, -2)) -> CampaignResult:
     """Two-route agreement: chi-components of the group-ring theta equal the
     generalized-Bernoulli L-values, exactly, over the same corpus."""
-    res = CampaignResult("character cross-validation")
-    for spec in corpus_cm_specs(max_conductor):
-        gal = galois_group(spec)
-        tab = CharacterTable(gal.group)
+
+    def trial(rng, spec):
+        tab = CharacterTable(galois_group(spec).group)
         for S, T in corpus_st_choices(spec):
             for r in rs:
-                th = theta(spec, S, T, r).value
-                lhs = tab.decompose(th)
+                lhs = tab.decompose(theta(spec, S, T, r).value)
                 rhs = theta_character_side(spec, S, T, r)
-                res.record(
-                    lhs == rhs, f"component mismatch: {spec.label} S={S} T={T} r={r}"
-                )
-    return res
+                yield lhs == rhs, f"component mismatch: {spec.label} S={S} T={T} r={r}"
+
+    return run_trials(
+        "character cross-validation", 0, *_families((trial, corpus_cm_specs(max_conductor)))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -693,30 +683,31 @@ TOWER_CORPUS = (
 @_timed
 def tower_coherence_campaign(n_max: int = 2, N: int = 3) -> CampaignResult:
     """Adjacent aug projections of Theta_{S,T}(L_n, r) match exactly."""
-    res = CampaignResult("tower coherence")
-    for spec, p, S, T in TOWER_CORPUS:
-        for r in (0, -1, -2):
-            t = theta_tower(spec, S, T, p, N, n_max, r)
-            ok, where = coherence_check(t)
-            res.record(ok, f"coherence fails {spec.label} p={p} r={r} at {where}")
-            res.record(
-                all(parity_projector_annihilates(t, n) for n in range(t.n_max + 1)),
-                f"parity projector fails {spec.label} r={r}",
-            )
-    return res
+
+    def trial(rng, case):
+        (spec, p, S, T), r = case
+        t = theta_tower(spec, S, T, p, N, n_max, r)
+        ok, where = coherence_check(t)
+        yield ok, f"coherence fails {spec.label} p={p} r={r} at {where}"
+        ok = all(parity_projector_annihilates(t, n) for n in range(t.n_max + 1))
+        yield ok, f"parity projector fails {spec.label} r={r}"
+
+    cases = [(entry, r) for entry in TOWER_CORPUS for r in (0, -1, -2)]
+    return run_trials("tower coherence", 0, *_families((trial, cases)))
 
 
 @_timed
 def kummer_congruence_campaign(n_max: int = 2, N: int = 3) -> CampaignResult:
     """Theta(L_n, r) = twist(Theta(L_n, 0), r) mod p^min(N, n+1), exactly."""
-    res = CampaignResult("equivariant Kummer congruence")
-    for spec, p, S, T in TOWER_CORPUS:
+
+    def trial(rng, case):
+        spec, p, S, T = case
         t0 = theta_tower(spec, S, T, p, N, n_max, 0)
         for r in (-1, -2, -3):
-            tr = theta_tower(spec, S, T, p, N, n_max, r)
-            ok, where = twist_congruence_check(tr, t0)
-            res.record(ok, f"congruence fails {spec.label} p={p} r={r} at level {where}")
-    return res
+            ok, where = twist_congruence_check(theta_tower(spec, S, T, p, N, n_max, r), t0)
+            yield ok, f"congruence fails {spec.label} p={p} r={r} at level {where}"
+
+    return run_trials("equivariant Kummer congruence", 0, *_families((trial, TOWER_CORPUS)))
 
 
 # ---------------------------------------------------------------------------
@@ -724,22 +715,31 @@ def kummer_congruence_campaign(n_max: int = 2, N: int = 3) -> CampaignResult:
 
 def load_manifest(data_dir: Path) -> list[dict]:
     """The entries of data_dir/manifest.json and their class data, read under
-    the wire rule; a spec or class module off its precondition is ValueError."""
+    the wire rule, each with its theta and the minus dual presentation of its
+    module. An entry off its precondition is a ValueError before any campaign
+    runs: theta(spec, S, T, r) must be integral (so p-integral), the spec CM,
+    p an odd prime and the spec's group the module's (minus_dual_presentation)."""
     out = []
     for entry in wire.load(data_dir / "manifest.json", "manifest")["entries"].list():
         name = entry["data"].str()
-        out.append(
-            {
-                "name": name,
-                "module": ClassModuleData.from_json(wire.load(data_dir / name, f"data file {name}")),
-                "spec": AbelianFieldSpec.from_json(entry["spec"]),
-                "S": [v.place() for v in entry["S"].list()],
-                "T": [v.place() for v in entry["T"].list()],
-                "r": entry["r"].int(),
-                "p": entry["p"].int(),
-                "N": entry["N"].int(),
-            }
-        )
+        e = {
+            "name": name,
+            "module": ClassModuleData.from_json(wire.load(data_dir / name, f"data file {name}")),
+            "spec": AbelianFieldSpec.from_json(entry["spec"]),
+            "S": [v.place() for v in entry["S"].list()],
+            "T": [v.place() for v in entry["T"].list()],
+            "r": entry["r"].int(),
+            "p": entry["p"].int(),
+            "N": entry["N"].int(),
+        }
+        try:
+            e["theta"] = theta(e["spec"], e["S"], e["T"], e["r"])
+            if not verify_integrality(e["theta"]):
+                raise ValueError("theta must have integer coefficients")
+            e["dual"] = minus_dual_presentation(e["spec"], e["module"], e["p"], e["N"])
+        except ValueError as exc:
+            raise ValueError(f"manifest entry {name}: {exc}") from exc
+        out.append(e)
     return out
 
 
@@ -748,29 +748,27 @@ def annihilation_campaign(entries: list[dict]) -> CampaignResult:
     """Checker verdicts match the exhaustive-action oracle on every module of
     the load_manifest entries of cardinality <= 3^6; Fitting membership is
     cross-checked by ideal enumeration whenever the minus algebra is small."""
-    from .lvalues import minus_dual_presentation
 
-    res = CampaignResult("annihilation / fitting membership vs oracles")
-    for entry in entries:
-        M, spec, p, N = entry["module"], entry["spec"], entry["p"], entry["N"]
-        th = theta(spec, entry["S"], entry["T"], entry["r"])
+    def trial(rng, entry):
+        M, th, p, N = entry["module"], entry["theta"], entry["p"], entry["N"]
         ok_ann, witness = annihilation_check(th, M)
         if M.size <= 3**6:
             oracle = annihilation_oracle(M.theta_matrix(th.value, th.group), M.orders)
-            res.record(ok_ann == oracle, f"annihilation oracle mismatch: {entry['name']}")
+            yield ok_ann == oracle, f"annihilation oracle mismatch: {entry['name']}"
         ok_fit, residual = fitting_membership_check(th, M, p, N)
-        dual_mod, alg, proj = minus_dual_presentation(spec, M, p, N)
+        dual_mod, alg, proj = entry["dual"]
         quo = dual_mod.algebra
         if quo.q**quo.dim <= ORACLE_RING_LIMIT:
             target = proj.apply(sharp(padic_from_rational(th.value, p, N), th.group))
             oracle_fit = ideal_member_oracle(target, dual_mod.fitting_ideal)
-            res.record(ok_fit == oracle_fit, f"fitting oracle mismatch: {entry['name']}")
+            yield ok_fit == oracle_fit, f"fitting oracle mismatch: {entry['name']}"
         # table-derived entries are honest class groups: the proven theorems
         # (Stickelberger annihilation, strong Brumer-Stark) must hold on them
         if entry["name"].startswith("table"):
-            res.record(ok_ann, f"annihilation fails on table data {entry['name']}")
-            res.record(ok_fit, f"fitting membership fails on table data {entry['name']}")
-    return res
+            yield ok_ann, f"annihilation fails on table data {entry['name']}"
+            yield ok_fit, f"fitting membership fails on table data {entry['name']}"
+
+    return run_trials("annihilation / fitting membership vs oracles", 0, *_families((trial, entries)))
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +782,8 @@ def run_all(
     data_dir: Path | None = None,
 ) -> list[CampaignResult]:
     # the data is read and checked before the first campaign runs; a named
-    # directory without a readable manifest is a SchemaError
+    # directory without a readable manifest is a SchemaError, an entry off
+    # its precondition a ValueError
     entries = None if data_dir is None else load_manifest(Path(data_dir))
     results = [
         exact_arith_campaign(seed),

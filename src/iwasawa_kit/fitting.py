@@ -338,11 +338,10 @@ class PrimeToPSplit:
 
     Each cyclic factor C_o, o = p^a m, splits by CRT as e -> (e mod p^a,
     e mod m), so g = g_P g_Delta. The ring maps pi_psi: g -> psi(g_Delta) g_P
-    together are an isomorphism (|Delta| is a unit), whose inverse sends y at
-    psi to e_psi y with e_psi = |Delta|^-1 sum_d psi(d)^-1 d. `cosets[i]`
-    lists the basis indices of the g with g_P the i-th basis element of
-    `part`, in the basis order of Delta; `characters[c][d]` = psi_c(d) and
-    `lifts[c][d]` = |Delta|^-1 psi_c(d)^-1 mod q for the d-th element of Delta.
+    together are an isomorphism (|Delta| is a unit). `cosets[i]` lists the
+    basis indices of the g with g_P the i-th basis element of `part`, in the
+    basis order of Delta; `characters[c][d]` = psi_c(d) for the d-th element
+    of Delta.
     """
 
     def __init__(self, p: int, N: int, group: FiniteAbelianGroup, ppart: list[int],
@@ -350,7 +349,7 @@ class PrimeToPSplit:
         q = p**N
         P = FiniteAbelianGroup(tuple(pa for pa in ppart if pa > 1))
         delta = FiniteAbelianGroup(tuple(m for m in mpart if m > 1))
-        self.part, self.dim = GroupAlgebra(p, N, P), group.size
+        self.part = GroupAlgebra(p, N, P)
         pindex, dindex = basis_index(P), basis_index(delta)
         self.cosets = [[0] * delta.size for _ in range(P.size)]
         for k, g in enumerate(group.elements()):
@@ -359,13 +358,10 @@ class PrimeToPSplit:
             self.cosets[pindex[gp]][dindex[gd]] = k
         omega = teichmuller(primitive_root(p), p, N)
         powers = [pow(omega, e, q) for e in range(p - 1)]
-        inv_size = pow(delta.size, -1, q)
-        self.characters, self.lifts = [], []
+        self.characters = []
         for psi in delta.elements():
             weights = [t * ((p - 1) // m) for t, m in zip(psi, delta.orders)]
-            logs = linear_form(delta, weights, p - 1)
-            self.characters.append([powers[e] for e in logs])
-            self.lifts.append([inv_size * powers[-e] % q for e in logs])
+            self.characters.append([powers[e] for e in linear_form(delta, weights, p - 1)])
 
     def project(self, xs: list[Vec]) -> list[list[Vec]]:
         """The images pi_psi(x) of the xs, one list per character psi."""
@@ -375,19 +371,6 @@ class PrimeToPSplit:
             [tuple([sum(map(mul, b, chi)) % q for b in bs]) for bs in blocks]
             for chi in self.characters
         ]
-
-    def lift(self, spans: list[list[list[int]]]) -> list[list[int]]:
-        """The rows e_psi r of G, for the rows r of each character's span."""
-        q = self.part.q
-        out = []
-        for lift, rows in zip(self.lifts, spans):
-            for r in rows:
-                row = [0] * self.dim
-                for c, coset in zip(r, self.cosets):
-                    for k, w in zip(coset, lift):
-                        row[k] = c * w % q
-                out.append(row)
-        return out
 
 
 @lru_cache(maxsize=None)
@@ -497,7 +480,9 @@ class IdealHandle:
     the images pi_psi of the generators; I = I' iff every part agrees, and
     each part has its own Howell form, of width |P| rather than |G|. Over any
     other algebra the ideal is its own one part. `howell` is the form in the
-    algebra's own basis either way; a split ideal derives it from its parts.
+    algebra's own basis, taken from the generators (or a product's factors)
+    by one route for every algebra; the kit compares, sizes and tests split
+    ideals part by part, so only a reader of `howell` pays for it.
     Two parts over one algebra with equal lists of at most dim generators are
     equal with no form read. Over a local algebra (each part of a split one)
     an ideal is whole iff a generator is a unit, and I*J iff I and J are; a
@@ -556,9 +541,6 @@ class IdealHandle:
         alg = self.algebra
         if self._whole:
             return [list(alg.basis_element(i)) for i in range(alg.dim)]
-        if alg.prime_to_p is not None:
-            rows = alg.prime_to_p.lift([part.howell for part in self.parts])
-            return howell_form(rows, alg.dim, alg.R)
         if self.factors is not None:
             I, J = self.factors
             if J.ngens > alg.dim and I.ngens <= alg.dim:
@@ -843,8 +825,9 @@ class SubquotientData:
 def _nakayama_rows(
     algebra: FiniteCommAlgebra, width: int, rows: list[list[int]], base: list[list[int]]
 ) -> list[list[int]]:
-    """Rows among the Howell rows of an A-stable span Z that generate Z
-    modulo the A-stable span `base` (a Howell form, inside Z) as an A-module.
+    """Rows among `rows`, which span an A-stable Z over Z/p^N (its Howell
+    rows, say), that generate Z modulo the A-stable span `base` (a Howell
+    form, inside Z) as an A-module.
 
     Nakayama: for J inside the Jacobson radical, rows generate Z/B once they
     span it modulo JZ + B. So a row is kept only when it is not in the span
@@ -874,14 +857,14 @@ def subquotient_presentation(
     b_rows: list[list[int]],
 ) -> SubquotientData:
     """Present Z/B over the algebra, for A-stable spans B <= Z <= (A^ncomp),
-    on the Howell rows of Z that generate it modulo the radical, with the
-    Howell rows of their relation module that generate it modulo the
-    radical as relations (_nakayama_rows)."""
+    on the rows of Z that generate it modulo the radical, with the Howell
+    rows of their relation module that generate it modulo the radical as
+    relations (_nakayama_rows). `z_rows` must span Z and Z must contain B:
+    every caller passes a Howell kernel span, which holds B already."""
     R = algebra.R
     width = algebra.dim * ncomp
     Bh = howell_form([list(r) for r in b_rows], width, R)
-    Zh = howell_form([list(r) for r in z_rows] + Bh, width, R)
-    gens_ambient = [algebra.split(g) for g in _nakayama_rows(algebra, width, Zh, Bh)]
+    gens_ambient = [algebra.split(g) for g in _nakayama_rows(algebra, width, z_rows, Bh)]
     t = len(gens_ambient)
 
     # Relations: {u in A^t : sum_k u_k z_k in B}, computed on realizations.

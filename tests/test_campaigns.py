@@ -1,8 +1,14 @@
 """Campaign-level tests: determinism, corpus pinning, oracle usage."""
 
+import json
 from pathlib import Path
 
+import pytest
+
+from iwasawa_kit import cli, fitting, lvalues
 from iwasawa_kit.campaigns import (
+    MAX_DRAWS,
+    _draw_until,
     annihilation_campaign,
     corpus_cm_specs,
     corpus_st_choices,
@@ -13,6 +19,7 @@ from iwasawa_kit.campaigns import (
     howell_campaign,
     integrality_campaign,
     load_manifest,
+    run_trials,
 )
 from iwasawa_kit.abelian import AbelianFieldSpec, check_hyp
 
@@ -61,3 +68,83 @@ def test_small_campaigns_pass():
     assert howell_campaign(0, trials=40).ok
     assert integrality_campaign(8).ok
     assert annihilation_campaign(load_manifest(DATA)).ok
+
+
+# ---------------------------------------------------------------------------
+# The trial loop: a trial that raises is a recorded failure, and a rejection
+# draw that finds nothing fails its trial instead of hanging.
+
+def test_a_trial_that_raises_is_one_failure_and_the_loop_goes_on():
+    ran = []
+
+    def trial(rng, t):
+        ran.append(t)
+        yield True, "never shown"
+        if t == 1:
+            raise ZeroDivisionError("boom")
+        yield t != 2, "third trial fails"
+
+    res = run_trials("raising", 2026, 3, trial)
+    assert ran == [0, 1, 2]
+    assert (res.trials, res.failures) == (6, 2) and not res.ok
+    assert res.details == [
+        "ZeroDivisionError: boom (seed 2026, trial 1)",
+        "third trial fails (seed 2026, trial 2)",
+    ]
+
+
+def test_memory_error_is_not_a_recorded_failure():
+    def trial(rng, t):
+        raise MemoryError
+        yield
+
+    with pytest.raises(MemoryError):
+        run_trials("out of memory", 0, 1, trial)
+
+
+def test_a_rejection_draw_is_bounded():
+    draws = []
+    with pytest.raises(RuntimeError, match="no acceptable draw"):
+        _draw_until(lambda: draws.append(0), lambda x: False)
+    assert len(draws) == MAX_DRAWS
+
+
+def test_selftest_records_a_sign_fault_in_the_partial_zeta_values(tmp_path, monkeypatch, capsys):
+    """One flipped sign makes theta non-integral and the towers refuse to
+    build: each suite records its failing trials, and selftest exits 3 with a
+    certificate instead of refusing."""
+    original = lvalues.partial_zeta_vector
+
+    def flipped(pres, S, r):
+        nums, den = original(pres, S, r)
+        return (-nums[0],) + nums[1:], den
+
+    monkeypatch.setattr(lvalues, "partial_zeta_vector", flipped)
+    out = tmp_path / "selftest.json"
+    code = cli.main(["selftest", "--max-conductor", "8", "--trials", "6",
+                     "--complex-trials", "4", "--out", str(out)])
+    capsys.readouterr()
+    assert code == cli.EXIT_CHECK_FAILED
+    suites = {s["name"]: s for s in json.loads(out.read_text())["result"]["suites"]}
+    failing = {name for name, s in suites.items() if s["failures"]}
+    assert {"stickelberger integrality under Hyp", "character cross-validation",
+            "tower coherence", "equivariant Kummer congruence", "tower fitting consistency"} <= failing
+    assert all(s["ok"] for name, s in suites.items() if name not in failing)
+    assert any("TowerIntegralityError" in d for d in suites["tower coherence"]["details"])
+
+
+def test_a_howell_fault_fails_the_four_term_draws_instead_of_hanging(monkeypatch):
+    """The Howell form that fitting.py sees drops the last row of every form
+    of more than two rows, so most certified draws find no acceptable
+    presentation (an unbounded draw would loop forever)."""
+    original = fitting.howell_form
+
+    def dropped(rows, width, R):
+        H = original(rows, width, R)
+        return H[:-1] if len(H) > 2 else H
+
+    monkeypatch.setattr(fitting, "howell_form", dropped)
+    res = fitting_four_term_campaign(2029, 6)
+    assert res.trials == 6 and res.failures > 0
+    assert all("(seed 2029, trial " in d for d in res.details)
+    assert any(d.startswith("RuntimeError: no acceptable draw") for d in res.details)

@@ -768,6 +768,43 @@ def test_selftest_refuses_bad_data_dir(tmp_path, capsys, monkeypatch, manifest, 
     assert code == EXIT_IO and err["exit"] == EXIT_IO
 
 
+ZETA5 = {"modulus": 5, "fixing": [1], "label": "Q(zeta_5)"}
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [({"spec": ZETA5, "S": ["5", "oo"]}, "group mismatch"),
+     ({"spec": ZETA5}, "S misses ramified primes"),
+     ({"T": []}, "theta must have integer coefficients"),
+     ({"p": 9}, "odd prime")],
+    ids=["zeta5-groups", "zeta5-S", "non-integral-theta", "p-not-prime"],
+)
+def test_selftest_refuses_manifest_entries_off_their_preconditions(
+    tmp_path, capsys, monkeypatch, changes, message
+):
+    # a well-typed entry whose spec, places or prime do not fit its class data
+    # is a precondition refusal (exit 2) before the first campaign runs, not a
+    # failed trial of the annihilation suite
+    from iwasawa_kit import campaigns
+
+    def campaign(seed):
+        pytest.fail("a campaign ran before the manifest entries were checked")
+
+    monkeypatch.setattr(campaigns, "exact_arith_campaign", campaign)
+    manifest = MANIFEST
+    for key, value in changes.items():
+        manifest = with_field(manifest, ("entries", 0, key), value)
+    for entry in MANIFEST["entries"]:
+        (tmp_path / entry["data"]).write_text((DATA / entry["data"]).read_text())
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    code, err = run_refused(
+        capsys, "selftest", "--max-conductor", "3", "--trials", "1", "--complex-trials", "1",
+        "--data-dir", str(tmp_path),
+    )
+    assert code == EXIT_PRECONDITION and err["exit"] == EXIT_PRECONDITION
+    assert err["error"].startswith("manifest entry trivial_z3.json: ") and message in err["error"]
+
+
 SPECS = st.one_of(
     st.integers(0, 30).map(lambda n: f"zeta{n}"),
     st.sampled_from(["", ".", "Q", "zeta", "zetax", "zeta-3", "zeta 5", "-x", "--", "oo",

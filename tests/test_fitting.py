@@ -35,6 +35,7 @@ from iwasawa_kit.fitting import (
     zero_ideal,
     zmod_algebra,
 )
+from iwasawa_kit.linalg import howell_form, span_size
 from iwasawa_kit.oracles import enumerate_span, ideal_equal_oracle, ideal_member_oracle
 
 C2 = FiniteAbelianGroup((2,))
@@ -534,7 +535,8 @@ def test_subquotient_presentation_roundtrip():
 )
 def test_prime_to_p_split_is_a_ring_isomorphism(p, N, orders, part_orders, nchars):
     """pi_psi is a ring map onto (Z/p^N)[P] for each character psi, and the
-    lifts e_psi pi_psi(x) add up to x."""
+    projections of the dim basis elements, stacked over the characters, span
+    (Z/p^N)^dim: together the pi_psi are an isomorphism."""
     alg = GroupAlgebra(p, N, FiniteAbelianGroup(orders))
     split = alg.prime_to_p
     assert split is GroupAlgebra(p, N, FiniteAbelianGroup(orders)).prime_to_p
@@ -547,8 +549,9 @@ def test_prime_to_p_split_is_a_ring_isomorphism(p, N, orders, part_orders, nchar
         for px, py, pxy, psum in split.project([x, y, alg.mul(x, y), alg.add(x, y)]):
             assert part.mul(px, py) == pxy
             assert part.add(px, py) == psum
-        lifted = split.lift([[list(px)] for [px] in split.project([x])])
-        assert tuple(sum(col) % alg.q for col in zip(*lifted)) == x
+    images = split.project([alg.basis_element(i) for i in range(alg.dim)])
+    stacked = [[c for img in row for c in img] for row in zip(*images)]
+    assert span_size(howell_form(stacked, alg.dim, alg.R), alg.R) == alg.q**alg.dim
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,7 @@ LEDGER = [
     ("fitting_multiplicativity_campaign(2026, 60)",
      lambda: campaigns.fitting_multiplicativity_campaign(2026, 60).ok, (106, 1193)),
     ("complex_campaigns(2026, 20)",
-     lambda: all(r.ok for r in campaigns.complex_campaigns(2026, 20)), (4147, 26624)),
+     lambda: all(r.ok for r in campaigns.complex_campaigns(2026, 20)), (3777, 23818)),
 ]
 
 
