@@ -8,17 +8,8 @@ algebra over the group) and multiplies along it. Code outside the two
 classes reads an algebra through its operations (mul, sharp_of,
 regular_rows), never through its storage. Every module/ideal question
 reduces to Howell-form linear algebra over Z/p^N through the regular
-representation. Ideal handles canonicalize through that form, so ideal
-equality and membership are exact.
-
-A group algebra (Z/p^N)[G] with p odd, G = P x Delta (P the p-part) and
-Delta nontrivial of exponent dividing p - 1 splits by the idempotents of
-Delta: (Z/p^N)[G] = prod_psi (Z/p^N)[P] over the characters psi of Delta,
-valued in the Teichmuller lifts mod p^N (PrimeToPSplit). Its ideals are held
-and compared one part per character, each canonicalized by a Howell form of
-width |P| instead of |G|. An algebra without that split (p = 2, a p-group,
-exp(Delta) not dividing p - 1, a minus quotient, Z/p^N, a from_json
-algebra) keeps one Howell form of width dim per ideal.
+representation. Ideal handles canonicalize through that form, one Howell
+form of width dim per ideal, so ideal equality and membership are exact.
 
 Vector layout for the realization of A^n: component-major, index(c, i) =
 c*dim + i for component c and algebra-basis index i. `FiniteCommAlgebra.realize`
@@ -32,14 +23,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from . import wire
 from .abelian import FiniteAbelianGroup
-from .exact import teichmuller
-from .groupring import basis_index, inversion, linear_form, mul_table, push
+from .groupring import basis_index, inversion, mul_table, push
 from .linalg import (
     ZModPN,
     combine,
@@ -51,7 +40,6 @@ from .linalg import (
     smith_normal_form,
     span_size,
 )
-from .numutil import primitive_root
 
 Vec = tuple[int, ...]
 
@@ -65,11 +53,10 @@ class FiniteCommAlgebra:
     `has_sharp` says whether it was given. `q` = p^N is an attribute. The
     dense table (basis_i * basis_j as a coefficient vector) exists only in
     the JSON form. A GroupAlgebra has no `terms` or `sharp_images`: it reads
-    the group law instead. Only a GroupAlgebra can have a `prime_to_p` (its
-    PrimeToPSplit) or be `local` (known to be a local ring).
+    the group law instead. Only a GroupAlgebra can be `local` (known to be a
+    local ring).
     """
 
-    prime_to_p: PrimeToPSplit | None = None
     local = False
 
     def __init__(
@@ -265,9 +252,8 @@ class GroupAlgebra(FiniteCommAlgebra):
     (g_i^-1 at i), shared by every algebra over A, so a build is O(dim) once
     the group's table exists. `mul` convolves along the table, `sharp_of`
     and the rows of the regular representation permute coefficients; no
-    copy of the law in the general algebra's format is kept. `prime_to_p` is
-    the algebra's PrimeToPSplit or None, built once per (p, N, A) and
-    shared. `local`: A is a p-group, so the algebra is local (residue F_p)."""
+    copy of the law in the general algebra's format is kept. `local`: A is
+    a p-group, so the algebra is local (residue F_p)."""
 
     has_sharp = True
 
@@ -302,12 +288,11 @@ class GroupAlgebra(FiniteCommAlgebra):
         return [[x[i] % q for i in row] for row in self._translates]
 
     def is_unit(self, x: Vec) -> bool:
-        """A unit mod the residue field (p-group) or in every part (split)."""
+        """Over a p-group (local, residue field F_p): augmentation nonzero
+        mod p. Otherwise the Howell route."""
         if self.local:
             return sum(x) % self.p != 0
-        if self.prime_to_p is None:
-            return super().is_unit(x)
-        return all(self.prime_to_p.part.is_unit(y) for [y] in self.prime_to_p.project([x]))
+        return super().is_unit(x)
 
     @cached_property
     def radical_elements(self) -> list[Vec]:
@@ -317,72 +302,14 @@ class GroupAlgebra(FiniteCommAlgebra):
         out = [self.scalar(self.p, self.one)]
         orders = self.group.orders
         for k, o in enumerate(orders):
-            pa = math.gcd(o, self.p ** o.bit_length())  # as in prime_to_p_split
+            pa = math.gcd(o, self.p ** o.bit_length())  # p^a divides o < 2^bits <= p^bits
             if pa > 1:
                 g = tuple(o // pa if i == k else 0 for i in range(len(orders)))
                 out.append(self.sub(self.group_element_vector(g), self.one))
         return out
 
-    @cached_property
-    def prime_to_p(self) -> PrimeToPSplit | None:
-        return prime_to_p_split(self.p, self.N, self.group)
-
     def group_element_vector(self, g) -> Vec:
         return self.basis_element(self.index[self.group.reduce(g)])
-
-
-class PrimeToPSplit:
-    """(Z/p^N)[G] = prod_psi (Z/p^N)[P] for G = P x Delta, P the p-part of G
-    and psi over the characters of Delta, valued in the Teichmuller lifts of
-    mu_(p-1) mod p^N.
-
-    Each cyclic factor C_o, o = p^a m, splits by CRT as e -> (e mod p^a,
-    e mod m), so g = g_P g_Delta. The ring maps pi_psi: g -> psi(g_Delta) g_P
-    together are an isomorphism (|Delta| is a unit). `cosets[i]` lists the
-    basis indices of the g with g_P the i-th basis element of `part`, in the
-    basis order of Delta; `characters[c][d]` = psi_c(d) for the d-th element
-    of Delta.
-    """
-
-    def __init__(self, p: int, N: int, group: FiniteAbelianGroup, ppart: list[int],
-                 mpart: list[int]):
-        q = p**N
-        P = FiniteAbelianGroup(tuple(pa for pa in ppart if pa > 1))
-        delta = FiniteAbelianGroup(tuple(m for m in mpart if m > 1))
-        self.part = GroupAlgebra(p, N, P)
-        pindex, dindex = basis_index(P), basis_index(delta)
-        self.cosets = [[0] * delta.size for _ in range(P.size)]
-        for k, g in enumerate(group.elements()):
-            gp = tuple(e % pa for e, pa in zip(g, ppart) if pa > 1)
-            gd = tuple(e % m for e, m in zip(g, mpart) if m > 1)
-            self.cosets[pindex[gp]][dindex[gd]] = k
-        omega = teichmuller(primitive_root(p), p, N)
-        powers = [pow(omega, e, q) for e in range(p - 1)]
-        self.characters = []
-        for psi in delta.elements():
-            weights = [t * ((p - 1) // m) for t, m in zip(psi, delta.orders)]
-            self.characters.append([powers[e] for e in linear_form(delta, weights, p - 1)])
-
-    def project(self, xs: list[Vec]) -> list[list[Vec]]:
-        """The images pi_psi(x) of the xs, one list per character psi."""
-        q, mul = self.part.q, operator.mul
-        blocks = [[[x[k] for k in coset] for coset in self.cosets] for x in xs]
-        return [
-            [tuple([sum(map(mul, b, chi)) % q for b in bs]) for bs in blocks]
-            for chi in self.characters
-        ]
-
-
-@lru_cache(maxsize=None)
-def prime_to_p_split(p: int, N: int, group: FiniteAbelianGroup) -> PrimeToPSplit | None:
-    """The split of (Z/p^N)[group] when p is odd, the prime-to-p part Delta
-    is nontrivial and exp(Delta) divides p - 1; None otherwise."""
-    # the p-part p^a of each order o: p^a divides o < 2^bits <= p^bits
-    ppart = [math.gcd(o, p ** o.bit_length()) for o in group.orders]
-    mpart = [o // pa for o, pa in zip(group.orders, ppart)]
-    if p == 2 or math.prod(mpart) == 1 or (p - 1) % math.lcm(*mpart):
-        return None
-    return PrimeToPSplit(p, N, group, ppart, mpart)
 
 
 class AlgebraMorphism:
@@ -473,27 +400,19 @@ def group_algebra_morphism(src: GroupAlgebra, dst: GroupAlgebra, element_map) ->
 
 class IdealHandle:
     """Finitely generated ideal, canonicalized as the Howell form of its
-    Z/p^N-span inside the regular representation.
-
-    Over a group algebra with a PrimeToPSplit the ideal is held as its
-    `parts`, one ideal of (Z/p^N)[P] per character psi of Delta, built from
-    the images pi_psi of the generators; I = I' iff every part agrees, and
-    each part has its own Howell form, of width |P| rather than |G|. Over any
-    other algebra the ideal is its own one part. `howell` is the form in the
-    algebra's own basis, taken from the generators (or a product's factors)
-    by one route for every algebra; the kit compares, sizes and tests split
-    ideals part by part, so only a reader of `howell` pays for it.
-    Two parts over one algebra with equal lists of at most dim generators are
-    equal with no form read. Over a local algebra (each part of a split one)
-    an ideal is whole iff a generator is a unit, and I*J iff I and J are; a
-    whole ideal's `howell` is the identity rows, with no elimination.
+    Z/p^N-span inside the regular representation (`howell`, width dim, in
+    the algebra's own basis), taken from the generators or a product's
+    factors. Two ideals over one algebra with equal lists of at most dim
+    generators are equal with no form read. Over a local algebra an ideal is
+    whole iff a generator is a unit, and I*J iff I and J are; a whole
+    ideal's `howell` is the identity rows, with no elimination.
 
     `generators` are literal: the list given, or for a product I*J the
     pairwise products x*y (x over I's generators, y over J's, in that order),
     built only when something reads them, so the brute-force oracles get an
     input that no Howell form has touched. A product's span comes from its
-    factors, part by part: I*J is the Z/p^N-span of {x*y} where x runs over
-    any Z/p^N-spanning set of I and y over ideal generators of J (a in I and
+    factors: I*J is the Z/p^N-span of {x*y} where x runs over any
+    Z/p^N-spanning set of I and y over ideal generators of J (a in I and
     b = sum c_k y_k give a*b = sum (a*c_k)*y_k with a*c_k in I). So a factor
     with more generators than dim contributes its Howell rows (at most dim),
     and the products need no regular representation; when neither factor has
@@ -514,20 +433,6 @@ class IdealHandle:
         I, J = self.factors
         mul = self.algebra.mul
         return [mul(a, b) for a in I.generators for b in J.generators]
-
-    @property
-    def parts(self) -> list[IdealHandle]:
-        """One ideal of the part algebra per character; [self] unsplit (not
-        cached, so that an ideal holds no reference to itself)."""
-        return [self] if self.algebra.prime_to_p is None else self._split_parts
-
-    @cached_property
-    def _split_parts(self) -> list[IdealHandle]:
-        split = self.algebra.prime_to_p
-        if self.factors is not None:
-            I, J = self.factors
-            return [a.product(b) for a, b in zip(I.parts, J.parts)]
-        return [IdealHandle(split.part, images) for images in split.project(self.generators)]
 
     @cached_property
     def _whole(self) -> bool:
@@ -554,22 +459,16 @@ class IdealHandle:
             rows.extend(alg.regular_rows(g))
         return howell_form(rows, alg.dim, alg.R)
 
-    def _spans_with(self, other: "IdealHandle") -> list[tuple[list, list]]:
-        """(this span, the other's span) part by part, ([], []) for two parts
-        with equal generators. An ideal over a group algebra and one over an
-        unsplit copy of it (from_json) meet in the algebra's own basis."""
-        if self.algebra.prime_to_p is not other.algebra.prime_to_p:
-            return [(self.howell, other.howell)]
-        return [
-            ([], []) if a.algebra is b.algebra and a.ngens == b.ngens <= a.algebra.dim
-            and a.generators == b.generators else (a.howell, b.howell)
-            for a, b in zip(self.parts, other.parts)
-        ]
+    def _spans_with(self, other: "IdealHandle") -> tuple[list, list]:
+        """(this span, the other's span): ([], []) for equal lists of at most
+        dim generators over one algebra, else the two Howell forms."""
+        if (self.algebra is other.algebra and self.ngens == other.ngens <= self.algebra.dim
+                and self.generators == other.generators):
+            return [], []
+        return self.howell, other.howell
 
     def contains_element(self, x: Vec) -> bool:
-        split, R = self.algebra.prime_to_p, self.algebra.R
-        images = [[x]] if split is None else split.project([x])
-        return all(in_span(list(y), part.howell, R) for [y], part in zip(images, self.parts))
+        return in_span(list(x), self.howell, self.algebra.R)
 
     def residual(self, x: Vec) -> Vec:
         return tuple(reduce_mod_span(list(x), self.howell, self.algebra.R))
@@ -577,18 +476,17 @@ class IdealHandle:
     def contains(self, other: "IdealHandle") -> bool:
         if not same_algebra(self.algebra, other.algebra):
             raise ValueError(f"ideals over {self.algebra.name} and {other.algebra.name} do not compare")
-        R = self.algebra.R
-        return all(in_span(r, h, R) for h, k in self._spans_with(other) for r in k)
+        h, k = self._spans_with(other)
+        return all(in_span(r, h, self.algebra.R) for r in k)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IdealHandle)
-            and same_algebra(self.algebra, other.algebra)
-            and all(h == k for h, k in self._spans_with(other))
-        )
+        if not (isinstance(other, IdealHandle) and same_algebra(self.algebra, other.algebra)):
+            return False
+        h, k = self._spans_with(other)
+        return h == k
 
     def __hash__(self) -> int:
-        # equal ideals have equal sizes, whichever parts they are held in
+        # equal ideals have equal sizes
         return hash(self.size())
 
     def product(self, other: "IdealHandle") -> "IdealHandle":
@@ -597,9 +495,6 @@ class IdealHandle:
         out.ngens = self.ngens * other.ngens
         return out
 
-    def add(self, other: "IdealHandle") -> "IdealHandle":
-        return IdealHandle(self.algebra, self.generators + other.generators)
-
     def sharp(self) -> "IdealHandle":
         return IdealHandle(self.algebra, [self.algebra.sharp_of(g) for g in self.generators])
 
@@ -607,7 +502,7 @@ class IdealHandle:
         return IdealHandle(phi.dst, [phi.apply(g) for g in self.generators])
 
     def size(self) -> int:
-        return math.prod(span_size(part.howell, self.algebra.R) for part in self.parts)
+        return span_size(self.howell, self.algebra.R)
 
 
 def unit_ideal(algebra: FiniteCommAlgebra) -> IdealHandle:

@@ -35,7 +35,6 @@ from iwasawa_kit.fitting import (
     zero_ideal,
     zmod_algebra,
 )
-from iwasawa_kit.linalg import howell_form, span_size
 from iwasawa_kit.oracles import enumerate_span, ideal_equal_oracle, ideal_member_oracle
 
 C2 = FiniteAbelianGroup((2,))
@@ -525,41 +524,3 @@ def test_subquotient_presentation_roundtrip():
     # kernel of multiplication by 3 on (Z/9)[C_2] is (3), of size 9
     assert sub.module.size() == 9
 
-
-@pytest.mark.parametrize(
-    "p, N, orders, part_orders, nchars",
-    [(3, 2, (2,), (), 2), (3, 2, (2, 2), (), 4), (3, 2, (2, 9), (9,), 2),
-     (3, 3, (18,), (9,), 2), (5, 2, (20,), (5,), 4), (7, 2, (42,), (7,), 6),
-     (7, 1, (3, 14), (7,), 6), (5, 2, (2, 10), (5,), 4)],
-    ids=str,
-)
-def test_prime_to_p_split_is_a_ring_isomorphism(p, N, orders, part_orders, nchars):
-    """pi_psi is a ring map onto (Z/p^N)[P] for each character psi, and the
-    projections of the dim basis elements, stacked over the characters, span
-    (Z/p^N)^dim: together the pi_psi are an isomorphism."""
-    alg = GroupAlgebra(p, N, FiniteAbelianGroup(orders))
-    split = alg.prime_to_p
-    assert split is GroupAlgebra(p, N, FiniteAbelianGroup(orders)).prime_to_p
-    part = split.part
-    assert part.group.orders == part_orders and len(split.characters) == nchars
-    assert split.project([alg.one]) == [[part.one]] * nchars
-    rng = random.Random(alg.dim)
-    for _ in range(4):
-        x, y = (tuple(rng.randrange(alg.q) for _ in range(alg.dim)) for _ in range(2))
-        for px, py, pxy, psum in split.project([x, y, alg.mul(x, y), alg.add(x, y)]):
-            assert part.mul(px, py) == pxy
-            assert part.add(px, py) == psum
-    images = split.project([alg.basis_element(i) for i in range(alg.dim)])
-    stacked = [[c for img in row for c in img] for row in zip(*images)]
-    assert span_size(howell_form(stacked, alg.dim, alg.R), alg.R) == alg.q**alg.dim
-
-
-@pytest.mark.parametrize(
-    "p, N, orders",
-    [(2, 3, (2,)), (2, 3, (3,)), (3, 2, (3,)), (3, 2, (9, 3)), (3, 2, (4,)), (3, 2, (5,)),
-     (5, 2, (3,)), (5, 1, (2, 3))],
-    ids=str,
-)
-def test_algebras_without_a_prime_to_p_split(p, N, orders):
-    # p = 2, a p-group (Delta trivial), or exp(Delta) not dividing p - 1
-    assert GroupAlgebra(p, N, FiniteAbelianGroup(orders)).prime_to_p is None

@@ -2,14 +2,15 @@
 ones: the q-pass span closure, the Howell form that rescans every row for its
 leading index, the dense dim^3 structure-constant product, the dense
 structure-constant tables of group algebras and their minus quotients, the
-ideal product realized from every pairwise generator product, the one
-full-width Howell form of an ideal that the prime-to-p split replaced, the
-Howell route of units and of the ideals that a generator list or a unit
-settles, the unit-vector images of group-algebra morphisms, the group-ring
-maps that formed one group element per coefficient, the exactness and
-quasi-isomorphism tests that compared kernel spans, and the subquotient
-presentation on every Howell row of Z with every preimage row as a
-relation."""
+ideal product realized from every pairwise generator product, the
+full-width Howell form of every ideal from the regular rows that the group
+law gives, the prime-to-p split of a group algebra by the characters of
+Delta, the Howell route of units and of the ideals that a generator
+list or a unit settles, the unit-vector images of group-algebra morphisms,
+the group-ring maps that formed one group element per coefficient, the
+exactness and quasi-isomorphism tests that compared kernel spans, and the
+subquotient presentation on every Howell row of Z with every preimage row
+as a relation."""
 
 import json
 import math
@@ -24,6 +25,7 @@ from test_complexes import _random_chain_maps
 from iwasawa_kit import campaigns, complexes, fitting, groupring, linalg, oracles
 from iwasawa_kit.abelian import AbelianFieldSpec, FiniteAbelianGroup, galois_group
 from iwasawa_kit.campaigns import complex_campaigns, corpus_cm_specs, fitting_campaigns
+from iwasawa_kit.exact import teichmuller
 from iwasawa_kit.fitting import (
     FiniteCommAlgebra,
     FinPresModule,
@@ -38,6 +40,7 @@ from iwasawa_kit.fitting import (
     zmod_algebra,
 )
 from iwasawa_kit.linalg import ZModPN, howell_form, in_span, span_size
+from iwasawa_kit.numutil import primitive_root
 from iwasawa_kit.oracles import enumerate_span
 from iwasawa_kit.tower import aug_project, theta_tower, tower_level
 
@@ -418,7 +421,8 @@ def campaign_records():
     """Every ideal product and every ideal comparison (==, contains) that the
     AC5/AC6 campaign slices form, with the verdicts the fast path gave, and
     every subquotient they present: (algebra, ncomp, Z rows, B rows, the
-    presentation)."""
+    presentation). The fitting slice at seed 2027 adds products that take
+    their span from a factor's Howell rows."""
     formed, compared, presented = [], [], []
     product, eq, contains = IdealHandle.product, IdealHandle.__eq__, IdealHandle.contains
     subquotient = fitting.subquotient_presentation
@@ -450,6 +454,7 @@ def campaign_records():
         mp.setattr(complexes, "subquotient_presentation", recorded_subquotient)
         mp.setattr(campaigns, "subquotient_presentation", recorded_subquotient)
         results = complex_campaigns(seed=2026, trials=100) + fitting_campaigns(seed=2026, trials=200)
+        results += fitting_campaigns(seed=2027, trials=50)
     assert all(r.ok for r in results)
     return formed, compared, presented
 
@@ -505,12 +510,12 @@ def test_ideal_equal_oracle_agrees_on_products():
 
 
 def ideal_howell_reference(I, cache=None):
-    """The former canonical form of every ideal: one Howell form of width dim
-    in the algebra's own basis, from the regular rows that the structure
-    constants give (over a group algebra, the rows that group.mul gives), a
-    product's taken from its factors' full-width forms (a factor with more
-    generators than dim contributes its rows). `cache` maps id(ideal) to
-    (ideal, form) across calls."""
+    """The canonical form of every ideal by the former route: one Howell
+    form of width dim in the algebra's own basis, from the regular rows that
+    the structure constants give (over a group algebra, the rows that
+    group.mul gives), a product's taken from its factors' full-width forms
+    (a factor with more generators than dim contributes its rows). `cache`
+    maps id(ideal) to (ideal, form) across calls."""
     cache = {} if cache is None else cache
     if id(I) in cache:
         return cache[id(I)][1]
@@ -558,8 +563,8 @@ def check_ideals_against_reference(ideals, elements, pairs=None):
 def component_ideal(rng, alg, n):
     """An ideal on n generators a*x with a one or two factors g - 1 or
     1 + g + ... + g^(o-1), g a random group element other than 1, and x
-    random: each factor kills some characters of the group, so the parts of
-    the ideal differ."""
+    random: each factor kills some characters of the group, so the ideal is
+    whole at some characters and proper at others."""
 
     def factor():
         g = alg.basis_element(rng.randrange(1, alg.dim))  # basis 0 is the identity
@@ -577,29 +582,29 @@ def component_ideal(rng, alg, n):
     return IdealHandle(alg, gens)
 
 
+# (Z/p^N)[P x Delta], P the p-part and Delta nontrivial of exponent dividing
+# p - 1, with |P|: the algebra splits as |Delta| copies of (Z/p^N)[P], one
+# per character of Delta
 SPLIT_ALGEBRAS = [
-    GroupAlgebra(p, N, FiniteAbelianGroup(orders))
-    for p, N, orders in ((3, 2, (2,)), (3, 2, (2, 2)), (3, 2, (2, 9)), (3, 3, (18,)),
-                         (5, 2, (20,)), (7, 2, (42,)))
+    (GroupAlgebra(p, N, FiniteAbelianGroup(orders)), part_dim)
+    for p, N, orders, part_dim in ((3, 2, (2,), 1), (3, 2, (2, 2), 1), (3, 2, (2, 9), 9),
+                                   (3, 3, (18,), 9), (5, 2, (20,), 5), (7, 2, (42,), 7))
 ]
 
 
-@pytest.mark.parametrize("alg", SPLIT_ALGEBRAS, ids=lambda a: a.name)
-def test_split_ideals_match_the_full_width_reference(alg):
-    split = alg.prime_to_p
-    part_dim = split.part.dim
-    assert part_dim * len(split.characters) == alg.dim and part_dim in (1, 9, 5, 7)
+@pytest.mark.parametrize("alg, part_dim", [pytest.param(*c, id=c[0].name) for c in SPLIT_ALGEBRAS])
+def test_split_ideals_match_the_full_width_reference(alg, part_dim):
     rng = random.Random(alg.dim * alg.q)
     small = alg.dim <= 4
     # up to dim + 2 generators on the small algebras; on the wide ones a few,
-    # and one with more than |P| so that part products take Howell rows
+    # and |P| + 1
     ideals = [
         random_ideal(rng, alg, rng.randint(0, alg.dim + 2 if small else 3))
         for _ in range(6 if small else 3)
     ]
     ideals += [random_ideal(rng, alg, part_dim + 1), zero_ideal(alg), unit_ideal(alg)]
     ideals += [component_ideal(rng, alg, n) for n in (1, 1, 2, part_dim + 1)]
-    ideals += [ideals[-1].add(ideals[-2]), ideals[-3].sharp()]
+    ideals += [IdealHandle(alg, ideals[-1].generators + ideals[-2].generators), ideals[-3].sharp()]
     left, right = (ideals[:4] + ideals[-6:-3], ideals[-6:-1]) if small else (
         ideals[2:4] + ideals[-6:-4], ideals[-5:-2])
     products = [I.product(J) for I in left for J in right]
@@ -624,7 +629,7 @@ def test_split_ideals_match_the_reference_on_a_dim_54_tower_level():
     t = theta_tower(AbelianFieldSpec.cyclotomic(3), [3, "oo"], [7], 3, 2, 3, -1)
     algs = [GroupAlgebra(3, 2, level.group) for level in t.levels[2:]]
     top = algs[-1]
-    assert top.dim == 54 and top.prime_to_p.part.dim == 27
+    assert top.dim == 54
     x = t.entries[-1]
     M1, M2 = principal_module(top, x), principal_module(top, top.sharp_of(x))
     down = group_algebra_morphism(top, algs[0], lambda g: t.levels[3].project(g, 2))
@@ -641,7 +646,7 @@ def test_split_ideals_match_the_reference_on_a_dim_54_tower_level():
 def test_split_ideals_match_the_reference_on_the_campaigns(campaign_records):
     formed, compared, _ = campaign_records
     cache = {}
-    split = [c for c in compared if c[1].algebra.prime_to_p is not None]
+    split = [c for c in compared if isinstance(c[1].algebra, GroupAlgebra) and not c[1].algebra.local]
     assert len(split) > 300 and {c[0] for c in split} == {"==", "contains"}
     assert {c[1].algebra.group.orders for c in split} >= {(2,), (2, 2), (4, 1)}
     for kind, I, J, verdict in compared:
@@ -656,8 +661,9 @@ def test_split_ideals_match_the_reference_on_the_campaigns(campaign_records):
 
 
 def test_one_part_algebras_keep_the_full_width_form():
-    """p = 2, a p-group, exp(Delta) not dividing p - 1, a minus quotient and a
-    from_json algebra have no split: each ideal is its own one part."""
+    """The algebras that do not split by the characters of a prime-to-p
+    Delta: p = 2, a p-group, exp(Delta) not dividing p - 1, a minus quotient
+    and a from_json algebra."""
     c2c2 = GroupAlgebra(3, 2, FiniteAbelianGroup((2, 2)))
     algebras = [
         GroupAlgebra(2, 3, FiniteAbelianGroup((2,))),
@@ -667,11 +673,9 @@ def test_one_part_algebras_keep_the_full_width_form():
         FiniteCommAlgebra.from_json(GroupAlgebra(3, 2, FiniteAbelianGroup((2,))).to_json()),
     ]
     for alg in algebras:
-        assert alg.prime_to_p is None
         rng = random.Random(alg.dim)
         ideals = [random_ideal(rng, alg, rng.randint(0, alg.dim + 2)) for _ in range(4)]
         ideals += [zero_ideal(alg), unit_ideal(alg), ideals[0].product(ideals[1])]
-        assert all(I.parts == [I] for I in ideals)
         elements = [tuple(rng.randrange(alg.q) for _ in range(alg.dim)) for _ in range(3)]
         check_ideals_against_reference(ideals, elements)
 
@@ -679,7 +683,7 @@ def test_one_part_algebras_keep_the_full_width_form():
 def test_split_and_unsplit_copies_of_an_algebra_compare_ideals():
     alg = GroupAlgebra(3, 2, FiniteAbelianGroup((2, 2)))
     copy = FiniteCommAlgebra.from_json(alg.to_json())
-    assert same_algebra(alg, copy) and copy.prime_to_p is None
+    assert same_algebra(alg, copy)
     rng = random.Random(5)
     for _ in range(8):
         I = random_ideal(rng, alg, rng.randint(1, 3))
@@ -691,6 +695,138 @@ def test_split_and_unsplit_copies_of_an_algebra_compare_ideals():
             assert X.contains(Yc) == Yc.contains(X) == X.contains(Y) if equal else True
             assert X.contains(Yc) == X.contains(Y) and Yc.contains(X) == Y.contains(X)
             assert hash(X) == hash(Yc) if equal else True
+
+
+def character_split(p, N, orders):
+    """The prime-to-p split that ideals once took, kept as an oracle:
+    (Z/p^N)[P x Delta] = prod_psi (Z/p^N)[P] by the ring maps
+    pi_psi: g -> psi(g_Delta) g_P, P the p-part of the group and psi over
+    the characters of Delta valued in the Teichmuller lifts of mu_(p-1) mod
+    p^N. Returns the part algebra (Z/p^N)[P] and project, x -> the list of
+    the pi_psi(x); None when p = 2, Delta is trivial or exp(Delta) does not
+    divide p - 1."""
+    # the p-part p^a of each order o: p^a divides o < 2^bits <= p^bits
+    ppart = [math.gcd(o, p ** o.bit_length()) for o in orders]
+    mpart = [o // pa for o, pa in zip(orders, ppart)]
+    if p == 2 or math.prod(mpart) == 1 or (p - 1) % math.lcm(*mpart):
+        return None
+    q = p**N
+    part = GroupAlgebra(p, N, FiniteAbelianGroup(tuple(pa for pa in ppart if pa > 1)))
+    delta = FiniteAbelianGroup(tuple(m for m in mpart if m > 1))
+    omega = teichmuller(primitive_root(p), p, N)
+    places = [  # (basis index of g_P in the part, g_Delta) for each g
+        (part.index[tuple(e % pa for e, pa in zip(g, ppart) if pa > 1)],
+         tuple(e % m for e, m in zip(g, mpart) if m > 1))
+        for g in FiniteAbelianGroup(orders).elements()
+    ]
+    characters = [
+        [pow(omega, sum(t * e * ((p - 1) // m) for t, e, m in zip(psi, d, delta.orders)), q)
+         for _, d in places]
+        for psi in delta.elements()
+    ]
+
+    def project(x):
+        images = []
+        for chi in characters:
+            y = [0] * part.dim
+            for (i, _), c, a in zip(places, chi, x):
+                y[i] = (y[i] + c * a) % q
+            images.append(tuple(y))
+        return images
+
+    return part, project
+
+
+# (p, N, orders, the orders of P, the number of characters of Delta)
+CHARACTER_SPLITS = [
+    (3, 2, (2,), (), 2), (3, 2, (2, 2), (), 4), (3, 2, (2, 9), (9,), 2), (3, 3, (18,), (9,), 2),
+    (5, 2, (20,), (5,), 4), (7, 2, (42,), (7,), 6), (7, 1, (3, 14), (7,), 6),
+    (5, 2, (2, 10), (5,), 4), (5, 1, (2, 2), (), 4),
+]
+
+
+@pytest.mark.parametrize("p, N, orders, part_orders, nchars", CHARACTER_SPLITS, ids=str)
+def test_ideals_and_units_read_at_each_character_of_delta(p, N, orders, part_orders, nchars):
+    """The pi_psi of character_split are ring maps onto (Z/p^N)[P] that
+    together are an isomorphism. So an ideal's size is the product of the
+    sizes of its images, == and contains hold exactly when they hold at
+    every psi, and x is a unit exactly when every pi_psi(x) is: an oracle of
+    the one-form route over group algebras that are not local."""
+    alg = GroupAlgebra(p, N, FiniteAbelianGroup(orders))
+    part, project = character_split(p, N, orders)
+    assert part.group.orders == part_orders and project(alg.one) == [part.one] * nchars
+    rng = random.Random(alg.dim)
+
+    def element():
+        return tuple(rng.randrange(alg.q) for _ in range(alg.dim))
+
+    for _ in range(4):
+        x, y = element(), element()
+        for px, py, pxy, psum in zip(*map(project, [x, y, alg.mul(x, y), alg.add(x, y)])):
+            assert part.mul(px, py) == pxy and part.add(px, py) == psum
+    stacked = [[c for img in project(alg.basis_element(i)) for c in img] for i in range(alg.dim)]
+    assert span_size(howell_form(stacked, alg.dim, alg.R), alg.R) == alg.q**alg.dim
+
+    def images(I):
+        projected = [project(g) for g in I.generators]
+        return [IdealHandle(part, [img[c] for img in projected]) for c in range(nchars)]
+
+    small = alg.dim <= 6
+    ideals = [random_ideal(rng, alg, rng.randint(1, 3)) for _ in range(3 if small else 2)]
+    ideals += [component_ideal(rng, alg, n) for n in (1, 2)]
+    ideals += [ideals[0].product(ideals[-1]), ideals[-2].product(ideals[-1]),
+               zero_ideal(alg), unit_ideal(alg)]
+    # the norm of an element h of Delta, h != 1: its augmentation |h| is a
+    # unit, and it vanishes at every psi with psi(h) != 1
+    h = next(alg.basis_element(i) for i, g in enumerate(alg.group.elements())
+             if 1 < math.lcm(*(o // math.gcd(o, e) for e, o in zip(g, orders))) < p)
+    norm, power = alg.one, h
+    while power != alg.one:
+        norm, power = alg.add(norm, power), alg.mul(power, h)
+    assert sum(norm) % p != 0
+    unit, non_units = unit_and_non_units(rng, alg)
+    elements = [unit, *non_units, norm, element(), alg.mul(ideals[-5].generators[0], element())]
+    parts = [images(I) for I in ideals]
+    for I, Ip in zip(ideals, parts):
+        assert I.size() == math.prod(P.size() for P in Ip)
+        for x in elements:
+            assert I.contains_element(x) == all(map(IdealHandle.contains_element, Ip, project(x)))
+    verdicts = set()
+    for I, Ip in zip(ideals, parts):
+        for J, Jp in zip(ideals, parts):
+            equal, contained = I == J, I.contains(J)
+            assert equal == all(map(IdealHandle.__eq__, Ip, Jp))
+            assert contained == all(map(IdealHandle.contains, Ip, Jp))
+            verdicts.add((equal, contained))
+    assert {(True, True), (False, True), (False, False)} <= verdicts
+    units = [alg.is_unit(x) for x in elements]
+    assert units == [all(map(part.is_unit, project(x))) for x in elements]
+    assert units[:5] == [True, False, False, False, False]
+
+
+@pytest.mark.parametrize(
+    "p, N, orders",
+    [(2, 3, (2,)), (2, 3, (3,)), (3, 2, (3,)), (3, 2, (9, 3)), (3, 2, (4,)), (3, 2, (5,)),
+     (5, 2, (3,)), (5, 1, (2, 3))],
+    ids=str,
+)
+def test_algebras_without_a_character_split_match_the_reference(p, N, orders):
+    """p = 2, a p-group (Delta trivial), or exp(Delta) not dividing p - 1:
+    no character split, and the ideals and units agree with the Howell
+    reference."""
+    assert character_split(p, N, orders) is None
+    alg = GroupAlgebra(p, N, FiniteAbelianGroup(orders))
+    rng = random.Random(alg.dim * alg.q)
+    ideals = [random_ideal(rng, alg, rng.randint(1, min(alg.dim + 2, 4))) for _ in range(3)]
+    ideals += [component_ideal(rng, alg, 2), zero_ideal(alg), unit_ideal(alg)]
+    ideals.append(ideals[0].product(ideals[3]))
+    unit, non_units = unit_and_non_units(rng, alg)
+    elements = [unit, *non_units, tuple(rng.randrange(alg.q) for _ in range(alg.dim))]
+    verdicts = check_ideals_against_reference(ideals, elements)
+    assert {(True, True), (False, True), (False, False)} <= verdicts
+    units = [alg.is_unit(x) for x in elements]
+    assert units == [FiniteCommAlgebra.is_unit(alg, x) for x in elements]
+    assert units[:4] == [True, False, False, False]
 
 
 # ---------------------------------------------------------------------------
@@ -1211,11 +1347,12 @@ def group_algebra(p, N, orders):
     return GroupAlgebra(p, N, FiniteAbelianGroup(orders))
 
 
-# (p, N, orders, kind): a p-group is local, a split algebra has a
-# PrimeToPSplit, (Z/8)[C3] is neither and keeps the Howell route
+# (p, N, orders, kind): a p-group is local and reads the augmentation mod p;
+# the others are neither and keep the Howell route
 EXHAUSTIVE_UNITS = [
     (3, 2, (3,), "local"), (2, 3, (2,), "local"), (2, 2, (2, 2), "local"),
-    (3, 2, (2,), "split"), (3, 2, (2, 2), "split"), (3, 3, (), "local"), (2, 3, (3,), "neither"),
+    (3, 2, (2,), "neither"), (3, 2, (2, 2), "neither"), (3, 3, (), "local"),
+    (2, 3, (3,), "neither"),
 ]
 
 
@@ -1223,18 +1360,16 @@ EXHAUSTIVE_UNITS = [
 def test_is_unit_matches_the_howell_route_on_every_element(p, N, orders, kind):
     alg = group_algebra(p, N, orders)
     assert alg.local == (kind == "local")
-    assert (alg.prime_to_p is not None) == (kind == "split")
     units = [x for x in alg.elements() if alg.is_unit(x)]
     assert units == [x for x in alg.elements() if FiniteCommAlgebra.is_unit(alg, x)]
     if alg.local:  # the units are the elements off the maximal ideal, of index p
         assert len(units) * p == alg.q**alg.dim * (p - 1)
 
 
-@pytest.mark.parametrize("orders", [(27,), (2, 27)], ids=str)
+@pytest.mark.parametrize("orders", [(27,)], ids=str)
 def test_is_unit_matches_the_howell_route_on_sampled_elements(orders):
-    """(Z/9)[C27] (local) and (Z/9)[C2 x C27] (split, two parts of width 27):
-    random elements, p-multiples and multiples of g - 1 plus a random unit
-    of Z/9, so that both verdicts occur."""
+    """(Z/9)[C27] (local): random elements, p-multiples and multiples of
+    g - 1 plus a random unit of Z/9, so that both verdicts occur."""
     alg = group_algebra(3, 2, orders)
     rng = random.Random(alg.dim)
     samples = []
@@ -1269,7 +1404,7 @@ SETTLED_ALGEBRAS = [
 
 @pytest.mark.parametrize("alg", SETTLED_ALGEBRAS, ids=lambda a: a.name)
 def test_settled_ideals_match_the_reference(alg):
-    """Five local algebras and (Z/9)[C2 x C3], whose parts are local: ideals
+    """Five local algebras and (Z/9)[C2 x C3], which is not: ideals
     mixing unit and non-unit generators, products of a whole ideal with a
     proper one, two handles on one generator list (also one longer than
     dim, which is not compared), a product beside a handle on its generator
@@ -1307,13 +1442,9 @@ def identity_rows(dim):
 
 def test_a_whole_ideal_takes_no_howell_form(monkeypatch):
     """Over a local algebra an ideal with a unit generator, and a product of
-    two such, is the ring: its form is the identity rows. Over a split
-    algebra each part is, so its comparison with the unit ideal and its
-    size read no elimination either."""
-    local = SETTLED_ALGEBRAS[:5] + [group_algebra(3, 2, (27,))]
-    split = group_algebra(3, 2, (2, 27))
+    two such, is the ring: its form is the identity rows."""
     cases = []
-    for alg in local + [split]:
+    for alg in SETTLED_ALGEBRAS[:5] + [group_algebra(3, 2, (27,))]:
         rng = random.Random(alg.dim)
         unit, non_units = unit_and_non_units(rng, alg)
         I = IdealHandle(alg, non_units + [unit])
@@ -1327,8 +1458,7 @@ def test_a_whole_ideal_takes_no_howell_form(monkeypatch):
         for whole in (I, product):
             assert whole == unit_ideal(alg) and whole.contains(unit_ideal(alg))
             assert whole.size() == alg.q**alg.dim
-            if alg is not split:
-                assert whole.howell == identity_rows(alg.dim)
+            assert whole.howell == identity_rows(alg.dim)
     monkeypatch.undo()
     for alg, I, product in cases:
         assert ideal_howell_reference(I) == ideal_howell_reference(product) == identity_rows(alg.dim)
@@ -1336,11 +1466,10 @@ def test_a_whole_ideal_takes_no_howell_form(monkeypatch):
 
 def test_the_level_fitting_body_takes_no_width_27_form(monkeypatch):
     """tower_fitting_check and multiplicativity over the Q(zeta3) tower at
-    p = 3, N = 2 up to (Z/9)[C2 x C27] (dim 54, parts of width 27), at the
-    four r of the benchmark's level-Fitting op. Each projected Fitting
-    ideal and each product of Fitting ideals has the generator list of the
-    ideal it meets, so no part of width 27 (and no form of width 54) is
-    eliminated."""
+    p = 3, N = 2 up to (Z/9)[C2 x C27] (dim 54), at the four r of the
+    benchmark's level-Fitting op. Each projected Fitting ideal and each
+    product of Fitting ideals has the generator list of the ideal it meets,
+    so no form of width 27 or 54 is eliminated."""
     widths = []
 
     def recorded(rows, width, R):
@@ -1492,7 +1621,7 @@ def _subquotient_algebras():
 @pytest.mark.parametrize("alg", _subquotient_algebras())
 def test_subquotient_presentation_matches_reference_on_random_subquotients(alg):
     """(Z/8)[C2] and (Z/9)[C3] (local), (Z/9)[C2] and (Z/9)[C2 x C2]
-    (split), a minus quotient and a from_json copy of (Z/9)[C3], whose only
+    (not local), a minus quotient and a from_json copy of (Z/9)[C3], whose only
     known radical element is p: random B <= Z <= A^n, with Z = B, B = 0 and
     Z = A^n among them."""
     rng = random.Random(alg.q * alg.dim)
