@@ -3,11 +3,13 @@
 A field L/Q is pinned by a modulus m and a fixing subgroup H of (Z/m)^x: L is
 the fixed field of H inside Q(zeta_m), so Gal(L/Q) = (Z/m)^x / H, presented
 once by GaloisData: a FiniteAbelianGroup, the class of each unit residue,
-Frobenius and the conductor; galois_group uses invariant-factor coordinates,
+the table of basis indices of the unit classes mod the conductor, Frobenius
+and the conductor; galois_group uses invariant-factor coordinates,
 TowerLevelData the product G x Z/p^n of a tower layer. This module also
 computes CM structure (complex conjugation j and the idempotents e_r), roots
 of unity, cyclotomic-tower layers, the Hyp(S,T) admissibility test, and the
-character table with exact decomposition/reconstruction. The elements of Q[G]
+character table with exact decomposition/reconstruction. The presentation,
+CM structure and w_L are cached per spec. The elements of Q[G]
 (the CM idempotents, the input of decompose and the output of reconstruct)
 are pairs (nums, den) of integer numerators in the basis order of groupring
 over one positive denominator, in lowest terms.
@@ -169,6 +171,8 @@ class GaloisData:
     element_of(a) is defined for every integer a coprime to the conductor
     (residues coprime to m directly; others through the CRT lift, well defined
     by the conductor property). frobenius rejects ramified primes.
+    unit_classes lists (b, basis index of the class of b) for each unit
+    residue b mod the conductor, in order of b ((1, 0) alone at conductor 1).
     """
 
     # how the refusals of element_of and frobenius name f and the field
@@ -186,6 +190,11 @@ class GaloisData:
             self.representatives.setdefault(g, a if m > 1 else 1)
         if len(self.representatives) != group.size:
             raise AssertionError("element map is not onto the group")
+        f, index = self.conductor, basis_index(group)
+        self.unit_classes: tuple[tuple[int, int], ...] = (
+            tuple(sorted({a % f: index[g] for a, g in self._elt.items()}.items()))
+            if f > 1 else ((1, 0),)
+        )
 
     def element_of(self, a: int) -> tuple[int, ...]:
         """Class of a in Gal(L/Q); a must be coprime to the conductor."""
@@ -263,6 +272,7 @@ class CMStructure:
         return self.e_minus if r % 2 == 0 else self.e_plus
 
 
+@lru_cache(maxsize=None)
 def cm_data(spec: AbelianFieldSpec) -> CMStructure | None:
     """CM structure of L, or None when L is totally real (-1 in fixing)."""
     m = spec.modulus
@@ -278,6 +288,7 @@ def cm_data(spec: AbelianFieldSpec) -> CMStructure | None:
     return CMStructure(grp, j, e_plus, e_minus)
 
 
+@lru_cache(maxsize=None)
 def roots_of_unity_order(spec: AbelianFieldSpec) -> int:
     """w_L: the largest k with Q(zeta_k) inside L."""
     m = spec.modulus

@@ -43,6 +43,7 @@ from .fitting import (
     AlgebraMorphism,
     FinPresModule,
     GroupAlgebra,
+    GroupAlgebraMorphism,
     IdealHandle,
     ModuleMap,
     base_change_fitting,
@@ -60,7 +61,7 @@ from .fitting import (
     tower_fitting_check,
     zmod_algebra,
 )
-from .groupring import mul, sharp, translate
+from .groupring import mul, reduction, sharp, translate
 from .linalg import ZModPN, howell_form, in_span, reduce_mod_span, span_size
 from .lvalues import (
     ClassModuleData,
@@ -522,8 +523,8 @@ def tower_fitting_campaign() -> CampaignResult:
         algs = [GroupAlgebra(p, 2, lvl.group) for lvl in t.levels]
         mods = [principal_module(alg, entry) for alg, entry in zip(algs, t.entries)]
         projections = [
-            group_algebra_morphism(algs[n + 1], algs[n], lambda g, n=n: t.levels[n + 1].project(g, n))
-            for n in range(len(algs) - 1)
+            GroupAlgebraMorphism(src, dst, list(reduction(src.group, dst.group)))
+            for src, dst in zip(algs[1:], algs)
         ]
         report = tower_fitting_check(mods, projections)
         yield report["ok"], f"containment fails for {spec.label}"

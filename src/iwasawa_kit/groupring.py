@@ -11,8 +11,10 @@ table of basis indices, translation by a group element, the # involution
 (g -> g^(-1)), pushforward along a group homomorphism, the convolution
 product and the "g1,g2" JSON keys. Translation and # are permutations of
 basis indices and a quotient map is a list of them, each built in mixed radix
-with no group element formed; the maps only move and add coefficients, and
-reducing mod p^N is the caller's step.
+with no group element formed, and cached: the product table and # per
+group, a quotient map per pair of groups, a translation per group and
+element. The maps only move and add coefficients, and reducing mod p^N is
+the caller's step.
 """
 
 from __future__ import annotations
@@ -64,10 +66,12 @@ def _index_map(digits, radices) -> list[int]:
     return values
 
 
-def translation(group: "FiniteAbelianGroup", h) -> list[int]:
-    """The basis index of h g_i for each i, built in O(dim) from h."""
+@lru_cache(maxsize=None)
+def translation(group: "FiniteAbelianGroup", h: tuple[int, ...]) -> tuple[int, ...]:
+    """The basis index of h g_i for each i, built in O(dim) from h with
+    reduced coordinates, once per group and h."""
     digits = [[(x + a) % o for x in range(o)] for a, o in zip(h, group.orders, strict=True)]
-    return _index_map(digits, group.orders)
+    return tuple(_index_map(digits, group.orders))
 
 
 @lru_cache(maxsize=None)
@@ -86,7 +90,8 @@ def reduction(src: "FiniteAbelianGroup", target: "FiniteAbelianGroup") -> tuple[
 
 def translate(x: tuple, group: "FiniteAbelianGroup", h) -> tuple:
     """The product h . x: the coefficient at g moves to h g."""
-    return tuple(map(x.__getitem__, translation(group, [-a for a in h])))
+    h_inv = tuple([-a % o for a, o in zip(h, group.orders, strict=True)])
+    return tuple(map(x.__getitem__, translation(group, h_inv)))
 
 
 def sharp(x: tuple, group: "FiniteAbelianGroup") -> tuple:

@@ -5,17 +5,19 @@ The group-ring route is primary: theta_{S,T}(r) = delta_T(r) . sum_sigma
 zeta_S(r, sigma) sigma^(-1) as the pair (nums, den) of Q[G], integer
 numerators in the basis order of groupring over one positive denominator in
 lowest terms. The partial zeta values come from an integer Horner of the
-cleared B_k(x), and each Euler or T-factor (1 - c sigma), c an integer, is
-applied to the numerators as x - c . translate(x, sigma), never as a full
-group-ring product. The character
-route (S-truncated Dirichlet L-values at non-positive integers through
-generalized Bernoulli numbers) is an independent cross-check. It builds each
-value of Q(zeta_e) as an integer vector indexed by the exponent mod e over
-one positive denominator, memoizes B_{n,chi} per character and n, applies
-each Euler or delta_T factor (1 - c zeta_e^s) as shift-and-subtract, and
-passes the vector and denominator to CyclotomicInt, which reduces mod Phi_e
-once per character. The two routes share that value type and its normal
-form, and no helper or cache.
+cleared B_k(x), each added at the basis index that the presentation's
+unit_classes table gives its residue, and each Euler or T-factor
+(1 - c sigma), c an integer, is applied to the numerators as
+x - c . translate(x, sigma), never as a full group-ring product. The
+character route (S-truncated Dirichlet L-values at non-positive integers
+through generalized Bernoulli numbers) is an independent cross-check. It
+builds each value of Q(zeta_e) as an integer vector indexed by the exponent
+mod e over one positive denominator, memoizes B_{n,chi} per character and
+n, applies each Euler or delta_T factor (1 - c zeta_e^s) as
+shift-and-subtract, and passes the vector and denominator to CyclotomicInt,
+which reduces mod Phi_e once per character. It classifies residues through
+element_of; only the group-ring route reads unit_classes. The two routes
+share that value type and its normal form, and no helper or cache.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .fitting import (
     contragredient_presentation,
     minus_quotient,
 )
-from .numutil import factorize, is_prime, unit_residues
+from .numutil import factorize, is_prime
 
 
 def _presentation(spec_or_pres):
@@ -82,18 +84,17 @@ def partial_zeta_vector(spec_or_pres, S, r: int) -> tuple[tuple[int, ...], int]:
     if not ram <= s_fin:
         raise ValueError(f"S misses ramified primes {sorted(ram - s_fin)}")
     grp = pres.group
-    index = groupring.basis_index(grp)
     k = 1 - r
     coeffs = bernoulli_polynomial(k)
     den = math.lcm(*(c.denominator for c in coeffs))
     cleared = [c.numerator * (den // c.denominator) for c in reversed(coeffs)]
     f_pow = [f**j for j in range(k + 1)]
     nums = [0] * grp.size
-    for b in (unit_residues(f) if f > 1 else (1,)):
+    for b, i in pres.unit_classes:
         acc = 0
         for j, c in enumerate(cleared):  # Horner in b: D c_i pairs with f^(k-i)
             acc = acc * b + c * f_pow[j]
-        nums[index[pres.element_of(b) if f > 1 else grp.identity]] -= acc
+        nums[i] -= acc
     x = tuple(nums)
     for v in sorted(s_fin - ram):
         x = _times_one_minus(x, grp, pres.frobenius(v), v ** (-r))

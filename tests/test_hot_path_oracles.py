@@ -8,10 +8,12 @@ law gives, the prime-to-p split of a group algebra by the characters of
 Delta, the Howell route of units and of the ideals that a generator
 list or a unit settles, the unit-vector images of group-algebra morphisms,
 the group-ring maps that formed one group element per coefficient, the
-exactness and quasi-isomorphism tests that compared kernel spans, and the
-subquotient presentation on every Howell row of Z with every preimage row
-as a relation."""
+element_of classification of each unit residue that the unit-class table of
+a presentation replaced, the exactness and quasi-isomorphism tests that
+compared kernel spans, and the subquotient presentation on every Howell row
+of Z with every preimage row as a relation."""
 
+import itertools
 import json
 import math
 import random
@@ -22,9 +24,30 @@ import pytest
 from algebra_helpers import nilpotent_extension_json
 from test_complexes import _random_chain_maps
 
-from iwasawa_kit import campaigns, complexes, fitting, groupring, linalg, oracles
-from iwasawa_kit.abelian import AbelianFieldSpec, FiniteAbelianGroup, galois_group
-from iwasawa_kit.campaigns import complex_campaigns, corpus_cm_specs, fitting_campaigns
+from iwasawa_kit import (
+    abelian,
+    campaigns,
+    complexes,
+    fitting,
+    groupring,
+    linalg,
+    lvalues,
+    numutil,
+    oracles,
+)
+from iwasawa_kit.abelian import (
+    AbelianFieldSpec,
+    CharacterTable,
+    FiniteAbelianGroup,
+    galois_group,
+    ramified_primes,
+)
+from iwasawa_kit.campaigns import (
+    complex_campaigns,
+    corpus_cm_specs,
+    corpus_st_choices,
+    fitting_campaigns,
+)
 from iwasawa_kit.exact import teichmuller
 from iwasawa_kit.fitting import (
     FiniteCommAlgebra,
@@ -40,9 +63,18 @@ from iwasawa_kit.fitting import (
     zmod_algebra,
 )
 from iwasawa_kit.linalg import ZModPN, howell_form, in_span, span_size
-from iwasawa_kit.numutil import primitive_root
+from iwasawa_kit.lvalues import partial_zeta_vector, theta, theta_character_side
+from iwasawa_kit.numutil import primitive_root, unit_residues
 from iwasawa_kit.oracles import enumerate_span
-from iwasawa_kit.tower import aug_project, theta_tower, tower_level
+from iwasawa_kit.tower import (
+    TowerIntegralityError,
+    aug_project,
+    coherence_check,
+    parity_projector_annihilates,
+    theta_tower,
+    tower_level,
+    twist_congruence_check,
+)
 
 
 def enumerate_span_reference(rows, width, R):
@@ -944,6 +976,141 @@ def test_group_algebra_sharp_and_translates_match_the_element_tables(orders):
     assert alg.regular_rows(x) == [list(alg.mul(x, b)) for b in basis]
 
 
+def test_translation_is_one_cached_tuple_per_reduced_element():
+    """translate reduces h^(-1) itself, so an unreduced h reads the entry of
+    its reduced form: one more hit, no new entry."""
+    group = FiniteAbelianGroup((2, 9))
+    x = distinct_coefficients(group, random.Random(18))
+    groupring.translation.cache_clear()
+    assert isinstance(groupring.translation(group, (1, 5)), tuple)
+    first = groupring.translate(x, group, (1, 4))
+    before = groupring.translation.cache_info()
+    assert groupring.translate(x, group, (-3, 13)) == first == translate_reference(x, group, (1, 4))
+    after = groupring.translation.cache_info()
+    assert (after.hits, after.currsize) == (before.hits + 1, before.currsize)
+
+
+# ---------------------------------------------------------------------------
+# Unit classes: the table of a presentation against element_of at every unit
+# residue, the route that partial_zeta_vector took before and that the
+# character route still takes.
+
+def unit_classes_reference(pres):
+    """(b, basis index of element_of(b)) for each unit residue b mod the
+    conductor."""
+    f = pres.conductor
+    if f == 1:
+        return ((1, 0),)
+    index = _element_index(pres.group)
+    return tuple((b, index[pres.element_of(b)]) for b in unit_residues(f))
+
+
+def test_unit_classes_match_element_of_on_the_corpus():
+    presentations = [galois_group(spec) for spec in corpus_cm_specs(24)]
+    presentations += [galois_group(AbelianFieldSpec.rationals()),
+                      galois_group(AbelianFieldSpec(4, frozenset({1, 3})))]  # conductor 1
+    for pres in presentations:
+        assert pres.unit_classes == unit_classes_reference(pres), pres.spec.label
+
+
+@pytest.mark.parametrize("p, top", TOWER_LEVELS, ids=lambda v: str(v))
+def test_unit_classes_match_element_of_on_tower_levels(p, top):
+    """Q(zeta_p) levels up to dim 486 (p = 3), 100 (p = 5) and 294 (p = 7)."""
+    spec = AbelianFieldSpec.cyclotomic(p)
+    for n in range(top + 1):
+        level = tower_level(spec, p, n)
+        assert level.unit_classes == unit_classes_reference(level), n
+
+
+def test_partial_zeta_vector_reads_only_the_unit_class_table(monkeypatch):
+    """On warm presentations, with S = S_ram + oo (no Frobenius to take),
+    partial_zeta_vector classifies no residue and lists no unit group."""
+    cases = [(galois_group(spec), [*sorted(ramified_primes(spec)), "oo"])
+             for spec in corpus_cm_specs(12)]
+    cases += [(tower_level(AbelianFieldSpec.cyclotomic(3), 3, 3), [3, "oo"])]
+    expected = [partial_zeta_vector(pres, S, r) for pres, S in cases for r in (0, -2)]
+
+    def refuse(*args):
+        pytest.fail("a unit residue was classified or listed")
+
+    assert not hasattr(lvalues, "unit_residues")
+    monkeypatch.setattr(abelian.GaloisData, "element_of", refuse)
+    for module in (numutil, abelian):
+        monkeypatch.setattr(module, "unit_residues", refuse)
+    assert [partial_zeta_vector(pres, S, r) for pres, S in cases for r in (0, -2)] == expected
+
+
+def test_field_data_is_built_once_per_spec():
+    """One pass of theta_tower and the parity check over TOWER_CORPUS builds
+    w_L once per layer and the CM structure once per base field."""
+    abelian.cm_data.cache_clear()
+    abelian.roots_of_unity_order.cache_clear()
+    for spec, p, S, T in campaigns.TOWER_CORPUS:
+        t = theta_tower(spec, S, T, p, 3, 2, -1)
+        assert all(parity_projector_annihilates(t, n) for n in range(3))
+    bases = {spec for spec, *_ in campaigns.TOWER_CORPUS}
+    layers = {tower_level(spec, p, n).spec for spec, p, *_ in campaigns.TOWER_CORPUS
+              for n in range(3)}
+    cm, w = abelian.cm_data.cache_info(), abelian.roots_of_unity_order.cache_info()
+    assert (cm.misses, w.misses) == (len(bases), len(layers)) == (4, 12)
+    assert cm.hits > 0 and w.hits > 0
+
+
+# ---------------------------------------------------------------------------
+# The cross-checks see a bad unit-class table: two classes that swap indices.
+
+def swapped_tables(pres):
+    """pres.unit_classes with the indices of two residues of different
+    classes swapped, for each such pair in turn."""
+    table = pres.unit_classes
+    for (s, (a, i)), (t, (b, j)) in itertools.combinations(enumerate(table), 2):
+        if i != j:
+            bad = list(table)
+            bad[s], bad[t] = (a, j), (b, i)
+            yield tuple(bad)
+
+
+def test_a_swapped_unit_class_breaks_the_character_cross_check(monkeypatch):
+    """theta reads the table of Q(zeta_7) and changes; theta_character_side
+    does not read it, so decompose(theta) no longer matches it, and the
+    character campaign records the mismatch."""
+    spec = next(s for s in corpus_cm_specs(7) if s.modulus == 7 and s.degree == 6)
+    pres = galois_group(spec)
+    table = CharacterTable(pres.group)
+    S, T = max(corpus_st_choices(spec), key=lambda st: len(st[0]) + len(st[1]))
+    good = theta(spec, S, T, -1).value
+    components = theta_character_side(spec, S, T, -1)
+    assert table.decompose(good) == components
+    monkeypatch.setattr(pres, "unit_classes", next(swapped_tables(pres)))
+    bad = theta(spec, S, T, -1).value
+    assert bad != good
+    assert theta_character_side(spec, S, T, -1) == components
+    assert table.decompose(bad) != components
+    assert campaigns.character_campaign(7).failures > 0
+
+
+@pytest.mark.parametrize("row", [0, 6], ids=["Q(zeta_3)", "Q(zeta_12)"])
+def test_a_swapped_unit_class_on_a_tower_level_is_caught(monkeypatch, row):
+    """Every swap in the table of level 1: theta_tower refuses a layer whose
+    theta is no longer p-integral (each swap over Q(zeta_3)), and where it
+    stays p-integral (some swaps over Q(zeta_12)), coherence or the Kummer
+    congruence fails."""
+    spec, p, S, T = campaigns.TOWER_CORPUS[row]
+    level = tower_level(spec, p, 1)
+    checked = 0
+    for bad in swapped_tables(level):
+        monkeypatch.setattr(level, "unit_classes", bad)
+        try:
+            t_r, t_0 = (theta_tower(spec, S, T, p, 3, 1, r) for r in (-1, 0))
+        except TowerIntegralityError:
+            continue
+        checked += 1
+        assert not (coherence_check(t_r)[0] and coherence_check(t_0)[0]
+                    and twist_congruence_check(t_r, t_0)[0])
+    assert checked == (0 if row == 0 else 6)
+    assert campaigns.tower_coherence_campaign().failures > 0
+
+
 # ---------------------------------------------------------------------------
 # Group algebras on the group law: products, # and the regular rows read the
 # group's shared table; the dense dim x dim table of unit vectors is the
@@ -1513,6 +1680,8 @@ def test_group_algebra_morphisms_match_the_unit_vector_images(p, top):
                 return levels[n].project(g, m)
 
             phi = group_algebra_morphism(src, algs[m], project)
+            # the index map that tower_fitting_campaign hands GroupAlgebraMorphism
+            assert phi.targets == list(groupring.reduction(src.group, algs[m].group))
             images = [algs[m].group_element_vector(project(g)) for g in src.basis]
             reference = fitting.AlgebraMorphism(src, algs[m], images)
             xs = [distinct_coefficients(src.group, rng), src.one]
