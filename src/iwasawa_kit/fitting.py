@@ -663,16 +663,15 @@ class ModuleMap:
 
     @cached_property
     def kernel_span(self) -> list[list[int]]:
-        """Span of the kernel preimage inside the src realization (contains
-        the src relation span)."""
-        ker = preimage_span(
-            self.realization_rows,
-            self.dst.relation_span,
-            self.dst.rwidth,
-            self.src.algebra.R,
-        )
-        rows = [list(r) for r in ker] + [list(r) for r in self.src.relation_span]
-        return howell_form(rows, self.src.rwidth, self.src.algebra.R)
+        """Howell form of the kernel preimage inside the src realization,
+        joined with the src relation span. For a well-defined map the
+        preimage already contains the src relations; a free src has none, so
+        its preimage is returned as preimage_span gives it."""
+        R = self.src.algebra.R
+        ker = preimage_span(self.realization_rows, self.dst.relation_span, self.dst.rwidth, R)
+        if not self.src.relation_span:
+            return ker
+        return howell_form(ker + self.src.relation_span, self.src.rwidth, R)
 
     def image_size(self) -> int:
         """|im f| = |image span| / |dst relation span|."""
@@ -728,7 +727,10 @@ def _nakayama_rows(
     span it modulo JZ + B. So a row is kept only when it is not in the span
     of JZ + B (J generated by `radical_elements`) and the A-spans of the rows
     kept so far. Where J is the maximal ideal of a local algebra the kept
-    rows are a basis of Z/(JZ + B) over the residue field: a minimal set."""
+    rows are a basis of Z/(JZ + B) over the residue field: a minimal set.
+    There (a group algebra over a p-group) A = Z/p^N*1 + J, so the A-span of
+    a kept row z is Z/p^N*z + Jz with Jz already in JZ: z alone joins the
+    span, not its dim realized rows."""
     R, mul, split = algebra.R, algebra.mul, algebra.split
     # rows not yet in the Howell form `span`, eliminated only when a row is tested
     pending = [
@@ -741,7 +743,7 @@ def _nakayama_rows(
             span, pending = howell_form(span + pending, width, R), []
         if not in_span(z, span, R):
             kept.append(z)
-            pending = algebra.realize(split(z))
+            pending = [z] if algebra.local else algebra.realize(split(z))
     return kept
 
 

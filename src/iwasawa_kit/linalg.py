@@ -4,7 +4,9 @@ the one Smith form.
 Span questions reduce to the Howell form: a canonical echelon form whose row
 span is saturated (closed under the hidden p^(N-v) multiples), so that span
 membership, span equality, kernels and canonical coset representatives are all
-exact. Vectors are plain int lists; the ring context is a ZModPN. The Smith
+exact. A valuation is read as gcd(x, p^N) = p^v, and a Howell pivot is the
+power p^v itself, so readers of a form take p^v straight off its pivot
+entries. Vectors are plain int lists; the ring context is a ZModPN. The Smith
 form works over Z (Galois groups); a span over Z/p^N enters it as the lattice
 of its rows with p^N.I appended, whose diagonal entries are powers of p.
 """
@@ -12,6 +14,7 @@ of its rows with p^N.I appended, whose diagonal entries are powers of p.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 from .numutil import is_prime
 
@@ -54,12 +57,15 @@ def howell_form(rows: list[list[int]], width: int, R: ZModPN) -> list[list[int]]
     pivot is reduced mod the pivot; the span is saturated by processing the
     p^(N-v) shadow of each pivot row. Two row sets span the same submodule
     iff their Howell forms are identical (Storjohann-Mulders, ESA 1998).
-    Rows wait in one bucket per leading column; the rows that column col
-    reduces, and its shadow, lead after col, so their search starts at col + 1.
+    The valuation of an entry x is read as gcd(x, q) = p^v: it orders the
+    candidate pivots and gives the shadow multiplier q // p^v. Rows wait in
+    one bucket per leading column (only the first `width` entries lead; the
+    rest ride along); the rows that column col reduces, and its shadow, lead
+    after col, so their search starts at col + 1.
     """
     if not rows:
         return []
-    p, q, N = R.p, R.q, R.N
+    q = R.q
     buckets: list[list[list[int]]] = [[] for _ in range(width)]
 
     def file(r: list[int], start: int) -> None:
@@ -75,18 +81,19 @@ def howell_form(rows: list[list[int]], width: int, R: ZModPN) -> list[list[int]]
         cand = buckets[col]
         if not cand:
             continue
-        piv = min(cand, key=lambda r: R.val(r[col]))
+        piv = min(cand, key=lambda r: gcd(r[col], q))
         cand.remove(piv)
-        v = R.val(piv[col])
-        pv = p**v
-        u_inv = R.unit_inverse(piv[col] // pv)
-        piv = [(c * u_inv) % q for c in piv]
+        pv = gcd(piv[col], q)
+        u = piv[col] // pv
+        if u != 1:
+            u_inv = R.unit_inverse(u)
+            piv = [(c * u_inv) % q for c in piv]
         for r in cand:
-            f = r[col] // pv  # exact: val(r[col]) >= v by pivot choice
+            f = r[col] // pv  # exact: p^v divides r[col] by pivot choice
             file([(a - f * b) % q for a, b in zip(r, piv)], col + 1)
         pivots.append((col, pv, piv))
-        if v > 0:
-            file([(p ** (N - v) * c) % q for c in piv], col + 1)
+        if pv > 1:
+            file([(q // pv * c) % q for c in piv], col + 1)
     out = [piv for _, _, piv in pivots]
     for i, (col, pv, piv) in enumerate(pivots):
         for j in range(i):
@@ -97,13 +104,13 @@ def howell_form(rows: list[list[int]], width: int, R: ZModPN) -> list[list[int]]
 
 
 def reduce_mod_span(x: list[int], howell: list[list[int]], R: ZModPN) -> list[int]:
-    """Canonical representative of x modulo the span of a Howell form."""
-    p, q = R.p, R.q
+    """Canonical representative of x modulo the span of a Howell form (whose
+    pivot entries are the p^v themselves)."""
+    q = R.q
     y = [c % q for c in x]
     for r in howell:
         col = next(j for j, c in enumerate(r) if c)
-        pv = p ** R.val(r[col])
-        f = y[col] // pv
+        f = y[col] // r[col]
         if f:
             y = [(a - f * b) % q for a, b in zip(y, r)]
     return y
@@ -116,13 +123,17 @@ def in_span(x: list[int], howell: list[list[int]], R: ZModPN) -> bool:
 def preimage_span(
     rows: list[list[int]], target: list[list[int]], width: int, R: ZModPN
 ) -> list[list[int]]:
-    """Howell generators of {y : sum y_i rows[i] in span(target)}."""
+    """Howell form of {y : sum y_i rows[i] in span(target)}: the rows of the
+    Howell form of [rows | I] over [target | 0] whose first `width` entries
+    vanish, cut to their last n. By the Howell property those rows span
+    every vector of the stacked span that vanishes there, and they are
+    already reduced, so they are the Howell form of the kernel with no
+    second elimination (Storjohann-Mulders, ESA 1998)."""
     n = len(rows)
     stacked = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
     stacked += [list(t) + [0] * n for t in target]
     H = howell_form(stacked, width + n, R)
-    ker = [r[width:] for r in H if not any(r[:width])]
-    return howell_form(ker, n, R)
+    return [r[width:] for r in H if not any(r[:width])]
 
 
 def combine(x: list[int], rows: list[list[int]], width: int, q: int) -> list[int]:
@@ -135,10 +146,10 @@ def combine(x: list[int], rows: list[list[int]], width: int, q: int) -> list[int
 
 
 def span_size(howell: list[list[int]], R: ZModPN) -> int:
+    """Number of elements of the span: q / p^v for each pivot p^v."""
     size = 1
     for r in howell:
-        col = next(j for j, c in enumerate(r) if c)
-        size *= R.p ** (R.N - R.val(r[col]))
+        size *= R.q // next(c for c in r if c)
     return size
 
 

@@ -20,7 +20,7 @@ def enumerate_span(rows: list[list[int]], width: int, R: ZModPN) -> set[tuple[in
     q = R.q
     span = {(0,) * width}
     for r in rows:
-        r = tuple(c % q for c in r)
+        r = tuple([c % q for c in r])
         if len(r) != width:
             raise ValueError(f"row of length {len(r)} in a span of width {width}")
         if r in span:
@@ -28,8 +28,8 @@ def enumerate_span(rows: list[list[int]], width: int, R: ZModPN) -> set[tuple[in
         grown = set(span)
         shift = r
         while shift not in span:
-            grown.update(tuple((a + b) % q for a, b in zip(x, shift)) for x in span)
-            shift = tuple((a + b) % q for a, b in zip(shift, r))
+            grown.update([tuple([(a + b) % q for a, b in zip(x, shift)]) for x in span])
+            shift = tuple([(a + b) % q for a, b in zip(shift, r)])
         span = grown
     return span
 

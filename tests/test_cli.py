@@ -587,6 +587,22 @@ def test_complex_data_certificate_rechecks(tmp_path, capsys):
     assert code == EXIT_OK and report["result"]["matches"] is True
 
 
+def test_complex_certificate_over_z9_c2xc2_is_wire_compatible(capsys):
+    """A stored `complex --data` certificate over (Z/9)[C2 x C2] locks the
+    canonical form: its Euler-Fitting numerator and denominator are Howell
+    forms, so a fresh run must reproduce them entry by entry, and recheck
+    must accept the stored file. The certificate carries no timing."""
+    data, path = FIXTURES / "complex_z9_c2xc2.json", FIXTURES / "complex_z9_c2xc2_cert.json"
+    stored = json.loads(path.read_text())
+    assert stored["input"]["complex_data"] == json.loads(data.read_text())
+    assert all(len(r) == 4 for pair in stored["result"]["euler_fitting"].values() for r in pair)
+    code, cert = run(capsys, "complex", "--data", str(data))
+    assert code == EXIT_OK
+    assert cert == stored
+    code, report = run(capsys, "recheck", str(path))
+    assert code == EXIT_OK and report["result"]["matches"] is True
+
+
 @pytest.mark.parametrize(
     "payload",
     [

@@ -1,6 +1,9 @@
 """The former forms of the Fitting hot paths, kept as oracles of the fast
 ones: the q-pass span closure, the Howell form that rescans every row for its
-leading index, the dense dim^3 structure-constant product, the dense
+leading index, the bucketed Howell kernel that read valuations digit by digit
+and filed rows through a closure, the preimage span that formed its kernel
+twice, the Nakayama selection that added every realized row of a kept row,
+the dense dim^3 structure-constant product, the dense
 structure-constant tables of group algebras and their minus quotients, the
 ideal product realized from every pairwise generator product, the
 full-width Howell form of every ideal from the regular rows that the group
@@ -89,7 +92,7 @@ def enumerate_span_reference(rows, width, R):
     return out
 
 
-def howell_form_reference(rows, width, R):
+def howell_form_rescan_reference(rows, width, R):
     """Howell form that rescans every pooled row for its leading index."""
     p, q, N = R.p, R.q, R.N
     pool = []
@@ -132,6 +135,165 @@ def howell_form_reference(rows, width, R):
             if f:
                 out[j] = [(a - f * b) % q for a, b in zip(out[j], piv)]
     return out
+
+
+def howell_form_reference(rows, width, R):
+    """The Howell kernel before valuations were read by gcd: ZModPN.val per
+    candidate, rows filed through a closure, every pivot normalized."""
+    if not rows:
+        return []
+    p, q, N = R.p, R.q, R.N
+    buckets = [[] for _ in range(width)]
+
+    def file(r, start):
+        for j in range(start, min(len(r), width)):
+            if r[j]:
+                buckets[j].append(r)
+                return
+
+    for r in rows:
+        file([c % q for c in r], 0)
+    pivots = []
+    for col in range(width):
+        cand = buckets[col]
+        if not cand:
+            continue
+        piv = min(cand, key=lambda r: R.val(r[col]))
+        cand.remove(piv)
+        v = R.val(piv[col])
+        pv = p**v
+        u_inv = R.unit_inverse(piv[col] // pv)
+        piv = [(c * u_inv) % q for c in piv]
+        for r in cand:
+            f = r[col] // pv
+            file([(a - f * b) % q for a, b in zip(r, piv)], col + 1)
+        pivots.append((col, pv, piv))
+        if v > 0:
+            file([(p ** (N - v) * c) % q for c in piv], col + 1)
+    out = [piv for _, _, piv in pivots]
+    for i, (col, pv, piv) in enumerate(pivots):
+        for j in range(i):
+            f = out[j][col] // pv
+            if f:
+                out[j] = [(a - f * b) % q for a, b in zip(out[j], piv)]
+    return out
+
+
+def reduce_mod_span_reference(x, howell, R):
+    """Reduction by a Howell form that reads each pivot's valuation."""
+    p, q = R.p, R.q
+    y = [c % q for c in x]
+    for r in howell:
+        col = next(j for j, c in enumerate(r) if c)
+        f = y[col] // p ** R.val(r[col])
+        if f:
+            y = [(a - f * b) % q for a, b in zip(y, r)]
+    return y
+
+
+def span_size_reference(howell, R):
+    """|span| from the valuation of each pivot."""
+    return math.prod(R.p ** (R.N - R.val(next(c for c in r if c))) for r in howell)
+
+
+def preimage_span_reference(rows, target, width, R):
+    """The kernel rows of the stacked form, formed a second time."""
+    n = len(rows)
+    stacked = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    stacked += [list(t) + [0] * n for t in target]
+    H = howell_form_reference(stacked, width + n, R)
+    return howell_form_reference([r[width:] for r in H if not any(r[:width])], n, R)
+
+
+def nakayama_rows_reference(algebra, width, rows, base):
+    """The Nakayama selection that adds every realized row of a kept row to
+    the span, on any algebra."""
+    R, mul, split = algebra.R, algebra.mul, algebra.split
+    pending = [
+        algebra.flatten([mul(j, e) for e in split(z)])
+        for j in algebra.radical_elements for z in rows
+    ] + base
+    span, kept = [], []
+    for z in rows:
+        if pending:
+            span, pending = howell_form_reference(span + pending, width, R), []
+        if any(reduce_mod_span_reference(z, span, R)):
+            kept.append(z)
+            pending = algebra.realize(split(z))
+    return kept
+
+
+# Z/2, Z/8, Z/9, Z/25, Z/27, Z/49
+KERNEL_RINGS = [ZModPN(2, 1), ZModPN(2, 3), ZModPN(3, 2), ZModPN(5, 2), ZModPN(3, 3), ZModPN(7, 2)]
+
+
+def random_kernel_rows(rng, R, width, length):
+    """Rows of the given length (at least width) for a form of that width:
+    zero rows, combinations and p^k multiples of earlier rows, rows with a
+    chosen lead (a unit, a p-power times a unit) and raw draws outside
+    [0, q)."""
+    rows = []
+    for _ in range(rng.randint(0, 2 * width + 2)):
+        kind = rng.randrange(5)
+        if kind == 0:
+            rows.append([0] * length)
+        elif kind == 1 and rows:
+            coeffs = [rng.randrange(R.q) for _ in rows]
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(length)])
+        elif kind == 2 and rows:
+            rows.append([R.p ** rng.randint(1, R.N) * c for c in rng.choice(rows)])
+        elif kind == 3 and width:
+            lead = rng.randrange(width)
+            row = [0] * lead + [rng.randrange(R.q) for _ in range(length - lead)]
+            row[lead] = R.p ** rng.randrange(R.N) * rng.randrange(1, R.p)
+            rows.append(row)
+        else:
+            rows.append([rng.randrange(-R.q, 2 * R.q) for _ in range(length)])
+    return rows
+
+
+def test_howell_kernel_matches_the_reference_on_random_rows():
+    """Every ring of KERNEL_RINGS at widths 0 to 9, with rows as long as the
+    width and rows longer than it; the readers of the form (reduction, span
+    size) agree with the valuation route on it."""
+    rng = random.Random(26)
+    cases = longer = 0
+    for R in KERNEL_RINGS:
+        for _ in range(60):
+            width = rng.randint(0, 9)
+            extra = rng.choice([0, 0, rng.randint(1, 4)])
+            rows = random_kernel_rows(rng, R, width, width + extra)
+            H = howell_form(rows, width, R)
+            assert H == howell_form_reference(rows, width, R)
+            assert span_size(H, R) == span_size_reference(H, R)
+            for x in random_kernel_rows(rng, R, width, width + extra)[:3]:
+                assert linalg.reduce_mod_span(x, H, R) == reduce_mod_span_reference(x, H, R)
+            cases += 1
+            longer += extra > 0 and any(any(r[width:]) for r in rows)
+    assert cases == 360 and longer >= 50
+    for R in KERNEL_RINGS:
+        assert howell_form([], 3, R) == [] and howell_form([[1, 2]], 0, R) == []
+        assert howell_form([[0, 0, 0]], 3, R) == []
+
+
+def test_preimage_span_matches_the_double_form_on_random_rows():
+    """The kernel rows of one stacked form are the Howell form of the
+    preimage: no row count, target or ring needs the second form."""
+    rng = random.Random(27)
+    cases = nonzero = 0
+    for R in KERNEL_RINGS:
+        for _ in range(60):
+            width = rng.randint(0, 6)
+            rows = random_kernel_rows(rng, R, width, width)
+            target = random_kernel_rows(rng, R, width, width)
+            if rng.randrange(2):
+                target = howell_form(target, width, R)
+            got = linalg.preimage_span(rows, target, width, R)
+            assert got == preimage_span_reference(rows, target, width, R)
+            assert got == howell_form(got, len(rows), R)
+            cases += 1
+            nonzero += bool(got)
+    assert cases == 360 and nonzero >= 200
 
 
 def mul_reference(mult, q, x, y):
@@ -311,7 +473,7 @@ def test_howell_form_matches_reference():
                 rows.append(row)
             if rows and rng.random() < 0.3:
                 rows.append(list(rows[0]))
-            assert howell_form(rows, width, R) == howell_form_reference(rows, width, R)
+            assert howell_form(rows, width, R) == howell_form_rescan_reference(rows, width, R)
 
 
 def monogenic_algebra_json(p, N, f):
@@ -1514,12 +1676,27 @@ def group_algebra(p, N, orders):
     return GroupAlgebra(p, N, FiniteAbelianGroup(orders))
 
 
+def residue_is_unit(alg, x):
+    """A second unit test: through F_p[Delta], Delta = G / P the prime-to-p
+    quotient. The kernel of (Z/p^N)[G] -> F_p[Delta] is generated by p and
+    the h - 1 with h in the p-Sylow P, so it is nilpotent and x is a unit
+    iff its image is; the image is tested by the Howell route of width
+    |Delta| over F_p, not of width dim over Z/p^N."""
+    orders = alg.group.orders
+    delta = FiniteAbelianGroup(tuple(o // math.gcd(o, alg.p ** o.bit_length()) for o in orders))
+    residue = GroupAlgebra(alg.p, 1, delta)
+    images = groupring.reduction(alg.group, delta)
+    return FiniteCommAlgebra.is_unit(residue, groupring.push(x, images, residue.dim))
+
+
 # (p, N, orders, kind): a p-group is local and reads the augmentation mod p;
-# the others are neither and keep the Howell route
+# the others are neither and keep the Howell route, checked against the
+# residue route of F_p[Delta]
 EXHAUSTIVE_UNITS = [
     (3, 2, (3,), "local"), (2, 3, (2,), "local"), (2, 2, (2, 2), "local"),
     (3, 2, (2,), "neither"), (3, 2, (2, 2), "neither"), (3, 3, (), "local"),
-    (2, 3, (3,), "neither"),
+    (2, 3, (3,), "neither"), (2, 2, (6,), "neither"), (3, 1, (3, 2), "neither"),
+    (2, 1, (2, 5), "neither"),
 ]
 
 
@@ -1529,14 +1706,16 @@ def test_is_unit_matches_the_howell_route_on_every_element(p, N, orders, kind):
     assert alg.local == (kind == "local")
     units = [x for x in alg.elements() if alg.is_unit(x)]
     assert units == [x for x in alg.elements() if FiniteCommAlgebra.is_unit(alg, x)]
+    assert units == [x for x in alg.elements() if residue_is_unit(alg, x)]
     if alg.local:  # the units are the elements off the maximal ideal, of index p
         assert len(units) * p == alg.q**alg.dim * (p - 1)
 
 
-@pytest.mark.parametrize("orders", [(27,)], ids=str)
+@pytest.mark.parametrize("orders", [(27,), (2, 9), (6, 3), (20,)], ids=str)
 def test_is_unit_matches_the_howell_route_on_sampled_elements(orders):
-    """(Z/9)[C27] (local): random elements, p-multiples and multiples of
-    g - 1 plus a random unit of Z/9, so that both verdicts occur."""
+    """(Z/9)[C27] (local), (Z/9)[C2 x C9], (Z/9)[C6 x C3] and (Z/9)[C20]
+    (neither): random elements, p-multiples and multiples of g - 1 plus a
+    random unit of Z/9, so that both verdicts occur."""
     alg = group_algebra(3, 2, orders)
     rng = random.Random(alg.dim)
     samples = []
@@ -1548,6 +1727,7 @@ def test_is_unit_matches_the_howell_route_on_sampled_elements(orders):
         samples.append(x)
     verdicts = [alg.is_unit(x) for x in samples]
     assert verdicts == [FiniteCommAlgebra.is_unit(alg, x) for x in samples]
+    assert verdicts == [residue_is_unit(alg, x) for x in samples]
     assert set(verdicts) == {True, False}
 
 
@@ -1787,6 +1967,54 @@ def _subquotient_algebras():
     return [pytest.param(alg, id=f"{type(alg).__name__}-{alg.name}") for alg in algebras]
 
 
+def check_nakayama_steps(alg, ncomp, z_rows, b_rows):
+    """Both Nakayama selections of a subquotient presentation, and the
+    preimage span between them, against their references: the generators
+    of Z/B, the relations of those generators and the relation module they
+    generate. Returns how many generators were kept."""
+    R, width = alg.R, alg.dim * ncomp
+    Zh = howell_form(z_rows + b_rows, width, R)
+    Bh = howell_form(b_rows, width, R)
+    gens = fitting._nakayama_rows(alg, width, Zh, Bh)
+    assert gens == nakayama_rows_reference(alg, width, Zh, Bh)
+    act_rows = [r for g in gens for r in alg.realize(alg.split(g))]
+    rel_flat = linalg.preimage_span(act_rows, Bh, width, R)
+    assert rel_flat == preimage_span_reference(act_rows, Bh, width, R)
+    t_width = alg.dim * len(gens)
+    relations = fitting._nakayama_rows(alg, t_width, rel_flat, [])
+    assert relations == nakayama_rows_reference(alg, t_width, rel_flat, [])
+    return len(gens)
+
+
+def test_nakayama_and_preimage_match_their_references_on_the_campaigns(campaign_records):
+    """Every subquotient that the AC5/AC6 slices present, over local and
+    non-local algebras."""
+    _, _, presented = campaign_records
+    kept = [check_nakayama_steps(alg, n, z, b) for alg, n, z, b, _ in presented]
+    assert len(kept) > 1000 and any(kept)
+    assert any(alg.local for alg, *_ in presented) and not all(alg.local for alg, *_ in presented)
+
+
+def test_howell_kernel_matches_the_reference_on_the_campaigns(monkeypatch):
+    """Every form that a slice of the AC5 and AC6 campaigns takes, checked
+    as it is taken; the multiplicativity and base-change suites read every
+    form through one kernel, so a wrong form would not change their
+    verdicts."""
+    fast, seen = linalg.howell_form, []
+
+    def checked(rows, width, R):
+        got = fast(rows, width, R)
+        assert got == howell_form_reference(rows, width, R)
+        seen.append(len(rows) * width)
+        return got
+
+    for name in ("linalg", "fitting", "complexes", "campaigns"):
+        monkeypatch.setattr(f"iwasawa_kit.{name}.howell_form", checked)
+    results = complex_campaigns(seed=2026, trials=10) + fitting_campaigns(seed=2026, trials=20)
+    assert all(r.ok for r in results)
+    assert len(seen) > 1000 and max(seen) > 100
+
+
 @pytest.mark.parametrize("alg", _subquotient_algebras())
 def test_subquotient_presentation_matches_reference_on_random_subquotients(alg):
     """(Z/8)[C2] and (Z/9)[C3] (local), (Z/9)[C2] and (Z/9)[C2 x C2]
@@ -1806,4 +2034,5 @@ def test_subquotient_presentation_matches_reference_on_random_subquotients(alg):
     for n, z_rows, b_rows in cases:
         sub = fitting.subquotient_presentation(alg, n, z_rows, b_rows)
         compared += check_subquotient(alg, n, z_rows, b_rows, sub)
+        check_nakayama_steps(alg, n, z_rows, b_rows)
     assert compared >= 6

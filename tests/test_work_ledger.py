@@ -18,7 +18,7 @@ LEDGER = [
     ("fitting_multiplicativity_campaign(2026, 60)",
      lambda: campaigns.fitting_multiplicativity_campaign(2026, 60).ok, (74, 3975)),
     ("complex_campaigns(2026, 20)",
-     lambda: all(r.ok for r in campaigns.complex_campaigns(2026, 20)), (3743, 23860)),
+     lambda: all(r.ok for r in campaigns.complex_campaigns(2026, 20)), (2765, 19096)),
 ]
 
 
