@@ -401,44 +401,27 @@ def group_algebra_morphism(src: GroupAlgebra, dst: GroupAlgebra, element_map) ->
 class IdealHandle:
     """Finitely generated ideal, canonicalized as the Howell form of its
     Z/p^N-span inside the regular representation (`howell`, width dim, in
-    the algebra's own basis), taken from the generators or a product's
-    factors. Two ideals over one algebra with equal lists of at most dim
-    generators are equal with no form read. Over a local algebra an ideal is
-    whole iff a generator is a unit, and I*J iff I and J are; a whole
-    ideal's `howell` is the identity rows, with no elimination.
+    the algebra's own basis), taken from the generators. Two ideals over one
+    algebra with equal lists of at most dim generators are equal with no
+    form read. Over a local algebra an ideal is whole iff a generator is a
+    unit; a whole ideal's `howell` is the identity rows, with no
+    elimination.
 
     `generators` are literal: the list given, or for a product I*J the
-    pairwise products x*y (x over I's generators, y over J's, in that order),
-    built only when something reads them, so the brute-force oracles get an
-    input that no Howell form has touched. A product's span comes from its
-    factors: I*J is the Z/p^N-span of {x*y} where x runs over any
-    Z/p^N-spanning set of I and y over ideal generators of J (a in I and
-    b = sum c_k y_k give a*b = sum (a*c_k)*y_k with a*c_k in I). So a factor
-    with more generators than dim contributes its Howell rows (at most dim),
-    and the products need no regular representation; when neither factor has
-    more than dim generators, the pairwise products are realized as for any
-    ideal."""
+    pairwise products x*y (x over I's generators, y over J's, in that
+    order), so the brute-force oracles get an input that no Howell form has
+    touched. A product is an ideal like any other: its span is realized
+    from those products."""
 
     def __init__(self, algebra: FiniteCommAlgebra, generators: list[Vec]):
         self.algebra = algebra
         q = algebra.q
         self.generators = [tuple([c % q for c in g]) for g in generators]
         self.ngens = len(self.generators)
-        self.factors: tuple[IdealHandle, IdealHandle] | None = None
-
-    @cached_property
-    def generators(self) -> list[Vec]:
-        """A product's pairwise generator products (an instance attribute
-        otherwise)."""
-        I, J = self.factors
-        mul = self.algebra.mul
-        return [mul(a, b) for a in I.generators for b in J.generators]
 
     @cached_property
     def _whole(self) -> bool:
         """Known to be the ring (over a local algebra only)."""
-        if self.factors is not None:
-            return all(f._whole for f in self.factors)
         return self.algebra.local and any(map(self.algebra.is_unit, self.generators))
 
     @cached_property
@@ -446,14 +429,6 @@ class IdealHandle:
         alg = self.algebra
         if self._whole:
             return [list(alg.basis_element(i)) for i in range(alg.dim)]
-        if self.factors is not None:
-            I, J = self.factors
-            if J.ngens > alg.dim and I.ngens <= alg.dim:
-                I, J = J, I
-            if I.ngens > alg.dim:
-                ys = J.howell if J.ngens > alg.dim else J.generators
-                rows = [alg.mul(x, y) for x in I.howell for y in ys]
-                return howell_form(rows, alg.dim, alg.R)
         rows = []
         for g in self.generators:
             rows.extend(alg.regular_rows(g))
@@ -490,10 +465,8 @@ class IdealHandle:
         return hash(self.size())
 
     def product(self, other: "IdealHandle") -> "IdealHandle":
-        out = IdealHandle.__new__(IdealHandle)
-        out.algebra, out.factors = self.algebra, (self, other)
-        out.ngens = self.ngens * other.ngens
-        return out
+        mul = self.algebra.mul
+        return IdealHandle(self.algebra, [mul(a, b) for a in self.generators for b in other.generators])
 
     def sharp(self) -> "IdealHandle":
         return IdealHandle(self.algebra, [self.algebra.sharp_of(g) for g in self.generators])
@@ -632,7 +605,13 @@ def quadratic_presentation_certificate(
 # Module maps and sub-quotients.
 
 class ModuleMap:
-    """A-linear map given on generators: src gen c maps to sum_d matrix[c][d] dst_d."""
+    """A-linear map given on generators: src gen c maps to sum_d matrix[c][d] dst_d.
+
+    Precondition: the map is well defined (`is_well_defined`: every src
+    relation maps to zero in dst). Construction does not check it. The
+    package reads `kernel_span` only of maps that are: BoundedComplex
+    differentials, checked at construction (so `complex --data` input too),
+    and zero and multiplication maps, well defined by construction."""
 
     def __init__(self, src: FinPresModule, dst: FinPresModule, matrix: list[list[Vec]]):
         if len(matrix) != src.ngens or any(len(r) != dst.ngens for r in matrix):
@@ -663,15 +642,11 @@ class ModuleMap:
 
     @cached_property
     def kernel_span(self) -> list[list[int]]:
-        """Howell form of the kernel preimage inside the src realization,
-        joined with the src relation span. For a well-defined map the
-        preimage already contains the src relations; a free src has none, so
-        its preimage is returned as preimage_span gives it."""
-        R = self.src.algebra.R
-        ker = preimage_span(self.realization_rows, self.dst.relation_span, self.dst.rwidth, R)
-        if not self.src.relation_span:
-            return ker
-        return howell_form(ker + self.src.relation_span, self.src.rwidth, R)
+        """Howell form of the kernel inside the src realization: the
+        preimage of the dst relation span, which holds the src relations
+        because the map is well defined."""
+        return preimage_span(self.realization_rows, self.dst.relation_span, self.dst.rwidth,
+                             self.src.algebra.R)
 
     def image_size(self) -> int:
         """|im f| = |image span| / |dst relation span|."""

@@ -660,6 +660,17 @@ def test_complex_data_refuses_malformed_scalars(tmp_path, capsys, path, value):
     assert code == EXIT_IO and err["exit"] == EXIT_IO
 
 
+def test_complex_data_refuses_a_differential_that_is_not_well_defined(tmp_path, capsys):
+    """Z/9/(3) -1-> Z/9 sends the relation 3 to 3 != 0: refused at ingestion
+    (exit 2), before any kernel span is read."""
+    payload = with_field(complex_payload(differential=(1,)), ("modules", 0, "relations"), [[[3]]])
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(payload))
+    code, err = run_refused(capsys, "complex", "--data", str(path))
+    assert code == EXIT_PRECONDITION and err["exit"] == EXIT_PRECONDITION
+    assert "differential in degree 0 is not well defined" in err["error"]
+
+
 def payload_paths(node, prefix=()):
     """Every key/index path below the root of a JSON value."""
     if isinstance(node, dict):

@@ -5,22 +5,25 @@ and filed rows through a closure, the preimage span that formed its kernel
 twice, the Nakayama selection that added every realized row of a kept row,
 the dense dim^3 structure-constant product, the dense
 structure-constant tables of group algebras and their minus quotients, the
-ideal product realized from every pairwise generator product, the
+ideal product realized from every pairwise generator product, the ideal
+product that took its span from a wide factor's Howell rows, the
 full-width Howell form of every ideal from the regular rows that the group
 law gives, the prime-to-p split of a group algebra by the characters of
 Delta, the Howell route of units and of the ideals that a generator
 list or a unit settles, the unit-vector images of group-algebra morphisms,
 the group-ring maps that formed one group element per coefficient, the
 element_of classification of each unit residue that the unit-class table of
-a presentation replaced, the exactness and quasi-isomorphism tests that
-compared kernel spans, and the subquotient presentation on every Howell row
-of Z with every preimage row as a relation."""
+a presentation replaced, the kernel span joined with the src relations, the
+exactness and quasi-isomorphism tests that compared kernel spans, and the
+subquotient presentation on every Howell row of Z with every preimage row
+as a relation."""
 
 import itertools
 import json
 import math
 import random
 import re
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -553,6 +556,25 @@ def ideal_product_reference(I, J):
     return howell_form(rows, alg.dim, alg.R)
 
 
+def ideal_product_from_rows_reference(I, J):
+    """The Howell form of I*J by the route products once took: I*J is the
+    Z/p^N-span of {x*y} with x over any Z/p^N-spanning set of I and y over
+    ideal generators of J (a in I and b = sum c_k y_k give
+    a*b = sum (a*c_k)*y_k with a*c_k in I). The wider factor (more
+    generators) lends the Howell rows of its realized generators as x, so no
+    pairwise product is realized."""
+    if J.ngens > I.ngens:
+        I, J = J, I
+    alg = I.algebra
+    rows_of_I = howell_form([r for g in I.generators for r in alg.regular_rows(g)], alg.dim, alg.R)
+    return howell_form([alg.mul(x, y) for x in rows_of_I for y in J.generators], alg.dim, alg.R)
+
+
+def check_product(I, J, out):
+    """The product's form against both references."""
+    assert out.howell == ideal_product_reference(I, J) == ideal_product_from_rows_reference(I, J)
+
+
 PRODUCT_ALGEBRAS = [
     GroupAlgebra(p, N, FiniteAbelianGroup(orders))
     for p, N, orders in ((2, 3, (2,)), (3, 2, (3,)), (3, 2, (2, 2)), (3, 2, (2, 9)))
@@ -587,39 +609,41 @@ def test_ideal_product_matches_reference_on_random_ideals(alg):
     ideals = [random_ideal(rng, alg, rng.randint(0, dim + 2)) for _ in range(8 if dim <= 4 else 3)]
     ideals += [random_ideal(rng, alg, dim + 1), random_ideal(rng, alg, dim + 2)]
     ideals += [zero_ideal(alg), unit_ideal(alg)]
-    routes = set()
+    # coverage: factors with more generators than dim (whose Howell rows the
+    # from-rows reference then reads) on either side, both or neither
+    wide = set()
     for I in ideals:
         for J in ideals:
-            assert I.product(J).howell == ideal_product_reference(I, J)
-            routes.add((I.ngens > dim, J.ngens > dim))
-    assert routes == {(False, False), (False, True), (True, False), (True, True)}
-    # chains of three products: a product factor with more than dim generators
-    # contributes its own Howell rows
+            check_product(I, J, I.product(J))
+            wide.add((I.ngens > dim, J.ngens > dim))
+    assert wide == {(False, False), (False, True), (True, False), (True, True)}
+    # chains of three products: a product factor is an ideal on its pairwise
+    # generator products, often more than dim of them
     for _ in range(6):
         I, J, K = (random_ideal(rng, alg, rng.randint(0, min(dim + 2, 6))) for _ in range(3))
         for chain, left, right in (
             (I.product(J).product(K), I.product(J), K),
             (I.product(J.product(K)), I, J.product(K)),
         ):
-            assert chain.howell == ideal_product_reference(left, right)
+            check_product(left, right, chain)
             assert chain == IdealHandle(alg, left.generators).product(right)
     big = random_ideal(rng, alg, dim + 2)
     third = big if dim <= 4 else random_ideal(rng, alg, 2)
-    assert big.product(big).product(third).howell == ideal_product_reference(
-        big.product(big), third
-    )
+    check_product(big.product(big), third, big.product(big).product(third))
 
 
 @pytest.fixture(scope="module")
 def campaign_records():
     """Every ideal product and every ideal comparison (==, contains) that the
-    AC5/AC6 campaign slices form, with the verdicts the fast path gave, and
-    every subquotient they present: (algebra, ncomp, Z rows, B rows, the
-    presentation). The fitting slice at seed 2027 adds products that take
-    their span from a factor's Howell rows."""
-    formed, compared, presented = [], [], []
+    AC5/AC6 campaign slices form, with the verdicts the fast path gave, every
+    subquotient they present: (algebra, ncomp, Z rows, B rows, the
+    presentation), and every map whose kernel span they read, with that span.
+    The fitting slice at seed 2027 adds products with a factor of more
+    generators than dim."""
+    formed, compared, presented, kernels = [], [], [], []
     product, eq, contains = IdealHandle.product, IdealHandle.__eq__, IdealHandle.contains
     subquotient = fitting.subquotient_presentation
+    kernel_span = fitting.ModuleMap.kernel_span.func
 
     def recorded_product(I, J):
         out = product(I, J)
@@ -641,29 +665,39 @@ def campaign_records():
         presented.append((algebra, ncomp, [list(r) for r in z_rows], [list(r) for r in b_rows], out))
         return out
 
+    def recorded_kernel_span(f):
+        out = kernel_span(f)
+        kernels.append((f, out))
+        return out
+
+    recorded_kernel = cached_property(recorded_kernel_span)
+    recorded_kernel.__set_name__(fitting.ModuleMap, "kernel_span")
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(IdealHandle, "product", recorded_product)
         mp.setattr(IdealHandle, "__eq__", recorded_eq)
         mp.setattr(IdealHandle, "contains", recorded_contains)
         mp.setattr(complexes, "subquotient_presentation", recorded_subquotient)
         mp.setattr(campaigns, "subquotient_presentation", recorded_subquotient)
+        mp.setattr(fitting.ModuleMap, "kernel_span", recorded_kernel)
         results = complex_campaigns(seed=2026, trials=100) + fitting_campaigns(seed=2026, trials=200)
         results += fitting_campaigns(seed=2027, trials=50)
     assert all(r.ok for r in results)
-    return formed, compared, presented
+    return formed, compared, presented, kernels
 
 
 def test_ideal_product_matches_reference_on_the_campaigns(campaign_records):
     """Every Fitting product and every Euler-Fitting numerator, denominator
     and cross-multiplication that the AC5/AC6 campaign slices form."""
-    formed, _, _ = campaign_records
+    formed, _, _, _ = campaign_records
     assert len(formed) > 3000
-    # both routes occur: a factor with more than dim generators contributes
-    # its Howell rows, and two factors of at most dim realize their products
-    through_rows = sum(max(I.ngens, J.ngens) > I.algebra.dim for I, J, _ in formed)
-    assert through_rows >= 300 and len(formed) - through_rows >= 300
+    # coverage: products with a factor of more generators than dim (the
+    # from-rows reference reads that factor's Howell rows) and products of
+    # two factors of at most dim
+    wide = sum(max(I.ngens, J.ngens) > I.algebra.dim for I, J, _ in formed)
+    assert wide >= 300 and len(formed) - wide >= 300
     for I, J, out in formed:
-        assert out.howell == ideal_product_reference(I, J)
+        check_product(I, J, out)
 
 
 def test_product_generators_are_literal_and_span_free(monkeypatch):
@@ -707,28 +741,16 @@ def ideal_howell_reference(I, cache=None):
     """The canonical form of every ideal by the former route: one Howell
     form of width dim in the algebra's own basis, from the regular rows that
     the structure constants give (over a group algebra, the rows that
-    group.mul gives), a product's taken from its factors' full-width forms
-    (a factor with more generators than dim contributes its rows). `cache`
-    maps id(ideal) to (ideal, form) across calls."""
+    group.mul gives). `cache` maps id(ideal) to (ideal, form) across calls."""
     cache = {} if cache is None else cache
     if id(I) in cache:
         return cache[id(I)][1]
-    alg, dim = I.algebra, I.algebra.dim
-    out = None
-    if I.factors is not None:
-        J, K = I.factors
-        if K.ngens > dim and J.ngens <= dim:
-            J, K = K, J
-        if J.ngens > dim:
-            ys = ideal_howell_reference(K, cache) if K.ngens > dim else K.generators
-            rows = [alg.mul(x, y) for x in ideal_howell_reference(J, cache) for y in ys]
-            out = howell_form(rows, dim, alg.R)
-    if out is None:
-        if isinstance(alg, GroupAlgebra):
-            rows = [r for g in I.generators for r in regular_rows_reference(g, alg.group, alg.q)]
-        else:
-            rows = [r for g in I.generators for r in FiniteCommAlgebra.regular_rows(alg, g)]
-        out = howell_form(rows, dim, alg.R)
+    alg = I.algebra
+    if isinstance(alg, GroupAlgebra):
+        rows = [r for g in I.generators for r in regular_rows_reference(g, alg.group, alg.q)]
+    else:
+        rows = [r for g in I.generators for r in FiniteCommAlgebra.regular_rows(alg, g)]
+    out = howell_form(rows, alg.dim, alg.R)
     cache[id(I)] = (I, out)
     return out
 
@@ -838,7 +860,7 @@ def test_split_ideals_match_the_reference_on_a_dim_54_tower_level():
 
 
 def test_split_ideals_match_the_reference_on_the_campaigns(campaign_records):
-    formed, compared, _ = campaign_records
+    formed, compared, _, _ = campaign_records
     cache = {}
     split = [c for c in compared if isinstance(c[1].algebra, GroupAlgebra) and not c[1].algebra.local]
     assert len(split) > 300 and {c[0] for c in split} == {"==", "contains"}
@@ -1668,6 +1690,95 @@ def test_exactness_checks_compute_no_kernel_span(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Kernel spans: the former union form, the preimage joined with the src
+# relations and formed again, is the oracle of the preimage alone, which
+# holds the src relations when the map is well defined.
+
+def kernel_span_reference(f):
+    R = f.src.algebra.R
+    preimage = linalg.preimage_span(f.realization_rows, f.dst.relation_span, f.dst.rwidth, R)
+    return howell_form(preimage + f.src.relation_span, f.src.rwidth, R)
+
+
+def test_kernel_span_matches_the_union_form_on_the_campaigns(campaign_records):
+    """Every map whose kernel span the AC5/AC6 slices read: differentials,
+    zero maps and multiplication maps, some with src relations."""
+    _, _, _, kernels = campaign_records
+    assert len(kernels) > 1000
+    assert sum(bool(f.src.relation_span) for f, _ in kernels) >= 60
+    for f, span in kernels:
+        assert span == kernel_span_reference(f)
+
+
+def well_defined_maps(rng, alg):
+    """Maps out of modules with relations: multiplications, quotient maps onto
+    more relations, and maps M -> N with matrix X where N's relations are
+    M's times X plus random rows, each also as the differential of a
+    two-term complex."""
+    mul, add = alg.mul, alg.add
+
+    def times(row, X):
+        out = [alg.zero()] * len(X[0])
+        for a, x_row in zip(row, X):
+            out = [add(o, mul(a, x)) for o, x in zip(out, x_row)]
+        return out
+
+    maps = []
+    for _ in range(6):
+        M = campaigns._random_module(alg, rng)
+        z = campaigns._random_element(alg, rng)
+        extra = [[campaigns._random_element(alg, rng) for _ in range(M.ngens)]]
+        m = rng.randint(1, 2)
+        X = [[campaigns._random_element(alg, rng) for _ in range(m)] for _ in range(M.ngens)]
+        N = FinPresModule(alg, m, [times(row, X) for row in M.relations]
+                          + [[campaigns._random_element(alg, rng) for _ in range(m)]])
+        maps += [
+            fitting.multiplication_map(M, z),
+            fitting.ModuleMap(M, FinPresModule(alg, M.ngens, M.relations + extra),
+                              fitting.identity_map(M).matrix),
+            fitting.ModuleMap(M, N, X),
+        ]
+    complexes_of = [complexes.BoundedComplex(alg, 0, [f.src, f.dst], [f]) for f in maps]
+    return maps + [C.differential_at(0) for C in complexes_of]
+
+
+@pytest.mark.parametrize("alg", [
+    minus_quotient(GroupAlgebra(3, 2, FiniteAbelianGroup((2, 2))), (1, 0))[0],
+    FiniteCommAlgebra.from_json(GroupAlgebra(3, 2, FiniteAbelianGroup((3,))).to_json()),
+], ids=["minus-quotient", "from-json"])
+def test_kernel_span_matches_the_union_form_off_group_algebras(alg):
+    """The campaigns draw only group algebras: here a minus quotient of
+    (Z/9)[C2 x C2] and a from_json copy of (Z/9)[C3]."""
+    rng = random.Random(alg.dim * alg.q)
+    maps = well_defined_maps(rng, alg)
+    proper = 0
+    for f in maps:
+        assert f.is_well_defined() and f.src.relation_span
+        assert f.kernel_span == kernel_span_reference(f)
+        proper += f.kernel_span != f.src.relation_span
+    assert proper >= 6
+
+
+def test_maps_that_are_not_well_defined_are_refused_before_a_kernel_is_read(monkeypatch):
+    """A differential that is not well defined is refused by BoundedComplex,
+    and a chain-map level that is not well defined by quasi_iso_check, each
+    before any kernel span is formed. Over Z/9: A/(3) -1-> A sends 3 to 3."""
+    alg = zmod_algebra(3, 2)
+    one = alg.one
+    C, F = principal_module(alg, alg.scalar(3, one)), FinPresModule(alg, 1, [])
+    bad = fitting.ModuleMap(C, F, [[one]])
+    assert not bad.is_well_defined()
+    free_complex = complexes.BoundedComplex(alg, 0, [F], [])
+    quotient_complex = complexes.BoundedComplex(alg, 0, [C], [])
+    monkeypatch.setattr(fitting, "preimage_span", lambda *a: pytest.fail("a kernel span was built"))
+    with pytest.raises(ValueError, match="^differential in degree 0 is not well defined$"):
+        complexes.BoundedComplex(alg, 0, [C, F], [bad])
+    chain = complexes.ChainMap(quotient_complex, free_complex, {0: bad})
+    with pytest.raises(ValueError, match="^chain map level 0 is not well defined$"):
+        complexes.quasi_iso_check(chain)
+
+
+# ---------------------------------------------------------------------------
 # Ideals settled by their generators, and units of local algebras: the Howell
 # route of FiniteCommAlgebra.is_unit and ideal_howell_reference are the
 # oracles.
@@ -1928,7 +2039,7 @@ def check_subquotient(alg, ncomp, z_rows, b_rows, sub):
 def test_subquotient_presentation_matches_reference_on_the_campaigns(campaign_records):
     """Every cohomology module of the AC6 slice and every kernel module of
     the AC5 four-term slice."""
-    _, _, presented = campaign_records
+    _, _, presented, _ = campaign_records
     compared = [check_subquotient(*args) for args in presented]
     assert len(compared) > 1000 and sum(compared) > len(compared) // 2
     assert {alg.name for alg, *_ in presented} >= {"(Z/3^2)(2,)", "(Z/2^3)(2,)", "(Z/3^2)(2, 2)"}
@@ -1989,7 +2100,7 @@ def check_nakayama_steps(alg, ncomp, z_rows, b_rows):
 def test_nakayama_and_preimage_match_their_references_on_the_campaigns(campaign_records):
     """Every subquotient that the AC5/AC6 slices present, over local and
     non-local algebras."""
-    _, _, presented = campaign_records
+    _, _, presented, _ = campaign_records
     kept = [check_nakayama_steps(alg, n, z, b) for alg, n, z, b, _ in presented]
     assert len(kept) > 1000 and any(kept)
     assert any(alg.local for alg, *_ in presented) and not all(alg.local for alg, *_ in presented)

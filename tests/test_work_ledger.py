@@ -16,9 +16,9 @@ from iwasawa_kit import campaigns, linalg
 LEDGER = [
     ("tower_fitting_campaign()", lambda: campaigns.tower_fitting_campaign().ok, (0, 0)),
     ("fitting_multiplicativity_campaign(2026, 60)",
-     lambda: campaigns.fitting_multiplicativity_campaign(2026, 60).ok, (74, 3975)),
+     lambda: campaigns.fitting_multiplicativity_campaign(2026, 60).ok, (70, 4049)),
     ("complex_campaigns(2026, 20)",
-     lambda: all(r.ok for r in campaigns.complex_campaigns(2026, 20)), (2765, 19096)),
+     lambda: all(r.ok for r in campaigns.complex_campaigns(2026, 20)), (2746, 19078)),
 ]
 
 
