@@ -10,6 +10,9 @@ regular_rows), never through its storage. Every module/ideal question
 reduces to Howell-form linear algebra over Z/p^N through the regular
 representation. Ideal handles canonicalize through that form, one Howell
 form of width dim per ideal, so ideal equality and membership are exact.
+Subquotients are presented by Nakayama's lemma, and so is the Pontryagin
+dual of a module over a group algebra: the trace form makes it the #-twist
+of a kernel inside A^n, so duals come out on few generators and relations.
 
 Vector layout for the realization of A^n: component-major, index(c, i) =
 c*dim + i for component c and algebra-basis index i. `FiniteCommAlgebra.realize`
@@ -34,10 +37,8 @@ from .linalg import (
     combine,
     howell_form,
     in_span,
-    matrix_inverse,
     preimage_span,
     reduce_mod_span,
-    smith_normal_form,
     span_size,
 )
 
@@ -811,42 +812,28 @@ def contragredient_presentation(
 
 
 def pontryagin_dual(M: FinPresModule) -> FinPresModule:
-    """Pontryagin dual of an arbitrary finitely presented module, with the
-    contragredient action (a.f)(m) = f(a^# m).
+    """Pontryagin dual of a finitely presented module over a group algebra
+    A = (Z/p^N)[G], with the contragredient action (a.f)(m) = f(a^# m),
+    presented by Nakayama's lemma.
 
-    Route: the Smith form of the relation span with p^N.I appended
-    diagonalizes the realization to sum_t Z/p^(v_t) in the y = x.V
-    coordinates; the action of each basis element's # is transported there and
-    handed to contragredient_presentation.
+    Route: the trace form tau(x) = coefficient of 1 is nondegenerate on A,
+    so y -> (m -> tau(sum m_i y_i^#)) identifies A^n with Hom(A^n, Z/p^N)
+    A-linearly. The functionals that kill the relation rows h are the y
+    with h.y^# = 0, so M^dual = K^#, K = ker(x -> h.x) inside A^n: K is
+    presented by Nakayama (subquotient_presentation) and # is applied to
+    its relations. Raises ValueError over an algebra that is not a
+    GroupAlgebra, whose tau is not known to be nondegenerate.
     """
     alg = M.algebra
     if not alg.has_sharp:
         raise ValueError("pontryagin dual needs the # involution")
-    R, q = alg.R, alg.q
-    w = M.rwidth
-    lattice = [list(r) for r in M.relation_span]
-    lattice += [[q * int(i == j) for j in range(w)] for i in range(w)]
-    diag, V = smith_normal_form(lattice, w)
-    vals = [R.val(d) for d in diag]  # each d divides p^N, so d = p^val
-    V = [[c % q for c in r] for r in V]
-    Vinv = matrix_inverse(V, R)
-
-    def transported_action(bvec: Vec) -> list[list[int]]:
-        """Matrix of multiplication by bvec in y-coordinates: e_t -> row T[t].
-        Row t of Vinv holds the x-coordinates of the t-th y-basis vector."""
-        zero = alg.zero()
-        scaled = [  # bvec * (basis_i at generator c), taken to y-coordinates
-            combine(r, V, w, q)
-            for c in range(M.ngens)
-            for r in alg.realize([bvec if d == c else zero for d in range(M.ngens)])
-        ]
-        return [combine(x, scaled, w, q) for x in Vinv]
-
-    actions = (
-        (b, transported_action(alg.sharp_of(b)))
-        for b in map(alg.basis_element, range(alg.dim))
-    )
-    return contragredient_presentation(alg, vals, actions)
+    if not isinstance(alg, GroupAlgebra):
+        raise ValueError(f"pontryagin dual needs a group algebra, not {alg.name}")
+    n, rels = M.ngens, M.relations
+    transpose = ModuleMap(FinPresModule(alg, n, []), FinPresModule(alg, len(rels), []),
+                          [[row[c] for row in rels] for c in range(n)])
+    K = subquotient_presentation(alg, n, transpose.kernel_span, []).module
+    return FinPresModule(alg, K.ngens, [[alg.sharp_of(e) for e in row] for row in K.relations])
 
 
 # ---------------------------------------------------------------------------
@@ -882,6 +869,10 @@ def four_term_check(
 ) -> bool:
     """Fitt(M^dual)^# Fitt(C') = Fitt(C) Fitt(M') for an exact sequence
     0 -> M -> C -> C' -> M' -> 0 with C, C' of square regular presentation.
+
+    Precondition: the algebra is a GroupAlgebra, as pontryagin_dual needs;
+    over any other algebra the dual raises ValueError once the exactness
+    checks have passed.
 
     Exactness of the supplied maps is verified by counting, the modules being
     finite; non-exact input raises. alpha is injective iff |im alpha| = |M|,

@@ -7,8 +7,7 @@ membership, span equality, kernels and canonical coset representatives are all
 exact. A valuation is read as gcd(x, p^N) = p^v, and a Howell pivot is the
 power p^v itself, so readers of a form take p^v straight off its pivot
 entries. Vectors are plain int lists; the ring context is a ZModPN. The Smith
-form works over Z (Galois groups); a span over Z/p^N enters it as the lattice
-of its rows with p^N.I appended, whose diagonal entries are powers of p.
+form works over Z, on the relation lattices of Galois groups.
 """
 
 from __future__ import annotations
@@ -34,17 +33,6 @@ class ZModPN:
         if self.N < 1:
             raise ValueError(f"ZModPN needs N >= 1, got {self.N}")
         object.__setattr__(self, "q", self.p**self.N)
-
-    def val(self, x: int) -> int:
-        """p-adic valuation of the representative x mod q (val(0) = N)."""
-        x %= self.q
-        if x == 0:
-            return self.N
-        v = 0
-        while x % self.p == 0:
-            x //= self.p
-            v += 1
-        return v
 
     def unit_inverse(self, x: int) -> int:
         return pow(x, -1, self.q)
@@ -151,26 +139,6 @@ def span_size(howell: list[list[int]], R: ZModPN) -> int:
     for r in howell:
         size *= R.q // next(c for c in r if c)
     return size
-
-
-def matrix_inverse(M: list[list[int]], R: ZModPN) -> list[list[int]]:
-    """Inverse of a unimodular matrix over Z/p^N (Gauss-Jordan; unit pivots
-    exist at every step because M is invertible mod p)."""
-    n = len(M)
-    q = R.q
-    A = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(M)]
-    for t in range(n):
-        piv = next((i for i in range(t, n) if A[i][t] % R.p != 0), None)
-        if piv is None:
-            raise ValueError("matrix is not invertible mod p")
-        A[t], A[piv] = A[piv], A[t]
-        inv = R.unit_inverse(A[t][t])
-        A[t] = [(c * inv) % q for c in A[t]]
-        for i in range(n):
-            if i != t and A[i][t]:
-                f = A[i][t]
-                A[i] = [(a - f * b) % q for a, b in zip(A[i], A[t])]
-    return [r[n:] for r in A]
 
 
 def smith_normal_form(rows: list[list[int]], ncols: int) -> tuple[list[int], list[list[int]]]:

@@ -1,6 +1,20 @@
-"""Algebras that only the tests build."""
+"""Algebras and ring helpers that only the tests use."""
 
 from iwasawa_kit.fitting import FiniteCommAlgebra
+from iwasawa_kit.linalg import ZModPN
+
+
+def val(R: ZModPN, x: int) -> int:
+    """p-adic valuation of the representative x mod q (val(0) = N), digit by
+    digit: the reference kernels read valuations so, not by gcd."""
+    x %= R.q
+    if x == 0:
+        return R.N
+    v = 0
+    while x % R.p == 0:
+        x //= R.p
+        v += 1
+    return v
 
 
 def nilpotent_extension_json(obj: dict, M: int) -> dict:

@@ -603,6 +603,17 @@ def test_complex_certificate_over_z9_c2xc2_is_wire_compatible(capsys):
     assert code == EXIT_OK and report["result"]["matches"] is True
 
 
+def test_fitting_certificate_at_seed_3_is_wire_compatible(capsys):
+    """A stored `fitting --seed 3 --trials 60` certificate locks the verdicts
+    and trial counts of every Fitting suite: recheck reruns the campaigns and
+    must reproduce it, `seconds` aside."""
+    path = FIXTURES / "fitting_seed3_cert.json"
+    stored = json.loads(path.read_text())
+    assert stored["input"] == {"seed": 3, "trials": 60} and stored["result"]["ok"] is True
+    code, report = run(capsys, "recheck", str(path))
+    assert code == EXIT_OK and report["result"]["matches"] is True
+
+
 @pytest.mark.parametrize(
     "payload",
     [

@@ -3,12 +3,13 @@ modules, Fitting ideals, duals, and the executable lemmas."""
 
 import random
 import re
+import time
 import tracemalloc
 
 import pytest
 from algebra_helpers import nilpotent_extension
 
-from iwasawa_kit import groupring
+from iwasawa_kit import campaigns, groupring
 from iwasawa_kit.abelian import FiniteAbelianGroup
 from iwasawa_kit.fitting import (
     AlgebraMorphism,
@@ -272,6 +273,31 @@ def test_pontryagin_double_dual_recovers_fitting_ideal():
             assert pontryagin_dual(M).size() == DD.size() == M.size()
             assert DD.fitting_ideal == M.fitting_ideal
             assert ideal_equal_oracle(DD.fitting_ideal, M.fitting_ideal)
+
+
+@pytest.mark.parametrize("orders", [(2, 2, 2), (2, 9)], ids=str)
+def test_certified_e1_sharp_with_its_dual_reaches_dim_8_and_18(orders):
+    """Six certified E^1-sharp ops with their Pontryagin dual comparison
+    (Fitt(M^dual) = Fitt(E^1(M)) and |M^dual| = |M|) over (Z/9)[C2 x C2 x C2]
+    and (Z/9)[C2 x C9], on nonzero modules, each set of ops in under 1 s:
+    the dual's Fitting ideal takes the minors of its Nakayama presentation.
+    The draws are not timed; over (Z/9)[C2 x C9] most certified squares
+    present the zero module."""
+    group = FiniteAbelianGroup(orders)
+    alg, lifted = GroupAlgebra(3, 2, group), GroupAlgebra(3, 3, group)
+    rng = random.Random(1)
+    modules = [
+        campaigns._draw_until(lambda: campaigns._random_certified_square(alg, lifted, rng),
+                              lambda M: M.size() > 1)
+        for _ in range(6)
+    ]
+    t0 = time.perf_counter()
+    for M in modules:
+        D = pontryagin_dual(M)
+        assert e1_sharp_check(M)
+        assert D.fitting_ideal == dual_presentation(M).fitting_ideal
+        assert D.size() == M.size()
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_base_change_examples():

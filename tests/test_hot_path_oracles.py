@@ -14,9 +14,10 @@ list or a unit settles, the unit-vector images of group-algebra morphisms,
 the group-ring maps that formed one group element per coefficient, the
 element_of classification of each unit residue that the unit-class table of
 a presentation replaced, the kernel span joined with the src relations, the
-exactness and quasi-isomorphism tests that compared kernel spans, and the
+exactness and quasi-isomorphism tests that compared kernel spans, the
 subquotient presentation on every Howell row of Z with every preimage row
-as a relation."""
+as a relation, and the Pontryagin dual taken through the Smith form with
+the action of every basis element transported to its coordinates."""
 
 import itertools
 import json
@@ -27,7 +28,7 @@ from functools import cached_property
 from pathlib import Path
 
 import pytest
-from algebra_helpers import nilpotent_extension_json
+from algebra_helpers import nilpotent_extension_json, val
 from test_complexes import _random_chain_maps
 
 from iwasawa_kit import (
@@ -114,9 +115,9 @@ def howell_form_rescan_reference(rows, width, R):
         pool = rest
         if not cand:
             continue
-        piv = min(cand, key=lambda r: R.val(r[col]))
+        piv = min(cand, key=lambda r: val(R, r[col]))
         cand.remove(piv)
-        v = R.val(piv[col])
+        v = val(R, piv[col])
         pv = p**v
         u_inv = R.unit_inverse(piv[col] // pv)
         piv = [(c * u_inv) % q for c in piv]
@@ -132,7 +133,7 @@ def howell_form_rescan_reference(rows, width, R):
                 pool.append(shadow)
     out = [r for _, r in pivots]
     for i, (col, piv) in enumerate(pivots):
-        pv = p ** R.val(piv[col])
+        pv = p ** val(R, piv[col])
         for j in range(i):
             f = out[j][col] // pv
             if f:
@@ -161,9 +162,9 @@ def howell_form_reference(rows, width, R):
         cand = buckets[col]
         if not cand:
             continue
-        piv = min(cand, key=lambda r: R.val(r[col]))
+        piv = min(cand, key=lambda r: val(R, r[col]))
         cand.remove(piv)
-        v = R.val(piv[col])
+        v = val(R, piv[col])
         pv = p**v
         u_inv = R.unit_inverse(piv[col] // pv)
         piv = [(c * u_inv) % q for c in piv]
@@ -188,7 +189,7 @@ def reduce_mod_span_reference(x, howell, R):
     y = [c % q for c in x]
     for r in howell:
         col = next(j for j, c in enumerate(r) if c)
-        f = y[col] // p ** R.val(r[col])
+        f = y[col] // p ** val(R, r[col])
         if f:
             y = [(a - f * b) % q for a, b in zip(y, r)]
     return y
@@ -196,7 +197,7 @@ def reduce_mod_span_reference(x, howell, R):
 
 def span_size_reference(howell, R):
     """|span| from the valuation of each pivot."""
-    return math.prod(R.p ** (R.N - R.val(next(c for c in r if c))) for r in howell)
+    return math.prod(R.p ** (R.N - val(R, next(c for c in r if c))) for r in howell)
 
 
 def preimage_span_reference(rows, target, width, R):
@@ -637,13 +638,15 @@ def campaign_records():
     """Every ideal product and every ideal comparison (==, contains) that the
     AC5/AC6 campaign slices form, with the verdicts the fast path gave, every
     subquotient they present: (algebra, ncomp, Z rows, B rows, the
-    presentation), and every map whose kernel span they read, with that span.
-    The fitting slice at seed 2027 adds products with a factor of more
-    generators than dim."""
-    formed, compared, presented, kernels = [], [], [], []
+    presentation), every map whose kernel span they read, with that span,
+    and every Pontryagin dual they take: (module, dual). The fitting slices
+    at seeds 2027 and 2028 add products with a factor of more generators
+    than dim."""
+    formed, compared, presented, kernels, duals = [], [], [], [], []
     product, eq, contains = IdealHandle.product, IdealHandle.__eq__, IdealHandle.contains
     subquotient = fitting.subquotient_presentation
     kernel_span = fitting.ModuleMap.kernel_span.func
+    dual = fitting.pontryagin_dual
 
     def recorded_product(I, J):
         out = product(I, J)
@@ -670,6 +673,11 @@ def campaign_records():
         kernels.append((f, out))
         return out
 
+    def recorded_dual(M):
+        out = dual(M)
+        duals.append((M, out))
+        return out
+
     recorded_kernel = cached_property(recorded_kernel_span)
     recorded_kernel.__set_name__(fitting.ModuleMap, "kernel_span")
 
@@ -680,16 +688,18 @@ def campaign_records():
         mp.setattr(complexes, "subquotient_presentation", recorded_subquotient)
         mp.setattr(campaigns, "subquotient_presentation", recorded_subquotient)
         mp.setattr(fitting.ModuleMap, "kernel_span", recorded_kernel)
+        mp.setattr(fitting, "pontryagin_dual", recorded_dual)
+        mp.setattr(campaigns, "pontryagin_dual", recorded_dual)
         results = complex_campaigns(seed=2026, trials=100) + fitting_campaigns(seed=2026, trials=200)
-        results += fitting_campaigns(seed=2027, trials=50)
+        results += fitting_campaigns(seed=2027, trials=50) + fitting_campaigns(seed=2028, trials=100)
     assert all(r.ok for r in results)
-    return formed, compared, presented, kernels
+    return formed, compared, presented, kernels, duals
 
 
 def test_ideal_product_matches_reference_on_the_campaigns(campaign_records):
     """Every Fitting product and every Euler-Fitting numerator, denominator
     and cross-multiplication that the AC5/AC6 campaign slices form."""
-    formed, _, _, _ = campaign_records
+    formed, *_ = campaign_records
     assert len(formed) > 3000
     # coverage: products with a factor of more generators than dim (the
     # from-rows reference reads that factor's Howell rows) and products of
@@ -860,7 +870,7 @@ def test_split_ideals_match_the_reference_on_a_dim_54_tower_level():
 
 
 def test_split_ideals_match_the_reference_on_the_campaigns(campaign_records):
-    formed, compared, _, _ = campaign_records
+    formed, compared, *_ = campaign_records
     cache = {}
     split = [c for c in compared if isinstance(c[1].algebra, GroupAlgebra) and not c[1].algebra.local]
     assert len(split) > 300 and {c[0] for c in split} == {"==", "contains"}
@@ -1412,16 +1422,24 @@ def _round_trip_algebras():
 @pytest.mark.parametrize("alg", _round_trip_algebras())
 def test_algebras_round_trip_through_json_by_their_operations(alg):
     """to_json reads mul and sharp_of: the copy it writes is the same algebra
-    both ways round, both pass validate, and an algebra without # has no
-    Pontryagin dual."""
+    both ways round, both pass validate, and only a group algebra has a
+    Pontryagin dual (its route reads the trace form): an algebra without #
+    is refused for that, and one with # that is not a GroupAlgebra (a minus
+    quotient, a from_json copy) for being no group algebra."""
     copy = FiniteCommAlgebra.from_json(alg.to_json())
     assert same_algebra(copy, alg) and same_algebra(alg, copy)
     assert copy.has_sharp == alg.has_sharp
     alg.validate()
     copy.validate()
+    M = principal_module(alg, alg.scalar(alg.p, alg.one))
     if not alg.has_sharp:
         with pytest.raises(ValueError, match="pontryagin dual needs the # involution"):
-            fitting.pontryagin_dual(FinPresModule(alg, 1, []))
+            fitting.pontryagin_dual(M)
+    elif not isinstance(alg, GroupAlgebra):
+        with pytest.raises(ValueError, match="^pontryagin dual needs a group algebra, not "):
+            fitting.pontryagin_dual(M)
+    else:
+        assert fitting.pontryagin_dual(M).size() == M.size()
 
 
 @pytest.mark.parametrize("orders", [(2, 9), (9,), (2, 27)], ids=str)
@@ -1703,7 +1721,7 @@ def kernel_span_reference(f):
 def test_kernel_span_matches_the_union_form_on_the_campaigns(campaign_records):
     """Every map whose kernel span the AC5/AC6 slices read: differentials,
     zero maps and multiplication maps, some with src relations."""
-    _, _, _, kernels = campaign_records
+    _, _, _, kernels, _ = campaign_records
     assert len(kernels) > 1000
     assert sum(bool(f.src.relation_span) for f, _ in kernels) >= 60
     for f, span in kernels:
@@ -2039,7 +2057,7 @@ def check_subquotient(alg, ncomp, z_rows, b_rows, sub):
 def test_subquotient_presentation_matches_reference_on_the_campaigns(campaign_records):
     """Every cohomology module of the AC6 slice and every kernel module of
     the AC5 four-term slice."""
-    _, _, presented, _ = campaign_records
+    _, _, presented, *_ = campaign_records
     compared = [check_subquotient(*args) for args in presented]
     assert len(compared) > 1000 and sum(compared) > len(compared) // 2
     assert {alg.name for alg, *_ in presented} >= {"(Z/3^2)(2,)", "(Z/2^3)(2,)", "(Z/3^2)(2, 2)"}
@@ -2100,7 +2118,7 @@ def check_nakayama_steps(alg, ncomp, z_rows, b_rows):
 def test_nakayama_and_preimage_match_their_references_on_the_campaigns(campaign_records):
     """Every subquotient that the AC5/AC6 slices present, over local and
     non-local algebras."""
-    _, _, presented, _ = campaign_records
+    _, _, presented, *_ = campaign_records
     kept = [check_nakayama_steps(alg, n, z, b) for alg, n, z, b, _ in presented]
     assert len(kept) > 1000 and any(kept)
     assert any(alg.local for alg, *_ in presented) and not all(alg.local for alg, *_ in presented)
@@ -2147,3 +2165,206 @@ def test_subquotient_presentation_matches_reference_on_random_subquotients(alg):
         compared += check_subquotient(alg, n, z_rows, b_rows, sub)
         check_nakayama_steps(alg, n, z_rows, b_rows)
     assert compared >= 6
+
+
+# ---------------------------------------------------------------------------
+# Pontryagin duals: the former Smith route, which diagonalized the relation
+# span over Z with p^N.I appended and handed the transported action of every
+# basis element's # to contragredient_presentation, is the oracle of the dual
+# presented as the #-twist of a kernel.
+
+def matrix_inverse(M: list[list[int]], R: ZModPN) -> list[list[int]]:
+    """Inverse of a unimodular matrix over Z/p^N (Gauss-Jordan; unit pivots
+    exist at every step because M is invertible mod p)."""
+    n = len(M)
+    q = R.q
+    A = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(M)]
+    for t in range(n):
+        piv = next((i for i in range(t, n) if A[i][t] % R.p != 0), None)
+        if piv is None:
+            raise ValueError("matrix is not invertible mod p")
+        A[t], A[piv] = A[piv], A[t]
+        inv = R.unit_inverse(A[t][t])
+        A[t] = [(c * inv) % q for c in A[t]]
+        for i in range(n):
+            if i != t and A[i][t]:
+                f = A[i][t]
+                A[i] = [(a - f * b) % q for a, b in zip(A[i], A[t])]
+    return [r[n:] for r in A]
+
+
+def test_matrix_inverse():
+    R = ZModPN(3, 2)
+    M = [[1, 3], [1, 2]]  # det = -1, unit
+    Minv = matrix_inverse(M, R)
+    prod = [
+        [sum(M[i][t] * Minv[t][j] for t in range(2)) % R.q for j in range(2)]
+        for i in range(2)
+    ]
+    assert prod == [[1, 0], [0, 1]]
+    with pytest.raises(ValueError):
+        matrix_inverse([[3, 0], [0, 1]], R)
+
+
+def test_smith_over_chain():
+    # Spans over Z/p^N: the Smith form of the rows together with p^N.I.
+    rng = random.Random(13)
+    for R in [ZModPN(2, 2), ZModPN(2, 3), ZModPN(3, 2)]:
+        for _ in range(40):
+            width = rng.randint(1, 3)
+            rows = [[rng.randrange(R.q) for _ in range(width)] for _ in range(rng.randint(1, 3))]
+            lattice = rows + [[R.q * int(i == j) for j in range(width)] for i in range(width)]
+            diag, V = linalg.smith_normal_form(lattice, width)
+            vals = [val(R, d) for d in diag]
+            assert diag == [R.p**v for v in vals]
+            V = [[c % R.q for c in r] for r in V]
+            matrix_inverse(V, R)  # V mod p^N is invertible
+            # span(rows . V) = span(diag) over Z/p^N
+            rowsV = [
+                [sum(r[i] * V[i][j] for i in range(width)) % R.q for j in range(width)]
+                for r in rows
+            ]
+            diag_rows = [[d * int(j == t) for j in range(width)] for t, d in enumerate(diag)]
+            assert howell_form(rowsV, width, R) == howell_form(diag_rows, width, R)
+
+
+def pontryagin_dual_reference(M):
+    """Pontryagin dual of an arbitrary finitely presented module, with the
+    contragredient action (a.f)(m) = f(a^# m).
+
+    Route: the Smith form of the relation span with p^N.I appended
+    diagonalizes the realization to sum_t Z/p^(v_t) in the y = x.V
+    coordinates; the action of each basis element's # is transported there and
+    handed to contragredient_presentation.
+    """
+    alg = M.algebra
+    if not alg.has_sharp:
+        raise ValueError("pontryagin dual needs the # involution")
+    R, q = alg.R, alg.q
+    w = M.rwidth
+    lattice = [list(r) for r in M.relation_span]
+    lattice += [[q * int(i == j) for j in range(w)] for i in range(w)]
+    diag, V = linalg.smith_normal_form(lattice, w)
+    vals = [val(R, d) for d in diag]  # each d divides p^N, so d = p^val
+    V = [[c % q for c in r] for r in V]
+    Vinv = matrix_inverse(V, R)
+
+    def transported_action(bvec):
+        """Matrix of multiplication by bvec in y-coordinates: e_t -> row T[t].
+        Row t of Vinv holds the x-coordinates of the t-th y-basis vector."""
+        zero = alg.zero()
+        scaled = [  # bvec * (basis_i at generator c), taken to y-coordinates
+            linalg.combine(r, V, w, q)
+            for c in range(M.ngens)
+            for r in alg.realize([bvec if d == c else zero for d in range(M.ngens)])
+        ]
+        return [linalg.combine(x, scaled, w, q) for x in Vinv]
+
+    actions = (
+        (b, transported_action(alg.sharp_of(b)))
+        for b in map(alg.basis_element, range(alg.dim))
+    )
+    return fitting.contragredient_presentation(alg, vals, actions)
+
+
+REFERENCE_MINOR_LIMIT = 1000
+
+
+def annihilator(M):
+    """Ann(M), element by element."""
+    return {x for x in M.algebra.elements() if M.annihilator_check(x)}
+
+
+def check_dual(M, D):
+    """D = pontryagin_dual(M) against the reference: M's size on no more
+    generators; the reference's size and Fitting ideal where the reference
+    has at most 1,000 minors; Ann(M) = Ann(D)^# element by element where
+    q^dim <= 2^10; and a double dual with M's size and Fitting ideal.
+    Returns whether the Fitting ideals and the annihilators were compared."""
+    alg = M.algebra
+    ref = pontryagin_dual_reference(M)
+    assert D.size() == M.size()
+    assert D.ngens <= ref.ngens
+    fitting_compared = math.comb(len(ref.relations), ref.ngens) <= REFERENCE_MINOR_LIMIT
+    if fitting_compared:  # the reference's relation span is small too
+        assert ref.size() == M.size()
+        assert D.fitting_ideal == ref.fitting_ideal
+    exhaustive = alg.q**alg.dim <= campaigns.ORACLE_RING_LIMIT
+    if exhaustive:
+        assert annihilator(M) == {alg.sharp_of(x) for x in annihilator(D)}
+    DD = fitting.pontryagin_dual(D)
+    assert DD.size() == M.size()
+    if math.comb(len(M.relations), M.ngens) <= REFERENCE_MINOR_LIMIT:
+        assert DD.fitting_ideal == M.fitting_ideal
+    return fitting_compared, exhaustive
+
+
+def test_pontryagin_dual_matches_the_reference_on_the_campaigns(campaign_records):
+    """Every dual that the AC5 slices take: the certified squares of the
+    E^1-sharp suite, the kernels of the four-term suite and the squares of
+    the annihilator duality."""
+    *_, duals = campaign_records
+    compared = [check_dual(M, D) for M, D in duals]
+    assert sum(f for f, _ in compared) > 450 and sum(a for _, a in compared) > 300
+    assert {M.algebra.name for M, _ in duals} == {"(Z/2^3)(2,)", "(Z/3^2)(3,)", "(Z/3^2)(2, 2)"}
+
+
+def random_dual_module(rng, alg):
+    """A module on 1 or 2 generators with 0 to 3 relations whose entries are
+    random elements, p-power multiples, multiples of b - 1 for a basis
+    element b, zeros or units, so that duals have summands of every order."""
+    n = rng.randint(1, 2)
+    rows = []
+    for _ in range(rng.randint(0, 3)):
+        row = []
+        for _ in range(n):
+            x = tuple(rng.randrange(alg.q) for _ in range(alg.dim))
+            kind = rng.randrange(5)
+            if kind == 1:
+                x = alg.scalar(alg.p ** rng.randint(1, alg.N), x)
+            elif kind == 2:
+                x = alg.mul(alg.sub(alg.basis_element(rng.randrange(alg.dim)), alg.one), x)
+            elif kind == 3:
+                x = alg.zero()
+            elif kind == 4:
+                x = alg.scalar(rng.randrange(1, alg.p), alg.one)
+            row.append(x)
+        rows.append(row)
+    return FinPresModule(alg, n, rows)
+
+
+DUAL_CORPUS = campaigns._algebra_corpus()
+DUAL_ALGEBRAS = DUAL_CORPUS + [
+    group_algebra(3, 2, (9,)), group_algebra(3, 2, (2, 9)), group_algebra(3, 2, (2, 2, 2)),
+    group_algebra(5, 2, (4,)),
+]
+
+
+@pytest.mark.parametrize("alg", DUAL_ALGEBRAS, ids=lambda a: a.name)
+def test_pontryagin_dual_matches_the_reference_on_random_modules(alg):
+    """The corpus algebras, (Z/9)[C9], (Z/9)[C2 x C9], (Z/9)[C2 x C2 x C2]
+    and (Z/25)[C4]: local and not, p = 2 included. The reference acts by
+    every basis element, so the dim-18 algebra draws 12 modules, not 30."""
+    rng = random.Random(alg.q * alg.dim)
+    modules = [random_dual_module(rng, alg) for _ in range(30 if alg.dim <= 9 else 12)]
+    modules.append(FinPresModule(alg, 2, []))  # free: the dual of a free module is free
+    compared = [check_dual(M, fitting.pontryagin_dual(M)) for M in modules]
+    assert sum(f for f, _ in compared) >= len(modules) // 3
+
+
+@pytest.mark.parametrize("alg", DUAL_CORPUS, ids=lambda a: a.name)
+def test_the_dual_comparison_sees_a_nakayama_row_dropped(alg, monkeypatch):
+    """A _nakayama_rows that drops its last kept row presents kernels, and so
+    duals, on too few generators or relations: the comparison must fail on
+    a share of the modules that the random comparison above passes."""
+    keep = fitting._nakayama_rows
+    monkeypatch.setattr(fitting, "_nakayama_rows", lambda *args: keep(*args)[:-1])
+    rng = random.Random(alg.q * alg.dim)
+    caught = 0
+    for _ in range(30):
+        M = random_dual_module(rng, alg)
+        try:
+            check_dual(M, fitting.pontryagin_dual(M))
+        except AssertionError:
+            caught += 1
+    assert caught >= 10

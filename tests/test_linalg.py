@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from algebra_helpers import val
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,10 +11,8 @@ from iwasawa_kit.linalg import (
     ZModPN,
     howell_form,
     in_span,
-    matrix_inverse,
     preimage_span,
     reduce_mod_span,
-    smith_normal_form,
     span_size,
 )
 from iwasawa_kit.oracles import enumerate_span
@@ -91,7 +90,7 @@ def solve_in_span(x: list[int], rows: list[list[int]], R: ZModPN) -> list[int] |
         col = next(j for j, c in enumerate(r) if c)
         if col >= width:
             break
-        pv = p ** R.val(r[col])
+        pv = p ** val(R, r[col])
         if y[col] % pv:
             return None
         f = y[col] // pv
@@ -158,41 +157,6 @@ def test_preimage_span():
             in brute_target
         }
         assert enumerate_span([list(y) for y in P], 2, R) == brute_pre
-
-
-def test_matrix_inverse():
-    R = ZModPN(3, 2)
-    M = [[1, 3], [1, 2]]  # det = -1, unit
-    Minv = matrix_inverse(M, R)
-    prod = [
-        [sum(M[i][t] * Minv[t][j] for t in range(2)) % R.q for j in range(2)]
-        for i in range(2)
-    ]
-    assert prod == [[1, 0], [0, 1]]
-    with pytest.raises(ValueError):
-        matrix_inverse([[3, 0], [0, 1]], R)
-
-
-def test_smith_over_chain():
-    # Spans over Z/p^N: the Smith form of the rows together with p^N.I.
-    rng = random.Random(13)
-    for R in RINGS:
-        for _ in range(40):
-            width = rng.randint(1, 3)
-            rows = random_rows(rng, R, rng.randint(1, 3), width)
-            lattice = rows + [[R.q * int(i == j) for j in range(width)] for i in range(width)]
-            diag, V = smith_normal_form(lattice, width)
-            vals = [R.val(d) for d in diag]
-            assert diag == [R.p**v for v in vals]
-            V = [[c % R.q for c in r] for r in V]
-            matrix_inverse(V, R)  # V mod p^N is invertible
-            # span(rows . V) = span(diag) over Z/p^N
-            rowsV = [
-                [sum(r[i] * V[i][j] for i in range(width)) % R.q for j in range(width)]
-                for r in rows
-            ]
-            diag_rows = [[d * int(j == t) for j in range(width)] for t, d in enumerate(diag)]
-            assert howell_form(rowsV, width, R) == howell_form(diag_rows, width, R)
 
 
 @given(st.integers(0, 80), st.integers(0, 80), st.integers(0, 80))
