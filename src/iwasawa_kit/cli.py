@@ -18,7 +18,7 @@ from pathlib import Path
 from . import wire
 from .abelian import AbelianFieldSpec, check_hyp
 from .campaigns import complex_campaigns, fitting_campaigns, run_all
-from .fitting import DualActionError, FiniteCommAlgebra, FinPresModule, ModuleMap
+from .fitting import FiniteCommAlgebra, FinPresModule, ModuleMap
 from .lvalues import (
     ClassModuleData,
     annihilation_check,
@@ -414,9 +414,9 @@ def configuration(args) -> dict:
     return config
 
 
-def refuse(code: int, message: str, **extra) -> int:
+def refuse(code: int, message: str) -> int:
     """Print the one JSON error of a refused command and return its exit code."""
-    print(json.dumps({"error": message, "exit": code, **extra}), file=sys.stderr)
+    print(json.dumps({"error": message, "exit": code}), file=sys.stderr)
     return code
 
 
@@ -431,8 +431,6 @@ def main(argv=None) -> int:
         text = json.dumps(cert, indent=2, sort_keys=True)
     except (CliError, wire.SchemaError) as exc:
         return refuse(exc.code if isinstance(exc, CliError) else EXIT_IO, str(exc))
-    except DualActionError as exc:
-        return refuse(EXIT_CHECK_FAILED, str(exc), witness=list(exc.witness))
     except ValueError as exc:
         return refuse(EXIT_PRECONDITION, str(exc))
     except MemoryError:

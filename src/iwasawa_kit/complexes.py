@@ -98,10 +98,10 @@ class BoundedComplex:
         return subquotient_presentation(self.algebra, self.module_at(i).ngens, Z, B).module
 
     def cohomology_size(self, i: int) -> int:
-        R = self.algebra.R
+        q = self.algebra.q
         Z = self.differential_at(i).kernel_span
         B = self.differential_at(i - 1).image_span
-        return span_size(Z, R) // span_size(B, R)
+        return span_size(Z, q) // span_size(B, q)
 
     def is_acyclic(self) -> bool:
         return all(self.cohomology_size(i) == 1 for i in self.degrees())
@@ -201,7 +201,7 @@ def quasi_iso_check(f: ChainMap) -> bool:
     """
     f.validate()
     src, dst = f.src, f.dst
-    R, q = src.algebra.R, src.algebra.q
+    q = src.algebra.q
     for i in range(min(src.lo, dst.lo), max(src.hi, dst.hi) + 1):
         if src.cohomology_size(i) != dst.cohomology_size(i):
             return False
@@ -209,7 +209,7 @@ def quasi_iso_check(f: ChainMap) -> bool:
         Zs = src.differential_at(i).kernel_span
         Zd, Bd = dst.differential_at(i).kernel_span, dst.differential_at(i - 1).image_span
         mapped = [combine(z, f.at(i).realization_rows, wd, q) for z in Zs]
-        if howell_form(mapped + Bd, wd, R) != Zd:
+        if howell_form(mapped + Bd, wd, q) != Zd:
             return False
     return True
 

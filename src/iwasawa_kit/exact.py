@@ -2,8 +2,8 @@
 into Z/p^N, and cyclotomic integers over Q.
 
 All values are immutable and every operation is pure. Z/p^N is held as plain
-ints reduced mod p^N; the caller carries p and N (see linalg.ZModPN and the
-int vectors of fitting and tower). Q[G] and Q(zeta_n) share one shape:
+ints reduced mod p^N; the caller carries p and N (linalg takes q = p^N alone;
+see the int vectors of fitting and tower). Q[G] and Q(zeta_n) share one shape:
 integer numerators over one positive denominator, in lowest terms
 (`lowest_terms`). An element of Q[G] is the pair (nums, den) with nums in the
 basis order of groupring; padic_from_rational reduces such a pair mod p^N

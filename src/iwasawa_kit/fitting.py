@@ -32,15 +32,8 @@ from functools import cached_property
 from . import wire
 from .abelian import FiniteAbelianGroup
 from .groupring import basis_index, inversion, mul_table, push
-from .linalg import (
-    ZModPN,
-    combine,
-    howell_form,
-    in_span,
-    preimage_span,
-    reduce_mod_span,
-    span_size,
-)
+from .linalg import combine, howell_form, in_span, preimage_span, reduce_mod_span, span_size
+from .numutil import is_prime
 
 Vec = tuple[int, ...]
 
@@ -76,7 +69,12 @@ class FiniteCommAlgebra:
         self.sharp_images = [tuple(c % self.q for c in v) for v in sharp or ()]
 
     def _ring(self, p: int, N: int, basis, one: Vec, name: str) -> None:
-        self.R = ZModPN(p, N)
+        """The one place a modulus is born: refuses a p that is not prime
+        or an N < 1 before anything is reduced mod q = p^N."""
+        if not is_prime(p):
+            raise ValueError(f"p must be a prime, got p={p}")
+        if N < 1:
+            raise ValueError(f"N must be at least 1, got N={N}")
         self.p, self.N = p, N
         self.q = q = p**N
         self.dim = len(basis)
@@ -157,7 +155,7 @@ class FiniteCommAlgebra:
         return [c for entry in row for c in entry]
 
     def is_unit(self, x: Vec) -> bool:
-        return in_span(list(self.one), howell_form(self.regular_rows(x), self.dim, self.R), self.R)
+        return in_span(list(self.one), howell_form(self.regular_rows(x), self.dim, self.q), self.q)
 
     @property
     def radical_elements(self) -> list[Vec]:
@@ -220,9 +218,10 @@ class FiniteCommAlgebra:
         sharp = alg.get("sharp")
         sharp = None if sharp.value is None else [v.ints(dim) for v in sharp.list(dim)]
         name = alg.get("name", "").str()
-        q = ZModPN(p, N).q  # refuses a bad p or N before any reduction
-        terms = [[[(k, c % q) for k, c in enumerate(v) if c % q] for v in row] for row in mult]
-        return cls(p, N, basis, terms, one, sharp, name)
+        out = cls(p, N, basis, [], one, sharp, name)  # _ring refuses a bad p or N first
+        q = out.q
+        out.terms = [[[(k, c % q) for k, c in enumerate(v) if c % q] for v in row] for row in mult]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +432,7 @@ class IdealHandle:
         rows = []
         for g in self.generators:
             rows.extend(alg.regular_rows(g))
-        return howell_form(rows, alg.dim, alg.R)
+        return howell_form(rows, alg.dim, alg.q)
 
     def _spans_with(self, other: "IdealHandle") -> tuple[list, list]:
         """(this span, the other's span): ([], []) for equal lists of at most
@@ -444,16 +443,16 @@ class IdealHandle:
         return self.howell, other.howell
 
     def contains_element(self, x: Vec) -> bool:
-        return in_span(list(x), self.howell, self.algebra.R)
+        return in_span(list(x), self.howell, self.algebra.q)
 
     def residual(self, x: Vec) -> Vec:
-        return tuple(reduce_mod_span(list(x), self.howell, self.algebra.R))
+        return tuple(reduce_mod_span(list(x), self.howell, self.algebra.q))
 
     def contains(self, other: "IdealHandle") -> bool:
         if not same_algebra(self.algebra, other.algebra):
             raise ValueError(f"ideals over {self.algebra.name} and {other.algebra.name} do not compare")
         h, k = self._spans_with(other)
-        return all(in_span(r, h, self.algebra.R) for r in k)
+        return all(in_span(r, h, self.algebra.q) for r in k)
 
     def __eq__(self, other) -> bool:
         if not (isinstance(other, IdealHandle) and same_algebra(self.algebra, other.algebra)):
@@ -476,7 +475,7 @@ class IdealHandle:
         return IdealHandle(phi.dst, [phi.apply(g) for g in self.generators])
 
     def size(self) -> int:
-        return span_size(self.howell, self.algebra.R)
+        return span_size(self.howell, self.algebra.q)
 
 
 def unit_ideal(algebra: FiniteCommAlgebra) -> IdealHandle:
@@ -511,14 +510,14 @@ class FinPresModule:
     @cached_property
     def relation_span(self) -> list[list[int]]:
         rows = [r for row in self.relations for r in self.algebra.realize(row)]
-        return howell_form(rows, self.rwidth, self.algebra.R)
+        return howell_form(rows, self.rwidth, self.algebra.q)
 
     def size(self) -> int:
         total = self.algebra.q**self.rwidth
-        return total // span_size(self.relation_span, self.algebra.R)
+        return total // span_size(self.relation_span, self.algebra.q)
 
     def is_zero_element(self, row: list[Vec]) -> bool:
-        return in_span(self.algebra.flatten(row), self.relation_span, self.algebra.R)
+        return in_span(self.algebra.flatten(row), self.relation_span, self.algebra.q)
 
     @cached_property
     def fitting_ideal(self) -> IdealHandle:
@@ -595,11 +594,10 @@ def quadratic_presentation_certificate(
         raise ValueError("certificate needs a square matrix")
     if alg_lifted.dim != alg.dim or alg_lifted.N != alg.N + 1 or alg_lifted.p != alg.p:
         raise ValueError("certificate needs the same algebra at precision N+1")
-    R = alg_lifted.R
+    q = alg_lifted.q
     width = alg_lifted.dim * n
-    H = howell_form([r for row in h for r in alg_lifted.realize(row)], width, R)
-    pN = alg.p**alg.N
-    return all(in_span([pN * (k == j) for k in range(width)], H, R) for j in range(width))
+    H = howell_form([r for row in h for r in alg_lifted.realize(row)], width, q)
+    return all(in_span([alg.q * (k == j) for k in range(width)], H, q) for j in range(width))
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +637,7 @@ class ModuleMap:
         """Span of the image inside the dst realization, relations included."""
         rows = [list(r) for r in self.realization_rows]
         rows += [list(r) for r in self.dst.relation_span]
-        return howell_form(rows, self.dst.rwidth, self.dst.algebra.R)
+        return howell_form(rows, self.dst.rwidth, self.dst.algebra.q)
 
     @cached_property
     def kernel_span(self) -> list[list[int]]:
@@ -647,12 +645,12 @@ class ModuleMap:
         preimage of the dst relation span, which holds the src relations
         because the map is well defined."""
         return preimage_span(self.realization_rows, self.dst.relation_span, self.dst.rwidth,
-                             self.src.algebra.R)
+                             self.src.algebra.q)
 
     def image_size(self) -> int:
         """|im f| = |image span| / |dst relation span|."""
-        R = self.dst.algebra.R
-        return span_size(self.image_span, R) // span_size(self.dst.relation_span, R)
+        q = self.dst.algebra.q
+        return span_size(self.image_span, q) // span_size(self.dst.relation_span, q)
 
     def is_zero(self) -> bool:
         """Every generator maps to zero in dst."""
@@ -707,7 +705,7 @@ def _nakayama_rows(
     There (a group algebra over a p-group) A = Z/p^N*1 + J, so the A-span of
     a kept row z is Z/p^N*z + Jz with Jz already in JZ: z alone joins the
     span, not its dim realized rows."""
-    R, mul, split = algebra.R, algebra.mul, algebra.split
+    q, mul, split = algebra.q, algebra.mul, algebra.split
     # rows not yet in the Howell form `span`, eliminated only when a row is tested
     pending = [
         algebra.flatten([mul(j, e) for e in split(z)])
@@ -716,8 +714,8 @@ def _nakayama_rows(
     span, kept = [], []
     for z in rows:
         if pending:
-            span, pending = howell_form(span + pending, width, R), []
-        if not in_span(z, span, R):
+            span, pending = howell_form(span + pending, width, q), []
+        if not in_span(z, span, q):
             kept.append(z)
             pending = [z] if algebra.local else algebra.realize(split(z))
     return kept
@@ -734,15 +732,15 @@ def subquotient_presentation(
     rows of their relation module that generate it modulo the radical as
     relations (_nakayama_rows). `z_rows` must span Z and Z must contain B:
     every caller passes a Howell kernel span, which holds B already."""
-    R = algebra.R
+    q = algebra.q
     width = algebra.dim * ncomp
-    Bh = howell_form([list(r) for r in b_rows], width, R)
+    Bh = howell_form([list(r) for r in b_rows], width, q)
     gens_ambient = [algebra.split(g) for g in _nakayama_rows(algebra, width, z_rows, Bh)]
     t = len(gens_ambient)
 
     # Relations: {u in A^t : sum_k u_k z_k in B}, computed on realizations.
     act_rows = [r for g in gens_ambient for r in algebra.realize(g)]
-    rel_flat = preimage_span(act_rows, Bh, width, R) if t else []
+    rel_flat = preimage_span(act_rows, Bh, width, q) if t else []
     relations = _nakayama_rows(algebra, algebra.dim * t, rel_flat, [])
     module = FinPresModule(algebra, t, [algebra.split(w) for w in relations])
     return SubquotientData(module, gens_ambient)
@@ -765,15 +763,6 @@ def dual_presentation(M: FinPresModule) -> FinPresModule:
     return FinPresModule(alg, n, rels)
 
 
-class DualActionError(ArithmeticError):
-    """The action handed to contragredient_presentation is not well defined:
-    its dual is not integral at the witness (a, t, X[t][a])."""
-
-    def __init__(self, a: int, t: int, entry: int):
-        super().__init__(f"dual action is not integral: X[{t}][{a}] = {entry}")
-        self.witness = (a, t, entry)
-
-
 def contragredient_presentation(
     alg: FiniteCommAlgebra, vals: list[int], actions
 ) -> FinPresModule:
@@ -783,10 +772,10 @@ def contragredient_presentation(
     row convention (b^# e_t = sum_a X[t][a] e_a), for b running through
     algebra generators. On the dual generators f_a (f_a(e_t) = delta_at /
     p^vals[a]) the contragredient action (b.f)(m) = f(b^# m) reads
-    b.f_a = sum_t X[t][a] p^(vals[t] - vals[a]) f_t, integral when the action
-    is well defined, and DualActionError is raised where it is not.
-    Coordinates with vals[a] = 0 vanish; `actions` is not consumed when every
-    coordinate does.
+    b.f_a = sum_t X[t][a] p^(vals[t] - vals[a]) f_t. Precondition: the action
+    is well defined (p^vals[a] divides p^vals[t] X[t][a]), so the dual is
+    integral; ClassModuleData refuses an action that is not. Coordinates with
+    vals[a] = 0 vanish; `actions` is not consumed when every coordinate does.
     """
     p = alg.p
     keep = [a for a, v in enumerate(vals) if v > 0]
@@ -800,12 +789,7 @@ def contragredient_presentation(
         relations.append(row)
     for b, X in actions:
         for idx, a in enumerate(keep):
-            row = []
-            for t in keep:
-                num, den = X[t][a] * p ** vals[t], p ** vals[a]
-                if num % den:
-                    raise DualActionError(a, t, X[t][a])
-                row.append(alg.scalar(-(num // den), alg.one))
+            row = [alg.scalar(-(X[t][a] * p ** vals[t] // p ** vals[a]), alg.one) for t in keep]
             row[idx] = alg.add(row[idx], b)
             relations.append(row)
     return FinPresModule(alg, k, relations)

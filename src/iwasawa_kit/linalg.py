@@ -6,40 +6,19 @@ span is saturated (closed under the hidden p^(N-v) multiples), so that span
 membership, span equality, kernels and canonical coset representatives are all
 exact. A valuation is read as gcd(x, p^N) = p^v, and a Howell pivot is the
 power p^v itself, so readers of a form take p^v straight off its pivot
-entries. Vectors are plain int lists; the ring context is a ZModPN. The Smith
-form works over Z, on the relation lattices of Galois groups.
+entries. Vectors are plain int lists and the ring is named by its modulus
+q = p^N alone, as the Howell form is; the algebras check p and N where a
+modulus is born. The Smith form works over Z, on the relation lattices of
+Galois groups.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 
-from .numutil import is_prime
 
-
-@dataclass(frozen=True)
-class ZModPN:
-    """Z/p^N; equality and hashing are on (p, N), and q = p^N is computed
-    once."""
-
-    p: int
-    N: int
-    q: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"ZModPN needs a prime, got {self.p}")
-        if self.N < 1:
-            raise ValueError(f"ZModPN needs N >= 1, got {self.N}")
-        object.__setattr__(self, "q", self.p**self.N)
-
-    def unit_inverse(self, x: int) -> int:
-        return pow(x, -1, self.q)
-
-
-def howell_form(rows: list[list[int]], width: int, R: ZModPN) -> list[list[int]]:
-    """Canonical Howell normal form of the row span inside (Z/p^N)^width.
+def howell_form(rows: list[list[int]], width: int, q: int) -> list[list[int]]:
+    """Canonical Howell normal form of the row span inside (Z/q)^width, q = p^N.
 
     Pivots are p^v with the unit part normalized away; every entry above a
     pivot is reduced mod the pivot; the span is saturated by processing the
@@ -53,7 +32,6 @@ def howell_form(rows: list[list[int]], width: int, R: ZModPN) -> list[list[int]]
     """
     if not rows:
         return []
-    q = R.q
     buckets: list[list[list[int]]] = [[] for _ in range(width)]
 
     def file(r: list[int], start: int) -> None:
@@ -74,7 +52,7 @@ def howell_form(rows: list[list[int]], width: int, R: ZModPN) -> list[list[int]]
         pv = gcd(piv[col], q)
         u = piv[col] // pv
         if u != 1:
-            u_inv = R.unit_inverse(u)
+            u_inv = pow(u, -1, q)
             piv = [(c * u_inv) % q for c in piv]
         for r in cand:
             f = r[col] // pv  # exact: p^v divides r[col] by pivot choice
@@ -91,10 +69,9 @@ def howell_form(rows: list[list[int]], width: int, R: ZModPN) -> list[list[int]]
     return out
 
 
-def reduce_mod_span(x: list[int], howell: list[list[int]], R: ZModPN) -> list[int]:
+def reduce_mod_span(x: list[int], howell: list[list[int]], q: int) -> list[int]:
     """Canonical representative of x modulo the span of a Howell form (whose
     pivot entries are the p^v themselves)."""
-    q = R.q
     y = [c % q for c in x]
     for r in howell:
         col = next(j for j, c in enumerate(r) if c)
@@ -104,12 +81,12 @@ def reduce_mod_span(x: list[int], howell: list[list[int]], R: ZModPN) -> list[in
     return y
 
 
-def in_span(x: list[int], howell: list[list[int]], R: ZModPN) -> bool:
-    return not any(reduce_mod_span(x, howell, R))
+def in_span(x: list[int], howell: list[list[int]], q: int) -> bool:
+    return not any(reduce_mod_span(x, howell, q))
 
 
 def preimage_span(
-    rows: list[list[int]], target: list[list[int]], width: int, R: ZModPN
+    rows: list[list[int]], target: list[list[int]], width: int, q: int
 ) -> list[list[int]]:
     """Howell form of {y : sum y_i rows[i] in span(target)}: the rows of the
     Howell form of [rows | I] over [target | 0] whose first `width` entries
@@ -120,7 +97,7 @@ def preimage_span(
     n = len(rows)
     stacked = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
     stacked += [list(t) + [0] * n for t in target]
-    H = howell_form(stacked, width + n, R)
+    H = howell_form(stacked, width + n, q)
     return [r[width:] for r in H if not any(r[:width])]
 
 
@@ -133,11 +110,11 @@ def combine(x: list[int], rows: list[list[int]], width: int, q: int) -> list[int
     return [a % q for a in out]
 
 
-def span_size(howell: list[list[int]], R: ZModPN) -> int:
+def span_size(howell: list[list[int]], q: int) -> int:
     """Number of elements of the span: q / p^v for each pivot p^v."""
     size = 1
     for r in howell:
-        size *= R.q // next(c for c in r if c)
+        size *= q // next(c for c in r if c)
     return size
 
 

@@ -12,12 +12,10 @@ from __future__ import annotations
 import itertools
 
 from .fitting import FiniteCommAlgebra, IdealHandle
-from .linalg import ZModPN
 
 
-def enumerate_span(rows: list[list[int]], width: int, R: ZModPN) -> set[tuple[int, ...]]:
-    """All Z/p^N-combinations of the rows, by exhaustive closure over cosets."""
-    q = R.q
+def enumerate_span(rows: list[list[int]], width: int, q: int) -> set[tuple[int, ...]]:
+    """All Z/q-combinations of the rows, by exhaustive closure over cosets."""
     span = {(0,) * width}
     for r in rows:
         r = tuple([c % q for c in r])
@@ -41,7 +39,7 @@ def enumerate_ideal(algebra: FiniteCommAlgebra, generators) -> set[tuple[int, ..
     for g in generators:
         for j in range(algebra.dim):
             rows.append(list(algebra.mul(tuple(g), algebra.basis_element(j))))
-    return enumerate_span(rows, algebra.dim, algebra.R)
+    return enumerate_span(rows, algebra.dim, algebra.q)
 
 
 def ideal_equal_oracle(I: IdealHandle, J: IdealHandle) -> bool:

@@ -1,18 +1,21 @@
 """Algebras and ring helpers that only the tests use."""
 
 from iwasawa_kit.fitting import FiniteCommAlgebra
-from iwasawa_kit.linalg import ZModPN
 
 
-def val(R: ZModPN, x: int) -> int:
-    """p-adic valuation of the representative x mod q (val(0) = N), digit by
-    digit: the reference kernels read valuations so, not by gcd."""
-    x %= R.q
-    if x == 0:
-        return R.N
+def prime_of(q: int) -> int:
+    """The prime p of a modulus q = p^N: its least divisor above 1."""
+    return next(d for d in range(2, q + 1) if q % d == 0)
+
+
+def val(q: int, x: int) -> int:
+    """p-adic valuation of the representative x mod q = p^N (val(0) = N),
+    digit by digit: the reference kernels read valuations so, not by gcd."""
+    p = prime_of(q)
+    x = x % q or q
     v = 0
-    while x % R.p == 0:
-        x //= R.p
+    while x % p == 0:
+        x //= p
         v += 1
     return v
 

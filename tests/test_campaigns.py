@@ -139,8 +139,8 @@ def test_a_howell_fault_fails_the_four_term_draws_instead_of_hanging(monkeypatch
     presentation (an unbounded draw would loop forever)."""
     original = fitting.howell_form
 
-    def dropped(rows, width, R):
-        H = original(rows, width, R)
+    def dropped(rows, width, q):
+        H = original(rows, width, q)
         return H[:-1] if len(H) > 2 else H
 
     monkeypatch.setattr(fitting, "howell_form", dropped)

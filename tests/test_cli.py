@@ -2,9 +2,13 @@
 
 import contextlib
 import gc
+import importlib
+import inspect
 import io
 import json
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 import tempfile
@@ -17,6 +21,7 @@ from hypothesis import strategies as st
 
 import iwasawa_kit
 from iwasawa_kit import wire
+from iwasawa_kit.abelian import FiniteAbelianGroup
 from iwasawa_kit.cli import (
     EXIT_CHECK_FAILED,
     EXIT_IO,
@@ -24,6 +29,8 @@ from iwasawa_kit.cli import (
     EXIT_PRECONDITION,
     main,
 )
+from iwasawa_kit.fitting import GroupAlgebra
+from iwasawa_kit.numutil import is_prime
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -387,22 +394,20 @@ def test_verify_non_odd_prime_is_precondition(capsys, p):
     assert code == EXIT_PRECONDITION and err["exit"] == EXIT_PRECONDITION
 
 
-def test_non_integral_dual_action_is_check_failure(capsys, monkeypatch):
-    """A DualActionError from the dual presenter ends in exit 3 and one JSON
-    error carrying the witness, not a traceback."""
-    from iwasawa_kit import lvalues
-    from iwasawa_kit.fitting import DualActionError
-
-    def presenter(alg, vals, actions):
-        raise DualActionError(1, 0, 1)
-
-    monkeypatch.setattr(lvalues, "contragredient_presentation", presenter)
+def test_verify_refuses_class_data_whose_action_is_not_well_defined(tmp_path, capsys):
+    """g0 sends e_0 (order 3) to e_1 (order 9), and 3 * 1 is not 0 mod 9:
+    the class data is refused at ingestion (exit 2, one JSON error), so no
+    dual of an ill-defined action is ever presented."""
+    data = json.loads((DATA / "table_z23_minus.json").read_text())
+    data.update(orders=[3, 9], action={"g0": [[0, 1], [1, 0]]})
+    path = tmp_path / "ill_defined.json"
+    path.write_text(json.dumps(data))
     code, err = run_refused(
         capsys, "verify", "--spec", "zeta23", "--S", "23,oo", "--T", "5", "--r", "0",
-        "--p", "3", "--N", "2", "--data", str(DATA / "table_z23_minus.json"),
+        "--p", "3", "--N", "2", "--data", str(path),
     )
-    assert code == EXIT_CHECK_FAILED and err["exit"] == EXIT_CHECK_FAILED
-    assert err["witness"] == [1, 0, 1] and "not integral" in err["error"]
+    assert code == EXIT_PRECONDITION and err == {
+        "error": "action matrix g0 is not well defined mod orders", "exit": EXIT_PRECONDITION}
 
 
 def test_missing_files_are_io_errors(capsys):
@@ -559,9 +564,6 @@ def test_complex_command_ingestion(tmp_path, capsys):
 def test_complex_data_on_a_free_module_of_rank_20_takes_under_a_second(tmp_path, capsys):
     """One free module of rank 20 over (Z/9)[C2], no differential: H^0 is
     free on 20 generators, not on its 40 Howell rows."""
-    from iwasawa_kit.abelian import FiniteAbelianGroup
-    from iwasawa_kit.fitting import GroupAlgebra
-
     alg = GroupAlgebra(3, 2, FiniteAbelianGroup((2,)))
     payload = {"algebra": alg.to_json(), "degrees": [0, 0],
                "modules": [{"ngens": 20, "relations": []}], "differentials": []}
@@ -680,6 +682,46 @@ def test_complex_data_refuses_a_differential_that_is_not_well_defined(tmp_path, 
     code, err = run_refused(capsys, "complex", "--data", str(path))
     assert code == EXIT_PRECONDITION and err["exit"] == EXIT_PRECONDITION
     assert "differential in degree 0 is not well defined" in err["error"]
+
+
+# The class names of the package, none of which a refusal of p or N names.
+PACKAGE_CLASSES = {
+    name
+    for info in pkgutil.iter_modules(iwasawa_kit.__path__)
+    for name, obj in vars(importlib.import_module(f"iwasawa_kit.{info.name}")).items()
+    if inspect.isclass(obj) and obj.__module__.startswith("iwasawa_kit")
+}
+
+
+@pytest.mark.parametrize(
+    "route, p, N",
+    [("GroupAlgebra", 4, 2), ("GroupAlgebra", 3, 0), ("complex --data", 4, 2),
+     ("complex --data", 3, 0), ("complex --data", 3, -1), ("verify", 3, 0)],
+)
+def test_a_bad_modulus_is_refused_by_its_p_or_N(tmp_path, capsys, route, p, N):
+    """Every modulus is born in FiniteCommAlgebra._ring, which a group algebra
+    and a complex file's algebra both reach: a p that is not prime or an
+    N < 1 raises ValueError (exit 2 through the CLI) naming p or N and no
+    class of the package."""
+    if route == "GroupAlgebra":
+        with pytest.raises(ValueError) as exc:
+            GroupAlgebra(p, N, FiniteAbelianGroup((2,)))
+        message = str(exc.value)
+    else:
+        if route == "verify":
+            argv = ["verify", "--spec", "zeta23", "--S", "23,oo", "--T", "5", "--r", "0",
+                    "--p", str(p), "--N", str(N), "--data", str(DATA / "table_z23_minus.json")]
+        else:
+            payload = with_field(with_field(complex_payload(), ("algebra", "p"), p), ("algebra", "N"), N)
+            path = tmp_path / "complex.json"
+            path.write_text(json.dumps(payload))
+            argv = ["complex", "--data", str(path)]
+        code, err = run_refused(capsys, *argv)
+        assert code == EXIT_PRECONDITION and err["exit"] == EXIT_PRECONDITION
+        message = err["error"]
+    assert (f"N={N}" if is_prime(p) else f"p={p}") in message
+    assert {"FiniteCommAlgebra", "GroupAlgebra"} <= PACKAGE_CLASSES
+    assert not PACKAGE_CLASSES & set(re.findall(r"\w+", message)), message
 
 
 def payload_paths(node, prefix=()):

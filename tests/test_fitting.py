@@ -1,10 +1,12 @@
 """Tests for finite commutative algebras, ideal handles, finitely presented
 modules, Fitting ideals, duals, and the executable lemmas."""
 
+import math
 import random
 import re
 import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from algebra_helpers import nilpotent_extension
@@ -13,7 +15,6 @@ from iwasawa_kit import campaigns, groupring
 from iwasawa_kit.abelian import FiniteAbelianGroup
 from iwasawa_kit.fitting import (
     AlgebraMorphism,
-    DualActionError,
     FiniteCommAlgebra,
     FinPresModule,
     GroupAlgebra,
@@ -153,7 +154,7 @@ def module_size(M: FinPresModule) -> int:
     for row in M.relations:
         for i in range(alg.dim):
             rows.append([c for entry in row for c in alg.mul(alg.basis_element(i), entry)])
-    span = enumerate_span(rows, M.rwidth, alg.R)
+    span = enumerate_span(rows, M.rwidth, alg.q)
     return M.algebra.q**M.rwidth // len(span)
 
 
@@ -228,16 +229,43 @@ def test_pontryagin_dual_basics():
     assert annM == {alg.sharp_of(x) for x in annD}
 
 
-def test_contragredient_presentation_refuses_a_non_integral_action():
-    # sigma sends e_0 (order 3) to e_1 (order 9) on Z/3 + Z/9 over (Z/9)[C2]:
-    # not well defined, and the dual action would need X[0][1] * 3 / 9.
+def test_a_well_defined_action_has_an_integral_dual():
+    """The lemma contragredient_presentation rests on. A is well defined mod
+    the orders when orders[i] divides orders[j] A[i][j]; so is every power B
+    of A (a product of well-defined maps), and then p^v_a divides
+    orders[t] B[a][t], hence p^v_t B[a][t]: the dual action X = B^T is
+    integral. Over random well-defined actions (p = 3, 5, 7, up to 4
+    coordinates, powers up to 6) the presentation's action entries are the
+    exact quotients -X[t][a] p^v_t / p^v_a."""
+    rng = random.Random(29)
+    integral = 0
+    for _ in range(300):
+        p, N = rng.choice([3, 5, 7]), rng.randint(1, 3)
+        k = rng.randint(1, 4)
+        orders = [p ** rng.randint(0, 3) * rng.choice([1, 2, 4]) for _ in range(k)]
+        A = [[rng.randrange(-9, 10) * (orders[i] // math.gcd(orders[i], orders[j])) for j in range(k)]
+             for i in range(k)]
+        B = [[int(i == j) for j in range(k)] for i in range(k)]
+        vals = [next(v for v in range(4) if d % p ** (v + 1)) for d in orders]
+        keep = [a for a in range(k) if vals[a]]
+        alg = zmod_algebra(p, N)
+        for _ in range(rng.randint(1, 6)):
+            B = [[sum(B[i][s] * A[s][j] for s in range(k)) % orders[i] for j in range(k)] for i in range(k)]
+            assert all(orders[j] * B[i][j] % orders[i] == 0 for i in range(k) for j in range(k))
+            X = [list(col) for col in zip(*B)]
+            D = contragredient_presentation(alg, vals, [(alg.one, X)])
+            for idx, a in enumerate(keep):
+                row = D.relations[len(keep) + idx]
+                for jdx, t in enumerate(keep):
+                    exact = Fraction(X[t][a] * p ** vals[t], p ** vals[a])
+                    assert exact.denominator == 1
+                    assert row[jdx] == ((int(idx == jdx) - exact.numerator) % alg.q,)
+                    integral += 1
+    assert integral > 1000
+    # sigma swaps e_0 and e_1 on Z/9 + Z/9 over (Z/9)[C2]: a well-defined action
     alg = A_z9c2()
     sigma = alg.group_element_vector((1,))
-    X = [[0, 1], [1, 0]]
-    with pytest.raises(DualActionError) as exc:
-        contragredient_presentation(alg, [1, 2], [(sigma, X)])
-    assert exc.value.witness == (1, 0, 1)
-    D = contragredient_presentation(alg, [2, 2], [(sigma, X)])
+    D = contragredient_presentation(alg, [2, 2], [(sigma, [[0, 1], [1, 0]])])
     assert D.size() == 81
 
 
@@ -521,7 +549,6 @@ def test_lemma_6_4_integral_extension_cancellation():
         a, b = x[0], x[1]
         return ((a + b) % 9, (a - b) % 9)
 
-    R3 = alg.R
     found = 0
     while found < 30:
         b = tuple(rng.randrange(9) for _ in range(2))

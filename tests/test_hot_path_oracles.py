@@ -28,7 +28,7 @@ from functools import cached_property
 from pathlib import Path
 
 import pytest
-from algebra_helpers import nilpotent_extension_json, val
+from algebra_helpers import nilpotent_extension_json, prime_of, val
 from test_complexes import _random_chain_maps
 
 from iwasawa_kit import (
@@ -69,7 +69,7 @@ from iwasawa_kit.fitting import (
     zero_ideal,
     zmod_algebra,
 )
-from iwasawa_kit.linalg import ZModPN, howell_form, in_span, span_size
+from iwasawa_kit.linalg import howell_form, in_span, span_size
 from iwasawa_kit.lvalues import partial_zeta_vector, theta, theta_character_side
 from iwasawa_kit.numutil import primitive_root, unit_residues
 from iwasawa_kit.oracles import enumerate_span
@@ -84,9 +84,8 @@ from iwasawa_kit.tower import (
 )
 
 
-def enumerate_span_reference(rows, width, R):
-    """All Z/p^N-combinations of the rows: q passes over the set per row."""
-    q = R.q
+def enumerate_span_reference(rows, width, q):
+    """All Z/q-combinations of the rows: q passes over the set per row."""
     out = {(0,) * width}
     for r in rows:
         r = tuple(c % q for c in r)
@@ -96,9 +95,9 @@ def enumerate_span_reference(rows, width, R):
     return out
 
 
-def howell_form_rescan_reference(rows, width, R):
+def howell_form_rescan_reference(rows, width, q):
     """Howell form that rescans every pooled row for its leading index."""
-    p, q, N = R.p, R.q, R.N
+    p, N = prime_of(q), val(q, 0)
     pool = []
     for r in rows:
         rr = [c % q for c in r]
@@ -115,11 +114,11 @@ def howell_form_rescan_reference(rows, width, R):
         pool = rest
         if not cand:
             continue
-        piv = min(cand, key=lambda r: val(R, r[col]))
+        piv = min(cand, key=lambda r: val(q, r[col]))
         cand.remove(piv)
-        v = val(R, piv[col])
+        v = val(q, piv[col])
         pv = p**v
-        u_inv = R.unit_inverse(piv[col] // pv)
+        u_inv = pow(piv[col] // pv, -1, q)
         piv = [(c * u_inv) % q for c in piv]
         for r in cand:
             f = r[col] // pv
@@ -133,7 +132,7 @@ def howell_form_rescan_reference(rows, width, R):
                 pool.append(shadow)
     out = [r for _, r in pivots]
     for i, (col, piv) in enumerate(pivots):
-        pv = p ** val(R, piv[col])
+        pv = p ** val(q, piv[col])
         for j in range(i):
             f = out[j][col] // pv
             if f:
@@ -141,12 +140,13 @@ def howell_form_rescan_reference(rows, width, R):
     return out
 
 
-def howell_form_reference(rows, width, R):
-    """The Howell kernel before valuations were read by gcd: ZModPN.val per
-    candidate, rows filed through a closure, every pivot normalized."""
+def howell_form_reference(rows, width, q):
+    """The Howell kernel before valuations were read by gcd: a digit-by-digit
+    valuation per candidate, rows filed through a closure, every pivot
+    normalized."""
     if not rows:
         return []
-    p, q, N = R.p, R.q, R.N
+    p, N = prime_of(q), val(q, 0)
     buckets = [[] for _ in range(width)]
 
     def file(r, start):
@@ -162,11 +162,11 @@ def howell_form_reference(rows, width, R):
         cand = buckets[col]
         if not cand:
             continue
-        piv = min(cand, key=lambda r: val(R, r[col]))
+        piv = min(cand, key=lambda r: val(q, r[col]))
         cand.remove(piv)
-        v = val(R, piv[col])
+        v = val(q, piv[col])
         pv = p**v
-        u_inv = R.unit_inverse(piv[col] // pv)
+        u_inv = pow(piv[col] // pv, -1, q)
         piv = [(c * u_inv) % q for c in piv]
         for r in cand:
             f = r[col] // pv
@@ -183,36 +183,37 @@ def howell_form_reference(rows, width, R):
     return out
 
 
-def reduce_mod_span_reference(x, howell, R):
+def reduce_mod_span_reference(x, howell, q):
     """Reduction by a Howell form that reads each pivot's valuation."""
-    p, q = R.p, R.q
+    p = prime_of(q)
     y = [c % q for c in x]
     for r in howell:
         col = next(j for j, c in enumerate(r) if c)
-        f = y[col] // p ** val(R, r[col])
+        f = y[col] // p ** val(q, r[col])
         if f:
             y = [(a - f * b) % q for a, b in zip(y, r)]
     return y
 
 
-def span_size_reference(howell, R):
+def span_size_reference(howell, q):
     """|span| from the valuation of each pivot."""
-    return math.prod(R.p ** (R.N - val(R, next(c for c in r if c))) for r in howell)
+    p, N = prime_of(q), val(q, 0)
+    return math.prod(p ** (N - val(q, next(c for c in r if c))) for r in howell)
 
 
-def preimage_span_reference(rows, target, width, R):
+def preimage_span_reference(rows, target, width, q):
     """The kernel rows of the stacked form, formed a second time."""
     n = len(rows)
     stacked = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
     stacked += [list(t) + [0] * n for t in target]
-    H = howell_form_reference(stacked, width + n, R)
-    return howell_form_reference([r[width:] for r in H if not any(r[:width])], n, R)
+    H = howell_form_reference(stacked, width + n, q)
+    return howell_form_reference([r[width:] for r in H if not any(r[:width])], n, q)
 
 
 def nakayama_rows_reference(algebra, width, rows, base):
     """The Nakayama selection that adds every realized row of a kept row to
     the span, on any algebra."""
-    R, mul, split = algebra.R, algebra.mul, algebra.split
+    q, mul, split = algebra.q, algebra.mul, algebra.split
     pending = [
         algebra.flatten([mul(j, e) for e in split(z)])
         for j in algebra.radical_elements for z in rows
@@ -220,39 +221,39 @@ def nakayama_rows_reference(algebra, width, rows, base):
     span, kept = [], []
     for z in rows:
         if pending:
-            span, pending = howell_form_reference(span + pending, width, R), []
-        if any(reduce_mod_span_reference(z, span, R)):
+            span, pending = howell_form_reference(span + pending, width, q), []
+        if any(reduce_mod_span_reference(z, span, q)):
             kept.append(z)
             pending = algebra.realize(split(z))
     return kept
 
 
 # Z/2, Z/8, Z/9, Z/25, Z/27, Z/49
-KERNEL_RINGS = [ZModPN(2, 1), ZModPN(2, 3), ZModPN(3, 2), ZModPN(5, 2), ZModPN(3, 3), ZModPN(7, 2)]
+KERNEL_RINGS = [(2, 1), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2)]  # (p, N)
 
 
-def random_kernel_rows(rng, R, width, length):
+def random_kernel_rows(rng, p, N, width, length):
     """Rows of the given length (at least width) for a form of that width:
     zero rows, combinations and p^k multiples of earlier rows, rows with a
     chosen lead (a unit, a p-power times a unit) and raw draws outside
     [0, q)."""
-    rows = []
+    q, rows = p**N, []
     for _ in range(rng.randint(0, 2 * width + 2)):
         kind = rng.randrange(5)
         if kind == 0:
             rows.append([0] * length)
         elif kind == 1 and rows:
-            coeffs = [rng.randrange(R.q) for _ in rows]
+            coeffs = [rng.randrange(q) for _ in rows]
             rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(length)])
         elif kind == 2 and rows:
-            rows.append([R.p ** rng.randint(1, R.N) * c for c in rng.choice(rows)])
+            rows.append([p ** rng.randint(1, N) * c for c in rng.choice(rows)])
         elif kind == 3 and width:
             lead = rng.randrange(width)
-            row = [0] * lead + [rng.randrange(R.q) for _ in range(length - lead)]
-            row[lead] = R.p ** rng.randrange(R.N) * rng.randrange(1, R.p)
+            row = [0] * lead + [rng.randrange(q) for _ in range(length - lead)]
+            row[lead] = p ** rng.randrange(N) * rng.randrange(1, p)
             rows.append(row)
         else:
-            rows.append([rng.randrange(-R.q, 2 * R.q) for _ in range(length)])
+            rows.append([rng.randrange(-q, 2 * q) for _ in range(length)])
     return rows
 
 
@@ -262,22 +263,24 @@ def test_howell_kernel_matches_the_reference_on_random_rows():
     size) agree with the valuation route on it."""
     rng = random.Random(26)
     cases = longer = 0
-    for R in KERNEL_RINGS:
+    for p, N in KERNEL_RINGS:
+        q = p**N
         for _ in range(60):
             width = rng.randint(0, 9)
             extra = rng.choice([0, 0, rng.randint(1, 4)])
-            rows = random_kernel_rows(rng, R, width, width + extra)
-            H = howell_form(rows, width, R)
-            assert H == howell_form_reference(rows, width, R)
-            assert span_size(H, R) == span_size_reference(H, R)
-            for x in random_kernel_rows(rng, R, width, width + extra)[:3]:
-                assert linalg.reduce_mod_span(x, H, R) == reduce_mod_span_reference(x, H, R)
+            rows = random_kernel_rows(rng, p, N, width, width + extra)
+            H = howell_form(rows, width, q)
+            assert H == howell_form_reference(rows, width, q)
+            assert span_size(H, q) == span_size_reference(H, q)
+            for x in random_kernel_rows(rng, p, N, width, width + extra)[:3]:
+                assert linalg.reduce_mod_span(x, H, q) == reduce_mod_span_reference(x, H, q)
             cases += 1
             longer += extra > 0 and any(any(r[width:]) for r in rows)
     assert cases == 360 and longer >= 50
-    for R in KERNEL_RINGS:
-        assert howell_form([], 3, R) == [] and howell_form([[1, 2]], 0, R) == []
-        assert howell_form([[0, 0, 0]], 3, R) == []
+    for p, N in KERNEL_RINGS:
+        q = p**N
+        assert howell_form([], 3, q) == [] and howell_form([[1, 2]], 0, q) == []
+        assert howell_form([[0, 0, 0]], 3, q) == []
 
 
 def test_preimage_span_matches_the_double_form_on_random_rows():
@@ -285,16 +288,17 @@ def test_preimage_span_matches_the_double_form_on_random_rows():
     preimage: no row count, target or ring needs the second form."""
     rng = random.Random(27)
     cases = nonzero = 0
-    for R in KERNEL_RINGS:
+    for p, N in KERNEL_RINGS:
+        q = p**N
         for _ in range(60):
             width = rng.randint(0, 6)
-            rows = random_kernel_rows(rng, R, width, width)
-            target = random_kernel_rows(rng, R, width, width)
+            rows = random_kernel_rows(rng, p, N, width, width)
+            target = random_kernel_rows(rng, p, N, width, width)
             if rng.randrange(2):
-                target = howell_form(target, width, R)
-            got = linalg.preimage_span(rows, target, width, R)
-            assert got == preimage_span_reference(rows, target, width, R)
-            assert got == howell_form(got, len(rows), R)
+                target = howell_form(target, width, q)
+            got = linalg.preimage_span(rows, target, width, q)
+            assert got == preimage_span_reference(rows, target, width, q)
+            assert got == howell_form(got, len(rows), q)
             cases += 1
             nonzero += bool(got)
     assert cases == 360 and nonzero >= 200
@@ -402,56 +406,56 @@ def test_group_algebras_match_the_dense_construction(orders):
         check_against_reference(zmod_algebra(p, N), zmod_reference(p, N))
 
 
-SPAN_RINGS = [ZModPN(2, 2), ZModPN(2, 3), ZModPN(3, 1), ZModPN(3, 2), ZModPN(5, 1)]
+SPAN_RINGS = [(2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]  # (p, N)
 
 
-def random_span_rows(rng, R, width):
+def random_span_rows(rng, p, N, width):
     """Random rows mixed with zero rows, rows already in the span of the
     earlier ones and p^k multiples; sometimes no rows at all."""
-    rows = []
+    q, rows = p**N, []
     for _ in range(rng.randint(0, 4)):
         kind = rng.randrange(4)
         if kind == 1:
             rows.append([0] * width)
         elif kind == 2 and rows:
-            coeffs = [rng.randrange(R.q) for _ in rows]
+            coeffs = [rng.randrange(q) for _ in rows]
             rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(width)])
         elif kind == 3:
-            k = rng.randint(1, R.N)
-            rows.append([R.p**k * rng.randrange(R.q) for _ in range(width)])
+            k = rng.randint(1, N)
+            rows.append([p**k * rng.randrange(q) for _ in range(width)])
         else:
-            rows.append([rng.randrange(-R.q, 2 * R.q) for _ in range(width)])
+            rows.append([rng.randrange(-q, 2 * q) for _ in range(width)])
     return rows
 
 
 def test_enumerate_span_matches_reference():
     rng = random.Random(6)
     cases = 0
-    for R in SPAN_RINGS:
-        widths = [w for w in range(1, 6) if R.q**w <= 3125]
+    for p, N in SPAN_RINGS:
+        q = p**N
+        widths = [w for w in range(1, 6) if q**w <= 3125]
         for _ in range(48):
             width = rng.choice(widths)
-            rows = random_span_rows(rng, R, width)
-            assert enumerate_span(rows, width, R) == enumerate_span_reference(rows, width, R)
+            rows = random_span_rows(rng, p, N, width)
+            assert enumerate_span(rows, width, q) == enumerate_span_reference(rows, width, q)
             cases += 1
     assert cases >= 200
-    R = ZModPN(3, 2)
-    assert enumerate_span([], 3, R) == {(0, 0, 0)}
-    assert enumerate_span([[3, 0], [6, 0], [0, 0]], 2, R) == {(3 * k, 0) for k in range(3)}
+    assert enumerate_span([], 3, 9) == {(0, 0, 0)}
+    assert enumerate_span([[3, 0], [6, 0], [0, 0]], 2, 9) == {(3 * k, 0) for k in range(3)}
 
 
 def test_enumerate_span_rejects_a_row_of_the_wrong_width():
     with pytest.raises(ValueError):
-        enumerate_span([[1, 2, 3]], 2, ZModPN(3, 1))
+        enumerate_span([[1, 2, 3]], 2, 3)
 
 
 def test_enumerate_ideal_matches_reference_on_the_fitting_campaigns(monkeypatch):
     calls = []
     fast = oracles.enumerate_span
 
-    def checked(rows, width, R):
-        got = fast(rows, width, R)
-        assert got == enumerate_span_reference(rows, width, R)
+    def checked(rows, width, q):
+        got = fast(rows, width, q)
+        assert got == enumerate_span_reference(rows, width, q)
         calls.append(len(got))
         return got
 
@@ -463,21 +467,22 @@ def test_enumerate_ideal_matches_reference_on_the_fitting_campaigns(monkeypatch)
 
 def test_howell_form_matches_reference():
     rng = random.Random(12)
-    for R in SPAN_RINGS + [ZModPN(2, 4), ZModPN(7, 2)]:
+    for p, N in SPAN_RINGS + [(2, 4), (7, 2)]:
+        q = p**N
         for _ in range(40):
             width = rng.randint(1, 12)
             rows = []
             for _ in range(rng.randint(0, 2 * width)):
                 lead = rng.randrange(width)
-                row = [0] * lead + [rng.randrange(R.q) for _ in range(width - lead)]
+                row = [0] * lead + [rng.randrange(q) for _ in range(width - lead)]
                 # a unit lead, a non-unit lead, or whatever the draw gave
                 row[lead] = rng.choice(
-                    [rng.randrange(1, R.p), R.p ** rng.randint(1, R.N) * rng.randrange(1, R.p), row[lead]]
+                    [rng.randrange(1, p), p ** rng.randint(1, N) * rng.randrange(1, p), row[lead]]
                 )
                 rows.append(row)
             if rows and rng.random() < 0.3:
                 rows.append(list(rows[0]))
-            assert howell_form(rows, width, R) == howell_form_rescan_reference(rows, width, R)
+            assert howell_form(rows, width, q) == howell_form_rescan_reference(rows, width, q)
 
 
 def monogenic_algebra_json(p, N, f):
@@ -554,7 +559,7 @@ def ideal_product_reference(I, J):
     for a in I.generators:
         for b in J.generators:
             rows.extend(alg.regular_rows(alg.mul(a, b)))
-    return howell_form(rows, alg.dim, alg.R)
+    return howell_form(rows, alg.dim, alg.q)
 
 
 def ideal_product_from_rows_reference(I, J):
@@ -567,8 +572,8 @@ def ideal_product_from_rows_reference(I, J):
     if J.ngens > I.ngens:
         I, J = J, I
     alg = I.algebra
-    rows_of_I = howell_form([r for g in I.generators for r in alg.regular_rows(g)], alg.dim, alg.R)
-    return howell_form([alg.mul(x, y) for x in rows_of_I for y in J.generators], alg.dim, alg.R)
+    rows_of_I = howell_form([r for g in I.generators for r in alg.regular_rows(g)], alg.dim, alg.q)
+    return howell_form([alg.mul(x, y) for x in rows_of_I for y in J.generators], alg.dim, alg.q)
 
 
 def check_product(I, J, out):
@@ -760,7 +765,7 @@ def ideal_howell_reference(I, cache=None):
         rows = [r for g in I.generators for r in regular_rows_reference(g, alg.group, alg.q)]
     else:
         rows = [r for g in I.generators for r in FiniteCommAlgebra.regular_rows(alg, g)]
-    out = howell_form(rows, alg.dim, alg.R)
+    out = howell_form(rows, alg.dim, alg.q)
     cache[id(I)] = (I, out)
     return out
 
@@ -769,18 +774,18 @@ def check_ideals_against_reference(ideals, elements, pairs=None):
     """howell, size and contains_element of each ideal, and == and contains
     of each pair (all pairs by default), agree with the reference forms."""
     cache = {}
-    R = ideals[0].algebra.R
+    q = ideals[0].algebra.q
     for I in ideals:
         ref = ideal_howell_reference(I, cache)
         assert I.howell == ref
-        assert I.size() == span_size(ref, R)
+        assert I.size() == span_size(ref, q)
         for x in elements + I.generators[:3]:
-            assert I.contains_element(x) == in_span(list(x), ref, R)
+            assert I.contains_element(x) == in_span(list(x), ref, q)
     verdicts = set()
     for I, J in pairs if pairs is not None else [(I, J) for I in ideals for J in ideals]:
         refI, refJ = ideal_howell_reference(I, cache), ideal_howell_reference(J, cache)
         assert (I == J) == (refI == refJ)
-        contained = all(in_span(r, refI, R) for r in refJ)
+        contained = all(in_span(r, refI, q) for r in refJ)
         assert I.contains(J) == contained
         verdicts.add((refI == refJ, contained))
     return verdicts
@@ -880,8 +885,8 @@ def test_split_ideals_match_the_reference_on_the_campaigns(campaign_records):
         if kind == "==":
             assert verdict == (refI == refJ)
         else:
-            assert verdict == all(in_span(r, refI, I.algebra.R) for r in refJ)
-        assert I.howell == refI and I.size() == span_size(refI, I.algebra.R)
+            assert verdict == all(in_span(r, refI, I.algebra.q) for r in refJ)
+        assert I.howell == refI and I.size() == span_size(refI, I.algebra.q)
     for I, J, out in formed:
         assert out.howell == ideal_howell_reference(out, cache)
 
@@ -991,7 +996,7 @@ def test_ideals_and_units_read_at_each_character_of_delta(p, N, orders, part_ord
         for px, py, pxy, psum in zip(*map(project, [x, y, alg.mul(x, y), alg.add(x, y)])):
             assert part.mul(px, py) == pxy and part.add(px, py) == psum
     stacked = [[c for img in project(alg.basis_element(i)) for c in img] for i in range(alg.dim)]
-    assert span_size(howell_form(stacked, alg.dim, alg.R), alg.R) == alg.q**alg.dim
+    assert span_size(howell_form(stacked, alg.dim, alg.q), alg.q) == alg.q**alg.dim
 
     def images(I):
         projected = [project(g) for g in I.generators]
@@ -1473,7 +1478,7 @@ def injective_reference(f):
 
 
 def surjective_reference(f):
-    return span_size(f.image_span, f.dst.algebra.R) == f.dst.algebra.q ** f.dst.rwidth
+    return span_size(f.image_span, f.dst.algebra.q) == f.dst.algebra.q ** f.dst.rwidth
 
 
 def four_term_exactness_reference(M, C, Cp, Mp, alpha, beta, gamma):
@@ -1517,17 +1522,17 @@ def quasi_iso_reference(f):
     and the dst coboundaries span the dst cocycles."""
     f.validate()
     src, dst = f.src, f.dst
-    R, q = src.algebra.R, src.algebra.q
+    q = src.algebra.q
     for i in range(min(src.lo, dst.lo), max(src.hi, dst.hi) + 1):
         ws, wd = src.module_at(i).rwidth, dst.module_at(i).rwidth
         Zs, Bs = src.differential_at(i).kernel_span, src.differential_at(i - 1).image_span
         Zd, Bd = dst.differential_at(i).kernel_span, dst.differential_at(i - 1).image_span
         mapped = [linalg.combine(z, f.at(i).realization_rows, wd, q) for z in Zs]
-        pre_b = linalg.preimage_span(mapped, Bd, wd, R)
+        pre_b = linalg.preimage_span(mapped, Bd, wd, q)
         amb = [linalg.combine(y, Zs, ws, q) for y in pre_b]
-        if howell_form(amb + Bs, ws, R) != howell_form(Bs, ws, R):
+        if howell_form(amb + Bs, ws, q) != howell_form(Bs, ws, q):
             return False
-        if howell_form(mapped + Bd, wd, R) != Zd:
+        if howell_form(mapped + Bd, wd, q) != Zd:
             return False
     return True
 
@@ -1713,9 +1718,9 @@ def test_exactness_checks_compute_no_kernel_span(monkeypatch):
 # holds the src relations when the map is well defined.
 
 def kernel_span_reference(f):
-    R = f.src.algebra.R
-    preimage = linalg.preimage_span(f.realization_rows, f.dst.relation_span, f.dst.rwidth, R)
-    return howell_form(preimage + f.src.relation_span, f.src.rwidth, R)
+    q = f.src.algebra.q
+    preimage = linalg.preimage_span(f.realization_rows, f.dst.relation_span, f.dst.rwidth, q)
+    return howell_form(preimage + f.src.relation_span, f.src.rwidth, q)
 
 
 def test_kernel_span_matches_the_union_form_on_the_campaigns(campaign_records):
@@ -1948,9 +1953,9 @@ def test_the_level_fitting_body_takes_no_width_27_form(monkeypatch):
     so no form of width 27 or 54 is eliminated."""
     widths = []
 
-    def recorded(rows, width, R):
+    def recorded(rows, width, q):
         widths.append(width)
-        return howell_form(rows, width, R)
+        return howell_form(rows, width, q)
 
     monkeypatch.setattr(fitting, "howell_form", recorded)
     for r in (0, -1, -2, -3):
@@ -2011,13 +2016,13 @@ def test_group_algebra_morphisms_match_the_unit_vector_images(p, top):
 def subquotient_presentation_reference(algebra, ncomp, z_rows, b_rows):
     """Z/B presented on every Howell row of Z, with every Howell row of the
     preimage span of those generators as a relation."""
-    R = algebra.R
+    q = algebra.q
     width = algebra.dim * ncomp
-    Zh = howell_form([list(r) for r in z_rows] + [list(r) for r in b_rows], width, R)
-    Bh = howell_form([list(r) for r in b_rows], width, R)
+    Zh = howell_form([list(r) for r in z_rows] + [list(r) for r in b_rows], width, q)
+    Bh = howell_form([list(r) for r in b_rows], width, q)
     gens_ambient = [algebra.split(g) for g in Zh]
     act_rows = [r for g in gens_ambient for r in algebra.realize(g)]
-    rel_flat = linalg.preimage_span(act_rows, Bh, width, R) if Zh else []
+    rel_flat = linalg.preimage_span(act_rows, Bh, width, q) if Zh else []
     module = FinPresModule(algebra, len(Zh), [algebra.split(w) for w in rel_flat])
     return fitting.SubquotientData(module, gens_ambient)
 
@@ -2025,10 +2030,10 @@ def subquotient_presentation_reference(algebra, ncomp, z_rows, b_rows):
 def residue_index(alg, width, Zh, Bh):
     """|Z/(mZ + B)| for m = (p, g - 1 for every group element g): the
     maximal ideal of a p-group algebra."""
-    R = alg.R
+    q = alg.q
     m = [alg.scalar(alg.p, alg.one)] + [alg.sub(alg.basis_element(i), alg.one) for i in range(1, alg.dim)]
     mz = [alg.flatten([alg.mul(x, e) for e in alg.split(z)]) for x in m for z in Zh]
-    return span_size(Zh, R) // span_size(howell_form(mz + Bh, width, R), R)
+    return span_size(Zh, q) // span_size(howell_form(mz + Bh, width, q), q)
 
 
 def check_subquotient(alg, ncomp, z_rows, b_rows, sub):
@@ -2037,14 +2042,14 @@ def check_subquotient(alg, ncomp, z_rows, b_rows, sub):
     than the reference, with the reference's Fitting ideal where that has at
     most 1,000 minors; over a p-group algebra its generators number
     dim_F_p Z/(mZ + B). True when the Fitting ideals were compared."""
-    R, width = alg.R, alg.dim * ncomp
-    Zh = howell_form(z_rows + b_rows, width, R)
-    Bh = howell_form(b_rows, width, R)
+    q, width = alg.q, alg.dim * ncomp
+    Zh = howell_form(z_rows + b_rows, width, q)
+    Bh = howell_form(b_rows, width, q)
     M, ref = sub.module, subquotient_presentation_reference(alg, ncomp, z_rows, b_rows).module
-    assert M.size() == span_size(Zh, R) // span_size(Bh, R)
+    assert M.size() == span_size(Zh, q) // span_size(Bh, q)
     assert len(sub.gens_ambient) == M.ngens
     realized = [r for g in sub.gens_ambient for r in alg.realize(g)]
-    assert howell_form(realized + Bh, width, R) == Zh
+    assert howell_form(realized + Bh, width, q) == Zh
     assert M.ngens <= ref.ngens
     if alg.local:
         assert residue_index(alg, width, Zh, Bh) == alg.p**M.ngens
@@ -2061,7 +2066,7 @@ def test_subquotient_presentation_matches_reference_on_the_campaigns(campaign_re
     compared = [check_subquotient(*args) for args in presented]
     assert len(compared) > 1000 and sum(compared) > len(compared) // 2
     assert {alg.name for alg, *_ in presented} >= {"(Z/3^2)(2,)", "(Z/2^3)(2,)", "(Z/3^2)(2, 2)"}
-    assert any(sub.module.ngens < len(howell_form(z + b, alg.dim * n, alg.R))
+    assert any(sub.module.ngens < len(howell_form(z + b, alg.dim * n, alg.q))
                for alg, n, z, b, sub in presented)
 
 
@@ -2101,14 +2106,14 @@ def check_nakayama_steps(alg, ncomp, z_rows, b_rows):
     preimage span between them, against their references: the generators
     of Z/B, the relations of those generators and the relation module they
     generate. Returns how many generators were kept."""
-    R, width = alg.R, alg.dim * ncomp
-    Zh = howell_form(z_rows + b_rows, width, R)
-    Bh = howell_form(b_rows, width, R)
+    q, width = alg.q, alg.dim * ncomp
+    Zh = howell_form(z_rows + b_rows, width, q)
+    Bh = howell_form(b_rows, width, q)
     gens = fitting._nakayama_rows(alg, width, Zh, Bh)
     assert gens == nakayama_rows_reference(alg, width, Zh, Bh)
     act_rows = [r for g in gens for r in alg.realize(alg.split(g))]
-    rel_flat = linalg.preimage_span(act_rows, Bh, width, R)
-    assert rel_flat == preimage_span_reference(act_rows, Bh, width, R)
+    rel_flat = linalg.preimage_span(act_rows, Bh, width, q)
+    assert rel_flat == preimage_span_reference(act_rows, Bh, width, q)
     t_width = alg.dim * len(gens)
     relations = fitting._nakayama_rows(alg, t_width, rel_flat, [])
     assert relations == nakayama_rows_reference(alg, t_width, rel_flat, [])
@@ -2131,9 +2136,9 @@ def test_howell_kernel_matches_the_reference_on_the_campaigns(monkeypatch):
     verdicts."""
     fast, seen = linalg.howell_form, []
 
-    def checked(rows, width, R):
-        got = fast(rows, width, R)
-        assert got == howell_form_reference(rows, width, R)
+    def checked(rows, width, q):
+        got = fast(rows, width, q)
+        assert got == howell_form_reference(rows, width, q)
         seen.append(len(rows) * width)
         return got
 
@@ -2173,18 +2178,17 @@ def test_subquotient_presentation_matches_reference_on_random_subquotients(alg):
 # basis element's # to contragredient_presentation, is the oracle of the dual
 # presented as the #-twist of a kernel.
 
-def matrix_inverse(M: list[list[int]], R: ZModPN) -> list[list[int]]:
-    """Inverse of a unimodular matrix over Z/p^N (Gauss-Jordan; unit pivots
-    exist at every step because M is invertible mod p)."""
-    n = len(M)
-    q = R.q
+def matrix_inverse(M: list[list[int]], q: int) -> list[list[int]]:
+    """Inverse of a unimodular matrix over Z/q, q = p^N (Gauss-Jordan; unit
+    pivots exist at every step because M is invertible mod p)."""
+    n, p = len(M), prime_of(q)
     A = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(M)]
     for t in range(n):
-        piv = next((i for i in range(t, n) if A[i][t] % R.p != 0), None)
+        piv = next((i for i in range(t, n) if A[i][t] % p != 0), None)
         if piv is None:
             raise ValueError("matrix is not invertible mod p")
         A[t], A[piv] = A[piv], A[t]
-        inv = R.unit_inverse(A[t][t])
+        inv = pow(A[t][t], -1, q)
         A[t] = [(c * inv) % q for c in A[t]]
         for i in range(n):
             if i != t and A[i][t]:
@@ -2194,38 +2198,39 @@ def matrix_inverse(M: list[list[int]], R: ZModPN) -> list[list[int]]:
 
 
 def test_matrix_inverse():
-    R = ZModPN(3, 2)
+    q = 9
     M = [[1, 3], [1, 2]]  # det = -1, unit
-    Minv = matrix_inverse(M, R)
+    Minv = matrix_inverse(M, q)
     prod = [
-        [sum(M[i][t] * Minv[t][j] for t in range(2)) % R.q for j in range(2)]
+        [sum(M[i][t] * Minv[t][j] for t in range(2)) % q for j in range(2)]
         for i in range(2)
     ]
     assert prod == [[1, 0], [0, 1]]
     with pytest.raises(ValueError):
-        matrix_inverse([[3, 0], [0, 1]], R)
+        matrix_inverse([[3, 0], [0, 1]], q)
 
 
 def test_smith_over_chain():
     # Spans over Z/p^N: the Smith form of the rows together with p^N.I.
     rng = random.Random(13)
-    for R in [ZModPN(2, 2), ZModPN(2, 3), ZModPN(3, 2)]:
+    for p, N in [(2, 2), (2, 3), (3, 2)]:
+        q = p**N
         for _ in range(40):
             width = rng.randint(1, 3)
-            rows = [[rng.randrange(R.q) for _ in range(width)] for _ in range(rng.randint(1, 3))]
-            lattice = rows + [[R.q * int(i == j) for j in range(width)] for i in range(width)]
+            rows = [[rng.randrange(q) for _ in range(width)] for _ in range(rng.randint(1, 3))]
+            lattice = rows + [[q * int(i == j) for j in range(width)] for i in range(width)]
             diag, V = linalg.smith_normal_form(lattice, width)
-            vals = [val(R, d) for d in diag]
-            assert diag == [R.p**v for v in vals]
-            V = [[c % R.q for c in r] for r in V]
-            matrix_inverse(V, R)  # V mod p^N is invertible
+            vals = [val(q, d) for d in diag]
+            assert diag == [p**v for v in vals]
+            V = [[c % q for c in r] for r in V]
+            matrix_inverse(V, q)  # V mod p^N is invertible
             # span(rows . V) = span(diag) over Z/p^N
             rowsV = [
-                [sum(r[i] * V[i][j] for i in range(width)) % R.q for j in range(width)]
+                [sum(r[i] * V[i][j] for i in range(width)) % q for j in range(width)]
                 for r in rows
             ]
             diag_rows = [[d * int(j == t) for j in range(width)] for t, d in enumerate(diag)]
-            assert howell_form(rowsV, width, R) == howell_form(diag_rows, width, R)
+            assert howell_form(rowsV, width, q) == howell_form(diag_rows, width, q)
 
 
 def pontryagin_dual_reference(M):
@@ -2240,14 +2245,14 @@ def pontryagin_dual_reference(M):
     alg = M.algebra
     if not alg.has_sharp:
         raise ValueError("pontryagin dual needs the # involution")
-    R, q = alg.R, alg.q
+    q = alg.q
     w = M.rwidth
     lattice = [list(r) for r in M.relation_span]
     lattice += [[q * int(i == j) for j in range(w)] for i in range(w)]
     diag, V = linalg.smith_normal_form(lattice, w)
-    vals = [val(R, d) for d in diag]  # each d divides p^N, so d = p^val
+    vals = [val(q, d) for d in diag]  # each d divides p^N, so d = p^val
     V = [[c % q for c in r] for r in V]
-    Vinv = matrix_inverse(V, R)
+    Vinv = matrix_inverse(V, q)
 
     def transported_action(bvec):
         """Matrix of multiplication by bvec in y-coordinates: e_t -> row T[t].

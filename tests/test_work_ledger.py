@@ -26,10 +26,10 @@ LEDGER = [
 def test_howell_work_matches_the_ledger(run, expected, monkeypatch):
     original, counts = linalg.howell_form, [0, 0]
 
-    def counted(rows, width, R):
+    def counted(rows, width, q):
         counts[0] += 1
         counts[1] += len(rows) * width
-        return original(rows, width, R)
+        return original(rows, width, q)
 
     # every binding of the function in the package, as the tracer patches it
     for module_name, module in list(sys.modules.items()):
