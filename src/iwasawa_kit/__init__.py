@@ -58,12 +58,11 @@ from .fitting import (
     pontryagin_dual,
     tower_fitting_check,
 )
-from .groupring import basis_index, pushforward, sharp, translate
+from .groupring import basis_index, sharp, translate
 from .lvalues import (
     ClassModuleData,
     StickelbergerElement,
     annihilation_check,
-    dirichlet_l_nonpos,
     fitting_membership_check,
     partial_zeta_vector,
     theta,

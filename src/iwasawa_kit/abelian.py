@@ -29,7 +29,6 @@ from .linalg import smith_normal_form
 from .numutil import (
     crt_lift,
     divisors,
-    euler_phi,
     factorize,
     is_prime,
     unit_group_generators,
@@ -121,10 +120,6 @@ class AbelianFieldSpec:
     @classmethod
     def rationals(cls) -> "AbelianFieldSpec":
         return cls(1, frozenset({0}), "Q")
-
-    @property
-    def degree(self) -> int:
-        return euler_phi(self.modulus) // len(self.fixing)
 
     def to_json(self) -> dict:
         return {

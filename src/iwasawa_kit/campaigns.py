@@ -30,7 +30,14 @@ from .abelian import (
     layer,
     ramified_primes,
 )
-from .complexes import BoundedComplex, euler_fitting_additivity_check, extension, quasi_iso_check
+from .complexes import (
+    BoundedComplex,
+    ChainMap,
+    cone,
+    euler_fitting_additivity_check,
+    extension,
+    quasi_iso_check,
+)
 from .exact import (
     bernoulli_number,
     bernoulli_polynomial,
@@ -594,8 +601,8 @@ def complex_invariant_campaign(seed: int = 0, trials: int = 100) -> CampaignResu
         ok = ok and quasi_iso_check(seq.inc)
         ok = ok and inv == seq.c2.euler_fitting()
         if t % 10 == 0:  # the cone of the identity of C
-            ident = extension(C.shift(1), C, lambda i: identity_map(C.module_at(i + 1)).matrix)
-            ok = ok and ident.c2.is_acyclic()
+            ident = ChainMap(C, C, {i: identity_map(C.module_at(i)) for i in C.degrees()})
+            ok = ok and cone(ident).is_acyclic()
         yield ok, f"complex invariant fails over {alg.name}"
 
     return run_trials("complex invariants (shift/quasi-iso/cone)", seed, trials, trial)
@@ -755,7 +762,7 @@ def annihilation_campaign(entries: list[dict]) -> CampaignResult:
         M, th, p, N = entry["module"], entry["theta"], entry["p"], entry["N"]
         ok_ann, witness = annihilation_check(th, M)
         if M.size <= 3**6:
-            oracle = annihilation_oracle(M.theta_matrix(th.value, th.group), M.orders)
+            oracle = annihilation_oracle(th.value[0], th.group.orders, M.action, M.orders)
             yield ok_ann == oracle, f"annihilation oracle mismatch: {entry['name']}"
         ok_fit, residual = fitting_membership_check(th, M, p, N)
         dual_mod, alg, proj = entry["dual"]

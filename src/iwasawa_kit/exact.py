@@ -223,22 +223,3 @@ class CyclotomicInt:
 
     def is_rational(self) -> bool:
         return not any(self.nums[1:])
-
-    def _spread(self, m: int, step: int) -> "CyclotomicInt":
-        """sum_i nums[i] zeta_m^(i step) / den."""
-        vec = [0] * m
-        for i, c in enumerate(self.nums):
-            vec[i * step % m] += c
-        return CyclotomicInt(m, vec, self.den)
-
-    def galois(self, t: int) -> "CyclotomicInt":
-        """Galois action zeta -> zeta^t (t coprime to n)."""
-        if math.gcd(t, self.n) != 1:
-            raise ValueError(f"galois exponent {t} not coprime to {self.n}")
-        return self._spread(self.n, t)
-
-    def embed(self, m: int) -> "CyclotomicInt":
-        """Image under Q(zeta_n) -> Q(zeta_m), zeta_n -> zeta_m^(m/n); needs n | m."""
-        if m % self.n != 0:
-            raise ValueError(f"no canonical embedding of order {self.n} into {m}")
-        return self._spread(m, m // self.n)

@@ -8,7 +8,7 @@ elements, CM idempotents, the input of the character table) is the pair
 in lowest terms (exact.lowest_terms); the maps below act on nums. This module
 owns that basis: the index map, linear forms over the basis, the product
 table of basis indices, translation by a group element, the # involution
-(g -> g^(-1)), pushforward along a group homomorphism, the convolution
+(g -> g^(-1)), push along a list of basis indices, the convolution
 product and the "g1,g2" JSON keys. Translation and # are permutations of
 basis indices and a quotient map is a list of them, each built in mixed radix
 with no group element formed, and cached: the product table and # per
@@ -105,14 +105,6 @@ def push(x: tuple, images, size: int) -> tuple:
     for k, c in zip(images, x):
         out[k] += c
     return tuple(out)
-
-
-def pushforward(
-    x: tuple, src: "FiniteAbelianGroup", target: "FiniteAbelianGroup", element_map: Callable
-) -> tuple:
-    """Coefficientwise pushforward along a group homomorphism src -> target."""
-    index = basis_index(target)
-    return push(x, [index[target.reduce(element_map(g))] for g in src.elements()], target.size)
 
 
 def mul(x: tuple, y: tuple, group: "FiniteAbelianGroup") -> tuple:

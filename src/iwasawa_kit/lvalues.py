@@ -227,30 +227,6 @@ def _l_vector(chi: DirichletCharacter, s_fin, r: int) -> tuple[list[int], int]:
     return vec, den * n
 
 
-def generalized_bernoulli(chi: DirichletCharacter, n: int) -> CyclotomicInt:
-    """B_{n,chi} = f^(n-1) sum_{a=1}^{f} chi(a) B_n(a/f), f the conductor."""
-    if n < 1:
-        raise ValueError(f"generalized Bernoulli number needs n >= 1, got {n}")
-    return CyclotomicInt(chi.order, *_bernoulli_vector(chi.key(), n))
-
-
-def _s_finite(S, r: int) -> set[int]:
-    """The finite places of S, once r <= 0 and oo in S are checked."""
-    if r > 0:
-        raise ValueError(f"dirichlet_l_nonpos needs r <= 0, got {r}")
-    s_fin, s_inf = normalize_places(S)
-    if not s_inf:
-        raise ValueError("S must contain the infinite place")
-    return s_fin
-
-
-def dirichlet_l_nonpos(chi: DirichletCharacter, S, r: int) -> CyclotomicInt:
-    """L_S(r, chi) for r <= 0: L(1-n, chi) = -B_{n,chi}/n with n = 1-r, times
-    the Euler factors (1 - chi(v) v^(-r)) for finite v in S prime to the
-    conductor of chi."""
-    return CyclotomicInt(chi.order, *_l_vector(chi, _s_finite(S, r), r))
-
-
 @lru_cache(maxsize=None)
 def _characters(spec: AbelianFieldSpec) -> tuple:
     """(label, chi, contragredient of chi) for each character of Gal(L/Q)."""
@@ -263,7 +239,11 @@ def _characters(spec: AbelianFieldSpec) -> tuple:
 def theta_character_side(spec: AbelianFieldSpec, S, T, r: int) -> dict:
     """chi-components of Theta_{S,T}(r) computed purely through L-values:
     component_chi = delta_T(r, chi) . L_S(r, contragredient chi)."""
-    s_fin = _s_finite(S, r)
+    if r > 0:
+        raise ValueError(f"L-values only at r <= 0, got {r}")
+    s_fin, s_inf = normalize_places(S)
+    if not s_inf:
+        raise ValueError("S must contain the infinite place")
     t_fin, _ = normalize_places(T)
     out = {}
     for label, chi, chi_bar in _characters(spec):
@@ -289,16 +269,24 @@ def _mat_identity(k):
     return [[int(i == j) for j in range(k)] for i in range(k)]
 
 
-def _mat_power(A, e: int, k: int):
-    """A^e for e >= 0, in exact integers."""
-    out = _mat_identity(k)
-    for _ in range(e):
-        out = _mat_mul(out, A, k)
-    return out
-
-
 def _mat_reduce(A, orders):
     return [[A[i][j] % orders[i] for j in range(len(orders))] for i in range(len(orders))]
+
+
+def _mat_power(A, e: int, orders):
+    """A^e mod orders for e >= 0, by squaring. A must be well defined mod
+    orders (orders[j] A[i][j] = 0 mod orders[i]); then so is each power, and
+    reducing row i of a factor mod orders[i] moves a product only by
+    multiples of orders[i] in row i, so reducing after each product is exact."""
+    k = len(orders)
+    out, base = _mat_reduce(_mat_identity(k), orders), _mat_reduce(A, orders)
+    while e:
+        if e & 1:
+            out = _mat_reduce(_mat_mul(out, base, k), orders)
+        e >>= 1
+        if e:
+            base = _mat_reduce(_mat_mul(base, base, k), orders)
+    return out
 
 
 @dataclass
@@ -319,6 +307,8 @@ class ClassModuleData:
         k = len(self.orders)
         if any(d < 1 for d in self.orders):
             raise ValueError("module orders must be positive")
+        if any(o < 1 for o in self.group_orders):
+            raise ValueError("group orders must be positive")
         if set(self.action) != set(range(len(self.group_orders))):
             raise ValueError("need one action matrix per group generator")
         for t, A in self.action.items():
@@ -330,10 +320,10 @@ class ClassModuleData:
                         raise ValueError(
                             f"action matrix g{t} is not well defined mod orders"
                         )
-        # relations of G and commutativity, mod the orders
+        # relations of G (powers need the check above) and commutativity, mod the orders
+        one = _mat_reduce(_mat_identity(k), self.orders)
         for t, A in self.action.items():
-            power = _mat_power(A, self.group_orders[t], k)
-            if _mat_reduce(power, self.orders) != _mat_reduce(_mat_identity(k), self.orders):
+            if _mat_power(A, self.group_orders[t], self.orders) != one:
                 raise ValueError(f"action matrix g{t} violates the generator order")
         for t1 in self.action:
             for t2 in self.action:
@@ -353,7 +343,7 @@ class ClassModuleData:
         k = len(self.orders)
         out = _mat_identity(k)
         for t, e in enumerate(g):
-            out = _mat_mul(out, _mat_power(self.action[t], e % self.group_orders[t], k), k)
+            out = _mat_mul(out, _mat_power(self.action[t], e % self.group_orders[t], self.orders), k)
         return out
 
     def theta_matrix(self, x: tuple, group: FiniteAbelianGroup) -> list[list[int]]:
@@ -437,7 +427,6 @@ def minus_dual_presentation(
     if gal.group.orders != M.group_orders:
         raise ValueError("group mismatch between spec and class data")
     grp = gal.group
-    k = len(M.orders)
     vals = []
     for d in M.orders:
         v = 0
@@ -450,7 +439,7 @@ def minus_dual_presentation(
     quo, proj = minus_quotient(alg, cm.j)
 
     def inverse_transposed(t: int) -> list[list[int]]:
-        return [list(col) for col in zip(*_mat_power(M.action[t], grp.orders[t] - 1, k))]
+        return [list(col) for col in zip(*_mat_power(M.action[t], grp.orders[t] - 1, M.orders))]
 
     actions = (
         (proj.apply(alg.group_element_vector(g)), inverse_transposed(t))

@@ -1,22 +1,40 @@
-"""Elementary number theory helpers (desk scale: trial division everywhere)."""
+"""Elementary number theory: a deterministic primality test, and factoring by trial division."""
 
 from __future__ import annotations
 
 import math
 
+# Trial division by the 13 primes up to 41 decides every n < 43^2, and
+# Miller-Rabin to these 13 bases is exact below PSI_13 (Sorenson and Webster,
+# "Strong pseudoprimes to twelve prime bases", Math. Comp. 86 (2017)).
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3_317_044_064_679_887_385_961_981
+
 
 def is_prime(n: int) -> bool:
+    """Whether n is prime, for n < PSI_13; ValueError at or above it."""
+    if n >= PSI_13:
+        raise ValueError(f"primality is decided only below {PSI_13}, got {n}")
     if n < 2:
         return False
-    if n < 4:
+    for p in SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in SMALL_PRIMES:  # n passes base a iff a^d = 1 or a^(2^r d) = -1, some r < s
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        d += 2
     return True
 
 

@@ -54,11 +54,21 @@ def module_elements(orders: tuple[int, ...]):
     return itertools.product(*(range(d) for d in orders))
 
 
-def annihilation_oracle(matrix: list[list[int]], orders: tuple[int, ...]) -> bool:
-    """Does the integer matrix kill every element of sum_i Z/orders[i]?"""
-    k = len(orders)
+def annihilation_oracle(nums, group_orders, action, orders: tuple[int, ...]) -> bool:
+    """Does sum_g nums[g] g kill every element of sum_i Z/orders[i]? nums are
+    integer coefficients over the group of cyclic orders group_orders, in
+    mixed radix (the last coordinate runs fastest); generator t acts by the
+    integer matrix action[t] (column convention). The orbit of each element
+    is walked one generator at a time, forming no matrix product."""
     for x in module_elements(orders):
-        for i in range(k):
-            if sum(matrix[i][j] * x[j] for j in range(k)) % orders[i]:
-                return False
+        orbit = [x]  # g x for g in the basis order
+        for t, o in enumerate(group_orders):
+            walked = []
+            for y in orbit:
+                for _ in range(o):
+                    walked.append(y)
+                    y = tuple([sum(a * b for a, b in zip(row, y)) % d for row, d in zip(action[t], orders)])
+            orbit = walked
+        if any(sum(c * y[i] for c, y in zip(nums, orbit)) % d for i, d in enumerate(orders)):
+            return False
     return True

@@ -70,6 +70,21 @@ def test_small_campaigns_pass():
     assert annihilation_campaign(load_manifest(DATA)).ok
 
 
+def test_the_annihilation_oracle_does_not_read_the_checkers_matrix(monkeypatch):
+    """With theta_matrix, the matrix the checker reduces, faulted to zero, the
+    checker says "annihilates" everywhere; the oracle, which acts on each
+    module element itself, disagrees on the two modules theta does not kill."""
+    def zero(self, x, group):
+        return [[0] * len(self.orders) for _ in self.orders]
+
+    monkeypatch.setattr(lvalues.ClassModuleData, "theta_matrix", zero)
+    result = annihilation_campaign(load_manifest(DATA))
+    prefix = "annihilation oracle mismatch: "
+    assert {d[len(prefix):].split(" (")[0] for d in result.details if d.startswith(prefix)} == {
+        "synthetic_z3_quadratic.json", "synthetic_mixed_z3.json"}
+    assert result.failures == 2
+
+
 # ---------------------------------------------------------------------------
 # The trial loop: a trial that raises is a recorded failure, and a rejection
 # draw that finds nothing fails its trial instead of hanging.

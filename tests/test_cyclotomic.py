@@ -64,13 +64,6 @@ class FractionCyclotomic:
                 prod[i + j] += a * b
         return FractionCyclotomic(self.n, _reduce_fractions(prod, self.n))
 
-    def galois(self, t):
-        return FractionCyclotomic.from_powers(self.n, {i * t: c for i, c in enumerate(self.coeffs)})
-
-    def embed(self, m):
-        step = m // self.n
-        return FractionCyclotomic.from_powers(m, {i * step: c for i, c in enumerate(self.coeffs)})
-
 
 def fractions_of(x: CyclotomicInt) -> tuple:
     return tuple(Q(c, x.den) for c in x.nums)
@@ -94,17 +87,14 @@ def random_powers(rng, n):
 def test_operations_agree_with_fraction_reference():
     rng = random.Random(2026)
     for n in ORDERS:
-        units = [t for t in range(1, 2 * n + 1) if math.gcd(t, n) == 1]
         for _ in range(12):
             pa, pb = random_powers(rng, n), random_powers(rng, n)
             x, y = cyclotomic_from_powers(n, pa), cyclotomic_from_powers(n, pb)
             X, Y = FractionCyclotomic.from_powers(n, pa), FractionCyclotomic.from_powers(n, pb)
             q = Q(rng.randint(-5, 5), rng.randint(1, 6))
-            t = rng.choice(units)
-            m = n * rng.choice((1, 2, 3))
             pairs = [
                 (x, X), (y, Y), (x + y, X + Y), (x - y, X - Y), (x * y, X * Y),
-                (x * q, X * q), (q * x, X * q), (x.galois(t), X.galois(t)), (x.embed(m), X.embed(m)),
+                (x * q, X * q), (q * x, X * q),
             ]
             for ours, ref in pairs:
                 assert_canonical(ours)

@@ -2,6 +2,9 @@
 annihilation / Fitting-membership checks. Expected values follow independent
 oracles: sympy's Hurwitz zeta, the Bernoulli recurrence, exhaustive action."""
 
+import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +14,7 @@ from fraction_route import as_fractions, as_pair, cyclotomic_from_powers, ration
 from iwasawa_kit.abelian import (
     AbelianFieldSpec,
     CharacterTable,
+    FiniteAbelianGroup,
     check_hyp,
     dirichlet_character,
     galois_group,
@@ -23,13 +27,12 @@ from iwasawa_kit.exact import (
     padic_from_rational,
     poly_eval,
 )
-from iwasawa_kit.groupring import basis_index, from_json, mul, pushforward, sharp, translate
+from iwasawa_kit.groupring import basis_index, from_json, mul, push, sharp, translate
 from iwasawa_kit.lvalues import (
     ClassModuleData,
     StickelbergerElement,
+    _mat_power,
     annihilation_check,
-    dirichlet_l_nonpos,
-    generalized_bernoulli,
     fitting_membership_check,
     is_p_integral,
     partial_zeta_vector,
@@ -178,17 +181,12 @@ def test_p_integrality():
 
 
 def test_dirichlet_l_examples():
-    from iwasawa_kit.abelian import dirichlet_character
-
-    gal = galois_group(Z3)
-    tab = CharacterTable(gal.group)
-    triv = tab.labels[0]
-    nontriv = tab.labels[1]
-    chi0 = dirichlet_character(gal, tab, triv)
-    chi1 = dirichlet_character(gal, tab, nontriv)
-    assert rational_value(dirichlet_l_nonpos(chi0, [OO], 0)) == Q(-1, 2)
-    assert rational_value(dirichlet_l_nonpos(chi1, [3, OO], 0)) == Q(1, 3)
-    assert dirichlet_l_nonpos(chi0, [3, OO], 0) == 0
+    # with T empty the chi-component of theta is L_S(r, contragredient chi);
+    # both characters of Q(zeta_3) are their own contragredients
+    triv, nontriv = CharacterTable(galois_group(Z3).group).labels
+    assert rational_value(theta_character_side(Z3, [OO], [], 0)[triv]) == Q(-1, 2)
+    assert rational_value(theta_character_side(Z3, [3, OO], [], 0)[nontriv]) == Q(1, 3)
+    assert theta_character_side(Z3, [3, OO], [], 0)[triv] == 0
 
 
 def test_l_values_reproduce_imaginary_quadratic_class_numbers():
@@ -209,7 +207,8 @@ def test_l_values_reproduce_imaginary_quadratic_class_numbers():
         tab = CharacterTable(gal.group)
         chi = dirichlet_character(gal, tab, tab.labels[1])
         assert chi.conductor == f and chi.log_of(-1) != 0  # odd
-        assert rational_value(dirichlet_l_nonpos(chi, [OO], 0)) == expected
+        # chi is quadratic, its own contragredient
+        assert rational_value(theta_character_side(spec, [OO], [], 0)[tab.labels[1]]) == expected
 
 
 def test_character_cross_validation_small():
@@ -274,38 +273,43 @@ def oracle_theta_character_side(spec, S, T, r):
 
 
 def corpus_characters():
-    """(spec, characters, (S, T)) per CM spec of conductor <= 24; (S, T) is
-    the corpus choice with the most places, so Euler and T-factors both act."""
+    """(spec, {label: character}, (S, T)) per CM spec of conductor <= 24;
+    (S, T) is the corpus choice with the most places, so Euler and T-factors
+    both act."""
     for spec in corpus_cm_specs(24):
         gal = galois_group(spec)
         table = CharacterTable(gal.group)
-        chars = [dirichlet_character(gal, table, label) for label in table.labels]
+        chars = {label: dirichlet_character(gal, table, label) for label in table.labels}
         S, T = max(corpus_st_choices(spec), key=lambda st: len(st[0]) + len(st[1]))
         yield spec, chars, (S, T)
 
 
 def test_character_route_matches_cyclotomic_oracle():
-    # r = -3 is outside the acceptance campaign; B_{n,chi} also at n = 1..4.
+    # r = -3 is outside the acceptance campaign. With T empty the components
+    # are the L-values L_S(r, contragredient chi); with S = {oo} and r = 1 - n
+    # they are -B_{n, contragredient chi}/n, checked at n = 1..4.
     for spec, chars, (S, T) in corpus_characters():
         for r in (0, -3):
             got = theta_character_side(spec, S, T, r)
             assert got == oracle_theta_character_side(spec, S, T, r), (spec.label, S, T, r)
-            for chi in chars:
-                assert dirichlet_l_nonpos(chi, S, r) == oracle_dirichlet_l_nonpos(chi, S, r)
-        for chi in chars:
-            for n in (1, 2, 3, 4):
-                assert generalized_bernoulli(chi, n) == oracle_generalized_bernoulli(chi, n)
+            assert theta_character_side(spec, S, [], r) == oracle_theta_character_side(spec, S, [], r)
+        for n in (1, 2, 3, 4):
+            expected = {label: oracle_generalized_bernoulli(chi.contragredient(), n) * Q(-1, n)
+                        for label, chi in chars.items()}
+            assert theta_character_side(spec, [OO], [], 1 - n) == expected, (spec.label, n)
 
 
 def test_generalized_bernoulli_parity_vanishing():
-    # B_{n,chi} = 0 whenever chi(-1) != (-1)^n and chi is nontrivial.
+    # B_{n,chi} = 0 whenever chi(-1) != (-1)^n and chi is nontrivial; read as
+    # -n L(1 - n, chi), the component of contragredient chi at S = {oo}, T
+    # empty (a character and its contragredient share conductor and parity).
     seen = 0
-    for _, chars, _ in corpus_characters():
-        for chi in chars:
+    for spec, chars, _ in corpus_characters():
+        for label, chi in chars.items():
             if chi.conductor == 1:
                 continue
             for n in range(1, 7):
-                b = generalized_bernoulli(chi, n)
+                b = theta_character_side(spec, [OO], [], 1 - n)[label]
                 if (chi.log_of(-1) != 0) == (n % 2 == 0):  # chi odd and n even
                     assert b == 0, (chi, n)
                     seen += 1
@@ -325,7 +329,8 @@ def test_inflation_coherence():
 
     for r in (0, -1, -2):
         th_big = as_fractions(theta(big, [2, 3, OO], [], r).value)
-        pushed = pushforward(th_big, gb.group, gs.group, proj)
+        index = basis_index(gs.group)
+        pushed = push(th_big, [index[proj(g)] for g in gb.group.elements()], gs.group.size)
         th_small = as_fractions(theta(small, [2, 3, OO], [], r).value)
         assert pushed == th_small
 
@@ -384,7 +389,22 @@ def test_annihilation_matches_exhaustive_oracle():
     ):
         th = StickelbergerElement(pair(grp, coeffs), grp, Z3, (3, OO), (7,), 0)
         ok, _ = annihilation_check(th, M)
-        assert ok == annihilation_oracle(M.theta_matrix(th.value, grp), M.orders)
+        assert ok == annihilation_oracle(th.value[0], grp.orders, M.action, M.orders)
+
+
+def test_annihilation_oracle_reads_the_coefficients_in_the_basis_order():
+    """Over C2 x C2 with g0 acting as -1 and g1 trivially on Z/3, g1 - 1 kills
+    the module and g0 - 1 does not: the oracle and the checker agree on
+    which coefficient belongs to which element."""
+    group = FiniteAbelianGroup((2, 2))
+    M = ClassModuleData((3,), group.orders, {0: [[-1]], 1: [[1]]})
+    index = basis_index(group)
+    for g, kills in (((0, 1), True), ((1, 0), False)):
+        nums = [0] * group.size
+        nums[index[g]], nums[index[(0, 0)]] = 1, -1
+        th = StickelbergerElement((tuple(nums), 1), group, None, (), (), 0)
+        assert annihilation_check(th, M)[0] == kills
+        assert annihilation_oracle(nums, group.orders, M.action, M.orders) == kills
 
 
 def test_fitting_membership_examples():
@@ -430,6 +450,35 @@ def test_class_module_data_validation():
     # well-definedness: order 3 coordinate mapping into order 9 coordinate
     with pytest.raises(ValueError):
         ClassModuleData((9, 3), grp.orders, {0: [[-1, 1], [0, -1]]}, "bad")
+
+
+def test_class_data_with_huge_generator_orders_is_checked_at_once():
+    """A^o = 1 is checked by squaring: o = 10^18 takes some 60 products, not
+    10^18, and a violated relation is still refused."""
+    start = time.perf_counter()
+    ClassModuleData((3,), (10**18,), {0: [[-1]]})
+    with pytest.raises(ValueError, match="generator order"):
+        ClassModuleData((3,), (10**18 + 1,), {0: [[-1]]})
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="group orders must be positive"):
+            ClassModuleData((3,), (bad,), {0: [[-1]]})
+    assert time.perf_counter() - start < 1
+
+
+def test_matrix_powers_by_squaring_match_repeated_products():
+    """Reducing row i mod orders[i] after each squaring is exact for a
+    well-defined matrix (orders[i] | orders[j] A[i][j])."""
+    rng = random.Random(30)
+    for _ in range(200):
+        orders = tuple(rng.choice((3, 5, 9, 27)) for _ in range(rng.randint(1, 3)))
+        k = len(orders)
+        A = [[rng.randrange(-30, 30) * (orders[i] // math.gcd(orders[i], orders[j]))
+              for j in range(k)] for i in range(k)]
+        e = rng.randrange(40)
+        power = [[int(i == j) for j in range(k)] for i in range(k)]
+        for _ in range(e):
+            power = [[sum(power[i][t] * A[t][j] for t in range(k)) for j in range(k)] for i in range(k)]
+        assert _mat_power(A, e, orders) == [[power[i][j] % orders[i] for j in range(k)] for i in range(k)]
 
 
 def test_theta_json_roundtrip():

@@ -1,20 +1,19 @@
-"""No dead API: every top-level function and class of the package is named by
-some other code of the package (a call, an attribute, an import or a
-re-export), outside its own definition. A fast path whose last caller is
-deleted fails here, so that its code goes too or moves into the tests."""
+"""No dead API: every top-level function and class of the package, and every
+method of its classes, is named by some other code of the package (a call, an
+attribute or an import), outside its own definition. A re-export in
+`__init__.py` is not a use: a name that only the package's front door lists is
+still run by nothing. Dunders, which Python calls by protocol, and overrides
+of a base-class method, which the base class calls, are exempt. A fast path
+whose last caller is deleted fails here, so that its code goes too or moves
+into the tests."""
 
 import ast
+import importlib
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "iwasawa_kit"
-
-# module.name -> why it stays although no other package code names it
-ALLOWED = {
-    "lvalues.generalized_bernoulli": (
-        "a target of the benchmark tracer (perfbench/tracer.py, lvalues.gen_bernoulli); "
-        "it moves into the tests when the tracer is retargeted (ROADMAP item 6)"
-    ),
-}
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def named(node):
@@ -28,23 +27,77 @@ def named(node):
             yield n.name.rpartition(".")[2]
 
 
-def unnamed_definitions():
-    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
-    statements = [stmt for tree in trees.values() for stmt in tree.body]
-    names_by_statement = {id(stmt): set(named(stmt)) for stmt in statements}
-    return [
-        f"{module}.{stmt.name}"
-        for module, tree in trees.items()
-        for stmt in tree.body
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and not any(stmt.name in names_by_statement[id(other)] for other in statements if other is not stmt)
-    ]
+def overrides(module: str, cls: str, method: str) -> bool:
+    """Whether the method overrides one of a base class, which calls it."""
+    klass = getattr(importlib.import_module(f"iwasawa_kit.{module}"), cls)
+    return any(method in vars(base) for base in klass.__mro__[1:])
 
 
-def test_every_top_level_definition_is_named_by_other_package_code():
-    assert [name for name in unnamed_definitions() if name not in ALLOWED] == []
+def definitions(tree):
+    """(qualified name, node) of the top-level definitions and methods."""
+    for stmt in tree.body:
+        if isinstance(stmt, DEFINITIONS):
+            yield stmt.name, stmt
+        if isinstance(stmt, ast.ClassDef):
+            for member in stmt.body:
+                if isinstance(member, DEFINITIONS):
+                    yield f"{stmt.name}.{member.name}", member
 
 
-def test_the_allowlist_names_only_unnamed_definitions():
-    """An entry whose name is gone or has gained a caller is stale."""
-    assert set(ALLOWED) <= set(unnamed_definitions())
+def package_trees():
+    """The syntax tree of each module but `__init__.py`."""
+    return {path.stem: ast.parse(path.read_text(), str(path))
+            for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"}
+
+
+def unnamed_definitions(trees, is_override=overrides):
+    uses = Counter(name for tree in trees.values() for name in named(tree))
+    out = []
+    for module, tree in trees.items():
+        for qualname, node in definitions(tree):
+            cls, _, method = qualname.rpartition(".")
+            if method.startswith("__") and method.endswith("__"):
+                continue
+            if uses[method] > Counter(named(node))[method]:
+                continue
+            if cls and is_override(module, cls, method):
+                continue
+            out.append(f"{module}.{qualname}")
+    return out
+
+
+def test_every_definition_is_named_by_other_package_code():
+    assert unnamed_definitions(package_trees()) == []
+
+
+SAMPLE = """
+class A(Base):
+    def __init__(self):
+        self.run()
+
+    def run(self):
+        return 0
+
+    def alone(self):
+        return self.alone()
+
+    def error(self, message):
+        return message
+
+
+def top():
+    return A()
+"""
+
+
+def test_the_guard_sees_methods_and_looks_past_the_reexports():
+    """A method or function that only its own body names is flagged, dunders
+    and overrides are not, and `__init__.py` is not read at all."""
+    def is_override(module, cls, method):
+        return method == "error"
+
+    trees = {"sample": ast.parse(SAMPLE)}
+    assert unnamed_definitions(trees, is_override) == ["sample.A.alone", "sample.top"]
+    assert "__init__" not in package_trees()
+    assert overrides("cli", "ArgumentParser", "error")  # argparse calls it
+    assert not overrides("exact", "CyclotomicInt", "is_rational")
