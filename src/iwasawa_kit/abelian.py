@@ -401,9 +401,6 @@ class CharacterTable:
     def log(self, label, g) -> int:
         return self._logs[label][basis_index(self.group)[g]]
 
-    def value(self, label, g) -> CyclotomicInt:
-        return CyclotomicInt.zeta(self.e, self.log(label, g))
-
     def component(self, x: tuple, label) -> CyclotomicInt:
         """component_chi(x) = sum_g x_g chi(g) for x = (nums, den) in Q[G]:
         numerators bucketed by the exponent of zeta_e, one reduction."""
@@ -433,7 +430,8 @@ class CharacterTable:
                     vec[(k - t) % e] += a * scale
             c = CyclotomicInt(e, vec)
             if not c.is_rational():
-                raise ValueError(f"coefficient {i} is not rational: {c!r}")
+                raise ValueError(f"coefficient {i} is not rational: numerators {list(c.nums)}"
+                                 f" over {den * self.group.size} in powers of zeta_{e}")
             nums.append(c.nums[0])
         return lowest_terms(nums, den * self.group.size)
 
@@ -444,8 +442,9 @@ class DirichletCharacter:
 
     Values are zeta_order^logs[a] on residues a coprime to the conductor and 0
     elsewhere; `order` is the exponent of the ambient character table so that
-    values from different characters of one group compare directly. Two
-    characters are equal when their keys are.
+    values from different characters of one group compare directly. A
+    character is identified by its key, which spells out every value; the
+    object itself compares by identity.
     """
 
     conductor: int
@@ -456,14 +455,6 @@ class DirichletCharacter:
         """(conductor, order, sorted logs): every value of chi, spelled out."""
         return self.conductor, self.order, tuple(sorted(self.logs.items()))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DirichletCharacter):
-            return NotImplemented
-        return self.key() == other.key()
-
-    def __hash__(self) -> int:
-        return hash(self.key())
-
     def log_of(self, a: int) -> int | None:
         f = self.conductor
         if f == 1:
@@ -471,12 +462,6 @@ class DirichletCharacter:
         if math.gcd(a, f) != 1:
             return None
         return self.logs[a % f]
-
-    def value(self, a: int) -> CyclotomicInt:
-        t = self.log_of(a)
-        if t is None:
-            return CyclotomicInt(self.order, [0])
-        return CyclotomicInt.zeta(self.order, t)
 
     def contragredient(self) -> "DirichletCharacter":
         return DirichletCharacter(

@@ -150,10 +150,13 @@ def _reduce_mod_cyclotomic(vec, n: int) -> list[int]:
 
 
 class CyclotomicInt:
-    """Element of Q(zeta_n): integer numerators `nums` of 1, z, ...,
-    z^(phi(n)-1) over one positive denominator `den`, in lowest terms (zero
-    has den 1). The constructor takes integer coefficients of 1, z, z^2, ...
-    of any length and reduces them mod Phi_n."""
+    """Element of Q(zeta_n), the value type of both character routes: integer
+    numerators `nums` of 1, z, ..., z^(phi(n)-1) over one positive
+    denominator `den`, in lowest terms (zero has den 1). The constructor takes
+    integer coefficients of 1, z, z^2, ... of any length and reduces them mod
+    Phi_n, so two values are equal when their (n, nums, den) are. Comparing
+    with an int or a Fraction raises TypeError: there is no coercion, and a
+    silent False would make `x == 0` untrue for every x."""
 
     __slots__ = ("n", "nums", "den")
 
@@ -161,65 +164,12 @@ class CyclotomicInt:
         self.n = n
         self.nums, self.den = lowest_terms(_reduce_mod_cyclotomic(vec, n), den)
 
-    @classmethod
-    def zeta(cls, n: int, k: int = 1) -> "CyclotomicInt":
-        return cls(n, [0] * (k % n) + [1])
-
-    @classmethod
-    def from_rational(cls, n: int, q: Fraction) -> "CyclotomicInt":
-        q = Fraction(q)
-        return cls(n, [q.numerator], q.denominator)
-
-    def _coerce(self, other) -> "CyclotomicInt":
-        if isinstance(other, CyclotomicInt):
-            if other.n != self.n:
-                raise ValueError(f"mixed cyclotomic orders {self.n} and {other.n}")
-            return other
-        return CyclotomicInt.from_rational(self.n, Fraction(other))
-
-    def __add__(self, other) -> "CyclotomicInt":
-        o = self._coerce(other)
-        a, b = o.den, self.den
-        return CyclotomicInt(self.n, [a * x + b * y for x, y in zip(self.nums, o.nums)], a * b)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "CyclotomicInt":
-        return CyclotomicInt(self.n, [-x for x in self.nums], self.den)
-
-    def __sub__(self, other) -> "CyclotomicInt":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "CyclotomicInt":
-        return self._coerce(other) - self
-
-    def __mul__(self, other) -> "CyclotomicInt":
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return CyclotomicInt(self.n, [q.numerator * x for x in self.nums], q.denominator * self.den)
-        o = self._coerce(other)
-        prod = [0] * (2 * len(self.nums))
-        for i, a in enumerate(self.nums):
-            if a:
-                for j, b in enumerate(o.nums):
-                    if b:
-                        prod[i + j] += a * b
-        return CyclotomicInt(self.n, prod, self.den * o.den)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
+        if isinstance(other, CyclotomicInt):
+            return (self.n, self.den, self.nums) == (other.n, other.den, other.nums)
         if isinstance(other, (int, Fraction)):
-            other = CyclotomicInt.from_rational(self.n, Fraction(other))
-        return isinstance(other, CyclotomicInt) and (
-            (self.n, self.den, self.nums) == (other.n, other.den, other.nums)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.nums, self.den))
-
-    def __repr__(self) -> str:
-        return f"CyclotomicInt({self.n}, {self.nums}, {self.den})"
+            raise TypeError("a CyclotomicInt compares with a CyclotomicInt, not with a number")
+        return NotImplemented
 
     def is_rational(self) -> bool:
         return not any(self.nums[1:])

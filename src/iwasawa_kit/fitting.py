@@ -192,23 +192,12 @@ class FiniteCommAlgebra:
                     if lhs != self.mul(self.sharp_of(bi), self.sharp_of(bj)):
                         raise ValueError("# is not multiplicative")
 
-    def to_json(self) -> dict:
-        """The wire form: `mult[i][j]` is the dense vector of basis_i * basis_j."""
-        basis = [self.basis_element(i) for i in range(self.dim)]
-        return {
-            "p": self.p,
-            "N": self.N,
-            "basis": [str(b) for b in self.basis],
-            "mult": [[list(self.mul(x, y)) for y in basis] for x in basis],
-            "one": list(self.one),
-            "sharp": [list(self.sharp_of(x)) for x in basis] if self.has_sharp else None,
-            "name": self.name,
-        }
-
     @classmethod
     def from_json(cls, obj) -> "FiniteCommAlgebra":
-        """The inverse of to_json under the wire rule: every vector is dim JSON
-        integers, `sharp` may be null. A bad p or N raises ValueError."""
+        """An algebra from its wire form {p, N, basis, mult, one, sharp, name}:
+        `mult[i][j]` is the dense vector of basis_i * basis_j and `sharp` the
+        list of basis images (or null). Every vector is dim JSON integers
+        under the wire rule; a bad p or N raises ValueError."""
         alg = wire.node(obj, "algebra")
         p, N = alg["p"].int(), alg["N"].int()
         basis = [b.str() for b in alg["basis"].list()]
@@ -375,14 +364,10 @@ def minus_quotient(alg: GroupAlgebra, j) -> tuple[FiniteCommAlgebra, AlgebraMorp
 
 class GroupAlgebraMorphism(AlgebraMorphism):
     """Pushforward along a group homomorphism: `apply` pushes basis_i to dst's
-    index `targets[i]` (groupring.push); unit-vector `images` form on reading."""
+    index `targets[i]` (groupring.push), so no image vector is formed."""
 
     def __init__(self, src: GroupAlgebra, dst: GroupAlgebra, targets: list[int]):
         self.src, self.dst, self.targets = src, dst, targets
-
-    @cached_property
-    def images(self) -> list[Vec]:
-        return [self.dst.basis_element(k) for k in self.targets]
 
     def apply(self, x: Vec) -> Vec:
         return tuple([c % self.dst.q for c in push(x, self.targets, self.dst.dim)])
@@ -460,10 +445,6 @@ class IdealHandle:
         h, k = self._spans_with(other)
         return h == k
 
-    def __hash__(self) -> int:
-        # equal ideals have equal sizes
-        return hash(self.size())
-
     def product(self, other: "IdealHandle") -> "IdealHandle":
         mul = self.algebra.mul
         return IdealHandle(self.algebra, [mul(a, b) for a in self.generators for b in other.generators])
@@ -473,9 +454,6 @@ class IdealHandle:
 
     def map_through(self, phi: AlgebraMorphism) -> "IdealHandle":
         return IdealHandle(phi.dst, [phi.apply(g) for g in self.generators])
-
-    def size(self) -> int:
-        return span_size(self.howell, self.algebra.q)
 
 
 def unit_ideal(algebra: FiniteCommAlgebra) -> IdealHandle:

@@ -362,14 +362,6 @@ class ClassModuleData:
                     out[i][j] += c * A[i][j]
         return out
 
-    def to_json(self) -> dict:
-        return {
-            "orders": list(self.orders),
-            "group_orders": list(self.group_orders),
-            "action": {f"g{t}": A for t, A in self.action.items()},
-            "provenance": self.provenance,
-        }
-
     @classmethod
     def from_json(cls, obj) -> "ClassModuleData":
         """Parse class data under the wire rule; an action key other than

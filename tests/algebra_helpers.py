@@ -1,6 +1,87 @@
-"""Algebras and ring helpers that only the tests use."""
+"""Algebras, ring helpers and the field arithmetic of Q(zeta_n) that only the
+tests use."""
 
+from fractions import Fraction
+
+from iwasawa_kit.exact import CyclotomicInt
 from iwasawa_kit.fitting import FiniteCommAlgebra
+
+
+class Cyclotomic(CyclotomicInt):
+    """CyclotomicInt with the field operations of Q(zeta_n), for the test
+    oracles: +, - and * with another value of Q(zeta_n) (the kit's own
+    values included) or a rational, and equality with a rational."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zeta(cls, n: int, k: int = 1) -> "Cyclotomic":
+        return cls(n, [0] * (k % n) + [1])
+
+    @classmethod
+    def from_rational(cls, n: int, q) -> "Cyclotomic":
+        q = Fraction(q)
+        return cls(n, [q.numerator], q.denominator)
+
+    def _coerce(self, other) -> CyclotomicInt:
+        if isinstance(other, CyclotomicInt):
+            if other.n != self.n:
+                raise ValueError(f"mixed cyclotomic orders {self.n} and {other.n}")
+            return other
+        return Cyclotomic.from_rational(self.n, other)
+
+    def __add__(self, other) -> "Cyclotomic":
+        o = self._coerce(other)
+        a, b = o.den, self.den
+        return Cyclotomic(self.n, [a * x + b * y for x, y in zip(self.nums, o.nums)], a * b)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "Cyclotomic":
+        o = self._coerce(other)
+        a, b = o.den, self.den
+        return Cyclotomic(self.n, [a * x - b * y for x, y in zip(self.nums, o.nums)], a * b)
+
+    def __rsub__(self, other) -> "Cyclotomic":
+        return -(self - other)
+
+    def __neg__(self) -> "Cyclotomic":
+        return Cyclotomic(self.n, [-x for x in self.nums], self.den)
+
+    def __mul__(self, other) -> "Cyclotomic":
+        o = self._coerce(other)
+        prod = [0] * (2 * len(self.nums))
+        for i, a in enumerate(self.nums):
+            if a:
+                for j, b in enumerate(o.nums):
+                    if b:
+                        prod[i + j] += a * b
+        return Cyclotomic(self.n, prod, self.den * o.den)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (int, Fraction)):
+            other = Cyclotomic.from_rational(self.n, other)
+        return super().__eq__(other)
+
+    def __repr__(self) -> str:
+        return f"Cyclotomic({self.n}, {self.nums}, {self.den})"
+
+
+def algebra_json(alg: FiniteCommAlgebra) -> dict:
+    """The dense wire form that FiniteCommAlgebra.from_json reads:
+    `mult[i][j]` is the vector of basis_i * basis_j."""
+    basis = [alg.basis_element(i) for i in range(alg.dim)]
+    return {
+        "p": alg.p,
+        "N": alg.N,
+        "basis": [str(b) for b in alg.basis],
+        "mult": [[list(alg.mul(x, y)) for y in basis] for x in basis],
+        "one": list(alg.one),
+        "sharp": [list(alg.sharp_of(x)) for x in basis] if alg.has_sharp else None,
+        "name": alg.name,
+    }
 
 
 def prime_of(q: int) -> int:
@@ -21,7 +102,7 @@ def val(q: int, x: int) -> int:
 
 
 def nilpotent_extension_json(obj: dict, M: int) -> dict:
-    """alg[T]/(T^M) in the dense JSON form of FiniteCommAlgebra.to_json, built
+    """alg[T]/(T^M) in the dense JSON form of algebra_json, built
     from alg's dense JSON form alone: basis (b_i, T^k) for k < M, component-major
     in k."""
     if M < 1:
@@ -57,4 +138,4 @@ def nilpotent_extension_json(obj: dict, M: int) -> dict:
 
 def nilpotent_extension(alg: FiniteCommAlgebra, M: int) -> FiniteCommAlgebra:
     """alg[T]/(T^M), a finite commutative algebra that is not a group algebra."""
-    return FiniteCommAlgebra.from_json(nilpotent_extension_json(alg.to_json(), M))
+    return FiniteCommAlgebra.from_json(nilpotent_extension_json(algebra_json(alg), M))

@@ -1,0 +1,114 @@
+"""Command lines the CLI refuses with exit 2 (a precondition fails) or 4 (an
+input is not well formed), one for each way a command is refused.
+`tests/test_cli.py` checks that each is refused with its exit code and one
+JSON error, and `tests/test_reachability.py` runs each under the profiler, so
+a refusal added here reaches both."""
+
+import json
+import shutil
+from pathlib import Path
+
+from iwasawa_kit.cli import EXIT_IO, EXIT_PRECONDITION
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "data"
+FIXTURES = ROOT / "tests" / "fixtures"
+
+
+def write(path: Path, obj) -> Path:
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def refusals(tmp: Path) -> dict:
+    """{name: (exit code, a phrase of the error, argv)}; the files the
+    inputs name are written under tmp."""
+    z23 = json.loads((DATA / "table_z23_minus.json").read_text())
+    verify = ("verify", "--spec", "zeta23", "--S", "23,oo", "--T", "5", "--r", "0", "--p", "3")
+    verify_z3 = ("verify", "--spec", "zeta3", "--S", "3,oo", "--T", "7", "--r", "0", "--p", "3",
+                 "--N", "2", "--data")
+    deep = json.loads((FIXTURES / "theta_zeta12_cert.json").read_text())
+    deep_path = tmp / "deep_cert.json"
+    deep_path.write_text(json.dumps({**deep, "witness": "W"})
+                         .replace('"W"', "[" * 900 + "0" + "]" * 900))
+    # the committed tower of Q(zeta_3), replayed with one coefficient 1/2
+    stored = json.loads((FIXTURES / "tower_zeta3_cert.json").read_text())["result"]["tower"]
+    stored["levels"][0]["coeffs"]["0,0"] = "1/2"
+    complex_file = json.loads((FIXTURES / "complex_z9.json").read_text())
+    complex_file["modules"][0]["ngens"] = "1"
+    mismatched = tmp / "mismatched_data"
+    shutil.copytree(DATA, mismatched)
+    manifest = json.loads((mismatched / "manifest.json").read_text())
+    manifest["entries"][0].update(spec={"modulus": 5, "fixing": [1], "label": "Q(zeta_5)"},
+                                  S=["5", "oo"])
+    write(mismatched / "manifest.json", manifest)
+    selftest = ("selftest", "--max-conductor", "3", "--trials", "1", "--complex-trials", "1",
+                "--data-dir")
+    cases = {
+        "theta-float-modulus": (
+            EXIT_IO, "bad spec: modulus",
+            ("theta", "--spec", '{"modulus": 7.5, "fixing": [1]}', "--S", "oo")),
+        "theta-zeta0": (
+            EXIT_IO, "needs m >= 1", ("theta", "--spec", "zeta0", "--S", "oo")),
+        "theta-missing-spec-file": (
+            EXIT_IO, "bad spec file", ("theta", "--spec", "nosuch.json", "--S", "oo")),
+        "recheck-deeply-nested": (
+            EXIT_IO, "nested deeper than 64", ("recheck", deep_path)),
+        "usage": (
+            EXIT_PRECONDITION, "required: --spec", ("theta",)),
+        "negative-trials": (
+            EXIT_PRECONDITION, "trials: expected a non-negative integer",
+            ("fitting", "--trials", "-1")),
+        "tower-N-past-int-str-limit": (
+            EXIT_PRECONDITION, "integer string conversion",
+            ("tower", "--spec", "zeta3", "--S", "3,oo", "--T", "7", "--p", "3", "--N", "10000",
+             "--levels", "1")),
+        "tower-nonintegral-layer": (
+            EXIT_PRECONDITION, "coefficient denominator divisible by 5",
+            ("tower", "--spec", "zeta5", "--S", "5,oo", "--r", "0", "--p", "5", "--N", "2",
+             "--levels", "1")),
+        "tower-precision-budget": (
+            EXIT_PRECONDITION, "precision budget",
+            ("tower", "--spec", "zeta5", "--S", "5,oo", "--T", "2", "--r", "-1", "--p", "5",
+             "--N", "3", "--levels", "1")),
+        "tower-rational-coefficient": (
+            EXIT_IO, "bad tower file",
+            ("tower", "--spec", "zeta3", "--S", "3,oo", "--T", "7", "--r", "-1", "--p", "3",
+             "--N", "2", "--levels", "2", "--data", write(tmp / "bad_tower.json", stored))),
+        "selftest-missing-dir": (
+            EXIT_IO, "bad manifest", (*selftest, tmp / "no_such_dir")),
+        "selftest-empty-dir-name": (
+            EXIT_IO, "expected a directory name", (*selftest, "")),
+        "selftest-group-mismatch": (
+            EXIT_PRECONDITION, "group mismatch", (*selftest, mismatched)),
+        "verify-N-zero": (
+            EXIT_PRECONDITION, "N must be at least 1",
+            (*verify, "--N", "0", "--data", DATA / "table_z23_minus.json")),
+        "verify-ill-defined-action": (
+            EXIT_PRECONDITION, "not well defined",
+            (*verify, "--N", "2", "--data", write(
+                tmp / "ill_defined.json",
+                {**z23, "orders": [3, 9], "action": {"g0": [[0, 1], [1, 0]]}}))),
+        "verify-group-mismatch": (
+            EXIT_PRECONDITION, "group mismatch",
+            ("verify", "--spec", "zeta5", "--S", "5,oo", "--T", "3", "--r", "0", "--p", "3",
+             "--N", "2", "--data", DATA / "synthetic_z3_quadratic.json")),
+        "verify-invalid-class-data": (
+            EXIT_PRECONDITION, "violates the generator order",
+            (*verify_z3, write(tmp / "invalid.json", {
+                "orders": [3], "group_orders": [2], "action": {"g0": [[0]]},
+                "provenance": "x"}))),
+        "verify-class-data-list": (
+            EXIT_IO, "expected an object", (*verify_z3, write(tmp / "list.json", [1, 2, 3]))),
+        "verify-malformed-action": (
+            EXIT_IO, "action.g0[0][0]",
+            (*verify_z3, write(tmp / "bad_action.json", {
+                "orders": [3], "group_orders": [2], "action": {"g0": [["x"]]}}))),
+        "verify-missing-data-file": (
+            EXIT_IO, "bad class data file", (*verify_z3, "nosuch.json")),
+        "complex-string-ngens": (
+            EXIT_IO, "modules[0].ngens",
+            ("complex", "--data", write(tmp / "bad_complex.json", complex_file))),
+    }
+    return {name: (want, phrase, tuple(map(str, argv)))
+            for name, (want, phrase, argv) in cases.items()}

@@ -12,6 +12,8 @@ lvalues, and no helper.
 import math
 from fractions import Fraction
 
+from algebra_helpers import Cyclotomic
+
 from iwasawa_kit import groupring
 from iwasawa_kit.abelian import AbelianFieldSpec, galois_group, normalize_places
 from iwasawa_kit.exact import CyclotomicInt, bernoulli_polynomial, poly_eval
@@ -110,15 +112,15 @@ def as_fractions(pair) -> tuple:
 
 def rational_value(x: CyclotomicInt) -> Fraction:
     """The rational number x, which must lie in Q."""
-    assert not any(x.nums[1:]), f"{x!r} is not rational"
+    assert x.is_rational(), f"numerators {x.nums} over {x.den} are not rational"
     return Q(x.nums[0], x.den)
 
 
-def cyclotomic_from_powers(n: int, powers: dict) -> CyclotomicInt:
+def cyclotomic_from_powers(n: int, powers: dict) -> Cyclotomic:
     """sum_k c_k zeta_n^k for rational c_k, exponents taken mod n."""
     powers = {k: Q(c) for k, c in powers.items()}
     den = math.lcm(*(c.denominator for c in powers.values()))
     vec = [0] * n
     for k, c in powers.items():
         vec[k % n] += c.numerator * (den // c.denominator)
-    return CyclotomicInt(n, vec, den)
+    return Cyclotomic(n, vec, den)

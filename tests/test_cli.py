@@ -16,6 +16,8 @@ import time
 from pathlib import Path
 
 import pytest
+from algebra_helpers import algebra_json
+from cli_refusals import refusals
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -542,7 +544,7 @@ def complex_payload(differential=(3,), one=(1,)):
     differential entry and unit vector replaceable."""
     from iwasawa_kit.fitting import zmod_algebra
 
-    alg = zmod_algebra(3, 2).to_json()
+    alg = algebra_json(zmod_algebra(3, 2))
     alg["one"] = list(one)
     return {
         "algebra": alg,
@@ -565,7 +567,7 @@ def test_complex_data_on_a_free_module_of_rank_20_takes_under_a_second(tmp_path,
     """One free module of rank 20 over (Z/9)[C2], no differential: H^0 is
     free on 20 generators, not on its 40 Howell rows."""
     alg = GroupAlgebra(3, 2, FiniteAbelianGroup((2,)))
-    payload = {"algebra": alg.to_json(), "degrees": [0, 0],
+    payload = {"algebra": algebra_json(alg), "degrees": [0, 0],
                "modules": [{"ngens": 20, "relations": []}], "differentials": []}
     path = tmp_path / "free.json"
     path.write_text(json.dumps(payload))
@@ -927,6 +929,14 @@ def test_theta_spec_directory_is_io_error(capsys, spec):
 def test_usage_error_is_one_json_error(capsys):
     code, err = run_refused(capsys, "theta", "--spec", "-x")
     assert code == EXIT_PRECONDITION and "--spec" in err["error"]
+
+
+def test_every_refusal_of_the_table_is_one_json_error_with_its_exit_code(tmp_path, capsys):
+    # one refused command line for each way a command is refused; the
+    # reachability guard runs the same table
+    for name, (want, phrase, argv) in refusals(tmp_path).items():
+        code, err = run_refused(capsys, *argv)
+        assert code == want == err["exit"] and phrase in err["error"], (name, err)
 
 
 def test_unwritable_out_is_an_io_error(tmp_path, capsys):

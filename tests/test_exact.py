@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from algebra_helpers import Cyclotomic
 from fraction_route import cyclotomic_from_powers, hurwitz_zeta_nonpos, rational_value
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -183,22 +184,34 @@ def test_cyclotomic_polynomial_against_sympy():
 
 
 def test_cyclotomic_basic_identities():
-    z = CyclotomicInt.zeta(5)
-    acc = CyclotomicInt.from_rational(5, Q(1))
+    z = Cyclotomic.zeta(5)
+    acc = Cyclotomic.from_rational(5, Q(1))
     for _ in range(5):
         acc = acc * z
     assert acc == 1  # zeta^5 = 1
     # 1 + z + z^2 + z^3 + z^4 = 0
-    total = sum((CyclotomicInt.zeta(5, k) for k in range(1, 5)),
-                CyclotomicInt.from_rational(5, Q(1)))
+    total = sum((Cyclotomic.zeta(5, k) for k in range(1, 5)),
+                Cyclotomic.from_rational(5, Q(1)))
     assert total == 0
 
 
 def test_cyclotomic_small_orders():
-    one = CyclotomicInt.zeta(1)
+    one = Cyclotomic.zeta(1)
     assert one == 1 and one.is_rational()
-    m1 = CyclotomicInt.zeta(2)
+    m1 = Cyclotomic.zeta(2)
     assert rational_value(m1) == -1
+
+
+@pytest.mark.parametrize("number", [0, 1, Q(1, 2), True])
+def test_a_cyclotomic_value_refuses_to_compare_with_a_number(number):
+    # with no arithmetic there is no coercion: `x == 0` would otherwise be
+    # False for every x, so it raises on either side
+    x = CyclotomicInt(3, [0])
+    with pytest.raises(TypeError, match="not with a number"):
+        x == number
+    with pytest.raises(TypeError, match="not with a number"):
+        number != x
+    assert x == CyclotomicInt(3, [0, 0, 0]) and x != CyclotomicInt(3, [1])
 
 
 @given(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4))

@@ -9,7 +9,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from algebra_helpers import nilpotent_extension
+from algebra_helpers import algebra_json, nilpotent_extension
 
 from iwasawa_kit import campaigns, groupring
 from iwasawa_kit.abelian import FiniteAbelianGroup
@@ -508,7 +508,7 @@ def test_contains_refuses_ideals_over_different_algebras():
             with pytest.raises(ValueError, match=re.escape(f"{a.algebra.name} and {b.algebra.name}")):
                 a.contains(b)
             assert a != b
-    copy = FiniteCommAlgebra.from_json(c3.to_json())
+    copy = FiniteCommAlgebra.from_json(algebra_json(c3))
     assert unit_ideal(c3).contains(IdealHandle(copy, [(0, 1, 2)]))
     assert not IdealHandle(copy, [(0, 1, 2)]).contains(unit_ideal(c3))
 

@@ -28,7 +28,7 @@ from functools import cached_property
 from pathlib import Path
 
 import pytest
-from algebra_helpers import nilpotent_extension_json, prime_of, val
+from algebra_helpers import algebra_json, nilpotent_extension_json, prime_of, val
 from test_complexes import _random_chain_maps
 
 from iwasawa_kit import (
@@ -380,8 +380,8 @@ def check_against_reference(alg, ref):
     assert [[list(alg.mul(x, y)) for y in basis] for x in basis] == ref["mult"]
     assert list(alg.one) == ref["one"]
     assert [list(alg.sharp_of(x)) for x in basis] == ref["sharp"]
-    assert json.dumps(alg.to_json()) == json.dumps(ref)
-    assert same_algebra(alg, FiniteCommAlgebra.from_json(alg.to_json()))
+    assert json.dumps(algebra_json(alg)) == json.dumps(ref)
+    assert same_algebra(alg, FiniteCommAlgebra.from_json(algebra_json(alg)))
 
 
 REFERENCE_ORDERS = [(), (2,), (3,), (2, 2), (2, 9), (2, 27), (4, 4), (3, 3, 3)]
@@ -778,7 +778,6 @@ def check_ideals_against_reference(ideals, elements, pairs=None):
     for I in ideals:
         ref = ideal_howell_reference(I, cache)
         assert I.howell == ref
-        assert I.size() == span_size(ref, q)
         for x in elements + I.generators[:3]:
             assert I.contains_element(x) == in_span(list(x), ref, q)
     verdicts = set()
@@ -886,7 +885,7 @@ def test_split_ideals_match_the_reference_on_the_campaigns(campaign_records):
             assert verdict == (refI == refJ)
         else:
             assert verdict == all(in_span(r, refI, I.algebra.q) for r in refJ)
-        assert I.howell == refI and I.size() == span_size(refI, I.algebra.q)
+        assert I.howell == refI
     for I, J, out in formed:
         assert out.howell == ideal_howell_reference(out, cache)
 
@@ -901,7 +900,7 @@ def test_one_part_algebras_keep_the_full_width_form():
         GroupAlgebra(3, 2, FiniteAbelianGroup((3,))),
         GroupAlgebra(3, 2, FiniteAbelianGroup((5,))),
         minus_quotient(c2c2, (1, 0))[0],
-        FiniteCommAlgebra.from_json(GroupAlgebra(3, 2, FiniteAbelianGroup((2,))).to_json()),
+        FiniteCommAlgebra.from_json(algebra_json(GroupAlgebra(3, 2, FiniteAbelianGroup((2,))))),
     ]
     for alg in algebras:
         rng = random.Random(alg.dim)
@@ -913,7 +912,7 @@ def test_one_part_algebras_keep_the_full_width_form():
 
 def test_split_and_unsplit_copies_of_an_algebra_compare_ideals():
     alg = GroupAlgebra(3, 2, FiniteAbelianGroup((2, 2)))
-    copy = FiniteCommAlgebra.from_json(alg.to_json())
+    copy = FiniteCommAlgebra.from_json(algebra_json(alg))
     assert same_algebra(alg, copy)
     rng = random.Random(5)
     for _ in range(8):
@@ -925,7 +924,6 @@ def test_split_and_unsplit_copies_of_an_algebra_compare_ideals():
             assert (X == Yc) == (Yc == X) == equal
             assert X.contains(Yc) == Yc.contains(X) == X.contains(Y) if equal else True
             assert X.contains(Yc) == X.contains(Y) and Yc.contains(X) == Y.contains(X)
-            assert hash(X) == hash(Yc) if equal else True
 
 
 def character_split(p, N, orders):
@@ -1019,7 +1017,7 @@ def test_ideals_and_units_read_at_each_character_of_delta(p, N, orders, part_ord
     elements = [unit, *non_units, norm, element(), alg.mul(ideals[-5].generators[0], element())]
     parts = [images(I) for I in ideals]
     for I, Ip in zip(ideals, parts):
-        assert I.size() == math.prod(P.size() for P in Ip)
+        assert span_size(I.howell, alg.q) == math.prod(span_size(P.howell, P.algebra.q) for P in Ip)
         for x in elements:
             assert I.contains_element(x) == all(map(IdealHandle.contains_element, Ip, project(x)))
     verdicts = set()
@@ -1365,7 +1363,7 @@ GROUP_LAW_GROUPS += [pytest.param(tower_level(Z3, 3, n).group, id=f"zeta3-level-
 def test_group_algebra_on_the_group_law_matches_the_dense_construction(group):
     """The reference orders and the Q(zeta3) levels up to dim 486: mul against
     the dense table, the regular rows and # against the element route, and
-    to_json byte for byte where the dense JSON (dim^3 entries) is written,
+    algebra_json byte for byte where the dense JSON (dim^3 entries) is written,
     up to dim 54. Above dim 54 the second factor of each product is sparse,
     as the lazily formed table costs dim per basis product."""
     p, N = 3, 2
@@ -1383,7 +1381,7 @@ def test_group_algebra_on_the_group_law_matches_the_dense_construction(group):
     assert alg.sharp_of(x) == tuple(c % q for c in sharp_reference(x, group))
     assert not hasattr(alg, "terms") and not hasattr(alg, "sharp_images")
     if ref:
-        assert json.dumps(alg.to_json()) == json.dumps(ref)
+        assert json.dumps(algebra_json(alg)) == json.dumps(ref)
 
 
 def test_same_algebra_reads_the_group_law():
@@ -1395,7 +1393,7 @@ def test_same_algebra_reads_the_group_law():
     twin = GroupAlgebra(3, 2, FiniteAbelianGroup((2, 9)))
     assert same_algebra(alg, twin)
     assert not hasattr(alg, "terms") and not hasattr(twin, "terms")
-    copy = FiniteCommAlgebra.from_json(GroupAlgebra(3, 2, c2c9).to_json())
+    copy = FiniteCommAlgebra.from_json(algebra_json(GroupAlgebra(3, 2, c2c9)))
     assert same_algebra(alg, copy) and same_algebra(copy, alg)
     others = [GroupAlgebra(3, 3, c2c9), GroupAlgebra(2, 2, c2c9)]
     others += [GroupAlgebra(3, 2, FiniteAbelianGroup(o)) for o in ((18,), (9, 2), (2, 3, 3))]
@@ -1407,7 +1405,7 @@ def test_same_algebra_reads_the_group_law():
     algebras = [GroupAlgebra(3, 2, FiniteAbelianGroup(o)) for o in orders]
     for a in algebras:
         for b in algebras:
-            assert same_algebra(a, b) == same_algebra(a, FiniteCommAlgebra.from_json(b.to_json()))
+            assert same_algebra(a, b) == same_algebra(a, FiniteCommAlgebra.from_json(algebra_json(b)))
     assert same_algebra(algebras[0], algebras[1]) and same_algebra(algebras[2], algebras[1])
     assert not same_algebra(algebras[3], algebras[4])
 
@@ -1417,7 +1415,7 @@ def _round_trip_algebras():
     fixture = json.loads((Path(__file__).parent / "fixtures" / "complex_z9.json").read_text())
     algebras = [
         c6,
-        FiniteCommAlgebra.from_json(c6.to_json()),
+        FiniteCommAlgebra.from_json(algebra_json(c6)),
         minus_quotient(GroupAlgebra(3, 2, FiniteAbelianGroup((2, 2))), (1, 0))[0],
         zmod_algebra(2, 3),
         FiniteCommAlgebra.from_json(fixture["algebra"]),
@@ -1428,12 +1426,12 @@ def _round_trip_algebras():
 
 @pytest.mark.parametrize("alg", _round_trip_algebras())
 def test_algebras_round_trip_through_json_by_their_operations(alg):
-    """to_json reads mul and sharp_of: the copy it writes is the same algebra
+    """algebra_json reads mul and sharp_of: the copy it writes is the same algebra
     both ways round, both pass validate, and only a group algebra has a
     Pontryagin dual (its route reads the trace form): an algebra without #
     is refused for that, and one with # that is not a GroupAlgebra (a minus
     quotient, a from_json copy) for being no group algebra."""
-    copy = FiniteCommAlgebra.from_json(alg.to_json())
+    copy = FiniteCommAlgebra.from_json(algebra_json(alg))
     assert same_algebra(copy, alg) and same_algebra(alg, copy)
     assert copy.has_sharp == alg.has_sharp
     alg.validate()
@@ -1462,7 +1460,7 @@ def test_group_algebra_use_builds_no_structure_table(orders):
     alg.regular_rows(x)
     alg.sharp_of(x)
     I = principal_module(alg, x).fitting_ideal
-    assert I == IdealHandle(twin, [x]) and I.size() == IdealHandle(twin, [x]).size()
+    assert I == IdealHandle(twin, [x]) and I.howell == IdealHandle(twin, [x]).howell
     assert I.product(I.sharp()).contains(IdealHandle(alg, [alg.mul(x, alg.sharp_of(x))]))
     for a in (alg, twin):
         assert not hasattr(a, "terms") and not hasattr(a, "sharp_images")
@@ -1769,7 +1767,7 @@ def well_defined_maps(rng, alg):
 
 @pytest.mark.parametrize("alg", [
     minus_quotient(GroupAlgebra(3, 2, FiniteAbelianGroup((2, 2))), (1, 0))[0],
-    FiniteCommAlgebra.from_json(GroupAlgebra(3, 2, FiniteAbelianGroup((3,))).to_json()),
+    FiniteCommAlgebra.from_json(algebra_json(GroupAlgebra(3, 2, FiniteAbelianGroup((3,))))),
 ], ids=["minus-quotient", "from-json"])
 def test_kernel_span_matches_the_union_form_off_group_algebras(alg):
     """The campaigns draw only group algebras: here a minus quotient of
@@ -1940,7 +1938,6 @@ def test_a_whole_ideal_takes_no_howell_form(monkeypatch):
     for alg, I, product in cases:
         for whole in (I, product):
             assert whole == unit_ideal(alg) and whole.contains(unit_ideal(alg))
-            assert whole.size() == alg.q**alg.dim
             assert whole.howell == identity_rows(alg.dim)
     monkeypatch.undo()
     for alg, I, product in cases:
@@ -1983,8 +1980,9 @@ def test_the_level_fitting_body_takes_no_width_27_form(monkeypatch):
 @pytest.mark.parametrize("p, top", TOWER_LEVELS, ids=lambda v: str(v))
 def test_group_algebra_morphisms_match_the_unit_vector_images(p, top):
     """Every aug projection of the Q(zeta_p) levels to the level below and to
-    level 0, up to dim 486 (p = 3), 100 (p = 5) and 294 (p = 7); the images
-    are formed only when read."""
+    level 0, up to dim 486 (p = 3), 100 (p = 5) and 294 (p = 7): each basis
+    element goes where the reference's unit-vector image sends it, and no
+    image vector is stored."""
     rng = random.Random(p + top)
     spec = AbelianFieldSpec.cyclotomic(p)
     levels = [tower_level(spec, p, n) for n in range(top + 1)]
@@ -2004,8 +2002,7 @@ def test_group_algebra_morphisms_match_the_unit_vector_images(p, top):
             xs.append(tuple(rng.randrange(src.q) for _ in range(src.dim)))
             for x in xs:
                 assert phi.apply(x) == reference.apply(x)
-            assert "images" not in vars(phi)
-            assert phi.images == reference.images
+            assert [phi.apply(src.basis_element(i)) for i in range(src.dim)] == reference.images
             if src.dim <= 18:
                 phi.check_homomorphism()
 
@@ -2098,7 +2095,7 @@ def _subquotient_algebras():
     algebras = [
         group_algebra(2, 3, (2,)), c3, group_algebra(3, 2, (2,)), group_algebra(3, 2, (2, 2)),
         minus_quotient(group_algebra(3, 2, (2, 2)), (1, 0))[0],
-        FiniteCommAlgebra.from_json(c3.to_json()),
+        FiniteCommAlgebra.from_json(algebra_json(c3)),
     ]
     return [pytest.param(alg, id=f"{type(alg).__name__}-{alg.name}") for alg in algebras]
 
