@@ -17,6 +17,7 @@ from .abelian import (
     CMStructure,
     DirichletCharacter,
     FiniteAbelianGroup,
+    admissible_places,
     check_hyp,
     cm_data,
     conductor,

@@ -7,7 +7,8 @@ the table of basis indices of the unit classes mod the conductor, Frobenius
 and the conductor; galois_group uses invariant-factor coordinates,
 TowerLevelData the product G x Z/p^n of a tower layer. This module also
 computes CM structure (complex conjugation j and the idempotents e_r), roots
-of unity, cyclotomic-tower layers, the Hyp(S,T) admissibility test, and the
+of unity, cyclotomic-tower layers, the one statement of theta's (S, T) rules
+(admissible_places, read off the conductor) with the Hyp(S,T) test, and the
 character table with exact decomposition/reconstruction. The presentation,
 CM structure and w_L are cached per spec. The elements of Q[G]
 (the CM idempotents, the input of decompose and the output of reconstruct)
@@ -352,25 +353,43 @@ def normalize_places(S) -> tuple[set[int], bool]:
     return finite, has_inf
 
 
+class PlacesError(ValueError):
+    """(S, T) breaks a rule of admissible_places."""
+
+
+def admissible_places(spec: AbelianFieldSpec, S, T) -> tuple[set[int], set[int]]:
+    """The finite primes (s_fin, t_fin) of S and T once the places fit theta:
+    T holds only finite places, S holds the infinite place and every prime
+    ramified in L, and S and T are disjoint. Raises PlacesError at the first
+    rule broken, in that order, and ValueError for a malformed place. Reads
+    the spec's conductor only, never its Galois group."""
+    s_fin, s_inf = normalize_places(S)
+    t_fin, t_inf = normalize_places(T)
+    if t_inf:
+        raise PlacesError("T must consist of finite places")
+    if not s_inf:
+        raise PlacesError("S must contain the infinite place")
+    ram = ramified_primes(spec)
+    if not ram <= s_fin:
+        raise PlacesError(f"S misses ramified primes {sorted(ram - s_fin)}")
+    if s_fin & t_fin:
+        raise PlacesError(f"S and T meet at {sorted(s_fin & t_fin)}")
+    return s_fin, t_fin
+
+
 def check_hyp(spec: AbelianFieldSpec, S, T) -> tuple[bool, str]:
-    """Hyp(S,T): S contains the ramified and infinite places, S and T are
-    disjoint, and no nontrivial root of unity of L is 1 mod every prime of T.
+    """Hyp(S,T): the places fit theta (admissible_places; a broken rule is
+    (False, its message), a malformed place raises), and no nontrivial root of
+    unity of L is 1 mod every prime of T.
 
     The last condition holds iff every prime ell dividing w_L sees some v in T
     of residue characteristic != ell (mu_ell injects into residue fields away
     from ell).
     """
-    s_fin, s_inf = normalize_places(S)
-    t_fin, t_inf = normalize_places(T)
-    if t_inf:
-        return False, "T must consist of finite places"
-    if not s_inf:
-        return False, "S must contain the infinite place"
-    ram = ramified_primes(spec)
-    if not ram <= s_fin:
-        return False, f"S misses ramified primes {sorted(ram - s_fin)}"
-    if s_fin & t_fin:
-        return False, f"S and T meet at {sorted(s_fin & t_fin)}"
+    try:
+        _, t_fin = admissible_places(spec, S, T)
+    except PlacesError as exc:
+        return False, str(exc)
     w = roots_of_unity_order(spec)
     for ell in factorize(w):
         if not any(v != ell for v in t_fin):

@@ -118,10 +118,7 @@ def suites_certificate(command: str, config: wire.Node, check: str, results) -> 
 def run_theta(config: wire.Node) -> tuple[dict, int]:
     spec, S, T, r = field_config(config)
     hyp, reason = check_hyp(spec, S, T)
-    try:
-        th = theta(spec, S, T, r)
-    except ValueError as exc:
-        raise CliError(EXIT_PRECONDITION, str(exc)) from exc
+    th = theta(spec, S, T, r)
     integral = verify_integrality(th)
     result = {
         "coefficients": th.to_json()["coefficients"],
@@ -165,8 +162,6 @@ def run_tower(config: wire.Node) -> tuple[dict, int]:
             t = theta_tower(spec, S, T, p, N, n_max, r, strict_hyp=strict)
         except TowerIntegralityError as exc:
             raise CliError(EXIT_PRECONDITION, f"tower aborted: {exc}") from exc
-        except ValueError as exc:
-            raise CliError(EXIT_PRECONDITION, str(exc)) from exc
     coherent, bad_layer = coherence_check(t)
     result = {
         "tower": t.to_json(),
@@ -189,12 +184,9 @@ def run_verify(config: wire.Node) -> tuple[dict, int]:
     spec, S, T, r = field_config(config)
     p, N = config["p"].int(), config["N"].int()
     module = ClassModuleData.from_json(wire.Node(config["class_data"].value, "class data"))
-    try:
-        th = theta(spec, S, T, r)
-        ann, acting = annihilation_check(th, module)
-        fit, residual = fitting_membership_check(th, module, p, N)
-    except ValueError as exc:
-        raise CliError(EXIT_PRECONDITION, str(exc)) from exc
+    th = theta(spec, S, T, r)
+    ann, acting = annihilation_check(th, module)
+    fit, residual = fitting_membership_check(th, module, p, N)
     result = {
         "annihilation": ann,
         "fitting_membership": fit,

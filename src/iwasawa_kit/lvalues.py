@@ -2,9 +2,11 @@
 annihilation / Fitting-membership checks against class-module data.
 
 The group-ring route is primary: theta_{S,T}(r) = delta_T(r) . sum_sigma
-zeta_S(r, sigma) sigma^(-1) as the pair (nums, den) of Q[G], integer
-numerators in the basis order of groupring over one positive denominator in
-lowest terms. The partial zeta values come from an integer Horner of the
+zeta_S(r, sigma) sigma^(-1) as the pair (nums, den) of Q[G]. Its (S, T) rules
+are abelian.admissible_places, checked once per call on the spec before
+the Galois group is looked up or built. The value has integer numerators
+in the basis order of groupring over one positive denominator in lowest
+terms. The partial zeta values come from an integer Horner of the
 cleared B_k(x), each added at the basis index that the presentation's
 unit_classes table gives its residue, and each Euler or T-factor
 (1 - c sigma), c an integer, is applied to the numerators as
@@ -32,6 +34,7 @@ from .abelian import (
     CharacterTable,
     DirichletCharacter,
     FiniteAbelianGroup,
+    admissible_places,
     cm_data,
     dirichlet_character,
     galois_group,
@@ -50,13 +53,15 @@ from .fitting import (
     contragredient_presentation,
     minus_quotient,
 )
-from .numutil import factorize, is_prime
+from .numutil import is_prime
 
 
-def _presentation(spec_or_pres):
-    if isinstance(spec_or_pres, AbelianFieldSpec):
-        return galois_group(spec_or_pres)
-    return spec_or_pres
+def _presentation(spec_or_pres, S, T) -> tuple:
+    """(presentation, s_fin, t_fin), the places checked on the spec by
+    admissible_places before any Galois group is looked up or built."""
+    is_spec = isinstance(spec_or_pres, AbelianFieldSpec)
+    places = admissible_places(spec_or_pres if is_spec else spec_or_pres.spec, S, T)
+    return (galois_group(spec_or_pres) if is_spec else spec_or_pres, *places)
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +69,10 @@ def _presentation(spec_or_pres):
 
 def partial_zeta_vector(spec_or_pres, S, r: int) -> tuple[tuple[int, ...], int]:
     """sigma -> zeta_S(r, sigma) as (nums, den) in the basis order.
+
+    On a spec, r and the rules of S (abelian.admissible_places with T empty)
+    are checked before the Galois group is looked up. A presentation is
+    theta's, which has checked S and T, and S is only parsed.
 
     Base case S = S_ram + S_oo over the conductor f:
     zeta(r, sigma_a) = sum_{b = a mod f} f^(-r) zeta(r, b/f) with
@@ -73,16 +82,13 @@ def partial_zeta_vector(spec_or_pres, S, r: int) -> tuple[tuple[int, ...], int]:
     unramified prime v in S applies zeta_{S+v}(s) = zeta_S(s) - Nv^(-s)
     zeta_S(s sigma_v^(-1)).
     """
-    pres = _presentation(spec_or_pres)
     if r > 0:
         raise ValueError(f"partial zeta values only at r <= 0, got {r}")
-    s_fin, s_inf = normalize_places(S)
-    if not s_inf:
-        raise ValueError("S must contain the infinite place")
+    if isinstance(spec_or_pres, AbelianFieldSpec):
+        pres, s_fin, _ = _presentation(spec_or_pres, S, ())
+    else:
+        pres, (s_fin, _) = spec_or_pres, normalize_places(S)
     f = pres.conductor
-    ram = set(factorize(f)) if f > 1 else set()
-    if not ram <= s_fin:
-        raise ValueError(f"S misses ramified primes {sorted(ram - s_fin)}")
     grp = pres.group
     k = 1 - r
     coeffs = bernoulli_polynomial(k)
@@ -96,8 +102,9 @@ def partial_zeta_vector(spec_or_pres, S, r: int) -> tuple[tuple[int, ...], int]:
             acc = acc * b + c * f_pow[j]
         nums[i] -= acc
     x = tuple(nums)
-    for v in sorted(s_fin - ram):
-        x = _times_one_minus(x, grp, pres.frobenius(v), v ** (-r))
+    for v in sorted(s_fin):
+        if f % v:  # unramified
+            x = _times_one_minus(x, grp, pres.frobenius(v), v ** (-r))
     return lowest_terms(x, f * den * k)
 
 
@@ -106,18 +113,10 @@ def _times_one_minus(x: tuple, group, sigma, c: int) -> tuple:
     return tuple(a - c * b for a, b in zip(x, groupring.translate(x, group, sigma)))
 
 
-def _t_factors(pres, T, r: int) -> list:
-    """(sigma_v^(-1), v^(1-r)) for each v in T: the factors of delta_T(r)."""
-    t_fin, t_inf = normalize_places(T)
-    if t_inf:
-        raise ValueError("T must consist of finite places")
-    out = []
-    for v in sorted(t_fin):
-        if not is_prime(v):
-            raise ValueError(f"T entries must be primes, got {v}")
-        frob_inv = pres.group.inv(pres.frobenius(v))  # raises for ramified v
-        out.append((frob_inv, v ** (1 - r)))
-    return out
+def _t_factors(pres, t_fin, r: int) -> list:
+    """(sigma_v^(-1), v^(1-r)) for each prime v of t_fin: the factors of
+    delta_T(r). frobenius refuses a ramified v."""
+    return [(pres.group.inv(pres.frobenius(v)), v ** (1 - r)) for v in sorted(t_fin)]
 
 
 @dataclass
@@ -143,16 +142,15 @@ class StickelbergerElement:
 
 
 def theta(spec_or_pres, S, T, r: int) -> StickelbergerElement:
-    """Theta_{S,T}(r) = delta_T(r) . sum_sigma zeta_S(r, sigma) sigma^(-1)."""
-    pres = _presentation(spec_or_pres)
-    s_fin, _ = normalize_places(S)
-    t_fin, _ = normalize_places(T)
-    if s_fin & t_fin:
-        raise ValueError(f"S and T must be disjoint, both contain {sorted(s_fin & t_fin)}")
+    """Theta_{S,T}(r) = delta_T(r) . sum_sigma zeta_S(r, sigma) sigma^(-1).
+
+    The (S, T) rules (abelian.admissible_places) are checked once, on the
+    spec, before its Galois group is looked up or built."""
+    pres, _, t_fin = _presentation(spec_or_pres, S, T)
     grp = pres.group
     nums, den = partial_zeta_vector(pres, S, r)
     nums = groupring.sharp(nums, grp)
-    for sigma, c in _t_factors(pres, T, r):
+    for sigma, c in _t_factors(pres, t_fin, r):
         nums = _times_one_minus(nums, grp, sigma, c)
     return StickelbergerElement(lowest_terms(nums, den), grp, pres.spec, tuple(S), tuple(T), r)
 
@@ -405,10 +403,10 @@ def minus_dual_presentation(
     """Present the Pontryagin dual of the minus p-part of M over
     (Z/p^N)[G]/(1+j).
 
-    The p-part keeps the coordinates with p | order (same matrices, reduced);
-    each group generator g acts on the dual through g^# = g^(-1), whose matrix
-    in row convention is A(g^(-1)) transposed. Returns (module, group algebra,
-    projection morphism).
+    The p-part keeps the coordinates with p | order (same matrices, reduced).
+    The dual is presented through the inverse g_t^(-1) of each group
+    generator: its # is g_t, whose matrix in row convention is A_t transposed.
+    Returns (module, group algebra, projection morphism).
     """
     cm = cm_data(spec)
     if cm is None:
@@ -430,11 +428,8 @@ def minus_dual_presentation(
     alg = GroupAlgebra(p, N, grp)
     quo, proj = minus_quotient(alg, cm.j)
 
-    def inverse_transposed(t: int) -> list[list[int]]:
-        return [list(col) for col in zip(*_mat_power(M.action[t], grp.orders[t] - 1, M.orders))]
-
     actions = (
-        (proj.apply(alg.group_element_vector(g)), inverse_transposed(t))
+        (proj.apply(alg.group_element_vector(grp.inv(g))), [list(c) for c in zip(*M.action[t])])
         for t, g in enumerate(grp.generators())
     )
     return contragredient_presentation(quo, vals, actions), alg, proj

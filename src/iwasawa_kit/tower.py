@@ -30,10 +30,9 @@ from . import groupring, wire
 from .abelian import (
     AbelianFieldSpec,
     TowerLevelData,
+    admissible_places,
     check_hyp,
     cm_data,
-    normalize_places,
-    ramified_primes,
 )
 from .exact import padic_from_rational
 from .fitting import Vec
@@ -159,9 +158,10 @@ def theta_tower(
 ) -> TowerElement:
     """Theta_{S,T}(L_n/Q, r) mod p^N for n = 0..n_max.
 
-    Preconditions: p odd, v_p(modulus) <= 1, S contains the primes ramified
-    in the tower (those of the base conductor, p, and the infinite place),
-    S and T disjoint. Every layer value must be exactly p-integral before
+    Preconditions: p odd, v_p(modulus) <= 1, and the places fit theta on
+    the base field (abelian.admissible_places) with p in S, since p ramifies
+    in the tower; both are checked before any level is built. Every layer
+    value must be exactly p-integral before
     reduction; a non-integral layer aborts with its index. Hyp(S,T) is
     evaluated per layer and recorded (enforced under strict_hyp).
     """
@@ -169,17 +169,9 @@ def theta_tower(
         raise ValueError(f"theta_tower needs an odd prime, got {p}")
     if N < 1 or n_max < 0:
         raise ValueError("need N >= 1 and n_max >= 0")
-    s_fin, s_inf = normalize_places(S)
-    t_fin, _ = normalize_places(T)
-    if not s_inf:
-        raise ValueError("S must contain the infinite place")
+    s_fin, _ = admissible_places(spec, S, T)
     if p not in s_fin:
         raise ValueError(f"S must contain p = {p} (it ramifies in the tower)")
-    ram = ramified_primes(spec)
-    if not ram - {p} <= s_fin:
-        raise ValueError(f"S misses base ramified primes {sorted(ram - s_fin)}")
-    if s_fin & t_fin:
-        raise ValueError(f"S and T meet at {sorted(s_fin & t_fin)}")
 
     entries, levels, hyps = [], [], []
     for n in range(n_max + 1):

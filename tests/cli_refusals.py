@@ -20,6 +20,39 @@ def write(path: Path, obj) -> Path:
     return path
 
 
+# theta's (S, T) rules over Q(zeta_3), in the order abelian.admissible_places
+# checks them: (S, T, the message of abelian.check_hyp)
+PLACE_RULES = {
+    "T-infinite": ("3,oo", "7,oo", "T must consist of finite places"),
+    "S-without-infinity": ("3", "7", "S must contain the infinite place"),
+    "S-misses-ramified": ("oo", "7", "S misses ramified primes [3]"),
+    "S-T-meet": ("3,7,oo", "7", "S and T meet at [7]"),
+}
+
+
+def place_refusals() -> dict:
+    """{name: (exit code, the whole error, argv)}: each (S, T) rule broken on
+    theta, tower and verify, and theta over the prime modulus 10,007 with
+    S = oo. No input builds a Galois group before it is refused."""
+    commands = {
+        "theta": ("theta",),
+        "tower": ("tower", "--p", "3", "--N", "2", "--levels", "1"),
+        "verify": ("verify", "--p", "3", "--N", "2", "--data", DATA / "trivial_z3.json"),
+    }
+    cases = {
+        f"{command}-{rule}": (EXIT_PRECONDITION, message,
+                              (*head, "--spec", "zeta3", "--S", S, "--T", T, "--r", "0"))
+        for command, head in commands.items()
+        for rule, (S, T, message) in PLACE_RULES.items()
+    }
+    cases["theta-prime-modulus-S-oo"] = (
+        EXIT_PRECONDITION, "S misses ramified primes [10007]",
+        ("theta", "--spec", '{"modulus": 10007, "fixing": [1]}', "--S", "oo", "--T", "7",
+         "--r", "0"))
+    return {name: (want, message, tuple(map(str, argv)))
+            for name, (want, message, argv) in cases.items()}
+
+
 def refusals(tmp: Path) -> dict:
     """{name: (exit code, a phrase of the error, argv)}; the files the
     inputs name are written under tmp."""
@@ -111,4 +144,4 @@ def refusals(tmp: Path) -> dict:
             ("complex", "--data", write(tmp / "bad_complex.json", complex_file))),
     }
     return {name: (want, phrase, tuple(map(str, argv)))
-            for name, (want, phrase, argv) in cases.items()}
+            for name, (want, phrase, argv) in cases.items()} | place_refusals()

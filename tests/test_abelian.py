@@ -28,6 +28,8 @@ from iwasawa_kit.abelian import (
 from iwasawa_kit.exact import CyclotomicInt
 from iwasawa_kit.groupring import linear_form, mul, mul_table, translate
 from iwasawa_kit.linalg import smith_normal_form
+from iwasawa_kit.lvalues import theta
+from iwasawa_kit.tower import theta_tower
 
 Q = Fraction
 
@@ -221,6 +223,24 @@ def test_check_hyp_examples():
     # T of two residue characteristics works
     ok2, _ = check_hyp(z3, [3, OO], [5, 7])
     assert ok2
+
+
+def test_theta_and_theta_tower_refuse_each_place_rule_in_check_hyps_words():
+    """One statement of the (S, T) rules: for each rule broken, check_hyp's
+    reason is the message theta (on a spec or on its presentation) and
+    theta_tower raise."""
+    z3 = AbelianFieldSpec.cyclotomic(3)
+    reasons = set()
+    for S, T in (([3, OO], [7, OO]), ([3], [7]), ([OO], [7]), ([3, 7, OO], [7])):
+        ok, reason = check_hyp(z3, S, T)
+        assert not ok
+        reasons.add(reason)
+        for run in (lambda: theta(z3, S, T, 0), lambda: theta(galois_group(z3), S, T, 0),
+                    lambda: theta_tower(z3, S, T, 3, 2, 1, 0)):
+            with pytest.raises(ValueError) as refused:
+                run()
+            assert str(refused.value) == reason, (S, T)
+    assert len(reasons) == 4
 
 
 def test_character_table_orthogonality():

@@ -17,19 +17,22 @@ from pathlib import Path
 
 import pytest
 from algebra_helpers import algebra_json
-from cli_refusals import refusals
+from cli_refusals import place_refusals, refusals
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import iwasawa_kit
 from iwasawa_kit import wire
-from iwasawa_kit.abelian import FiniteAbelianGroup
+from iwasawa_kit.abelian import FiniteAbelianGroup, check_hyp
 from iwasawa_kit.cli import (
     EXIT_CHECK_FAILED,
     EXIT_IO,
     EXIT_OK,
     EXIT_PRECONDITION,
+    field_config,
     main,
+    parse_places,
+    parse_spec,
 )
 from iwasawa_kit.fitting import GroupAlgebra
 from iwasawa_kit.numutil import is_prime
@@ -937,6 +940,33 @@ def test_every_refusal_of_the_table_is_one_json_error_with_its_exit_code(tmp_pat
     for name, (want, phrase, argv) in refusals(tmp_path).items():
         code, err = run_refused(capsys, *argv)
         assert code == want == err["exit"] and phrase in err["error"], (name, err)
+
+
+def test_place_refusals_build_no_galois_group(capsys, monkeypatch):
+    """theta, tower and verify refuse every (S, T) fault with exit 2 in
+    check_hyp's words while galois_group and tower_level raise at every
+    binding in the package: the rules are checked before any group is built."""
+    from iwasawa_kit import abelian, tower
+
+    def built(*args):
+        raise AssertionError("a Galois group was built before the refusal")
+
+    originals = (abelian.galois_group, tower.tower_level)
+    for info in pkgutil.iter_modules(iwasawa_kit.__path__):
+        module = importlib.import_module(f"iwasawa_kit.{info.name}")
+        for name, value in list(vars(module).items()):
+            if any(value is original for original in originals):
+                monkeypatch.setattr(module, name, built)
+    cases = place_refusals()
+    assert len(cases) == 13
+    for name, (want, message, argv) in cases.items():
+        code, err = run_refused(capsys, *argv)
+        assert code == want == err["exit"] == EXIT_PRECONDITION, (name, err)
+        spec, S, T = (argv[argv.index(flag) + 1] for flag in ("--spec", "--S", "--T"))
+        config = {"spec": parse_spec(spec).to_json(), "S": parse_places(S),
+                  "T": parse_places(T), "r": 0}
+        spec, S, T, _ = field_config(wire.Node(config, "configuration"))
+        assert err["error"] == message == check_hyp(spec, S, T)[1], name
 
 
 def test_unwritable_out_is_an_io_error(tmp_path, capsys):

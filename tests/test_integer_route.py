@@ -8,10 +8,9 @@ import fraction_route
 import pytest
 from fraction_route import as_pair, reduce_mod
 
-from iwasawa_kit.abelian import AbelianFieldSpec, galois_group
+from iwasawa_kit.abelian import AbelianFieldSpec, galois_group, normalize_places
 from iwasawa_kit.campaigns import TOWER_CORPUS, corpus_cm_specs, corpus_st_choices
 from iwasawa_kit.lvalues import (
-    _presentation,
     _t_factors,
     _times_one_minus,
     is_p_integral,
@@ -24,13 +23,14 @@ from iwasawa_kit.tower import theta_tower
 PRIMES = (2, 3, 5, 7, 11, 13)
 
 
-def delta_t(spec_or_pres, T, r: int) -> tuple[tuple[int, ...], int]:
+def delta_t(spec, T, r: int) -> tuple[tuple[int, ...], int]:
     """delta_T(r) = prod_{v in T} (1 - v^(1-r) sigma_v^(-1)) in Z[G], as (nums, 1),
-    through the T factors and the shift-and-subtract of lvalues."""
-    pres = _presentation(spec_or_pres)
+    through the T factors and the shift-and-subtract of lvalues. T is only
+    parsed: a ramified prime of T is refused by frobenius."""
+    pres = galois_group(spec)
     grp = pres.group
     out = tuple(int(g == grp.identity) for g in grp.elements())
-    for sigma, c in _t_factors(pres, T, r):
+    for sigma, c in _t_factors(pres, normalize_places(T)[0], r):
         out = _times_one_minus(out, grp, sigma, c)
     return out, 1
 
@@ -47,8 +47,8 @@ def test_delta_t_examples():
         int(g == gal5.group.identity) - 2 * int(g == sigma3) for g in gal5.group.elements()
     )
     assert delta_t(Z5, [2], 0) == (expect, 1)
-    with pytest.raises(ValueError):
-        delta_t(Z3, [3], 0)  # ramified
+    with pytest.raises(ValueError, match="3 ramifies"):
+        delta_t(Z3, [3], 0)
 
 
 def corpus_items():
