@@ -100,9 +100,8 @@ class AbelianFieldSpec:
         m = self.modulus
         if m < 1:
             raise ValueError(f"modulus must be >= 1, got {m}")
-        units = set(unit_residues(m))
         fix = frozenset(a % m for a in self.fixing)
-        if not fix <= units:
+        if any(math.gcd(a, m) != 1 for a in fix):
             raise ValueError(f"fixing subgroup {sorted(fix)} not inside (Z/{m})^x")
         if (1 % m) not in fix:
             raise ValueError("fixing subgroup must contain 1")

@@ -765,7 +765,7 @@ def annihilation_campaign(entries: list[dict]) -> CampaignResult:
             oracle = annihilation_oracle(th.value[0], th.group.orders, M.action, M.orders)
             yield ok_ann == oracle, f"annihilation oracle mismatch: {entry['name']}"
         ok_fit, residual = fitting_membership_check(th, M, p, N)
-        dual_mod, alg, proj = entry["dual"]
+        dual_mod, proj = entry["dual"]
         quo = dual_mod.algebra
         if quo.q**quo.dim <= ORACLE_RING_LIMIT:
             target = proj.apply(sharp(padic_from_rational(th.value, p, N), th.group))

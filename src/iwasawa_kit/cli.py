@@ -31,6 +31,7 @@ from .tower import (
     TowerIntegralityError,
     coherence_check,
     theta_tower,
+    tower_preconditions,
     twist_congruence_check,
 )
 
@@ -157,6 +158,7 @@ def run_tower(config: wire.Node) -> tuple[dict, int]:
             raise CliError(
                 EXIT_IO, f"tower file does not match the command line in {', '.join(differ)}"
             )
+        tower_preconditions(spec, S, T, p, N, n_max)
     else:
         try:
             t = theta_tower(spec, S, T, p, N, n_max, r, strict_hyp=strict)

@@ -10,9 +10,11 @@ regular_rows), never through its storage. Every module/ideal question
 reduces to Howell-form linear algebra over Z/p^N through the regular
 representation. Ideal handles canonicalize through that form, one Howell
 form of width dim per ideal, so ideal equality and membership are exact.
-Subquotients are presented by Nakayama's lemma, and so is the Pontryagin
+Subquotients are presented by Nakayama's lemma, and so is the one Pontryagin
 dual of a module over a group algebra: the trace form makes it the #-twist
 of a kernel inside A^n, so duals come out on few generators and relations.
+dual_presentation (the transpose-sharp h^(T,#), E^1 of a square
+presentation) is the independent side of e1_sharp_check.
 
 Vector layout for the realization of A^n: component-major, index(c, i) =
 c*dim + i for component c and algebra-basis index i. `FiniteCommAlgebra.realize`
@@ -739,38 +741,6 @@ def dual_presentation(M: FinPresModule) -> FinPresModule:
     n = M.ngens
     rels = [[alg.sharp_of(M.relations[c][r]) for c in range(n)] for r in range(n)]
     return FinPresModule(alg, n, rels)
-
-
-def contragredient_presentation(
-    alg: FiniteCommAlgebra, vals: list[int], actions
-) -> FinPresModule:
-    """Present the Pontryagin dual of sum_a Z/p^vals[a] over alg.
-
-    `actions` yields pairs (b, X), X the integer matrix of b^# on the module in
-    row convention (b^# e_t = sum_a X[t][a] e_a), for b running through
-    algebra generators. On the dual generators f_a (f_a(e_t) = delta_at /
-    p^vals[a]) the contragredient action (b.f)(m) = f(b^# m) reads
-    b.f_a = sum_t X[t][a] p^(vals[t] - vals[a]) f_t. Precondition: the action
-    is well defined (p^vals[a] divides p^vals[t] X[t][a]), so the dual is
-    integral; ClassModuleData refuses an action that is not. Coordinates with
-    vals[a] = 0 vanish; `actions` is not consumed when every coordinate does.
-    """
-    p = alg.p
-    keep = [a for a, v in enumerate(vals) if v > 0]
-    k = len(keep)
-    if not k:
-        return FinPresModule(alg, 0, [])
-    relations: list[list[Vec]] = []
-    for idx, a in enumerate(keep):
-        row = [alg.zero()] * k
-        row[idx] = alg.scalar(p ** vals[a], alg.one)
-        relations.append(row)
-    for b, X in actions:
-        for idx, a in enumerate(keep):
-            row = [alg.scalar(-(X[t][a] * p ** vals[t] // p ** vals[a]), alg.one) for t in keep]
-            row[idx] = alg.add(row[idx], b)
-            relations.append(row)
-    return FinPresModule(alg, k, relations)
 
 
 def pontryagin_dual(M: FinPresModule) -> FinPresModule:

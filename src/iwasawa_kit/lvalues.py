@@ -2,11 +2,11 @@
 annihilation / Fitting-membership checks against class-module data.
 
 The group-ring route is primary: theta_{S,T}(r) = delta_T(r) . sum_sigma
-zeta_S(r, sigma) sigma^(-1) as the pair (nums, den) of Q[G]. Its (S, T) rules
-are abelian.admissible_places, checked once per call on the spec before
-the Galois group is looked up or built. The value has integer numerators
-in the basis order of groupring over one positive denominator in lowest
-terms. The partial zeta values come from an integer Horner of the
+zeta_S(r, sigma) sigma^(-1) as the pair (nums, den) of Q[G]. r <= 0 and its
+(S, T) rules (abelian.admissible_places) are checked once per call on the
+spec before the Galois group is looked up or built. The value has integer
+numerators in the basis order of groupring over one positive denominator
+in lowest terms. The partial zeta values come from an integer Horner of the
 cleared B_k(x), each added at the basis index that the presentation's
 unit_classes table gives its residue, and each Euler or T-factor
 (1 - c sigma), c an integer, is applied to the numerators as
@@ -20,6 +20,10 @@ shift-and-subtract, and passes the vector and denominator to CyclotomicInt,
 which reduces mod Phi_e once per character. It classifies residues through
 element_of; only the group-ring route reads unit_classes. The two routes
 share that value type and its normal form, and no helper or cache.
+
+Class data are ingested. minus_dual_presentation writes the dual of their
+minus p-part straight from the action matrices (fitting.pontryagin_dual,
+the kernel route, is its test oracle).
 """
 
 from __future__ import annotations
@@ -47,18 +51,15 @@ from .exact import (
     padic_from_rational,
     rat_to_str,
 )
-from .fitting import (
-    FinPresModule,
-    GroupAlgebra,
-    contragredient_presentation,
-    minus_quotient,
-)
+from .fitting import FinPresModule, GroupAlgebra, minus_quotient
 from .numutil import is_prime
 
 
-def _presentation(spec_or_pres, S, T) -> tuple:
-    """(presentation, s_fin, t_fin), the places checked on the spec by
-    admissible_places before any Galois group is looked up or built."""
+def _presentation(spec_or_pres, S, T, r: int) -> tuple:
+    """(presentation, s_fin, t_fin), r <= 0 and the places checked on the
+    spec by admissible_places before any Galois group is looked up or built."""
+    if r > 0:
+        raise ValueError(f"partial zeta values only at r <= 0, got {r}")
     is_spec = isinstance(spec_or_pres, AbelianFieldSpec)
     places = admissible_places(spec_or_pres if is_spec else spec_or_pres.spec, S, T)
     return (galois_group(spec_or_pres) if is_spec else spec_or_pres, *places)
@@ -70,9 +71,9 @@ def _presentation(spec_or_pres, S, T) -> tuple:
 def partial_zeta_vector(spec_or_pres, S, r: int) -> tuple[tuple[int, ...], int]:
     """sigma -> zeta_S(r, sigma) as (nums, den) in the basis order.
 
-    On a spec, r and the rules of S (abelian.admissible_places with T empty)
-    are checked before the Galois group is looked up. A presentation is
-    theta's, which has checked S and T, and S is only parsed.
+    On a spec, r <= 0 and the rules of S (abelian.admissible_places with T
+    empty) are checked before the Galois group is looked up. A presentation
+    is theta's, which has checked r, S and T, and S is only parsed.
 
     Base case S = S_ram + S_oo over the conductor f:
     zeta(r, sigma_a) = sum_{b = a mod f} f^(-r) zeta(r, b/f) with
@@ -82,10 +83,8 @@ def partial_zeta_vector(spec_or_pres, S, r: int) -> tuple[tuple[int, ...], int]:
     unramified prime v in S applies zeta_{S+v}(s) = zeta_S(s) - Nv^(-s)
     zeta_S(s sigma_v^(-1)).
     """
-    if r > 0:
-        raise ValueError(f"partial zeta values only at r <= 0, got {r}")
     if isinstance(spec_or_pres, AbelianFieldSpec):
-        pres, s_fin, _ = _presentation(spec_or_pres, S, ())
+        pres, s_fin, _ = _presentation(spec_or_pres, S, (), r)
     else:
         pres, (s_fin, _) = spec_or_pres, normalize_places(S)
     f = pres.conductor
@@ -144,9 +143,9 @@ class StickelbergerElement:
 def theta(spec_or_pres, S, T, r: int) -> StickelbergerElement:
     """Theta_{S,T}(r) = delta_T(r) . sum_sigma zeta_S(r, sigma) sigma^(-1).
 
-    The (S, T) rules (abelian.admissible_places) are checked once, on the
-    spec, before its Galois group is looked up or built."""
-    pres, _, t_fin = _presentation(spec_or_pres, S, T)
+    r <= 0 and the (S, T) rules (abelian.admissible_places) are checked
+    once, on the spec, before its Galois group is looked up or built."""
+    pres, _, t_fin = _presentation(spec_or_pres, S, T, r)
     grp = pres.group
     nums, den = partial_zeta_vector(pres, S, r)
     nums = groupring.sharp(nums, grp)
@@ -399,14 +398,16 @@ def annihilation_check(
 
 def minus_dual_presentation(
     spec: AbelianFieldSpec, M: ClassModuleData, p: int, N: int
-) -> tuple[FinPresModule, GroupAlgebra, object]:
+) -> tuple[FinPresModule, object]:
     """Present the Pontryagin dual of the minus p-part of M over
-    (Z/p^N)[G]/(1+j).
+    (Z/p^N)[G]/(1+j). Returns (module, projection morphism).
 
-    The p-part keeps the coordinates with p | order (same matrices, reduced).
-    The dual is presented through the inverse g_t^(-1) of each group
-    generator: its # is g_t, whose matrix in row convention is A_t transposed.
-    Returns (module, group algebra, projection morphism).
+    One generator f_a (f_a(e_s) = delta_as / p^v_a) for each coordinate a
+    whose order has p-part p^v_a > 1. As (b.f)(m) = f(b^# m), and g_t^(-1)
+    has # = g_t, the relations are p^v_a f_a and g_t^(-1) f_a -
+    sum_s A_t[a][s] p^(v_s - v_a) f_s, with integer coefficients: p^v_a
+    divides p^v_s A_t[a][s], as ClassModuleData refuses an action that is
+    not well defined mod the orders.
     """
     cm = cm_data(spec)
     if cm is None:
@@ -417,22 +418,18 @@ def minus_dual_presentation(
     if gal.group.orders != M.group_orders:
         raise ValueError("group mismatch between spec and class data")
     grp = gal.group
-    vals = []
-    for d in M.orders:
-        v = 0
-        while d % p == 0:
-            d //= p
-            v += 1
-        vals.append(v)
-
     alg = GroupAlgebra(p, N, grp)
     quo, proj = minus_quotient(alg, cm.j)
-
-    actions = (
-        (proj.apply(alg.group_element_vector(grp.inv(g))), [list(c) for c in zip(*M.action[t])])
-        for t, g in enumerate(grp.generators())
-    )
-    return contragredient_presentation(quo, vals, actions), alg, proj
+    ppart = [math.gcd(d, p ** d.bit_length()) for d in M.orders]  # p^v divides d < p^bits
+    keep = [a for a, pa in enumerate(ppart) if pa > 1]
+    zero, one = quo.zero(), quo.one
+    relations = [[quo.scalar(ppart[a] if s == a else 0, one) for s in keep] for a in keep]
+    for t, g in enumerate(grp.generators()):
+        g_inv, A = proj.apply(alg.group_element_vector(grp.inv(g))), M.action[t]
+        relations += [[quo.sub(g_inv if s == a else zero,
+                               quo.scalar(A[a][s] * ppart[s] // ppart[a], one)) for s in keep]
+                      for a in keep]
+    return FinPresModule(quo, len(keep), relations), proj
 
 
 def fitting_membership_check(
@@ -445,7 +442,7 @@ def fitting_membership_check(
     if spec is None:
         raise ValueError("theta carries no field spec")
     # first, so that p is known to be an odd prime before is_p_integral divides by it
-    dual_mod, alg, proj = minus_dual_presentation(spec, M, p, N)
+    dual_mod, proj = minus_dual_presentation(spec, M, p, N)
     if not is_p_integral(theta_elem, p):
         raise ValueError(f"theta is not {p}-integral")
     fitt = dual_mod.fitting_ideal

@@ -146,6 +146,20 @@ class TowerElement:
         )
 
 
+def tower_preconditions(spec: AbelianFieldSpec, S, T, p: int, N: int, n_max: int) -> None:
+    """p odd, N >= 1, n_max >= 0, and the places fit theta on the base field
+    (abelian.admissible_places) with p in S, since p ramifies in the tower:
+    theta_tower checks them before it builds a level, `tower --data` on the
+    replayed tower."""
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"theta_tower needs an odd prime, got {p}")
+    if N < 1 or n_max < 0:
+        raise ValueError("need N >= 1 and n_max >= 0")
+    s_fin, _ = admissible_places(spec, S, T)
+    if p not in s_fin:
+        raise ValueError(f"S must contain p = {p} (it ramifies in the tower)")
+
+
 def theta_tower(
     spec: AbelianFieldSpec,
     S,
@@ -158,20 +172,12 @@ def theta_tower(
 ) -> TowerElement:
     """Theta_{S,T}(L_n/Q, r) mod p^N for n = 0..n_max.
 
-    Preconditions: p odd, v_p(modulus) <= 1, and the places fit theta on
-    the base field (abelian.admissible_places) with p in S, since p ramifies
-    in the tower; both are checked before any level is built. Every layer
-    value must be exactly p-integral before
-    reduction; a non-integral layer aborts with its index. Hyp(S,T) is
-    evaluated per layer and recorded (enforced under strict_hyp).
+    Preconditions: tower_preconditions, before any level is built, and
+    v_p(modulus) <= 1 (abelian.layer). Every layer value must be exactly
+    p-integral before reduction; a non-integral layer aborts with its index.
+    Hyp(S,T) is evaluated per layer and recorded (enforced under strict_hyp).
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"theta_tower needs an odd prime, got {p}")
-    if N < 1 or n_max < 0:
-        raise ValueError("need N >= 1 and n_max >= 0")
-    s_fin, _ = admissible_places(spec, S, T)
-    if p not in s_fin:
-        raise ValueError(f"S must contain p = {p} (it ramifies in the tower)")
+    tower_preconditions(spec, S, T, p, N, n_max)
 
     entries, levels, hyps = [], [], []
     for n in range(n_max + 1):

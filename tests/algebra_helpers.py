@@ -1,10 +1,11 @@
-"""Algebras, ring helpers and the field arithmetic of Q(zeta_n) that only the
-tests use."""
+"""Algebras, ring helpers, the closed-form dual of a finite abelian group
+with an action, and the field arithmetic of Q(zeta_n) that only the tests
+use."""
 
 from fractions import Fraction
 
 from iwasawa_kit.exact import CyclotomicInt
-from iwasawa_kit.fitting import FiniteCommAlgebra
+from iwasawa_kit.fitting import FiniteCommAlgebra, FinPresModule
 
 
 class Cyclotomic(CyclotomicInt):
@@ -139,3 +140,33 @@ def nilpotent_extension_json(obj: dict, M: int) -> dict:
 def nilpotent_extension(alg: FiniteCommAlgebra, M: int) -> FiniteCommAlgebra:
     """alg[T]/(T^M), a finite commutative algebra that is not a group algebra."""
     return FiniteCommAlgebra.from_json(nilpotent_extension_json(algebra_json(alg), M))
+
+
+def contragredient_presentation(alg: FiniteCommAlgebra, vals: list[int], actions) -> FinPresModule:
+    """Present the Pontryagin dual of sum_a Z/p^vals[a] over alg.
+
+    `actions` yields pairs (b, X), X the integer matrix of b^# on the module in
+    row convention (b^# e_t = sum_a X[t][a] e_a), for b running through
+    algebra generators. On the dual generators f_a (f_a(e_t) = delta_at /
+    p^vals[a]) the contragredient action (b.f)(m) = f(b^# m) reads
+    b.f_a = sum_t X[t][a] p^(vals[t] - vals[a]) f_t. Precondition: the action
+    is well defined (p^vals[a] divides p^vals[t] X[t][a]), so the dual is
+    integral. Coordinates with vals[a] = 0 vanish; `actions` is not consumed
+    when every coordinate does.
+    """
+    p = alg.p
+    keep = [a for a, v in enumerate(vals) if v > 0]
+    k = len(keep)
+    if not k:
+        return FinPresModule(alg, 0, [])
+    relations = []
+    for idx, a in enumerate(keep):
+        row = [alg.zero()] * k
+        row[idx] = alg.scalar(p ** vals[a], alg.one)
+        relations.append(row)
+    for b, X in actions:
+        for idx, a in enumerate(keep):
+            row = [alg.scalar(-(X[t][a] * p ** vals[t] // p ** vals[a]), alg.one) for t in keep]
+            row[idx] = alg.add(row[idx], b)
+            relations.append(row)
+    return FinPresModule(alg, k, relations)

@@ -32,8 +32,9 @@ PLACE_RULES = {
 
 def place_refusals() -> dict:
     """{name: (exit code, the whole error, argv)}: each (S, T) rule broken on
-    theta, tower and verify, and theta over the prime modulus 10,007 with
-    S = oo. No input builds a Galois group before it is refused."""
+    theta, tower and verify, theta over the prime modulus 10,007 with S = oo,
+    and theta over that modulus at r = 1 with admissible places. No input
+    builds a Galois group before it is refused."""
     commands = {
         "theta": ("theta",),
         "tower": ("tower", "--p", "3", "--N", "2", "--levels", "1"),
@@ -49,6 +50,10 @@ def place_refusals() -> dict:
         EXIT_PRECONDITION, "S misses ramified primes [10007]",
         ("theta", "--spec", '{"modulus": 10007, "fixing": [1]}', "--S", "oo", "--T", "7",
          "--r", "0"))
+    cases["theta-prime-modulus-r-positive"] = (
+        EXIT_PRECONDITION, "partial zeta values only at r <= 0, got 1",
+        ("theta", "--spec", '{"modulus": 10007, "fixing": [1]}', "--S", "10007,oo", "--T", "7",
+         "--r", "1"))
     return {name: (want, message, tuple(map(str, argv)))
             for name, (want, message, argv) in cases.items()}
 
@@ -67,6 +72,17 @@ def refusals(tmp: Path) -> dict:
     # the committed tower of Q(zeta_3), replayed with one coefficient 1/2
     stored = json.loads((FIXTURES / "tower_zeta3_cert.json").read_text())["result"]["tower"]
     stored["levels"][0]["coeffs"]["0,0"] = "1/2"
+    # the same tower at r = 0, where no reference tower is built beside the
+    # replay, its places breaking each rule of PLACE_RULES, and the command
+    # line to match
+    replays = {}
+    for rule, (S, T, message) in PLACE_RULES.items():
+        tower = json.loads((FIXTURES / "tower_zeta3_cert.json").read_text())["result"]["tower"]
+        tower["meta"].update(r=0, S=S.split(","), T=T.split(","))
+        replays[f"tower-replay-{rule}"] = (
+            EXIT_PRECONDITION, message,
+            ("tower", "--spec", "zeta3", "--S", S, "--T", T, "--r", "0", "--p", "3", "--N", "2",
+             "--levels", "2", "--data", write(tmp / f"replay_{rule}.json", tower)))
     complex_file = json.loads((FIXTURES / "complex_z9.json").read_text())
     complex_file["modules"][0]["ngens"] = "1"
     mismatched = tmp / "mismatched_data"
@@ -144,4 +160,4 @@ def refusals(tmp: Path) -> dict:
             ("complex", "--data", write(tmp / "bad_complex.json", complex_file))),
     }
     return {name: (want, phrase, tuple(map(str, argv)))
-            for name, (want, phrase, argv) in cases.items()} | place_refusals()
+            for name, (want, phrase, argv) in (cases | replays).items()} | place_refusals()

@@ -134,6 +134,29 @@ def test_element_of_handles_nonminimal_modulus():
     assert g.frobenius(5) != g.group.identity
 
 
+def test_a_spec_checks_its_fixing_set_without_listing_the_units(monkeypatch):
+    """H lies in (Z/m)^x iff gcd(a, m) = 1 for each a in H, m = 1 included
+    (gcd(0, 1) = 1): the spec refuses exactly the sets off the unit list,
+    and builds a spec over the prime modulus 1,000,003 listing no unit."""
+    from iwasawa_kit import abelian, numutil
+
+    def listed(m):
+        raise AssertionError("the spec listed the units")
+
+    monkeypatch.setattr(abelian, "unit_residues", listed)
+    assert AbelianFieldSpec(1_000_003, frozenset({1})).fixing == {1}
+    assert AbelianFieldSpec.rationals().fixing == {0}
+    for m in range(1, 31):
+        units = set(numutil.unit_residues(m))
+        for a in range(-m, 2 * m):
+            if a % m in units:  # the cyclic subgroup that a generates
+                powers = frozenset(pow(a, k, m) for k in range(1, len(units) + 1))
+                assert AbelianFieldSpec(m, powers).fixing == powers
+            else:
+                with pytest.raises(ValueError, match="not inside"):
+                    AbelianFieldSpec(m, frozenset({1, a}))
+
+
 def test_conductor_reduction():
     # the subgroup fixing Q(sqrt 5) inside Q(zeta_20)
     spec = AbelianFieldSpec(20, frozenset({1, 9, 11, 19}))

@@ -1,9 +1,12 @@
 """The minus dual of class data by the kernel route, the oracle of
-`lvalues.minus_dual_presentation`.
+`lvalues.minus_dual_presentation`, and by the generic closed form.
 
 `minus_dual_presentation` writes the Pontryagin dual of the p-part of a class
-module directly over (Z/p^N)[G]/(1+j), through the contragredient action
-(`fitting.contragredient_presentation`). The route here shares none of that:
+module directly over (Z/p^N)[G]/(1+j), through the contragredient action of
+each g_t^(-1) read straight from the action matrix A_t. The generic closed
+form (`algebra_helpers.contragredient_presentation`), handed g_t^(-1), the
+transpose of A_t and the p-adic valuations of the orders, must write the same
+relations row for row. The kernel route shares none of that:
 it presents M (x) Z_p over A' = (Z/p^N')[G], N' = max(N, v_p of each order),
 on generators e_a for the coordinates with p | order and the relations
 p^(v_a) e_a and g_t e_a - sum_i A_t[i][a] e_i, takes `fitting.pontryagin_dual`
@@ -15,6 +18,8 @@ change, so the two presentations have one Fitting ideal and one size.
 import math
 import random
 from pathlib import Path
+
+from algebra_helpers import contragredient_presentation
 
 from iwasawa_kit.abelian import AbelianFieldSpec, cm_data, galois_group
 from iwasawa_kit.campaigns import load_manifest
@@ -57,7 +62,7 @@ def kernel_route_minus_dual(spec, M: ClassModuleData, p: int, N: int) -> FinPres
 
 
 def assert_same_dual(spec, M, p, N):
-    direct, _, _ = minus_dual_presentation(spec, M, p, N)
+    direct, _ = minus_dual_presentation(spec, M, p, N)
     kernel = kernel_route_minus_dual(spec, M, p, N)
     assert kernel.size() == direct.size()
     assert kernel.fitting_ideal == direct.fitting_ideal
@@ -69,6 +74,30 @@ def test_the_routes_agree_on_every_manifest_entry_at_n_n_plus_1_and_1():
     for e in entries:
         for N in (e["N"], e["N"] + 1, 1):
             assert_same_dual(e["spec"], e["module"], e["p"], N)
+
+
+def closed_form_minus_dual(spec, M: ClassModuleData, p: int, N: int) -> FinPresModule:
+    """The generic closed form over (Z/p^N)[G]/(1+j): each b = g_t^(-1) with
+    the matrix of b^# = g_t in row convention, the transpose of A_t."""
+    grp = galois_group(spec).group
+    alg = GroupAlgebra(p, N, grp)
+    quo, proj = minus_quotient(alg, cm_data(spec).j)
+    actions = ((proj.apply(alg.group_element_vector(grp.inv(g))), [list(c) for c in zip(*M.action[t])])
+               for t, g in enumerate(grp.generators()))
+    return contragredient_presentation(quo, [valuation(d, p) for d in M.orders], actions)
+
+
+def test_the_closed_form_writes_the_same_relations_on_every_manifest_entry():
+    entries = load_manifest(DATA)
+    for e in entries:
+        for N in (e["N"], e["N"] + 1, 1):
+            direct, _ = minus_dual_presentation(e["spec"], e["module"], e["p"], N)
+            closed = closed_form_minus_dual(e["spec"], e["module"], e["p"], N)
+            assert direct.ngens == closed.ngens
+            assert direct.relations == closed.relations, (e["name"], N)
+    # unequal orders and an action that is not symmetric: a moved p-power or
+    # a transposition changes a relation
+    assert any(len(set(e["module"].orders)) > 1 for e in entries)
 
 
 # ---------------------------------------------------------------------------

@@ -944,8 +944,9 @@ def test_every_refusal_of_the_table_is_one_json_error_with_its_exit_code(tmp_pat
 
 def test_place_refusals_build_no_galois_group(capsys, monkeypatch):
     """theta, tower and verify refuse every (S, T) fault with exit 2 in
-    check_hyp's words while galois_group and tower_level raise at every
-    binding in the package: the rules are checked before any group is built."""
+    check_hyp's words, and theta refuses r > 0, while galois_group and
+    tower_level raise at every binding in the package: the rules are checked
+    before any group is built."""
     from iwasawa_kit import abelian, tower
 
     def built(*args):
@@ -958,15 +959,18 @@ def test_place_refusals_build_no_galois_group(capsys, monkeypatch):
             if any(value is original for original in originals):
                 monkeypatch.setattr(module, name, built)
     cases = place_refusals()
-    assert len(cases) == 13
+    assert len(cases) == 14
     for name, (want, message, argv) in cases.items():
         code, err = run_refused(capsys, *argv)
         assert code == want == err["exit"] == EXIT_PRECONDITION, (name, err)
-        spec, S, T = (argv[argv.index(flag) + 1] for flag in ("--spec", "--S", "--T"))
+        spec, S, T, r = (argv[argv.index(flag) + 1] for flag in ("--spec", "--S", "--T", "--r"))
         config = {"spec": parse_spec(spec).to_json(), "S": parse_places(S),
-                  "T": parse_places(T), "r": 0}
-        spec, S, T, _ = field_config(wire.Node(config, "configuration"))
-        assert err["error"] == message == check_hyp(spec, S, T)[1], name
+                  "T": parse_places(T), "r": int(r)}
+        spec, S, T, r = field_config(wire.Node(config, "configuration"))
+        hyp, why = check_hyp(spec, S, T)
+        # places that break a rule are refused in check_hyp's words, r > 0 in its own
+        refusal = f"partial zeta values only at r <= 0, got {r}" if hyp else why
+        assert err["error"] == message == refusal, name
 
 
 def test_unwritable_out_is_an_io_error(tmp_path, capsys):

@@ -9,7 +9,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from algebra_helpers import algebra_json, nilpotent_extension
+from algebra_helpers import algebra_json, contragredient_presentation, nilpotent_extension
 
 from iwasawa_kit import campaigns, groupring
 from iwasawa_kit.abelian import FiniteAbelianGroup
@@ -21,7 +21,6 @@ from iwasawa_kit.fitting import (
     IdealHandle,
     ModuleMap,
     base_change_fitting,
-    contragredient_presentation,
     dual_presentation,
     e1_sharp_check,
     four_term_check,
@@ -230,7 +229,8 @@ def test_pontryagin_dual_basics():
 
 
 def test_a_well_defined_action_has_an_integral_dual():
-    """The lemma contragredient_presentation rests on. A is well defined mod
+    """The lemma the closed-form dual rests on (contragredient_presentation
+    here, lvalues.minus_dual_presentation on class data). A is well defined mod
     the orders when orders[i] divides orders[j] A[i][j]; so is every power B
     of A (a product of well-defined maps), and then p^v_a divides
     orders[t] B[a][t], hence p^v_t B[a][t]: the dual action X = B^T is

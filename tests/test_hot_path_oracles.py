@@ -28,7 +28,13 @@ from functools import cached_property
 from pathlib import Path
 
 import pytest
-from algebra_helpers import algebra_json, nilpotent_extension_json, prime_of, val
+from algebra_helpers import (
+    algebra_json,
+    contragredient_presentation,
+    nilpotent_extension_json,
+    prime_of,
+    val,
+)
 from test_complexes import _random_chain_maps
 
 from iwasawa_kit import (
@@ -2172,10 +2178,11 @@ def test_subquotient_presentation_matches_reference_on_random_subquotients(alg):
 
 
 # ---------------------------------------------------------------------------
-# Pontryagin duals: the former Smith route, which diagonalized the relation
-# span over Z with p^N.I appended and handed the transported action of every
-# basis element's # to contragredient_presentation, is the oracle of the dual
-# presented as the #-twist of a kernel.
+# Pontryagin duals: the Smith route, which diagonalizes the relation span
+# over Z with p^N.I appended and hands the transported action of every basis
+# element's # to the closed-form dual of algebra_helpers
+# (contragredient_presentation), is the oracle of the dual presented as the
+# #-twist of a kernel.
 
 def matrix_inverse(M: list[list[int]], q: int) -> list[list[int]]:
     """Inverse of a unimodular matrix over Z/q, q = p^N (Gauss-Jordan; unit
@@ -2268,7 +2275,7 @@ def pontryagin_dual_reference(M):
         (b, transported_action(alg.sharp_of(b)))
         for b in map(alg.basis_element, range(alg.dim))
     )
-    return fitting.contragredient_presentation(alg, vals, actions)
+    return contragredient_presentation(alg, vals, actions)
 
 
 REFERENCE_MINOR_LIMIT = 1000

@@ -428,7 +428,7 @@ def test_fitting_membership_matches_enumeration_oracle():
 
     grp = galois_group(Z3).group
     M = ClassModuleData((3,), grp.orders, {0: [[-1]]}, "synthetic")
-    dual_mod, alg, proj = minus_dual_presentation(Z3, M, 3, 2)
+    dual_mod, proj = minus_dual_presentation(Z3, M, 3, 2)
     fitt = dual_mod.fitting_ideal
     s2 = sigma(Z3, 2)
     for coeffs, expected in (
