@@ -8,9 +8,11 @@ and the conductor; galois_group uses invariant-factor coordinates,
 TowerLevelData the product G x Z/p^n of a tower layer. This module also
 computes CM structure (complex conjugation j and the idempotents e_r), roots
 of unity, cyclotomic-tower layers, the one statement of theta's (S, T) rules
-(admissible_places, read off the conductor) with the Hyp(S,T) test, and the
-character table with exact decomposition/reconstruction. The presentation,
-CM structure and w_L are cached per spec. The elements of Q[G]
+(admissible_places, read off the conductor) with the Hyp(S,T) test, the
+character table with exact decomposition/reconstruction (its logs cached per
+group), and the primitive Dirichlet character of a label (the kernels and
+CRT lifts it reads cached per conductor). The presentation, CM structure and
+w_L are cached per spec. The elements of Q[G]
 (the CM idempotents, the input of decompose and the output of reconstruct)
 are pairs (nums, den) of integer numerators in the basis order of groupring
 over one positive denominator, in lowest terms.
@@ -145,8 +147,8 @@ def conductor(spec: AbelianFieldSpec) -> tuple[int, frozenset[int]]:
     """Minimal modulus f with L inside Q(zeta_f), plus the image fixing subgroup."""
     m = spec.modulus
     for f in divisors(m):
-        kernel = {a for a in unit_residues(m) if (a - 1) % f == 0}
-        if kernel <= spec.fixing:
+        # the kernel of (Z/m)^x -> (Z/f)^x: the units among 1, 1 + f, ... below m
+        if all(a in spec.fixing for a in range(1, m, f) if math.gcd(a, m) == 1):
             return f, frozenset(a % f for a in spec.fixing)
     raise AssertionError("conductor search failed")  # f = m always works
 
@@ -399,25 +401,32 @@ def check_hyp(spec: AbelianFieldSpec, S, T) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 # Characters.
 
+@lru_cache(maxsize=None)
+def _character_logs(group: FiniteAbelianGroup) -> tuple[tuple[int, ...], ...]:
+    """The logs base zeta_e of each character of group, one tuple per label
+    in the order of group.elements(), each in the basis order of groupring;
+    built once per group."""
+    e = group.exponent
+    return tuple(
+        tuple(linear_form(group, [ci * (e // d) for ci, d in zip(c, group.orders)], e))
+        for c in group.elements()
+    )
+
+
 class CharacterTable:
     """All characters of a finite abelian group, stored as logs base zeta_e.
 
     Characters are labelled by exponent vectors c: chi_c(g) = zeta_e^log with
     log = sum_i c_i g_i (e / d_i) mod e, e the exponent of the group. Each
-    label keeps one list of logs in the basis order of groupring.
+    label keeps the tuple of its logs in the basis order of groupring, read
+    from _character_logs.
     """
 
     def __init__(self, group: FiniteAbelianGroup):
         self.group = group
         self.e = group.exponent
         self.labels = list(group.elements())
-        self._logs = {
-            c: linear_form(group, [ci * (self.e // d) for ci, d in zip(c, group.orders)], self.e)
-            for c in self.labels
-        }
-
-    def log(self, label, g) -> int:
-        return self._logs[label][basis_index(self.group)[g]]
+        self._logs = dict(zip(self.labels, _character_logs(group)))
 
     def component(self, x: tuple, label) -> CyclotomicInt:
         """component_chi(x) = sum_g x_g chi(g) for x = (nums, den) in Q[G]:
@@ -487,19 +496,35 @@ class DirichletCharacter:
         )
 
 
-def dirichlet_character(gal: GaloisData, table: CharacterTable, label) -> DirichletCharacter:
-    """Primitivize the character chi_label of Gal(L/Q) to its own conductor."""
-    f = gal.conductor
-    log_f = {a: table.log(label, gal.element_of(a)) for a in unit_residues(f)} if f > 1 else {}
-    fchi = f
-    for d in divisors(f):
-        if all(log_f[a] == 0 for a in unit_residues(f) if (a - 1) % d == 0):
-            fchi = d
-            break
+@lru_cache(maxsize=None)
+def _unit_kernels(f: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(d, the units of Z/f that are 1 mod d) for each divisor d of f,
+    ascending: the kernel of (Z/f)^x -> (Z/d)^x. d = 1 lists every unit."""
+    units = unit_residues(f)
+    return tuple((d, tuple(a for a in units if (a - 1) % d == 0)) for d in divisors(f))
+
+
+@lru_cache(maxsize=None)
+def _crt_lifts(d: int, f: int) -> tuple[tuple[int, int], ...]:
+    """(b, crt_lift(b, d, f)) for each unit b of Z/d: a unit of Z/f over b."""
+    return tuple((b, crt_lift(b, d, f)) for b in unit_residues(d))
+
+
+def dirichlet_character(gal: GaloisData, label) -> DirichletCharacter:
+    """Primitivize the character chi_label of Gal(L/Q) to its own conductor:
+    chi(a) = zeta_e^(sum_i c_i g_i (e / d_i)) for g = element_of(a), e the
+    exponent of the group, on the units of the field's conductor f. Its
+    conductor is the least d | f whose kernel chi kills; its values mod d
+    are read at the CRT lifts to f. Both tables are cached per conductor."""
+    grp = gal.group
+    e = grp.exponent
+    weights = [c * (e // d) for c, d in zip(label, grp.orders, strict=True)]
+    kernels = _unit_kernels(gal.conductor)
+    log_f = {a: sum(w * x for w, x in zip(weights, gal.element_of(a))) % e for a in kernels[0][1]}
+    fchi = next(d for d, kernel in kernels if not any(log_f[a] for a in kernel))
     if fchi == 1:
-        return DirichletCharacter(1, table.e, {})
-    logs = {b: log_f[crt_lift(b, fchi, f)] for b in unit_residues(fchi)}
-    return DirichletCharacter(fchi, table.e, logs)
+        return DirichletCharacter(1, e, {})
+    return DirichletCharacter(fchi, e, {b: log_f[a] for b, a in _crt_lifts(fchi, gal.conductor)})
 
 
 # ---------------------------------------------------------------------------

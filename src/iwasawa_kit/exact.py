@@ -9,8 +9,10 @@ integer numerators over one positive denominator, in lowest terms
 basis order of groupring; padic_from_rational reduces such a pair mod p^N
 with one inverse of den. Q(zeta_n) is CyclotomicInt: numerators in the power
 basis 1, z, ..., z^(phi(n)-1), reduced mod the n-th cyclotomic polynomial in
-the integers. Both character routes (abelian.CharacterTable and the L-values
-of lvalues) build it directly from an integer vector and a denominator.
+the integers: exponents are folded mod n, then each coefficient is read from
+a remainder table of z^i mod Phi_n (0 <= i < n) built once per n. Both
+character routes (abelian.CharacterTable and the L-values of lvalues) build
+it directly from an integer vector and a denominator.
 """
 
 from __future__ import annotations
@@ -136,17 +138,36 @@ def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-def _reduce_mod_cyclotomic(vec, n: int) -> list[int]:
-    """Remainder of a low-first integer polynomial modulo Phi_n, padded to phi(n)."""
+@lru_cache(maxsize=None)
+def _cyclotomic_remainders(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each power-basis index j < phi(n), the pairs (i, c) with
+    0 <= i < n and c != 0 the coefficient of z^j in z^i mod Phi_n, read off
+    z^i = z . z^(i-1) mod Phi_n (monic) one power at a time."""
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
-    work = list(vec)
-    for i in range(len(work) - 1, deg - 1, -1):
-        c = work[i]
-        if c:
-            for j, pj in enumerate(phi):
-                work[i - deg + j] -= c * pj
-    return work[:deg] + [0] * (deg - len(work))
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(deg)]
+    power = [1] + [0] * (deg - 1)  # z^0
+    for i in range(n):
+        for j, c in enumerate(power):
+            if c:
+                rows[j].append((i, c))
+        top = power[-1]  # z . power = shift, then z^deg = -sum_j phi_j z^j
+        power = [0] + power[:-1]
+        if top:
+            power = [a - top * pj for a, pj in zip(power, phi)]
+    return tuple(tuple(row) for row in rows)
+
+
+def _reduce_mod_cyclotomic(vec, n: int) -> list[int]:
+    """Remainder of a low-first integer polynomial modulo Phi_n, of length
+    phi(n): the exponents are folded mod n (Phi_n divides z^n - 1), then
+    each coefficient is read from the remainder table of n."""
+    if len(vec) != n:
+        folded = [0] * n
+        for i, c in enumerate(vec):
+            folded[i % n] += c
+        vec = folded
+    return [sum(c * vec[i] for i, c in row) for row in _cyclotomic_remainders(n)]
 
 
 class CyclotomicInt:

@@ -13,13 +13,17 @@ unit_classes table gives its residue, and each Euler or T-factor
 x - c . translate(x, sigma), never as a full group-ring product. The
 character route (S-truncated Dirichlet L-values at non-positive integers
 through generalized Bernoulli numbers) is an independent cross-check. It
-builds each value of Q(zeta_e) as an integer vector indexed by the exponent
-mod e over one positive denominator, memoizes B_{n,chi} per character and
-n, applies each Euler or delta_T factor (1 - c zeta_e^s) as
-shift-and-subtract, and passes the vector and denominator to CyclotomicInt,
-which reduces mod Phi_e once per character. It classifies residues through
-element_of; only the group-ring route reads unit_classes. The two routes
-share that value type and its normal form, and no helper or cache.
+checks r and (S, T) as theta does, and builds each value of Q(zeta_e) as an
+integer vector indexed by the exponent mod e over one positive denominator.
+Its characters are primitivized from their labels by
+abelian.dirichlet_character, with no CharacterTable. B_{n,chi} buckets the
+Horner values f^n D B_n(a/f), built once per (f, n), by the log of chi(a),
+and is memoized per character and n. Each Euler or delta_T factor
+(1 - c zeta_e^s) is a shift-and-subtract, and the vector and denominator go
+to CyclotomicInt, which reduces mod Phi_e once per character. It classifies
+residues through element_of; only the group-ring route reads unit_classes.
+The two routes share that value type and its normal form, and no helper or
+cache.
 
 Class data are ingested. minus_dual_presentation writes the dual of their
 minus p-part straight from the action matrices (fitting.pontryagin_dual,
@@ -35,7 +39,6 @@ from functools import lru_cache
 from . import groupring, wire
 from .abelian import (
     AbelianFieldSpec,
-    CharacterTable,
     DirichletCharacter,
     FiniteAbelianGroup,
     admissible_places,
@@ -185,26 +188,33 @@ def _bernoulli_cleared(n: int) -> tuple[int, tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
+def _bernoulli_terms(f: int, n: int) -> tuple[tuple[int, int], ...]:
+    """(a mod f, f^n D B_n(a/f)) for each a in 1..f prime to f, D the
+    denominator of _bernoulli_cleared(n): an integer Horner in a, once per
+    (f, n) and shared by every character of conductor f."""
+    _, cleared = _bernoulli_cleared(n)
+    f_pow = [f**j for j in range(n + 1)]
+    out = []
+    for a in range(1, f + 1):
+        if math.gcd(a, f) == 1:
+            acc = 0
+            for j, c in enumerate(reversed(cleared)):  # c_k pairs with f^(n-k)
+                acc = acc * a + c * f_pow[j]
+            out.append((a % f, acc))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def _bernoulli_vector(key: tuple, n: int) -> tuple[tuple[int, ...], int]:
     """B_{n,chi} = f^(n-1) sum_{a=1}^{f} chi(a) B_n(a/f) as (vec, den), for
-    the character with chi.key() = key (Washington, GTM 83, section 4.1)."""
+    the character with chi.key() = key (Washington, GTM 83, section 4.1):
+    the terms of _bernoulli_terms(f, n) bucketed by the log of chi(a)."""
     f, e, items = key
-    logs = dict(items)
-    den, cleared = _bernoulli_cleared(n)
-    f_pow = [f**j for j in range(n + 1)]
+    logs = dict(items) or {0: 0}  # the trivial character of conductor 1
     vec = [0] * e
-    for a in range(1, f + 1):
-        if f == 1:
-            t = 0
-        elif math.gcd(a, f) == 1:
-            t = logs[a % f]
-        else:
-            continue
-        acc = 0
-        for j, c in enumerate(reversed(cleared)):  # Horner in a, c_k paired with f^(n-k)
-            acc = acc * a + c * f_pow[j]
-        vec[t] += acc
-    return tuple(vec), f * den
+    for b, value in _bernoulli_terms(f, n):
+        vec[logs[b]] += value
+    return tuple(vec), f * _bernoulli_cleared(n)[0]
 
 
 def _one_minus(vec: list[int], s: int, c: int) -> list[int]:
@@ -226,31 +236,27 @@ def _l_vector(chi: DirichletCharacter, s_fin, r: int) -> tuple[list[int], int]:
 
 @lru_cache(maxsize=None)
 def _characters(spec: AbelianFieldSpec) -> tuple:
-    """(label, chi, contragredient of chi) for each character of Gal(L/Q)."""
+    """(label, chi, contragredient of chi) for each character of Gal(L/Q),
+    labels in the order of the group's elements."""
     gal = galois_group(spec)
-    table = CharacterTable(gal.group)
-    chars = (dirichlet_character(gal, table, label) for label in table.labels)
-    return tuple((label, chi, chi.contragredient()) for label, chi in zip(table.labels, chars))
+    chars = ((label, dirichlet_character(gal, label)) for label in gal.group.elements())
+    return tuple((label, chi, chi.contragredient()) for label, chi in chars)
 
 
 def theta_character_side(spec: AbelianFieldSpec, S, T, r: int) -> dict:
     """chi-components of Theta_{S,T}(r) computed purely through L-values:
-    component_chi = delta_T(r, chi) . L_S(r, contragredient chi)."""
+    component_chi = delta_T(r, chi) . L_S(r, contragredient chi). r <= 0 and
+    the (S, T) rules (abelian.admissible_places) are checked first, as theta
+    checks them, so no prime of T divides a character's conductor."""
     if r > 0:
         raise ValueError(f"L-values only at r <= 0, got {r}")
-    s_fin, s_inf = normalize_places(S)
-    if not s_inf:
-        raise ValueError("S must contain the infinite place")
-    t_fin, _ = normalize_places(T)
+    s_fin, t_fin = admissible_places(spec, S, T)
     out = {}
     for label, chi, chi_bar in _characters(spec):
         vec, den = _l_vector(chi_bar, s_fin, r)
         for v in sorted(t_fin):
             # det(1 - Nv^(1-r) sigma_v^(-1) | V_chi): chi(sigma_v^(-1)) = chi(v)^(-1)
-            t = chi.log_of(v)
-            if t is None:
-                raise ValueError(f"T-prime {v} ramifies for a character of the field")
-            vec = _one_minus(vec, -t, v ** (1 - r))
+            vec = _one_minus(vec, -chi.log_of(v), v ** (1 - r))
         out[label] = CyclotomicInt(chi.order, vec, den)
     return out
 

@@ -1,11 +1,17 @@
 """Algebras, ring helpers, the closed-form dual of a finite abelian group
-with an action, and the field arithmetic of Q(zeta_n) that only the tests
-use."""
+with an action, the field arithmetic of Q(zeta_n) and the character log of
+one group element that only the tests use."""
 
 from fractions import Fraction
 
 from iwasawa_kit.exact import CyclotomicInt
 from iwasawa_kit.fitting import FiniteCommAlgebra, FinPresModule
+from iwasawa_kit.groupring import basis_index
+
+
+def character_log(tab, label, g) -> int:
+    """The log base zeta_e of chi_label(g), read from the CharacterTable tab."""
+    return tab._logs[label][basis_index(tab.group)[g]]
 
 
 class Cyclotomic(CyclotomicInt):

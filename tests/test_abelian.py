@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from algebra_helpers import Cyclotomic
+from algebra_helpers import Cyclotomic, character_log
 from fraction_route import as_fractions, as_pair, rational_value
 
 from iwasawa_kit.abelian import (
@@ -15,6 +15,7 @@ from iwasawa_kit.abelian import (
     CharacterTable,
     DirichletCharacter,
     FiniteAbelianGroup,
+    PlacesError,
     TowerLevelData,
     check_hyp,
     cm_data,
@@ -28,7 +29,7 @@ from iwasawa_kit.abelian import (
 from iwasawa_kit.exact import CyclotomicInt
 from iwasawa_kit.groupring import linear_form, mul, mul_table, translate
 from iwasawa_kit.linalg import smith_normal_form
-from iwasawa_kit.lvalues import theta
+from iwasawa_kit.lvalues import theta, theta_character_side
 from iwasawa_kit.tower import theta_tower
 
 Q = Fraction
@@ -55,7 +56,8 @@ def idempotent(tab, label):
     """e(chi) = (1/|G|) sum_g chi(g^(-1)) g, Cyclotomic coefficients."""
     inv_size = Q(1, tab.group.size)
     return tuple(
-        Cyclotomic.zeta(tab.e, -tab.log(label, g)) * inv_size for g in tab.group.elements()
+        Cyclotomic.zeta(tab.e, -character_log(tab, label, g)) * inv_size
+        for g in tab.group.elements()
     )
 
 
@@ -250,8 +252,8 @@ def test_check_hyp_examples():
 
 def test_theta_and_theta_tower_refuse_each_place_rule_in_check_hyps_words():
     """One statement of the (S, T) rules: for each rule broken, check_hyp's
-    reason is the message theta (on a spec or on its presentation) and
-    theta_tower raise."""
+    reason is the message of the PlacesError that theta (on a spec or on its
+    presentation), theta_character_side and theta_tower raise."""
     z3 = AbelianFieldSpec.cyclotomic(3)
     reasons = set()
     for S, T in (([3, OO], [7, OO]), ([3], [7]), ([OO], [7]), ([3, 7, OO], [7])):
@@ -259,8 +261,9 @@ def test_theta_and_theta_tower_refuse_each_place_rule_in_check_hyps_words():
         assert not ok
         reasons.add(reason)
         for run in (lambda: theta(z3, S, T, 0), lambda: theta(galois_group(z3), S, T, 0),
+                    lambda: theta_character_side(z3, S, T, 0),
                     lambda: theta_tower(z3, S, T, 3, 2, 1, 0)):
-            with pytest.raises(ValueError) as refused:
+            with pytest.raises(PlacesError) as refused:
                 run()
             assert str(refused.value) == reason, (S, T)
     assert len(reasons) == 4
@@ -270,7 +273,7 @@ def test_character_table_orthogonality():
     grp = FiniteAbelianGroup((2, 4))
     tab = CharacterTable(grp)
     def value(label, g):
-        return Cyclotomic.zeta(tab.e, tab.log(label, g))
+        return Cyclotomic.zeta(tab.e, character_log(tab, label, g))
 
     for c1 in tab.labels:
         for c2 in tab.labels:
@@ -340,10 +343,10 @@ def test_basis_order_of_logs_and_products():
         ]
         tab = CharacterTable(grp)
         for label in tab.labels:
-            assert tab._logs[label] == [
+            assert tab._logs[label] == tuple(
                 sum(c * x * (tab.e // d) for c, x, d in zip(label, g, orders)) % tab.e
                 for g in elems
-            ]
+            )
         index = {g: i for i, g in enumerate(elems)}
         assert mul_table(grp) == tuple(
             tuple(index[grp.mul(g, h)] for h in elems) for g in elems
@@ -380,7 +383,7 @@ def test_dirichlet_character_primitivization():
     gal = galois_group(spec)
     tab = CharacterTable(gal.group)
     nontriv = [c for c in tab.labels if c != tab.labels[0]]
-    chi = dirichlet_character(gal, tab, nontriv[0])
+    chi = dirichlet_character(gal, nontriv[0])
     assert chi.conductor == 3
     assert chi.log_of(-1) != 0  # odd
     assert chi.order == 2 and chi.log_of(2) == 1  # chi(2) = -1

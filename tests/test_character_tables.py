@@ -1,0 +1,199 @@
+"""The former forms of the character route's tables, kept as oracles of the
+tables that are built once: the long division by Phi_n that the remainder
+table replaced, the primitivization that read chi(a) from a CharacterTable
+and formed its kernels and CRT lifts again per character, the
+per-character Horner of B_{n,chi} over every residue mod f, and the
+conductor search that listed the units mod m once per divisor."""
+
+import math
+import random
+
+import pytest
+from algebra_helpers import character_log
+
+from iwasawa_kit import abelian, lvalues
+from iwasawa_kit.abelian import (
+    AbelianFieldSpec,
+    CharacterTable,
+    DirichletCharacter,
+    conductor,
+    dirichlet_character,
+    galois_group,
+)
+from iwasawa_kit.campaigns import corpus_cm_specs
+from iwasawa_kit.exact import _reduce_mod_cyclotomic, cyclotomic_polynomial
+from iwasawa_kit.lvalues import _bernoulli_cleared, _bernoulli_vector, theta, theta_character_side
+from iwasawa_kit.numutil import crt_lift, divisors, unit_residues
+
+OO = "oo"
+
+
+def reduce_mod_cyclotomic_reference(vec, n):
+    """Long division of a low-first integer polynomial by Phi_n."""
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
+    work = list(vec)
+    for i in range(len(work) - 1, deg - 1, -1):
+        c = work[i]
+        if c:
+            for j, pj in enumerate(phi):
+                work[i - deg + j] -= c * pj
+    return work[:deg] + [0] * (deg - len(work))
+
+
+def test_remainder_table_matches_the_long_division():
+    rng = random.Random(34)
+    for n in range(1, 61):
+        for length in sorted({0, 1, n // 2, n - 1, n, n + 1, 2 * n + 3, 3 * n}):
+            vec = [rng.randint(-50, 50) for _ in range(length)]
+            assert _reduce_mod_cyclotomic(vec, n) == reduce_mod_cyclotomic_reference(vec, n), (
+                n, length)
+
+
+def dirichlet_character_reference(gal, table, label):
+    """chi_label primitivized through the table: chi(a) read at element_of(a)
+    from the CharacterTable, the kernel of each d | f and the CRT lifts
+    formed again. Conductor f > 1."""
+    f = gal.conductor
+    log_f = {a: character_log(table, label, gal.element_of(a)) for a in unit_residues(f)}
+    fchi = f
+    for d in divisors(f):
+        if all(log_f[a] == 0 for a in unit_residues(f) if (a - 1) % d == 0):
+            fchi = d
+            break
+    if fchi == 1:
+        return DirichletCharacter(1, table.e, {})
+    logs = {b: log_f[crt_lift(b, fchi, f)] for b in unit_residues(fchi)}
+    return DirichletCharacter(fchi, table.e, logs)
+
+
+def non_corpus_specs():
+    """Maximal real subfields, real quadratic fields, and fields whose
+    modulus is a proper multiple of the conductor."""
+    specs = [AbelianFieldSpec(m, frozenset({1, m - 1}), f"Q(zeta_{m})+")
+             for m in (5, 7, 8, 9, 12, 13, 15, 16, 20, 21, 24)]
+    specs += [AbelianFieldSpec(5, frozenset({1, 4}), "Q(sqrt5)"),
+              AbelianFieldSpec(8, frozenset({1, 7}), "Q(sqrt2)"),
+              AbelianFieldSpec(12, frozenset({1, 11}), "Q(sqrt3)"),
+              AbelianFieldSpec(13, frozenset({1, 3, 4, 9, 10, 12}), "Q(sqrt13)")]
+    specs += [AbelianFieldSpec(15, frozenset({1, 4, 7, 13}), "Q(zeta_3) in 15"),
+              AbelianFieldSpec(24, frozenset({1, 5, 13, 17}), "Q(i) in 24")]
+    return specs
+
+
+def characters_to_check():
+    for spec in corpus_cm_specs(24) + non_corpus_specs():
+        gal = galois_group(spec)
+        yield spec, gal, CharacterTable(gal.group)
+
+
+def test_primitivization_matches_the_table_route():
+    conductors = set()
+    for spec, gal, table in characters_to_check():
+        assert gal.conductor > 1, spec.label
+        for label in table.labels:
+            chi = dirichlet_character(gal, label)
+            assert chi.key() == dirichlet_character_reference(gal, table, label).key(), (
+                spec.label, label)
+            conductors.add(chi.conductor)
+    assert {1, 3, 4, 5, 8, 12} <= conductors
+
+
+@pytest.mark.parametrize("spec", [AbelianFieldSpec.rationals(),
+                                  AbelianFieldSpec(4, frozenset({1, 3}))], ids=["Q", "Q in 4"])
+def test_a_field_of_conductor_one_has_one_trivial_character(spec):
+    gal = galois_group(spec)
+    assert [dirichlet_character(gal, label).key() for label in gal.group.elements()] == [
+        (1, 1, ())]
+    for r in (0, -1, -2):
+        components = theta_character_side(spec, [OO], [2], r)
+        assert CharacterTable(gal.group).decompose(theta(spec, [OO], [2], r).value) == components
+
+
+def bernoulli_vector_reference(key, n):
+    """B_{n,chi} as (vec, den) by one Horner pass per character over every
+    residue mod f."""
+    f, e, items = key
+    logs = dict(items)
+    den, cleared = _bernoulli_cleared(n)
+    f_pow = [f**j for j in range(n + 1)]
+    vec = [0] * e
+    for a in range(1, f + 1):
+        if f == 1:
+            t = 0
+        elif math.gcd(a, f) == 1:
+            t = logs[a % f]
+        else:
+            continue
+        acc = 0
+        for j, c in enumerate(reversed(cleared)):
+            acc = acc * a + c * f_pow[j]
+        vec[t] += acc
+    return tuple(vec), f * den
+
+
+def test_bernoulli_vector_matches_the_per_character_horner():
+    keys = {chi.key() for spec in corpus_cm_specs(24) + non_corpus_specs()
+            for _, chi, chi_bar in lvalues._characters(spec) for chi in (chi, chi_bar)}
+    keys.add((1, 1, ()))
+    assert len(keys) > 50
+    for key in sorted(keys):
+        for n in (1, 2, 3, 4):
+            assert _bernoulli_vector(key, n) == bernoulli_vector_reference(key, n), (key, n)
+
+
+def test_the_character_route_reads_no_character_table(monkeypatch):
+    """theta_character_side builds every character without the logs of the
+    group-ring route's CharacterTable."""
+    specs = corpus_cm_specs(24)
+    expected = [theta_character_side(spec, [*sorted(abelian.ramified_primes(spec)), OO], [], 0)
+                for spec in specs]
+
+    def refuse(*args):
+        pytest.fail("the character route read a character table")
+
+    monkeypatch.setattr(abelian, "_character_logs", refuse)
+    monkeypatch.setattr(abelian, "linear_form", refuse)
+    lvalues._characters.cache_clear()
+    got = [theta_character_side(spec, [*sorted(abelian.ramified_primes(spec)), OO], [], 0)
+           for spec in specs]
+    assert got == expected
+
+
+def conductor_reference(spec):
+    """The least f | m whose kernel (Z/m)^x -> (Z/f)^x lies in the fixing
+    group, the units mod m listed again for each divisor."""
+    m = spec.modulus
+    for f in divisors(m):
+        kernel = {a for a in unit_residues(m) if (a - 1) % f == 0}
+        if kernel <= spec.fixing:
+            return f, frozenset(a % f for a in spec.fixing)
+    raise AssertionError("conductor search failed")
+
+
+def subgroup(m, gens):
+    """The subgroup of (Z/m)^x generated by gens."""
+    group = {1 % m}
+    frontier = list(group)
+    while frontier:
+        a = frontier.pop()
+        for g in gens:
+            b = a * g % m
+            if b not in group:
+                group.add(b)
+                frontier.append(b)
+    return frozenset(group)
+
+
+def test_conductor_matches_the_per_divisor_scan():
+    rng = random.Random(34)
+    checked = 0
+    for m in range(1, 121):
+        units = unit_residues(m)
+        choices = [[], [m - 1], [a * a % m for a in units]]
+        choices += [rng.sample(units, min(k, len(units))) for k in (1, 1, 2)]
+        for gens in choices:
+            spec = AbelianFieldSpec(m, subgroup(m, gens))
+            assert conductor(spec) == conductor_reference(spec), (m, sorted(spec.fixing))
+            checked += 1
+    assert checked == 6 * 120

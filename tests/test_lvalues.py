@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from algebra_helpers import Cyclotomic
+from algebra_helpers import Cyclotomic, character_log
 from fraction_route import as_fractions, as_pair, cyclotomic_from_powers, rational_value
 
 from iwasawa_kit.abelian import (
@@ -20,9 +20,11 @@ from iwasawa_kit.abelian import (
     dirichlet_character,
     galois_group,
     normalize_places,
+    ramified_primes,
 )
 from iwasawa_kit.campaigns import corpus_cm_specs, corpus_st_choices
 from iwasawa_kit.exact import (
+    CyclotomicInt,
     bernoulli_polynomial,
     padic_from_rational,
     poly_eval,
@@ -31,6 +33,7 @@ from iwasawa_kit.groupring import basis_index, from_json, mul, push, sharp, tran
 from iwasawa_kit.lvalues import (
     ClassModuleData,
     StickelbergerElement,
+    _bernoulli_vector,
     _mat_power,
     annihilation_check,
     fitting_membership_check,
@@ -182,16 +185,19 @@ def test_p_integrality():
 
 def test_dirichlet_l_examples():
     # with T empty the chi-component of theta is L_S(r, contragredient chi);
-    # both characters of Q(zeta_3) are their own contragredients
+    # both characters of Q(zeta_3) are their own contragredients. Over Q,
+    # where S = {oo} holds every ramified prime, it is zeta(0).
+    components = theta_character_side(AbelianFieldSpec.rationals(), [OO], [], 0)
+    assert {label: rational_value(c) for label, c in components.items()} == {(): Q(-1, 2)}
     triv, nontriv = CharacterTable(galois_group(Z3).group).labels
-    assert rational_value(theta_character_side(Z3, [OO], [], 0)[triv]) == Q(-1, 2)
     assert rational_value(theta_character_side(Z3, [3, OO], [], 0)[nontriv]) == Q(1, 3)
     assert rational_value(theta_character_side(Z3, [3, OO], [], 0)[triv]) == 0
 
 
 def test_l_values_reproduce_imaginary_quadratic_class_numbers():
     # L(0, chi_d) = (2/w) h(Q(sqrt(-d))) for the odd quadratic character of
-    # conductor d: published class numbers are the oracle.
+    # conductor d: published class numbers are the oracle. S holds oo and the
+    # primes of d, whose Euler factors are 1 as chi_d vanishes there.
     from iwasawa_kit.abelian import dirichlet_character
 
     table = {
@@ -205,10 +211,11 @@ def test_l_values_reproduce_imaginary_quadratic_class_numbers():
         spec = AbelianFieldSpec(f, fixing)
         gal = galois_group(spec)
         tab = CharacterTable(gal.group)
-        chi = dirichlet_character(gal, tab, tab.labels[1])
+        chi = dirichlet_character(gal, tab.labels[1])
         assert chi.conductor == f and chi.log_of(-1) != 0  # odd
         # chi is quadratic, its own contragredient
-        assert rational_value(theta_character_side(spec, [OO], [], 0)[tab.labels[1]]) == expected
+        S = [*sorted(ramified_primes(spec)), OO]
+        assert rational_value(theta_character_side(spec, S, [], 0)[tab.labels[1]]) == expected
 
 
 def test_character_cross_validation_small():
@@ -263,7 +270,7 @@ def oracle_theta_character_side(spec, S, T, r):
     t_fin, _ = normalize_places(T)
     out = {}
     for label in table.labels:
-        chi = dirichlet_character(gal, table, label)
+        chi = dirichlet_character(gal, label)
         lval = oracle_dirichlet_l_nonpos(chi.contragredient(), S, r)
         for v in sorted(t_fin):
             one = Cyclotomic.from_rational(chi.order, Q(1))
@@ -279,37 +286,38 @@ def corpus_characters():
     for spec in corpus_cm_specs(24):
         gal = galois_group(spec)
         table = CharacterTable(gal.group)
-        chars = {label: dirichlet_character(gal, table, label) for label in table.labels}
+        chars = {label: dirichlet_character(gal, label) for label in table.labels}
         S, T = max(corpus_st_choices(spec), key=lambda st: len(st[0]) + len(st[1]))
         yield spec, chars, (S, T)
 
 
 def test_character_route_matches_cyclotomic_oracle():
     # r = -3 is outside the acceptance campaign. With T empty the components
-    # are the L-values L_S(r, contragredient chi); with S = {oo} and r = 1 - n
-    # they are -B_{n, contragredient chi}/n, checked at n = 1..4.
+    # are the L-values L_S(r, contragredient chi), checked with S = S_ram + oo
+    # at r = 1 - n for n = 1..4, and B_{n,chi} itself is checked at each n.
     for spec, chars, (S, T) in corpus_characters():
         for r in (0, -3):
             got = theta_character_side(spec, S, T, r)
             assert got == oracle_theta_character_side(spec, S, T, r), (spec.label, S, T, r)
             assert theta_character_side(spec, S, [], r) == oracle_theta_character_side(spec, S, [], r)
+        s_ram = [*sorted(ramified_primes(spec)), OO]
         for n in (1, 2, 3, 4):
-            expected = {label: oracle_generalized_bernoulli(chi.contragredient(), n) * Q(-1, n)
-                        for label, chi in chars.items()}
-            assert theta_character_side(spec, [OO], [], 1 - n) == expected, (spec.label, n)
+            got = theta_character_side(spec, s_ram, [], 1 - n)
+            assert got == oracle_theta_character_side(spec, s_ram, [], 1 - n), (spec.label, n)
+            for chi in chars.values():
+                b = CyclotomicInt(chi.order, *_bernoulli_vector(chi.key(), n))
+                assert b == oracle_generalized_bernoulli(chi, n), (spec.label, chi.key(), n)
 
 
 def test_generalized_bernoulli_parity_vanishing():
-    # B_{n,chi} = 0 whenever chi(-1) != (-1)^n and chi is nontrivial; read as
-    # -n L(1 - n, chi), the component of contragredient chi at S = {oo}, T
-    # empty (a character and its contragredient share conductor and parity).
+    # B_{n,chi} = 0 whenever chi(-1) != (-1)^n and chi is nontrivial.
     seen = 0
-    for spec, chars, _ in corpus_characters():
-        for label, chi in chars.items():
+    for _, chars, _ in corpus_characters():
+        for chi in chars.values():
             if chi.conductor == 1:
                 continue
             for n in range(1, 7):
-                b = theta_character_side(spec, [OO], [], 1 - n)[label]
+                b = CyclotomicInt(chi.order, *_bernoulli_vector(chi.key(), n))
                 if (chi.log_of(-1) != 0) == (n % 2 == 0):  # chi odd and n even
                     assert rational_value(b) == 0, (chi, n)
                     seen += 1
@@ -351,7 +359,7 @@ def test_parity_vanishing_via_characters():
             comps = theta_character_side(spec, S, [], r)
             # complementary parity: chi with chi(j) = (-1)^r
             want = 0 if r % 2 == 0 else tab.e // 2
-            complementary = [c for c in tab.labels if tab.log(c, cm.j) == want]
+            complementary = [c for c in tab.labels if character_log(tab, c, cm.j) == want]
             assert all(rational_value(comps[c]) == 0 for c in complementary)
             th, _ = theta(spec, S, [], r).value
             projector = element(grp, {grp.identity: 1, cm.j: 1 if r % 2 == 0 else -1})
