@@ -8,11 +8,12 @@ and the conductor; galois_group uses invariant-factor coordinates,
 TowerLevelData the product G x Z/p^n of a tower layer. This module also
 computes CM structure (complex conjugation j and the idempotents e_r), roots
 of unity, cyclotomic-tower layers, the one statement of theta's (S, T) rules
-(admissible_places, read off the conductor) with the Hyp(S,T) test, the
-character table with exact decomposition/reconstruction (its logs cached per
-group), and the primitive Dirichlet character of a label (the kernels and
-CRT lifts it reads cached per conductor). The presentation, CM structure and
-w_L are cached per spec. The elements of Q[G]
+(admissible_places, read off the conductor) with the Hyp(S,T) test (those
+rules, then roots_of_unity_rule), the character table with exact
+decomposition/reconstruction (its logs cached per group), and the primitive
+Dirichlet character of a label (the kernels and CRT lifts it reads cached
+per conductor). The presentation, CM structure, ramified primes and w_L are
+cached per spec. The elements of Q[G]
 (the CM idempotents, the input of decompose and the output of reconstruct)
 are pairs (nums, den) of integer numerators in the basis order of groupring
 over one positive denominator, in lowest terms.
@@ -153,9 +154,11 @@ def conductor(spec: AbelianFieldSpec) -> tuple[int, frozenset[int]]:
     raise AssertionError("conductor search failed")  # f = m always works
 
 
-def ramified_primes(spec: AbelianFieldSpec) -> set[int]:
+@lru_cache(maxsize=None)
+def ramified_primes(spec: AbelianFieldSpec) -> frozenset[int]:
+    """The primes dividing the conductor, factored once per spec."""
     f, _ = conductor(spec)
-    return set(factorize(f)) if f > 1 else set()
+    return frozenset(factorize(f)) if f > 1 else frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -378,24 +381,29 @@ def admissible_places(spec: AbelianFieldSpec, S, T) -> tuple[set[int], set[int]]
     return s_fin, t_fin
 
 
-def check_hyp(spec: AbelianFieldSpec, S, T) -> tuple[bool, str]:
-    """Hyp(S,T): the places fit theta (admissible_places; a broken rule is
-    (False, its message), a malformed place raises), and no nontrivial root of
-    unity of L is 1 mod every prime of T.
+def roots_of_unity_rule(spec: AbelianFieldSpec, t_fin) -> tuple[bool, str]:
+    """The roots-of-unity half of Hyp(S,T): no nontrivial root of unity of L
+    is 1 mod every prime of t_fin, as (verdict, reason).
 
-    The last condition holds iff every prime ell dividing w_L sees some v in T
-    of residue characteristic != ell (mu_ell injects into residue fields away
-    from ell).
+    It holds iff every prime ell dividing w_L sees some v in t_fin of residue
+    characteristic != ell (mu_ell injects into residue fields away from ell).
     """
-    try:
-        _, t_fin = admissible_places(spec, S, T)
-    except PlacesError as exc:
-        return False, str(exc)
     w = roots_of_unity_order(spec)
     for ell in factorize(w):
         if not any(v != ell for v in t_fin):
             return False, f"every prime of T has residue characteristic {ell} | w_L = {w}"
     return True, "ok"
+
+
+def check_hyp(spec: AbelianFieldSpec, S, T) -> tuple[bool, str]:
+    """Hyp(S,T): the places fit theta (admissible_places; a broken rule is
+    (False, its message), a malformed place raises), and then
+    roots_of_unity_rule on the finite primes of T."""
+    try:
+        _, t_fin = admissible_places(spec, S, T)
+    except PlacesError as exc:
+        return False, str(exc)
+    return roots_of_unity_rule(spec, t_fin)
 
 
 # ---------------------------------------------------------------------------

@@ -6,28 +6,29 @@ zeta_S(r, sigma) sigma^(-1) as the pair (nums, den) of Q[G]. r <= 0 and its
 (S, T) rules (abelian.admissible_places) are checked once per call on the
 spec before the Galois group is looked up or built. The value has integer
 numerators in the basis order of groupring over one positive denominator
-in lowest terms. The partial zeta values come from an integer Horner of the
-cleared B_k(x), each added at the basis index that the presentation's
-unit_classes table gives its residue, and each Euler or T-factor
-(1 - c sigma), c an integer, is applied to the numerators as
-x - c . translate(x, sigma), never as a full group-ring product. The
-character route (S-truncated Dirichlet L-values at non-positive integers
-through generalized Bernoulli numbers) is an independent cross-check. It
-checks r and (S, T) as theta does, and builds each value of Q(zeta_e) as an
-integer vector indexed by the exponent mod e over one positive denominator.
-Its characters are primitivized from their labels by
-abelian.dirichlet_character, with no CharacterTable. B_{n,chi} buckets the
-Horner values f^n D B_n(a/f), built once per (f, n), by the log of chi(a),
-and is memoized per character and n. Each Euler or delta_T factor
+in lowest terms. The partial zeta values are read from a table of integer
+Horner values of the cleared B_k(x), built once per (f, k), each added at
+the basis index that the presentation's unit_classes table gives its
+residue, and each Euler or T-factor (1 - c sigma), c an integer, is applied
+to the numerators as x - c . translate(x, sigma), never as a full
+group-ring product. The character route (S-truncated Dirichlet L-values at
+non-positive integers through generalized Bernoulli numbers) is an
+independent cross-check. It checks r and (S, T) as theta does, and builds
+each value of Q(zeta_e) as an integer vector indexed by the exponent mod e
+over one positive denominator. Its characters are primitivized from their
+labels by abelian.dirichlet_character, with no CharacterTable. B_{n,chi}
+buckets the Horner values f^n D B_n(a/f), built once per (f, n), by the log
+of chi(a), and is memoized per character and n. Each Euler or delta_T factor
 (1 - c zeta_e^s) is a shift-and-subtract, and the vector and denominator go
 to CyclotomicInt, which reduces mod Phi_e once per character. It classifies
 residues through element_of; only the group-ring route reads unit_classes.
 The two routes share that value type and its normal form, and no helper or
 cache.
 
-Class data are ingested. minus_dual_presentation writes the dual of their
-minus p-part straight from the action matrices (fitting.pontryagin_dual,
-the kernel route, is its test oracle).
+Class data are ingested. theta acts on them through one walk of the group,
+one generator product per element. minus_dual_presentation writes the dual
+of their minus p-part straight from the action matrices
+(fitting.pontryagin_dual, the kernel route, is its test oracle).
 """
 
 from __future__ import annotations
@@ -82,7 +83,8 @@ def partial_zeta_vector(spec_or_pres, S, r: int) -> tuple[tuple[int, ...], int]:
     zeta(r, sigma_a) = sum_{b = a mod f} f^(-r) zeta(r, b/f) with
     zeta(r, x) = -B_k(x)/k, k = 1 - r. Over the least common denominator D of
     B_k(x) = sum_i c_i x^i, each term is -sum_i D c_i b^i f^(k-i) over f D k,
-    so every value is an integer over that one denominator. Each extra
+    so every value is an integer over that one denominator; the numerators
+    are read from a table built once per (f, k). Each extra
     unramified prime v in S applies zeta_{S+v}(s) = zeta_S(s) - Nv^(-s)
     zeta_S(s sigma_v^(-1)).
     """
@@ -93,21 +95,36 @@ def partial_zeta_vector(spec_or_pres, S, r: int) -> tuple[tuple[int, ...], int]:
     f = pres.conductor
     grp = pres.group
     k = 1 - r
-    coeffs = bernoulli_polynomial(k)
-    den = math.lcm(*(c.denominator for c in coeffs))
-    cleared = [c.numerator * (den // c.denominator) for c in reversed(coeffs)]
-    f_pow = [f**j for j in range(k + 1)]
+    den, values = _zeta_numerators(f, k)
     nums = [0] * grp.size
-    for b, i in pres.unit_classes:
-        acc = 0
-        for j, c in enumerate(cleared):  # Horner in b: D c_i pairs with f^(k-i)
-            acc = acc * b + c * f_pow[j]
-        nums[i] -= acc
+    for (_, i), value in zip(pres.unit_classes, values, strict=True):
+        nums[i] += value
     x = tuple(nums)
     for v in sorted(s_fin):
         if f % v:  # unramified
             x = _times_one_minus(x, grp, pres.frobenius(v), v ** (-r))
     return lowest_terms(x, f * den * k)
+
+
+@lru_cache(maxsize=None)
+def _zeta_numerators(f: int, k: int) -> tuple[int, tuple[int, ...]]:
+    """(D, (-f^k D B_k(b/f), ...)) for each unit residue b of Z/f ascending
+    (b = 1 at f = 1), the order of a presentation's unit_classes: an integer
+    Horner in b over the least common denominator D of B_k(x), once per
+    (f, k). The group-ring route's own table; the character route keeps its
+    Bernoulli values apart."""
+    coeffs = bernoulli_polynomial(k)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    cleared = [c.numerator * (den // c.denominator) for c in reversed(coeffs)]
+    f_pow = [f**j for j in range(k + 1)]
+    values = []
+    for b in range(1, f + 1):
+        if math.gcd(b, f) == 1:
+            acc = 0
+            for j, c in enumerate(cleared):  # Horner in b: D c_i pairs with f^(k-i)
+                acc = acc * b + c * f_pow[j]
+            values.append(-acc)
+    return den, tuple(values)
 
 
 def _times_one_minus(x: tuple, group, sigma, c: int) -> tuple:
@@ -342,27 +359,36 @@ class ClassModuleData:
             out *= d
         return out
 
-    def action_of(self, g: tuple[int, ...]) -> list[list[int]]:
-        k = len(self.orders)
-        out = _mat_identity(k)
-        for t, e in enumerate(g):
-            out = _mat_mul(out, _mat_power(self.action[t], e % self.group_orders[t], self.orders), k)
-        return out
-
     def theta_matrix(self, x: tuple, group: FiniteAbelianGroup) -> list[list[int]]:
-        """sum_g x_g . action(g) for x = (nums, 1) in Z[G], exact integer matrix."""
+        """sum_g x_g . action(g) for x = (nums, 1) in Z[G], an integer matrix
+        equal mod the orders to the exact sum. One walk of the group in the
+        basis order (the last coordinate runs fastest): prefix[t] is the
+        action of the first t coordinates of g, so each step multiplies the
+        prefix of the coordinate it advances by that generator's matrix once
+        and reduces it mod the orders (exact, as in _mat_power)."""
         nums, den = x
         if den != 1:
             raise ValueError("annihilation needs integral coefficients")
-        k = len(self.orders)
+        k, orders = len(self.orders), group.orders
+        gens = [_mat_reduce(self.action[t], self.orders) for t in range(len(orders))]
+        prefix = [_mat_reduce(_mat_identity(k), self.orders)] * (len(orders) + 1)
+        digits = [0] * len(orders)
         out = [[0] * k for _ in range(k)]
-        for g, c in zip(group.elements(), nums):
-            if not c:
-                continue
-            A = self.action_of(g)
-            for i in range(k):
-                for j in range(k):
-                    out[i][j] += c * A[i][j]
+        for c in nums:
+            if c:
+                A = prefix[-1]
+                for i in range(k):
+                    for j in range(k):
+                        out[i][j] += c * A[i][j]
+            t = len(orders) - 1  # the coordinate the walk advances
+            while t >= 0 and digits[t] == orders[t] - 1:
+                digits[t] = 0
+                t -= 1
+            if t < 0:
+                break
+            digits[t] += 1
+            step = _mat_reduce(_mat_mul(prefix[t + 1], gens[t], k), self.orders)
+            prefix[t + 1:] = [step] * (len(orders) - t)
         return out
 
     @classmethod

@@ -14,6 +14,10 @@ A level's theta is computed once as the pair (nums, den) of Q[G_n] and
 reduced mod p^N with one inverse of den (exact.padic_from_rational), after
 the check that p does not divide den.
 
+Each layer's cyclotomic twist factors chi_cyc(g)^r mod p^N are a table
+built once per (level, r, p^N). The places are checked once per tower, on
+the base field; per layer only the roots-of-unity rule of Hyp(S,T) is read.
+
 Lambda(G) is represented only through coherent families of finite-level
 elements: a tower is accepted exactly when adjacent aug projections match,
 and the equivariant Kummer congruence compares a twisted tower against the
@@ -31,8 +35,8 @@ from .abelian import (
     AbelianFieldSpec,
     TowerLevelData,
     admissible_places,
-    check_hyp,
     cm_data,
+    roots_of_unity_rule,
 )
 from .exact import padic_from_rational
 from .fitting import Vec
@@ -77,9 +81,13 @@ def twist(x: Vec, r: int, level: TowerLevelData, N: int) -> Vec:
     if r == 0:
         return x
     q = level.p**N
-    return tuple(
-        c * pow(level.chi_cyc_of(g), r, q) % q for g, c in zip(level.group.elements(), x)
-    )
+    return tuple(c * u % q for c, u in zip(x, _twist_factors(level, r, q)))
+
+
+@lru_cache(maxsize=None)
+def _twist_factors(level: TowerLevelData, r: int, q: int) -> tuple[int, ...]:
+    """chi_cyc(g)^r mod q for each g in the basis order, once per (level, r, q)."""
+    return tuple(pow(level.chi_cyc_of(g), r, q) for g in level.group.elements())
 
 
 # ---------------------------------------------------------------------------
@@ -146,18 +154,22 @@ class TowerElement:
         )
 
 
-def tower_preconditions(spec: AbelianFieldSpec, S, T, p: int, N: int, n_max: int) -> None:
+def tower_preconditions(
+    spec: AbelianFieldSpec, S, T, p: int, N: int, n_max: int
+) -> tuple[set[int], set[int]]:
     """p odd, N >= 1, n_max >= 0, and the places fit theta on the base field
     (abelian.admissible_places) with p in S, since p ramifies in the tower:
     theta_tower checks them before it builds a level, `tower --data` on the
-    replayed tower."""
+    replayed tower. Returns the finite primes (s_fin, t_fin) of S and T.
+    Only p ramifies up the tower, so the places then fit every level."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"theta_tower needs an odd prime, got {p}")
     if N < 1 or n_max < 0:
         raise ValueError("need N >= 1 and n_max >= 0")
-    s_fin, _ = admissible_places(spec, S, T)
+    s_fin, t_fin = admissible_places(spec, S, T)
     if p not in s_fin:
         raise ValueError(f"S must contain p = {p} (it ramifies in the tower)")
+    return s_fin, t_fin
 
 
 def theta_tower(
@@ -175,14 +187,16 @@ def theta_tower(
     Preconditions: tower_preconditions, before any level is built, and
     v_p(modulus) <= 1 (abelian.layer). Every layer value must be exactly
     p-integral before reduction; a non-integral layer aborts with its index.
-    Hyp(S,T) is evaluated per layer and recorded (enforced under strict_hyp).
+    Hyp(S,T) is recorded per layer (enforced under strict_hyp): the places
+    fit every layer once they fit the base with p in S, so a layer's verdict
+    is the roots-of-unity rule of its w_L, and equals check_hyp on its spec.
     """
-    tower_preconditions(spec, S, T, p, N, n_max)
+    _, t_fin = tower_preconditions(spec, S, T, p, N, n_max)
 
     entries, levels, hyps = [], [], []
     for n in range(n_max + 1):
         lvl = tower_level(spec, p, n)
-        ok, why = check_hyp(lvl.spec, S, T)
+        ok, why = roots_of_unity_rule(lvl.spec, t_fin)
         hyps.append(ok)
         if strict_hyp and not ok:
             raise TowerIntegralityError(n, f"Hyp(S,T) fails: {why}")

@@ -1,17 +1,29 @@
 """Algebras, ring helpers, the closed-form dual of a finite abelian group
-with an action, the field arithmetic of Q(zeta_n) and the character log of
-one group element that only the tests use."""
+with an action, the field arithmetic of Q(zeta_n), the character log of
+one group element and the action matrix of one group element on class data
+that only the tests use."""
 
 from fractions import Fraction
 
 from iwasawa_kit.exact import CyclotomicInt
 from iwasawa_kit.fitting import FiniteCommAlgebra, FinPresModule
 from iwasawa_kit.groupring import basis_index
+from iwasawa_kit.lvalues import _mat_identity, _mat_mul, _mat_power
 
 
 def character_log(tab, label, g) -> int:
     """The log base zeta_e of chi_label(g), read from the CharacterTable tab."""
     return tab._logs[label][basis_index(tab.group)[g]]
+
+
+def action_of(M, g) -> list[list[int]]:
+    """The matrix by which g acts on the class data M: the product over the
+    generators of A_t^(g_t mod its order), each power by squaring."""
+    k = len(M.orders)
+    out = _mat_identity(k)
+    for t, e in enumerate(g):
+        out = _mat_mul(out, _mat_power(M.action[t], e % M.group_orders[t], M.orders), k)
+    return out
 
 
 class Cyclotomic(CyclotomicInt):

@@ -1,0 +1,267 @@
+"""The former forms of the tower route's per-level work, kept as oracles of
+the tables that are built once: the inline Horner of partial_zeta_vector over
+every unit class, the per-element power chi_cyc(g)^r mod q of the twist, the
+action of each group element as a product of generator powers, and the place
+checks that check_hyp ran again on every layer's spec."""
+
+import math
+import random
+from pathlib import Path
+
+import pytest
+import sympy
+from algebra_helpers import action_of
+
+from iwasawa_kit import lvalues, tower
+from iwasawa_kit.abelian import (
+    AbelianFieldSpec,
+    FiniteAbelianGroup,
+    check_hyp,
+    galois_group,
+    normalize_places,
+    ramified_primes,
+)
+from iwasawa_kit.campaigns import corpus_cm_specs, load_manifest
+from iwasawa_kit.exact import bernoulli_polynomial, lowest_terms
+from iwasawa_kit.lvalues import (
+    ClassModuleData,
+    _mat_reduce,
+    _times_one_minus,
+    partial_zeta_vector,
+    theta,
+)
+from iwasawa_kit.tower import (
+    PrecisionBudgetError,
+    TowerIntegralityError,
+    theta_tower,
+    tower_level,
+    twist,
+    twist_congruence_check,
+)
+
+OO = "oo"
+DATA = Path(__file__).resolve().parent.parent / "data"
+Z3, Z5, Z7 = (AbelianFieldSpec.cyclotomic(m) for m in (3, 5, 7))
+# (spec, S, T, p, n_max): the towers over Q(zeta3) to level 3 and over
+# Q(zeta5), Q(zeta7) to level 1; T = {2} over Q(zeta3) fails the
+# roots-of-unity rule at every level
+TOWERS = [
+    (Z3, [3, OO], [5, 7], 3, 3),
+    (Z3, [3, OO], [2], 3, 3),
+    (Z5, [5, OO], [2], 5, 1),
+    (Z7, [7, OO], [3], 7, 1),
+]
+RS = (0, -1, -2, -3, -4)
+
+
+def partial_zeta_vector_reference(pres, S, r):
+    """sigma -> zeta_S(r, sigma) by a Horner pass over every unit class of
+    the presentation, with no table."""
+    s_fin, _ = normalize_places(S)
+    f, grp, k = pres.conductor, pres.group, 1 - r
+    coeffs = bernoulli_polynomial(k)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    cleared = [c.numerator * (den // c.denominator) for c in reversed(coeffs)]
+    f_pow = [f**j for j in range(k + 1)]
+    nums = [0] * grp.size
+    for b, i in pres.unit_classes:
+        acc = 0
+        for j, c in enumerate(cleared):
+            acc = acc * b + c * f_pow[j]
+        nums[i] -= acc
+    x = tuple(nums)
+    for v in sorted(s_fin):
+        if f % v:
+            x = _times_one_minus(x, grp, pres.frobenius(v), v ** (-r))
+    return lowest_terms(x, f * den * k)
+
+
+def twist_reference(x, r, level, N):
+    """chi_cyc(g)^r g, one power per group element."""
+    if N > level.n + 1:
+        raise PrecisionBudgetError(f"twist needs N <= n+1, got N={N} at layer n={level.n}")
+    if r == 0:
+        return x
+    q = level.p**N
+    return tuple(c * pow(level.chi_cyc_of(g), r, q) % q
+                 for g, c in zip(level.group.elements(), x))
+
+
+def theta_matrix_reference(M, x, group):
+    """sum_g x_g . action_of(g), each action a product of generator powers."""
+    nums, _ = x
+    k = len(M.orders)
+    out = [[0] * k for _ in range(k)]
+    for g, c in zip(group.elements(), nums):
+        A = action_of(M, g)
+        for i in range(k):
+            for j in range(k):
+                out[i][j] += c * A[i][j]
+    return out
+
+
+def run_tower(spec, S, T, p, N, n_max, r):
+    """(entries, hyp verdicts, Kummer congruence) of the tower, or the
+    message of the error that stopped it."""
+    try:
+        t = theta_tower(spec, S, T, p, N, n_max, r)
+        congruence = None
+        if r != 0:
+            congruence = twist_congruence_check(t, theta_tower(spec, S, T, p, N, n_max, 0))
+        return t.entries, t.hyp_verdicts, congruence
+    except (TowerIntegralityError, PrecisionBudgetError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def tower_runs():
+    return [(spec, S, T, p, N, n_max, r)
+            for spec, S, T, p, n_max in TOWERS for r in RS for N in (1, 2, 3)]
+
+
+def test_partial_zeta_vector_matches_the_inline_horner_on_tower_levels():
+    checked = 0
+    for spec, S, _, p, n_max in TOWERS:
+        for n in range(n_max + 1):
+            lvl = tower_level(spec, p, n)
+            for r in RS:
+                assert partial_zeta_vector(lvl, S, r) == partial_zeta_vector_reference(
+                    lvl, S, r), (spec.label, n, r)
+                checked += 1
+    assert checked == 5 * (4 + 4 + 2 + 2)
+
+
+def test_theta_matches_the_inline_horner_on_the_corpus_and_the_manifest(monkeypatch):
+    cases = [(spec, [*sorted(ramified_primes(spec)), OO], T, r)
+             for spec in corpus_cm_specs(24) for T in ([], [7], [11, 13]) for r in RS
+             if not set(T) & ramified_primes(spec)]
+    cases += [(e["spec"], e["S"], e["T"], e["r"]) for e in load_manifest(DATA)]
+    # an extra unramified prime in S exercises the Euler factors
+    cases += [(spec, [*sorted(ramified_primes(spec)), 5, OO], [], r)
+              for spec in corpus_cm_specs(12) if 5 not in ramified_primes(spec) for r in RS]
+    assert len(cases) > 300
+    got = [theta(*case).value for case in cases]
+    got_pres = [theta(galois_group(spec), S, T, r).value for spec, S, T, r in cases]
+    monkeypatch.setattr(lvalues, "partial_zeta_vector", partial_zeta_vector_reference)
+    expected = [theta(galois_group(spec), S, T, r).value for spec, S, T, r in cases]
+    assert got == expected
+    assert got_pres == expected
+
+
+def test_twist_matches_the_per_element_power():
+    rng = random.Random(35)
+    checked = 0
+    for spec, _, _, p, n_max in TOWERS:
+        for n in range(n_max + 1):
+            lvl = tower_level(spec, p, n)
+            for N in (1, 2, 3):
+                q = p**N
+                for r in (*RS, 1, 2, 5):
+                    x = tuple(rng.randrange(q) for _ in range(lvl.group.size))
+                    if N > n + 1:
+                        with pytest.raises(PrecisionBudgetError):
+                            twist(x, r, lvl, N)
+                        continue
+                    assert twist(x, r, lvl, N) == twist_reference(x, r, lvl, N), (n, N, r)
+                    checked += 1
+    assert checked > 100
+
+
+def test_towers_match_the_old_paths(monkeypatch):
+    """Every tower, its hyp list and its Kummer congruence are the same with
+    the tables as with the inline Horner, the per-element twist and
+    check_hyp on every layer's spec."""
+    runs = tower_runs()
+    got = [run_tower(*run) for run in runs]
+    assert sum(isinstance(g[0], list) for g in got) > len(runs) // 2
+    places = []
+
+    def check_hyp_on_the_layer(spec, t_fin):
+        return check_hyp(spec, *places[-1])
+
+    monkeypatch.setattr(lvalues, "partial_zeta_vector", partial_zeta_vector_reference)
+    monkeypatch.setattr(tower, "twist", twist_reference)
+    monkeypatch.setattr(tower, "roots_of_unity_rule", check_hyp_on_the_layer)
+    for run, expected in zip(runs, got, strict=True):
+        places.append(run[1:3])
+        assert run_tower(*run) == expected, run
+
+
+def test_the_hyp_list_of_a_tower_is_check_hyp_on_each_level():
+    """The places are checked once, on the base; each level's verdict and
+    reason under strict_hyp are those of check_hyp on the level's spec."""
+    failing = 0
+    for spec, S, T, p, n_max in TOWERS:
+        t = theta_tower(spec, S, T, p, 1, n_max, 0)
+        verdicts = [check_hyp(lvl.spec, S, T) for lvl in t.levels]
+        assert t.hyp_verdicts == [ok for ok, _ in verdicts], spec.label
+        bad = next((n for n, (ok, _) in enumerate(verdicts) if not ok), None)
+        if bad is None:
+            assert theta_tower(spec, S, T, p, 1, n_max, 0, strict_hyp=True).hyp_verdicts == \
+                t.hyp_verdicts
+            continue
+        failing += 1
+        with pytest.raises(TowerIntegralityError) as refused:
+            theta_tower(spec, S, T, p, 1, n_max, 0, strict_hyp=True)
+        assert str(refused.value) == f"layer {bad}: Hyp(S,T) fails: {verdicts[bad][1]}"
+    assert failing == 2
+    # T = {2} over Q(zeta3) fails at every level, in check_hyp's words
+    t = theta_tower(Z3, [3, OO], [2], 3, 1, 3, 0)
+    assert t.hyp_verdicts == [False] * 4
+    assert [check_hyp(lvl.spec, [3, OO], [2])[1] for lvl in t.levels] == [
+        f"every prime of T has residue characteristic 2 | w_L = {6 * 3**n}" for n in range(4)]
+
+
+def test_theta_matrix_matches_the_action_of_each_element_on_the_manifest():
+    for e in load_manifest(DATA):
+        M, th = e["module"], e["theta"]
+        expected = _mat_reduce(theta_matrix_reference(M, th.value, th.group), M.orders)
+        assert _mat_reduce(M.theta_matrix(th.value, th.group), M.orders) == expected, e["name"]
+
+
+def random_class_module(rng, ngens):
+    """Commuting actions P D_t P^(-1) on blocks (Z/d)^k, d in 7, 9, 13, with
+    D_t diagonal of units whose order divides the order of generator t: a
+    well-defined module, in general with a different matrix for each
+    element."""
+    group_orders = tuple(rng.choice((2, 3, 4, 6)) for _ in range(ngens))
+    blocks = [(rng.choice((7, 9, 13)), rng.choice((1, 2))) for _ in range(rng.choice((1, 2)))]
+    orders = tuple(d for d, k in blocks for _ in range(k))
+    size = len(orders)
+    action = {t: [[0] * size for _ in range(size)] for t in range(ngens)}
+    start = 0
+    for d, k in blocks:
+        phi = int(sympy.totient(d))
+        h = int(sympy.primitive_root(d))
+        while True:
+            P = sympy.Matrix(k, k, lambda i, j: rng.randrange(d))
+            if math.gcd(int(P.det()), d) == 1:
+                break
+        P_inv = P.inv_mod(d)
+        for t, o in enumerate(group_orders):
+            g = math.gcd(o, phi)
+            D = sympy.diag(*[pow(h, phi // g * rng.randrange(g), d) for _ in range(k)])
+            A = (P * D * P_inv).applyfunc(lambda c: c % d)
+            for i in range(k):
+                for j in range(k):
+                    action[t][start + i][start + j] = int(A[i, j])
+        start += k
+    return ClassModuleData(orders, group_orders, action)
+
+
+def test_theta_matrix_matches_the_action_of_each_element_on_random_modules():
+    """Groups of 2 and 3 generators, so the order of the walk matters."""
+    rng = random.Random(35)
+    distinct = 0
+    for ngens in (2, 3):
+        for _ in range(20):
+            M = random_class_module(rng, ngens)
+            group = FiniteAbelianGroup(M.group_orders)
+            actions = {tuple(map(tuple, _mat_reduce(action_of(M, g), M.orders)))
+                       for g in group.elements()}
+            distinct += len(actions) > 1
+            for _ in range(3):
+                x = (tuple(rng.randint(-4, 4) for _ in range(group.size)), 1)
+                expected = _mat_reduce(theta_matrix_reference(M, x, group), M.orders)
+                assert _mat_reduce(M.theta_matrix(x, group), M.orders) == expected, (
+                    M.orders, M.group_orders)
+    assert distinct >= 30
