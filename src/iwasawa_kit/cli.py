@@ -16,7 +16,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from . import wire
-from .abelian import AbelianFieldSpec, check_hyp
+from .abelian import AbelianFieldSpec, roots_of_unity_rule
 from .campaigns import complex_campaigns, fitting_campaigns, run_all
 from .fitting import FiniteCommAlgebra, FinPresModule, ModuleMap
 from .lvalues import (
@@ -118,8 +118,8 @@ def suites_certificate(command: str, config: wire.Node, check: str, results) -> 
 
 def run_theta(config: wire.Node) -> tuple[dict, int]:
     spec, S, T, r = field_config(config)
-    hyp, reason = check_hyp(spec, S, T)
     th = theta(spec, S, T, r)
+    hyp, reason = roots_of_unity_rule(spec, th.T)
     integral = verify_integrality(th)
     result = {
         "coefficients": th.to_json()["coefficients"],
@@ -158,7 +158,7 @@ def run_tower(config: wire.Node) -> tuple[dict, int]:
             raise CliError(
                 EXIT_IO, f"tower file does not match the command line in {', '.join(differ)}"
             )
-        tower_preconditions(spec, S, T, p, N, n_max)
+        tower_preconditions(spec, S, T, p, N, n_max, r)
     else:
         try:
             t = theta_tower(spec, S, T, p, N, n_max, r, strict_hyp=strict)

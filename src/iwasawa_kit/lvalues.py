@@ -2,9 +2,11 @@
 annihilation / Fitting-membership checks against class-module data.
 
 The group-ring route is primary: theta_{S,T}(r) = delta_T(r) . sum_sigma
-zeta_S(r, sigma) sigma^(-1) as the pair (nums, den) of Q[G]. r <= 0 and its
-(S, T) rules (abelian.admissible_places) are checked once per call on the
-spec before the Galois group is looked up or built. The value has integer
+zeta_S(r, sigma) sigma^(-1) as the pair (nums, den) of Q[G]. theta_places
+admits r <= 0 and the (S, T) rules (abelian.admissible_places) once, on the
+spec, before the Galois group is looked up or built; theta_value, which
+theta and each tower level call, takes a presentation and the admitted
+finite primes and checks nothing again. The value has integer
 numerators in the basis order of groupring over one positive denominator
 in lowest terms. The partial zeta values are read from a table of integer
 Horner values of the cleared B_k(x), built once per (f, k), each added at
@@ -13,9 +15,9 @@ residue, and each Euler or T-factor (1 - c sigma), c an integer, is applied
 to the numerators as x - c . translate(x, sigma), never as a full
 group-ring product. The character route (S-truncated Dirichlet L-values at
 non-positive integers through generalized Bernoulli numbers) is an
-independent cross-check. It checks r and (S, T) as theta does, and builds
-each value of Q(zeta_e) as an integer vector indexed by the exponent mod e
-over one positive denominator. Its characters are primitivized from their
+independent cross-check. It admits r and (S, T) through theta_places, and
+builds each value of Q(zeta_e) as an integer vector indexed by the exponent
+mod e over one positive denominator. Its characters are primitivized from their
 labels by abelian.dirichlet_character, with no CharacterTable. B_{n,chi}
 buckets the Horner values f^n D B_n(a/f), built once per (f, n), by the log
 of chi(a), and is memoized per character and n. Each Euler or delta_T factor
@@ -46,7 +48,6 @@ from .abelian import (
     cm_data,
     dirichlet_character,
     galois_group,
-    normalize_places,
 )
 from .exact import (
     CyclotomicInt,
@@ -59,25 +60,21 @@ from .fitting import FinPresModule, GroupAlgebra, minus_quotient
 from .numutil import is_prime
 
 
-def _presentation(spec_or_pres, S, T, r: int) -> tuple:
-    """(presentation, s_fin, t_fin), r <= 0 and the places checked on the
-    spec by admissible_places before any Galois group is looked up or built."""
+def theta_places(spec: AbelianFieldSpec, S, T, r: int) -> tuple[set[int], set[int]]:
+    """The finite primes (s_fin, t_fin) of S and T once r <= 0 and the
+    places fit theta (abelian.admissible_places), read from the spec's
+    conductor before any Galois group is looked up or built."""
     if r > 0:
         raise ValueError(f"partial zeta values only at r <= 0, got {r}")
-    is_spec = isinstance(spec_or_pres, AbelianFieldSpec)
-    places = admissible_places(spec_or_pres if is_spec else spec_or_pres.spec, S, T)
-    return (galois_group(spec_or_pres) if is_spec else spec_or_pres, *places)
+    return admissible_places(spec, S, T)
 
 
 # ---------------------------------------------------------------------------
 # Partial zeta values and Stickelberger elements.
 
-def partial_zeta_vector(spec_or_pres, S, r: int) -> tuple[tuple[int, ...], int]:
-    """sigma -> zeta_S(r, sigma) as (nums, den) in the basis order.
-
-    On a spec, r <= 0 and the rules of S (abelian.admissible_places with T
-    empty) are checked before the Galois group is looked up. A presentation
-    is theta's, which has checked r, S and T, and S is only parsed.
+def partial_zeta_vector(pres, s_fin, r: int) -> tuple[tuple[int, ...], int]:
+    """sigma -> zeta_S(r, sigma) as (nums, den) in the basis order, for the
+    finite primes s_fin of S that theta_places admitted.
 
     Base case S = S_ram + S_oo over the conductor f:
     zeta(r, sigma_a) = sum_{b = a mod f} f^(-r) zeta(r, b/f) with
@@ -88,10 +85,6 @@ def partial_zeta_vector(spec_or_pres, S, r: int) -> tuple[tuple[int, ...], int]:
     unramified prime v in S applies zeta_{S+v}(s) = zeta_S(s) - Nv^(-s)
     zeta_S(s sigma_v^(-1)).
     """
-    if isinstance(spec_or_pres, AbelianFieldSpec):
-        pres, s_fin, _ = _presentation(spec_or_pres, S, (), r)
-    else:
-        pres, (s_fin, _) = spec_or_pres, normalize_places(S)
     f = pres.conductor
     grp = pres.group
     k = 1 - r
@@ -160,18 +153,25 @@ class StickelbergerElement:
         }
 
 
-def theta(spec_or_pres, S, T, r: int) -> StickelbergerElement:
-    """Theta_{S,T}(r) = delta_T(r) . sum_sigma zeta_S(r, sigma) sigma^(-1).
-
-    r <= 0 and the (S, T) rules (abelian.admissible_places) are checked
-    once, on the spec, before its Galois group is looked up or built."""
-    pres, _, t_fin = _presentation(spec_or_pres, S, T, r)
+def theta_value(pres, s_fin, t_fin, r: int) -> tuple[tuple[int, ...], int]:
+    """Theta_{S,T}(r) = delta_T(r) . sum_sigma zeta_S(r, sigma) sigma^(-1) as
+    (nums, den) on a presentation, for the finite primes (s_fin, t_fin) that
+    theta_places admitted; nothing is checked again."""
     grp = pres.group
-    nums, den = partial_zeta_vector(pres, S, r)
+    nums, den = partial_zeta_vector(pres, s_fin, r)
     nums = groupring.sharp(nums, grp)
     for sigma, c in _t_factors(pres, t_fin, r):
         nums = _times_one_minus(nums, grp, sigma, c)
-    return StickelbergerElement(lowest_terms(nums, den), grp, pres.spec, tuple(S), tuple(T), r)
+    return lowest_terms(nums, den)
+
+
+def theta(spec: AbelianFieldSpec, S, T, r: int) -> StickelbergerElement:
+    """Theta_{S,T}(r) of the spec: r and the places are admitted once
+    (theta_places) before its Galois group is looked up or built."""
+    s_fin, t_fin = theta_places(spec, S, T, r)
+    pres = galois_group(spec)
+    value = theta_value(pres, s_fin, t_fin, r)
+    return StickelbergerElement(value, pres.group, spec, tuple(S), tuple(T), r)
 
 
 def _denominator(theta_elem: StickelbergerElement | tuple) -> int:
@@ -262,12 +262,10 @@ def _characters(spec: AbelianFieldSpec) -> tuple:
 
 def theta_character_side(spec: AbelianFieldSpec, S, T, r: int) -> dict:
     """chi-components of Theta_{S,T}(r) computed purely through L-values:
-    component_chi = delta_T(r, chi) . L_S(r, contragredient chi). r <= 0 and
-    the (S, T) rules (abelian.admissible_places) are checked first, as theta
-    checks them, so no prime of T divides a character's conductor."""
-    if r > 0:
-        raise ValueError(f"L-values only at r <= 0, got {r}")
-    s_fin, t_fin = admissible_places(spec, S, T)
+    component_chi = delta_T(r, chi) . L_S(r, contragredient chi). r and the
+    places are admitted first by theta's check (theta_places), so no prime of
+    T divides a character's conductor."""
+    s_fin, t_fin = theta_places(spec, S, T, r)
     out = {}
     for label, chi, chi_bar in _characters(spec):
         vec, den = _l_vector(chi_bar, s_fin, r)

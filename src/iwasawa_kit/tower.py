@@ -15,8 +15,10 @@ reduced mod p^N with one inverse of den (exact.padic_from_rational), after
 the check that p does not divide den.
 
 Each layer's cyclotomic twist factors chi_cyc(g)^r mod p^N are a table
-built once per (level, r, p^N). The places are checked once per tower, on
-the base field; per layer only the roots-of-unity rule of Hyp(S,T) is read.
+built once per (level, r, p^N). r and the places are admitted once per
+tower, on the base field, before any level is built (lvalues.theta_places);
+each layer's theta is lvalues.theta_value on those finite primes, and per
+layer only the roots-of-unity rule of Hyp(S,T) is read.
 
 Lambda(G) is represented only through coherent families of finite-level
 elements: a tower is accepted exactly when adjacent aug projections match,
@@ -31,16 +33,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import groupring, wire
-from .abelian import (
-    AbelianFieldSpec,
-    TowerLevelData,
-    admissible_places,
-    cm_data,
-    roots_of_unity_rule,
-)
+from .abelian import AbelianFieldSpec, TowerLevelData, cm_data, roots_of_unity_rule
 from .exact import padic_from_rational
 from .fitting import Vec
-from .lvalues import is_p_integral, theta
+from .lvalues import is_p_integral, theta_places, theta_value
 from .numutil import is_prime
 
 
@@ -155,10 +151,10 @@ class TowerElement:
 
 
 def tower_preconditions(
-    spec: AbelianFieldSpec, S, T, p: int, N: int, n_max: int
+    spec: AbelianFieldSpec, S, T, p: int, N: int, n_max: int, r: int
 ) -> tuple[set[int], set[int]]:
-    """p odd, N >= 1, n_max >= 0, and the places fit theta on the base field
-    (abelian.admissible_places) with p in S, since p ramifies in the tower:
+    """p odd, N >= 1, n_max >= 0, and r and the places fit theta on the base
+    field (lvalues.theta_places) with p in S, since p ramifies in the tower:
     theta_tower checks them before it builds a level, `tower --data` on the
     replayed tower. Returns the finite primes (s_fin, t_fin) of S and T.
     Only p ramifies up the tower, so the places then fit every level."""
@@ -166,7 +162,7 @@ def tower_preconditions(
         raise ValueError(f"theta_tower needs an odd prime, got {p}")
     if N < 1 or n_max < 0:
         raise ValueError("need N >= 1 and n_max >= 0")
-    s_fin, t_fin = admissible_places(spec, S, T)
+    s_fin, t_fin = theta_places(spec, S, T, r)
     if p not in s_fin:
         raise ValueError(f"S must contain p = {p} (it ramifies in the tower)")
     return s_fin, t_fin
@@ -190,8 +186,9 @@ def theta_tower(
     Hyp(S,T) is recorded per layer (enforced under strict_hyp): the places
     fit every layer once they fit the base with p in S, so a layer's verdict
     is the roots-of-unity rule of its w_L, and equals check_hyp on its spec.
+    Each layer's value is lvalues.theta_value on the admitted primes.
     """
-    _, t_fin = tower_preconditions(spec, S, T, p, N, n_max)
+    s_fin, t_fin = tower_preconditions(spec, S, T, p, N, n_max, r)
 
     entries, levels, hyps = [], [], []
     for n in range(n_max + 1):
@@ -200,12 +197,12 @@ def theta_tower(
         hyps.append(ok)
         if strict_hyp and not ok:
             raise TowerIntegralityError(n, f"Hyp(S,T) fails: {why}")
-        th = theta(lvl, S, T, r)
-        if not is_p_integral(th, p):
+        value = theta_value(lvl, s_fin, t_fin, r)
+        if not is_p_integral(value, p):
             raise TowerIntegralityError(
                 n, f"theta has a coefficient denominator divisible by {p}"
             )
-        entries.append(padic_from_rational(th.value, p, N))
+        entries.append(padic_from_rational(value, p, N))
         levels.append(lvl)
     return TowerElement(p, N, spec, tuple(S), tuple(T), r, entries, levels, hyps)
 

@@ -33,8 +33,8 @@ PLACE_RULES = {
 def place_refusals() -> dict:
     """{name: (exit code, the whole error, argv)}: each (S, T) rule broken on
     theta, tower and verify, theta over the prime modulus 10,007 with S = oo,
-    and theta over that modulus at r = 1 with admissible places. No input
-    builds a Galois group before it is refused."""
+    and theta and tower over that modulus at r = 1 with admissible places.
+    No input builds a Galois group or a tower level before it is refused."""
     commands = {
         "theta": ("theta",),
         "tower": ("tower", "--p", "3", "--N", "2", "--levels", "1"),
@@ -54,6 +54,10 @@ def place_refusals() -> dict:
         EXIT_PRECONDITION, "partial zeta values only at r <= 0, got 1",
         ("theta", "--spec", '{"modulus": 10007, "fixing": [1]}', "--S", "10007,oo", "--T", "7",
          "--r", "1"))
+    cases["tower-prime-modulus-r-positive"] = (
+        EXIT_PRECONDITION, "partial zeta values only at r <= 0, got 1",
+        ("tower", "--spec", '{"modulus": 10007, "fixing": [1]}', "--S", "3,10007,oo", "--T",
+         "7", "--r", "1", "--p", "3", "--N", "1", "--levels", "0"))
     return {name: (want, message, tuple(map(str, argv)))
             for name, (want, message, argv) in cases.items()}
 
@@ -72,6 +76,10 @@ def refusals(tmp: Path) -> dict:
     # the committed tower of Q(zeta_3), replayed with one coefficient 1/2
     stored = json.loads((FIXTURES / "tower_zeta3_cert.json").read_text())["result"]["tower"]
     stored["levels"][0]["coeffs"]["0,0"] = "1/2"
+    # the same tower at r = 1, which the command line matches: refused with
+    # the places, before any level is built
+    positive = json.loads((FIXTURES / "tower_zeta3_cert.json").read_text())["result"]["tower"]
+    positive["meta"]["r"] = 1
     # the same tower at r = 0, where no reference tower is built beside the
     # replay, its places breaking each rule of PLACE_RULES, and the command
     # line to match
@@ -116,6 +124,10 @@ def refusals(tmp: Path) -> dict:
             EXIT_PRECONDITION, "coefficient denominator divisible by 5",
             ("tower", "--spec", "zeta5", "--S", "5,oo", "--r", "0", "--p", "5", "--N", "2",
              "--levels", "1")),
+        "tower-replay-r-positive": (
+            EXIT_PRECONDITION, "partial zeta values only at r <= 0, got 1",
+            ("tower", "--spec", "zeta3", "--S", "3,oo", "--T", "7", "--r", "1", "--p", "3",
+             "--N", "2", "--levels", "2", "--data", write(tmp / "replay_r1.json", positive))),
         "tower-precision-budget": (
             EXIT_PRECONDITION, "precision budget",
             ("tower", "--spec", "zeta5", "--S", "5,oo", "--T", "2", "--r", "-1", "--p", "5",

@@ -252,16 +252,15 @@ def test_check_hyp_examples():
 
 def test_theta_and_theta_tower_refuse_each_place_rule_in_check_hyps_words():
     """One statement of the (S, T) rules: for each rule broken, check_hyp's
-    reason is the message of the PlacesError that theta (on a spec or on its
-    presentation), theta_character_side and theta_tower raise."""
+    reason is the message of the PlacesError that theta,
+    theta_character_side and theta_tower raise."""
     z3 = AbelianFieldSpec.cyclotomic(3)
     reasons = set()
     for S, T in (([3, OO], [7, OO]), ([3], [7]), ([OO], [7]), ([3, 7, OO], [7])):
         ok, reason = check_hyp(z3, S, T)
         assert not ok
         reasons.add(reason)
-        for run in (lambda: theta(z3, S, T, 0), lambda: theta(galois_group(z3), S, T, 0),
-                    lambda: theta_character_side(z3, S, T, 0),
+        for run in (lambda: theta(z3, S, T, 0), lambda: theta_character_side(z3, S, T, 0),
                     lambda: theta_tower(z3, S, T, 3, 2, 1, 0)):
             with pytest.raises(PlacesError) as refused:
                 run()

@@ -942,24 +942,30 @@ def test_every_refusal_of_the_table_is_one_json_error_with_its_exit_code(tmp_pat
         assert code == want == err["exit"] and phrase in err["error"], (name, err)
 
 
+def patch_every_binding(monkeypatch, originals, replacement):
+    """Bind replacement wherever the package or one of its modules binds one
+    of originals."""
+    modules = [iwasawa_kit, *(importlib.import_module(f"iwasawa_kit.{info.name}")
+                              for info in pkgutil.iter_modules(iwasawa_kit.__path__))]
+    for module in modules:
+        for name, value in list(vars(module).items()):
+            if any(value is original for original in originals):
+                monkeypatch.setattr(module, name, replacement)
+
+
 def test_place_refusals_build_no_galois_group(capsys, monkeypatch):
     """theta, tower and verify refuse every (S, T) fault with exit 2 in
-    check_hyp's words, and theta refuses r > 0, while galois_group and
-    tower_level raise at every binding in the package: the rules are checked
-    before any group is built."""
+    check_hyp's words, and theta and tower refuse r > 0, while galois_group
+    and tower_level raise at every binding in the package: the rules are
+    checked before any group is built."""
     from iwasawa_kit import abelian, tower
 
     def built(*args):
         raise AssertionError("a Galois group was built before the refusal")
 
-    originals = (abelian.galois_group, tower.tower_level)
-    for info in pkgutil.iter_modules(iwasawa_kit.__path__):
-        module = importlib.import_module(f"iwasawa_kit.{info.name}")
-        for name, value in list(vars(module).items()):
-            if any(value is original for original in originals):
-                monkeypatch.setattr(module, name, built)
+    patch_every_binding(monkeypatch, (abelian.galois_group, tower.tower_level), built)
     cases = place_refusals()
-    assert len(cases) == 14
+    assert len(cases) == 15
     for name, (want, message, argv) in cases.items():
         code, err = run_refused(capsys, *argv)
         assert code == want == err["exit"] == EXIT_PRECONDITION, (name, err)
@@ -971,6 +977,35 @@ def test_place_refusals_build_no_galois_group(capsys, monkeypatch):
         # places that break a rule are refused in check_hyp's words, r > 0 in its own
         refusal = f"partial zeta values only at r <= 0, got {r}" if hyp else why
         assert err["error"] == message == refusal, name
+
+
+def test_places_are_admitted_once_per_theta_or_tower(capsys, monkeypatch):
+    """admissible_places, wrapped at every binding in the package, runs once
+    per theta_tower (n_max = 0..3), once per theta command, and twice for the
+    README tower at r = -1: its tower and the r = 0 tower of its congruence."""
+    from iwasawa_kit import abelian
+    from iwasawa_kit.tower import theta_tower
+
+    calls = []
+    original = abelian.admissible_places
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    patch_every_binding(monkeypatch, (original,), counted)
+    z3 = parse_spec("zeta3")
+    for n_max in range(4):
+        calls.clear()
+        theta_tower(z3, [3, "oo"], [5, 7], 3, 2, n_max, -1)
+        assert len(calls) == 1, n_max
+    readme_theta = ("theta", "--spec", "zeta3", "--S", "3,oo", "--T", "7", "--r", "0")
+    readme_tower = ("tower", "--spec", "zeta5", "--S", "5,oo", "--T", "2", "--r", "-1",
+                    "--p", "5", "--N", "2", "--levels", "2")
+    for argv, checks in ((readme_theta, 1), (readme_tower, 2)):
+        calls.clear()
+        code, _ = run(capsys, *argv)
+        assert (code, len(calls)) == (EXIT_OK, checks), argv[0]
 
 
 def test_unwritable_out_is_an_io_error(tmp_path, capsys):

@@ -41,6 +41,7 @@ from iwasawa_kit.lvalues import (
     partial_zeta_vector,
     theta,
     theta_character_side,
+    theta_places,
     verify_integrality,
 )
 from iwasawa_kit.oracles import annihilation_oracle, ideal_member_oracle
@@ -70,40 +71,47 @@ def coeff(x, group, g):
     return x[basis_index(group)[g]]
 
 
+def zeta_vector(spec, S, r):
+    """partial_zeta_vector on the spec's presentation, S admitted by theta's
+    check with T empty."""
+    s_fin, _ = theta_places(spec, S, [], r)
+    return partial_zeta_vector(galois_group(spec), s_fin, r)
+
+
 def test_partial_zeta_z3_at_zero():
     grp = galois_group(Z3).group
-    vec = as_fractions(partial_zeta_vector(Z3, [3, OO], 0))
+    vec = as_fractions(zeta_vector(Z3, [3, OO], 0))
     assert coeff(vec, grp, sigma(Z3, 1)) == Q(1, 6)
     assert coeff(vec, grp, sigma(Z3, 2)) == Q(-1, 6)
 
 
 def test_partial_zeta_z3_at_minus_one():
-    assert partial_zeta_vector(Z3, [3, OO], -1) == ((1, 1), 12)
+    assert zeta_vector(Z3, [3, OO], -1) == ((1, 1), 12)
 
 
 def test_partial_zeta_rationals():
     specq = AbelianFieldSpec.rationals()
-    assert partial_zeta_vector(specq, [OO], 0) == ((-1,), 2)
+    assert zeta_vector(specq, [OO], 0) == ((-1,), 2)
 
 
 def test_partial_zeta_against_sympy_hurwitz():
     # zeta_S(r, sigma_a) = sum over b = a mod f of f^(-r) zeta(r, b/f)
     for spec, f in ((Z3, 3), (Z5, 5)):
         for r in (0, -1, -2):
-            vec = as_fractions(partial_zeta_vector(spec, [f, OO], r))
+            vec = as_fractions(zeta_vector(spec, [f, OO], r))
             for a in range(1, f):
                 expect = sympy.zeta(r, sympy.Rational(a, f)) * f ** (-r)
                 got = coeff(vec, galois_group(spec).group, sigma(spec, a))
                 assert sympy.Rational(got.numerator, got.denominator) == expect
 
 
-def test_partial_zeta_preconditions():
-    with pytest.raises(ValueError):
-        partial_zeta_vector(Z3, [OO], 0)  # missing ramified 3
-    with pytest.raises(ValueError):
-        partial_zeta_vector(Z3, [3, OO], 1)  # r > 0
-    with pytest.raises(ValueError):
-        partial_zeta_vector(Z3, [3], 0)  # missing infinite place
+def test_theta_preconditions():
+    # missing ramified 3, r > 0, missing infinite place: refused by theta's
+    # one check, on theta and on the character route alike
+    for S, r in (([OO], 0), ([3, OO], 1), ([3], 0)):
+        for run in (theta, theta_character_side):
+            with pytest.raises(ValueError):
+                run(Z3, S, [], r)
 
 
 def euler_enlarge(x, spec, v, r):

@@ -215,10 +215,9 @@ def test_theta_tower_degenerate_p_coprime():
     ok, _ = coherence_check(t)
     assert ok
     # single level equals the plain theta reduced mod 25
-    from iwasawa_kit.lvalues import theta as plain_theta
+    from iwasawa_kit.lvalues import theta_value
 
-    lvl = t.levels[0]
-    exact = plain_theta(lvl, [3, 5, OO], [7], 0).value
+    exact = theta_value(t.levels[0], {3, 5}, {7}, 0)
     assert t.entries[0] == reduce_exact(exact, 25)
 
 

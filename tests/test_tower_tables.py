@@ -18,7 +18,6 @@ from iwasawa_kit.abelian import (
     FiniteAbelianGroup,
     check_hyp,
     galois_group,
-    normalize_places,
     ramified_primes,
 )
 from iwasawa_kit.campaigns import corpus_cm_specs, load_manifest
@@ -29,6 +28,8 @@ from iwasawa_kit.lvalues import (
     _times_one_minus,
     partial_zeta_vector,
     theta,
+    theta_places,
+    theta_value,
 )
 from iwasawa_kit.tower import (
     PrecisionBudgetError,
@@ -54,10 +55,9 @@ TOWERS = [
 RS = (0, -1, -2, -3, -4)
 
 
-def partial_zeta_vector_reference(pres, S, r):
+def partial_zeta_vector_reference(pres, s_fin, r):
     """sigma -> zeta_S(r, sigma) by a Horner pass over every unit class of
     the presentation, with no table."""
-    s_fin, _ = normalize_places(S)
     f, grp, k = pres.conductor, pres.group, 1 - r
     coeffs = bernoulli_polynomial(k)
     den = math.lcm(*(c.denominator for c in coeffs))
@@ -120,12 +120,13 @@ def tower_runs():
 
 def test_partial_zeta_vector_matches_the_inline_horner_on_tower_levels():
     checked = 0
-    for spec, S, _, p, n_max in TOWERS:
+    for spec, S, T, p, n_max in TOWERS:
+        s_fin, _ = theta_places(spec, S, T, 0)
         for n in range(n_max + 1):
             lvl = tower_level(spec, p, n)
             for r in RS:
-                assert partial_zeta_vector(lvl, S, r) == partial_zeta_vector_reference(
-                    lvl, S, r), (spec.label, n, r)
+                assert partial_zeta_vector(lvl, s_fin, r) == partial_zeta_vector_reference(
+                    lvl, s_fin, r), (spec.label, n, r)
                 checked += 1
     assert checked == 5 * (4 + 4 + 2 + 2)
 
@@ -139,10 +140,15 @@ def test_theta_matches_the_inline_horner_on_the_corpus_and_the_manifest(monkeypa
     cases += [(spec, [*sorted(ramified_primes(spec)), 5, OO], [], r)
               for spec in corpus_cm_specs(12) if 5 not in ramified_primes(spec) for r in RS]
     assert len(cases) > 300
+
+    def on_presentations():
+        return [theta_value(galois_group(spec), *theta_places(spec, S, T, r), r)
+                for spec, S, T, r in cases]
+
     got = [theta(*case).value for case in cases]
-    got_pres = [theta(galois_group(spec), S, T, r).value for spec, S, T, r in cases]
+    got_pres = on_presentations()
     monkeypatch.setattr(lvalues, "partial_zeta_vector", partial_zeta_vector_reference)
-    expected = [theta(galois_group(spec), S, T, r).value for spec, S, T, r in cases]
+    expected = on_presentations()
     assert got == expected
     assert got_pres == expected
 
