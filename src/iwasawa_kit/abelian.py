@@ -514,8 +514,10 @@ def _unit_kernels(f: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
 
 @lru_cache(maxsize=None)
 def _crt_lifts(d: int, f: int) -> tuple[tuple[int, int], ...]:
-    """(b, crt_lift(b, d, f)) for each unit b of Z/d: a unit of Z/f over b."""
-    return tuple((b, crt_lift(b, d, f)) for b in unit_residues(d))
+    """(b, crt_lift(b, d, f)) for each unit b of Z/d: a unit of Z/f over b.
+    f is factored once for the table."""
+    f_factors = factorize(f)
+    return tuple((b, crt_lift(b, d, f, f_factors)) for b in unit_residues(d))
 
 
 def dirichlet_character(gal: GaloisData, label) -> DirichletCharacter:

@@ -178,43 +178,75 @@ def _timed(fn):
 # ---------------------------------------------------------------------------
 # The CM corpus: every CM field of bounded conductor with its canonical spec.
 
+def _subgroup_product(H: frozenset[int], C: frozenset[int], f: int) -> frozenset[int]:
+    """HC inside (Z/f)^x, a subgroup since the group is abelian; one call
+    per product, which the work ledger counts."""
+    return frozenset(h * c % f for h in H for c in C)
+
+
+def unit_subgroups(f: int) -> set[frozenset[int]]:
+    """Every subgroup of (Z/f)^x, f >= 3: the cyclic subgroups closed under
+    products HC, since every subgroup is the product of the cyclic
+    subgroups of its elements."""
+    cyclic = set()
+    for a in unit_residues(f):
+        sub, x = [1], a
+        while x != 1:
+            sub.append(x)
+            x = x * a % f
+        cyclic.add(frozenset(sub))
+    subgroups, frontier = set(cyclic), list(cyclic)
+    for H in frontier:  # the list grows while it is read: a breadth-first closure
+        for C in cyclic:
+            if not C <= H:
+                HC = _subgroup_product(H, C, f)
+                if HC not in subgroups:
+                    subgroups.add(HC)
+                    frontier.append(HC)
+    return subgroups
+
+
 def corpus_cm_specs(max_conductor: int = 24) -> list[AbelianFieldSpec]:
     """All CM abelian fields over Q with conductor <= bound, each presented
-    at its exact conductor (subgroups of (Z/f)^x omitting -1)."""
+    at its exact conductor: every subgroup H of (Z/f)^x omitting -1, from
+    `unit_subgroups`, in the order of (f, |H|, sorted H).
+
+    A field is labelled f{f}#{|H|}, with .k added (k = 1, 2, ... in corpus
+    order) where fields of conductor f share |H|. Closing every set of at
+    most 3 units instead would miss the subgroups that need 4 generators:
+    9 CM fields of conductor 840, where (Z/840)^x has 2-rank 5."""
     specs = []
     for f in range(3, max_conductor + 1):
         if f % 4 == 2:
             continue  # conductors are never 2 mod 4
-        units = unit_residues(f)
-        subgroups: set[frozenset[int]] = set()
-        for gens in itertools.chain(*(itertools.combinations(units, k) for k in (1, 2, 3))):
-            sub, frontier = {1 % f}, [1 % f]
-            for a in frontier:  # the list grows while it is read: a breadth-first closure
-                for g in gens:
-                    b = (a * g) % f
-                    if b not in sub:
-                        sub.add(b)
-                        frontier.append(b)
-            subgroups.add(frozenset(sub))
-        for H in sorted(subgroups, key=lambda s: (len(s), sorted(s))):
+        fields = []
+        for H in sorted(unit_subgroups(f), key=lambda s: (len(s), sorted(s))):
             if (-1) % f not in H:
                 spec = AbelianFieldSpec(f, H, f"f{f}#{len(H)}")
                 if conductor(spec)[0] == f:
-                    specs.append(spec)
+                    fields.append(spec)
+        for _, group in itertools.groupby(fields, key=lambda s: len(s.fixing)):
+            same_size = list(group)
+            if len(same_size) > 1:
+                same_size = [AbelianFieldSpec(f, s.fixing, f"{s.label}.{k}")
+                             for k, s in enumerate(same_size, 1)]
+            specs += same_size
     return specs
 
 
 def corpus_st_choices(spec: AbelianFieldSpec, t_pool=(2, 5, 7, 11, 13)):
     """(S, T) pairs for one spec: S = S_ram + oo, optionally one extra prime;
-    T runs over the Hyp-satisfying subsets of the pool."""
+    T runs over the Hyp-satisfying subsets of the pool primes outside S."""
     ram = sorted(ramified_primes(spec))
-    base = [*ram, OO]
     extra = next(p for p in (2, 3, 5, 7, 11, 13, 17) if p not in ram)
-    subsets = [T for k in range(len(t_pool) + 1) for T in itertools.combinations(t_pool, k)]
-    return [
-        (S, list(T)) for S in (base, sorted([*ram, extra]) + [OO]) for T in subsets
-        if check_hyp(spec, S, list(T))[0]
-    ]
+    pairs = []
+    for S in ([*ram, OO], sorted([*ram, extra]) + [OO]):
+        pool = [p for p in t_pool if p not in S]
+        pairs += [
+            (S, list(T)) for k in range(len(pool) + 1) for T in itertools.combinations(pool, k)
+            if check_hyp(spec, S, list(T))[0]
+        ]
+    return pairs
 
 
 # ---------------------------------------------------------------------------

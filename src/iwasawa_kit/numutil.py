@@ -83,13 +83,15 @@ def crt(residues: list[int], moduli: list[int]) -> int:
     return x % m
 
 
-def crt_lift(a: int, f: int, m: int) -> int:
+def crt_lift(a: int, f: int, m: int, m_factors: dict[int, int] | None = None) -> int:
     """x mod m with x = a at the primes of m dividing f and x = 1 at the others.
 
     For f | m and a coprime to f this is a unit mod m congruent to a mod f.
+    m_factors, when given, is factorize(m), so a caller lifting many
+    residues to one m factors it once.
     """
     res, mods = [], []
-    for p, e in factorize(m).items():
+    for p, e in (factorize(m) if m_factors is None else m_factors).items():
         q = p**e
         res.append(a % q if f % p == 0 else 1)
         mods.append(q)

@@ -1,8 +1,8 @@
 """The former forms of the character route's tables, kept as oracles of the
 tables that are built once: the long division by Phi_n that the remainder
 table replaced, the primitivization that read chi(a) from a CharacterTable
-and formed its kernels and CRT lifts again per character, the
-per-character Horner of B_{n,chi} over every residue mod f, and the
+and formed its kernels and CRT lifts again per character, the CRT lift
+that factors its modulus for each unit, the per-character Horner of B_{n,chi} over every residue mod f, and the
 conductor search that listed the units mod m once per divisor."""
 
 import math
@@ -97,6 +97,20 @@ def test_primitivization_matches_the_table_route():
                 spec.label, label)
             conductors.add(chi.conductor)
     assert {1, 3, 4, 5, 8, 12} <= conductors
+
+
+def test_crt_lift_tables_match_the_per_unit_lifts():
+    """Every table _crt_lifts(d, f) of the corpus, f a conductor and d | f,
+    equals crt_lift(b, d, f) for each unit b mod d, which factors f per
+    call; each lift is a unit mod f over b."""
+    tables = {(d, gal.conductor) for gal in (galois_group(s) for s in corpus_cm_specs(24))
+              for d in divisors(gal.conductor)}
+    assert len(tables) > 40
+    for d, f in sorted(tables):
+        table = abelian._crt_lifts(d, f)
+        assert table == tuple((b, crt_lift(b, d, f)) for b in unit_residues(d)), (d, f)
+        for b, a in table:
+            assert math.gcd(a, f) == 1 and (a - b) % d == 0, (d, f, b)
 
 
 @pytest.mark.parametrize("spec", [AbelianFieldSpec.rationals(),

@@ -4,7 +4,9 @@ kit no longer needs (the width-27 forms of the tower's level-Fitting check,
 the forms of ideals a unit generator makes whole, cohomology presented on
 every Howell row of Z) fails here; a change that moves a count updates the
 table in the same commit and says why in CHANGES.md. Cells are rows times
-width of each form's input, as the benchmark tracer counts them."""
+width of each form's input, as the benchmark tracer counts them. The corpus
+set-up slice counts the Hyp checks and subgroup products that build the CM
+corpus and its (S, T) choices."""
 
 import sys
 
@@ -37,3 +39,25 @@ def test_howell_work_matches_the_ledger(run, expected, monkeypatch):
             monkeypatch.setattr(module, "howell_form", counted)
     assert run()
     assert tuple(counts) == expected
+
+
+# (check_hyp calls, subgroup products HC) over corpus_cm_specs(24) and the
+# corpus_st_choices of each of its specs. The builders these replaced made
+# 2,304 Hyp checks (every T subset, 1,232 of them meeting S) and 4,745
+# subgroup closures (every set of 1 to 3 units).
+CORPUS_SETUP = (1072, 296)
+
+
+def test_corpus_setup_work_matches_the_ledger(monkeypatch):
+    counts = [0, 0]
+
+    def counted(i, fn):
+        def wrapper(*args):
+            counts[i] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(campaigns, "check_hyp", counted(0, campaigns.check_hyp))
+    monkeypatch.setattr(campaigns, "_subgroup_product", counted(1, campaigns._subgroup_product))
+    assert all(campaigns.corpus_st_choices(spec) for spec in campaigns.corpus_cm_specs(24))
+    assert tuple(counts) == CORPUS_SETUP
