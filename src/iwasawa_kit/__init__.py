@@ -67,6 +67,7 @@ from .lvalues import (
     fitting_membership_check,
     partial_zeta_vector,
     theta,
+    verify_case,
     verify_integrality,
 )
 from .tower import (

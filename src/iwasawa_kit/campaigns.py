@@ -42,7 +42,6 @@ from .exact import (
     bernoulli_number,
     bernoulli_polynomial,
     lowest_terms,
-    padic_from_rational,
     poly_eval,
     teichmuller,
 )
@@ -68,15 +67,15 @@ from .fitting import (
     tower_fitting_check,
     zmod_algebra,
 )
-from .groupring import mul, reduction, sharp, translate
+from .groupring import mul, reduction, translate
 from .linalg import howell_form, in_span, reduce_mod_span, span_size
 from .lvalues import (
     ClassModuleData,
     annihilation_check,
     fitting_membership_check,
-    minus_dual_presentation,
     theta,
     theta_character_side,
+    verify_case,
     verify_integrality,
 )
 from .numutil import unit_residues
@@ -756,10 +755,10 @@ def kummer_congruence_campaign(n_max: int = 2, N: int = 3) -> CampaignResult:
 
 def load_manifest(data_dir: Path) -> list[dict]:
     """The entries of data_dir/manifest.json and their class data, read under
-    the wire rule, each with its theta and the minus dual presentation of its
-    module. An entry off its precondition is a ValueError before any campaign
-    runs: theta(spec, S, T, r) must be integral (so p-integral), the spec CM,
-    p an odd prime and the spec's group the module's (minus_dual_presentation)."""
+    the wire rule, each admitted once by lvalues.verify_case: its theta, the
+    minus dual presentation of its module and theta^# in the minus algebra.
+    An entry off a rule of verify_case is a ValueError naming the entry,
+    before any campaign runs."""
     out = []
     for entry in wire.load(data_dir / "manifest.json", "manifest")["entries"].list():
         name = entry["data"].str()
@@ -774,10 +773,8 @@ def load_manifest(data_dir: Path) -> list[dict]:
             "N": entry["N"].int(),
         }
         try:
-            e["theta"] = theta(e["spec"], e["S"], e["T"], e["r"])
-            if not verify_integrality(e["theta"]):
-                raise ValueError("theta must have integer coefficients")
-            e["dual"] = minus_dual_presentation(e["spec"], e["module"], e["p"], e["N"])
+            e["theta"], e["dual"], e["target"] = verify_case(
+                e["spec"], e["S"], e["T"], e["r"], e["module"], e["p"], e["N"])
         except ValueError as exc:
             raise ValueError(f"manifest entry {name}: {exc}") from exc
         out.append(e)
@@ -791,17 +788,15 @@ def annihilation_campaign(entries: list[dict]) -> CampaignResult:
     cross-checked by ideal enumeration whenever the minus algebra is small."""
 
     def trial(rng, entry):
-        M, th, p, N = entry["module"], entry["theta"], entry["p"], entry["N"]
+        M, th, dual, target = entry["module"], entry["theta"], entry["dual"], entry["target"]
         ok_ann, witness = annihilation_check(th, M)
         if M.size <= 3**6:
             oracle = annihilation_oracle(th.value[0], th.group.orders, M.action, M.orders)
             yield ok_ann == oracle, f"annihilation oracle mismatch: {entry['name']}"
-        ok_fit, residual = fitting_membership_check(th, M, p, N)
-        dual_mod, proj = entry["dual"]
-        quo = dual_mod.algebra
+        ok_fit, residual = fitting_membership_check(dual, target)
+        quo = dual.algebra
         if quo.q**quo.dim <= ORACLE_RING_LIMIT:
-            target = proj.apply(sharp(padic_from_rational(th.value, p, N), th.group))
-            oracle_fit = ideal_member_oracle(target, dual_mod.fitting_ideal)
+            oracle_fit = ideal_member_oracle(target, dual.fitting_ideal)
             yield ok_fit == oracle_fit, f"fitting oracle mismatch: {entry['name']}"
         # table-derived entries are honest class groups: the proven theorems
         # (Stickelberger annihilation, strong Brumer-Stark) must hold on them

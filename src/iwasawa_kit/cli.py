@@ -24,11 +24,11 @@ from .lvalues import (
     annihilation_check,
     fitting_membership_check,
     theta,
+    verify_case,
     verify_integrality,
 )
 from .tower import (
     TowerElement,
-    TowerIntegralityError,
     coherence_check,
     theta_tower,
     tower_preconditions,
@@ -160,10 +160,7 @@ def run_tower(config: wire.Node) -> tuple[dict, int]:
             )
         tower_preconditions(spec, S, T, p, N, n_max, r)
     else:
-        try:
-            t = theta_tower(spec, S, T, p, N, n_max, r, strict_hyp=strict)
-        except TowerIntegralityError as exc:
-            raise CliError(EXIT_PRECONDITION, f"tower aborted: {exc}") from exc
+        t = theta_tower(spec, S, T, p, N, n_max, r, strict_hyp=strict)
     coherent, bad_layer = coherence_check(t)
     result = {
         "tower": t.to_json(),
@@ -186,9 +183,9 @@ def run_verify(config: wire.Node) -> tuple[dict, int]:
     spec, S, T, r = field_config(config)
     p, N = config["p"].int(), config["N"].int()
     module = ClassModuleData.from_json(wire.Node(config["class_data"].value, "class data"))
-    th = theta(spec, S, T, r)
+    th, dual, target = verify_case(spec, S, T, r, module, p, N)
     ann, acting = annihilation_check(th, module)
-    fit, residual = fitting_membership_check(th, module, p, N)
+    fit, residual = fitting_membership_check(dual, target)
     result = {
         "annihilation": ann,
         "fitting_membership": fit,

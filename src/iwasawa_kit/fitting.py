@@ -830,17 +830,13 @@ def four_term_check(
 
 
 def tower_fitting_check(
-    modules: list[FinPresModule],
-    projections: list[AlgebraMorphism],
-    transitions: list[ModuleMap] | None = None,
+    modules: list[FinPresModule], projections: list[AlgebraMorphism]
 ) -> dict:
     """Finite-level Greither-Kurihara consistency: for each adjacent pair,
     the image of Fitt(A_{n+1}) under the algebra projection must be contained
     in Fitt(A_n); equality is reported separately.
 
-    `projections[n]` maps level n+1's algebra onto level n's. Optional
-    `transitions[n]` are the module transition maps; they are checked to be
-    well defined and surjective (semilinearity is the caller's contract).
+    `projections[n]` maps level n+1's algebra onto level n's.
     """
     if len(projections) != len(modules) - 1:
         raise ValueError("need one projection per adjacent pair")
@@ -848,10 +844,6 @@ def tower_fitting_check(
         if not (same_algebra(phi.src, modules[n + 1].algebra)
                 and same_algebra(phi.dst, modules[n].algebra)):
             raise ValueError(f"projections[{n}] must map level {n + 1}'s algebra to level {n}'s")
-    if transitions is not None:
-        for t in transitions:
-            if not (t.is_well_defined() and t.image_size() == t.dst.size()):
-                raise ValueError("transition maps must be well defined surjections")
     contained, equal = [], []
     for n in range(len(modules) - 1):
         upper = modules[n + 1].fitting_ideal.map_through(projections[n])

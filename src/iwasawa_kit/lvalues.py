@@ -27,10 +27,14 @@ residues through element_of; only the group-ring route reads unit_classes.
 The two routes share that value type and its normal form, and no helper or
 cache.
 
-Class data are ingested. theta acts on them through one walk of the group,
-one generator product per element. minus_dual_presentation writes the dual
-of their minus p-part straight from the action matrices
-(fitting.pontryagin_dual, the kernel route, is its test oracle).
+Class data are ingested. verify_case admits a verify case once, cheap rules
+first (r and the places, p, the size of the field's group, all before any
+Galois group is built), and returns theta, the minus dual and theta^#; the
+annihilation and Fitting checks only compute on what it admitted. theta acts
+on class data through one walk of the group, one generator product per
+element. minus_dual_presentation writes the dual of their minus p-part
+straight from the action matrices (fitting.pontryagin_dual, the kernel
+route, is its test oracle).
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from .exact import (
     rat_to_str,
 )
 from .fitting import FinPresModule, GroupAlgebra, minus_quotient
-from .numutil import is_prime
+from .numutil import euler_phi, is_prime
 
 
 def theta_places(spec: AbelianFieldSpec, S, T, r: int) -> tuple[set[int], set[int]]:
@@ -137,7 +141,7 @@ class StickelbergerElement:
 
     value: tuple[tuple[int, ...], int]
     group: FiniteAbelianGroup
-    spec: AbelianFieldSpec | None
+    spec: AbelianFieldSpec
     S: tuple
     T: tuple
     r: int
@@ -149,7 +153,7 @@ class StickelbergerElement:
             "S": [str(v) for v in self.S],
             "T": [str(v) for v in self.T],
             "r": self.r,
-            "spec": self.spec.to_json() if self.spec else None,
+            "spec": self.spec.to_json(),
         }
 
 
@@ -168,22 +172,21 @@ def theta_value(pres, s_fin, t_fin, r: int) -> tuple[tuple[int, ...], int]:
 def theta(spec: AbelianFieldSpec, S, T, r: int) -> StickelbergerElement:
     """Theta_{S,T}(r) of the spec: r and the places are admitted once
     (theta_places) before its Galois group is looked up or built."""
-    s_fin, t_fin = theta_places(spec, S, T, r)
+    return _theta(spec, S, T, r, *theta_places(spec, S, T, r))
+
+
+def _theta(spec, S, T, r, s_fin, t_fin) -> StickelbergerElement:
     pres = galois_group(spec)
     value = theta_value(pres, s_fin, t_fin, r)
     return StickelbergerElement(value, pres.group, spec, tuple(S), tuple(T), r)
 
 
-def _denominator(theta_elem: StickelbergerElement | tuple) -> int:
-    return (theta_elem.value if isinstance(theta_elem, StickelbergerElement) else theta_elem)[1]
+def verify_integrality(theta_elem: StickelbergerElement) -> bool:
+    return theta_elem.value[1] == 1
 
 
-def verify_integrality(theta_elem: StickelbergerElement | tuple) -> bool:
-    return _denominator(theta_elem) == 1
-
-
-def is_p_integral(theta_elem: StickelbergerElement | tuple, p: int) -> bool:
-    return _denominator(theta_elem) % p != 0
+def is_p_integral(value: tuple[tuple[int, ...], int], p: int) -> bool:
+    return value[1] % p != 0
 
 
 # ---------------------------------------------------------------------------
@@ -357,17 +360,15 @@ class ClassModuleData:
             out *= d
         return out
 
-    def theta_matrix(self, x: tuple, group: FiniteAbelianGroup) -> list[list[int]]:
-        """sum_g x_g . action(g) for x = (nums, 1) in Z[G], an integer matrix
-        equal mod the orders to the exact sum. One walk of the group in the
-        basis order (the last coordinate runs fastest): prefix[t] is the
-        action of the first t coordinates of g, so each step multiplies the
-        prefix of the coordinate it advances by that generator's matrix once
-        and reduces it mod the orders (exact, as in _mat_power)."""
-        nums, den = x
-        if den != 1:
-            raise ValueError("annihilation needs integral coefficients")
-        k, orders = len(self.orders), group.orders
+    def theta_matrix(self, nums: tuple) -> list[list[int]]:
+        """sum_g nums_g . action(g) for nums in Z[G], G of the group_orders,
+        an integer matrix equal mod the orders to the exact sum. One walk of
+        the group in the basis order (the last coordinate runs fastest):
+        prefix[t] is the action of the first t coordinates of g, so each step
+        multiplies the prefix of the coordinate it advances by that
+        generator's matrix once and reduces it mod the orders (exact, as in
+        _mat_power)."""
+        k, orders = len(self.orders), self.group_orders
         gens = [_mat_reduce(self.action[t], self.orders) for t in range(len(orders))]
         prefix = [_mat_reduce(_mat_identity(k), self.orders)] * (len(orders) + 1)
         digits = [0] * len(orders)
@@ -408,20 +409,45 @@ class ClassModuleData:
         return cls(orders, group_orders, {generators[k]: A for k, A in action.items()}, provenance)
 
 
+def verify_case(
+    spec: AbelianFieldSpec, S, T, r: int, M: ClassModuleData, p: int, N: int
+) -> tuple[StickelbergerElement, FinPresModule, tuple]:
+    """Admit a verify case once, cheap rules first, and return (theta, the
+    minus dual of M over (Z/p^N)[G]/(1+j), theta^# mod p^N in that algebra).
+    The rules, in order: r and the places (theta_places); p an odd prime;
+    the field's group of size [(Z/m)^x : H] = phi(m)/|H| as the module's,
+    read off the spec before any Galois group is built; then theta integral
+    (so p-integral); its group's orders the module's; the field CM; N >= 1
+    (GroupAlgebra). Nothing after it checks these again."""
+    s_fin, t_fin = theta_places(spec, S, T, r)
+    if p == 2 or not is_prime(p):
+        raise ValueError("fitting membership needs an odd prime")
+    size, module_size = euler_phi(spec.modulus) // len(spec.fixing), math.prod(M.group_orders)
+    if size != module_size:
+        raise ValueError(
+            f"group mismatch: the field's group has order {size}, the module's {module_size}"
+        )
+    th = _theta(spec, S, T, r, s_fin, t_fin)
+    if not verify_integrality(th):
+        raise ValueError("theta must have integer coefficients")
+    if th.group.orders != M.group_orders:
+        raise ValueError(
+            f"group mismatch: theta over {th.group.orders}, module over {M.group_orders}"
+        )
+    if cm_data(spec) is None:
+        raise ValueError("fitting membership needs a CM field")
+    dual, proj = minus_dual_presentation(spec, M, p, N)
+    target = proj.apply(groupring.sharp(padic_from_rational(th.value, p, N), th.group))
+    return th, dual, target
+
+
 def annihilation_check(
     theta_elem: StickelbergerElement, M: ClassModuleData
 ) -> tuple[bool, list[list[int]]]:
-    """Brumer-Stark shape: does theta act as 0 on M? Returns the verdict and
-    the acting matrix (reduced mod the orders) as witness."""
-    if not verify_integrality(theta_elem):
-        raise ValueError("theta must have integer coefficients")
-    grp = theta_elem.group
-    if grp.orders != M.group_orders:
-        raise ValueError(
-            f"group mismatch: theta over {grp.orders}, module over {M.group_orders}"
-        )
-    mat = M.theta_matrix(theta_elem.value, grp)
-    reduced = _mat_reduce(mat, M.orders)
+    """Brumer-Stark shape: does theta, admitted by verify_case, act as 0 on
+    M? Returns the verdict and the acting matrix (reduced mod the orders) as
+    witness."""
+    reduced = _mat_reduce(M.theta_matrix(theta_elem.value[0]), M.orders)
     ok = all(all(c == 0 for c in row) for row in reduced)
     return ok, reduced
 
@@ -430,7 +456,8 @@ def minus_dual_presentation(
     spec: AbelianFieldSpec, M: ClassModuleData, p: int, N: int
 ) -> tuple[FinPresModule, object]:
     """Present the Pontryagin dual of the minus p-part of M over
-    (Z/p^N)[G]/(1+j). Returns (module, projection morphism).
+    (Z/p^N)[G]/(1+j), for a case verify_case admits. Returns (module,
+    projection morphism).
 
     One generator f_a (f_a(e_s) = delta_as / p^v_a) for each coordinate a
     whose order has p-part p^v_a > 1. As (b.f)(m) = f(b^# m), and g_t^(-1)
@@ -439,17 +466,9 @@ def minus_dual_presentation(
     divides p^v_s A_t[a][s], as ClassModuleData refuses an action that is
     not well defined mod the orders.
     """
-    cm = cm_data(spec)
-    if cm is None:
-        raise ValueError("fitting membership needs a CM field")
-    if p == 2 or not is_prime(p):
-        raise ValueError("fitting membership needs an odd prime")
-    gal = galois_group(spec)
-    if gal.group.orders != M.group_orders:
-        raise ValueError("group mismatch between spec and class data")
-    grp = gal.group
+    grp = galois_group(spec).group
     alg = GroupAlgebra(p, N, grp)
-    quo, proj = minus_quotient(alg, cm.j)
+    quo, proj = minus_quotient(alg, cm_data(spec).j)
     ppart = [math.gcd(d, p ** d.bit_length()) for d in M.orders]  # p^v divides d < p^bits
     keep = [a for a, pa in enumerate(ppart) if pa > 1]
     zero, one = quo.zero(), quo.one
@@ -462,20 +481,9 @@ def minus_dual_presentation(
     return FinPresModule(quo, len(keep), relations), proj
 
 
-def fitting_membership_check(
-    theta_elem: StickelbergerElement, M: ClassModuleData, p: int, N: int
-) -> tuple[bool, tuple]:
-    """Strong Brumer-Stark shape: theta^# in Fitt_{(Z/p^N)[G]_-}((p-part of
-    M, minus)^dual)? Returns the verdict and the Howell residual as witness
-    (all zero iff member)."""
-    spec = theta_elem.spec
-    if spec is None:
-        raise ValueError("theta carries no field spec")
-    # first, so that p is known to be an odd prime before is_p_integral divides by it
-    dual_mod, proj = minus_dual_presentation(spec, M, p, N)
-    if not is_p_integral(theta_elem, p):
-        raise ValueError(f"theta is not {p}-integral")
-    fitt = dual_mod.fitting_ideal
-    reduced = padic_from_rational(theta_elem.value, p, N)
-    target = proj.apply(groupring.sharp(reduced, theta_elem.group))
+def fitting_membership_check(dual: FinPresModule, target: tuple) -> tuple[bool, tuple]:
+    """Strong Brumer-Stark shape: is target, the theta^# of verify_case, in
+    the Fitting ideal of the dual of the minus p-part of M? Returns the
+    verdict and the Howell residual as witness (all zero iff member)."""
+    fitt = dual.fitting_ideal
     return fitt.contains_element(target), fitt.residual(target)

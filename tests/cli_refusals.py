@@ -62,6 +62,32 @@ def place_refusals() -> dict:
             for name, (want, message, argv) in cases.items()}
 
 
+# the rows of verify_refusals refused before any Galois group is built
+UNBUILT_VERIFY_REFUSALS = ("verify-p-two", "verify-group-size")
+
+
+def verify_refusals() -> dict:
+    """{name: (exit code, a phrase of the error, argv)}: verify on admissible
+    places breaking each later rule of lvalues.verify_case, in its order: p
+    not an odd prime, a module group of the wrong size, theta not integral,
+    a field that is not CM. The first two are over the prime modulus 10,007,
+    whose group of order 10,006 is not the module's of order 2; they read
+    the spec only (UNBUILT_VERIFY_REFUSALS)."""
+    prime = ("--spec", '{"modulus": 10007, "fixing": [1]}', "--S", "10007,oo", "--T", "7")
+    cases = {
+        "verify-p-two": ("odd prime", (*prime, "--p", "2")),
+        "verify-group-size": ("group mismatch", (*prime, "--p", "3")),
+        "verify-non-integral": (
+            "integer coefficients", ("--spec", "zeta3", "--S", "3,oo", "--T", "2", "--p", "3")),
+        "verify-real-field": (
+            "CM field",
+            ("--spec", '{"modulus": 5, "fixing": [1, 4]}', "--S", "5,oo", "--T", "7", "--p", "3")),
+    }
+    tail = ("--r", "0", "--N", "2", "--data", str(DATA / "trivial_z3.json"))
+    return {name: (EXIT_PRECONDITION, phrase, ("verify", *argv, *tail))
+            for name, (phrase, argv) in cases.items()}
+
+
 def refusals(tmp: Path) -> dict:
     """{name: (exit code, a phrase of the error, argv)}; the files the
     inputs name are written under tmp."""
@@ -154,6 +180,12 @@ def refusals(tmp: Path) -> dict:
             EXIT_PRECONDITION, "group mismatch",
             ("verify", "--spec", "zeta5", "--S", "5,oo", "--T", "3", "--r", "0", "--p", "3",
              "--N", "2", "--data", DATA / "synthetic_z3_quadratic.json")),
+        # the module's group has the field's size, 4, but not its orders (4,)
+        "verify-group-orders": (
+            EXIT_PRECONDITION, "group mismatch: theta over (4,), module over (2, 2)",
+            ("verify", "--spec", "zeta5", "--S", "5,oo", "--T", "3", "--r", "0", "--p", "3",
+             "--N", "2", "--data", write(tmp / "c2xc2.json", {
+                 "orders": [3], "group_orders": [2, 2], "action": {"g0": [[-1]], "g1": [[1]]}}))),
         "verify-invalid-class-data": (
             EXIT_PRECONDITION, "violates the generator order",
             (*verify_z3, write(tmp / "invalid.json", {
@@ -171,5 +203,6 @@ def refusals(tmp: Path) -> dict:
             EXIT_IO, "modules[0].ngens",
             ("complex", "--data", write(tmp / "bad_complex.json", complex_file))),
     }
-    return {name: (want, phrase, tuple(map(str, argv)))
-            for name, (want, phrase, argv) in (cases | replays).items()} | place_refusals()
+    cases = {name: (want, phrase, tuple(map(str, argv)))
+             for name, (want, phrase, argv) in (cases | replays).items()}
+    return cases | place_refusals() | verify_refusals()

@@ -74,7 +74,7 @@ def test_the_annihilation_oracle_does_not_read_the_checkers_matrix(monkeypatch):
     """With theta_matrix, the matrix the checker reduces, faulted to zero, the
     checker says "annihilates" everywhere; the oracle, which acts on each
     module element itself, disagrees on the two modules theta does not kill."""
-    def zero(self, x, group):
+    def zero(self, nums):
         return [[0] * len(self.orders) for _ in self.orders]
 
     monkeypatch.setattr(lvalues.ClassModuleData, "theta_matrix", zero)

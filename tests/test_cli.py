@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 from algebra_helpers import algebra_json
-from cli_refusals import place_refusals, refusals
+from cli_refusals import UNBUILT_VERIFY_REFUSALS, place_refusals, refusals, verify_refusals
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -979,10 +979,33 @@ def test_place_refusals_build_no_galois_group(capsys, monkeypatch):
         assert err["error"] == message == refusal, name
 
 
+def test_verify_refuses_p_and_the_group_size_before_any_galois_group(capsys, monkeypatch):
+    """verify refuses p = 2 and a module group of the wrong size with exit 2
+    while galois_group and tower_level raise at every binding in the
+    package: both rules read the spec, never its Galois group."""
+    from iwasawa_kit import abelian, tower
+
+    def built(*args):
+        raise AssertionError("a Galois group was built before the refusal")
+
+    patch_every_binding(monkeypatch, (abelian.galois_group, tower.tower_level), built)
+    cases = verify_refusals()
+    messages = {"verify-p-two": "fitting membership needs an odd prime",
+                "verify-group-size": "group mismatch: the field's group has order 10006, "
+                                     "the module's 2"}
+    for name in UNBUILT_VERIFY_REFUSALS:
+        want, _, argv = cases[name]
+        code, err = run_refused(capsys, *argv)
+        assert code == want == err["exit"] == EXIT_PRECONDITION, (name, err)
+        assert err["error"] == messages[name], name
+
+
 def test_places_are_admitted_once_per_theta_or_tower(capsys, monkeypatch):
     """admissible_places, wrapped at every binding in the package, runs once
-    per theta_tower (n_max = 0..3), once per theta command, and twice for the
-    README tower at r = -1: its tower and the r = 0 tower of its congruence."""
+    per theta_tower (n_max = 0..3), once per theta command, once for the
+    README verify (its theta is built on the places verify_case admitted),
+    and twice for the README tower at r = -1: its tower and the r = 0 tower
+    of its congruence."""
     from iwasawa_kit import abelian
     from iwasawa_kit.tower import theta_tower
 
@@ -1002,7 +1025,9 @@ def test_places_are_admitted_once_per_theta_or_tower(capsys, monkeypatch):
     readme_theta = ("theta", "--spec", "zeta3", "--S", "3,oo", "--T", "7", "--r", "0")
     readme_tower = ("tower", "--spec", "zeta5", "--S", "5,oo", "--T", "2", "--r", "-1",
                     "--p", "5", "--N", "2", "--levels", "2")
-    for argv, checks in ((readme_theta, 1), (readme_tower, 2)):
+    readme_verify = ("verify", "--spec", "zeta23", "--S", "23,oo", "--T", "5", "--r", "0",
+                     "--p", "3", "--N", "2", "--data", str(DATA / "table_z23_minus.json"))
+    for argv, checks in ((readme_theta, 1), (readme_verify, 1), (readme_tower, 2)):
         calls.clear()
         code, _ = run(capsys, *argv)
         assert (code, len(calls)) == (EXIT_OK, checks), argv[0]

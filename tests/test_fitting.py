@@ -468,9 +468,6 @@ def test_tower_fitting_check_principal():
     proj = group_algebra_morphism(
         algs[1], algs[0], lambda g: t.levels[1].project(g, 0)
     )
-    transitions = [ModuleMap(mods[1], mods[0], [[algs[0].one]])]
-    # transition is semilinear over proj; check well-definedness by hand:
-    # theta_1 maps to theta_0 under proj (coherence), so the map is legitimate.
     report = tower_fitting_check(mods, [proj])
     assert report["ok"] and all(report["equal"])
 
@@ -483,15 +480,6 @@ def test_tower_fitting_check_constant_system():
     M = principal_module(alg0, a)
     report = tower_fitting_check([M, M], [ident])
     assert report["ok"] and all(report["equal"])
-
-
-def test_tower_fitting_rejects_bad_transitions():
-    alg = A_z9c3()
-    ident = AlgebraMorphism(alg, alg, [alg.basis_element(i) for i in range(alg.dim)])
-    M = principal_module(alg, alg.scalar(3, alg.one))
-    bad = ModuleMap(M, M, [[alg.scalar(3, alg.one)]])  # not surjective
-    with pytest.raises(ValueError):
-        tower_fitting_check([M, M], [ident], [bad])
 
 
 def test_contains_refuses_ideals_over_different_algebras():

@@ -79,7 +79,7 @@ def test_integer_route_matches_fraction_route_on_the_corpus():
             assert verify_integrality(th) == integral, where
             verdicts.add(integral)
             for p in PRIMES:
-                assert is_p_integral(th, p) == all(c.denominator % p for c in ref), (where, p)
+                assert is_p_integral(th.value, p) == all(c.denominator % p for c in ref), (where, p)
     assert verdicts == {True, False}
 
 

@@ -38,10 +38,12 @@ from iwasawa_kit.lvalues import (
     annihilation_check,
     fitting_membership_check,
     is_p_integral,
+    minus_dual_presentation,
     partial_zeta_vector,
     theta,
     theta_character_side,
     theta_places,
+    verify_case,
     verify_integrality,
 )
 from iwasawa_kit.oracles import annihilation_oracle, ideal_member_oracle
@@ -187,8 +189,8 @@ def test_integrality_of_zero():
 def test_p_integrality():
     t2 = theta(Z5, [5, OO], [2], 0)
     assert not verify_integrality(t2)
-    assert is_p_integral(t2, 5)
-    assert not is_p_integral(t2, 2)
+    assert is_p_integral(t2.value, 5)
+    assert not is_p_integral(t2.value, 2)
 
 
 def test_dirichlet_l_examples():
@@ -423,6 +425,13 @@ def test_annihilation_oracle_reads_the_coefficients_in_the_basis_order():
         assert annihilation_oracle(nums, group.orders, M.action, M.orders) == kills
 
 
+def sharp_target(th, M, p, N):
+    """The minus dual of M over Z3 and theta^# reduced mod p^N and projected
+    to its algebra: what verify_case returns for an admitted theta."""
+    dual_mod, proj = minus_dual_presentation(Z3, M, p, N)
+    return dual_mod, proj.apply(sharp(padic_from_rational(th.value, p, N), th.group))
+
+
 def test_fitting_membership_examples():
     grp = galois_group(Z3).group
     M = ClassModuleData((3,), grp.orders, {0: [[-1]]}, "synthetic")
@@ -430,18 +439,16 @@ def test_fitting_membership_examples():
     th1 = StickelbergerElement(
         pair(grp, {s2: Q(1), grp.identity: Q(-1)}), grp, Z3, (3, OO), (7,), 0
     )
-    ok, residual = fitting_membership_check(th1, M, 3, 2)
+    ok, residual = fitting_membership_check(*sharp_target(th1, M, 3, 2))
     assert not ok and any(residual)
     th3 = StickelbergerElement(pair(grp, {s2: 3, grp.identity: -3}), grp, Z3, (3, OO), (7,), 0)
-    ok3, res3 = fitting_membership_check(th3, M, 3, 2)
+    ok3, res3 = fitting_membership_check(*sharp_target(th3, M, 3, 2))
     assert ok3 and not any(res3)
     Mtriv = ClassModuleData((1,), grp.orders, {0: [[1]]}, "trivial")
-    assert fitting_membership_check(th1, Mtriv, 3, 2)[0]
+    assert fitting_membership_check(*sharp_target(th1, Mtriv, 3, 2))[0]
 
 
 def test_fitting_membership_matches_enumeration_oracle():
-    from iwasawa_kit.lvalues import minus_dual_presentation
-
     grp = galois_group(Z3).group
     M = ClassModuleData((3,), grp.orders, {0: [[-1]]}, "synthetic")
     dual_mod, proj = minus_dual_presentation(Z3, M, 3, 2)
@@ -454,7 +461,13 @@ def test_fitting_membership_matches_enumeration_oracle():
         th = StickelbergerElement(pair(grp, coeffs), grp, Z3, (3, OO), (7,), 0)
         target = proj.apply(sharp(padic_from_rational(th.value, 3, 2), grp))
         assert ideal_member_oracle(target, fitt) == expected
-        assert fitting_membership_check(th, M, 3, 2)[0] == expected
+        assert fitting_membership_check(dual_mod, target)[0] == expected
+    # the admitted case of a true theta: verify_case builds the same dual and target
+    th, dual, target = verify_case(Z3, [3, OO], [7], 0, M, 3, 2)
+    assert th.value == theta(Z3, [3, OO], [7], 0).value
+    assert (dual.relations, target) == (dual_mod.relations,
+                                         sharp_target(th, M, 3, 2)[1])
+    assert fitting_membership_check(dual, target)[0] == ideal_member_oracle(target, fitt)
 
 
 def test_class_module_data_validation():

@@ -221,7 +221,7 @@ def test_theta_matrix_matches_the_action_of_each_element_on_the_manifest():
     for e in load_manifest(DATA):
         M, th = e["module"], e["theta"]
         expected = _mat_reduce(theta_matrix_reference(M, th.value, th.group), M.orders)
-        assert _mat_reduce(M.theta_matrix(th.value, th.group), M.orders) == expected, e["name"]
+        assert _mat_reduce(M.theta_matrix(th.value[0]), M.orders) == expected, e["name"]
 
 
 def random_class_module(rng, ngens):
@@ -268,6 +268,6 @@ def test_theta_matrix_matches_the_action_of_each_element_on_random_modules():
             for _ in range(3):
                 x = (tuple(rng.randint(-4, 4) for _ in range(group.size)), 1)
                 expected = _mat_reduce(theta_matrix_reference(M, x, group), M.orders)
-                assert _mat_reduce(M.theta_matrix(x, group), M.orders) == expected, (
+                assert _mat_reduce(M.theta_matrix(x[0]), M.orders) == expected, (
                     M.orders, M.group_orders)
     assert distinct >= 30

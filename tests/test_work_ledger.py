@@ -6,13 +6,17 @@ every Howell row of Z) fails here; a change that moves a count updates the
 table in the same commit and says why in CHANGES.md. Cells are rows times
 width of each form's input, as the benchmark tracer counts them. The corpus
 set-up slice counts the Hyp checks and subgroup products that build the CM
-corpus and its (S, T) choices."""
+corpus and its (S, T) choices. The manifest slice counts the minus
+quotients that reading the data and checking it build."""
 
 import sys
+from pathlib import Path
 
 import pytest
 
-from iwasawa_kit import campaigns, linalg
+from iwasawa_kit import campaigns, fitting, linalg
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 # (slice, its run giving whether every suite passed, (howell_form calls, cells))
 LEDGER = [
@@ -24,6 +28,15 @@ LEDGER = [
 ]
 
 
+def wrap_every_binding(monkeypatch, original, wrapper):
+    """Bind wrapper wherever a module of the package binds original, as the
+    benchmark tracer patches it."""
+    name = original.__name__
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("iwasawa_kit") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, wrapper)
+
+
 @pytest.mark.parametrize("run, expected", [pytest.param(r, e, id=name) for name, r, e in LEDGER])
 def test_howell_work_matches_the_ledger(run, expected, monkeypatch):
     original, counts = linalg.howell_form, [0, 0]
@@ -33,10 +46,7 @@ def test_howell_work_matches_the_ledger(run, expected, monkeypatch):
         counts[1] += len(rows) * width
         return original(rows, width, q)
 
-    # every binding of the function in the package, as the tracer patches it
-    for module_name, module in list(sys.modules.items()):
-        if module_name.startswith("iwasawa_kit") and getattr(module, "howell_form", None) is original:
-            monkeypatch.setattr(module, "howell_form", counted)
+    wrap_every_binding(monkeypatch, original, counted)
     assert run()
     assert tuple(counts) == expected
 
@@ -61,3 +71,23 @@ def test_corpus_setup_work_matches_the_ledger(monkeypatch):
     monkeypatch.setattr(campaigns, "_subgroup_product", counted(1, campaigns._subgroup_product))
     assert all(campaigns.corpus_st_choices(spec) for spec in campaigns.corpus_cm_specs(24))
     assert tuple(counts) == CORPUS_SETUP
+
+
+# minus_quotient builds over load_manifest(data) and annihilation_campaign:
+# one per manifest entry, as lvalues.verify_case admits each entry once and
+# the campaign reads the dual it built (rebuilding it to check membership
+# made 10).
+MANIFEST_MINUS_QUOTIENTS = 5
+
+
+def test_manifest_builds_one_minus_quotient_per_entry(monkeypatch):
+    original, builds = fitting.minus_quotient, []
+
+    def counted(*args):
+        builds.append(args)
+        return original(*args)
+
+    wrap_every_binding(monkeypatch, original, counted)
+    entries = campaigns.load_manifest(DATA)
+    assert campaigns.annihilation_campaign(entries).ok
+    assert len(builds) == len(entries) == MANIFEST_MINUS_QUOTIENTS
