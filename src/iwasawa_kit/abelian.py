@@ -310,23 +310,11 @@ def roots_of_unity_order(spec: AbelianFieldSpec) -> int:
 
 def layer(spec: AbelianFieldSpec, p: int, n: int) -> AbelianFieldSpec:
     """The n-th layer L_n = L.Q_n inside Q(zeta_{m' p^(n+1)}), m' the
-    prime-to-p part of the modulus. Requires v_p(modulus) <= 1 so that
-    L and the tower are linearly disjoint (Gal(L_n/Q) = G x Z/p^n).
+    modulus with its factor p (if any) stripped. Requires p odd and
+    v_p(modulus) <= 1, so that L and the tower are linearly disjoint
+    (Gal(L_n/Q) = G x Z/p^n); tower.tower_preconditions admits both.
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"layer needs an odd prime, got p={p}")
-    if n < 0:
-        raise ValueError(f"layer index must be >= 0, got {n}")
-    m = spec.modulus
-    vp = 0
-    while m % p == 0:
-        m //= p
-        vp += 1
-    if vp >= 2:
-        raise ValueError(
-            f"v_{p}(modulus) = {vp} >= 2: the field presentation does not pin a tower base"
-        )
-    mprime = m
+    mprime = spec.modulus // p if spec.modulus % p == 0 else spec.modulus
     q = p ** (n + 1)
     big = mprime * q
     torsion = {pow(x, p**n, q) for x in unit_residues(q)}
@@ -348,7 +336,7 @@ def normalize_places(S) -> tuple[set[int], bool]:
     finite: set[int] = set()
     has_inf = False
     for v in S:
-        if v == INFINITE_PLACE or v == "inf":
+        if v == INFINITE_PLACE:
             has_inf = True
         elif isinstance(v, int) and is_prime(v):
             finite.add(v)

@@ -145,20 +145,20 @@ def run_tower(config: wire.Node) -> tuple[dict, int]:
         )
     replay = config.get("replay").value
     if replay is not None:
+        # the command line, then the file's header, then its levels
+        tower_preconditions(spec, S, T, p, N, n_max, r)
+        node = wire.Node(replay, "tower file")
         try:
-            t = TowerElement.from_json(wire.Node(replay, "tower file"))
+            names = ("spec", "S", "T", "p", "N", "levels", "r")
+            pairs = zip(names, TowerElement.header(node), (spec, S, T, p, N, n_max, r))
+            differ = [k for k, a, b in pairs  # the places compare as sets
+                      if (set(a) != set(b) if k in ("S", "T") else a != b)]
+            if differ:
+                raise CliError(EXIT_IO, "tower file does not match the command line in "
+                               + ", ".join(differ))
+            t = TowerElement.from_json(node)
         except ValueError as exc:
             raise CliError(EXIT_IO, f"bad tower file: {exc}") from exc
-        stored = {"p": t.p, "N": t.N, "spec": t.spec, "S": set(t.S),
-                  "T": set(t.T), "r": t.r, "levels": t.n_max}
-        wanted = {"p": p, "N": N, "spec": spec, "S": set(S), "T": set(T),
-                  "r": r, "levels": n_max}
-        differ = [k for k in stored if stored[k] != wanted[k]]
-        if differ:
-            raise CliError(
-                EXIT_IO, f"tower file does not match the command line in {', '.join(differ)}"
-            )
-        tower_preconditions(spec, S, T, p, N, n_max, r)
     else:
         t = theta_tower(spec, S, T, p, N, n_max, r, strict_hyp=strict)
     coherent, bad_layer = coherence_check(t)

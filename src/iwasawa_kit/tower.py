@@ -15,10 +15,10 @@ reduced mod p^N with one inverse of den (exact.padic_from_rational), after
 the check that p does not divide den.
 
 Each layer's cyclotomic twist factors chi_cyc(g)^r mod p^N are a table
-built once per (level, r, p^N). r and the places are admitted once per
-tower, on the base field, before any level is built (lvalues.theta_places);
-each layer's theta is lvalues.theta_value on those finite primes, and per
-layer only the roots-of-unity rule of Hyp(S,T) is read.
+built once per (level, r, p^N). tower_preconditions states every tower rule;
+theta_tower and TowerElement.from_json admit a tower through it before any
+level is built. Each layer's theta is lvalues.theta_value on the admitted
+finite primes, and per layer only the roots-of-unity rule of Hyp(S,T) is read.
 
 Lambda(G) is represented only through coherent families of finite-level
 elements: a tower is accepted exactly when adjacent aug projections match,
@@ -124,18 +124,26 @@ class TowerElement:
             },
         }
 
+    @staticmethod
+    def header(obj) -> tuple:
+        """The arguments (spec, S, T, p, N, n_max, r) of tower_preconditions
+        that a stored tower's header holds, read under the wire rule before
+        any level."""
+        tower = wire.node(obj, "tower")
+        meta = tower["meta"]
+        S, T = (tuple(v.place() for v in meta[k].list()) for k in ("S", "T"))
+        return (AbelianFieldSpec.from_json(meta["spec"]), S, T, tower["p"].int(),
+                tower["N"].int(), len(tower["levels"].list()) - 1, meta["r"].int())
+
     @classmethod
     def from_json(cls, obj) -> "TowerElement":
-        """Parse a stored tower under the wire rule; meta.hyp, when present,
-        holds one boolean per level. A p that is not an odd prime, N < 1, a
-        level out of order or a key that is no group element raise ValueError."""
+        """Parse a stored tower under the wire rule, its header admitted by
+        tower_preconditions before any level is built; meta.hyp, when
+        present, holds one boolean per level. A level out of order or a key
+        that is no group element raises ValueError."""
         tower = wire.node(obj, "tower")
-        p, N = tower["p"].int(), tower["N"].int()
-        if p == 2 or not is_prime(p) or N < 1:
-            raise ValueError(f"a tower needs an odd prime p and N >= 1, got p={p}, N={N}")
-        meta = tower["meta"]
-        spec = AbelianFieldSpec.from_json(meta["spec"])
-        S, T = (tuple(v.place() for v in meta[k].list()) for k in ("S", "T"))
+        spec, S, T, p, N, _, r = header = cls.header(tower)
+        tower_preconditions(*header)
         entries, levels = [], []
         for n, lvl in enumerate(tower["levels"].list()):
             if (label := lvl["n"].int()) != n:
@@ -144,24 +152,28 @@ class TowerElement:
             entry = groupring.from_json(lvl["coeffs"], data.group, wire.Node.int)
             entries.append(tuple(c % p**N for c in entry))
             levels.append(data)
-        hyp = meta.get("hyp", [True] * len(entries)).list(len(entries))
-        return cls(
-            p, N, spec, S, T, meta["r"].int(), entries, levels, [b.bool() for b in hyp]
-        )
+        hyp = tower["meta"].get("hyp", [True] * len(entries)).list(len(entries))
+        return cls(p, N, spec, S, T, r, entries, levels, [b.bool() for b in hyp])
 
 
 def tower_preconditions(
     spec: AbelianFieldSpec, S, T, p: int, N: int, n_max: int, r: int
 ) -> tuple[set[int], set[int]]:
-    """p odd, N >= 1, n_max >= 0, and r and the places fit theta on the base
-    field (lvalues.theta_places) with p in S, since p ramifies in the tower:
-    theta_tower checks them before it builds a level, `tower --data` on the
-    replayed tower. Returns the finite primes (s_fin, t_fin) of S and T.
-    Only p ramifies up the tower, so the places then fit every level."""
+    """Every tower rule, cheap rules first, before any Galois group or level is
+    built: p an odd prime; N >= 1 and n_max >= 0; v_p(modulus) <= 1, so that
+    L and the tower are linearly disjoint (abelian.layer); r and the places
+    fit theta on the base field (lvalues.theta_places); p in S, as the one
+    prime that ramifies up the tower. Returns the finite primes of S and T."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"theta_tower needs an odd prime, got {p}")
     if N < 1 or n_max < 0:
         raise ValueError("need N >= 1 and n_max >= 0")
+    vp, m = 0, spec.modulus
+    while m % p == 0:
+        vp, m = vp + 1, m // p
+    if vp >= 2:
+        raise ValueError(f"v_{p}(modulus) = {vp} >= 2: the field presentation does not pin "
+                         "a tower base")
     s_fin, t_fin = theta_places(spec, S, T, r)
     if p not in s_fin:
         raise ValueError(f"S must contain p = {p} (it ramifies in the tower)")
@@ -180,9 +192,9 @@ def theta_tower(
 ) -> TowerElement:
     """Theta_{S,T}(L_n/Q, r) mod p^N for n = 0..n_max.
 
-    Preconditions: tower_preconditions, before any level is built, and
-    v_p(modulus) <= 1 (abelian.layer). Every layer value must be exactly
-    p-integral before reduction; a non-integral layer aborts with its index.
+    Preconditions: tower_preconditions, before any level is built. Every
+    layer value must be exactly p-integral before reduction; a non-integral
+    layer aborts with its index.
     Hyp(S,T) is recorded per layer (enforced under strict_hyp): the places
     fit every layer once they fit the base with p in S, so a layer's verdict
     is the roots-of-unity rule of its w_L, and equals check_hyp on its spec.

@@ -62,6 +62,11 @@ def place_refusals() -> dict:
             for name, (want, message, argv) in cases.items()}
 
 
+# the tower rows of refusals refused by what a level holds, so after the
+# levels are built; every other tower row is refused before any is built
+BUILT_TOWER_REFUSALS = (
+    "tower-N-past-int-str-limit", "tower-nonintegral-layer", "tower-rational-coefficient")
+
 # the rows of verify_refusals refused before any Galois group is built
 UNBUILT_VERIFY_REFUSALS = ("verify-p-two", "verify-group-size")
 
@@ -88,6 +93,15 @@ def verify_refusals() -> dict:
             for name, (phrase, argv) in cases.items()}
 
 
+def z3_replay(path, **flags) -> tuple:
+    """tower --data path under the command line of the committed tower of
+    Q(zeta_3), each flag in flags set to its value."""
+    argv = {"spec": "zeta3", "S": "3,oo", "T": "7", "r": "-1", "p": "3", "N": "2",
+            "levels": "2"} | flags
+    return ("tower", *(x for flag, value in argv.items() for x in (f"--{flag}", value)),
+            "--data", path)
+
+
 def refusals(tmp: Path) -> dict:
     """{name: (exit code, a phrase of the error, argv)}; the files the
     inputs name are written under tmp."""
@@ -102,8 +116,10 @@ def refusals(tmp: Path) -> dict:
     # the committed tower of Q(zeta_3), replayed with one coefficient 1/2
     stored = json.loads((FIXTURES / "tower_zeta3_cert.json").read_text())["result"]["tower"]
     stored["levels"][0]["coeffs"]["0,0"] = "1/2"
-    # the same tower at r = 1, which the command line matches: refused with
-    # the places, before any level is built
+    # A replay is admitted on its command line, then its file's header is
+    # compared with it, then its levels are read: each replay below is
+    # refused before any level is built. The same tower at r = 1, which the
+    # command line matches, is refused on the command line with the places.
     positive = json.loads((FIXTURES / "tower_zeta3_cert.json").read_text())["result"]["tower"]
     positive["meta"]["r"] = 1
     # the same tower at r = 0, where no reference tower is built beside the
@@ -117,6 +133,29 @@ def refusals(tmp: Path) -> dict:
             EXIT_PRECONDITION, message,
             ("tower", "--spec", "zeta3", "--S", S, "--T", T, "--r", "0", "--p", "3", "--N", "2",
              "--levels", "2", "--data", write(tmp / f"replay_{rule}.json", tower)))
+    # the tower as it stands, under command lines that differ from it in one
+    # field and break a rule there: the rule is reported, not the mismatch
+    z3_tower = json.loads((FIXTURES / "tower_zeta3_cert.json").read_text())["result"]["tower"]
+    z3_file = write(tmp / "replay_z3.json", z3_tower)
+    for flag, value, message in (
+            ("p", "5", "S must contain p = 5 (it ramifies in the tower)"),
+            ("spec", "zeta5", "S misses ramified primes [5]"),
+            ("S", "3,7,oo", "S and T meet at [7]")):
+        replays[f"tower-replay-other-{flag}"] = (
+            EXIT_PRECONDITION, message, z3_replay(z3_file, **{flag: value}))
+    # the tower relabelled as one over the prime modulus 10,007: at r = 1
+    # under the command line it matches, and at r = -1 under the command
+    # line of the tower of Q(zeta_3)
+    prime = {"modulus": 10007, "fixing": [1]}
+    for r in (1, -1):
+        z3_tower["meta"].update(spec=prime, S=["3", "10007", "oo"], r=r)
+        write(tmp / f"replay_10007_r{r}.json", z3_tower)
+    replays["tower-replay-prime-modulus-r-positive"] = (
+        EXIT_PRECONDITION, "partial zeta values only at r <= 0, got 1",
+        z3_replay(tmp / "replay_10007_r1.json", spec=json.dumps(prime), S="3,10007,oo", r="1"))
+    replays["tower-replay-file-differs"] = (
+        EXIT_IO, "tower file does not match the command line in spec, S",
+        z3_replay(tmp / "replay_10007_r-1.json"))
     complex_file = json.loads((FIXTURES / "complex_z9.json").read_text())
     complex_file["modules"][0]["ngens"] = "1"
     mismatched = tmp / "mismatched_data"
@@ -146,22 +185,25 @@ def refusals(tmp: Path) -> dict:
             EXIT_PRECONDITION, "integer string conversion",
             ("tower", "--spec", "zeta3", "--S", "3,oo", "--T", "7", "--p", "3", "--N", "10000",
              "--levels", "1")),
+        # 90,063 = 9 * 10,007, with admissible places: refused before they
+        # are read, and before any Galois group is built
+        "tower-v_p-modulus": (
+            EXIT_PRECONDITION, "v_3(modulus) = 2 >= 2: the field presentation does not pin",
+            ("tower", "--spec", '{"modulus": 90063, "fixing": [1]}', "--S", "3,10007,oo",
+             "--T", "7", "--r", "0", "--p", "3", "--N", "2", "--levels", "1")),
         "tower-nonintegral-layer": (
             EXIT_PRECONDITION, "coefficient denominator divisible by 5",
             ("tower", "--spec", "zeta5", "--S", "5,oo", "--r", "0", "--p", "5", "--N", "2",
              "--levels", "1")),
         "tower-replay-r-positive": (
             EXIT_PRECONDITION, "partial zeta values only at r <= 0, got 1",
-            ("tower", "--spec", "zeta3", "--S", "3,oo", "--T", "7", "--r", "1", "--p", "3",
-             "--N", "2", "--levels", "2", "--data", write(tmp / "replay_r1.json", positive))),
+            z3_replay(write(tmp / "replay_r1.json", positive), r="1")),
         "tower-precision-budget": (
             EXIT_PRECONDITION, "precision budget",
             ("tower", "--spec", "zeta5", "--S", "5,oo", "--T", "2", "--r", "-1", "--p", "5",
              "--N", "3", "--levels", "1")),
         "tower-rational-coefficient": (
-            EXIT_IO, "bad tower file",
-            ("tower", "--spec", "zeta3", "--S", "3,oo", "--T", "7", "--r", "-1", "--p", "3",
-             "--N", "2", "--levels", "2", "--data", write(tmp / "bad_tower.json", stored))),
+            EXIT_IO, "bad tower file", z3_replay(write(tmp / "bad_tower.json", stored))),
         "selftest-missing-dir": (
             EXIT_IO, "bad manifest", (*selftest, tmp / "no_such_dir")),
         "selftest-empty-dir-name": (

@@ -17,7 +17,13 @@ from pathlib import Path
 
 import pytest
 from algebra_helpers import algebra_json
-from cli_refusals import UNBUILT_VERIFY_REFUSALS, place_refusals, refusals, verify_refusals
+from cli_refusals import (
+    BUILT_TOWER_REFUSALS,
+    UNBUILT_VERIFY_REFUSALS,
+    place_refusals,
+    refusals,
+    verify_refusals,
+)
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -143,22 +149,27 @@ def test_tower_replay_rejects_malformed_entries(tmp_path, capsys, key, coeff):
 
 
 @pytest.mark.parametrize(
-    "flag, value",
-    [("--p", "5"), ("--N", "1"), ("--spec", "zeta5"), ("--S", "3,7,oo"), ("--T", "5"),
-     ("--r", "-1"), ("--levels", "0")],
+    "changes, fields",
+    [({"--p": "5", "--S": "3,5,oo"}, "S, p"), ({"--N": "1"}, "N"), ({"--spec": "Q"}, "spec"),
+     ({"--S": "3,5,oo"}, "S"), ({"--T": "5"}, "T"), ({"--r": "-1"}, "r"),
+     ({"--levels": "0"}, "levels")],
+    ids=["p", "N", "spec", "S", "T", "r", "levels"],
 )
-def test_tower_replay_rejects_other_configuration(tmp_path, capsys, flag, value):
+def test_tower_replay_rejects_other_configuration(tmp_path, capsys, changes, fields):
     # the replayed tower must be the one the command line describes, or the
-    # certificate's input would disagree with its result
+    # certificate's input would disagree with its result; each command line
+    # is admissible, so the file's header is compared with it
     code, cert = run(capsys, *TOWER_Z3)
     assert code == EXIT_OK
     replay = tmp_path / "replay.json"
     replay.write_text(json.dumps(cert["result"]["tower"]))
     argv = list(TOWER_Z3)
-    argv[argv.index(flag) + 1] = value
+    for flag, value in changes.items():
+        argv[argv.index(flag) + 1] = value
     code2, err = run_refused(capsys, *argv, "--data", str(replay))
     assert code2 == EXIT_IO
-    assert err["exit"] == EXIT_IO and "does not match" in err["error"]
+    assert err["exit"] == EXIT_IO
+    assert err["error"] == f"tower file does not match the command line in {fields}"
 
 
 @pytest.mark.parametrize(
@@ -979,6 +990,27 @@ def test_place_refusals_build_no_galois_group(capsys, monkeypatch):
         assert err["error"] == message == refusal, name
 
 
+def test_tower_refusals_build_no_level(tmp_path, capsys, monkeypatch):
+    """Every tower row of the table but those refused by what a level holds
+    (BUILT_TOWER_REFUSALS) is refused with its exit code and phrase while
+    galois_group, tower_level and TowerLevelData.__init__ raise: a tower,
+    fresh or replayed, is admitted before any Galois group or level is
+    built, and a replay's command line and header before its levels."""
+    from iwasawa_kit import abelian, tower
+
+    def built(*args):
+        raise AssertionError("a Galois group or a tower level was built before the refusal")
+
+    cases = {name: case for name, case in refusals(tmp_path).items()
+             if name.startswith("tower-") and name not in BUILT_TOWER_REFUSALS}
+    assert len(cases) == 17
+    patch_every_binding(monkeypatch, (abelian.galois_group, tower.tower_level), built)
+    monkeypatch.setattr(abelian.TowerLevelData, "__init__", built)
+    for name, (want, phrase, argv) in cases.items():
+        code, err = run_refused(capsys, *argv)
+        assert code == want == err["exit"] and phrase in err["error"], (name, err)
+
+
 def test_verify_refuses_p_and_the_group_size_before_any_galois_group(capsys, monkeypatch):
     """verify refuses p = 2 and a module group of the wrong size with exit 2
     while galois_group and tower_level raise at every binding in the
@@ -1000,12 +1032,14 @@ def test_verify_refuses_p_and_the_group_size_before_any_galois_group(capsys, mon
         assert err["error"] == messages[name], name
 
 
-def test_places_are_admitted_once_per_theta_or_tower(capsys, monkeypatch):
+def test_places_are_admitted_once_per_theta_or_tower(tmp_path, capsys, monkeypatch):
     """admissible_places, wrapped at every binding in the package, runs once
     per theta_tower (n_max = 0..3), once per theta command, once for the
     README verify (its theta is built on the places verify_case admitted),
-    and twice for the README tower at r = -1: its tower and the r = 0 tower
-    of its congruence."""
+    twice for the README tower at r = -1: its tower and the r = 0 tower of
+    its congruence, and three times for that tower replayed through --data:
+    its command line, the file's header (TowerElement.from_json) and the
+    r = 0 tower."""
     from iwasawa_kit import abelian
     from iwasawa_kit.tower import theta_tower
 
@@ -1027,10 +1061,15 @@ def test_places_are_admitted_once_per_theta_or_tower(capsys, monkeypatch):
                     "--p", "5", "--N", "2", "--levels", "2")
     readme_verify = ("verify", "--spec", "zeta23", "--S", "23,oo", "--T", "5", "--r", "0",
                      "--p", "3", "--N", "2", "--data", str(DATA / "table_z23_minus.json"))
-    for argv, checks in ((readme_theta, 1), (readme_verify, 1), (readme_tower, 2)):
+    replay = tmp_path / "replay.json"
+    replay_tower = (*readme_tower, "--data", str(replay))
+    for argv, checks in ((readme_theta, 1), (readme_verify, 1), (readme_tower, 2),
+                         (replay_tower, 3)):
         calls.clear()
-        code, _ = run(capsys, *argv)
-        assert (code, len(calls)) == (EXIT_OK, checks), argv[0]
+        code, cert = run(capsys, *argv)
+        assert (code, len(calls)) == (EXIT_OK, checks), argv
+        if argv == readme_tower:
+            replay.write_text(json.dumps(cert["result"]["tower"]))
 
 
 def test_unwritable_out_is_an_io_error(tmp_path, capsys):
