@@ -65,7 +65,6 @@ from .lvalues import (
     StickelbergerElement,
     annihilation_check,
     fitting_membership_check,
-    partial_zeta_vector,
     theta,
     verify_case,
     verify_integrality,

@@ -108,10 +108,16 @@ class AbelianFieldSpec:
             raise ValueError(f"fixing subgroup {sorted(fix)} not inside (Z/{m})^x")
         if (1 % m) not in fix:
             raise ValueError("fixing subgroup must contain 1")
+        span = {1 % m}  # grown inside fix by each a of fix; at the end span = fix
         for a in fix:
-            for b in fix:
-                if (a * b) % m not in fix:
-                    raise ValueError("fixing set is not closed under multiplication")
+            if a not in span:
+                block, power = list(span), a
+                while power not in span:  # span <a> = span, a span, a^2 span, ...
+                    coset = {power * b % m for b in block}
+                    if not coset <= fix:
+                        raise ValueError("fixing set is not closed under multiplication")
+                    span |= coset
+                    power = power * a % m
         object.__setattr__(self, "fixing", fix)
 
     @classmethod

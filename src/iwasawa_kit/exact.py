@@ -35,11 +35,14 @@ def rat_to_str(num: int, den: int = 1) -> str:
 
 def lowest_terms(nums, den: int) -> tuple[tuple[int, ...], int]:
     """Integer numerators over one denominator, divided by their gcd with
-    den > 0 (zero has den 1)."""
+    den > 0 (zero has den 1). Numerators already in lowest terms are
+    returned as a tuple with no division pass."""
     if den == 0:
         raise ZeroDivisionError("denominator 0")
     g = math.gcd(den, *nums) * (-1 if den < 0 else 1)
-    return tuple(c // g for c in nums), den // g
+    if g == 1:
+        return tuple(nums), den
+    return tuple([c // g for c in nums]), den // g
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +90,7 @@ def padic_from_rational(x: tuple[tuple[int, ...], int], p: int, N: int) -> tuple
         raise ValueError(f"denominator {den} is not prime to {p}")
     q = p**N
     inv = pow(den, -1, q)
-    return tuple(c * inv % q for c in nums)
+    return tuple([c * inv % q for c in nums])
 
 
 def teichmuller(a: int, p: int, N: int) -> int:

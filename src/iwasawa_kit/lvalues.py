@@ -8,14 +8,15 @@ spec, before the Galois group is looked up or built; theta_value, which
 theta and each tower level call, takes a presentation and the admitted
 finite primes and checks nothing again. The value has integer
 numerators in the basis order of groupring over one positive denominator
-in lowest terms. The partial zeta values are read from a table of integer
-Horner values of the cleared B_k(x), built once per (f, k), each added at
-the basis index that the presentation's unit_classes table gives its
-residue, and each Euler or T-factor (1 - c sigma), c an integer, is applied
-to the numerators as x - c . translate(x, sigma), never as a full
-group-ring product. The character route (S-truncated Dirichlet L-values at
-non-positive integers through generalized Bernoulli numbers) is an
-independent cross-check. It admits r and (S, T) through theta_places, and
+in lowest terms. The partial zeta values are read in the # order from a
+table per presentation and k = 1 - r: the integer Horner values of the
+cleared B_k(x), built once per (f, k), each added at the basis index of the
+inverse of the class that unit_classes gives its residue. Under # each
+Euler factor of an unramified prime of S and each T-factor is the same
+pass x_g - c x_(sigma_v g), c an integer, never a full group-ring product,
+and lowest_terms runs once at the end. The character route (S-truncated
+Dirichlet L-values at non-positive integers through generalized Bernoulli
+numbers) is an independent cross-check. It admits r and (S, T) through theta_places, and
 builds each value of Q(zeta_e) as an integer vector indexed by the exponent
 mod e over one positive denominator. Its characters are primitivized from their
 labels by abelian.dirichlet_character, with no CharacterTable. B_{n,chi}
@@ -75,33 +76,12 @@ def theta_places(spec: AbelianFieldSpec, S, T, r: int) -> tuple[set[int], set[in
 
 # ---------------------------------------------------------------------------
 # Partial zeta values and Stickelberger elements.
-
-def partial_zeta_vector(pres, s_fin, r: int) -> tuple[tuple[int, ...], int]:
-    """sigma -> zeta_S(r, sigma) as (nums, den) in the basis order, for the
-    finite primes s_fin of S that theta_places admitted.
-
-    Base case S = S_ram + S_oo over the conductor f:
-    zeta(r, sigma_a) = sum_{b = a mod f} f^(-r) zeta(r, b/f) with
-    zeta(r, x) = -B_k(x)/k, k = 1 - r. Over the least common denominator D of
-    B_k(x) = sum_i c_i x^i, each term is -sum_i D c_i b^i f^(k-i) over f D k,
-    so every value is an integer over that one denominator; the numerators
-    are read from a table built once per (f, k). Each extra
-    unramified prime v in S applies zeta_{S+v}(s) = zeta_S(s) - Nv^(-s)
-    zeta_S(s sigma_v^(-1)).
-    """
-    f = pres.conductor
-    grp = pres.group
-    k = 1 - r
-    den, values = _zeta_numerators(f, k)
-    nums = [0] * grp.size
-    for (_, i), value in zip(pres.unit_classes, values, strict=True):
-        nums[i] += value
-    x = tuple(nums)
-    for v in sorted(s_fin):
-        if f % v:  # unramified
-            x = _times_one_minus(x, grp, pres.frobenius(v), v ** (-r))
-    return lowest_terms(x, f * den * k)
-
+#
+# For S = S_ram + S_oo over the conductor f, zeta(r, sigma_a) = sum_{b = a mod f}
+# f^(-r) zeta(r, b/f) with zeta(r, x) = -B_k(x)/k, k = 1 - r: over the common
+# denominator D of B_k(x) = sum_i c_i x^i, each term is -sum_i D c_i b^i f^(k-i)
+# over f D k. Under # an Euler factor (1 - Nv^(-r) sigma_v), v unramified in S,
+# and a T-factor (1 - Nv^(1-r) sigma_v^(-1)) are both x_g - c x_(sigma_v g).
 
 @lru_cache(maxsize=None)
 def _zeta_numerators(f: int, k: int) -> tuple[int, tuple[int, ...]]:
@@ -124,15 +104,18 @@ def _zeta_numerators(f: int, k: int) -> tuple[int, tuple[int, ...]]:
     return den, tuple(values)
 
 
-def _times_one_minus(x: tuple, group, sigma, c: int) -> tuple:
-    """(1 - c sigma) x on integer numerators."""
-    return tuple(a - c * b for a, b in zip(x, groupring.translate(x, group, sigma)))
-
-
-def _t_factors(pres, t_fin, r: int) -> list:
-    """(sigma_v^(-1), v^(1-r)) for each prime v of t_fin: the factors of
-    delta_T(r). frobenius refuses a ramified v."""
-    return [(pres.group.inv(pres.frobenius(v)), v ** (1 - r)) for v in sorted(t_fin)]
+@lru_cache(maxsize=None)
+def _zeta_table(pres, k: int) -> tuple[tuple[int, ...], int]:
+    """sum_sigma zeta(1 - k, sigma) sigma^(-1) for S = S_ram + S_oo as (nums,
+    den), not in lowest terms: each value of _zeta_numerators(f, k) added at
+    the basis index of the inverse of its unit class, once per presentation
+    and k."""
+    den, values = _zeta_numerators(pres.conductor, k)
+    inverse = groupring.inversion(pres.group)
+    nums = [0] * pres.group.size
+    for (_, i), value in zip(pres.unit_classes, values, strict=True):
+        nums[inverse[i]] += value
+    return tuple(nums), pres.conductor * den * k
 
 
 @dataclass
@@ -160,12 +143,16 @@ class StickelbergerElement:
 def theta_value(pres, s_fin, t_fin, r: int) -> tuple[tuple[int, ...], int]:
     """Theta_{S,T}(r) = delta_T(r) . sum_sigma zeta_S(r, sigma) sigma^(-1) as
     (nums, den) on a presentation, for the finite primes (s_fin, t_fin) that
-    theta_places admitted; nothing is checked again."""
-    grp = pres.group
-    nums, den = partial_zeta_vector(pres, s_fin, r)
-    nums = groupring.sharp(nums, grp)
-    for sigma, c in _t_factors(pres, t_fin, r):
-        nums = _times_one_minus(nums, grp, sigma, c)
+    theta_places admitted; nothing is checked again. From _zeta_table, each
+    unramified prime v of S (c = v^(-r)) and each prime v of T (c = v^(1-r))
+    is one pass x_g - c x_(sigma_v g), and lowest_terms runs once."""
+    f, grp = pres.conductor, pres.group
+    nums, den = _zeta_table(pres, 1 - r)
+    factors = [(v, v ** (-r)) for v in sorted(s_fin) if f % v]
+    factors += [(v, v ** (1 - r)) for v in sorted(t_fin)]
+    for v, c in factors:
+        step = groupring.translation(grp, pres.frobenius(v))
+        nums = [a - c * nums[j] for a, j in zip(nums, step)]
     return lowest_terms(nums, den)
 
 

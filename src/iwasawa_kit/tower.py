@@ -15,10 +15,13 @@ reduced mod p^N with one inverse of den (exact.padic_from_rational), after
 the check that p does not divide den.
 
 Each layer's cyclotomic twist factors chi_cyc(g)^r mod p^N are a table
-built once per (level, r, p^N). tower_preconditions states every tower rule;
+built once per (level, r, p^N), and its partial zeta values in the # order
+a table once per (level, 1 - r). tower_preconditions states every tower rule;
 theta_tower and TowerElement.from_json admit a tower through it before any
 level is built. Each layer's theta is lvalues.theta_value on the admitted
-finite primes, and per layer only the roots-of-unity rule of Hyp(S,T) is read.
+finite primes: that table, one pass per prime of T (and per unramified prime
+of S) and one lowest_terms; per layer only the roots-of-unity rule of
+Hyp(S,T) is read.
 
 Lambda(G) is represented only through coherent families of finite-level
 elements: a tower is accepted exactly when adjacent aug projections match,

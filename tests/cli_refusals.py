@@ -172,6 +172,13 @@ def refusals(tmp: Path) -> dict:
             ("theta", "--spec", '{"modulus": 7.5, "fixing": [1]}', "--S", "oo")),
         "theta-zeta0": (
             EXIT_IO, "needs m >= 1", ("theta", "--spec", "zeta0", "--S", "oo")),
+        # the 5,003 squares mod 10,007: the fixing subgroup is checked in
+        # O(|H| . #generators), not O(|H|^2), before the places are read
+        "theta-squares-mod-prime": (
+            EXIT_PRECONDITION, "S misses ramified primes [10007]",
+            ("theta", "--spec", write(tmp / "squares_10007.json", {
+                "modulus": 10007, "fixing": sorted({x * x % 10007 for x in range(1, 10007)})}),
+             "--S", "oo", "--T", "7", "--r", "0")),
         "theta-missing-spec-file": (
             EXIT_IO, "bad spec file", ("theta", "--spec", "nosuch.json", "--S", "oo")),
         "recheck-deeply-nested": (

@@ -1,6 +1,7 @@
 """Tests for abelian field specs, Galois groups, CM data, layers, Hyp, characters."""
 
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -157,6 +158,51 @@ def test_a_spec_checks_its_fixing_set_without_listing_the_units(monkeypatch):
             else:
                 with pytest.raises(ValueError, match="not inside"):
                     AbelianFieldSpec(m, frozenset({1, a}))
+
+
+def spec_verdict_reference(m, fixing):
+    """The message AbelianFieldSpec(m, fixing) refuses with, or None, by the
+    definition of a subgroup: every product of two elements, O(|H|^2)."""
+    fix = frozenset(a % m for a in fixing)
+    if any(math.gcd(a, m) != 1 for a in fix):
+        return f"fixing subgroup {sorted(fix)} not inside (Z/{m})^x"
+    if (1 % m) not in fix:
+        return "fixing subgroup must contain 1"
+    if any(a * b % m not in fix for a in fix for b in fix):
+        return "fixing set is not closed under multiplication"
+    return None
+
+
+def spec_verdict(m, fixing):
+    try:
+        AbelianFieldSpec(m, frozenset(fixing))
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_the_subgroup_check_matches_the_pairwise_definition():
+    """Every subgroup of (Z/f)^x for f <= 60, each with its largest element
+    dropped, with the least unit outside it added, and seeded sets of units
+    holding 1; then sets off each rule, in the order the rules are read."""
+    from iwasawa_kit.campaigns import unit_subgroups
+    from iwasawa_kit.numutil import unit_residues
+
+    rng = random.Random(41)
+    cases = [(7, {1, 2}), (7, {2, 4}), (7, {1, 2, 4}), (7, {1, 6}), (9, {1, 3}), (9, {3}),
+             (1, {0}), (10_007, {x * x % 10_007 for x in range(1, 10_007)} - {4})]
+    for f in range(3, 61):
+        units = unit_residues(f)
+        for H in unit_subgroups(f):
+            cases += [(f, H), (f, H - {max(H)})]
+            cases += [(f, H | {u}) for u in units if u not in H][:1]
+        cases += [(f, {1, *rng.sample(units, rng.randint(1, len(units)))}) for _ in range(5)]
+    verdicts = [spec_verdict(m, H) for m, H in cases]
+    assert verdicts == [spec_verdict_reference(m, H) for m, H in cases]
+    assert set(verdicts) == {None, "fixing set is not closed under multiplication",
+                             "fixing subgroup must contain 1",
+                             "fixing subgroup [3] not inside (Z/9)^x",
+                             "fixing subgroup [1, 3] not inside (Z/9)^x"}
 
 
 def test_conductor_reduction():

@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import pytest
+from theta_reference import fresh_zeta_tables
 
 from iwasawa_kit import cli, fitting, lvalues
 from iwasawa_kit.campaigns import (
@@ -125,16 +126,18 @@ def test_a_rejection_draw_is_bounded():
 
 
 def test_selftest_records_a_sign_fault_in_the_partial_zeta_values(tmp_path, monkeypatch, capsys):
-    """One flipped sign makes theta non-integral and the towers refuse to
-    build: each suite records its failing trials, and selftest exits 3 with a
-    certificate instead of refusing."""
-    original = lvalues.partial_zeta_vector
+    """One flipped sign, in the partial zeta value of the residue 1, makes
+    theta non-integral and the towers refuse to build: each suite records its
+    failing trials, and selftest exits 3 with a certificate instead of
+    refusing. The tables are built afresh from the flipped values."""
+    original = lvalues._zeta_numerators
 
-    def flipped(pres, S, r):
-        nums, den = original(pres, S, r)
-        return (-nums[0],) + nums[1:], den
+    def flipped(f, k):
+        den, values = original(f, k)
+        return den, (-values[0],) + values[1:]
 
-    monkeypatch.setattr(lvalues, "partial_zeta_vector", flipped)
+    monkeypatch.setattr(lvalues, "_zeta_numerators", flipped)
+    fresh_zeta_tables(monkeypatch)
     out = tmp_path / "selftest.json"
     code = cli.main(["selftest", "--max-conductor", "8", "--trials", "6",
                      "--complex-trials", "4", "--out", str(out)])
@@ -142,8 +145,9 @@ def test_selftest_records_a_sign_fault_in_the_partial_zeta_values(tmp_path, monk
     assert code == cli.EXIT_CHECK_FAILED
     suites = {s["name"]: s for s in json.loads(out.read_text())["result"]["suites"]}
     failing = {name for name, s in suites.items() if s["failures"]}
-    assert {"stickelberger integrality under Hyp", "character cross-validation",
-            "tower coherence", "equivariant Kummer congruence", "tower fitting consistency"} <= failing
+    assert failing == {"stickelberger integrality under Hyp", "character cross-validation",
+                       "tower coherence", "equivariant Kummer congruence",
+                       "tower fitting consistency"}
     assert all(s["ok"] for name, s in suites.items() if name not in failing)
     assert any("TowerIntegralityError" in d for d in suites["tower coherence"]["details"])
 

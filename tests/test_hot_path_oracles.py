@@ -36,6 +36,7 @@ from algebra_helpers import (
     val,
 )
 from test_complexes import _random_chain_maps
+from theta_reference import fresh_zeta_tables
 
 from iwasawa_kit import (
     abelian,
@@ -76,7 +77,7 @@ from iwasawa_kit.fitting import (
     zmod_algebra,
 )
 from iwasawa_kit.linalg import howell_form, in_span, span_size
-from iwasawa_kit.lvalues import partial_zeta_vector, theta, theta_character_side
+from iwasawa_kit.lvalues import theta, theta_character_side, theta_value
 from iwasawa_kit.numutil import primitive_root, unit_residues
 from iwasawa_kit.oracles import enumerate_span
 from iwasawa_kit.tower import (
@@ -1197,7 +1198,7 @@ def test_translation_is_one_cached_tuple_per_reduced_element():
 
 # ---------------------------------------------------------------------------
 # Unit classes: the table of a presentation against element_of at every unit
-# residue, the route that partial_zeta_vector took before and that the
+# residue, the route that the partial zeta values took before and that the
 # character route still takes.
 
 def unit_classes_reference(pres):
@@ -1227,16 +1228,18 @@ def test_unit_classes_match_element_of_on_tower_levels(p, top):
         assert level.unit_classes == unit_classes_reference(level), n
 
 
-def test_partial_zeta_vector_reads_only_the_unit_class_table(monkeypatch):
-    """On warm presentations, with S = S_ram + oo (no Frobenius to take),
-    partial_zeta_vector classifies no residue and lists no unit group."""
+def test_theta_value_reads_only_the_unit_class_table(monkeypatch):
+    """On warm presentations, with S = S_ram + oo and T empty (no Frobenius
+    to take), theta_value classifies no residue and lists no unit group,
+    its tables built afresh."""
     cases = [(galois_group(spec), ramified_primes(spec)) for spec in corpus_cm_specs(12)]
     cases += [(tower_level(AbelianFieldSpec.cyclotomic(3), 3, 3), {3})]
 
     def values():
-        return [partial_zeta_vector(pres, s_fin, r) for pres, s_fin in cases for r in (0, -2)]
+        return [theta_value(pres, s_fin, set(), r) for pres, s_fin in cases for r in (0, -2)]
 
     expected = values()
+    fresh_zeta_tables(monkeypatch)
 
     def refuse(*args):
         pytest.fail("a unit residue was classified or listed")
@@ -1290,6 +1293,7 @@ def test_a_swapped_unit_class_breaks_the_character_cross_check(monkeypatch):
     components = theta_character_side(spec, S, T, -1)
     assert table.decompose(good) == components
     monkeypatch.setattr(pres, "unit_classes", next(swapped_tables(pres)))
+    fresh_zeta_tables(monkeypatch)
     bad = theta(spec, S, T, -1).value
     assert bad != good
     assert theta_character_side(spec, S, T, -1) == components
@@ -1305,9 +1309,11 @@ def test_a_swapped_unit_class_on_a_tower_level_is_caught(monkeypatch, row):
     congruence fails."""
     spec, p, S, T = campaigns.TOWER_CORPUS[row]
     level = tower_level(spec, p, 1)
+    tables = fresh_zeta_tables(monkeypatch)
     checked = 0
     for bad in swapped_tables(level):
         monkeypatch.setattr(level, "unit_classes", bad)
+        tables.cache_clear()
         try:
             t_r, t_0 = (theta_tower(spec, S, T, p, 3, 1, r) for r in (-1, 0))
         except TowerIntegralityError:

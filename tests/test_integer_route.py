@@ -1,22 +1,24 @@
 """The integer route of Q[G] in lvalues against the Fraction route of
 fraction_route.py: partial zeta vectors, delta_T and theta are equal as
 rationals, the integrality verdicts agree, and every theta_tower entry is the
-Fraction theta of its level reduced one coefficient at a time. delta_T on its
-own is computed here, from the T factors that theta applies."""
+Fraction theta of its level reduced one coefficient at a time. The partial
+zeta values are read off theta_value with T empty, through #; delta_T on its
+own is computed from the T factors of the reference route (theta_reference),
+which theta_value must equal."""
 
 import fraction_route
 import pytest
 from fraction_route import as_pair, reduce_mod
+from theta_reference import t_factors, times_one_minus
 
 from iwasawa_kit.abelian import AbelianFieldSpec, galois_group, normalize_places
 from iwasawa_kit.campaigns import TOWER_CORPUS, corpus_cm_specs, corpus_st_choices
+from iwasawa_kit.groupring import sharp
 from iwasawa_kit.lvalues import (
-    _t_factors,
-    _times_one_minus,
     is_p_integral,
-    partial_zeta_vector,
     theta,
     theta_places,
+    theta_value,
     verify_integrality,
 )
 from iwasawa_kit.tower import theta_tower
@@ -26,13 +28,13 @@ PRIMES = (2, 3, 5, 7, 11, 13)
 
 def delta_t(spec, T, r: int) -> tuple[tuple[int, ...], int]:
     """delta_T(r) = prod_{v in T} (1 - v^(1-r) sigma_v^(-1)) in Z[G], as (nums, 1),
-    through the T factors and the shift-and-subtract of lvalues. T is only
-    parsed: a ramified prime of T is refused by frobenius."""
+    through the T factors and the shift-and-subtract of the reference route.
+    T is only parsed: a ramified prime of T is refused by frobenius."""
     pres = galois_group(spec)
     grp = pres.group
     out = tuple(int(g == grp.identity) for g in grp.elements())
-    for sigma, c in _t_factors(pres, normalize_places(T)[0], r):
-        out = _times_one_minus(out, grp, sigma, c)
+    for sigma, c in t_factors(pres, normalize_places(T)[0], r):
+        out = times_one_minus(out, grp, sigma, c)
     return out, 1
 
 
@@ -68,8 +70,9 @@ def test_integer_route_matches_fraction_route_on_the_corpus():
         for r in (0, -3):
             where = (spec.label, S, T, r)
             s_fin, _ = theta_places(spec, S, T, r)
-            assert partial_zeta_vector(galois_group(spec), s_fin, r) == as_pair(
-                fraction_route.partial_zeta_vector(spec, S, r)
+            pres = galois_group(spec)
+            assert theta_value(pres, s_fin, set(), r) == as_pair(
+                sharp(fraction_route.partial_zeta_vector(spec, S, r), pres.group)
             ), where
             assert delta_t(spec, T, r) == as_pair(fraction_route.delta_t(spec, T, r)), where
             th = theta(spec, S, T, r)

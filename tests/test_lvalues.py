@@ -39,10 +39,10 @@ from iwasawa_kit.lvalues import (
     fitting_membership_check,
     is_p_integral,
     minus_dual_presentation,
-    partial_zeta_vector,
     theta,
     theta_character_side,
     theta_places,
+    theta_value,
     verify_case,
     verify_integrality,
 )
@@ -74,10 +74,12 @@ def coeff(x, group, g):
 
 
 def zeta_vector(spec, S, r):
-    """partial_zeta_vector on the spec's presentation, S admitted by theta's
-    check with T empty."""
+    """sigma -> zeta_S(r, sigma) on the spec's presentation: theta_value with
+    T empty, S admitted by theta's check, read back through #."""
     s_fin, _ = theta_places(spec, S, [], r)
-    return partial_zeta_vector(galois_group(spec), s_fin, r)
+    pres = galois_group(spec)
+    nums, den = theta_value(pres, s_fin, set(), r)
+    return sharp(nums, pres.group), den
 
 
 def test_partial_zeta_z3_at_zero():

@@ -1,6 +1,7 @@
 """The former forms of the tower route's per-level work, kept as oracles of
-the tables that are built once: the inline Horner of partial_zeta_vector over
-every unit class, the per-element power chi_cyc(g)^r mod q of the twist, the
+the tables that are built once: the two-pass route of theta_value
+(theta_reference: an inline Horner over every unit class, #, then each
+T-factor), the per-element power chi_cyc(g)^r mod q of the twist, the
 action of each group element as a product of generator powers, and the place
 checks that check_hyp ran again on every layer's spec."""
 
@@ -10,9 +11,10 @@ from pathlib import Path
 
 import pytest
 import sympy
+import theta_reference
 from algebra_helpers import action_of
 
-from iwasawa_kit import lvalues, tower
+from iwasawa_kit import tower
 from iwasawa_kit.abelian import (
     AbelianFieldSpec,
     FiniteAbelianGroup,
@@ -20,13 +22,10 @@ from iwasawa_kit.abelian import (
     galois_group,
     ramified_primes,
 )
-from iwasawa_kit.campaigns import corpus_cm_specs, load_manifest
-from iwasawa_kit.exact import bernoulli_polynomial, lowest_terms
+from iwasawa_kit.campaigns import TOWER_CORPUS, corpus_cm_specs, corpus_st_choices, load_manifest
 from iwasawa_kit.lvalues import (
     ClassModuleData,
     _mat_reduce,
-    _times_one_minus,
-    partial_zeta_vector,
     theta,
     theta_places,
     theta_value,
@@ -53,27 +52,6 @@ TOWERS = [
     (Z7, [7, OO], [3], 7, 1),
 ]
 RS = (0, -1, -2, -3, -4)
-
-
-def partial_zeta_vector_reference(pres, s_fin, r):
-    """sigma -> zeta_S(r, sigma) by a Horner pass over every unit class of
-    the presentation, with no table."""
-    f, grp, k = pres.conductor, pres.group, 1 - r
-    coeffs = bernoulli_polynomial(k)
-    den = math.lcm(*(c.denominator for c in coeffs))
-    cleared = [c.numerator * (den // c.denominator) for c in reversed(coeffs)]
-    f_pow = [f**j for j in range(k + 1)]
-    nums = [0] * grp.size
-    for b, i in pres.unit_classes:
-        acc = 0
-        for j, c in enumerate(cleared):
-            acc = acc * b + c * f_pow[j]
-        nums[i] -= acc
-    x = tuple(nums)
-    for v in sorted(s_fin):
-        if f % v:
-            x = _times_one_minus(x, grp, pres.frobenius(v), v ** (-r))
-    return lowest_terms(x, f * den * k)
 
 
 def twist_reference(x, r, level, N):
@@ -118,20 +96,43 @@ def tower_runs():
             for spec, S, T, p, n_max in TOWERS for r in RS for N in (1, 2, 3)]
 
 
-def test_partial_zeta_vector_matches_the_inline_horner_on_tower_levels():
+def test_theta_value_matches_the_reference_route_on_tower_levels():
+    """Every level n <= 2 of TOWER_CORPUS and every level of TOWERS, with S
+    as given and with the unramified prime 13 added, so the Euler pass acts
+    (the benchmark's towers have no such prime)."""
     checked = 0
-    for spec, S, T, p, n_max in TOWERS:
-        s_fin, _ = theta_places(spec, S, T, 0)
-        for n in range(n_max + 1):
-            lvl = tower_level(spec, p, n)
-            for r in RS:
-                assert partial_zeta_vector(lvl, s_fin, r) == partial_zeta_vector_reference(
-                    lvl, s_fin, r), (spec.label, n, r)
+    towers = [(spec, S, T, p, 2) for spec, p, S, T in TOWER_CORPUS] + TOWERS
+    for spec, S, T, p, n_max in towers:
+        for extra in ([], [13]):
+            s_fin, t_fin = theta_places(spec, [*S, *extra], T, 0)
+            for n in range(n_max + 1):
+                lvl = tower_level(spec, p, n)
+                for r in RS:
+                    assert theta_value(lvl, s_fin, t_fin, r) == theta_reference.theta_value(
+                        lvl, s_fin, t_fin, r), (spec.label, S, T, extra, n, r)
+                    checked += 1
+    assert checked == 2 * 5 * (8 * 3 + 4 + 4 + 2 + 2)
+
+
+def test_theta_value_matches_the_reference_route_on_the_corpus():
+    """corpus_cm_specs(24) and each of its (S, T) choices at r = 0..-3, S
+    with one extra unramified prime: the least of 11, 13, ... outside S, T
+    and the ramified primes."""
+    checked = 0
+    for spec in corpus_cm_specs(24):
+        pres = galois_group(spec)
+        for S, T in corpus_st_choices(spec):
+            v = next(v for v in (11, 13, 17, 19, 23, 29, 31)
+                     if v not in {*S, *T} | ramified_primes(spec))
+            for r in (0, -1, -2, -3):
+                s_fin, t_fin = theta_places(spec, [*S, v], T, r)
+                assert theta_value(pres, s_fin, t_fin, r) == theta_reference.theta_value(
+                    pres, s_fin, t_fin, r), (spec.label, S, T, v, r)
                 checked += 1
-    assert checked == 5 * (4 + 4 + 2 + 2)
+    assert checked == 4 * 979
 
 
-def test_theta_matches_the_inline_horner_on_the_corpus_and_the_manifest(monkeypatch):
+def test_theta_matches_the_inline_horner_on_the_corpus_and_the_manifest():
     cases = [(spec, [*sorted(ramified_primes(spec)), OO], T, r)
              for spec in corpus_cm_specs(24) for T in ([], [7], [11, 13]) for r in RS
              if not set(T) & ramified_primes(spec)]
@@ -141,16 +142,13 @@ def test_theta_matches_the_inline_horner_on_the_corpus_and_the_manifest(monkeypa
               for spec in corpus_cm_specs(12) if 5 not in ramified_primes(spec) for r in RS]
     assert len(cases) > 300
 
-    def on_presentations():
-        return [theta_value(galois_group(spec), *theta_places(spec, S, T, r), r)
+    def on_presentations(value):
+        return [value(galois_group(spec), *theta_places(spec, S, T, r), r)
                 for spec, S, T, r in cases]
 
-    got = [theta(*case).value for case in cases]
-    got_pres = on_presentations()
-    monkeypatch.setattr(lvalues, "partial_zeta_vector", partial_zeta_vector_reference)
-    expected = on_presentations()
-    assert got == expected
-    assert got_pres == expected
+    expected = on_presentations(theta_reference.theta_value)
+    assert [theta(*case).value for case in cases] == expected
+    assert on_presentations(theta_value) == expected
 
 
 def test_twist_matches_the_per_element_power():
@@ -184,7 +182,7 @@ def test_towers_match_the_old_paths(monkeypatch):
     def check_hyp_on_the_layer(spec, t_fin):
         return check_hyp(spec, *places[-1])
 
-    monkeypatch.setattr(lvalues, "partial_zeta_vector", partial_zeta_vector_reference)
+    monkeypatch.setattr(tower, "theta_value", theta_reference.theta_value)
     monkeypatch.setattr(tower, "twist", twist_reference)
     monkeypatch.setattr(tower, "roots_of_unity_rule", check_hyp_on_the_layer)
     for run, expected in zip(runs, got, strict=True):

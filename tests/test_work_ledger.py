@@ -7,14 +7,17 @@ table in the same commit and says why in CHANGES.md. Cells are rows times
 width of each form's input, as the benchmark tracer counts them. The corpus
 set-up slice counts the Hyp checks and subgroup products that build the CM
 corpus and its (S, T) choices. The manifest slice counts the minus
-quotients that reading the data and checking it build."""
+quotients that reading the data and checking it build. The theta slice counts
+the tables of partial zeta values and the lowest_terms passes of the tower
+campaigns' thetas."""
 
 import sys
 from pathlib import Path
 
 import pytest
+from theta_reference import fresh_zeta_tables
 
-from iwasawa_kit import campaigns, fitting, linalg
+from iwasawa_kit import campaigns, fitting, linalg, lvalues
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -91,3 +94,30 @@ def test_manifest_builds_one_minus_quotient_per_entry(monkeypatch):
     entries = campaigns.load_manifest(DATA)
     assert campaigns.annihilation_campaign(entries).ok
     assert len(builds) == len(entries) == MANIFEST_MINUS_QUOTIENTS
+
+
+# (tables of partial zeta values built, theta_value calls, lowest_terms calls
+# in lvalues) over tower_coherence_campaign() and kummer_congruence_campaign():
+# one table per (level, k) of the 12 levels n <= 2 of TOWER_CORPUS's four base
+# fields at k = 1..4, and one lowest_terms per level theta_value computes
+# (the route it replaced ran two).
+THETA_TABLES = (48, 168, 168)
+
+
+def test_theta_tables_match_the_ledger(monkeypatch):
+    tables = fresh_zeta_tables(monkeypatch)
+    calls = {"theta_value": 0, "lowest_terms": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    wrap_every_binding(monkeypatch, lvalues.theta_value,
+                       counted("theta_value", lvalues.theta_value))
+    monkeypatch.setattr(lvalues, "lowest_terms", counted("lowest_terms", lvalues.lowest_terms))
+    assert campaigns.tower_coherence_campaign().ok
+    assert campaigns.kummer_congruence_campaign().ok
+    builds = tables.cache_info().misses
+    assert (builds, calls["theta_value"], calls["lowest_terms"]) == THETA_TABLES
