@@ -20,8 +20,8 @@ a table once per (level, 1 - r). tower_preconditions states every tower rule;
 theta_tower and TowerElement.from_json admit a tower through it before any
 level is built. Each layer's theta is lvalues.theta_value on the admitted
 finite primes: that table, one pass per prime of T (and per unramified prime
-of S) and one lowest_terms; per layer only the roots-of-unity rule of
-Hyp(S,T) is read.
+of S) and one lowest_terms. The roots-of-unity rule of Hyp(S,T) is read once
+per tower, on layer 0: every layer's w has the prime divisors of w_L.
 
 Lambda(G) is represented only through coherent families of finite-level
 elements: a tower is accepted exactly when adjacent aug projections match,
@@ -198,20 +198,22 @@ def theta_tower(
     Preconditions: tower_preconditions, before any level is built. Every
     layer value must be exactly p-integral before reduction; a non-integral
     layer aborts with its index.
-    Hyp(S,T) is recorded per layer (enforced under strict_hyp): the places
-    fit every layer once they fit the base with p in S, so a layer's verdict
-    is the roots-of-unity rule of its w_L, and equals check_hyp on its spec.
-    Each layer's value is lvalues.theta_value on the admitted primes.
+    Hyp(S,T) is read once, on layer 0, and recorded for every layer
+    (enforced under strict_hyp, which refuses at layer 0): the places fit
+    every layer once they fit the base with p in S, so a layer's verdict is
+    the roots-of-unity rule of its w_L; L_n/L is totally ramified at p and
+    unramified elsewhere, so w_(L_n) and w_L have the same prime divisors,
+    and the verdict, which reads only those, is check_hyp on every layer's
+    spec. Each layer's value is lvalues.theta_value on the admitted primes.
     """
     s_fin, t_fin = tower_preconditions(spec, S, T, p, N, n_max, r)
+    ok, why = roots_of_unity_rule(tower_level(spec, p, 0).spec, t_fin)
+    if strict_hyp and not ok:
+        raise TowerIntegralityError(0, f"Hyp(S,T) fails: {why}")
 
-    entries, levels, hyps = [], [], []
+    entries, levels = [], []
     for n in range(n_max + 1):
         lvl = tower_level(spec, p, n)
-        ok, why = roots_of_unity_rule(lvl.spec, t_fin)
-        hyps.append(ok)
-        if strict_hyp and not ok:
-            raise TowerIntegralityError(n, f"Hyp(S,T) fails: {why}")
         value = theta_value(lvl, s_fin, t_fin, r)
         if not is_p_integral(value, p):
             raise TowerIntegralityError(
@@ -219,7 +221,7 @@ def theta_tower(
             )
         entries.append(padic_from_rational(value, p, N))
         levels.append(lvl)
-    return TowerElement(p, N, spec, tuple(S), tuple(T), r, entries, levels, hyps)
+    return TowerElement(p, N, spec, tuple(S), tuple(T), r, entries, levels, [ok] * (n_max + 1))
 
 
 def coherence_check(t: TowerElement) -> tuple[bool, int | None]:

@@ -1,10 +1,12 @@
 """Algebras, ring helpers, the closed-form dual of a finite abelian group
 with an action, the field arithmetic of Q(zeta_n), the character log of
-one group element and the action matrix of one group element on class data
-that only the tests use."""
+one group element, the action matrix of one group element on class data
+and a per-test cache of theta's zeta tables, which only the tests use."""
 
 from fractions import Fraction
+from functools import lru_cache
 
+from iwasawa_kit import lvalues
 from iwasawa_kit.exact import CyclotomicInt
 from iwasawa_kit.fitting import FiniteCommAlgebra, FinPresModule
 from iwasawa_kit.groupring import basis_index
@@ -14,6 +16,16 @@ from iwasawa_kit.lvalues import _mat_identity, _mat_mul, _mat_power
 def character_log(tab, label, g) -> int:
     """The log base zeta_e of chi_label(g), read from the CharacterTable tab."""
     return tab._logs[label][basis_index(tab.group)[g]]
+
+
+def fresh_zeta_tables(monkeypatch):
+    """Give lvalues._zeta_table a cache of its own for one test, so no table
+    built before the test hides a patched unit_classes or _zeta_numerators,
+    and the tables built from the patch leave with it. Call cache_clear on
+    it after each further patch."""
+    table = lru_cache(maxsize=None)(lvalues._zeta_table.__wrapped__)
+    monkeypatch.setattr(lvalues, "_zeta_table", table)
+    return table
 
 
 def action_of(M, g) -> list[list[int]]:

@@ -1,16 +1,19 @@
-"""The Fraction route of Q[G], kept as the reference of the integer route.
+"""The Fraction route of Q[G], kept as the one oracle of theta.
 
-`iwasawa_kit.lvalues` computes partial zeta vectors, delta_T and theta as
-pairs (nums, den): integer numerators over one denominator. This module is
+`iwasawa_kit.lvalues` computes theta as a pair (nums, den): integer
+numerators over one denominator, read from one table per presentation and
+k = 1 - r, with every Euler and T-factor applied as one pass. This module is
 the earlier model it must agree with: one Fraction per coefficient, one
-Hurwitz zeta value per unit residue of the conductor (a Fraction Horner of
-B_k(x)), and a Fraction shift-and-subtract for every Euler and T factor. It
-shares the Galois data, the group-ring basis and `bernoulli_polynomial` with
-lvalues, and no helper.
+Hurwitz zeta value (a Fraction Horner of B_k(x)) per unit residue of the
+conductor, classified through element_of, then the Euler factors of S, #,
+and a Fraction shift-and-subtract for every T-factor. It shares the Galois
+data, the group-ring basis and `bernoulli_polynomial` with lvalues, and no
+table or helper.
 """
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from algebra_helpers import Cyclotomic
 
@@ -22,8 +25,10 @@ from iwasawa_kit.numutil import factorize, unit_residues
 Q = Fraction
 
 
+@lru_cache(maxsize=None)
 def hurwitz_zeta_nonpos(r: int, a: int, f: int) -> Fraction:
-    """zeta(r, a/f) for r <= 0, via zeta(1-k, x) = -B_k(x)/k with k = 1-r."""
+    """zeta(r, a/f) for r <= 0, via zeta(1-k, x) = -B_k(x)/k with k = 1-r;
+    each value is kept, so that the route redoes no Horner."""
     if r > 0:
         raise ValueError(f"hurwitz_zeta_nonpos expects r <= 0, got {r}")
     if not (1 <= a <= f):
@@ -87,6 +92,12 @@ def theta(spec_or_pres, S, T, r: int) -> tuple:
     for sigma, c in _t_factors(pres, T, r):
         value = _times_one_minus(value, grp, sigma, c)
     return value
+
+
+def theta_value(pres, s_fin, t_fin, r: int) -> tuple[tuple[int, ...], int]:
+    """theta as (nums, den) in lowest terms, with the signature of
+    lvalues.theta_value: the finite primes of S and T, already admitted."""
+    return as_pair(theta(pres, s_fin, t_fin, r))
 
 
 def reduce_mod(x: tuple, p: int, N: int) -> tuple:

@@ -4,7 +4,7 @@ import json
 from pathlib import Path
 
 import pytest
-from theta_reference import fresh_zeta_tables
+from algebra_helpers import fresh_zeta_tables
 
 from iwasawa_kit import cli, fitting, lvalues
 from iwasawa_kit.campaigns import (

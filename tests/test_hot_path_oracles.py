@@ -1,17 +1,14 @@
-"""The former forms of the Fitting hot paths, kept as oracles of the fast
-ones: the q-pass span closure, the Howell form that rescans every row for its
-leading index, the bucketed Howell kernel that read valuations digit by digit
-and filed rows through a closure, the preimage span that formed its kernel
-twice, the Nakayama selection that added every realized row of a kept row,
-the dense dim^3 structure-constant product, the dense
-structure-constant tables of group algebras and their minus quotients, the
-ideal product realized from every pairwise generator product, the ideal
-product that took its span from a wide factor's Howell rows, the
-full-width Howell form of every ideal from the regular rows that the group
-law gives, the prime-to-p split of a group algebra by the characters of
-Delta, the Howell route of units and of the ideals that a generator
-list or a unit settles, the unit-vector images of group-algebra morphisms,
-the group-ring maps that formed one group element per coefficient, the
+"""The former forms of the Fitting hot paths, one oracle per fast path: the
+q-pass span closure, the bucketed Howell kernel that read valuations digit
+by digit and filed rows through a closure, the preimage span that formed its
+kernel twice, the Nakayama selection that added every realized row of a kept
+row, the dense dim^3 structure-constant product, the dense structure-constant
+tables of group algebras and their minus quotients, the ideal product that
+took its span from a wide factor's Howell rows, the full-width Howell form
+of every ideal from the regular rows that the group law gives, the Howell
+route of units over a local algebra (and the residue route through F_p[Delta]
+over the others), the unit-vector images of group-algebra morphisms, the
+group-ring maps that formed one group element per coefficient, the
 element_of classification of each unit residue that the unit-class table of
 a presentation replaced, the kernel span joined with the src relations, the
 exactness and quasi-isomorphism tests that compared kernel spans, the
@@ -24,19 +21,20 @@ import json
 import math
 import random
 import re
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from algebra_helpers import (
     algebra_json,
     contragredient_presentation,
+    fresh_zeta_tables,
     nilpotent_extension_json,
     prime_of,
     val,
 )
 from test_complexes import _random_chain_maps
-from theta_reference import fresh_zeta_tables
 
 from iwasawa_kit import (
     abelian,
@@ -62,7 +60,6 @@ from iwasawa_kit.campaigns import (
     corpus_st_choices,
     fitting_campaigns,
 )
-from iwasawa_kit.exact import teichmuller
 from iwasawa_kit.fitting import (
     FiniteCommAlgebra,
     FinPresModule,
@@ -78,7 +75,7 @@ from iwasawa_kit.fitting import (
 )
 from iwasawa_kit.linalg import howell_form, in_span, span_size
 from iwasawa_kit.lvalues import theta, theta_character_side, theta_value
-from iwasawa_kit.numutil import primitive_root, unit_residues
+from iwasawa_kit.numutil import unit_residues
 from iwasawa_kit.oracles import enumerate_span
 from iwasawa_kit.tower import (
     TowerIntegralityError,
@@ -99,51 +96,6 @@ def enumerate_span_reference(rows, width, q):
         out = {
             tuple((a + k * b) % q for a, b in zip(x, r)) for x in out for k in range(q)
         }
-    return out
-
-
-def howell_form_rescan_reference(rows, width, q):
-    """Howell form that rescans every pooled row for its leading index."""
-    p, N = prime_of(q), val(q, 0)
-    pool = []
-    for r in rows:
-        rr = [c % q for c in r]
-        if any(rr):
-            pool.append(rr)
-    pivots = []
-    for col in range(width):
-        cand, rest = [], []
-        for r in pool:
-            lead = next((j for j, c in enumerate(r) if c), None)
-            if lead is None:
-                continue
-            (cand if lead == col else rest).append(r)
-        pool = rest
-        if not cand:
-            continue
-        piv = min(cand, key=lambda r: val(q, r[col]))
-        cand.remove(piv)
-        v = val(q, piv[col])
-        pv = p**v
-        u_inv = pow(piv[col] // pv, -1, q)
-        piv = [(c * u_inv) % q for c in piv]
-        for r in cand:
-            f = r[col] // pv
-            rr = [(a - f * b) % q for a, b in zip(r, piv)]
-            if any(rr):
-                pool.append(rr)
-        pivots.append((col, piv))
-        if v > 0:
-            shadow = [(p ** (N - v) * c) % q for c in piv]
-            if any(shadow):
-                pool.append(shadow)
-    out = [r for _, r in pivots]
-    for i, (col, piv) in enumerate(pivots):
-        pv = p ** val(q, piv[col])
-        for j in range(i):
-            f = out[j][col] // pv
-            if f:
-                out[j] = [(a - f * b) % q for a, b in zip(out[j], piv)]
     return out
 
 
@@ -264,10 +216,34 @@ def random_kernel_rows(rng, p, N, width, length):
     return rows
 
 
+def lead_rows(rng, p, N, width):
+    """Up to 2 * width rows, each with a chosen lead: a unit, p^k times a
+    unit, or whatever the draw gave; sometimes the first row again."""
+    q, rows = p**N, []
+    for _ in range(rng.randint(0, 2 * width)):
+        lead = rng.randrange(width)
+        row = [0] * lead + [rng.randrange(q) for _ in range(width - lead)]
+        row[lead] = rng.choice(
+            [rng.randrange(1, p), p ** rng.randint(1, N) * rng.randrange(1, p), row[lead]]
+        )
+        rows.append(row)
+    if rows and rng.random() < 0.3:
+        rows.append(list(rows[0]))
+    return rows
+
+
 def test_howell_kernel_matches_the_reference_on_random_rows():
     """Every ring of KERNEL_RINGS at widths 0 to 9, with rows as long as the
     width and rows longer than it; the readers of the form (reduction, span
-    size) agree with the valuation route on it."""
+    size) agree with the valuation route on it. Then rows with chosen leads
+    at widths 1 to 12 over Z/4 .. Z/49."""
+    rng = random.Random(12)
+    for p, N in [(2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (2, 4), (7, 2)]:
+        q = p**N
+        for _ in range(40):
+            width = rng.randint(1, 12)
+            rows = lead_rows(rng, p, N, width)
+            assert howell_form(rows, width, q) == howell_form_reference(rows, width, q)
     rng = random.Random(26)
     cases = longer = 0
     for p, N in KERNEL_RINGS:
@@ -394,25 +370,6 @@ def check_against_reference(alg, ref):
 REFERENCE_ORDERS = [(), (2,), (3,), (2, 2), (2, 9), (2, 27), (4, 4), (3, 3, 3)]
 
 
-@pytest.mark.parametrize("orders", REFERENCE_ORDERS, ids=str)
-def test_group_algebras_match_the_dense_construction(orders):
-    group = FiniteAbelianGroup(orders)
-    involutions = [
-        j for j in group.elements() if j != group.identity and group.mul(j, j) == group.identity
-    ]
-    assert bool(involutions) == (group.size % 2 == 0)
-    for p, N in ((2, 3), (3, 2)):
-        alg = GroupAlgebra(p, N, group)
-        check_against_reference(alg, group_algebra_reference(p, N, group))
-        for j in involutions:
-            quotient, proj = minus_quotient(alg, j)
-            ref, images = minus_quotient_reference(p, N, group, j)
-            check_against_reference(quotient, ref)
-            assert [list(v) for v in proj.images] == images
-    for p, N in ((2, 3), (5, 2)):
-        check_against_reference(zmod_algebra(p, N), zmod_reference(p, N))
-
-
 SPAN_RINGS = [(2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]  # (p, N)
 
 
@@ -472,26 +429,6 @@ def test_enumerate_ideal_matches_reference_on_the_fitting_campaigns(monkeypatch)
     assert len(calls) > 20
 
 
-def test_howell_form_matches_reference():
-    rng = random.Random(12)
-    for p, N in SPAN_RINGS + [(2, 4), (7, 2)]:
-        q = p**N
-        for _ in range(40):
-            width = rng.randint(1, 12)
-            rows = []
-            for _ in range(rng.randint(0, 2 * width)):
-                lead = rng.randrange(width)
-                row = [0] * lead + [rng.randrange(q) for _ in range(width - lead)]
-                # a unit lead, a non-unit lead, or whatever the draw gave
-                row[lead] = rng.choice(
-                    [rng.randrange(1, p), p ** rng.randint(1, N) * rng.randrange(1, p), row[lead]]
-                )
-                rows.append(row)
-            if rows and rng.random() < 0.3:
-                rows.append(list(rows[0]))
-            assert howell_form(rows, width, q) == howell_form_rescan_reference(rows, width, q)
-
-
 def monogenic_algebra_json(p, N, f):
     """(Z/p^N)[x]/(x^d - f[0] - f[1] x - ... - f[d-1] x^(d-1)) on 1, x, ..., x^(d-1),
     in the dense JSON form: its products of basis elements have several terms."""
@@ -506,17 +443,14 @@ def monogenic_algebra_json(p, N, f):
 
 
 def _algebras():
-    """(algebra, its dense table) pairs; every table comes from a reference
-    construction or a dense JSON input, never from the algebra itself."""
+    """(algebra, its dense table) pairs that are no group algebra (those are
+    test_group_algebras_match_the_dense_construction's); every table comes
+    from a reference construction or a dense JSON input, never from the
+    algebra itself."""
     c2 = FiniteAbelianGroup((2,))
     c2c2 = FiniteAbelianGroup((2, 2))
-    pairs = [
-        (GroupAlgebra(p, N, group), group_algebra_reference(p, N, group))
-        for p, N, group in ((2, 3, c2), (3, 2, FiniteAbelianGroup((3,))), (3, 2, c2c2),
-                            (3, 2, FiniteAbelianGroup((2, 9))))
-    ]
-    pairs.append((minus_quotient(GroupAlgebra(3, 2, c2c2), (1, 0))[0],
-                  minus_quotient_reference(3, 2, c2c2, (1, 0))[0]))
+    pairs = [(minus_quotient(GroupAlgebra(3, 2, c2c2), (1, 0))[0],
+              minus_quotient_reference(3, 2, c2c2, (1, 0))[0])]
     dense = [
         nilpotent_extension_json(zmod_reference(3, 2), 3),
         nilpotent_extension_json(group_algebra_reference(2, 2, c2), 2),
@@ -528,8 +462,9 @@ def _algebras():
     return [pytest.param(alg, ref["mult"], id=alg.name) for alg, ref in pairs]
 
 
-@pytest.mark.parametrize("alg, mult", _algebras())
-def test_sparse_mul_matches_dense_reference(alg, mult):
+def check_products_against_dense(alg, mult):
+    """Products of basis pairs and of random elements, the regular rows,
+    split and realize against the dense table mult."""
     def mul_ref(x, y):
         return mul_reference(mult, alg.q, x, y)
 
@@ -558,18 +493,12 @@ def test_sparse_mul_matches_dense_reference(alg, mult):
     assert alg.q == alg.p**alg.N
 
 
+@pytest.mark.parametrize("alg, mult", _algebras())
+def test_sparse_mul_matches_dense_reference(alg, mult):
+    check_products_against_dense(alg, mult)
+
+
 def ideal_product_reference(I, J):
-    """The Howell form of I*J with every pairwise generator product realized
-    in the regular representation."""
-    alg = I.algebra
-    rows = []
-    for a in I.generators:
-        for b in J.generators:
-            rows.extend(alg.regular_rows(alg.mul(a, b)))
-    return howell_form(rows, alg.dim, alg.q)
-
-
-def ideal_product_from_rows_reference(I, J):
     """The Howell form of I*J by the route products once took: I*J is the
     Z/p^N-span of {x*y} with x over any Z/p^N-spanning set of I and y over
     ideal generators of J (a in I and b = sum c_k y_k give
@@ -581,11 +510,6 @@ def ideal_product_from_rows_reference(I, J):
     alg = I.algebra
     rows_of_I = howell_form([r for g in I.generators for r in alg.regular_rows(g)], alg.dim, alg.q)
     return howell_form([alg.mul(x, y) for x in rows_of_I for y in J.generators], alg.dim, alg.q)
-
-
-def check_product(I, J, out):
-    """The product's form against both references."""
-    assert out.howell == ideal_product_reference(I, J) == ideal_product_from_rows_reference(I, J)
 
 
 PRODUCT_ALGEBRAS = [
@@ -623,11 +547,11 @@ def test_ideal_product_matches_reference_on_random_ideals(alg):
     ideals += [random_ideal(rng, alg, dim + 1), random_ideal(rng, alg, dim + 2)]
     ideals += [zero_ideal(alg), unit_ideal(alg)]
     # coverage: factors with more generators than dim (whose Howell rows the
-    # from-rows reference then reads) on either side, both or neither
+    # reference then reads) on either side, both or neither
     wide = set()
     for I in ideals:
         for J in ideals:
-            check_product(I, J, I.product(J))
+            assert I.product(J).howell == ideal_product_reference(I, J)
             wide.add((I.ngens > dim, J.ngens > dim))
     assert wide == {(False, False), (False, True), (True, False), (True, True)}
     # chains of three products: a product factor is an ideal on its pairwise
@@ -638,11 +562,11 @@ def test_ideal_product_matches_reference_on_random_ideals(alg):
             (I.product(J).product(K), I.product(J), K),
             (I.product(J.product(K)), I, J.product(K)),
         ):
-            check_product(left, right, chain)
+            assert chain.howell == ideal_product_reference(left, right)
             assert chain == IdealHandle(alg, left.generators).product(right)
     big = random_ideal(rng, alg, dim + 2)
     third = big if dim <= 4 else random_ideal(rng, alg, 2)
-    check_product(big.product(big), third, big.product(big).product(third))
+    assert big.product(big).product(third).howell == ideal_product_reference(big.product(big), third)
 
 
 @pytest.fixture(scope="module")
@@ -651,14 +575,16 @@ def campaign_records():
     AC5/AC6 campaign slices form, with the verdicts the fast path gave, every
     subquotient they present: (algebra, ncomp, Z rows, B rows, the
     presentation), every map whose kernel span they read, with that span,
-    and every Pontryagin dual they take: (module, dual). The fitting slices
-    at seeds 2027 and 2028 add products with a factor of more generators
-    than dim."""
-    formed, compared, presented, kernels, duals = [], [], [], [], []
+    every Pontryagin dual they take: (module, dual), and every short exact
+    sequence whose exactness ComplexSES.verify_exact checks. The fitting
+    slices at seeds 2027 and 2028 add products with a factor of more
+    generators than dim."""
+    formed, compared, presented, kernels, duals, sequences = [], [], [], [], [], []
     product, eq, contains = IdealHandle.product, IdealHandle.__eq__, IdealHandle.contains
     subquotient = fitting.subquotient_presentation
     kernel_span = fitting.ModuleMap.kernel_span.func
     dual = fitting.pontryagin_dual
+    verify_exact = complexes.ComplexSES.verify_exact
 
     def recorded_product(I, J):
         out = product(I, J)
@@ -690,6 +616,10 @@ def campaign_records():
         duals.append((M, out))
         return out
 
+    def recorded_verify_exact(ses):
+        sequences.append(ses)
+        verify_exact(ses)
+
     recorded_kernel = cached_property(recorded_kernel_span)
     recorded_kernel.__set_name__(fitting.ModuleMap, "kernel_span")
 
@@ -702,24 +632,26 @@ def campaign_records():
         mp.setattr(fitting.ModuleMap, "kernel_span", recorded_kernel)
         mp.setattr(fitting, "pontryagin_dual", recorded_dual)
         mp.setattr(campaigns, "pontryagin_dual", recorded_dual)
+        mp.setattr(complexes.ComplexSES, "verify_exact", recorded_verify_exact)
         results = complex_campaigns(seed=2026, trials=100) + fitting_campaigns(seed=2026, trials=200)
         results += fitting_campaigns(seed=2027, trials=50) + fitting_campaigns(seed=2028, trials=100)
     assert all(r.ok for r in results)
-    return formed, compared, presented, kernels, duals
+    return SimpleNamespace(formed=formed, compared=compared, presented=presented, kernels=kernels,
+                           duals=duals, sequences=sequences)
 
 
 def test_ideal_product_matches_reference_on_the_campaigns(campaign_records):
     """Every Fitting product and every Euler-Fitting numerator, denominator
     and cross-multiplication that the AC5/AC6 campaign slices form."""
-    formed, *_ = campaign_records
+    formed = campaign_records.formed
     assert len(formed) > 3000
     # coverage: products with a factor of more generators than dim (the
-    # from-rows reference reads that factor's Howell rows) and products of
-    # two factors of at most dim
+    # reference reads that factor's Howell rows) and products of two factors
+    # of at most dim
     wide = sum(max(I.ngens, J.ngens) > I.algebra.dim for I, J, _ in formed)
     assert wide >= 300 and len(formed) - wide >= 300
     for I, J, out in formed:
-        check_product(I, J, out)
+        assert out.howell == ideal_product_reference(I, J)
 
 
 def test_product_generators_are_literal_and_span_free(monkeypatch):
@@ -791,10 +723,22 @@ def check_ideals_against_reference(ideals, elements, pairs=None):
     for I, J in pairs if pairs is not None else [(I, J) for I in ideals for J in ideals]:
         refI, refJ = ideal_howell_reference(I, cache), ideal_howell_reference(J, cache)
         assert (I == J) == (refI == refJ)
-        contained = all(in_span(r, refI, q) for r in refJ)
+        contained = refI == refJ or all(in_span(r, refI, q) for r in refJ)
         assert I.contains(J) == contained
         verdicts.add((refI == refJ, contained))
     return verdicts
+
+
+def norm_of(alg, g):
+    """1 + g + ... + g^(o-1), o the order of the group element g. g^o = 1
+    comes within 2 dim steps (over a minus quotient g may pass -1 first), so
+    a faulty product fails here instead of running on."""
+    norm, power = alg.one, g
+    for _ in range(2 * alg.dim):
+        if power == alg.one:
+            return norm
+        norm, power = alg.add(norm, power), alg.mul(power, g)
+    raise AssertionError(f"no power of {g} within 2 dim is 1 in {alg.name}")
 
 
 def component_ideal(rng, alg, n):
@@ -807,10 +751,7 @@ def component_ideal(rng, alg, n):
         g = alg.basis_element(rng.randrange(1, alg.dim))  # basis 0 is the identity
         if rng.randrange(2):
             return alg.sub(g, alg.one)
-        norm, power = alg.one, g
-        while power != alg.one:
-            norm, power = alg.add(norm, power), alg.mul(power, g)
-        return norm
+        return norm_of(alg, g)
 
     gens = []
     for _ in range(n):
@@ -819,47 +760,96 @@ def component_ideal(rng, alg, n):
     return IdealHandle(alg, gens)
 
 
-# (Z/p^N)[P x Delta], P the p-part and Delta nontrivial of exponent dividing
-# p - 1, with |P|: the algebra splits as |Delta| copies of (Z/p^N)[P], one
-# per character of Delta
-SPLIT_ALGEBRAS = [
-    (GroupAlgebra(p, N, FiniteAbelianGroup(orders)), part_dim)
-    for p, N, orders, part_dim in ((3, 2, (2,), 1), (3, 2, (2, 2), 1), (3, 2, (2, 9), 9),
-                                   (3, 3, (18,), 9), (5, 2, (20,), 5), (7, 2, (42,), 7))
-]
+def group_algebra(p, N, orders):
+    return GroupAlgebra(p, N, FiniteAbelianGroup(orders))
 
 
-@pytest.mark.parametrize("alg, part_dim", [pytest.param(*c, id=c[0].name) for c in SPLIT_ALGEBRAS])
-def test_split_ideals_match_the_full_width_reference(alg, part_dim):
+def unit_and_non_units(rng, alg):
+    """A random unit of the algebra and three non-units: a multiple of p, a
+    multiple of g - 1 and their sum. Over every algebra here more than a
+    sixth of the elements are units (the fewest, (2/3)^4, over (Z/9)[C2 x
+    C2]), so 200 draws that find none mean a faulty unit test."""
+    draws = (tuple(rng.randrange(alg.q) for _ in range(alg.dim)) for _ in range(200))
+    unit = next((x for x in draws if FiniteCommAlgebra.is_unit(alg, x)), None)
+    assert unit is not None, f"no unit of {alg.name} in 200 draws"
+    g = alg.basis_element(rng.randrange(alg.dim))
+    a = alg.scalar(alg.p, tuple(rng.randrange(alg.q) for _ in range(alg.dim)))
+    b = alg.mul(alg.sub(g, alg.one), tuple(rng.randrange(alg.q) for _ in range(alg.dim)))
+    return unit, [a, b, alg.add(a, b)]
+
+
+def _ideal_algebras():
+    """Group algebras of dim 1 to 42: local (a p-group) and not, p = 2 among
+    them, with a prime-to-p part whose exponent divides p - 1 and with one
+    whose exponent does not; a minus quotient; and from_json copies of two
+    group algebras, whose ideals are also compared with the same generators
+    over the group algebra."""
+    algebras = [
+        (group_algebra(p, N, orders), None)
+        for p, N, orders in (
+            (3, 3, ()), (2, 3, (2,)), (2, 2, (2, 2)), (3, 2, (3,)), (3, 2, (9,)),
+            (2, 3, (3,)), (3, 2, (2,)), (3, 2, (2, 2)), (3, 2, (2, 3)), (3, 2, (4,)), (3, 2, (5,)),
+            (5, 2, (3,)), (5, 1, (2, 2)), (5, 1, (2, 3)), (3, 2, (9, 3)), (3, 2, (2, 9)),
+            (3, 3, (18,)), (5, 2, (20,)), (5, 2, (2, 10)), (7, 2, (42,)), (7, 1, (3, 14)),
+        )
+    ]
+    algebras.append((minus_quotient(group_algebra(3, 2, (2, 2)), (1, 0))[0], None))
+    for orders in ((2,), (2, 2)):
+        source = group_algebra(3, 2, orders)
+        algebras.append((FiniteCommAlgebra.from_json(algebra_json(source)), source))
+    return [pytest.param(alg, source, id=f"{type(alg).__name__}-{alg.name}")
+            for alg, source in algebras]
+
+
+@pytest.mark.parametrize("alg, source", _ideal_algebras())
+def test_ideals_match_the_howell_reference(alg, source):
+    """Random ideals (more generators than dim on the small algebras), ideals
+    whole at some characters and proper at others, ideals that a unit among
+    non-units settles and handles on one generator list (one longer than
+    dim), zero, the ring, #, products and a chain of two, each with elements
+    inside and outside. Over a from_json copy, == and contains also meet the
+    ideal on the same generators over the group algebra it copies."""
     rng = random.Random(alg.dim * alg.q)
-    small = alg.dim <= 4
-    # up to dim + 2 generators on the small algebras; on the wide ones a few,
-    # and |P| + 1
-    ideals = [
-        random_ideal(rng, alg, rng.randint(0, alg.dim + 2 if small else 3))
-        for _ in range(6 if small else 3)
-    ]
-    ideals += [random_ideal(rng, alg, part_dim + 1), zero_ideal(alg), unit_ideal(alg)]
-    ideals += [component_ideal(rng, alg, n) for n in (1, 1, 2, part_dim + 1)]
-    ideals += [IdealHandle(alg, ideals[-1].generators + ideals[-2].generators), ideals[-3].sharp()]
-    left, right = (ideals[:4] + ideals[-6:-3], ideals[-6:-1]) if small else (
-        ideals[2:4] + ideals[-6:-4], ideals[-5:-2])
-    products = [I.product(J) for I in left for J in right]
+    small = alg.dim <= 9
+    unit, non_units = unit_and_non_units(rng, alg)
+    other_unit, more_non_units = unit_and_non_units(rng, alg)
+    ideals = [random_ideal(rng, alg, rng.randint(0, alg.dim + 2 if small else 3))
+              for _ in range(3 if small else 2)]
+    ideals.append(random_ideal(rng, alg, alg.dim + 1 if small else 4))
+    if alg.dim > 1:
+        ideals += [component_ideal(rng, alg, n) for n in (1, 2)]
+    mixed = IdealHandle(alg, [non_units[0], unit, non_units[1]])
+    proper = IdealHandle(alg, non_units[:2])
+    ideals += [mixed, proper, IdealHandle(alg, list(proper.generators)), zero_ideal(alg),
+               unit_ideal(alg)]
+    if small:
+        long = non_units + more_non_units + [unit] * alg.dim
+        ideals += [IdealHandle(alg, [non_units[0], other_unit, non_units[1]]),
+                   IdealHandle(alg, more_non_units[:2]), IdealHandle(alg, [non_units[2]]),
+                   IdealHandle(alg, long), IdealHandle(alg, list(long)),
+                   IdealHandle(alg, long[:alg.dim])]
+    if alg.has_sharp:
+        ideals.append(ideals[0].sharp())
+    right = [I for I in ideals[-9:] if I.ngens <= alg.dim] if small else ideals[-6:-3]
+    products = [I.product(J) for I in ideals[:2] for J in right]
     products += [ideals[0].product(ideals[1]).product(ideals[2]),
-                 ideals[3].product(ideals[0].product(ideals[3]))]
-    elements = [alg.zero(), alg.one] + [
-        tuple(rng.randrange(alg.q) for _ in range(alg.dim)) for _ in range(3)
-    ]
-    elements += [alg.mul(g, elements[-1]) for g in ideals[0].generators[:2] + ideals[-6].generators]
+                 mixed.product(proper), proper.product(mixed)]
+    products.append(IdealHandle(alg, products[-4].generators))
     everything = ideals + products
-    pairs = [(I, J) for I in everything for J in everything] if small else [
-        (I, J) for I in everything for J in everything[::3]
-    ]
+    pairs = [(I, J) for I in everything for J in everything[:: 1 if small else 3]]
+    if source is not None:
+        copies = [IdealHandle(source, I.generators) for I in products[::3]]
+        everything += copies
+        pairs += [(X, Y) for X in ideals for Y in copies] + [(Y, X) for X in ideals for Y in copies]
+    elements = [alg.zero(), alg.one, unit, *non_units, *more_non_units]
+    elements += [alg.mul(g, tuple(rng.randrange(alg.q) for _ in range(alg.dim)))
+                 for g in ideals[0].generators[:2] + ideals[-1].generators[:1]]
     verdicts = check_ideals_against_reference(everything, elements, pairs)
     assert {(True, True), (False, True), (False, False)} <= verdicts
+    assert mixed == unit_ideal(alg) and mixed.product(proper) == proper
 
 
-def test_split_ideals_match_the_reference_on_a_dim_54_tower_level():
+def test_ideals_match_the_howell_reference_on_a_dim_54_tower_level():
     """The top level of the Q(zeta3) tower at p = 3, N = 2: (Z/9)[C2 x C27]
     = (Z/9)[C27]^2. The Fitting ideals of the principal Stickelberger modules,
     the images of the level above, a direct sum's and a product's."""
@@ -880,12 +870,16 @@ def test_split_ideals_match_the_reference_on_a_dim_54_tower_level():
     assert check_ideals_against_reference(lower, [t.entries[2]]) == {(True, True)}
 
 
-def test_split_ideals_match_the_reference_on_the_campaigns(campaign_records):
-    formed, compared, *_ = campaign_records
+def test_ideals_match_the_howell_reference_on_the_campaigns(campaign_records):
+    """Every == and contains of the campaign slices, over local algebras and
+    over group algebras that are not local; the products they form are the
+    product oracle's."""
+    compared = campaign_records.compared
     cache = {}
-    split = [c for c in compared if isinstance(c[1].algebra, GroupAlgebra) and not c[1].algebra.local]
-    assert len(split) > 300 and {c[0] for c in split} == {"==", "contains"}
-    assert {c[1].algebra.group.orders for c in split} >= {(2,), (2, 2), (4, 1)}
+    nonlocal_ = [c for c in compared
+                 if isinstance(c[1].algebra, GroupAlgebra) and not c[1].algebra.local]
+    assert len(nonlocal_) > 300 and {c[0] for c in nonlocal_} == {"==", "contains"}
+    assert {c[1].algebra.group.orders for c in nonlocal_} >= {(2,), (2, 2), (4, 1)}
     for kind, I, J, verdict in compared:
         refI, refJ = ideal_howell_reference(I, cache), ideal_howell_reference(J, cache)
         if kind == "==":
@@ -893,176 +887,6 @@ def test_split_ideals_match_the_reference_on_the_campaigns(campaign_records):
         else:
             assert verdict == all(in_span(r, refI, I.algebra.q) for r in refJ)
         assert I.howell == refI
-    for I, J, out in formed:
-        assert out.howell == ideal_howell_reference(out, cache)
-
-
-def test_one_part_algebras_keep_the_full_width_form():
-    """The algebras that do not split by the characters of a prime-to-p
-    Delta: p = 2, a p-group, exp(Delta) not dividing p - 1, a minus quotient
-    and a from_json algebra."""
-    c2c2 = GroupAlgebra(3, 2, FiniteAbelianGroup((2, 2)))
-    algebras = [
-        GroupAlgebra(2, 3, FiniteAbelianGroup((2,))),
-        GroupAlgebra(3, 2, FiniteAbelianGroup((3,))),
-        GroupAlgebra(3, 2, FiniteAbelianGroup((5,))),
-        minus_quotient(c2c2, (1, 0))[0],
-        FiniteCommAlgebra.from_json(algebra_json(GroupAlgebra(3, 2, FiniteAbelianGroup((2,))))),
-    ]
-    for alg in algebras:
-        rng = random.Random(alg.dim)
-        ideals = [random_ideal(rng, alg, rng.randint(0, alg.dim + 2)) for _ in range(4)]
-        ideals += [zero_ideal(alg), unit_ideal(alg), ideals[0].product(ideals[1])]
-        elements = [tuple(rng.randrange(alg.q) for _ in range(alg.dim)) for _ in range(3)]
-        check_ideals_against_reference(ideals, elements)
-
-
-def test_split_and_unsplit_copies_of_an_algebra_compare_ideals():
-    alg = GroupAlgebra(3, 2, FiniteAbelianGroup((2, 2)))
-    copy = FiniteCommAlgebra.from_json(algebra_json(alg))
-    assert same_algebra(alg, copy)
-    rng = random.Random(5)
-    for _ in range(8):
-        I = random_ideal(rng, alg, rng.randint(1, 3))
-        J = random_ideal(rng, alg, rng.randint(1, 3)).product(I)
-        for X, Y in ((I, J), (J, I), (I, I)):
-            Yc = IdealHandle(copy, Y.generators)
-            equal = ideal_howell_reference(X) == ideal_howell_reference(Yc)
-            assert (X == Yc) == (Yc == X) == equal
-            assert X.contains(Yc) == Yc.contains(X) == X.contains(Y) if equal else True
-            assert X.contains(Yc) == X.contains(Y) and Yc.contains(X) == Y.contains(X)
-
-
-def character_split(p, N, orders):
-    """The prime-to-p split that ideals once took, kept as an oracle:
-    (Z/p^N)[P x Delta] = prod_psi (Z/p^N)[P] by the ring maps
-    pi_psi: g -> psi(g_Delta) g_P, P the p-part of the group and psi over
-    the characters of Delta valued in the Teichmuller lifts of mu_(p-1) mod
-    p^N. Returns the part algebra (Z/p^N)[P] and project, x -> the list of
-    the pi_psi(x); None when p = 2, Delta is trivial or exp(Delta) does not
-    divide p - 1."""
-    # the p-part p^a of each order o: p^a divides o < 2^bits <= p^bits
-    ppart = [math.gcd(o, p ** o.bit_length()) for o in orders]
-    mpart = [o // pa for o, pa in zip(orders, ppart)]
-    if p == 2 or math.prod(mpart) == 1 or (p - 1) % math.lcm(*mpart):
-        return None
-    q = p**N
-    part = GroupAlgebra(p, N, FiniteAbelianGroup(tuple(pa for pa in ppart if pa > 1)))
-    delta = FiniteAbelianGroup(tuple(m for m in mpart if m > 1))
-    omega = teichmuller(primitive_root(p), p, N)
-    places = [  # (basis index of g_P in the part, g_Delta) for each g
-        (part.index[tuple(e % pa for e, pa in zip(g, ppart) if pa > 1)],
-         tuple(e % m for e, m in zip(g, mpart) if m > 1))
-        for g in FiniteAbelianGroup(orders).elements()
-    ]
-    characters = [
-        [pow(omega, sum(t * e * ((p - 1) // m) for t, e, m in zip(psi, d, delta.orders)), q)
-         for _, d in places]
-        for psi in delta.elements()
-    ]
-
-    def project(x):
-        images = []
-        for chi in characters:
-            y = [0] * part.dim
-            for (i, _), c, a in zip(places, chi, x):
-                y[i] = (y[i] + c * a) % q
-            images.append(tuple(y))
-        return images
-
-    return part, project
-
-
-# (p, N, orders, the orders of P, the number of characters of Delta)
-CHARACTER_SPLITS = [
-    (3, 2, (2,), (), 2), (3, 2, (2, 2), (), 4), (3, 2, (2, 9), (9,), 2), (3, 3, (18,), (9,), 2),
-    (5, 2, (20,), (5,), 4), (7, 2, (42,), (7,), 6), (7, 1, (3, 14), (7,), 6),
-    (5, 2, (2, 10), (5,), 4), (5, 1, (2, 2), (), 4),
-]
-
-
-@pytest.mark.parametrize("p, N, orders, part_orders, nchars", CHARACTER_SPLITS, ids=str)
-def test_ideals_and_units_read_at_each_character_of_delta(p, N, orders, part_orders, nchars):
-    """The pi_psi of character_split are ring maps onto (Z/p^N)[P] that
-    together are an isomorphism. So an ideal's size is the product of the
-    sizes of its images, == and contains hold exactly when they hold at
-    every psi, and x is a unit exactly when every pi_psi(x) is: an oracle of
-    the one-form route over group algebras that are not local."""
-    alg = GroupAlgebra(p, N, FiniteAbelianGroup(orders))
-    part, project = character_split(p, N, orders)
-    assert part.group.orders == part_orders and project(alg.one) == [part.one] * nchars
-    rng = random.Random(alg.dim)
-
-    def element():
-        return tuple(rng.randrange(alg.q) for _ in range(alg.dim))
-
-    for _ in range(4):
-        x, y = element(), element()
-        for px, py, pxy, psum in zip(*map(project, [x, y, alg.mul(x, y), alg.add(x, y)])):
-            assert part.mul(px, py) == pxy and part.add(px, py) == psum
-    stacked = [[c for img in project(alg.basis_element(i)) for c in img] for i in range(alg.dim)]
-    assert span_size(howell_form(stacked, alg.dim, alg.q), alg.q) == alg.q**alg.dim
-
-    def images(I):
-        projected = [project(g) for g in I.generators]
-        return [IdealHandle(part, [img[c] for img in projected]) for c in range(nchars)]
-
-    small = alg.dim <= 6
-    ideals = [random_ideal(rng, alg, rng.randint(1, 3)) for _ in range(3 if small else 2)]
-    ideals += [component_ideal(rng, alg, n) for n in (1, 2)]
-    ideals += [ideals[0].product(ideals[-1]), ideals[-2].product(ideals[-1]),
-               zero_ideal(alg), unit_ideal(alg)]
-    # the norm of an element h of Delta, h != 1: its augmentation |h| is a
-    # unit, and it vanishes at every psi with psi(h) != 1
-    h = next(alg.basis_element(i) for i, g in enumerate(alg.group.elements())
-             if 1 < math.lcm(*(o // math.gcd(o, e) for e, o in zip(g, orders))) < p)
-    norm, power = alg.one, h
-    while power != alg.one:
-        norm, power = alg.add(norm, power), alg.mul(power, h)
-    assert sum(norm) % p != 0
-    unit, non_units = unit_and_non_units(rng, alg)
-    elements = [unit, *non_units, norm, element(), alg.mul(ideals[-5].generators[0], element())]
-    parts = [images(I) for I in ideals]
-    for I, Ip in zip(ideals, parts):
-        assert span_size(I.howell, alg.q) == math.prod(span_size(P.howell, P.algebra.q) for P in Ip)
-        for x in elements:
-            assert I.contains_element(x) == all(map(IdealHandle.contains_element, Ip, project(x)))
-    verdicts = set()
-    for I, Ip in zip(ideals, parts):
-        for J, Jp in zip(ideals, parts):
-            equal, contained = I == J, I.contains(J)
-            assert equal == all(map(IdealHandle.__eq__, Ip, Jp))
-            assert contained == all(map(IdealHandle.contains, Ip, Jp))
-            verdicts.add((equal, contained))
-    assert {(True, True), (False, True), (False, False)} <= verdicts
-    units = [alg.is_unit(x) for x in elements]
-    assert units == [all(map(part.is_unit, project(x))) for x in elements]
-    assert units[:5] == [True, False, False, False, False]
-
-
-@pytest.mark.parametrize(
-    "p, N, orders",
-    [(2, 3, (2,)), (2, 3, (3,)), (3, 2, (3,)), (3, 2, (9, 3)), (3, 2, (4,)), (3, 2, (5,)),
-     (5, 2, (3,)), (5, 1, (2, 3))],
-    ids=str,
-)
-def test_algebras_without_a_character_split_match_the_reference(p, N, orders):
-    """p = 2, a p-group (Delta trivial), or exp(Delta) not dividing p - 1:
-    no character split, and the ideals and units agree with the Howell
-    reference."""
-    assert character_split(p, N, orders) is None
-    alg = GroupAlgebra(p, N, FiniteAbelianGroup(orders))
-    rng = random.Random(alg.dim * alg.q)
-    ideals = [random_ideal(rng, alg, rng.randint(1, min(alg.dim + 2, 4))) for _ in range(3)]
-    ideals += [component_ideal(rng, alg, 2), zero_ideal(alg), unit_ideal(alg)]
-    ideals.append(ideals[0].product(ideals[3]))
-    unit, non_units = unit_and_non_units(rng, alg)
-    elements = [unit, *non_units, tuple(rng.randrange(alg.q) for _ in range(alg.dim))]
-    verdicts = check_ideals_against_reference(ideals, elements)
-    assert {(True, True), (False, True), (False, False)} <= verdicts
-    units = [alg.is_unit(x) for x in elements]
-    assert units == [FiniteCommAlgebra.is_unit(alg, x) for x in elements]
-    assert units[:4] == [True, False, False, False]
 
 
 # ---------------------------------------------------------------------------
@@ -1166,22 +990,6 @@ def test_maps_form_no_group_element(monkeypatch):
     aug_project(x, top, below, 2)
 
 
-@pytest.mark.parametrize("orders", REFERENCE_ORDERS, ids=str)
-def test_group_algebra_sharp_and_translates_match_the_element_tables(orders):
-    """Up to dim 54: the # images are the unit vectors of g^(-1), and row j of
-    the regular-representation permutation lists g_k g_j^(-1) at k."""
-    group = FiniteAbelianGroup(orders)
-    alg = GroupAlgebra(3, 2, group)
-    index, elems = _element_index(group), list(group.elements())
-    basis = [alg.basis_element(i) for i in range(alg.dim)]
-    assert [alg.sharp_of(b) for b in basis] == [basis[index[group.inv(g)]] for g in elems]
-    assert alg._translates == [
-        tuple(index[group.mul(g, group.inv(h))] for g in elems) for h in elems
-    ]
-    x = distinct_coefficients(group, random.Random(group.size))
-    assert alg.regular_rows(x) == [list(alg.mul(x, b)) for b in basis]
-
-
 def test_translation_is_one_cached_tuple_per_reduced_element():
     """translate reduces h^(-1) itself, so an unreduced h reads the entry of
     its reduced form: one more hit, no new entry."""
@@ -1211,21 +1019,16 @@ def unit_classes_reference(pres):
     return tuple((b, index[pres.element_of(b)]) for b in unit_residues(f))
 
 
-def test_unit_classes_match_element_of_on_the_corpus():
+def test_unit_classes_match_element_of():
+    """The corpus, two fields of conductor 1 and the Q(zeta_p) levels up to
+    dim 486 (p = 3), 100 (p = 5) and 294 (p = 7)."""
     presentations = [galois_group(spec) for spec in corpus_cm_specs(24)]
     presentations += [galois_group(AbelianFieldSpec.rationals()),
-                      galois_group(AbelianFieldSpec(4, frozenset({1, 3})))]  # conductor 1
+                      galois_group(AbelianFieldSpec(4, frozenset({1, 3})))]
+    presentations += [tower_level(AbelianFieldSpec.cyclotomic(p), p, n)
+                      for p, top in TOWER_LEVELS for n in range(top + 1)]
     for pres in presentations:
         assert pres.unit_classes == unit_classes_reference(pres), pres.spec.label
-
-
-@pytest.mark.parametrize("p, top", TOWER_LEVELS, ids=lambda v: str(v))
-def test_unit_classes_match_element_of_on_tower_levels(p, top):
-    """Q(zeta_p) levels up to dim 486 (p = 3), 100 (p = 5) and 294 (p = 7)."""
-    spec = AbelianFieldSpec.cyclotomic(p)
-    for n in range(top + 1):
-        level = tower_level(spec, p, n)
-        assert level.unit_classes == unit_classes_reference(level), n
 
 
 def test_theta_value_reads_only_the_unit_class_table(monkeypatch):
@@ -1253,17 +1056,17 @@ def test_theta_value_reads_only_the_unit_class_table(monkeypatch):
 
 def test_field_data_is_built_once_per_spec():
     """One pass of theta_tower and the parity check over TOWER_CORPUS builds
-    w_L once per layer and the CM structure once per base field."""
+    w_L once per layer 0, the only layer whose Hyp verdict is read, and the
+    CM structure once per base field."""
     abelian.cm_data.cache_clear()
     abelian.roots_of_unity_order.cache_clear()
     for spec, p, S, T in campaigns.TOWER_CORPUS:
         t = theta_tower(spec, S, T, p, 3, 2, -1)
         assert all(parity_projector_annihilates(t, n) for n in range(3))
     bases = {spec for spec, *_ in campaigns.TOWER_CORPUS}
-    layers = {tower_level(spec, p, n).spec for spec, p, *_ in campaigns.TOWER_CORPUS
-              for n in range(3)}
+    layers = {tower_level(spec, p, 0).spec for spec, p, *_ in campaigns.TOWER_CORPUS}
     cm, w = abelian.cm_data.cache_info(), abelian.roots_of_unity_order.cache_info()
-    assert (cm.misses, w.misses) == (len(bases), len(layers)) == (4, 12)
+    assert (cm.misses, w.misses) == (len(bases), len(layers)) == (4, 4)
     assert cm.hits > 0 and w.hits > 0
 
 
@@ -1327,34 +1130,8 @@ def test_a_swapped_unit_class_on_a_tower_level_is_caught(monkeypatch, row):
 
 # ---------------------------------------------------------------------------
 # Group algebras on the group law: products, # and the regular rows read the
-# group's shared table; the dense dim x dim table of unit vectors is the
-# oracle.
-
-class LazyList:
-    """A read-only list whose entries are formed when they are read."""
-
-    def __init__(self, size, entry):
-        self.size, self.entry = size, entry
-
-    def __len__(self):
-        return self.size
-
-    def __getitem__(self, i):
-        return self.entry(i)
-
-
-def dense_unit_table(group):
-    """group_algebra_reference's `mult`, each unit vector of g_i g_j formed
-    through group.mul when it is read: the table itself has dim^3 entries
-    (1.1e8 at dim 486)."""
-    elems, index, dim = list(group.elements()), _element_index(group), group.size
-
-    def unit(i, j):
-        k = index[group.mul(elems[i], elems[j])]
-        return [int(t == k) for t in range(dim)]
-
-    return LazyList(dim, lambda i: LazyList(dim, lambda j: unit(i, j)))
-
+# group's shared table; the dense dim x dim table of unit vectors, and the
+# element route through group.mul, are the oracle.
 
 def regular_rows_reference(x, group, q):
     """Row j of multiplication by x through group.mul: x_i at g_i g_j."""
@@ -1369,34 +1146,55 @@ def regular_rows_reference(x, group, q):
 
 
 Z3 = AbelianFieldSpec.cyclotomic(3)
-GROUP_LAW_GROUPS = [pytest.param(FiniteAbelianGroup(o), id=str(o)) for o in REFERENCE_ORDERS]
-GROUP_LAW_GROUPS += [pytest.param(tower_level(Z3, 3, n).group, id=f"zeta3-level-{n}")
-                     for n in range(6)]
+# with (2,), (2, 9) and (2, 27): the groups of the Q(zeta3) tower levels 0 to 5
+DENSE_ORDERS = REFERENCE_ORDERS + [(2, 1), (2, 3), (2, 81), (2, 243)]
 
 
-@pytest.mark.parametrize("group", GROUP_LAW_GROUPS)
-def test_group_algebra_on_the_group_law_matches_the_dense_construction(group):
-    """The reference orders and the Q(zeta3) levels up to dim 486: mul against
-    the dense table, the regular rows and # against the element route, and
-    algebra_json byte for byte where the dense JSON (dim^3 entries) is written,
-    up to dim 54. Above dim 54 the second factor of each product is sparse,
-    as the lazily formed table costs dim per basis product."""
-    p, N = 3, 2
-    alg, q, dim = GroupAlgebra(p, N, group), p**N, group.size
-    rng = random.Random(dim)
-    ref = group_algebra_reference(p, N, group) if dim <= 54 else None
-    mult = ref["mult"] if ref else dense_unit_table(group)
-    x = distinct_coefficients(group, rng)
-    for _ in range(2):
-        y = [0] * dim
-        for k in rng.sample(range(dim), dim if dim <= 54 else 4):
-            y[k] = rng.randrange(-q, 2 * q)
-        assert alg.mul(x, tuple(y)) == mul_reference(mult, q, x, y)
-    assert alg.regular_rows(x) == regular_rows_reference(x, group, q)
-    assert alg.sharp_of(x) == tuple(c % q for c in sharp_reference(x, group))
-    assert not hasattr(alg, "terms") and not hasattr(alg, "sharp_images")
-    if ref:
-        assert json.dumps(algebra_json(alg)) == json.dumps(ref)
+@pytest.mark.parametrize("orders", DENSE_ORDERS, ids=str)
+def test_group_algebras_match_the_dense_construction(orders):
+    """Up to dim 54, over Z/8 and Z/9: the products of basis pairs, the unit,
+    # and algebra_json byte for byte against the dense JSON, and so every
+    minus quotient; up to dim 18 products of random elements, the regular
+    rows, split and realize too; Z/8 and Z/25 beside the trivial group. Over
+    Z/9 up to dim 486: mul against the dense table (above dim 54, where it
+    has dim^3 entries, against sum_k y_k (x g_k) with a sparse y), the
+    regular rows and # against the element route."""
+    group = FiniteAbelianGroup(orders)
+    dim = group.size
+    involutions = [
+        j for j in group.elements() if j != group.identity and group.mul(j, j) == group.identity
+    ]
+    assert bool(involutions) == (dim % 2 == 0)
+    for p, N in ((2, 3), (3, 2)) if dim <= 54 else ((3, 2),):
+        alg, q, rng = GroupAlgebra(p, N, group), p**N, random.Random(dim)
+        ref = group_algebra_reference(p, N, group) if dim <= 54 else None
+        if ref:
+            check_against_reference(alg, ref)
+            if dim <= 18:
+                check_products_against_dense(alg, ref["mult"])
+            for j in involutions:
+                quotient, proj = minus_quotient(alg, j)
+                quotient_ref, images = minus_quotient_reference(p, N, group, j)
+                check_against_reference(quotient, quotient_ref)
+                assert [list(v) for v in proj.images] == images
+        x = distinct_coefficients(group, rng)
+        rows = regular_rows_reference(x, group, q)
+        for _ in range(2):
+            y = [0] * dim
+            for k in rng.sample(range(dim), dim if dim <= 54 else 4):
+                y[k] = rng.randrange(-q, 2 * q)
+            if ref:
+                expected = mul_reference(ref["mult"], q, x, y)
+            else:  # sum_k y_k (x g_k)
+                expected = tuple(sum(c * row[i] for c, row in zip(y, rows) if c) % q
+                                 for i in range(dim))
+            assert alg.mul(x, tuple(y)) == expected
+        assert alg.regular_rows(x) == rows
+        assert alg.sharp_of(x) == tuple(c % q for c in sharp_reference(x, group))
+        assert not hasattr(alg, "terms") and not hasattr(alg, "sharp_images")
+    if dim == 1:
+        for p, N in ((2, 3), (5, 2)):
+            check_against_reference(zmod_algebra(p, N), zmod_reference(p, N))
 
 
 def test_same_algebra_reads_the_group_law():
@@ -1603,21 +1401,12 @@ def test_four_term_exactness_matches_reference_on_the_campaign(monkeypatch):
     assert set(perturbed) == {None, "sequence is not exact at C"}
 
 
-def test_verify_exact_matches_reference_on_the_campaign(monkeypatch):
+def test_verify_exact_matches_reference_on_the_campaign(campaign_records):
     """Every short exact sequence of AC6's additivity suite (seed 2026 + 1,
     100 trials)."""
-    seen = []
-    verify_exact = complexes.ComplexSES.verify_exact
-
-    def checked(ses):
-        seen.append(refusal(verify_exact_reference, ses))
-        assert refusal(verify_exact, ses) == seen[-1]
-        verify_exact(ses)
-
-    monkeypatch.setattr(complexes.ComplexSES, "verify_exact", checked)
-    result = campaigns.complex_additivity_campaign(2026 + 1, 100)
-    assert result.trials == len(seen) == 100 and result.failures == 0, result.details
-    assert seen == [None] * 100
+    verdicts = [(refusal(verify_exact_reference, ses), refusal(complexes.ComplexSES.verify_exact, ses))
+                for ses in campaign_records.sequences]
+    assert verdicts == [(None, None)] * 100
 
 
 def test_quasi_iso_matches_reference_on_random_chain_maps():
@@ -1741,7 +1530,7 @@ def kernel_span_reference(f):
 def test_kernel_span_matches_the_union_form_on_the_campaigns(campaign_records):
     """Every map whose kernel span the AC5/AC6 slices read: differentials,
     zero maps and multiplication maps, some with src relations."""
-    _, _, _, kernels, _ = campaign_records
+    kernels = campaign_records.kernels
     assert len(kernels) > 1000
     assert sum(bool(f.src.relation_span) for f, _ in kernels) >= 60
     for f, span in kernels:
@@ -1817,119 +1606,88 @@ def test_maps_that_are_not_well_defined_are_refused_before_a_kernel_is_read(monk
 
 
 # ---------------------------------------------------------------------------
-# Ideals settled by their generators, and units of local algebras: the Howell
-# route of FiniteCommAlgebra.is_unit and ideal_howell_reference are the
-# oracles.
+# Units: over a local algebra the Howell route of FiniteCommAlgebra.is_unit,
+# which the augmentation test replaced, is the oracle; elsewhere
+# GroupAlgebra.is_unit is that route itself, and the residue route through
+# F_p[Delta] is.
 
-def group_algebra(p, N, orders):
-    return GroupAlgebra(p, N, FiniteAbelianGroup(orders))
-
-
-def residue_is_unit(alg, x):
-    """A second unit test: through F_p[Delta], Delta = G / P the prime-to-p
-    quotient. The kernel of (Z/p^N)[G] -> F_p[Delta] is generated by p and
-    the h - 1 with h in the p-Sylow P, so it is nilpotent and x is a unit
-    iff its image is; the image is tested by the Howell route of width
-    |Delta| over F_p, not of width dim over Z/p^N."""
+def residue_is_unit(alg):
+    """A second unit test, x -> whether x is a unit: through F_p[Delta],
+    Delta = G / P the prime-to-p quotient. The kernel of (Z/p^N)[G] ->
+    F_p[Delta] is generated by p and the h - 1 with h in the p-Sylow P, so
+    it is nilpotent and x is a unit iff its image is; the image is tested by
+    the Howell route of width |Delta| over F_p, not of width dim over Z/p^N,
+    once per image."""
     orders = alg.group.orders
     delta = FiniteAbelianGroup(tuple(o // math.gcd(o, alg.p ** o.bit_length()) for o in orders))
     residue = GroupAlgebra(alg.p, 1, delta)
-    images = groupring.reduction(alg.group, delta)
-    return FiniteCommAlgebra.is_unit(residue, groupring.push(x, images, residue.dim))
+    images, verdicts = groupring.reduction(alg.group, delta), {}
+
+    def is_unit(x):
+        image = tuple(c % alg.p for c in groupring.push(x, images, residue.dim))
+        if image not in verdicts:
+            verdicts[image] = FiniteCommAlgebra.is_unit(residue, image)
+        return verdicts[image]
+
+    return is_unit
 
 
-# (p, N, orders, kind): a p-group is local and reads the augmentation mod p;
-# the others are neither and keep the Howell route, checked against the
-# residue route of F_p[Delta]
-EXHAUSTIVE_UNITS = [
-    (3, 2, (3,), "local"), (2, 3, (2,), "local"), (2, 2, (2, 2), "local"),
-    (3, 2, (2,), "neither"), (3, 2, (2, 2), "neither"), (3, 3, (), "local"),
-    (2, 3, (3,), "neither"), (2, 2, (6,), "neither"), (3, 1, (3, 2), "neither"),
-    (2, 1, (2, 5), "neither"),
-]
-
-
-@pytest.mark.parametrize("p, N, orders, kind", EXHAUSTIVE_UNITS, ids=str)
-def test_is_unit_matches_the_howell_route_on_every_element(p, N, orders, kind):
-    alg = group_algebra(p, N, orders)
-    assert alg.local == (kind == "local")
-    units = [x for x in alg.elements() if alg.is_unit(x)]
-    assert units == [x for x in alg.elements() if FiniteCommAlgebra.is_unit(alg, x)]
-    assert units == [x for x in alg.elements() if residue_is_unit(alg, x)]
-    if alg.local:  # the units are the elements off the maximal ideal, of index p
-        assert len(units) * p == alg.q**alg.dim * (p - 1)
-
-
-@pytest.mark.parametrize("orders", [(27,), (2, 9), (6, 3), (20,)], ids=str)
-def test_is_unit_matches_the_howell_route_on_sampled_elements(orders):
-    """(Z/9)[C27] (local), (Z/9)[C2 x C9], (Z/9)[C6 x C3] and (Z/9)[C20]
-    (neither): random elements, p-multiples and multiples of g - 1 plus a
-    random unit of Z/9, so that both verdicts occur."""
-    alg = group_algebra(3, 2, orders)
-    rng = random.Random(alg.dim)
-    samples = []
-    for _ in range(200):
-        x = tuple(rng.randrange(alg.q) for _ in range(alg.dim))
-        if rng.randrange(3) == 0:
-            g = alg.basis_element(rng.randrange(1, alg.dim))
-            x = alg.add(alg.mul(alg.sub(g, alg.one), x), alg.scalar(3 * rng.randrange(3), alg.one))
-        samples.append(x)
-    verdicts = [alg.is_unit(x) for x in samples]
-    assert verdicts == [FiniteCommAlgebra.is_unit(alg, x) for x in samples]
-    assert verdicts == [residue_is_unit(alg, x) for x in samples]
-    assert set(verdicts) == {True, False}
-
-
-def unit_and_non_units(rng, alg):
-    """A random unit of the algebra and three non-units: a multiple of p, a
-    multiple of g - 1 and their sum."""
-    unit = tuple(rng.randrange(alg.q) for _ in range(alg.dim))
-    while not FiniteCommAlgebra.is_unit(alg, unit):
-        unit = tuple(rng.randrange(alg.q) for _ in range(alg.dim))
-    g = alg.basis_element(rng.randrange(alg.dim))
-    a = alg.scalar(alg.p, tuple(rng.randrange(alg.q) for _ in range(alg.dim)))
-    b = alg.mul(alg.sub(g, alg.one), tuple(rng.randrange(alg.q) for _ in range(alg.dim)))
-    return unit, [a, b, alg.add(a, b)]
-
-
-SETTLED_ALGEBRAS = [
-    group_algebra(3, 2, (3,)), group_algebra(2, 3, (2,)), group_algebra(2, 2, (2, 2)),
-    group_algebra(3, 2, (9,)), group_algebra(3, 3, ()), group_algebra(3, 2, (2, 3)),
-]
-
-
-@pytest.mark.parametrize("alg", SETTLED_ALGEBRAS, ids=lambda a: a.name)
-def test_settled_ideals_match_the_reference(alg):
-    """Five local algebras and (Z/9)[C2 x C3], which is not: ideals
-    mixing unit and non-unit generators, products of a whole ideal with a
-    proper one, two handles on one generator list (also one longer than
-    dim, which is not compared), a product beside a handle on its generator
-    list, and pairs with equal generator counts but different generators."""
-    rng = random.Random(alg.q * alg.dim)
-    unit, non_units = unit_and_non_units(rng, alg)
-    other_unit, more_non_units = unit_and_non_units(rng, alg)
-    mixed = IdealHandle(alg, [non_units[0], unit, non_units[1]])
-    proper = IdealHandle(alg, non_units[:2])
-    equal_count = IdealHandle(alg, more_non_units[:2])
-    long = non_units + more_non_units + [unit] * alg.dim
-    ideals = [
-        mixed, IdealHandle(alg, [non_units[0], other_unit, non_units[1]]),
-        proper, IdealHandle(alg, list(proper.generators)), equal_count,
-        IdealHandle(alg, long), IdealHandle(alg, list(long)), IdealHandle(alg, long[: alg.dim]),
-        IdealHandle(alg, [non_units[2]]), zero_ideal(alg), unit_ideal(alg),
-    ]
-    products = [
-        mixed.product(proper), proper.product(mixed), mixed.product(unit_ideal(alg)),
-        proper.product(equal_count), ideals[-3].product(IdealHandle(alg, [unit])),
-        ideals[5].product(proper), mixed.product(ideals[5]),
-    ]
-    twin = IdealHandle(alg, products[-3].generators)
-    elements = [alg.zero(), alg.one, unit] + non_units + more_non_units
-    verdicts = check_ideals_against_reference(ideals + products + [twin], elements)
-    assert {(True, True), (False, True), (False, False)} <= verdicts
-    assert mixed == unit_ideal(alg) and mixed.product(proper) == proper
+def unit_reference(alg):
     if alg.local:
-        assert proper != unit_ideal(alg)
+        return partial(FiniteCommAlgebra.is_unit, alg)
+    return residue_is_unit(alg)
+
+
+# (p, N, orders, samples): every element where samples is None, else that
+# many random elements and multiples of g - 1 plus a p-multiple of 1, then a
+# unit, three non-units and, where Delta has an element h of order below p,
+# the norm of h: its augmentation is a unit, yet it vanishes at every
+# character psi of Delta with psi(h) != 1
+UNIT_ALGEBRAS = [
+    (3, 2, (3,), None), (2, 3, (2,), None), (2, 2, (2, 2), None), (3, 3, (), None),
+    (3, 2, (2,), None), (3, 2, (2, 2), None), (2, 3, (3,), None), (2, 2, (6,), None),
+    (3, 1, (3, 2), None), (2, 1, (2, 5), None), (5, 1, (2, 2), None),
+    (3, 2, (27,), 200), (3, 2, (2, 9), 200), (3, 2, (6, 3), 200), (3, 2, (20,), 200),
+    (3, 2, (4,), 24), (3, 2, (5,), 24), (3, 2, (9, 3), 24), (5, 2, (3,), 24), (5, 1, (2, 3), 24),
+    (3, 3, (18,), 24), (5, 2, (20,), 24), (5, 2, (2, 10), 24), (7, 2, (42,), 12),
+    (7, 1, (3, 14), 12),
+]
+
+
+def delta_norm(alg):
+    """The norm 1 + h + ... of an element h != 1 of order below p, or None."""
+    h = next((alg.basis_element(i) for i, g in enumerate(alg.group.elements())
+              if 1 < math.lcm(*(o // math.gcd(o, e) for e, o in zip(g, alg.group.orders))) < alg.p),
+             None)
+    return None if h is None else norm_of(alg, h)
+
+
+@pytest.mark.parametrize("p, N, orders, samples", UNIT_ALGEBRAS, ids=str)
+def test_is_unit_matches_the_reference(p, N, orders, samples):
+    alg = group_algebra(p, N, orders)
+    if samples is None:
+        elements = list(alg.elements())
+    else:
+        rng = random.Random(alg.dim)
+        elements = []
+        for _ in range(samples):
+            x = tuple(rng.randrange(alg.q) for _ in range(alg.dim))
+            if rng.randrange(3) == 0:
+                g = alg.basis_element(rng.randrange(1, alg.dim))
+                x = alg.add(alg.mul(alg.sub(g, alg.one), x), alg.scalar(p * rng.randrange(p), alg.one))
+            elements.append(x)
+        unit, non_units = unit_and_non_units(rng, alg)
+        norm = delta_norm(alg)
+        special = [unit, *non_units] + ([norm] if norm is not None else [])
+        assert norm is None or sum(norm) % p != 0
+        elements += special
+    verdicts = [alg.is_unit(x) for x in elements]
+    assert verdicts == list(map(unit_reference(alg), elements))
+    if samples is None and alg.local:  # the units are the elements off the maximal ideal
+        assert verdicts.count(True) * p == alg.q**alg.dim * (p - 1)
+    elif samples is not None:
+        assert verdicts[samples:] == [True] + [False] * (len(special) - 1)
+    assert set(verdicts) == {True, False}
 
 
 def identity_rows(dim):
@@ -1940,7 +1698,9 @@ def test_a_whole_ideal_takes_no_howell_form(monkeypatch):
     """Over a local algebra an ideal with a unit generator, and a product of
     two such, is the ring: its form is the identity rows."""
     cases = []
-    for alg in SETTLED_ALGEBRAS[:5] + [group_algebra(3, 2, (27,))]:
+    for p, N, orders in ((3, 2, (3,)), (2, 3, (2,)), (2, 2, (2, 2)), (3, 2, (9,)), (3, 3, ()),
+                         (3, 2, (27,))):
+        alg = group_algebra(p, N, orders)
         rng = random.Random(alg.dim)
         unit, non_units = unit_and_non_units(rng, alg)
         I = IdealHandle(alg, non_units + [unit])
@@ -2076,7 +1836,7 @@ def check_subquotient(alg, ncomp, z_rows, b_rows, sub):
 def test_subquotient_presentation_matches_reference_on_the_campaigns(campaign_records):
     """Every cohomology module of the AC6 slice and every kernel module of
     the AC5 four-term slice."""
-    _, _, presented, *_ = campaign_records
+    presented = campaign_records.presented
     compared = [check_subquotient(*args) for args in presented]
     assert len(compared) > 1000 and sum(compared) > len(compared) // 2
     assert {alg.name for alg, *_ in presented} >= {"(Z/3^2)(2,)", "(Z/2^3)(2,)", "(Z/3^2)(2, 2)"}
@@ -2137,7 +1897,7 @@ def check_nakayama_steps(alg, ncomp, z_rows, b_rows):
 def test_nakayama_and_preimage_match_their_references_on_the_campaigns(campaign_records):
     """Every subquotient that the AC5/AC6 slices present, over local and
     non-local algebras."""
-    _, _, presented, *_ = campaign_records
+    presented = campaign_records.presented
     kept = [check_nakayama_steps(alg, n, z, b) for alg, n, z, b, _ in presented]
     assert len(kept) > 1000 and any(kept)
     assert any(alg.local for alg, *_ in presented) and not all(alg.local for alg, *_ in presented)
@@ -2323,7 +2083,7 @@ def test_pontryagin_dual_matches_the_reference_on_the_campaigns(campaign_records
     """Every dual that the AC5 slices take: the certified squares of the
     E^1-sharp suite, the kernels of the four-term suite and the squares of
     the annihilator duality."""
-    *_, duals = campaign_records
+    duals = campaign_records.duals
     compared = [check_dual(M, D) for M, D in duals]
     assert sum(f for f, _ in compared) > 450 and sum(a for _, a in compared) > 300
     assert {M.algebra.name for M, _ in duals} == {"(Z/2^3)(2,)", "(Z/3^2)(3,)", "(Z/3^2)(2, 2)"}

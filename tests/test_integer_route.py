@@ -1,19 +1,18 @@
 """The integer route of Q[G] in lvalues against the Fraction route of
-fraction_route.py: partial zeta vectors, delta_T and theta are equal as
-rationals, the integrality verdicts agree, and every theta_tower entry is the
-Fraction theta of its level reduced one coefficient at a time. The partial
-zeta values are read off theta_value with T empty, through #; delta_T on its
-own is computed from the T factors of the reference route (theta_reference),
-which theta_value must equal."""
+fraction_route.py, the one oracle of theta: theta and theta_value are equal
+to it as rationals on the corpus and the manifest, and the integrality
+verdicts agree (test_tower_tables compares its tower levels). The Fraction
+route's delta_T is checked by hand on three cases."""
+
+import functools
+from pathlib import Path
 
 import fraction_route
 import pytest
-from fraction_route import as_pair, reduce_mod
-from theta_reference import t_factors, times_one_minus
+from fraction_route import as_pair
 
-from iwasawa_kit.abelian import AbelianFieldSpec, galois_group, normalize_places
-from iwasawa_kit.campaigns import TOWER_CORPUS, corpus_cm_specs, corpus_st_choices
-from iwasawa_kit.groupring import sharp
+from iwasawa_kit.abelian import AbelianFieldSpec, galois_group, ramified_primes
+from iwasawa_kit.campaigns import corpus_cm_specs, corpus_st_choices, load_manifest
 from iwasawa_kit.lvalues import (
     is_p_integral,
     theta,
@@ -21,77 +20,73 @@ from iwasawa_kit.lvalues import (
     theta_value,
     verify_integrality,
 )
-from iwasawa_kit.tower import theta_tower
 
+DATA = Path(__file__).resolve().parent.parent / "data"
+OO = "oo"
 PRIMES = (2, 3, 5, 7, 11, 13)
-
-
-def delta_t(spec, T, r: int) -> tuple[tuple[int, ...], int]:
-    """delta_T(r) = prod_{v in T} (1 - v^(1-r) sigma_v^(-1)) in Z[G], as (nums, 1),
-    through the T factors and the shift-and-subtract of the reference route.
-    T is only parsed: a ramified prime of T is refused by frobenius."""
-    pres = galois_group(spec)
-    grp = pres.group
-    out = tuple(int(g == grp.identity) for g in grp.elements())
-    for sigma, c in t_factors(pres, normalize_places(T)[0], r):
-        out = times_one_minus(out, grp, sigma, c)
-    return out, 1
+RS = (0, -1, -2, -3, -4)
 
 
 def test_delta_t_examples():
+    """delta_T(r) = prod_{v in T} (1 - v^(1-r) sigma_v^(-1)); a ramified
+    prime of T is refused by frobenius."""
     Z3, Z5 = AbelianFieldSpec.cyclotomic(3), AbelianFieldSpec.cyclotomic(5)
     grp3 = galois_group(Z3).group
     one3 = tuple(int(g == grp3.identity) for g in grp3.elements())
-    assert delta_t(Z3, [], 0) == (one3, 1)
-    assert delta_t(Z3, [7], 0) == (tuple(-6 * c for c in one3), 1)
+    assert fraction_route.delta_t(Z3, [], 0) == one3
+    assert fraction_route.delta_t(Z3, [7], 0) == tuple(-6 * c for c in one3)
     gal5 = galois_group(Z5)
     sigma3 = gal5.element_of(3)
     expect = tuple(
         int(g == gal5.group.identity) - 2 * int(g == sigma3) for g in gal5.group.elements()
     )
-    assert delta_t(Z5, [2], 0) == (expect, 1)
+    assert fraction_route.delta_t(Z5, [2], 0) == expect
     with pytest.raises(ValueError, match="3 ramifies"):
-        delta_t(Z3, [3], 0)
+        fraction_route.delta_t(Z3, [3], 0)
 
 
-def corpus_items():
-    """(spec, S, T) per CM spec of conductor <= 24: the corpus choice with the
-    most places, so Euler and T-factors both act, and the same S with T empty,
-    whose theta has denominators."""
+@functools.cache
+def corpus_cases():
+    """{family: [(spec, S, T, r), ...]}, one family per spec of
+    corpus_cm_specs(24): each (S, T) choice with the least unramified prime
+    of 11, 13, ... outside S and T added to S, so the Euler pass acts, at
+    r = 0..-3; the choice with the most places, and its S with T empty
+    (whose theta has denominators), at r = 0 and -3; S = S_ram + oo with T
+    empty, {7} or {11, 13}, and below conductor 13 S = S_ram + 5 + oo with T
+    empty, at r = 0..-4. The family "manifest" is the manifest's entries;
+    4,610 instances in all."""
+    families, small = {}, set(corpus_cm_specs(12))
     for spec in corpus_cm_specs(24):
-        S, T = max(corpus_st_choices(spec), key=lambda st: len(st[0]) + len(st[1]))
-        yield spec, S, T
-        yield spec, S, []
+        cases = families[spec.label] = []
+        ram, choices = ramified_primes(spec), corpus_st_choices(spec)
+        for S, T in choices:
+            v = next(v for v in (11, 13, 17, 19, 23, 29, 31) if v not in {*S, *T} | ram)
+            cases += [(spec, [*S, v], T, r) for r in (0, -1, -2, -3)]
+        S, T = max(choices, key=lambda st: len(st[0]) + len(st[1]))
+        cases += [(spec, S, t, r) for t in (T, []) for r in (0, -3)]
+        cases += [(spec, [*sorted(ram), OO], t, r) for t in ([], [7], [11, 13])
+                  if not set(t) & ram for r in RS]
+        if spec in small and 5 not in ram:
+            cases += [(spec, [*sorted(ram), 5, OO], [], r) for r in RS]
+    families["manifest"] = [(e["spec"], e["S"], e["T"], e["r"]) for e in load_manifest(DATA)]
+    return families
 
 
-def test_integer_route_matches_fraction_route_on_the_corpus():
+@pytest.mark.parametrize("family", [spec.label for spec in corpus_cm_specs(24)] + ["manifest"])
+def test_theta_matches_the_fraction_route_on_the_corpus_and_the_manifest(family):
+    """theta and theta_value equal the Fraction theta as rationals, and the
+    integrality verdicts read its denominators. Each corpus family has
+    integral and non-integral thetas; the manifest's are integral."""
     verdicts = set()
-    for spec, S, T in corpus_items():
-        for r in (0, -3):
-            where = (spec.label, S, T, r)
-            s_fin, _ = theta_places(spec, S, T, r)
-            pres = galois_group(spec)
-            assert theta_value(pres, s_fin, set(), r) == as_pair(
-                sharp(fraction_route.partial_zeta_vector(spec, S, r), pres.group)
-            ), where
-            assert delta_t(spec, T, r) == as_pair(fraction_route.delta_t(spec, T, r)), where
-            th = theta(spec, S, T, r)
-            ref = fraction_route.theta(spec, S, T, r)
-            assert th.value == as_pair(ref), where
-            integral = all(c.denominator == 1 for c in ref)
-            assert verify_integrality(th) == integral, where
-            verdicts.add(integral)
-            for p in PRIMES:
-                assert is_p_integral(th.value, p) == all(c.denominator % p for c in ref), (where, p)
-    assert verdicts == {True, False}
-
-
-@pytest.mark.parametrize(
-    "spec, p, S, T", TOWER_CORPUS, ids=[f"{s.label}-p{p}-T{T}" for s, p, _, T in TOWER_CORPUS]
-)
-def test_theta_tower_matches_fraction_route(spec, p, S, T):
-    N, n_max = 3, 2  # the precision and depth of the AC3/AC4 campaigns
-    for r in (0, -1, -2, -3):
-        t = theta_tower(spec, S, T, p, N, n_max, r)
-        for lvl, entry in zip(t.levels, t.entries):
-            assert entry == reduce_mod(fraction_route.theta(lvl, S, T, r), p, N), (lvl.n, r)
+    for spec, S, T, r in corpus_cases()[family]:
+        where = (spec.label, S, T, r)
+        pres = galois_group(spec)
+        ref = fraction_route.theta(pres, S, T, r)
+        th = theta(spec, S, T, r)
+        assert th.value == theta_value(pres, *theta_places(spec, S, T, r), r) == as_pair(ref), where
+        integral = all(c.denominator == 1 for c in ref)
+        assert verify_integrality(th) == integral, where
+        verdicts.add(integral)
+        for p in PRIMES:
+            assert is_p_integral(th.value, p) == all(c.denominator % p for c in ref), (where, p)
+    assert verdicts == ({True} if family == "manifest" else {True, False})

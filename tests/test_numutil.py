@@ -14,19 +14,18 @@ PSI_12 = 318_665_857_834_031_151_167_461
 STRONG_PSEUDOPRIMES = (3_215_031_751, 3_825_123_056_546_413_051, PSI_12)
 
 
-def is_prime_by_trial_division(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+def sieve_of_eratosthenes(limit):
+    """flags[n] is True iff n is prime, for 0 <= n < limit."""
+    flags = [False, False] + [True] * (limit - 2)
+    for d in range(2, int(limit**0.5) + 1):
+        if flags[d]:
+            flags[d * d::d] = [False] * len(range(d * d, limit, d))
+    return flags
 
 
-def test_is_prime_agrees_with_trial_division_below_2e5():
-    assert [n for n in range(-3, 200_000) if is_prime(n) != is_prime_by_trial_division(n)] == []
+def test_is_prime_agrees_with_a_sieve_below_2e5():
+    primes = sieve_of_eratosthenes(200_000)
+    assert [n for n in range(-3, 200_000) if is_prime(n) != (n >= 0 and primes[n])] == []
 
 
 def test_is_prime_agrees_with_sympy_on_large_n():

@@ -1,35 +1,37 @@
 """The former forms of the tower route's per-level work, kept as oracles of
-the tables that are built once: the two-pass route of theta_value
-(theta_reference: an inline Horner over every unit class, #, then each
-T-factor), the per-element power chi_cyc(g)^r mod q of the twist, the
-action of each group element as a product of generator powers, and the place
-checks that check_hyp ran again on every layer's spec."""
+the tables that are built once: the Fraction route of theta_value
+(fraction_route: a Hurwitz zeta value per unit residue, the Euler factors,
+#, then each T-factor), the per-element power chi_cyc(g)^r mod q of the
+twist, the action of each group element as a product of generator powers,
+and the place checks that check_hyp ran again on every layer's spec."""
 
 import math
 import random
 from pathlib import Path
 
+import fraction_route
 import pytest
 import sympy
-import theta_reference
 from algebra_helpers import action_of
+from fraction_route import as_fractions, reduce_mod
 
 from iwasawa_kit import tower
 from iwasawa_kit.abelian import (
     AbelianFieldSpec,
     FiniteAbelianGroup,
     check_hyp,
-    galois_group,
-    ramified_primes,
+    layer,
+    roots_of_unity_order,
+    roots_of_unity_rule,
 )
-from iwasawa_kit.campaigns import TOWER_CORPUS, corpus_cm_specs, corpus_st_choices, load_manifest
+from iwasawa_kit.campaigns import TOWER_CORPUS, corpus_cm_specs, load_manifest
 from iwasawa_kit.lvalues import (
     ClassModuleData,
     _mat_reduce,
-    theta,
     theta_places,
     theta_value,
 )
+from iwasawa_kit.numutil import factorize
 from iwasawa_kit.tower import (
     PrecisionBudgetError,
     TowerIntegralityError,
@@ -96,59 +98,32 @@ def tower_runs():
             for spec, S, T, p, n_max in TOWERS for r in RS for N in (1, 2, 3)]
 
 
-def test_theta_value_matches_the_reference_route_on_tower_levels():
+# (spec, S, T, p, n_max, whether theta_tower's entries are compared too)
+LEVEL_TOWERS = [(spec, S, T, p, 2, True) for spec, p, S, T in TOWER_CORPUS] + [
+    (*t, False) for t in TOWERS]
+
+
+@pytest.mark.parametrize("spec, S, T, p, n_max, entries", LEVEL_TOWERS,
+                         ids=[f"{t[0].label}-p{t[3]}-T{t[2]}-n{t[4]}" for t in LEVEL_TOWERS])
+def test_theta_value_matches_the_fraction_route_on_tower_levels(spec, S, T, p, n_max, entries):
     """Every level n <= 2 of TOWER_CORPUS and every level of TOWERS, with S
     as given and with the unramified prime 13 added, so the Euler pass acts
-    (the benchmark's towers have no such prime)."""
+    (the benchmark's towers have no such prime). Over TOWER_CORPUS with S as
+    given, each theta_tower entry mod p^3 (the precision and depth of the
+    AC3/AC4 campaigns) is the Fraction theta reduced one coefficient at a
+    time."""
     checked = 0
-    towers = [(spec, S, T, p, 2) for spec, p, S, T in TOWER_CORPUS] + TOWERS
-    for spec, S, T, p, n_max in towers:
-        for extra in ([], [13]):
-            s_fin, t_fin = theta_places(spec, [*S, *extra], T, 0)
-            for n in range(n_max + 1):
-                lvl = tower_level(spec, p, n)
-                for r in RS:
-                    assert theta_value(lvl, s_fin, t_fin, r) == theta_reference.theta_value(
-                        lvl, s_fin, t_fin, r), (spec.label, S, T, extra, n, r)
-                    checked += 1
-    assert checked == 2 * 5 * (8 * 3 + 4 + 4 + 2 + 2)
-
-
-def test_theta_value_matches_the_reference_route_on_the_corpus():
-    """corpus_cm_specs(24) and each of its (S, T) choices at r = 0..-3, S
-    with one extra unramified prime: the least of 11, 13, ... outside S, T
-    and the ramified primes."""
-    checked = 0
-    for spec in corpus_cm_specs(24):
-        pres = galois_group(spec)
-        for S, T in corpus_st_choices(spec):
-            v = next(v for v in (11, 13, 17, 19, 23, 29, 31)
-                     if v not in {*S, *T} | ramified_primes(spec))
-            for r in (0, -1, -2, -3):
-                s_fin, t_fin = theta_places(spec, [*S, v], T, r)
-                assert theta_value(pres, s_fin, t_fin, r) == theta_reference.theta_value(
-                    pres, s_fin, t_fin, r), (spec.label, S, T, v, r)
-                checked += 1
-    assert checked == 4 * 979
-
-
-def test_theta_matches_the_inline_horner_on_the_corpus_and_the_manifest():
-    cases = [(spec, [*sorted(ramified_primes(spec)), OO], T, r)
-             for spec in corpus_cm_specs(24) for T in ([], [7], [11, 13]) for r in RS
-             if not set(T) & ramified_primes(spec)]
-    cases += [(e["spec"], e["S"], e["T"], e["r"]) for e in load_manifest(DATA)]
-    # an extra unramified prime in S exercises the Euler factors
-    cases += [(spec, [*sorted(ramified_primes(spec)), 5, OO], [], r)
-              for spec in corpus_cm_specs(12) if 5 not in ramified_primes(spec) for r in RS]
-    assert len(cases) > 300
-
-    def on_presentations(value):
-        return [value(galois_group(spec), *theta_places(spec, S, T, r), r)
-                for spec, S, T, r in cases]
-
-    expected = on_presentations(theta_reference.theta_value)
-    assert [theta(*case).value for case in cases] == expected
-    assert on_presentations(theta_value) == expected
+    levels = [tower_level(spec, p, n) for n in range(n_max + 1)]
+    for extra in ([], [13]):
+        s_fin, t_fin = theta_places(spec, [*S, *extra], T, 0)
+        for r in RS:
+            expected = [fraction_route.theta_value(lvl, s_fin, t_fin, r) for lvl in levels]
+            assert [theta_value(lvl, s_fin, t_fin, r) for lvl in levels] == expected, (extra, r)
+            checked += len(levels)
+            if entries and not extra:
+                got = theta_tower(spec, S, T, p, 3, n_max, r).entries
+                assert got == [reduce_mod(as_fractions(v), p, 3) for v in expected], r
+    assert checked == 2 * 5 * (n_max + 1)
 
 
 def test_twist_matches_the_per_element_power():
@@ -171,28 +146,22 @@ def test_twist_matches_the_per_element_power():
 
 
 def test_towers_match_the_old_paths(monkeypatch):
-    """Every tower, its hyp list and its Kummer congruence are the same with
-    the tables as with the inline Horner, the per-element twist and
-    check_hyp on every layer's spec."""
+    """Every tower and its Kummer congruence are the same with the tables as
+    with the Fraction route and the per-element twist; the hyp list has its
+    own oracle below."""
     runs = tower_runs()
     got = [run_tower(*run) for run in runs]
     assert sum(isinstance(g[0], list) for g in got) > len(runs) // 2
-    places = []
-
-    def check_hyp_on_the_layer(spec, t_fin):
-        return check_hyp(spec, *places[-1])
-
-    monkeypatch.setattr(tower, "theta_value", theta_reference.theta_value)
+    monkeypatch.setattr(tower, "theta_value", fraction_route.theta_value)
     monkeypatch.setattr(tower, "twist", twist_reference)
-    monkeypatch.setattr(tower, "roots_of_unity_rule", check_hyp_on_the_layer)
     for run, expected in zip(runs, got, strict=True):
-        places.append(run[1:3])
         assert run_tower(*run) == expected, run
 
 
 def test_the_hyp_list_of_a_tower_is_check_hyp_on_each_level():
-    """The places are checked once, on the base; each level's verdict and
-    reason under strict_hyp are those of check_hyp on the level's spec."""
+    """The places are checked once, on the base, and the roots-of-unity rule
+    on layer 0; each level's verdict, and the reason under strict_hyp, are
+    those of check_hyp on the level's spec."""
     failing = 0
     for spec, S, T, p, n_max in TOWERS:
         t = theta_tower(spec, S, T, p, 1, n_max, 0)
@@ -213,6 +182,30 @@ def test_the_hyp_list_of_a_tower_is_check_hyp_on_each_level():
     assert t.hyp_verdicts == [False] * 4
     assert [check_hyp(lvl.spec, [3, OO], [2])[1] for lvl in t.levels] == [
         f"every prime of T has residue characteristic 2 | w_L = {6 * 3**n}" for n in range(4)]
+
+
+def test_every_layer_has_the_roots_of_unity_verdict_of_layer_0():
+    """Why theta_tower reads Hyp on layer 0 alone: L_n/L is totally ramified
+    at p and unramified elsewhere, so w_(L_n) has the prime divisors of w_L,
+    and the roots-of-unity rule, which reads only those, gives each layer
+    layer 0's verdict. Over corpus_cm_specs(30) and Q(zeta_m), m < 40, at
+    each odd p <= 13 that the tower admits (v_p(modulus) <= 1), layers 1
+    and 2 (layer 1 alone for p = 11, 13), each T a prime of w_L or {2, 3}."""
+    specs = set(corpus_cm_specs(30)) | {AbelianFieldSpec.cyclotomic(m) for m in range(3, 40)}
+    layers = 0
+    for spec in specs:
+        for p in (3, 5, 7, 11, 13):
+            if spec.modulus % (p * p) == 0:
+                continue
+            base = layer(spec, p, 0)
+            primes = set(factorize(roots_of_unity_order(base)))
+            for n in (1, 2) if p <= 7 else (1,):
+                top = layer(spec, p, n)
+                assert set(factorize(roots_of_unity_order(top))) == primes, (spec.label, p, n)
+                for t_fin in [{ell} for ell in primes] + [{2, 3}]:
+                    assert roots_of_unity_rule(top, t_fin)[0] == roots_of_unity_rule(base, t_fin)[0]
+                layers += 1
+    assert len(specs) == 80 and layers == 624
 
 
 def test_theta_matrix_matches_the_action_of_each_element_on_the_manifest():

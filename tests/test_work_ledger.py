@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from theta_reference import fresh_zeta_tables
+from algebra_helpers import fresh_zeta_tables
 
 from iwasawa_kit import campaigns, fitting, linalg, lvalues
 
