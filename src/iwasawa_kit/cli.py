@@ -18,6 +18,7 @@ from pathlib import Path
 from . import wire
 from .abelian import AbelianFieldSpec, roots_of_unity_rule
 from .campaigns import complex_campaigns, fitting_campaigns, run_all
+from .complexes import BoundedComplex
 from .fitting import FiniteCommAlgebra, FinPresModule, ModuleMap
 from .lvalues import (
     ClassModuleData,
@@ -29,6 +30,7 @@ from .lvalues import (
 )
 from .tower import (
     TowerElement,
+    TowerIntegralityError,
     coherence_check,
     theta_tower,
     tower_preconditions,
@@ -145,7 +147,8 @@ def run_tower(config: wire.Node) -> tuple[dict, int]:
         )
     replay = config.get("replay").value
     if replay is not None:
-        # the command line, then the file's header, then its levels
+        # the command line, then the file's header, then Hyp(S,T) on layer 0
+        # as a fresh tower reads it, then the levels
         tower_preconditions(spec, S, T, p, N, n_max, r)
         node = wire.Node(replay, "tower file")
         try:
@@ -156,7 +159,9 @@ def run_tower(config: wire.Node) -> tuple[dict, int]:
             if differ:
                 raise CliError(EXIT_IO, "tower file does not match the command line in "
                                + ", ".join(differ))
-            t = TowerElement.from_json(node)
+            t = TowerElement.from_json(node, strict)
+        except TowerIntegralityError:
+            raise  # Hyp fails under --strict-hyp: refused as a fresh tower is
         except ValueError as exc:
             raise CliError(EXIT_IO, f"bad tower file: {exc}") from exc
     else:
@@ -229,8 +234,6 @@ def _run_complex_file(config: wire.Node) -> tuple[dict, int]:
         lo, hi = (d.int() for d in obj["degrees"].list(2))
         if hi != lo + len(modules) - 1:
             raise obj["degrees"].expected(f"[lo, lo + {len(modules) - 1}]")
-        from .complexes import BoundedComplex
-
         diffs = []
         for i, mat in enumerate(differential_nodes):
             if i + 1 >= len(modules):

@@ -21,7 +21,8 @@ theta_tower and TowerElement.from_json admit a tower through it before any
 level is built. Each layer's theta is lvalues.theta_value on the admitted
 finite primes: that table, one pass per prime of T (and per unramified prime
 of S) and one lowest_terms. The roots-of-unity rule of Hyp(S,T) is read once
-per tower, on layer 0: every layer's w has the prime divisors of w_L.
+per tower, on layer 0 (tower_hyp): every layer's w has the prime divisors of
+w_L. A stored tower's verdicts are read the same way, never from its file.
 
 Lambda(G) is represented only through coherent families of finite-level
 elements: a tower is accepted exactly when adjacent aug projections match,
@@ -139,24 +140,31 @@ class TowerElement:
                 tower["N"].int(), len(tower["levels"].list()) - 1, meta["r"].int())
 
     @classmethod
-    def from_json(cls, obj) -> "TowerElement":
-        """Parse a stored tower under the wire rule, its header admitted by
-        tower_preconditions before any level is built; meta.hyp, when
-        present, holds one boolean per level. A level out of order or a key
-        that is no group element raises ValueError."""
+    def from_json(cls, obj, strict_hyp: bool = False) -> "TowerElement":
+        """Parse a stored tower under the wire rule: its header is admitted by
+        tower_preconditions before any level is built, and its Hyp(S,T)
+        verdicts are computed by tower_hyp, as theta_tower computes them;
+        meta.hyp, when present, holds one boolean per level and must equal
+        them. A level out of order (checked before any level is built) or a
+        key that is no group element raises ValueError."""
         tower = wire.node(obj, "tower")
-        spec, S, T, p, N, _, r = header = cls.header(tower)
-        tower_preconditions(*header)
-        entries, levels = [], []
+        spec, S, T, p, N, n_max, r = header = cls.header(tower)
+        _, t_fin = tower_preconditions(*header)
+        meta = tower["meta"]
+        stored = [b.bool() for b in meta["hyp"].list(n_max + 1)] if "hyp" in meta.value else None
         for n, lvl in enumerate(tower["levels"].list()):
             if (label := lvl["n"].int()) != n:
                 raise ValueError(f"level {n} is labelled n = {label}")
+        hyp = [tower_hyp(spec, p, t_fin, strict_hyp)] * (n_max + 1)
+        if stored not in (None, hyp):
+            raise ValueError(f"meta.hyp is {stored}, but Hyp(S,T) gives {hyp}")
+        entries, levels = [], []
+        for n, lvl in enumerate(tower["levels"].list()):
             data = tower_level(spec, p, n)
             entry = groupring.from_json(lvl["coeffs"], data.group, wire.Node.int)
             entries.append(tuple(c % p**N for c in entry))
             levels.append(data)
-        hyp = tower["meta"].get("hyp", [True] * len(entries)).list(len(entries))
-        return cls(p, N, spec, S, T, r, entries, levels, [b.bool() for b in hyp])
+        return cls(p, N, spec, S, T, r, entries, levels, hyp)
 
 
 def tower_preconditions(
@@ -183,6 +191,16 @@ def tower_preconditions(
     return s_fin, t_fin
 
 
+def tower_hyp(spec: AbelianFieldSpec, p: int, t_fin, strict_hyp: bool) -> bool:
+    """Hyp(S,T) on every layer of the tower over spec, read on layer 0 from the
+    admitted finite primes t_fin of T (see theta_tower); under strict_hyp a
+    failure is refused at layer 0."""
+    ok, why = roots_of_unity_rule(tower_level(spec, p, 0).spec, t_fin)
+    if strict_hyp and not ok:
+        raise TowerIntegralityError(0, f"Hyp(S,T) fails: {why}")
+    return ok
+
+
 def theta_tower(
     spec: AbelianFieldSpec,
     S,
@@ -198,8 +216,8 @@ def theta_tower(
     Preconditions: tower_preconditions, before any level is built. Every
     layer value must be exactly p-integral before reduction; a non-integral
     layer aborts with its index.
-    Hyp(S,T) is read once, on layer 0, and recorded for every layer
-    (enforced under strict_hyp, which refuses at layer 0): the places fit
+    Hyp(S,T) is read once, on layer 0 (tower_hyp), and recorded for every
+    layer (enforced under strict_hyp, which refuses at layer 0): the places fit
     every layer once they fit the base with p in S, so a layer's verdict is
     the roots-of-unity rule of its w_L; L_n/L is totally ramified at p and
     unramified elsewhere, so w_(L_n) and w_L have the same prime divisors,
@@ -207,10 +225,7 @@ def theta_tower(
     spec. Each layer's value is lvalues.theta_value on the admitted primes.
     """
     s_fin, t_fin = tower_preconditions(spec, S, T, p, N, n_max, r)
-    ok, why = roots_of_unity_rule(tower_level(spec, p, 0).spec, t_fin)
-    if strict_hyp and not ok:
-        raise TowerIntegralityError(0, f"Hyp(S,T) fails: {why}")
-
+    ok = tower_hyp(spec, p, t_fin, strict_hyp)
     entries, levels = [], []
     for n in range(n_max + 1):
         lvl = tower_level(spec, p, n)
