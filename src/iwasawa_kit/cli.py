@@ -123,16 +123,16 @@ def run_theta(config: wire.Node) -> tuple[dict, int]:
     th = theta(spec, S, T, r)
     hyp, reason = roots_of_unity_rule(spec, th.T)
     integral = verify_integrality(th)
+    asserted = bool(T) and hyp and r == 0  # Hyp(S,T) is the rule at r = 0 only
     result = {
         "coefficients": th.to_json()["coefficients"],
         "hyp": hyp,
         "hyp_reason": reason,
         "integral": integral,
-        "integrality_asserted": bool(T) and hyp,
+        "integrality_asserted": asserted,
     }
     cert = certificate("theta", config.value, "theta_S^T(r)", result)
-    code = EXIT_CHECK_FAILED if (hyp and T and not integral) else EXIT_OK
-    return cert, code
+    return cert, EXIT_CHECK_FAILED if asserted and not integral else EXIT_OK
 
 
 def run_tower(config: wire.Node) -> tuple[dict, int]:
@@ -147,19 +147,20 @@ def run_tower(config: wire.Node) -> tuple[dict, int]:
         )
     replay = config.get("replay").value
     if replay is not None:
-        # the command line, then the file's header, then Hyp(S,T) on layer 0
-        # as a fresh tower reads it, then the levels
-        tower_preconditions(spec, S, T, p, N, n_max, r)
+        # the command line, then the file's header (read once, not admitted again),
+        # then Hyp(S,T) on layer 0 as a fresh tower reads it, then the levels
+        _, t_fin = tower_preconditions(spec, S, T, p, N, n_max, r)
         node = wire.Node(replay, "tower file")
         try:
             names = ("spec", "S", "T", "p", "N", "levels", "r")
-            pairs = zip(names, TowerElement.header(node), (spec, S, T, p, N, n_max, r))
+            header = TowerElement.header(node)
+            pairs = zip(names, header, (spec, S, T, p, N, n_max, r))
             differ = [k for k, a, b in pairs  # the places compare as sets
                       if (set(a) != set(b) if k in ("S", "T") else a != b)]
             if differ:
                 raise CliError(EXIT_IO, "tower file does not match the command line in "
                                + ", ".join(differ))
-            t = TowerElement.from_json(node, strict)
+            t = TowerElement.from_json(node, (header, t_fin), strict)
         except TowerIntegralityError:
             raise  # Hyp fails under --strict-hyp: refused as a fresh tower is
         except ValueError as exc:
@@ -243,10 +244,11 @@ def _run_complex_file(config: wire.Node) -> tuple[dict, int]:
     except ValueError as exc:
         raise CliError(EXIT_PRECONDITION, f"invalid complex: {exc}") from exc
     inv = cx.euler_fitting()
+    sizes = {str(i): cx.cohomology_size(i) for i in cx.degrees()}
     result = {
         "degrees": [cx.lo, cx.hi],
-        "cohomology_sizes": {str(i): cx.cohomology_size(i) for i in cx.degrees()},
-        "acyclic": cx.is_acyclic(),
+        "cohomology_sizes": sizes,
+        "acyclic": all(size == 1 for size in sizes.values()),
         "euler_fitting": {
             "numerator": [list(r) for r in inv.numerator.howell],
             "denominator": [list(r) for r in inv.denominator.howell],

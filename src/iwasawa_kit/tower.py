@@ -17,10 +17,11 @@ the check that p does not divide den.
 Each layer's cyclotomic twist factors chi_cyc(g)^r mod p^N are a table
 built once per (level, r, p^N), and its partial zeta values in the # order
 a table once per (level, 1 - r). tower_preconditions states every tower rule;
-theta_tower and TowerElement.from_json admit a tower through it before any
-level is built. Each layer's theta is lvalues.theta_value on the admitted
-finite primes: that table, one pass per prime of T (and per unramified prime
-of S) and one lowest_terms. The roots-of-unity rule of Hyp(S,T) is read once
+theta_tower admits a tower through it, and a stored tower's header is
+admitted through it before TowerElement.from_json builds any level. Each
+layer's theta is lvalues.theta_value on the admitted finite primes: that
+table, one pass per prime of T (and per unramified prime of S) and one
+lowest_terms. The roots-of-unity rule of Hyp(S,T) is read once
 per tower, on layer 0 (tower_hyp): every layer's w has the prime divisors of
 w_L. A stored tower's verdicts are read the same way, never from its file.
 
@@ -140,16 +141,16 @@ class TowerElement:
                 tower["N"].int(), len(tower["levels"].list()) - 1, meta["r"].int())
 
     @classmethod
-    def from_json(cls, obj, strict_hyp: bool = False) -> "TowerElement":
-        """Parse a stored tower under the wire rule: its header is admitted by
-        tower_preconditions before any level is built, and its Hyp(S,T)
-        verdicts are computed by tower_hyp, as theta_tower computes them;
+    def from_json(cls, obj, admitted, strict_hyp: bool = False) -> "TowerElement":
+        """Parse a stored tower under the wire rule. `admitted` is the pair
+        (header, t_fin) of its header, read by `header` and admitted by
+        tower_preconditions before any level is built. Its Hyp(S,T) verdicts
+        are computed by tower_hyp, as theta_tower computes them;
         meta.hyp, when present, holds one boolean per level and must equal
         them. A level out of order (checked before any level is built) or a
         key that is no group element raises ValueError."""
         tower = wire.node(obj, "tower")
-        spec, S, T, p, N, n_max, r = header = cls.header(tower)
-        _, t_fin = tower_preconditions(*header)
+        (spec, S, T, p, N, n_max, r), t_fin = admitted
         meta = tower["meta"]
         stored = [b.bool() for b in meta["hyp"].list(n_max + 1)] if "hyp" in meta.value else None
         for n, lvl in enumerate(tower["levels"].list()):

@@ -6,7 +6,7 @@ so not 3.0, "3" or true), a boolean a JSON boolean, a string a JSON string, a
 list a JSON array (of a given length where the caller knows it), and a place
 "oo" or "inf" (both read as "oo") or a string that int() reads. A file that
 cannot be read, is not JSON, or nests arrays and objects deeper than
-MAX_DEPTH is a schema error too.
+MAX_DEPTH (counted on the text, before json reads it) is a schema error too.
 
 Anything else raises SchemaError, whose message names the payload and the
 field (``bad tower file: meta.S[0]: expected a place ...``); the command line
@@ -18,6 +18,7 @@ type that owns the precondition.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 PLACE = 'a place ("oo", "inf" or an integer string)'
@@ -25,6 +26,9 @@ PLACE = 'a place ("oo", "inf" or an integer string)'
 # tower or verify certificate) has 6
 MAX_DEPTH = 64
 _MISSING = object()
+# a JSON string (one left open runs to the end of the text) and a bracket
+_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?', re.S)
+_BRACKET = re.compile(r"[\[\]{}]")
 
 
 class SchemaError(Exception):
@@ -105,30 +109,18 @@ def node(obj, payload: str) -> Node:
     return obj if isinstance(obj, Node) else Node(obj, payload)
 
 
-def depth(value) -> int:
-    """How many arrays and objects nest at the deepest point of a JSON value,
-    walked without recursion and cut off past MAX_DEPTH."""
-    deepest, stack = 0, [(value, 1)]
-    while stack:
-        value, level = stack.pop()
-        if type(value) is dict:
-            value = value.values()
-        elif type(value) is not list:
-            continue
-        deepest = max(deepest, level)
-        if level > MAX_DEPTH:
-            break
-        stack.extend((child, level + 1) for child in value)
-    return deepest
-
-
 def parse(text: str, payload: str) -> Node:
+    """The JSON text as a Node. Its nesting depth, the running count of [ and
+    { less ] and } outside strings, is read on the text before json reads it."""
+    level = 0
+    for bracket in _BRACKET.findall(_STRING.sub("", text)):
+        level += 1 if bracket in "[{" else -1
+        if level > MAX_DEPTH:
+            raise SchemaError(f"bad {payload}: nested deeper than {MAX_DEPTH} arrays and objects")
     try:
         value = json.loads(text)
-    except (ValueError, RecursionError) as exc:
+    except ValueError as exc:
         raise SchemaError(f"bad {payload}: {exc}") from exc
-    if depth(value) > MAX_DEPTH:
-        raise SchemaError(f"bad {payload}: nested deeper than {MAX_DEPTH} arrays and objects")
     return Node(value, payload)
 
 

@@ -1,11 +1,15 @@
 """Algebras, ring helpers, the closed-form dual of a finite abelian group
 with an action, the field arithmetic of Q(zeta_n), the character log of
-one group element, the action matrix of one group element on class data
-and a per-test cache of theta's zeta tables, which only the tests use."""
+one group element, the action matrix of one group element on class data,
+a per-test cache of theta's zeta tables and a patcher of every binding of a
+function in the package, which only the tests use."""
 
+import importlib
+import pkgutil
 from fractions import Fraction
 from functools import lru_cache
 
+import iwasawa_kit
 from iwasawa_kit import lvalues
 from iwasawa_kit.exact import CyclotomicInt
 from iwasawa_kit.fitting import FiniteCommAlgebra, FinPresModule
@@ -26,6 +30,17 @@ def fresh_zeta_tables(monkeypatch):
     table = lru_cache(maxsize=None)(lvalues._zeta_table.__wrapped__)
     monkeypatch.setattr(lvalues, "_zeta_table", table)
     return table
+
+
+def patch_every_binding(monkeypatch, originals, replacement):
+    """Bind replacement wherever the package or one of its modules binds one
+    of originals, under any name, as the benchmark tracer patches it."""
+    modules = [iwasawa_kit, *(importlib.import_module(f"iwasawa_kit.{info.name}")
+                              for info in pkgutil.iter_modules(iwasawa_kit.__path__))]
+    for module in modules:
+        for name, value in list(vars(module).items()):
+            if any(value is original for original in originals):
+                monkeypatch.setattr(module, name, replacement)
 
 
 def action_of(M, g) -> list[list[int]]:

@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 import pytest
-from algebra_helpers import algebra_json
+from algebra_helpers import algebra_json, patch_every_binding
 from cli_refusals import (
     BUILT_TOWER_REFUSALS,
     CAMPAIGN_REFUSALS,
@@ -73,18 +73,17 @@ def test_theta_certificate(capsys):
     assert cert["result"]["coefficients"] == {"0": "-1", "1": "1"}
 
 
-def test_theta_hyp_false_still_reports(capsys):
-    code, cert = run(capsys, "theta", "--spec", "zeta3", "--S", "3,oo", "--T", "2", "--r", "0")
+@pytest.mark.parametrize("argv, result", [
+    (("--spec", "zeta3", "--S", "3,oo", "--T", "2", "--r", "0"), ({"0": "1/2", "1": "-1/2"}, False)),
+    (("--spec", "zeta3", "--S", "3,oo", "--r", "0"), ({"0": "1/6", "1": "-1/6"}, False)),
+    # Hyp(S,T) is the rule for r = 0: at r = -1 over Q, theta = zeta(-1)(1 - 3^2)
+    (("--spec", "zeta1", "--S", "oo", "--T", "3", "--r", "-1"), ({"": "2/3"}, True)),
+])
+def test_theta_asserts_no_integrality_without_hyp_or_t_or_at_r_below_0(capsys, argv, result):
+    code, cert = run(capsys, "theta", *argv)
     assert code == EXIT_OK
-    assert cert["result"]["hyp"] is False
-    assert cert["result"]["integral"] is False
-    assert cert["result"]["coefficients"] == {"0": "1/2", "1": "-1/2"}
-
-
-def test_theta_empty_t_makes_no_claim(capsys):
-    code, cert = run(capsys, "theta", "--spec", "zeta3", "--S", "3,oo", "--r", "0")
-    assert code == EXIT_OK
-    assert cert["result"]["integrality_asserted"] is False
+    assert (cert["result"]["coefficients"], cert["result"]["hyp"]) == result
+    assert cert["result"]["integral"] is cert["result"]["integrality_asserted"] is False
 
 
 def test_tower_command_and_recheck(tmp_path, capsys):
@@ -186,13 +185,20 @@ def nested_witness_certificate(levels):
 
 
 def test_wire_depth_bound():
-    cert = json.loads((FIXTURES / "tower_zeta3_cert.json").read_text())
-    assert wire.depth(cert) < wire.MAX_DEPTH
+    """The depth is counted on the text, brackets inside strings left out: the
+    tower fixture and a witness nested to depth MAX_DEPTH parse, one level
+    more is refused, however deep."""
+    tower = (FIXTURES / "tower_zeta3_cert.json").read_text()
+    assert wire.parse(tower, "certificate").value["command"] == "tower"
+    strings = json.dumps({"witness": ["[" * 99, {"b": '\\"' + "{" * 99}], "c": "\\"})
+    assert wire.parse(strings, "certificate").value["c"] == "\\"
     # the fixture's object holds the witness: one level for it
     fits = nested_witness_certificate(wire.MAX_DEPTH - 1)
-    assert wire.depth(wire.parse(fits, "certificate").value) == wire.MAX_DEPTH
-    with pytest.raises(wire.SchemaError, match="bad certificate: nested deeper than 64"):
-        wire.parse(nested_witness_certificate(wire.MAX_DEPTH), "certificate")
+    assert wire.parse(fits, "certificate").value["command"] == "theta"
+    for levels in (wire.MAX_DEPTH, 990, 100_000):
+        with pytest.raises(wire.SchemaError,
+                           match="^bad certificate: nested deeper than 64 arrays and objects$"):
+            wire.parse(nested_witness_certificate(levels), "certificate")
 
 
 def test_verify_table_data(capsys):
@@ -406,32 +412,34 @@ FUZZED_PAYLOADS = [
 ]
 
 
-@settings(max_examples=400, deadline=None)
-@given(
-    target=st.sampled_from([
-        (i, path) for i, (payload, _, _) in enumerate(FUZZED_PAYLOADS)
-        for path in payload_paths(payload)
-    ]),
-    value=st.sampled_from([-1, 0, 1, 2, 1.5, True, None, "x", [], {}]),
-)
-def test_payload_fuzz(target, value):
-    index, path = target
+FUZZ_VALUES = (-1, 0, 1, 2, 1.5, True, None, "x", [], {})
+
+
+@pytest.mark.parametrize("index, path", [
+    pytest.param(i, path, id=f"{argv[0]}:{'.'.join(map(str, path))}")
+    for i, (payload, argv, _) in enumerate(FUZZED_PAYLOADS) for path in payload_paths(payload)
+])
+def test_payload_fuzz(index, path):
+    """Each value of FUZZ_VALUES at the path, in a copy of the payload: a
+    certificate only with exit 0 or 3, else one JSON error whose exit is the
+    code; in a strict payload a value of another JSON type is refused."""
     payload, argv, strict = FUZZED_PAYLOADS[index]
-    out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         file = Path(tmp) / "payload.json"
-        file.write_text(json.dumps(edit(payload, (path, value))))
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([*argv, str(file)])
-    assert code in (EXIT_OK, EXIT_PRECONDITION, EXIT_CHECK_FAILED, EXIT_IO)
-    assert "Traceback" not in err.getvalue()
-    if out.getvalue():  # a certificate: success or a failed check
-        assert code in (EXIT_OK, EXIT_CHECK_FAILED)
-    else:  # a refusal: one JSON error
-        error = json.loads(err.getvalue())
-        assert isinstance(error, dict) and error["exit"] == code != EXIT_OK
-    if strict and type(value) is not type(value_at(payload, path)):
-        assert code != EXIT_OK, (path, value)
+        for value in FUZZ_VALUES:
+            file.write_text(json.dumps(edit(payload, (path, value))))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*argv, str(file)])
+            assert code in (EXIT_OK, EXIT_PRECONDITION, EXIT_CHECK_FAILED, EXIT_IO), value
+            assert "Traceback" not in err.getvalue(), value
+            if out.getvalue():  # a certificate: success or a failed check
+                assert code in (EXIT_OK, EXIT_CHECK_FAILED), value
+            else:  # a refusal: one JSON error
+                error = json.loads(err.getvalue())
+                assert isinstance(error, dict) and error["exit"] == code != EXIT_OK, value
+            if strict and type(value) is not type(value_at(payload, path)):
+                assert code != EXIT_OK, value
 
 
 def test_selftest_small_bounds(tmp_path, capsys):
@@ -505,17 +513,6 @@ NOTHING_BUILT = {*place_refusals(), *UNBUILT_VERIFY_REFUSALS,
 NO_CAMPAIGN = {name for name in REFUSALS if name.startswith(CAMPAIGN_REFUSALS)}
 
 
-def patch_every_binding(monkeypatch, originals, replacement):
-    """Bind replacement wherever the package or one of its modules binds one
-    of originals."""
-    modules = [iwasawa_kit, *(importlib.import_module(f"iwasawa_kit.{info.name}")
-                              for info in pkgutil.iter_modules(iwasawa_kit.__path__))]
-    for module in modules:
-        for name, value in list(vars(module).items()):
-            if any(value is original for original in originals):
-                monkeypatch.setattr(module, name, replacement)
-
-
 def refused_first(what):
     """A stand-in for an entry point that a refusal must come before."""
     def entered(*args, **kwargs):
@@ -568,29 +565,34 @@ def test_the_refusal_subsets_are_rows_and_place_rows_are_in_check_hyps_words():
 
 
 def test_places_are_admitted_once_per_theta_or_tower(tmp_path, capsys, monkeypatch):
-    """admissible_places, wrapped at every binding in the package, runs once
-    per theta_tower (n_max = 0..3), once per theta command, once for the
-    README verify (its theta is built on the places verify_case admitted),
-    twice for the README tower at r = -1: its tower and the r = 0 tower of
-    its congruence, and three times for that tower replayed through --data:
-    its command line, the file's header (TowerElement.from_json) and the
+    """admissible_places ("places"), tower_preconditions ("rules") and
+    TowerElement.header, each wrapped at every binding in the package, in
+    the order entered: once per theta_tower (n_max = 0..3), theta command and
+    README verify (its theta is built on the places verify_case admitted);
+    the README tower at r = -1 admits its tower and the r = 0 tower of its
+    congruence; replayed through --data, it admits its command line, reads
+    the file's header once and does not admit it again, then admits the
     r = 0 tower."""
-    from iwasawa_kit import abelian
-    from iwasawa_kit.tower import theta_tower
+    from iwasawa_kit import abelian, tower
 
     calls = []
-    original = abelian.admissible_places
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapper
 
-    patch_every_binding(monkeypatch, (original,), counted)
+    for name, original in (("places", abelian.admissible_places),
+                           ("rules", tower.tower_preconditions)):
+        patch_every_binding(monkeypatch, (original,), counted(name, original))
+    monkeypatch.setattr(tower.TowerElement, "header",
+                        staticmethod(counted("header", tower.TowerElement.header)))
     z3 = parse_spec("zeta3")
     for n_max in range(4):
         calls.clear()
-        theta_tower(z3, [3, "oo"], [5, 7], 3, 2, n_max, -1)
-        assert len(calls) == 1, n_max
+        tower.theta_tower(z3, [3, "oo"], [5, 7], 3, 2, n_max, -1)
+        assert calls == ["rules", "places"], n_max
     readme_theta = ("theta", "--spec", "zeta3", "--S", "3,oo", "--T", "7", "--r", "0")
     readme_tower = ("tower", "--spec", "zeta5", "--S", "5,oo", "--T", "2", "--r", "-1",
                     "--p", "5", "--N", "2", "--levels", "2")
@@ -598,11 +600,12 @@ def test_places_are_admitted_once_per_theta_or_tower(tmp_path, capsys, monkeypat
                      "--p", "3", "--N", "2", "--data", str(DATA / "table_z23_minus.json"))
     replay = tmp_path / "replay.json"
     replay_tower = (*readme_tower, "--data", str(replay))
-    for argv, checks in ((readme_theta, 1), (readme_verify, 1), (readme_tower, 2),
-                         (replay_tower, 3)):
+    for argv, want in ((readme_theta, ["places"]), (readme_verify, ["places"]),
+                       (readme_tower, ["rules", "places"] * 2),
+                       (replay_tower, ["rules", "places", "header", "rules", "places"])):
         calls.clear()
         code, cert = run(capsys, *argv)
-        assert (code, len(calls)) == (EXIT_OK, checks), argv
+        assert (code, calls) == (EXIT_OK, want), argv
         if argv == readme_tower:
             replay.write_text(json.dumps(cert["result"]["tower"]))
 

@@ -11,7 +11,9 @@ over the others), the unit-vector images of group-algebra morphisms, the
 group-ring maps that formed one group element per coefficient, the
 element_of classification of each unit residue that the unit-class table of
 a presentation replaced, the kernel span joined with the src relations, the
-exactness and quasi-isomorphism tests that compared kernel spans, the
+homology size as the kernel-span quotient |Z| / |B| (one reference for
+cohomology sizes and both exactness checks), the quasi-isomorphism test
+that compared kernel spans, the
 subquotient presentation on every Howell row of Z with every preimage row
 as a relation, and the Pontryagin dual taken through the Smith form with
 the action of every basis element transported to its coordinates."""
@@ -20,7 +22,6 @@ import itertools
 import json
 import math
 import random
-import re
 from functools import cached_property, partial
 from pathlib import Path
 from types import SimpleNamespace
@@ -31,6 +32,7 @@ from algebra_helpers import (
     contragredient_presentation,
     fresh_zeta_tables,
     nilpotent_extension_json,
+    patch_every_binding,
     prime_of,
     val,
 )
@@ -575,15 +577,16 @@ def campaign_records():
     AC5/AC6 campaign slices form, with the verdicts the fast path gave, every
     subquotient they present: (algebra, ncomp, Z rows, B rows, the
     presentation), every map whose kernel span they read, with that span,
-    every Pontryagin dual they take: (module, dual), and every short exact
-    sequence whose exactness ComplexSES.verify_exact checks. The fitting
-    slices at seeds 2027 and 2028 add products with a factor of more
-    generators than dim."""
-    formed, compared, presented, kernels, duals, sequences = [], [], [], [], [], []
+    every Pontryagin dual they take: (module, dual), every complex they build
+    and every short exact sequence whose exactness ComplexSES.verify_exact
+    checks. The fitting slices at seeds 2027 and 2028 add products with a
+    factor of more generators than dim."""
+    formed, compared, presented, kernels, duals, built, sequences = [], [], [], [], [], [], []
     product, eq, contains = IdealHandle.product, IdealHandle.__eq__, IdealHandle.contains
     subquotient = fitting.subquotient_presentation
     kernel_span = fitting.ModuleMap.kernel_span.func
     dual = fitting.pontryagin_dual
+    build = complexes.BoundedComplex.__init__
     verify_exact = complexes.ComplexSES.verify_exact
 
     def recorded_product(I, J):
@@ -616,6 +619,10 @@ def campaign_records():
         duals.append((M, out))
         return out
 
+    def recorded_build(C, *args):
+        build(C, *args)
+        built.append(C)
+
     def recorded_verify_exact(ses):
         sequences.append(ses)
         verify_exact(ses)
@@ -627,17 +634,16 @@ def campaign_records():
         mp.setattr(IdealHandle, "product", recorded_product)
         mp.setattr(IdealHandle, "__eq__", recorded_eq)
         mp.setattr(IdealHandle, "contains", recorded_contains)
-        mp.setattr(complexes, "subquotient_presentation", recorded_subquotient)
-        mp.setattr(campaigns, "subquotient_presentation", recorded_subquotient)
+        patch_every_binding(mp, (subquotient,), recorded_subquotient)
         mp.setattr(fitting.ModuleMap, "kernel_span", recorded_kernel)
-        mp.setattr(fitting, "pontryagin_dual", recorded_dual)
-        mp.setattr(campaigns, "pontryagin_dual", recorded_dual)
+        patch_every_binding(mp, (dual,), recorded_dual)
+        mp.setattr(complexes.BoundedComplex, "__init__", recorded_build)
         mp.setattr(complexes.ComplexSES, "verify_exact", recorded_verify_exact)
         results = complex_campaigns(seed=2026, trials=100) + fitting_campaigns(seed=2026, trials=200)
         results += fitting_campaigns(seed=2027, trials=50) + fitting_campaigns(seed=2028, trials=100)
     assert all(r.ok for r in results)
     return SimpleNamespace(formed=formed, compared=compared, presented=presented, kernels=kernels,
-                           duals=duals, sequences=sequences)
+                           duals=duals, complexes=built, sequences=sequences)
 
 
 def test_ideal_product_matches_reference_on_the_campaigns(campaign_records):
@@ -1280,53 +1286,35 @@ def test_group_algebra_use_builds_no_structure_table(orders):
 
 
 # ---------------------------------------------------------------------------
-# Exactness and quasi-isomorphism by span comparison: each kernel span built
-# and compared with an image span.
+# Homology sizes and quasi-isomorphism by span comparison: each kernel span
+# built and compared with an image span.
 
 C2_GROUP = FiniteAbelianGroup((2,))
 
 
-def injective_reference(f):
-    return f.kernel_span == f.src.relation_span
+def homology_sizes_reference(maps):
+    """fitting.homology_sizes by the kernel-span quotient |Z| / |B| at each
+    module of 0 -> A_0 -> ... -> A_k -> 0, Z = ker f_(i+1) and B = im f_i
+    (the outer maps zero); None where B is not inside Z."""
+    alg = maps[0].src.algebra
+    zero = FinPresModule(alg, 0, [])
+    outer = [fitting.zero_map(zero, maps[0].src), *maps, fitting.zero_map(maps[-1].dst, zero)]
+    sizes = []
+    for f, g in zip(outer, outer[1:]):
+        Z, B = g.kernel_span, f.image_span
+        inside = howell_form(Z + B, g.src.rwidth, alg.q) == Z
+        sizes.append(span_size(Z, alg.q) // span_size(B, alg.q) if inside else None)
+    return sizes
 
 
-def surjective_reference(f):
-    return span_size(f.image_span, f.dst.algebra.q) == f.dst.algebra.q ** f.dst.rwidth
+def inexact_reference(names, maps):
+    """The refusal of the first named module where the reference homology is
+    not 1, or None."""
+    return next((f"sequence is not exact at {name}"
+                 for name, size in zip(names, homology_sizes_reference(maps)) if size != 1), None)
 
 
-def four_term_exactness_reference(M, C, Cp, Mp, alpha, beta, gamma):
-    """four_term_check's refusals by comparing spans, in their order."""
-    for f in (alpha, beta, gamma):
-        if not f.is_well_defined():
-            raise ValueError("a supplied map is not well defined")
-    if not (C.has_square_regular_presentation() and Cp.has_square_regular_presentation()):
-        raise ValueError("C and C' need square regular presentations")
-    if not injective_reference(alpha):
-        raise ValueError("sequence is not exact: M -> C not injective")
-    if not surjective_reference(gamma):
-        raise ValueError("sequence is not exact: C' -> M' not surjective")
-    if alpha.image_span != beta.kernel_span:
-        raise ValueError("sequence is not exact at C")
-    if beta.image_span != gamma.kernel_span:
-        raise ValueError("sequence is not exact at C'")
-
-
-def verify_exact_reference(ses):
-    """ComplexSES.verify_exact by comparing im f with ker g."""
-    ses.inc.validate()
-    ses.quo.validate()
-    cs = (ses.c1, ses.c2, ses.c3)
-    for i in range(min(c.lo for c in cs), max(c.hi for c in cs) + 1):
-        M1, M2, M3 = (c.module_at(i) for c in cs)
-        if M2.size() != M1.size() * M3.size():
-            raise ValueError(f"sizes are not multiplicative at degree {i}")
-        f, g = ses.inc.at(i), ses.quo.at(i)
-        if not injective_reference(f):
-            raise ValueError(f"inclusion not injective at degree {i}")
-        if not surjective_reference(g):
-            raise ValueError(f"quotient not surjective at degree {i}")
-        if f.image_span != g.kernel_span:
-            raise ValueError(f"not exact in the middle at degree {i}")
+FOUR_TERM = ("M", "C", "C'", "M'")
 
 
 def quasi_iso_reference(f):
@@ -1383,7 +1371,7 @@ def test_four_term_exactness_matches_reference_on_the_campaign(monkeypatch):
         pytest.fail("four_term_check returned before taking the dual")
 
     def compare(seen, args):
-        seen.append(refusal(four_term_exactness_reference, *args))
+        seen.append(inexact_reference(FOUR_TERM, args[4:]))
         assert counting(*args) == seen[-1]
 
     def checked(M, C, Cp, Mp, alpha, beta, gamma):
@@ -1401,12 +1389,22 @@ def test_four_term_exactness_matches_reference_on_the_campaign(monkeypatch):
     assert set(perturbed) == {None, "sequence is not exact at C"}
 
 
-def test_verify_exact_matches_reference_on_the_campaign(campaign_records):
-    """Every short exact sequence of AC6's additivity suite (seed 2026 + 1,
-    100 trials)."""
-    verdicts = [(refusal(verify_exact_reference, ses), refusal(complexes.ComplexSES.verify_exact, ses))
-                for ses in campaign_records.sequences]
-    assert verdicts == [(None, None)] * 100
+def test_homology_sizes_match_the_reference_on_the_campaigns(campaign_records):
+    """Every degree of every complex that the AC5/AC6 slices build, and every
+    degree of every short exact sequence of AC6's additivity suite (seed
+    2026 + 1, 100 trials), all exact."""
+    built, sequences = campaign_records.complexes, campaign_records.sequences
+    assert sum(len(C.degrees()) for C in built) > 1000 and len(sequences) == 100
+    for C in built:
+        for i in C.degrees():
+            maps = [C.differential_at(i - 1), C.differential_at(i)]
+            assert C.cohomology_size(i) == homology_sizes_reference(maps)[1]
+    for ses in sequences:
+        ses.verify_exact()
+        cs = (ses.c1, ses.c2, ses.c3)
+        for i in range(min(c.lo for c in cs), max(c.hi for c in cs) + 1):
+            maps = [ses.inc.at(i), ses.quo.at(i)]
+            assert fitting.homology_sizes(maps) == homology_sizes_reference(maps) == [1, 1, 1]
 
 
 def test_quasi_iso_matches_reference_on_random_chain_maps():
@@ -1436,35 +1434,33 @@ def _four_term_refusals():
     Mplus = FinPresModule(alg, 1, [[three], [minus]])  # F_3 with s = 1
     Mminus = FinPresModule(alg, 1, [[three], [plus]])  # F_3 with s = -1
     ident = fitting.identity_map(C)
+    into_C = fitting.zero_map(O, C)
 
     def mult(M, N, a):
         return fitting.ModuleMap(M, N, [[a]])
 
     return [
-        ("sequence is not exact: M -> C not injective",
-         (F, C, C, C, mult(F, C, one), ident, ident)),
-        ("sequence is not exact: C' -> M' not surjective",
-         (O, C, C, F, fitting.ModuleMap(O, C, []), ident, mult(C, F, three))),
+        # alpha: A -> A/(3) is not injective
+        ("sequence is not exact at M", (F, C, C, C, mult(F, C, one), ident, ident)),
         # beta = 0: ker beta = C while im alpha = 0
-        ("sequence is not exact at C",
-         (O, C, C, C, fitting.ModuleMap(O, C, []), mult(C, C, zero), ident)),
+        ("sequence is not exact at C", (O, C, C, C, into_C, mult(C, C, zero), ident)),
         # |im alpha| |im beta| = 3 * 3 = |C|, but beta alpha = (1 + s)^2 != 0
         ("sequence is not exact at C",
          (Mplus, C, C, Mminus, mult(Mplus, C, plus), mult(C, C, plus), mult(C, Mminus, one))),
-        # exact at C; im beta = C while ker gamma = 0
-        ("sequence is not exact at C'",
-         (O, C, C, C, fitting.ModuleMap(O, C, []), ident, ident)),
         # exact at C; |im beta| |im gamma| = 3 * 3 = |C'|, but gamma beta = 1 - s != 0
         ("sequence is not exact at C'",
          (Mplus, C, C, Mminus, mult(Mplus, C, plus), mult(C, C, minus), mult(C, Mminus, one))),
+        # exact at C; gamma = 0 and im beta = F_3 e-: |C'| / (3 * 1) = 3
+        ("sequence is not exact at C'",
+         (Mplus, C, C, O, mult(Mplus, C, plus), mult(C, C, minus), fitting.zero_map(C, O))),
+        # exact at M, C and C'; gamma = 0 onto M' = C
+        ("sequence is not exact at M'", (O, C, C, C, into_C, ident, mult(C, C, zero))),
     ]
 
 
 @pytest.mark.parametrize("message, args", _four_term_refusals())
 def test_four_term_refusals_match_the_reference(message, args):
-    assert refusal(four_term_exactness_reference, *args) == message
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        fitting.four_term_check(*args)
+    assert inexact_reference(FOUR_TERM, args[4:]) == message == refusal(fitting.four_term_check, *args)
 
 
 def _verify_exact_refusals():
@@ -1486,34 +1482,39 @@ def _verify_exact_refusals():
     first, second = [[one, zero]], [[zero, one]]
     project = [[one], [zero]]
     return [
-        ("sizes are not multiplicative at degree 0", ses(C, C, C, [[one]], [[one]])),
-        ("inclusion not injective at degree 0", ses(C, CC, C, [[zero, zero]], project)),
-        ("quotient not surjective at degree 0", ses(C, CC, C, first, [[zero], [zero]])),
-        ("not exact in the middle at degree 0", ses(C, CC, C, first, project)),
+        ("sequence is not exact at C1^0", ses(C, CC, C, [[zero, zero]], project)),
+        # g f = 1 != 0
+        ("sequence is not exact at C2^0", ses(C, C, C, [[one]], [[one]])),
+        # g = 0: |C2| / (|im f| |im g|) = 81 / 9
+        ("sequence is not exact at C2^0", ses(C, CC, C, first, [[zero], [zero]])),
+        ("sequence is not exact at C3^0", ses(C, C, C, [[one]], [[zero]])),
         (None, ses(C, CC, C, second, project)),
     ]
 
 
 @pytest.mark.parametrize("message, seq", _verify_exact_refusals())
 def test_verify_exact_refusals_match_the_reference(message, seq):
-    assert refusal(verify_exact_reference, seq) == message
-    if message is None:
-        seq.verify_exact()
-    else:
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            seq.verify_exact()
+    maps = [seq.inc.at(0), seq.quo.at(0)]
+    assert inexact_reference(("C1^0", "C2^0", "C3^0"), maps) == message == refusal(seq.verify_exact)
 
 
 def test_exactness_checks_compute_no_kernel_span(monkeypatch):
-    """The counting routes decide exactness from image sizes and zero maps."""
+    """The counting routes decide exactness and acyclicity from image sizes
+    and zero maps: four_term_check, verify_exact, and is_acyclic on A -3-> A
+    over (Z/9)[C2] (not acyclic) and on its cone of the identity (acyclic)."""
     sequences = [args for _, args in _four_term_refusals()]
     additivity = [seq for _, seq in _verify_exact_refusals()]
+    alg = GroupAlgebra(3, 2, C2_GROUP)
+    F = FinPresModule(alg, 1, [])
+    K = complexes.BoundedComplex(alg, 0, [F, F], [fitting.multiplication_map(F, alg.scalar(3, alg.one))])
+    cone = complexes.cone(complexes.ChainMap(K, K, {i: fitting.identity_map(F) for i in (0, 1)}))
     monkeypatch.setattr(linalg, "preimage_span", lambda *a: pytest.fail("a kernel span was built"))
     monkeypatch.setattr(fitting, "preimage_span", lambda *a: pytest.fail("a kernel span was built"))
     for args in sequences:
         refusal(fitting.four_term_check, *args)
     for seq in additivity:
         refusal(seq.verify_exact)
+    assert not K.is_acyclic() and cone.is_acyclic()
 
 
 # ---------------------------------------------------------------------------

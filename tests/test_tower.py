@@ -25,6 +25,7 @@ from iwasawa_kit.tower import (
     parity_projector_annihilates,
     theta_tower,
     tower_level,
+    tower_preconditions,
     twist,
     twist_congruence_check,
 )
@@ -338,7 +339,8 @@ def test_tower_level_theta_cross_validated_by_characters():
 
 def test_tower_json_roundtrip():
     t = theta_tower(Z5, [5, OO], [2], 5, 2, 1, -1)
-    again = TowerElement.from_json(t.to_json())
+    header = TowerElement.header(t.to_json())
+    again = TowerElement.from_json(t.to_json(), (header, tower_preconditions(*header)[1]))
     assert again.entries == t.entries
     assert again.spec == t.spec
     assert again.r == t.r

@@ -11,11 +11,10 @@ quotients that reading the data and checking it build. The theta slice counts
 the tables of partial zeta values and the lowest_terms passes of the tower
 campaigns' thetas."""
 
-import sys
 from pathlib import Path
 
 import pytest
-from algebra_helpers import fresh_zeta_tables
+from algebra_helpers import fresh_zeta_tables, patch_every_binding
 
 from iwasawa_kit import campaigns, fitting, linalg, lvalues
 
@@ -27,17 +26,8 @@ LEDGER = [
     ("fitting_multiplicativity_campaign(2026, 60)",
      lambda: campaigns.fitting_multiplicativity_campaign(2026, 60).ok, (70, 4049)),
     ("complex_campaigns(2026, 20)",
-     lambda: all(r.ok for r in campaigns.complex_campaigns(2026, 20)), (2746, 19078)),
+     lambda: all(r.ok for r in campaigns.complex_campaigns(2026, 20)), (2738, 18998)),
 ]
-
-
-def wrap_every_binding(monkeypatch, original, wrapper):
-    """Bind wrapper wherever a module of the package binds original, as the
-    benchmark tracer patches it."""
-    name = original.__name__
-    for module_name, module in list(sys.modules.items()):
-        if module_name.startswith("iwasawa_kit") and getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, wrapper)
 
 
 @pytest.mark.parametrize("run, expected", [pytest.param(r, e, id=name) for name, r, e in LEDGER])
@@ -49,7 +39,7 @@ def test_howell_work_matches_the_ledger(run, expected, monkeypatch):
         counts[1] += len(rows) * width
         return original(rows, width, q)
 
-    wrap_every_binding(monkeypatch, original, counted)
+    patch_every_binding(monkeypatch, (original,), counted)
     assert run()
     assert tuple(counts) == expected
 
@@ -90,7 +80,7 @@ def test_manifest_builds_one_minus_quotient_per_entry(monkeypatch):
         builds.append(args)
         return original(*args)
 
-    wrap_every_binding(monkeypatch, original, counted)
+    patch_every_binding(monkeypatch, (original,), counted)
     entries = campaigns.load_manifest(DATA)
     assert campaigns.annihilation_campaign(entries).ok
     assert len(builds) == len(entries) == MANIFEST_MINUS_QUOTIENTS
@@ -114,8 +104,8 @@ def test_theta_tables_match_the_ledger(monkeypatch):
             return fn(*args)
         return wrapper
 
-    wrap_every_binding(monkeypatch, lvalues.theta_value,
-                       counted("theta_value", lvalues.theta_value))
+    patch_every_binding(monkeypatch, (lvalues.theta_value,),
+                        counted("theta_value", lvalues.theta_value))
     monkeypatch.setattr(lvalues, "lowest_terms", counted("lowest_terms", lvalues.lowest_terms))
     assert campaigns.tower_coherence_campaign().ok
     assert campaigns.kummer_congruence_campaign().ok
