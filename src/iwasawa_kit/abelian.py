@@ -471,18 +471,13 @@ class DirichletCharacter:
 
     Values are zeta_order^logs[a] on residues a coprime to the conductor and 0
     elsewhere; `order` is the exponent of the ambient character table so that
-    values from different characters of one group compare directly. A
-    character is identified by its key, which spells out every value; the
-    object itself compares by identity.
+    values from different characters of one group compare directly. The
+    object compares by identity.
     """
 
     conductor: int
     order: int
     logs: dict[int, int]
-
-    def key(self) -> tuple:
-        """(conductor, order, sorted logs): every value of chi, spelled out."""
-        return self.conductor, self.order, tuple(sorted(self.logs.items()))
 
     def log_of(self, a: int) -> int | None:
         f = self.conductor

@@ -9,10 +9,11 @@ integer numerators over one positive denominator, in lowest terms
 basis order of groupring; padic_from_rational reduces such a pair mod p^N
 with one inverse of den. Q(zeta_n) is CyclotomicInt: numerators in the power
 basis 1, z, ..., z^(phi(n)-1), reduced mod the n-th cyclotomic polynomial in
-the integers: exponents are folded mod n, then each coefficient is read from
-a remainder table of z^i mod Phi_n (0 <= i < n) built once per n. Both
-character routes (abelian.CharacterTable and the L-values of lvalues) build
-it directly from an integer vector and a denominator.
+the integers: exponents are folded mod n, for even n the top half through
+z^(n/2) = -1, and each power z^i with phi(n) <= i that is left (0 to 3 at
+the orders of the CM corpus) is added from a table of z^i mod Phi_n built
+once per n. Both character routes (abelian.CharacterTable and the L-values
+of lvalues) build it directly from an integer vector and a denominator.
 """
 
 from __future__ import annotations
@@ -142,35 +143,43 @@ def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _cyclotomic_remainders(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """For each power-basis index j < phi(n), the pairs (i, c) with
-    0 <= i < n and c != 0 the coefficient of z^j in z^i mod Phi_n, read off
+def _cyclotomic_fold(n: int) -> tuple[int, int, tuple[tuple[int, tuple[int, ...]], ...]]:
+    """(m, phi(n), powers): z^m = -1 for m = n/2 when n is even, else m = n;
+    powers holds (i, z^i mod Phi_n) for each phi(n) <= i < m, read off
     z^i = z . z^(i-1) mod Phi_n (monic) one power at a time."""
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(deg)]
-    power = [1] + [0] * (deg - 1)  # z^0
-    for i in range(n):
-        for j, c in enumerate(power):
-            if c:
-                rows[j].append((i, c))
+    m = n // 2 if n % 2 == 0 else n
+    powers = []
+    power = [-c for c in phi[:-1]]  # z^deg
+    for i in range(deg, m):
+        powers.append((i, tuple(power)))
         top = power[-1]  # z . power = shift, then z^deg = -sum_j phi_j z^j
         power = [0] + power[:-1]
         if top:
             power = [a - top * pj for a, pj in zip(power, phi)]
-    return tuple(tuple(row) for row in rows)
+    return m, deg, tuple(powers)
 
 
 def _reduce_mod_cyclotomic(vec, n: int) -> list[int]:
     """Remainder of a low-first integer polynomial modulo Phi_n, of length
-    phi(n): the exponents are folded mod n (Phi_n divides z^n - 1), then
-    each coefficient is read from the remainder table of n."""
+    phi(n): the exponents are folded mod n (Phi_n divides z^n - 1), for even
+    n the top half is folded through z^(n/2) = -1, and each power z^i left
+    with phi(n) <= i is added from the fold table of n."""
+    m, deg, powers = _cyclotomic_fold(n)
     if len(vec) != n:
         folded = [0] * n
         for i, c in enumerate(vec):
             folded[i % n] += c
         vec = folded
-    return [sum(c * vec[i] for i, c in row) for row in _cyclotomic_remainders(n)]
+    if m != n:
+        vec = [a - b for a, b in zip(vec[:m], vec[m:])]
+    out = list(vec[:deg])
+    for i, power in powers:
+        c = vec[i]
+        if c:
+            out = [a + c * b for a, b in zip(out, power)]
+    return out
 
 
 class CyclotomicInt:

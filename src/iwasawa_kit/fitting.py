@@ -491,7 +491,7 @@ class FinPresModule:
     @cached_property
     def relation_span(self) -> list[list[int]]:
         rows = [r for row in self.relations for r in self.algebra.realize(row)]
-        return howell_form(rows, self.rwidth, self.algebra.q)
+        return howell_form(rows, self.rwidth, self.algebra.q) if rows else []
 
     def size(self) -> int:
         q = self.algebra.q

@@ -18,12 +18,13 @@ and lowest_terms runs once at the end. The character route (S-truncated
 Dirichlet L-values at non-positive integers through generalized Bernoulli
 numbers) is an independent cross-check. It admits r and (S, T) through theta_places, and
 builds each value of Q(zeta_e) as an integer vector indexed by the exponent
-mod e over one positive denominator. Its characters are primitivized from their
+mod e over one denominator. Its characters are primitivized from their
 labels by abelian.dirichlet_character, with no CharacterTable. B_{n,chi}
 buckets the Horner values f^n D B_n(a/f), built once per (f, n), by the log
-of chi(a), and is memoized per character and n. Each Euler or delta_T factor
-(1 - c zeta_e^s) is a shift-and-subtract, and the vector and denominator go
-to CyclotomicInt, which reduces mod Phi_e once per character. It classifies
+of chi(a); the L-values of a field's characters are one table per (spec, n).
+Each Euler or delta_T factor (1 - c zeta_e^s) is a shift-and-subtract, a zero
+L-value takes none, and the vector and denominator go to CyclotomicInt,
+which folds them into its normal form once per character. It classifies
 residues through element_of; only the group-ring route reads unit_classes.
 The two routes share that value type and its normal form, and no helper or
 cache.
@@ -180,10 +181,12 @@ def is_p_integral(value: tuple[tuple[int, ...], int], p: int) -> bool:
 # The character route: S-truncated Dirichlet L-values at r <= 0.
 #
 # A value in Q(zeta_e) is built as (vec, den): vec[t] is the integer
-# coefficient of zeta_e^t for t mod e, den a common positive denominator.
-# An Euler or delta_T factor (1 - c zeta_e^s) is a shift-and-subtract on vec;
-# CyclotomicInt(e, vec, den) divides out Phi_e once per value. Nothing here
-# but that value type is shared with the group-ring route above.
+# coefficient of zeta_e^t for t mod e, den a common nonzero denominator.
+# The L-values L(r, chi_bar) of a field's characters are one table per
+# (spec, n = 1 - r). An Euler or delta_T factor (1 - c zeta_e^s) is a
+# shift-and-subtract on vec, and a zero L-value takes none;
+# CyclotomicInt(e, vec, den) folds each value into its normal form once.
+# Nothing here but that value type is shared with the group-ring route above.
 
 @lru_cache(maxsize=None)
 def _bernoulli_cleared(n: int) -> tuple[int, tuple[int, ...]]:
@@ -211,34 +214,21 @@ def _bernoulli_terms(f: int, n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _bernoulli_vector(key: tuple, n: int) -> tuple[tuple[int, ...], int]:
-    """B_{n,chi} = f^(n-1) sum_{a=1}^{f} chi(a) B_n(a/f) as (vec, den), for
-    the character with chi.key() = key (Washington, GTM 83, section 4.1):
-    the terms of _bernoulli_terms(f, n) bucketed by the log of chi(a)."""
-    f, e, items = key
-    logs = dict(items) or {0: 0}  # the trivial character of conductor 1
-    vec = [0] * e
-    for b, value in _bernoulli_terms(f, n):
+def _bernoulli_vector(chi: DirichletCharacter, n: int) -> tuple[tuple[int, ...], int]:
+    """B_{n,chi} = f^(n-1) sum_{a=1}^{f} chi(a) B_n(a/f) as (vec, den)
+    (Washington, GTM 83, section 4.1): the terms of _bernoulli_terms(f, n)
+    bucketed by the log of chi(a)."""
+    logs = chi.logs or {0: 0}  # the trivial character of conductor 1
+    vec = [0] * chi.order
+    for b, value in _bernoulli_terms(chi.conductor, n):
         vec[logs[b]] += value
-    return tuple(vec), f * _bernoulli_cleared(n)[0]
+    return tuple(vec), chi.conductor * _bernoulli_cleared(n)[0]
 
 
-def _one_minus(vec: list[int], s: int, c: int) -> list[int]:
-    """(1 - c zeta_e^s) . sum_t vec[t] zeta_e^t."""
-    e = len(vec)
-    return [vec[i] - c * vec[(i - s) % e] for i in range(e)]
-
-
-def _l_vector(chi: DirichletCharacter, s_fin, r: int) -> tuple[list[int], int]:
-    """L_S(r, chi) = -B_{n,chi}/n . prod_v (1 - chi(v) v^(-r)) as (vec, den)."""
-    n = 1 - r
-    vec, den = _bernoulli_vector(chi.key(), n)
-    vec = [-c for c in vec]
-    for v in sorted(s_fin):
-        if chi.conductor % v != 0 or chi.conductor == 1:
-            vec = _one_minus(vec, chi.log_of(v), v ** (-r))
-    return vec, den * n
+def _one_minus(vec, s: int, c: int) -> list[int]:
+    """(1 - c zeta_e^s) . sum_t vec[t] zeta_e^t for -e < s < e: vec less c
+    times vec shifted up by s."""
+    return [a - c * b for a, b in zip(vec, vec[-s:] + vec[:-s])]
 
 
 @lru_cache(maxsize=None)
@@ -250,18 +240,37 @@ def _characters(spec: AbelianFieldSpec) -> tuple:
     return tuple((label, chi, chi.contragredient()) for label, chi in chars)
 
 
+@lru_cache(maxsize=None)
+def _l_table(spec: AbelianFieldSpec, n: int) -> tuple:
+    """(label, chi, chi_bar, vec, den) for each character of Gal(L/Q), chi_bar
+    its contragredient: L(1 - n, chi_bar) = -B_{n,chi_bar}/n = vec/den, the
+    vector of B_{n,chi_bar} over a negative den."""
+    rows = []
+    for label, chi, chi_bar in _characters(spec):
+        vec, den = _bernoulli_vector(chi_bar, n)
+        rows.append((label, chi, chi_bar, vec, -den * n))
+    return tuple(rows)
+
+
 def theta_character_side(spec: AbelianFieldSpec, S, T, r: int) -> dict:
     """chi-components of Theta_{S,T}(r) computed purely through L-values:
-    component_chi = delta_T(r, chi) . L_S(r, contragredient chi). r and the
-    places are admitted first by theta's check (theta_places), so no prime of
-    T divides a character's conductor."""
+    component_chi = delta_T(r, chi) . L_S(r, contragredient chi), L_S(r, chi)
+    = L(r, chi) prod_v (1 - chi(v) v^(-r)) over the primes of S that do not
+    divide the conductor of chi. r and the places are admitted first by
+    theta's check (theta_places), so no prime of T divides a character's
+    conductor. A zero L-value takes no factor."""
     s_fin, t_fin = theta_places(spec, S, T, r)
+    euler = [(v, v ** (-r)) for v in sorted(s_fin)]
+    t_factors = [(v, v ** (1 - r)) for v in sorted(t_fin)]
     out = {}
-    for label, chi, chi_bar in _characters(spec):
-        vec, den = _l_vector(chi_bar, s_fin, r)
-        for v in sorted(t_fin):
-            # det(1 - Nv^(1-r) sigma_v^(-1) | V_chi): chi(sigma_v^(-1)) = chi(v)^(-1)
-            vec = _one_minus(vec, -chi.log_of(v), v ** (1 - r))
+    for label, chi, chi_bar, vec, den in _l_table(spec, 1 - r):
+        if any(vec):
+            for v, c in euler:
+                if chi_bar.conductor % v:
+                    vec = _one_minus(vec, chi_bar.log_of(v), c)
+            for v, c in t_factors:
+                # det(1 - Nv^(1-r) sigma_v^(-1) | V_chi): chi(sigma_v^(-1)) = chi(v)^(-1)
+                vec = _one_minus(vec, -chi.log_of(v), c)
         out[label] = CyclotomicInt(chi.order, vec, den)
     return out
 

@@ -22,6 +22,12 @@ def character_log(tab, label, g) -> int:
     return tab._logs[label][basis_index(tab.group)[g]]
 
 
+def character_key(chi) -> tuple:
+    """(conductor, order, sorted logs): every value of a DirichletCharacter,
+    spelled out, for comparing two characters."""
+    return chi.conductor, chi.order, tuple(sorted(chi.logs.items()))
+
+
 def fresh_zeta_tables(monkeypatch):
     """Give lvalues._zeta_table a cache of its own for one test, so no table
     built before the test hides a patched unit_classes or _zeta_numerators,

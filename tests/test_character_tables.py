@@ -1,15 +1,18 @@
 """The former forms of the character route's tables, kept as oracles of the
-tables that are built once: the long division by Phi_n that the remainder
-table replaced, the primitivization that read chi(a) from a CharacterTable
-and formed its kernels and CRT lifts again per character, the CRT lift
-that factors its modulus for each unit, the per-character Horner of B_{n,chi} over every residue mod f, and the
-conductor search that listed the units mod m once per divisor."""
+tables that are built once: the long division by Phi_n that the fold
+replaced, the primitivization that read chi(a) from a CharacterTable and
+formed its kernels and CRT lifts again per character, the CRT lift that
+factors its modulus for each unit, the per-character Horner of B_{n,chi}
+over every residue mod f, the per-character L-values that applied every
+factor to every character (a zero one too) before the table per (spec, n),
+and the conductor search that listed the units mod m once per divisor."""
 
 import math
 import random
+from functools import lru_cache
 
 import pytest
-from algebra_helpers import character_log
+from algebra_helpers import character_key, character_log
 
 from iwasawa_kit import abelian, lvalues
 from iwasawa_kit.abelian import (
@@ -20,10 +23,16 @@ from iwasawa_kit.abelian import (
     dirichlet_character,
     galois_group,
 )
-from iwasawa_kit.campaigns import corpus_cm_specs
-from iwasawa_kit.exact import _reduce_mod_cyclotomic, cyclotomic_polynomial
-from iwasawa_kit.lvalues import _bernoulli_cleared, _bernoulli_vector, theta, theta_character_side
-from iwasawa_kit.numutil import crt_lift, divisors, unit_residues
+from iwasawa_kit.campaigns import corpus_cm_specs, corpus_st_choices
+from iwasawa_kit.exact import _reduce_mod_cyclotomic, cyclotomic_polynomial, lowest_terms
+from iwasawa_kit.lvalues import (
+    _bernoulli_cleared,
+    _bernoulli_vector,
+    theta,
+    theta_character_side,
+    theta_places,
+)
+from iwasawa_kit.numutil import crt_lift, divisors, euler_phi, unit_residues
 
 OO = "oo"
 
@@ -41,13 +50,16 @@ def reduce_mod_cyclotomic_reference(vec, n):
     return work[:deg] + [0] * (deg - len(work))
 
 
-def test_remainder_table_matches_the_long_division():
+def test_the_fold_matches_the_long_division():
+    """n = 105 and n = 210 are the first odd and even n whose fold table holds
+    a coefficient outside +-1."""
     rng = random.Random(34)
-    for n in range(1, 61):
+    for n in [*range(1, 61), 105, 210]:
         for length in sorted({0, 1, n // 2, n - 1, n, n + 1, 2 * n + 3, 3 * n}):
             vec = [rng.randint(-50, 50) for _ in range(length)]
             assert _reduce_mod_cyclotomic(vec, n) == reduce_mod_cyclotomic_reference(vec, n), (
                 n, length)
+        assert _reduce_mod_cyclotomic([0] * n, n) == [0] * euler_phi(n), n
 
 
 def dirichlet_character_reference(gal, table, label):
@@ -93,7 +105,8 @@ def test_primitivization_matches_the_table_route():
         assert gal.conductor > 1, spec.label
         for label in table.labels:
             chi = dirichlet_character(gal, label)
-            assert chi.key() == dirichlet_character_reference(gal, table, label).key(), (
+            reference = dirichlet_character_reference(gal, table, label)
+            assert character_key(chi) == character_key(reference), (
                 spec.label, label)
             conductors.add(chi.conductor)
     assert {1, 3, 4, 5, 8, 12} <= conductors
@@ -117,16 +130,17 @@ def test_crt_lift_tables_match_the_per_unit_lifts():
                                   AbelianFieldSpec(4, frozenset({1, 3}))], ids=["Q", "Q in 4"])
 def test_a_field_of_conductor_one_has_one_trivial_character(spec):
     gal = galois_group(spec)
-    assert [dirichlet_character(gal, label).key() for label in gal.group.elements()] == [
+    assert [character_key(dirichlet_character(gal, label)) for label in gal.group.elements()] == [
         (1, 1, ())]
     for r in (0, -1, -2):
         components = theta_character_side(spec, [OO], [2], r)
         assert CharacterTable(gal.group).decompose(theta(spec, [OO], [2], r).value) == components
 
 
+@lru_cache(maxsize=None)
 def bernoulli_vector_reference(key, n):
     """B_{n,chi} as (vec, den) by one Horner pass per character over every
-    residue mod f."""
+    residue mod f, for the character whose character_key is key."""
     f, e, items = key
     logs = dict(items)
     den, cleared = _bernoulli_cleared(n)
@@ -147,13 +161,66 @@ def bernoulli_vector_reference(key, n):
 
 
 def test_bernoulli_vector_matches_the_per_character_horner():
-    keys = {chi.key() for spec in corpus_cm_specs(24) + non_corpus_specs()
-            for _, chi, chi_bar in lvalues._characters(spec) for chi in (chi, chi_bar)}
-    keys.add((1, 1, ()))
-    assert len(keys) > 50
-    for key in sorted(keys):
+    chars = {character_key(chi): chi for spec in corpus_cm_specs(24) + non_corpus_specs()
+             for _, chi, chi_bar in lvalues._characters(spec) for chi in (chi, chi_bar)}
+    chars[(1, 1, ())] = DirichletCharacter(1, 1, {})
+    assert len(chars) > 50
+    for key in sorted(chars):
         for n in (1, 2, 3, 4):
-            assert _bernoulli_vector(key, n) == bernoulli_vector_reference(key, n), (key, n)
+            assert _bernoulli_vector(chars[key], n) == bernoulli_vector_reference(key, n), (key, n)
+
+
+def one_minus_reference(vec, s, c):
+    """(1 - c zeta_e^s) . sum_t vec[t] zeta_e^t, each index taken mod e."""
+    e = len(vec)
+    return [vec[i] - c * vec[(i - s) % e] for i in range(e)]
+
+
+def l_vector_reference(chi, s_fin, r):
+    """L_S(r, chi) = -B_{n,chi}/n . prod_v (1 - chi(v) v^(-r)) as (vec, den),
+    B_{n,chi} looked up by the character's key on every call and every Euler
+    factor applied, to a zero vector too."""
+    n = 1 - r
+    vec, den = bernoulli_vector_reference(character_key(chi), n)
+    vec = [-c for c in vec]
+    for v in sorted(s_fin):
+        if chi.conductor % v != 0 or chi.conductor == 1:
+            vec = one_minus_reference(vec, chi.log_of(v), v ** (-r))
+    return vec, den * n
+
+
+def character_side_reference(spec, S, T, r):
+    """The chi-components one character at a time: every T-factor applied to
+    every L-value, each value reduced by the long division."""
+    s_fin, t_fin = theta_places(spec, S, T, r)
+    out = {}
+    for label, chi, chi_bar in lvalues._characters(spec):
+        vec, den = l_vector_reference(chi_bar, s_fin, r)
+        for v in sorted(t_fin):
+            vec = one_minus_reference(vec, -chi.log_of(v), v ** (1 - r))
+        e = chi.order
+        out[label] = (e, *lowest_terms(reduce_mod_cyclotomic_reference(vec, e), den))
+    return out
+
+
+def test_the_character_side_matches_the_per_character_route():
+    """Every (spec, S, T, r) of the character workload's corpus. At r = 0 and
+    r = -2 (n odd) every even character but the trivial one has B_{n,chi} = 0,
+    so some component with an Euler or T-factor takes none."""
+    skipped = {r: 0 for r in (0, -1, -2, -3)}
+    cases = 0
+    for spec in corpus_cm_specs(24):
+        for S, T in corpus_st_choices(spec):
+            for r in skipped:
+                got = theta_character_side(spec, S, T, r)
+                want = character_side_reference(spec, S, T, r)
+                assert {label: (c.n, c.nums, c.den) for label, c in got.items()} == want, (
+                    spec.label, S, T, r)
+                if any(theta_places(spec, S, T, r)):
+                    skipped[r] += sum(not any(row[3]) for row in lvalues._l_table(spec, 1 - r))
+                cases += 1
+    assert cases > 3000
+    assert skipped[0] and skipped[-2], skipped
 
 
 def test_the_character_route_reads_no_character_table(monkeypatch):
@@ -169,6 +236,7 @@ def test_the_character_route_reads_no_character_table(monkeypatch):
     monkeypatch.setattr(abelian, "_character_logs", refuse)
     monkeypatch.setattr(abelian, "linear_form", refuse)
     lvalues._characters.cache_clear()
+    lvalues._l_table.cache_clear()
     got = [theta_character_side(spec, [*sorted(abelian.ramified_primes(spec)), OO], [], 0)
            for spec in specs]
     assert got == expected

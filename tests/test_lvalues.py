@@ -317,8 +317,8 @@ def test_character_route_matches_cyclotomic_oracle():
             got = theta_character_side(spec, s_ram, [], 1 - n)
             assert got == oracle_theta_character_side(spec, s_ram, [], 1 - n), (spec.label, n)
             for chi in chars.values():
-                b = CyclotomicInt(chi.order, *_bernoulli_vector(chi.key(), n))
-                assert b == oracle_generalized_bernoulli(chi, n), (spec.label, chi.key(), n)
+                b = CyclotomicInt(chi.order, *_bernoulli_vector(chi, n))
+                assert b == oracle_generalized_bernoulli(chi, n), (spec.label, chi.logs, n)
 
 
 def test_generalized_bernoulli_parity_vanishing():
@@ -329,7 +329,7 @@ def test_generalized_bernoulli_parity_vanishing():
             if chi.conductor == 1:
                 continue
             for n in range(1, 7):
-                b = CyclotomicInt(chi.order, *_bernoulli_vector(chi.key(), n))
+                b = CyclotomicInt(chi.order, *_bernoulli_vector(chi, n))
                 if (chi.log_of(-1) != 0) == (n % 2 == 0):  # chi odd and n even
                     assert rational_value(b) == 0, (chi, n)
                     seen += 1

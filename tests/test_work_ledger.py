@@ -9,14 +9,16 @@ set-up slice counts the Hyp checks and subgroup products that build the CM
 corpus and its (S, T) choices. The manifest slice counts the minus
 quotients that reading the data and checking it build. The theta slice counts
 the tables of partial zeta values and the lowest_terms passes of the tower
-campaigns' thetas."""
+campaigns' thetas. The character slice counts the Euler and T-factor passes
+of the character route and the CyclotomicInt values both routes build. A
+module with no relation rows takes no Howell form."""
 
 from pathlib import Path
 
 import pytest
 from algebra_helpers import fresh_zeta_tables, patch_every_binding
 
-from iwasawa_kit import campaigns, fitting, linalg, lvalues
+from iwasawa_kit import campaigns, exact, fitting, linalg, lvalues
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -26,7 +28,7 @@ LEDGER = [
     ("fitting_multiplicativity_campaign(2026, 60)",
      lambda: campaigns.fitting_multiplicativity_campaign(2026, 60).ok, (70, 4049)),
     ("complex_campaigns(2026, 20)",
-     lambda: all(r.ok for r in campaigns.complex_campaigns(2026, 20)), (2738, 18998)),
+     lambda: all(r.ok for r in campaigns.complex_campaigns(2026, 20)), (2350, 18998)),
 ]
 
 
@@ -111,3 +113,27 @@ def test_theta_tables_match_the_ledger(monkeypatch):
     assert campaigns.kummer_congruence_campaign().ok
     builds = tables.cache_info().misses
     assert (builds, calls["theta_value"], calls["lowest_terms"]) == THETA_TABLES
+
+
+# (lvalues._one_minus passes, CyclotomicInt constructions) over
+# character_campaign(8). An L-value that is zero takes no Euler or T-factor
+# pass (applying every factor to every character made 5,046 passes).
+CHARACTER_ROUTE = (3877, 3492)
+
+
+def test_character_route_work_matches_the_ledger(monkeypatch):
+    counts = [0, 0]
+    one_minus, init = lvalues._one_minus, exact.CyclotomicInt.__init__
+
+    def counted_one_minus(*args):
+        counts[0] += 1
+        return one_minus(*args)
+
+    def counted_init(self, *args):
+        counts[1] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(lvalues, "_one_minus", counted_one_minus)
+    monkeypatch.setattr(exact.CyclotomicInt, "__init__", counted_init)
+    assert campaigns.character_campaign(8).ok
+    assert tuple(counts) == CHARACTER_ROUTE
