@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import wire
@@ -45,19 +44,26 @@ INFINITE_PLACE = "oo"
 # ---------------------------------------------------------------------------
 # Finite abelian groups with exponent-vector elements.
 
-@dataclass(frozen=True)
 class FiniteAbelianGroup:
     """Product of cyclic groups; elements are exponent tuples, lex-ordered.
 
     galois_group always produces the invariant-factor form (orders dividing
-    successively); tower layers use the product form H x Z/p^n.
+    successively); tower layers use the product form H x Z/p^n. Two groups
+    with the same orders are equal, so caches key on the orders.
     """
 
-    orders: tuple[int, ...]
+    def __init__(self, orders: tuple[int, ...]) -> None:
+        if any(d < 1 for d in orders):
+            raise ValueError(f"cyclic orders must be positive, got {orders}")
+        self.orders = orders
 
-    def __post_init__(self) -> None:
-        if any(d < 1 for d in self.orders):
-            raise ValueError(f"cyclic orders must be positive, got {self.orders}")
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FiniteAbelianGroup):
+            return NotImplemented
+        return self.orders == other.orders
+
+    def __hash__(self) -> int:
+        return hash(self.orders)
 
     @property
     def size(self) -> int:
@@ -91,19 +97,15 @@ class FiniteAbelianGroup:
 # ---------------------------------------------------------------------------
 # Field specifications.
 
-@dataclass(frozen=True)
 class AbelianFieldSpec:
-    """The fixed field of `fixing` inside Q(zeta_modulus)."""
+    """The fixed field of `fixing` inside Q(zeta_modulus); specs with the same
+    modulus, fixing subgroup and label are equal."""
 
-    modulus: int
-    fixing: frozenset[int]
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        m = self.modulus
+    def __init__(self, modulus: int, fixing, label: str = "") -> None:
+        m = modulus
         if m < 1:
             raise ValueError(f"modulus must be >= 1, got {m}")
-        fix = frozenset(a % m for a in self.fixing)
+        fix = frozenset(a % m for a in fixing)
         if any(math.gcd(a, m) != 1 for a in fix):
             raise ValueError(f"fixing subgroup {sorted(fix)} not inside (Z/{m})^x")
         if (1 % m) not in fix:
@@ -118,7 +120,15 @@ class AbelianFieldSpec:
                         raise ValueError("fixing set is not closed under multiplication")
                     span |= coset
                     power = power * a % m
-        object.__setattr__(self, "fixing", fix)
+        self.modulus, self.fixing, self.label = m, fix, label
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, AbelianFieldSpec):
+            return NotImplemented
+        return (self.modulus, self.fixing, self.label) == (other.modulus, other.fixing, other.label)
+
+    def __hash__(self) -> int:
+        return hash((self.modulus, self.fixing, self.label))
 
     @classmethod
     def cyclotomic(cls, m: int, label: str = "") -> "AbelianFieldSpec":
@@ -266,12 +276,10 @@ def galois_group(spec: AbelianFieldSpec) -> GaloisData:
 # ---------------------------------------------------------------------------
 # CM structure.
 
-@dataclass(frozen=True)
 class CMStructure:
-    group: FiniteAbelianGroup
-    j: tuple[int, ...]
-    e_plus: tuple = field(compare=False)
-    e_minus: tuple = field(compare=False)
+    def __init__(self, group: FiniteAbelianGroup, j: tuple[int, ...], e_plus: tuple,
+                 e_minus: tuple) -> None:
+        self.group, self.j, self.e_plus, self.e_minus = group, j, e_plus, e_minus
 
     def e_r(self, r: int) -> tuple:
         """The idempotent (1 - (-1)^r j)/2: e_minus for even r, e_plus for odd."""
@@ -465,7 +473,6 @@ class CharacterTable:
         return lowest_terms(nums, den * self.group.size)
 
 
-@dataclass(frozen=True, eq=False)
 class DirichletCharacter:
     """A character of Gal(L/Q) as a primitive Dirichlet character.
 
@@ -475,9 +482,8 @@ class DirichletCharacter:
     object compares by identity.
     """
 
-    conductor: int
-    order: int
-    logs: dict[int, int]
+    def __init__(self, conductor: int, order: int, logs: dict[int, int]) -> None:
+        self.conductor, self.order, self.logs = conductor, order, logs
 
     def log_of(self, a: int) -> int | None:
         f = self.conductor

@@ -14,7 +14,6 @@ import itertools
 import math
 import random
 import time
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -102,13 +101,12 @@ ORACLE_RING_LIMIT = 2**10
 MAX_DRAWS = 1000
 
 
-@dataclass
 class CampaignResult:
-    name: str
-    trials: int = 0
-    failures: int = 0
-    seconds: float = 0.0
-    details: list[str] = field(default_factory=list)
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.trials = self.failures = 0
+        self.seconds = 0.0
+        self.details: list[str] = []
 
     @property
     def ok(self) -> bool:
@@ -122,7 +120,8 @@ class CampaignResult:
                 self.details.append(detail)
 
     def to_json(self) -> dict:
-        return {**asdict(self), "seconds": round(self.seconds, 3), "ok": self.ok}
+        return {"name": self.name, "trials": self.trials, "failures": self.failures,
+                "seconds": round(self.seconds, 3), "details": list(self.details), "ok": self.ok}
 
 
 def run_trials(name: str, seed: int, n: int, trial) -> CampaignResult:

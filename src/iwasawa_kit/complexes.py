@@ -20,7 +20,6 @@ missing between two modules with generators raises ValueError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from .fitting import (
     FiniteCommAlgebra,
     FinPresModule,
@@ -137,12 +136,11 @@ class BoundedComplex:
         return EulerFittingInvariant(num, den)
 
 
-@dataclass
 class EulerFittingInvariant:
     """Ideal pair (numerator, denominator); equality by cross-multiplication."""
 
-    numerator: IdealHandle
-    denominator: IdealHandle
+    def __init__(self, numerator: IdealHandle, denominator: IdealHandle) -> None:
+        self.numerator, self.denominator = numerator, denominator
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EulerFittingInvariant):
@@ -161,13 +159,12 @@ class EulerFittingInvariant:
         )
 
 
-@dataclass
 class ChainMap:
     """Levelwise maps src^i -> dst^i commuting with the differentials."""
 
-    src: BoundedComplex
-    dst: BoundedComplex
-    maps: dict[int, ModuleMap]
+    def __init__(self, src: BoundedComplex, dst: BoundedComplex,
+                 maps: dict[int, ModuleMap]) -> None:
+        self.src, self.dst, self.maps = src, dst, maps
 
     def at(self, i: int) -> ModuleMap:
         """Level i: the given map, else the zero map when src^i or dst^i has
@@ -226,15 +223,12 @@ def cone(f: ChainMap) -> BoundedComplex:
 # ---------------------------------------------------------------------------
 # Short exact sequences of complexes.
 
-@dataclass
 class ComplexSES:
     """0 -> C1 -> C2 -> C3 -> 0 with levelwise maps inc, quo."""
 
-    c1: BoundedComplex
-    c2: BoundedComplex
-    c3: BoundedComplex
-    inc: ChainMap
-    quo: ChainMap
+    def __init__(self, c1: BoundedComplex, c2: BoundedComplex, c3: BoundedComplex,
+                 inc: ChainMap, quo: ChainMap) -> None:
+        self.c1, self.c2, self.c3, self.inc, self.quo = c1, c2, c3, inc, quo
 
     def verify_exact(self) -> None:
         """Levelwise exactness of 0 -> C1^i -> C2^i -> C3^i -> 0 by homology_sizes:

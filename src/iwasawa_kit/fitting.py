@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import wire
@@ -674,15 +673,14 @@ def multiplication_map(M: FinPresModule, a: Vec) -> ModuleMap:
     return ModuleMap(M, M, mat)
 
 
-@dataclass
 class SubquotientData:
     """An A-subquotient Z/B of A^n with a derived presentation.
 
     `gens_ambient` embeds the presentation generators back into A^n.
     """
 
-    module: FinPresModule
-    gens_ambient: list[list[Vec]]
+    def __init__(self, module: FinPresModule, gens_ambient: list[list[Vec]]) -> None:
+        self.module, self.gens_ambient = module, gens_ambient
 
 
 def _nakayama_rows(

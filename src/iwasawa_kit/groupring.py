@@ -20,10 +20,6 @@ the caller's step.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable
-
-if TYPE_CHECKING:  # avoid a runtime import cycle with abelian
-    from .abelian import FiniteAbelianGroup
 
 
 @lru_cache(maxsize=None)

@@ -42,7 +42,6 @@ route, is its test oracle).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import groupring, wire
@@ -119,16 +118,12 @@ def _zeta_table(pres, k: int) -> tuple[tuple[int, ...], int]:
     return tuple(nums), pres.conductor * den * k
 
 
-@dataclass
 class StickelbergerElement:
     """value is the pair (nums, den) of Q[G] in lowest terms."""
 
-    value: tuple[tuple[int, ...], int]
-    group: FiniteAbelianGroup
-    spec: AbelianFieldSpec
-    S: tuple
-    T: tuple
-    r: int
+    def __init__(self, value: tuple[tuple[int, ...], int], group: FiniteAbelianGroup,
+                 spec: AbelianFieldSpec, S: tuple, T: tuple, r: int) -> None:
+        self.value, self.group, self.spec, self.S, self.T, self.r = value, group, spec, S, T, r
 
     def to_json(self) -> dict:
         nums, den = self.value
@@ -306,7 +301,6 @@ def _mat_power(A, e: int, orders):
     return out
 
 
-@dataclass
 class ClassModuleData:
     """A finite abelian group with a Galois action, supplied externally.
 
@@ -315,12 +309,10 @@ class ClassModuleData:
     maps to sum_i A[i][j] e_i).
     """
 
-    orders: tuple[int, ...]
-    group_orders: tuple[int, ...]
-    action: dict[int, list[list[int]]]
-    provenance: str = ""
-
-    def __post_init__(self) -> None:
+    def __init__(self, orders: tuple[int, ...], group_orders: tuple[int, ...],
+                 action: dict[int, list[list[int]]], provenance: str = "") -> None:
+        self.orders, self.group_orders = orders, group_orders
+        self.action, self.provenance = action, provenance
         k = len(self.orders)
         if any(d < 1 for d in self.orders):
             raise ValueError("module orders must be positive")

@@ -34,7 +34,6 @@ twist(x, r, level, N) is defined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import groupring, wire
@@ -94,19 +93,14 @@ def _twist_factors(level: TowerLevelData, r: int, q: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Stickelberger towers.
 
-@dataclass
 class TowerElement:
     """Coherent family of elements of (Z/p^N)[G_n], levels 0..n_max."""
 
-    p: int
-    N: int
-    spec: AbelianFieldSpec
-    S: tuple
-    T: tuple
-    r: int
-    entries: list[Vec]
-    levels: list[TowerLevelData]
-    hyp_verdicts: list[bool]
+    def __init__(self, p: int, N: int, spec: AbelianFieldSpec, S: tuple, T: tuple, r: int,
+                 entries: list[Vec], levels: list[TowerLevelData],
+                 hyp_verdicts: list[bool]) -> None:
+        self.p, self.N, self.spec, self.S, self.T, self.r = p, N, spec, S, T, r
+        self.entries, self.levels, self.hyp_verdicts = entries, levels, hyp_verdicts
 
     @property
     def n_max(self) -> int:

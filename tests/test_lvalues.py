@@ -526,4 +526,4 @@ def test_class_module_json_roundtrip():
     M = ClassModuleData((3, 9), grp.orders, {0: [[-1, 3], [0, -1]]}, "synthetic")
     payload = {"orders": [3, 9], "group_orders": list(grp.orders),
                "action": {"g0": [[-1, 3], [0, -1]]}, "provenance": "synthetic"}
-    assert ClassModuleData.from_json(payload) == M
+    assert vars(ClassModuleData.from_json(payload)) == vars(M)
