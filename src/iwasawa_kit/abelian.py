@@ -515,21 +515,42 @@ def _crt_lifts(d: int, f: int) -> tuple[tuple[int, int], ...]:
     return tuple((b, crt_lift(b, d, f, f_factors)) for b in unit_residues(d))
 
 
-def dirichlet_character(gal: GaloisData, label) -> DirichletCharacter:
-    """Primitivize the character chi_label of Gal(L/Q) to its own conductor:
-    chi(a) = zeta_e^(sum_i c_i g_i (e / d_i)) for g = element_of(a), e the
-    exponent of the group, on the units of the field's conductor f. Its
-    conductor is the least d | f whose kernel chi kills; its values mod d
-    are read at the CRT lifts to f. Both tables are cached per conductor."""
+@lru_cache(maxsize=None)
+def _unit_logs(gal: GaloisData) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(a, the log base zeta_e of chi_label(a) for every label) for each unit
+    a of the field's conductor, e the exponent of the group: each unit is
+    classified once, and its logs sum_i c_i g_i (e / d_i) over g =
+    element_of(a) run over the labels c in the order of the group's
+    elements (mixed radix, the last coordinate fastest)."""
     grp = gal.group
     e = grp.exponent
-    weights = [c * (e // d) for c, d in zip(label, grp.orders, strict=True)]
+    rows = []
+    for a in _unit_kernels(gal.conductor)[0][1]:
+        logs = [0]
+        for x, d in zip(gal.element_of(a), grp.orders):
+            w = x * (e // d)
+            logs = [(t + c * w) % e for t in logs for c in range(d)]
+        rows.append((a, tuple(logs)))
+    return tuple(rows)
+
+
+def dirichlet_character(gal: GaloisData, label) -> DirichletCharacter:
+    """Primitivize the character chi_label of Gal(L/Q) to its own conductor,
+    its logs on the units of the field's conductor f read from _unit_logs.
+    Its conductor is the least d | f whose kernel chi kills; its values mod d
+    are read at the CRT lifts to f. The kernels and the lifts are cached per
+    conductor, the logs per presentation."""
+    grp = gal.group
+    j = 0
+    for c, d in zip(label, grp.orders, strict=True):
+        j = j * d + c % d
+    log_f = {a: logs[j] for a, logs in _unit_logs(gal)}
     kernels = _unit_kernels(gal.conductor)
-    log_f = {a: sum(w * x for w, x in zip(weights, gal.element_of(a))) % e for a in kernels[0][1]}
     fchi = next(d for d, kernel in kernels if not any(log_f[a] for a in kernel))
     if fchi == 1:
-        return DirichletCharacter(1, e, {})
-    return DirichletCharacter(fchi, e, {b: log_f[a] for b, a in _crt_lifts(fchi, gal.conductor)})
+        return DirichletCharacter(1, grp.exponent, {})
+    logs = {b: log_f[a] for b, a in _crt_lifts(fchi, gal.conductor)}
+    return DirichletCharacter(fchi, grp.exponent, logs)
 
 
 # ---------------------------------------------------------------------------

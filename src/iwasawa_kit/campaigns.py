@@ -12,10 +12,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 import random
 import time
 from fractions import Fraction
-from pathlib import Path
 
 from . import wire
 from .abelian import (
@@ -80,6 +80,8 @@ from .lvalues import (
 from .numutil import unit_residues
 from .oracles import (
     annihilation_oracle,
+    decode,
+    encode,
     enumerate_span,
     ideal_equal_oracle,
     ideal_member_oracle,
@@ -357,13 +359,12 @@ def howell_campaign(seed: int = 0, trials: int = 120) -> CampaignResult:
         brute = enumerate_span(rows, width, q)
         ok = enumerate_span(H, width, q) == brute and span_size(H, q) == len(brute)
         sample = rng.sample(sorted(brute), k=min(3, len(brute)))
-        ok = ok and howell_form([list(v) for v in sample] + rows, width, q) == H
+        ok = ok and howell_form([decode(v, width, q) for v in sample] + rows, width, q) == H
         for _ in range(4):
             x = [rng.randrange(q) for _ in range(width)]
-            ok = ok and in_span(x, H, q) == (tuple(x) in brute)
+            ok = ok and in_span(x, H, q) == (encode(x, q) in brute)
             red = reduce_mod_span(x, H, q)
-            diff = tuple((a - b) % q for a, b in zip(x, red))
-            ok = ok and diff in brute
+            ok = ok and encode([a - b for a, b in zip(x, red)], q) in brute
         yield ok, f"howell mismatch over Z/{p}^{N}"
 
     return run_trials("howell vs brute force", seed, trials, trial)
@@ -752,18 +753,19 @@ def kummer_congruence_campaign(n_max: int = 2, N: int = 3) -> CampaignResult:
 # ---------------------------------------------------------------------------
 # Annihilation / Fitting membership against ingested data (criterion 7).
 
-def load_manifest(data_dir: Path) -> list[dict]:
+def load_manifest(data_dir: str) -> list[dict]:
     """The entries of data_dir/manifest.json and their class data, read under
     the wire rule, each admitted once by lvalues.verify_case: its theta, the
     minus dual presentation of its module and theta^# in the minus algebra.
     An entry off a rule of verify_case is a ValueError naming the entry,
     before any campaign runs."""
     out = []
-    for entry in wire.load(data_dir / "manifest.json", "manifest")["entries"].list():
+    for entry in wire.load(os.path.join(data_dir, "manifest.json"), "manifest")["entries"].list():
         name = entry["data"].str()
         e = {
             "name": name,
-            "module": ClassModuleData.from_json(wire.load(data_dir / name, f"data file {name}")),
+            "module": ClassModuleData.from_json(
+                wire.load(os.path.join(data_dir, name), f"data file {name}")),
             "spec": AbelianFieldSpec.from_json(entry["spec"]),
             "S": [v.place() for v in entry["S"].list()],
             "T": [v.place() for v in entry["T"].list()],
@@ -814,12 +816,12 @@ def run_all(
     max_conductor: int = 24,
     trials: int = 200,
     complex_trials: int = 100,
-    data_dir: Path | None = None,
+    data_dir: str | None = None,
 ) -> list[CampaignResult]:
     # the data is read and checked before the first campaign runs; a named
     # directory without a readable manifest is a SchemaError, an entry off
     # its precondition a ValueError
-    entries = None if data_dir is None else load_manifest(Path(data_dir))
+    entries = None if data_dir is None else load_manifest(data_dir)
     results = [
         exact_arith_campaign(seed),
         fields_campaign(seed),

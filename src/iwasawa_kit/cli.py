@@ -13,7 +13,6 @@ import json
 import os
 import sys
 from functools import lru_cache
-from pathlib import Path
 
 from . import wire
 from .abelian import AbelianFieldSpec, roots_of_unity_rule
@@ -96,7 +95,8 @@ def count(node: wire.Node) -> int:
 
 def emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text + "\n")
+        with open(out, "w") as fh:
+            fh.write(text + "\n")
     print(text, flush=True)  # a closed stdout fails here, inside main
 
 
@@ -268,7 +268,7 @@ def run_selftest(config: wire.Node) -> tuple[dict, int]:
         max_conductor=count(config["max_conductor"]),
         trials=count(config["trials"]),
         complex_trials=count(config["complex_trials"]),
-        data_dir=None if data_dir.value is None else Path(data_dir.value),
+        data_dir=data_dir.value,
     )
     return suites_certificate("selftest", config, "all module property suites", results)
 

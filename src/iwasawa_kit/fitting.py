@@ -687,8 +687,8 @@ def _nakayama_rows(
     algebra: FiniteCommAlgebra, width: int, rows: list[list[int]], base: list[list[int]]
 ) -> list[list[int]]:
     """Rows among `rows`, which span an A-stable Z over Z/p^N (its Howell
-    rows, say), that generate Z modulo the A-stable span `base` (a Howell
-    form, inside Z) as an A-module.
+    rows, say), that generate Z modulo the A-stable B inside Z as an
+    A-module; `base` is any rows spanning B over Z/p^N.
 
     Nakayama: for J inside the Jacobson radical, rows generate Z/B once they
     span it modulo JZ + B. So a row is kept only when it is not in the span
@@ -724,16 +724,18 @@ def subquotient_presentation(
     on the rows of Z that generate it modulo the radical, with the Howell
     rows of their relation module that generate it modulo the radical as
     relations (_nakayama_rows). `z_rows` must span Z and Z must contain B:
-    every caller passes a Howell kernel span, which holds B already."""
+    every caller passes a Howell kernel span, which holds B already.
+    `b_rows` is any rows spanning B (every caller passes a Howell form);
+    both of its readers, _nakayama_rows and preimage_span, form it with
+    the rows they stack it under, so it is not formed alone."""
     q = algebra.q
     width = algebra.dim * ncomp
-    Bh = howell_form([list(r) for r in b_rows], width, q)
-    gens_ambient = [algebra.split(g) for g in _nakayama_rows(algebra, width, z_rows, Bh)]
+    gens_ambient = [algebra.split(g) for g in _nakayama_rows(algebra, width, z_rows, b_rows)]
     t = len(gens_ambient)
 
     # Relations: {u in A^t : sum_k u_k z_k in B}, computed on realizations.
     act_rows = [r for g in gens_ambient for r in algebra.realize(g)]
-    rel_flat = preimage_span(act_rows, Bh, width, q) if t else []
+    rel_flat = preimage_span(act_rows, b_rows, width, q) if t else []
     relations = _nakayama_rows(algebra, algebra.dim * t, rel_flat, [])
     module = FinPresModule(algebra, t, [algebra.split(w) for w in relations])
     return SubquotientData(module, gens_ambient)

@@ -27,39 +27,49 @@ def howell_form(rows: list[list[int]], width: int, q: int) -> list[list[int]]:
     The valuation of an entry x is read as gcd(x, q) = p^v: it orders the
     candidate pivots and gives the shadow multiplier q // p^v. Rows wait in
     one bucket per leading column (only the first `width` entries lead; the
-    rest ride along); the rows that column col reduces, and its shadow, lead
-    after col, so their search starts at col + 1.
+    rest ride along). The pivot of column col is the first row of its bucket
+    of least valuation, found in one scan that stops at the first unit. The
+    other rows and the pivot's shadow (its entry at col is 0 mod q, so it
+    is filed unchanged, after them) are reduced by the pivot and lead after
+    col, so their search starts at col + 1.
     """
     if not rows:
         return []
     buckets: list[list[list[int]]] = [[] for _ in range(width)]
-
-    def file(r: list[int], start: int) -> None:
-        for j in range(start, min(len(r), width)):
+    for r in rows:
+        r = [c % q for c in r]
+        for j in range(min(len(r), width)):
             if r[j]:
                 buckets[j].append(r)
-                return
-
-    for r in rows:
-        file([c % q for c in r], 0)
+                break
     pivots: list[tuple[int, int, list[int]]] = []
     for col in range(width):
         cand = buckets[col]
         if not cand:
             continue
-        piv = min(cand, key=lambda r: gcd(r[col], q))
-        cand.remove(piv)
-        pv = gcd(piv[col], q)
+        best, pv = 0, q
+        for i, r in enumerate(cand):
+            g = gcd(r[col], q)
+            if g < pv:
+                best, pv = i, g
+                if g == 1:
+                    break
+        piv = cand.pop(best)
         u = piv[col] // pv
         if u != 1:
             u_inv = pow(u, -1, q)
             piv = [(c * u_inv) % q for c in piv]
-        for r in cand:
-            f = r[col] // pv  # exact: p^v divides r[col] by pivot choice
-            file([(a - f * b) % q for a, b in zip(r, piv)], col + 1)
         pivots.append((col, pv, piv))
         if pv > 1:
-            file([(q // pv * c) % q for c in piv], col + 1)
+            cand.append([(q // pv * c) % q for c in piv])
+        for r in cand:
+            f = r[col] // pv  # exact: p^v divides r[col] by pivot choice
+            if f:
+                r = [(a - f * b) % q for a, b in zip(r, piv)]
+            for j in range(col + 1, min(len(r), width)):
+                if r[j]:
+                    buckets[j].append(r)
+                    break
     out = [piv for _, _, piv in pivots]
     for i, (col, pv, piv) in enumerate(pivots):
         for j in range(i):

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import re
-from pathlib import Path
 
 PLACE = 'a place ("oo", "inf" or an integer string)'
 # arrays and objects nested inside one another; the deepest kit payload (a
@@ -126,9 +125,11 @@ def parse(text: str, payload: str) -> Node:
 
 def load(path, payload: str) -> Node:
     """The JSON file at path; a file that cannot be read (or is not UTF-8,
-    a ValueError) is a SchemaError, like bad JSON."""
+    a ValueError) is a SchemaError, like bad JSON. An empty path names the
+    working directory, "."."""
     try:
-        text = Path(path).read_text()
+        with open(path or ".") as fh:
+            text = fh.read()
     except (OSError, ValueError) as exc:
         raise SchemaError(f"bad {payload}: {exc}") from exc
     return parse(text, payload)

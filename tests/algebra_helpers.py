@@ -1,8 +1,9 @@
-"""Algebras, ring helpers, the closed-form dual of a finite abelian group
-with an action, the field arithmetic of Q(zeta_n), the character log of
-one group element, the action matrix of one group element on class data,
-a per-test cache of theta's zeta tables and a patcher of every binding of a
-function in the package, which only the tests use."""
+"""Algebras, ring helpers, the vectors a span oracle holds as codes, the
+closed-form dual of a finite abelian group with an action, the field
+arithmetic of Q(zeta_n), the character log of one group element, the action
+matrix of one group element on class data, a per-test cache of theta's zeta
+tables and a patcher of every binding of a function in the package, which
+only the tests use."""
 
 import importlib
 import pkgutil
@@ -15,6 +16,20 @@ from iwasawa_kit.exact import CyclotomicInt
 from iwasawa_kit.fitting import FiniteCommAlgebra, FinPresModule
 from iwasawa_kit.groupring import basis_index
 from iwasawa_kit.lvalues import _mat_identity, _mat_mul, _mat_power
+
+
+def decode_span(codes, width: int, q: int) -> set:
+    """The vectors of (Z/q)^width held by the codes of oracles.enumerate_span:
+    coordinate i in the K bits from bit K*i, K = q.bit_length() + 1, each
+    lane reduced mod q and nothing above the last."""
+    k = q.bit_length() + 1
+    out = set()
+    for code in codes:
+        x = tuple((code >> k * i) % (1 << k) for i in range(width))
+        assert max(x, default=0) < q and code >> k * width == 0, (code, width, q)
+        out.add(x)
+    assert len(out) == len(codes)
+    return out
 
 
 def character_log(tab, label, g) -> int:

@@ -30,6 +30,7 @@ import pytest
 from algebra_helpers import (
     algebra_json,
     contragredient_presentation,
+    decode_span,
     fresh_zeta_tables,
     nilpotent_extension_json,
     patch_every_binding,
@@ -372,7 +373,9 @@ def check_against_reference(alg, ref):
 REFERENCE_ORDERS = [(), (2,), (3,), (2, 2), (2, 9), (2, 27), (4, 4), (3, 3, 3)]
 
 
-SPAN_RINGS = [(2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]  # (p, N)
+# (p, N): q = 2^k - 1 and q = 2^k fill their lanes of q.bit_length() + 1 bits
+# most and least; q = 2 reaches width 6
+SPAN_RINGS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (7, 1), (31, 1)]
 
 
 def random_span_rows(rng, p, N, width):
@@ -395,19 +398,31 @@ def random_span_rows(rng, p, N, width):
 
 
 def test_enumerate_span_matches_reference():
+    """Random rows, with entries below 0 and at or above q, on every ring of
+    SPAN_RINGS; then the whole of (Z/q)^width, where every lane takes every
+    value of Z/q, q - 1 included."""
     rng = random.Random(6)
     cases = 0
     for p, N in SPAN_RINGS:
         q = p**N
-        widths = [w for w in range(1, 6) if q**w <= 3125]
+        widths = [w for w in range(1, 7) if q**w <= 3125]
         for _ in range(48):
             width = rng.choice(widths)
             rows = random_span_rows(rng, p, N, width)
-            assert enumerate_span(rows, width, q) == enumerate_span_reference(rows, width, q)
+            got = decode_span(enumerate_span(rows, width, q), width, q)
+            assert got == enumerate_span_reference(rows, width, q), (q, width, rows)
             cases += 1
-    assert cases >= 200
-    assert enumerate_span([], 3, 9) == {(0, 0, 0)}
-    assert enumerate_span([[3, 0], [6, 0], [0, 0]], 2, 9) == {(3 * k, 0) for k in range(3)}
+        width = widths[-1]
+        rows = [[-1 - q if i == j else q * (i + 1) for i in range(width)] for j in range(width)]
+        whole = enumerate_span(rows, width, q)
+        assert decode_span(whole, width, q) == enumerate_span_reference(rows, width, q)
+        assert len(whole) == q**width
+    assert cases >= 480
+    assert decode_span(enumerate_span([], 3, 9), 3, 9) == {(0, 0, 0)}
+    span = enumerate_span([[3, 0], [6, 0], [0, 0]], 2, 9)
+    assert decode_span(span, 2, 9) == {(3 * k, 0) for k in range(3)}
+    # lanes of 6 bits over Z/16: (15, 1) spans the codes of (-k, k)
+    assert enumerate_span([[-1, 17]], 2, 16) == {(-k % 16) + (k << 6) for k in range(16)}
 
 
 def test_enumerate_span_rejects_a_row_of_the_wrong_width():
@@ -421,7 +436,7 @@ def test_enumerate_ideal_matches_reference_on_the_fitting_campaigns(monkeypatch)
 
     def checked(rows, width, q):
         got = fast(rows, width, q)
-        assert got == enumerate_span_reference(rows, width, q)
+        assert decode_span(got, width, q) == enumerate_span_reference(rows, width, q)
         calls.append(len(got))
         return got
 

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from algebra_helpers import prime_of, val
+from algebra_helpers import decode_span, prime_of, val
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +11,11 @@ from iwasawa_kit.linalg import howell_form, in_span, preimage_span, reduce_mod_s
 from iwasawa_kit.oracles import enumerate_span
 
 RINGS = [4, 8, 9]  # the moduli q = p^N
+
+
+def span_vectors(rows, width, q):
+    """The vectors of the span of rows, by exhaustive closure."""
+    return decode_span(enumerate_span(rows, width, q), width, q)
 
 
 def random_rows(rng, q, nrows, width):
@@ -41,8 +46,8 @@ def test_howell_is_canonical_and_matches_bruteforce():
             # idempotent
             assert howell_form(H, width, q) == H
             # span preserved exactly
-            brute = enumerate_span(rows, width, q)
-            assert enumerate_span(H, width, q) == brute
+            brute = span_vectors(rows, width, q)
+            assert span_vectors(H, width, q) == brute
             assert span_size(H, q) == len(brute)
             # canonical: any generating set of the same span has the same form
             sample = rng.sample(sorted(brute), k=min(3, len(brute)))
@@ -57,7 +62,7 @@ def test_membership_and_reduction():
             width = rng.randint(1, 3)
             rows = random_rows(rng, q, 2, width)
             H = howell_form(rows, width, q)
-            brute = enumerate_span(rows, width, q)
+            brute = span_vectors(rows, width, q)
             for _ in range(10):
                 x = [rng.randrange(q) for _ in range(width)]
                 assert in_span(x, H, q) == (tuple(x) in brute)
@@ -135,7 +140,7 @@ def test_preimage_span():
         target = random_rows(rng, q, 1, 2)
         P = preimage_span(rows, target, 2, q)
         Ht = howell_form(target, 2, q)
-        brute_target = enumerate_span(target, 2, q)
+        brute_target = span_vectors(target, 2, q)
         # each preimage generator lands in the target span
         for y in P:
             img = [sum(y[i] * rows[i][j] for i in range(2)) % q for j in range(2)]
@@ -143,13 +148,13 @@ def test_preimage_span():
         # completeness: brute force over all y
         brute_pre = {
             y
-            for y in enumerate_span([[1, 0], [0, 1]], 2, q)
+            for y in span_vectors([[1, 0], [0, 1]], 2, q)
             if tuple(
                 sum(y[i] * rows[i][j] for i in range(2)) % q for j in range(2)
             )
             in brute_target
         }
-        assert enumerate_span([list(y) for y in P], 2, q) == brute_pre
+        assert span_vectors([list(y) for y in P], 2, q) == brute_pre
 
 
 @given(st.integers(0, 80), st.integers(0, 80), st.integers(0, 80))

@@ -1,7 +1,8 @@
 """The runtime depends on nothing beyond the standard library: every absolute
 import in the package names a standard-library module (or the package). Every
 command is a fresh process, so the CLI also stays clear of the slow-to-import
-`dataclasses` (which pulls in `inspect`, `ast` and `dis`) and `typing`."""
+`dataclasses` (which pulls in `inspect`, `ast` and `dis`), `typing` and
+`pathlib` (which pulls in `urllib.parse` and `ipaddress`)."""
 
 import ast
 import subprocess
@@ -32,11 +33,11 @@ def test_runtime_imports_only_the_standard_library():
     assert outside == []
 
 
-def test_the_cli_imports_no_dataclasses_inspect_or_typing():
+def test_the_cli_imports_no_dataclasses_inspect_typing_or_pathlib():
     # -S: site packages may import typing themselves (a .pth file, say)
     probe = (
         "import sys; sys.path.insert(0, sys.argv[1]); import iwasawa_kit.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'typing'} & sys.modules.keys()))"
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'pathlib'} & sys.modules.keys()))"
     )
     out = subprocess.run(
         [sys.executable, "-I", "-S", "-c", probe, str(SRC.parent)],

@@ -28,7 +28,7 @@ LEDGER = [
     ("fitting_multiplicativity_campaign(2026, 60)",
      lambda: campaigns.fitting_multiplicativity_campaign(2026, 60).ok, (70, 4049)),
     ("complex_campaigns(2026, 20)",
-     lambda: all(r.ok for r in campaigns.complex_campaigns(2026, 20)), (2350, 18998)),
+     lambda: all(r.ok for r in campaigns.complex_campaigns(2026, 20)), (1980, 17866)),
 ]
 
 
