@@ -4,9 +4,11 @@ Fitting ideals.
 A FiniteCommAlgebra is a free Z/p^N-module of rank dim with sparse structure
 constants `terms`; elements are int tuples in the basis. A GroupAlgebra keeps
 only the group law (groupring.mul_table and inversion, shared by every
-algebra over the group) and multiplies along it. Code outside the two
-classes reads an algebra through its operations (mul, sharp_of,
-regular_rows), never through its storage. Every module/ideal question
+algebra over the group) and multiplies by one integer product in the
+group's Kronecker layout (groupring.kronecker_layout, shared by every
+algebra over the group and q). Code outside the two classes reads an
+algebra through its operations (mul, sharp_of, regular_rows), never
+through its storage. Every module/ideal question
 reduces to Howell-form linear algebra over Z/p^N through the regular
 representation. Ideal handles canonicalize through that form, one Howell
 form of width dim per ideal, so ideal equality and membership are exact.
@@ -33,7 +35,7 @@ from functools import cached_property
 
 from . import wire
 from .abelian import FiniteAbelianGroup
-from .groupring import basis_index, inversion, mul_table, push
+from .groupring import basis_index, inversion, kronecker_layout, mul_table, push
 from .linalg import combine, howell_form, in_span, preimage_span, reduce_mod_span, span_size
 from .numutil import is_prime
 
@@ -81,7 +83,7 @@ class FiniteCommAlgebra:
         self.q = q = p**N
         self.dim = len(basis)
         self.basis = list(basis)
-        self.one = tuple(c % q for c in one)
+        self.one = tuple([c % q for c in one])
         self.name = name or f"(Z/{p}^{N})[dim {self.dim}]"
 
     # -- element arithmetic (elements are int tuples of length dim) --------
@@ -93,16 +95,20 @@ class FiniteCommAlgebra:
         return (0,) * i + (1,) + (0,) * (self.dim - 1 - i)
 
     def add(self, x: Vec, y: Vec) -> Vec:
-        return tuple((a + b) % self.q for a, b in zip(x, y))
+        q = self.q
+        return tuple([(a + b) % q for a, b in zip(x, y)])
 
     def sub(self, x: Vec, y: Vec) -> Vec:
-        return tuple((a - b) % self.q for a, b in zip(x, y))
+        q = self.q
+        return tuple([(a - b) % q for a, b in zip(x, y)])
 
     def neg(self, x: Vec) -> Vec:
-        return tuple((-a) % self.q for a in x)
+        q = self.q
+        return tuple([-a % q for a in x])
 
     def scalar(self, c: int, x: Vec) -> Vec:
-        return tuple((c * a) % self.q for a in x)
+        q = self.q
+        return tuple([c * a % q for a in x])
 
     def mul(self, x: Vec, y: Vec) -> Vec:
         out = [0] * self.dim
@@ -241,10 +247,13 @@ class GroupAlgebra(FiniteCommAlgebra):
     the order of groupring.basis_index. The algebra keeps the group law: the
     cached `table` = groupring.mul_table (g_i g_j at [i][j]) and `inversion`
     (g_i^-1 at i), shared by every algebra over A, so a build is O(dim) once
-    the group's table exists. `mul` convolves along the table, `sharp_of`
-    and the rows of the regular representation permute coefficients; no
-    copy of the law in the general algebra's format is kept. `local`: A is
-    a p-group, so the algebra is local (residue F_p)."""
+    the group's table exists. `mul` is one integer product in the layout
+    groupring.kronecker_layout caches per A and q (Kronecker substitution),
+    not a loop along the table; `sharp_of` and the rows of the regular
+    representation permute coefficients along `inversion` and the table,
+    and minus_quotient reads the table. No copy of the law in the general
+    algebra's format is kept. `local`: A is a p-group, so the algebra is
+    local (residue F_p)."""
 
     has_sharp = True
 
@@ -255,17 +264,21 @@ class GroupAlgebra(FiniteCommAlgebra):
         one = (1,) + (0,) * (len(index) - 1)  # the identity is g_0
         self._ring(p, N, index, one, f"(Z/{p}^{N}){group.orders}")
         self.local = p ** self.dim.bit_length() % self.dim == 0  # dim < 2^bits <= p^bits
+        layout = kronecker_layout(group, self.q)
+        self._pack, self._unpack, self._size, self._low, self._folds = layout
         self._translates = [self.table[i] for i in self.inversion]  # row j: g_k g_j^-1 at k
 
     def mul(self, x: Vec, y: Vec) -> Vec:
-        """The convolution: x_i y_j goes to the index of g_i g_j."""
-        out = [0] * self.dim
-        ys = [(j, b) for j, b in enumerate(y) if b]
-        for a, row in zip(x, self.table):
-            if a:
-                for j, b in ys:
-                    out[row[j]] += a * b
-        return tuple([c % self.q for c in out])
+        """The convolution as one integer product: x and y reduced mod q
+        and packed in one pass (groupring.kronecker_layout), multiplied,
+        folded onto the basis lanes, unpacked and reduced once."""
+        q = self.q
+        XY = int.from_bytes(self._pack(*[c % q for c in (*x, *y)]), "little")
+        P = (XY & self._low) * (XY >> 8 * self._size)
+        for mask, shift in self._folds:
+            high = P & mask
+            P = (P ^ high) + (high >> shift)
+        return tuple([c % q for c in self._unpack(P.to_bytes(self._size, "little"))])
 
     def sharp_of(self, x: Vec) -> Vec:
         """x^#: the coefficient at g moves to g^-1."""
@@ -310,7 +323,8 @@ class AlgebraMorphism:
         if len(images) != src.dim:
             raise ValueError("need one image per source basis element")
         self.src, self.dst = src, dst
-        self.images = [tuple(c % dst.q for c in v) for v in images]
+        q = dst.q
+        self.images = [tuple([c % q for c in v]) for v in images]
 
     def apply(self, x: Vec) -> Vec:
         return tuple(combine(x, self.images, self.dst.dim, self.dst.q))
@@ -377,9 +391,15 @@ class GroupAlgebraMorphism(AlgebraMorphism):
 
 def group_algebra_morphism(src: GroupAlgebra, dst: GroupAlgebra, element_map) -> AlgebraMorphism:
     """Pushforward along a group homomorphism (e.g. aug projections), held
-    as one target basis index per source basis element."""
+    as one target basis index per source basis element. An image already in
+    reduced coordinates is looked up as it is; only a miss is reduced."""
     index, reduce = dst.index, dst.group.reduce
-    return GroupAlgebraMorphism(src, dst, [index[reduce(element_map(g))] for g in src.basis])
+    targets = []
+    for g in src.basis:
+        h = element_map(g)
+        k = index.get(h)
+        targets.append(index[reduce(h)] if k is None else k)
+    return GroupAlgebraMorphism(src, dst, targets)
 
 
 # ---------------------------------------------------------------------------
@@ -476,9 +496,8 @@ class FinPresModule:
     def __init__(self, algebra: FiniteCommAlgebra, ngens: int, relations: list[list[Vec]]):
         self.algebra = algebra
         self.ngens = ngens
-        self.relations = [
-            [tuple(c % algebra.q for c in entry) for entry in row] for row in relations
-        ]
+        q = algebra.q
+        self.relations = [[tuple([c % q for c in entry]) for entry in row] for row in relations]
         for row in self.relations:
             if len(row) != ngens:
                 raise ValueError("relation width must equal the generator count")
@@ -596,7 +615,8 @@ class ModuleMap:
         if len(matrix) != src.ngens or any(len(r) != dst.ngens for r in matrix):
             raise ValueError("map matrix shape mismatch")
         self.src, self.dst = src, dst
-        self.matrix = [[tuple(c % src.algebra.q for c in e) for e in r] for r in matrix]
+        q = src.algebra.q
+        self.matrix = [[tuple([c % q for c in e]) for e in r] for r in matrix]
 
     def apply_row(self, row: list[Vec]) -> list[Vec]:
         alg = self.src.algebra

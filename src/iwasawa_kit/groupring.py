@@ -9,16 +9,22 @@ in lowest terms (exact.lowest_terms); the maps below act on nums. This module
 owns that basis: the index map, linear forms over the basis, the product
 table of basis indices, translation by a group element, the # involution
 (g -> g^(-1)), push along a list of basis indices, the convolution
-product and the "g1,g2" JSON keys. Translation and # are permutations of
+product, the Kronecker layout that makes a product in (Z/q)[G] one integer
+product, and the "g1,g2" JSON keys. Translation and # are permutations of
 basis indices and a quotient map is a list of them, each built in mixed radix
 with no group element formed, and cached: the product table and # per
 group, a quotient map per pair of groups, a translation per group and
-element. The maps only move and add coefficients, and reducing mod p^N is
-the caller's step.
+element, the Kronecker layout per group and q. The product table does not
+multiply elements of (Z/p^N)[G] (the layout does): it gives the rows of the
+regular representation (row j of g_k g_j^(-1), through #), the structure
+constants of a minus quotient and the test that two group algebras are the
+same (fitting.same_algebra). The maps only move and add coefficients, and
+reducing mod p^N is the caller's step.
 """
 
 from __future__ import annotations
 
+import struct
 from functools import lru_cache
 
 
@@ -51,6 +57,58 @@ def mul_table(group: "FiniteAbelianGroup") -> tuple[tuple[int, ...], ...]:
                  for a in range(o) for row in table]
         size *= o
     return tuple(table)
+
+
+@lru_cache(maxsize=None)
+def kronecker_layout(group: "FiniteAbelianGroup", q: int) -> tuple:
+    """The layout that turns a product in (Z/q)[G] into one integer product
+    (Kronecker substitution), cached per group and q: (pack, unpack, size,
+    low, folds).
+
+    g_i, with exponents a_j in [0, n_j) over the cyclic orders n_j, goes to
+    lane sum_j a_j S_j, S_last = 1 and S_j = prod_(l>j) (2 n_l - 1). An
+    element with coefficients in [0, q) is `size` bytes, little-endian, lane
+    by lane, pad bytes at the lanes of no basis element. `pack(*x, *y)`
+    gives the bytes of X + Y 2^(8 size) for two elements x and y, so that
+    one pass reduces and converts both factors; `low` = 2^(8 size) - 1
+    masks X. In X Y the lane of exponent sums c_j = a_j + b_j <= 2 n_j - 2
+    holds the sum of x_i y_k over the pairs with those sums; a lane is wide
+    enough for dim (q-1)^2, so none carries into the next. `folds` is one
+    (mask, shift) per cyclic factor of order > 1: the mask selects the
+    lanes with c_j >= n_j and the shift moves them down n_j S_j lanes, onto
+    c_j - n_j (g^(n_j) = 1). Once every factor is folded, the lane of each
+    basis element holds its coefficient of the product, at most
+    dim (q-1)^2, every other lane is zero, and `unpack` reads the `size`
+    bytes back to the dim coefficients. A lane is 1, 2, 4 or 8 bytes, a
+    struct integer code; past that, as many bytes as dim (q-1)^2 needs,
+    each lane converted by itself.
+    """
+    orders, dim = group.orders, group.size
+    width = -(-(dim * (q - 1) ** 2).bit_length() // 8)  # bytes per lane
+    lanes = [0]
+    for o in orders:
+        lanes = [L * (2 * o - 1) + a for L in lanes for a in range(o)]
+    if width <= 8:
+        width = 1 << (width - 1).bit_length()
+    code = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(width, f"{width}s")
+    gaps = [L - prev - 1 for prev, L in zip([-1, *lanes], lanes)]
+    body = "".join(f"{g * width}x{code}" if g else code for g in gaps)
+    one, two = struct.Struct("<" + body), struct.Struct("<" + body * 2)
+    if width <= 8:
+        pack, unpack = two.pack, one.unpack
+    else:  # wider than struct's widest integer: each lane is a bytes field
+        pack = lambda *cs: two.pack(*[c.to_bytes(width, "little") for c in cs])
+        unpack = lambda data: [int.from_bytes(b, "little") for b in one.unpack(data)]
+    nprod = 2 * lanes[-1] + 1  # prod_j (2 n_j - 1), the lanes of a product
+    stride, folds = nprod, []
+    full, empty = b"\xff" * width, bytes(width)
+    for o in orders:
+        r = 2 * o - 1
+        stride //= r
+        if o > 1:
+            high = b"".join(full if L // stride % r >= o else empty for L in range(nprod))
+            folds.append((int.from_bytes(high, "little"), o * stride * 8 * width))
+    return pack, unpack, one.size, (1 << 8 * one.size) - 1, tuple(folds)
 
 
 def _index_map(digits, radices) -> list[int]:

@@ -66,7 +66,7 @@ def aug_project(x: Vec, src: TowerLevelData, target: TowerLevelData, N: int) -> 
     if target.n > src.n:
         raise ValueError(f"cannot project layer {src.n} up to layer {target.n}")
     q, images = src.p**N, groupring.reduction(src.group, target.group)
-    return tuple(c % q for c in groupring.push(x, images, target.group.size))
+    return tuple([c % q for c in groupring.push(x, images, target.group.size)])
 
 
 def twist(x: Vec, r: int, level: TowerLevelData, N: int) -> Vec:
@@ -81,7 +81,7 @@ def twist(x: Vec, r: int, level: TowerLevelData, N: int) -> Vec:
     if r == 0:
         return x
     q = level.p**N
-    return tuple(c * u % q for c, u in zip(x, _twist_factors(level, r, q)))
+    return tuple([c * u % q for c, u in zip(x, _twist_factors(level, r, q))])
 
 
 @lru_cache(maxsize=None)
@@ -256,8 +256,8 @@ def twist_congruence_check(t_r: TowerElement, t_0: TowerElement) -> tuple[bool, 
     for n in range(t_r.n_max + 1):
         ne = min(t_r.N, t_0.N, n + 1)
         q = t_r.p**ne
-        lhs = tuple(c % q for c in t_r.entries[n])
-        rhs = twist(tuple(c % q for c in t_0.entries[n]), t_r.r, t_r.levels[n], ne)
+        lhs = tuple([c % q for c in t_r.entries[n]])
+        rhs = twist(tuple([c % q for c in t_0.entries[n]]), t_r.r, t_r.levels[n], ne)
         if lhs != rhs:
             return False, n
     return True, None
@@ -273,4 +273,4 @@ def parity_projector_annihilates(t: TowerElement, n: int) -> bool:
     jx = groupring.translate(x, t.levels[n].group, cm.j + (0,))
     sign = 1 if t.r % 2 == 0 else -1
     q = t.p**t.N
-    return all((a + sign * b) % q == 0 for a, b in zip(x, jx))
+    return not any([(a + sign * b) % q for a, b in zip(x, jx)])

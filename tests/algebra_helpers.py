@@ -1,9 +1,9 @@
-"""Algebras, ring helpers, the vectors a span oracle holds as codes, the
-closed-form dual of a finite abelian group with an action, the field
-arithmetic of Q(zeta_n), the character log of one group element, the action
-matrix of one group element on class data, a per-test cache of theta's zeta
-tables and a patcher of every binding of a function in the package, which
-only the tests use."""
+"""Algebras, the double-loop product of a group algebra, ring helpers, the
+vectors a span oracle holds as codes, the closed-form dual of a finite
+abelian group with an action, the field arithmetic of Q(zeta_n), the
+character log of one group element, the action matrix of one group element
+on class data, a per-test cache of theta's zeta tables and a patcher of
+every binding of a function in the package, which only the tests use."""
 
 import importlib
 import pkgutil
@@ -149,6 +149,18 @@ def algebra_json(alg: FiniteCommAlgebra) -> dict:
         "sharp": [list(alg.sharp_of(x)) for x in basis] if alg.has_sharp else None,
         "name": alg.name,
     }
+
+
+def convolution(alg, x, y) -> tuple:
+    """The product of a fitting.GroupAlgebra by the double loop along its
+    product table: x_i y_j goes to the index of g_i g_j, reduced once."""
+    out = [0] * alg.dim
+    ys = [(j, b) for j, b in enumerate(y) if b]
+    for a, row in zip(x, alg.table):
+        if a:
+            for j, b in ys:
+                out[row[j]] += a * b
+    return tuple([c % alg.q for c in out])
 
 
 def prime_of(q: int) -> int:
