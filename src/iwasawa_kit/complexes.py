@@ -14,8 +14,8 @@ on (d^(i-1), d^i), and the exactness of a short exact sequence at each C_k^i.
 A complex is zero outside its degrees lo..hi: `module_at` is the zero module
 and `differential_at` the zero map there, so cohomology, chain maps, cones and
 exact sequences run one path in every degree. A chain map's level i is the
-given map, else the zero map when src^i or dst^i has no generators; a level
-missing between two modules with generators raises ValueError.
+given map, else the zero map, which `ChainMap.validate` checks like any
+other level.
 """
 
 from __future__ import annotations
@@ -57,11 +57,8 @@ class BoundedComplex:
         self.modules = modules
         self.differentials = []
         for i, d in enumerate(differentials):
-            if len(d.matrix) != modules[i].ngens or (
-                d.matrix and len(d.matrix[0]) != modules[i + 1].ngens
-            ):
-                raise ValueError(f"differential {i} does not connect its terms")
-            # re-anchor onto the listed modules so relation data is consistent
+            # re-anchor onto the listed modules so relation data is consistent;
+            # ModuleMap refuses a matrix of another shape
             d = ModuleMap(modules[i], modules[i + 1], d.matrix)
             if not d.is_well_defined():
                 raise ValueError(f"differential in degree {lo + i} is not well defined")
@@ -167,14 +164,10 @@ class ChainMap:
         self.src, self.dst, self.maps = src, dst, maps
 
     def at(self, i: int) -> ModuleMap:
-        """Level i: the given map, else the zero map when src^i or dst^i has
-        no generators; a missing level between generators raises."""
+        """Level i: the given map, else the zero map."""
         if i in self.maps:
             return self.maps[i]
-        M, N = self.src.module_at(i), self.dst.module_at(i)
-        if M.ngens and N.ngens:
-            raise ValueError(f"chain map misses level {i}")
-        return zero_map(M, N)
+        return zero_map(self.src.module_at(i), self.dst.module_at(i))
 
     def validate(self) -> None:
         for i, f in self.maps.items():

@@ -22,8 +22,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .numutil import is_prime
-
 
 # ---------------------------------------------------------------------------
 # Rational wire format: "num/den", den omitted when 1.
@@ -35,11 +33,10 @@ def rat_to_str(num: int, den: int = 1) -> str:
 
 
 def lowest_terms(nums, den: int) -> tuple[tuple[int, ...], int]:
-    """Integer numerators over one denominator, divided by their gcd with
+    """Integer numerators over one nonzero denominator (every caller's is a
+    positive lcm or product of denominators), divided by their gcd with
     den > 0 (zero has den 1). Numerators already in lowest terms are
     returned as a tuple with no division pass."""
-    if den == 0:
-        raise ZeroDivisionError("denominator 0")
     g = math.gcd(den, *nums) * (-1 if den < 0 else 1)
     if g == 1:
         return tuple(nums), den
@@ -53,9 +50,8 @@ _BERNOULLI_NUMBERS = [Fraction(1)]
 
 
 def bernoulli_number(k: int) -> Fraction:
-    """B_k with B_1 = -1/2, from sum_{j=0}^{m} C(m+1, j) B_j = 0 (m >= 1)."""
-    if k < 0:
-        raise ValueError(f"bernoulli_number expects k >= 0, got {k}")
+    """B_k for k >= 0, with B_1 = -1/2, from sum_{j=0}^{m} C(m+1, j) B_j = 0
+    (m >= 1)."""
     nums = _BERNOULLI_NUMBERS
     while len(nums) <= k:
         m = len(nums)
@@ -66,10 +62,9 @@ def bernoulli_number(k: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def bernoulli_polynomial(k: int) -> tuple[Fraction, ...]:
-    """Coefficients (c_0, ..., c_k) of B_k(x), lowest degree first:
+    """Coefficients (c_0, ..., c_k) of B_k(x), k >= 0 (k = 1 - r >= 1 for
+    theta, whose r <= 0 is admitted), lowest degree first:
     B_k(x) = sum_j C(k, j) B_j x^(k-j), so c_i = C(k, i) B_(k-i)."""
-    if k < 0:
-        raise ValueError(f"bernoulli_polynomial expects k >= 0, got {k}")
     return tuple(math.comb(k, i) * bernoulli_number(k - i) for i in range(k + 1))
 
 
@@ -85,24 +80,20 @@ def poly_eval(coeffs: tuple[Fraction, ...], x: Fraction) -> Fraction:
 
 def padic_from_rational(x: tuple[tuple[int, ...], int], p: int, N: int) -> tuple[int, ...]:
     """Reduce a p-integral element (nums, den) of Q[G], in lowest terms, mod
-    p^N with one inverse of den; raises ValueError if p divides den."""
+    p^N with one inverse of den (pow raises ValueError if p divides den;
+    both callers check p-integrality first)."""
     nums, den = x
-    if den % p == 0:
-        raise ValueError(f"denominator {den} is not prime to {p}")
     q = p**N
     inv = pow(den, -1, q)
     return tuple([c * inv % q for c in nums])
 
 
 def teichmuller(a: int, p: int, N: int) -> int:
-    """The Teichmuller representative w(a) mod p^N: the unique (p-1)-st root of
+    """The Teichmuller representative w(a) mod p^N, for an odd prime p (as
+    tower_preconditions admits) and a prime to p: the unique (p-1)-st root of
     unity congruent to a mod p.  Computed by iterating x -> x^p to its fixed
     point (equivalently a^(p^(N-1)) mod p^N).
     """
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"teichmuller needs an odd prime, got {p}")
-    if a % p == 0:
-        raise ValueError(f"teichmuller needs p coprime to a, got a={a}, p={p}")
     q = p**N
     x = a % q
     while True:
@@ -117,9 +108,7 @@ def teichmuller(a: int, p: int, N: int) -> int:
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_n(x), lowest degree first (monic)."""
-    if n < 1:
-        raise ValueError(f"cyclotomic_polynomial expects n >= 1, got {n}")
+    """Integer coefficients of Phi_n(x), n >= 1, lowest degree first (monic)."""
     # (x^n - 1) / prod_{d | n, d < n} Phi_d(x), exact synthetic division.
     poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):

@@ -123,8 +123,7 @@ class FiniteCommAlgebra:
         return tuple(c % self.q for c in out)
 
     def sharp_of(self, x: Vec) -> Vec:
-        if not self.has_sharp:
-            raise ValueError(f"{self.name} carries no # involution")
+        """x^#, over an algebra given its # (every caller's is)."""
         return tuple(combine(x, self.sharp_images, self.dim, self.q))
 
     def regular_rows(self, x: Vec) -> list[list[int]]:
@@ -317,11 +316,10 @@ class GroupAlgebra(FiniteCommAlgebra):
 
 
 class AlgebraMorphism:
-    """Algebra homomorphism given on the source basis."""
+    """Algebra homomorphism given on the source basis: one image per basis
+    element."""
 
     def __init__(self, src: FiniteCommAlgebra, dst: FiniteCommAlgebra, images: list[Vec]):
-        if len(images) != src.dim:
-            raise ValueError("need one image per source basis element")
         self.src, self.dst = src, dst
         q = dst.q
         self.images = [tuple([c % q for c in v]) for v in images]
@@ -344,22 +342,19 @@ class AlgebraMorphism:
 
 
 def minus_quotient(alg: GroupAlgebra, j) -> tuple[FiniteCommAlgebra, AlgebraMorphism]:
-    """(Z/p^N)[A]/(1+j): basis = one representative per {g, jg} pair, with
-    jg = -g in the quotient, so basis_a * basis_b is the one term
+    """(Z/p^N)[A]/(1+j) for j of exact order 2 (complex conjugation, or an
+    involution every caller checks): basis = one representative per {g, jg}
+    pair, with jg = -g in the quotient, so basis_a * basis_b is the one term
     (representative of g_a g_b, +-1 mod q). Returns the quotient and the
     projection map.
     """
     group = alg.group
     j = group.reduce(j)
-    if j == group.identity or group.mul(j, j) != group.identity:
-        raise ValueError("complex conjugation must have exact order 2")
     index, q, table = alg.index, alg.q, alg.table
     reps: list[int] = []  # basis indices of the representatives
     partner: dict[int, tuple[int, int]] = {}  # basis index -> (rep, +-1 mod q)
     for i, ij in enumerate(table[index[j]]):
         if i not in partner:
-            if i == ij:
-                raise ValueError("j fixes a group element; |A| must be even")
             partner[i] = (len(reps), 1)
             partner[ij] = (len(reps), q - 1)
             reps.append(i)
@@ -456,8 +451,7 @@ class IdealHandle:
         return tuple(reduce_mod_span(list(x), self.howell, self.algebra.q))
 
     def contains(self, other: "IdealHandle") -> bool:
-        if not same_algebra(self.algebra, other.algebra):
-            raise ValueError(f"ideals over {self.algebra.name} and {other.algebra.name} do not compare")
+        """Whether other, an ideal over the same algebra, lies inside."""
         h, k = self._spans_with(other)
         return all(in_span(r, h, self.algebra.q) for r in k)
 
@@ -533,8 +527,7 @@ class FinPresModule:
         return IdealHandle(self.algebra, minors)
 
     def direct_sum(self, other: "FinPresModule") -> "FinPresModule":
-        if not same_algebra(self.algebra, other.algebra):
-            raise ValueError("direct sum needs a common algebra")
+        """self (+) other, both over self's algebra."""
         z1 = [self.algebra.zero()] * other.ngens
         z0 = [self.algebra.zero()] * self.ngens
         rels = [row + z1 for row in self.relations]
@@ -587,12 +580,10 @@ def quadratic_presentation_certificate(
     equivalently, p^N times each basis vector lies in the row span of the
     entrywise lift at one more digit of precision. Modules presented by a
     certified matrix have projective dimension at most one upstairs (the
-    hypothesis of the duality and four-term lemmas)."""
+    hypothesis of the duality and four-term lemmas). Every caller passes a
+    square h of a square presentation and alg_lifted, the group algebra of
+    alg at precision N + 1."""
     n = len(h)
-    if n == 0 or any(len(row) != n for row in h):
-        raise ValueError("certificate needs a square matrix")
-    if alg_lifted.dim != alg.dim or alg_lifted.N != alg.N + 1 or alg_lifted.p != alg.p:
-        raise ValueError("certificate needs the same algebra at precision N+1")
     q = alg_lifted.q
     width = alg_lifted.dim * n
     H = howell_form([r for row in h for r in alg_lifted.realize(row)], width, q)
@@ -767,11 +758,8 @@ def subquotient_presentation(
 def dual_presentation(M: FinPresModule) -> FinPresModule:
     """Transpose-sharp presentation h^(T,#): for (the reduction of) a
     quadratic presentation by an injective matrix this presents both the
-    Pontryagin dual and E^1(M). Rejects non-square or zero-determinant input."""
-    if not M.has_square_regular_presentation():
-        raise ValueError(
-            "dual_presentation needs a square presentation with nonzero determinant"
-        )
+    Pontryagin dual and E^1(M). M is square with nonzero determinant
+    (has_square_regular_presentation), as every caller draws it."""
     alg = M.algebra
     n = M.ngens
     rels = [[alg.sharp_of(M.relations[c][r]) for c in range(n)] for r in range(n)]
@@ -792,8 +780,6 @@ def pontryagin_dual(M: FinPresModule) -> FinPresModule:
     GroupAlgebra, whose tau is not known to be nondegenerate.
     """
     alg = M.algebra
-    if not alg.has_sharp:
-        raise ValueError("pontryagin dual needs the # involution")
     if not isinstance(alg, GroupAlgebra):
         raise ValueError(f"pontryagin dual needs a group algebra, not {alg.name}")
     n, rels = M.ngens, M.relations
@@ -835,7 +821,8 @@ def four_term_check(
     gamma: ModuleMap,
 ) -> bool:
     """Fitt(M^dual)^# Fitt(C') = Fitt(C) Fitt(M') for an exact sequence
-    0 -> M -> C -> C' -> M' -> 0 with C, C' of square regular presentation.
+    0 -> M -> C -> C' -> M' -> 0 with C, C' of square regular presentation
+    (every caller draws them certified).
 
     Precondition: the algebra is a GroupAlgebra, as pontryagin_dual needs;
     over any other algebra the dual raises ValueError once the exactness
@@ -847,8 +834,6 @@ def four_term_check(
     for f in (alpha, beta, gamma):
         if not f.is_well_defined():
             raise ValueError("a supplied map is not well defined")
-    if not (C.has_square_regular_presentation() and Cp.has_square_regular_presentation()):
-        raise ValueError("C and C' need square regular presentations")
     for name, size in zip(("M", "C", "C'", "M'"), homology_sizes([alpha, beta, gamma])):
         if size != 1:
             raise ValueError(f"sequence is not exact at {name}")
@@ -864,14 +849,9 @@ def tower_fitting_check(
     the image of Fitt(A_{n+1}) under the algebra projection must be contained
     in Fitt(A_n); equality is reported separately.
 
-    `projections[n]` maps level n+1's algebra onto level n's.
+    `projections[n]` maps level n+1's algebra onto level n's: every caller
+    builds the modules on the algebras its projections join.
     """
-    if len(projections) != len(modules) - 1:
-        raise ValueError("need one projection per adjacent pair")
-    for n, phi in enumerate(projections):
-        if not (same_algebra(phi.src, modules[n + 1].algebra)
-                and same_algebra(phi.dst, modules[n].algebra)):
-            raise ValueError(f"projections[{n}] must map level {n + 1}'s algebra to level {n}'s")
     contained, equal = [], []
     for n in range(len(modules) - 1):
         upper = modules[n + 1].fitting_ideal.map_through(projections[n])

@@ -25,6 +25,7 @@ reducing mod p^N is the caller's step.
 from __future__ import annotations
 
 import struct
+from collections.abc import Callable
 from functools import lru_cache
 
 

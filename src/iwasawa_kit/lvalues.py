@@ -382,7 +382,7 @@ class ClassModuleData:
     def from_json(cls, obj) -> "ClassModuleData":
         """Parse class data under the wire rule; an action key other than
         g<index> is a wire.SchemaError too, an ill-defined action (a wrong
-        matrix size included) ValueError."""
+        matrix size, or a key naming no generator, included) ValueError."""
         data = wire.node(obj, "class data")
         action = {}
         for key, mat in data["action"].items():
@@ -391,10 +391,10 @@ class ClassModuleData:
             action[key] = [list(row.ints()) for row in mat.list()]
         orders, group_orders = data["orders"].ints(), data["group_orders"].ints()
         provenance = data.get("provenance", "").str()
+        # a key naming no generator stays a string, which __init__ refuses
         generators = {f"g{t}": t for t in range(len(group_orders))}
-        if not action.keys() <= generators.keys():
-            raise ValueError("need one action matrix per group generator")
-        return cls(orders, group_orders, {generators[k]: A for k, A in action.items()}, provenance)
+        return cls(orders, group_orders, {generators.get(k, k): A for k, A in action.items()},
+                   provenance)
 
 
 def verify_case(

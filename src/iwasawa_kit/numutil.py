@@ -40,8 +40,6 @@ def is_prime(n: int) -> bool:
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: e} of n >= 1."""
-    if n < 1:
-        raise ValueError(f"factorize expects n >= 1, got {n}")
     out: dict[int, int] = {}
     d = 2
     while d * d <= n:
@@ -70,12 +68,10 @@ def euler_phi(n: int) -> int:
 
 
 def crt(residues: list[int], moduli: list[int]) -> int:
-    """x mod prod(moduli) with x = residues[i] mod moduli[i] (moduli coprime)."""
+    """x mod prod(moduli) with x = residues[i] mod moduli[i]; the moduli are
+    pairwise coprime (powers of distinct primes, or q and its cofactor)."""
     x, m = 0, 1
     for r, q in zip(residues, moduli):
-        g = math.gcd(m, q)
-        if g != 1:
-            raise ValueError("crt moduli must be pairwise coprime")
         # x' = x + m*t with x + m*t = r mod q
         t = ((r - x) * pow(m, -1, q)) % q
         x += m * t
@@ -99,14 +95,7 @@ def crt_lift(a: int, f: int, m: int, m_factors: dict[int, int] | None = None) ->
 
 
 def primitive_root(q: int) -> int:
-    """Smallest primitive root modulo q = p^e (p odd prime) or q in {1, 2, 4}."""
-    if q in (1, 2):
-        return 1
-    if q == 4:
-        return 3
-    fac = factorize(q)
-    if len(fac) != 1 or 2 in fac:
-        raise ValueError(f"{q} has no primitive root (need an odd prime power)")
+    """Smallest primitive root modulo q = p^e, p an odd prime."""
     phi = euler_phi(q)
     prime_divs = list(factorize(phi))
     for g in range(2, q):

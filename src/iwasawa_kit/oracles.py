@@ -37,16 +37,15 @@ def decode(code: int, width: int, q: int) -> list[int]:
 
 
 def enumerate_span(rows: list[list[int]], width: int, q: int) -> set[int]:
-    """The codes of all Z/q-combinations of the rows, by exhaustive closure
-    over cosets. In a lane x_i + s_i < 2q <= 2^K carries nothing out, and
-    adding 2^(K-1) - q sets the lane's top bit exactly when x_i + s_i >= q."""
+    """The codes of all Z/q-combinations of the rows (each of length width),
+    by exhaustive closure over cosets. In a lane x_i + s_i < 2q <= 2^K
+    carries nothing out, and adding 2^(K-1) - q sets the lane's top bit
+    exactly when x_i + s_i >= q."""
     top = q.bit_length()
     ones = sum(1 << (top + 1) * i for i in range(width))
     high, lift = ones << top, ones * ((1 << top) - q)
     span = {0}
     for r in rows:
-        if len(r) != width:
-            raise ValueError(f"row of length {len(r)} in a span of width {width}")
         r = encode(r, q)
         if r in span:
             continue

@@ -44,10 +44,6 @@ from .lvalues import is_p_integral, theta_places, theta_value
 from .numutil import is_prime
 
 
-class PrecisionBudgetError(ValueError):
-    """Twist requested beyond the p^(n+1) range where chi_cyc descends."""
-
-
 class TowerIntegralityError(ValueError):
     def __init__(self, layer: int, message: str):
         super().__init__(f"layer {layer}: {message}")
@@ -60,11 +56,8 @@ def tower_level(spec: AbelianFieldSpec, p: int, n: int) -> TowerLevelData:
 
 
 def aug_project(x: Vec, src: TowerLevelData, target: TowerLevelData, N: int) -> Vec:
-    """Pushforward mod p^N along G_m -> G_n, (g, k) -> (g, k mod p^n)."""
-    if src.p != target.p or src.base_spec != target.base_spec:
-        raise ValueError("aug projection needs levels of one tower")
-    if target.n > src.n:
-        raise ValueError(f"cannot project layer {src.n} up to layer {target.n}")
+    """Pushforward mod p^N along G_m -> G_n, (g, k) -> (g, k mod p^n), for
+    levels m >= n of one tower."""
     q, images = src.p**N, groupring.reduction(src.group, target.group)
     return tuple([c % q for c in groupring.push(x, images, target.group.size)])
 
@@ -72,12 +65,8 @@ def aug_project(x: Vec, src: TowerLevelData, target: TowerLevelData, N: int) -> 
 def twist(x: Vec, r: int, level: TowerLevelData, N: int) -> Vec:
     """t_cyc^r mod p^N at finite level: g -> chi_cyc(g)^r g. Requires N <= n+1
     (the exact range where u^(r p^n) = 1 mod p^N, u = chi_cyc(gamma) = 1+p,
-    makes this well defined on G_n) and a level where chi_cyc descends
-    (zeta_p in the base field)."""
-    if N > level.n + 1:
-        raise PrecisionBudgetError(
-            f"twist needs N <= n+1, got N={N} at layer n={level.n}"
-        )
+    makes this well defined on G_n; twist_congruence_check twists at
+    min(N, n+1)) and a level where chi_cyc descends (chi_cyc_descends)."""
     if r == 0:
         return x
     q = level.p**N
@@ -87,7 +76,7 @@ def twist(x: Vec, r: int, level: TowerLevelData, N: int) -> Vec:
 @lru_cache(maxsize=None)
 def _twist_factors(level: TowerLevelData, r: int, q: int) -> tuple[int, ...]:
     """chi_cyc(g)^r mod q for each g in the basis order, once per (level, r, q)."""
-    return tuple(pow(level.chi_cyc_of(g), r, q) for g in level.group.elements())
+    return tuple(pow(level.chi_cyc[g], r, q) for g in level.group.elements())
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +158,9 @@ def tower_preconditions(
     built: p an odd prime; N >= 1 and n_max >= 0; v_p(modulus) <= 1, so that
     L and the tower are linearly disjoint (abelian.layer); r and the places
     fit theta on the base field (lvalues.theta_places); p in S, as the one
-    prime that ramifies up the tower. Returns the finite primes of S and T."""
+    prime that ramifies up the tower; at r != 0, zeta_p in the base field
+    (chi_cyc_descends), since the Kummer congruence twists by the cyclotomic
+    character. Returns the finite primes of S and T."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"theta_tower needs an odd prime, got {p}")
     if N < 1 or n_max < 0:
@@ -183,7 +174,18 @@ def tower_preconditions(
     s_fin, t_fin = theta_places(spec, S, T, r)
     if p not in s_fin:
         raise ValueError(f"S must contain p = {p} (it ramifies in the tower)")
+    if r != 0 and not chi_cyc_descends(spec, p):
+        raise ValueError(f"the congruence at r = {r} twists by the cyclotomic character, "
+                         f"which needs zeta_{p} in the base field")
     return s_fin, t_fin
+
+
+def chi_cyc_descends(spec: AbelianFieldSpec, p: int) -> bool:
+    """Whether zeta_p lies in L: p divides the modulus and every h of the
+    fixing subgroup is 1 mod p. Then, and only then, the cyclotomic
+    character descends to every layer (TowerLevelData.has_chi_cyc), so a
+    twist away from r = 0 is defined."""
+    return spec.modulus % p == 0 and all(h % p == 1 for h in spec.fixing)
 
 
 def tower_hyp(spec: AbelianFieldSpec, p: int, t_fin, strict_hyp: bool) -> bool:
@@ -246,13 +248,9 @@ def coherence_check(t: TowerElement) -> tuple[bool, int | None]:
 
 def twist_congruence_check(t_r: TowerElement, t_0: TowerElement) -> tuple[bool, int | None]:
     """Equivariant Kummer congruence: Theta(L_n, r) = twist(Theta(L_n, 0), r)
-    mod p^min(N, n+1) at every level (exact at that precision)."""
-    if (t_r.p, t_r.spec, t_r.S, t_r.T) != (t_0.p, t_0.spec, t_0.S, t_0.T):
-        raise ValueError("towers must share (spec, S, T, p)")
-    if t_0.r != 0:
-        raise ValueError("the reference tower must be at r = 0")
-    if t_r.n_max != t_0.n_max:
-        raise ValueError("towers must have the same number of levels")
+    mod p^min(N, n+1) at every level (exact at that precision). t_0 is the
+    tower of t_r's spec, S, T, p and levels at r = 0, as every caller builds
+    it."""
     for n in range(t_r.n_max + 1):
         ne = min(t_r.N, t_0.N, n + 1)
         q = t_r.p**ne
@@ -265,10 +263,9 @@ def twist_congruence_check(t_r: TowerElement, t_0: TowerElement) -> tuple[bool, 
 
 def parity_projector_annihilates(t: TowerElement, n: int) -> bool:
     """(1 + (-1)^r j) kills the level-n entry (minus-part consistency for the
-    CM corpus); j is complex conjugation lifted to G_n."""
+    CM corpus: every caller's base field is CM); j is complex conjugation
+    lifted to G_n."""
     cm = cm_data(t.spec)
-    if cm is None:
-        raise ValueError("parity check needs a CM base field")
     x = t.entries[n]
     jx = groupring.translate(x, t.levels[n].group, cm.j + (0,))
     sign = 1 if t.r % 2 == 0 else -1

@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from iwasawa_kit.cli import EXIT_IO, EXIT_PRECONDITION
+from iwasawa_kit.numutil import PSI_13
 from iwasawa_kit.wire import PLACE
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -183,6 +184,7 @@ def tower_refusals(tmp: Path) -> dict:
              "bad tower file: N: expected a JSON integer, got True"),
             ("string-level-n", ("levels", 1, "n"), "1", {},
              "bad tower file: levels[1].n: expected a JSON integer, got '1'"),
+            ("level-label", ("levels", 1, "n"), 5, {}, "bad tower file: level 1 is labelled n = 5"),
             ("float-r", ("meta", "r"), -1.5, {},
              "bad tower file: meta.r: expected a JSON integer, got -1.5"),
             ("int-hyp", ("meta", "hyp", 0), 1, {},
@@ -207,8 +209,8 @@ def tower_refusals(tmp: Path) -> dict:
     z3_file = write(tmp / "replay_z3.json", z3_tower)
     # command lines that differ from the file and are admissible: the header
     # comparison names every field that differs
-    for flags, fields in (({"p": "5", "S": "3,5,oo"}, "S, p"), ({"N": "1"}, "N"),
-                          ({"spec": "Q"}, "spec"), ({"S": "3,5,oo"}, "S"), ({"T": "5"}, "T"),
+    for flags, fields in (({"p": "5", "S": "3,5,oo", "r": "0"}, "S, p, r"), ({"N": "1"}, "N"),
+                          ({"spec": "zeta6"}, "spec"), ({"S": "3,5,oo"}, "S"), ({"T": "5"}, "T"),
                           ({"r": "-2"}, "r"), ({"levels": "1"}, "levels")):
         cases[f"tower-replay-differs-in-{'-'.join(flags)}"] = (
             EXIT_IO, f"tower file does not match the command line in {fields}",
@@ -221,6 +223,14 @@ def tower_refusals(tmp: Path) -> dict:
             ("S", "3,7,oo", "S and T meet at [7]")):
         cases[f"tower-replay-other-{flag}"] = (
             EXIT_PRECONDITION, message, z3_replay(z3_file, **{flag: value}))
+    # the file's r = -1 twists by the cyclotomic character: a command line
+    # whose base field lacks zeta_p breaks the twist rule, whatever it shares
+    # with the file
+    for name, flags in (("p-S", {"p": "5", "S": "3,5,oo"}), ("spec-Q", {"spec": "Q"})):
+        cases[f"tower-replay-other-{name}"] = (
+            EXIT_PRECONDITION, "the congruence at r = -1 twists by the cyclotomic character, "
+                               f"which needs zeta_{flags.get('p', 3)} in the base field",
+            z3_replay(z3_file, **flags))
     # the file at r = 0, where no reference tower is built beside the replay,
     # its places breaking each rule of PLACE_RULES, and the command line to match
     for rule, (S, T, message) in PLACE_RULES.items():
@@ -265,13 +275,32 @@ def tower_refusals(tmp: Path) -> dict:
     cases |= {
         "tower-N-past-int-str-limit": (
             EXIT_PRECONDITION,
-            f"Exceeds the limit ({sys.get_int_max_str_digits()} digits) for integer string",
+            f"Exceeds the limit ({sys.get_int_max_str_digits()}",
             ("tower", "--spec", "zeta3", "--S", "3,oo", "--T", "7", "--p", "3", "--N", "10000",
              "--levels", "1")),
         "tower-nonintegral-layer": (
             EXIT_PRECONDITION, "layer 0: theta has a coefficient denominator divisible by 5",
             ("tower", "--spec", "zeta5", "--S", "5,oo", "--r", "0", "--p", "5", "--N", "2",
              "--levels", "1")),
+        "tower-p-not-prime": (
+            EXIT_PRECONDITION, "theta_tower needs an odd prime, got 9",
+            ("tower", "--spec", "zeta3", "--S", "3,oo", "--T", "7", "--p", "9", "--N", "2",
+             "--levels", "1")),
+        "tower-N-zero": (
+            EXIT_PRECONDITION, "need N >= 1 and n_max >= 0",
+            ("tower", "--spec", "zeta3", "--S", "3,oo", "--T", "7", "--p", "3", "--N", "0",
+             "--levels", "1")),
+        "tower-levels-negative": (
+            EXIT_PRECONDITION, "need N >= 1 and n_max >= 0",
+            ("tower", "--spec", "zeta3", "--S", "3,oo", "--T", "7", "--p", "3", "--N", "1",
+             "--levels", "-1")),
+        # zeta_3 is not in Q(zeta_7): the twist at r = -1 is refused before
+        # any level is built
+        "tower-twist-without-zeta-p": (
+            EXIT_PRECONDITION, "the congruence at r = -1 twists by the cyclotomic character, "
+                               "which needs zeta_3 in the base field",
+            ("tower", "--spec", "zeta7", "--S", "3,7,oo", "--T", "2", "--r", "-1", "--p", "3",
+             "--N", "1", "--levels", "0")),
         "tower-precision-budget": (
             EXIT_PRECONDITION, "precision budget: the congruence at modulus p^3 needs levels "
                                "up to n >= 2, got n_max = 1",
@@ -311,6 +340,10 @@ def recheck_refusals(tmp: Path) -> dict:
              bad + "input.strict_hyp: expected a JSON boolean, got 'no'"),
             ("negative-trials", fitting, [(("input", "trials"), -1)], EXIT_PRECONDITION,
              bad + "input.trials: expected a non-negative integer, got -1"),
+            ("unknown-command", theta, [(("command",), "nosuch")], EXIT_IO,
+             "unknown command 'nosuch' in certificate"),
+            ("spec-modulus-zero", theta, [(("input", "spec", "modulus"), 0)], EXIT_IO,
+             "bad spec in configuration: modulus must be >= 1, got 0"),
             ("selftest-data-dir-list", theta, [(("command",), "selftest"),
                                                (("input",), {**selftest, "data_dir": []})],
              EXIT_IO, bad + "input.data_dir: expected a string, got []"),
@@ -338,6 +371,14 @@ def complex_refusals(tmp: Path) -> dict:
     z9 = read(FIXTURES / "complex_z9.json")
     entry, one_module = ("differentials", 0, 0, 0), [{"ngens": 1, "relations": []}]
     int_ = "expected a JSON integer, got"
+
+    def algebra(mult, sharp=None):
+        """An algebra over Z/9 on the basis 1, x, ... with unit 1 and the
+        products mult."""
+        dim = len(mult)
+        return {"p": 3, "N": 2, "basis": ["1", "x", "y"][:dim], "mult": mult,
+                "one": [1] + [0] * (dim - 1), "sharp": sharp}
+
     cases = {}
     for name, changes, want, message in (
             ("long-entry", [(entry, [3, 4])], EXIT_IO,
@@ -379,7 +420,34 @@ def complex_refusals(tmp: Path) -> dict:
              "N must be at least 1, got N=-1"),
             # Z/9/(3) --1--> Z/9 sends the relation 3 to 3 != 0
             ("ill-defined-differential", [(entry, [1]), (("modules", 0, "relations"), [[[3]]])],
-             EXIT_PRECONDITION, "differential in degree 0 is not well defined")):
+             EXIT_PRECONDITION, "differential in degree 0 is not well defined"),
+            ("too-many-differentials", [(("differentials",), [[[[3]]], [[[3]]]])], EXIT_IO,
+             "differentials: expected one matrix per adjacent pair of modules, got "
+             "[[[[3]]], [[[3]]]]"),
+            ("too-few-differentials", [(("differentials",), [])], EXIT_PRECONDITION,
+             "need one differential per adjacent pair"),
+            ("differential-shape", [(("differentials", 0), [[[3]], [[3]]])], EXIT_PRECONDITION,
+             "map matrix shape mismatch"),
+            ("relation-width", [(("modules", 0, "relations"), [[[3], [3]]])], EXIT_PRECONDITION,
+             "relation width must equal the generator count"),
+            # Z/9 --1--> Z/9 --1--> Z/9
+            ("d-squared-nonzero", [(("degrees",), [0, 2]), (("modules",), one_module * 3),
+                                   (("differentials",), [[[[1]]], [[[1]]]])],
+             EXIT_PRECONDITION, "d o d != 0 at degree 0"),
+            # the algebra laws, each broken: 2 is no unit of Z/9, an x with
+            # x.1 = 2x, (x x) y != x (x y), # = 2, and # swapping 1 and x
+            ("unit-law", [(("algebra", "one"), [2])], EXIT_PRECONDITION, "unit law fails"),
+            ("not-commutative", [(("algebra",), algebra([[[1, 0], [0, 1]], [[0, 2], [0, 0]]]))],
+             EXIT_PRECONDITION, "multiplication is not commutative"),
+            ("not-associative", [(("algebra",), algebra(
+                [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 1], [0, 0, 0]],
+                 [[0, 0, 1], [0, 0, 0], [1, 0, 0]]]))],
+             EXIT_PRECONDITION, "multiplication is not associative"),
+            ("sharp-not-involution", [(("algebra", "sharp"), [[2]])], EXIT_PRECONDITION,
+             "# is not an involution"),
+            ("sharp-not-multiplicative", [(("algebra",), algebra(
+                [[[1, 0], [0, 1]], [[0, 1], [1, 0]]], sharp=[[0, 1], [1, 0]]))],
+             EXIT_PRECONDITION, "# is not multiplicative")):
         path = write(tmp / f"complex_{name}.json", edit(z9, *changes))
         prefix = "bad complex file" if want == EXIT_IO else "invalid complex"
         cases[f"complex-{name}"] = (want, f"{prefix}: {message}", ("complex", "--data", path))
@@ -450,7 +518,7 @@ def refusals(tmp: Path) -> dict:
     missing = "[Errno 2] No such file or directory: 'nosuch.json'"
     cases = {
         "theta-zeta0": (
-            EXIT_IO, "bad spec zeta0: cyclotomic field needs m >= 1, got 0",
+            EXIT_IO, "bad spec zeta0: modulus must be >= 1, got 0",
             ("theta", "--spec", "zeta0", "--S", "oo")),
         # the 5,003 squares mod 10,007: the fixing subgroup is checked in
         # O(|H| . #generators), not O(|H|^2), before the places are read
@@ -462,6 +530,17 @@ def refusals(tmp: Path) -> dict:
         "theta-missing-spec-file": (
             EXIT_IO, f"bad spec file nosuch.json: {missing}",
             ("theta", "--spec", "nosuch.json", "--S", "oo")),
+        # a place that int() does not read, one that it reads but that is no
+        # prime, and one past the bound below which is_prime decides
+        "theta-S-not-a-place": (
+            EXIT_IO, f"bad place: expected {PLACE}, got 'x'",
+            ("theta", "--spec", "zeta3", "--S", "3,x,oo", "--T", "7")),
+        "theta-S-not-a-prime": (
+            EXIT_PRECONDITION, "malformed place 4",
+            ("theta", "--spec", "zeta3", "--S", "3,4,oo", "--T", "7")),
+        "theta-T-past-primality-bound": (
+            EXIT_PRECONDITION, f"primality is decided only below {PSI_13}, got {PSI_13}",
+            ("theta", "--spec", "zeta3", "--S", "3,oo", "--T", str(PSI_13))),
         "usage": (
             EXIT_PRECONDITION, "iwasawa-kit theta: the following arguments are required: --spec",
             ("theta",)),
@@ -514,7 +593,22 @@ def refusals(tmp: Path) -> dict:
              "bad class data: action.gx: action keys must be g<index>, got 'gx'"),
             # g0 acts on Z/3 as 0, so g0^2 is not 1 although g0 has order 2
             ("action-order", [(("orders",), [3]), (("action", "g0"), [[0]])], EXIT_PRECONDITION,
-             "action matrix g0 violates the generator order")):
+             "action matrix g0 violates the generator order"),
+            ("orders-zero", [(("orders",), [0])], EXIT_PRECONDITION,
+             "module orders must be positive"),
+            ("group-orders-zero", [(("group_orders",), [0])], EXIT_PRECONDITION,
+             "group orders must be positive"),
+            ("action-missing", [(("action",), {})], EXIT_PRECONDITION,
+             "need one action matrix per group generator"),
+            ("action-unknown-generator", [(("action", "g1"), [[1]])], EXIT_PRECONDITION,
+             "need one action matrix per group generator"),
+            ("action-size", [(("action", "g0"), [[1, 0]])], EXIT_PRECONDITION,
+             "action matrix g0 must be 1x1"),
+            # two involutions of (Z/3)^2 that do not commute: a swap and diag(-1, 1)
+            ("action-not-commuting", [(("orders",), [3, 3]), (("group_orders",), [2, 2]),
+                                      (("action",), {"g0": [[0, 1], [1, 0]],
+                                                     "g1": [[2, 0], [0, 1]]})],
+             EXIT_PRECONDITION, "action matrices do not commute")):
         path = write(tmp / f"class_data_{name}.json", edit(trivial, *changes))
         cases[f"verify-class-data-{name}"] = (want, message, (*verify_z3, path))
     # a spec on the command line, or in the file it names, off the wire rule
@@ -530,8 +624,18 @@ def refusals(tmp: Path) -> dict:
             ("float-fixing", '{"modulus": 7, "fixing": [1.5]}',
              "bad spec: fixing[0]: expected a JSON integer, got 1.5"),
             ("object-fixing", '{"modulus": 7, "fixing": {"1": 0}}',
-             "bad spec: fixing: expected a list, got {'1': 0}")):
+             "bad spec: fixing: expected a list, got {'1': 0}"),
+            ("missing-fixing", '{"modulus": 7}', "bad spec: missing field 'fixing'")):
         cases[f"theta-spec-{name}"] = (EXIT_IO, message, ("theta", "--spec", text, "--S", "oo"))
+    # a spec whose fixing set is no subgroup of the units
+    for name, text, message in (
+            ("fixing-not-units", '{"modulus": 6, "fixing": [1, 2]}',
+             "fixing subgroup [1, 2] not inside (Z/6)^x"),
+            ("fixing-without-1", '{"modulus": 7, "fixing": [6]}', "fixing subgroup must contain 1"),
+            ("fixing-not-closed", '{"modulus": 7, "fixing": [1, 2]}',
+             "fixing set is not closed under multiplication")):
+        cases[f"theta-spec-{name}"] = (EXIT_IO, f"bad spec {text}: {message}",
+                                       ("theta", "--spec", text, "--S", "oo"))
     # a negative count on each command that reads one
     for name, argv, field, value in (
             ("trials", ("fitting",), "trials", -1),

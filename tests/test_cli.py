@@ -551,7 +551,7 @@ def test_the_refusal_subsets_are_rows_and_place_rows_are_in_check_hyps_words():
     theta, tower and verify refuse every (S, T) fault in check_hyp's words
     and r > 0 in its own."""
     assert {*BUILT_TOWER_REFUSALS, *UNBUILT_VERIFY_REFUSALS} <= set(REFUSALS)
-    assert (len(NOTHING_BUILT), len(NO_CAMPAIGN)) == (57, 22)
+    assert (len(NOTHING_BUILT), len(NO_CAMPAIGN)) == (64, 22)
     cases = place_refusals()
     assert len(cases) == 19
     for name, (want, message, argv) in cases.items():

@@ -415,12 +415,13 @@ def test_boundary_zero_maps_are_built_once():
     assert not C.is_acyclic()
 
 
-def test_chain_map_level_missing_between_generators_raises():
+def test_a_chain_map_level_not_given_is_the_zero_map():
     alg = GroupAlgebra(3, 2, C2)
     C = two_term(alg, alg.scalar(3, alg.one))
     f = ChainMap(C, C, {0: identity_map(C.modules[0])})
+    # the identity at 0 and zero at 1 do not commute with d = 3
     for check in (ChainMap.validate, quasi_iso_check, cone):
-        with pytest.raises(ValueError, match="chain map misses level 1"):
+        with pytest.raises(ValueError, match="chain map does not commute with d at degree 0"):
             check(f)
     # a level whose source or target has no generators is the zero map
     zero_cx = BoundedComplex(alg, 0, [FinPresModule(alg, 0, [])], [])

