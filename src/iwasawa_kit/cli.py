@@ -221,7 +221,7 @@ def _run_complex_file(config: wire.Node) -> tuple[dict, int]:
     try:
         alg = FiniteCommAlgebra.from_json(obj["algebra"])
         alg.validate()
-        module_nodes, differential_nodes = obj["modules"].list(), obj["differentials"].list()
+        module_nodes = obj["modules"].list()
 
         def matrix(node):
             return [[e.ints(alg.dim) for e in row.list()] for row in node.list()]
@@ -235,11 +235,10 @@ def _run_complex_file(config: wire.Node) -> tuple[dict, int]:
         lo, hi = (d.int() for d in obj["degrees"].list(2))
         if hi != lo + len(modules) - 1:
             raise obj["degrees"].expected(f"[lo, lo + {len(modules) - 1}]")
-        diffs = []
-        for i, mat in enumerate(differential_nodes):
-            if i + 1 >= len(modules):
-                raise obj["differentials"].expected("one matrix per adjacent pair of modules")
-            diffs.append(ModuleMap(modules[i], modules[i + 1], matrix(mat)))
+        # one matrix per adjacent pair of modules
+        differential_nodes = obj["differentials"].list(max(len(modules) - 1, 0))
+        diffs = [ModuleMap(modules[i], modules[i + 1], matrix(mat))
+                 for i, mat in enumerate(differential_nodes)]
         cx = BoundedComplex(alg, lo, modules, diffs)
     except ValueError as exc:
         raise CliError(EXIT_PRECONDITION, f"invalid complex: {exc}") from exc

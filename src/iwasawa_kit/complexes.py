@@ -36,7 +36,9 @@ from .linalg import combine, howell_form
 
 class BoundedComplex:
     """Cochain complex with degrees lo..hi; differentials[i]: C^(lo+i) ->
-    C^(lo+i+1), and zero outside lo..hi: `module_at(i)` is the zero module and
+    C^(lo+i+1), one per adjacent pair of modules (every caller passes that
+    many, and `complex --data` refuses another count by the wire rule), and
+    zero outside lo..hi: `module_at(i)` is the zero module and
     `differential_at(i)` the zero map there.
 
     d(i+1) o d(i) = 0 and well-definedness of each differential are verified
@@ -50,8 +52,6 @@ class BoundedComplex:
         modules: list[FinPresModule],
         differentials: list[ModuleMap],
     ):
-        if len(differentials) != max(len(modules) - 1, 0):
-            raise ValueError("need one differential per adjacent pair")
         self.algebra = algebra
         self.lo = lo
         self.modules = modules

@@ -42,6 +42,19 @@ from .numutil import is_prime
 Vec = tuple[int, ...]
 
 
+class lockfree_cached_property(cached_property):
+    """functools.cached_property whose first read takes no lock (Python 3.10
+    and 3.11 take an RLock there): the value is computed and stored in the
+    instance __dict__, where every later read finds it before the
+    descriptor. The kit shares no instance between threads."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
+
+
 class FiniteCommAlgebra:
     """Commutative Z/p^N-algebra with a distinguished basis.
 
@@ -169,6 +182,13 @@ class FiniteCommAlgebra:
         """Elements known to lie in the Jacobson radical: p*1, nilpotent."""
         return [self.scalar(self.p, self.one)]
 
+    def radical_multiples(self, z: list[int]) -> list[list[int]]:
+        """j*z for each j of radical_elements, in that order, z a flattened
+        row of A^n: the rows of JZ that z gives. Each is a product per
+        component."""
+        parts = self.split(z)
+        return [self.flatten([self.mul(j, e) for e in parts]) for j in self.radical_elements]
+
     def elements(self):
         for combo in itertools.product(range(self.q), repeat=self.dim):
             yield combo
@@ -266,6 +286,7 @@ class GroupAlgebra(FiniteCommAlgebra):
         layout = kronecker_layout(group, self.q)
         self._pack, self._unpack, self._size, self._low, self._folds = layout
         self._translates = [self.table[i] for i in self.inversion]  # row j: g_k g_j^-1 at k
+        self._radical_maps: dict[int, list[list[int]]] = {}  # row width -> radical_multiples' maps
 
     def mul(self, x: Vec, y: Vec) -> Vec:
         """The convolution as one integer product: x and y reduced mod q
@@ -297,7 +318,7 @@ class GroupAlgebra(FiniteCommAlgebra):
             return sum(x) % self.p != 0
         return super().is_unit(x)
 
-    @cached_property
+    @lockfree_cached_property
     def radical_elements(self) -> list[Vec]:
         """p*1 and g - 1 for a generator g of the p-part (order p^a) of each
         cyclic factor: (g - 1)^(p^a) = g^(p^a) - 1 = 0 mod p, so g - 1 is
@@ -310,6 +331,20 @@ class GroupAlgebra(FiniteCommAlgebra):
                 g = tuple(o // pa if i == k else 0 for i in range(len(orders)))
                 out.append(self.sub(self.group_element_vector(g), self.one))
         return out
+
+    def radical_multiples(self, z: list[int]) -> list[list[int]]:
+        """j*z for each j of radical_elements, in that order, with no
+        product: p*z is one pass over the flattened row, and (g - 1)*z one
+        pass through an index map, built once per g - 1 and row width: entry
+        t of g*z is z at map[t], as the coefficient at g_k of each component
+        of g*z is the one at g^-1 g_k."""
+        q, p, width = self.q, self.p, len(z)
+        maps = self._radical_maps.get(width)
+        if maps is None:  # e = g - 1 has its one coefficient 1 at g
+            maps = self._radical_maps[width] = [
+                [o + k for o in range(0, width, self.dim) for k in self._translates[e.index(1, 1)]]
+                for e in self.radical_elements[1:]]
+        return [[p * c % q for c in z], *([(z[i] - c) % q for i, c in zip(m, z)] for m in maps)]
 
     def group_element_vector(self, g) -> Vec:
         return self.basis_element(self.index[self.group.reduce(g)])
@@ -421,12 +456,12 @@ class IdealHandle:
         self.generators = [tuple([c % q for c in g]) for g in generators]
         self.ngens = len(self.generators)
 
-    @cached_property
+    @lockfree_cached_property
     def _whole(self) -> bool:
         """Known to be the ring (over a local algebra only)."""
         return self.algebra.local and any(map(self.algebra.is_unit, self.generators))
 
-    @cached_property
+    @lockfree_cached_property
     def howell(self) -> list[list[int]]:
         alg = self.algebra
         if self._whole:
@@ -443,9 +478,6 @@ class IdealHandle:
                 and self.generators == other.generators):
             return [], []
         return self.howell, other.howell
-
-    def contains_element(self, x: Vec) -> bool:
-        return in_span(list(x), self.howell, self.algebra.q)
 
     def residual(self, x: Vec) -> Vec:
         return tuple(reduce_mod_span(list(x), self.howell, self.algebra.q))
@@ -500,7 +532,7 @@ class FinPresModule:
     def rwidth(self) -> int:
         return self.algebra.dim * self.ngens
 
-    @cached_property
+    @lockfree_cached_property
     def relation_span(self) -> list[list[int]]:
         rows = [r for row in self.relations for r in self.algebra.realize(row)]
         return howell_form(rows, self.rwidth, self.algebra.q) if rows else []
@@ -512,7 +544,7 @@ class FinPresModule:
     def is_zero_element(self, row: list[Vec]) -> bool:
         return in_span(self.algebra.flatten(row), self.relation_span, self.algebra.q)
 
-    @cached_property
+    @lockfree_cached_property
     def fitting_ideal(self) -> IdealHandle:
         """Ideal of ngens x ngens minors of the relation matrix."""
         n, k = self.ngens, len(self.relations)
@@ -614,7 +646,7 @@ class ModuleMap:
         flat = combine(alg.flatten(row), self.realization_rows, self.dst.rwidth, alg.q)
         return alg.split(flat)
 
-    @cached_property
+    @lockfree_cached_property
     def realization_rows(self) -> list[list[int]]:
         """Rows indexed by (component c, basis i) of the source realization:
         the image of basis_i at generator c."""
@@ -623,14 +655,14 @@ class ModuleMap:
     def is_well_defined(self) -> bool:
         return all(self.dst.is_zero_element(self.apply_row(r)) for r in self.src.relations)
 
-    @cached_property
+    @lockfree_cached_property
     def image_span(self) -> list[list[int]]:
         """Span of the image inside the dst realization, relations included."""
         rows = [list(r) for r in self.realization_rows]
         rows += [list(r) for r in self.dst.relation_span]
         return howell_form(rows, self.dst.rwidth, self.dst.algebra.q)
 
-    @cached_property
+    @lockfree_cached_property
     def kernel_span(self) -> list[list[int]]:
         """Howell form of the kernel inside the src realization: the
         preimage of the dst relation span, which holds the src relations
@@ -704,17 +736,18 @@ def _nakayama_rows(
     Nakayama: for J inside the Jacobson radical, rows generate Z/B once they
     span it modulo JZ + B. So a row is kept only when it is not in the span
     of JZ + B (J generated by `radical_elements`) and the A-spans of the rows
-    kept so far. Where J is the maximal ideal of a local algebra the kept
-    rows are a basis of Z/(JZ + B) over the residue field: a minimal set.
-    There (a group algebra over a p-group) A = Z/p^N*1 + J, so the A-span of
-    a kept row z is Z/p^N*z + Jz with Jz already in JZ: z alone joins the
-    span, not its dim realized rows."""
-    q, mul, split = algebra.q, algebra.mul, algebra.split
+    kept so far. JZ is spanned by the j*z over those j and the rows z
+    (`radical_multiples`): a group algebra forms them with no product, p*z
+    as one pass over the row and (g - 1)*z as one pass through an index map
+    of its translation by g; any other algebra by its products. Where J is
+    the maximal ideal of a local algebra the kept rows are a basis of
+    Z/(JZ + B) over the residue field: a minimal set. There (a group algebra
+    over a p-group) A = Z/p^N*1 + J, so the A-span of a kept row z is
+    Z/p^N*z + Jz with Jz already in JZ: z alone joins the span, not its dim
+    realized rows."""
+    q, split = algebra.q, algebra.split
     # rows not yet in the Howell form `span`, eliminated only when a row is tested
-    pending = [
-        algebra.flatten([mul(j, e) for e in split(z)])
-        for j in algebra.radical_elements for z in rows
-    ] + base
+    pending = [jz for z in rows for jz in algebra.radical_multiples(z)] + base
     span, kept = [], []
     for z in rows:
         if pending:

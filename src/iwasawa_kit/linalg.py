@@ -20,62 +20,67 @@ from math import gcd
 def howell_form(rows: list[list[int]], width: int, q: int) -> list[list[int]]:
     """Canonical Howell normal form of the row span inside (Z/q)^width, q = p^N.
 
+    Every row has at least `width` entries, and the first `width` lead: a
+    row is filed by its first nonzero entry among them, and the rest ride
+    along. The kit's callers pass rows of exactly `width`.
     Pivots are p^v with the unit part normalized away; every entry above a
     pivot is reduced mod the pivot; the span is saturated by processing the
     p^(N-v) shadow of each pivot row. Two row sets span the same submodule
     iff their Howell forms are identical (Storjohann-Mulders, ESA 1998).
     The valuation of an entry x is read as gcd(x, q) = p^v: it orders the
     candidate pivots and gives the shadow multiplier q // p^v. Rows wait in
-    one bucket per leading column (only the first `width` entries lead; the
-    rest ride along). The pivot of column col is the first row of its bucket
-    of least valuation, found in one scan that stops at the first unit. The
-    other rows and the pivot's shadow (its entry at col is 0 mod q, so it
-    is filed unchanged, after them) are reduced by the pivot and lead after
-    col, so their search starts at col + 1.
+    one bucket per leading column. The pivot of column col is the lone row
+    of its bucket, or the first row of least valuation, found in one scan
+    that stops at the first unit. The earlier pivot rows are reduced by it
+    as it is placed. The other rows and the pivot's shadow (its entry at col
+    is 0 mod q, so it is filed unchanged, after them) are reduced by the
+    pivot and lead after col, so their search starts at col + 1.
     """
     if not rows:
         return []
     buckets: list[list[list[int]]] = [[] for _ in range(width)]
     for r in rows:
         r = [c % q for c in r]
-        for j in range(min(len(r), width)):
+        for j in range(width):
             if r[j]:
                 buckets[j].append(r)
                 break
-    pivots: list[tuple[int, int, list[int]]] = []
+    out: list[list[int]] = []
     for col in range(width):
         cand = buckets[col]
         if not cand:
             continue
-        best, pv = 0, q
-        for i, r in enumerate(cand):
-            g = gcd(r[col], q)
-            if g < pv:
-                best, pv = i, g
-                if g == 1:
-                    break
-        piv = cand.pop(best)
+        if len(cand) == 1:
+            piv = cand.pop()
+            pv = gcd(piv[col], q)
+        else:
+            best, pv = 0, q
+            for i, r in enumerate(cand):
+                g = gcd(r[col], q)
+                if g < pv:
+                    best, pv = i, g
+                    if g == 1:
+                        break
+            piv = cand.pop(best)
         u = piv[col] // pv
         if u != 1:
             u_inv = pow(u, -1, q)
             piv = [(c * u_inv) % q for c in piv]
-        pivots.append((col, pv, piv))
+        for i, r in enumerate(out):
+            f = r[col] // pv
+            if f:
+                out[i] = [(a - f * b) % q for a, b in zip(r, piv)]
+        out.append(piv)
         if pv > 1:
             cand.append([(q // pv * c) % q for c in piv])
         for r in cand:
             f = r[col] // pv  # exact: p^v divides r[col] by pivot choice
             if f:
                 r = [(a - f * b) % q for a, b in zip(r, piv)]
-            for j in range(col + 1, min(len(r), width)):
+            for j in range(col + 1, width):
                 if r[j]:
                     buckets[j].append(r)
                     break
-    out = [piv for _, _, piv in pivots]
-    for i, (col, pv, piv) in enumerate(pivots):
-        for j in range(i):
-            f = out[j][col] // pv
-            if f:
-                out[j] = [(a - f * b) % q for a, b in zip(out[j], piv)]
     return out
 
 
@@ -84,8 +89,9 @@ def reduce_mod_span(x: list[int], howell: list[list[int]], q: int) -> list[int]:
     pivot entries are the p^v themselves)."""
     y = [c % q for c in x]
     for r in howell:
-        col = next(j for j, c in enumerate(r) if c)
-        f = y[col] // r[col]
+        pv = next(filter(None, r))
+        col = r.index(pv)
+        f = y[col] // pv
         if f:
             y = [(a - f * b) % q for a, b in zip(y, r)]
     return y
@@ -124,7 +130,7 @@ def span_size(howell: list[list[int]], q: int) -> int:
     """Number of elements of the span: q / p^v for each pivot p^v."""
     size = 1
     for r in howell:
-        size *= q // next(c for c in r if c)
+        size *= q // next(filter(None, r))
     return size
 
 

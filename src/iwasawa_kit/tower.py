@@ -162,9 +162,9 @@ def tower_preconditions(
     (chi_cyc_descends), since the Kummer congruence twists by the cyclotomic
     character. Returns the finite primes of S and T."""
     if p == 2 or not is_prime(p):
-        raise ValueError(f"theta_tower needs an odd prime, got {p}")
+        raise ValueError(f"--p must be an odd prime, got {p}")
     if N < 1 or n_max < 0:
-        raise ValueError("need N >= 1 and n_max >= 0")
+        raise ValueError("--N must be >= 1 and --levels >= 0")
     vp, m = 0, spec.modulus
     while m % p == 0:
         vp, m = vp + 1, m // p

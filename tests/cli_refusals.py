@@ -283,15 +283,15 @@ def tower_refusals(tmp: Path) -> dict:
             ("tower", "--spec", "zeta5", "--S", "5,oo", "--r", "0", "--p", "5", "--N", "2",
              "--levels", "1")),
         "tower-p-not-prime": (
-            EXIT_PRECONDITION, "theta_tower needs an odd prime, got 9",
+            EXIT_PRECONDITION, "--p must be an odd prime, got 9",
             ("tower", "--spec", "zeta3", "--S", "3,oo", "--T", "7", "--p", "9", "--N", "2",
              "--levels", "1")),
         "tower-N-zero": (
-            EXIT_PRECONDITION, "need N >= 1 and n_max >= 0",
+            EXIT_PRECONDITION, "--N must be >= 1 and --levels >= 0",
             ("tower", "--spec", "zeta3", "--S", "3,oo", "--T", "7", "--p", "3", "--N", "0",
              "--levels", "1")),
         "tower-levels-negative": (
-            EXIT_PRECONDITION, "need N >= 1 and n_max >= 0",
+            EXIT_PRECONDITION, "--N must be >= 1 and --levels >= 0",
             ("tower", "--spec", "zeta3", "--S", "3,oo", "--T", "7", "--p", "3", "--N", "1",
              "--levels", "-1")),
         # zeta_3 is not in Q(zeta_7): the twist at r = -1 is refused before
@@ -389,10 +389,10 @@ def complex_refusals(tmp: Path) -> dict:
             ("long-one", [(("algebra", "one"), [1, 0])], EXIT_IO,
              "algebra.one: expected a list of length 1, got [1, 0]"),
             ("object-differentials", [(("differentials",), {})], EXIT_IO,
-             "differentials: expected a list, got {}"),
+             "differentials: expected a list of length 1, got {}"),
             ("one-module-object-differentials", [
                 (("degrees",), [0, 0]), (("modules",), one_module), (("differentials",), {})],
-             EXIT_IO, "differentials: expected a list, got {}"),
+             EXIT_IO, "differentials: expected a list of length 0, got {}"),
             ("object-modules", [(("modules",), {})], EXIT_IO, "modules: expected a list, got {}"),
             ("float-p", [(("algebra", "p"), 3.7)], EXIT_IO, f"algebra.p: {int_} 3.7"),
             ("bool-p", [(("algebra", "p"), True)], EXIT_IO, f"algebra.p: {int_} True"),
@@ -421,11 +421,11 @@ def complex_refusals(tmp: Path) -> dict:
             # Z/9/(3) --1--> Z/9 sends the relation 3 to 3 != 0
             ("ill-defined-differential", [(entry, [1]), (("modules", 0, "relations"), [[[3]]])],
              EXIT_PRECONDITION, "differential in degree 0 is not well defined"),
+            # one matrix per adjacent pair of modules
             ("too-many-differentials", [(("differentials",), [[[[3]]], [[[3]]]])], EXIT_IO,
-             "differentials: expected one matrix per adjacent pair of modules, got "
-             "[[[[3]]], [[[3]]]]"),
-            ("too-few-differentials", [(("differentials",), [])], EXIT_PRECONDITION,
-             "need one differential per adjacent pair"),
+             "differentials: expected a list of length 1, got [[[[3]]], [[[3]]]]"),
+            ("too-few-differentials", [(("differentials",), [])], EXIT_IO,
+             "differentials: expected a list of length 1, got []"),
             ("differential-shape", [(("differentials", 0), [[[3]], [[3]]])], EXIT_PRECONDITION,
              "map matrix shape mismatch"),
             ("relation-width", [(("modules", 0, "relations"), [[[3], [3]]])], EXIT_PRECONDITION,

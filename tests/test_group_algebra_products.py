@@ -3,7 +3,9 @@ groupring.kronecker_layout), against the double loop along the group's
 product table (algebra_helpers.convolution) and groupring.mul reduced mod q:
 the groups of the tower levels and products of several cyclic factors, the
 moduli on each side of every lane width, unreduced and negative inputs and
-every pair of two small algebras."""
+every pair of two small algebras. Then GroupAlgebra.radical_multiples, the
+J*z of Nakayama's lemma by index maps, against the products of the
+FiniteCommAlgebra route."""
 
 import itertools
 import math
@@ -14,7 +16,7 @@ from algebra_helpers import convolution
 
 from iwasawa_kit import groupring
 from iwasawa_kit.abelian import FiniteAbelianGroup
-from iwasawa_kit.fitting import GroupAlgebra
+from iwasawa_kit.fitting import FiniteCommAlgebra, GroupAlgebra
 from iwasawa_kit.numutil import is_prime
 
 # C1 (as no factor and as one factor of order 1), C2, C3, C2 x C2, the
@@ -96,3 +98,26 @@ def test_every_pair_over_a_small_algebra(p, N):
             assert alg.mul(x, y) == expected
             shifted = (x[0] - 2 * q, x[1] + q * (y[0] - 3))
             assert alg.mul(shifted, (y[0] + 5 * q, y[1] - q)) == expected
+
+
+# (p, N, orders): (Z/8)[C2], (Z/9)[C3], (Z/9)[C2 x C2], (Z/27)[C9],
+# (Z/9)[C3 x C3], (Z/25)[C10], (Z/9)[C6 x C27], and (Z/9)[C2], where
+# J = (3) has no g - 1
+RADICAL_CASES = [(2, 3, (2,)), (3, 2, (3,)), (3, 2, (2, 2)), (3, 3, (9,)), (3, 2, (3, 3)),
+                 (5, 2, (10,)), (3, 2, (6, 27)), (3, 2, (2,))]
+
+
+@pytest.mark.parametrize("p, N, orders", RADICAL_CASES, ids=str)
+def test_radical_multiples_match_the_products(p, N, orders):
+    """p*z and each (g - 1)*z, one flattened row each in the order of
+    radical_elements, equal the products of the FiniteCommAlgebra route on
+    rows of 1 to 3 components, dense, unreduced, negative and sparse."""
+    alg = GroupAlgebra(p, N, FiniteAbelianGroup(orders))
+    rng = random.Random(p * 1000 + alg.dim)
+    ngs = sum(math.gcd(o, p) > 1 for o in orders)  # cyclic factors with a p-part
+    for n in (1, 2, 3):
+        for _ in range(4):
+            z = [c for _ in range(n) for c in rng.choice(sample(alg.q, alg.dim, rng))]
+            got = alg.radical_multiples(z)
+            assert got == FiniteCommAlgebra.radical_multiples(alg, z)
+            assert len(got) == 1 + ngs and all(len(r) == n * alg.dim for r in got)

@@ -10,7 +10,8 @@ corpus and its (S, T) choices. The manifest slice counts the minus
 quotients that reading the data and checking it build. The theta slice counts
 the tables of partial zeta values and the lowest_terms passes of the tower
 campaigns' thetas. The character slice counts the Euler and T-factor passes
-of the character route and the CyclotomicInt values both routes build. A
+of the character route and the CyclotomicInt values both routes build. The
+product slice counts the group-algebra products of the complex campaigns. A
 module with no relation rows takes no Howell form."""
 
 from pathlib import Path
@@ -44,6 +45,25 @@ def test_howell_work_matches_the_ledger(run, expected, monkeypatch):
     patch_every_binding(monkeypatch, (original,), counted)
     assert run()
     assert tuple(counts) == expected
+
+
+# GroupAlgebra.mul calls over complex_campaigns(2026, 20). Nakayama's J*z
+# over a group algebra takes no product (GroupAlgebra.radical_multiples);
+# forming each j*z as a product made 2,800.
+GROUP_ALGEBRA_PRODUCTS = 781
+
+
+def test_group_algebra_products_match_the_ledger(monkeypatch):
+    original, calls = fitting.GroupAlgebra.mul, [0]
+
+    def counted(self, x, y):
+        calls[0] += 1
+        return original(self, x, y)
+
+    monkeypatch.setattr(fitting.GroupAlgebra, "mul", counted)
+    patch_every_binding(monkeypatch, (original,), counted)  # any module-level alias
+    assert all(r.ok for r in campaigns.complex_campaigns(2026, 20))
+    assert calls[0] == GROUP_ALGEBRA_PRODUCTS
 
 
 # (check_hyp calls, subgroup products HC) over corpus_cm_specs(24) and the
