@@ -57,9 +57,11 @@ class BoundedComplex:
         self.modules = modules
         self.differentials = []
         for i, d in enumerate(differentials):
-            # re-anchor onto the listed modules so relation data is consistent;
-            # ModuleMap refuses a matrix of another shape
-            d = ModuleMap(modules[i], modules[i + 1], d.matrix)
+            # a map between the listed modules is kept with its cached spans;
+            # any other is re-anchored onto them so relation data is
+            # consistent (ModuleMap refuses a matrix of another shape)
+            if d.src is not modules[i] or d.dst is not modules[i + 1]:
+                d = ModuleMap(modules[i], modules[i + 1], d.matrix)
             if not d.is_well_defined():
                 raise ValueError(f"differential in degree {lo + i} is not well defined")
             self.differentials.append(d)

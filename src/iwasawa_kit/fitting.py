@@ -193,6 +193,13 @@ class FiniteCommAlgebra:
         for combo in itertools.product(range(self.q), repeat=self.dim):
             yield combo
 
+    @lockfree_cached_property
+    def subquotients(self) -> dict:
+        """The subquotients presented over this algebra, by (ncomp, Z rows,
+        B rows) as tuples: subquotient_presentation's table. It lives as
+        long as the algebra."""
+        return {}
+
     def validate(self) -> None:
         for i in range(self.dim):
             bi = self.basis_element(i)
@@ -765,13 +772,34 @@ def subquotient_presentation(
     b_rows: list[list[int]],
 ) -> SubquotientData:
     """Present Z/B over the algebra, for A-stable spans B <= Z <= (A^ncomp),
-    on the rows of Z that generate it modulo the radical, with the Howell
-    rows of their relation module that generate it modulo the radical as
-    relations (_nakayama_rows). `z_rows` must span Z and Z must contain B:
-    every caller passes a Howell kernel span, which holds B already.
-    `b_rows` is any rows spanning B (every caller passes a Howell form);
-    both of its readers, _nakayama_rows and preimage_span, form it with
-    the rows they stack it under, so it is not formed alone."""
+    once per algebra and input: the presentation is kept in the algebra's
+    `subquotients` table under (ncomp, Z rows, B rows), and a later call
+    with the same rows returns the same SubquotientData (so its module's
+    cached Fitting ideal too). Every caller passes Howell forms, which are
+    canonical, so equal submodules meet in one entry; for any other rows
+    the key is still exact, as the presentation depends on nothing else."""
+    key = (ncomp, tuple(map(tuple, z_rows)), tuple(map(tuple, b_rows)))
+    table = algebra.subquotients
+    data = table.get(key)
+    if data is None:
+        data = table[key] = present_subquotient(algebra, ncomp, z_rows, b_rows)
+    return data
+
+
+def present_subquotient(
+    algebra: FiniteCommAlgebra,
+    ncomp: int,
+    z_rows: list[list[int]],
+    b_rows: list[list[int]],
+) -> SubquotientData:
+    """Z/B presented on the rows of Z that generate it modulo the radical,
+    with the Howell rows of their relation module that generate it modulo
+    the radical as relations (_nakayama_rows), with no table. `z_rows` must
+    span Z and Z must contain B: every caller passes a Howell kernel span,
+    which holds B already. `b_rows` is any rows spanning B (every caller
+    passes a Howell form); both of its readers, _nakayama_rows and
+    preimage_span, form it with the rows they stack it under, so it is not
+    formed alone."""
     q = algebra.q
     width = algebra.dim * ncomp
     gens_ambient = [algebra.split(g) for g in _nakayama_rows(algebra, width, z_rows, b_rows)]

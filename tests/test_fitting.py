@@ -37,7 +37,7 @@ from iwasawa_kit.fitting import (
     zero_ideal,
     zmod_algebra,
 )
-from iwasawa_kit.oracles import enumerate_span, ideal_equal_oracle, ideal_member_oracle
+from iwasawa_kit.oracles import enumerate_ideal, enumerate_span, ideal_equal_oracle, ideal_member_oracle
 
 C2 = FiniteAbelianGroup((2,))
 C3 = FiniteAbelianGroup((3,))
@@ -93,9 +93,10 @@ def test_a_cached_value_is_computed_once_per_instance_and_kept_in_its_dict():
     first = a.value
     assert first == [1] and a.value is first and vars(a) == {"value": first}
     assert b.value == [2] and a.value is first and calls == [a, b]
-    cached = [(cls, name) for cls in (GroupAlgebra, IdealHandle, FinPresModule, ModuleMap)
+    cached = [(cls, name)
+              for cls in (FiniteCommAlgebra, GroupAlgebra, IdealHandle, FinPresModule, ModuleMap)
               for name, attr in vars(cls).items() if isinstance(attr, functools.cached_property)]
-    assert len(cached) == 8
+    assert len(cached) == 9
     assert all(type(vars(cls)[name]) is lockfree_cached_property for cls, name in cached)
 
 
@@ -154,6 +155,22 @@ def test_fitting_ideal_examples():
     assert M0.fitting_ideal == zero_ideal(alg)
     # 0 generators -> unit ideal
     assert FinPresModule(alg, 0, []).fitting_ideal == unit_ideal(alg)
+
+
+@pytest.mark.parametrize("p,N,group", [(2, 3, C2), (3, 2, C3), (3, 2, C2C2)])
+def test_fewer_relations_than_generators_give_the_zero_ideal_on_the_workload_algebras(p, N, group):
+    """Over each algebra of the `fitting` workload, a module on n generators
+    with k < n random relations has no n x n minor: its Fitting ideal is
+    zero_ideal, and the enumeration oracle finds only 0 in it."""
+    alg = GroupAlgebra(p, N, group)
+    rng = random.Random(p * N * alg.dim)
+    for n in (1, 2, 3):
+        for k in range(n):
+            rels = [[tuple(rng.randrange(alg.q) for _ in range(alg.dim)) for _ in range(n)]
+                    for _ in range(k)]
+            fitt = FinPresModule(alg, n, rels).fitting_ideal
+            assert fitt == zero_ideal(alg)
+            assert enumerate_ideal(alg, fitt.generators) == {0}
 
 
 def test_fitting_contained_in_annihilator():

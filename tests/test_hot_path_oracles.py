@@ -1957,6 +1957,82 @@ def test_subquotient_presentation_matches_reference_on_random_subquotients(alg):
 
 
 # ---------------------------------------------------------------------------
+# The subquotient table: every presentation an algebra's table returns is
+# compared with present_subquotient, the same presentation taken with no
+# table.
+
+def recorded_subquotient_calls(monkeypatch, run):
+    """Every call of subquotient_presentation that run() makes, as
+    (algebra, ncomp, Z rows, B rows, whether the algebra's table answered it
+    without growing, the presentation returned). Each returned presentation
+    must be an entry of the table."""
+    tabled, calls = fitting.subquotient_presentation, []
+
+    def recorded(algebra, ncomp, z_rows, b_rows):
+        before = len(algebra.subquotients)
+        out = tabled(algebra, ncomp, z_rows, b_rows)
+        assert any(v is out for v in algebra.subquotients.values())
+        hit = len(algebra.subquotients) == before
+        calls.append((algebra, ncomp, [list(r) for r in z_rows], [list(r) for r in b_rows], hit, out))
+        return out
+
+    with monkeypatch.context() as mp:
+        patch_every_binding(mp, (tabled,), recorded)
+        run()
+    return calls
+
+
+def workload_subquotients(alg):
+    """Random B <= Z <= A^n over alg, each presented as Z/B and as (Z + B)/0
+    (one pair of row lists joined would name both) and each a second time."""
+    rng = random.Random(alg.q * alg.dim)
+    for t in range(8):
+        n = 1 + t % 2
+        b_rows = random_submodule_rows(rng, alg, n, rng.randint(1, 2))
+        z_rows = random_submodule_rows(rng, alg, n, rng.randint(0, 2)) + b_rows
+        for z, b in ((z_rows, b_rows), (z_rows + b_rows, []), (z_rows, b_rows), (z_rows + b_rows, [])):
+            fitting.subquotient_presentation(alg, n, z, b)
+
+
+def test_the_subquotient_table_matches_the_untabled_presentation(monkeypatch):
+    """The per-algebra table against the presentation taken with no table
+    (present_subquotient), call by call, over complex_campaigns(2026, 20),
+    fitting_campaigns(2026, 30) and random subquotients over the `fitting`
+    workload's three algebras: the same generators in A^n and the same
+    relations on every call; a hit returns the object the table stored on
+    the key's first call, Fitting ideal included, and that ideal is the
+    untabled module's by the enumeration oracle; a new algebra starts with
+    an empty table."""
+    def campaigns_run():
+        assert all(r.ok for r in complex_campaigns(2026, 20) + fitting_campaigns(2026, 30))
+
+    workload = [group_algebra(2, 3, (2,)), group_algebra(3, 2, (3,)), group_algebra(3, 2, (2, 2))]
+    assert all(alg.subquotients == {} for alg in workload)
+    calls = recorded_subquotient_calls(monkeypatch, campaigns_run)
+    calls += recorded_subquotient_calls(monkeypatch, lambda: [workload_subquotients(a) for a in workload])
+    first, hits, oracle_checked = {}, 0, 0
+    for alg, n, z, b, hit, out in calls:
+        ref = fitting.present_subquotient(alg, n, z, b)
+        assert out.gens_ambient == ref.gens_ambient
+        assert (out.module.ngens, out.module.relations) == (ref.module.ngens, ref.module.relations)
+        key = (id(alg), n, tuple(map(tuple, z)), tuple(map(tuple, b)))
+        if hit:
+            hits += 1
+            assert out is first[key]
+            if alg.q**alg.dim <= campaigns.ORACLE_RING_LIMIT:
+                assert oracles.ideal_equal_oracle(out.module.fitting_ideal, ref.module.fitting_ideal)
+                oracle_checked += 1
+        else:
+            first[key] = out
+    assert hits > 300 and oracle_checked > 300 and len(first) > 150
+    assert {alg.name for alg, *_ in calls} >= {a.name for a in workload}
+    repeats = calls[-len(workload) * 32:]  # the last two of each four repeat the first two
+    assert all(c[4] for i, c in enumerate(repeats) if i % 4 >= 2)
+    for alg in workload:
+        assert alg.subquotients and GroupAlgebra(alg.p, alg.N, alg.group).subquotients == {}
+
+
+# ---------------------------------------------------------------------------
 # Pontryagin duals: the Smith route, which diagonalizes the relation span
 # over Z with p^N.I appended and hands the transported action of every basis
 # element's # to the closed-form dual of algebra_helpers
@@ -2146,7 +2222,11 @@ def test_pontryagin_dual_matches_the_reference_on_random_modules(alg):
 def test_the_dual_comparison_sees_a_nakayama_row_dropped(alg, monkeypatch):
     """A _nakayama_rows that drops its last kept row presents kernels, and so
     duals, on too few generators or relations: the comparison must fail on
-    a share of the modules that the random comparison above passes."""
+    a share of the modules that the random comparison above passes. The
+    algebra is built here, so its subquotient table holds no presentation
+    taken before the fault (the random comparison above fills the corpus
+    algebras' tables)."""
+    alg = GroupAlgebra(alg.p, alg.N, alg.group)
     keep = fitting._nakayama_rows
     monkeypatch.setattr(fitting, "_nakayama_rows", lambda *args: keep(*args)[:-1])
     rng = random.Random(alg.q * alg.dim)

@@ -11,8 +11,10 @@ quotients that reading the data and checking it build. The theta slice counts
 the tables of partial zeta values and the lowest_terms passes of the tower
 campaigns' thetas. The character slice counts the Euler and T-factor passes
 of the character route and the CyclotomicInt values both routes build. The
-product slice counts the group-algebra products of the complex campaigns. A
-module with no relation rows takes no Howell form."""
+product slice counts the group-algebra products of the complex campaigns,
+and the subquotient slice the presentations those campaigns find in their
+algebras' tables and the ones they present. A module with no relation rows
+takes no Howell form."""
 
 from pathlib import Path
 
@@ -29,7 +31,7 @@ LEDGER = [
     ("fitting_multiplicativity_campaign(2026, 60)",
      lambda: campaigns.fitting_multiplicativity_campaign(2026, 60).ok, (70, 4049)),
     ("complex_campaigns(2026, 20)",
-     lambda: all(r.ok for r in campaigns.complex_campaigns(2026, 20)), (1980, 17866)),
+     lambda: all(r.ok for r in campaigns.complex_campaigns(2026, 20)), (1137, 10728)),
 ]
 
 
@@ -49,8 +51,9 @@ def test_howell_work_matches_the_ledger(run, expected, monkeypatch):
 
 # GroupAlgebra.mul calls over complex_campaigns(2026, 20). Nakayama's J*z
 # over a group algebra takes no product (GroupAlgebra.radical_multiples);
-# forming each j*z as a product made 2,800.
-GROUP_ALGEBRA_PRODUCTS = 781
+# forming each j*z as a product made 2,800, and presenting each subquotient
+# again on every call 781.
+GROUP_ALGEBRA_PRODUCTS = 777
 
 
 def test_group_algebra_products_match_the_ledger(monkeypatch):
@@ -64,6 +67,30 @@ def test_group_algebra_products_match_the_ledger(monkeypatch):
     patch_every_binding(monkeypatch, (original,), counted)  # any module-level alias
     assert all(r.ok for r in campaigns.complex_campaigns(2026, 20))
     assert calls[0] == GROUP_ALGEBRA_PRODUCTS
+
+
+# (subquotient_presentation calls answered by the algebra's table, calls
+# presented) over complex_campaigns(2026, 20). Presenting on every call
+# made (0, 370).
+SUBQUOTIENT_TABLE = (290, 80)
+
+
+def test_subquotient_table_hits_match_the_ledger(monkeypatch):
+    table, present = fitting.subquotient_presentation, fitting.present_subquotient
+    calls, misses = [0], [0]
+
+    def counted_call(*args):
+        calls[0] += 1
+        return table(*args)
+
+    def counted_miss(*args):
+        misses[0] += 1
+        return present(*args)
+
+    patch_every_binding(monkeypatch, (table,), counted_call)
+    monkeypatch.setattr(fitting, "present_subquotient", counted_miss)
+    assert all(r.ok for r in campaigns.complex_campaigns(2026, 20))
+    assert (calls[0] - misses[0], misses[0]) == SUBQUOTIENT_TABLE
 
 
 # (check_hyp calls, subgroup products HC) over corpus_cm_specs(24) and the
