@@ -21,7 +21,7 @@ from .abelian import (
     check_hyp,
     cm_data,
     conductor,
-    dirichlet_character,
+    dirichlet_characters,
     galois_group,
     layer,
     ramified_primes,

@@ -10,13 +10,15 @@ computes CM structure (complex conjugation j and the idempotents e_r), roots
 of unity, cyclotomic-tower layers, the one statement of theta's (S, T) rules
 (admissible_places, read off the conductor) with the Hyp(S,T) test (those
 rules, then roots_of_unity_rule), the character table with exact
-decomposition/reconstruction (its logs cached per group), and the primitive
-Dirichlet character of a label (the kernels and CRT lifts it reads cached
-per conductor). The presentation, CM structure, ramified primes and w_L are
-cached per spec. The elements of Q[G]
-(the CM idempotents, the input of decompose and the output of reconstruct)
-are pairs (nums, den) of integer numerators in the basis order of groupring
-over one positive denominator, in lowest terms.
+decomposition/reconstruction (its labels and logs cached per group), and
+every character of a field as a primitive Dirichlet character, built in one
+pass per presentation with logs indexed by residue (the kernels and CRT
+lifts it reads cached per conductor). The unit group of (Z/m)^x and its dlog
+table are cached per modulus; the presentation, CM structure, ramified
+primes and w_L per spec. Groups and specs hash once, when built. The
+elements of Q[G] (the CM idempotents, the input of decompose and the output
+of reconstruct) are pairs (nums, den) of integer numerators in the basis
+order of groupring over one positive denominator, in lowest terms.
 """
 
 from __future__ import annotations
@@ -49,11 +51,13 @@ class FiniteAbelianGroup:
 
     galois_group always produces the invariant-factor form (orders dividing
     successively); tower layers use the product form H x Z/p^n. Two groups
-    with the same orders are equal, so caches key on the orders.
+    with the same orders are equal, so caches key on the orders, hashed once
+    in __init__.
     """
 
     def __init__(self, orders: tuple[int, ...]) -> None:
         self.orders = orders
+        self._hash = hash(orders)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteAbelianGroup):
@@ -61,7 +65,7 @@ class FiniteAbelianGroup:
         return self.orders == other.orders
 
     def __hash__(self) -> int:
-        return hash(self.orders)
+        return self._hash
 
     @property
     def size(self) -> int:
@@ -97,7 +101,8 @@ class FiniteAbelianGroup:
 
 class AbelianFieldSpec:
     """The fixed field of `fixing` inside Q(zeta_modulus); specs with the same
-    modulus, fixing subgroup and label are equal."""
+    modulus, fixing subgroup and label are equal, and their hash is taken
+    once in __init__."""
 
     def __init__(self, modulus: int, fixing, label: str = "") -> None:
         m = modulus
@@ -119,6 +124,7 @@ class AbelianFieldSpec:
                     span |= coset
                     power = power * a % m
         self.modulus, self.fixing, self.label = m, fix, label
+        self._hash = hash((m, fix, label))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AbelianFieldSpec):
@@ -126,7 +132,7 @@ class AbelianFieldSpec:
         return (self.modulus, self.fixing, self.label) == (other.modulus, other.fixing, other.label)
 
     def __hash__(self) -> int:
-        return hash((self.modulus, self.fixing, self.label))
+        return self._hash
 
     @classmethod
     def cyclotomic(cls, m: int, label: str = "") -> "AbelianFieldSpec":
@@ -221,7 +227,11 @@ class GaloisData:
         return self.element_of(ell)
 
 
-def _dlog_table(m: int, gens) -> dict[int, tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def _unit_group(m: int) -> tuple[list[tuple[int, int]], dict[int, tuple[int, ...]]]:
+    """(the generators (g, order) of (Z/m)^x, the exponent vector over them
+    of each unit residue), built once per modulus."""
+    gens = unit_group_generators(m)
     one = 1 % m
     table = {one: (0,) * len(gens)}
     frontier = [one]
@@ -238,16 +248,14 @@ def _dlog_table(m: int, gens) -> dict[int, tuple[int, ...]]:
                     nxt.append(b)
         frontier = nxt
     assert len(table) == len(unit_residues(m))
-    return table
+    return gens, table
 
 
 @lru_cache(maxsize=None)
 def galois_group(spec: AbelianFieldSpec) -> GaloisData:
     """Gal(L/Q) in invariant-factor coordinates: the Smith form of the
-    relations of H on the generators of (Z/m)^x."""
-    m = spec.modulus
-    gens = unit_group_generators(m)
-    dlog = _dlog_table(m, gens)
+    relations of H on the generators of (Z/m)^x, read from _unit_group(m)."""
+    gens, dlog = _unit_group(spec.modulus)
     rows = [[gens[i][1] if j == i else 0 for j in range(len(gens))] for i in range(len(gens))]
     rows += [list(dlog[h]) for h in sorted(spec.fixing)]
     diag, V = smith_normal_form(rows, len(gens))
@@ -401,31 +409,31 @@ def check_hyp(spec: AbelianFieldSpec, S, T) -> tuple[bool, str]:
 # Characters.
 
 @lru_cache(maxsize=None)
-def _character_logs(group: FiniteAbelianGroup) -> tuple[tuple[int, ...], ...]:
-    """The logs base zeta_e of each character of group, one tuple per label
-    in the order of group.elements(), each in the basis order of groupring;
-    built once per group."""
+def _character_logs(group: FiniteAbelianGroup) -> tuple[tuple, dict]:
+    """(the labels in the order of group.elements(), {label: the logs base
+    zeta_e of its character, in the basis order of groupring}), built once
+    per group."""
     e = group.exponent
-    return tuple(
-        tuple(linear_form(group, [ci * (e // d) for ci, d in zip(c, group.orders)], e))
-        for c in group.elements()
-    )
+    labels = tuple(group.elements())
+    return labels, {
+        c: tuple(linear_form(group, [ci * (e // d) for ci, d in zip(c, group.orders)], e))
+        for c in labels
+    }
 
 
 class CharacterTable:
     """All characters of a finite abelian group, stored as logs base zeta_e.
 
     Characters are labelled by exponent vectors c: chi_c(g) = zeta_e^log with
-    log = sum_i c_i g_i (e / d_i) mod e, e the exponent of the group. Each
-    label keeps the tuple of its logs in the basis order of groupring, read
-    from _character_logs.
+    log = sum_i c_i g_i (e / d_i) mod e, e the exponent of the group. The
+    labels and each label's tuple of logs in the basis order of groupring are
+    read from _character_logs, one cache per group.
     """
 
     def __init__(self, group: FiniteAbelianGroup):
         self.group = group
         self.e = group.exponent
-        self.labels = list(group.elements())
-        self._logs = dict(zip(self.labels, _character_logs(group)))
+        self.labels, self._logs = _character_logs(group)
 
     def component(self, x: tuple, label) -> CyclotomicInt:
         """component_chi(x) = sum_g x_g chi(g) for x = (nums, den) in Q[G]:
@@ -464,27 +472,19 @@ class CharacterTable:
 class DirichletCharacter:
     """A character of Gal(L/Q) as a primitive Dirichlet character.
 
-    Values are zeta_order^logs[a] on residues a coprime to the conductor and 0
-    elsewhere; `order` is the exponent of the ambient character table so that
-    values from different characters of one group compare directly. The
-    object compares by identity.
+    logs[b] is the log base zeta_order of chi(b) for each residue b mod the
+    conductor, None off the units (chi(b) = 0); the trivial character has
+    conductor 1 and logs [0]. `order` is the exponent of the field's group,
+    so that values from different characters of one group compare directly.
+    chi_bar, the contragredient, is chi with its logs negated. The object
+    compares by identity.
     """
 
-    def __init__(self, conductor: int, order: int, logs: dict[int, int]) -> None:
+    def __init__(self, conductor: int, order: int, logs: list) -> None:
         self.conductor, self.order, self.logs = conductor, order, logs
 
     def log_of(self, a: int) -> int | None:
-        f = self.conductor
-        if f == 1:
-            return 0
-        if math.gcd(a, f) != 1:
-            return None
-        return self.logs[a % f]
-
-    def contragredient(self) -> "DirichletCharacter":
-        return DirichletCharacter(
-            self.conductor, self.order, {a: (-t) % self.order for a, t in self.logs.items()}
-        )
+        return self.logs[a % self.conductor]
 
 
 @lru_cache(maxsize=None)
@@ -503,12 +503,11 @@ def _crt_lifts(d: int, f: int) -> tuple[tuple[int, int], ...]:
     return tuple((b, crt_lift(b, d, f, f_factors)) for b in unit_residues(d))
 
 
-@lru_cache(maxsize=None)
-def _unit_logs(gal: GaloisData) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(a, the log base zeta_e of chi_label(a) for every label) for each unit
-    a of the field's conductor, e the exponent of the group: each unit is
-    classified once, and its logs sum_i c_i g_i (e / d_i) over g =
-    element_of(a) run over the labels c in the order of the group's
+def _unit_logs(gal: GaloisData) -> list[tuple[int, ...]]:
+    """The logs base zeta_e of chi_label(a) for every label, one tuple for
+    each unit a of the field's conductor ascending, e the exponent of the
+    group: each unit is classified once, and its logs sum_i c_i g_i (e / d_i)
+    over g = element_of(a) run over the labels c in the order of the group's
     elements (mixed radix, the last coordinate fastest)."""
     grp = gal.group
     e = grp.exponent
@@ -518,27 +517,31 @@ def _unit_logs(gal: GaloisData) -> tuple[tuple[int, tuple[int, ...]], ...]:
         for x, d in zip(gal.element_of(a), grp.orders):
             w = x * (e // d)
             logs = [(t + c * w) % e for t in logs for c in range(d)]
-        rows.append((a, tuple(logs)))
-    return tuple(rows)
+        rows.append(tuple(logs))
+    return rows
 
 
-def dirichlet_character(gal: GaloisData, label) -> DirichletCharacter:
-    """Primitivize the character chi_label of Gal(L/Q) to its own conductor,
-    its logs on the units of the field's conductor f read from _unit_logs.
-    Its conductor is the least d | f whose kernel chi kills; its values mod d
-    are read at the CRT lifts to f. The kernels and the lifts are cached per
-    conductor, the logs per presentation."""
-    grp = gal.group
-    j = 0
-    for c, d in zip(label, grp.orders, strict=True):
-        j = j * d + c % d
-    log_f = {a: logs[j] for a, logs in _unit_logs(gal)}
-    kernels = _unit_kernels(gal.conductor)
-    fchi = next(d for d, kernel in kernels if not any(log_f[a] for a in kernel))
-    if fchi == 1:
-        return DirichletCharacter(1, grp.exponent, {})
-    logs = {b: log_f[a] for b, a in _crt_lifts(fchi, gal.conductor)}
-    return DirichletCharacter(fchi, grp.exponent, logs)
+@lru_cache(maxsize=None)
+def dirichlet_characters(gal: GaloisData) -> tuple[DirichletCharacter, ...]:
+    """Every character of Gal(L/Q) as a primitive Dirichlet character, in the
+    order of the group's elements, from one pass over the columns of
+    _unit_logs (the logs of a label at the units of the field's conductor
+    f): its conductor is the least d | f whose kernel (_unit_kernels) it
+    kills, and its logs mod d are read at the CRT lifts to f (_crt_lifts).
+    Built once per presentation."""
+    f, e = gal.conductor, gal.group.exponent
+    kernels = _unit_kernels(f)
+    position = {a: i for i, a in enumerate(kernels[0][1])}
+    kernels = [(d, [position[a] for a in kernel]) for d, kernel in kernels]
+    slots = {}  # d: the place in a column of the lift of each residue mod d
+    out = []
+    for col in zip(*_unit_logs(gal), itertools.repeat(None)):  # None ends each column
+        d = next(d for d, kernel in kernels if not any(map(col.__getitem__, kernel)))
+        if d not in slots:
+            lifts = dict(_crt_lifts(d, f))
+            slots[d] = [position[lifts[b]] if b in lifts else -1 for b in range(d)]
+        out.append(DirichletCharacter(d, e, list(map(col.__getitem__, slots[d]))))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,18 @@ integer numerators over one positive denominator, in lowest terms
 basis order of groupring; padic_from_rational reduces such a pair mod p^N
 with one inverse of den. Q(zeta_n) is CyclotomicInt: numerators in the power
 basis 1, z, ..., z^(phi(n)-1), reduced mod the n-th cyclotomic polynomial in
-the integers: exponents are folded mod n, for even n the top half through
-z^(n/2) = -1, and each power z^i with phi(n) <= i that is left (0 to 3 at
-the orders of the CM corpus) is added from a table of z^i mod Phi_n built
-once per n. Both character routes (abelian.CharacterTable and the L-values
-of lvalues) build it directly from an integer vector and a denominator.
+the integers by its constructor, the one place the fold lives: exponents are
+folded mod n, for even n the top half through z^(n/2) = -1, and each power
+z^i with phi(n) <= i that is left (0 to 3 at the orders of the CM corpus) is
+added from a table of z^i mod Phi_n built once per n. Both character routes
+(abelian.CharacterTable and the L-values of lvalues) build it directly from
+an integer vector and a denominator.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -150,27 +152,6 @@ def _cyclotomic_fold(n: int) -> tuple[int, int, tuple[tuple[int, tuple[int, ...]
     return m, deg, tuple(powers)
 
 
-def _reduce_mod_cyclotomic(vec, n: int) -> list[int]:
-    """Remainder of a low-first integer polynomial modulo Phi_n, of length
-    phi(n): the exponents are folded mod n (Phi_n divides z^n - 1), for even
-    n the top half is folded through z^(n/2) = -1, and each power z^i left
-    with phi(n) <= i is added from the fold table of n."""
-    m, deg, powers = _cyclotomic_fold(n)
-    if len(vec) != n:
-        folded = [0] * n
-        for i, c in enumerate(vec):
-            folded[i % n] += c
-        vec = folded
-    if m != n:
-        vec = [a - b for a, b in zip(vec[:m], vec[m:])]
-    out = list(vec[:deg])
-    for i, power in powers:
-        c = vec[i]
-        if c:
-            out = [a + c * b for a, b in zip(out, power)]
-    return out
-
-
 class CyclotomicInt:
     """Element of Q(zeta_n), the value type of both character routes: integer
     numerators `nums` of 1, z, ..., z^(phi(n)-1) over one positive
@@ -178,13 +159,30 @@ class CyclotomicInt:
     integer coefficients of 1, z, z^2, ... of any length and reduces them mod
     Phi_n, so two values are equal when their (n, nums, den) are. Comparing
     with an int or a Fraction raises TypeError: there is no coercion, and a
-    silent False would make `x == 0` untrue for every x."""
+    silent False would make `x == 0` untrue for every x.
+
+    The reduction is one fold: the exponents are folded mod n (Phi_n divides
+    z^n - 1), for even n the top half through z^(n/2) = -1, and each power
+    z^i left with phi(n) <= i is added from the fold table of n."""
 
     __slots__ = ("n", "nums", "den")
 
     def __init__(self, n: int, vec, den: int = 1):
+        m, deg, powers = _cyclotomic_fold(n)
+        if len(vec) != n:
+            folded = [0] * n
+            for i, c in enumerate(vec):
+                folded[i % n] += c
+            vec = folded
+        if m != n:
+            vec = list(map(operator.sub, vec[:m], vec[m:]))
+        out = vec[:deg]
+        for i, power in powers:
+            c = vec[i]
+            if c:
+                out = [a + c * b for a, b in zip(out, power)]
         self.n = n
-        self.nums, self.den = lowest_terms(_reduce_mod_cyclotomic(vec, n), den)
+        self.nums, self.den = lowest_terms(out, den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, CyclotomicInt):

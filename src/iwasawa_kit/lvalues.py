@@ -16,13 +16,17 @@ Euler factor of an unramified prime of S and each T-factor is the same
 pass x_g - c x_(sigma_v g), c an integer, never a full group-ring product,
 and lowest_terms runs once at the end. The character route (S-truncated
 Dirichlet L-values at non-positive integers through generalized Bernoulli
-numbers) is an independent cross-check. It admits r and (S, T) through theta_places, and
-builds each value of Q(zeta_e) as an integer vector indexed by the exponent
-mod e over one denominator. Its characters are primitivized from their
-labels by abelian.dirichlet_character, with no CharacterTable. B_{n,chi}
-buckets the Horner values f^n D B_n(a/f), built once per (f, n), by the log
-of chi(a); the L-values of a field's characters are one table per (spec, n).
-Each Euler or delta_T factor (1 - c zeta_e^s) is a shift-and-subtract, a zero
+numbers) is an independent cross-check. It admits r and (S, T) through
+theta_places, and builds each value of Q(zeta_e) as an integer vector
+indexed by the exponent mod e over one denominator. A field's characters
+are built once per presentation by abelian.dirichlet_characters, in one
+pass, with no CharacterTable; each keeps its logs as a list indexed by
+residue mod its conductor. B_{n,chi} buckets the Horner values
+f^n D B_n(a/f), built once per (f, n), by the log of chi(a); the L-values of
+a field's characters are one table per (spec, n), and as chi_bar is chi
+with its logs negated, B_{n,chi_bar} is chi's vector reflected t -> -t, with
+no contragredient. Each Euler or delta_T factor (1 - c zeta_e^s) reads
+s = -log chi(v), the log of chi_bar(v), and is a shift-and-subtract; a zero
 L-value takes none, and the vector and denominator go to CyclotomicInt,
 which folds them into its normal form once per character. It classifies
 residues through element_of; only the group-ring route reads unit_classes.
@@ -51,7 +55,7 @@ from .abelian import (
     FiniteAbelianGroup,
     admissible_places,
     cm_data,
-    dirichlet_character,
+    dirichlet_characters,
     galois_group,
 )
 from .exact import (
@@ -212,9 +216,8 @@ def _bernoulli_terms(f: int, n: int) -> tuple[tuple[int, int], ...]:
 def _bernoulli_vector(chi: DirichletCharacter, n: int) -> tuple[tuple[int, ...], int]:
     """B_{n,chi} = f^(n-1) sum_{a=1}^{f} chi(a) B_n(a/f) as (vec, den)
     (Washington, GTM 83, section 4.1): the terms of _bernoulli_terms(f, n)
-    bucketed by the log of chi(a)."""
-    logs = chi.logs or {0: 0}  # the trivial character of conductor 1
-    vec = [0] * chi.order
+    bucketed by the log of chi(a), read off the residue-indexed logs."""
+    logs, vec = chi.logs, [0] * chi.order
     for b, value in _bernoulli_terms(chi.conductor, n):
         vec[logs[b]] += value
     return tuple(vec), chi.conductor * _bernoulli_cleared(n)[0]
@@ -227,45 +230,37 @@ def _one_minus(vec, s: int, c: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _characters(spec: AbelianFieldSpec) -> tuple:
-    """(label, chi, contragredient of chi) for each character of Gal(L/Q),
-    labels in the order of the group's elements."""
-    gal = galois_group(spec)
-    chars = ((label, dirichlet_character(gal, label)) for label in gal.group.elements())
-    return tuple((label, chi, chi.contragredient()) for label, chi in chars)
-
-
-@lru_cache(maxsize=None)
 def _l_table(spec: AbelianFieldSpec, n: int) -> tuple:
-    """(label, chi, chi_bar, vec, den) for each character of Gal(L/Q), chi_bar
-    its contragredient: L(1 - n, chi_bar) = -B_{n,chi_bar}/n = vec/den, the
-    vector of B_{n,chi_bar} over a negative den."""
+    """(label, chi, vec, den) for each character chi of Gal(L/Q), labels in
+    the order of the group's elements: L(1 - n, chi_bar) = -B_{n,chi_bar}/n
+    = vec/den over a negative den. chi_bar has the logs of chi negated, so
+    vec is B_{n,chi} bucketed by chi's logs and reflected t -> -t."""
+    gal = galois_group(spec)
     rows = []
-    for label, chi, chi_bar in _characters(spec):
-        vec, den = _bernoulli_vector(chi_bar, n)
-        rows.append((label, chi, chi_bar, vec, -den * n))
+    for label, chi in zip(gal.group.elements(), dirichlet_characters(gal)):
+        vec, den = _bernoulli_vector(chi, n)
+        rows.append((label, chi, vec[:1] + vec[:0:-1], -den * n))
     return tuple(rows)
 
 
 def theta_character_side(spec: AbelianFieldSpec, S, T, r: int) -> dict:
     """chi-components of Theta_{S,T}(r) computed purely through L-values:
-    component_chi = delta_T(r, chi) . L_S(r, contragredient chi), L_S(r, chi)
-    = L(r, chi) prod_v (1 - chi(v) v^(-r)) over the primes of S that do not
-    divide the conductor of chi. r and the places are admitted first by
-    theta's check (theta_places), so no prime of T divides a character's
-    conductor. A zero L-value takes no factor."""
+    component_chi = delta_T(r, chi) . L_S(r, chi_bar), L_S(r, chi_bar) =
+    L(r, chi_bar) prod_v (1 - chi_bar(v) v^(-r)) over the primes of S that do
+    not divide the conductor of chi, and delta_T(r, chi) = prod_v (1 -
+    chi_bar(v) v^(1-r)) (det(1 - Nv^(1-r) sigma_v^(-1) | V_chi)). r and the
+    places are admitted first by theta's check (theta_places), so no prime of
+    T divides a character's conductor, and every factor reads chi_bar(v) as
+    -log chi(v). A zero L-value takes no factor."""
     s_fin, t_fin = theta_places(spec, S, T, r)
-    euler = [(v, v ** (-r)) for v in sorted(s_fin)]
-    t_factors = [(v, v ** (1 - r)) for v in sorted(t_fin)]
+    factors = [(v, v ** (-r)) for v in sorted(s_fin)]
+    factors += [(v, v ** (1 - r)) for v in sorted(t_fin)]
     out = {}
-    for label, chi, chi_bar, vec, den in _l_table(spec, 1 - r):
+    for label, chi, vec, den in _l_table(spec, 1 - r):
         if any(vec):
-            for v, c in euler:
-                if chi_bar.conductor % v:
-                    vec = _one_minus(vec, chi_bar.log_of(v), c)
-            for v, c in t_factors:
-                # det(1 - Nv^(1-r) sigma_v^(-1) | V_chi): chi(sigma_v^(-1)) = chi(v)^(-1)
-                vec = _one_minus(vec, -chi.log_of(v), c)
+            for v, c in factors:
+                if chi.conductor % v:
+                    vec = _one_minus(vec, -chi.log_of(v), c)
         out[label] = CyclotomicInt(chi.order, vec, den)
     return out
 

@@ -1,9 +1,10 @@
 """Algebras, the double-loop product of a group algebra, ring helpers, the
 vectors a span oracle holds as codes, the closed-form dual of a finite
 abelian group with an action, the field arithmetic of Q(zeta_n), the
-character log of one group element, the action matrix of one group element
-on class data, a per-test cache of theta's zeta tables and a patcher of
-every binding of a function in the package, which only the tests use."""
+character log of one group element, the contragredient of a Dirichlet
+character, the action matrix of one group element on class data, a per-test
+cache of theta's zeta tables and a patcher of every binding of a function in
+the package, which only the tests use."""
 
 import importlib
 import pkgutil
@@ -12,6 +13,7 @@ from functools import lru_cache
 
 import iwasawa_kit
 from iwasawa_kit import lvalues
+from iwasawa_kit.abelian import DirichletCharacter
 from iwasawa_kit.exact import CyclotomicInt
 from iwasawa_kit.fitting import FiniteCommAlgebra, FinPresModule
 from iwasawa_kit.groupring import basis_index
@@ -38,9 +40,15 @@ def character_log(tab, label, g) -> int:
 
 
 def character_key(chi) -> tuple:
-    """(conductor, order, sorted logs): every value of a DirichletCharacter,
-    spelled out, for comparing two characters."""
-    return chi.conductor, chi.order, tuple(sorted(chi.logs.items()))
+    """(conductor, order, logs by residue, None off the units): every value
+    of a DirichletCharacter, spelled out, for comparing two characters."""
+    return chi.conductor, chi.order, tuple(chi.logs)
+
+
+def contragredient(chi) -> DirichletCharacter:
+    """chi_bar: the DirichletCharacter chi with each of its logs negated."""
+    e = chi.order
+    return DirichletCharacter(chi.conductor, e, [t if t is None else -t % e for t in chi.logs])
 
 
 def fresh_zeta_tables(monkeypatch):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from algebra_helpers import Cyclotomic, character_key, character_log
+from algebra_helpers import Cyclotomic, character_key, character_log, contragredient
 from fraction_route import as_fractions, as_pair, rational_value
 
 from iwasawa_kit.abelian import (
@@ -21,7 +21,7 @@ from iwasawa_kit.abelian import (
     check_hyp,
     cm_data,
     conductor,
-    dirichlet_character,
+    dirichlet_characters,
     galois_group,
     layer,
     ramified_primes,
@@ -406,10 +406,9 @@ def test_dirichlet_character_primitivization():
     # Q(zeta_3) inside modulus 15: the odd quadratic character has conductor 3.
     spec = AbelianFieldSpec(15, frozenset({1, 4, 7, 13}))
     gal = galois_group(spec)
-    tab = CharacterTable(gal.group)
-    nontriv = [c for c in tab.labels if c != tab.labels[0]]
-    chi = dirichlet_character(gal, nontriv[0])
-    assert chi.conductor == 3
+    trivial, chi = dirichlet_characters(gal)
+    assert character_key(trivial) == (1, 2, (0,))
+    assert chi.conductor == 3 and chi.logs == [None, 0, 1]
     assert chi.log_of(-1) != 0  # odd
     assert chi.order == 2 and chi.log_of(2) == 1  # chi(2) = -1
     assert chi.log_of(3) is None  # chi(3) = 0
@@ -417,14 +416,16 @@ def test_dirichlet_character_primitivization():
 
 def test_dirichlet_character_equality_sees_every_value():
     # the two odd characters of conductor 5 differ at 2: chi(2) = i or -i
-    chi = DirichletCharacter(5, 4, {1: 0, 2: 1, 3: 3, 4: 2})
-    conj = DirichletCharacter(5, 4, {1: 0, 2: 3, 3: 1, 4: 2})
+    chi = DirichletCharacter(5, 4, [None, 0, 1, 3, 2])
+    conj = DirichletCharacter(5, 4, [None, 0, 3, 1, 2])
     key = character_key
     assert key(chi) != key(conj) and chi.log_of(2) != conj.log_of(2)
-    assert key(chi.contragredient()) == key(conj)
-    same = DirichletCharacter(5, 4, {4: 2, 3: 3, 2: 1, 1: 0})  # insertion order
-    assert key(same) == key(chi)
-    assert key(chi) != key(DirichletCharacter(5, 8, {1: 0, 2: 1, 3: 3, 4: 2}))
+    assert key(contragredient(chi)) == key(conj) and key(contragredient(conj)) == key(chi)
+    assert chi.log_of(7) == chi.log_of(2) and chi.log_of(-1) == 2 and chi.log_of(10) is None
+    assert key(chi) != key(DirichletCharacter(5, 8, [None, 0, 1, 3, 2]))
+    # the quadratic character of conductor 5 is its own contragredient
+    quadratic = DirichletCharacter(5, 4, [None, 0, 2, 2, 0])
+    assert key(contragredient(quadratic)) == key(quadratic)
 
 
 def test_tower_level_data_structure():

@@ -1,11 +1,13 @@
 """The former forms of the character route's tables, kept as oracles of the
 tables that are built once: the long division by Phi_n that the fold
-replaced, the primitivization that read chi(a) from a CharacterTable and
-formed its kernels and CRT lifts again per character, the CRT lift that
-factors its modulus for each unit, the per-character Horner of B_{n,chi}
-over every residue mod f, the per-character L-values that applied every
-factor to every character (a zero one too) before the table per (spec, n),
-and the conductor search that listed the units mod m once per divisor."""
+replaced, the per-label primitivization that read chi(a) from a
+CharacterTable into a dict, formed its kernels and CRT lifts again per
+character and negated each log into an explicit contragredient, the CRT
+lift that factors its modulus for each unit, the per-character Horner of
+B_{n,chi} over every residue mod f, the per-character L-values that applied
+every factor to every character (a zero one too) before the table per
+(spec, n), and the conductor search that listed the units mod m once per
+divisor."""
 
 import math
 import random
@@ -18,13 +20,12 @@ from iwasawa_kit import abelian, lvalues
 from iwasawa_kit.abelian import (
     AbelianFieldSpec,
     CharacterTable,
-    DirichletCharacter,
     conductor,
-    dirichlet_character,
+    dirichlet_characters,
     galois_group,
 )
 from iwasawa_kit.campaigns import corpus_cm_specs, corpus_st_choices
-from iwasawa_kit.exact import _reduce_mod_cyclotomic, cyclotomic_polynomial, lowest_terms
+from iwasawa_kit.exact import CyclotomicInt, cyclotomic_polynomial, lowest_terms
 from iwasawa_kit.lvalues import (
     _bernoulli_cleared,
     _bernoulli_vector,
@@ -57,26 +58,36 @@ def test_the_fold_matches_the_long_division():
     for n in [*range(1, 61), 105, 210]:
         for length in sorted({0, 1, n // 2, n - 1, n, n + 1, 2 * n + 3, 3 * n}):
             vec = [rng.randint(-50, 50) for _ in range(length)]
-            assert _reduce_mod_cyclotomic(vec, n) == reduce_mod_cyclotomic_reference(vec, n), (
-                n, length)
-        assert _reduce_mod_cyclotomic([0] * n, n) == [0] * euler_phi(n), n
+            want = tuple(reduce_mod_cyclotomic_reference(vec, n))
+            assert CyclotomicInt(n, vec).nums == want, (n, length)
+        assert CyclotomicInt(n, [0] * n).nums == (0,) * euler_phi(n), n
 
 
 def dirichlet_character_reference(gal, table, label):
-    """chi_label primitivized through the table: chi(a) read at element_of(a)
-    from the CharacterTable, the kernel of each d | f and the CRT lifts
-    formed again. Conductor f > 1."""
-    f = gal.conductor
+    """chi_label primitivized through the table, one dict per label: chi(a)
+    read at element_of(a) from the CharacterTable, the kernel of each d | f
+    and the CRT lifts formed again, and chi_bar with each log negated
+    explicitly. Returns the character_key of chi and of chi_bar."""
+    f, e = gal.conductor, table.e
     log_f = {a: character_log(table, label, gal.element_of(a)) for a in unit_residues(f)}
     fchi = f
     for d in divisors(f):
         if all(log_f[a] == 0 for a in unit_residues(f) if (a - 1) % d == 0):
             fchi = d
             break
-    if fchi == 1:
-        return DirichletCharacter(1, table.e, {})
-    logs = {b: log_f[crt_lift(b, fchi, f)] for b in unit_residues(fchi)}
-    return DirichletCharacter(fchi, table.e, logs)
+    logs = {b % fchi: log_f[crt_lift(b, fchi, f)] for b in unit_residues(fchi)}
+    bar = {b: (-t) % e for b, t in logs.items()}
+    return tuple((fchi, e, tuple(x.get(b) for b in range(fchi))) for x in (logs, bar))
+
+
+@lru_cache(maxsize=None)
+def reference_characters(spec):
+    """(label, key of chi, key of chi_bar) for each character of the spec's
+    group, labels in the order of its elements."""
+    gal = galois_group(spec)
+    table = CharacterTable(gal.group)
+    return tuple((label, *dirichlet_character_reference(gal, table, label))
+                 for label in table.labels)
 
 
 def non_corpus_specs():
@@ -93,21 +104,25 @@ def non_corpus_specs():
     return specs
 
 
-def characters_to_check():
-    for spec in corpus_cm_specs(24) + non_corpus_specs():
-        gal = galois_group(spec)
-        yield spec, gal, CharacterTable(gal.group)
+def specs_to_check():
+    return corpus_cm_specs(24) + non_corpus_specs()
 
 
 def test_primitivization_matches_the_table_route():
+    """Each character of the one pass has the conductor of the per-label
+    primitivization and its log at every residue, None off the units."""
     conductors = set()
-    for spec, gal, table in characters_to_check():
+    for spec in specs_to_check():
+        gal = galois_group(spec)
         assert gal.conductor > 1, spec.label
-        for label in table.labels:
-            chi = dirichlet_character(gal, label)
-            reference = dirichlet_character_reference(gal, table, label)
-            assert character_key(chi) == character_key(reference), (
-                spec.label, label)
+        chars = dirichlet_characters(gal)
+        assert len(chars) == gal.group.size
+        for chi, (label, key, _) in zip(chars, reference_characters(spec), strict=True):
+            fchi, e, logs = key
+            assert (chi.conductor, chi.order) == (fchi, e), (spec.label, label)
+            for b in range(fchi):
+                assert chi.log_of(b) == logs[b], (spec.label, label, b)
+            assert character_key(chi) == key, (spec.label, label)
             conductors.add(chi.conductor)
     assert {1, 3, 4, 5, 8, 12} <= conductors
 
@@ -130,8 +145,7 @@ def test_crt_lift_tables_match_the_per_unit_lifts():
                                   AbelianFieldSpec(4, frozenset({1, 3}))], ids=["Q", "Q in 4"])
 def test_a_field_of_conductor_one_has_one_trivial_character(spec):
     gal = galois_group(spec)
-    assert [character_key(dirichlet_character(gal, label)) for label in gal.group.elements()] == [
-        (1, 1, ())]
+    assert [character_key(chi) for chi in dirichlet_characters(gal)] == [(1, 1, (0,))]
     for r in (0, -1, -2):
         components = theta_character_side(spec, [OO], [2], r)
         assert CharacterTable(gal.group).decompose(theta(spec, [OO], [2], r).value) == components
@@ -141,17 +155,13 @@ def test_a_field_of_conductor_one_has_one_trivial_character(spec):
 def bernoulli_vector_reference(key, n):
     """B_{n,chi} as (vec, den) by one Horner pass per character over every
     residue mod f, for the character whose character_key is key."""
-    f, e, items = key
-    logs = dict(items)
+    f, e, logs = key
     den, cleared = _bernoulli_cleared(n)
     f_pow = [f**j for j in range(n + 1)]
     vec = [0] * e
     for a in range(1, f + 1):
-        if f == 1:
-            t = 0
-        elif math.gcd(a, f) == 1:
-            t = logs[a % f]
-        else:
+        t = logs[a % f]
+        if t is None:
             continue
         acc = 0
         for j, c in enumerate(reversed(cleared)):
@@ -161,13 +171,24 @@ def bernoulli_vector_reference(key, n):
 
 
 def test_bernoulli_vector_matches_the_per_character_horner():
-    chars = {character_key(chi): chi for spec in corpus_cm_specs(24) + non_corpus_specs()
-             for _, chi, chi_bar in lvalues._characters(spec) for chi in (chi, chi_bar)}
-    chars[(1, 1, ())] = DirichletCharacter(1, 1, {})
-    assert len(chars) > 50
-    for key in sorted(chars):
+    """B_{n,chi} of each character, and the L-value table's B_{n,chi_bar}
+    (chi's vector reflected), against the Horner pass of the explicit chi and
+    chi_bar of the per-label primitivization, n = 1..4."""
+    keys = set()
+    for spec in specs_to_check():
         for n in (1, 2, 3, 4):
-            assert _bernoulli_vector(chars[key], n) == bernoulli_vector_reference(key, n), (key, n)
+            rows = lvalues._l_table(spec, n)
+            for (label, chi, vec, den), (_, key, bar) in zip(rows, reference_characters(spec),
+                                                             strict=True):
+                assert character_key(chi) == key
+                assert _bernoulli_vector(chi, n) == bernoulli_vector_reference(key, n), (key, n)
+                want_vec, want_den = bernoulli_vector_reference(bar, n)
+                assert (vec, den) == (want_vec, -want_den * n), (spec.label, label, n)
+                keys.update((key, bar))
+    assert len(keys) > 50
+    trivial = dirichlet_characters(galois_group(AbelianFieldSpec.rationals()))[0]
+    for n in (1, 2, 3, 4):
+        assert _bernoulli_vector(trivial, n) == bernoulli_vector_reference((1, 1, (0,)), n)
 
 
 def one_minus_reference(vec, s, c):
@@ -176,29 +197,30 @@ def one_minus_reference(vec, s, c):
     return [vec[i] - c * vec[(i - s) % e] for i in range(e)]
 
 
-def l_vector_reference(chi, s_fin, r):
-    """L_S(r, chi) = -B_{n,chi}/n . prod_v (1 - chi(v) v^(-r)) as (vec, den),
-    B_{n,chi} looked up by the character's key on every call and every Euler
-    factor applied, to a zero vector too."""
+def l_vector_reference(key, s_fin, r):
+    """L_S(r, chi) = -B_{n,chi}/n . prod_v (1 - chi(v) v^(-r)) as (vec, den)
+    for the character whose character_key is key, B_{n,chi} looked up by the
+    key on every call and every Euler factor applied, to a zero vector too."""
+    f, _, logs = key
     n = 1 - r
-    vec, den = bernoulli_vector_reference(character_key(chi), n)
+    vec, den = bernoulli_vector_reference(key, n)
     vec = [-c for c in vec]
     for v in sorted(s_fin):
-        if chi.conductor % v != 0 or chi.conductor == 1:
-            vec = one_minus_reference(vec, chi.log_of(v), v ** (-r))
+        if f % v != 0 or f == 1:
+            vec = one_minus_reference(vec, logs[v % f], v ** (-r))
     return vec, den * n
 
 
 def character_side_reference(spec, S, T, r):
-    """The chi-components one character at a time: every T-factor applied to
-    every L-value, each value reduced by the long division."""
+    """The chi-components one character at a time, from the explicit chi_bar
+    of the per-label primitivization: every T-factor applied to every
+    L-value, each value reduced by the long division."""
     s_fin, t_fin = theta_places(spec, S, T, r)
     out = {}
-    for label, chi, chi_bar in lvalues._characters(spec):
-        vec, den = l_vector_reference(chi_bar, s_fin, r)
+    for label, (f, e, logs), bar in reference_characters(spec):
+        vec, den = l_vector_reference(bar, s_fin, r)
         for v in sorted(t_fin):
-            vec = one_minus_reference(vec, -chi.log_of(v), v ** (1 - r))
-        e = chi.order
+            vec = one_minus_reference(vec, -logs[v % f], v ** (1 - r))
         out[label] = (e, *lowest_terms(reduce_mod_cyclotomic_reference(vec, e), den))
     return out
 
@@ -217,7 +239,7 @@ def test_the_character_side_matches_the_per_character_route():
                 assert {label: (c.n, c.nums, c.den) for label, c in got.items()} == want, (
                     spec.label, S, T, r)
                 if any(theta_places(spec, S, T, r)):
-                    skipped[r] += sum(not any(row[3]) for row in lvalues._l_table(spec, 1 - r))
+                    skipped[r] += sum(not any(row[2]) for row in lvalues._l_table(spec, 1 - r))
                 cases += 1
     assert cases > 3000
     assert skipped[0] and skipped[-2], skipped
@@ -235,7 +257,7 @@ def test_the_character_route_reads_no_character_table(monkeypatch):
 
     monkeypatch.setattr(abelian, "_character_logs", refuse)
     monkeypatch.setattr(abelian, "linear_form", refuse)
-    lvalues._characters.cache_clear()
+    abelian.dirichlet_characters.cache_clear()
     lvalues._l_table.cache_clear()
     got = [theta_character_side(spec, [*sorted(abelian.ramified_primes(spec)), OO], [], 0)
            for spec in specs]

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from algebra_helpers import Cyclotomic, character_log
+from algebra_helpers import Cyclotomic, character_log, contragredient
 from fraction_route import as_fractions, as_pair, cyclotomic_from_powers, rational_value
 
 from iwasawa_kit.abelian import (
@@ -17,7 +17,7 @@ from iwasawa_kit.abelian import (
     CharacterTable,
     FiniteAbelianGroup,
     check_hyp,
-    dirichlet_character,
+    dirichlet_characters,
     galois_group,
     normalize_places,
     ramified_primes,
@@ -210,8 +210,6 @@ def test_l_values_reproduce_imaginary_quadratic_class_numbers():
     # L(0, chi_d) = (2/w) h(Q(sqrt(-d))) for the odd quadratic character of
     # conductor d: published class numbers are the oracle. S holds oo and the
     # primes of d, whose Euler factors are 1 as chi_d vanishes there.
-    from iwasawa_kit.abelian import dirichlet_character
-
     table = {
         3: (Q(1, 3), frozenset({1})),            # h = 1, w = 6
         4: (Q(1, 2), frozenset({1})),            # h = 1, w = 4
@@ -223,7 +221,7 @@ def test_l_values_reproduce_imaginary_quadratic_class_numbers():
         spec = AbelianFieldSpec(f, fixing)
         gal = galois_group(spec)
         tab = CharacterTable(gal.group)
-        chi = dirichlet_character(gal, tab.labels[1])
+        chi = dirichlet_characters(gal)[1]
         assert chi.conductor == f and chi.log_of(-1) != 0  # odd
         # chi is quadratic, its own contragredient
         S = [*sorted(ramified_primes(spec)), OO]
@@ -281,9 +279,8 @@ def oracle_theta_character_side(spec, S, T, r):
     table = CharacterTable(gal.group)
     t_fin, _ = normalize_places(T)
     out = {}
-    for label in table.labels:
-        chi = dirichlet_character(gal, label)
-        lval = oracle_dirichlet_l_nonpos(chi.contragredient(), S, r)
+    for label, chi in zip(table.labels, dirichlet_characters(gal), strict=True):
+        lval = oracle_dirichlet_l_nonpos(contragredient(chi), S, r)
         for v in sorted(t_fin):
             one = Cyclotomic.from_rational(chi.order, Q(1))
             lval = lval * (one - Cyclotomic.zeta(chi.order, -chi.log_of(v)) * Q(v) ** (1 - r))
@@ -298,7 +295,7 @@ def corpus_characters():
     for spec in corpus_cm_specs(24):
         gal = galois_group(spec)
         table = CharacterTable(gal.group)
-        chars = {label: dirichlet_character(gal, label) for label in table.labels}
+        chars = dict(zip(table.labels, dirichlet_characters(gal), strict=True))
         S, T = max(corpus_st_choices(spec), key=lambda st: len(st[0]) + len(st[1]))
         yield spec, chars, (S, T)
 

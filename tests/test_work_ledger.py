@@ -10,8 +10,9 @@ corpus and its (S, T) choices. The manifest slice counts the minus
 quotients that reading the data and checking it build. The theta slice counts
 the tables of partial zeta values and the lowest_terms passes of the tower
 campaigns' thetas. The character slice counts the Euler and T-factor passes
-of the character route and the CyclotomicInt values both routes build. The
-product slice counts the group-algebra products of the complex campaigns,
+of the character route and the CyclotomicInt values both routes build, and
+the character builds slice the character tuples and unit groups that the
+route's tables build over the CM corpus. The product slice counts the group-algebra products of the complex campaigns,
 and the subquotient slice the presentations those campaigns find in their
 algebras' tables and the ones they present. A module with no relation rows
 takes no Howell form."""
@@ -19,9 +20,11 @@ takes no Howell form."""
 from pathlib import Path
 
 import pytest
+from functools import lru_cache
+
 from algebra_helpers import fresh_zeta_tables, patch_every_binding
 
-from iwasawa_kit import campaigns, exact, fitting, linalg, lvalues
+from iwasawa_kit import abelian, campaigns, exact, fitting, linalg, lvalues
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -184,3 +187,26 @@ def test_character_route_work_matches_the_ledger(monkeypatch):
     monkeypatch.setattr(exact.CyclotomicInt, "__init__", counted_init)
     assert campaigns.character_campaign(8).ok
     assert tuple(counts) == CHARACTER_ROUTE
+
+
+# (abelian.dirichlet_characters builds, abelian._unit_group builds) over
+# character_campaign(24), every cache the count passes through fresh: one
+# tuple of characters per presentation (the 36 fields of corpus_cm_specs(24))
+# and one unit group with its dlog table per modulus (the 17 conductors they
+# share). Primitivizing per label built 214 characters, and galois_group read
+# the unit group of each of the 36 specs.
+CHARACTER_BUILDS = (36, 17)
+
+
+def test_character_builds_match_the_ledger(monkeypatch):
+    def fresh(fn):
+        cached = lru_cache(maxsize=None)(fn.__wrapped__)
+        patch_every_binding(monkeypatch, (fn,), cached)
+        return cached
+
+    fresh(abelian.galois_group)
+    fresh(lvalues._l_table)
+    characters = fresh(abelian.dirichlet_characters)
+    unit_groups = fresh(abelian._unit_group)
+    assert campaigns.character_campaign(24).ok
+    assert (characters.cache_info().misses, unit_groups.cache_info().misses) == CHARACTER_BUILDS
