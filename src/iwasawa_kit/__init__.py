@@ -74,7 +74,6 @@ from .tower import (
     aug_project,
     coherence_check,
     theta_tower,
-    twist,
     twist_congruence_check,
 )
 

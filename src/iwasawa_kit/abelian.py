@@ -316,6 +316,12 @@ def roots_of_unity_order(spec: AbelianFieldSpec) -> int:
     return best
 
 
+@lru_cache(maxsize=None)
+def roots_of_unity_primes(spec: AbelianFieldSpec) -> tuple[int, ...]:
+    """The primes dividing w_L, ascending, factored once per spec."""
+    return tuple(factorize(roots_of_unity_order(spec)))
+
+
 # ---------------------------------------------------------------------------
 # Layers of the cyclotomic Z_p-tower.
 
@@ -387,9 +393,9 @@ def roots_of_unity_rule(spec: AbelianFieldSpec, t_fin) -> tuple[bool, str]:
     It holds iff every prime ell dividing w_L sees some v in t_fin of residue
     characteristic != ell (mu_ell injects into residue fields away from ell).
     """
-    w = roots_of_unity_order(spec)
-    for ell in factorize(w):
+    for ell in roots_of_unity_primes(spec):
         if not any(v != ell for v in t_fin):
+            w = roots_of_unity_order(spec)
             return False, f"every prime of T has residue characteristic {ell} | w_L = {w}"
     return True, "ok"
 

@@ -12,9 +12,9 @@ table of basis indices, translation by a group element, the # involution
 product, the Kronecker layout that makes a product in (Z/q)[G] one integer
 product, and the "g1,g2" JSON keys. Translation and # are permutations of
 basis indices and a quotient map is a list of them, each built in mixed radix
-with no group element formed, and cached: the product table and # per
-group, a quotient map per pair of groups, a translation per group and
-element, the Kronecker layout per group and q. The product table does not
+with no group element formed, and cached: the product table, # and the JSON
+keys per group, a quotient map per pair of groups, a translation per group
+and element, the Kronecker layout per group and q. The product table does not
 multiply elements of (Z/p^N)[G] (the layout does): it gives the rows of the
 regular representation (row j of g_k g_j^(-1), through #), the structure
 constants of a minus quotient and the test that two group algebras are the
@@ -174,16 +174,23 @@ def mul(x: tuple, y: tuple, group: "FiniteAbelianGroup") -> tuple:
 # ---------------------------------------------------------------------------
 # JSON: {"g1,g2": coefficient}, nonzero coefficients only.
 
+@lru_cache(maxsize=None)
+def json_keys(group: "FiniteAbelianGroup") -> dict:
+    """{"g1,g2": basis index} for each element, in the basis order: the keys
+    of to_json and from_json, built once per group."""
+    return {",".join(map(str, g)): i for g, i in basis_index(group).items()}
+
+
 def to_json(x: tuple, group: "FiniteAbelianGroup", encode: Callable) -> dict:
     """The nonzero coefficients, keyed by element, in the basis order."""
-    return {",".join(map(str, g)): encode(c) for g, c in zip(basis_index(group), x) if c}
+    return {key: encode(c) for key, c in zip(json_keys(group), x) if c}
 
 
 def from_json(obj, group: "FiniteAbelianGroup", decode: Callable) -> tuple:
     """Inverse of to_json: obj.items() are the (key, coefficient) pairs of a
     dict or a wire.Node; raises ValueError on a key that is not the to_json
     key of an element (decode raises on a bad coefficient)."""
-    keys = {",".join(map(str, g)): i for g, i in basis_index(group).items()}
+    keys = json_keys(group)
     out = [0] * group.size
     for key, c in obj.items():
         if key not in keys:

@@ -5,8 +5,11 @@ The group-ring route is primary: theta_{S,T}(r) = delta_T(r) . sum_sigma
 zeta_S(r, sigma) sigma^(-1) as the pair (nums, den) of Q[G]. theta_places
 admits r <= 0 and the (S, T) rules (abelian.admissible_places) once, on the
 spec, before the Galois group is looked up or built; theta_value, which
-theta and each tower level call, takes a presentation and the admitted
-finite primes and checks nothing again. The value has integer
+theta calls, takes a presentation and the admitted finite primes and checks
+nothing again. It is two steps: theta_plan lists each admitted prime with
+its constant c and whether it is an Euler factor, and apply_plan runs that
+plan on one presentation, so a tower builds one plan for all its levels.
+The value has integer
 numerators in the basis order of groupring over one positive denominator
 in lowest terms. The partial zeta values are read in the # order from a
 table per presentation and k = 1 - r: the integer Horner values of the
@@ -40,7 +43,8 @@ annihilation and Fitting checks only compute on what it admitted. theta acts
 on class data through one walk of the group, one generator product per
 element. minus_dual_presentation writes the dual of their minus p-part
 straight from the action matrices (fitting.pontryagin_dual, the kernel
-route, is its test oracle).
+route, is its test oracle), over the group algebra, its minus quotient and
+the projection read from a table per (G, j, p, N).
 """
 
 from __future__ import annotations
@@ -140,20 +144,39 @@ class StickelbergerElement:
         }
 
 
-def theta_value(pres, s_fin, t_fin, r: int) -> tuple[tuple[int, ...], int]:
+def theta_plan(s_fin, t_fin, r: int) -> tuple[int, tuple[tuple[int, int, bool], ...]]:
+    """The factor plan of Theta_{S,T}(r) for the finite primes (s_fin, t_fin)
+    that theta_places admitted: (k = 1 - r, each prime v with its constant c
+    and whether it is an Euler factor). A prime of S is an Euler factor with
+    c = v^(-r), skipped on a presentation whose conductor v divides; a prime
+    of T has c = v^(1-r). The plan reads no presentation, so a tower builds
+    it once for all its levels."""
+    factors = [(v, v ** (-r), True) for v in sorted(s_fin)]
+    factors += [(v, v ** (1 - r), False) for v in sorted(t_fin)]
+    return 1 - r, tuple(factors)
+
+
+def apply_plan(pres, plan) -> tuple[tuple[int, ...], int]:
     """Theta_{S,T}(r) = delta_T(r) . sum_sigma zeta_S(r, sigma) sigma^(-1) as
-    (nums, den) on a presentation, for the finite primes (s_fin, t_fin) that
-    theta_places admitted; nothing is checked again. From _zeta_table, each
-    unramified prime v of S (c = v^(-r)) and each prime v of T (c = v^(1-r))
-    is one pass x_g - c x_(sigma_v g), and lowest_terms runs once."""
+    (nums, den) on a presentation, for a theta_plan: from _zeta_table, each
+    factor of the plan that the presentation does not skip is one pass
+    x_g - c x_(sigma_v g), and lowest_terms runs once."""
+    k, factors = plan
     f, grp = pres.conductor, pres.group
-    nums, den = _zeta_table(pres, 1 - r)
-    factors = [(v, v ** (-r)) for v in sorted(s_fin) if f % v]
-    factors += [(v, v ** (1 - r)) for v in sorted(t_fin)]
-    for v, c in factors:
+    nums, den = _zeta_table(pres, k)
+    for v, c, euler in factors:
+        if euler and f % v == 0:
+            continue
         step = groupring.translation(grp, pres.frobenius(v))
         nums = [a - c * nums[j] for a, j in zip(nums, step)]
     return lowest_terms(nums, den)
+
+
+def theta_value(pres, s_fin, t_fin, r: int) -> tuple[tuple[int, ...], int]:
+    """Theta_{S,T}(r) as (nums, den) on a presentation, for the finite primes
+    (s_fin, t_fin) that theta_places admitted; nothing is checked again:
+    the plan of (s_fin, t_fin, r) applied to pres."""
+    return apply_plan(pres, theta_plan(s_fin, t_fin, r))
 
 
 def theta(spec: AbelianFieldSpec, S, T, r: int) -> StickelbergerElement:
@@ -450,8 +473,7 @@ def minus_dual_presentation(
     not well defined mod the orders.
     """
     grp = galois_group(spec).group
-    alg = GroupAlgebra(p, N, grp)
-    quo, proj = minus_quotient(alg, cm_data(spec).j)
+    alg, quo, proj = _minus_algebra(grp, cm_data(spec).j, p, N)
     ppart = [math.gcd(d, p ** d.bit_length()) for d in M.orders]  # p^v divides d < p^bits
     keep = [a for a, pa in enumerate(ppart) if pa > 1]
     zero, one = quo.zero(), quo.one
@@ -462,6 +484,15 @@ def minus_dual_presentation(
                                quo.scalar(A[a][s] * ppart[s] // ppart[a], one)) for s in keep]
                       for a in keep]
     return FinPresModule(quo, len(keep), relations), proj
+
+
+@lru_cache(maxsize=None)
+def _minus_algebra(group: FiniteAbelianGroup, j: tuple, p: int, N: int) -> tuple:
+    """(A = (Z/p^N)[G], A/(1+j), the projection), built once per (G, j, p, N),
+    all that the quotient reads: two fields with one Galois group and one
+    complex conjugation share it, as Q(zeta_3) and Q(sqrt(-23)) do."""
+    alg = GroupAlgebra(p, N, group)
+    return (alg, *minus_quotient(alg, j))
 
 
 def fitting_membership_check(dual: FinPresModule, target: tuple) -> tuple[bool, tuple]:

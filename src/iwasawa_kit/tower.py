@@ -7,7 +7,7 @@ presentation in product coordinates (g, k), with chi_cyc when zeta_p is in L.
 A level-n element is a tuple of ints mod p^N in the basis order of groupring
 (`level.group.elements()`), which fitting.GroupAlgebra(p, N, level.group)
 shares, so Fitting consumers take tower entries as they are. The
-aug projections, # and the parity check use the groupring index maps and
+aug projections and the parity check use the groupring index maps and
 reduce mod p^N; no structure constants are built.
 
 A level's theta is computed once as the pair (nums, den) of Q[G_n] and
@@ -15,21 +15,25 @@ reduced mod p^N with one inverse of den (exact.padic_from_rational), after
 the check that p does not divide den.
 
 Each layer's cyclotomic twist factors chi_cyc(g)^r mod p^N are a table
-built once per (level, r, p^N), and its partial zeta values in the # order
-a table once per (level, 1 - r). tower_preconditions states every tower rule;
+built once per (level, r, p^N), the pairs {g, jg} of complex conjugation a
+table once per level, and its partial zeta values in the # order a table
+once per (level, 1 - r). tower_preconditions states every tower rule;
 theta_tower admits a tower through it, and a stored tower's header is
-admitted through it before TowerElement.from_json builds any level. Each
-layer's theta is lvalues.theta_value on the admitted finite primes: that
-table, one pass per prime of T (and per unramified prime of S) and one
-lowest_terms. The roots-of-unity rule of Hyp(S,T) is read once
-per tower, on layer 0 (tower_hyp): every layer's w has the prime divisors of
-w_L. A stored tower's verdicts are read the same way, never from its file.
+admitted through it before TowerElement.from_json builds any level. A
+tower's factor plan (lvalues.theta_plan: each admitted prime with its
+constant) is built once, and each layer's theta is that plan applied to
+the layer (lvalues.apply_plan): the zeta table, one pass per prime of T
+(and per unramified prime of S) and one lowest_terms. The roots-of-unity
+rule of Hyp(S,T) is read once per tower, on layer 0 (tower_hyp): every
+layer's w has the prime divisors of w_L. A stored tower's verdicts are read
+the same way, never from its file.
 
 Lambda(G) is represented only through coherent families of finite-level
 elements: a tower is accepted exactly when adjacent aug projections match,
 and the equivariant Kummer congruence compares a twisted tower against the
-untwisted one at the effective precision p^min(N, n+1), the range where
-twist(x, r, level, N) is defined.
+untwisted one at the effective precision p^min(N, n+1), the range where the
+twist t_cyc^r is defined, one pass per level with no twisted copy built.
+The parity check is one pass over each level's pairs {g, jg}.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from . import groupring, wire
 from .abelian import AbelianFieldSpec, TowerLevelData, cm_data, roots_of_unity_rule
 from .exact import padic_from_rational
 from .fitting import Vec
-from .lvalues import is_p_integral, theta_places, theta_value
+from .lvalues import apply_plan, is_p_integral, theta_places, theta_plan
 from .numutil import is_prime
 
 
@@ -62,21 +66,24 @@ def aug_project(x: Vec, src: TowerLevelData, target: TowerLevelData, N: int) -> 
     return tuple([c % q for c in groupring.push(x, images, target.group.size)])
 
 
-def twist(x: Vec, r: int, level: TowerLevelData, N: int) -> Vec:
-    """t_cyc^r mod p^N at finite level: g -> chi_cyc(g)^r g. Requires N <= n+1
-    (the exact range where u^(r p^n) = 1 mod p^N, u = chi_cyc(gamma) = 1+p,
-    makes this well defined on G_n; twist_congruence_check twists at
-    min(N, n+1)) and a level where chi_cyc descends (chi_cyc_descends)."""
-    if r == 0:
-        return x
-    q = level.p**N
-    return tuple([c * u % q for c, u in zip(x, _twist_factors(level, r, q))])
+@lru_cache(maxsize=None)
+def _twist_factors(level: TowerLevelData, r: int, q: int) -> tuple[int, ...]:
+    """chi_cyc(g)^r mod q for each g in the basis order, once per (level, r, q):
+    the twist t_cyc^r, g -> chi_cyc(g)^r g, is the coefficientwise product
+    with it. It is defined for q dividing p^(n+1) (the exact range where
+    u^(r p^n) = 1 mod q, u = chi_cyc(gamma) = 1+p) at a level where chi_cyc
+    descends (chi_cyc_descends)."""
+    return tuple(pow(level.chi_cyc[g], r, q) for g in level.group.elements())
 
 
 @lru_cache(maxsize=None)
-def _twist_factors(level: TowerLevelData, r: int, q: int) -> tuple[int, ...]:
-    """chi_cyc(g)^r mod q for each g in the basis order, once per (level, r, q)."""
-    return tuple(pow(level.chi_cyc[g], r, q) for g in level.group.elements())
+def _conjugate_pairs(level: TowerLevelData) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(lo, hi): the basis indices i < k with g_k = j g_i, j complex
+    conjugation of the CM base lifted to G_n, once per level. j has order 2
+    and moves every element, so the pairs cover each index once."""
+    perm = groupring.translation(level.group, cm_data(level.base_spec).j + (0,))
+    lo = tuple(i for i, k in enumerate(perm) if i < k)
+    return lo, tuple(perm[i] for i in lo)
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +226,16 @@ def theta_tower(
     the roots-of-unity rule of its w_L; L_n/L is totally ramified at p and
     unramified elsewhere, so w_(L_n) and w_L have the same prime divisors,
     and the verdict, which reads only those, is check_hyp on every layer's
-    spec. Each layer's value is lvalues.theta_value on the admitted primes.
+    spec. Each layer's value is the one factor plan of the admitted primes
+    (lvalues.theta_plan) applied to the layer (lvalues.apply_plan).
     """
     s_fin, t_fin = tower_preconditions(spec, S, T, p, N, n_max, r)
     ok = tower_hyp(spec, p, t_fin, strict_hyp)
+    plan = theta_plan(s_fin, t_fin, r)
     entries, levels = [], []
     for n in range(n_max + 1):
         lvl = tower_level(spec, p, n)
-        value = theta_value(lvl, s_fin, t_fin, r)
+        value = apply_plan(lvl, plan)
         if not is_p_integral(value, p):
             raise TowerIntegralityError(
                 n, f"theta has a coefficient denominator divisible by {p}"
@@ -247,27 +256,30 @@ def coherence_check(t: TowerElement) -> tuple[bool, int | None]:
 
 
 def twist_congruence_check(t_r: TowerElement, t_0: TowerElement) -> tuple[bool, int | None]:
-    """Equivariant Kummer congruence: Theta(L_n, r) = twist(Theta(L_n, 0), r)
-    mod p^min(N, n+1) at every level (exact at that precision). t_0 is the
-    tower of t_r's spec, S, T, p and levels at r = 0, as every caller builds
-    it."""
-    for n in range(t_r.n_max + 1):
-        ne = min(t_r.N, t_0.N, n + 1)
-        q = t_r.p**ne
-        lhs = tuple([c % q for c in t_r.entries[n]])
-        rhs = twist(tuple([c % q for c in t_0.entries[n]]), t_r.r, t_r.levels[n], ne)
-        if lhs != rhs:
+    """Equivariant Kummer congruence: Theta(L_n, r) = t_cyc^r Theta(L_n, 0)
+    mod q = p^min(N, n+1) at every level (exact at that precision). t_0 is
+    the tower of t_r's spec, S, T, p and levels at r = 0, as every caller
+    builds it. Each level is one pass a - b u = 0 mod q over the entries a,
+    b and the level's _twist_factors u; at r = 0 it is a = b mod q, and no
+    chi_cyc is read."""
+    r, p = t_r.r, t_r.p
+    for n, level in enumerate(t_r.levels):
+        q = p ** min(t_r.N, t_0.N, n + 1)
+        x, y = t_r.entries[n], t_0.entries[n]
+        if r == 0:
+            bad = any([(a - b) % q for a, b in zip(x, y)])
+        else:
+            bad = any([(a - b * u) % q for a, b, u in zip(x, y, _twist_factors(level, r, q))])
+        if bad:
             return False, n
     return True, None
 
 
 def parity_projector_annihilates(t: TowerElement, n: int) -> bool:
-    """(1 + (-1)^r j) kills the level-n entry (minus-part consistency for the
-    CM corpus: every caller's base field is CM); j is complex conjugation
-    lifted to G_n."""
-    cm = cm_data(t.spec)
-    x = t.entries[n]
-    jx = groupring.translate(x, t.levels[n].group, cm.j + (0,))
-    sign = 1 if t.r % 2 == 0 else -1
-    q = t.p**t.N
-    return not any([(a + sign * b) % q for a, b in zip(x, jx)])
+    """(1 + (-1)^r j) kills the level-n entry x (minus-part consistency for
+    the CM corpus: every caller's base field is CM); j is complex conjugation
+    lifted to G_n. As j is an involution, x_g + (-1)^r x_(jg) = 0 mod p^N at
+    g iff at jg, so one pass over the level's _conjugate_pairs checks it."""
+    x, (lo, hi) = t.entries[n], _conjugate_pairs(t.levels[n])
+    sign, q = (1 if t.r % 2 == 0 else -1), t.p**t.N
+    return not any([(x[a] + sign * x[b]) % q for a, b in zip(lo, hi)])

@@ -3,8 +3,10 @@ vectors a span oracle holds as codes, the closed-form dual of a finite
 abelian group with an action, the field arithmetic of Q(zeta_n), the
 character log of one group element, the contragredient of a Dirichlet
 character, the action matrix of one group element on class data, a per-test
-cache of theta's zeta tables and a patcher of every binding of a function in
-the package, which only the tests use."""
+cache of theta's zeta tables, a patcher of every binding of a function in
+the package, and the former tower checks (the twist of an entry, the
+Kummer congruence on reduced and twisted copies, the parity projector on a
+translated copy), which only the tests use."""
 
 import importlib
 import pkgutil
@@ -13,11 +15,12 @@ from functools import lru_cache
 
 import iwasawa_kit
 from iwasawa_kit import lvalues
-from iwasawa_kit.abelian import DirichletCharacter
+from iwasawa_kit.abelian import DirichletCharacter, cm_data
 from iwasawa_kit.exact import CyclotomicInt
 from iwasawa_kit.fitting import FiniteCommAlgebra, FinPresModule
-from iwasawa_kit.groupring import basis_index
+from iwasawa_kit.groupring import basis_index, translate
 from iwasawa_kit.lvalues import _mat_identity, _mat_mul, _mat_power
+from iwasawa_kit.tower import _twist_factors
 
 
 def decode_span(codes, width: int, q: int) -> set:
@@ -256,3 +259,37 @@ def contragredient_presentation(alg: FiniteCommAlgebra, vals: list[int], actions
             row[idx] = alg.add(row[idx], b)
             relations.append(row)
     return FinPresModule(alg, k, relations)
+
+
+def twist(x, r: int, level, N: int) -> tuple:
+    """t_cyc^r mod p^N at finite level: g -> chi_cyc(g)^r g, read from the
+    level's _twist_factors. Requires N <= n+1 (the exact range where
+    u^(r p^n) = 1 mod p^N, u = chi_cyc(gamma) = 1+p) and a level where
+    chi_cyc descends; at r = 0 it is x itself."""
+    if r == 0:
+        return x
+    q = level.p**N
+    return tuple([c * u % q for c, u in zip(x, _twist_factors(level, r, q))])
+
+
+def twist_congruence_reference(t_r, t_0, twist_of=twist) -> tuple:
+    """tower.twist_congruence_check on copies: both entries of each level
+    reduced mod q = p^min(N, n+1), the r = 0 one twisted by twist_of, the
+    two compared."""
+    for n in range(t_r.n_max + 1):
+        ne = min(t_r.N, t_0.N, n + 1)
+        q = t_r.p**ne
+        lhs = tuple([c % q for c in t_r.entries[n]])
+        rhs = twist_of(tuple([c % q for c in t_0.entries[n]]), t_r.r, t_r.levels[n], ne)
+        if lhs != rhs:
+            return False, n
+    return True, None
+
+
+def parity_reference(t, n: int) -> bool:
+    """tower.parity_projector_annihilates on a translated copy: x + (-1)^r j x
+    = 0 mod p^N at every element, j x formed by groupring.translate."""
+    x = t.entries[n]
+    jx = translate(x, t.levels[n].group, cm_data(t.spec).j + (0,))
+    sign = 1 if t.r % 2 == 0 else -1
+    return not any([(a + sign * b) % t.p**t.N for a, b in zip(x, jx)])

@@ -30,7 +30,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import iwasawa_kit
-from iwasawa_kit import wire
+from iwasawa_kit import cli, wire
 from iwasawa_kit.abelian import FiniteAbelianGroup, check_hyp
 from iwasawa_kit.cli import (
     EXIT_CHECK_FAILED,
@@ -174,6 +174,104 @@ def test_recheck_detects_flipped_verdict(tmp_path, capsys):
     code2, report = run(capsys, "recheck", str(out))
     assert code2 == EXIT_CHECK_FAILED
     assert report["result"]["matches"] is False
+
+
+# The README's CLI block, the campaigns at small trial counts.
+README_COMMANDS = {
+    "theta": ("theta", "--spec", "zeta3", "--S", "3,oo", "--T", "7", "--r", "0"),
+    "tower": ("tower", "--spec", "zeta5", "--S", "5,oo", "--T", "2", "--r", "-1", "--p", "5",
+              "--N", "2", "--levels", "2"),
+    "verify": ("verify", "--spec", "zeta23", "--S", "23,oo", "--T", "5", "--r", "0", "--p", "3",
+               "--N", "2", "--data", str(DATA / "table_z23_minus.json")),
+    "fitting": ("fitting", "--seed", "0", "--trials", "6"),
+    "complex": ("complex", "--seed", "0", "--trials", "3"),
+    "complex_z9": ("complex", "--data", str(FIXTURES / "complex_z9.json")),
+    "complex_z9_c2xc2": ("complex", "--data", str(FIXTURES / "complex_z9_c2xc2.json")),
+    "selftest": ("selftest", "--seed", "0", "--max-conductor", "8", "--trials", "3",
+                 "--complex-trials", "2", "--data-dir", str(DATA)),
+}
+
+
+def without_seconds_reference(result):
+    """The former recheck's walk: every "seconds" key dropped, at any depth."""
+    if isinstance(result, dict):
+        return {k: without_seconds_reference(v) for k, v in result.items() if k != "seconds"}
+    if isinstance(result, list):
+        return [without_seconds_reference(v) for v in result]
+    return result
+
+
+def seconds_paths(node, path=()):
+    """The paths of the "seconds" keys of a certificate."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from [path + (k,)] if k == "seconds" else seconds_paths(v, path + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from seconds_paths(v, path + (i,))
+
+
+def flip_first_verdict(node) -> bool:
+    """Negate the first boolean of node in sorted key order; whether one was found."""
+    items = sorted(node.items()) if isinstance(node, dict) else enumerate(node)
+    for k, v in items:
+        if isinstance(v, bool):
+            node[k] = not v
+            return True
+        if isinstance(v, (dict, list)) and flip_first_verdict(v):
+            return True
+    return False
+
+
+def test_recheck_agrees_with_the_walk_on_the_readme_and_fixture_certificates(
+        tmp_path, capsys, monkeypatch):
+    """recheck compares a certificate with its rerun as they are and walks
+    both to drop "seconds" only when they differ. On every README and
+    fixture certificate, as stored, with every "seconds" rewritten and with
+    its first verdict flipped, it gives the verdict of the walk on the same
+    rerun: a match, a match and a mismatch. Only suite certificates carry
+    "seconds"."""
+    paths = []
+    for name, argv in README_COMMANDS.items():
+        paths.append(tmp_path / f"{name}_cert.json")
+        assert run(capsys, *argv, "--out", str(paths[-1]))[0] == EXIT_OK, name
+    paths += sorted(FIXTURES.glob("*_cert.json"))
+    reruns = {}
+
+    def remembered(runner):
+        def rerun(config):  # each certificate's command runs once
+            key = json.dumps(config.value, sort_keys=True)
+            if key not in reruns:
+                reruns[key] = runner(config)
+            return reruns[key]
+        return rerun
+
+    for command, runner in cli.RUNNERS.items():
+        monkeypatch.setitem(cli.RUNNERS, command, remembered(runner))
+    suites = 0
+    for path in paths:
+        stored = json.loads(path.read_text())
+        timed = list(seconds_paths(stored))
+        assert bool(timed) == ("suites" in stored["result"]), path.name
+        suites += bool(timed)
+        edited, flipped = json.loads(path.read_text()), json.loads(path.read_text())
+        for *head, last in timed:
+            node = edited
+            for k in head:
+                node = node[k]
+            node[last] = 12345.678
+        assert flip_first_verdict(flipped["result"]), path.name
+        for variant, cert, want in (("stored", stored, True), ("seconds", edited, True),
+                                    ("flipped", flipped, False)):
+            copy = tmp_path / f"{variant}_{path.name}"
+            copy.write_text(json.dumps(cert))
+            code, report = run(capsys, "recheck", str(copy))
+            fresh, _ = reruns[json.dumps(cert["input"], sort_keys=True)]
+            walked = all(without_seconds_reference(cert.get(k)) ==
+                         without_seconds_reference(fresh.get(k)) for k in ("result", "witness"))
+            assert report["result"]["matches"] is walked is want, (variant, path.name)
+            assert code == (EXIT_OK if want else EXIT_CHECK_FAILED)
+    assert suites == 4 and len(paths) == 13
 
 
 def nested_witness_certificate(levels):

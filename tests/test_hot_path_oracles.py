@@ -49,6 +49,7 @@ from iwasawa_kit import (
     lvalues,
     numutil,
     oracles,
+    tower,
 )
 from iwasawa_kit.abelian import (
     AbelianFieldSpec,
@@ -1020,6 +1021,32 @@ def test_translation_is_one_cached_tuple_per_reduced_element():
     assert (after.hits, after.currsize) == (before.hits + 1, before.currsize)
 
 
+def test_json_keys_are_the_joined_coordinates_on_the_corpus_and_tower_groups():
+    """The key table of each Galois group of corpus_cm_specs(24) and of each
+    level n <= 3 of TOWER_CORPUS's towers is "g1,g2" of each element in the
+    basis order; to_json and from_json round-trip an element through it,
+    and from_json refuses a key of no element: coordinates out of range,
+    one too many or too few, or spelled with a space."""
+    rng = random.Random(53)
+    groups = {galois_group(spec).group for spec in corpus_cm_specs(24)}
+    groups |= {tower_level(spec, p, n).group for spec, p, *_ in campaigns.TOWER_CORPUS
+               for n in range(4)}
+    assert len(groups) == 28
+    for group in groups:
+        keys = groupring.json_keys(group)
+        assert list(keys.items()) == [(",".join(map(str, g)), i)
+                                      for i, g in enumerate(group.elements())]
+        x = distinct_coefficients(group, rng)
+        assert groupring.from_json(groupring.to_json(x, group, int), group, int) == x
+        g = group.identity
+        for bad in (",".join(map(str, group.orders)), ",".join(map(str, (*g, 0))),
+                    ",".join(map(str, g[1:])), ", ".join(map(str, g))):
+            if bad in keys:  # only a group of rank 0 has the key ""
+                continue
+            with pytest.raises(ValueError, match="is not an element of the group"):
+                groupring.from_json({bad: 1}, group, int)
+
+
 # ---------------------------------------------------------------------------
 # Unit classes: the table of a presentation against element_of at every unit
 # residue, the route that the partial zeta values took before and that the
@@ -1072,18 +1099,22 @@ def test_theta_value_reads_only_the_unit_class_table(monkeypatch):
 
 def test_field_data_is_built_once_per_spec():
     """One pass of theta_tower and the parity check over TOWER_CORPUS builds
-    w_L once per layer 0, the only layer whose Hyp verdict is read, and the
-    CM structure once per base field."""
-    abelian.cm_data.cache_clear()
-    abelian.roots_of_unity_order.cache_clear()
+    w_L and its primes once per layer 0, the only layer whose Hyp verdict is
+    read, and the CM structure once per base field, which the parity table
+    of each level reads."""
+    tables = (abelian.cm_data, abelian.roots_of_unity_order, abelian.roots_of_unity_primes,
+              tower._conjugate_pairs)
+    for table in tables:
+        table.cache_clear()
     for spec, p, S, T in campaigns.TOWER_CORPUS:
         t = theta_tower(spec, S, T, p, 3, 2, -1)
         assert all(parity_projector_annihilates(t, n) for n in range(3))
     bases = {spec for spec, *_ in campaigns.TOWER_CORPUS}
     layers = {tower_level(spec, p, 0).spec for spec, p, *_ in campaigns.TOWER_CORPUS}
-    cm, w = abelian.cm_data.cache_info(), abelian.roots_of_unity_order.cache_info()
-    assert (cm.misses, w.misses) == (len(bases), len(layers)) == (4, 4)
-    assert cm.hits > 0 and w.hits > 0
+    cm, w, primes, pairs = (table.cache_info() for table in tables)
+    assert (cm.misses, w.misses, primes.misses) == (len(bases), len(layers), len(layers))
+    assert len(bases) == len(layers) == 4 and pairs.misses == 3 * len(bases)
+    assert cm.hits > 0 and primes.hits > 0 and pairs.hits > 0
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,12 @@ A fresh interpreter installs `sys.setprofile` before it imports the package,
 so code that runs at import time counts. It then runs a fixed corpus through
 `cli.main`: the README's CLI block with small trial counts, `complex --data`
 on both committed complexes, the replay of a tower from its own certificate,
-`recheck` of each fresh certificate and of the committed certificates, the
-refusals that exit 2 and 4 (the table of `tests/cli_refusals.py`, which
-`tests/test_cli.py` checks too), and one round of each benchmark workload at
-seed 1, built by `perfbench/workloads.py` (the benchmark is a client of the
+`recheck` of each fresh certificate and of the committed certificates (and
+of the fitting certificate with its `seconds` rewritten or a verdict
+flipped, as CI runs them), the refusals that exit 2 and 4 (the table of
+`tests/cli_refusals.py`, which `tests/test_cli.py` checks too), and one
+round of each benchmark workload at seed 1, built by
+`perfbench/workloads.py` (the benchmark is a client of the
 kit).
 
 Every top-level function and class method of `src/` whose code object was
@@ -205,7 +207,9 @@ def cli(*argv, want=0):
 
 def readme_block(tmp: Path):
     """The README's CLI block with small trial counts, each certificate
-    rechecked, and the tower replayed from its own result."""
+    rechecked, the tower replayed from its own result, and the fitting
+    certificate rechecked with its timings rewritten and with a verdict
+    flipped."""
     tower = ("--spec", "zeta5", "--S", "5,oo", "--T", "2", "--r", "-1", "--p", "5", "--N", "2",
              "--levels", "2")
     runs = {
@@ -231,6 +235,17 @@ def readme_block(tmp: Path):
     fixtures = sorted(p for p in FIXTURES.glob("*_cert.json") if p.name != SLOW_FIXTURE)
     for path in certs + fixtures:
         assert cli("recheck", path)["result"]["matches"] is True, path
+    # as CI does: the fitting certificate with every "seconds" rewritten
+    # matches (after the walk that drops them), with a verdict flipped not
+    fitting = json.loads((tmp / "fitting_cert.json").read_text())
+    for suite in fitting["result"]["suites"]:
+        suite["seconds"] = -1.0
+    edited = tmp / "fitting_seconds_cert.json"
+    edited.write_text(json.dumps(fitting))
+    assert cli("recheck", edited)["result"]["matches"] is True
+    fitting["result"]["ok"] = not fitting["result"]["ok"]
+    edited.write_text(json.dumps(fitting))
+    assert cli("recheck", edited, want=3)["result"]["matches"] is False
 
 
 def refusals(tmp: Path):

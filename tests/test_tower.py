@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 import sympy
 import fraction_route
+from algebra_helpers import twist
 from fraction_route import as_fractions, reduce_mod
 
 from iwasawa_kit.abelian import AbelianFieldSpec, galois_group
@@ -27,7 +28,6 @@ from iwasawa_kit.tower import (
     theta_tower,
     tower_level,
     tower_preconditions,
-    twist,
     twist_congruence_check,
 )
 

@@ -2,8 +2,10 @@
 the tables that are built once: the Fraction route of theta_value
 (fraction_route: a Hurwitz zeta value per unit residue, the Euler factors,
 #, then each T-factor), the per-element power chi_cyc(g)^r mod q of the
-twist, the action of each group element as a product of generator powers,
-and the place checks that check_hyp ran again on every layer's spec."""
+twist, the Kummer congruence on reduced and twisted copies and the parity
+projector on a translated copy (algebra_helpers), the action of each group
+element as a product of generator powers, and the place checks that
+check_hyp ran again on every layer's spec."""
 
 import math
 import random
@@ -12,7 +14,12 @@ from pathlib import Path
 import fraction_route
 import pytest
 import sympy
-from algebra_helpers import action_of
+from algebra_helpers import (
+    action_of,
+    parity_reference,
+    twist,
+    twist_congruence_reference,
+)
 from fraction_route import as_fractions, reduce_mod
 
 from iwasawa_kit import tower
@@ -33,10 +40,11 @@ from iwasawa_kit.lvalues import (
 )
 from iwasawa_kit.numutil import factorize
 from iwasawa_kit.tower import (
+    TowerElement,
     TowerIntegralityError,
+    parity_projector_annihilates,
     theta_tower,
     tower_level,
-    twist,
     twist_congruence_check,
 )
 
@@ -77,14 +85,14 @@ def theta_matrix_reference(M, x, group):
     return out
 
 
-def run_tower(spec, S, T, p, N, n_max, r):
+def run_tower(spec, S, T, p, N, n_max, r, congruence_check=twist_congruence_check):
     """(entries, hyp verdicts, Kummer congruence) of the tower, or the
     message of the error that stopped it."""
     try:
         t = theta_tower(spec, S, T, p, N, n_max, r)
         congruence = None
         if r != 0:
-            congruence = twist_congruence_check(t, theta_tower(spec, S, T, p, N, n_max, 0))
+            congruence = congruence_check(t, theta_tower(spec, S, T, p, N, n_max, 0))
         return t.entries, t.hyp_verdicts, congruence
     except TowerIntegralityError as exc:
         return type(exc).__name__, str(exc)
@@ -140,17 +148,95 @@ def test_twist_matches_the_per_element_power():
     assert checked > 100
 
 
+def fraction_apply_plan(pres, plan):
+    """lvalues.apply_plan by the Fraction route: the plan's Euler primes and
+    T-primes as the s_fin and t_fin of fraction_route.theta_value."""
+    k, factors = plan
+    s_fin = {v for v, _, euler in factors if euler}
+    t_fin = {v for v, _, euler in factors if not euler}
+    return fraction_route.theta_value(pres, s_fin, t_fin, 1 - k)
+
+
 def test_towers_match_the_old_paths(monkeypatch):
-    """Every tower and its Kummer congruence are the same with the tables as
-    with the Fraction route and the per-element twist; the hyp list has its
-    own oracle below."""
+    """Every tower and its Kummer congruence are the same with the tables
+    and the one-pass check as with the Fraction route and the per-element
+    twist of reduced copies; the hyp list has its own oracle below."""
     runs = tower_runs()
     got = [run_tower(*run) for run in runs]
     assert sum(isinstance(g[0], list) for g in got) > len(runs) // 2
-    monkeypatch.setattr(tower, "theta_value", fraction_route.theta_value)
-    monkeypatch.setattr(tower, "twist", twist_reference)
+    monkeypatch.setattr(tower, "apply_plan", fraction_apply_plan)
+
+    def per_element(t_r, t_0):
+        return twist_congruence_reference(t_r, t_0, twist_reference)
+
     for run, expected in zip(runs, got, strict=True):
-        assert run_tower(*run) == expected, run
+        assert run_tower(*run, congruence_check=per_element) == expected, run
+
+
+def campaign_towers():
+    """(t_r, t_0) for the towers of tower_coherence_campaign and
+    kummer_congruence_campaign (TOWER_CORPUS, levels 0..2, N = 3) at r = 0,
+    -1, -2, -3, t_0 the tower of the same base at r = 0."""
+    out = []
+    for spec, p, S, T in TOWER_CORPUS:
+        t_0 = theta_tower(spec, S, T, p, 3, 2, 0)
+        out += [(theta_tower(spec, S, T, p, 3, 2, r), t_0) for r in (0, -1, -2, -3)]
+    return out
+
+
+def corrupted(t, n, i, delta):
+    """A copy of tower t with coefficient i of level n moved by delta mod p^N."""
+    entries = list(t.entries)
+    x = list(entries[n])
+    x[i] = (x[i] + delta) % t.p**t.N
+    entries[n] = tuple(x)
+    return TowerElement(t.p, t.N, t.spec, t.S, t.T, t.r, entries, t.levels, t.hyp_verdicts)
+
+
+def test_one_pass_checks_match_the_copies_on_the_campaign_towers():
+    """The parity projector and the Kummer congruence, one pass per level,
+    give the verdicts of the translated and the reduced and twisted copies
+    on every campaign tower and on 24 corruptions of each: one coefficient
+    of one level of t_r or t_0 moved by 1, p or p^2, so some corruptions
+    are invisible at the Kummer congruence's precision p^min(N, n+1). A
+    corrupted tower fails at the same layer under both."""
+    rng = random.Random(53)
+    failed = {"parity": set(), "kummer": set()}
+    for t_r, t_0 in campaign_towers():
+        towers = [(t_r, t_0)]
+        for _ in range(12):
+            n = rng.randrange(3)
+            i, delta = rng.randrange(len(t_r.entries[n])), rng.choice((1, t_r.p, t_r.p**2))
+            towers += [(corrupted(t_r, n, i, delta), t_0), (t_r, corrupted(t_0, n, i, delta))]
+        for k, (a, b) in enumerate(towers):
+            parity = [parity_projector_annihilates(a, n) for n in range(3)]
+            assert parity == [parity_reference(a, n) for n in range(3)]
+            kummer = twist_congruence_check(a, b)
+            assert kummer == twist_congruence_reference(a, b)
+            if k == 0:
+                assert kummer == (True, None) and all(parity)
+            failed["parity"].update(n for n, ok in enumerate(parity) if not ok)
+            failed["kummer"].add(kummer[1])
+    assert failed == {"parity": {0, 1, 2}, "kummer": {None, 0, 1, 2}}
+
+
+def test_the_congruence_at_r_0_reads_no_chi_cyc(monkeypatch):
+    """twist_congruence_check(t_0, t_0) compares the entries and reads no
+    twist factor, so it holds on levels that have no chi_cyc (zeta_3 is not
+    in Q(zeta_7) or Q, so no level of their 3-towers has one), and a
+    corrupted copy fails at the level it was corrupted."""
+
+    def refuse(*args):
+        pytest.fail("a twist factor was read at r = 0")
+
+    monkeypatch.setattr(tower, "_twist_factors", refuse)
+    for spec, S, T in ((Z7, [3, 7, OO], [2]), (AbelianFieldSpec.rationals(), [3, OO], [2])):
+        t_0 = theta_tower(spec, S, T, 3, 3, 2, 0)
+        assert not any(level.has_chi_cyc for level in t_0.levels)
+        assert twist_congruence_check(t_0, t_0) == (True, None)
+        for n in range(3):
+            assert twist_congruence_check(corrupted(t_0, n, 0, 1), t_0) == (False, n)
+            assert twist_congruence_check(t_0, corrupted(t_0, n, 0, 1)) == (False, n)
 
 
 def test_the_hyp_list_of_a_tower_is_check_hyp_on_each_level():

@@ -8,9 +8,10 @@ width of each form's input, as the benchmark tracer counts them. The corpus
 set-up slice counts the Hyp checks and subgroup products that build the CM
 corpus and its (S, T) choices. The manifest slice counts the minus
 quotients that reading the data and checking it build. The theta slice counts
-the tables of partial zeta values and the lowest_terms passes of the tower
-campaigns' thetas. The character slice counts the Euler and T-factor passes
-of the character route and the CyclotomicInt values both routes build, and
+the tables of partial zeta values, the factor plans applied and the
+lowest_terms passes of the tower campaigns' thetas, and the plan slice the
+factor plans those towers build. The character slice counts the Euler and
+T-factor passes of the character route and the CyclotomicInt values both routes build, and
 the character builds slice the character tuples and unit groups that the
 route's tables build over the CM corpus. The product slice counts the group-algebra products of the complex campaigns,
 and the subquotient slice the presentations those campaigns find in their
@@ -24,7 +25,8 @@ from functools import lru_cache
 
 from algebra_helpers import fresh_zeta_tables, patch_every_binding
 
-from iwasawa_kit import abelian, campaigns, exact, fitting, linalg, lvalues
+from iwasawa_kit import abelian, campaigns, exact, fitting, linalg, lvalues, tower
+from iwasawa_kit.abelian import cm_data, galois_group
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -118,37 +120,45 @@ def test_corpus_setup_work_matches_the_ledger(monkeypatch):
     assert tuple(counts) == CORPUS_SETUP
 
 
-# minus_quotient builds over load_manifest(data) and annihilation_campaign:
-# one per manifest entry, as lvalues.verify_case admits each entry once and
-# the campaign reads the dual it built (rebuilding it to check membership
-# made 10).
-MANIFEST_MINUS_QUOTIENTS = 5
+# minus_quotient builds over load_manifest(data) and annihilation_campaign,
+# the table of minus quotients cleared first: one per (G, j, p, N) among the
+# five manifest entries, as lvalues.minus_dual_presentation reads the
+# quotient from that table and the campaign reads the dual verify_case built.
+# Q(zeta_3) and Q(sqrt(-23)) have one group C2 and one j, so the entries
+# over Q(zeta_3) at N = 2 and over Q(sqrt(-23)) share a quotient. One build
+# per entry made 5, and rebuilding each to check membership made 10.
+MANIFEST_MINUS_QUOTIENTS = 3
 
 
-def test_manifest_builds_one_minus_quotient_per_entry(monkeypatch):
+def test_manifest_builds_one_minus_quotient_per_group_algebra(monkeypatch):
     original, builds = fitting.minus_quotient, []
 
     def counted(*args):
         builds.append(args)
         return original(*args)
 
+    lvalues._minus_algebra.cache_clear()
     patch_every_binding(monkeypatch, (original,), counted)
     entries = campaigns.load_manifest(DATA)
     assert campaigns.annihilation_campaign(entries).ok
-    assert len(builds) == len(entries) == MANIFEST_MINUS_QUOTIENTS
+    algebras = {(galois_group(e["spec"]).group, cm_data(e["spec"]).j, e["p"], e["N"])
+                for e in entries}
+    assert len(entries) == 5
+    assert len(builds) == len(algebras) == MANIFEST_MINUS_QUOTIENTS
 
 
-# (tables of partial zeta values built, theta_value calls, lowest_terms calls
-# in lvalues) over tower_coherence_campaign() and kummer_congruence_campaign():
-# one table per (level, k) of the 12 levels n <= 2 of TOWER_CORPUS's four base
-# fields at k = 1..4, and one lowest_terms per level theta_value computes
-# (the route it replaced ran two).
+# (tables of partial zeta values built, factor plans applied, lowest_terms
+# calls in lvalues) over tower_coherence_campaign() and
+# kummer_congruence_campaign(): one table per (level, k) of the 12 levels
+# n <= 2 of TOWER_CORPUS's four base fields at k = 1..4, and one plan
+# application and one lowest_terms per level a tower computes (the route
+# before theta_value ran two lowest_terms per level).
 THETA_TABLES = (48, 168, 168)
 
 
 def test_theta_tables_match_the_ledger(monkeypatch):
     tables = fresh_zeta_tables(monkeypatch)
-    calls = {"theta_value": 0, "lowest_terms": 0}
+    calls = {"apply_plan": 0, "lowest_terms": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -156,13 +166,36 @@ def test_theta_tables_match_the_ledger(monkeypatch):
             return fn(*args)
         return wrapper
 
-    patch_every_binding(monkeypatch, (lvalues.theta_value,),
-                        counted("theta_value", lvalues.theta_value))
+    patch_every_binding(monkeypatch, (lvalues.apply_plan,),
+                        counted("apply_plan", lvalues.apply_plan))
     monkeypatch.setattr(lvalues, "lowest_terms", counted("lowest_terms", lvalues.lowest_terms))
     assert campaigns.tower_coherence_campaign().ok
     assert campaigns.kummer_congruence_campaign().ok
     builds = tables.cache_info().misses
-    assert (builds, calls["theta_value"], calls["lowest_terms"]) == THETA_TABLES
+    assert (builds, calls["apply_plan"], calls["lowest_terms"]) == THETA_TABLES
+
+
+# (theta_tower calls, factor plans built) over tower_coherence_campaign() and
+# kummer_congruence_campaign(): one plan per tower, read by all its levels
+# (a plan per level made 168).
+TOWER_PLANS = (56, 56)
+
+
+def test_one_factor_plan_per_tower(monkeypatch):
+    calls = {"theta_tower": 0, "theta_plan": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((tower, "theta_tower"), (lvalues, "theta_plan")):
+        original = getattr(module, name)
+        patch_every_binding(monkeypatch, (original,), counted(name, original))
+    assert campaigns.tower_coherence_campaign().ok
+    assert campaigns.kummer_congruence_campaign().ok
+    assert (calls["theta_tower"], calls["theta_plan"]) == TOWER_PLANS
 
 
 # (lvalues._one_minus passes, CyclotomicInt constructions) over
