@@ -8,8 +8,8 @@ and the conductor; galois_group uses invariant-factor coordinates,
 TowerLevelData the product G x Z/p^n of a tower layer. This module also
 computes CM structure (complex conjugation j and the idempotents e_r), roots
 of unity, cyclotomic-tower layers, the one statement of theta's (S, T) rules
-(admissible_places, read off the conductor) with the Hyp(S,T) test (those
-rules, then roots_of_unity_rule), the character table with exact
+(admissible_places, read off the conductor) with the Hyp(S,T) test
+(roots_of_unity_rule on admissible places), the character table with exact
 decomposition/reconstruction (its labels and logs cached per group), and
 every character of a field as a primitive Dirichlet character, built in one
 pass per presentation with logs indexed by residue (the kernels and CRT
@@ -362,27 +362,23 @@ def normalize_places(S) -> tuple[set[int], bool]:
     return finite, has_inf
 
 
-class PlacesError(ValueError):
-    """(S, T) breaks a rule of admissible_places."""
-
-
 def admissible_places(spec: AbelianFieldSpec, S, T) -> tuple[set[int], set[int]]:
     """The finite primes (s_fin, t_fin) of S and T once the places fit theta:
     T holds only finite places, S holds the infinite place and every prime
-    ramified in L, and S and T are disjoint. Raises PlacesError at the first
-    rule broken, in that order, and ValueError for a malformed place. Reads
-    the spec's conductor only, never its Galois group."""
+    ramified in L, and S and T are disjoint. Raises ValueError at the first
+    rule broken, in that order, or for a malformed place. Reads the spec's
+    conductor only, never its Galois group."""
     s_fin, s_inf = normalize_places(S)
     t_fin, t_inf = normalize_places(T)
     if t_inf:
-        raise PlacesError("T must consist of finite places")
+        raise ValueError("T must consist of finite places")
     if not s_inf:
-        raise PlacesError("S must contain the infinite place")
+        raise ValueError("S must contain the infinite place")
     ram = ramified_primes(spec)
     if not ram <= s_fin:
-        raise PlacesError(f"S misses ramified primes {sorted(ram - s_fin)}")
+        raise ValueError(f"S misses ramified primes {sorted(ram - s_fin)}")
     if s_fin & t_fin:
-        raise PlacesError(f"S and T meet at {sorted(s_fin & t_fin)}")
+        raise ValueError(f"S and T meet at {sorted(s_fin & t_fin)}")
     return s_fin, t_fin
 
 
@@ -401,13 +397,10 @@ def roots_of_unity_rule(spec: AbelianFieldSpec, t_fin) -> tuple[bool, str]:
 
 
 def check_hyp(spec: AbelianFieldSpec, S, T) -> tuple[bool, str]:
-    """Hyp(S,T): the places fit theta (admissible_places; a broken rule is
-    (False, its message), a malformed place raises), and then
+    """Hyp(S,T) on places that fit theta (admissible_places, which raises
+    at a broken rule; every caller passes admissible places):
     roots_of_unity_rule on the finite primes of T."""
-    try:
-        _, t_fin = admissible_places(spec, S, T)
-    except PlacesError as exc:
-        return False, str(exc)
+    _, t_fin = admissible_places(spec, S, T)
     return roots_of_unity_rule(spec, t_fin)
 
 

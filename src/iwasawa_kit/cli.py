@@ -125,7 +125,7 @@ def run_theta(config: wire.Node) -> tuple[dict, int]:
     integral = verify_integrality(th)
     asserted = bool(T) and hyp and r == 0  # Hyp(S,T) is the rule at r = 0 only
     result = {
-        "coefficients": th.to_json()["coefficients"],
+        "coefficients": th.to_json(),
         "hyp": hyp,
         "hyp_reason": reason,
         "integral": integral,
@@ -195,7 +195,7 @@ def run_verify(config: wire.Node) -> tuple[dict, int]:
     result = {
         "annihilation": ann,
         "fitting_membership": fit,
-        "theta": th.to_json()["coefficients"],
+        "theta": th.to_json(),
     }
     witness = {"acting_matrix": acting, "fitting_residual": list(residual)}
     check = "annihilation and minus-Fitting membership"

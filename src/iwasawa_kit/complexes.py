@@ -36,8 +36,9 @@ from .linalg import combine, howell_form
 
 class BoundedComplex:
     """Cochain complex with degrees lo..hi; differentials[i]: C^(lo+i) ->
-    C^(lo+i+1), one per adjacent pair of modules (every caller passes that
-    many, and `complex --data` refuses another count by the wire rule), and
+    C^(lo+i+1), one per adjacent pair of modules and built on those module
+    objects (every caller passes that many such maps, and `complex --data`
+    refuses another count by the wire rule), and
     zero outside lo..hi: `module_at(i)` is the zero module and
     `differential_at(i)` the zero map there.
 
@@ -55,17 +56,10 @@ class BoundedComplex:
         self.algebra = algebra
         self.lo = lo
         self.modules = modules
-        self.differentials = []
+        self.differentials = differentials
         for i, d in enumerate(differentials):
-            # a map between the listed modules is kept with its cached spans;
-            # any other is re-anchored onto them so relation data is
-            # consistent (ModuleMap refuses a matrix of another shape)
-            if d.src is not modules[i] or d.dst is not modules[i + 1]:
-                d = ModuleMap(modules[i], modules[i + 1], d.matrix)
             if not d.is_well_defined():
                 raise ValueError(f"differential in degree {lo + i} is not well defined")
-            self.differentials.append(d)
-        differentials = self.differentials
         for i in range(len(differentials) - 1):
             if not differentials[i].compose(differentials[i + 1]).is_zero():
                 raise ValueError(f"d o d != 0 at degree {lo + i}")

@@ -156,24 +156,19 @@ class CyclotomicInt:
     """Element of Q(zeta_n), the value type of both character routes: integer
     numerators `nums` of 1, z, ..., z^(phi(n)-1) over one positive
     denominator `den`, in lowest terms (zero has den 1). The constructor takes
-    integer coefficients of 1, z, z^2, ... of any length and reduces them mod
+    the n integer coefficients of 1, z, ..., z^(n-1) and reduces them mod
     Phi_n, so two values are equal when their (n, nums, den) are. Comparing
     with an int or a Fraction raises TypeError: there is no coercion, and a
     silent False would make `x == 0` untrue for every x.
 
-    The reduction is one fold: the exponents are folded mod n (Phi_n divides
-    z^n - 1), for even n the top half through z^(n/2) = -1, and each power
-    z^i left with phi(n) <= i is added from the fold table of n."""
+    The reduction is one fold: for even n the top half through
+    z^(n/2) = -1, and each power z^i left with phi(n) <= i is added from the
+    fold table of n."""
 
     __slots__ = ("n", "nums", "den")
 
     def __init__(self, n: int, vec, den: int = 1):
         m, deg, powers = _cyclotomic_fold(n)
-        if len(vec) != n:
-            folded = [0] * n
-            for i, c in enumerate(vec):
-                folded[i % n] += c
-            vec = folded
         if m != n:
             vec = list(map(operator.sub, vec[:m], vec[m:]))
         out = vec[:deg]

@@ -250,20 +250,6 @@ class FiniteCommAlgebra:
 # ---------------------------------------------------------------------------
 # Constructors.
 
-def same_algebra(a: FiniteCommAlgebra, b: FiniteCommAlgebra) -> bool:
-    """Structural identity: same prime power, unit and products of basis
-    pairs. Two group algebras have them when their product tables agree (the
-    unit is g_0 in both), and builds over one group share one cached table."""
-    if a is b:
-        return True
-    if isinstance(a, GroupAlgebra) and isinstance(b, GroupAlgebra):
-        return (a.p, a.N) == (b.p, b.N) and a.table == b.table
-    if (a.p, a.N, a.dim, a.one) != (b.p, b.N, b.dim, b.one):
-        return False
-    basis = [a.basis_element(i) for i in range(a.dim)]
-    return all(a.mul(x, y) == b.mul(x, y) for x in basis for y in basis)
-
-
 def zmod_algebra(p: int, N: int) -> FiniteCommAlgebra:
     return FiniteCommAlgebra(p, N, ["1"], [[[(0, 1)]]], (1,), [(1,)], name=f"Z/{p}^{N}")
 
@@ -494,11 +480,11 @@ class IdealHandle:
         h, k = self._spans_with(other)
         return all(in_span(r, h, self.algebra.q) for r in k)
 
-    def __eq__(self, other) -> bool:
-        if not (isinstance(other, IdealHandle) and same_algebra(self.algebra, other.algebra)):
-            return False
+    def __eq__(self, other: "IdealHandle") -> bool:
+        """Whether other is an ideal over the same algebra object with the
+        same span."""
         h, k = self._spans_with(other)
-        return h == k
+        return self.algebra is other.algebra and h == k
 
     def product(self, other: "IdealHandle") -> "IdealHandle":
         mul = self.algebra.mul
@@ -590,9 +576,9 @@ class FinPresModule:
 
 
 def _det(algebra: FiniteCommAlgebra, rows: list[list[Vec]]) -> Vec:
+    """The determinant of the n x n matrix rows, n >= 1: both callers return
+    before they reach an empty one."""
     n = len(rows)
-    if n == 0:
-        return algebra.one
     if n == 1:
         return rows[0][0]
     out = algebra.zero()

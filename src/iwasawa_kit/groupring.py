@@ -16,10 +16,9 @@ with no group element formed, and cached: the product table, # and the JSON
 keys per group, a quotient map per pair of groups, a translation per group
 and element, the Kronecker layout per group and q. The product table does not
 multiply elements of (Z/p^N)[G] (the layout does): it gives the rows of the
-regular representation (row j of g_k g_j^(-1), through #), the structure
-constants of a minus quotient and the test that two group algebras are the
-same (fitting.same_algebra). The maps only move and add coefficients, and
-reducing mod p^N is the caller's step.
+regular representation (row j of g_k g_j^(-1), through #) and the
+structure constants of a minus quotient. The maps only move and add
+coefficients, and reducing mod p^N is the caller's step.
 """
 
 from __future__ import annotations

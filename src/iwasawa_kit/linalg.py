@@ -135,9 +135,11 @@ def span_size(howell: list[list[int]], q: int) -> int:
 
 
 def smith_normal_form(rows: list[list[int]], ncols: int) -> tuple[list[int], list[list[int]]]:
-    """Diagonalize the integer row lattice: returns (diag, V) with V
-    unimodular and rowspan(A.V) = rowspan(diag). diag entries are >= 0 with the divisibility
-    chain d_1 | d_2 | ... among the nonzero ones.
+    """Diagonalize the integer row lattice of rank ncols (full column rank,
+    as the relations galois_group passes are, with the generators' orders on
+    their diagonal): returns (diag, V) with V unimodular and
+    rowspan(A.V) = rowspan(diag). diag entries are > 0 with the
+    divisibility chain d_1 | d_2 | ....
     """
     A = [list(r) + [0] * (ncols - len(r)) for r in rows]
     nr = len(A)
@@ -170,8 +172,6 @@ def smith_normal_form(rows: list[list[int]], ncols: int) -> tuple[list[int], lis
                     v = abs(A[i][j])
                     if v and (best is None or v < best[0]):
                         best = (v, i, j)
-            if best is None:
-                break
             _, bi, bj = best
             if bi != t:
                 A[bi], A[t] = A[t], A[bi]

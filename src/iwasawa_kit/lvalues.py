@@ -4,11 +4,11 @@ annihilation / Fitting-membership checks against class-module data.
 The group-ring route is primary: theta_{S,T}(r) = delta_T(r) . sum_sigma
 zeta_S(r, sigma) sigma^(-1) as the pair (nums, den) of Q[G]. theta_places
 admits r <= 0 and the (S, T) rules (abelian.admissible_places) once, on the
-spec, before the Galois group is looked up or built; theta_value, which
-theta calls, takes a presentation and the admitted finite primes and checks
-nothing again. It is two steps: theta_plan lists each admitted prime with
-its constant c and whether it is an Euler factor, and apply_plan runs that
-plan on one presentation, so a tower builds one plan for all its levels.
+spec, before the Galois group is looked up or built; the value is then two
+steps that check nothing again: theta_plan lists each admitted finite prime
+with its constant c and whether it is an Euler factor, and apply_plan runs
+that plan on one presentation, so a tower builds one plan for all its
+levels.
 The value has integer
 numerators in the basis order of groupring over one positive denominator
 in lowest terms. The partial zeta values are read in the # order from a
@@ -127,21 +127,17 @@ def _zeta_table(pres, k: int) -> tuple[tuple[int, ...], int]:
 
 
 class StickelbergerElement:
-    """value is the pair (nums, den) of Q[G] in lowest terms."""
+    """value is the pair (nums, den) of Q[G] in lowest terms; T is the places
+    of T it was built with."""
 
     def __init__(self, value: tuple[tuple[int, ...], int], group: FiniteAbelianGroup,
-                 spec: AbelianFieldSpec, S: tuple, T: tuple, r: int) -> None:
-        self.value, self.group, self.spec, self.S, self.T, self.r = value, group, spec, S, T, r
+                 T: tuple) -> None:
+        self.value, self.group, self.T = value, group, T
 
     def to_json(self) -> dict:
+        """The coefficients as rationals, keyed by group element."""
         nums, den = self.value
-        return {
-            "coefficients": groupring.to_json(nums, self.group, lambda c: rat_to_str(c, den)),
-            "S": [str(v) for v in self.S],
-            "T": [str(v) for v in self.T],
-            "r": self.r,
-            "spec": self.spec.to_json(),
-        }
+        return groupring.to_json(nums, self.group, lambda c: rat_to_str(c, den))
 
 
 def theta_plan(s_fin, t_fin, r: int) -> tuple[int, tuple[tuple[int, int, bool], ...]]:
@@ -172,23 +168,16 @@ def apply_plan(pres, plan) -> tuple[tuple[int, ...], int]:
     return lowest_terms(nums, den)
 
 
-def theta_value(pres, s_fin, t_fin, r: int) -> tuple[tuple[int, ...], int]:
-    """Theta_{S,T}(r) as (nums, den) on a presentation, for the finite primes
-    (s_fin, t_fin) that theta_places admitted; nothing is checked again:
-    the plan of (s_fin, t_fin, r) applied to pres."""
-    return apply_plan(pres, theta_plan(s_fin, t_fin, r))
-
-
 def theta(spec: AbelianFieldSpec, S, T, r: int) -> StickelbergerElement:
     """Theta_{S,T}(r) of the spec: r and the places are admitted once
     (theta_places) before its Galois group is looked up or built."""
-    return _theta(spec, S, T, r, *theta_places(spec, S, T, r))
+    return _theta(spec, T, r, *theta_places(spec, S, T, r))
 
 
-def _theta(spec, S, T, r, s_fin, t_fin) -> StickelbergerElement:
+def _theta(spec, T, r, s_fin, t_fin) -> StickelbergerElement:
     pres = galois_group(spec)
-    value = theta_value(pres, s_fin, t_fin, r)
-    return StickelbergerElement(value, pres.group, spec, tuple(S), tuple(T), r)
+    value = apply_plan(pres, theta_plan(s_fin, t_fin, r))
+    return StickelbergerElement(value, pres.group, tuple(T))
 
 
 def verify_integrality(theta_elem: StickelbergerElement) -> bool:
@@ -433,7 +422,7 @@ def verify_case(
         raise ValueError(
             f"group mismatch: the field's group has order {size}, the module's {module_size}"
         )
-    th = _theta(spec, S, T, r, s_fin, t_fin)
+    th = _theta(spec, T, r, s_fin, t_fin)
     if not verify_integrality(th):
         raise ValueError("theta must have integer coefficients")
     if th.group.orders != M.group_orders:

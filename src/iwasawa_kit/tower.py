@@ -257,20 +257,15 @@ def coherence_check(t: TowerElement) -> tuple[bool, int | None]:
 
 def twist_congruence_check(t_r: TowerElement, t_0: TowerElement) -> tuple[bool, int | None]:
     """Equivariant Kummer congruence: Theta(L_n, r) = t_cyc^r Theta(L_n, 0)
-    mod q = p^min(N, n+1) at every level (exact at that precision). t_0 is
-    the tower of t_r's spec, S, T, p and levels at r = 0, as every caller
-    builds it. Each level is one pass a - b u = 0 mod q over the entries a,
-    b and the level's _twist_factors u; at r = 0 it is a = b mod q, and no
-    chi_cyc is read."""
+    mod q = p^min(N, n+1) at every level (exact at that precision). t_r is
+    a tower at r != 0 and t_0 the tower of its spec, S, T, p and levels at
+    r = 0, as every caller builds them. Each level is one pass
+    a - b u = 0 mod q over the entries a, b and the level's _twist_factors u."""
     r, p = t_r.r, t_r.p
     for n, level in enumerate(t_r.levels):
         q = p ** min(t_r.N, t_0.N, n + 1)
         x, y = t_r.entries[n], t_0.entries[n]
-        if r == 0:
-            bad = any([(a - b) % q for a, b in zip(x, y)])
-        else:
-            bad = any([(a - b * u) % q for a, b, u in zip(x, y, _twist_factors(level, r, q))])
-        if bad:
+        if any([(a - b * u) % q for a, b, u in zip(x, y, _twist_factors(level, r, q))]):
             return False, n
     return True, None
 

@@ -1,6 +1,7 @@
 """Algebras, the double-loop product of a group algebra, ring helpers, the
 vectors a span oracle holds as codes, the closed-form dual of a finite
-abelian group with an action, the field arithmetic of Q(zeta_n), the
+abelian group with an action, the field arithmetic of Q(zeta_n) on
+vectors of any length, the structural identity of two algebras, the
 character log of one group element, the contragredient of a Dirichlet
 character, the action matrix of one group element on class data, a per-test
 cache of theta's zeta tables, a patcher of every binding of a function in
@@ -85,12 +86,25 @@ def action_of(M, g) -> list[list[int]]:
     return out
 
 
+def fold(vec, n: int) -> list:
+    """The n coefficients of 1, z, ..., z^(n-1) of sum_i vec[i] z^i, z^n = 1:
+    a vector of any length in the form CyclotomicInt takes."""
+    out = [0] * n
+    for i, c in enumerate(vec):
+        out[i % n] += c
+    return out
+
+
 class Cyclotomic(CyclotomicInt):
     """CyclotomicInt with the field operations of Q(zeta_n), for the test
     oracles: +, - and * with another value of Q(zeta_n) (the kit's own
-    values included) or a rational, and equality with a rational."""
+    values included) or a rational, and equality with a rational. It takes
+    coefficients of 1, z, z^2, ... of any length (fold)."""
 
     __slots__ = ()
+
+    def __init__(self, n: int, vec, den: int = 1):
+        super().__init__(n, fold(vec, n), den)
 
     @classmethod
     def zeta(cls, n: int, k: int = 1) -> "Cyclotomic":
@@ -160,6 +174,15 @@ def algebra_json(alg: FiniteCommAlgebra) -> dict:
         "sharp": [list(alg.sharp_of(x)) for x in basis] if alg.has_sharp else None,
         "name": alg.name,
     }
+
+
+def same_algebra(a: FiniteCommAlgebra, b: FiniteCommAlgebra) -> bool:
+    """Structural identity: same prime power, dimension, unit and products of
+    basis pairs, as a from_json copy has them."""
+    if (a.p, a.N, a.dim, a.one) != (b.p, b.N, b.dim, b.one):
+        return False
+    basis = [a.basis_element(i) for i in range(a.dim)]
+    return all(a.mul(x, y) == b.mul(x, y) for x in basis for y in basis)
 
 
 def convolution(alg, x, y) -> tuple:

@@ -60,7 +60,7 @@ def spec(modulus: int) -> str:
 
 
 # theta's (S, T) rules over Q(zeta_3), in the order abelian.admissible_places
-# checks them: (S, T, the message of abelian.check_hyp)
+# checks them: (S, T, the message it raises)
 PLACE_RULES = {
     "T-infinite": ("3,oo", "7,oo", "T must consist of finite places"),
     "S-without-infinity": ("3", "7", "S must contain the infinite place"),
@@ -285,6 +285,11 @@ def tower_refusals(tmp: Path) -> dict:
         "tower-p-not-prime": (
             EXIT_PRECONDITION, "--p must be an odd prime, got 9",
             ("tower", "--spec", "zeta3", "--S", "3,oo", "--T", "7", "--p", "9", "--N", "2",
+             "--levels", "1")),
+        # 43 * 47: no trial divisor finds it, the Miller-Rabin test does
+        "tower-p-composite-past-trial-division": (
+            EXIT_PRECONDITION, "--p must be an odd prime, got 2021",
+            ("tower", "--spec", "zeta3", "--S", "3,oo", "--T", "7", "--p", "2021", "--N", "2",
              "--levels", "1")),
         "tower-N-zero": (
             EXIT_PRECONDITION, "--N must be >= 1 and --levels >= 0",

@@ -95,8 +95,8 @@ def theta(spec_or_pres, S, T, r: int) -> tuple:
 
 
 def theta_value(pres, s_fin, t_fin, r: int) -> tuple[tuple[int, ...], int]:
-    """theta as (nums, den) in lowest terms, with the signature of
-    lvalues.theta_value: the finite primes of S and T, already admitted."""
+    """theta as (nums, den) in lowest terms, as lvalues.apply_plan gives it
+    for the theta_plan of the finite primes of S and T, already admitted."""
     return as_pair(theta(pres, s_fin, t_fin, r))
 
 

@@ -16,8 +16,8 @@ from iwasawa_kit.abelian import (
     CharacterTable,
     DirichletCharacter,
     FiniteAbelianGroup,
-    PlacesError,
     TowerLevelData,
+    admissible_places,
     check_hyp,
     cm_data,
     conductor,
@@ -69,17 +69,18 @@ def test_smith_normal_form_matches_sympy_invariants():
 
     rng = random.Random(7)
     for _ in range(40):
+        # of full column rank, as galois_group builds them: positive orders on
+        # the diagonal, then relation rows
         nr, nc = rng.randint(1, 4), rng.randint(1, 4)
-        rows = [[rng.randint(-6, 6) for _ in range(nc)] for _ in range(nr)]
+        rows = [[rng.randint(1, 6) * (i == j) for j in range(nc)] for i in range(nc)]
+        rows += [[rng.randint(-6, 6) for _ in range(nc)] for _ in range(nr)]
         diag, V = smith_normal_form(rows, nc)
         # V unimodular
         det = int(sympy.Matrix(V).det())
         assert det in (1, -1)
         theirs = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
         tdiag = [abs(int(theirs[i, i])) for i in range(min(theirs.rows, theirs.cols))]
-        ours = [d for d in diag[: min(nr, nc)]]
-        # sympy pads differently; compare nonzero invariant factors
-        assert [d for d in ours if d] == [d for d in tdiag if d]
+        assert diag == tdiag and all(diag)
 
 
 def test_galois_group_examples():
@@ -270,32 +271,32 @@ def test_check_hyp_examples():
     assert ok
     bad2, why2 = check_hyp(z3, [3, OO], [2])
     assert not bad2 and "2" in why2
-    bad3, _ = check_hyp(z3, [3, OO], [3])
-    assert not bad3
     # empty T always fails (2 | w_L needs a prime of other characteristic)
     badempty, _ = check_hyp(z3, [3, OO], [])
     assert not badempty
-    # missing ramified prime
-    badram, _ = check_hyp(z3, [OO], [7])
-    assert not badram
+    # S meeting T, or missing a ramified prime, breaks a rule of the places
+    for S, T in (([3, OO], [3]), ([OO], [7])):
+        with pytest.raises(ValueError):
+            check_hyp(z3, S, T)
     # T of two residue characteristics works
     ok2, _ = check_hyp(z3, [3, OO], [5, 7])
     assert ok2
 
 
-def test_theta_and_theta_tower_refuse_each_place_rule_in_check_hyps_words():
-    """One statement of the (S, T) rules: for each rule broken, check_hyp's
-    reason is the message of the PlacesError that theta,
-    theta_character_side and theta_tower raise."""
+def test_theta_and_theta_tower_refuse_each_place_rule_in_admissible_places_words():
+    """One statement of the (S, T) rules: for each rule broken, theta,
+    theta_character_side and theta_tower raise the ValueError of
+    admissible_places."""
     z3 = AbelianFieldSpec.cyclotomic(3)
     reasons = set()
     for S, T in (([3, OO], [7, OO]), ([3], [7]), ([OO], [7]), ([3, 7, OO], [7])):
-        ok, reason = check_hyp(z3, S, T)
-        assert not ok
+        with pytest.raises(ValueError) as broken:
+            admissible_places(z3, S, T)
+        reason = str(broken.value)
         reasons.add(reason)
         for run in (lambda: theta(z3, S, T, 0), lambda: theta_character_side(z3, S, T, 0),
                     lambda: theta_tower(z3, S, T, 3, 2, 1, 0)):
-            with pytest.raises(PlacesError) as refused:
+            with pytest.raises(ValueError) as refused:
                 run()
             assert str(refused.value) == reason, (S, T)
     assert len(reasons) == 4
@@ -349,8 +350,8 @@ def test_reconstruct_names_the_coefficient_that_is_not_rational():
     # over C3 the components (zeta_3 / 2, 0, 0) give the coefficient zeta_3 / 6 at
     # the identity; the refusal spells it out in the power basis of zeta_3
     tab = CharacterTable(FiniteAbelianGroup((3,)))
-    comps = {label: CyclotomicInt(3, [0]) for label in tab.labels}
-    comps[tab.labels[0]] = CyclotomicInt(3, [0, 1], 2)
+    comps = {label: CyclotomicInt(3, [0, 0, 0]) for label in tab.labels}
+    comps[tab.labels[0]] = CyclotomicInt(3, [0, 1, 0], 2)
     message = "coefficient 0 is not rational: numerators [0, 1] over 6 in powers of zeta_3"
     with pytest.raises(ValueError, match=re.escape(message)):
         tab.reconstruct(comps)

@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 import iwasawa_kit
 from iwasawa_kit import cli, wire
-from iwasawa_kit.abelian import FiniteAbelianGroup, check_hyp
+from iwasawa_kit.abelian import FiniteAbelianGroup, admissible_places
 from iwasawa_kit.cli import (
     EXIT_CHECK_FAILED,
     EXIT_IO,
@@ -644,12 +644,12 @@ def test_every_refusal_of_the_table_is_one_json_error_with_its_exit_code(capsys,
     assert not PACKAGE_CLASSES & set(re.findall(r"\w+", err["error"])), err
 
 
-def test_the_refusal_subsets_are_rows_and_place_rows_are_in_check_hyps_words():
+def test_the_refusal_subsets_are_rows_and_place_rows_are_in_admissible_places_words():
     """The named subsets of the table are rows of it, at their sizes, and
-    theta, tower and verify refuse every (S, T) fault in check_hyp's words
-    and r > 0 in its own."""
+    theta, tower and verify refuse every (S, T) fault in the words of
+    admissible_places and r > 0 in its own."""
     assert {*BUILT_TOWER_REFUSALS, *UNBUILT_VERIFY_REFUSALS} <= set(REFUSALS)
-    assert (len(NOTHING_BUILT), len(NO_CAMPAIGN)) == (64, 22)
+    assert (len(NOTHING_BUILT), len(NO_CAMPAIGN)) == (65, 22)
     cases = place_refusals()
     assert len(cases) == 19
     for name, (want, message, argv) in cases.items():
@@ -658,8 +658,12 @@ def test_the_refusal_subsets_are_rows_and_place_rows_are_in_check_hyps_words():
         config = {"spec": parse_spec(spec).to_json(), "S": parse_places(S),
                   "T": parse_places(T), "r": int(r)}
         spec, S, T, r = field_config(wire.Node(config, "configuration"))
-        hyp, why = check_hyp(spec, S, T)
-        assert message == (f"partial zeta values only at r <= 0, got {r}" if hyp else why), name
+        try:
+            admissible_places(spec, S, T)
+        except ValueError as exc:
+            assert message == str(exc), name
+        else:
+            assert message == f"partial zeta values only at r <= 0, got {r}", name
 
 
 def test_places_are_admitted_once_per_theta_or_tower(tmp_path, capsys, monkeypatch):

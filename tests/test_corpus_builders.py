@@ -46,13 +46,14 @@ def closure_corpus(max_conductor):
 
 
 def filtered_st_choices(spec, t_pool=(2, 5, 7, 11, 13)):
-    """Every subset of the pool as T, for each S, kept when Hyp holds."""
+    """Every subset of the pool as T, for each S, kept when it misses S and
+    Hyp holds."""
     ram = sorted(ramified_primes(spec))
     extra = next(p for p in (2, 3, 5, 7, 11, 13, 17) if p not in ram)
     subsets = [T for k in range(len(t_pool) + 1) for T in itertools.combinations(t_pool, k)]
     return [
         (S, list(T)) for S in ([*ram, OO], sorted([*ram, extra]) + [OO]) for T in subsets
-        if check_hyp(spec, S, list(T))[0]
+        if not set(S) & set(T) and check_hyp(spec, S, list(T))[0]
     ]
 
 

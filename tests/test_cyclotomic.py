@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 import sympy
-from algebra_helpers import Cyclotomic
+from algebra_helpers import Cyclotomic, fold
 from fraction_route import cyclotomic_from_powers
 
 from iwasawa_kit.exact import CyclotomicInt, cyclotomic_polynomial
@@ -113,14 +113,14 @@ def test_reduction_against_sympy():
             den = rng.choice((1, 2, 5, 12))
             rem = sympy.Poly(list(reversed(vec)), z).rem(phi).all_coeffs()[::-1]
             rem = [Q(int(c), den) for c in rem] + [Q(0)] * (euler_phi(n) - len(rem))
-            x = CyclotomicInt(n, vec, den)
+            x = CyclotomicInt(n, fold(vec, n), den)
             assert_canonical(x)
             assert list(fractions_of(x)) == rem, (n, vec, den)
 
 
 def test_normal_form_is_canonical():
     for n in ORDERS:
-        zeta = [0, 1] if n > 1 else [1]
+        zeta = fold([0, 1], n)
         half = CyclotomicInt(n, zeta, 2)
         assert CyclotomicInt(n, [2 * c for c in zeta], 4) == half
         assert CyclotomicInt(n, [-c for c in zeta], -2) == half
@@ -128,4 +128,4 @@ def test_normal_form_is_canonical():
         zero = CyclotomicInt(n, [0] * n, 7)
         assert zero == Cyclotomic(n, [0]) and zero.den == 1
         assert (Cyclotomic(n, zeta, 2) - half).den == 1
-        assert_canonical(CyclotomicInt(n, [6, -4, 10], -8))
+        assert_canonical(CyclotomicInt(n, fold([6, -4, 10], n), -8))

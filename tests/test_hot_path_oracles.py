@@ -35,6 +35,7 @@ from algebra_helpers import (
     nilpotent_extension_json,
     patch_every_binding,
     prime_of,
+    same_algebra,
     val,
 )
 from test_complexes import _random_chain_maps
@@ -72,13 +73,12 @@ from iwasawa_kit.fitting import (
     group_algebra_morphism,
     minus_quotient,
     principal_module,
-    same_algebra,
     unit_ideal,
     zero_ideal,
     zmod_algebra,
 )
 from iwasawa_kit.linalg import howell_form, in_span, span_size
-from iwasawa_kit.lvalues import theta, theta_character_side, theta_value
+from iwasawa_kit.lvalues import apply_plan, theta, theta_character_side, theta_plan
 from iwasawa_kit.numutil import unit_residues
 from iwasawa_kit.oracles import enumerate_span
 from iwasawa_kit.tower import (
@@ -728,7 +728,8 @@ def ideal_howell_reference(I, cache=None):
 
 def check_ideals_against_reference(ideals, elements, pairs=None):
     """howell, size and residual of each ideal, and == and contains
-    of each pair (all pairs by default), agree with the reference forms."""
+    of each pair (all pairs by default), agree with the reference forms; ==
+    holds only over one algebra object."""
     cache = {}
     q = ideals[0].algebra.q
     for I in ideals:
@@ -739,7 +740,7 @@ def check_ideals_against_reference(ideals, elements, pairs=None):
     verdicts = set()
     for I, J in pairs if pairs is not None else [(I, J) for I in ideals for J in ideals]:
         refI, refJ = ideal_howell_reference(I, cache), ideal_howell_reference(J, cache)
-        assert (I == J) == (refI == refJ)
+        assert (I == J) == (I.algebra is J.algebra and refI == refJ)
         contained = refI == refJ or all(in_span(r, refI, q) for r in refJ)
         assert I.contains(J) == contained
         verdicts.add((refI == refJ, contained))
@@ -824,8 +825,9 @@ def test_ideals_match_the_howell_reference(alg, source):
     whole at some characters and proper at others, ideals that a unit among
     non-units settles and handles on one generator list (one longer than
     dim), zero, the ring, #, products and a chain of two, each with elements
-    inside and outside. Over a from_json copy, == and contains also meet the
-    ideal on the same generators over the group algebra it copies."""
+    inside and outside. Over a from_json copy, contains also meets the ideal
+    on the same generators over the group algebra it copies, which == tells
+    apart."""
     rng = random.Random(alg.dim * alg.q)
     small = alg.dim <= 9
     unit, non_units = unit_and_non_units(rng, alg)
@@ -1076,13 +1078,14 @@ def test_unit_classes_match_element_of():
 
 def test_theta_value_reads_only_the_unit_class_table(monkeypatch):
     """On warm presentations, with S = S_ram + oo and T empty (no Frobenius
-    to take), theta_value classifies no residue and lists no unit group,
+    to take), theta's plan classifies no residue and lists no unit group,
     its tables built afresh."""
     cases = [(galois_group(spec), ramified_primes(spec)) for spec in corpus_cm_specs(12)]
     cases += [(tower_level(AbelianFieldSpec.cyclotomic(3), 3, 3), {3})]
 
     def values():
-        return [theta_value(pres, s_fin, set(), r) for pres, s_fin in cases for r in (0, -2)]
+        return [apply_plan(pres, theta_plan(s_fin, set(), r))
+                for pres, s_fin in cases for r in (0, -2)]
 
     expected = values()
     fresh_zeta_tables(monkeypatch)
@@ -1246,8 +1249,8 @@ def test_group_algebras_match_the_dense_construction(orders):
 
 def test_same_algebra_reads_the_group_law():
     """Two group algebras are the same when (p, N) and the group orders agree
-    (up to cyclic factors of order 1): the product tables give the verdict
-    that the products of a from_json copy give, and neither has `terms`."""
+    (up to cyclic factors of order 1), and so is a from_json copy of either;
+    neither has `terms`."""
     c2c9 = FiniteAbelianGroup((2, 9))
     alg = GroupAlgebra(3, 2, c2c9)
     twin = GroupAlgebra(3, 2, FiniteAbelianGroup((2, 9)))
@@ -1307,7 +1310,8 @@ def test_algebras_round_trip_through_json_by_their_operations(alg):
 @pytest.mark.parametrize("orders", [(2, 9), (9,), (2, 27)], ids=str)
 def test_group_algebra_use_builds_no_structure_table(orders):
     """Products, regular rows, #, a Fitting ideal, its product and sharp and an
-    ideal comparison across two builds give neither algebra `terms` or
+    ideal comparison across two builds (unequal: equal ideals lie over one
+    algebra object, on one span) give neither algebra `terms` or
     `sharp_images`."""
     alg = GroupAlgebra(3, 2, FiniteAbelianGroup(orders))
     twin = GroupAlgebra(3, 2, FiniteAbelianGroup(orders))
@@ -1317,7 +1321,7 @@ def test_group_algebra_use_builds_no_structure_table(orders):
     alg.regular_rows(x)
     alg.sharp_of(x)
     I = principal_module(alg, x).fitting_ideal
-    assert I == IdealHandle(twin, [x]) and I.howell == IdealHandle(twin, [x]).howell
+    assert I != IdealHandle(twin, [x]) and I.howell == IdealHandle(twin, [x]).howell
     assert I.product(I.sharp()).contains(IdealHandle(alg, [alg.mul(x, alg.sharp_of(x))]))
     for a in (alg, twin):
         assert not hasattr(a, "terms") and not hasattr(a, "sharp_images")

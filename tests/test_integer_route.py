@@ -1,5 +1,5 @@
 """The integer route of Q[G] in lvalues against the Fraction route of
-fraction_route.py, the one oracle of theta: theta and theta_value are equal
+fraction_route.py, the one oracle of theta: theta and its plan are equal
 to it as rationals on the corpus and the manifest, and the integrality
 verdicts agree (test_tower_tables compares its tower levels). The Fraction
 route's delta_T is checked by hand on three cases."""
@@ -14,10 +14,11 @@ from fraction_route import as_pair
 from iwasawa_kit.abelian import AbelianFieldSpec, galois_group, ramified_primes
 from iwasawa_kit.campaigns import corpus_cm_specs, corpus_st_choices, load_manifest
 from iwasawa_kit.lvalues import (
+    apply_plan,
     is_p_integral,
     theta,
     theta_places,
-    theta_value,
+    theta_plan,
     verify_integrality,
 )
 
@@ -71,16 +72,18 @@ def corpus_cases():
 
 @pytest.mark.parametrize("family", [spec.label for spec in corpus_cm_specs(24)] + ["manifest"])
 def test_theta_matches_the_fraction_route_on_the_corpus_and_the_manifest(family):
-    """theta and theta_value equal the Fraction theta as rationals, and the
-    integrality verdicts read its denominators. Each corpus family has
-    integral and non-integral thetas; the manifest's are integral."""
+    """theta, and its plan applied to the presentation, equal the Fraction
+    theta as rationals, and the integrality verdicts read its denominators.
+    Each corpus family has integral and non-integral thetas; the manifest's
+    are integral."""
     verdicts = set()
     for spec, S, T, r in corpus_cases()[family]:
         where = (spec.label, S, T, r)
         pres = galois_group(spec)
         ref = fraction_route.theta(pres, S, T, r)
         th = theta(spec, S, T, r)
-        assert th.value == theta_value(pres, *theta_places(spec, S, T, r), r) == as_pair(ref), where
+        plan = theta_plan(*theta_places(spec, S, T, r), r)
+        assert th.value == apply_plan(pres, plan) == as_pair(ref), where
         integral = all(c.denominator == 1 for c in ref)
         assert verify_integrality(th) == integral, where
         verdicts.add(integral)

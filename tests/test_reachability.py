@@ -1,40 +1,34 @@
-"""The kit is what its commands and its benchmark run, down to each `raise`.
+"""The kit is what its commands and its benchmark run, down to each statement.
 
-A fresh interpreter installs `sys.setprofile` before it imports the package,
+A fresh interpreter installs `sys.settrace` before it imports the package,
 so code that runs at import time counts. It then runs a fixed corpus through
 `cli.main`: the README's CLI block with small trial counts, `complex --data`
-on both committed complexes, the replay of a tower from its own certificate,
-`recheck` of each fresh certificate and of the committed certificates (and
-of the fitting certificate with its `seconds` rewritten or a verdict
-flipped, as CI runs them), the refusals that exit 2 and 4 (the table of
+on both committed complexes, the replay of a tower from its own certificate
+(and with a coefficient edited, which fails), `recheck` of each fresh
+certificate and of the committed certificates (and of the fitting
+certificate with its `seconds` rewritten or a verdict flipped, as CI runs
+them), the accepted inputs that reach what the README block does not
+(`rare_inputs`), the refusals that exit 2 and 4 (the table of
 `tests/cli_refusals.py`, which `tests/test_cli.py` checks too), and one
 round of each benchmark workload at seed 1, built by
-`perfbench/workloads.py` (the benchmark is a client of the
-kit).
+`perfbench/workloads.py` (the benchmark is a client of the kit).
 
-Every top-level function and class method of `src/` whose code object was
-never entered is named, as `module.Class.method`: dunders, properties,
-cached properties and the functions under `lru_cache` included. There is no
-allowlist. A definition that only the tests run belongs in `tests/`, and one
-that only a rare input reaches gets a corpus entry that reaches it.
-Definitions are matched by the identity of their code objects, read from the
-live module and class objects, so an alias (`__radd__ = __add__`) is one
-definition and a name that other code shares hides nothing.
-
-Every `raise` statement of `src/` (read from the AST) that the refusals and
-the workloads never raised is named too, as the definition that holds it,
-unless ALLOWED lists it. They run under `sys.settrace` as well, which goes
-on only in frames of `src/` files, with line events off, and records the
-line of each "exception" event (a raise, or an exception passing through)
-and of each frame that returns None, which is where a bare re-raise leaves
-its frame without an event of its own. A `raise` counts as raised when a
-recorded line falls inside it. The README block runs accepted inputs and
-raises nothing, so it runs untraced: a trace function makes every frame pay
-for line bookkeeping, and the block is most of the corpus's time. A raise
-that only it reached would be named, not missed. A refusal that an input can
-reach gets a row of the refusal table; a check that restates a rule every
-caller already keeps goes; ALLOWED holds only the checks that catch a fault
-of the kit's own computation, which no input can provoke.
+Every statement of `src/` (read from the AST) that the corpus never ran is
+named, as the definition that holds it (`module.Class.method`, or the
+module alone at its top level), unless ALLOWED lists it: each statement of
+a definition never entered, of a branch no input takes, and each `raise` no
+input provokes. The trace goes on only in the frames of code objects that
+hold a statement, with line events on; a statement has run when an event
+fell on any line of its span, so a multi-line statement counts whichever of
+its lines a Python version gives the event to. A code object goes untraced
+once each of its statements has run, which keeps the trace's cost near that
+of one on calls alone. A statement that only the tests run goes, or moves
+to `tests/`; one that a rare input reaches gets a corpus input that reaches
+it; a refusal gets a row of the refusal table. ALLOWED names the statements
+that no input can reach, one line each: the checks that catch a fault of
+the kit's own computation, the fallbacks of the comparison and descriptor
+protocols, the CLI's process-level handlers, the path of a failed campaign
+check, and what a general definition does for a case the kit never builds.
 
 The corpus runs in a child interpreter so that no earlier test has imported
 the package or filled its caches.
@@ -43,15 +37,11 @@ the package or filled its caches.
 import ast
 import collections
 import contextlib
-import functools
 import importlib
-import inspect
 import io
 import json
-import pkgutil
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import pytest
@@ -63,131 +53,108 @@ FIXTURES = ROOT / "tests" / "fixtures"
 # recheck of this certificate takes seconds and reaches nothing new
 SLOW_FIXTURE = "fitting_seed3_cert.json"
 
-# The raises of src/ that no input reaches, one line each: the definition that
-# holds it and the fault of the kit's own computation that it catches.
+# The statements of src/ that no input reaches, one line each: the definition
+# that holds it and what it does.
 ALLOWED = (
+    ("abelian.FiniteAbelianGroup.__eq__", "NotImplemented for a value that is no group"),
+    ("abelian.AbelianFieldSpec.__eq__", "NotImplemented for a value that is no spec"),
     ("abelian.conductor", "a kernel test that fails at f = m, where it always holds"),
     ("abelian.GaloisData.__init__", "a classification that misses a class of the group"),
     ("abelian.galois_group", "a Smith form of a finite quotient with a zero invariant factor"),
     ("abelian.CharacterTable.reconstruct", "a decompose whose components no element has"),
-    ("numutil.primitive_root", "an order test that finds no generator of a cyclic group"),
-    ("exact.CyclotomicInt.__eq__", "a value compared with a number, else silently False"),
+    ("campaigns.CampaignResult.record", "a failed check, counted"),
+    ("campaigns.CampaignResult.record", "a failed check's detail, kept"),
     ("campaigns.run_trials", "a trial out of memory, for main to refuse, not to count"),
+    ("campaigns.run_trials", "a trial that raised, recorded as a failure"),
     ("campaigns._draw_until", "a faulty acceptance test that no draw passes, not a hang"),
+    ("cli", "python -m iwasawa_kit.cli; the console script calls main itself"),
+    ("cli.main", "an input too large to run, refused out of memory"),
+    ("cli.main", "a stdout closed by its reader, pointed at devnull"),
+    ("cli.main", "a stdout closed by its reader, refused"),
+    ("complexes.BoundedComplex.differential_at", "the zero map two or more degrees out"),
+    ("complexes.EulerFittingInvariant.__eq__", "NotImplemented for a value that is no invariant"),
+    ("complexes.ChainMap.validate", "a chain map level that is not well defined"),
+    ("complexes.ChainMap.validate", "a chain map that does not commute with d"),
+    ("complexes.quasi_iso_check", "a campaign's map whose H^i sizes differ"),
+    ("complexes.quasi_iso_check", "a campaign's map that is not onto some H^i"),
+    ("complexes.ComplexSES.verify_exact", "an extension's sequence that is not exact"),
+    ("exact.CyclotomicInt.__eq__", "a value compared with a number, else silently False"),
+    ("exact.CyclotomicInt.__eq__", "NotImplemented for a value that is no number"),
+    ("fitting.lockfree_cached_property.__get__", "the descriptor itself, read on the class"),
     ("fitting.AlgebraMorphism.check_homomorphism", "a campaign's morphism that loses 1"),
     ("fitting.AlgebraMorphism.check_homomorphism", "a campaign's morphism that breaks products"),
     ("fitting.pontryagin_dual", "a campaign's algebra whose trace form may be degenerate"),
     ("fitting.four_term_check", "a kernel or cokernel map of a campaign, not well defined"),
     ("fitting.four_term_check", "a campaign's four-term sequence that is not exact"),
-    ("complexes.ChainMap.validate", "a chain map level that is not well defined"),
-    ("complexes.ChainMap.validate", "a chain map that does not commute with d"),
-    ("complexes.ComplexSES.verify_exact", "an extension's sequence that is not exact"),
+    ("numutil.primitive_root", "a candidate p | g, past every primitive root below p"),
+    ("numutil.primitive_root", "an order test that finds no generator of a cyclic group"),
 )
 
 
-def code_objects(obj):
-    """The code objects a class attribute or module global defines: a function
-    (through any `functools.wraps` wrapper, such as `lru_cache`), the accessors
-    of a property, the function of a cached property, classmethod or
-    staticmethod."""
-    if isinstance(obj, property):
-        parts = (obj.fget, obj.fset, obj.fdel)
-    elif isinstance(obj, functools.cached_property):
-        parts = (obj.func,)
-    elif isinstance(obj, (classmethod, staticmethod)):
-        parts = (obj.__func__,)
-    else:
-        parts = (obj,)
-    for part in parts:
-        part = inspect.unwrap(part)
-        if isinstance(part, types.FunctionType):
-            yield part.__code__
-
-
-def definitions(module) -> dict:
-    """{code object: name} of each top-level function and class method that
-    the module's own file defines; an alias keeps its first name."""
-    found = {}
-    for name, obj in vars(module).items():
-        members = vars(obj).items() if isinstance(obj, type) else [("", obj)]
-        for attr, member in members:
-            for code in code_objects(member):
-                if code.co_filename == module.__file__:
-                    found.setdefault(code, ".".join(filter(None, (module.__name__, name, attr))))
-    return found
-
-
-def unentered(modules, entered) -> list:
-    """The names of the definitions of modules whose code was never entered."""
-    return sorted(name for module in modules
-                  for code, name in definitions(module).items() if code not in entered)
-
-
-def raise_sites(directory: Path) -> list[tuple[str, str, int, int]]:
-    """(file, definition, first line, last line) of every raise statement of
-    the .py files in directory; the definition is `module.Class.method`, or
-    the module alone at its top level."""
+def statement_sites(directory: Path) -> list[tuple[str, str, int, int, int]]:
+    """(file, definition, scope line, first line, last line) of every statement
+    of the .py files in directory that runs code of its own: all but function
+    and class definitions, compound statements (the statements of their
+    bodies stand for them), the docstrings of functions, and `global` and
+    `nonlocal`. The definition is `module.Class.method`, or the module alone
+    at its top level; the scope line is the first line of the code object
+    that runs the statement, its first decorator's for a decorated
+    definition."""
     sites = []
 
-    def visit(path, node, names):
+    def visit(path, node, names, scope):
+        function = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        docstring = node.body[0] if function and ast.get_docstring(node) is not None else None
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Raise):
-                sites.append((str(path), ".".join(names), child.lineno, child.end_lineno))
-            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
-            visit(path, child, [*names, child.name] if named else names)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                visit(path, child, [*names, child.name], first)
+            elif hasattr(child, "body") or isinstance(child, ast.Match):  # compound
+                visit(path, child, names, scope)
+            elif isinstance(child, ast.stmt) and child is not docstring \
+                    and not isinstance(child, (ast.Global, ast.Nonlocal)):
+                sites.append((str(path), ".".join(names), scope, child.lineno, child.end_lineno))
 
     for path in sorted(directory.glob("*.py")):
-        visit(path, ast.parse(path.read_text()), [path.stem])
+        visit(path, ast.parse(path.read_text()), [path.stem], 1)
     return sites
 
 
-def unraised(sites, lines) -> list[tuple[str, int]]:
-    """(definition, first line) of each raise site none of whose lines is in
-    the recorded (file, line) pairs."""
-    return [(name, first) for path, name, first, last in sites
-            if not any((path, line) in lines for line in range(first, last + 1))]
-
-
 @contextlib.contextmanager
-def recording():
-    """The set of code objects entered while the block runs."""
-    entered = set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            entered.add(frame.f_code)
-
-    sys.setprofile(profile)
-    try:
-        yield entered
-    finally:
-        sys.setprofile(None)
-
-
-@contextlib.contextmanager
-def raising(directory: Path):
-    """The set of (file, line) pairs at which, while the block runs and in a
-    frame of a file under directory, an exception was raised or passed
-    through, or the frame returned None. Only those frames are traced, and
-    with no line events."""
-    lines, prefix = set(), str(directory)
-
-    def local(frame, event, arg):
-        if event == "exception" or (event == "return" and arg is None):
-            lines.add((frame.f_code.co_filename, frame.f_lineno))
-        return local
+def running(sites):
+    """The (definition, first line) of each site of statement_sites that has
+    not run when the block ends, in order. Only the frames of code objects
+    that hold a site run traced, and a code object goes untraced once each
+    of its sites has run: a site runs when a line event falls on any line
+    of its span, whichever line a Python version gives the event to."""
+    scopes = collections.defaultdict(dict)  # (file, scope line): {line: site not yet run}
+    for path, name, scope, first, last in sites:
+        for line in range(first, last + 1):
+            scopes[path, scope][line] = (name, first, last)
+    unrun = []
 
     def call(frame, event, arg):
-        if frame.f_code.co_filename.startswith(prefix):
-            frame.f_trace_lines = False
+        code = frame.f_code
+        waiting = scopes.get((code.co_filename, code.co_firstlineno))
+        if not waiting:
+            return None
+
+        def local(frame, event, arg):
+            if event == "line" and frame.f_lineno in waiting:
+                _, first, last = waiting[frame.f_lineno]
+                for line in range(first, last + 1):
+                    waiting.pop(line, None)
+                frame.f_trace_lines = bool(waiting)
             return local
-        return None
+        return local
 
     sys.settrace(call)
     try:
-        yield lines
+        yield unrun
     finally:
         sys.settrace(None)
+        unrun.extend(sorted({(name, first) for waiting in scopes.values()
+                             for name, first, _ in waiting.values()}))
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +174,9 @@ def cli(*argv, want=0):
 
 def readme_block(tmp: Path):
     """The README's CLI block with small trial counts, each certificate
-    rechecked, the tower replayed from its own result, and the fitting
-    certificate rechecked with its timings rewritten and with a verdict
-    flipped."""
+    rechecked, the tower replayed from its own result and with a coefficient
+    edited, and the fitting certificate rechecked with its timings rewritten
+    and with a verdict flipped."""
     tower = ("--spec", "zeta5", "--S", "5,oo", "--T", "2", "--r", "-1", "--p", "5", "--N", "2",
              "--levels", "2")
     runs = {
@@ -232,6 +199,14 @@ def readme_block(tmp: Path):
     replay = tmp / "tower_replay.json"
     replay.write_text(json.dumps(tower_cert["result"]["tower"]))
     cli("tower", *tower, "--data", replay)
+    # as CI does: with one coefficient of level 0 moved by 1, the replay is
+    # neither coherent nor congruent to the fresh tower at r = 0, at level 0
+    coeffs = tower_cert["result"]["tower"]["levels"][0]["coeffs"]
+    coeffs["0,0"] = (coeffs["0,0"] + 1) % 25
+    replay.write_text(json.dumps(tower_cert["result"]["tower"]))
+    failed = cli("tower", *tower, "--data", replay, want=3)
+    assert (failed["result"]["coherent"], failed["result"]["twist_congruent"]) == (False, False)
+    assert failed["witness"] == {"failing_layer": 0, "twist_failing_layer": 0}, failed["witness"]
     fixtures = sorted(p for p in FIXTURES.glob("*_cert.json") if p.name != SLOW_FIXTURE)
     for path in certs + fixtures:
         assert cli("recheck", path)["result"]["matches"] is True, path
@@ -246,6 +221,32 @@ def readme_block(tmp: Path):
     fitting["result"]["ok"] = not fitting["result"]["ok"]
     edited.write_text(json.dumps(fitting))
     assert cli("recheck", edited, want=3)["result"]["matches"] is False
+
+
+def rare_inputs():
+    """Accepted inputs that reach what the README block does not, each with
+    its verdict: theta over modulus 6, whose field Q(zeta_3) has conductor
+    3 (a Frobenius lifted off the extra prime), equal to theta over zeta3;
+    theta over Q (no unit group) and over the real subfield of Q(zeta_35)
+    (zero at r = 0; its Smith form swaps columns); a tower at p = 43, the
+    first prime past the trial divisors; verify at N = 21, whose products
+    take lanes wider than 8 bytes; complex at seed 1, which draws a p-power
+    complex."""
+    places = ("--S", "3,oo", "--T", "2", "--r", "0")
+    zeta3 = cli("theta", "--spec", "zeta3", *places)["result"]
+    assert cli("theta", "--spec", '{"modulus": 6, "fixing": [1]}', *places)["result"] == zeta3
+    rationals = cli("theta", "--spec", "Q", "--S", "oo", "--T", "3", "--r", "0")["result"]
+    assert (rationals["coefficients"], rationals["integral"]) == ({"": "1"}, True), rationals
+    real = cli("theta", "--spec", '{"modulus": 35, "fixing": [1, 34]}', "--S", "5,7,oo",
+               "--T", "2", "--r", "0")["result"]
+    assert (real["coefficients"], real["integral"]) == ({}, True), real
+    tower = cli("tower", "--spec", "zeta43", "--S", "43,oo", "--T", "2", "--r", "0", "--p", "43",
+                "--N", "1", "--levels", "0")["result"]
+    assert tower["coherent"] is True, tower
+    verify = cli("verify", "--spec", "zeta23", "--S", "23,oo", "--T", "5", "--r", "0", "--p", "3",
+                 "--N", "21", "--data", DATA / "table_z23_minus.json")["result"]
+    assert verify["annihilation"] is verify["fitting_membership"] is True, verify
+    assert cli("complex", "--seed", "1", "--trials", "2")["result"]["ok"] is True
 
 
 def refusals(tmp: Path):
@@ -270,49 +271,42 @@ def workloads(tmp: Path):
             assert ok, (name, op, verdict)
 
 
-def child(tmp: Path) -> dict:
-    """Run the corpus under the profiler, the refusals and the workloads also
-    under the exception trace; name the definitions it never entered and
-    the raises it never raised."""
+def child(tmp: Path) -> list:
+    """Run the corpus under the statement trace; name the statements of src/
+    it never ran."""
     sys.path.insert(0, str(ROOT / "src"))
-    with recording() as entered:
+    with running(statement_sites(SRC)) as unrun:
         import iwasawa_kit
 
         assert Path(iwasawa_kit.__file__).parent == SRC
         readme_block(tmp)
-        with raising(SRC) as lines:
-            refusals(tmp)
-            workloads(tmp)
-    modules = [importlib.import_module(f"iwasawa_kit.{m.name}")
-               for m in pkgutil.iter_modules(iwasawa_kit.__path__)]
-    return {"unentered": unentered([iwasawa_kit, *modules], entered),
-            "unraised": unraised(raise_sites(SRC), lines)}
+        rare_inputs()
+        refusals(tmp)
+        workloads(tmp)
+    return unrun
 
 
 # ---------------------------------------------------------------------------
 # The tests.
 
 @pytest.fixture(scope="module")
-def corpus(tmp_path_factory) -> dict:
-    """What the child names, from one run of the corpus."""
+def corpus(tmp_path_factory) -> list:
+    """The (definition, first line) of each statement the child names, from
+    one run of the corpus."""
     proc = subprocess.run([sys.executable, __file__, str(tmp_path_factory.mktemp("corpus"))],
                           capture_output=True, text=True, cwd=ROOT)
     assert proc.returncode == 0, proc.stderr[-3000:]
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_every_definition_is_entered_by_the_commands_or_the_benchmark(corpus):
-    assert corpus["unentered"] == []
-
-
-def test_every_raise_is_raised_by_the_commands_or_the_benchmark_or_allowed(corpus):
-    """The raises the corpus never raised are those of ALLOWED, definition by
-    definition and count by count: one named beyond ALLOWED needs an input
-    that reaches it or has to go, and a line of ALLOWED that names no such
-    raise is stale."""
-    found = collections.Counter(name for name, _ in corpus["unraised"])
+def test_every_statement_is_run_by_the_commands_or_the_benchmark_or_allowed(corpus):
+    """The statements the corpus never ran are those of ALLOWED, definition
+    by definition and count by count: one named beyond ALLOWED needs an
+    input that reaches it or has to go, and a line of ALLOWED that names no
+    such statement is stale."""
+    found = collections.Counter(name for name, _ in corpus)
     allowed = collections.Counter(name for name, _ in ALLOWED)
-    assert (found - allowed, allowed - found) == ({}, {}), corpus["unraised"]
+    assert (found - allowed, allowed - found) == ({}, {}), corpus
 
 
 SAMPLE = """
@@ -327,23 +321,15 @@ class A:
         return self.x
 
     def alone(self):
-        return 0
+        y = 0
+        return y
 
     def __repr__(self):
         return "A()"
 
-    def __add__(self, other):
-        return self.x + other
-
-    __radd__ = __add__
-
     @property
     def size(self):
         return 1
-
-    @property
-    def weight(self):
-        return 2
 
     @functools.cached_property
     def cached(self):
@@ -353,17 +339,9 @@ class A:
     def make(cls):
         return cls()
 
-    @classmethod
-    def unused_make(cls):
-        return cls()
-
     @staticmethod
     def helper():
         return 4
-
-    @staticmethod
-    def unused_helper():
-        return 5
 
 
 @functools.lru_cache(maxsize=None)
@@ -389,36 +367,51 @@ def passed_on():
         raise
 
 
+def spread(n):
+    assert (
+        n >= 0
+    ), "no line event falls on the first line"
+    return n
+
+
+def either(n):
+    if n:
+        return 1
+    return 2
+
+
 def top():
     a = A.make()
     try:
         passed_on()
     except LookupError:
         pass
-    return a.run() + a.size + A.helper() + cached_top(1) + (1 + a) + refuse(0)
+    return a.run() + a.size + A.helper() + cached_top(1) + refuse(0) + spread(1)
 """
 
 
-def test_the_guard_names_exactly_the_unentered_definitions(tmp_path, monkeypatch):
-    """Methods, dunders, properties, cached properties, classmethods,
-    staticmethods and lru_cache functions are each seen, and named when
-    nothing entered them; an alias is one definition under its first name.
-    Of the raises, the one top() never reaches is named, and neither one it
-    raises nor the bare re-raise that passes that exception on."""
+def test_the_guard_names_exactly_the_statements_that_never_ran(tmp_path, monkeypatch):
+    """Every statement of a definition that nothing entered is named, under
+    any decorator; one that ran under a decorator is seen. In a definition
+    that ran, the raise top() never reaches is named, and neither
+    one it raises, nor the bare re-raise that passes that exception on, nor
+    an assert whose event falls on its second line only. The two branches
+    of either(), taken in two calls, are both seen."""
     (tmp_path / "sample_module.py").write_text(SAMPLE)
     monkeypatch.syspath_prepend(str(tmp_path))
-    with recording() as entered, raising(tmp_path) as lines:
+    with running(statement_sites(tmp_path)) as unrun:
         sample = importlib.import_module("sample_module")
         sample.top()
+        sample.either(0)
+        sample.either(1)
     line = SAMPLE.splitlines().index("        raise ValueError(n)") + 1
-    assert unraised(raise_sites(tmp_path), lines) == [("sample_module.refuse", line)]
-    assert unentered([sample], entered) == [
+    assert ("sample_module.refuse", line) in unrun
+    assert [name for name, _ in unrun] == [
         "sample_module.A.__repr__",
         "sample_module.A.alone",
+        "sample_module.A.alone",
         "sample_module.A.cached",
-        "sample_module.A.unused_helper",
-        "sample_module.A.unused_make",
-        "sample_module.A.weight",
+        "sample_module.refuse",
         "sample_module.unused_cached_top",
     ]
 

@@ -217,9 +217,9 @@ def test_theta_tower_degenerate_p_coprime():
     ok, _ = coherence_check(t)
     assert ok
     # single level equals the plain theta reduced mod 25
-    from iwasawa_kit.lvalues import theta_value
+    from iwasawa_kit.lvalues import apply_plan, theta_plan
 
-    exact = theta_value(t.levels[0], {3, 5}, {7}, 0)
+    exact = apply_plan(t.levels[0], theta_plan({3, 5}, {7}, 0))
     assert t.entries[0] == reduce_exact(exact, 25)
 
 

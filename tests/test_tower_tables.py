@@ -1,5 +1,5 @@
 """The former forms of the tower route's per-level work, kept as oracles of
-the tables that are built once: the Fraction route of theta_value
+the tables that are built once: the Fraction route of the theta plan
 (fraction_route: a Hurwitz zeta value per unit residue, the Euler factors,
 #, then each T-factor), the per-element power chi_cyc(g)^r mod q of the
 twist, the Kummer congruence on reduced and twisted copies and the parity
@@ -35,8 +35,9 @@ from iwasawa_kit.campaigns import TOWER_CORPUS, corpus_cm_specs, load_manifest
 from iwasawa_kit.lvalues import (
     ClassModuleData,
     _mat_reduce,
+    apply_plan,
     theta_places,
-    theta_value,
+    theta_plan,
 )
 from iwasawa_kit.numutil import factorize
 from iwasawa_kit.tower import (
@@ -123,7 +124,8 @@ def test_theta_value_matches_the_fraction_route_on_tower_levels(spec, S, T, p, n
         s_fin, t_fin = theta_places(spec, [*S, *extra], T, 0)
         for r in RS:
             expected = [fraction_route.theta_value(lvl, s_fin, t_fin, r) for lvl in levels]
-            assert [theta_value(lvl, s_fin, t_fin, r) for lvl in levels] == expected, (extra, r)
+            plan = theta_plan(s_fin, t_fin, r)
+            assert [apply_plan(lvl, plan) for lvl in levels] == expected, (extra, r)
             checked += len(levels)
             if entries and not extra:
                 got = theta_tower(spec, S, T, p, 3, n_max, r).entries
@@ -218,25 +220,6 @@ def test_one_pass_checks_match_the_copies_on_the_campaign_towers():
             failed["parity"].update(n for n, ok in enumerate(parity) if not ok)
             failed["kummer"].add(kummer[1])
     assert failed == {"parity": {0, 1, 2}, "kummer": {None, 0, 1, 2}}
-
-
-def test_the_congruence_at_r_0_reads_no_chi_cyc(monkeypatch):
-    """twist_congruence_check(t_0, t_0) compares the entries and reads no
-    twist factor, so it holds on levels that have no chi_cyc (zeta_3 is not
-    in Q(zeta_7) or Q, so no level of their 3-towers has one), and a
-    corrupted copy fails at the level it was corrupted."""
-
-    def refuse(*args):
-        pytest.fail("a twist factor was read at r = 0")
-
-    monkeypatch.setattr(tower, "_twist_factors", refuse)
-    for spec, S, T in ((Z7, [3, 7, OO], [2]), (AbelianFieldSpec.rationals(), [3, OO], [2])):
-        t_0 = theta_tower(spec, S, T, 3, 3, 2, 0)
-        assert not any(level.has_chi_cyc for level in t_0.levels)
-        assert twist_congruence_check(t_0, t_0) == (True, None)
-        for n in range(3):
-            assert twist_congruence_check(corrupted(t_0, n, 0, 1), t_0) == (False, n)
-            assert twist_congruence_check(t_0, corrupted(t_0, n, 0, 1)) == (False, n)
 
 
 def test_the_hyp_list_of_a_tower_is_check_hyp_on_each_level():

@@ -151,8 +151,8 @@ def test_manifest_builds_one_minus_quotient_per_group_algebra(monkeypatch):
 # calls in lvalues) over tower_coherence_campaign() and
 # kummer_congruence_campaign(): one table per (level, k) of the 12 levels
 # n <= 2 of TOWER_CORPUS's four base fields at k = 1..4, and one plan
-# application and one lowest_terms per level a tower computes (the route
-# before theta_value ran two lowest_terms per level).
+# application and one lowest_terms per level a tower computes (an earlier
+# route ran two lowest_terms per level).
 THETA_TABLES = (48, 168, 168)
 
 
