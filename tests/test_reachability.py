@@ -17,12 +17,13 @@ Every statement of `src/` (read from the AST) that the corpus never ran is
 named, as the definition that holds it (`module.Class.method`, or the
 module alone at its top level), unless ALLOWED lists it: each statement of
 a definition never entered, of a branch no input takes, and each `raise` no
-input provokes. The trace goes on only in the frames of code objects that
-hold a statement, with line events on; a statement has run when an event
-fell on any line of its span, so a multi-line statement counts whichever of
-its lines a Python version gives the event to. A code object goes untraced
-once each of its statements has run, which keeps the trace's cost near that
-of one on calls alone. A statement that only the tests run goes, or moves
+input provokes; no definition may have all its statements unrun. The
+trace goes on only in the frames of code objects that hold a statement,
+with line events on; a statement has run when an event fell on any line of
+its span, so a multi-line statement counts whichever of its lines a Python
+version gives the event to. A code object goes untraced once each of its
+statements has run, which keeps the trace's cost near that of one on calls
+alone. A statement that only the tests run goes, or moves
 to `tests/`; one that a rare input reaches gets a corpus input that reaches
 it; a refusal gets a row of the refusal table. ALLOWED names the statements
 that no input can reach, one line each: the checks that catch a fault of
@@ -307,6 +308,15 @@ def test_every_statement_is_run_by_the_commands_or_the_benchmark_or_allowed(corp
     found = collections.Counter(name for name, _ in corpus)
     allowed = collections.Counter(name for name, _ in ALLOWED)
     assert (found - allowed, allowed - found) == ({}, {}), corpus
+
+
+def test_every_definition_is_entered_by_the_commands_or_the_benchmark(corpus):
+    """No definition of src/ has all its statements unrun: ALLOWED names a
+    branch or a raise that no input reaches, never a whole definition that
+    nothing enters."""
+    sites = collections.Counter(name for _, name, *_ in statement_sites(SRC))
+    unrun = collections.Counter(name for name, _ in corpus)
+    assert [name for name in unrun if unrun[name] == sites[name]] == [], corpus
 
 
 SAMPLE = """
