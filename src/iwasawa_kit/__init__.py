@@ -9,72 +9,8 @@ den) of integer numerators over one denominator. The package verifies, at
 desk scale, the classical identities and containments these objects satisfy
 (integrality under admissibility, annihilation of class-module data, tower
 coherence, twist congruences, and the Fitting-ideal lemma calculus).
+
+The package root exports nothing: the API is the modules
+(`iwasawa_kit.lvalues.theta`, `iwasawa_kit.fitting.GroupAlgebra`, ...), and
+the CLI is `iwasawa_kit.cli`.
 """
-
-from .abelian import (
-    AbelianFieldSpec,
-    CharacterTable,
-    CMStructure,
-    DirichletCharacter,
-    FiniteAbelianGroup,
-    admissible_places,
-    check_hyp,
-    cm_data,
-    conductor,
-    dirichlet_characters,
-    galois_group,
-    layer,
-    ramified_primes,
-    roots_of_unity_order,
-)
-from .complexes import (
-    BoundedComplex,
-    ChainMap,
-    ComplexSES,
-    EulerFittingInvariant,
-    cone,
-    euler_fitting_additivity_check,
-    extension,
-    quasi_iso_check,
-)
-from .exact import (
-    CyclotomicInt,
-    bernoulli_number,
-    bernoulli_polynomial,
-    padic_from_rational,
-    teichmuller,
-)
-from .fitting import (
-    AlgebraMorphism,
-    FiniteCommAlgebra,
-    FinPresModule,
-    GroupAlgebra,
-    IdealHandle,
-    ModuleMap,
-    base_change_fitting,
-    dual_presentation,
-    e1_sharp_check,
-    four_term_check,
-    minus_quotient,
-    pontryagin_dual,
-    tower_fitting_check,
-)
-from .groupring import basis_index, sharp, translate
-from .lvalues import (
-    ClassModuleData,
-    StickelbergerElement,
-    annihilation_check,
-    fitting_membership_check,
-    theta,
-    verify_case,
-    verify_integrality,
-)
-from .tower import (
-    TowerElement,
-    aug_project,
-    coherence_check,
-    theta_tower,
-    twist_congruence_check,
-)
-
-__version__ = "0.1.0"

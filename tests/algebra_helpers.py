@@ -66,11 +66,10 @@ def fresh_zeta_tables(monkeypatch):
 
 
 def patch_every_binding(monkeypatch, originals, replacement):
-    """Bind replacement wherever the package or one of its modules binds one
-    of originals, under any name, as the benchmark tracer patches it."""
-    modules = [iwasawa_kit, *(importlib.import_module(f"iwasawa_kit.{info.name}")
-                              for info in pkgutil.iter_modules(iwasawa_kit.__path__))]
-    for module in modules:
+    """Bind replacement wherever a module of the package binds one of
+    originals, under any name, as the benchmark tracer patches it."""
+    for info in pkgutil.iter_modules(iwasawa_kit.__path__):
+        module = importlib.import_module(f"iwasawa_kit.{info.name}")
         for name, value in list(vars(module).items()):
             if any(value is original for original in originals):
                 monkeypatch.setattr(module, name, replacement)

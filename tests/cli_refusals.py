@@ -2,9 +2,10 @@
 fails) or 4 (an input is not well formed), one row for each way a command is
 refused. `tests/test_cli.py` checks that each ends with its exit code, an
 empty stdout and one JSON error that is its message (`matches`) and names no
-class of the package; `tests/test_reachability.py` runs each under the
-profiler; CI runs each through the console script under `timeout 5`. A
-refusal added here reaches all three. The files the rows read are the committed fixtures
+class of the package. `tests/cli_corpus.py` runs every row with its accepted
+commands: under the statement trace of `tests/test_reachability.py`, and
+through the console script within 5 s each, as CI runs it. A refusal added
+here reaches all three. The files the rows read are the committed fixtures
 and data files, copies of them with fields changed, and a few small payloads
 written out whole."""
 

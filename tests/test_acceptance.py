@@ -9,7 +9,6 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 import time
 from pathlib import Path
 
-import iwasawa_kit
 from iwasawa_kit.campaigns import (
     annihilation_campaign,
     character_campaign,

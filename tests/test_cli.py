@@ -9,7 +9,6 @@ import json
 import os
 import pkgutil
 import re
-import subprocess
 import sys
 import tempfile
 import time
@@ -17,6 +16,7 @@ from pathlib import Path
 
 import pytest
 from algebra_helpers import algebra_json, patch_every_binding
+from cli_corpus import COMPLEX_FILES, ROOT, capped, closed_stdout, in_process, readme_lines, steps
 from cli_refusals import (
     BUILT_TOWER_REFUSALS,
     CAMPAIGN_REFUSALS,
@@ -64,132 +64,36 @@ def run_refused(capsys, *argv):
     return code, json.loads(captured.err)
 
 
-def test_theta_certificate(capsys):
-    code, cert = run(capsys, "theta", "--spec", "zeta3", "--S", "3,oo", "--T", "7", "--r", "0")
-    assert code == EXIT_OK
-    assert cert["result"]["hyp"] is True
-    assert cert["result"]["integral"] is True
-    # theta = sigma_2 - 1: coefficients {identity: -1, sigma: 1}
-    assert cert["result"]["coefficients"] == {"0": "-1", "1": "1"}
+# The command corpus (tests/cli_corpus.py), one case per step; the
+# reachability guard runs every step too, and CI through the console script.
+STEPS = steps()
+
+
+def test_the_readme_block_shows_each_command_once_and_parses():
+    """README's CLI block, as the corpus reads it, has one line per command
+    but recheck (a placeholder there: the corpus rechecks every certificate
+    it writes), and the parser takes each line."""
+    lines = readme_lines()
+    assert sorted(argv[0] for argv in lines) == sorted(cli.RUNNERS)
+    for argv in lines:
+        assert cli.build_parser().parse_args(argv).command == argv[0]
+
+
+@pytest.mark.parametrize("name", STEPS)
+def test_corpus_step(monkeypatch, tmp_path, name):
+    monkeypatch.chdir(ROOT)  # README's paths are relative to it
+    STEPS[name](in_process, tmp_path)
 
 
 @pytest.mark.parametrize("argv, result", [
     (("--spec", "zeta3", "--S", "3,oo", "--T", "2", "--r", "0"), ({"0": "1/2", "1": "-1/2"}, False)),
     (("--spec", "zeta3", "--S", "3,oo", "--r", "0"), ({"0": "1/6", "1": "-1/6"}, False)),
-    # Hyp(S,T) is the rule for r = 0: at r = -1 over Q, theta = zeta(-1)(1 - 3^2)
-    (("--spec", "zeta1", "--S", "oo", "--T", "3", "--r", "-1"), ({"": "2/3"}, True)),
 ])
-def test_theta_asserts_no_integrality_without_hyp_or_t_or_at_r_below_0(capsys, argv, result):
+def test_theta_asserts_no_integrality_without_hyp_or_t(capsys, argv, result):
     code, cert = run(capsys, "theta", *argv)
     assert code == EXIT_OK
     assert (cert["result"]["coefficients"], cert["result"]["hyp"]) == result
     assert cert["result"]["integral"] is cert["result"]["integrality_asserted"] is False
-
-
-def test_tower_command_and_recheck(tmp_path, capsys):
-    out = tmp_path / "tower.json"
-    code, cert = run(
-        capsys, "tower", "--spec", "zeta5", "--S", "5,oo", "--T", "2",
-        "--r", "-1", "--p", "5", "--N", "2", "--levels", "2", "--out", str(out),
-    )
-    assert code == EXIT_OK
-    assert cert["result"]["coherent"] is True
-    assert cert["result"]["twist_congruent"] is True
-    code2, report = run(capsys, "recheck", str(out))
-    assert code2 == EXIT_OK
-    assert report["result"]["matches"] is True
-
-
-def test_tower_replay_detects_corruption(tmp_path, capsys):
-    out = tmp_path / "tower.json"
-    code, cert = run(
-        capsys, "tower", "--spec", "zeta3", "--S", "3,oo", "--T", "7",
-        "--r", "0", "--p", "3", "--N", "2", "--levels", "1", "--out", str(out),
-    )
-    assert code == EXIT_OK
-    tower_json = cert["result"]["tower"]
-    key = next(iter(tower_json["levels"][0]["coeffs"]))
-    tower_json["levels"][0]["coeffs"][key] = (
-        tower_json["levels"][0]["coeffs"][key] + 1
-    ) % 9
-    replay = tmp_path / "replay.json"
-    replay.write_text(json.dumps(tower_json))
-    code2, cert2 = run(
-        capsys, "tower", "--spec", "zeta3", "--S", "3,oo", "--T", "7",
-        "--r", "0", "--p", "3", "--N", "2", "--levels", "1", "--data", str(replay),
-    )
-    assert code2 == EXIT_CHECK_FAILED
-    assert cert2["result"]["coherent"] is False
-    assert cert2["witness"]["failing_layer"] == 0
-
-
-def test_tower_certificate_is_wire_compatible(tmp_path, capsys):
-    # a stored certificate locks the tower wire format: recheck and replay
-    # must both reproduce it
-    path = FIXTURES / "tower_zeta3_cert.json"
-    stored = json.loads(path.read_text())
-    code, report = run(capsys, "recheck", str(path))
-    assert code == EXIT_OK and report["result"]["matches"] is True
-    replay = tmp_path / "replay.json"
-    replay.write_text(json.dumps(stored["result"]["tower"]))
-    code2, cert = run(
-        capsys, "tower", "--spec", "zeta3", "--S", "3,oo", "--T", "7", "--r", "-1",
-        "--p", "3", "--N", "2", "--levels", "2", "--data", str(replay),
-    )
-    assert code2 == EXIT_OK
-    assert cert["result"] == stored["result"]
-
-
-@pytest.mark.parametrize("name", ["theta_zeta12_cert.json", "verify_z23_cert.json"])
-def test_theta_certificate_is_wire_compatible(capsys, name):
-    # stored certificates lock the theta wire format ("g1,g2" keys over
-    # C2 x C2, single-coordinate keys over C22): recheck and a fresh run
-    # must both reproduce them
-    path = FIXTURES / name
-    stored = json.loads(path.read_text())
-    code, report = run(capsys, "recheck", str(path))
-    assert code == EXIT_OK and report["result"]["matches"] is True
-    cfg = stored["input"]
-    argv = [
-        stored["command"], "--spec", json.dumps(cfg["spec"]), "--S", ",".join(cfg["S"]),
-        "--T", ",".join(cfg["T"]), "--r", str(cfg["r"]),
-    ]
-    if stored["command"] == "verify":
-        argv += ["--p", str(cfg["p"]), "--N", str(cfg["N"]),
-                 "--data", str(DATA / "table_z23_minus.json")]
-    code2, cert = run(capsys, *argv)
-    assert code2 == EXIT_OK
-    assert cert["result"] == stored["result"]
-
-
-def test_recheck_detects_flipped_verdict(tmp_path, capsys):
-    out = tmp_path / "theta.json"
-    code, cert = run(
-        capsys, "theta", "--spec", "zeta3", "--S", "3,oo", "--T", "7", "--r", "0",
-        "--out", str(out),
-    )
-    assert code == EXIT_OK
-    cert["result"]["integral"] = not cert["result"]["integral"]
-    out.write_text(json.dumps(cert))
-    code2, report = run(capsys, "recheck", str(out))
-    assert code2 == EXIT_CHECK_FAILED
-    assert report["result"]["matches"] is False
-
-
-# The README's CLI block, the campaigns at small trial counts.
-README_COMMANDS = {
-    "theta": ("theta", "--spec", "zeta3", "--S", "3,oo", "--T", "7", "--r", "0"),
-    "tower": ("tower", "--spec", "zeta5", "--S", "5,oo", "--T", "2", "--r", "-1", "--p", "5",
-              "--N", "2", "--levels", "2"),
-    "verify": ("verify", "--spec", "zeta23", "--S", "23,oo", "--T", "5", "--r", "0", "--p", "3",
-               "--N", "2", "--data", str(DATA / "table_z23_minus.json")),
-    "fitting": ("fitting", "--seed", "0", "--trials", "6"),
-    "complex": ("complex", "--seed", "0", "--trials", "3"),
-    "complex_z9": ("complex", "--data", str(FIXTURES / "complex_z9.json")),
-    "complex_z9_c2xc2": ("complex", "--data", str(FIXTURES / "complex_z9_c2xc2.json")),
-    "selftest": ("selftest", "--seed", "0", "--max-conductor", "8", "--trials", "3",
-                 "--complex-trials", "2", "--data-dir", str(DATA)),
-}
 
 
 def without_seconds_reference(result):
@@ -231,10 +135,11 @@ def test_recheck_agrees_with_the_walk_on_the_readme_and_fixture_certificates(
     its first verdict flipped, it gives the verdict of the walk on the same
     rerun: a match, a match and a mismatch. Only suite certificates carry
     "seconds"."""
+    monkeypatch.chdir(ROOT)  # README's paths are relative to it
     paths = []
-    for name, argv in README_COMMANDS.items():
-        paths.append(tmp_path / f"{name}_cert.json")
-        assert run(capsys, *argv, "--out", str(paths[-1]))[0] == EXIT_OK, name
+    for i, argv in enumerate([*readme_lines(), *(["complex", "--data", f] for f in COMPLEX_FILES)]):
+        paths.append(tmp_path / f"{i}_cert.json")
+        assert run(capsys, *capped(argv), "--out", str(paths[-1]))[0] == EXIT_OK, argv
     paths += sorted(FIXTURES.glob("*_cert.json"))
     reruns = {}
 
@@ -299,42 +204,6 @@ def test_wire_depth_bound():
             wire.parse(nested_witness_certificate(levels), "certificate")
 
 
-def test_verify_table_data(capsys):
-    code, cert = run(
-        capsys, "verify", "--spec", "zeta23", "--S", "23,oo", "--T", "5",
-        "--r", "0", "--p", "3", "--N", "2", "--data", str(DATA / "table_z23_minus.json"),
-    )
-    assert code == EXIT_OK
-    assert cert["result"]["annihilation"] is True
-    assert cert["result"]["fitting_membership"] is True
-
-
-def test_verify_synthetic_fails_checks(capsys, tmp_path):
-    out = tmp_path / "verify.json"
-    code, cert = run(
-        capsys, "verify", "--spec", "zeta3", "--S", "3,oo", "--T", "7",
-        "--r", "0", "--p", "3", "--N", "2",
-        "--data", str(DATA / "synthetic_z3_quadratic.json"), "--out", str(out),
-    )
-    assert code == EXIT_CHECK_FAILED
-    assert cert["result"]["annihilation"] is False
-    assert cert["result"]["fitting_membership"] is False
-    assert any(any(row) for row in cert["witness"]["acting_matrix"])
-    assert any(cert["witness"]["fitting_residual"])
-    # certificates re-validate even when the verdicts are negative
-    code2, report = run(capsys, "recheck", str(out))
-    assert code2 == EXIT_OK and report["result"]["matches"] is True
-
-
-def test_fitting_command(tmp_path, capsys):
-    out = tmp_path / "fitting.json"
-    code, cert = run(capsys, "fitting", "--seed", "1", "--trials", "6", "--out", str(out))
-    assert code == EXIT_OK
-    assert cert["result"]["ok"] is True
-    code2, report = run(capsys, "recheck", str(out))
-    assert code2 == EXIT_OK and report["result"]["matches"] is True
-
-
 def test_a_run_out_of_memory_is_refused(capsys, monkeypatch):
     from iwasawa_kit import cli
 
@@ -348,22 +217,19 @@ def test_a_run_out_of_memory_is_refused(capsys, monkeypatch):
 
 
 def test_closed_stdout_exits_4_without_a_traceback():
-    # the read end of stdout is closed before the child writes its certificate
-    read_end, write_end = os.pipe()
-    os.close(read_end)
+    # as CI runs it through the console script
     paths = [str(Path(iwasawa_kit.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "iwasawa_kit.cli", "fitting", "--trials", "0"],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
-        )
-    finally:
-        os.close(write_end)
-    assert proc.returncode == EXIT_IO, proc.stderr
-    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
-    [line] = proc.stderr.splitlines()
-    assert json.loads(line)["exit"] == EXIT_IO
+    closed_stdout([sys.executable, "-m", "iwasawa_kit.cli"], env=env)
+
+
+def test_fitting_command(tmp_path, capsys):
+    out = tmp_path / "fitting.json"
+    code, cert = run(capsys, "fitting", "--seed", "1", "--trials", "6", "--out", str(out))
+    assert code == EXIT_OK
+    assert cert["result"]["ok"] is True
+    code2, report = run(capsys, "recheck", str(out))
+    assert code2 == EXIT_OK and report["result"]["matches"] is True
 
 
 def test_zero_trials_run_the_campaigns(capsys):
@@ -392,6 +258,7 @@ def complex_payload():
 
 
 def test_complex_command_ingestion(tmp_path, capsys):
+    assert json.loads((FIXTURES / "complex_z9.json").read_text()) == complex_payload()
     path = tmp_path / "complex.json"
     path.write_text(json.dumps(complex_payload()))
     code, cert = run(capsys, "complex", "--data", str(path))
@@ -415,44 +282,12 @@ def test_complex_data_on_a_free_module_of_rank_20_takes_under_a_second(tmp_path,
     assert cert["result"]["cohomology_sizes"] == {"0": 81**20}
 
 
-def test_complex_data_certificate_rechecks(tmp_path, capsys):
-    # the certificate's input carries the complex, so recheck re-runs it
-    # rather than the seed-0 campaigns
-    fixture = FIXTURES / "complex_z9.json"
-    assert json.loads(fixture.read_text()) == complex_payload()
-    out = tmp_path / "complex_cert.json"
-    code, cert = run(capsys, "complex", "--data", str(fixture), "--out", str(out))
-    assert code == EXIT_OK
-    assert cert["input"]["complex_data"] == complex_payload()
-    code, report = run(capsys, "recheck", str(out))
-    assert code == EXIT_OK and report["result"]["matches"] is True
-
-
-def test_complex_certificate_over_z9_c2xc2_is_wire_compatible(capsys):
-    """A stored `complex --data` certificate over (Z/9)[C2 x C2] locks the
-    canonical form: its Euler-Fitting numerator and denominator are Howell
-    forms, so a fresh run must reproduce them entry by entry, and recheck
-    must accept the stored file. The certificate carries no timing."""
-    data, path = FIXTURES / "complex_z9_c2xc2.json", FIXTURES / "complex_z9_c2xc2_cert.json"
-    stored = json.loads(path.read_text())
-    assert stored["input"]["complex_data"] == json.loads(data.read_text())
-    assert all(len(r) == 4 for pair in stored["result"]["euler_fitting"].values() for r in pair)
-    code, cert = run(capsys, "complex", "--data", str(data))
-    assert code == EXIT_OK
-    assert cert == stored
-    code, report = run(capsys, "recheck", str(path))
-    assert code == EXIT_OK and report["result"]["matches"] is True
-
-
-def test_fitting_certificate_at_seed_3_is_wire_compatible(capsys):
+def test_fitting_certificate_at_seed_3_is_wire_compatible():
     """A stored `fitting --seed 3 --trials 60` certificate locks the verdicts
-    and trial counts of every Fitting suite: recheck reruns the campaigns and
-    must reproduce it, `seconds` aside."""
-    path = FIXTURES / "fitting_seed3_cert.json"
-    stored = json.loads(path.read_text())
+    and trial counts of every Fitting suite: the corpus rechecks it, and
+    recheck must reproduce it, `seconds` aside."""
+    stored = json.loads((FIXTURES / "fitting_seed3_cert.json").read_text())
     assert stored["input"] == {"seed": 3, "trials": 60} and stored["result"]["ok"] is True
-    code, report = run(capsys, "recheck", str(path))
-    assert code == EXIT_OK and report["result"]["matches"] is True
 
 
 # The class names of the package, none of which a refusal names.
@@ -541,32 +376,19 @@ def test_payload_fuzz(index, path):
 
 
 def test_selftest_small_bounds(tmp_path, capsys):
+    """selftest at seed 7 passes, and a second run reproduces its verdicts."""
     out = tmp_path / "selftest.json"
-    code = main(
-        [
-            "selftest", "--seed", "7", "--max-conductor", "7", "--trials", "6",
-            "--complex-trials", "4", "--data-dir", str(DATA), "--out", str(out),
-        ]
-    )
-    captured = capsys.readouterr()
-    assert code == EXIT_OK
-    cert = json.loads(out.read_text())
-    assert cert["result"]["ok"] is True
-    assert "[PASS]" in captured.err
-    # determinism: the same seed reproduces identical verdicts
-    code2 = main(
-        [
-            "selftest", "--seed", "7", "--max-conductor", "7", "--trials", "6",
-            "--complex-trials", "4", "--data-dir", str(DATA), "--out", str(out),
-        ]
-    )
-    capsys.readouterr()
-    cert2 = json.loads(out.read_text())
-    assert code2 == EXIT_OK
-    strip = lambda c: [
-        {k: v for k, v in s.items() if k != "seconds"} for s in c["result"]["suites"]
-    ]
-    assert strip(cert) == strip(cert2)
+    argv = ["selftest", "--seed", "7", "--max-conductor", "7", "--trials", "6",
+            "--complex-trials", "4", "--data-dir", str(DATA), "--out", str(out)]
+    verdicts = []
+    for _ in range(2):
+        assert main(argv) == EXIT_OK
+        assert "[PASS]" in capsys.readouterr().err
+        cert = json.loads(out.read_text())
+        assert cert["result"]["ok"] is True
+        verdicts.append([{k: v for k, v in s.items() if k != "seconds"}
+                         for s in cert["result"]["suites"]])
+    assert verdicts[0] == verdicts[1]
 
 
 SPECS = st.one_of(
@@ -695,11 +517,9 @@ def test_places_are_admitted_once_per_theta_or_tower(tmp_path, capsys, monkeypat
         calls.clear()
         tower.theta_tower(z3, [3, "oo"], [5, 7], 3, 2, n_max, -1)
         assert calls == ["rules", "places"], n_max
-    readme_theta = ("theta", "--spec", "zeta3", "--S", "3,oo", "--T", "7", "--r", "0")
-    readme_tower = ("tower", "--spec", "zeta5", "--S", "5,oo", "--T", "2", "--r", "-1",
-                    "--p", "5", "--N", "2", "--levels", "2")
-    readme_verify = ("verify", "--spec", "zeta23", "--S", "23,oo", "--T", "5", "--r", "0",
-                     "--p", "3", "--N", "2", "--data", str(DATA / "table_z23_minus.json"))
+    monkeypatch.chdir(ROOT)  # README's paths are relative to it
+    readme = {argv[0]: tuple(argv) for argv in readme_lines()}
+    readme_theta, readme_tower, readme_verify = (readme[c] for c in ("theta", "tower", "verify"))
     replay = tmp_path / "replay.json"
     replay_tower = (*readme_tower, "--data", str(replay))
     for argv, want in ((readme_theta, ["places"]), (readme_verify, ["places"]),

@@ -1,17 +1,14 @@
 """The kit is what its commands and its benchmark run, down to each statement.
 
 A fresh interpreter installs `sys.settrace` before it imports the package,
-so code that runs at import time counts. It then runs a fixed corpus through
-`cli.main`: the README's CLI block with small trial counts, `complex --data`
-on both committed complexes, the replay of a tower from its own certificate
-(and with a coefficient edited, which fails), `recheck` of each fresh
-certificate and of the committed certificates (and of the fitting
-certificate with its `seconds` rewritten or a verdict flipped, as CI runs
-them), the accepted inputs that reach what the README block does not
-(`rare_inputs`), the refusals that exit 2 and 4 (the table of
-`tests/cli_refusals.py`, which `tests/test_cli.py` checks too), and one
-round of each benchmark workload at seed 1, built by
-`perfbench/workloads.py` (the benchmark is a client of the kit).
+so code that runs at import time counts. It then runs, through `cli.main`,
+every step of the one command corpus (`tests/cli_corpus.py`: README's CLI
+block at small trial counts, the accepted inputs that reach what the block
+does not, and the follow-ups of their certificates, each rechecked), every
+refusal of the refusal table (`tests/cli_refusals.py`), and one round of
+each benchmark workload at seed 1, built by `perfbench/workloads.py` (the
+benchmark is a client of the kit). `tests/test_cli.py` and CI run the same
+corpus and table.
 
 Every statement of `src/` (read from the AST) that the corpus never ran is
 named, as the definition that holds it (`module.Class.method`, or the
@@ -23,11 +20,11 @@ with line events on; a statement has run when an event fell on any line of
 its span, so a multi-line statement counts whichever of its lines a Python
 version gives the event to. A code object goes untraced once each of its
 statements has run, which keeps the trace's cost near that of one on calls
-alone. A statement that only the tests run goes, or moves
-to `tests/`; one that a rare input reaches gets a corpus input that reaches
-it; a refusal gets a row of the refusal table. ALLOWED names the statements
-that no input can reach, one line each: the checks that catch a fault of
-the kit's own computation, the fallbacks of the comparison and descriptor
+alone. A statement that only the tests run goes, or moves to `tests/`; one
+that a rare input reaches gets a step of the corpus that reaches it; a
+refusal gets a row of the refusal table. ALLOWED names the statements that
+no input can reach, one line each: the checks that catch a fault of the
+kit's own computation, the fallbacks of the comparison and descriptor
 protocols, the CLI's process-level handlers, the path of a failed campaign
 check, and what a general definition does for a case the kit never builds.
 
@@ -39,7 +36,6 @@ import ast
 import collections
 import contextlib
 import importlib
-import io
 import json
 import subprocess
 import sys
@@ -49,10 +45,6 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "iwasawa_kit"
-DATA = ROOT / "data"
-FIXTURES = ROOT / "tests" / "fixtures"
-# recheck of this certificate takes seconds and reaches nothing new
-SLOW_FIXTURE = "fitting_seed3_cert.json"
 
 # The statements of src/ that no input reaches, one line each: the definition
 # that holds it and what it does.
@@ -134,20 +126,26 @@ def running(sites):
             scopes[path, scope][line] = (name, first, last)
     unrun = []
 
-    def call(frame, event, arg):
-        code = frame.f_code
-        waiting = scopes.get((code.co_filename, code.co_firstlineno))
-        if not waiting:
-            return None
-
+    def tracer(key, waiting):
+        """The local trace of the code objects of one scope; once each of
+        their sites has run, the scope leaves traces and its frames run
+        untraced."""
         def local(frame, event, arg):
             if event == "line" and frame.f_lineno in waiting:
                 _, first, last = waiting[frame.f_lineno]
                 for line in range(first, last + 1):
                     waiting.pop(line, None)
-                frame.f_trace_lines = bool(waiting)
+                if not waiting:
+                    frame.f_trace_lines = False
+                    traces.pop(key, None)
             return local
         return local
+
+    traces = {key: tracer(key, waiting) for key, waiting in scopes.items()}
+
+    def call(frame, event, arg):
+        code = frame.f_code
+        return traces.get((code.co_filename, code.co_firstlineno))
 
     sys.settrace(call)
     try:
@@ -160,103 +158,6 @@ def running(sites):
 
 # ---------------------------------------------------------------------------
 # The corpus, run in the child interpreter.
-
-def cli(*argv, want=0):
-    """Run argv through cli.main, check its exit code and return what it
-    printed: the certificate, or the one JSON error of a refusal."""
-    from iwasawa_kit.cli import main
-
-    with contextlib.redirect_stdout(io.StringIO()) as out, \
-            contextlib.redirect_stderr(io.StringIO()) as err:
-        code = main([str(a) for a in argv])
-    assert code == want, (argv, code, want, err.getvalue()[-500:])
-    return json.loads(out.getvalue()) if code in (0, 3) else json.loads(err.getvalue())
-
-
-def readme_block(tmp: Path):
-    """The README's CLI block with small trial counts, each certificate
-    rechecked, the tower replayed from its own result and with a coefficient
-    edited, and the fitting certificate rechecked with its timings rewritten
-    and with a verdict flipped."""
-    tower = ("--spec", "zeta5", "--S", "5,oo", "--T", "2", "--r", "-1", "--p", "5", "--N", "2",
-             "--levels", "2")
-    runs = {
-        "theta": ("theta", "--spec", "zeta3", "--S", "3,oo", "--T", "7", "--r", "0"),
-        "tower": ("tower", *tower),
-        "verify": ("verify", "--spec", "zeta23", "--S", "23,oo", "--T", "5", "--r", "0",
-                   "--p", "3", "--N", "2", "--data", DATA / "table_z23_minus.json"),
-        "fitting": ("fitting", "--seed", "0", "--trials", "6"),
-        "complex": ("complex", "--seed", "0", "--trials", "3"),
-        "complex_z9": ("complex", "--data", FIXTURES / "complex_z9.json"),
-        "complex_z9_c2xc2": ("complex", "--data", FIXTURES / "complex_z9_c2xc2.json"),
-        "selftest": ("selftest", "--seed", "0", "--max-conductor", "8", "--trials", "3",
-                     "--complex-trials", "2", "--data-dir", DATA),
-    }
-    certs = []
-    for name, argv in runs.items():
-        certs.append(tmp / f"{name}_cert.json")
-        cli(*argv, "--out", certs[-1])
-    tower_cert = json.loads((tmp / "tower_cert.json").read_text())
-    replay = tmp / "tower_replay.json"
-    replay.write_text(json.dumps(tower_cert["result"]["tower"]))
-    cli("tower", *tower, "--data", replay)
-    # as CI does: with one coefficient of level 0 moved by 1, the replay is
-    # neither coherent nor congruent to the fresh tower at r = 0, at level 0
-    coeffs = tower_cert["result"]["tower"]["levels"][0]["coeffs"]
-    coeffs["0,0"] = (coeffs["0,0"] + 1) % 25
-    replay.write_text(json.dumps(tower_cert["result"]["tower"]))
-    failed = cli("tower", *tower, "--data", replay, want=3)
-    assert (failed["result"]["coherent"], failed["result"]["twist_congruent"]) == (False, False)
-    assert failed["witness"] == {"failing_layer": 0, "twist_failing_layer": 0}, failed["witness"]
-    fixtures = sorted(p for p in FIXTURES.glob("*_cert.json") if p.name != SLOW_FIXTURE)
-    for path in certs + fixtures:
-        assert cli("recheck", path)["result"]["matches"] is True, path
-    # as CI does: the fitting certificate with every "seconds" rewritten
-    # matches (after the walk that drops them), with a verdict flipped not
-    fitting = json.loads((tmp / "fitting_cert.json").read_text())
-    for suite in fitting["result"]["suites"]:
-        suite["seconds"] = -1.0
-    edited = tmp / "fitting_seconds_cert.json"
-    edited.write_text(json.dumps(fitting))
-    assert cli("recheck", edited)["result"]["matches"] is True
-    fitting["result"]["ok"] = not fitting["result"]["ok"]
-    edited.write_text(json.dumps(fitting))
-    assert cli("recheck", edited, want=3)["result"]["matches"] is False
-
-
-def rare_inputs():
-    """Accepted inputs that reach what the README block does not, each with
-    its verdict: theta over modulus 6, whose field Q(zeta_3) has conductor
-    3 (a Frobenius lifted off the extra prime), equal to theta over zeta3;
-    theta over Q (no unit group) and over the real subfield of Q(zeta_35)
-    (zero at r = 0; its Smith form swaps columns); a tower at p = 43, the
-    first prime past the trial divisors; verify at N = 21, whose products
-    take lanes wider than 8 bytes; complex at seed 1, which draws a p-power
-    complex."""
-    places = ("--S", "3,oo", "--T", "2", "--r", "0")
-    zeta3 = cli("theta", "--spec", "zeta3", *places)["result"]
-    assert cli("theta", "--spec", '{"modulus": 6, "fixing": [1]}', *places)["result"] == zeta3
-    rationals = cli("theta", "--spec", "Q", "--S", "oo", "--T", "3", "--r", "0")["result"]
-    assert (rationals["coefficients"], rationals["integral"]) == ({"": "1"}, True), rationals
-    real = cli("theta", "--spec", '{"modulus": 35, "fixing": [1, 34]}', "--S", "5,7,oo",
-               "--T", "2", "--r", "0")["result"]
-    assert (real["coefficients"], real["integral"]) == ({}, True), real
-    tower = cli("tower", "--spec", "zeta43", "--S", "43,oo", "--T", "2", "--r", "0", "--p", "43",
-                "--N", "1", "--levels", "0")["result"]
-    assert tower["coherent"] is True, tower
-    verify = cli("verify", "--spec", "zeta23", "--S", "23,oo", "--T", "5", "--r", "0", "--p", "3",
-                 "--N", "21", "--data", DATA / "table_z23_minus.json")["result"]
-    assert verify["annihilation"] is verify["fitting_membership"] is True, verify
-    assert cli("complex", "--seed", "1", "--trials", "2")["result"]["ok"] is True
-
-
-def refusals(tmp: Path):
-    """The refusals of tests/cli_refusals.py, each with its exit code."""
-    from cli_refusals import refusals
-
-    for want, phrase, argv in refusals(tmp).values():
-        assert phrase in cli(*argv, want=want)["error"], argv
-
 
 def workloads(tmp: Path):
     """One round of each benchmark workload at seed 1."""
@@ -277,12 +178,14 @@ def child(tmp: Path) -> list:
     it never ran."""
     sys.path.insert(0, str(ROOT / "src"))
     with running(statement_sites(SRC)) as unrun:
+        import cli_corpus  # tests/ is the script's directory
         import iwasawa_kit
 
         assert Path(iwasawa_kit.__file__).parent == SRC
-        readme_block(tmp)
-        rare_inputs()
-        refusals(tmp)
+        for name, step in cli_corpus.steps().items():
+            (tmp / name).mkdir()
+            step(cli_corpus.in_process, tmp / name)
+        cli_corpus.refused(cli_corpus.exact, tmp)
         workloads(tmp)
     return unrun
 
